@@ -4,8 +4,8 @@ package memcnn_test
 // evaluation section.  Each benchmark regenerates its experiment from the GPU
 // performance model and reports the headline quantity of that experiment as a
 // custom metric, so `go test -bench=. -benchmem` reproduces the shape of the
-// published results in one run.  See EXPERIMENTS.md for the side-by-side
-// comparison with the published numbers.
+// published results in one run.  The experiments themselves live in
+// internal/bench.
 
 import (
 	"math"
@@ -355,20 +355,20 @@ func BenchmarkInference(b *testing.B) {
 // clearly on the VGG/AlexNet-scale shapes, the direct path keeps tiny
 // single-image layers cheap, and the FFT path takes the large-filter stride-1
 // AlexNet conv2 shape; all three run allocation-free into pre-sized buffers,
-// exactly as the executor drives them.
+// exactly as the executor drives them.  Tensors are NCHW, the layout the GEMM
+// and FFT paths are compiled for; the LeNet shape also runs the direct kernel
+// on CHWN, the layout the compiler pairs it with (the paper's coalesced case).
 func BenchmarkConvAlgorithms(b *testing.B) {
 	shapes := []struct {
 		name string
 		cfg  kernels.ConvConfig
-		// skipDirect drops the direct sub-benchmark on shapes where the naive
-		// kernel needs minutes per iteration; it is never the selected path
-		// there, so the smoke run loses nothing.
-		skipDirect bool
+		chwn bool // also run direct on CHWN tensors
 	}{
 		{name: "1img-small", cfg: kernels.ConvConfig{N: 1, C: 3, H: 16, W: 16, K: 8, FH: 3, FW: 3, PadH: 1, PadW: 1}},
 		{name: "cifar-conv2", cfg: kernels.ConvConfig{N: 32, C: 64, H: 12, W: 12, K: 64, FH: 5, FW: 5, PadH: 2, PadW: 2}},
 		{name: "vgg-conv3_1", cfg: kernels.ConvConfig{N: 2, C: 128, H: 28, W: 28, K: 256, FH: 3, FW: 3, PadH: 1, PadW: 1}},
-		{name: "alexnet-conv2@n32", cfg: kernels.ConvConfig{N: 32, C: 96, H: 27, W: 27, K: 256, FH: 5, FW: 5, PadH: 2, PadW: 2}, skipDirect: true},
+		{name: "alexnet-conv2@n32", cfg: kernels.ConvConfig{N: 32, C: 96, H: 27, W: 27, K: 256, FH: 5, FW: 5, PadH: 2, PadW: 2}},
+		{name: "lenet-conv1@n128", cfg: kernels.ConvConfig{N: 128, C: 1, H: 28, W: 28, K: 20, FH: 5, FW: 5}, chwn: true},
 	}
 	for _, s := range shapes {
 		cfg := s.cfg
@@ -384,8 +384,8 @@ func BenchmarkConvAlgorithms(b *testing.B) {
 		gflop := cfg.FLOPs() / 1e9
 		selected := autotune.SelectConvAlgorithm(cfg)
 
-		if !s.skipDirect {
-			b.Run(s.name+"/direct", func(b *testing.B) {
+		direct := func(in, out *tensor.Tensor) func(b *testing.B) {
+			return func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					if err := kernels.ConvDirectInto(in, filters, out, cfg); err != nil {
@@ -394,7 +394,11 @@ func BenchmarkConvAlgorithms(b *testing.B) {
 				}
 				b.ReportMetric(gflop*float64(b.N)/b.Elapsed().Seconds(), "GFLOP/s")
 				b.ReportMetric(boolMetric(selected == kernels.ConvAlgDirect), "selected")
-			})
+			}
+		}
+		b.Run(s.name+"/direct", direct(in, out))
+		if s.chwn {
+			b.Run(s.name+"/direct-chwn", direct(tensor.Convert(in, tensor.CHWN), tensor.New(cfg.OutputShape(), tensor.CHWN)))
 		}
 		b.Run(s.name+"/gemm", func(b *testing.B) {
 			b.ReportAllocs()

@@ -834,8 +834,11 @@ func timedRun(exec *memruntime.Executor, in, out *tensor.Tensor) (time.Duration,
 
 // latencySamples is the sample count for the metrics the CI trend gate
 // consumes (naive_us, selected_us, pipelined_us): each is the minimum of N
-// runs, which filters GC pauses and scheduler noise on shared runners.
-const latencySamples = 3
+// runs, which filters GC pauses and scheduler noise on shared runners.  Nine,
+// because a LeNet forward is now ~150 ms: three samples of the naive forward
+// (the gate's denominator, and the first thing a fresh process runs) spread
+// 2.2x between runs on a 2-vCPU host, nine spread 1.25x.
+const latencySamples = 9
 
 // minOverSamples runs the measurement latencySamples times and returns the
 // fastest elapsed time together with that run's companion value.

@@ -125,7 +125,10 @@
 // The public entry points live under internal/ because the module is a
 // self-contained reproduction rather than an importable SDK; the cmd/ tools
 // and examples/ programs show every supported workflow, and bench_test.go
-// regenerates each table and figure of the paper's evaluation.  See README.md
-// and DESIGN.md for the architecture and EXPERIMENTS.md for the
-// paper-versus-model comparison.
+// regenerates each table and figure of the paper's evaluation.  See
+// internal/runtime/doc.go for the architecture of the execution stack,
+// ROADMAP.md for the measured state and the open items, CHANGES.md for what
+// each PR added, benchmark/README.md for the host-measured benchmark, and
+// internal/bench (printed by cmd/layerbench and cmd/netbench) for the
+// regenerated tables and figures.
 package memcnn

@@ -3,9 +3,6 @@ package kernels
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"memcnn/internal/gpusim"
 	"memcnn/internal/tensor"
@@ -25,41 +22,10 @@ import (
 // (internal/runtime/train) runs those over arena-planned buffers, so a
 // steady-state training step allocates no tensors.  The allocating functions
 // are thin wrappers over the *Into variants, which keeps the two paths
-// bit-identical.  Work is distributed by atomic plane counters with a fixed
-// per-element accumulation order, so results do not depend on the worker
-// count.
-
-// parallelPlanes runs work(p) for p in [0, planes) across GOMAXPROCS workers.
-// Each plane is processed by exactly one worker, so kernels that assign each
-// output element to one plane stay bit-deterministic for any worker count.
-//
-//memcnn:noalloc
-func parallelPlanes(planes int, work func(p int)) {
-	var next atomic.Int64
-	drain := func() { //memcnn:alloc-ok
-		for {
-			p := next.Add(1) - 1
-			if p >= int64(planes) {
-				return
-			}
-			work(int(p))
-		}
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers <= 1 || planes <= 1 {
-		drain()
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() { //memcnn:alloc-ok
-			defer wg.Done()
-			drain()
-		}()
-	}
-	wg.Wait()
-}
+// bit-identical.  Work is distributed plane by plane (parallelPlanes) with a
+// fixed per-element accumulation order, so results do not depend on the
+// worker count.  The two convolution gradients are stride walks over lane
+// tiles, like the forward direct kernel; conv_direct.go describes the scheme.
 
 // ConvBackwardData computes the gradient of the convolution with respect to
 // its input: dIn[n][c][ih][iw] = sum over (k, fh, fw) hitting (ih, iw) of
@@ -80,7 +46,7 @@ func ConvBackwardData(dOut, filters *tensor.Tensor, cfg ConvConfig, outLayout te
 // ConvBackwardDataInto is the allocation-free variant of ConvBackwardData: it
 // writes into a caller-provided input-gradient tensor of the config's input
 // shape (any layout).  Every element is overwritten, so the destination's
-// prior contents do not matter.  Each (n, c) plane is computed by exactly one
+// prior contents do not matter.  Each (c, ih) row is computed by exactly one
 // worker with a fixed accumulation order, so the result is bit-deterministic
 // for any worker count.
 //
@@ -99,40 +65,65 @@ func ConvBackwardDataInto(dOut, filters, dIn *tensor.Tensor, cfg ConvConfig) err
 	if dIn.Shape != cfg.InputShape() {
 		return fmt.Errorf("kernels: backward-data dIn shape %v does not match config %v", dIn.Shape, cfg.InputShape())
 	}
-	outH, outW := cfg.OutH(), cfg.OutW()
-	parallelPlanes(cfg.N*cfg.C, func(p int) { //memcnn:alloc-ok
-		n, c := p/cfg.C, p%cfg.C
-		for ih := 0; ih < cfg.H; ih++ {
-			for iw := 0; iw < cfg.W; iw++ {
-				var acc float64
-				for k := 0; k < cfg.K; k++ {
-					for fh := 0; fh < cfg.FH; fh++ {
-						ohNum := ih + cfg.PadH - fh
-						if ohNum < 0 || ohNum%cfg.StrideH != 0 {
+	j := convJob{cfg: cfg, outH: cfg.OutH(), outW: cfg.OutW(),
+		in: stridesOf(dIn), filters: stridesOf(filters), out: stridesOf(dOut)}
+	parallelPlanes(cfg.C*cfg.H, j, convBackwardDataPlane)
+	return nil
+}
+
+// convBackwardDataPlane computes input-gradient row (c, ih) for every image,
+// summing each element's taps in k→fh→fw order.  Lanes run along n with iw
+// stepping outside them, or the other way round; along W a tap at stride S
+// lands on every S-th lane.
+//
+//memcnn:noalloc
+func convBackwardDataPlane(j convJob, p int) {
+	cfg, dIn, dOut := &j.cfg, &j.in, &j.out
+	c, ih := p/cfg.H, p%cfg.H
+	alongN := dOut.lanesAlongN()
+	lanes, others, inStep := cfg.W, cfg.N, dIn.w
+	if alongN {
+		lanes, others, inStep = cfg.N, cfg.W, dIn.n
+	}
+	var tile [laneTile]float64
+	for o := 0; o < others; o++ {
+		for l0 := 0; l0 < lanes; l0 += laneTile {
+			acc := tile[:min(laneTile, lanes-l0)]
+			for i := range acc {
+				acc[i] = 0
+			}
+			n, iw := o, l0
+			if alongN {
+				n, iw = l0, o
+			}
+			for k := 0; k < cfg.K; k++ {
+				for fh := 0; fh < cfg.FH; fh++ {
+					ohNum := ih + cfg.PadH - fh
+					if ohNum < 0 || ohNum%cfg.StrideH != 0 || ohNum/cfg.StrideH >= j.outH {
+						continue
+					}
+					gRow := dOut.data[n*dOut.n+k*dOut.c+ohNum/cfg.StrideH*dOut.h:]
+					fRow := j.filters.data[k*j.filters.n+c*j.filters.c+fh*j.filters.h:]
+					for fw := 0; fw < cfg.FW; fw++ {
+						w := float64(fRow[fw*j.filters.w])
+						if alongN {
+							if owNum := iw + cfg.PadW - fw; owNum >= 0 && owNum%cfg.StrideW == 0 && owNum/cfg.StrideW < j.outW {
+								fmaLanes(acc, 1, gRow[owNum/cfg.StrideW*dOut.w:], dOut.n, w, len(acc))
+							}
 							continue
 						}
-						oh := ohNum / cfg.StrideH
-						if oh >= outH {
-							continue
-						}
-						for fw := 0; fw < cfg.FW; fw++ {
-							owNum := iw + cfg.PadW - fw
-							if owNum < 0 || owNum%cfg.StrideW != 0 {
-								continue
-							}
-							ow := owNum / cfg.StrideW
-							if ow >= outW {
-								continue
-							}
-							acc += float64(dOut.At(n, k, oh, ow)) * float64(filters.At(k, c, fh, fw))
+						if lo, hi := tapRange(fw, cfg.StrideW, cfg.PadW, iw, iw+len(acc), 0, j.outW); lo < hi {
+							fmaLanes(acc[lo*cfg.StrideW-cfg.PadW+fw-iw:], cfg.StrideW, gRow[lo*dOut.w:], dOut.w, w, hi-lo)
 						}
 					}
 				}
-				dIn.Set(n, c, ih, iw, float32(acc))
+			}
+			dst := dIn.data[n*dIn.n+c*dIn.c+ih*dIn.h+iw*dIn.w:]
+			for i, v := range acc {
+				dst[i*inStep] = float32(v)
 			}
 		}
-	})
-	return nil
+	}
 }
 
 // ConvBackwardFilter computes the gradient of the convolution with respect to
@@ -152,9 +143,9 @@ func ConvBackwardFilter(in, dOut *tensor.Tensor, cfg ConvConfig) (*tensor.Tensor
 
 // ConvBackwardFilterInto is the allocation-free variant of ConvBackwardFilter:
 // it writes into a caller-provided filter-gradient tensor of the config's
-// filter shape.  Each (k, c) filter plane is accumulated by exactly one worker
-// in a fixed (n, oh, ow) order, so the result is bit-deterministic for any
-// worker count.
+// filter shape.  Each (k, c, fh) filter row is accumulated by exactly one
+// worker in a fixed (n, oh, ow) order, so the result is bit-deterministic for
+// any worker count.
 //
 //memcnn:noalloc
 func ConvBackwardFilterInto(in, dOut, dW *tensor.Tensor, cfg ConvConfig) error {
@@ -171,32 +162,49 @@ func ConvBackwardFilterInto(in, dOut, dW *tensor.Tensor, cfg ConvConfig) error {
 	if dW.Shape != cfg.FilterShape() {
 		return fmt.Errorf("kernels: backward-filter dW shape %v does not match config %v", dW.Shape, cfg.FilterShape())
 	}
-	outH, outW := cfg.OutH(), cfg.OutW()
-	parallelPlanes(cfg.K*cfg.C, func(p int) { //memcnn:alloc-ok
-		k, c := p/cfg.C, p%cfg.C
-		for fh := 0; fh < cfg.FH; fh++ {
-			for fw := 0; fw < cfg.FW; fw++ {
-				var acc float64
-				for n := 0; n < cfg.N; n++ {
-					for oh := 0; oh < outH; oh++ {
-						ih := oh*cfg.StrideH - cfg.PadH + fh
-						if ih < 0 || ih >= cfg.H {
-							continue
-						}
-						for ow := 0; ow < outW; ow++ {
-							iw := ow*cfg.StrideW - cfg.PadW + fw
-							if iw < 0 || iw >= cfg.W {
-								continue
-							}
-							acc += float64(dOut.At(n, k, oh, ow)) * float64(in.At(n, c, ih, iw))
-						}
+	j := convJob{cfg: cfg, outH: cfg.OutH(), outW: cfg.OutW(),
+		in: stridesOf(in), filters: stridesOf(dW), out: stridesOf(dOut)}
+	parallelPlanes(cfg.K*cfg.C*cfg.FH, j, convBackwardFilterPlane)
+	return nil
+}
+
+// convBackwardFilterPlane computes filter-gradient row (k, c, fh).  Each
+// element is one serial n→oh→ow sum, so the lanes are the row's fw taps: one
+// gradient value is hoisted per (n, oh, ow) and multiplied into every tap's
+// accumulator, which keeps FW independent chains in flight.
+//
+//memcnn:noalloc
+func convBackwardFilterPlane(j convJob, p int) {
+	cfg, in, dW, dOut := &j.cfg, &j.in, &j.filters, &j.out
+	k, c, fh := p/(cfg.C*cfg.FH), p/cfg.FH%cfg.C, p%cfg.FH
+	var tile [laneTile]float64
+	for f0 := 0; f0 < cfg.FW; f0 += laneTile {
+		acc := tile[:min(laneTile, cfg.FW-f0)]
+		for i := range acc {
+			acc[i] = 0
+		}
+		for n := 0; n < cfg.N; n++ {
+			for oh := 0; oh < j.outH; oh++ {
+				ih := oh*cfg.StrideH - cfg.PadH + fh
+				if ih < 0 || ih >= cfg.H {
+					continue
+				}
+				inRow := in.data[n*in.n+c*in.c+ih*in.h:]
+				gRow := dOut.data[n*dOut.n+k*dOut.c+oh*dOut.h:]
+				for ow := 0; ow < j.outW; ow++ {
+					iw0 := ow*cfg.StrideW - cfg.PadW // input column of tap fw = 0
+					lo, hi := max(f0, -iw0), min(f0+len(acc), cfg.W-iw0)
+					if lo < hi {
+						fmaLanes(acc[lo-f0:], 1, inRow[(iw0+lo)*in.w:], in.w, float64(gRow[ow*dOut.w]), hi-lo)
 					}
 				}
-				dW.Set(k, c, fh, fw, float32(acc))
 			}
 		}
-	})
-	return nil
+		dst := dW.data[k*dW.n+c*dW.c+fh*dW.h+f0*dW.w:]
+		for i, v := range acc {
+			dst[i*dW.w] = float32(v)
+		}
+	}
 }
 
 // ConvBackwardDataCHWNCost models the backward-data pass of the direct
@@ -301,41 +309,51 @@ func PoolBackwardInto(in, dOut, dIn *tensor.Tensor, cfg PoolConfig) error {
 	if dIn.Shape != cfg.InputShape() {
 		return fmt.Errorf("kernels: pool backward dIn shape %v does not match config %v", dIn.Shape, cfg.InputShape())
 	}
+	parallelPlanes(cfg.N*cfg.C, poolBackwardJob{in, dOut, dIn, cfg}, poolBackwardPlane)
+	return nil
+}
+
+type poolBackwardJob struct {
+	in, dOut, dIn *tensor.Tensor
+	cfg           PoolConfig
+}
+
+// poolBackwardPlane zeroes input-gradient plane (n, c) and scatters the
+// plane's output gradients into it in (oh, ow) order.
+func poolBackwardPlane(j poolBackwardJob, p int) {
+	in, dOut, dIn, cfg := j.in, j.dOut, j.dIn, j.cfg
 	outH, outW := cfg.OutH(), cfg.OutW()
-	parallelPlanes(cfg.N*cfg.C, func(p int) { //memcnn:alloc-ok
-		n, c := p/cfg.C, p%cfg.C
-		for h := 0; h < cfg.H; h++ {
-			for w := 0; w < cfg.W; w++ {
-				dIn.Set(n, c, h, w, 0)
-			}
+	n, c := p/cfg.C, p%cfg.C
+	for h := 0; h < cfg.H; h++ {
+		for w := 0; w < cfg.W; w++ {
+			dIn.Set(n, c, h, w, 0)
 		}
-		for oh := 0; oh < outH; oh++ {
-			for ow := 0; ow < outW; ow++ {
-				g := dOut.At(n, c, oh, ow)
-				h0, w0 := oh*cfg.Stride, ow*cfg.Stride
-				if cfg.Op == AvgPool {
-					share := g / float32(cfg.Window*cfg.Window)
-					for y := 0; y < cfg.Window; y++ {
-						for x := 0; x < cfg.Window; x++ {
-							dIn.Set(n, c, h0+y, w0+x, dIn.At(n, c, h0+y, w0+x)+share)
-						}
-					}
-					continue
-				}
-				bestY, bestX := 0, 0
-				best := in.At(n, c, h0, w0)
+	}
+	for oh := 0; oh < outH; oh++ {
+		for ow := 0; ow < outW; ow++ {
+			g := dOut.At(n, c, oh, ow)
+			h0, w0 := oh*cfg.Stride, ow*cfg.Stride
+			if cfg.Op == AvgPool {
+				share := g / float32(cfg.Window*cfg.Window)
 				for y := 0; y < cfg.Window; y++ {
 					for x := 0; x < cfg.Window; x++ {
-						if v := in.At(n, c, h0+y, w0+x); v > best {
-							best, bestY, bestX = v, y, x
-						}
+						dIn.Set(n, c, h0+y, w0+x, dIn.At(n, c, h0+y, w0+x)+share)
 					}
 				}
-				dIn.Set(n, c, h0+bestY, w0+bestX, dIn.At(n, c, h0+bestY, w0+bestX)+g)
+				continue
 			}
+			bestY, bestX := 0, 0
+			best := in.At(n, c, h0, w0)
+			for y := 0; y < cfg.Window; y++ {
+				for x := 0; x < cfg.Window; x++ {
+					if v := in.At(n, c, h0+y, w0+x); v > best {
+						best, bestY, bestX = v, y, x
+					}
+				}
+			}
+			dIn.Set(n, c, h0+bestY, w0+bestX, dIn.At(n, c, h0+bestY, w0+bestX)+g)
 		}
-	})
-	return nil
+	}
 }
 
 // PoolBackwardCost models the pooling backward kernel: it reads the incoming

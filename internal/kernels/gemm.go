@@ -3,7 +3,6 @@ package kernels
 import (
 	"fmt"
 	"runtime"
-	"sync"
 
 	"memcnn/internal/gpusim"
 )
@@ -69,33 +68,24 @@ func GemmInto(a, b, c []float32, m, n, k int) error {
 	for i := range c {
 		c[i] = 0
 	}
-	quads := (m + gemmMR - 1) / gemmMR
-	workers := runtime.GOMAXPROCS(0)
-	if workers > quads {
-		workers = quads
-	}
-	if workers <= 1 {
-		gemmPanel(a, b, c, 0, m, n, k)
-		return nil
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := (w * quads / workers) * gemmMR
-		hi := ((w + 1) * quads / workers) * gemmMR
-		if hi > m {
-			hi = m
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) { //memcnn:alloc-ok
-			defer wg.Done()
-			gemmPanel(a, b, c, lo, hi, n, k)
-		}(lo, hi)
-	}
-	wg.Wait()
+	panels := min(runtime.GOMAXPROCS(0), (m+gemmMR-1)/gemmMR)
+	parallelPlanes(panels, gemmJob{a: a, b: b, c: c, m: m, n: n, k: k, panels: panels}, gemmPanelOf)
 	return nil
+}
+
+// gemmJob is one GemmInto call split into row panels of whole gemmMR quads.
+type gemmJob struct {
+	a, b, c         []float32
+	m, n, k, panels int
+}
+
+// gemmPanelOf computes the p-th of the job's row panels; there are no more
+// panels than quads, so none is empty.
+func gemmPanelOf(j gemmJob, p int) {
+	quads := (j.m + gemmMR - 1) / gemmMR
+	lo := (p * quads / j.panels) * gemmMR
+	hi := min(((p+1)*quads/j.panels)*gemmMR, j.m)
+	gemmPanel(j.a, j.b, j.c, lo, hi, j.n, j.k)
 }
 
 // gemmPanel computes rows [lo,hi) of C, k-blocked so the B slab touched by a

@@ -87,28 +87,21 @@ func Im2col(in *tensor.Tensor, cfg ConvConfig) ([]float32, error) {
 // and the values do not depend on the worker split.
 func im2colImage(data []float32, base, sc, sh, sw int, cfg ConvConfig, dst []float32) {
 	rows := cfg.C * cfg.FH * cfg.FW
-	workers := runtime.GOMAXPROCS(0)
-	if workers > rows {
-		workers = rows
-	}
-	if workers <= 1 {
-		im2colRows(data, base, sc, sh, sw, cfg, dst, 0, rows)
-		return
-	}
-	var wg sync.WaitGroup
-	for wkr := 0; wkr < workers; wkr++ {
-		lo := wkr * rows / workers
-		hi := (wkr + 1) * rows / workers
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			im2colRows(data, base, sc, sh, sw, cfg, dst, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	parts := min(runtime.GOMAXPROCS(0), rows)
+	parallelPlanes(parts, im2colJob{data: data, dst: dst, base: base, sc: sc, sh: sh, sw: sw, cfg: cfg, parts: parts}, im2colPart)
+}
+
+// im2colJob is one im2colImage call split into parts of consecutive rows.
+type im2colJob struct {
+	data, dst               []float32
+	base, sc, sh, sw, parts int
+	cfg                     ConvConfig
+}
+
+// im2colPart fills the p-th of the job's row ranges.
+func im2colPart(j im2colJob, p int) {
+	rows := j.cfg.C * j.cfg.FH * j.cfg.FW
+	im2colRows(j.data, j.base, j.sc, j.sh, j.sw, j.cfg, j.dst, p*rows/j.parts, (p+1)*rows/j.parts)
 }
 
 // im2colRows fills rows [lo,hi) of the single-image unroll matrix.
@@ -130,21 +123,7 @@ func im2colRows(data []float32, base, sc, sh, sw int, cfg ConvConfig, dst []floa
 				}
 				continue
 			}
-			// Valid ow range: 0 <= ow*StrideW - PadW + fw < W.  A wide filter
-			// tap can leave no valid column at all (fw beyond W+PadW-1, or
-			// every in-range ow swallowed by the left padding), so both
-			// bounds are clamped before any indexing.
-			owLo := 0
-			if over := cfg.PadW - fw; over > 0 {
-				owLo = (over + cfg.StrideW - 1) / cfg.StrideW
-			}
-			owHi := 0
-			if num := cfg.W - 1 + cfg.PadW - fw; num >= 0 {
-				owHi = num/cfg.StrideW + 1
-				if owHi > outW {
-					owHi = outW
-				}
-			}
+			owLo, owHi := tapRange(fw, cfg.StrideW, cfg.PadW, 0, cfg.W, 0, outW)
 			if owLo >= owHi {
 				for i := range seg {
 					seg[i] = 0

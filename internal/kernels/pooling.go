@@ -5,7 +5,6 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"memcnn/internal/gpusim"
 	"memcnn/internal/tensor"
@@ -46,65 +45,88 @@ func PoolInto(in, out *tensor.Tensor, cfg PoolConfig) error {
 	if out.Shape != cfg.OutputShape() {
 		return fmt.Errorf("kernels: pool output shape %v does not match config %v", out.Shape, cfg.OutputShape())
 	}
-	outH, outW := cfg.OutH(), cfg.OutW()
-
-	// Work is distributed by an atomic (n,c) plane counter rather than a job
-	// channel so the hot path performs no allocation; a single-worker run
-	// stays inline and allocation free.
-	var next atomic.Int64
-	planes := int64(cfg.N * cfg.C)
-	plane := func() { //memcnn:alloc-ok
-		for {
-			p := next.Add(1) - 1
-			if p >= planes {
-				return
-			}
-			n, c := int(p)/cfg.C, int(p)%cfg.C
-			for oh := 0; oh < outH; oh++ {
-				for ow := 0; ow < outW; ow++ {
-					out.Set(n, c, oh, ow, poolWindow(in, cfg, n, c, oh, ow))
-				}
-			}
-		}
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers <= 1 {
-		plane()
-		return nil
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() { //memcnn:alloc-ok
-			defer wg.Done()
-			plane()
-		}()
-	}
-	wg.Wait()
+	j := poolJob{cfg: cfg, outH: cfg.OutH(), outW: cfg.OutW(), in: stridesOf(in), out: stridesOf(out)}
+	parallelPlanes(cfg.C*j.outH, j, poolPlane)
 	return nil
 }
 
-func poolWindow(in *tensor.Tensor, cfg PoolConfig, n, c, oh, ow int) float32 {
-	h0, w0 := oh*cfg.Stride, ow*cfg.Stride
-	switch cfg.Op {
-	case MaxPool:
-		best := in.At(n, c, h0, w0)
-		for y := 0; y < cfg.Window; y++ {
-			for x := 0; x < cfg.Window; x++ {
-				if v := in.At(n, c, h0+y, w0+x); v > best {
-					best = v
+type poolJob struct {
+	cfg        PoolConfig
+	outH, outW int
+	in, out    strided
+}
+
+// poolPlane computes output row (c, oh) for every image with the lane scheme
+// of the direct convolution (conv_direct.go): a tile of running maxima, or of
+// float64 sums taken in (y, x) order, along n or along ow.
+//
+//memcnn:noalloc
+func poolPlane(j poolJob, p int) {
+	cfg, in, out := &j.cfg, &j.in, &j.out
+	c, oh := p/j.outH, p%j.outH
+	alongN := in.lanesAlongN()
+	lanes, others, inStep, outStep := j.outW, cfg.N, cfg.Stride*in.w, out.w
+	if alongN {
+		lanes, others, inStep, outStep = cfg.N, j.outW, in.n, out.n
+	}
+	area := float64(cfg.Window * cfg.Window)
+	var sums [laneTile]float64
+	var bests [laneTile]float32
+	for o := 0; o < others; o++ {
+		for l0 := 0; l0 < lanes; l0 += laneTile {
+			m := min(laneTile, lanes-l0)
+			n, ow := o, l0
+			if alongN {
+				n, ow = l0, o
+			}
+			win := in.data[n*in.n+c*in.c+oh*cfg.Stride*in.h+ow*cfg.Stride*in.w:]
+			dst := out.data[n*out.n+c*out.c+oh*out.h+ow*out.w:]
+			if cfg.Op == MaxPool {
+				best := bests[:m]
+				for i := range best {
+					best[i] = win[i*inStep]
+				}
+				for y := 0; y < cfg.Window; y++ {
+					for x := 0; x < cfg.Window; x++ {
+						maxLanes(best, win[y*in.h+x*in.w:], inStep)
+					}
+				}
+				for i, v := range best {
+					dst[i*outStep] = v
+				}
+				continue
+			}
+			sum := sums[:m]
+			for i := range sum {
+				sum[i] = 0
+			}
+			for y := 0; y < cfg.Window; y++ {
+				for x := 0; x < cfg.Window; x++ {
+					fmaLanes(sum, 1, win[y*in.h+x*in.w:], inStep, 1, m)
 				}
 			}
-		}
-		return best
-	default: // AvgPool
-		var sum float64
-		for y := 0; y < cfg.Window; y++ {
-			for x := 0; x < cfg.Window; x++ {
-				sum += float64(in.At(n, c, h0+y, w0+x))
+			for i, v := range sum {
+				dst[i*outStep] = float32(v / area)
 			}
 		}
-		return float32(sum / float64(cfg.Window*cfg.Window))
+	}
+}
+
+// maxLanes performs best[i] = max(best[i], src[i*srcStep]), keeping the
+// earlier value on ties and NaNs as a serial v > best scan does.
+func maxLanes(best, src []float32, srcStep int) {
+	if srcStep == 1 {
+		for i, v := range src[:len(best)] {
+			if v > best[i] {
+				best[i] = v
+			}
+		}
+		return
+	}
+	for i := range best {
+		if v := src[i*srcStep]; v > best[i] {
+			best[i] = v
+		}
 	}
 }
 

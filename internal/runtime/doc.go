@@ -42,7 +42,8 @@
 //	                        memory-efficiency story measurable.
 //	execute (executor.go, pool.go, device.go) — run the compiled program on
 //	                        arena-backed tensor views recycled through a
-//	                        sync.Pool, using the recorded convolution
+//	                        free list (one arena per concurrent run, kept
+//	                        across GC cycles), using the recorded convolution
 //	                        algorithm, layers.WorkspaceForwarder/IntoForwarder
 //	                        where available, and falling back to Forward plus
 //	                        a copy elsewhere.  Steady-state runs allocate no

@@ -59,26 +59,22 @@ func newInstance(p *Program) (*Instance, error) {
 	return inst, nil
 }
 
-// Pool recycles program instances across requests and workers.  It is backed
-// by a sync.Pool, so idle instances can still be reclaimed under memory
-// pressure while a loaded server reuses a small working set of arenas.
+// Pool recycles program instances across requests and workers.  Idle
+// instances wait on a mutex-guarded free list: a Get finds one whenever any
+// run has released one, so the pool holds exactly as many arenas as the peak
+// number of concurrent runs, whatever the scheduler does.  (A sync.Pool gives
+// neither half of that: an instance parked in one P's private slot is
+// invisible to a Get on another P, which then builds one arena more, and the
+// garbage collector drops idle instances, which a loaded server builds again.)
+// The arenas are freed with the pool.
 type Pool struct {
 	prog *Program
-	pool sync.Pool
+	mu   sync.Mutex
+	idle []*Instance
 }
 
 // NewPool builds an instance pool for a compiled program.
-func NewPool(p *Program) *Pool {
-	pl := &Pool{prog: p}
-	pl.pool.New = func() any {
-		inst, err := newInstance(p)
-		if err != nil {
-			return err
-		}
-		return inst
-	}
-	return pl
-}
+func NewPool(p *Program) *Pool { return &Pool{prog: p} }
 
 // Get returns an instance, reusing a previously released one when available.
 // The arena contents are unspecified; every program op fully overwrites its
@@ -86,19 +82,23 @@ func NewPool(p *Program) *Pool {
 // memory plan cannot be instantiated — impossible for compiler-built
 // programs, which are validated at construction.
 func (pl *Pool) Get() (*Instance, error) {
-	switch v := pl.pool.Get().(type) {
-	case *Instance:
-		return v, nil
-	case error:
-		return nil, v
-	default:
-		return nil, fmt.Errorf("runtime: instance pool returned %T", v)
+	pl.mu.Lock()
+	if n := len(pl.idle); n > 0 {
+		inst := pl.idle[n-1]
+		pl.idle[n-1] = nil
+		pl.idle = pl.idle[:n-1]
+		pl.mu.Unlock()
+		return inst, nil
 	}
+	pl.mu.Unlock()
+	return newInstance(pl.prog)
 }
 
 // Put releases an instance for reuse.
 func (pl *Pool) Put(i *Instance) {
 	if i != nil && i.prog == pl.prog {
-		pl.pool.Put(i)
+		pl.mu.Lock()
+		pl.idle = append(pl.idle, i)
+		pl.mu.Unlock()
 	}
 }
