@@ -142,7 +142,7 @@ func printAlgSweep(dev *gpusim.Device, plan *network.ExecutionPlan) {
 		if !ok {
 			continue
 		}
-		cfg := conv.Config()
+		cfg := conv.Cfg
 		base := autotune.SelectConvAlgorithm(cfg)
 		choice := layout.JointConvChoice(dev, cfg, pl.Layout, base)
 		for _, cand := range layout.ConvAlgCandidates(dev, cfg, pl.Layout) {

@@ -65,6 +65,9 @@
 // Endpoints:
 //
 //	POST /infer   {"image":[C*H*W floats]} -> {"output":[...], "argmax":k}
+//	              413 oversized body, 400 malformed or mis-sized image,
+//	              429 shed (back off), 504 deadline exceeded, 503 closed or
+//	              no healthy replica, 500 anything else
 //	GET  /stats   batching counters (with latency quantiles)
 //	GET  /metrics Prometheus text exposition
 //	GET  /trace   Chrome trace_event JSON (?last=N bounds the span count)
@@ -75,6 +78,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"net/http"
@@ -288,7 +292,7 @@ func main() {
 	}
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("/infer", inferHandler(srv, prog))
+	mux.HandleFunc("/infer", inferHandler(srv, prog.InputShape()))
 	mux.HandleFunc("/stats", statsHandler(srv))
 	mux.HandleFunc("/metrics", metricsHandler(reg))
 	mux.HandleFunc("/trace", traceHandler(rec))
@@ -455,17 +459,52 @@ type inferResponse struct {
 	Argmax int       `json:"argmax"`
 }
 
-func inferHandler(srv *memruntime.BatchServer, prog *memruntime.Program) http.HandlerFunc {
-	in := prog.InputShape()
+// inferrer is what inferHandler needs of the batching server; the handler
+// tests substitute a fake to drive every error status.
+type inferrer interface {
+	Infer(ctx context.Context, img *tensor.Tensor) (*tensor.Tensor, error)
+}
+
+// inferBodyLimit bounds a request body by the program's input: a JSON float
+// takes at most 25 bytes plus its comma (a float64 at full precision), and
+// the {"image":[...]} envelope and whitespace fit in the slack.
+func inferBodyLimit(in tensor.Shape) int64 {
+	return int64(in.C*in.H*in.W)*32 + 1024
+}
+
+// inferStatus maps an Infer error onto the HTTP status that tells the client
+// what to do next: back off (429), give up on this deadline (504), try another
+// server (503), or report a bug (500).
+func inferStatus(err error) int {
+	switch {
+	case errors.Is(err, memruntime.ErrShed):
+		return http.StatusTooManyRequests
+	case errors.Is(err, context.DeadlineExceeded):
+		return http.StatusGatewayTimeout
+	case errors.Is(err, memruntime.ErrServerClosed),
+		errors.Is(err, replica.ErrNoHealthyReplicas), errors.Is(err, replica.ErrGroupClosed):
+		return http.StatusServiceUnavailable
+	default:
+		return http.StatusInternalServerError
+	}
+}
+
+func inferHandler(srv inferrer, in tensor.Shape) http.HandlerFunc {
 	imgShape := tensor.Shape{N: 1, C: in.C, H: in.H, W: in.W}
+	limit := inferBodyLimit(in)
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)
 			return
 		}
 		var req inferRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(&req); err != nil {
+			status := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			http.Error(w, err.Error(), status)
 			return
 		}
 		img, err := tensor.NewFrom(imgShape, tensor.NCHW, req.Image)
@@ -475,7 +514,10 @@ func inferHandler(srv *memruntime.BatchServer, prog *memruntime.Program) http.Ha
 		}
 		out, err := srv.Infer(r.Context(), img)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
+			if r.Context().Err() != nil {
+				return // the client went away: nobody reads a response
+			}
+			http.Error(w, err.Error(), inferStatus(err))
 			return
 		}
 		resp := inferResponse{Output: out.Data, Argmax: 0}

@@ -20,8 +20,8 @@
 //     (the acknowledged goroutine fan-out of the parallel kernels).
 //   - ctxflow: inside a function that has a context.Context available, the
 //     pass flags calls that drop it — invoking a method like RunInto or
-//     RunIntoModeled on a receiver that also offers the Ctx-suffixed
-//     variant, or minting a fresh context.Background()/TODO().
+//     Step on a receiver that also offers the Ctx-suffixed variant, or
+//     minting a fresh context.Background()/TODO().
 //   - atomicalign: 64-bit sync/atomic calls on struct fields must stay
 //     correct on 32-bit targets, so the pass recomputes each accessed
 //     field's offset under 32-bit struct layout and flags any that is not

@@ -12,7 +12,7 @@ import (
 // deadline:
 //
 //   - calling a method whose receiver also offers a Ctx-suffixed variant
-//     (Executor.RunInto vs RunIntoCtx, RunIntoModeled vs RunIntoModeledCtx):
+//     (Executor.RunInto vs RunIntoCtx, train.Executor.Step vs StepCtx):
 //     the context-less form silently runs the request to completion even
 //     after the caller gave up;
 //   - minting a fresh context.Background() or context.TODO(): the new

@@ -2,8 +2,8 @@
 // figure of the paper's evaluation from the kernel and network cost models.
 // Each Figure* function returns typed rows plus a formatted text table so the
 // cmd/ tools, the examples and the testing.B benchmarks all share one
-// implementation.  EXPERIMENTS.md records how the regenerated numbers compare
-// with the published ones.
+// implementation.  The package's tests hold the regenerated numbers to the
+// trends the paper publishes.
 package bench
 
 import (

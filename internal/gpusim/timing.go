@@ -24,8 +24,7 @@ type KernelTime struct {
 	Limiter               string // "compute", "memory" or "launch"
 }
 
-// EstimateTime applies the roofline + latency-hiding model described in
-// DESIGN.md to one kernel.
+// EstimateTime applies the roofline + latency-hiding model to one kernel.
 //
 //	computeTime = FLOPs / (peak * ComputeEfficiency)
 //	memoryTime  = DRAMBytes / achievableBandwidth

@@ -22,7 +22,7 @@ import (
 // (internal/runtime/train) runs those over arena-planned buffers, so a
 // steady-state training step allocates no tensors.  The allocating functions
 // are thin wrappers over the *Into variants, which keeps the two paths
-// bit-identical.  Work is distributed plane by plane (parallelPlanes) with a
+// bit-identical.  Work is distributed plane by plane (ParallelPlanes) with a
 // fixed per-element accumulation order, so results do not depend on the
 // worker count.  The two convolution gradients are stride walks over lane
 // tiles, like the forward direct kernel; conv_direct.go describes the scheme.
@@ -67,7 +67,7 @@ func ConvBackwardDataInto(dOut, filters, dIn *tensor.Tensor, cfg ConvConfig) err
 	}
 	j := convJob{cfg: cfg, outH: cfg.OutH(), outW: cfg.OutW(),
 		in: stridesOf(dIn), filters: stridesOf(filters), out: stridesOf(dOut)}
-	parallelPlanes(cfg.C*cfg.H, j, convBackwardDataPlane)
+	ParallelPlanes(cfg.C*cfg.H, j, convBackwardDataPlane)
 	return nil
 }
 
@@ -164,7 +164,7 @@ func ConvBackwardFilterInto(in, dOut, dW *tensor.Tensor, cfg ConvConfig) error {
 	}
 	j := convJob{cfg: cfg, outH: cfg.OutH(), outW: cfg.OutW(),
 		in: stridesOf(in), filters: stridesOf(dW), out: stridesOf(dOut)}
-	parallelPlanes(cfg.K*cfg.C*cfg.FH, j, convBackwardFilterPlane)
+	ParallelPlanes(cfg.K*cfg.C*cfg.FH, j, convBackwardFilterPlane)
 	return nil
 }
 
@@ -309,7 +309,7 @@ func PoolBackwardInto(in, dOut, dIn *tensor.Tensor, cfg PoolConfig) error {
 	if dIn.Shape != cfg.InputShape() {
 		return fmt.Errorf("kernels: pool backward dIn shape %v does not match config %v", dIn.Shape, cfg.InputShape())
 	}
-	parallelPlanes(cfg.N*cfg.C, poolBackwardJob{in, dOut, dIn, cfg}, poolBackwardPlane)
+	ParallelPlanes(cfg.N*cfg.C, poolBackwardJob{in, dOut, dIn, cfg}, poolBackwardPlane)
 	return nil
 }
 

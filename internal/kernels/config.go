@@ -10,7 +10,7 @@
 //
 // The cost models are built from the mechanisms the paper identifies
 // (coalescing, register-level reuse, matrix-expansion overhead, kernel-launch
-// round trips, occupancy-limited latency hiding); see DESIGN.md §5.
+// round trips, occupancy-limited latency hiding), priced by gpusim.EstimateTime.
 package kernels
 
 import (

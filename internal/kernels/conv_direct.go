@@ -122,7 +122,7 @@ func ConvDirectInto(in, filters, out *tensor.Tensor, cfg ConvConfig) error {
 	}
 	j := convJob{cfg: cfg, outH: cfg.OutH(), outW: cfg.OutW(),
 		in: stridesOf(in), filters: stridesOf(filters), out: stridesOf(out)}
-	parallelPlanes(cfg.K*j.outH, j, convForwardPlane)
+	ParallelPlanes(cfg.K*j.outH, j, convForwardPlane)
 	return nil
 }
 

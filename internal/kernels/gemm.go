@@ -69,7 +69,7 @@ func GemmInto(a, b, c []float32, m, n, k int) error {
 		c[i] = 0
 	}
 	panels := min(runtime.GOMAXPROCS(0), (m+gemmMR-1)/gemmMR)
-	parallelPlanes(panels, gemmJob{a: a, b: b, c: c, m: m, n: n, k: k, panels: panels}, gemmPanelOf)
+	ParallelPlanes(panels, gemmJob{a: a, b: b, c: c, m: m, n: n, k: k, panels: panels}, gemmPanelOf)
 	return nil
 }
 

@@ -88,7 +88,7 @@ func Im2col(in *tensor.Tensor, cfg ConvConfig) ([]float32, error) {
 func im2colImage(data []float32, base, sc, sh, sw int, cfg ConvConfig, dst []float32) {
 	rows := cfg.C * cfg.FH * cfg.FW
 	parts := min(runtime.GOMAXPROCS(0), rows)
-	parallelPlanes(parts, im2colJob{data: data, dst: dst, base: base, sc: sc, sh: sh, sw: sw, cfg: cfg, parts: parts}, im2colPart)
+	ParallelPlanes(parts, im2colJob{data: data, dst: dst, base: base, sc: sc, sh: sh, sw: sw, cfg: cfg, parts: parts}, im2colPart)
 }
 
 // im2colJob is one im2colImage call split into parts of consecutive rows.

@@ -6,7 +6,7 @@ import (
 	"sync/atomic"
 )
 
-// parallelPlanes runs work(job, p) for p in [0, planes) across GOMAXPROCS
+// ParallelPlanes runs work(job, p) for p in [0, planes) across GOMAXPROCS
 // workers.  Each plane is processed by exactly one worker, so kernels that
 // assign each output element to one plane stay bit-deterministic for any
 // worker count.
@@ -17,7 +17,7 @@ import (
 // for the fan-out, inside fanOutPlanes.
 //
 //memcnn:noalloc
-func parallelPlanes[J any](planes int, job J, work func(job J, p int)) {
+func ParallelPlanes[J any](planes int, job J, work func(job J, p int)) {
 	workers := min(runtime.GOMAXPROCS(0), planes)
 	if workers <= 1 {
 		for p := 0; p < planes; p++ {
@@ -30,7 +30,7 @@ func parallelPlanes[J any](planes int, job J, work func(job J, p int)) {
 
 // fanOutPlanes hands planes out through an atomic counter rather than a job
 // channel.  It is a separate function so that the state the goroutines share
-// is heap-allocated here, not in parallelPlanes' serial path; the workers run
+// is heap-allocated here, not in ParallelPlanes' serial path; the workers run
 // one closure over one state block, so a call leaves two small objects behind
 // however many workers there are.
 func fanOutPlanes[J any](planes, workers int, job J, work func(job J, p int)) {

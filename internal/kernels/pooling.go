@@ -46,7 +46,7 @@ func PoolInto(in, out *tensor.Tensor, cfg PoolConfig) error {
 		return fmt.Errorf("kernels: pool output shape %v does not match config %v", out.Shape, cfg.OutputShape())
 	}
 	j := poolJob{cfg: cfg, outH: cfg.OutH(), outW: cfg.OutW(), in: stridesOf(in), out: stridesOf(out)}
-	parallelPlanes(cfg.C*j.outH, j, poolPlane)
+	ParallelPlanes(cfg.C*j.outH, j, poolPlane)
 	return nil
 }
 

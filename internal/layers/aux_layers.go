@@ -43,7 +43,7 @@ func (s *Softmax) SupportsLayout(l tensor.Layout) bool {
 	return l == tensor.CHWN || l == tensor.NCHW
 }
 
-// WithBatch implements Rebatcher: the classifier is stateless, so the clone
+// WithBatch implements Layer: the classifier is stateless, so the clone
 // only changes the batch dimension.
 func (s *Softmax) WithBatch(batch int) (Layer, error) {
 	cfg := s.Cfg
@@ -59,35 +59,26 @@ func (s *Softmax) Cost(d *gpusim.Device, l tensor.Layout, opts CostOptions) ([]g
 	return []gpusim.KernelStats{kernels.SoftmaxCost(d, s.Cfg, opts.Softmax)}, nil
 }
 
-// Forward implements Layer.
-func (s *Softmax) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
-	out := tensor.New(s.OutputShape(), in.Layout)
-	if err := s.ForwardInto(in, out); err != nil {
-		return nil, err
-	}
-	return out, nil
+// WorkspaceElems implements Layer: staging room for the logit and probability
+// matrices (each skipped when the corresponding tensor is already in the
+// canonical NCHW linearisation).
+func (s *Softmax) WorkspaceElems(alg kernels.ConvAlgorithm, l tensor.Layout) (int, error) {
+	return ownKernel(s, alg, l, 2*s.Cfg.Elems())
 }
 
-// ForwardInto implements IntoForwarder, allocating the logit scratch itself.
-func (s *Softmax) ForwardInto(in, dst *tensor.Tensor) error {
-	return s.ForwardIntoWorkspace(in, dst, make([]float32, s.WorkspaceElems()))
-}
+// ForwardsInPlace implements Layer: each probability reads its whole row.
+func (s *Softmax) ForwardsInPlace(tensor.Layout) bool { return false }
 
-// WorkspaceElems implements WorkspaceForwarder: staging room for the logit
-// and probability matrices (each skipped when the corresponding tensor is
-// already in the canonical NCHW linearisation).
-func (s *Softmax) WorkspaceElems() int { return 2 * s.Cfg.Elems() }
-
-// ForwardIntoWorkspace implements WorkspaceForwarder.
-func (s *Softmax) ForwardIntoWorkspace(in, dst *tensor.Tensor, scratch []float32) error {
+// ForwardInto implements Layer.
+func (s *Softmax) ForwardInto(in, dst *tensor.Tensor, alg kernels.ConvAlgorithm, scratch []float32) error {
 	if in.Shape != s.InputShape() {
 		return fmt.Errorf("layers: %s: input shape %v, want %v", s.LayerName, in.Shape, s.InputShape())
 	}
 	if dst.Shape != s.OutputShape() {
 		return fmt.Errorf("layers: %s: output shape %v, want %v", s.LayerName, dst.Shape, s.OutputShape())
 	}
-	if len(scratch) < s.WorkspaceElems() {
-		return fmt.Errorf("layers: %s: scratch has %d elements, want at least %d", s.LayerName, len(scratch), s.WorkspaceElems())
+	if err := checkScratch(s, alg, dst.Layout, scratch); err != nil {
+		return err
 	}
 	elems := s.Cfg.Elems()
 	// With N×C×1×1 shapes the NCHW backing slice is the row-major logit
@@ -164,7 +155,7 @@ func (f *FullyConnected) SupportsLayout(l tensor.Layout) bool {
 	return l == tensor.CHWN || l == tensor.NCHW
 }
 
-// WithBatch implements Rebatcher: the clone multiplies by the receiver's
+// WithBatch implements Layer: the clone multiplies by the receiver's
 // weight matrix (shared lazily through the parent link, not regenerated), so
 // per-image results are bit-identical at any batch size.
 func (f *FullyConnected) WithBatch(batch int) (Layer, error) {
@@ -202,28 +193,18 @@ func (f *FullyConnected) Weights() []float32 {
 	return f.weights
 }
 
-// Forward implements Layer.
-func (f *FullyConnected) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
-	out := tensor.New(f.OutputShape(), in.Layout)
-	if err := f.ForwardInto(in, out); err != nil {
-		return nil, err
-	}
-	return out, nil
+// WorkspaceElems implements Layer: staging room for the flattened feature
+// matrix (skipped when the input is already in the canonical NCHW
+// linearisation).
+func (f *FullyConnected) WorkspaceElems(alg kernels.ConvAlgorithm, l tensor.Layout) (int, error) {
+	return ownKernel(f, alg, l, f.Batch*f.InDim)
 }
 
-// ForwardInto implements IntoForwarder, allocating the flatten scratch
-// itself.
-func (f *FullyConnected) ForwardInto(in, dst *tensor.Tensor) error {
-	return f.ForwardIntoWorkspace(in, dst, make([]float32, f.WorkspaceElems()))
-}
+// ForwardsInPlace implements Layer: each output reads a whole feature row.
+func (f *FullyConnected) ForwardsInPlace(tensor.Layout) bool { return false }
 
-// WorkspaceElems implements WorkspaceForwarder: staging room for the
-// flattened feature matrix (skipped when the input is already in the
-// canonical NCHW linearisation).
-func (f *FullyConnected) WorkspaceElems() int { return f.Batch * f.InDim }
-
-// ForwardIntoWorkspace implements WorkspaceForwarder.
-func (f *FullyConnected) ForwardIntoWorkspace(in, dst *tensor.Tensor, scratch []float32) error {
+// ForwardInto implements Layer.
+func (f *FullyConnected) ForwardInto(in, dst *tensor.Tensor, alg kernels.ConvAlgorithm, scratch []float32) error {
 	want := f.InputShape()
 	if in.Shape.Elems() != want.Elems() || in.Shape.N != f.Batch {
 		return fmt.Errorf("layers: %s: input shape %v incompatible with %v", f.LayerName, in.Shape, want)
@@ -231,8 +212,8 @@ func (f *FullyConnected) ForwardIntoWorkspace(in, dst *tensor.Tensor, scratch []
 	if dst.Shape != f.OutputShape() {
 		return fmt.Errorf("layers: %s: output shape %v, want %v", f.LayerName, dst.Shape, f.OutputShape())
 	}
-	if len(scratch) < f.WorkspaceElems() {
-		return fmt.Errorf("layers: %s: scratch has %d elements, want at least %d", f.LayerName, len(scratch), f.WorkspaceElems())
+	if err := checkScratch(f, alg, dst.Layout, scratch); err != nil {
+		return err
 	}
 	// Flatten each image's features in canonical (C,H,W) order.  An NCHW
 	// backing slice already is that flattening, so no staging copy is needed.
@@ -295,7 +276,7 @@ func (r *ReLU) OutputShape() tensor.Shape { return r.Shape }
 // SupportsLayout implements Layer.
 func (r *ReLU) SupportsLayout(tensor.Layout) bool { return true }
 
-// WithBatch implements Rebatcher: the rectifier is stateless, so the clone
+// WithBatch implements Layer: the rectifier is stateless, so the clone
 // only changes the batch dimension.
 func (r *ReLU) WithBatch(batch int) (Layer, error) {
 	shape := r.Shape
@@ -320,52 +301,32 @@ func (r *ReLU) Cost(d *gpusim.Device, _ tensor.Layout, _ CostOptions) ([]gpusim.
 	}}, nil
 }
 
-// Forward implements Layer.
-func (r *ReLU) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
-	out := tensor.New(r.Shape, in.Layout)
-	if err := r.ForwardInto(in, out); err != nil {
-		return nil, err
-	}
-	return out, nil
+// WorkspaceElems implements Layer: the rectifier needs no scratch.
+func (r *ReLU) WorkspaceElems(alg kernels.ConvAlgorithm, l tensor.Layout) (int, error) {
+	return ownKernel(r, alg, l, 0)
 }
 
-// ForwardsInPlace implements InPlaceForwarder: the same-layout path reads
-// each element exactly once, at the index it writes, so dst may alias in
-// under any layout.
+// ForwardsInPlace implements Layer: the same-layout path reads each element
+// exactly once, at the index it writes, so dst may alias in under any layout.
 func (r *ReLU) ForwardsInPlace(tensor.Layout) bool { return true }
 
-// ForwardInto implements IntoForwarder.  The rectifier is element-wise, so
-// when input and output share a layout it is a single linear pass over the
-// backing slices.
-func (r *ReLU) ForwardInto(in, dst *tensor.Tensor) error {
-	if in.Shape != r.Shape {
-		return fmt.Errorf("layers: %s: input shape %v, want %v", r.LayerName, in.Shape, r.Shape)
+// ForwardInto implements Layer: element-wise over a shared layout, so a single
+// linear pass over the backing slices.
+func (r *ReLU) ForwardInto(in, dst *tensor.Tensor, alg kernels.ConvAlgorithm, scratch []float32) error {
+	if err := checkScratch(r, alg, dst.Layout, scratch); err != nil {
+		return err
+	}
+	if in.Shape != r.Shape || in.Layout != dst.Layout {
+		return fmt.Errorf("layers: %s: input %v %v, want %v %v", r.LayerName, in.Shape, in.Layout, r.Shape, dst.Layout)
 	}
 	if dst.Shape != r.Shape {
 		return fmt.Errorf("layers: %s: output shape %v, want %v", r.LayerName, dst.Shape, r.Shape)
 	}
-	if in.Layout == dst.Layout {
-		for i, v := range in.Data {
-			if v < 0 {
-				v = 0
-			}
-			dst.Data[i] = v
+	for i, v := range in.Data {
+		if v < 0 {
+			v = 0
 		}
-		return nil
-	}
-	s := r.Shape
-	for n := 0; n < s.N; n++ {
-		for c := 0; c < s.C; c++ {
-			for h := 0; h < s.H; h++ {
-				for w := 0; w < s.W; w++ {
-					v := in.At(n, c, h, w)
-					if v < 0 {
-						v = 0
-					}
-					dst.Set(n, c, h, w, v)
-				}
-			}
-		}
+		dst.Data[i] = v
 	}
 	return nil
 }
@@ -410,7 +371,7 @@ func (l *LRN) OutputShape() tensor.Shape { return l.Shape }
 // SupportsLayout implements Layer.
 func (l *LRN) SupportsLayout(tensor.Layout) bool { return true }
 
-// WithBatch implements Rebatcher: normalisation is stateless, so the clone
+// WithBatch implements Layer: normalisation is stateless, so the clone
 // only changes the batch dimension.
 func (l *LRN) WithBatch(batch int) (Layer, error) {
 	shape := l.Shape
@@ -436,20 +397,21 @@ func (l *LRN) Cost(d *gpusim.Device, _ tensor.Layout, _ CostOptions) ([]gpusim.K
 	}}, nil
 }
 
-// Forward implements Layer.
-func (l *LRN) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
-	out := tensor.New(l.Shape, in.Layout)
-	if err := l.ForwardInto(in, out); err != nil {
-		return nil, err
-	}
-	return out, nil
+// WorkspaceElems implements Layer: normalisation needs no scratch.
+func (l *LRN) WorkspaceElems(alg kernels.ConvAlgorithm, lay tensor.Layout) (int, error) {
+	return ownKernel(l, alg, lay, 0)
 }
 
-// ForwardInto implements IntoForwarder.  The cross-channel window reads a
-// neighbourhood of the input for every output value, so dst must not alias
-// in — which is why LRN deliberately does not implement InPlaceForwarder: an
-// in-place run would square channels that were already normalised.
-func (l *LRN) ForwardInto(in, dst *tensor.Tensor) error {
+// ForwardsInPlace implements Layer.  The cross-channel window reads a
+// neighbourhood of the input for every output value: an in-place run would
+// square channels that were already normalised.
+func (l *LRN) ForwardsInPlace(tensor.Layout) bool { return false }
+
+// ForwardInto implements Layer.
+func (l *LRN) ForwardInto(in, dst *tensor.Tensor, alg kernels.ConvAlgorithm, scratch []float32) error {
+	if err := checkScratch(l, alg, dst.Layout, scratch); err != nil {
+		return err
+	}
 	if in.Shape != l.Shape {
 		return fmt.Errorf("layers: %s: input shape %v, want %v", l.LayerName, in.Shape, l.Shape)
 	}

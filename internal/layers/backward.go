@@ -3,9 +3,6 @@ package layers
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"memcnn/internal/kernels"
 	"memcnn/internal/tensor"
@@ -17,7 +14,7 @@ import (
 // interfaces so the training compiler (internal/runtime/train) and the device
 // dispatch (internal/runtime) need no per-layer knowledge.  All methods are
 // allocation-free and bit-deterministic for any worker count: parallel passes
-// split work by an atomic row counter and every output element is written by
+// go through kernels.ParallelPlanes, so every output element is written by
 // exactly one worker in a fixed accumulation order.
 
 // BackwardLayer is implemented by layers that can propagate a gradient to
@@ -53,35 +50,6 @@ type TrainableLayer interface {
 	// view of the layer.  Not safe concurrently with forward passes over the
 	// same parameter storage.
 	ApplySGD(dW *tensor.Tensor, lr float32) error
-}
-
-// backwardPlanes mirrors the kernels package's plane-counter parallelism for
-// the layer-owned backward passes.
-func backwardPlanes(planes int, work func(p int)) {
-	var next atomic.Int64
-	drain := func() {
-		for {
-			p := next.Add(1) - 1
-			if p >= int64(planes) {
-				return
-			}
-			work(int(p))
-		}
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers <= 1 || planes <= 1 {
-		drain()
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			drain()
-		}()
-	}
-	wg.Wait()
 }
 
 // BackwardDataInto implements BackwardLayer: the input gradient depends only
@@ -160,30 +128,41 @@ func (f *FullyConnected) BackwardDataInto(_, dOut, dIn *tensor.Tensor, _ []float
 	if dIn.Shape.Elems() != f.InputShape().Elems() || dIn.Shape.N != f.Batch {
 		return fmt.Errorf("layers: %s: backward dIn shape %v incompatible with %v", f.LayerName, dIn.Shape, f.InputShape())
 	}
-	w := f.Weights()
-	fast := dOut.Layout == tensor.NCHW && dIn.Layout == tensor.NCHW
-	backwardPlanes(f.Batch, func(n int) {
-		if fast {
-			gRow := dOut.Data[n*f.OutDim : (n+1)*f.OutDim]
-			dRow := dIn.Data[n*f.InDim : (n+1)*f.InDim]
-			for k := 0; k < f.InDim; k++ {
-				var acc float64
-				for o, g := range gRow {
-					acc += float64(g) * float64(w[o*f.InDim+k])
-				}
-				dRow[k] = float32(acc)
-			}
-			return
-		}
+	kernels.ParallelPlanes(f.Batch, fcBackwardJob{f: f, w: f.Weights(), dOut: dOut, dst: dIn}, fcBackwardDataRow)
+	return nil
+}
+
+// fcBackwardJob is the by-value job of the two fully-connected backward
+// passes: dst is dIn for the data pass, dW for the filter pass (which also
+// reads the forward input in).
+type fcBackwardJob struct {
+	f             *FullyConnected
+	w             []float32
+	in, dOut, dst *tensor.Tensor
+}
+
+// fcBackwardDataRow computes image n's row of the input gradient.
+func fcBackwardDataRow(j fcBackwardJob, n int) {
+	f, w, dOut, dIn := j.f, j.w, j.dOut, j.dst
+	if dOut.Layout == tensor.NCHW && dIn.Layout == tensor.NCHW {
+		gRow := dOut.Data[n*f.OutDim : (n+1)*f.OutDim]
+		dRow := dIn.Data[n*f.InDim : (n+1)*f.InDim]
 		for k := 0; k < f.InDim; k++ {
 			var acc float64
-			for o := 0; o < f.OutDim; o++ {
-				acc += float64(dOut.At(n, o, 0, 0)) * float64(w[o*f.InDim+k])
+			for o, g := range gRow {
+				acc += float64(g) * float64(w[o*f.InDim+k])
 			}
-			dIn.Set(n, k, 0, 0, float32(acc))
+			dRow[k] = float32(acc)
 		}
-	})
-	return nil
+		return
+	}
+	for k := 0; k < f.InDim; k++ {
+		var acc float64
+		for o := 0; o < f.OutDim; o++ {
+			acc += float64(dOut.At(n, o, 0, 0)) * float64(w[o*f.InDim+k])
+		}
+		dIn.Set(n, k, 0, 0, float32(acc))
+	}
 }
 
 // BackwardWorkspaceElems implements BackwardLayer.
@@ -211,28 +190,31 @@ func (f *FullyConnected) BackwardFilterInto(in, dOut, dW *tensor.Tensor) error {
 	if dW.Shape != f.GradShape() {
 		return fmt.Errorf("layers: %s: backward dW shape %v, want %v", f.LayerName, dW.Shape, f.GradShape())
 	}
-	fast := in.Layout == tensor.NCHW && dOut.Layout == tensor.NCHW && dW.Layout == tensor.NCHW
-	backwardPlanes(f.OutDim, func(o int) {
-		if fast {
-			wRow := dW.Data[o*f.InDim : (o+1)*f.InDim]
-			for k := range wRow {
-				var acc float64
-				for n := 0; n < f.Batch; n++ {
-					acc += float64(dOut.Data[n*f.OutDim+o]) * float64(in.Data[n*f.InDim+k])
-				}
-				wRow[k] = float32(acc)
-			}
-			return
-		}
-		for k := 0; k < f.InDim; k++ {
+	kernels.ParallelPlanes(f.OutDim, fcBackwardJob{f: f, in: in, dOut: dOut, dst: dW}, fcBackwardFilterRow)
+	return nil
+}
+
+// fcBackwardFilterRow computes weight row o of the parameter gradient.
+func fcBackwardFilterRow(j fcBackwardJob, o int) {
+	f, in, dOut, dW := j.f, j.in, j.dOut, j.dst
+	if in.Layout == tensor.NCHW && dOut.Layout == tensor.NCHW && dW.Layout == tensor.NCHW {
+		wRow := dW.Data[o*f.InDim : (o+1)*f.InDim]
+		for k := range wRow {
 			var acc float64
 			for n := 0; n < f.Batch; n++ {
-				acc += float64(dOut.At(n, o, 0, 0)) * float64(in.At(n, k, 0, 0))
+				acc += float64(dOut.Data[n*f.OutDim+o]) * float64(in.Data[n*f.InDim+k])
 			}
-			dW.Set(o, k, 0, 0, float32(acc))
+			wRow[k] = float32(acc)
 		}
-	})
-	return nil
+		return
+	}
+	for k := 0; k < f.InDim; k++ {
+		var acc float64
+		for n := 0; n < f.Batch; n++ {
+			acc += float64(dOut.At(n, o, 0, 0)) * float64(in.At(n, k, 0, 0))
+		}
+		dW.Set(o, k, 0, 0, float32(acc))
+	}
 }
 
 // ApplySGD implements TrainableLayer: the weight matrix (shared across

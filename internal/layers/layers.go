@@ -1,10 +1,20 @@
 // Package layers provides the CNN layer abstraction that networks are built
 // from: convolution, pooling, softmax, fully-connected, ReLU and LRN layers.
-// Every layer offers
+// There are three interfaces.  Layer is what every layer is:
 //
-//   - a functional forward pass (used by the examples and correctness tests)
+//   - a forward contract keyed by (algorithm, layout): WorkspaceElems says
+//     how much scratch a kernel needs — or that the layer has no such kernel
+//     — and ForwardInto runs it into caller-provided output and scratch.
+//     Compilers ask once and plan the scratch; the package-level Forward
+//     helper asks and allocates, which is the functional forward the
+//     examples and the correctness references use;
 //   - a GPU cost query for a given data layout and implementation choice,
 //     returning the kernel sequence modelled by internal/kernels.
+//
+// BackwardLayer adds the input gradient and TrainableLayer the parameter
+// gradient and SGD update (backward.go).  A new convolution algorithm is a
+// kernel in internal/kernels plus one case in Conv.WorkspaceElems and
+// Conv.ForwardInto; nothing that runs layers needs to hear of it.
 //
 // The separation mirrors the paper's experimental set-up: the layer's values
 // do not depend on layout or implementation, only its memory behaviour does.
@@ -100,7 +110,8 @@ type CostOptions struct {
 	Softmax       kernels.SoftmaxImpl
 }
 
-// Layer is one stage of a CNN.
+// Layer is one stage of a CNN: its description, its cost model and its forward
+// contract.
 type Layer interface {
 	// Name identifies the layer inside its network (e.g. "conv1").
 	Name() string
@@ -113,117 +124,83 @@ type Layer interface {
 	// Cost returns the GPU kernel sequence for executing the layer with the
 	// given activation layout and implementation options.
 	Cost(d *gpusim.Device, l tensor.Layout, opts CostOptions) ([]gpusim.KernelStats, error)
-	// Forward computes the layer functionally.  The output keeps the input's
-	// layout where that is meaningful.
-	Forward(in *tensor.Tensor) (*tensor.Tensor, error)
-}
-
-// IntoForwarder is an optional extension of Layer implemented by layers that
-// can write their forward result into a caller-provided output tensor of the
-// layer's output shape.  The planned-execution engine (internal/runtime) uses
-// it to run layers without per-request heap allocation; layers that do not
-// implement it are executed through Forward followed by a copy into the
-// planned buffer.  The output tensor must not alias the input unless the
-// layer also implements InPlaceForwarder and reports the layout safe.
-type IntoForwarder interface {
-	ForwardInto(in, dst *tensor.Tensor) error
-}
-
-// InPlaceForwarder is an optional extension of IntoForwarder implemented by
-// layers whose ForwardInto tolerates dst sharing storage with in.  The
-// planned-execution engine then aliases the layer's output buffer onto its
-// input, shrinking the arena: the op reads and writes the same storage.
-// Element-wise layers (ReLU) qualify when input and output use the same
-// layout — every element is read exactly once, at the index it is written.
-// Layers with neighbourhood reads do not: LRN's cross-channel window would
-// read channels already overwritten in place.
-type InPlaceForwarder interface {
-	IntoForwarder
-	// ForwardsInPlace reports whether ForwardInto may run with dst aliasing
-	// in when both tensors use the given layout.
+	// WorkspaceElems returns the scratch, in float32 elements, that
+	// ForwardInto needs to run alg on activations in layout l.  The zero
+	// algorithm (kernels.ConvAlgDirect) is every layer's own kernel and the
+	// only one layers other than Conv have.  An error means the layer has no
+	// kernel for the pair; that is how compilers, the verifier and the
+	// reference forward learn it, before anything runs.
+	WorkspaceElems(alg kernels.ConvAlgorithm, l tensor.Layout) (int, error)
+	// ForwardInto runs the layer's alg kernel from in into dst, a tensor of
+	// the layer's output shape in the same layout as in; dst is fully
+	// overwritten.  scratch must hold at least WorkspaceElems(alg,
+	// dst.Layout) elements; its contents are unspecified on entry and
+	// trashed on return.  The values written do not depend on the layout,
+	// and each algorithm fixes its own accumulation order.  dst must not
+	// share storage with in unless ForwardsInPlace reports the layout safe.
+	ForwardInto(in, dst *tensor.Tensor, alg kernels.ConvAlgorithm, scratch []float32) error
+	// ForwardsInPlace reports whether ForwardInto may run with dst sharing
+	// in's storage when both use layout l.  Compilers then alias the output
+	// buffer onto the input and the arena never holds both.  Only layers that
+	// read each element exactly once, at the index they write it, qualify.
 	ForwardsInPlace(l tensor.Layout) bool
-}
-
-// WorkspaceForwarder is an optional extension of IntoForwarder implemented by
-// layers whose forward pass needs scratch memory (the fully-connected flatten
-// staging, the softmax logit matrix).  The planned-execution engine sizes the
-// scratch at compile time and packs it into the arena as a buffer live only
-// during the layer's op, so steady-state inference performs no heap
-// allocation; the plain ForwardInto remains the standalone path and allocates
-// the scratch itself.
-type WorkspaceForwarder interface {
-	IntoForwarder
-	// WorkspaceElems returns the scratch size ForwardIntoWorkspace needs, in
-	// float32 elements.
-	WorkspaceElems() int
-	// ForwardIntoWorkspace is ForwardInto with caller-provided scratch of at
-	// least WorkspaceElems() elements.  The scratch contents are unspecified
-	// on entry and trashed on return; the values written to dst are
-	// bit-identical to ForwardInto's.
-	ForwardIntoWorkspace(in, dst *tensor.Tensor, scratch []float32) error
-}
-
-// Rebatcher is an optional extension of Layer implemented by layers that can
-// clone themselves at a different batch size.  The clone computes the same
-// per-image function — weights (convolution filter banks, fully-connected
-// weight matrices) are shared with the original, not regenerated — so a batch
-// processed in slices across rebatched clones is bit-identical to the same
-// batch processed whole: every layer handles images independently and fixes
-// its per-image accumulation order regardless of batch size.  The
-// data-parallel replica scheduler (internal/runtime/replica) uses it to
-// compile per-replica sub-batch programs against one shared weight set.
-type Rebatcher interface {
-	// WithBatch returns a layer identical to the receiver except for the
-	// batch dimension of its input and output shapes.
+	// WithBatch returns a layer computing the same per-image function at
+	// another batch size.  Parameters (convolution filter banks,
+	// fully-connected weight matrices) are shared with the receiver, not
+	// regenerated, and every layer handles images independently in a
+	// batch-independent accumulation order, so a batch processed in slices
+	// across such clones is bit-identical to the same batch processed whole
+	// — the property the data-parallel replica scheduler builds on.
 	WithBatch(batch int) (Layer, error)
 }
 
-// GemmForwarder is implemented by convolution layers that can execute the
-// im2col+GEMM strategy (Section II.B) into caller-provided output and
-// workspace.  The planned-execution engine selects direct vs GEMM per layer
-// shape (internal/autotune), pre-packs the filter bank once at compile time
-// via PackedFilters, plans the per-run workspace into its arena, and calls
-// ForwardIntoGemm for ops whose recorded algorithm is kernels.ConvAlgGemm.
-type GemmForwarder interface {
-	// Config returns the convolution configuration the algorithm selection
-	// heuristics operate on.
-	Config() kernels.ConvConfig
-	// PackedFilters returns the flat K×(C·FH·FW) GEMM operand, packing it on
-	// first use.
-	PackedFilters() []float32
-	// GemmWorkspaceElems returns the scratch ForwardIntoGemm needs for the
-	// given output layout, in float32 elements.
-	GemmWorkspaceElems(outLayout tensor.Layout) int
-	// ForwardIntoGemm runs the layer through the im2col+GEMM path, using the
-	// caller-provided scratch (contents unspecified on entry).
-	ForwardIntoGemm(in, dst *tensor.Tensor, scratch []float32) error
+// Forward is the allocating functional forward: it allocates the output (in
+// the input's layout) and the scratch the contract asks for, then runs the
+// alg kernel.  Network.Forward and the runtime's ReferenceForward, the
+// references every planned execution is compared against, are built on it.
+func Forward(l Layer, in *tensor.Tensor, alg kernels.ConvAlgorithm) (*tensor.Tensor, error) {
+	elems, err := l.WorkspaceElems(alg, in.Layout)
+	if err != nil {
+		return nil, err
+	}
+	out := tensor.New(l.OutputShape(), in.Layout)
+	if err := l.ForwardInto(in, out, alg, make([]float32, elems)); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
-// FFTForwarder is implemented by convolution layers that can execute the
-// frequency-domain strategy (Section IV.A) into caller-provided output and
-// workspace.  The compiler plans the transform workspace — filter and channel
-// spectra plus the accumulator planes — as an op-local arena scratch buffer
-// and calls ForwardIntoFFT for ops whose recorded algorithm is
-// kernels.ConvAlgFFT.  Unlike the GEMM path there is no pre-packed operand:
-// the kernel transforms the filter bank out of the per-run scratch, so
-// rebatched clones share weights with no extra compile-time state.
-type FFTForwarder interface {
-	// Config returns the convolution configuration the algorithm selection
-	// heuristics operate on.
-	Config() kernels.ConvConfig
-	// FFTWorkspaceElems returns the scratch ForwardIntoFFT needs, in float32
-	// elements.
-	FFTWorkspaceElems() int
-	// ForwardIntoFFT runs the layer through the FFT path, using the
-	// caller-provided scratch (contents unspecified on entry).
-	ForwardIntoFFT(in, dst *tensor.Tensor, scratch []float32) error
+// checkScratch is the common ForwardInto preamble: the layer must have the
+// kernel, and the caller's scratch must be large enough for it.
+func checkScratch(l Layer, alg kernels.ConvAlgorithm, lay tensor.Layout, scratch []float32) error {
+	need, err := l.WorkspaceElems(alg, lay)
+	if err != nil {
+		return err
+	}
+	if len(scratch) < need {
+		return fmt.Errorf("layers: %s: scratch has %d elements, want at least %d", l.Name(), len(scratch), need)
+	}
+	return nil
+}
+
+// ownKernel is the WorkspaceElems answer of a layer with a single kernel
+// needing elems scratch elements: any other algorithm, or a layout the layer
+// does not run in, is an error.
+func ownKernel(l Layer, alg kernels.ConvAlgorithm, lay tensor.Layout, elems int) (int, error) {
+	if alg != kernels.ConvAlgDirect {
+		return 0, fmt.Errorf("layers: %s has no %v kernel", l.Name(), alg)
+	}
+	if !l.SupportsLayout(lay) {
+		return 0, fmt.Errorf("layers: %s: unsupported layout %v", l.Name(), lay)
+	}
+	return elems, nil
 }
 
 // Conv is a convolutional layer.
 type Conv struct {
 	LayerName string
 	Cfg       kernels.ConvConfig
-	// Seed generates the deterministic filter bank used by Forward.
+	// Seed generates the deterministic filter bank.
 	Seed uint64
 
 	// parent, when non-nil, is the layer this one was rebatched from: the
@@ -275,10 +252,7 @@ func (c *Conv) Filters() *tensor.Tensor {
 	return c.filters
 }
 
-// Config implements GemmForwarder.
-func (c *Conv) Config() kernels.ConvConfig { return c.Cfg }
-
-// PackedFilters implements GemmForwarder: the filter bank flattened once into
+// PackedFilters returns the filter bank flattened once into
 // the K×(C·FH·FW) GEMM operand — adopted from the rebatch parent when there
 // is one (the packed layout does not depend on the batch size).
 func (c *Conv) PackedFilters() []float32 {
@@ -326,27 +300,47 @@ func (c *Conv) refreshPacked() {
 	}
 }
 
-// GemmWorkspaceElems implements GemmForwarder.
-func (c *Conv) GemmWorkspaceElems(outLayout tensor.Layout) int {
-	return kernels.ConvGemmWorkspaceElems(c.Cfg, outLayout)
+// WorkspaceElems implements Layer: the direct kernel needs no scratch, the
+// im2col+GEMM path its unroll matrix (and output staging outside NCHW), the
+// FFT path its spectrum planes.
+func (c *Conv) WorkspaceElems(alg kernels.ConvAlgorithm, l tensor.Layout) (int, error) {
+	if !c.SupportsLayout(l) {
+		return 0, fmt.Errorf("layers: %s: unsupported layout %v", c.LayerName, l)
+	}
+	switch alg {
+	case kernels.ConvAlgDirect:
+		return 0, nil
+	case kernels.ConvAlgGemm:
+		return kernels.ConvGemmWorkspaceElems(c.Cfg, l), nil
+	case kernels.ConvAlgFFT:
+		return kernels.ConvFFTWorkspaceElems(c.Cfg), nil
+	default:
+		return 0, fmt.Errorf("layers: %s has no %v kernel", c.LayerName, alg)
+	}
 }
 
-// ForwardIntoGemm implements GemmForwarder.
-func (c *Conv) ForwardIntoGemm(in, dst *tensor.Tensor, scratch []float32) error {
-	return kernels.ConvIm2colGemmInto(in, c.PackedFilters(), dst, c.Cfg, scratch)
+// ForwardInto implements Layer.  The GEMM path multiplies by the packed
+// operand (packed on first use; compilers pre-pack it); the FFT path
+// transforms the filter bank out of the per-run scratch, so rebatched clones
+// share weights with no extra compile-time state.  The kernels check the
+// scratch size themselves.
+func (c *Conv) ForwardInto(in, dst *tensor.Tensor, alg kernels.ConvAlgorithm, scratch []float32) error {
+	switch alg {
+	case kernels.ConvAlgDirect:
+		return kernels.ConvDirectInto(in, c.Filters(), dst, c.Cfg)
+	case kernels.ConvAlgGemm:
+		return kernels.ConvIm2colGemmInto(in, c.PackedFilters(), dst, c.Cfg, scratch)
+	case kernels.ConvAlgFFT:
+		return kernels.ConvFFTInto(in, c.Filters(), dst, c.Cfg, scratch)
+	default:
+		return fmt.Errorf("layers: %s has no %v kernel", c.LayerName, alg)
+	}
 }
 
-// FFTWorkspaceElems implements FFTForwarder.
-func (c *Conv) FFTWorkspaceElems() int {
-	return kernels.ConvFFTWorkspaceElems(c.Cfg)
-}
+// ForwardsInPlace implements Layer: every output reads a window of inputs.
+func (c *Conv) ForwardsInPlace(tensor.Layout) bool { return false }
 
-// ForwardIntoFFT implements FFTForwarder.
-func (c *Conv) ForwardIntoFFT(in, dst *tensor.Tensor, scratch []float32) error {
-	return kernels.ConvFFTInto(in, c.Filters(), dst, c.Cfg, scratch)
-}
-
-// WithBatch implements Rebatcher: the clone convolves with the receiver's
+// WithBatch implements Layer: the clone convolves with the receiver's
 // filter bank (shared lazily through the parent link, not regenerated —
 // including the packed GEMM operand, which is only materialised if a GEMM
 // program actually needs it), so per-image results are bit-identical at any
@@ -413,16 +407,6 @@ func (c *Conv) bestNCHW(d *gpusim.Device) []gpusim.KernelStats {
 	return best
 }
 
-// Forward implements Layer using the direct convolution reference.
-func (c *Conv) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
-	return kernels.ConvDirect(in, c.Filters(), c.Cfg, in.Layout)
-}
-
-// ForwardInto implements IntoForwarder.
-func (c *Conv) ForwardInto(in, dst *tensor.Tensor) error {
-	return kernels.ConvDirectInto(in, c.Filters(), dst, c.Cfg)
-}
-
 // Pool is a pooling layer.
 type Pool struct {
 	LayerName string
@@ -451,7 +435,7 @@ func (p *Pool) SupportsLayout(l tensor.Layout) bool {
 	return l == tensor.CHWN || l == tensor.NCHW
 }
 
-// WithBatch implements Rebatcher: pooling is stateless, so the clone only
+// WithBatch implements Layer: pooling is stateless, so the clone only
 // changes the batch dimension.
 func (p *Pool) WithBatch(batch int) (Layer, error) {
 	cfg := p.Cfg
@@ -489,12 +473,18 @@ func (p *Pool) Cost(d *gpusim.Device, l tensor.Layout, opts CostOptions) ([]gpus
 	}
 }
 
-// Forward implements Layer.
-func (p *Pool) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
-	return kernels.Pool(in, p.Cfg)
+// WorkspaceElems implements Layer: pooling needs no scratch.
+func (p *Pool) WorkspaceElems(alg kernels.ConvAlgorithm, l tensor.Layout) (int, error) {
+	return ownKernel(p, alg, l, 0)
 }
 
-// ForwardInto implements IntoForwarder.
-func (p *Pool) ForwardInto(in, dst *tensor.Tensor) error {
+// ForwardInto implements Layer.
+func (p *Pool) ForwardInto(in, dst *tensor.Tensor, alg kernels.ConvAlgorithm, scratch []float32) error {
+	if err := checkScratch(p, alg, dst.Layout, scratch); err != nil {
+		return err
+	}
 	return kernels.PoolInto(in, dst, p.Cfg)
 }
+
+// ForwardsInPlace implements Layer: every output reads a window of inputs.
+func (p *Pool) ForwardsInPlace(tensor.Layout) bool { return false }

@@ -104,7 +104,7 @@ func TestConvBestNCHWNeverSlowerThanGemm(t *testing.T) {
 func TestConvForwardMatchesKernels(t *testing.T) {
 	c := testConvLayer(t)
 	in := tensor.Random(c.InputShape(), tensor.CHWN, 7)
-	got, err := c.Forward(in)
+	got, err := Forward(c, in, kernels.ConvAlgDirect)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestPoolLayer(t *testing.T) {
 	}
 
 	in := tensor.Random(p.InputShape(), tensor.NCHW, 3)
-	out, err := p.Forward(in)
+	out, err := Forward(p, in, kernels.ConvAlgDirect)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestSoftmaxLayer(t *testing.T) {
 	}
 
 	in := tensor.Random(s.InputShape(), tensor.NCHW, 5)
-	out, err := s.Forward(in)
+	out, err := Forward(s, in, kernels.ConvAlgDirect)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestSoftmaxLayer(t *testing.T) {
 		}
 	}
 	wrong := tensor.New(tensor.Shape{N: 8, C: 11, H: 1, W: 1}, tensor.NCHW)
-	if _, err := s.Forward(wrong); err == nil {
+	if _, err := Forward(s, wrong, kernels.ConvAlgDirect); err == nil {
 		t.Error("wrong input shape must be rejected")
 	}
 }
@@ -246,7 +246,7 @@ func TestFullyConnectedLayer(t *testing.T) {
 	// Functional check against a hand-computed case: weights from the
 	// deterministic generator, identity-like input.
 	in := tensor.Random(tensor.Shape{N: 4, C: 6, H: 1, W: 1}, tensor.NCHW, 9)
-	out, err := fc.Forward(in)
+	out, err := Forward(fc, in, kernels.ConvAlgDirect)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,11 +264,11 @@ func TestFullyConnectedLayer(t *testing.T) {
 	}
 	// Flattened 4-D input from a conv layer must also be accepted.
 	conv4d := tensor.Random(tensor.Shape{N: 4, C: 2, H: 3, W: 1}, tensor.CHWN, 3)
-	if _, err := fc.Forward(conv4d); err != nil {
+	if _, err := Forward(fc, conv4d, kernels.ConvAlgDirect); err != nil {
 		t.Errorf("4-D input with matching element count must be accepted: %v", err)
 	}
 	wrong := tensor.Random(tensor.Shape{N: 4, C: 7, H: 1, W: 1}, tensor.NCHW, 3)
-	if _, err := fc.Forward(wrong); err == nil {
+	if _, err := Forward(fc, wrong, kernels.ConvAlgDirect); err == nil {
 		t.Error("mismatched input must be rejected")
 	}
 }
@@ -291,7 +291,7 @@ func TestReLULayer(t *testing.T) {
 		t.Error("relu should read the tensor once")
 	}
 	in := tensor.Random(shape, tensor.NCHW, 1)
-	out, err := r.Forward(in)
+	out, err := Forward(r, in, kernels.ConvAlgDirect)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestReLULayer(t *testing.T) {
 			t.Fatalf("positive value altered at %d", i)
 		}
 	}
-	if _, err := r.Forward(tensor.New(tensor.Shape{N: 1, C: 1, H: 1, W: 1}, tensor.NCHW)); err == nil {
+	if _, err := Forward(r, tensor.New(tensor.Shape{N: 1, C: 1, H: 1, W: 1}, tensor.NCHW), kernels.ConvAlgDirect); err == nil {
 		t.Error("wrong shape must be rejected")
 	}
 	if !r.SupportsLayout(tensor.NHWC) {
@@ -331,7 +331,7 @@ func TestLRNLayer(t *testing.T) {
 		t.Errorf("lrn cost: %v", err)
 	}
 	in := tensor.Random(shape, tensor.NCHW, 11)
-	out, err := l.Forward(in)
+	out, err := Forward(l, in, kernels.ConvAlgDirect)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +351,7 @@ func TestLRNLayer(t *testing.T) {
 			}
 		}
 	}
-	if _, err := l.Forward(tensor.New(tensor.Shape{N: 1, C: 1, H: 1, W: 1}, tensor.NCHW)); err == nil {
+	if _, err := Forward(l, tensor.New(tensor.Shape{N: 1, C: 1, H: 1, W: 1}, tensor.NCHW), kernels.ConvAlgDirect); err == nil {
 		t.Error("wrong shape must be rejected")
 	}
 }
@@ -369,7 +369,7 @@ func TestImplStrings(t *testing.T) {
 	}
 }
 
-// TestWithBatchSharesWeights checks the Rebatcher contract: a rebatched conv
+// TestWithBatchSharesWeights checks the WithBatch contract: a rebatched conv
 // or fully-connected layer adopts its parent's weight storage lazily — same
 // backing arrays, no regeneration — and the packed GEMM operand is only
 // materialised when a GEMM program asks for it.

@@ -57,7 +57,7 @@ func New(name string, batch int, ls ...layers.Layer) (*Network, error) {
 }
 
 // WithBatch returns a network computing the same per-image function at a
-// different batch size: every layer is cloned through layers.Rebatcher, so
+// different batch size: every layer is cloned through Layer.WithBatch, so
 // weights are shared with the receiver rather than regenerated.  A batch
 // processed in slices across such clones is bit-identical to the same batch
 // processed whole — the property the data-parallel replica scheduler builds
@@ -68,11 +68,7 @@ func (n *Network) WithBatch(batch int) (*Network, error) {
 	}
 	ls := make([]layers.Layer, len(n.Layers))
 	for i, l := range n.Layers {
-		rb, ok := l.(layers.Rebatcher)
-		if !ok {
-			return nil, fmt.Errorf("network: %s layer %q cannot be rebatched", n.Name, l.Name())
-		}
-		nl, err := rb.WithBatch(batch)
+		nl, err := l.WithBatch(batch)
 		if err != nil {
 			return nil, fmt.Errorf("network: %s rebatching layer %q: %w", n.Name, l.Name(), err)
 		}
@@ -87,9 +83,18 @@ func (n *Network) InputShape() tensor.Shape { return n.Layers[0].InputShape() }
 // OutputShape returns the shape the network produces.
 func (n *Network) OutputShape() tensor.Shape { return n.Layers[len(n.Layers)-1].OutputShape() }
 
-// Forward runs the network functionally on one input batch.  Layout is
-// irrelevant to the values; layers flatten or reshape as needed.
+// Forward runs the network functionally on one input batch, allocating layer
+// by layer through each layer's own (direct) kernel.  Layout is irrelevant to
+// the values; layers flatten or reshape as needed.
 func (n *Network) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
+	return n.ForwardAlgs(in, nil)
+}
+
+// ForwardAlgs is Forward with the layers named in algs running that
+// convolution algorithm instead of the direct one.  Each algorithm fixes its
+// own accumulation order, so this is the bit-exact functional reference for a
+// program compiled with those per-layer choices.
+func (n *Network) ForwardAlgs(in *tensor.Tensor, algs map[layers.Layer]kernels.ConvAlgorithm) (*tensor.Tensor, error) {
 	if in.Shape != n.InputShape() {
 		return nil, fmt.Errorf("network: %s input shape %v, want %v", n.Name, in.Shape, n.InputShape())
 	}
@@ -97,38 +102,21 @@ func (n *Network) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
 	for _, l := range n.Layers {
 		// Reshape flattening boundaries (conv/pool -> fully connected or
 		// softmax): the element count is preserved, only the logical shape
-		// label changes.
+		// label changes; values carry over in canonical (N,C,H,W) order.
 		if cur.Shape != l.InputShape() && cur.Shape.Elems() == l.InputShape().Elems() {
-			reshaped, err := reshape(cur, l.InputShape())
-			if err != nil {
+			reshaped := tensor.New(l.InputShape(), cur.Layout)
+			if err := tensor.ReshapeInto(cur, reshaped); err != nil {
 				return nil, fmt.Errorf("network: %s before layer %q: %w", n.Name, l.Name(), err)
 			}
 			cur = reshaped
 		}
-		out, err := l.Forward(cur)
+		out, err := layers.Forward(l, cur, algs[l])
 		if err != nil {
 			return nil, fmt.Errorf("network: %s layer %q: %w", n.Name, l.Name(), err)
 		}
 		cur = out
 	}
 	return cur, nil
-}
-
-// reshape reinterprets a tensor with a new logical shape holding the same
-// number of elements; values are carried over in canonical (N,C,H,W) order.
-// When the linearisation is unaffected by the relabelling (NCHW always, CHWN
-// at batch-preserving flattening boundaries) this is a single slice copy; the
-// general permuting path lives in tensor.ReshapeInto and remains the fallback
-// for the remaining layouts.
-func reshape(t *tensor.Tensor, shape tensor.Shape) (*tensor.Tensor, error) {
-	if t.Shape.Elems() != shape.Elems() {
-		return nil, fmt.Errorf("network: cannot reshape %v into %v", t.Shape, shape)
-	}
-	out := tensor.New(shape, t.Layout)
-	if err := tensor.ReshapeInto(t, out); err != nil {
-		return nil, fmt.Errorf("network: %w", err)
-	}
-	return out, nil
 }
 
 // PlannedLayer is one layer of an execution plan: the layout it runs in, the

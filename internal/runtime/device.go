@@ -40,9 +40,9 @@ type Device interface {
 
 // CPUDevice executes compiled ops directly on the host: layout transforms via
 // tensor.ConvertInto, reshape copies via tensor.ReshapeInto and layer ops
-// through the compiled convolution algorithm, the workspace/into forwarders
-// or the allocating Forward fallback.  It is the executor's default device
-// and the bit-equality baseline every other device is held to.
+// through the kernel the compiler bound (Op.Layer, Op.Alg) with the scratch it
+// planned.  It is the executor's default device and the bit-equality baseline
+// every other device is held to.
 type CPUDevice struct{}
 
 // Name implements Device.
@@ -64,7 +64,7 @@ func (CPUDevice) RunOp(prog *Program, opIndex int, in, out, aux *tensor.Tensor, 
 			return 0, fmt.Errorf("%s: %w", op.Name, err)
 		}
 	case OpLayer, OpRecompute:
-		if err := runLayer(op, in, out, scratch); err != nil {
+		if err := op.Layer.ForwardInto(in, out, op.Alg, scratch); err != nil {
 			return 0, fmt.Errorf("layer %q: %w", op.Name, err)
 		}
 	case OpLossGrad:
@@ -284,7 +284,7 @@ func trainingOpCost(hw *gpusim.Device, prog *Program, op Op) []gpusim.KernelStat
 	layout := prog.Buffers[op.In].Layout
 	switch l := op.Layer.(type) {
 	case *layers.Conv:
-		cfg := l.Config()
+		cfg := l.Cfg
 		if op.Kind == OpGradFilter {
 			return kernels.ConvBackwardFilterCost(hw, cfg)
 		}

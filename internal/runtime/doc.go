@@ -27,11 +27,14 @@
 //	                        the flat GEMM operand, and every kernel workspace
 //	                        (GEMM unroll matrix, FFT spectrum planes,
 //	                        fully-connected flatten staging, softmax logits)
-//	                        becomes an op-local scratch buffer.
-//	                        Layers declaring in-place safety
-//	                        (layers.InPlaceForwarder, e.g. ReLU) alias their
+//	                        becomes an op-local scratch buffer, sized by
+//	                        Layer.WorkspaceElems for the op's (algorithm,
+//	                        layout); a layer without that kernel fails the
+//	                        compile.  Layers declaring in-place safety
+//	                        (Layer.ForwardsInPlace, e.g. ReLU) alias their
 //	                        output buffer onto their input, so the op reads
-//	                        and writes the same arena storage.
+//	                        and writes the same arena storage.  All of this
+//	                        happens in Program.AddLayer, for training too.
 //	memory plan (memplan.go) — liveness analysis over buffer IDs followed by
 //	                        greedy best-fit offset assignment into one arena;
 //	                        scratch buffers are live only during their op, so
@@ -43,15 +46,18 @@
 //	execute (executor.go, pool.go, device.go) — run the compiled program on
 //	                        arena-backed tensor views recycled through a
 //	                        free list (one arena per concurrent run, kept
-//	                        across GC cycles), using the recorded convolution
-//	                        algorithm, layers.WorkspaceForwarder/IntoForwarder
-//	                        where available, and falling back to Forward plus
-//	                        a copy elsewhere.  Steady-state runs allocate no
-//	                        tensors or scratch slices.  Every op dispatches
-//	                        through a Device: CPUDevice is the native path,
-//	                        SimDevice computes the same results while pricing
-//	                        each op on an internal/gpusim hardware model, so
-//	                        runs report modeled device latency.
+//	                        across GC cycles).  One binder (NewInstance:
+//	                        one arena, or one allocation per buffer as the
+//	                        naive baseline) and one op interpreter
+//	                        (Instance.run) serve inference and training; a
+//	                        layer op is Layer.ForwardInto with the bound
+//	                        algorithm and the planned scratch, so
+//	                        steady-state runs allocate no tensors or scratch
+//	                        slices.  Every op dispatches through a Device:
+//	                        CPUDevice is the native path, SimDevice computes
+//	                        the same results while pricing each op on an
+//	                        internal/gpusim hardware model, so runs report
+//	                        modeled device latency.
 //
 // On top of the single-device executor, shard.go cuts a compiled program into
 // contiguous pipeline stages (the lowered op list is a linear chain, so every
@@ -64,7 +70,7 @@
 //
 // The complementary execution axis is data parallelism: the replica
 // sub-package clones a compiled program across N devices (shared read-only
-// weights via layers.Rebatcher and network.WithBatch, one arena pool per
+// weights via Layer.WithBatch and network.WithBatch, one arena pool per
 // replica) and splits every batch into per-replica sub-batches weighted by
 // modeled or probed device throughput, running them concurrently and
 // reassembling bit-identically.  CompileLike supports it by lowering a
@@ -177,15 +183,18 @@
 // stored predecessor.  Whether checkpointing is worth it is decided by the
 // planner (strictly lower peak, recompute cost priced on gpusim).  Training
 // ops dispatch through the same Device abstraction — bit-deterministic on
-// CPUDevice, priced per op on SimDevice — and train.Trainer wraps the planned
-// executor into a step/epoch loop.  Note the naming split: core.Optimizer is
-// the paper's layout planner, while the gradient-descent optimiser (SGD)
-// lives here.
+// CPUDevice, priced per op on SimDevice — and through the same interpreter:
+// train.Executor stages the batch and labels into an Instance it bound once,
+// runs Executor.ExecuteOn and reads the loss, so a step is cancellable between
+// ops, contains panics and can be instrumented like an inference run;
+// train.Trainer wraps it into a step/epoch loop.  Note the naming split:
+// core.Optimizer is the paper's layout planner, while the gradient-descent
+// optimiser (SGD) lives here.
 //
 // # Verified IR contract
 //
 // A compiled Program is a closed intermediate representation with invariants
-// every executor assumes, and the verify sub-package checks all of them
+// the interpreter assumes, and the verify sub-package checks all of them
 // statically: every buffer an op reads holds a defined value at that point
 // (def-before-use over the linear op list, with alias-aware write tracking);
 // alias chains are acyclic, point at reinterpret-compatible views and share

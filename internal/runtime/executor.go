@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"memcnn/internal/kernels"
-	"memcnn/internal/layers"
 	"memcnn/internal/tensor"
 )
 
@@ -73,8 +71,7 @@ func (e *Executor) Run(in *tensor.Tensor) (*tensor.Tensor, error) {
 // the arena, so the only steady-state heap traffic left is the short-lived
 // goroutine fan-out inside the parallel kernels.
 func (e *Executor) RunInto(in, dst *tensor.Tensor) error {
-	_, err := e.RunIntoModeled(in, dst)
-	return err
+	return e.RunIntoCtx(context.Background(), in, dst)
 }
 
 // RunIntoCtx implements the context-aware Runner path: cancellation is
@@ -87,18 +84,9 @@ func (e *Executor) RunIntoCtx(ctx context.Context, in, dst *tensor.Tensor) error
 	return err
 }
 
-// RunIntoModeled is RunInto additionally returning the device's modeled
+// runModeled is RunIntoCtx additionally returning the device's modeled
 // execution time in microseconds (zero when the device does not model
-// hardware, e.g. the CPU).
-func (e *Executor) RunIntoModeled(in, dst *tensor.Tensor) (float64, error) {
-	return e.runModeled(context.Background(), in, dst)
-}
-
-// RunIntoModeledCtx is RunIntoCtx additionally returning the modeled time.
-func (e *Executor) RunIntoModeledCtx(ctx context.Context, in, dst *tensor.Tensor) (float64, error) {
-	return e.runModeled(ctx, in, dst)
-}
-
+// hardware, e.g. the CPU); pipeline stages report it.
 func (e *Executor) runModeled(ctx context.Context, in, dst *tensor.Tensor) (float64, error) {
 	if in.Shape != e.prog.InputShape() {
 		return 0, fmt.Errorf("runtime: %s input shape %v, want %v", e.prog.Net.Name, in.Shape, e.prog.InputShape())
@@ -114,20 +102,37 @@ func (e *Executor) runModeled(ctx context.Context, in, dst *tensor.Tensor) (floa
 	return inst.run(ctx, e.dev, e.obs.Load(), in, dst)
 }
 
-// run executes the program over this instance's arena on the given device,
-// accumulating the device's modeled time.  A panic anywhere below — a buggy
-// kernel, a faulting device — is contained into a *PanicError so it fails
-// this run, never the process.  Cancellation is checked before every op.
-// eo is nil when the executor is uninstrumented: the only observability cost
-// on that path is the nil test per op.
+// ExecuteOn executes the program's ops over an instance the caller bound
+// (NewInstance) and staged itself.  The training executor runs its steps this
+// way: it writes the batch and the labels into the instance's buffers, calls
+// ExecuteOn and reads the loss off the still-resident probabilities.  The loop
+// and its guarantees are RunIntoCtx's.
+func (e *Executor) ExecuteOn(ctx context.Context, inst *Instance) (modeledUS float64, err error) {
+	if inst.prog != e.prog {
+		return 0, fmt.Errorf("runtime: instance belongs to another program")
+	}
+	return inst.run(ctx, e.dev, e.obs.Load(), nil, nil)
+}
+
+// run is the op interpreter — the one loop over a program's ops.  It stages
+// in into the input buffer and delivers the output buffer into dst (either
+// may be nil when the caller does that itself), and in between runs every op
+// over the instance's bound buffers on dev, accumulating the device's modeled
+// time.  A panic anywhere below — a buggy kernel, a faulting device — is
+// contained into a *PanicError so it fails this run, never the process.
+// Cancellation is checked before every op.  eo is nil when the executor is
+// uninstrumented: the only observability cost on that path is the nil test
+// per op.
 func (inst *Instance) run(ctx context.Context, dev Device, eo *execObs, in, dst *tensor.Tensor) (modeledUS float64, err error) {
 	defer containPanic("executor", &err)
 	var runT0 int64
 	if eo != nil {
 		runT0 = eo.now()
 	}
-	if err := tensor.ConvertInto(in, inst.bufs[inst.prog.Input]); err != nil {
-		return 0, fmt.Errorf("runtime: staging input: %w", err)
+	if in != nil {
+		if err := tensor.ConvertInto(in, inst.bufs[inst.prog.Input]); err != nil {
+			return 0, fmt.Errorf("runtime: staging input: %w", err)
+		}
 	}
 	done := ctx.Done()
 	for i, op := range inst.prog.Ops {
@@ -164,48 +169,13 @@ func (inst *Instance) run(ctx context.Context, dev Device, eo *execObs, in, dst 
 		}
 		modeledUS += us
 	}
-	if err := tensor.ConvertInto(inst.bufs[inst.prog.Output], dst); err != nil {
-		return modeledUS, fmt.Errorf("runtime: delivering output: %w", err)
+	if dst != nil {
+		if err := tensor.ConvertInto(inst.bufs[inst.prog.Output], dst); err != nil {
+			return modeledUS, fmt.Errorf("runtime: delivering output: %w", err)
+		}
 	}
 	if eo != nil {
 		eo.observeRun(runT0, modeledUS)
 	}
 	return modeledUS, nil
-}
-
-// runLayer executes one layer op: through the compiled convolution algorithm
-// when the op selected the GEMM path, through ForwardIntoWorkspace when the
-// compiler planned arena scratch for the layer, directly into the planned
-// buffer when the layer supports IntoForwarder, and otherwise through the
-// layer's allocating Forward followed by a copy into the arena.
-func runLayer(op Op, in, out *tensor.Tensor, scratch []float32) error {
-	if op.Alg == kernels.ConvAlgGemm {
-		gf, ok := op.Layer.(layers.GemmForwarder)
-		if !ok {
-			return fmt.Errorf("layer does not implement the selected GEMM algorithm")
-		}
-		return gf.ForwardIntoGemm(in, out, scratch)
-	}
-	if op.Alg == kernels.ConvAlgFFT {
-		ff, ok := op.Layer.(layers.FFTForwarder)
-		if !ok {
-			return fmt.Errorf("layer does not implement the selected FFT algorithm")
-		}
-		return ff.ForwardIntoFFT(in, out, scratch)
-	}
-	if wf, ok := op.Layer.(layers.WorkspaceForwarder); ok && scratch != nil {
-		return wf.ForwardIntoWorkspace(in, out, scratch)
-	}
-	if fi, ok := op.Layer.(layers.IntoForwarder); ok {
-		return fi.ForwardInto(in, out)
-	}
-	res, err := op.Layer.Forward(in)
-	if err != nil {
-		return err
-	}
-	if res.Layout == out.Layout {
-		copy(out.Data, res.Data)
-		return nil
-	}
-	return tensor.ConvertInto(res, out)
 }

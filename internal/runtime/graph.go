@@ -115,11 +115,14 @@ type Op struct {
 	In    BufferID
 	Out   BufferID
 
-	// Alg is the convolution algorithm the compiler selected for this layer
-	// op; ConvAlgDirect unless algorithm selection chose the GEMM path.
+	// Alg is the kernel of Layer the compiler bound this forward op to: the
+	// (Layer, Alg) pair is everything the executor needs to run it.
+	// ConvAlgDirect — every layer's own kernel — unless algorithm selection
+	// chose a convolution's GEMM or FFT path.
 	Alg kernels.ConvAlgorithm
 	// Scratch, when not NoBuffer, is the op-local workspace buffer the
-	// executor hands the layer (GEMM conv workspace, fully-connected flatten
+	// executor hands the layer, sized by Layer.WorkspaceElems at compile time
+	// (GEMM unroll matrix, FFT spectrum planes, fully-connected flatten
 	// staging, softmax logits).  It is live only during this op.
 	Scratch BufferID
 
@@ -183,7 +186,7 @@ type Options struct {
 	// layer execution per conv layer per algorithm).
 	Probe bool
 	// NoInPlace disables in-place execution of layers that declare it safe
-	// (layers.InPlaceForwarder, e.g. ReLU).  By default such a layer's
+	// (Layer.ForwardsInPlace, e.g. ReLU).  By default such a layer's
 	// output buffer aliases its input, so the op reads and writes the same
 	// arena storage and the memory plan shrinks; results are bit-identical
 	// either way.  The flag exists to measure that shrinkage.
@@ -233,12 +236,12 @@ func CompileWithOptions(plan *network.ExecutionPlan, opts Options) (*Program, er
 	if opts.ConvAlgorithms && !opts.Probe {
 		forced := make([]kernels.ConvAlgorithm, len(plan.Layers))
 		for i, pl := range plan.Layers {
-			gf, ok := pl.Layer.(layers.GemmForwarder)
+			conv, ok := pl.Layer.(*layers.Conv)
 			if !ok {
 				continue
 			}
-			base := autotune.SelectConvAlgorithm(gf.Config())
-			choice := layout.JointConvChoice(plan.Device, gf.Config(), layouts[i], base)
+			base := autotune.SelectConvAlgorithm(conv.Cfg)
+			choice := layout.JointConvChoice(plan.Device, conv.Cfg, layouts[i], base)
 			layouts[i] = choice.Layout
 			forced[i] = choice.Alg
 		}
@@ -305,19 +308,13 @@ func CompileFixed(net *network.Network, layout tensor.Layout) (*Program, error) 
 	return CompileFixedWithOptions(net, layout, Options{})
 }
 
-// CompileFixedWithOptions is CompileFixed with explicit lowering options.
+// CompileFixedWithOptions is CompileFixed with explicit lowering options.  A
+// layer with no kernel for the layout fails the lowering.
 func CompileFixedWithOptions(net *network.Network, layout tensor.Layout, opts Options) (*Program, error) {
 	if net == nil || len(net.Layers) == 0 {
 		return nil, fmt.Errorf("runtime: cannot compile an empty network")
 	}
-	layouts := make([]tensor.Layout, len(net.Layers))
-	for i, l := range net.Layers {
-		if !l.SupportsLayout(layout) {
-			return nil, fmt.Errorf("runtime: layer %q does not support layout %v", l.Name(), layout)
-		}
-		layouts[i] = layout
-	}
-	return lower(net, fmt.Sprintf("fixed-%v", layout), layouts, opts, nil)
+	return lower(net, fmt.Sprintf("fixed-%v", layout), uniform(net, layout), opts, nil)
 }
 
 // CompileFixedAlg lowers a network with every layer in one layout and every
@@ -328,28 +325,105 @@ func CompileFixedAlg(net *network.Network, layout tensor.Layout, alg kernels.Con
 	if net == nil || len(net.Layers) == 0 {
 		return nil, fmt.Errorf("runtime: cannot compile an empty network")
 	}
-	layouts := make([]tensor.Layout, len(net.Layers))
 	forced := make([]kernels.ConvAlgorithm, len(net.Layers))
 	for i, l := range net.Layers {
-		if !l.SupportsLayout(layout) {
-			return nil, fmt.Errorf("runtime: layer %q does not support layout %v", l.Name(), layout)
-		}
-		layouts[i] = layout
-		if _, ok := l.(layers.GemmForwarder); ok {
+		if _, ok := l.(*layers.Conv); ok {
 			forced[i] = alg
 		}
 	}
-	return lower(net, fmt.Sprintf("fixed-%v-%v", layout, alg), layouts, Options{}, forced)
+	return lower(net, fmt.Sprintf("fixed-%v-%v", layout, alg), uniform(net, layout), Options{}, forced)
+}
+
+// uniform is the per-layer layout list of a single-layout program.
+func uniform(net *network.Network, layout tensor.Layout) []tensor.Layout {
+	layouts := make([]tensor.Layout, len(net.Layers))
+	for i := range layouts {
+		layouts[i] = layout
+	}
+	return layouts
 }
 
 // selectConvAlgorithm picks the convolution strategy for one conv layer,
 // through the analytic heuristic or the measured probe.
-func selectConvAlgorithm(gf layers.GemmForwarder, lay tensor.Layout, opts Options) (kernels.ConvAlgorithm, error) {
+func selectConvAlgorithm(cfg kernels.ConvConfig, lay tensor.Layout, opts Options) (kernels.ConvAlgorithm, error) {
 	if opts.Probe {
-		alg, _, err := autotune.ProbeConvAlgorithm(gf.Config(), lay)
+		alg, _, err := autotune.ProbeConvAlgorithm(cfg, lay)
 		return alg, err
 	}
-	return autotune.SelectConvAlgorithm(gf.Config()), nil
+	return autotune.SelectConvAlgorithm(cfg), nil
+}
+
+// AddBuffer appends a buffer to a program under construction.  alias is
+// NoBuffer for a buffer with storage of its own.
+func (p *Program) AddBuffer(shape tensor.Shape, layout tensor.Layout, alias BufferID) BufferID {
+	id := BufferID(len(p.Buffers))
+	p.Buffers = append(p.Buffers, Buffer{ID: id, Shape: shape, Layout: layout, AliasOf: alias})
+	return id
+}
+
+// AddScratch appends an op-local flat workspace of elems float32 elements,
+// or returns NoBuffer when the kernel needs none.
+func (p *Program) AddScratch(elems int) BufferID {
+	if elems <= 0 {
+		return NoBuffer
+	}
+	id := p.AddBuffer(tensor.Shape{N: 1, C: 1, H: 1, W: elems}, tensor.NCHW, NoBuffer)
+	p.Buffers[id].Scratch = true
+	return id
+}
+
+// AddReshape returns a view of src with the given logical shape: src itself
+// when the shape already matches, otherwise the output of an appended
+// OpReshape — a zero-copy alias whenever the layout permits
+// (tensor.CanReinterpret), a canonical-order copy elsewhere.
+func (p *Program) AddReshape(src BufferID, shape tensor.Shape, tag string) (BufferID, error) {
+	have, lay := p.Buffers[src].Shape, p.Buffers[src].Layout
+	if have == shape {
+		return src, nil
+	}
+	if have.Elems() != shape.Elems() {
+		return NoBuffer, fmt.Errorf("runtime: cannot reshape %v into %v %s", have, shape, tag)
+	}
+	alias := NoBuffer
+	if tensor.CanReinterpret(have, shape, lay) {
+		alias = p.root(src)
+	}
+	out := p.AddBuffer(shape, lay, alias)
+	p.Ops = append(p.Ops, Op{
+		Kind: OpReshape,
+		Name: fmt.Sprintf("%v->%v %s", have, shape, tag),
+		In:   src, Out: out, Scratch: NoBuffer, Aux: NoBuffer,
+	})
+	return out, nil
+}
+
+// AddLayer appends a forward op (OpLayer or OpRecompute) running layer l's
+// alg kernel on buffer in, and returns its output buffer.  This is where a
+// kernel is bound: the layer's contract says whether it has the kernel for
+// the buffer's layout and how much scratch it needs, and that scratch
+// becomes an op-local buffer.  With inPlace, a layer that declares it safe
+// gets its output aliased onto its input: the op reads and writes the same
+// storage, and the arena never holds both sides at once.
+func (p *Program) AddLayer(kind OpKind, name string, l layers.Layer, in BufferID, alg kernels.ConvAlgorithm, inPlace bool) (BufferID, error) {
+	lay := p.Buffers[in].Layout
+	elems, err := l.WorkspaceElems(alg, lay)
+	if err != nil {
+		return NoBuffer, fmt.Errorf("runtime: binding layer %q: %w", l.Name(), err)
+	}
+	alias := NoBuffer
+	if inPlace && l.ForwardsInPlace(lay) && l.OutputShape() == p.Buffers[in].Shape &&
+		tensor.CanReinterpret(p.Buffers[p.root(in)].Shape, l.OutputShape(), lay) {
+		alias = p.root(in)
+	}
+	out := p.AddBuffer(l.OutputShape(), lay, alias)
+	if conv, ok := l.(*layers.Conv); ok && alg == kernels.ConvAlgGemm {
+		conv.PackedFilters() // pre-pack the GEMM operand once, at compile time
+	}
+	p.Ops = append(p.Ops, Op{
+		Kind: kind, Name: name, Layer: l, In: in, Out: out,
+		Alg: alg, Scratch: p.AddScratch(elems), Aux: NoBuffer,
+	})
+	return out, nil
 }
 
 // lower builds the op list for a network given the layout each layer runs in.
@@ -357,25 +431,13 @@ func selectConvAlgorithm(gf layers.GemmForwarder, lay tensor.Layout, opts Option
 // copying a base program's choices); otherwise layers select per opts.
 func lower(net *network.Network, plannerName string, layouts []tensor.Layout, opts Options, forced []kernels.ConvAlgorithm) (*Program, error) {
 	p := &Program{Net: net, PlannerName: plannerName, Opts: opts}
-	newBuf := func(shape tensor.Shape, layout tensor.Layout, alias BufferID) BufferID {
-		id := BufferID(len(p.Buffers))
-		p.Buffers = append(p.Buffers, Buffer{ID: id, Shape: shape, Layout: layout, AliasOf: alias})
-		return id
-	}
-	// newScratch plans an op-local flat workspace of the given element count.
-	newScratch := func(elems int) BufferID {
-		id := newBuf(tensor.Shape{N: 1, C: 1, H: 1, W: elems}, tensor.NCHW, NoBuffer)
-		p.Buffers[id].Scratch = true
-		return id
-	}
-	cur := newBuf(net.InputShape(), layouts[0], NoBuffer)
+	cur := p.AddBuffer(net.InputShape(), layouts[0], NoBuffer)
 	p.Input = cur
 
 	for i, l := range net.Layers {
 		lay := layouts[i]
-		if p.Buffers[cur].Layout != lay {
-			from := p.Buffers[cur].Layout
-			out := newBuf(p.Buffers[cur].Shape, lay, NoBuffer)
+		if from := p.Buffers[cur].Layout; from != lay {
+			out := p.AddBuffer(p.Buffers[cur].Shape, lay, NoBuffer)
 			p.Ops = append(p.Ops, Op{
 				Kind: OpTransform,
 				Name: fmt.Sprintf("%v->%v before %s", from, lay, l.Name()),
@@ -383,66 +445,21 @@ func lower(net *network.Network, plannerName string, layouts []tensor.Layout, op
 			})
 			cur = out
 		}
-		if in := l.InputShape(); p.Buffers[cur].Shape != in {
-			if p.Buffers[cur].Shape.Elems() != in.Elems() {
-				return nil, fmt.Errorf("runtime: layer %q input %v does not match incoming buffer %v",
-					l.Name(), in, p.Buffers[cur].Shape)
-			}
-			alias := NoBuffer
-			if tensor.CanReinterpret(p.Buffers[cur].Shape, in, lay) {
-				alias = p.root(cur)
-			}
-			out := newBuf(in, lay, alias)
-			p.Ops = append(p.Ops, Op{
-				Kind: OpReshape,
-				Name: fmt.Sprintf("%v->%v before %s", p.Buffers[cur].Shape, in, l.Name()),
-				In:   cur, Out: out, Scratch: NoBuffer, Aux: NoBuffer,
-			})
-			cur = out
+		var err error
+		if cur, err = p.AddReshape(cur, l.InputShape(), "before "+l.Name()); err != nil {
+			return nil, err
 		}
-		alias := NoBuffer
-		if ip, ok := l.(layers.InPlaceForwarder); ok && !opts.NoInPlace &&
-			ip.ForwardsInPlace(lay) && l.OutputShape() == p.Buffers[cur].Shape &&
-			tensor.CanReinterpret(p.Buffers[p.root(cur)].Shape, l.OutputShape(), lay) {
-			// The layer runs in place: its output is a view of the input's
-			// storage, and the arena never holds both sides at once.
-			alias = p.root(cur)
-		}
-		out := newBuf(l.OutputShape(), lay, alias)
-		op := Op{Kind: OpLayer, Name: l.Name(), Layer: l, In: cur, Out: out, Scratch: NoBuffer, Aux: NoBuffer}
-		if gf, ok := l.(layers.GemmForwarder); ok && (opts.ConvAlgorithms || forced != nil) {
-			var alg kernels.ConvAlgorithm
-			if forced != nil {
-				alg = forced[i]
-			} else {
-				var err error
-				alg, err = selectConvAlgorithm(gf, lay, opts)
-				if err != nil {
-					return nil, fmt.Errorf("runtime: selecting algorithm for %q: %w", l.Name(), err)
-				}
-			}
-			switch alg {
-			case kernels.ConvAlgGemm:
-				op.Alg = kernels.ConvAlgGemm
-				gf.PackedFilters() // pre-pack the GEMM operand once, at compile time
-				op.Scratch = newScratch(gf.GemmWorkspaceElems(lay))
-			case kernels.ConvAlgFFT:
-				ff, ok := l.(layers.FFTForwarder)
-				if !ok {
-					return nil, fmt.Errorf("runtime: layer %q cannot run the FFT algorithm", l.Name())
-				}
-				op.Alg = kernels.ConvAlgFFT
-				op.Scratch = newScratch(ff.FFTWorkspaceElems())
-			}
-		} else if forced != nil && forced[i] != kernels.ConvAlgDirect {
-			return nil, fmt.Errorf("runtime: layer %q cannot run the pinned %v algorithm", l.Name(), forced[i])
-		} else if wf, ok := l.(layers.WorkspaceForwarder); ok {
-			if elems := wf.WorkspaceElems(); elems > 0 {
-				op.Scratch = newScratch(elems)
+		alg := kernels.ConvAlgDirect
+		if forced != nil {
+			alg = forced[i]
+		} else if conv, ok := l.(*layers.Conv); ok && opts.ConvAlgorithms {
+			if alg, err = selectConvAlgorithm(conv.Cfg, lay, opts); err != nil {
+				return nil, fmt.Errorf("runtime: selecting algorithm for %q: %w", l.Name(), err)
 			}
 		}
-		p.Ops = append(p.Ops, op)
-		cur = out
+		if cur, err = p.AddLayer(OpLayer, l.Name(), l, cur, alg, !opts.NoInPlace); err != nil {
+			return nil, err
+		}
 	}
 	p.Output = cur
 

@@ -107,7 +107,7 @@ func newExecObs(prog *Program, dev Device, ob Observer, lane int32) *execObs {
 			Kind:   op.Kind.String(),
 			Layout: prog.Buffers[op.In].Layout.String(),
 		}
-		if _, ok := op.Layer.(layers.GemmForwarder); ok && op.Kind == OpLayer {
+		if _, ok := op.Layer.(*layers.Conv); ok && op.Kind == OpLayer {
 			o.span.Alg = op.Alg.String()
 		}
 		o.hist = ob.Metrics.Histogram(metricOpLatency,

@@ -177,7 +177,7 @@ func (pe *PipelineExecutor) runStage(ps *pipeStage) {
 			spanT0 = so.rec.Now()
 		}
 		start := time.Now()
-		modeledUS, err := ps.exec.RunIntoModeledCtx(job.ctx, job.cur, out)
+		modeledUS, err := ps.exec.runModeled(job.ctx, job.cur, out)
 		elapsed := time.Since(start)
 		ps.measuredNS.Add(int64(elapsed))
 		ps.modeledNS.Add(int64((modeledUS + ps.transferInUS) * 1e3))

@@ -7,28 +7,32 @@ import (
 	"memcnn/internal/tensor"
 )
 
-// Instance is one executable copy of a program: a single arena allocation
-// plus a tensor header per buffer viewing its arena slice.  Instances are
-// built once and recycled through a Pool, so steady-state inference performs
-// no tensor allocation.
+// Instance is one executable copy of a program: a tensor header per buffer,
+// bound to storage.  Pooled instances pack every buffer into a single arena
+// allocation at its planned offset and are recycled, so steady-state
+// inference performs no tensor allocation.
 type Instance struct {
-	prog  *Program
-	arena []float32
-	bufs  []*tensor.Tensor
+	prog *Program
+	bufs []*tensor.Tensor
 }
 
-// newInstance allocates the arena and binds every buffer header to its
-// planned offset.  Alias buffers view the same storage as their root.  The
-// consistency conditions it depends on (alias reinterpretability, offsets
-// inside the arena, shape/layout validity) are checked when the program is
-// constructed — PlanMemory rejects a plan that cannot instantiate — so a bad
-// plan surfaces as a compile error, not a crash in a serving worker; the
-// errors here are a backstop for hand-built programs.
-func newInstance(p *Program) (*Instance, error) {
-	inst := &Instance{
-		prog:  p,
-		arena: make([]float32, p.Mem.ArenaElems),
-		bufs:  make([]*tensor.Tensor, len(p.Buffers)),
+// NewInstance binds every buffer header of a program to storage — the one
+// place that happens.  With perBuffer false the buffers share one arena
+// allocation at the memory plan's offsets (Mem.PeakBytes of storage); with
+// perBuffer true every root buffer gets an allocation of its own
+// (Program.NaiveBytes), the keep-everything baseline planned footprints are
+// measured against.  Alias buffers view their root's storage either way.
+//
+// The consistency conditions binding depends on (alias reinterpretability,
+// offsets inside the arena, shape/layout validity) are checked when the
+// program is constructed — PlanMemory rejects a plan that cannot instantiate
+// — so a bad plan surfaces as a compile error, not a crash in a serving
+// worker; the errors here are a backstop for hand-built programs.
+func NewInstance(p *Program, perBuffer bool) (*Instance, error) {
+	inst := &Instance{prog: p, bufs: make([]*tensor.Tensor, len(p.Buffers))}
+	var arena []float32
+	if !perBuffer {
+		arena = make([]float32, p.Mem.ArenaElems)
 	}
 	for i, b := range p.Buffers {
 		if b.AliasOf != NoBuffer {
@@ -45,12 +49,18 @@ func newInstance(p *Program) (*Instance, error) {
 			inst.bufs[i] = view
 			continue
 		}
-		off := p.Mem.Offsets[i]
-		if off < 0 || off+b.Elems() > len(inst.arena) {
-			return nil, fmt.Errorf("runtime: buffer %d [%d,%d) outside arena of %d elems",
-				i, off, off+b.Elems(), len(inst.arena))
+		var backing []float32
+		if perBuffer {
+			backing = make([]float32, b.Elems())
+		} else {
+			off := p.Mem.Offsets[i]
+			if off < 0 || off+b.Elems() > len(arena) {
+				return nil, fmt.Errorf("runtime: buffer %d [%d,%d) outside arena of %d elems",
+					i, off, off+b.Elems(), len(arena))
+			}
+			backing = arena[off : off+b.Elems()]
 		}
-		t, err := tensor.NewFrom(b.Shape, b.Layout, inst.arena[off:off+b.Elems()])
+		t, err := tensor.NewFrom(b.Shape, b.Layout, backing)
 		if err != nil {
 			return nil, fmt.Errorf("runtime: buffer %d: %w", i, err)
 		}
@@ -58,6 +68,10 @@ func newInstance(p *Program) (*Instance, error) {
 	}
 	return inst, nil
 }
+
+// Buffer returns the tensor bound to one of the program's buffers, for a
+// caller that stages inputs and reads results itself (see Executor.ExecuteOn).
+func (inst *Instance) Buffer(id BufferID) *tensor.Tensor { return inst.bufs[id] }
 
 // Pool recycles program instances across requests and workers.  Idle
 // instances wait on a mutex-guarded free list: a Get finds one whenever any
@@ -91,7 +105,7 @@ func (pl *Pool) Get() (*Instance, error) {
 		return inst, nil
 	}
 	pl.mu.Unlock()
-	return newInstance(pl.prog)
+	return NewInstance(pl.prog, false)
 }
 
 // Put releases an instance for reuse.

@@ -1,8 +1,6 @@
 package runtime
 
 import (
-	"fmt"
-
 	"memcnn/internal/kernels"
 	"memcnn/internal/layers"
 	"memcnn/internal/tensor"
@@ -26,7 +24,7 @@ func (p *Program) ConvChoices() []ConvChoice {
 		if op.Kind != OpLayer {
 			continue
 		}
-		if _, ok := op.Layer.(layers.GemmForwarder); !ok {
+		if _, ok := op.Layer.(*layers.Conv); !ok {
 			continue
 		}
 		ch := ConvChoice{Layer: op.Name, Alg: op.Alg, Layout: p.Buffers[op.In].Layout}
@@ -51,7 +49,7 @@ func (p *Program) ScratchBytes() int64 {
 }
 
 // ReferenceForward runs the program's network functionally — allocating layer
-// by layer, like network.Forward — while mirroring the program's per-layer
+// by layer, like Network.Forward — while mirroring the program's per-layer
 // convolution algorithm choices.  Because each algorithm fixes its
 // accumulation order, the result is bit-identical to the executor's output
 // for the same program; it is the cross-check reference for
@@ -59,47 +57,11 @@ func (p *Program) ScratchBytes() int64 {
 // ones (for a program compiled without algorithm selection the two references
 // coincide).
 func (p *Program) ReferenceForward(in *tensor.Tensor) (*tensor.Tensor, error) {
-	if in.Shape != p.InputShape() {
-		return nil, fmt.Errorf("runtime: %s input shape %v, want %v", p.Net.Name, in.Shape, p.InputShape())
-	}
 	algs := make(map[layers.Layer]kernels.ConvAlgorithm)
 	for _, op := range p.Ops {
 		if op.Kind == OpLayer {
 			algs[op.Layer] = op.Alg
 		}
 	}
-	cur := in
-	for _, l := range p.Net.Layers {
-		if cur.Shape != l.InputShape() && cur.Shape.Elems() == l.InputShape().Elems() {
-			reshaped := tensor.New(l.InputShape(), cur.Layout)
-			if err := tensor.ReshapeInto(cur, reshaped); err != nil {
-				return nil, fmt.Errorf("runtime: %s before layer %q: %w", p.Net.Name, l.Name(), err)
-			}
-			cur = reshaped
-		}
-		if gf, ok := l.(layers.GemmForwarder); ok && algs[l] == kernels.ConvAlgGemm {
-			out := tensor.New(l.OutputShape(), cur.Layout)
-			scratch := make([]float32, gf.GemmWorkspaceElems(out.Layout))
-			if err := gf.ForwardIntoGemm(cur, out, scratch); err != nil {
-				return nil, fmt.Errorf("runtime: %s layer %q: %w", p.Net.Name, l.Name(), err)
-			}
-			cur = out
-			continue
-		}
-		if ff, ok := l.(layers.FFTForwarder); ok && algs[l] == kernels.ConvAlgFFT {
-			out := tensor.New(l.OutputShape(), cur.Layout)
-			scratch := make([]float32, ff.FFTWorkspaceElems())
-			if err := ff.ForwardIntoFFT(cur, out, scratch); err != nil {
-				return nil, fmt.Errorf("runtime: %s layer %q: %w", p.Net.Name, l.Name(), err)
-			}
-			cur = out
-			continue
-		}
-		out, err := l.Forward(cur)
-		if err != nil {
-			return nil, fmt.Errorf("runtime: %s layer %q: %w", p.Net.Name, l.Name(), err)
-		}
-		cur = out
-	}
-	return cur, nil
+	return p.Net.ForwardAlgs(in, algs)
 }

@@ -415,54 +415,6 @@ func TestExecutorRejectsBadShapes(t *testing.T) {
 	}
 }
 
-// forwardOnly wraps a layer, hiding its IntoForwarder implementation, so the
-// executor's Forward-and-copy fallback stays covered now that every concrete
-// layer implements ForwardInto.
-type forwardOnly struct{ inner layers.Layer }
-
-func (f forwardOnly) Name() string                        { return f.inner.Name() }
-func (f forwardOnly) InputShape() tensor.Shape            { return f.inner.InputShape() }
-func (f forwardOnly) OutputShape() tensor.Shape           { return f.inner.OutputShape() }
-func (f forwardOnly) SupportsLayout(l tensor.Layout) bool { return f.inner.SupportsLayout(l) }
-func (f forwardOnly) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
-	return f.inner.Forward(in)
-}
-func (f forwardOnly) Cost(d *gpusim.Device, l tensor.Layout, o layers.CostOptions) ([]gpusim.KernelStats, error) {
-	return f.inner.Cost(d, l, o)
-}
-
-// TestExecutorFallbackForward runs a network whose layers expose only the
-// allocating Forward and checks the copy-into-arena fallback reproduces the
-// golden output.
-func TestExecutorFallbackForward(t *testing.T) {
-	base, err := workloads.TinyNet()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wrapped := make([]layers.Layer, len(base.Layers))
-	for i, l := range base.Layers {
-		wrapped[i] = forwardOnly{l}
-	}
-	net, err := network.New("TinyNetFallback", base.Batch, wrapped...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := runtime.CompileFixed(net, tensor.NCHW)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := tensor.Random(net.InputShape(), tensor.NCHW, 11)
-	want, err := base.Forward(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := runtime.NewExecutor(prog).Run(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireBitEqual(t, "fallback", got, want)
-}
-
 // TestAlgorithmSelectionCompile checks the tentpole of the conv-algorithm
 // work: compiling with Options{ConvAlgorithms: true} records a per-layer
 // strategy (LeNet's shallow conv1 stays direct, its deep conv2 goes to GEMM),
@@ -570,7 +522,7 @@ func TestInPlaceReLUShrinksArena(t *testing.T) {
 			continue
 		}
 		aliased := inPlace.Buffers[op.Out].AliasOf != runtime.NoBuffer
-		if _, ok := op.Layer.(layers.InPlaceForwarder); ok {
+		if op.Layer.ForwardsInPlace(inPlace.Buffers[op.In].Layout) {
 			if !aliased {
 				t.Errorf("in-place-capable layer %q did not alias its output", op.Name)
 			}

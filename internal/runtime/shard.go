@@ -273,13 +273,10 @@ func subProgram(base *Program, index, first, last int) (*Program, error) {
 		Opts:        base.Opts,
 	}
 	idmap := make(map[BufferID]BufferID)
-	addRoot := func(old BufferID) BufferID {
+	add := func(old, alias BufferID) BufferID {
 		ob := base.Buffers[old]
-		id := BufferID(len(sp.Buffers))
-		sp.Buffers = append(sp.Buffers, Buffer{
-			ID: id, Shape: ob.Shape, Layout: ob.Layout,
-			AliasOf: NoBuffer, Scratch: ob.Scratch,
-		})
+		id := sp.AddBuffer(ob.Shape, ob.Layout, alias)
+		sp.Buffers[id].Scratch = ob.Scratch
 		idmap[old] = id
 		return id
 	}
@@ -288,7 +285,7 @@ func subProgram(base *Program, index, first, last int) (*Program, error) {
 	if first > 0 {
 		boundary = base.Ops[first].In
 	}
-	sp.Input = addRoot(boundary)
+	sp.Input = add(boundary, NoBuffer)
 
 	mapBuf := func(old BufferID) BufferID {
 		if id, ok := idmap[old]; ok {
@@ -296,7 +293,7 @@ func subProgram(base *Program, index, first, last int) (*Program, error) {
 		}
 		ob := base.Buffers[old]
 		if ob.AliasOf == NoBuffer {
-			return addRoot(old)
+			return add(old, NoBuffer)
 		}
 		root, ok := idmap[base.root(old)]
 		if !ok {
@@ -307,14 +304,9 @@ func subProgram(base *Program, index, first, last int) (*Program, error) {
 		if !tensor.CanReinterpret(sp.Buffers[root].Shape, ob.Shape, ob.Layout) {
 			// The relabelled view cannot reinterpret its new root: demote the
 			// alias to a root of its own; the executor falls back to a copy.
-			return addRoot(old)
+			return add(old, NoBuffer)
 		}
-		id := BufferID(len(sp.Buffers))
-		sp.Buffers = append(sp.Buffers, Buffer{
-			ID: id, Shape: ob.Shape, Layout: ob.Layout, AliasOf: root,
-		})
-		idmap[old] = id
-		return id
+		return add(old, root)
 	}
 
 	for i := first; i <= last; i++ {

@@ -20,6 +20,7 @@ package train
 import (
 	"fmt"
 
+	"memcnn/internal/kernels"
 	"memcnn/internal/layers"
 	"memcnn/internal/network"
 	"memcnn/internal/runtime"
@@ -203,74 +204,28 @@ func lowerTraining(net *network.Network, sm *layers.Softmax, lr float32, drop bo
 		LR:      lr,
 	}
 
-	newBuf := func(shape tensor.Shape, alias runtime.BufferID) runtime.BufferID {
-		id := runtime.BufferID(len(p.Buffers))
-		p.Buffers = append(p.Buffers, runtime.Buffer{ID: id, Shape: shape, Layout: layout, AliasOf: alias})
-		return id
-	}
-	newScratch := func(elems int) runtime.BufferID {
-		id := newBuf(tensor.Shape{N: 1, C: 1, H: 1, W: elems}, runtime.NoBuffer)
-		p.Buffers[id].Scratch = true
-		return id
-	}
-	root := func(id runtime.BufferID) runtime.BufferID {
-		for p.Buffers[id].AliasOf != runtime.NoBuffer {
-			id = p.Buffers[id].AliasOf
-		}
-		return id
-	}
-	// reshapeTo returns a view of src with the given shape, emitting an alias
-	// reshape op (or a copy when the layout cannot reinterpret, which NCHW
-	// flattening never hits).
-	reshapeTo := func(src runtime.BufferID, shape tensor.Shape, tag string) (runtime.BufferID, error) {
-		have := p.Buffers[src].Shape
-		if have == shape {
-			return src, nil
-		}
-		if have.Elems() != shape.Elems() {
-			return runtime.NoBuffer, fmt.Errorf("train: cannot reshape %v into %v at %s", have, shape, tag)
-		}
-		alias := runtime.NoBuffer
-		if tensor.CanReinterpret(have, shape, layout) {
-			alias = root(src)
-		}
-		out := newBuf(shape, alias)
-		p.Ops = append(p.Ops, runtime.Op{
-			Kind: runtime.OpReshape,
-			Name: fmt.Sprintf("%v->%v %s", have, shape, tag),
-			In:   src, Out: out, Scratch: runtime.NoBuffer, Aux: runtime.NoBuffer,
-		})
-		return out, nil
-	}
-	forwardScratch := func(l layers.Layer) runtime.BufferID {
-		if wf, ok := l.(layers.WorkspaceForwarder); ok {
-			if elems := wf.WorkspaceElems(); elems > 0 {
-				return newScratch(elems)
-			}
-		}
-		return runtime.NoBuffer
+	newBuf := func(shape tensor.Shape) runtime.BufferID {
+		return p.AddBuffer(shape, layout, runtime.NoBuffer)
 	}
 
-	// Forward section.
-	cur := newBuf(net.InputShape(), runtime.NoBuffer)
+	// Forward section.  Forward and recompute ops go through the same binder
+	// inference lowering uses, but never in place: the backward pass reads
+	// the activations an in-place op would overwrite.
+	cur := newBuf(net.InputShape())
 	p.Input = cur
 	fwdIn := make([]runtime.BufferID, len(net.Layers))  // view feeding each layer
 	fwdOut := make([]runtime.BufferID, len(net.Layers)) // each layer's output
 	dropped := make([]bool, len(net.Layers))
 	for i, l := range net.Layers {
 		var err error
-		cur, err = reshapeTo(cur, l.InputShape(), "before "+l.Name())
-		if err != nil {
+		if cur, err = p.AddReshape(cur, l.InputShape(), "before "+l.Name()); err != nil {
 			return nil, err
 		}
 		fwdIn[i] = cur
-		out := newBuf(l.OutputShape(), runtime.NoBuffer)
-		p.Ops = append(p.Ops, runtime.Op{
-			Kind: runtime.OpLayer, Name: l.Name(), Layer: l,
-			In: cur, Out: out, Scratch: forwardScratch(l), Aux: runtime.NoBuffer,
-		})
-		fwdOut[i] = out
-		cur = out
+		if cur, err = p.AddLayer(runtime.OpLayer, l.Name(), l, cur, kernels.ConvAlgDirect, false); err != nil {
+			return nil, err
+		}
+		fwdOut[i] = cur
 		if drop && i < len(feat) {
 			switch l.(type) {
 			case *layers.ReLU, *layers.Pool:
@@ -286,10 +241,10 @@ func lowerTraining(net *network.Network, sm *layers.Softmax, lr float32, drop bo
 
 	// Loss gradient: dLogits = (probs - onehot(labels)) / batch, fused with
 	// the softmax backward so the classifier needs no backward op of its own.
-	labels := newBuf(tensor.Shape{N: tp.Batch, C: 1, H: 1, W: 1}, runtime.NoBuffer)
+	labels := newBuf(tensor.Shape{N: tp.Batch, C: 1, H: 1, W: 1})
 	p.ExtraInputs = append(p.ExtraInputs, labels)
 	tp.Labels = labels
-	dLogits := newBuf(sm.InputShape(), runtime.NoBuffer)
+	dLogits := newBuf(sm.InputShape())
 	p.Ops = append(p.Ops, runtime.Op{
 		Kind: runtime.OpLossGrad, Name: "loss " + sm.Name(), Layer: sm,
 		In: tp.Probs, Out: dLogits, Aux: labels, Scratch: runtime.NoBuffer,
@@ -317,7 +272,7 @@ func lowerTraining(net *network.Network, sm *layers.Softmax, lr float32, drop bo
 		if v, ok := reviews[i]; ok {
 			return v, nil
 		}
-		v, err := reshapeTo(src, net.Layers[i].InputShape(), "recomputed before "+net.Layers[i].Name())
+		v, err := p.AddReshape(src, net.Layers[i].InputShape(), "recomputed before "+net.Layers[i].Name())
 		if err != nil {
 			return runtime.NoBuffer, err
 		}
@@ -334,16 +289,15 @@ func lowerTraining(net *network.Network, sm *layers.Softmax, lr float32, drop bo
 		if b, ok := recomputed[i]; ok {
 			return b, nil
 		}
-		l := net.Layers[i]
 		in, err := materializeInput(i)
 		if err != nil {
 			return runtime.NoBuffer, err
 		}
-		out := newBuf(l.OutputShape(), runtime.NoBuffer)
-		p.Ops = append(p.Ops, runtime.Op{
-			Kind: runtime.OpRecompute, Name: "recompute " + l.Name(), Layer: l,
-			In: in, Out: out, Scratch: forwardScratch(l), Aux: runtime.NoBuffer,
-		})
+		l := net.Layers[i]
+		out, err := p.AddLayer(runtime.OpRecompute, "recompute "+l.Name(), l, in, kernels.ConvAlgDirect, false)
+		if err != nil {
+			return runtime.NoBuffer, err
+		}
 		tp.RecomputeOps++
 		recomputed[i] = out
 		return out, nil
@@ -369,7 +323,7 @@ func lowerTraining(net *network.Network, sm *layers.Softmax, lr float32, drop bo
 	for i := len(feat) - 1; i >= lowest; i-- {
 		l := feat[i]
 		var err error
-		grad, err = reshapeTo(grad, l.OutputShape(), "grad into "+l.Name())
+		grad, err = p.AddReshape(grad, l.OutputShape(), "grad into "+l.Name())
 		if err != nil {
 			return nil, err
 		}
@@ -386,11 +340,8 @@ func lowerTraining(net *network.Network, sm *layers.Softmax, lr float32, drop bo
 					return nil, err
 				}
 			}
-			var bwdScratch runtime.BufferID = runtime.NoBuffer
-			if elems := bl.BackwardWorkspaceElems(); elems > 0 {
-				bwdScratch = newScratch(elems)
-			}
-			dIn = newBuf(l.InputShape(), runtime.NoBuffer)
+			bwdScratch := p.AddScratch(bl.BackwardWorkspaceElems())
+			dIn = newBuf(l.InputShape())
 			p.Ops = append(p.Ops, runtime.Op{
 				Kind: runtime.OpBackward, Name: "bwd " + l.Name(), Layer: l,
 				In: grad, Out: dIn, Aux: bwdAux, Scratch: bwdScratch,
@@ -401,7 +352,7 @@ func lowerTraining(net *network.Network, sm *layers.Softmax, lr float32, drop bo
 			if err != nil {
 				return nil, err
 			}
-			dW := newBuf(tl.GradShape(), runtime.NoBuffer)
+			dW := newBuf(tl.GradShape())
 			p.Ops = append(p.Ops, runtime.Op{
 				Kind: runtime.OpGradFilter, Name: "grad " + l.Name(), Layer: l,
 				In: grad, Out: dW, Aux: in, Scratch: runtime.NoBuffer,

@@ -1,6 +1,7 @@
 package train
 
 import (
+	"context"
 	"fmt"
 
 	"memcnn/internal/kernels"
@@ -8,9 +9,15 @@ import (
 	"memcnn/internal/tensor"
 )
 
-// Executor runs a compiled training step over pre-bound buffers on one
-// device.  The planned binding packs every buffer into the program's arena at
-// its planned offset (zero steady-state allocation, the paper's memory
+// Executor runs a compiled training step over buffers bound once, on one
+// device.  It adds only what a step has and an inference run does not — the
+// label staging and the loss read — around the runtime's own op interpreter
+// (runtime.Executor.ExecuteOn), so a step is cancellable between ops,
+// contains a panicking kernel or device into a *runtime.PanicError and can be
+// instrumented exactly like an inference run.
+//
+// The planned binding packs every buffer into the program's arena at its
+// planned offset (zero steady-state allocation, the paper's memory
 // efficiency); the naive binding gives every root buffer its own storage —
 // the keep-everything baseline the planned footprint is measured against,
 // bit-identical in results because both run the same op list through the same
@@ -20,8 +27,8 @@ import (
 // parameters, so concurrent steps over one network make no sense.
 type Executor struct {
 	prog    *Program
-	dev     runtime.Device
-	bufs    []*tensor.Tensor
+	exec    *runtime.Executor
+	inst    *runtime.Instance
 	planned bool
 }
 
@@ -32,21 +39,21 @@ func NewExecutor(p *Program) (*Executor, error) {
 
 // NewExecutorOn binds the program to one planned arena on the given device.
 func NewExecutorOn(p *Program, dev runtime.Device) (*Executor, error) {
-	bufs, err := bind(p, true)
-	if err != nil {
-		return nil, err
-	}
-	return &Executor{prog: p, dev: dev, bufs: bufs, planned: true}, nil
+	return newExecutor(p, dev, true)
 }
 
 // NewNaiveExecutor binds every root buffer to its own storage — the unplanned
 // reference executor.  Its allocated bytes equal the program's NaiveBytes.
 func NewNaiveExecutor(p *Program, dev runtime.Device) (*Executor, error) {
-	bufs, err := bind(p, false)
+	return newExecutor(p, dev, false)
+}
+
+func newExecutor(p *Program, dev runtime.Device, planned bool) (*Executor, error) {
+	inst, err := runtime.NewInstance(p.Program, !planned)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("train: binding %s: %w", p.Net.Name, err)
 	}
-	return &Executor{prog: p, dev: dev, bufs: bufs, planned: false}, nil
+	return &Executor{prog: p, exec: runtime.NewExecutorOn(p.Program, dev), inst: inst, planned: planned}, nil
 }
 
 // Program returns the compiled training program.
@@ -65,45 +72,9 @@ func (e *Executor) AllocatedBytes() int64 {
 	return e.prog.NaiveBytes()
 }
 
-// bind builds the per-buffer tensor headers: planned over one arena at the
-// memory plan's offsets, naive over per-root allocations.  Alias buffers view
-// their root's storage either way.
-func bind(p *Program, planned bool) ([]*tensor.Tensor, error) {
-	bufs := make([]*tensor.Tensor, len(p.Buffers))
-	var arena []float32
-	if planned {
-		arena = make([]float32, p.Mem.ArenaElems)
-	}
-	root := func(id runtime.BufferID) runtime.BufferID {
-		for p.Buffers[id].AliasOf != runtime.NoBuffer {
-			id = p.Buffers[id].AliasOf
-		}
-		return id
-	}
-	for i, b := range p.Buffers {
-		if b.AliasOf != runtime.NoBuffer {
-			view, ok := bufs[root(runtime.BufferID(i))].Reshape(b.Shape)
-			if !ok {
-				return nil, fmt.Errorf("train: buffer %d cannot reinterpret its root as %v", i, b.Shape)
-			}
-			bufs[i] = view
-			continue
-		}
-		var backing []float32
-		if planned {
-			off := p.Mem.Offsets[i]
-			backing = arena[off : off+b.Elems()]
-		} else {
-			backing = make([]float32, b.Elems())
-		}
-		t, err := tensor.NewFrom(b.Shape, b.Layout, backing)
-		if err != nil {
-			return nil, fmt.Errorf("train: binding buffer %d: %w", i, err)
-		}
-		bufs[i] = t
-	}
-	return bufs, nil
-}
+// Instrument attaches an observer to the step's op loop (see
+// runtime.Executor.Instrument); call it before the first step.
+func (e *Executor) Instrument(ob runtime.Observer, lane int32) { e.exec.Instrument(ob, lane) }
 
 // StepStats reports one training step.
 type StepStats struct {
@@ -119,6 +90,13 @@ type StepStats struct {
 // still-resident probability buffer.  The layer parameters are updated in
 // place.
 func (e *Executor) Step(images *tensor.Tensor, labels []int) (StepStats, error) {
+	return e.StepCtx(context.Background(), images, labels)
+}
+
+// StepCtx is Step under a context: cancellation is checked between ops, so a
+// cancelled step abandons the remaining ops.  Updates already applied by
+// earlier SGD ops of the step stay applied.
+func (e *Executor) StepCtx(ctx context.Context, images *tensor.Tensor, labels []int) (StepStats, error) {
 	p := e.prog
 	if images.Shape != p.InputShape() {
 		return StepStats{}, fmt.Errorf("train: %s input shape %v, want %v", p.Net.Name, images.Shape, p.InputShape())
@@ -126,40 +104,24 @@ func (e *Executor) Step(images *tensor.Tensor, labels []int) (StepStats, error) 
 	if len(labels) != p.Batch {
 		return StepStats{}, fmt.Errorf("train: %s got %d labels for batch %d", p.Net.Name, len(labels), p.Batch)
 	}
-	lbl := e.bufs[p.Labels].Data
+	lbl := e.inst.Buffer(p.Labels).Data
 	for i, v := range labels {
 		if v < 0 || v >= p.Classes {
 			return StepStats{}, fmt.Errorf("train: label %d out of range for %d classes", v, p.Classes)
 		}
 		lbl[i] = float32(v)
 	}
-	if err := tensor.ConvertInto(images, e.bufs[p.Input]); err != nil {
+	if err := tensor.ConvertInto(images, e.inst.Buffer(p.Input)); err != nil {
 		return StepStats{}, fmt.Errorf("train: staging input: %w", err)
 	}
-
-	var modeledUS float64
-	for i, op := range p.Ops {
-		if op.Kind == runtime.OpReshape && p.Buffers[op.Out].AliasOf != runtime.NoBuffer {
-			continue // zero-copy view
-		}
-		var scratch []float32
-		if op.Scratch != runtime.NoBuffer {
-			scratch = e.bufs[op.Scratch].Data
-		}
-		var aux *tensor.Tensor
-		if op.Aux != runtime.NoBuffer {
-			aux = e.bufs[op.Aux]
-		}
-		us, err := e.dev.RunOp(p.Program, i, e.bufs[op.In], e.bufs[op.Out], aux, scratch)
-		if err != nil {
-			return StepStats{}, fmt.Errorf("train: op %d (%s): %w", i, op.Name, err)
-		}
-		modeledUS += us
+	modeledUS, err := e.exec.ExecuteOn(ctx, e.inst)
+	if err != nil {
+		return StepStats{}, fmt.Errorf("train: %w", err)
 	}
 
 	// The probability buffer doubles as the program output, so the planner
 	// kept it live past the last op.
-	loss, err := kernels.SoftmaxCrossEntropyLoss(e.bufs[p.Probs].Data, labels,
+	loss, err := kernels.SoftmaxCrossEntropyLoss(e.inst.Buffer(p.Probs).Data, labels,
 		kernels.SoftmaxConfig{N: p.Batch, Classes: p.Classes})
 	if err != nil {
 		return StepStats{}, fmt.Errorf("train: loss: %w", err)

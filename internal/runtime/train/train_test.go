@@ -1,6 +1,8 @@
 package train
 
 import (
+	"context"
+	"errors"
 	"math"
 	"os"
 	"testing"
@@ -8,6 +10,7 @@ import (
 	"memcnn/internal/gpusim"
 	"memcnn/internal/layers"
 	"memcnn/internal/network"
+	"memcnn/internal/obs"
 	"memcnn/internal/runtime"
 	"memcnn/internal/tensor"
 	"memcnn/internal/workloads"
@@ -311,5 +314,81 @@ func TestSimDeviceModelsTrainingStep(t *testing.T) {
 	}
 	if math.Float64bits(ss.Loss) != math.Float64bits(cs.Loss) {
 		t.Errorf("sim loss %v differs from cpu loss %v", ss.Loss, cs.Loss)
+	}
+}
+
+// cancelAfter is a CPU device that cancels a context once it has run a given
+// number of ops, and counts every op it is asked to run.
+type cancelAfter struct {
+	runtime.CPUDevice
+	after  int
+	cancel context.CancelFunc
+	ran    int
+}
+
+func (d *cancelAfter) RunOp(prog *runtime.Program, i int, in, out, aux *tensor.Tensor, scratch []float32) (float64, error) {
+	d.ran++
+	if d.ran == d.after {
+		d.cancel()
+	}
+	return d.CPUDevice.RunOp(prog, i, in, out, aux, scratch)
+}
+
+// TestStepSharesTheRunLoop checks what a training step inherits from running
+// through the runtime's op interpreter instead of a loop of its own: a
+// panicking device is contained into a *runtime.PanicError, a cancelled
+// context stops the step before the next op, and an attached observer sees
+// one span per executed op plus the step's run span.
+func TestStepSharesTheRunLoop(t *testing.T) {
+	net, err := workloads.TinyNet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := CompileTraining(net, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	images, lbls := batch(p, 3)
+
+	faulty, err := NewExecutorOn(p, runtime.WrapFault(runtime.CPUDevice{}, runtime.FaultConfig{Seed: 1, PanicRate: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pe *runtime.PanicError
+	if _, err := faulty.Step(images, lbls); !errors.As(err, &pe) {
+		t.Fatalf("step on an always-panicking device: got %v, want *runtime.PanicError", err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	dev := &cancelAfter{after: 3, cancel: cancel}
+	stopped, err := NewNaiveExecutor(p, dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := stopped.StepCtx(ctx, images, lbls); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled step: got %v, want context.Canceled", err)
+	}
+	if dev.ran != dev.after {
+		t.Errorf("step ran %d ops after its context was cancelled during op %d", dev.ran-dev.after, dev.after)
+	}
+
+	executed := 0
+	for _, op := range p.Ops {
+		if op.Kind != runtime.OpReshape || p.Buffers[op.Out].AliasOf == runtime.NoBuffer {
+			executed++
+		}
+	}
+	rec := obs.NewRecorder(1 << 10)
+	observed, err := NewExecutor(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	observed.Instrument(runtime.Observer{Trace: rec}, runtime.LaneEngine)
+	if _, err := observed.Step(images, lbls); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(rec.Snapshot()); got != executed+1 {
+		t.Errorf("instrumented step recorded %d spans, want %d op spans + 1 run span", got, executed)
 	}
 }

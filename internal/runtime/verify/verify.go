@@ -424,12 +424,8 @@ func (c *checker) dataflow() {
 // output agree on shape and layout so every element is read at the index it
 // is written.
 func (c *checker) inPlaceOK(op runtime.Op) bool {
-	ip, ok := op.Layer.(layers.InPlaceForwarder)
-	if !ok {
-		return false
-	}
 	in, out := c.p.Buffers[op.In], c.p.Buffers[op.Out]
-	return ip.ForwardsInPlace(in.Layout) && in.Shape == out.Shape && in.Layout == out.Layout
+	return op.Layer.ForwardsInPlace(in.Layout) && in.Shape == out.Shape && in.Layout == out.Layout
 }
 
 // opContracts checks per-op algorithm and workspace contracts (checks d and
@@ -490,38 +486,27 @@ func (c *checker) pinnedDirect(i int, op runtime.Op) {
 	}
 }
 
-// layerContract checks a forward layer op (OpLayer/OpRecompute) against its
-// recorded algorithm.
+// layerContract checks a forward layer op (OpLayer/OpRecompute) against the
+// kernel it is bound to, by asking the layer what the executor will ask of
+// it: does it have the recorded algorithm for the buffer's layout, and how
+// much workspace does that kernel need.
 func (c *checker) layerContract(i int, op runtime.Op) {
-	p := c.p
 	switch op.Alg {
-	case kernels.ConvAlgDirect:
-		if op.Scratch == runtime.NoBuffer {
-			return
-		}
-		wf, ok := op.Layer.(layers.WorkspaceForwarder)
-		if !ok {
-			c.add(CheckWorkspace, i, op.Scratch, "scratch buffer %d is attached to layer %q, which cannot consume a workspace on the direct path", op.Scratch, op.Name)
-			return
-		}
-		c.requireScratch(i, op, wf.WorkspaceElems(), "direct path")
-	case kernels.ConvAlgGemm:
-		gf, ok := op.Layer.(layers.GemmForwarder)
-		if !ok {
-			c.add(CheckWorkspace, i, runtime.NoBuffer, "op selects the GEMM algorithm but layer %q implements no GEMM path", op.Name)
-			return
-		}
-		c.requireScratch(i, op, gf.GemmWorkspaceElems(p.Buffers[op.Out].Layout), "GEMM path")
-	case kernels.ConvAlgFFT:
-		ff, ok := op.Layer.(layers.FFTForwarder)
-		if !ok {
-			c.add(CheckWorkspace, i, runtime.NoBuffer, "op selects the FFT algorithm but layer %q implements no FFT path", op.Name)
-			return
-		}
-		c.requireScratch(i, op, ff.FFTWorkspaceElems(), "FFT path")
+	case kernels.ConvAlgDirect, kernels.ConvAlgGemm, kernels.ConvAlgFFT:
 	default:
 		c.add(CheckDeterminism, i, runtime.NoBuffer, "op records unknown convolution algorithm %d: no production kernel — and no pinned accumulation order — exists for it", int(op.Alg))
+		return
 	}
+	need, err := op.Layer.WorkspaceElems(op.Alg, c.p.Buffers[op.Out].Layout)
+	if err != nil {
+		c.add(CheckWorkspace, i, runtime.NoBuffer, "op is bound to a kernel layer %q does not have: %v", op.Name, err)
+		return
+	}
+	if need == 0 && op.Scratch != runtime.NoBuffer {
+		c.add(CheckWorkspace, i, op.Scratch, "scratch buffer %d is attached to layer %q, whose %v kernel cannot consume a workspace", op.Scratch, op.Name, op.Alg)
+		return
+	}
+	c.requireScratch(i, op, need, op.Alg.String()+" path")
 }
 
 // requireScratch checks that the op's scratch buffer holds at least `need`

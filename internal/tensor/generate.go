@@ -3,7 +3,7 @@ package tensor
 // Deterministic tensor generators.  The paper's experiments run on MNIST,
 // CIFAR-10 and ImageNet images; the memory behaviour studied here depends on
 // tensor *shape* and layout rather than on pixel values, so the library uses
-// reproducible synthetic data (see DESIGN.md, substitution table).
+// reproducible synthetic data.
 //
 // A splitmix64 generator is used instead of math/rand so that the same seed
 // always produces the same tensor regardless of Go version, which keeps the
