@@ -328,7 +328,7 @@ func BenchmarkInference(b *testing.B) {
 	})
 
 	b.Run("Planned", func(b *testing.B) {
-		prog, err := memruntime.CompileFixed(net, tensor.NCHW)
+		prog, err := memruntime.Compile(net, "fixed-NCHW", memruntime.Uniform(net, tensor.NCHW, kernels.ConvAlgDirect), memruntime.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -7,8 +7,8 @@
 // The -algs flag adds the joint (layout, algorithm) sweep per convolution
 // layer: every production algorithm priced in its natural layout — including
 // the layout-switch charge from the planner's layout — through the same
-// internal/layout candidate rows the compiler decides from, so the tool and
-// CompileWithOptions can never disagree.
+// internal/layout candidate rows the compiler decides from, with the
+// algorithm the compiler's own selection pass picks marked "<- chosen".
 //
 // Usage:
 //
@@ -20,29 +20,40 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
-	"memcnn/internal/autotune"
 	"memcnn/internal/core"
 	"memcnn/internal/gpusim"
 	"memcnn/internal/layers"
 	"memcnn/internal/layout"
 	"memcnn/internal/netconfig"
 	"memcnn/internal/network"
+	memruntime "memcnn/internal/runtime"
 	"memcnn/internal/workloads"
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("layoutplan", flag.ContinueOnError)
 	var (
-		networkName = flag.String("network", "AlexNet", "network to plan: LeNet, Cifar10, AlexNet, ZFNet, VGG")
-		configPath  = flag.String("config", "", "JSON network configuration file (overrides -network)")
-		annotate    = flag.Bool("annotate", false, "with -config: print the configuration re-annotated with the chosen layouts")
-		deviceName  = flag.String("device", "titanblack", "GPU model: titanblack or titanx")
-		thresholds  = flag.String("thresholds", "paper", "layout thresholds: 'paper' or 'calibrated'")
-		algSweep    = flag.Bool("algs", false, "print the compiler's joint (layout, algorithm) sweep per convolution layer")
+		networkName = fs.String("network", "AlexNet", "network to plan: LeNet, Cifar10, AlexNet, ZFNet, VGG")
+		configPath  = fs.String("config", "", "JSON network configuration file (overrides -network)")
+		annotate    = fs.Bool("annotate", false, "with -config: print the configuration re-annotated with the chosen layouts")
+		deviceName  = fs.String("device", "titanblack", "GPU model: titanblack or titanx")
+		thresholds  = fs.String("thresholds", "paper", "layout thresholds: 'paper' or 'calibrated'")
+		algSweep    = fs.Bool("algs", false, "print the compiler's joint (layout, algorithm) sweep per convolution layer")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	dev := gpusim.TitanBlack()
 	if strings.EqualFold(*deviceName, "titanx") {
@@ -61,104 +72,112 @@ func main() {
 	if *configPath != "" {
 		data, err := os.ReadFile(*configPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		spec, err = netconfig.Parse(data)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		net, err = spec.Build()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 	} else {
 		nets, err := workloads.Networks()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		var ok bool
 		net, ok = nets[*networkName]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "layoutplan: unknown network %q\n", *networkName)
-			os.Exit(2)
+			return fmt.Errorf("layoutplan: unknown network %q", *networkName)
 		}
 	}
 
 	optimizer := core.NewOptimizer(core.Options{Thresholds: th})
 	plan, err := optimizer.Plan(dev, net)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	est, err := plan.Estimate()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 
-	fmt.Printf("network: %s (batch %d)\ndevice: %s\nthresholds: %v\n\n", net.Name, net.Batch, dev.Name, th)
-	fmt.Printf("%-12s %-6s %-28s %-12s %s\n", "layer", "layout", "implementation", "time (us)", "transform")
+	fmt.Fprintf(stdout, "network: %s (batch %d)\ndevice: %s\nthresholds: %v\n\n", net.Name, net.Batch, dev.Name, th)
+	fmt.Fprintf(stdout, "%-12s %-6s %-28s %-12s %s\n", "layer", "layout", "implementation", "time (us)", "transform")
 	for i, pl := range plan.Layers {
 		impl := describeImpl(pl)
 		transform := "-"
 		if pl.Transform != nil {
 			transform = fmt.Sprintf("%v before layer (%.1f us)", pl.TransformMethod, est.PerLayer[i].TransformUS)
 		}
-		fmt.Printf("%-12s %-6s %-28s %-12.1f %s\n",
+		fmt.Fprintf(stdout, "%-12s %-6s %-28s %-12.1f %s\n",
 			pl.Layer.Name(), pl.Layout, impl, est.PerLayer[i].TimeUS, transform)
 	}
-	fmt.Printf("\ntotal: %.0f us (%.0f us, %.1f%% spent in %d layout transformations)\n",
+	fmt.Fprintf(stdout, "\ntotal: %.0f us (%.0f us, %.1f%% spent in %d layout transformations)\n",
 		est.TotalUS, est.TransformUS, 100*est.TransformUS/est.TotalUS, plan.TransformCount())
 
 	if *algSweep {
-		printAlgSweep(dev, plan)
+		if err := printAlgSweep(stdout, dev, plan); err != nil {
+			return err
+		}
 	}
 
 	if spec != nil && *annotate {
 		spec.Annotate(plan)
 		data, err := spec.Marshal()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Printf("\nannotated configuration:\n%s\n", data)
+		fmt.Fprintf(stdout, "\nannotated configuration:\n%s\n", data)
 	}
+	return nil
 }
 
 // printAlgSweep prints, for every convolution layer, the priced candidate
-// rows of the compiler's joint sweep (layout.ConvAlgCandidates) and the
-// decision CompileWithOptions would take (layout.JointConvChoice over the
-// autotune heuristic's base algorithm).  Both come from internal/layout, so
-// the printed numbers are exactly the compiler's.
-func printAlgSweep(dev *gpusim.Device, plan *network.ExecutionPlan) {
-	fmt.Printf("\njoint (layout, algorithm) sweep:\n")
-	fmt.Printf("%-12s %-14s %-6s %12s %14s %s\n", "layer", "algorithm", "layout", "kernel (us)", "switch (us)", "")
-	for _, pl := range plan.Layers {
+// rows of the joint sweep (layout.ConvAlgCandidates) and marks the one the
+// compiler takes.  The marks come from the compiler's own selection pass
+// (runtime.SelectChoices) run on the plan: with the device for the choice
+// CompileWithOptions lowers, without one for the heuristic's base algorithm.
+// A row prices its algorithm in the algorithm's natural layout; where the
+// compiler keeps the base algorithm it also keeps the plan's layout, with no
+// switch, and the mark says so.
+func printAlgSweep(stdout io.Writer, dev *gpusim.Device, plan *network.ExecutionPlan) error {
+	planned := memruntime.PlanChoices(plan)
+	base, err := memruntime.SelectChoices(plan.Network, planned, nil, false)
+	if err != nil {
+		return err
+	}
+	chosen, err := memruntime.SelectChoices(plan.Network, planned, dev, false)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "\njoint (layout, algorithm) sweep:\n")
+	fmt.Fprintf(stdout, "%-12s %-14s %-6s %12s %14s %s\n", "layer", "algorithm", "layout", "kernel (us)", "switch (us)", "")
+	for i, pl := range plan.Layers {
 		conv, ok := pl.Layer.(*layers.Conv)
 		if !ok {
 			continue
 		}
-		cfg := conv.Cfg
-		base := autotune.SelectConvAlgorithm(cfg)
-		choice := layout.JointConvChoice(dev, cfg, pl.Layout, base)
-		for _, cand := range layout.ConvAlgCandidates(dev, cfg, pl.Layout) {
+		for _, cand := range layout.ConvAlgCandidates(dev, conv.Cfg, pl.Layout) {
 			mark := ""
-			if cand.Alg == choice.Alg && cand.Layout == choice.Layout {
+			switch {
+			case cand.Alg == chosen[i].Alg && cand.Layout == chosen[i].Layout:
 				mark = "<- chosen"
-			} else if cand.Alg == base {
+			case cand.Alg == chosen[i].Alg:
+				mark = fmt.Sprintf("<- chosen, in the plan's %v", chosen[i].Layout)
+			case cand.Alg == base[i].Alg:
 				mark = "(heuristic base)"
 			}
 			timing := fmt.Sprintf("%12.1f %14.1f", cand.TimeUS, cand.TransformUS)
 			if cand.OOM {
 				timing = fmt.Sprintf("%12s %14.1f", "OOM", cand.TransformUS)
 			}
-			fmt.Printf("%-12s %-14s %-6s %s %s\n", conv.Name(), cand.Alg, cand.Layout, timing, mark)
+			fmt.Fprintf(stdout, "%-12s %-14s %-6s %s %s\n", conv.Name(), cand.Alg, cand.Layout, timing, mark)
 		}
 	}
+	return nil
 }
 
 // describeImpl summarises the implementation a planned layer will use.

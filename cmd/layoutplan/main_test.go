@@ -1,0 +1,64 @@
+package main
+
+import (
+	"bytes"
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+
+	"memcnn/internal/core"
+	"memcnn/internal/gpusim"
+	"memcnn/internal/layers"
+	"memcnn/internal/layout"
+	memruntime "memcnn/internal/runtime"
+	"memcnn/internal/workloads"
+)
+
+// TestAlgsMarksTheCompiledChoice checks that the tool and the compiler agree:
+// `layoutplan -algs` marks one row per convolution "<- chosen", and the marks
+// are, layer for layer, the (layout, algorithm) of the program
+// CompileWithOptions lowers from the same plan with algorithm selection on.
+func TestAlgsMarksTheCompiledChoice(t *testing.T) {
+	nets, err := workloads.Networks()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"LeNet", "Cifar10", "AlexNet"} {
+		var out bytes.Buffer
+		if err := run([]string{"-network", name, "-algs"}, &out); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var got []string
+		for _, line := range strings.Split(out.String(), "\n") {
+			if !strings.Contains(line, "<- chosen") {
+				continue
+			}
+			f := strings.Fields(line)
+			lay := f[2] // the row's own layout, unless the mark names the plan's
+			if !strings.HasSuffix(line, "<- chosen") {
+				lay = f[len(f)-1]
+			}
+			got = append(got, fmt.Sprintf("%s %s %s", f[0], f[1], lay))
+		}
+
+		net := nets[name]
+		plan, err := core.NewOptimizer(core.Options{Thresholds: layout.TitanBlackThresholds()}).Plan(gpusim.TitanBlack(), net)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		prog, err := memruntime.CompileWithOptions(plan, memruntime.Options{ConvAlgorithms: true})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var want []string
+		for i, ch := range prog.Choices() {
+			if _, ok := net.Layers[i].(*layers.Conv); ok {
+				want = append(want, fmt.Sprintf("%s %v %v", net.Layers[i].Name(), ch.Alg, ch.Layout))
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: -algs marks %q as chosen, the compiled program runs %q", name, got, want)
+		}
+	}
+}

@@ -91,6 +91,7 @@ import (
 
 	"memcnn/internal/frameworks"
 	"memcnn/internal/gpusim"
+	"memcnn/internal/kernels"
 	"memcnn/internal/layout"
 	"memcnn/internal/network"
 	"memcnn/internal/obs"
@@ -382,9 +383,9 @@ func compile(net *network.Network, policy string, opts memruntime.Options) (*mem
 		}
 		return memruntime.CompileWithOptions(plan, opts)
 	case "nchw":
-		return memruntime.CompileFixedWithOptions(net, tensor.NCHW, opts)
+		return memruntime.Compile(net, "fixed-NCHW", memruntime.Uniform(net, tensor.NCHW, kernels.ConvAlgDirect), opts)
 	case "chwn":
-		return memruntime.CompileFixedWithOptions(net, tensor.CHWN, opts)
+		return memruntime.Compile(net, "fixed-CHWN", memruntime.Uniform(net, tensor.CHWN, kernels.ConvAlgDirect), opts)
 	default:
 		return nil, fmt.Errorf("memcnnserve: unknown policy %q", policy)
 	}

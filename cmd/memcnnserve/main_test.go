@@ -79,7 +79,7 @@ func TestInferRequestValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := memruntime.CompileFixed(net, tensor.NCHW)
+	prog, err := compile(net, "nchw", memruntime.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

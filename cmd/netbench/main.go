@@ -42,6 +42,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	goruntime "runtime"
 	"strings"
@@ -66,24 +67,34 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("netbench", flag.ContinueOnError)
 	var (
-		networkName = flag.String("network", "all", "network to price: LeNet, Cifar10, AlexNet, ZFNet, VGG or 'all'")
-		deviceName  = flag.String("device", "titanblack", "GPU model: titanblack or titanx")
-		thresholds  = flag.String("thresholds", "paper", "layout thresholds: 'paper' or 'calibrated'")
-		detail      = flag.Bool("detail", false, "print the per-layer breakdown for each planner")
-		runtimeView = flag.Bool("runtime", false, "compile each network with internal/runtime and report its static memory plan")
-		execute     = flag.Bool("exec", false, "with -runtime: execute the compiled programs and measure imgs/sec (small networks only unless -network selects one)")
-		selectAlgs  = flag.Bool("select", true, "with -runtime: select the convolution layout and algorithm per layer (direct, im2col+GEMM or FFT)")
-		probe       = flag.Bool("probe", false, "with -runtime -select: pick each conv algorithm by timing every production kernel instead of the analytic heuristic")
-		devices     = flag.Int("devices", 1, "with -runtime: shard each program across N simulated devices and report the per-stage breakdown")
-		replicas    = flag.Int("replicas", 1, "with -runtime: replicate each program across N devices and report the throughput-weighted batch split")
-		replicaDevs = flag.String("replica-devices", "", "with -replicas: comma-separated replica hardware (titanblack, titanx or cpu), cycled; default titanblack")
-		chaosSeed   = flag.Uint64("chaos", 0, "with -replicas and -exec: soak the replica group under a seeded fault schedule (one replica dies permanently) and record the failover counters (0 = no chaos)")
-		trainMode   = flag.Bool("train", false, "compile each network for training (forward+loss+backward+SGD) and report the planned footprint with and without recompute checkpointing; with -exec also run sanity training steps on the cheap networks (implies -runtime)")
-		jsonPath    = flag.String("json", "", "with -runtime: write per-network latency/alloc stats to this file as JSON")
-		tracePath   = flag.String("trace", "", "with -runtime -exec: write a Chrome trace (chrome://tracing / Perfetto) of the quantile runs to this file")
+		networkName = fs.String("network", "all", "network to price: LeNet, Cifar10, AlexNet, ZFNet, VGG or 'all'")
+		deviceName  = fs.String("device", "titanblack", "GPU model: titanblack or titanx")
+		thresholds  = fs.String("thresholds", "paper", "layout thresholds: 'paper' or 'calibrated'")
+		detail      = fs.Bool("detail", false, "print the per-layer breakdown for each planner")
+		runtimeView = fs.Bool("runtime", false, "compile each network with internal/runtime and report its static memory plan")
+		execute     = fs.Bool("exec", false, "with -runtime: execute the compiled programs and measure imgs/sec (small networks only unless -network selects one)")
+		selectAlgs  = fs.Bool("select", true, "with -runtime: select the convolution layout and algorithm per layer (direct, im2col+GEMM or FFT)")
+		probe       = fs.Bool("probe", false, "with -runtime -select: pick each conv algorithm by timing every production kernel instead of the analytic heuristic")
+		devices     = fs.Int("devices", 1, "with -runtime: shard each program across N simulated devices and report the per-stage breakdown")
+		replicas    = fs.Int("replicas", 1, "with -runtime: replicate each program across N devices and report the throughput-weighted batch split")
+		replicaDevs = fs.String("replica-devices", "", "with -replicas: comma-separated replica hardware (titanblack, titanx or cpu), cycled; default titanblack")
+		chaosSeed   = fs.Uint64("chaos", 0, "with -replicas and -exec: soak the replica group under a seeded fault schedule (one replica dies permanently) and record the failover counters (0 = no chaos)")
+		trainMode   = fs.Bool("train", false, "compile each network for training (forward+loss+backward+SGD) and report the planned footprint with and without recompute checkpointing; with -exec also run sanity training steps on the cheap networks (implies -runtime)")
+		jsonPath    = fs.String("json", "", "with -runtime: write per-network latency/alloc stats to this file as JSON")
+		tracePath   = fs.String("trace", "", "with -runtime -exec: write a Chrome trace (chrome://tracing / Perfetto) of the quantile runs to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *trainMode {
 		*runtimeView = true
 	}
@@ -99,73 +110,65 @@ func main() {
 	if strings.EqualFold(*thresholds, "calibrated") {
 		th = layout.Calibrate(dev)
 	}
-	fmt.Printf("device: %s\nlayout thresholds: %v\n\n", dev.Name, th)
+	fmt.Fprintf(stdout, "device: %s\nlayout thresholds: %v\n\n", dev.Name, th)
 
 	if *runtimeView {
 		opts := memruntime.Options{ConvAlgorithms: *selectAlgs, Probe: *probe}
 		rc := replicaConfig{count: *replicas, spec: *replicaDevs, chaosSeed: *chaosSeed}
-		if err := runtimeReport(dev, th, *networkName, *execute, opts, *devices, rc, *trainMode, *jsonPath, *tracePath); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
+		return runtimeReport(stdout, dev, th, *networkName, *execute, opts, *devices, rc, *trainMode, *jsonPath, *tracePath)
 	}
 
 	if strings.EqualFold(*networkName, "all") {
 		_, table, err := bench.Figure14(dev, th)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Println(table)
+		fmt.Fprintln(stdout, table)
 		if !*detail {
-			return
+			return nil
 		}
 	}
 
 	nets, err := workloads.Networks()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	targets := workloads.NetworkOrder
 	if !strings.EqualFold(*networkName, "all") {
 		net, ok := nets[*networkName]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "netbench: unknown network %q\n", *networkName)
-			os.Exit(2)
+			return fmt.Errorf("netbench: unknown network %q", *networkName)
 		}
 		targets = []string{net.Name}
 	}
 
 	for _, name := range targets {
 		net := nets[name]
-		fmt.Printf("== %s (batch %d, %d layers) ==\n", net.Name, net.Batch, len(net.Layers))
+		fmt.Fprintf(stdout, "== %s (batch %d, %d layers) ==\n", net.Name, net.Batch, len(net.Layers))
 		for _, planner := range frameworks.All(th) {
 			plan, err := planner.Plan(dev, net)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "netbench: %s on %s: %v\n", planner.Name(), name, err)
-				os.Exit(1)
+				return fmt.Errorf("netbench: %s on %s: %w", planner.Name(), name, err)
 			}
 			est, err := plan.Estimate()
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return err
 			}
-			fmt.Printf("%-14s %10.0f us  (%d layout transforms, %.0f us in transforms)\n",
+			fmt.Fprintf(stdout, "%-14s %10.0f us  (%d layout transforms, %.0f us in transforms)\n",
 				planner.Name(), est.TotalUS, plan.TransformCount(), est.TransformUS)
 			if *detail {
 				for _, lt := range est.PerLayer {
-					fmt.Printf("    %-12s %-5s %10.1f us", lt.Name, lt.Layout, lt.TimeUS)
+					fmt.Fprintf(stdout, "    %-12s %-5s %10.1f us", lt.Name, lt.Layout, lt.TimeUS)
 					if lt.TransformUS > 0 {
-						fmt.Printf("  (+%.1f us transform)", lt.TransformUS)
+						fmt.Fprintf(stdout, "  (+%.1f us transform)", lt.TransformUS)
 					}
-					fmt.Println()
+					fmt.Fprintln(stdout)
 				}
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
+	return nil
 }
 
 // convChoiceJSON is the machine-readable record of one conv op's joint
@@ -308,7 +311,7 @@ type replicaConfig struct {
 	chaosSeed uint64
 }
 
-func runtimeReport(dev *gpusim.Device, th layout.Thresholds, networkName string, exec bool, opts memruntime.Options, devices int, rc replicaConfig, trainMode bool, jsonPath, tracePath string) error {
+func runtimeReport(stdout io.Writer, dev *gpusim.Device, th layout.Thresholds, networkName string, exec bool, opts memruntime.Options, devices int, rc replicaConfig, trainMode bool, jsonPath, tracePath string) error {
 	nets, err := workloads.Networks()
 	if err != nil {
 		return err
@@ -332,7 +335,7 @@ func runtimeReport(dev *gpusim.Device, th layout.Thresholds, networkName string,
 	}
 
 	var reports []netReport
-	fmt.Printf("%-8s %9s %8s %12s %12s %7s\n", "network", "ops", "buffers", "peak", "naive", "saved")
+	fmt.Fprintf(stdout, "%-8s %9s %8s %12s %12s %7s\n", "network", "ops", "buffers", "peak", "naive", "saved")
 	for _, name := range targets {
 		net := nets[name]
 		plan, err := planner.Plan(dev, net)
@@ -343,7 +346,7 @@ func runtimeReport(dev *gpusim.Device, th layout.Thresholds, networkName string,
 		if err != nil {
 			return fmt.Errorf("netbench: compiling %s: %w", name, err)
 		}
-		fmt.Printf("%-8s %9d %8d %9.2f MiB %9.2f MiB %6.0f%%\n",
+		fmt.Fprintf(stdout, "%-8s %9d %8d %9.2f MiB %9.2f MiB %6.0f%%\n",
 			name, len(prog.Ops), len(prog.Buffers),
 			float64(prog.Mem.PeakBytes())/(1<<20), float64(prog.NaiveBytes())/(1<<20),
 			100*prog.Savings())
@@ -366,33 +369,33 @@ func runtimeReport(dev *gpusim.Device, th layout.Thresholds, networkName string,
 				if ch.WorkspaceBytes > 0 {
 					line += fmt.Sprintf(" (workspace %.2f MiB)", float64(ch.WorkspaceBytes)/(1<<20))
 				}
-				fmt.Println(line)
+				fmt.Fprintln(stdout, line)
 			}
 		}
 		if exec && (cheap[name] || len(targets) == 1) {
 			direct := prog // without selection the program already is direct-only
 			if opts.ConvAlgorithms {
-				direct, err = memruntime.Compile(plan)
+				direct, err = memruntime.CompileWithOptions(plan, memruntime.Options{})
 				if err != nil {
 					return fmt.Errorf("netbench: compiling %s direct-only: %w", name, err)
 				}
 			}
-			if err := timeExecution(net, direct, prog, traceRec, &rep); err != nil {
+			if err := timeExecution(stdout, net, direct, prog, traceRec, &rep); err != nil {
 				return err
 			}
 		}
 		if devices > 1 {
-			if err := shardReport(dev, prog, devices, exec && (cheap[name] || len(targets) == 1), &rep); err != nil {
+			if err := shardReport(stdout, dev, prog, devices, exec && (cheap[name] || len(targets) == 1), &rep); err != nil {
 				return fmt.Errorf("netbench: sharding %s: %w", name, err)
 			}
 		}
 		if rc.count > 1 {
 			execHere := exec && (cheap[name] || len(targets) == 1)
-			if err := replicaReport(prog, rc, execHere, &rep); err != nil {
+			if err := replicaReport(stdout, prog, rc, execHere, &rep); err != nil {
 				return fmt.Errorf("netbench: replicating %s: %w", name, err)
 			}
 			if rc.chaosSeed != 0 && execHere {
-				if err := chaosSoak(prog, rc, &rep); err != nil {
+				if err := chaosSoak(stdout, prog, rc, &rep); err != nil {
 					return fmt.Errorf("netbench: chaos soak on %s: %w", name, err)
 				}
 			}
@@ -402,16 +405,16 @@ func runtimeReport(dev *gpusim.Device, th layout.Thresholds, networkName string,
 			// measured execution defaults to LeNet only; selecting a single
 			// network opts in explicitly.
 			execTrain := exec && (name == "LeNet" || len(targets) == 1)
-			if err := trainNetReport(dev, nets[name], execTrain, &rep); err != nil {
+			if err := trainNetReport(stdout, dev, nets[name], execTrain, &rep); err != nil {
 				return fmt.Errorf("netbench: training %s: %w", name, err)
 			}
 		}
 		reports = append(reports, rep)
 	}
 	if trainMode {
-		printTrainTable(reports)
+		printTrainTable(stdout, reports)
 		_, table := bench.TrainingStep(dev)
-		fmt.Println(table)
+		fmt.Fprintln(stdout, table)
 	}
 	if traceRec != nil {
 		f, err := os.Create(tracePath)
@@ -425,7 +428,7 @@ func runtimeReport(dev *gpusim.Device, th layout.Thresholds, networkName string,
 		if err := f.Close(); err != nil {
 			return fmt.Errorf("netbench: writing %s: %w", tracePath, err)
 		}
-		fmt.Printf("wrote %d trace span(s) to %s\n", traceRec.Len(), tracePath)
+		fmt.Fprintf(stdout, "wrote %d trace span(s) to %s\n", traceRec.Len(), tracePath)
 	}
 	if jsonPath != "" {
 		data, err := json.MarshalIndent(reports, "", "  ")
@@ -435,7 +438,7 @@ func runtimeReport(dev *gpusim.Device, th layout.Thresholds, networkName string,
 		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
 			return fmt.Errorf("netbench: writing %s: %w", jsonPath, err)
 		}
-		fmt.Printf("wrote %d network report(s) to %s\n", len(reports), jsonPath)
+		fmt.Fprintf(stdout, "wrote %d network report(s) to %s\n", len(reports), jsonPath)
 	}
 	return nil
 }
@@ -444,7 +447,7 @@ func runtimeReport(dev *gpusim.Device, th layout.Thresholds, networkName string,
 // devices of the selected hardware model and prints the per-stage breakdown —
 // op counts, arena and transfer bytes, modeled device latency — plus, with
 // exec, the measured wall time per stage and for one pipelined batch.
-func shardReport(hw *gpusim.Device, prog *memruntime.Program, n int, exec bool, rep *netReport) error {
+func shardReport(stdout io.Writer, hw *gpusim.Device, prog *memruntime.Program, n int, exec bool, rep *netReport) error {
 	sp, err := memruntime.Shard(prog, n, memruntime.ShardOptions{
 		Devices:   memruntime.SimDevices(n, hw),
 		CostModel: hw,
@@ -455,7 +458,7 @@ func shardReport(hw *gpusim.Device, prog *memruntime.Program, n int, exec bool, 
 	rep.Devices = len(sp.Stages)
 	rep.SummedPeakBytes = sp.SummedPeakBytes()
 	rep.TransferBytes = sp.TransferBytes()
-	fmt.Printf("         sharded across %d device(s): summed arena %.2f MiB vs %.2f MiB single-device, %.2f MiB transfers/batch\n",
+	fmt.Fprintf(stdout, "         sharded across %d device(s): summed arena %.2f MiB vs %.2f MiB single-device, %.2f MiB transfers/batch\n",
 		len(sp.Stages), float64(sp.SummedPeakBytes())/(1<<20), float64(prog.Mem.PeakBytes())/(1<<20),
 		float64(sp.TransferBytes())/(1<<20))
 
@@ -497,11 +500,11 @@ func shardReport(hw *gpusim.Device, prog *memruntime.Program, n int, exec bool, 
 			sj.MeasuredUS = final[i].Delta(warm[i]).MeasuredUS
 			line += fmt.Sprintf(", measured %8.0f us", sj.MeasuredUS)
 		}
-		fmt.Println(line)
+		fmt.Fprintln(stdout, line)
 		rep.Stages = append(rep.Stages, sj)
 	}
 	if exec {
-		fmt.Printf("           pipelined batch: %.0f us measured end-to-end\n", rep.PipelinedUS)
+		fmt.Fprintf(stdout, "           pipelined batch: %.0f us measured end-to-end\n", rep.PipelinedUS)
 	}
 	return nil
 }
@@ -512,7 +515,7 @@ func shardReport(hw *gpusim.Device, prog *memruntime.Program, n int, exec bool, 
 // full-batch latency against the single executor and drives a short
 // duplicated-traffic serving burst through the cached batching server so the
 // JSON record carries cache hit/miss counters.
-func replicaReport(prog *memruntime.Program, rc replicaConfig, exec bool, rep *netReport) error {
+func replicaReport(stdout io.Writer, prog *memruntime.Program, rc replicaConfig, exec bool, rep *netReport) error {
 	fleet, err := replica.ParseDevices(rc.spec, rc.count, 1)
 	if err != nil {
 		return err
@@ -536,7 +539,7 @@ func replicaReport(prog *memruntime.Program, rc replicaConfig, exec bool, rep *n
 		line += fmt.Sprintf(": modeled %.0f us/batch vs %.0f us single-device (%.2fx)",
 			rep.ReplicatedModeledUS, rep.SingleModeledUS, rep.ModeledReplicaSpeedup)
 	}
-	fmt.Println(line)
+	fmt.Fprintln(stdout, line)
 
 	if exec {
 		in := tensor.Random(prog.InputShape(), tensor.NCHW, 1)
@@ -568,9 +571,9 @@ func replicaReport(prog *memruntime.Program, rc replicaConfig, exec bool, rep *n
 		if replicated > 0 {
 			rep.MeasuredReplicaSpeedup = singleTime.Seconds() / replicated.Seconds()
 		}
-		fmt.Printf("           measured %.0f us/batch replicated vs %.0f us single-executor (%.2fx)\n",
+		fmt.Fprintf(stdout, "           measured %.0f us/batch replicated vs %.0f us single-executor (%.2fx)\n",
 			rep.ReplicatedUS, float64(singleTime.Microseconds()), rep.MeasuredReplicaSpeedup)
-		if err := replicaCacheBurst(prog, g, rep); err != nil {
+		if err := replicaCacheBurst(stdout, prog, g, rep); err != nil {
 			return err
 		}
 	}
@@ -587,7 +590,7 @@ func replicaReport(prog *memruntime.Program, rc replicaConfig, exec bool, rep *n
 			rj.MeasuredUS = st.MeasuredUS
 			line += fmt.Sprintf(", measured %8.0f us", st.MeasuredUS)
 		}
-		fmt.Println(line)
+		fmt.Fprintln(stdout, line)
 		rep.ReplicaRecords = append(rep.ReplicaRecords, rj)
 	}
 	return nil
@@ -597,7 +600,7 @@ func replicaReport(prog *memruntime.Program, rc replicaConfig, exec bool, rep *n
 // through the cached batching server fronting the replica group, recording
 // the cache counters: 8 distinct images requested 64 times must execute at
 // most 8 times (single-flight plus memoisation).
-func replicaCacheBurst(prog *memruntime.Program, g *replica.Group, rep *netReport) error {
+func replicaCacheBurst(stdout io.Writer, prog *memruntime.Program, g *replica.Group, rep *netReport) error {
 	srv, err := memruntime.NewServerWith(prog, g, memruntime.ServerConfig{
 		Workers: 2, CacheEntries: 64,
 	})
@@ -624,7 +627,7 @@ func replicaCacheBurst(prog *memruntime.Program, g *replica.Group, rep *netRepor
 	st := srv.Stats()
 	if cs := st.Cache; cs != nil {
 		rep.CacheHits, rep.CacheMisses, rep.CacheEvictions = cs.Hits, cs.Misses, cs.Evictions
-		fmt.Printf("           cache burst: %d requests -> %d hits, %d misses, %d evictions\n",
+		fmt.Fprintf(stdout, "           cache burst: %d requests -> %d hits, %d misses, %d evictions\n",
 			requests, cs.Hits, cs.Misses, cs.Evictions)
 	}
 	rep.ServeShed, rep.ServeExpired = st.Shed, st.Expired
@@ -638,7 +641,7 @@ func replicaCacheBurst(prog *memruntime.Program, g *replica.Group, rep *netRepor
 // run a seeded deterministic fault schedule — and whose replica 1 dies
 // permanently partway through — recording the retry/failover counters and
 // checking every batch stays bit-identical to the single-device golden run.
-func chaosSoak(prog *memruntime.Program, rc replicaConfig, rep *netReport) error {
+func chaosSoak(stdout io.Writer, prog *memruntime.Program, rc replicaConfig, rep *netReport) error {
 	fleet, err := replica.ParseDevices(rc.spec, rc.count, 1)
 	if err != nil {
 		return err
@@ -687,7 +690,7 @@ func chaosSoak(prog *memruntime.Program, rc replicaConfig, rep *netReport) error
 	rep.ChaosSeed, rep.ChaosBatches, rep.ChaosMismatches = rc.chaosSeed, soakBatches, mismatches
 	rep.ChaosRetries, rep.ChaosFailovers = fs.Retries, fs.Failovers
 	rep.ChaosReadmissions, rep.ChaosUnhealthy = fs.Readmissions, fs.UnhealthyReplicas
-	fmt.Printf("           chaos soak (seed %d): %d batches, %d mismatches, %d retries, %d failovers, %d unhealthy\n",
+	fmt.Fprintf(stdout, "           chaos soak (seed %d): %d batches, %d mismatches, %d retries, %d failovers, %d unhealthy\n",
 		rc.chaosSeed, soakBatches, mismatches, fs.Retries, fs.Failovers, fs.UnhealthyReplicas)
 	if mismatches > 0 {
 		return fmt.Errorf("chaos soak: %d of %d batches differed from the single-device golden", mismatches, soakBatches)
@@ -699,7 +702,7 @@ func chaosSoak(prog *memruntime.Program, rc replicaConfig, rep *netReport) error
 // backward + SGD) with and without recompute checkpointing, records the
 // planned footprints and the modeled step latency, and — when exec is set —
 // measures planned and naive training steps while printing the loss curve.
-func trainNetReport(hw *gpusim.Device, net *network.Network, exec bool, rep *netReport) error {
+func trainNetReport(stdout io.Writer, hw *gpusim.Device, net *network.Network, exec bool, rep *netReport) error {
 	store, err := train.CompileTraining(net, train.Options{Checkpoint: train.CheckpointOff})
 	if err != nil {
 		return err
@@ -793,7 +796,7 @@ func trainNetReport(hw *gpusim.Device, net *network.Network, exec bool, rep *net
 		}
 		curve += fmt.Sprintf("%.4f", l)
 	}
-	fmt.Printf("         training step: planned %.0f us vs naive %.0f us measured, modeled %.0f us; loss %s\n",
+	fmt.Fprintf(stdout, "         training step: planned %.0f us vs naive %.0f us measured, modeled %.0f us; loss %s\n",
 		rep.TrainUS, rep.TrainNaiveUS, rep.TrainModeledUS, curve)
 	return nil
 }
@@ -801,23 +804,23 @@ func trainNetReport(hw *gpusim.Device, net *network.Network, exec bool, rep *net
 // printTrainTable prints the planned-vs-naive training footprint per network,
 // with and without recompute checkpointing — the training counterpart of the
 // inference savings table.
-func printTrainTable(reports []netReport) {
-	fmt.Printf("\ntraining memory (forward + loss + backward + SGD):\n")
-	fmt.Printf("%-8s %6s %11s %11s %11s %10s %12s %11s\n",
+func printTrainTable(stdout io.Writer, reports []netReport) {
+	fmt.Fprintf(stdout, "\ntraining memory (forward + loss + backward + SGD):\n")
+	fmt.Fprintf(stdout, "%-8s %6s %11s %11s %11s %10s %12s %11s\n",
 		"network", "ops", "naive", "store", "ckpt", "recompute", "saved(store)", "saved(ckpt)")
 	for _, r := range reports {
 		if r.TrainOps == 0 {
 			continue
 		}
 		naive := float64(r.TrainNaiveBytes)
-		fmt.Printf("%-8s %6d %7.2f MiB %7.2f MiB %7.2f MiB %10d %11.0f%% %10.0f%%\n",
+		fmt.Fprintf(stdout, "%-8s %6d %7.2f MiB %7.2f MiB %7.2f MiB %10d %11.0f%% %10.0f%%\n",
 			r.Network, r.TrainOps,
 			naive/(1<<20), float64(r.TrainStorePeakBytes)/(1<<20), float64(r.TrainCkptPeakBytes)/(1<<20),
 			r.TrainRecomputeOps,
 			100*(1-float64(r.TrainStorePeakBytes)/naive),
 			100*(1-float64(r.TrainCkptPeakBytes)/naive))
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 }
 
 // timedRun executes one warmed planned program and returns the elapsed time
@@ -872,7 +875,7 @@ var traceLane = memruntime.LaneEngine
 // (selection disabled) the planned execution alone is timed.  A further
 // quantileRuns passes feed a latency histogram for p50/p99 — recorded as op
 // and run spans into traceRec when non-nil.
-func timeExecution(net *network.Network, direct, selected *memruntime.Program, traceRec *obs.Recorder, rep *netReport) error {
+func timeExecution(stdout io.Writer, net *network.Network, direct, selected *memruntime.Program, traceRec *obs.Recorder, rep *netReport) error {
 	in := tensor.Random(net.InputShape(), tensor.NCHW, 1)
 	naive, _, err := minOverSamples(func() (time.Duration, uint64, error) {
 		start := time.Now()
@@ -922,7 +925,7 @@ func timeExecution(net *network.Network, direct, selected *memruntime.Program, t
 	rep.SelectedAllocBytes = allocBytes
 
 	if direct == selected {
-		fmt.Printf("         naive %8.1f | planned %8.1f imgs/sec (%.2fx, %d alloc B)\n",
+		fmt.Fprintf(stdout, "         naive %8.1f | planned %8.1f imgs/sec (%.2fx, %d alloc B)\n",
 			batch/naive.Seconds(), batch/selectedTime.Seconds(),
 			naive.Seconds()/selectedTime.Seconds(), allocBytes)
 		rep.DirectUS = rep.SelectedUS
@@ -937,7 +940,7 @@ func timeExecution(net *network.Network, direct, selected *memruntime.Program, t
 	if err != nil {
 		return fmt.Errorf("netbench: %s direct run: %w", net.Name, err)
 	}
-	fmt.Printf("         naive %8.1f | direct %8.1f | selected %8.1f imgs/sec (%.2fx vs direct, %d alloc B)\n",
+	fmt.Fprintf(stdout, "         naive %8.1f | direct %8.1f | selected %8.1f imgs/sec (%.2fx vs direct, %d alloc B)\n",
 		batch/naive.Seconds(), batch/directTime.Seconds(), batch/selectedTime.Seconds(),
 		directTime.Seconds()/selectedTime.Seconds(), allocBytes)
 	rep.DirectUS = float64(directTime.Microseconds())

@@ -25,7 +25,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	prog, err := memruntime.Compile(plan)
+	prog, err := memruntime.CompileWithOptions(plan, memruntime.Options{})
 	if err != nil {
 		fail(err)
 	}

@@ -206,8 +206,8 @@ func (p *ExecutionPlan) TransformCount() int {
 // Validate checks that the plan covers every layer of its network in order
 // and uses only supported layouts.
 func (p *ExecutionPlan) Validate() error {
-	if p.Network == nil || p.Device == nil {
-		return fmt.Errorf("network: plan is missing its network or device")
+	if p == nil || p.Network == nil || p.Device == nil {
+		return fmt.Errorf("network: plan is nil or missing its network or device")
 	}
 	if len(p.Layers) != len(p.Network.Layers) {
 		return fmt.Errorf("network: plan has %d layers, network has %d", len(p.Layers), len(p.Network.Layers))

@@ -6,35 +6,31 @@
 //
 // The pipeline has three stages:
 //
-//	compile (graph.go)    — lower the layer stack into an op list: one op per
-//	                        layer, plus the plan's layout-transform ops and
-//	                        zero-copy reshape views at flattening boundaries.
-//	                        With Options.ConvAlgorithms each convolution op
-//	                        additionally records its execution strategy —
-//	                        direct, im2col+GEMM or FFT.  internal/autotune
-//	                        picks a base algorithm per layer shape (the
-//	                        merged-matrix heuristic plus a large-filter
-//	                        stride-1 FFT regime, or a measured probe of all
-//	                        three kernels), and the compiler re-prices that
-//	                        choice jointly with the layer's layout through
-//	                        internal/layout (layout.JointConvChoice): the FFT
-//	                        kernels live in NCHW, so promoting a layer to the
-//	                        frequency domain charges the layout switch and
-//	                        may flip the planner's layout together with the
-//	                        algorithm — the paper's joint layout+algorithm
-//	                        decision, shared verbatim with cmd/layoutplan
-//	                        -algs.  The filter bank is pre-packed once into
-//	                        the flat GEMM operand, and every kernel workspace
-//	                        (GEMM unroll matrix, FFT spectrum planes,
-//	                        fully-connected flatten staging, softmax logits)
-//	                        becomes an op-local scratch buffer, sized by
-//	                        Layer.WorkspaceElems for the op's (algorithm,
-//	                        layout); a layer without that kernel fails the
-//	                        compile.  Layers declaring in-place safety
-//	                        (Layer.ForwardsInPlace, e.g. ReLU) alias their
-//	                        output buffer onto their input, so the op reads
-//	                        and writes the same arena storage.  All of this
-//	                        happens in Program.AddLayer, for training too.
+//	compile (graph.go)    — source -> select -> lower.  A source produces
+//	                        the decision list, one Choice{Layout, Alg} per
+//	                        layer (the paper's per-layer assignment):
+//	                        PlanChoices from an execution plan, Uniform for
+//	                        one layout and one algorithm, or another
+//	                        program's Choices.  With Options.ConvAlgorithms
+//	                        one pass, SelectChoices, re-decides every
+//	                        convolution: a base algorithm by layer shape
+//	                        (internal/autotune, analytic or probed), then on
+//	                        a plan's device the joint sweep of
+//	                        internal/layout, which may move a layer to FFT
+//	                        and NCHW together.  Lowering binds exactly the
+//	                        list it is handed: an op per layer, a transform
+//	                        op where consecutive layouts differ, zero-copy
+//	                        reshape views at flattening boundaries.
+//	                        Program.AddLayer does the binding, for training
+//	                        too: the kernel's workspace (GEMM unroll matrix,
+//	                        FFT spectrum planes, flatten staging, softmax
+//	                        logits), sized by Layer.WorkspaceElems, becomes
+//	                        an op-local scratch buffer — a layer without the
+//	                        kernel fails the compile — GEMM filter banks are
+//	                        pre-packed once, and in-place-safe layers (ReLU)
+//	                        alias their output onto their input.
+//	                        Program.Choices reads the list back; ConvChoices,
+//	                        ReferenceForward and WithBatch go through it.
 //	memory plan (memplan.go) — liveness analysis over buffer IDs followed by
 //	                        greedy best-fit offset assignment into one arena;
 //	                        scratch buffers are live only during their op, so
@@ -73,18 +69,18 @@
 // weights via Layer.WithBatch and network.WithBatch, one arena pool per
 // replica) and splits every batch into per-replica sub-batches weighted by
 // modeled or probed device throughput, running them concurrently and
-// reassembling bit-identically.  CompileLike supports it by lowering a
-// rebatched network against the base program's per-layer layouts and
-// convolution algorithms instead of re-selecting by the sub-batch shape.
-// Replicas may themselves be pipeline-sharded, composing both axes; the
-// modeled cost of the batch scatter divides the interconnect bandwidth among
-// the simultaneous transfers (gpusim.Interconnect).
+// reassembling bit-identically.  Program.WithBatch supports it by lowering
+// the rebatched network from the base program's own decision list instead of
+// re-selecting by the sub-batch shape.  Replicas may themselves be
+// pipeline-sharded, composing both axes; the modeled cost of the batch
+// scatter divides the interconnect bandwidth among the simultaneous transfers
+// (gpusim.Interconnect).
 //
 // Golden bit-equality holds per algorithm: direct-only programs reproduce the
 // naive Network.Forward exactly, while algorithm-selected programs reproduce
 // Program.ReferenceForward (the functional forward mirroring the recorded
 // per-layer choices); every kernel fixes its accumulation order so results do
-// not depend on layout, batching or worker count.  CompileFixedAlg pins every
+// not depend on layout, batching or worker count.  Uniform pins every
 // convolution to one algorithm, which is how the golden suite holds each of
 // the three production paths against the reference on every workload network.
 //
@@ -211,8 +207,8 @@
 // verify.Sharded extends the contract across pipeline-stage boundaries
 // (contiguous tiling, boundary buffer identity, declared transfer sizes).
 //
-// Compile, CompileWithOptions, CompileLike, CompileFixedAlg, Shard and
-// train.CompileTraining all run the checker when Options.Verify is set (the
+// Compile, CompileWithOptions, Program.WithBatch (when its base was), Shard
+// and train.CompileTraining all run the checker when Options.Verify is set (the
 // caller must import memcnn/internal/runtime/verify, which registers itself
 // via RegisterVerifier — the indirection keeps the IR package free of a
 // dependency on its own checker), and the test suite verifies every

@@ -19,7 +19,7 @@ func faultFixture(t *testing.T) (*runtime.Program, *tensor.Tensor, *tensor.Tenso
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := runtime.CompileFixed(net, tensor.CHWN)
+	prog, err := compileFixedLayout(net, tensor.CHWN, runtime.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

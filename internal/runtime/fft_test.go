@@ -48,7 +48,7 @@ func TestJointLayoutAlgorithmFlip(t *testing.T) {
 		Layers:      []network.PlannedLayer{{Layer: conv, Layout: tensor.CHWN}},
 	}
 
-	plain, err := runtime.Compile(plan)
+	plain, err := runtime.CompileWithOptions(plan, runtime.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,10 +107,10 @@ func TestHeuristicSelectionPicksFFT(t *testing.T) {
 	}
 }
 
-// TestCompileLikePinsFFT checks that rebatched clones inherit an FFT choice
+// TestWithBatchPinsFFT checks that rebatched clones inherit an FFT choice
 // instead of re-selecting by the smaller batch shape — the same pinning the
 // replica scheduler relies on for the GEMM path.
-func TestCompileLikePinsFFT(t *testing.T) {
+func TestWithBatchPinsFFT(t *testing.T) {
 	net, conv := fftFlipNet(t)
 	plan := &network.ExecutionPlan{
 		PlannerName: "test",
@@ -125,11 +125,7 @@ func TestCompileLikePinsFFT(t *testing.T) {
 	if ch := base.ConvChoices()[0]; ch.Alg != kernels.ConvAlgFFT {
 		t.Fatalf("base program selected %v, the test needs an FFT base", ch.Alg)
 	}
-	sub, err := net.WithBatch(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clone, err := runtime.CompileLike(base, sub)
+	clone, err := base.WithBatch(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +172,7 @@ func TestFixedAlgorithmGolden(t *testing.T) {
 	for _, net := range cases {
 		in := tensor.Random(net.InputShape(), tensor.NCHW, 99)
 		for _, alg := range algs {
-			prog, err := runtime.CompileFixedAlg(net, tensor.NCHW, alg)
+			prog, err := compilePinned(net, alg)
 			if err != nil {
 				t.Fatalf("%s/%v: %v", net.Name, alg, err)
 			}
@@ -214,7 +210,7 @@ func TestFFTAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := runtime.CompileFixedAlg(net, tensor.NCHW, kernels.ConvAlgFFT)
+	prog, err := compilePinned(net, kernels.ConvAlgFFT)
 	if err != nil {
 		t.Fatal(err)
 	}

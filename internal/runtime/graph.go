@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"memcnn/internal/autotune"
+	"memcnn/internal/gpusim"
 	"memcnn/internal/kernels"
 	"memcnn/internal/layers"
 	"memcnn/internal/layout"
@@ -141,8 +142,8 @@ type Program struct {
 	Net         *network.Network
 	PlannerName string
 	// Opts records the options the program was lowered with, so derived
-	// programs (CompileLike) can reproduce behaviour-affecting choices such
-	// as NoInPlace.
+	// programs (WithBatch, Shard) can reproduce behaviour-affecting choices
+	// such as NoInPlace.
 	Opts    Options
 	Buffers []Buffer
 	Ops     []Op
@@ -169,16 +170,13 @@ func (p *Program) root(id BufferID) BufferID {
 	return id
 }
 
-// Options control how Compile lowers a plan.
+// Options control how a decision list is compiled.
 type Options struct {
-	// ConvAlgorithms enables per-layer convolution algorithm selection: each
-	// conv op records the direct, im2col+GEMM or FFT strategy
-	// (internal/autotune decides by layer shape, and CompileWithOptions
-	// re-prices the choice jointly with the layer's layout on the plan's
-	// device model) together with the workspace the chosen path needs.  Off
-	// by default: the direct path is the bit-equality reference against the
-	// naive Network.Forward, while GEMM and FFT programs are cross-checked
-	// per algorithm via ReferenceForward.
+	// ConvAlgorithms runs the selection pass (SelectChoices) over the
+	// decision list before it is lowered, giving each convolution the direct,
+	// im2col+GEMM or FFT strategy.  Off by default: the direct path is the
+	// bit-equality reference against the naive Network.Forward, while GEMM
+	// and FFT programs are cross-checked per algorithm via ReferenceForward.
 	ConvAlgorithms bool
 	// Probe, together with ConvAlgorithms, selects each conv algorithm by
 	// timing every production kernel once on a sample input instead of the
@@ -197,160 +195,146 @@ type Options struct {
 	// dataflow, alias-chain soundness, in-place clobber detection, workspace
 	// sufficiency, plan/liveness consistency and the determinism lint.
 	// Compilation fails if any check does.  The checker must be registered
-	// (import memcnn/internal/runtime/verify); derived programs
-	// (CompileLike, replica sub-batch clones) inherit the flag.
+	// (import memcnn/internal/runtime/verify); WithBatch clones inherit the
+	// flag.
 	Verify bool
 }
 
-// Compile lowers an execution plan into a program: each layer becomes an
-// OpLayer in its planned layout, a layout change between consecutive layers
-// becomes an OpTransform, and a logical shape change (conv/pool output
-// flattening into a fully-connected layer) becomes an OpReshape — a zero-copy
-// view whenever the layout permits.  The resulting program carries its static
-// memory plan (see PlanMemory).
-func Compile(plan *network.ExecutionPlan) (*Program, error) {
-	return CompileWithOptions(plan, Options{})
+// Choice is the compiler's decision for one network layer — the paper's
+// per-layer assignment: the data layout the layer runs in and the convolution
+// algorithm it is bound to.  Layers other than convolutions have one kernel,
+// ConvAlgDirect.  A program is lowered from one Choice per layer.
+type Choice struct {
+	Layout tensor.Layout
+	Alg    kernels.ConvAlgorithm
 }
 
-// CompileWithOptions is Compile with explicit lowering options.
-//
-// With Options.ConvAlgorithms (and no probe) the compiler does not take the
-// plan's layouts as given: each convolution layer goes through the
-// internal/layout joint sweep, which prices the analytic heuristic's
-// algorithm against the FFT mode — including the cost of switching the
-// layer's input layout — on the plan's device model and may flip both the
-// algorithm and the layout together (layout.JointConvChoice).  That is the
-// paper's joint layout+algorithm choice made at compile time; cmd/layoutplan
-// reports the same sweep.
-func CompileWithOptions(plan *network.ExecutionPlan, opts Options) (*Program, error) {
-	if plan == nil {
-		return nil, fmt.Errorf("runtime: cannot compile a nil plan")
+// Uniform is the decision list of a single-layout program: every layer in
+// lay and every convolution on alg, the policy of the library emulations
+// and the baseline planned programs are compared against.
+func Uniform(net *network.Network, lay tensor.Layout, alg kernels.ConvAlgorithm) []Choice {
+	choices := make([]Choice, len(net.Layers))
+	for i, l := range net.Layers {
+		choices[i].Layout = lay
+		if _, ok := l.(*layers.Conv); ok {
+			choices[i].Alg = alg
+		}
 	}
+	return choices
+}
+
+// PlanChoices is the decision list an execution plan stands for: its
+// per-layer layouts, every layer on its direct kernel.
+func PlanChoices(plan *network.ExecutionPlan) []Choice {
+	choices := make([]Choice, len(plan.Layers))
+	for i, pl := range plan.Layers {
+		choices[i].Layout = pl.Layout
+	}
+	return choices
+}
+
+// Choices reads the decision list back from a compiled program: the layout
+// and algorithm of every layer op, in layer order.
+func (p *Program) Choices() []Choice {
+	var choices []Choice
+	for _, op := range p.Ops {
+		if op.Kind == OpLayer {
+			choices = append(choices, Choice{Layout: p.Buffers[op.In].Layout, Alg: op.Alg})
+		}
+	}
+	return choices
+}
+
+// SelectChoices is the one place a convolution's algorithm is chosen.  It
+// returns choices with every convolution layer re-decided: the analytic
+// heuristic (internal/autotune) picks a base algorithm by layer shape, and
+// the internal/layout joint sweep prices it against the FFT mode on dev —
+// including the cost of switching the layer's input layout — and may flip
+// the algorithm and the layout together (layout.JointConvChoice): the
+// paper's joint layout+algorithm choice.  With a nil device the heuristic
+// stands alone in the given layout.  With probe, each convolution instead
+// takes the fastest of the production kernels timed in its given layout.
+// Compile runs this pass under Options.ConvAlgorithms; cmd/layoutplan prints
+// its result.
+func SelectChoices(net *network.Network, choices []Choice, dev *gpusim.Device, probe bool) ([]Choice, error) {
+	selected := append([]Choice(nil), choices...)
+	for i, l := range net.Layers {
+		conv, ok := l.(*layers.Conv)
+		if !ok {
+			continue
+		}
+		if probe {
+			alg, _, err := autotune.ProbeConvAlgorithm(conv.Cfg, selected[i].Layout)
+			if err != nil {
+				return nil, fmt.Errorf("runtime: selecting algorithm for %q: %w", l.Name(), err)
+			}
+			selected[i].Alg = alg
+			continue
+		}
+		joint := layout.JointConvChoice(dev, conv.Cfg, selected[i].Layout, autotune.SelectConvAlgorithm(conv.Cfg))
+		selected[i] = Choice{Layout: joint.Layout, Alg: joint.Alg}
+	}
+	return selected, nil
+}
+
+// Compile lowers a network into a program from one Choice per layer
+// (PlanChoices, Uniform, or another program's Choices): the selection pass
+// rewrites the list when Options.ConvAlgorithms is set, and the lowering
+// binds exactly the list it is handed.  name labels the program
+// (Program.PlannerName).
+func Compile(net *network.Network, name string, choices []Choice, opts Options) (*Program, error) {
+	return compile(net, name, choices, nil, opts)
+}
+
+// CompileWithOptions compiles an execution plan: its layouts are the decision
+// list and its device is the model the selection pass prices on, so with
+// Options.ConvAlgorithms the plan's layouts are not taken as given — a
+// convolution promoted to FFT moves to NCHW with it.
+func CompileWithOptions(plan *network.ExecutionPlan, opts Options) (*Program, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, fmt.Errorf("runtime: %w", err)
 	}
-	layouts := make([]tensor.Layout, len(plan.Layers))
-	for i, pl := range plan.Layers {
-		layouts[i] = pl.Layout
-	}
-	if opts.ConvAlgorithms && !opts.Probe {
-		forced := make([]kernels.ConvAlgorithm, len(plan.Layers))
-		for i, pl := range plan.Layers {
-			conv, ok := pl.Layer.(*layers.Conv)
-			if !ok {
-				continue
-			}
-			base := autotune.SelectConvAlgorithm(conv.Cfg)
-			choice := layout.JointConvChoice(plan.Device, conv.Cfg, layouts[i], base)
-			layouts[i] = choice.Layout
-			forced[i] = choice.Alg
-		}
-		return lower(plan.Network, plan.PlannerName, layouts, opts, forced)
-	}
-	return lower(plan.Network, plan.PlannerName, layouts, opts, nil)
+	return compile(plan.Network, plan.PlannerName, PlanChoices(plan), plan.Device, opts)
 }
 
-// CompileLike lowers a network against the shape of an already compiled
-// program: per-layer layouts and convolution algorithms are copied from the
-// base rather than re-planned or re-selected.  The network must have the same
-// layer stack as the base's (typically a Network.WithBatch clone at a
-// different batch size); pinning the algorithms matters because golden
-// bit-equality holds per algorithm, and autotune would select by shape —
-// a sub-batch clone left to its own selection could pick direct where the
-// base runs GEMM and drift from the base's bits.  The data-parallel replica
-// scheduler compiles every per-replica sub-batch program this way.
-func CompileLike(base *Program, net *network.Network) (*Program, error) {
-	if base == nil {
-		return nil, fmt.Errorf("runtime: cannot compile against a nil base program")
+// WithBatch compiles the program's network at another batch size from the
+// program's own decision list, so layouts and convolution algorithms are
+// copied rather than re-planned or re-selected.  Pinning the algorithms
+// matters because golden bit-equality holds per algorithm, and selection goes
+// by shape — a sub-batch clone left to its own selection could pick direct
+// where the base runs GEMM and drift from the base's bits.  The clone shares
+// the base network's weights (Network.WithBatch) and keeps its in-place and
+// verification options; the data-parallel replica scheduler builds every
+// per-replica sub-batch program this way.
+func (p *Program) WithBatch(batch int) (*Program, error) {
+	net, err := p.Net.WithBatch(batch)
+	if err != nil {
+		return nil, err
 	}
-	if net == nil || len(net.Layers) != len(base.Net.Layers) {
-		return nil, fmt.Errorf("runtime: network does not match the base program's layer stack")
-	}
-	layouts := make([]tensor.Layout, len(net.Layers))
-	forced := make([]kernels.ConvAlgorithm, len(net.Layers))
-	li := 0
-	for _, op := range base.Ops {
-		if op.Kind != OpLayer {
-			continue
-		}
-		bl, nl := base.Net.Layers[li], net.Layers[li]
-		if bl.Name() != nl.Name() {
-			return nil, fmt.Errorf("runtime: layer %d is %q in the base, %q in the network",
-				li, bl.Name(), nl.Name())
-		}
-		// Per-image geometry must match; only the batch dimension may differ.
-		bin, nin := bl.InputShape(), nl.InputShape()
-		bout, nout := bl.OutputShape(), nl.OutputShape()
-		if bin.C != nin.C || bin.H != nin.H || bin.W != nin.W ||
-			bout.C != nout.C || bout.H != nout.H || bout.W != nout.W {
-			return nil, fmt.Errorf("runtime: layer %q is %v->%v in the base, %v->%v in the network",
-				nl.Name(), bin, bout, nin, nout)
-		}
-		// The layer runs in its input buffer's layout: lower inserts the
-		// transform bringing the activations there before the layer op.
-		layouts[li] = base.Buffers[op.In].Layout
-		forced[li] = op.Alg
-		li++
-	}
-	if li != len(net.Layers) {
-		return nil, fmt.Errorf("runtime: base program has %d layer ops for %d layers", li, len(net.Layers))
-	}
-	// Algorithm selection is pinned through forced; the remaining lowering
-	// choices (in-place aliasing, verification) follow the base program's
-	// options.
-	return lower(net, base.PlannerName, layouts, Options{NoInPlace: base.Opts.NoInPlace, Verify: base.Opts.Verify}, forced)
+	return Compile(net, p.PlannerName, p.Choices(), Options{NoInPlace: p.Opts.NoInPlace, Verify: p.Opts.Verify})
 }
 
-// CompileFixed lowers a network with every layer in one layout, the
-// single-layout policy of the library emulations.  It needs no device or
-// planner and is the baseline the planned programs are compared against.
-func CompileFixed(net *network.Network, layout tensor.Layout) (*Program, error) {
-	return CompileFixedWithOptions(net, layout, Options{})
-}
-
-// CompileFixedWithOptions is CompileFixed with explicit lowering options.  A
-// layer with no kernel for the layout fails the lowering.
-func CompileFixedWithOptions(net *network.Network, layout tensor.Layout, opts Options) (*Program, error) {
+// compile checks the preconditions every entrypoint shares, runs the
+// selection pass and lowers.
+func compile(net *network.Network, name string, choices []Choice, dev *gpusim.Device, opts Options) (*Program, error) {
 	if net == nil || len(net.Layers) == 0 {
 		return nil, fmt.Errorf("runtime: cannot compile an empty network")
 	}
-	return lower(net, fmt.Sprintf("fixed-%v", layout), uniform(net, layout), opts, nil)
-}
-
-// CompileFixedAlg lowers a network with every layer in one layout and every
-// convolution pinned to one algorithm, bypassing selection entirely.  The
-// golden test suite uses it to hold each production algorithm against
-// ReferenceForward on every workload network.
-func CompileFixedAlg(net *network.Network, layout tensor.Layout, alg kernels.ConvAlgorithm) (*Program, error) {
-	if net == nil || len(net.Layers) == 0 {
-		return nil, fmt.Errorf("runtime: cannot compile an empty network")
+	if len(choices) != len(net.Layers) {
+		return nil, fmt.Errorf("runtime: %d choices for the %d layers of %s", len(choices), len(net.Layers), net.Name)
 	}
-	forced := make([]kernels.ConvAlgorithm, len(net.Layers))
-	for i, l := range net.Layers {
-		if _, ok := l.(*layers.Conv); ok {
-			forced[i] = alg
+	for i, ch := range choices {
+		if !ch.Layout.Valid() {
+			return nil, fmt.Errorf("runtime: layer %q has no valid layout (%v)", net.Layers[i].Name(), ch.Layout)
 		}
 	}
-	return lower(net, fmt.Sprintf("fixed-%v-%v", layout, alg), uniform(net, layout), Options{}, forced)
-}
-
-// uniform is the per-layer layout list of a single-layout program.
-func uniform(net *network.Network, layout tensor.Layout) []tensor.Layout {
-	layouts := make([]tensor.Layout, len(net.Layers))
-	for i := range layouts {
-		layouts[i] = layout
+	if opts.ConvAlgorithms {
+		var err error
+		if choices, err = SelectChoices(net, choices, dev, opts.Probe); err != nil {
+			return nil, err
+		}
 	}
-	return layouts
-}
-
-// selectConvAlgorithm picks the convolution strategy for one conv layer,
-// through the analytic heuristic or the measured probe.
-func selectConvAlgorithm(cfg kernels.ConvConfig, lay tensor.Layout, opts Options) (kernels.ConvAlgorithm, error) {
-	if opts.Probe {
-		alg, _, err := autotune.ProbeConvAlgorithm(cfg, lay)
-		return alg, err
-	}
-	return autotune.SelectConvAlgorithm(cfg), nil
+	return lower(net, name, choices, opts)
 }
 
 // AddBuffer appends a buffer to a program under construction.  alias is
@@ -426,16 +410,19 @@ func (p *Program) AddLayer(kind OpKind, name string, l layers.Layer, in BufferID
 	return out, nil
 }
 
-// lower builds the op list for a network given the layout each layer runs in.
-// A non-nil forced slice pins the convolution algorithm per layer (CompileLike
-// copying a base program's choices); otherwise layers select per opts.
-func lower(net *network.Network, plannerName string, layouts []tensor.Layout, opts Options, forced []kernels.ConvAlgorithm) (*Program, error) {
+// lower builds the op list for a network from its decision list: a layout
+// change between consecutive layers becomes an OpTransform, a logical shape
+// change (conv/pool output flattening into a fully-connected layer) an
+// OpReshape — a zero-copy view whenever the layout permits — and each layer
+// an OpLayer bound to its chosen kernel.  The program carries its static
+// memory plan (see PlanMemory).
+func lower(net *network.Network, plannerName string, choices []Choice, opts Options) (*Program, error) {
 	p := &Program{Net: net, PlannerName: plannerName, Opts: opts}
-	cur := p.AddBuffer(net.InputShape(), layouts[0], NoBuffer)
+	cur := p.AddBuffer(net.InputShape(), choices[0].Layout, NoBuffer)
 	p.Input = cur
 
 	for i, l := range net.Layers {
-		lay := layouts[i]
+		lay := choices[i].Layout
 		if from := p.Buffers[cur].Layout; from != lay {
 			out := p.AddBuffer(p.Buffers[cur].Shape, lay, NoBuffer)
 			p.Ops = append(p.Ops, Op{
@@ -449,15 +436,7 @@ func lower(net *network.Network, plannerName string, layouts []tensor.Layout, op
 		if cur, err = p.AddReshape(cur, l.InputShape(), "before "+l.Name()); err != nil {
 			return nil, err
 		}
-		alg := kernels.ConvAlgDirect
-		if forced != nil {
-			alg = forced[i]
-		} else if conv, ok := l.(*layers.Conv); ok && opts.ConvAlgorithms {
-			if alg, err = selectConvAlgorithm(conv.Cfg, lay, opts); err != nil {
-				return nil, fmt.Errorf("runtime: selecting algorithm for %q: %w", l.Name(), err)
-			}
-		}
-		if cur, err = p.AddLayer(OpLayer, l.Name(), l, cur, alg, !opts.NoInPlace); err != nil {
+		if cur, err = p.AddLayer(OpLayer, l.Name(), l, cur, choices[i].Alg, !opts.NoInPlace); err != nil {
 			return nil, err
 		}
 	}

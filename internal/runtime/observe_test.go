@@ -25,7 +25,7 @@ func observedFixture(t *testing.T) (*runtime.Executor, *tensor.Tensor, *tensor.T
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := runtime.CompileFixed(net, tensor.CHWN)
+	prog, err := compileFixedLayout(net, tensor.CHWN, runtime.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ func TestPoolHoldsOneInstancePerConcurrentRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := runtime.CompileFixed(net, tensor.NCHW)
+	prog, err := compileFixedLayout(net, tensor.NCHW, runtime.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,8 @@ import (
 	"memcnn/internal/tensor"
 )
 
-// ConvChoice describes the joint (layout, algorithm) decision the compiler
-// recorded for one convolution op.
+// ConvChoice describes the (layout, algorithm) choice a program was lowered
+// with for one convolution layer.
 type ConvChoice struct {
 	Layer          string
 	Alg            kernels.ConvAlgorithm
@@ -15,23 +15,20 @@ type ConvChoice struct {
 	WorkspaceBytes int64
 }
 
-// ConvChoices lists the algorithm and layout recorded for every convolution
-// op in program order, together with the arena workspace each GEMM or FFT
+// ConvChoices lists the program's choice (Choices) for every convolution
+// layer in layer order, together with the arena workspace each GEMM or FFT
 // choice claims.
 func (p *Program) ConvChoices() []ConvChoice {
 	var out []ConvChoice
-	for _, op := range p.Ops {
-		if op.Kind != OpLayer {
+	for i, ch := range p.Choices() {
+		conv, ok := p.Net.Layers[i].(*layers.Conv)
+		if !ok {
 			continue
 		}
-		if _, ok := op.Layer.(*layers.Conv); !ok {
-			continue
-		}
-		ch := ConvChoice{Layer: op.Name, Alg: op.Alg, Layout: p.Buffers[op.In].Layout}
-		if op.Scratch != NoBuffer {
-			ch.WorkspaceBytes = p.Buffers[op.Scratch].Bytes()
-		}
-		out = append(out, ch)
+		// The binder sized the op's scratch buffer from this same query and
+		// would have failed the compile on an error.
+		elems, _ := conv.WorkspaceElems(ch.Alg, ch.Layout)
+		out = append(out, ConvChoice{Layer: conv.Name(), Alg: ch.Alg, Layout: ch.Layout, WorkspaceBytes: 4 * int64(elems)})
 	}
 	return out
 }
@@ -58,10 +55,8 @@ func (p *Program) ScratchBytes() int64 {
 // coincide).
 func (p *Program) ReferenceForward(in *tensor.Tensor) (*tensor.Tensor, error) {
 	algs := make(map[layers.Layer]kernels.ConvAlgorithm)
-	for _, op := range p.Ops {
-		if op.Kind == OpLayer {
-			algs[op.Layer] = op.Alg
-		}
+	for i, ch := range p.Choices() {
+		algs[p.Net.Layers[i]] = ch.Alg
 	}
 	return p.Net.ForwardAlgs(in, algs)
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"memcnn/internal/kernels"
 	"memcnn/internal/runtime"
 	"memcnn/internal/runtime/replica"
 	"memcnn/internal/tensor"
@@ -24,7 +25,7 @@ func chaosFixture(t *testing.T) (*runtime.Program, *tensor.Tensor, *tensor.Tenso
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := runtime.CompileFixed(net, tensor.CHWN)
+	prog, err := runtime.Compile(net, "fixed-CHWN", runtime.Uniform(net, tensor.CHWN, kernels.ConvAlgDirect), runtime.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

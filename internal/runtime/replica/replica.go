@@ -16,10 +16,10 @@
 // Bit-identical reassembly rests on two properties the rest of the runtime
 // already guarantees: every layer processes images independently with a fixed
 // per-image accumulation order (so a sub-batch computes exactly the rows of
-// the full batch it was handed), and per-replica programs are compiled with
-// runtime.CompileLike, which pins the base program's per-layer layouts and
-// convolution algorithms (golden bit-equality holds per algorithm, and
-// autotune would otherwise re-select by the smaller sub-batch shape).
+// the full batch it was handed), and per-replica programs come from
+// Program.WithBatch, which lowers the base program's own per-layer layouts and
+// convolution algorithms at the sub-batch size (golden bit-equality holds per
+// algorithm, and selection would otherwise go by the smaller sub-batch shape).
 //
 // The modeled cost of feeding the replicas accounts for interconnect
 // contention: the batch scatter starts one transfer per simulated replica at
@@ -371,16 +371,12 @@ func (u *unit) engine(g *Group, share int) (*engine, error) {
 	return e, nil
 }
 
-// buildEngine compiles a sub-batch program (against the base's layouts and
-// algorithm choices, over the base network's shared weights) and starts its
-// engine.  Devices are resolved through fault wrappers (runtime.SimOf) so a
-// wrapped simulated device keeps its modeled pricing.
+// buildEngine compiles a sub-batch program (the base's layouts and algorithm
+// choices, over the base network's shared weights) and starts its engine.
+// Devices are resolved through fault wrappers (runtime.SimOf) so a wrapped
+// simulated device keeps its modeled pricing.
 func buildEngine(base *runtime.Program, devices []runtime.Device, share int) (*engine, error) {
-	net, err := base.Net.WithBatch(share)
-	if err != nil {
-		return nil, err
-	}
-	prog, err := runtime.CompileLike(base, net)
+	prog, err := base.WithBatch(share)
 	if err != nil {
 		return nil, err
 	}

@@ -153,7 +153,7 @@ func goldenCases(t *testing.T) []goldenCase {
 		selected := runtime.Options{ConvAlgorithms: true}
 		cases = append(cases,
 			// LeNet@128 selects GEMM for conv2: its sub-batch programs pin
-			// that choice through CompileLike, so bit-equality would break
+			// that choice through Program.WithBatch, so bit-equality would break
 			// loudly if rebatching re-selected by shape.
 			goldenCase{name: "LeNet", net: nets["LeNet"], opts: selected, replicas: []int{2}},
 			goldenCase{name: "AlexNet@4", net: alexSmall, opts: selected, replicas: []int{3}},

@@ -1,7 +1,9 @@
 package runtime_test
 
 import (
+	"fmt"
 	"os"
+	"strings"
 	"testing"
 
 	"memcnn/internal/frameworks"
@@ -11,6 +13,7 @@ import (
 	"memcnn/internal/layout"
 	"memcnn/internal/network"
 	"memcnn/internal/runtime"
+	_ "memcnn/internal/runtime/verify" // registers the checker Options.Verify runs
 	"memcnn/internal/tensor"
 	"memcnn/internal/workloads"
 )
@@ -44,6 +47,19 @@ func mustCompileOpts(t *testing.T, planner network.Planner, net *network.Network
 	return prog
 }
 
+// compileFixedLayout lowers net with every layer in one layout on the direct
+// kernels, the single-layout baseline most tests run on.
+func compileFixedLayout(net *network.Network, lay tensor.Layout, opts runtime.Options) (*runtime.Program, error) {
+	return runtime.Compile(net, "fixed-"+lay.String(), runtime.Uniform(net, lay, kernels.ConvAlgDirect), opts)
+}
+
+// compilePinned lowers net in NCHW with every convolution pinned to alg and
+// the static checker run over the result: the per-algorithm programs the
+// golden suite holds against ReferenceForward.
+func compilePinned(net *network.Network, alg kernels.ConvAlgorithm) (*runtime.Program, error) {
+	return runtime.Compile(net, fmt.Sprintf("fixed-NCHW-%v", alg), runtime.Uniform(net, tensor.NCHW, alg), runtime.Options{Verify: true})
+}
+
 // TestCompileStructure checks the lowering of TinyNet: one op per layer, a
 // zero-copy reshape view at the flattening boundary, and buffers consistent
 // with the layer shapes.
@@ -53,7 +69,7 @@ func TestCompileStructure(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, lay := range []tensor.Layout{tensor.NCHW, tensor.CHWN} {
-		prog, err := runtime.CompileFixed(net, lay)
+		prog, err := compileFixedLayout(net, lay, runtime.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +124,7 @@ func TestCompileWithTransforms(t *testing.T) {
 	if plan.TransformCount() == 0 {
 		t.Skip("optimiser planned AlexNet without layout switches; nothing to check")
 	}
-	prog, err := runtime.Compile(plan)
+	prog, err := runtime.CompileWithOptions(plan, runtime.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,11 +300,11 @@ func TestGoldenEquivalence(t *testing.T) {
 	}
 }
 
-// TestCompileLike checks that compiling a rebatched network against a base
-// program pins the base's layouts and convolution algorithms instead of
-// re-selecting by the (smaller) sub-batch shape — the property the replica
+// TestWithBatchPinsChoices checks that rebatching a program lowers its own
+// decision list — the base's layouts and convolution algorithms — instead of
+// re-selecting by the (smaller) sub-batch shape: the property the replica
 // scheduler's bit-equality rests on.
-func TestCompileLike(t *testing.T) {
+func TestWithBatchPinsChoices(t *testing.T) {
 	nets, err := workloads.Networks()
 	if err != nil {
 		t.Fatal(err)
@@ -305,53 +321,23 @@ func TestCompileLike(t *testing.T) {
 		t.Fatal("LeNet@128 selected no GEMM convolution; the pinning test needs one")
 	}
 
-	small, err := nets["LeNet"].WithBatch(1)
+	prog, err := base.WithBatch(1)
 	if err != nil {
 		t.Fatal(err)
-	}
-	prog, err := runtime.CompileLike(base, small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseChoices, gotChoices := base.ConvChoices(), prog.ConvChoices()
-	if len(gotChoices) != len(baseChoices) {
-		t.Fatalf("rebatched program has %d conv choices, base %d", len(gotChoices), len(baseChoices))
-	}
-	for i, ch := range gotChoices {
-		if ch.Layer != baseChoices[i].Layer || ch.Alg != baseChoices[i].Alg {
-			t.Errorf("conv %d: rebatched %s/%v, base %s/%v — selection was not pinned",
-				i, ch.Layer, ch.Alg, baseChoices[i].Layer, baseChoices[i].Alg)
-		}
 	}
 	if got, want := prog.InputShape().N, 1; got != want {
 		t.Errorf("rebatched program batch %d, want %d", got, want)
 	}
-
-	// Layer layouts must match op for op.
-	bi := 0
-	baseLayouts := make([]tensor.Layout, 0, len(base.Ops))
-	for _, op := range base.Ops {
-		if op.Kind == runtime.OpLayer {
-			baseLayouts = append(baseLayouts, base.Buffers[op.In].Layout)
-		}
+	// Layouts and algorithms must match layer for layer.
+	baseChoices, gotChoices := base.Choices(), prog.Choices()
+	if len(gotChoices) != len(baseChoices) {
+		t.Fatalf("rebatched program has %d choices, base %d", len(gotChoices), len(baseChoices))
 	}
-	for _, op := range prog.Ops {
-		if op.Kind != runtime.OpLayer {
-			continue
+	for i, ch := range gotChoices {
+		if ch != baseChoices[i] {
+			t.Errorf("layer %d: rebatched %v/%v, base %v/%v — the choice was not pinned",
+				i, ch.Layout, ch.Alg, baseChoices[i].Layout, baseChoices[i].Alg)
 		}
-		if lay := prog.Buffers[op.In].Layout; lay != baseLayouts[bi] {
-			t.Errorf("layer op %d runs in %v, base in %v", bi, lay, baseLayouts[bi])
-		}
-		bi++
-	}
-
-	// A mismatched layer stack must be rejected.
-	tiny, err := workloads.TinyNet()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := runtime.CompileLike(base, tiny); err == nil {
-		t.Error("CompileLike accepted a network with a different layer stack")
 	}
 }
 
@@ -376,7 +362,7 @@ func TestRunIntoConvertsLayouts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := runtime.CompileFixed(net, tensor.CHWN)
+	prog, err := compileFixedLayout(net, tensor.CHWN, runtime.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +385,7 @@ func TestExecutorRejectsBadShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := runtime.CompileFixed(net, tensor.NCHW)
+	prog, err := compileFixedLayout(net, tensor.NCHW, runtime.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +413,7 @@ func TestAlgorithmSelectionCompile(t *testing.T) {
 		t.Fatal(err)
 	}
 	net := nets["LeNet"]
-	prog, err := runtime.CompileFixedWithOptions(net, tensor.NCHW, runtime.Options{ConvAlgorithms: true})
+	prog, err := compileFixedLayout(net, tensor.NCHW, runtime.Options{ConvAlgorithms: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,11 +494,11 @@ func TestInPlaceReLUShrinksArena(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inPlace, err := runtime.CompileFixed(net, tensor.NCHW)
+	inPlace, err := compileFixedLayout(net, tensor.NCHW, runtime.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	outOfPlace, err := runtime.CompileFixedWithOptions(net, tensor.NCHW, runtime.Options{NoInPlace: true})
+	outOfPlace, err := compileFixedLayout(net, tensor.NCHW, runtime.Options{NoInPlace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -565,11 +551,11 @@ func TestInPlaceReLUShrinksArena(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alexIn, err := runtime.CompileFixed(alex, tensor.NCHW)
+	alexIn, err := compileFixedLayout(alex, tensor.NCHW, runtime.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	alexOut, err := runtime.CompileFixedWithOptions(alex, tensor.NCHW, runtime.Options{NoInPlace: true})
+	alexOut, err := compileFixedLayout(alex, tensor.NCHW, runtime.Options{NoInPlace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -594,11 +580,11 @@ func TestInPlaceReLUShrinksArena(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reluIn, err := runtime.CompileFixed(reluNet, tensor.NCHW)
+	reluIn, err := compileFixedLayout(reluNet, tensor.NCHW, runtime.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reluOut, err := runtime.CompileFixedWithOptions(reluNet, tensor.NCHW, runtime.Options{NoInPlace: true})
+	reluOut, err := compileFixedLayout(reluNet, tensor.NCHW, runtime.Options{NoInPlace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -607,16 +593,73 @@ func TestInPlaceReLUShrinksArena(t *testing.T) {
 	}
 }
 
-// TestCompileFixedRejectsUnsupportedLayout covers the lowering error path.
-func TestCompileFixedRejectsUnsupportedLayout(t *testing.T) {
+// TestCompileRejects covers every precondition of the compile entrypoints:
+// each malformed request is an error, never a panic or a program.
+func TestCompileRejects(t *testing.T) {
 	net, err := workloads.TinyNet()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runtime.CompileFixed(net, tensor.NHWC); err == nil {
-		t.Error("NHWC is unsupported by conv layers and must be rejected")
+	nchw := runtime.Uniform(net, tensor.NCHW, kernels.ConvAlgDirect)
+	badLayout := append([]runtime.Choice(nil), nchw...)
+	badLayout[1].Layout = tensor.Layout(99)
+	badAlg := append([]runtime.Choice(nil), nchw...)
+	badAlg[0].Alg = kernels.ConvAlgorithm(99)
+	onPool := runtime.Uniform(net, tensor.NCHW, kernels.ConvAlgDirect)
+	for i, l := range net.Layers {
+		if _, ok := l.(*layers.Pool); ok {
+			onPool[i].Alg = kernels.ConvAlgGemm
+		}
 	}
-	if _, err := runtime.Compile(nil); err == nil {
-		t.Error("a nil plan must be rejected")
+	base, err := runtime.Compile(net, "base", nchw, runtime.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := runtime.Shard(base, 2, runtime.ShardOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	compile := func(net *network.Network, choices []runtime.Choice) func() error {
+		return func() error {
+			_, err := runtime.Compile(net, "test", choices, runtime.Options{})
+			return err
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		compile func() error
+		want    string
+	}{
+		{"nil network", compile(nil, nil), "empty network"},
+		{"network without layers", compile(&network.Network{Name: "Empty", Batch: 1}, nil), "empty network"},
+		{"no choices", compile(net, nil), "choices for the"},
+		{"one choice short", compile(net, nchw[1:]), "choices for the"},
+		{"invalid layout", compile(net, badLayout), "no valid layout"},
+		{"layout no conv kernel has", compile(net, runtime.Uniform(net, tensor.NHWC, kernels.ConvAlgDirect)), "unsupported layout"},
+		{"unknown algorithm", compile(net, badAlg), "kernel"},
+		{"algorithm on a layer without it", compile(net, onPool), "kernel"},
+		{"nil plan", func() error {
+			_, err := runtime.CompileWithOptions(nil, runtime.Options{})
+			return err
+		}, "plan is nil"},
+		{"plan without a network", func() error {
+			_, err := runtime.CompileWithOptions(&network.ExecutionPlan{}, runtime.Options{})
+			return err
+		}, "missing its network"},
+		{"non-positive batch", func() error {
+			_, err := base.WithBatch(0)
+			return err
+		}, "batch"},
+		{"rebatching a pipeline stage", func() error {
+			_, err := sharded.Stages[1].Prog.WithBatch(2)
+			return err
+		}, "choices for the"},
+	} {
+		err := tc.compile()
+		if err == nil {
+			t.Errorf("%s: compiled, want an error", tc.name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
 	}
 }

@@ -23,7 +23,7 @@ func serverFixture(t *testing.T) (*runtime.Program, []*tensor.Tensor, []*tensor.
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := runtime.CompileFixed(net, tensor.CHWN)
+	prog, err := compileFixedLayout(net, tensor.CHWN, runtime.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -201,7 +201,7 @@ func TestPipelineLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := runtime.CompileFixed(tiny, tensor.NCHW)
+	prog, err := compileFixedLayout(tiny, tensor.NCHW, runtime.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestShardRejectsBadArguments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := runtime.CompileFixed(tiny, tensor.NCHW)
+	prog, err := compileFixedLayout(tiny, tensor.NCHW, runtime.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

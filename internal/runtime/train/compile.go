@@ -105,7 +105,7 @@ type Program struct {
 	Checkpointed bool
 	RecomputeOps int
 	// StorePeakBytes is the planned peak of the store-all variant, kept for
-	// reporting when CheckpointAuto selected the recompute plan (equal to
+	// reporting when the recompute plan was returned (equal to
 	// Mem.PeakBytes() otherwise).
 	StorePeakBytes int64
 }
@@ -131,56 +131,39 @@ func CompileTraining(net *network.Network, opts Options) (*Program, error) {
 			return nil, fmt.Errorf("train: layer %q has no backward pass", l.Name())
 		}
 	}
+	if opts.Checkpoint < CheckpointAuto || opts.Checkpoint > CheckpointOn {
+		return nil, fmt.Errorf("train: unknown checkpoint policy %v", opts.Checkpoint)
+	}
 	lr := opts.SGD.LR
 	if lr == 0 {
 		lr = DefaultLR
 	}
 
-	// finish records the Verify flag on the chosen program and, when set, runs
-	// the registered static checker over it before it escapes the compiler.
-	finish := func(tp *Program) (*Program, error) {
-		tp.Opts.Verify = opts.Verify
-		if opts.Verify {
-			if err := runtime.VerifyProgram(tp.Program); err != nil {
-				return nil, err
-			}
-		}
-		return tp, nil
+	// Each variant is lowered at most once: store-all always (its peak is
+	// reported next to whichever variant is returned), recompute unless the
+	// policy rules it out.
+	p, err := lowerTraining(net, sm, lr, false)
+	if err != nil {
+		return nil, err
 	}
-
-	switch opts.Checkpoint {
-	case CheckpointOff, CheckpointOn:
-		p, err := lowerTraining(net, sm, lr, opts.Checkpoint == CheckpointOn)
-		if err != nil {
-			return nil, err
-		}
-		p.StorePeakBytes = p.Mem.PeakBytes()
-		if p.Checkpointed {
-			store, err := lowerTraining(net, sm, lr, false)
-			if err != nil {
-				return nil, err
-			}
-			p.StorePeakBytes = store.Mem.PeakBytes()
-		}
-		return finish(p)
-	case CheckpointAuto:
-		store, err := lowerTraining(net, sm, lr, false)
-		if err != nil {
-			return nil, err
-		}
+	storePeak := p.Mem.PeakBytes()
+	if opts.Checkpoint != CheckpointOff {
 		ckpt, err := lowerTraining(net, sm, lr, true)
 		if err != nil {
 			return nil, err
 		}
-		ckpt.StorePeakBytes = store.Mem.PeakBytes()
-		if ckpt.RecomputeOps > 0 && ckpt.Mem.PeakBytes() < store.Mem.PeakBytes() {
-			return finish(ckpt)
+		if opts.Checkpoint == CheckpointOn || (ckpt.RecomputeOps > 0 && ckpt.Mem.PeakBytes() < storePeak) {
+			p = ckpt
 		}
-		store.StorePeakBytes = store.Mem.PeakBytes()
-		return finish(store)
-	default:
-		return nil, fmt.Errorf("train: unknown checkpoint policy %v", opts.Checkpoint)
 	}
+	p.StorePeakBytes = storePeak
+	p.Opts.Verify = opts.Verify
+	if opts.Verify {
+		if err := runtime.VerifyProgram(p.Program); err != nil {
+			return nil, err
+		}
+	}
+	return p, nil
 }
 
 // lowerTraining builds the joint op list.  All buffers use the NCHW layout:

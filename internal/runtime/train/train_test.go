@@ -113,8 +113,13 @@ func TestCheckpointLowersPeak(t *testing.T) {
 		if !auto.Checkpointed {
 			t.Errorf("%s: auto policy did not select the checkpointed plan", name)
 		}
-		if auto.StorePeakBytes != store.Mem.PeakBytes() {
-			t.Errorf("%s: auto reports store peak %d, store-all plan has %d", name, auto.StorePeakBytes, store.Mem.PeakBytes())
+		for policy, p := range map[string]*Program{"auto": auto, "recompute": ckpt, "store": store} {
+			if p.StorePeakBytes != store.Mem.PeakBytes() {
+				t.Errorf("%s: %s reports store peak %d, store-all plan has %d", name, policy, p.StorePeakBytes, store.Mem.PeakBytes())
+			}
+		}
+		if _, err := CompileTraining(net, Options{Checkpoint: CheckpointOn + 1}); err == nil {
+			t.Errorf("%s: an unknown checkpoint policy compiled", name)
 		}
 	}
 }

@@ -1,8 +1,8 @@
 // Package verify is the whole-program static checker for the compiled IR.
 //
-// Every compiler in the repository — Compile, CompileWithOptions,
-// CompileLike, CompileFixed*, train.CompileTraining, and the per-stage
-// sub-programs Shard emits — produces the same artefact: a runtime.Program,
+// Every compiler in the repository — runtime.Compile and CompileWithOptions,
+// Program.WithBatch, train.CompileTraining, and the per-stage sub-programs
+// Shard emits — produces the same artefact: a runtime.Program,
 // an op list over explicit buffers plus an arena memory plan.  The paper's
 // claim that memory efficiency comes from planning rather than runtime
 // bookkeeping only holds if those plans are sound, so this package turns the
@@ -19,9 +19,9 @@
 //     write over their own operands when the layer declares that safe
 //     (check c);
 //   - workspace: the scratch buffer attached to an op holds at least what
-//     the recorded algorithm needs — GemmWorkspaceElems for the GEMM path,
-//     FFTWorkspaceElems for the frequency path, WorkspaceElems for the
-//     flatten/softmax staging, BackwardWorkspaceElems for backward ops — and
+//     the layer declares for the recorded algorithm and layout —
+//     Layer.WorkspaceElems for forward ops (GEMM unroll, FFT planes,
+//     flatten/softmax staging), BackwardWorkspaceElems for backward ops — and
 //     is never attached to an op that cannot consume it (check d);
 //   - plan: the memory plan's recorded live ranges match liveness recomputed
 //     from the op list, aliases share their root's offset, every extent lies

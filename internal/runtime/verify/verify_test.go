@@ -24,13 +24,18 @@ func mustNets(t *testing.T) map[string]*network.Network {
 
 var algs = []kernels.ConvAlgorithm{kernels.ConvAlgDirect, kernels.ConvAlgGemm, kernels.ConvAlgFFT}
 
+// compileNCHW lowers net in NCHW with every convolution on alg.
+func compileNCHW(net *network.Network, alg kernels.ConvAlgorithm, opts runtime.Options) (*runtime.Program, error) {
+	return runtime.Compile(net, "fixed-NCHW", runtime.Uniform(net, tensor.NCHW, alg), opts)
+}
+
 // TestMatrixInference runs the full checker over every workload network ×
 // every production convolution algorithm, unsharded and cut into 4 pipeline
 // stages.  Every compiler output must verify clean.
 func TestMatrixInference(t *testing.T) {
 	for name, net := range mustNets(t) {
 		for _, alg := range algs {
-			p, err := runtime.CompileFixedAlg(net, tensor.NCHW, alg)
+			p, err := compileNCHW(net, alg, runtime.Options{})
 			if err != nil {
 				t.Fatalf("%s/%v: compile: %v", name, alg, err)
 			}
@@ -69,25 +74,20 @@ func TestMatrixTraining(t *testing.T) {
 	}
 }
 
-// TestMatrixDerived covers the remaining compiler entrypoints: the planned
-// path (CompileFixed with in-place aliasing), rebatched CompileLike clones,
-// and checkpointed training programs.
+// TestMatrixDerived covers the derived programs: rebatched Program.WithBatch
+// clones and checkpointed training programs.
 func TestMatrixDerived(t *testing.T) {
 	net, err := workloads.Cifar10WithBatch(8)
 	if err != nil {
 		t.Fatalf("cifar10: %v", err)
 	}
-	base, err := runtime.CompileFixedAlg(net, tensor.NCHW, kernels.ConvAlgGemm)
+	base, err := compileNCHW(net, kernels.ConvAlgGemm, runtime.Options{})
 	if err != nil {
 		t.Fatalf("compile base: %v", err)
 	}
-	small, err := workloads.Cifar10WithBatch(2)
+	clone, err := base.WithBatch(2)
 	if err != nil {
-		t.Fatalf("cifar10 small: %v", err)
-	}
-	clone, err := runtime.CompileLike(base, small)
-	if err != nil {
-		t.Fatalf("compile like: %v", err)
+		t.Fatalf("rebatching: %v", err)
 	}
 	if diags := verify.Check(clone); len(diags) != 0 {
 		t.Errorf("rebatched clone: %d diagnostics:\n%s", len(diags), diagText(diags))
@@ -112,7 +112,7 @@ func TestOptionsVerify(t *testing.T) {
 	if err != nil {
 		t.Fatalf("lenet: %v", err)
 	}
-	p, err := runtime.CompileFixedWithOptions(net, tensor.NCHW, runtime.Options{Verify: true})
+	p, err := compileNCHW(net, kernels.ConvAlgDirect, runtime.Options{Verify: true})
 	if err != nil {
 		t.Fatalf("compile with Verify: %v", err)
 	}
@@ -123,22 +123,18 @@ func TestOptionsVerify(t *testing.T) {
 	if _, err := runtime.Shard(p, 2, runtime.ShardOptions{}); err != nil {
 		t.Fatalf("shard with Verify: %v", err)
 	}
-	// CompileLike inherits the flag from the base.
+	// A rebatched clone inherits the flag from the base.
 	small, err := workloads.Cifar10WithBatch(4)
 	if err != nil {
 		t.Fatalf("cifar10: %v", err)
 	}
-	base, err := runtime.CompileFixedWithOptions(small, tensor.NCHW, runtime.Options{Verify: true})
+	base, err := compileNCHW(small, kernels.ConvAlgDirect, runtime.Options{Verify: true})
 	if err != nil {
 		t.Fatalf("compile base: %v", err)
 	}
-	tiny, err := workloads.Cifar10WithBatch(2)
+	clone, err := base.WithBatch(2)
 	if err != nil {
-		t.Fatalf("cifar10 tiny: %v", err)
-	}
-	clone, err := runtime.CompileLike(base, tiny)
-	if err != nil {
-		t.Fatalf("compile like with Verify: %v", err)
+		t.Fatalf("rebatching with Verify: %v", err)
 	}
 	if !clone.Opts.Verify {
 		t.Fatalf("rebatched clone lost the Verify flag")
@@ -213,7 +209,7 @@ func compileLeNet(t *testing.T, alg kernels.ConvAlgorithm) *runtime.Program {
 	if err != nil {
 		t.Fatalf("lenet: %v", err)
 	}
-	p, err := runtime.CompileFixedAlg(net, tensor.NCHW, alg)
+	p, err := compileNCHW(net, alg, runtime.Options{})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -226,7 +222,7 @@ func compileCifar(t *testing.T) *runtime.Program {
 	if err != nil {
 		t.Fatalf("cifar10: %v", err)
 	}
-	p, err := runtime.CompileFixed(net, tensor.NCHW)
+	p, err := compileNCHW(net, kernels.ConvAlgDirect, runtime.Options{})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
