@@ -23,7 +23,7 @@
 // layout switch into the FFT kernels' NCHW home and respecting the emulated
 // cuDNN workspace's device-memory limit, so a layer's layout can flip
 // together with its algorithm (the paper's core joint-choice thesis).  The
-// compiler pre-packs the filter banks into flat GEMM operands and plans every
+// compiler pre-packs the filter banks into packed GEMM operands and plans every
 // kernel workspace (convolution unroll matrices, FFT spectrum planes,
 // fully-connected flatten staging, softmax logits) into the arena as op-local
 // buffers.  Layers that declare in-place safety (ReLU) alias their output

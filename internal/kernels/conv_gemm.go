@@ -46,36 +46,66 @@ func (a ConvAlgorithm) String() string {
 	}
 }
 
-// PackConvFilters flattens a filter bank into the K × (C·FH·FW) row-major
-// left operand of the GEMM formulation.  Filters are stored with Co
-// outermost (tensor.Filters), so the flattening is a straight copy in
-// logical order; the runtime packs each conv layer once at compile time.
+// PackConvFilters packs a filter bank into the left operand of the GEMM
+// formulation: the K × (C·FH·FW) filter matrix in the slab format of the GEMM
+// core (gemm.go), whole gemmMR-row slabs, so its length is K rounded up to a
+// multiple of gemmMR times C·FH·FW.  The runtime packs each conv layer once at
+// compile time; the format is private to this package, and the slice is only
+// good for passing to ConvIm2colGemmInto.
 func PackConvFilters(filters *tensor.Tensor, cfg ConvConfig) ([]float32, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if filters.Shape != cfg.FilterShape() {
-		return nil, fmt.Errorf("kernels: filter shape %v does not match config %v", filters.Shape, cfg.FilterShape())
-	}
-	kdim := cfg.ReductionLength()
-	packed := make([]float32, cfg.K*kdim)
-	for k := 0; k < cfg.K; k++ {
-		idx := k * kdim
-		for c := 0; c < cfg.C; c++ {
-			for fh := 0; fh < cfg.FH; fh++ {
-				for fw := 0; fw < cfg.FW; fw++ {
-					packed[idx] = filters.At(k, c, fh, fw)
-					idx++
-				}
-			}
-		}
+	packed := make([]float32, gemmPackedAElems(cfg.K, cfg.ReductionLength()))
+	if err := PackConvFiltersInto(packed, filters, cfg); err != nil {
+		return nil, err
 	}
 	return packed, nil
 }
 
+// PackConvFiltersInto is PackConvFilters into a slice the caller owns (of the
+// length PackConvFilters returns, contents unspecified on entry): what a layer
+// uses to refresh its packed operand after a weight update.  Filters in any
+// layout are accepted.
+func PackConvFiltersInto(dst []float32, filters *tensor.Tensor, cfg ConvConfig) error {
+	cfg = cfg.withDefaults()
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if filters.Shape != cfg.FilterShape() {
+		return fmt.Errorf("kernels: filter shape %v does not match config %v", filters.Shape, cfg.FilterShape())
+	}
+	kdim := cfg.ReductionLength()
+	if len(dst) != gemmPackedAElems(cfg.K, kdim) {
+		return fmt.Errorf("kernels: packed filters have %d elements, want %d", len(dst), gemmPackedAElems(cfg.K, kdim))
+	}
+	if pad := cfg.K % gemmMR; pad != 0 {
+		last := dst[len(dst)-gemmMR*kdim:]
+		for i := range last {
+			last[i] = 0
+		}
+	}
+	f := stridesOf(filters)
+	for k := 0; k < cfg.K; k++ {
+		slab := dst[k/gemmMR*gemmMR*kdim:]
+		at := k % gemmMR
+		for c := 0; c < cfg.C; c++ {
+			for fh := 0; fh < cfg.FH; fh++ {
+				row := f.data[k*f.n+c*f.c+fh*f.h:]
+				for fw := 0; fw < cfg.FW; fw++ {
+					slab[at] = row[fw*f.w]
+					at += gemmMR
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // ConvGemmWorkspaceElems returns the scratch ConvIm2colGemmInto needs, in
-// float32 elements: the single-image unroll matrix, plus a product staging
+// float32 elements: the single-image unroll matrix (im2colImage writes it
+// already panel-packed, in the same space), plus a product staging
 // area when the output layout is not NCHW (for NCHW the GEMM writes each
 // image's K×OutH×OutW block straight into the output storage).
 func ConvGemmWorkspaceElems(cfg ConvConfig, outLayout tensor.Layout) int {
@@ -91,9 +121,10 @@ func ConvGemmWorkspaceElems(cfg ConvConfig, outLayout tensor.Layout) int {
 // ConvIm2colGemmInto is the allocation-free production form of the GEMM
 // convolution: it unrolls one image at a time into the caller-provided
 // scratch (at least ConvGemmWorkspaceElems(cfg, out.Layout) elements,
-// contents unspecified on entry) and multiplies it by the pre-packed filter
-// operand (see PackConvFilters).  Any input and output layouts are accepted;
-// the accumulation order per output element is fixed by GemmInto, so results
+// contents unspecified on entry), already in the packed format of the GEMM
+// core, and multiplies it by the pre-packed filter operand (see
+// PackConvFilters).  Any input and output layouts are accepted; the
+// accumulation order per output element is fixed by the GEMM core, so results
 // are bit-identical to ConvIm2colGemm regardless of layout, batching or
 // worker count.
 //
@@ -110,49 +141,77 @@ func ConvIm2colGemmInto(in *tensor.Tensor, packed []float32, out *tensor.Tensor,
 		return fmt.Errorf("kernels: conv output shape %v does not match config %v", out.Shape, cfg.OutputShape())
 	}
 	kdim := cfg.ReductionLength()
-	if len(packed) != cfg.K*kdim {
-		return fmt.Errorf("kernels: packed filters have %d elements, want %d", len(packed), cfg.K*kdim)
+	if len(packed) != gemmPackedAElems(cfg.K, kdim) {
+		return fmt.Errorf("kernels: packed filters have %d elements, want %d", len(packed), gemmPackedAElems(cfg.K, kdim))
 	}
 	if need := ConvGemmWorkspaceElems(cfg, out.Layout); len(scratch) < need {
 		return fmt.Errorf("kernels: gemm conv scratch has %d elements, want at least %d", len(scratch), need)
 	}
-	outH, outW := cfg.OutH(), cfg.OutW()
-	ohw := outH * outW
-	unroll := scratch[:kdim*ohw]
-	directOut := out.Layout == tensor.NCHW
-	var prod []float32
-	if !directOut {
-		prod = scratch[kdim*ohw : kdim*ohw+cfg.K*ohw]
+	j := convGemmJob{cfg: cfg, in: stridesOf(in), out: stridesOf(out), packed: packed, kdim: kdim, outW: cfg.OutW()}
+	j.ohw = cfg.OutH() * j.outW
+	j.unroll = scratch[:kdim*j.ohw]
+	if out.Layout != tensor.NCHW {
+		j.prod = scratch[kdim*j.ohw : kdim*j.ohw+cfg.K*j.ohw]
 	}
-	sn, sc, sh, sw := in.Shape.Strides(in.Layout)
-	on, oc, ohs, ows := out.Shape.Strides(out.Layout)
-	for n := 0; n < cfg.N; n++ {
-		im2colImage(in.Data, n*sn, sc, sh, sw, cfg, unroll)
-		dst := prod
-		if directOut {
-			dst = out.Data[n*cfg.K*ohw : (n+1)*cfg.K*ohw]
-		}
-		if err := GemmInto(packed, unroll, dst, cfg.K, ohw, kdim); err != nil {
-			return err
-		}
-		if directOut {
-			continue
-		}
-		// Scatter the K × (OutH·OutW) product into the output layout.
-		base := n * on
-		for k := 0; k < cfg.K; k++ {
-			row := prod[k*ohw : (k+1)*ohw]
-			col := 0
-			for oh := 0; oh < outH; oh++ {
-				off := base + k*oc + oh*ohs
-				for ow := 0; ow < outW; ow++ {
-					out.Data[off+ow*ows] = row[col]
-					col++
-				}
+	ParallelSteps(cfg.N*j.stepsPerImage(), j, convGemmPlanes, convGemmPlane)
+	return nil
+}
+
+// convGemmJob is one ConvIm2colGemmInto call.  The images take turns in the
+// one-image scratch, each in two or three steps: unroll it panel by panel;
+// multiply the packed filters by the panels tile by tile, straight into an
+// NCHW output or else into the prod staging area; and from there scatter the
+// K × (OutH·OutW) product into the output layout, one filter a plane.
+type convGemmJob struct {
+	cfg                  ConvConfig
+	in, out              strided
+	packed, unroll, prod []float32 // prod is nil for an NCHW output
+	kdim, outW, ohw      int
+}
+
+func (j convGemmJob) stepsPerImage() int {
+	if j.prod == nil {
+		return 2
+	}
+	return 3
+}
+
+// product returns where image n's K × (OutH·OutW) product is computed.
+func (j convGemmJob) product(n int) gemmJob {
+	dst := j.prod
+	if dst == nil {
+		dst = j.out.data[n*j.cfg.K*j.ohw : (n+1)*j.cfg.K*j.ohw]
+	}
+	return newGemmJob(j.packed, j.unroll, dst, j.cfg.K, j.ohw, j.kdim)
+}
+
+func convGemmPlanes(j convGemmJob, step int) int {
+	switch step % j.stepsPerImage() {
+	case 0:
+		return ceilDiv(j.ohw, gemmNR)
+	case 1:
+		return j.product(0).tiles()
+	default:
+		return j.cfg.K
+	}
+}
+
+func convGemmPlane(j convGemmJob, step, p int) {
+	n := step / j.stepsPerImage()
+	switch step % j.stepsPerImage() {
+	case 0:
+		im2colPanel(&j, n, p)
+	case 1:
+		gemmTile(j.product(n), p)
+	default:
+		row := j.prod[p*j.ohw : (p+1)*j.ohw]
+		for oh := 0; oh*j.outW < len(row); oh++ {
+			dst := j.out.data[n*j.out.n+p*j.out.c+oh*j.out.h:]
+			for ow, v := range row[oh*j.outW : (oh+1)*j.outW] {
+				dst[ow*j.out.w] = v
 			}
 		}
 	}
-	return nil
 }
 
 // ConvIm2colGemm is the functional (allocating) reference for the GEMM

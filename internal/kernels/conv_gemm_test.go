@@ -1,7 +1,9 @@
 package kernels
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -17,36 +19,120 @@ func poison(s []float32) {
 	}
 }
 
-// TestPackConvFilters checks the packed operand against the logical
-// (k, c, fh, fw) flattening order.
+// TestPackConvFilters checks the packed operand against the slab format of
+// the GEMM core: filter k's (c, fh, fw) flattening is row k%gemmMR of slab
+// k/gemmMR, the rows the last slab lacks are zero, and neither the filters'
+// layout nor what the destination held changes a bit.
 func TestPackConvFilters(t *testing.T) {
-	cfg := ConvConfig{N: 1, C: 2, H: 5, W: 5, K: 3, FH: 3, FW: 3}
+	cfg := ConvConfig{N: 1, C: 2, H: 5, W: 5, K: gemmMR + 2, FH: 3, FW: 3}
 	filters := tensor.Filters(cfg.K, cfg.C, cfg.FH, cfg.FW, 7)
 	packed, err := PackConvFilters(filters, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	kdim := cfg.ReductionLength()
-	if len(packed) != cfg.K*kdim {
-		t.Fatalf("packed length %d, want %d", len(packed), cfg.K*kdim)
+	if len(packed) != 2*gemmMR*kdim {
+		t.Fatalf("packed length %d, want two slabs = %d", len(packed), 2*gemmMR*kdim)
 	}
-	for k := 0; k < cfg.K; k++ {
-		idx := k * kdim
+	for k := 0; k < 2*gemmMR; k++ {
+		idx := 0
 		for c := 0; c < cfg.C; c++ {
 			for fh := 0; fh < cfg.FH; fh++ {
 				for fw := 0; fw < cfg.FW; fw++ {
-					if packed[idx] != filters.At(k, c, fh, fw) {
-						t.Fatalf("packed[%d] = %v, want filters(%d,%d,%d,%d) = %v",
-							idx, packed[idx], k, c, fh, fw, filters.At(k, c, fh, fw))
+					var want float32
+					if k < cfg.K {
+						want = filters.At(k, c, fh, fw)
+					}
+					if got := packed[k/gemmMR*gemmMR*kdim+idx*gemmMR+k%gemmMR]; got != want {
+						t.Fatalf("packed row %d step %d = %v, want filters(%d,%d,%d,%d) = %v", k, idx, got, k, c, fh, fw, want)
 					}
 					idx++
 				}
 			}
 		}
 	}
+	for _, lay := range tensor.Layouts {
+		into := make([]float32, len(packed))
+		poison(into)
+		if err := PackConvFiltersInto(into, tensor.Convert(filters, lay), cfg); err != nil {
+			t.Fatal(err)
+		}
+		equalBits(t, "PackConvFiltersInto from "+lay.String(), into, packed)
+	}
+	if err := PackConvFiltersInto(packed[1:], filters, cfg); err == nil {
+		t.Error("short destination must be rejected")
+	}
 	bad := tensor.Filters(cfg.K, cfg.C+1, cfg.FH, cfg.FW, 7)
 	if _, err := PackConvFilters(bad, cfg); err == nil {
 		t.Error("mismatched filter bank must be rejected")
+	}
+}
+
+// oldConvIm2colGemm is the GEMM convolution as it ran before the packed core:
+// the reference unroll matrix, the row-major filter flattening, the old GEMM
+// loop once per image, and a scatter into the output layout.
+func oldConvIm2colGemm(t *testing.T, in, filters *tensor.Tensor, cfg ConvConfig, outLayout tensor.Layout) *tensor.Tensor {
+	t.Helper()
+	cfg = cfg.withDefaults()
+	unroll, err := Im2col(in, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kdim, outW := cfg.ReductionLength(), cfg.OutW()
+	ohw := cfg.OutH() * outW
+	flat := tensor.Convert(filters, tensor.NCHW).Data
+	out := tensor.New(cfg.OutputShape(), outLayout)
+	image := make([]float32, kdim*ohw)
+	for n := 0; n < cfg.N; n++ {
+		for row := 0; row < kdim; row++ {
+			copy(image[row*ohw:(row+1)*ohw], unroll[row*cfg.N*ohw+n*ohw:])
+		}
+		prod := oldGemm(flat, image, cfg.K, ohw, kdim)
+		for i, v := range prod {
+			out.Set(n, i/ohw, i%ohw/outW, i%outW, v)
+		}
+	}
+	return out
+}
+
+// TestConvIm2colGemmIntoMatchesOldPath pins the fused unroll-and-pack plus the
+// packed core to the outputs of the path they replaced, bit for bit: every
+// small case and four wider strided, padded and ragged ones, all sixteen
+// layout pairs, filters and scratch fenced by NaNs and the scratch poisoned.
+func TestConvIm2colGemmIntoMatchesOldPath(t *testing.T) {
+	cases := append([]ConvConfig{
+		{N: 2, C: 3, H: 23, W: 37, K: 7, FH: 5, FW: 3, PadH: 2, PadW: 1, StrideH: 2},
+		{N: 1, C: 2, H: 19, W: 40, K: 13, FH: 3, FW: 7, PadW: 3, StrideW: 3},
+		{N: 3, C: 5, H: 13, W: 13, K: 6, FH: 3, FW: 3, PadH: 1, PadW: 1},
+		{N: 1, C: 1, H: 4, W: 67, K: 1, FH: 2, FW: 2, PadH: 1, PadW: 2, StrideH: 2, StrideW: 2},
+	}, smallConvCases...)
+	r := rand.New(rand.NewSource(61))
+	for _, cfg := range cases {
+		filters := tensor.Filters(cfg.K, cfg.C, cfg.FH, cfg.FW, 2)
+		flat, err := PackConvFilters(filters, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		packed, _ := guarded(r, len(flat))
+		copy(packed, flat)
+		for _, inLay := range tensor.Layouts {
+			in := tensor.Random(cfg.InputShape(), inLay, 1)
+			for _, outLay := range tensor.Layouts {
+				want := oldConvIm2colGemm(t, in, filters, cfg, outLay)
+				out := tensor.New(cfg.OutputShape(), outLay)
+				poison(out.Data)
+				elems := ConvGemmWorkspaceElems(cfg, outLay)
+				scratch, backing := guarded(r, elems)
+				poison(scratch)
+				if err := ConvIm2colGemmInto(in, packed, out, cfg, scratch); err != nil {
+					t.Fatalf("%v: %v", cfg, err)
+				}
+				sameBits(t, fmt.Sprintf("%v %v->%v", cfg, inLay, outLay), out, want)
+				if !fenceIntact(backing, elems) {
+					t.Fatalf("%v %v->%v: wrote outside the scratch", cfg, inLay, outLay)
+				}
+			}
+		}
 	}
 }
 

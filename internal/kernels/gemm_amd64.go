@@ -1,0 +1,47 @@
+//go:build amd64 && !purego
+
+package kernels
+
+// useAVX2 is decided once at start-up: the CPU has AVX2 and the operating
+// system saves the YMM state across context switches.
+var useAVX2 = hasAVX2()
+
+func hasAVX2() bool {
+	maxLeaf, _, _, _ := cpuid(0, 0)
+	if maxLeaf < 7 {
+		return false
+	}
+	const osxsave, avx = 1 << 27, 1 << 28
+	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 || ecx&avx == 0 {
+		return false
+	}
+	const xmmYmmState = 0b110
+	if lo, _ := xgetbv(); lo&xmmYmmState != xmmYmmState {
+		return false
+	}
+	const avx2 = 1 << 5
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&avx2 != 0
+}
+
+// gemmMicro is the micro-kernel the packed core calls; gemmMicroGo documents
+// its contract.  The assembly body reads kc·gemmMR floats of a, kc·gemmNR of b
+// and touches gemmNR floats in each of gemmMR rows of c; the slice expressions
+// below are the bounds checks it does not do itself.
+func gemmMicro(kc int, a, b, c []float32, ldc int, accumulate bool) {
+	if !useAVX2 {
+		gemmMicroGo(kc, a, b, c, ldc, accumulate)
+		return
+	}
+	_, _, _ = a[:kc*gemmMR], b[:kc*gemmNR], c[:(gemmMR-1)*ldc+gemmNR]
+	gemmMicroAVX2(kc, &a[0], &b[0], &c[0], ldc, accumulate)
+}
+
+// Implemented in gemm_amd64.s.
+
+//go:noescape
+func gemmMicroAVX2(kc int, a, b, c *float32, ldc int, accumulate bool)
+
+func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+
+func xgetbv() (eax, edx uint32)

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -138,6 +139,143 @@ func TestGemmDeterministicAcrossWorkers(t *testing.T) {
 			t.Fatalf("C[%d] differs across worker counts: %v vs %v", i, parallel[i], serial[i])
 		}
 	}
+}
+
+// gemmShapes is the table the packed core, both micro-kernels and the fuzz
+// target share: the degenerate and ragged corners, shapes one off every
+// blocking multiple, and three convolution GEMMs of the networks (LeNet conv2,
+// AlexNet conv1 and conv4).
+func gemmShapes() [][3]int {
+	shapes := [][3]int{
+		{1, 1, 1}, {7, 33, 19}, {50, 64, 500}, {96, 3025, 363}, {384, 169, 3456},
+		{gemmMR * gemmTileSlabs, gemmNR * gemmTilePanels, 40}, {gemmMR*gemmTileSlabs + 1, gemmNR*gemmTilePanels + 1, 40},
+	}
+	for _, m := range []int{gemmMR - 1, gemmMR, gemmMR + 1, 2*gemmMR - 1, 2*gemmMR + 1} {
+		for _, n := range []int{gemmNR - 1, gemmNR, gemmNR + 1, 2*gemmNR - 1, 2*gemmNR + 1} {
+			shapes = append(shapes, [3]int{m, n, 9})
+		}
+	}
+	for _, k := range []int{gemmKC - 1, gemmKC, gemmKC + 1, 2*gemmKC - 1, 2*gemmKC + 1} {
+		shapes = append(shapes, [3]int{gemmMR + 1, gemmNR + 3, k})
+	}
+	return shapes
+}
+
+// guarded returns a slice of n random floats whose backing array continues
+// with a fence of NaNs on both sides: a kernel that reads outside its operand
+// poisons its result, one that writes outside it trips fenceIntact.  A nil r
+// leaves the data zero.
+func guarded(r *rand.Rand, n int) (data, backing []float32) {
+	const fence = 64
+	backing = make([]float32, n+2*fence)
+	for i := range backing {
+		backing[i] = float32(math.NaN())
+	}
+	data = backing[fence : fence+n : fence+n]
+	for i := range data {
+		data[i] = 0
+		if r != nil {
+			data[i] = float32(r.NormFloat64())
+		}
+	}
+	return data, backing
+}
+
+func fenceIntact(backing []float32, n int) bool {
+	fence := (len(backing) - n) / 2
+	for i, v := range backing {
+		if (i < fence || i >= fence+n) && v == v {
+			return false
+		}
+	}
+	return true
+}
+
+func equalBits(t *testing.T, what string, got, want []float32) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d elements, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%s: element %d = %v (%#x), want %v (%#x)", what, i,
+				got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+		}
+	}
+}
+
+// TestGemmMatchesOldLoop pins the packed core to the loop it replaced, bit
+// for bit, over the shape table and at one, two and four workers, with every
+// operand fenced by NaNs.
+func TestGemmMatchesOldLoop(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	for _, s := range gemmShapes() {
+		m, n, k := s[0], s[1], s[2]
+		a, _ := guarded(r, m*k)
+		b, _ := guarded(r, k*n)
+		want := oldGemm(a, b, m, n, k)
+		for _, procs := range []int{1, 2, 4} {
+			prev := runtime.GOMAXPROCS(procs)
+			c, backing := guarded(r, m*n)
+			err := GemmInto(a, b, c, m, n, k)
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			equalBits(t, fmt.Sprintf("%dx%dx%d at %d workers", m, n, k, procs), c, want)
+			if !fenceIntact(backing, m*n) {
+				t.Fatalf("%dx%dx%d at %d workers: wrote outside C", m, n, k, procs)
+			}
+		}
+	}
+}
+
+// TestGemmPackedStaysInsideItsOperands runs the packed core on operands in
+// their packed formats, each fenced by NaNs: reading one step past a slab or
+// treating the ragged panel as a full one would poison C, and writing a padded
+// row or column of a micro-tile would break C's fence.
+func TestGemmPackedStaysInsideItsOperands(t *testing.T) {
+	r := rand.New(rand.NewSource(43))
+	for _, s := range gemmShapes() {
+		m, n, k := s[0], s[1], s[2]
+		if m*n*k > 1<<22 {
+			continue // the big shapes add nothing here
+		}
+		a, _ := guarded(r, m*k)
+		b, _ := guarded(r, k*n)
+		pa, _ := guarded(r, gemmPackedAElems(m, k))
+		pb, _ := guarded(r, k*n)
+		c, backing := guarded(r, m*n)
+		ParallelSteps(2, gemmPackJob{gemmJob: newGemmJob(pa, pb, c, m, n, k), rawA: a, rawB: b}, gemmIntoPlanes, gemmIntoPlane)
+		equalBits(t, fmt.Sprintf("%dx%dx%d", m, n, k), c, oldGemm(a, b, m, n, k))
+		if !fenceIntact(backing, m*n) {
+			t.Fatalf("%dx%dx%d: wrote outside C", m, n, k)
+		}
+	}
+}
+
+// FuzzGemm checks the packed core against the old loop on arbitrary small
+// shapes and operand seeds.
+func FuzzGemm(f *testing.F) {
+	for i, s := range gemmShapes() {
+		if s[0]*s[1]*s[2] <= 1<<16 {
+			f.Add(uint16(s[0]), uint16(s[1]), uint16(s[2]), int64(i))
+		}
+	}
+	f.Fuzz(func(t *testing.T, mRaw, nRaw, kRaw uint16, seed int64) {
+		m, n, k := int(mRaw%40)+1, int(nRaw%80)+1, int(kRaw%600)+1
+		r := rand.New(rand.NewSource(seed))
+		a, _ := guarded(r, m*k)
+		b, _ := guarded(r, k*n)
+		c, backing := guarded(r, m*n)
+		if err := GemmInto(a, b, c, m, n, k); err != nil {
+			t.Fatal(err)
+		}
+		equalBits(t, fmt.Sprintf("%dx%dx%d seed %d", m, n, k, seed), c, oldGemm(a, b, m, n, k))
+		if !fenceIntact(backing, m*n) {
+			t.Fatalf("%dx%dx%d: wrote outside C", m, n, k)
+		}
+	})
 }
 
 func TestGemmInputValidation(t *testing.T) {

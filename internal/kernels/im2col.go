@@ -2,151 +2,79 @@ package kernels
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"memcnn/internal/gpusim"
-	"memcnn/internal/tensor"
 )
 
 // im2col: the matrix-unroll step of the Caffe/cuDNN convolution path.  It
-// expands the NCHW input tensor into a 2-D matrix so that the convolution
-// becomes a single GEMM (Section II.B).  The expansion multiplies the input
+// expands the input tensor into a 2-D matrix so that the convolution becomes
+// a single GEMM (Section II.B): one row per filter tap (C*FH*FW of them, the
+// reduction dimension K of the GEMM), one column per output pixel, with zeros
+// where a tap falls in the padding.  The expansion multiplies the input
 // footprint by FH*FW/ (StrideH*StrideW), which is the "matrix transformation
 // overhead" the paper blames for the poor NCHW performance at small C.
 
-// Im2col expands the input batch into the unrolled matrix B of the GEMM
-// formulation.  The result is row-major with
+// im2colPanel unrolls panel p of image n into j.unroll, in the packed format
+// of the GEMM core's right operand (gemm.go): logically the unroll matrix is
+// (C·FH·FW) × (OutH·OutW); it is stored in panels of gemmNR consecutive
+// columns (output pixels), row-major inside a panel, the last panel at its
+// true width — so the whole matrix takes exactly rows·cols floats, the size of
+// the plain one.  The input is read through its strides, so any layout works.
+// Every element of the panel is written (out-of-range taps with zero), so the
+// scratch may hold garbage on entry; a panel is contiguous and written by one
+// plane.
 //
-//	rows = C*FH*FW            (the reduction dimension K of the GEMM)
-//	cols = N*OutH*OutW        (one column per output pixel of the batch)
-//
-// Out-of-range taps (from padding) contribute zeros.
-func Im2col(in *tensor.Tensor, cfg ConvConfig) ([]float32, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if in.Shape != cfg.InputShape() {
-		return nil, fmt.Errorf("kernels: im2col input shape %v does not match config %v", in.Shape, cfg.InputShape())
-	}
-	outH, outW := cfg.OutH(), cfg.OutW()
-	rows := cfg.C * cfg.FH * cfg.FW
-	cols := cfg.N * outH * outW
-	out := make([]float32, rows*cols)
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > rows {
-		workers = rows
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	for wkr := 0; wkr < workers; wkr++ {
-		lo := wkr * rows / workers
-		hi := (wkr + 1) * rows / workers
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for row := lo; row < hi; row++ {
-				c := row / (cfg.FH * cfg.FW)
-				rem := row % (cfg.FH * cfg.FW)
-				fh := rem / cfg.FW
-				fw := rem % cfg.FW
-				dst := out[row*cols : (row+1)*cols]
-				col := 0
-				for n := 0; n < cfg.N; n++ {
-					for oh := 0; oh < outH; oh++ {
-						ih := oh*cfg.StrideH - cfg.PadH + fh
-						for ow := 0; ow < outW; ow++ {
-							iw := ow*cfg.StrideW - cfg.PadW + fw
-							if ih >= 0 && ih < cfg.H && iw >= 0 && iw < cfg.W {
-								dst[col] = in.At(n, c, ih, iw)
-							}
-							col++
+// The panel's columns are cut into runs of consecutive output pixels of one
+// output row; for a run and a filter tap (fh, fw) the in-range pixels [lo, hi)
+// and the source offset are the same in every channel, so they are worked out
+// once (the column range, with its divisions, once per fw) and the channel
+// loop only copies.
+func im2colPanel(j *convGemmJob, n, p int) {
+	cfg := &j.cfg
+	taps := cfg.FH * cfg.FW
+	col0 := p * gemmNR
+	w := min(gemmNR, j.ohw-col0)
+	panel := j.unroll[col0*cfg.C*taps : (col0+w)*cfg.C*taps]
+	in := &j.in
+	unit := in.w == 1 && cfg.StrideW == 1
+	for at := 0; at < w; {
+		oh, ow := (col0+at)/j.outW, (col0+at)%j.outW
+		run := min(w-at, j.outW-ow)
+		for fw := 0; fw < cfg.FW; fw++ {
+			inLo, inHi := tapRange(fw, cfg.StrideW, cfg.PadW, 0, cfg.W, ow, ow+run)
+			for fh := 0; fh < cfg.FH; fh++ {
+				ih := oh*cfg.StrideH - cfg.PadH + fh
+				lo, hi := inLo, inHi
+				if ih < 0 || ih >= cfg.H || lo >= hi {
+					lo, hi = ow, ow
+				}
+				src := n*in.n + ih*in.h + (lo*cfg.StrideW-cfg.PadW+fw)*in.w
+				row := (fh*cfg.FW+fw)*w + at
+				for c := 0; c < cfg.C; c++ {
+					seg := panel[row : row+run]
+					for i := range seg[:lo-ow] {
+						seg[i] = 0
+					}
+					for i := hi - ow; i < run; i++ {
+						seg[i] = 0
+					}
+					switch {
+					case lo == hi:
+					case unit:
+						copy(seg[lo-ow:hi-ow], in.data[src:])
+					default:
+						from := src
+						for i := lo - ow; i < hi-ow; i++ {
+							seg[i] = in.data[from]
+							from += cfg.StrideW * in.w
 						}
 					}
+					src += in.c
+					row += taps * w
 				}
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	return out, nil
-}
-
-// im2colImage unrolls one image of the batch into dst, a row-major
-// (C·FH·FW) × (OutH·OutW) matrix, reading the input through explicit strides
-// so any layout is supported without per-element bounds checks.  base is the
-// linear offset of the image's first element; every dst element is written
-// (out-of-range taps with zero), so dst may hold garbage on entry.  The rows
-// are computed goroutine-parallel; each dst element is written exactly once,
-// and the values do not depend on the worker split.
-func im2colImage(data []float32, base, sc, sh, sw int, cfg ConvConfig, dst []float32) {
-	rows := cfg.C * cfg.FH * cfg.FW
-	parts := min(runtime.GOMAXPROCS(0), rows)
-	ParallelPlanes(parts, im2colJob{data: data, dst: dst, base: base, sc: sc, sh: sh, sw: sw, cfg: cfg, parts: parts}, im2colPart)
-}
-
-// im2colJob is one im2colImage call split into parts of consecutive rows.
-type im2colJob struct {
-	data, dst               []float32
-	base, sc, sh, sw, parts int
-	cfg                     ConvConfig
-}
-
-// im2colPart fills the p-th of the job's row ranges.
-func im2colPart(j im2colJob, p int) {
-	rows := j.cfg.C * j.cfg.FH * j.cfg.FW
-	im2colRows(j.data, j.base, j.sc, j.sh, j.sw, j.cfg, j.dst, p*rows/j.parts, (p+1)*rows/j.parts)
-}
-
-// im2colRows fills rows [lo,hi) of the single-image unroll matrix.
-func im2colRows(data []float32, base, sc, sh, sw int, cfg ConvConfig, dst []float32, lo, hi int) {
-	outH, outW := cfg.OutH(), cfg.OutW()
-	ohw := outH * outW
-	for row := lo; row < hi; row++ {
-		c := row / (cfg.FH * cfg.FW)
-		rem := row % (cfg.FH * cfg.FW)
-		fh := rem / cfg.FW
-		fw := rem % cfg.FW
-		rowDst := dst[row*ohw : (row+1)*ohw]
-		for oh := 0; oh < outH; oh++ {
-			seg := rowDst[oh*outW : (oh+1)*outW]
-			ih := oh*cfg.StrideH - cfg.PadH + fh
-			if ih < 0 || ih >= cfg.H {
-				for i := range seg {
-					seg[i] = 0
-				}
-				continue
-			}
-			owLo, owHi := tapRange(fw, cfg.StrideW, cfg.PadW, 0, cfg.W, 0, outW)
-			if owLo >= owHi {
-				for i := range seg {
-					seg[i] = 0
-				}
-				continue
-			}
-			for i := 0; i < owLo; i++ {
-				seg[i] = 0
-			}
-			for i := owHi; i < outW; i++ {
-				seg[i] = 0
-			}
-			src := base + c*sc + ih*sh + (owLo*cfg.StrideW-cfg.PadW+fw)*sw
-			if sw == 1 && cfg.StrideW == 1 {
-				copy(seg[owLo:owHi], data[src:src+owHi-owLo])
-				continue
-			}
-			step := cfg.StrideW * sw
-			for ow := owLo; ow < owHi; ow++ {
-				seg[ow] = data[src]
-				src += step
 			}
 		}
+		at += run
 	}
 }
 

@@ -1,11 +1,83 @@
 package kernels
 
 import (
+	"fmt"
 	"testing"
 
 	"memcnn/internal/gpusim"
 	"memcnn/internal/tensor"
 )
+
+// Im2col is the reference unroll the packed production one (im2colImage) is
+// checked against: the whole batch as a plain row-major matrix with
+//
+//	rows = C*FH*FW            (the reduction dimension K of the GEMM)
+//	cols = N*OutH*OutW        (one column per output pixel of the batch)
+//
+// Out-of-range taps (from padding) contribute zeros.
+func Im2col(in *tensor.Tensor, cfg ConvConfig) ([]float32, error) {
+	cfg = cfg.withDefaults()
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if in.Shape != cfg.InputShape() {
+		return nil, fmt.Errorf("kernels: im2col input shape %v does not match config %v", in.Shape, cfg.InputShape())
+	}
+	outH, outW := cfg.OutH(), cfg.OutW()
+	cols := cfg.N * outH * outW
+	out := make([]float32, cfg.C*cfg.FH*cfg.FW*cols)
+	for row := 0; row < cfg.C*cfg.FH*cfg.FW; row++ {
+		c, fh, fw := row/(cfg.FH*cfg.FW), row/cfg.FW%cfg.FH, row%cfg.FW
+		dst := out[row*cols : (row+1)*cols]
+		for col := range dst {
+			n, oh, ow := col/(outH*outW), col/outW%outH, col%outW
+			ih, iw := oh*cfg.StrideH-cfg.PadH+fh, ow*cfg.StrideW-cfg.PadW+fw
+			if ih >= 0 && ih < cfg.H && iw >= 0 && iw < cfg.W {
+				dst[col] = in.At(n, c, ih, iw)
+			}
+		}
+	}
+	return out, nil
+}
+
+// TestIm2colImagePacksTheReferenceMatrix checks the production unroll against
+// the reference for every small case, image and layout: element (row, col) of
+// the matrix must sit where the GEMM core's panel format puts it, in a
+// poisoned, NaN-fenced destination of exactly rows·cols floats.
+func TestIm2colImagePacksTheReferenceMatrix(t *testing.T) {
+	for _, cfg := range smallConvCases {
+		cfg = cfg.withDefaults()
+		rows, ohw := cfg.ReductionLength(), cfg.OutH()*cfg.OutW()
+		for _, lay := range tensor.Layouts {
+			in := tensor.Random(cfg.InputShape(), lay, 5)
+			want, err := Im2col(in, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for n := 0; n < cfg.N; n++ {
+				got, backing := guarded(nil, rows*ohw)
+				poison(got)
+				job := convGemmJob{cfg: cfg, in: stridesOf(in), unroll: got, kdim: rows, outW: cfg.OutW(), ohw: ohw}
+				for p := 0; p < ceilDiv(ohw, gemmNR); p++ {
+					im2colPanel(&job, n, p)
+				}
+				if !fenceIntact(backing, rows*ohw) {
+					t.Fatalf("%v %v image %d: wrote outside the unroll matrix", cfg, lay, n)
+				}
+				for row := 0; row < rows; row++ {
+					for col := 0; col < ohw; col++ {
+						panel := col / gemmNR * gemmNR
+						w := min(gemmNR, ohw-panel)
+						g := got[panel*rows+row*w+col-panel]
+						if ref := want[row*cfg.N*ohw+n*ohw+col]; g != ref {
+							t.Fatalf("%v %v image %d: unroll(%d,%d) = %v, want %v", cfg, lay, n, row, col, g, ref)
+						}
+					}
+				}
+			}
+		}
+	}
+}
 
 func TestIm2colSmallExample(t *testing.T) {
 	// 1 image, 1 channel, 3x3 input, 2x2 filter, stride 1: the unrolled

@@ -86,9 +86,11 @@ func (s *Softmax) ForwardInto(in, dst *tensor.Tensor, alg kernels.ConvAlgorithm,
 	logits := in.Data
 	if in.Layout != tensor.NCHW {
 		logits = scratch[:elems]
+		src := stridesOf(in)
 		for n := 0; n < s.Cfg.N; n++ {
-			for c := 0; c < s.Cfg.Classes; c++ {
-				logits[n*s.Cfg.Classes+c] = in.At(n, c, 0, 0)
+			row := logits[n*s.Cfg.Classes : (n+1)*s.Cfg.Classes]
+			for c := range row {
+				row[c] = src.data[n*src.n+c*src.c]
 			}
 		}
 	}
@@ -100,9 +102,10 @@ func (s *Softmax) ForwardInto(in, dst *tensor.Tensor, alg kernels.ConvAlgorithm,
 		return err
 	}
 	if dst.Layout != tensor.NCHW {
+		out := stridesOf(dst)
 		for n := 0; n < s.Cfg.N; n++ {
-			for c := 0; c < s.Cfg.Classes; c++ {
-				dst.Set(n, c, 0, 0, probs[n*s.Cfg.Classes+c])
+			for c, v := range probs[n*s.Cfg.Classes : (n+1)*s.Cfg.Classes] {
+				out.data[n*out.n+c*out.c] = v
 			}
 		}
 	}
@@ -220,33 +223,68 @@ func (f *FullyConnected) ForwardInto(in, dst *tensor.Tensor, alg kernels.ConvAlg
 	flat := in.Data
 	if in.Layout != tensor.NCHW {
 		flat = scratch[:f.Batch*f.InDim]
+		src := stridesOf(in)
 		idx := 0
 		for n := 0; n < in.Shape.N; n++ {
 			for c := 0; c < in.Shape.C; c++ {
 				for h := 0; h < in.Shape.H; h++ {
+					row := src.data[n*src.n+c*src.c+h*src.h:]
 					for w := 0; w < in.Shape.W; w++ {
-						flat[idx] = in.At(n, c, h, w)
+						flat[idx] = row[w*src.w]
 						idx++
 					}
 				}
 			}
 		}
 	}
-	// dst[n][o] = sum_k W[o][k] * flat[n][k]; computed as W (Out×In) times
-	// flatᵀ (In×Batch) by iterating images.
-	w := f.Weights()
-	for n := 0; n < f.Batch; n++ {
-		row := flat[n*f.InDim : (n+1)*f.InDim]
-		for o := 0; o < f.OutDim; o++ {
-			var acc float64
-			wRow := w[o*f.InDim : (o+1)*f.InDim]
-			for k, v := range row {
-				acc += float64(v) * float64(wRow[k])
-			}
-			dst.Set(n, o, 0, 0, float32(acc))
-		}
-	}
+	kernels.ParallelPlanes(f.OutDim, fcJob{flat: flat, weights: f.Weights(), out: stridesOf(dst), batch: f.Batch, inDim: f.InDim}, fcOutput)
 	return nil
+}
+
+// fcJob is one fully-connected forward: the flattened batch×inDim features,
+// the outDim×inDim weights and the output tensor.
+type fcJob struct {
+	flat, weights []float32
+	out           strided
+	batch, inDim  int
+}
+
+// fcOutput computes output o of every image: out[n][o] = Σ_k W[o][k]·flat[n][k],
+// a float64 sum in ascending k rounded to float32 once.  The weight row is
+// walked once per four images, each with its own accumulator, so the weights
+// (the large operand: 151 MB in AlexNet's fc6) stream through the cache once a
+// batch instead of once an image.  The product of two float32 values is exact
+// in float64, so its operand order is immaterial.
+func fcOutput(j fcJob, o int) {
+	wRow := j.weights[o*j.inDim : (o+1)*j.inDim]
+	dst := j.out.data[o*j.out.c:]
+	n := 0
+	for ; n+4 <= j.batch; n += 4 {
+		r0 := j.flat[(n+0)*j.inDim:][:len(wRow)]
+		r1 := j.flat[(n+1)*j.inDim:][:len(wRow)]
+		r2 := j.flat[(n+2)*j.inDim:][:len(wRow)]
+		r3 := j.flat[(n+3)*j.inDim:][:len(wRow)]
+		var a0, a1, a2, a3 float64
+		for k, wv := range wRow {
+			w := float64(wv)
+			a0 += float64(r0[k]) * w
+			a1 += float64(r1[k]) * w
+			a2 += float64(r2[k]) * w
+			a3 += float64(r3[k]) * w
+		}
+		dst[(n+0)*j.out.n] = float32(a0)
+		dst[(n+1)*j.out.n] = float32(a1)
+		dst[(n+2)*j.out.n] = float32(a2)
+		dst[(n+3)*j.out.n] = float32(a3)
+	}
+	for ; n < j.batch; n++ {
+		row := j.flat[n*j.inDim:][:len(wRow)]
+		var acc float64
+		for k, wv := range wRow {
+			acc += float64(row[k]) * float64(wv)
+		}
+		dst[n*j.out.n] = float32(acc)
+	}
 }
 
 // ReLU is the element-wise rectifier.  It is purely bandwidth bound and
@@ -418,30 +456,65 @@ func (l *LRN) ForwardInto(in, dst *tensor.Tensor, alg kernels.ConvAlgorithm, scr
 	if dst.Shape != l.Shape {
 		return fmt.Errorf("layers: %s: output shape %v, want %v", l.LayerName, dst.Shape, l.Shape)
 	}
-	half := l.LocalSize / 2
-	for n := 0; n < l.Shape.N; n++ {
-		for c := 0; c < l.Shape.C; c++ {
-			lo, hi := c-half, c+half
-			if lo < 0 {
-				lo = 0
+	kernels.ParallelPlanes(l.Shape.N*l.Shape.C, lrnJob{in: stridesOf(in), out: stridesOf(dst), shape: l.Shape,
+		half: l.LocalSize / 2, alphaN: l.Alpha / float64(l.LocalSize), beta: l.Beta}, lrnPlane)
+	return nil
+}
+
+// lrnLanes is the number of squared sums lrnPlane keeps live per tile.
+const lrnLanes = 64
+
+// lrnJob is one LRN forward; alphaN is alpha over the window size.
+type lrnJob struct {
+	in, out      strided
+	shape        tensor.Shape
+	half         int
+	alphaN, beta float64
+}
+
+// lrnPlane normalises plane (n, c).  It walks the plane's rows in tiles of
+// lrnLanes pixels along W, adds the squares of the window's channels into a
+// float64 tile channel by channel (ascending, as the per-pixel loop it
+// replaces summed them) and scales each pixel by (1 + alphaN·sum)^-beta.
+func lrnPlane(j lrnJob, p int) {
+	in, out := &j.in, &j.out
+	n, c := p/j.shape.C, p%j.shape.C
+	lo, hi := max(c-j.half, 0), min(c+j.half, j.shape.C-1)
+	var tile [lrnLanes]float64
+	for h := 0; h < j.shape.H; h++ {
+		for w0 := 0; w0 < j.shape.W; w0 += lrnLanes {
+			sq := tile[:min(lrnLanes, j.shape.W-w0)]
+			for i := range sq {
+				sq[i] = 0
 			}
-			if hi >= l.Shape.C {
-				hi = l.Shape.C - 1
-			}
-			for h := 0; h < l.Shape.H; h++ {
-				for w := 0; w < l.Shape.W; w++ {
-					var sq float64
-					for cc := lo; cc <= hi; cc++ {
-						v := float64(in.At(n, cc, h, w))
-						sq += v * v
-					}
-					scale := math.Pow(1+l.Alpha/float64(l.LocalSize)*sq, -l.Beta)
-					dst.Set(n, c, h, w, float32(float64(in.At(n, c, h, w))*scale))
+			at := n*in.n + h*in.h + w0*in.w
+			for cc := lo; cc <= hi; cc++ {
+				src := in.data[at+cc*in.c:]
+				for i := range sq {
+					v := float64(src[i*in.w])
+					sq[i] += v * v
 				}
+			}
+			src := in.data[at+c*in.c:]
+			dst := out.data[n*out.n+c*out.c+h*out.h+w0*out.w:]
+			for i, sum := range sq {
+				scale := math.Pow(1+j.alphaN*sum, -j.beta)
+				dst[i*out.w] = float32(float64(src[i*in.w]) * scale)
 			}
 		}
 	}
-	return nil
+}
+
+// strided is a tensor's backing slice with the element stride of each logical
+// dimension.
+type strided struct {
+	data       []float32
+	n, c, h, w int
+}
+
+func stridesOf(t *tensor.Tensor) strided {
+	sn, sc, sh, sw := t.Shape.Strides(t.Layout)
+	return strided{data: t.Data, n: sn, c: sc, h: sh, w: sw}
 }
 
 func ceil(a, b int) int {

@@ -252,9 +252,9 @@ func (c *Conv) Filters() *tensor.Tensor {
 	return c.filters
 }
 
-// PackedFilters returns the filter bank flattened once into
-// the K×(C·FH·FW) GEMM operand — adopted from the rebatch parent when there
-// is one (the packed layout does not depend on the batch size).
+// PackedFilters returns the filter bank packed once into the GEMM kernel's
+// left operand (kernels.PackConvFilters) — adopted from the rebatch parent
+// when there is one (the packed layout does not depend on the batch size).
 func (c *Conv) PackedFilters() []float32 {
 	c.packOnce.Do(func() {
 		if c.parent != nil {
@@ -272,8 +272,8 @@ func (c *Conv) PackedFilters() []float32 {
 	return c.packed
 }
 
-// refreshPacked re-flattens the filter bank into the packed GEMM operand
-// after an in-place weight update, writing over the existing slice so every
+// refreshPacked re-packs the filter bank into the packed GEMM operand after
+// an in-place weight update, writing over the existing slice so every
 // rebatched clone sharing it sees the refresh.  A nil packed slice means no
 // GEMM program ever materialised it, and there is nothing to refresh; the
 // unsynchronised read is safe because ApplySGD's contract already forbids
@@ -286,17 +286,9 @@ func (c *Conv) refreshPacked() {
 	if c.packed == nil {
 		return
 	}
-	filters := c.Filters()
-	idx := 0
-	for k := 0; k < c.Cfg.K; k++ {
-		for ch := 0; ch < c.Cfg.C; ch++ {
-			for fh := 0; fh < c.Cfg.FH; fh++ {
-				for fw := 0; fw < c.Cfg.FW; fw++ {
-					c.packed[idx] = filters.At(k, ch, fh, fw)
-					idx++
-				}
-			}
-		}
+	if err := kernels.PackConvFiltersInto(c.packed, c.Filters(), c.Cfg); err != nil {
+		// c.packed came from PackConvFilters on the same filters and config.
+		panic("layers: " + err.Error())
 	}
 }
 
