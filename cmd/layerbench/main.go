@@ -13,48 +13,57 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"memcnn/internal/bench"
-	"memcnn/internal/gpusim"
-	"memcnn/internal/layout"
 )
 
 func main() {
-	var (
-		experiment = flag.String("experiment", "all", "experiment to run (see -list) or 'all'")
-		deviceName = flag.String("device", "titanblack", "GPU model: titanblack or titanx")
-		thresholds = flag.String("thresholds", "paper", "layout thresholds: 'paper' or 'calibrated'")
-		list       = flag.Bool("list", false, "list available experiments and exit")
-	)
-	flag.Parse()
-
-	dev, err := pickDevice(*deviceName)
-	if err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		os.Exit(1)
 	}
-	th, err := pickThresholds(*thresholds, dev)
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("layerbench", flag.ContinueOnError)
+	var (
+		experiment = fs.String("experiment", "all", "experiment to run (see -list) or 'all'")
+		deviceName = fs.String("device", "titanblack", "GPU model: titanblack or titanx")
+		thresholds = fs.String("thresholds", "paper", "layout thresholds: 'paper' or 'calibrated'")
+		list       = fs.Bool("list", false, "list available experiments and exit")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	dev, err := bench.PickDevice(*deviceName)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return fmt.Errorf("layerbench: %w", err)
+	}
+	th, err := bench.PickThresholds(*thresholds, dev)
+	if err != nil {
+		return fmt.Errorf("layerbench: %w", err)
 	}
 
 	experiments := bench.Experiments(dev, th)
 	names := bench.ExperimentNames(dev, th)
 
 	if *list {
-		fmt.Println("available experiments:")
+		fmt.Fprintln(stdout, "available experiments:")
 		for _, n := range names {
-			fmt.Println("  " + n)
+			fmt.Fprintln(stdout, "  "+n)
 		}
-		return
+		return nil
 	}
 
-	fmt.Printf("device: %s\nlayout thresholds: %v\n\n", dev.Name, th)
+	fmt.Fprintf(stdout, "device: %s\nlayout thresholds: %v\n\n", dev.Name, th)
 
-	run := func(name string) error {
+	if !strings.EqualFold(*experiment, "all") {
+		names = []string{*experiment}
+	}
+	for _, name := range names {
 		fn, ok := experiments[name]
 		if !ok {
 			return fmt.Errorf("layerbench: unknown experiment %q (use -list)", name)
@@ -63,46 +72,7 @@ func main() {
 		if err != nil {
 			return fmt.Errorf("layerbench: %s: %w", name, err)
 		}
-		fmt.Printf("== %s ==\n%s\n", name, table)
-		return nil
+		fmt.Fprintf(stdout, "== %s ==\n%s\n", name, table)
 	}
-
-	if strings.EqualFold(*experiment, "all") {
-		for _, n := range names {
-			if err := run(n); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
-		return
-	}
-	if err := run(*experiment); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-}
-
-func pickDevice(name string) (*gpusim.Device, error) {
-	switch strings.ToLower(name) {
-	case "titanblack", "titan-black", "black":
-		return gpusim.TitanBlack(), nil
-	case "titanx", "titan-x", "x":
-		return gpusim.TitanX(), nil
-	default:
-		return nil, fmt.Errorf("layerbench: unknown device %q (want titanblack or titanx)", name)
-	}
-}
-
-func pickThresholds(kind string, dev *gpusim.Device) (layout.Thresholds, error) {
-	switch strings.ToLower(kind) {
-	case "paper":
-		if strings.Contains(dev.Name, "Titan X") {
-			return layout.TitanXThresholds(), nil
-		}
-		return layout.TitanBlackThresholds(), nil
-	case "calibrated", "auto":
-		return layout.Calibrate(dev), nil
-	default:
-		return layout.Thresholds{}, fmt.Errorf("layerbench: unknown thresholds %q (want paper or calibrated)", kind)
-	}
+	return nil
 }

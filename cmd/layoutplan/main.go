@@ -22,8 +22,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
+	"memcnn/internal/bench"
 	"memcnn/internal/core"
 	"memcnn/internal/gpusim"
 	"memcnn/internal/layers"
@@ -55,16 +55,13 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	dev := gpusim.TitanBlack()
-	if strings.EqualFold(*deviceName, "titanx") {
-		dev = gpusim.TitanX()
+	dev, err := bench.PickDevice(*deviceName)
+	if err != nil {
+		return fmt.Errorf("layoutplan: %w", err)
 	}
-	th := layout.TitanBlackThresholds()
-	if strings.Contains(dev.Name, "Titan X") {
-		th = layout.TitanXThresholds()
-	}
-	if strings.EqualFold(*thresholds, "calibrated") {
-		th = layout.Calibrate(dev)
+	th, err := bench.PickThresholds(*thresholds, dev)
+	if err != nil {
+		return fmt.Errorf("layoutplan: %w", err)
 	}
 
 	var net *network.Network
@@ -119,9 +116,7 @@ func run(args []string, stdout io.Writer) error {
 		est.TotalUS, est.TransformUS, 100*est.TransformUS/est.TotalUS, plan.TransformCount())
 
 	if *algSweep {
-		if err := printAlgSweep(stdout, dev, plan); err != nil {
-			return err
-		}
+		printAlgSweep(stdout, dev, plan)
 	}
 
 	if spec != nil && *annotate {
@@ -143,16 +138,10 @@ func run(args []string, stdout io.Writer) error {
 // A row prices its algorithm in the algorithm's natural layout; where the
 // compiler keeps the base algorithm it also keeps the plan's layout, with no
 // switch, and the mark says so.
-func printAlgSweep(stdout io.Writer, dev *gpusim.Device, plan *network.ExecutionPlan) error {
+func printAlgSweep(stdout io.Writer, dev *gpusim.Device, plan *network.ExecutionPlan) {
 	planned := memruntime.PlanChoices(plan)
-	base, err := memruntime.SelectChoices(plan.Network, planned, nil, false)
-	if err != nil {
-		return err
-	}
-	chosen, err := memruntime.SelectChoices(plan.Network, planned, dev, false)
-	if err != nil {
-		return err
-	}
+	base := memruntime.SelectChoices(plan.Network, planned, nil)
+	chosen := memruntime.SelectChoices(plan.Network, planned, dev)
 	fmt.Fprintf(stdout, "\njoint (layout, algorithm) sweep:\n")
 	fmt.Fprintf(stdout, "%-12s %-14s %-6s %12s %14s %s\n", "layer", "algorithm", "layout", "kernel (us)", "switch (us)", "")
 	for i, pl := range plan.Layers {
@@ -177,7 +166,6 @@ func printAlgSweep(stdout io.Writer, dev *gpusim.Device, plan *network.Execution
 			fmt.Fprintf(stdout, "%-12s %-14s %-6s %s %s\n", conv.Name(), cand.Alg, cand.Layout, timing, mark)
 		}
 	}
-	return nil
 }
 
 // describeImpl summarises the implementation a planned layer will use.

@@ -62,3 +62,27 @@ func TestAlgsMarksTheCompiledChoice(t *testing.T) {
 		}
 	}
 }
+
+// TestUnknownDeviceAndThresholdsFailClosed: a mistyped -device or -thresholds
+// is an error naming the accepted values, not a plan priced on the default.
+func TestUnknownDeviceAndThresholdsFailClosed(t *testing.T) {
+	for _, tc := range []struct{ args, want []string }{
+		{[]string{"-device", "titanz"}, []string{"titanz", "titanblack", "titanx"}},
+		{[]string{"-thresholds", "papr"}, []string{"papr", "paper", "calibrated"}},
+	} {
+		var out bytes.Buffer
+		err := run(tc.args, &out)
+		if err == nil {
+			t.Errorf("layoutplan %v succeeded:\n%s", tc.args, &out)
+			continue
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("layoutplan %v: error %q does not name %q", tc.args, err, w)
+			}
+		}
+		if out.Len() != 0 {
+			t.Errorf("layoutplan %v printed a plan before failing:\n%s", tc.args, &out)
+		}
+	}
+}

@@ -18,7 +18,7 @@
 // convolution algorithm) decision over three production strategies — direct,
 // im2col+GEMM and FFT: internal/autotune's analytic regimes (the paper's
 // merged-matrix-dimension argument, plus a large-filter stride-1 FFT regime)
-// or a measured probe pick a base algorithm, and internal/layout re-prices it
+// pick a base algorithm, and internal/layout re-prices it
 // against the frequency-domain mode on the plan's device model, charging the
 // layout switch into the FFT kernels' NCHW home and respecting the emulated
 // cuDNN workspace's device-memory limit, so a layer's layout can flip
@@ -50,10 +50,10 @@
 // HTTP (`-select` verifies the serving engine against its functional
 // reference at startup, `-devices N` pipelines across simulated devices,
 // `-replicas N`/`-replica-devices`/`-cache N` switch on replication and the
-// cache) and `netbench -runtime` reports every network's arena footprint,
-// per-layer algorithm choice, per-stage sharding breakdown (-devices),
-// per-replica batch shares with modeled and measured speedup (-replicas) and
-// (with -exec/-json) measured throughput plus cache hit/miss counters.
+// cache; `-demo` prints the per-stage and per-replica breakdowns and the
+// cache counters) and `netbench -runtime` is the static report: every
+// network's op and buffer counts, arena footprint, per-layer (layout,
+// algorithm) choice and planned training footprints, nothing executed.
 //
 // The serving stack is fault-tolerant end to end.  runtime.FaultDevice wraps
 // any Device with a deterministic seeded failure schedule — transient op
@@ -70,9 +70,11 @@
 // horizon, panics anywhere in an engine are contained into errors, and
 // retry/failover/shed/unhealthy counters surface in ServerStats,
 // `memcnnserve`'s /healthz endpoint and demo summary (`-slo`, and `-chaos`
-// to inject a seeded fault schedule), and `netbench -chaos`'s seeded soak —
-// which CI runs alongside the race-detector chaos tests, with benchtrend
-// asserting the un-faulted baseline run sheds nothing.
+// to inject a seeded fault schedule).  The seeded soaks are tests
+// (TestChaosSoakReplicaDeath and the server-level one), which CI runs under
+// the race detector; the un-faulted replica golden run asserts zero retries
+// and failovers, and the benchmark's serve-cifar8 `ok_frac` that nothing is
+// shed.
 //
 // The running stack is observable end to end (internal/obs): a shared
 // ring-buffered trace recorder collects op, run, pipeline-stage, replica,
@@ -85,10 +87,9 @@
 // text format from the same atomics the stats endpoints read.  On simulated
 // fleets the trace carries per-op modeled-vs-measured drift, keeping the
 // gpusim cost model honest layer by layer.  `memcnnserve` exposes /metrics,
-// /trace and an expanded /stats (plus opt-in pprof); `netbench -trace`
-// writes the same trace for offline runs, and its p50/p99 histogram
-// quantiles land in the BENCH JSON where cmd/benchtrend gates tail latency
-// alongside the means.
+// /trace and an expanded /stats (plus opt-in pprof); benchmark/run.sh writes
+// the same trace per workload for offline runs and reports the measured
+// latency quantiles next to the throughput.
 //
 // Training runs under the same memory discipline (runtime/train): the
 // compiler lowers a softmax-terminated network into one op list covering the
@@ -101,10 +102,9 @@
 // peak actually shrinks).  Backward kernels are allocation-free *Into
 // variants with fixed accumulation order, so a planned training step is
 // bit-identical to the naive per-buffer executor across worker counts;
-// `netbench -train` reports planned-vs-naive training footprints with and
-// without checkpointing plus measured and modeled step latency, and
-// cmd/benchtrend gates the normalised step latency and the (deterministic)
-// planned training footprint in CI.
+// `netbench -runtime` reports planned-vs-naive training footprints with and
+// without checkpointing, and the benchmark's train-lenet16 workload measures
+// the step latency and bounds the (deterministic) planned footprint.
 //
 // A static verification layer guards the whole compiled surface.
 // internal/runtime/verify checks every compiled program — inference,

@@ -1,11 +1,6 @@
 package autotune
 
-import (
-	"time"
-
-	"memcnn/internal/kernels"
-	"memcnn/internal/tensor"
-)
+import "memcnn/internal/kernels"
 
 // Per-layer convolution algorithm selection: the CPU analogue of the paper's
 // central observation that no single convolution strategy wins across layer
@@ -16,8 +11,7 @@ import (
 // the spatial reduction into pointwise spectrum products, so it wins on big
 // stride-1 layers with large filters and loses everywhere the transforms
 // dominate.  The planned runtime (internal/runtime) asks this package which
-// strategy each compiled conv op should record, either through the analytic
-// heuristic or a measured probe.
+// strategy each compiled conv op should record.
 
 // Thresholds of the analytic heuristic.  They mirror the paper's
 // matrix-expansion argument: the GEMM reduction dimension is C·FH·FW, and the
@@ -73,59 +67,4 @@ func SelectConvAlgorithm(cfg kernels.ConvConfig) kernels.ConvAlgorithm {
 		return kernels.ConvAlgGemm
 	}
 	return kernels.ConvAlgDirect
-}
-
-// ProbeTiming is one measured probe execution: the algorithm and its wall
-// time.
-type ProbeTiming struct {
-	Alg  kernels.ConvAlgorithm
-	Time time.Duration
-}
-
-// ProbeConvAlgorithm selects the strategy by measurement instead of the
-// heuristic: it runs every production kernel — direct, im2col+GEMM and FFT —
-// once on a deterministic random input in the given layout and returns the
-// fastest one together with the per-algorithm timings, in the order probed.
-// It is the compile-time "measured probe" mode; each probe costs one full
-// execution of the layer per algorithm.
-func ProbeConvAlgorithm(cfg kernels.ConvConfig, layout tensor.Layout) (kernels.ConvAlgorithm, []ProbeTiming, error) {
-	if err := cfg.Validate(); err != nil {
-		return kernels.ConvAlgDirect, nil, err
-	}
-	in := tensor.Random(cfg.InputShape(), layout, 1)
-	filters := tensor.Filters(cfg.K, cfg.C, cfg.FH, cfg.FW, 2)
-	out := tensor.New(cfg.OutputShape(), layout)
-	timings := make([]ProbeTiming, 0, 3)
-
-	start := time.Now()
-	if err := kernels.ConvDirectInto(in, filters, out, cfg); err != nil {
-		return kernels.ConvAlgDirect, timings, err
-	}
-	timings = append(timings, ProbeTiming{kernels.ConvAlgDirect, time.Since(start)})
-
-	packed, err := kernels.PackConvFilters(filters, cfg)
-	if err != nil {
-		return kernels.ConvAlgDirect, timings, err
-	}
-	scratch := make([]float32, kernels.ConvGemmWorkspaceElems(cfg, layout))
-	start = time.Now()
-	if err := kernels.ConvIm2colGemmInto(in, packed, out, cfg, scratch); err != nil {
-		return kernels.ConvAlgDirect, timings, err
-	}
-	timings = append(timings, ProbeTiming{kernels.ConvAlgGemm, time.Since(start)})
-
-	fftScratch := make([]float32, kernels.ConvFFTWorkspaceElems(cfg))
-	start = time.Now()
-	if err := kernels.ConvFFTInto(in, filters, out, cfg, fftScratch); err != nil {
-		return kernels.ConvAlgDirect, timings, err
-	}
-	timings = append(timings, ProbeTiming{kernels.ConvAlgFFT, time.Since(start)})
-
-	best := timings[0]
-	for _, t := range timings[1:] {
-		if t.Time < best.Time {
-			best = t
-		}
-	}
-	return best.Alg, timings, nil
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"memcnn/internal/kernels"
-	"memcnn/internal/tensor"
 )
 
 // TestSelectConvAlgorithm pins the two regimes the paper's Section IV.A
@@ -77,37 +76,5 @@ func TestSelectConvAlgorithmFFTRegime(t *testing.T) {
 	cifar2 := kernels.ConvConfig{N: 128, C: 64, H: 16, W: 16, K: 64, FH: 5, FW: 5, PadH: 2, PadW: 2}
 	if got := SelectConvAlgorithm(cifar2); got != kernels.ConvAlgGemm {
 		t.Errorf("Cifar10 conv2 shape selected %v, want gemm", got)
-	}
-}
-
-// TestProbeConvAlgorithm runs the measured probe on a small layer and checks
-// it returns a decision backed by a positive timing per production algorithm.
-func TestProbeConvAlgorithm(t *testing.T) {
-	cfg := kernels.ConvConfig{N: 4, C: 8, H: 10, W: 10, K: 8, FH: 3, FW: 3, PadH: 1, PadW: 1}
-	alg, times, err := ProbeConvAlgorithm(cfg, tensor.NCHW)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(times) != 3 {
-		t.Fatalf("probe returned %d timings, want one per algorithm (3)", len(times))
-	}
-	want := []kernels.ConvAlgorithm{kernels.ConvAlgDirect, kernels.ConvAlgGemm, kernels.ConvAlgFFT}
-	best := times[0]
-	for i, pt := range times {
-		if pt.Alg != want[i] {
-			t.Errorf("timing %d is for %v, want %v", i, pt.Alg, want[i])
-		}
-		if pt.Time <= 0 {
-			t.Errorf("probe timing for %v must be positive, got %v", pt.Alg, pt.Time)
-		}
-		if pt.Time < best.Time {
-			best = pt
-		}
-	}
-	if alg != best.Alg {
-		t.Errorf("probe selected %v but fastest timing was %v", alg, best.Alg)
-	}
-	if _, _, err := ProbeConvAlgorithm(kernels.ConvConfig{}, tensor.NCHW); err == nil {
-		t.Error("invalid config must be rejected")
 	}
 }

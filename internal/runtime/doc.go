@@ -14,7 +14,7 @@
 //	                        program's Choices.  With Options.ConvAlgorithms
 //	                        one pass, SelectChoices, re-decides every
 //	                        convolution: a base algorithm by layer shape
-//	                        (internal/autotune, analytic or probed), then on
+//	                        (internal/autotune's analytic regimes), then on
 //	                        a plan's device the joint sweep of
 //	                        internal/layout, which may move a layer to FFT
 //	                        and NCHW together.  Lowering binds exactly the
@@ -138,7 +138,7 @@
 // feed the histogram.  Counters for all of this (Shed, Expired, and the
 // group's retries/failovers/readmissions/contained panics via
 // ServerStats.Faults) surface in cmd/memcnnserve's /healthz endpoint and
-// `netbench -chaos`.
+// its `-chaos -demo` summary.
 //
 // # Observability
 //
@@ -165,8 +165,8 @@
 // accumulate as counters and DriftReport extracts the modeled-vs-measured
 // drift ratio per layer — the live check that the gpusim cost model keeps
 // tracking reality.  cmd/memcnnserve surfaces all of it over HTTP
-// (/metrics, /trace, expanded /stats, opt-in pprof) and `netbench -trace`
-// writes the same Chrome trace JSON for offline runs.
+// (/metrics, /trace, expanded /stats, opt-in pprof) and benchmark/run.sh
+// writes the same Chrome trace JSON per workload for offline runs.
 //
 // The train sub-package extends the same discipline to training.
 // CompileTraining appends loss and backward ops to the lowered forward

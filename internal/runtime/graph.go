@@ -178,11 +178,6 @@ type Options struct {
 	// bit-equality reference against the naive Network.Forward, while GEMM
 	// and FFT programs are cross-checked per algorithm via ReferenceForward.
 	ConvAlgorithms bool
-	// Probe, together with ConvAlgorithms, selects each conv algorithm by
-	// timing every production kernel once on a sample input instead of the
-	// analytic heuristic.  Compilation becomes measurably slower (one full
-	// layer execution per conv layer per algorithm).
-	Probe bool
 	// NoInPlace disables in-place execution of layers that declare it safe
 	// (Layer.ForwardsInPlace, e.g. ReLU).  By default such a layer's
 	// output buffer aliases its input, so the op reads and writes the same
@@ -252,29 +247,19 @@ func (p *Program) Choices() []Choice {
 // including the cost of switching the layer's input layout — and may flip
 // the algorithm and the layout together (layout.JointConvChoice): the
 // paper's joint layout+algorithm choice.  With a nil device the heuristic
-// stands alone in the given layout.  With probe, each convolution instead
-// takes the fastest of the production kernels timed in its given layout.
-// Compile runs this pass under Options.ConvAlgorithms; cmd/layoutplan prints
-// its result.
-func SelectChoices(net *network.Network, choices []Choice, dev *gpusim.Device, probe bool) ([]Choice, error) {
+// stands alone in the given layout.  Compile runs this pass under
+// Options.ConvAlgorithms; cmd/layoutplan prints its result.
+func SelectChoices(net *network.Network, choices []Choice, dev *gpusim.Device) []Choice {
 	selected := append([]Choice(nil), choices...)
 	for i, l := range net.Layers {
 		conv, ok := l.(*layers.Conv)
 		if !ok {
 			continue
 		}
-		if probe {
-			alg, _, err := autotune.ProbeConvAlgorithm(conv.Cfg, selected[i].Layout)
-			if err != nil {
-				return nil, fmt.Errorf("runtime: selecting algorithm for %q: %w", l.Name(), err)
-			}
-			selected[i].Alg = alg
-			continue
-		}
 		joint := layout.JointConvChoice(dev, conv.Cfg, selected[i].Layout, autotune.SelectConvAlgorithm(conv.Cfg))
 		selected[i] = Choice{Layout: joint.Layout, Alg: joint.Alg}
 	}
-	return selected, nil
+	return selected
 }
 
 // Compile lowers a network into a program from one Choice per layer
@@ -329,10 +314,7 @@ func compile(net *network.Network, name string, choices []Choice, dev *gpusim.De
 		}
 	}
 	if opts.ConvAlgorithms {
-		var err error
-		if choices, err = SelectChoices(net, choices, dev, opts.Probe); err != nil {
-			return nil, err
-		}
+		choices = SelectChoices(net, choices, dev)
 	}
 	return lower(net, name, choices, opts)
 }

@@ -235,6 +235,11 @@ func TestGroupGoldenEquivalence(t *testing.T) {
 					t.Errorf("%s/%d: idle replica %d ran %d batches", tc.name, replicas, st.Replica, st.Batches)
 				}
 			}
+			// No fault was injected: a retry, failover or unhealthy replica
+			// here is the group dropping work on its own.
+			if fs := g.FaultStats(); fs != (runtime.FaultStats{}) {
+				t.Errorf("%s/%d: un-faulted group reports %+v", tc.name, replicas, fs)
+			}
 			g.Close()
 		}
 	}
