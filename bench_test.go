@@ -355,20 +355,23 @@ func BenchmarkInference(b *testing.B) {
 // clearly on the VGG/AlexNet-scale shapes, the direct path keeps tiny
 // single-image layers cheap, and the FFT path takes the large-filter stride-1
 // AlexNet conv2 shape; all three run allocation-free into pre-sized buffers,
-// exactly as the executor drives them.  Tensors are NCHW, the layout the GEMM
-// and FFT paths are compiled for; the LeNet shape also runs the direct kernel
-// on CHWN, the layout the compiler pairs it with (the paper's coalesced case).
+// exactly as the executor drives them.  Every shape runs on NCHW tensors; the
+// LeNet shapes also run the direct and the GEMM kernel on CHWN tensors, the
+// layout the compiler gives those layers at batch 128 (the paper's coalesced
+// case: it keeps GEMM in CHWN on LeNet conv2, Cifar10 conv1/conv2 and AlexNet
+// conv1, where the kernel takes its batch-folded form).
 func BenchmarkConvAlgorithms(b *testing.B) {
 	shapes := []struct {
 		name string
 		cfg  kernels.ConvConfig
-		chwn bool // also run direct on CHWN tensors
+		chwn bool // also run direct and GEMM on CHWN tensors
 	}{
 		{name: "1img-small", cfg: kernels.ConvConfig{N: 1, C: 3, H: 16, W: 16, K: 8, FH: 3, FW: 3, PadH: 1, PadW: 1}},
 		{name: "cifar-conv2", cfg: kernels.ConvConfig{N: 32, C: 64, H: 12, W: 12, K: 64, FH: 5, FW: 5, PadH: 2, PadW: 2}},
 		{name: "vgg-conv3_1", cfg: kernels.ConvConfig{N: 2, C: 128, H: 28, W: 28, K: 256, FH: 3, FW: 3, PadH: 1, PadW: 1}},
 		{name: "alexnet-conv2@n32", cfg: kernels.ConvConfig{N: 32, C: 96, H: 27, W: 27, K: 256, FH: 5, FW: 5, PadH: 2, PadW: 2}},
 		{name: "lenet-conv1@n128", cfg: kernels.ConvConfig{N: 128, C: 1, H: 28, W: 28, K: 20, FH: 5, FW: 5}, chwn: true},
+		{name: "lenet-conv2@n128", cfg: kernels.ConvConfig{N: 128, C: 16, H: 14, W: 14, K: 16, FH: 5, FW: 5, PadH: 2, PadW: 2}, chwn: true},
 	}
 	for _, s := range shapes {
 		cfg := s.cfg
@@ -396,20 +399,25 @@ func BenchmarkConvAlgorithms(b *testing.B) {
 				b.ReportMetric(boolMetric(selected == kernels.ConvAlgDirect), "selected")
 			}
 		}
-		b.Run(s.name+"/direct", direct(in, out))
-		if s.chwn {
-			b.Run(s.name+"/direct-chwn", direct(tensor.Convert(in, tensor.CHWN), tensor.New(cfg.OutputShape(), tensor.CHWN)))
-		}
-		b.Run(s.name+"/gemm", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := kernels.ConvIm2colGemmInto(in, packed, out, cfg, scratch); err != nil {
-					b.Fatal(err)
+		gemm := func(in, out *tensor.Tensor, scratch []float32) func(b *testing.B) {
+			return func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := kernels.ConvIm2colGemmInto(in, packed, out, cfg, scratch); err != nil {
+						b.Fatal(err)
+					}
 				}
+				b.ReportMetric(gflop*float64(b.N)/b.Elapsed().Seconds(), "GFLOP/s")
+				b.ReportMetric(boolMetric(selected == kernels.ConvAlgGemm), "selected")
 			}
-			b.ReportMetric(gflop*float64(b.N)/b.Elapsed().Seconds(), "GFLOP/s")
-			b.ReportMetric(boolMetric(selected == kernels.ConvAlgGemm), "selected")
-		})
+		}
+		b.Run(s.name+"/direct", direct(in, out))
+		b.Run(s.name+"/gemm", gemm(in, out, scratch))
+		if s.chwn {
+			inCHWN, outCHWN := tensor.Convert(in, tensor.CHWN), tensor.New(cfg.OutputShape(), tensor.CHWN)
+			b.Run(s.name+"/direct-chwn", direct(inCHWN, outCHWN))
+			b.Run(s.name+"/gemm-chwn", gemm(inCHWN, outCHWN, make([]float32, kernels.ConvGemmWorkspaceElems(cfg, tensor.CHWN))))
+		}
 		b.Run(s.name+"/fft", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -95,10 +95,69 @@ func oldConvIm2colGemm(t *testing.T, in, filters *tensor.Tensor, cfg ConvConfig,
 	return out
 }
 
-// TestConvIm2colGemmIntoMatchesOldPath pins the fused unroll-and-pack plus the
-// packed core to the outputs of the path they replaced, bit for bit: every
-// small case and four wider strided, padded and ragged ones, all sixteen
-// layout pairs, filters and scratch fenced by NaNs and the scratch poisoned.
+// batchFoldedConvCases covers every regime of the batch-folded CHWN form (the
+// other layout pairs run them through the per-image form): one pixel a panel,
+// panels straddling pixels, a ragged last panel, one and several lanes, and the
+// narrow panels of a workspace under one gemmNR-column slot.  Each stays under
+// 2^20 multiply-adds and inside FuzzConvGemmLayouts' ranges, whose seeds they are.
+var batchFoldedConvCases = []ConvConfig{
+	// N = 16: a panel is one pixel; C·FH·FW = 400 > gemmKC; K cuts the last slab.
+	{N: 16, C: 16, H: 4, W: 4, K: 8, FH: 5, FW: 5, PadH: 2, PadW: 2},
+	// N = 17: panels straddle pixels, the last one is ragged; C·FH·FW = 12 < gemmNR.
+	{N: 17, C: 2, H: 9, W: 10, K: 5, FH: 3, FW: 2, StrideW: 2, PadW: 1},
+	// N = 32: two panels a pixel, three lanes.
+	{N: 32, C: 3, H: 6, W: 7, K: 7, FH: 3, FW: 3, PadH: 1, PadW: 1},
+	// N = 128, StrideW 4 with padding, whole slabs only.
+	{N: 128, C: 1, H: 12, W: 12, K: 6, FH: 3, FW: 5, StrideW: 4, PadW: 2},
+	// N = 1: every column is its own pixel.
+	{N: 1, C: 2, H: 7, W: 8, K: 4, FH: 3, FW: 3, StrideW: 2, PadH: 1, PadW: 1},
+	// N = 4, a filter wider than the row and one side's padding; OutH·OutW = 12,
+	// so the workspace holds one 13-column slot.
+	{N: 4, C: 2, H: 5, W: 3, K: 3, FH: 2, FW: 7, PadW: 3},
+	// The whole product is narrower than a panel (12 columns, slots of 5).
+	{N: 3, C: 2, H: 3, W: 3, K: 2, FH: 2, FW: 2},
+	// OutH·OutW = 4 with N ≥ gemmNR: 80 columns through 4-column panels, the
+	// reduction in two gemmKC blocks.
+	{N: 20, C: 16, H: 2, W: 2, K: 8, FH: 5, FW: 5, PadH: 2, PadW: 2},
+}
+
+// convGemmMatchesOldPath runs one configuration through ConvIm2colGemmInto for
+// every pair of the given layouts and compares it with oldConvIm2colGemm bit
+// for bit: filters and scratch fenced by NaNs, scratch and output poisoned.
+func convGemmMatchesOldPath(t *testing.T, r *rand.Rand, cfg ConvConfig, layouts []tensor.Layout) {
+	t.Helper()
+	filters := tensor.Filters(cfg.K, cfg.C, cfg.FH, cfg.FW, 2)
+	flat, err := PackConvFilters(filters, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	packed, _ := guarded(r, len(flat))
+	copy(packed, flat)
+	for _, inLay := range layouts {
+		in := tensor.Random(cfg.InputShape(), inLay, 1)
+		for _, outLay := range layouts {
+			want := oldConvIm2colGemm(t, in, filters, cfg, outLay)
+			out := tensor.New(cfg.OutputShape(), outLay)
+			poison(out.Data)
+			elems := ConvGemmWorkspaceElems(cfg, outLay)
+			scratch, backing := guarded(r, elems)
+			poison(scratch)
+			if err := ConvIm2colGemmInto(in, packed, out, cfg, scratch); err != nil {
+				t.Fatalf("%v: %v", cfg, err)
+			}
+			sameBits(t, fmt.Sprintf("%v %v->%v", cfg, inLay, outLay), out, want)
+			if !fenceIntact(backing, elems) {
+				t.Fatalf("%v %v->%v: wrote outside the scratch", cfg, inLay, outLay)
+			}
+		}
+	}
+}
+
+// TestConvIm2colGemmIntoMatchesOldPath pins both forms of the GEMM convolution
+// — the fused unroll-and-pack plus the packed core, an image or a batch at a
+// time — to the outputs of the path they replaced, bit for bit: every small
+// case, four wider strided, padded and ragged ones and the batch-folded
+// regimes, over all sixteen layout pairs.
 func TestConvIm2colGemmIntoMatchesOldPath(t *testing.T) {
 	cases := append([]ConvConfig{
 		{N: 2, C: 3, H: 23, W: 37, K: 7, FH: 5, FW: 3, PadH: 2, PadW: 1, StrideH: 2},
@@ -106,34 +165,31 @@ func TestConvIm2colGemmIntoMatchesOldPath(t *testing.T) {
 		{N: 3, C: 5, H: 13, W: 13, K: 6, FH: 3, FW: 3, PadH: 1, PadW: 1},
 		{N: 1, C: 1, H: 4, W: 67, K: 1, FH: 2, FW: 2, PadH: 1, PadW: 2, StrideH: 2, StrideW: 2},
 	}, smallConvCases...)
+	cases = append(cases, batchFoldedConvCases...)
 	r := rand.New(rand.NewSource(61))
 	for _, cfg := range cases {
-		filters := tensor.Filters(cfg.K, cfg.C, cfg.FH, cfg.FW, 2)
-		flat, err := PackConvFilters(filters, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		packed, _ := guarded(r, len(flat))
-		copy(packed, flat)
-		for _, inLay := range tensor.Layouts {
-			in := tensor.Random(cfg.InputShape(), inLay, 1)
-			for _, outLay := range tensor.Layouts {
-				want := oldConvIm2colGemm(t, in, filters, cfg, outLay)
-				out := tensor.New(cfg.OutputShape(), outLay)
-				poison(out.Data)
-				elems := ConvGemmWorkspaceElems(cfg, outLay)
-				scratch, backing := guarded(r, elems)
-				poison(scratch)
-				if err := ConvIm2colGemmInto(in, packed, out, cfg, scratch); err != nil {
-					t.Fatalf("%v: %v", cfg, err)
-				}
-				sameBits(t, fmt.Sprintf("%v %v->%v", cfg, inLay, outLay), out, want)
-				if !fenceIntact(backing, elems) {
-					t.Fatalf("%v %v->%v: wrote outside the scratch", cfg, inLay, outLay)
-				}
-			}
-		}
+		convGemmMatchesOldPath(t, r, cfg, tensor.Layouts)
 	}
+}
+
+// FuzzConvGemmLayouts checks both forms of the GEMM convolution against the old
+// path on arbitrary legal configurations, through all four input/output pairs
+// of the two layouts the runtime compiles for.
+func FuzzConvGemmLayouts(f *testing.F) {
+	for i, cfg := range batchFoldedConvCases {
+		cfg = cfg.withDefaults()
+		f.Add(uint8(cfg.N-1), uint8(cfg.C-1), uint8(cfg.H-1), uint8(cfg.W-1), uint8(cfg.K-1), uint8(cfg.FH-1), uint8(cfg.FW-1),
+			uint8(cfg.StrideH-1), uint8(cfg.StrideW-1), uint8(cfg.PadH), uint8(cfg.PadW), int64(i))
+	}
+	f.Fuzz(func(t *testing.T, n, c, h, w, k, fh, fw, strideH, strideW, padH, padW uint8, seed int64) {
+		cfg := ConvConfig{N: int(n%128) + 1, C: int(c%16) + 1, H: int(h%16) + 1, W: int(w%16) + 1,
+			K: int(k%16) + 1, FH: int(fh%7) + 1, FW: int(fw%7) + 1,
+			StrideH: int(strideH%4) + 1, StrideW: int(strideW%4) + 1, PadH: int(padH % 4), PadW: int(padW % 4)}
+		if cfg.Validate() != nil || cfg.FLOPs()/2 > 1<<20 {
+			t.Skip()
+		}
+		convGemmMatchesOldPath(t, rand.New(rand.NewSource(seed)), cfg, []tensor.Layout{tensor.NCHW, tensor.CHWN})
+	})
 }
 
 // TestConvGemmWorkspaceElems checks the NCHW direct-write optimisation: only
@@ -229,26 +285,26 @@ func TestConvIm2colGemmIntoValidation(t *testing.T) {
 }
 
 // TestConvIm2colGemmDeterministicAcrossWorkers pins the bit-stability
-// contract the golden suite relies on: the same convolution computed with one
-// worker and with all workers must agree exactly.
+// contract the golden suite relies on: the same convolution computed with one,
+// two and four workers must agree exactly, in the per-image form (CHWN→NCHW)
+// and in the batch-folded one (CHWN→CHWN, three lanes).
 func TestConvIm2colGemmDeterministicAcrossWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	cfg := ConvConfig{N: 3, C: 5, H: 13, W: 11, K: 7, FH: 3, FW: 3, PadH: 1, PadW: 1, StrideH: 2, StrideW: 2}
 	in := tensor.Random(cfg.InputShape(), tensor.CHWN, 5)
 	filters := tensor.Filters(cfg.K, cfg.C, cfg.FH, cfg.FW, 6)
-
-	parallel, err := ConvIm2colGemm(in, filters, cfg, tensor.NCHW)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := runtime.GOMAXPROCS(1)
-	serial, err := ConvIm2colGemm(in, filters, cfg, tensor.NCHW)
-	runtime.GOMAXPROCS(prev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range parallel.Data {
-		if parallel.Data[i] != serial.Data[i] {
-			t.Fatalf("element %d differs across worker counts: %v vs %v", i, parallel.Data[i], serial.Data[i])
+	for _, outLay := range []tensor.Layout{tensor.NCHW, tensor.CHWN} {
+		var serial *tensor.Tensor
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			out, err := ConvIm2colGemm(in, filters, cfg, outLay)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if procs == 1 {
+				serial = out
+			}
+			sameBits(t, fmt.Sprintf("CHWN->%v at %d workers", outLay, procs), out, serial)
 		}
 	}
 }

@@ -78,6 +78,47 @@ func im2colPanel(j *convGemmJob, n, p int) {
 	}
 }
 
+// im2colBatchPanel is im2colPanel for the batch-folded form (CHWN input): it
+// unrolls columns [col0, col0+w) of the (C·FH·FW) × (OutH·OutW·N) matrix whose
+// column j is output pixel j/N of image j%N, into panel in the same packed
+// format (row-major at the true width w, every element written).  The batch is
+// the unit-stride axis of the input, so the panel is cut into runs of
+// consecutive images of one pixel — one run when N is a multiple of the panel
+// width, several when a panel straddles pixels — and a run is one copy per
+// filter tap (a fixed-size move, which the compiler inlines, when the run is a
+// whole gemmNR-wide panel), or zeros where the tap falls in the padding.
+func im2colBatchPanel(j *convGemmBatch, panel []float32, col0, w int) {
+	cfg := &j.cfg
+	in := &j.in
+	for at := 0; at < w; {
+		pixel, n := (col0+at)/cfg.N, (col0+at)%cfg.N
+		run := min(w-at, cfg.N-n)
+		ih0 := pixel/j.outW*cfg.StrideH - cfg.PadH
+		iw0 := pixel%j.outW*cfg.StrideW - cfg.PadW
+		row := at
+		for c := 0; c < cfg.C; c++ {
+			for fh := 0; fh < cfg.FH; fh++ {
+				ih := ih0 + fh
+				src := c*in.c + ih*in.h + iw0*in.w + n
+				for fw := 0; fw < cfg.FW; fw++ {
+					iw := iw0 + fw
+					seg := panel[row : row+run]
+					switch {
+					case ih < 0 || ih >= cfg.H || iw < 0 || iw >= cfg.W:
+						clear(seg)
+					case run == gemmNR:
+						*(*[gemmNR]float32)(seg) = [gemmNR]float32(in.data[src+fw*in.w:])
+					default:
+						copy(seg, in.data[src+fw*in.w:])
+					}
+					row += w
+				}
+			}
+		}
+		at += run
+	}
+}
+
 // Im2colCost models the GPU im2col kernel: it reads the input once (the
 // source reads along W are coalesced in NCHW) and writes the expanded matrix,
 // which is FH*FW/(SH*SW) times larger than the input.  The expanded matrix is

@@ -8,8 +8,9 @@ import (
 	"memcnn/internal/tensor"
 )
 
-// Im2col is the reference unroll the packed production one (im2colImage) is
-// checked against: the whole batch as a plain row-major matrix with
+// Im2col is the reference unroll the packed production ones (im2colPanel and
+// im2colBatchPanel) are checked against: the whole batch as a plain row-major
+// matrix with
 //
 //	rows = C*FH*FW            (the reduction dimension K of the GEMM)
 //	cols = N*OutH*OutW        (one column per output pixel of the batch)

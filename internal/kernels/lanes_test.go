@@ -243,8 +243,11 @@ func TestLanePoolMatchesOracle(t *testing.T) {
 }
 
 // laneKernelRuns returns one run of each lane kernel on a layer with several
-// tiles per plane, and the tensors the runs write.
-func laneKernelRuns(layout tensor.Layout) (runs []func() error, outputs []*tensor.Tensor) {
+// tiles per plane (three lanes for the batch-folded GEMM convolution, which is
+// what CHWN selects; NCHW runs its per-image form), and the tensors the runs
+// write.
+func laneKernelRuns(t *testing.T, layout tensor.Layout) (runs []func() error, outputs []*tensor.Tensor) {
+	t.Helper()
 	cfg := ConvConfig{N: laneTile + 3, C: 3, H: 9, W: 9, K: 4, FH: 3, FW: 3, StrideW: 2, PadH: 1, PadW: 1}.withDefaults()
 	pcfg := PoolConfig{N: cfg.N, C: cfg.C, H: cfg.H, W: cfg.W, Window: 3, Stride: 2, Op: AvgPool}
 	in := tensor.Random(cfg.InputShape(), layout, 1)
@@ -254,19 +257,26 @@ func laneKernelRuns(layout tensor.Layout) (runs []func() error, outputs []*tenso
 	dIn := tensor.New(cfg.InputShape(), layout)
 	dW := tensor.New(cfg.FilterShape(), tensor.NCHW)
 	pooled := tensor.New(pcfg.OutputShape(), layout)
+	packed, err := PackConvFilters(filters, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gemmOut := tensor.New(cfg.OutputShape(), layout)
+	scratch := make([]float32, ConvGemmWorkspaceElems(cfg, layout))
 	runs = []func() error{
 		func() error { return ConvDirectInto(in, filters, out, cfg) },
 		func() error { return ConvBackwardDataInto(dOut, filters, dIn, cfg) },
 		func() error { return ConvBackwardFilterInto(in, dOut, dW, cfg) },
 		func() error { return PoolInto(in, pooled, pcfg) },
+		func() error { return ConvIm2colGemmInto(in, packed, gemmOut, cfg, scratch) },
 	}
-	return runs, []*tensor.Tensor{out, dIn, dW, pooled}
+	return runs, []*tensor.Tensor{out, dIn, dW, pooled, gemmOut}
 }
 
 func TestLaneKernelsWorkerCountInvariant(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, layout := range []tensor.Layout{tensor.NCHW, tensor.CHWN} {
-		runs, outputs := laneKernelRuns(layout)
+		runs, outputs := laneKernelRuns(t, layout)
 		var want []*tensor.Tensor
 		for _, workers := range []int{1, 2, 4} {
 			runtime.GOMAXPROCS(workers)
@@ -288,7 +298,7 @@ func TestLaneKernelsWorkerCountInvariant(t *testing.T) {
 func TestLaneKernelsAllocationFreeAtOneWorker(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, layout := range []tensor.Layout{tensor.NCHW, tensor.CHWN} {
-		runs, _ := laneKernelRuns(layout)
+		runs, _ := laneKernelRuns(t, layout)
 		for i, run := range runs {
 			if allocs := testing.AllocsPerRun(5, func() { _ = run() }); allocs != 0 {
 				t.Errorf("kernel %d %v: %v allocations per run at one worker, want 0", i, layout, allocs)
