@@ -12,12 +12,11 @@
 //   - noalloc: functions whose doc comment ends in a //memcnn:noalloc
 //     directive must not heap-allocate.  The pass flags make/new/append,
 //     closures and goroutine launches, composite literals, string
-//     concatenation and conversions, and calls into fmt/errors.  Two
-//     escape hatches keep the annotation honest rather than aspirational:
+//     concatenation and conversions, and calls into fmt/errors.  One
+//     escape hatch keeps the annotation honest rather than aspirational:
 //     an allocation that is a direct operand of a `return` statement is
 //     exempt (it runs at most once, on the failing call, never in steady
-//     state), and a line carrying a //memcnn:alloc-ok comment is exempt
-//     (the acknowledged goroutine fan-out of the parallel kernels).
+//     state).
 //   - ctxflow: inside a function that has a context.Context available, the
 //     pass flags calls that drop it — invoking a method like RunInto or
 //     Step on a receiver that also offers the Ctx-suffixed variant, or

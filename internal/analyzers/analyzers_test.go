@@ -103,25 +103,6 @@ func hot(n int) error {
 	wantDiags(t, diags, "fmt.Errorf allocates in noalloc function hot")
 }
 
-func TestNoAllocOKMarker(t *testing.T) {
-	// A line carrying //memcnn:alloc-ok is an acknowledged allocation; the
-	// go statement and its function literal are both excused.
-	diags := runOn(t, NoAlloc, `package p
-
-import "sync"
-
-//memcnn:noalloc
-func hot(wg *sync.WaitGroup) {
-	wg.Add(1)
-	go func() { //memcnn:alloc-ok
-		defer wg.Done()
-	}()
-	wg.Wait()
-}
-`)
-	wantDiags(t, diags)
-}
-
 func TestCtxFlowBackgroundShadow(t *testing.T) {
 	diags := runOn(t, CtxFlow, `package p
 

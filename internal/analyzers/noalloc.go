@@ -8,12 +8,8 @@ import (
 )
 
 // noallocDirective marks a function's doc comment: the function body must
-// not heap-allocate.  noallocOK marks a single line inside such a function
-// as an acknowledged allocation (the parallel kernels' goroutine fan-out).
-const (
-	noallocDirective = "//memcnn:noalloc"
-	noallocOK        = "//memcnn:alloc-ok"
-)
+// not heap-allocate.
+const noallocDirective = "//memcnn:noalloc"
 
 // NoAlloc forbids heap allocations in functions annotated //memcnn:noalloc.
 //
@@ -24,11 +20,11 @@ const (
 // beyond a syntactic pass and is not flagged — the annotation documents the
 // checked subset, it does not prove the function allocation-free.
 //
-// Exemptions: an allocation that is syntactically inside a `return`
+// The one exemption: an allocation that is syntactically inside a `return`
 // statement executes at most once, on the failing (or final) call, so error
-// paths like `return fmt.Errorf(...)` stay legal; and a line carrying a
-// //memcnn:alloc-ok comment is excluded, so the acknowledged goroutine
-// fan-out of the parallel kernels does not need the directive removed.
+// paths like `return fmt.Errorf(...)` stay legal.  A function that must
+// allocate on some path calls an unannotated helper for it (par.Planes'
+// fan-out, GemmInto's pack-buffer growth).
 var NoAlloc = &Analyzer{
 	Name: "noalloc",
 	Doc:  "forbid heap allocations in functions marked " + noallocDirective,
@@ -37,13 +33,12 @@ var NoAlloc = &Analyzer{
 
 func runNoAlloc(pass *Pass) {
 	for _, file := range pass.Files {
-		okLines := allocOKLines(pass.Fset, file)
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Body == nil || !hasDirective(fn.Doc, noallocDirective) {
 				continue
 			}
-			checkNoAlloc(pass, fn, okLines)
+			checkNoAlloc(pass, fn)
 		}
 	}
 }
@@ -62,41 +57,22 @@ func hasDirective(doc *ast.CommentGroup, directive string) bool {
 	return false
 }
 
-// allocOKLines collects the line numbers carrying an //memcnn:alloc-ok
-// marker in the file.
-func allocOKLines(fset *token.FileSet, file *ast.File) map[int]bool {
-	lines := make(map[int]bool)
-	for _, cg := range file.Comments {
-		for _, c := range cg.List {
-			if strings.HasPrefix(strings.TrimSpace(c.Text), noallocOK) {
-				lines[fset.Position(c.Pos()).Line] = true
-			}
-		}
-	}
-	return lines
-}
-
 // noallocWalker carries the per-function state of the allocation scan.
 type noallocWalker struct {
 	pass      *Pass
 	fn        *ast.FuncDecl
-	okLines   map[int]bool
 	inReturn  int
 	goFunLits map[*ast.FuncLit]bool // FuncLits already reported as part of a `go` statement
 }
 
-func checkNoAlloc(pass *Pass, fn *ast.FuncDecl, okLines map[int]bool) {
-	w := &noallocWalker{pass: pass, fn: fn, okLines: okLines, goFunLits: make(map[*ast.FuncLit]bool)}
+func checkNoAlloc(pass *Pass, fn *ast.FuncDecl) {
+	w := &noallocWalker{pass: pass, fn: fn, goFunLits: make(map[*ast.FuncLit]bool)}
 	ast.Inspect(fn.Body, w.visit)
 }
 
-// report files the finding unless the node sits on an acknowledged line or
-// inside a return statement.
+// report files the finding unless the node sits inside a return statement.
 func (w *noallocWalker) report(pos token.Pos, format string, args ...any) {
 	if w.inReturn > 0 {
-		return
-	}
-	if w.okLines[w.pass.Fset.Position(pos).Line] {
 		return
 	}
 	w.pass.Reportf(pos, format, append(args, w.fn.Name.Name)...)

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"memcnn/internal/gpusim"
+	"memcnn/internal/par"
 	"memcnn/internal/tensor"
 )
 
@@ -22,7 +23,7 @@ import (
 // (internal/runtime/train) runs those over arena-planned buffers, so a
 // steady-state training step allocates no tensors.  The allocating functions
 // are thin wrappers over the *Into variants, which keeps the two paths
-// bit-identical.  Work is distributed plane by plane (ParallelPlanes) with a
+// bit-identical.  Work is distributed plane by plane (par.Planes) with a
 // fixed per-element accumulation order, so results do not depend on the
 // worker count.  The two convolution gradients are stride walks over lane
 // tiles, like the forward direct kernel; conv_direct.go describes the scheme.
@@ -67,7 +68,7 @@ func ConvBackwardDataInto(dOut, filters, dIn *tensor.Tensor, cfg ConvConfig) err
 	}
 	j := convJob{cfg: cfg, outH: cfg.OutH(), outW: cfg.OutW(),
 		in: stridesOf(dIn), filters: stridesOf(filters), out: stridesOf(dOut)}
-	ParallelPlanes(cfg.C*cfg.H, j, convBackwardDataPlane)
+	par.Planes(cfg.C*cfg.H, j, convBackwardDataPlane)
 	return nil
 }
 
@@ -164,7 +165,7 @@ func ConvBackwardFilterInto(in, dOut, dW *tensor.Tensor, cfg ConvConfig) error {
 	}
 	j := convJob{cfg: cfg, outH: cfg.OutH(), outW: cfg.OutW(),
 		in: stridesOf(in), filters: stridesOf(dW), out: stridesOf(dOut)}
-	ParallelPlanes(cfg.K*cfg.C*cfg.FH, j, convBackwardFilterPlane)
+	par.Planes(cfg.K*cfg.C*cfg.FH, j, convBackwardFilterPlane)
 	return nil
 }
 
@@ -309,7 +310,7 @@ func PoolBackwardInto(in, dOut, dIn *tensor.Tensor, cfg PoolConfig) error {
 	if dIn.Shape != cfg.InputShape() {
 		return fmt.Errorf("kernels: pool backward dIn shape %v does not match config %v", dIn.Shape, cfg.InputShape())
 	}
-	ParallelPlanes(cfg.N*cfg.C, poolBackwardJob{in, dOut, dIn, cfg}, poolBackwardPlane)
+	par.Planes(cfg.N*cfg.C, poolBackwardJob{in, dOut, dIn, cfg}, poolBackwardPlane)
 	return nil
 }
 
@@ -474,33 +475,6 @@ func SoftmaxCrossEntropyBackwardFloatInto(grad, probs, labels []float32, cfg Sof
 		}
 	}
 	return nil
-}
-
-// SoftmaxCrossEntropyLossFloat is SoftmaxCrossEntropyLoss with float32-coded
-// labels, matching SoftmaxCrossEntropyBackwardFloatInto.
-func SoftmaxCrossEntropyLossFloat(probs, labels []float32, cfg SoftmaxConfig) (float64, error) {
-	if err := cfg.Validate(); err != nil {
-		return 0, err
-	}
-	if len(probs) < cfg.Elems() {
-		return 0, fmt.Errorf("kernels: softmax loss probs has %d elements, want %d", len(probs), cfg.Elems())
-	}
-	if len(labels) < cfg.N {
-		return 0, fmt.Errorf("kernels: softmax loss has %d labels, want %d", len(labels), cfg.N)
-	}
-	var loss float64
-	for n := 0; n < cfg.N; n++ {
-		lbl := int(labels[n])
-		if lbl < 0 || lbl >= cfg.Classes {
-			return 0, fmt.Errorf("kernels: label %d out of range for %d classes", lbl, cfg.Classes)
-		}
-		p := float64(probs[n*cfg.Classes+lbl])
-		if p < 1e-30 {
-			p = 1e-30
-		}
-		loss -= math.Log(p)
-	}
-	return loss / float64(cfg.N), nil
 }
 
 // SoftmaxCrossEntropyLoss returns the mean cross-entropy of the probability

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"memcnn/internal/gpusim"
+	"memcnn/internal/par"
 	"memcnn/internal/tensor"
 )
 
@@ -122,7 +123,7 @@ func ConvDirectInto(in, filters, out *tensor.Tensor, cfg ConvConfig) error {
 	}
 	j := convJob{cfg: cfg, outH: cfg.OutH(), outW: cfg.OutW(),
 		in: stridesOf(in), filters: stridesOf(filters), out: stridesOf(out)}
-	ParallelPlanes(cfg.K*j.outH, j, convForwardPlane)
+	par.Planes(cfg.K*j.outH, j, convForwardPlane)
 	return nil
 }
 

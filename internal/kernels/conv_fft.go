@@ -3,12 +3,10 @@ package kernels
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"memcnn/internal/fft"
 	"memcnn/internal/gpusim"
+	"memcnn/internal/par"
 	"memcnn/internal/tensor"
 )
 
@@ -76,23 +74,6 @@ func fftProductionPad(cfg ConvConfig) (pR, pC int) {
 	return fft.NextPow2(cfg.H + 2*cfg.PadH), fft.NextPow2(cfg.W + 2*cfg.PadW)
 }
 
-// fftWorkerCount returns the number of image-stage workers ConvFFTInto uses:
-// GOMAXPROCS capped by the batch size and by the workspace's fftMaxWorkers
-// blocks.
-func fftWorkerCount(n int) int {
-	w := runtime.GOMAXPROCS(0)
-	if w > n {
-		w = n
-	}
-	if w > fftMaxWorkers {
-		w = fftMaxWorkers
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // ConvFFTWorkspaceElems returns the scratch ConvFFTInto needs, in float32
 // elements: split re/im spectra for all K·C filters, plus one private block
 // per worker holding the current image's C channel spectra and the
@@ -137,58 +118,41 @@ func ConvFFTInto(in, filters, out *tensor.Tensor, cfg ConvConfig, scratch []floa
 		return fmt.Errorf("kernels: fft conv scratch has %d elements, want at least %d", len(scratch), need)
 	}
 	pR, pC := fftProductionPad(cfg)
-	pts := pR * pC
-	filtArea := scratch[:cfg.K*cfg.C*2*pts]
-	workArea := scratch[cfg.K*cfg.C*2*pts:]
-	perWorker := (cfg.C + 1) * 2 * pts
-	workers := fftWorkerCount(cfg.N)
-	if workers <= 1 {
-		// Serial path: plain calls, no closures, zero allocations.
-		for idx := 0; idx < cfg.K*cfg.C; idx++ {
-			convFFTFilterBlock(filters, cfg, idx, filtArea, pR, pC)
-		}
-		for n := 0; n < cfg.N; n++ {
-			convFFTImage(in, out, cfg, n, workArea[:perWorker], filtArea, pR, pC)
-		}
-		return nil
-	}
-	fftParallel(workers, cfg.K*cfg.C, func(idx, _ int) { //memcnn:alloc-ok
-		convFFTFilterBlock(filters, cfg, idx, filtArea, pR, pC)
-	})
-	fftParallel(workers, cfg.N, func(n, w int) { //memcnn:alloc-ok
-		convFFTImage(in, out, cfg, n, workArea[w*perWorker:(w+1)*perWorker], filtArea, pR, pC)
-	})
+	filtElems := cfg.K * cfg.C * 2 * pR * pC
+	j := convFFTJob{in: in, filters: filters, out: out, cfg: cfg, pR: pR, pC: pC,
+		filtArea: scratch[:filtElems], workArea: scratch[filtElems:],
+		lanes: par.Workers(min(cfg.N, fftMaxWorkers))}
+	par.Planes(cfg.K*cfg.C, j, convFFTFilterBlock)
+	par.Planes(j.lanes, j, convFFTLane)
 	return nil
 }
 
-// fftParallel runs f(job, worker) for job in [0, jobs) on `workers`
-// goroutines pulling jobs from an atomic counter.  Each job index runs
-// exactly once and each worker index is private to one goroutine.
-//
-//memcnn:noalloc
-func fftParallel(workers, jobs int, f func(job, worker int)) {
-	var next int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) { //memcnn:alloc-ok
-			defer wg.Done()
-			for {
-				job := int(atomic.AddInt64(&next, 1)) - 1
-				if job >= jobs {
-					return
-				}
-				f(job, w)
-			}
-		}(w)
+// convFFTJob is one ConvFFTInto call.  The filter stage is one plane per
+// (k, c) spectrum.  The image stage is one plane per lane: a lane owns one
+// private block of the work area, so only the blocks of lanes that can run at
+// once are ever touched.
+type convFFTJob struct {
+	in, filters, out   *tensor.Tensor
+	cfg                ConvConfig
+	pR, pC             int
+	filtArea, workArea []float32
+	lanes              int
+}
+
+// convFFTLane convolves images lane, lane+lanes, … in the lane's block.
+func convFFTLane(j convFFTJob, lane int) {
+	perLane := (j.cfg.C + 1) * 2 * j.pR * j.pC
+	block := j.workArea[lane*perLane : (lane+1)*perLane]
+	for n := lane; n < j.cfg.N; n += j.lanes {
+		convFFTImage(j.in, j.out, j.cfg, n, block, j.filtArea, j.pR, j.pC)
 	}
-	wg.Wait()
 }
 
 // convFFTFilterBlock fills filter spectrum idx = k·C + c: the FH×FW filter
 // tap block is zero-padded into the pR×pC plane pair at filtArea[idx·2·pts]
 // (re plane first, then im) and transformed forward in place.
-func convFFTFilterBlock(filters *tensor.Tensor, cfg ConvConfig, idx int, filtArea []float32, pR, pC int) {
+func convFFTFilterBlock(j convFFTJob, idx int) {
+	filters, cfg, filtArea, pR, pC := j.filters, j.cfg, j.filtArea, j.pR, j.pC
 	pts := pR * pC
 	k, c := idx/cfg.C, idx%cfg.C
 	re := filtArea[idx*2*pts : idx*2*pts+pts]

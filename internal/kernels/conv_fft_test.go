@@ -77,27 +77,34 @@ func TestConvFFTLayoutBitInvariance(t *testing.T) {
 }
 
 // TestConvFFTDeterministicAcrossWorkers checks that the parallel fan-out over
-// filter blocks and images reproduces the serial path bit for bit — each
+// filter blocks and image lanes reproduces the serial path bit for bit — each
 // (image, filter) accumulation is computed whole by one worker, so the
-// partition cannot change the arithmetic.
+// partition cannot change the arithmetic.  Batch 3 leaves lanes idle or
+// uneven; batch 11 is past fftMaxWorkers and a multiple of no lane count, so
+// the lanes' last rounds are ragged.
 func TestConvFFTDeterministicAcrossWorkers(t *testing.T) {
-	cfg := ConvConfig{N: 3, C: 5, H: 13, W: 11, K: 7, FH: 3, FW: 3, PadH: 1, PadW: 1, StrideH: 2, StrideW: 2}
-	in := tensor.Random(cfg.InputShape(), tensor.CHWN, 5)
-	filters := tensor.Filters(cfg.K, cfg.C, cfg.FH, cfg.FW, 6)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, n := range []int{3, 11} {
+		cfg := ConvConfig{N: n, C: 5, H: 13, W: 11, K: 7, FH: 3, FW: 3, PadH: 1, PadW: 1, StrideH: 2, StrideW: 2}
+		in := tensor.Random(cfg.InputShape(), tensor.CHWN, 5)
+		filters := tensor.Filters(cfg.K, cfg.C, cfg.FH, cfg.FW, 6)
 
-	parallel, err := ConvFFT(in, filters, cfg, tensor.NCHW)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := runtime.GOMAXPROCS(1)
-	serial, err := ConvFFT(in, filters, cfg, tensor.NCHW)
-	runtime.GOMAXPROCS(prev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range parallel.Data {
-		if parallel.Data[i] != serial.Data[i] {
-			t.Fatalf("element %d differs across worker counts: %v vs %v", i, parallel.Data[i], serial.Data[i])
+		runtime.GOMAXPROCS(1)
+		serial, err := ConvFFT(in, filters, cfg, tensor.NCHW)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, procs := range []int{2, 3, 4, 8} {
+			runtime.GOMAXPROCS(procs)
+			parallel, err := ConvFFT(in, filters, cfg, tensor.NCHW)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range parallel.Data {
+				if parallel.Data[i] != serial.Data[i] {
+					t.Fatalf("batch %d, %d workers: element %d differs from the serial run: %v vs %v", n, procs, i, parallel.Data[i], serial.Data[i])
+				}
+			}
 		}
 	}
 }

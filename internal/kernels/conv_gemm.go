@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"memcnn/internal/gpusim"
+	"memcnn/internal/par"
 	"memcnn/internal/tensor"
 )
 
@@ -173,7 +174,7 @@ func ConvIm2colGemmInto(in *tensor.Tensor, packed []float32, out *tensor.Tensor,
 	if out.Layout != tensor.NCHW {
 		j.prod = scratch[kdim*j.ohw : kdim*j.ohw+cfg.K*j.ohw]
 	}
-	ParallelSteps(cfg.N*j.stepsPerImage(), j, convGemmPlanes, convGemmPlane)
+	par.Steps(cfg.N*j.stepsPerImage(), j, convGemmPlanes, convGemmPlane)
 	return nil
 }
 
@@ -261,7 +262,7 @@ func convGemmBatched(in *tensor.Tensor, packed []float32, out *tensor.Tensor, cf
 	j.cols = cfg.OutH() * j.outW * cfg.N
 	j.pw = min(gemmNR, len(scratch)/j.kdim)
 	j.lanes = min(len(scratch)/(j.kdim*j.pw), ceilDiv(j.cols, j.pw))
-	ParallelPlanes(j.lanes, j, convGemmLane)
+	par.Planes(j.lanes, j, convGemmLane)
 }
 
 // convGemmLane runs one lane of a batch-folded call.  The multiplication is
@@ -361,7 +362,3 @@ func ConvGemmShape(cfg ConvConfig) GemmCostConfig {
 		K: cfg.ReductionLength(),
 	}
 }
-
-// ConvGemmWorkspaceBytes returns the device memory the GEMM path needs beyond
-// input, output and filters (the unrolled matrix).
-func ConvGemmWorkspaceBytes(cfg ConvConfig) int64 { return Im2colWorkspaceBytes(cfg) }

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"memcnn/internal/gpusim"
+	"memcnn/internal/par"
 )
 
 // Packed, register-blocked single-precision matrix multiplication in the
@@ -28,7 +29,7 @@ import (
 //     straight into the unroll scratch without growing it.
 //
 // C is cut into tiles of gemmTileSlabs×gemmTilePanels micro-tiles, each one
-// plane of a parallel step (ParallelSteps); a tile walks the reduction in
+// plane of a parallel step (par.Steps); a tile walks the reduction in
 // gemmKC blocks so the B micro-panel (gemmKC·gemmNR floats, 16 KiB) stays in
 // L1 across the tile's slabs and the A block (≤ 48 KiB) in L2 across its
 // panels.  The micro-kernel holds a gemmMR×gemmNR block of C in registers:
@@ -87,6 +88,17 @@ func Gemm(a []float32, b []float32, m, n, k int) ([]float32, error) {
 // allocates only when a call needs a larger buffer than any before it.
 var gemmPackPool sync.Pool
 
+// gemmPackBuffer takes a buffer of at least elems floats from the pool, or
+// makes one when the pool has none that large; that growth is the one
+// allocation of GemmInto, and it lives here so GemmInto can stay noalloc.
+func gemmPackBuffer(elems int) *[]float32 {
+	if buf, _ := gemmPackPool.Get().(*[]float32); buf != nil && cap(*buf) >= elems {
+		return buf
+	}
+	grown := make([]float32, elems)
+	return &grown
+}
+
 // GemmInto computes C = A·B into the caller-provided slice c (length m×n,
 // overwritten whatever it held): it packs both row-major operands into a
 // pooled buffer and runs the packed core.  The accumulation order of every
@@ -103,13 +115,9 @@ func GemmInto(a, b, c []float32, m, n, k int) error {
 		return fmt.Errorf("kernels: gemm C has %d elements, want %d", len(c), m*n)
 	}
 	aElems := gemmPackedAElems(m, k)
-	buf, _ := gemmPackPool.Get().(*[]float32)
-	if buf == nil || cap(*buf) < aElems+k*n {
-		grown := make([]float32, aElems+k*n) //memcnn:alloc-ok
-		buf = &grown
-	}
+	buf := gemmPackBuffer(aElems + k*n)
 	pa, pb := (*buf)[:aElems], (*buf)[aElems:aElems+k*n]
-	ParallelSteps(2, gemmPackJob{gemmJob: newGemmJob(pa, pb, c, m, n, k), rawA: a, rawB: b}, gemmIntoPlanes, gemmIntoPlane)
+	par.Steps(2, gemmPackJob{gemmJob: newGemmJob(pa, pb, c, m, n, k), rawA: a, rawB: b}, gemmIntoPlanes, gemmIntoPlane)
 	gemmPackPool.Put(buf)
 	return nil
 }

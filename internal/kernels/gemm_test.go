@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"memcnn/internal/gpusim"
+	"memcnn/internal/par"
 )
 
 func naiveGemm(a, b []float32, m, n, k int) []float32 {
@@ -246,7 +247,7 @@ func TestGemmPackedStaysInsideItsOperands(t *testing.T) {
 		pa, _ := guarded(r, gemmPackedAElems(m, k))
 		pb, _ := guarded(r, k*n)
 		c, backing := guarded(r, m*n)
-		ParallelSteps(2, gemmPackJob{gemmJob: newGemmJob(pa, pb, c, m, n, k), rawA: a, rawB: b}, gemmIntoPlanes, gemmIntoPlane)
+		par.Steps(2, gemmPackJob{gemmJob: newGemmJob(pa, pb, c, m, n, k), rawA: a, rawB: b}, gemmIntoPlanes, gemmIntoPlane)
 		equalBits(t, fmt.Sprintf("%dx%dx%d", m, n, k), c, oldGemm(a, b, m, n, k))
 		if !fenceIntact(backing, m*n) {
 			t.Fatalf("%dx%dx%d: wrote outside C", m, n, k)

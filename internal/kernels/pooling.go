@@ -3,10 +3,9 @@ package kernels
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"memcnn/internal/gpusim"
+	"memcnn/internal/par"
 	"memcnn/internal/tensor"
 )
 
@@ -46,7 +45,7 @@ func PoolInto(in, out *tensor.Tensor, cfg PoolConfig) error {
 		return fmt.Errorf("kernels: pool output shape %v does not match config %v", out.Shape, cfg.OutputShape())
 	}
 	j := poolJob{cfg: cfg, outH: cfg.OutH(), outW: cfg.OutW(), in: stridesOf(in), out: stridesOf(out)}
-	ParallelPlanes(cfg.C*j.outH, j, poolPlane)
+	par.Planes(cfg.C*j.outH, j, poolPlane)
 	return nil
 }
 
@@ -145,55 +144,47 @@ func PoolCoarsened(in *tensor.Tensor, cfg PoolConfig, expandH, expandW int) (*te
 		return nil, fmt.Errorf("kernels: pool input shape %v does not match config %v", in.Shape, cfg.InputShape())
 	}
 	out := tensor.New(cfg.OutputShape(), in.Layout)
-	outH, outW := cfg.OutH(), cfg.OutW()
-	unionH := (expandH-1)*cfg.Stride + cfg.Window
-	unionW := (expandW-1)*cfg.Stride + cfg.Window
+	par.Planes(cfg.N*cfg.C, poolCoarsenedJob{in: in, out: out, cfg: cfg, expandH: expandH, expandW: expandW}, poolCoarsenedPlane)
+	return out, nil
+}
 
-	type job struct{ n, c int }
-	jobs := make(chan job, cfg.N*cfg.C)
-	for n := 0; n < cfg.N; n++ {
-		for c := 0; c < cfg.C; c++ {
-			jobs <- job{n, c}
-		}
-	}
-	close(jobs)
-	var wg sync.WaitGroup
-	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// window caches the union of input windows of one output tile,
-			// standing in for the per-thread register file.
-			window := make([]float32, unionH*unionW)
-			for j := range jobs {
-				for ohBase := 0; ohBase < outH; ohBase += expandH {
-					for owBase := 0; owBase < outW; owBase += expandW {
-						// Load the union once.
-						h0, w0 := ohBase*cfg.Stride, owBase*cfg.Stride
-						for y := 0; y < unionH; y++ {
-							for x := 0; x < unionW; x++ {
-								ih, iw := h0+y, w0+x
-								if ih < cfg.H && iw < cfg.W {
-									window[y*unionW+x] = in.At(j.n, j.c, ih, iw)
-								} else {
-									window[y*unionW+x] = float32(math.Inf(-1))
-								}
-							}
-						}
-						// Produce the tile from the cached union.
-						for dy := 0; dy < expandH && ohBase+dy < outH; dy++ {
-							for dx := 0; dx < expandW && owBase+dx < outW; dx++ {
-								out.Set(j.n, j.c, ohBase+dy, owBase+dx,
-									poolFromCache(window, unionW, cfg, dy, dx))
-							}
-						}
+type poolCoarsenedJob struct {
+	in, out          *tensor.Tensor
+	cfg              PoolConfig
+	expandH, expandW int
+}
+
+// poolCoarsenedPlane computes feature map (n, c) = (p/C, p%C) tile by tile.
+func poolCoarsenedPlane(j poolCoarsenedJob, p int) {
+	cfg, n, c := j.cfg, p/j.cfg.C, p%j.cfg.C
+	outH, outW := cfg.OutH(), cfg.OutW()
+	unionH := (j.expandH-1)*cfg.Stride + cfg.Window
+	unionW := (j.expandW-1)*cfg.Stride + cfg.Window
+	// window caches the union of input windows of one output tile, standing
+	// in for the per-thread register file.
+	window := make([]float32, unionH*unionW)
+	for ohBase := 0; ohBase < outH; ohBase += j.expandH {
+		for owBase := 0; owBase < outW; owBase += j.expandW {
+			// Load the union once.
+			h0, w0 := ohBase*cfg.Stride, owBase*cfg.Stride
+			for y := 0; y < unionH; y++ {
+				for x := 0; x < unionW; x++ {
+					ih, iw := h0+y, w0+x
+					if ih < cfg.H && iw < cfg.W {
+						window[y*unionW+x] = j.in.At(n, c, ih, iw)
+					} else {
+						window[y*unionW+x] = float32(math.Inf(-1))
 					}
 				}
 			}
-		}()
+			// Produce the tile from the cached union.
+			for dy := 0; dy < j.expandH && ohBase+dy < outH; dy++ {
+				for dx := 0; dx < j.expandW && owBase+dx < outW; dx++ {
+					j.out.Set(n, c, ohBase+dy, owBase+dx, poolFromCache(window, unionW, cfg, dy, dx))
+				}
+			}
+		}
 	}
-	wg.Wait()
-	return out, nil
 }
 
 func poolFromCache(window []float32, unionW int, cfg PoolConfig, dy, dx int) float32 {

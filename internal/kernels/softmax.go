@@ -3,10 +3,9 @@ package kernels
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"memcnn/internal/gpusim"
+	"memcnn/internal/par"
 )
 
 // Softmax (classifier) kernels, Section V.B.  The baseline libraries
@@ -45,36 +44,18 @@ func SoftmaxInto(dst, src []float32, cfg SoftmaxConfig) error {
 	if len(dst) != cfg.Elems() {
 		return fmt.Errorf("kernels: softmax output has %d elements, want %d", len(dst), cfg.Elems())
 	}
-	in, out := src, dst
-	workers := runtime.GOMAXPROCS(0)
-	if workers > cfg.N {
-		workers = cfg.N
-	}
-	if workers <= 1 {
-		for n := 0; n < cfg.N; n++ {
-			softmaxRow(in[n*cfg.Classes:(n+1)*cfg.Classes], out[n*cfg.Classes:(n+1)*cfg.Classes])
-		}
-		return nil
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * cfg.N / workers
-		hi := (w + 1) * cfg.N / workers
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) { //memcnn:alloc-ok
-			defer wg.Done()
-			for n := lo; n < hi; n++ {
-				row := in[n*cfg.Classes : (n+1)*cfg.Classes]
-				dst := out[n*cfg.Classes : (n+1)*cfg.Classes]
-				softmaxRow(row, dst)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+	par.Planes(cfg.N, softmaxJob{dst: dst, src: src, classes: cfg.Classes}, softmaxPlane)
 	return nil
+}
+
+// softmaxJob is one SoftmaxInto call, one plane per row.
+type softmaxJob struct {
+	dst, src []float32
+	classes  int
+}
+
+func softmaxPlane(j softmaxJob, n int) {
+	softmaxRow(j.src[n*j.classes:(n+1)*j.classes], j.dst[n*j.classes:(n+1)*j.classes])
 }
 
 // softmaxRow computes one row; dst may alias row (the maximum is taken before

@@ -7,6 +7,7 @@ import (
 
 	"memcnn/internal/gpusim"
 	"memcnn/internal/kernels"
+	"memcnn/internal/par"
 	"memcnn/internal/tensor"
 )
 
@@ -237,7 +238,7 @@ func (f *FullyConnected) ForwardInto(in, dst *tensor.Tensor, alg kernels.ConvAlg
 			}
 		}
 	}
-	kernels.ParallelPlanes(f.OutDim, fcJob{flat: flat, weights: f.Weights(), out: stridesOf(dst), batch: f.Batch, inDim: f.InDim}, fcOutput)
+	par.Planes(f.OutDim, fcJob{flat: flat, weights: f.Weights(), out: stridesOf(dst), batch: f.Batch, inDim: f.InDim}, fcOutput)
 	return nil
 }
 
@@ -456,7 +457,7 @@ func (l *LRN) ForwardInto(in, dst *tensor.Tensor, alg kernels.ConvAlgorithm, scr
 	if dst.Shape != l.Shape {
 		return fmt.Errorf("layers: %s: output shape %v, want %v", l.LayerName, dst.Shape, l.Shape)
 	}
-	kernels.ParallelPlanes(l.Shape.N*l.Shape.C, lrnJob{in: stridesOf(in), out: stridesOf(dst), shape: l.Shape,
+	par.Planes(l.Shape.N*l.Shape.C, lrnJob{in: stridesOf(in), out: stridesOf(dst), shape: l.Shape,
 		half: l.LocalSize / 2, alphaN: l.Alpha / float64(l.LocalSize), beta: l.Beta}, lrnPlane)
 	return nil
 }

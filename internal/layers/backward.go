@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"memcnn/internal/kernels"
+	"memcnn/internal/par"
 	"memcnn/internal/tensor"
 )
 
@@ -14,8 +15,8 @@ import (
 // interfaces so the training compiler (internal/runtime/train) and the device
 // dispatch (internal/runtime) need no per-layer knowledge.  All methods are
 // allocation-free and bit-deterministic for any worker count: parallel passes
-// go through kernels.ParallelPlanes, so every output element is written by
-// exactly one worker in a fixed accumulation order.
+// go through par.Planes, so every output element is written by exactly one
+// worker in a fixed accumulation order.
 
 // BackwardLayer is implemented by layers that can propagate a gradient to
 // their input.  Softmax deliberately does not implement it: its backward is
@@ -128,7 +129,7 @@ func (f *FullyConnected) BackwardDataInto(_, dOut, dIn *tensor.Tensor, _ []float
 	if dIn.Shape.Elems() != f.InputShape().Elems() || dIn.Shape.N != f.Batch {
 		return fmt.Errorf("layers: %s: backward dIn shape %v incompatible with %v", f.LayerName, dIn.Shape, f.InputShape())
 	}
-	kernels.ParallelPlanes(f.Batch, fcBackwardJob{f: f, w: f.Weights(), dOut: dOut, dst: dIn}, fcBackwardDataRow)
+	par.Planes(f.Batch, fcBackwardJob{f: f, w: f.Weights(), dOut: dOut, dst: dIn}, fcBackwardDataRow)
 	return nil
 }
 
@@ -190,7 +191,7 @@ func (f *FullyConnected) BackwardFilterInto(in, dOut, dW *tensor.Tensor) error {
 	if dW.Shape != f.GradShape() {
 		return fmt.Errorf("layers: %s: backward dW shape %v, want %v", f.LayerName, dW.Shape, f.GradShape())
 	}
-	kernels.ParallelPlanes(f.OutDim, fcBackwardJob{f: f, in: in, dOut: dOut, dst: dW}, fcBackwardFilterRow)
+	par.Planes(f.OutDim, fcBackwardJob{f: f, in: in, dOut: dOut, dst: dW}, fcBackwardFilterRow)
 	return nil
 }
 

@@ -1,4 +1,14 @@
-package kernels
+// Package par is the one place where a kernel's work is split across
+// goroutines.  It is a leaf (standard library only) so that tensor, kernels
+// and layers can all fan out through it, and Workers holds the only
+// runtime.GOMAXPROCS read of the non-test code: a worker budget handed down
+// from a device would be a change to this file alone.
+//
+// Both fan-outs take the job by value and the work as a plain top-level
+// function, not a closure over the caller's locals: nothing the caller owns
+// escapes, so a single-worker run stays inline and allocation free, which is
+// what lets callers carry //memcnn:noalloc.
+package par
 
 import (
 	"runtime"
@@ -6,19 +16,22 @@ import (
 	"sync/atomic"
 )
 
-// ParallelPlanes runs work(job, p) for p in [0, planes) across GOMAXPROCS
-// workers.  Each plane is processed by exactly one worker, so kernels that
+// Workers returns how many goroutines a fan-out over the given number of
+// planes uses: GOMAXPROCS, capped by the planes.  A kernel whose lanes each
+// own a block of workspace calls it to touch no more blocks than will run.
+func Workers(planes int) int {
+	return min(runtime.GOMAXPROCS(0), planes)
+}
+
+// Planes runs work(job, p) for p in [0, planes) across Workers(planes)
+// goroutines.  Each plane is processed by exactly one worker, so kernels that
 // assign each output element to one plane stay bit-deterministic for any
-// worker count.
-//
-// The job travels by value and work is a plain function, not a closure over
-// the caller's locals: nothing the caller owns escapes, so a single-worker
-// run stays inline and allocation free.  Only the multi-worker branch pays
-// for the fan-out, inside fanOutPlanes.
+// worker count.  Only the multi-worker branch pays for the fan-out, inside
+// fanOutPlanes.
 //
 //memcnn:noalloc
-func ParallelPlanes[J any](planes int, job J, work func(job J, p int)) {
-	workers := min(runtime.GOMAXPROCS(0), planes)
+func Planes[J any](planes int, job J, work func(job J, p int)) {
+	workers := Workers(planes)
 	if workers <= 1 {
 		for p := 0; p < planes; p++ {
 			work(job, p)
@@ -30,8 +43,8 @@ func ParallelPlanes[J any](planes int, job J, work func(job J, p int)) {
 
 // fanOutPlanes hands planes out through an atomic counter rather than a job
 // channel.  It is a separate function so that the state the goroutines share
-// is heap-allocated here, not in ParallelPlanes' serial path; the workers run
-// one closure over one state block, so a call leaves two small objects behind
+// is heap-allocated here, not in Planes' serial path; the workers run one
+// closure over one state block, so a call leaves two small objects behind
 // however many workers there are.
 func fanOutPlanes[J any](planes, workers int, job J, work func(job J, p int)) {
 	st := &struct {
@@ -56,23 +69,23 @@ func fanOutPlanes[J any](planes, workers int, job J, work func(job J, p int)) {
 	st.wg.Wait()
 }
 
-// ParallelSteps is ParallelPlanes for a kernel made of steps that must follow
-// one another, each of them plane-parallel (unroll an image, multiply by the
-// unrolled matrix, move on to the next image): for every step s in order it
-// runs work(job, s, p) for p in [0, planes(job, s)), and no plane of a step
-// starts before every plane of the step before it has returned.  Each plane
-// still runs on exactly one worker.  The whole sequence shares one fan-out:
-// the workers meet at a barrier between steps instead of being launched and
+// Steps is Planes for a kernel made of steps that must follow one another,
+// each of them plane-parallel (unroll an image, multiply by the unrolled
+// matrix, move on to the next image): for every step s in order it runs
+// work(job, s, p) for p in [0, planes(job, s)), and no plane of a step starts
+// before every plane of the step before it has returned.  Each plane still
+// runs on exactly one worker.  The whole sequence shares one fan-out: the
+// workers meet at a barrier between steps instead of being launched and
 // joined once a step, so a call leaves the two small objects of a single
-// ParallelPlanes call behind however many steps it has.
+// Planes call behind however many steps it has.
 //
 //memcnn:noalloc
-func ParallelSteps[J any](steps int, job J, planes func(job J, step int) int, work func(job J, step, p int)) {
+func Steps[J any](steps int, job J, planes func(job J, step int) int, work func(job J, step, p int)) {
 	widest := 0
 	for s := 0; s < steps; s++ {
 		widest = max(widest, planes(job, s))
 	}
-	workers := min(runtime.GOMAXPROCS(0), widest)
+	workers := Workers(widest)
 	if workers <= 1 {
 		for s := 0; s < steps; s++ {
 			for p, n := 0, planes(job, s); p < n; p++ {

@@ -1,4 +1,4 @@
-package kernels
+package par
 
 import (
 	"runtime"
@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// stepsJob counts what ParallelSteps ran: how often each plane of each step,
+// stepsJob counts what Steps ran: how often each plane of each step,
 // how many planes have returned, and how many started too early.
 type stepsJob struct {
 	widths []int
@@ -43,7 +43,7 @@ func TestParallelStepsKeepsTheStepsInOrder(t *testing.T) {
 				for s, w := range widths {
 					j.ran[s] = make([]atomic.Int32, w)
 				}
-				ParallelSteps(len(widths), j, stepsPlanes, stepsWork)
+				Steps(len(widths), j, stepsPlanes, stepsWork)
 				for s := range j.ran {
 					for p := range j.ran[s] {
 						if n := j.ran[s][p].Load(); n != 1 {
@@ -57,5 +57,45 @@ func TestParallelStepsKeepsTheStepsInOrder(t *testing.T) {
 			}
 		}
 		runtime.GOMAXPROCS(prev)
+	}
+}
+
+func countPlane(ran []atomic.Int32, p int) { ran[p].Add(1) }
+
+// TestPlanesRunsEveryPlaneOnce covers plane counts on both sides of the worker
+// count, and none at all.
+func TestPlanesRunsEveryPlaneOnce(t *testing.T) {
+	for _, procs := range []int{1, 2, 4, 8} {
+		prev := runtime.GOMAXPROCS(procs)
+		for _, planes := range []int{0, 1, 2, 3, 7, 8, 9, 64, 1000} {
+			if w, want := Workers(planes), min(procs, planes); w != want {
+				t.Fatalf("GOMAXPROCS %d: Workers(%d) = %d, want %d", procs, planes, w, want)
+			}
+			ran := make([]atomic.Int32, planes)
+			Planes(planes, ran, countPlane)
+			for p := range ran {
+				if n := ran[p].Load(); n != 1 {
+					t.Fatalf("GOMAXPROCS %d, %d planes: plane %d ran %d times", procs, planes, p, n)
+				}
+			}
+		}
+		runtime.GOMAXPROCS(prev)
+	}
+}
+
+func oneStepPlanes(ran []atomic.Int32, step int) int { return len(ran) }
+
+func countStepPlane(ran []atomic.Int32, step, p int) { ran[p].Add(1) }
+
+// TestOneWorkerAllocatesNothing pins the contract the //memcnn:noalloc kernels
+// rest on: with one worker both fan-outs run inline, without a heap object.
+func TestOneWorkerAllocatesNothing(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ran := make([]atomic.Int32, 16)
+	if n := testing.AllocsPerRun(20, func() { Planes(len(ran), ran, countPlane) }); n != 0 {
+		t.Errorf("Planes with one worker: %v allocations a call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { Steps(3, ran, oneStepPlanes, countStepPlane) }); n != 0 {
+		t.Errorf("Steps with one worker: %v allocations a call, want 0", n)
 	}
 }

@@ -219,9 +219,9 @@
 // //memcnn:noalloc: the directive (checked by internal/analyzers and
 // cmd/memcnnvet) forbids heap allocation in the function body — closures,
 // make/new/append, fmt/errors calls, slice/map literals, string building —
-// except inside return statements (error paths run at most once) and on
-// lines explicitly acknowledged with //memcnn:alloc-ok (the goroutine
-// fan-out of the parallel kernels).  The annotation documents and enforces
-// the steady-state-allocation-free contract this package's arena discipline
-// depends on.
+// except inside return statements (error paths run at most once).  Kernels
+// split their work through internal/par, whose single-worker path is
+// annotated too; only its multi-worker fan-out allocates.  The annotation
+// documents and enforces the steady-state-allocation-free contract this
+// package's arena discipline depends on.
 package runtime

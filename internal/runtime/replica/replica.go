@@ -82,11 +82,9 @@ type Config struct {
 	// equal the replica count; weights must be non-negative with a positive
 	// sum, and a replica weighted 0 receives no images).  When nil the
 	// weights are derived from the devices: modeled throughput for simulated
-	// devices, a warmup-probe measurement for CPU devices.
+	// devices, a warmup-probe measurement for CPU devices (the minimum of
+	// warmupProbes timed runs, filtering scheduler noise).
 	Weights []float64
-	// WarmupProbes is the number of timed runs a CPU-device weight probe
-	// takes (the minimum is used, filtering scheduler noise).  Default 2.
-	WarmupProbes int
 	// MaxRetries is how many times a failed sub-batch is re-run on the same
 	// replica before the replica is marked unhealthy and the batch fails over
 	// to the survivors.  Default 2; negative disables retries (first failure
@@ -265,7 +263,7 @@ func NewGroup(base *runtime.Program, replicas int, cfg Config) (*Group, error) {
 
 	weights := cfg.Weights
 	if weights == nil {
-		weights = DeriveWeights(base, devices, cfg.WarmupProbes)
+		weights = DeriveWeights(base, devices)
 	}
 	if len(weights) != replicas {
 		return nil, fmt.Errorf("replica: %d weights for %d replicas", len(weights), replicas)
@@ -929,15 +927,12 @@ func Shares(batch int, weights []float64) ([]int, error) {
 // DeriveWeights estimates each replica's throughput weight from its devices:
 // a simulated device contributes its modeled batches-per-second for the base
 // program (gpusim pricing), a CPU device its measured rate from a short
-// warmup probe (probes timed runs after one warming run; minimum taken).  A
+// warmup probe (warmupProbes timed runs after one warming run; minimum taken).  A
 // replica's weight is the sum over its devices, crediting pipeline-sharded
 // replicas with their extra stage throughput.  Devices are resolved through
 // fault wrappers (runtime.SimOf), so a FaultDevice around a simulated device
 // is still priced on its hardware model rather than probed.
-func DeriveWeights(base *runtime.Program, devices [][]runtime.Device, probes int) []float64 {
-	if probes <= 0 {
-		probes = 2
-	}
+func DeriveWeights(base *runtime.Program, devices [][]runtime.Device) []float64 {
 	weights := make([]float64, len(devices))
 	for i, devs := range devices {
 		for _, d := range devs {
@@ -947,7 +942,7 @@ func DeriveWeights(base *runtime.Program, devices [][]runtime.Device, probes int
 				}
 				continue
 			}
-			if sec := probeSeconds(base, d, probes); sec > 0 {
+			if sec := probeSeconds(base, d); sec > 0 {
 				weights[i] += 1 / sec
 			}
 		}
@@ -955,13 +950,16 @@ func DeriveWeights(base *runtime.Program, devices [][]runtime.Device, probes int
 	return weights
 }
 
+// warmupProbes is the number of timed runs a CPU-device weight probe takes.
+const warmupProbes = 2
+
 // probeSeconds measures one warmed full-batch run of the base program on the
 // device, returning the minimum of the timed runs in seconds.  A transiently
 // faulty device (a FaultDevice schedule) gets a bounded number of extra
 // attempts before the probe gives up and weights the replica 0 — a flaky
 // device should start with its fair share and earn failover later, not be
 // starved at construction.
-func probeSeconds(base *runtime.Program, d runtime.Device, probes int) float64 {
+func probeSeconds(base *runtime.Program, d runtime.Device) float64 {
 	exec := runtime.NewExecutorOn(base, d)
 	in := tensor.New(base.InputShape(), tensor.NCHW)
 	out := tensor.New(base.OutputShape(), tensor.NCHW)
@@ -973,7 +971,7 @@ func probeSeconds(base *runtime.Program, d runtime.Device, probes int) float64 {
 		return 0
 	}
 	best := math.Inf(1)
-	for p, attempts := 0, 0; p < probes && attempts < probes+3; attempts++ {
+	for p, attempts := 0, 0; p < warmupProbes && attempts < warmupProbes+3; attempts++ {
 		start := time.Now()
 		if err := exec.RunInto(in, out); err != nil {
 			continue

@@ -285,7 +285,7 @@ func TestGroupHeterogeneousSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	weights := replica.DeriveWeights(prog, devs, 1)
+	weights := replica.DeriveWeights(prog, devs)
 	if weights[0] == weights[1] {
 		t.Fatalf("TitanBlack and TitanX price LeNet identically (%v); the heterogeneity test needs a skew", weights)
 	}

@@ -2,8 +2,8 @@ package tensor
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
+
+	"memcnn/internal/par"
 )
 
 // Convert returns a copy of t re-linearised under the target layout.  If the
@@ -22,7 +22,7 @@ func Convert(t *Tensor, target Layout) *Tensor {
 		copy(out.Data, t.Data)
 		return out
 	}
-	convertParallel(t, out)
+	convert(t, out)
 	return out
 }
 
@@ -36,96 +36,63 @@ func ConvertInto(t, dst *Tensor) error {
 		copy(dst.Data, t.Data)
 		return nil
 	}
-	convertParallel(t, dst)
+	convert(t, dst)
 	return nil
 }
 
-// convertParallel walks the logical coordinate space in the destination
-// layout's linear order, splitting the outermost destination dimension across
-// goroutines.  Writing sequentially in the destination is the cache-friendly
-// direction on a CPU, mirroring the "coalesced writes" goal of the GPU
-// transpose kernel.
-func convertParallel(src, dst *Tensor) {
-	s := src.Shape
-	workers := runtime.GOMAXPROCS(0)
-	if workers > s.Elems() {
-		workers = 1
-	}
-	// Partition by the slowest-varying destination dimension so each worker
-	// writes a contiguous region of dst.Data.
-	type rng struct{ lo, hi int }
-	var outer int
+// convert walks the logical coordinate space in the destination layout's
+// linear order, one plane per index of the slowest-varying destination
+// dimension, so each plane writes a contiguous region of dst.Data.  Writing
+// sequentially in the destination is the cache-friendly direction on a CPU,
+// mirroring the "coalesced writes" goal of the GPU transpose kernel.
+func convert(src, dst *Tensor) {
+	outer := src.Shape.N
 	switch dst.Layout {
-	case NCHW, NHWC:
-		outer = s.N
 	case CHWN:
-		outer = s.C
+		outer = src.Shape.C
 	case HWCN:
-		outer = s.H
+		outer = src.Shape.H
 	}
-	if workers > outer {
-		workers = outer
-	}
-	if workers <= 1 {
-		convertRange(src, dst, 0, outer)
-		return
-	}
-	var wg sync.WaitGroup
-	for wkr := 0; wkr < workers; wkr++ {
-		lo := wkr * outer / workers
-		hi := (wkr + 1) * outer / workers
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(r rng) {
-			defer wg.Done()
-			convertRange(src, dst, r.lo, r.hi)
-		}(rng{lo, hi})
-	}
-	wg.Wait()
+	par.Planes(outer, convertJob{src, dst}, convertPlane)
 }
 
-// convertRange converts the slice [lo,hi) of the destination's outermost
-// logical dimension.
-func convertRange(src, dst *Tensor, lo, hi int) {
+type convertJob struct{ src, dst *Tensor }
+
+// convertPlane converts index i of the destination's outermost logical
+// dimension.
+func convertPlane(j convertJob, i int) {
+	src, dst := j.src, j.dst
 	s := src.Shape
 	sn, sc, sh, sw := s.Strides(src.Layout)
 	dn, dc, dh, dw := s.Strides(dst.Layout)
 	switch dst.Layout {
 	case NCHW, NHWC:
-		for n := lo; n < hi; n++ {
-			for c := 0; c < s.C; c++ {
-				for h := 0; h < s.H; h++ {
-					sBase := n*sn + c*sc + h*sh
-					dBase := n*dn + c*dc + h*dh
-					for w := 0; w < s.W; w++ {
-						dst.Data[dBase+w*dw] = src.Data[sBase+w*sw]
-					}
+		for c := 0; c < s.C; c++ {
+			for h := 0; h < s.H; h++ {
+				sBase := i*sn + c*sc + h*sh
+				dBase := i*dn + c*dc + h*dh
+				for w := 0; w < s.W; w++ {
+					dst.Data[dBase+w*dw] = src.Data[sBase+w*sw]
 				}
 			}
 		}
 	case CHWN:
-		for c := lo; c < hi; c++ {
-			for h := 0; h < s.H; h++ {
-				for w := 0; w < s.W; w++ {
-					sBase := c*sc + h*sh + w*sw
-					dBase := c*dc + h*dh + w*dw
-					for n := 0; n < s.N; n++ {
-						dst.Data[dBase+n*dn] = src.Data[sBase+n*sn]
-					}
+		for h := 0; h < s.H; h++ {
+			for w := 0; w < s.W; w++ {
+				sBase := i*sc + h*sh + w*sw
+				dBase := i*dc + h*dh + w*dw
+				for n := 0; n < s.N; n++ {
+					dst.Data[dBase+n*dn] = src.Data[sBase+n*sn]
 				}
 			}
 		}
 	case HWCN:
-		for h := lo; h < hi; h++ {
-			for w := 0; w < s.W; w++ {
-				for c := 0; c < s.C; c++ {
-					sBase := h*sh + w*sw + c*sc
-					dBase := h*dh + w*dw + c*dc
-					for n := 0; n < s.N; n++ {
-						dst.Data[dBase+n*dn] = src.Data[sBase+n*sn]
-					}
+		for w := 0; w < s.W; w++ {
+			for c := 0; c < s.C; c++ {
+				sBase := i*sh + w*sw + c*sc
+				dBase := i*dh + w*dw + c*dc
+				for n := 0; n < s.N; n++ {
+					dst.Data[dBase+n*dn] = src.Data[sBase+n*sn]
 				}
 			}
 		}
