@@ -9,7 +9,9 @@ package memcnn_test
 
 import (
 	"math"
+	"slices"
 	"testing"
+	"time"
 
 	"memcnn/internal/autotune"
 	"memcnn/internal/bench"
@@ -348,86 +350,138 @@ func BenchmarkInference(b *testing.B) {
 	})
 }
 
-// BenchmarkConvAlgorithms compares the three production convolution
-// strategies of the planned runtime — direct, im2col+GEMM and FFT — across
-// layer shapes from the paper's regimes, and reports which one the
-// compile-time selector picks (selected metric).  The GEMM path must win
-// clearly on the VGG/AlexNet-scale shapes, the direct path keeps tiny
-// single-image layers cheap, and the FFT path takes the large-filter stride-1
-// AlexNet conv2 shape; all three run allocation-free into pre-sized buffers,
-// exactly as the executor drives them.  Every shape runs on NCHW tensors; the
-// LeNet shapes also run the direct and the GEMM kernel on CHWN tensors, the
-// layout the compiler gives those layers at batch 128 (the paper's coalesced
-// case: it keeps GEMM in CHWN on LeNet conv2, Cifar10 conv1/conv2 and AlexNet
-// conv1, where the kernel takes its batch-folded form).
-func BenchmarkConvAlgorithms(b *testing.B) {
-	shapes := []struct {
-		name string
-		cfg  kernels.ConvConfig
-		chwn bool // also run direct and GEMM on CHWN tensors
-	}{
-		{name: "1img-small", cfg: kernels.ConvConfig{N: 1, C: 3, H: 16, W: 16, K: 8, FH: 3, FW: 3, PadH: 1, PadW: 1}},
-		{name: "cifar-conv2", cfg: kernels.ConvConfig{N: 32, C: 64, H: 12, W: 12, K: 64, FH: 5, FW: 5, PadH: 2, PadW: 2}},
-		{name: "vgg-conv3_1", cfg: kernels.ConvConfig{N: 2, C: 128, H: 28, W: 28, K: 256, FH: 3, FW: 3, PadH: 1, PadW: 1}},
-		{name: "alexnet-conv2@n32", cfg: kernels.ConvConfig{N: 32, C: 96, H: 27, W: 27, K: 256, FH: 5, FW: 5, PadH: 2, PadW: 2}},
-		{name: "lenet-conv1@n128", cfg: kernels.ConvConfig{N: 128, C: 1, H: 28, W: 28, K: 20, FH: 5, FW: 5}, chwn: true},
-		{name: "lenet-conv2@n128", cfg: kernels.ConvConfig{N: 128, C: 16, H: 14, W: 14, K: 16, FH: 5, FW: 5, PadH: 2, PadW: 2}, chwn: true},
-	}
-	for _, s := range shapes {
-		cfg := s.cfg
-		in := tensor.Random(cfg.InputShape(), tensor.NCHW, 1)
-		filters := tensor.Filters(cfg.K, cfg.C, cfg.FH, cfg.FW, 2)
-		out := tensor.New(cfg.OutputShape(), tensor.NCHW)
-		packed, err := kernels.PackConvFilters(filters, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		scratch := make([]float32, kernels.ConvGemmWorkspaceElems(cfg, tensor.NCHW))
-		fftScratch := make([]float32, kernels.ConvFFTWorkspaceElems(cfg))
-		gflop := cfg.FLOPs() / 1e9
-		selected := autotune.SelectConvAlgorithm(cfg)
+type convAlgShape struct {
+	name string
+	cfg  kernels.ConvConfig
+	chwn bool
+}
 
-		direct := func(in, out *tensor.Tensor) func(b *testing.B) {
-			return func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if err := kernels.ConvDirectInto(in, filters, out, cfg); err != nil {
-						b.Fatal(err)
+// layouts lists the tensor layouts the shape is timed in.
+func (s convAlgShape) layouts() []tensor.Layout {
+	if s.chwn {
+		return []tensor.Layout{tensor.NCHW, tensor.CHWN}
+	}
+	return []tensor.Layout{tensor.NCHW}
+}
+
+// convAlgShapes are the layer shapes BenchmarkConvAlgorithms times and
+// TestSelectionRegret checks: the shapes the constants of the host price
+// table (internal/autotune/convalg.go) cite.  Every shape runs on NCHW
+// tensors; chwn ones also on CHWN tensors, the layout the compiler gives those
+// layers, where the GEMM kernel takes its batch-folded form.
+var convAlgShapes = []convAlgShape{
+	// One fan-out dominates: 1.3 kFLOP of work.
+	{name: "1img-tiny", cfg: kernels.ConvConfig{N: 1, C: 1, H: 8, W: 8, K: 2, FH: 3, FW: 3}},
+	{name: "1img-small", cfg: kernels.ConvConfig{N: 1, C: 3, H: 16, W: 16, K: 8, FH: 3, FW: 3, PadH: 1, PadW: 1}},
+	{name: "cifar10-conv1@n8", cfg: kernels.ConvConfig{N: 8, C: 3, H: 24, W: 24, K: 64, FH: 5, FW: 5, PadH: 2, PadW: 2}, chwn: true},
+	{name: "cifar10-conv2@n8", cfg: kernels.ConvConfig{N: 8, C: 64, H: 11, W: 11, K: 64, FH: 5, FW: 5, PadH: 2, PadW: 2}, chwn: true},
+	{name: "cifar-conv2", cfg: kernels.ConvConfig{N: 32, C: 64, H: 12, W: 12, K: 64, FH: 5, FW: 5, PadH: 2, PadW: 2}},
+	{name: "vgg-conv3_1", cfg: kernels.ConvConfig{N: 2, C: 128, H: 28, W: 28, K: 256, FH: 3, FW: 3, PadH: 1, PadW: 1}},
+	{name: "alexnet-conv2@n32", cfg: kernels.ConvConfig{N: 32, C: 96, H: 27, W: 27, K: 256, FH: 5, FW: 5, PadH: 2, PadW: 2}},
+	{name: "lenet-conv1@n128", cfg: kernels.ConvConfig{N: 128, C: 1, H: 28, W: 28, K: 20, FH: 5, FW: 5}, chwn: true},
+	{name: "lenet-conv2@n128", cfg: kernels.ConvConfig{N: 128, C: 16, H: 14, W: 14, K: 16, FH: 5, FW: 5, PadH: 2, PadW: 2}, chwn: true},
+	// The one regime where FFT wins on this host: filters as large as the
+	// image, so the unroll matrix is 7688 rows deep.
+	{name: "bigfilter-31x31", cfg: kernels.ConvConfig{N: 4, C: 8, H: 32, W: 32, K: 16, FH: 31, FW: 31, PadH: 15, PadW: 15}},
+}
+
+// convAlgKernels returns one closure per production convolution kernel, each
+// a single allocation-free call on lay tensors of shape cfg into pre-sized
+// buffers, exactly as the executor drives them.
+func convAlgKernels(tb testing.TB, cfg kernels.ConvConfig, lay tensor.Layout) map[kernels.ConvAlgorithm]func() error {
+	in := tensor.Random(cfg.InputShape(), lay, 1)
+	filters := tensor.Filters(cfg.K, cfg.C, cfg.FH, cfg.FW, 2)
+	out := tensor.New(cfg.OutputShape(), lay)
+	packed, err := kernels.PackConvFilters(filters, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	scratch := make([]float32, kernels.ConvGemmWorkspaceElems(cfg, lay))
+	fftScratch := make([]float32, kernels.ConvFFTWorkspaceElems(cfg))
+	return map[kernels.ConvAlgorithm]func() error{
+		kernels.ConvAlgDirect: func() error { return kernels.ConvDirectInto(in, filters, out, cfg) },
+		kernels.ConvAlgGemm:   func() error { return kernels.ConvIm2colGemmInto(in, packed, out, cfg, scratch) },
+		kernels.ConvAlgFFT:    func() error { return kernels.ConvFFTInto(in, filters, out, cfg, fftScratch) },
+	}
+}
+
+// BenchmarkConvAlgorithms times the three production convolution kernels —
+// direct, im2col+GEMM and FFT — on convAlgShapes, in NCHW and (suffix -chwn)
+// in CHWN.  It is the provenance of the host price table the compile-time
+// selector decides from: each sub-benchmark reports its GFLOP/s, whether the
+// selector picks that kernel for the shape in that layout (selected), and the
+// shape's regret, the selected kernel's time over the fastest kernel's (on
+// the last kernel of each layout, once all three are timed).
+func BenchmarkConvAlgorithms(b *testing.B) {
+	algNames := []string{kernels.ConvAlgDirect: "direct", kernels.ConvAlgGemm: "gemm", kernels.ConvAlgFFT: "fft"}
+	for _, s := range convAlgShapes {
+		for _, lay := range s.layouts() {
+			suffix := ""
+			if lay == tensor.CHWN {
+				suffix = "-chwn"
+			}
+			run := convAlgKernels(b, s.cfg, lay)
+			selected := autotune.SelectConvAlgorithm(s.cfg, lay)
+			perOp := make([]float64, len(algNames))
+			for alg, name := range algNames {
+				alg := kernels.ConvAlgorithm(alg)
+				b.Run(s.name+"/"+name+suffix, func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if err := run[alg](); err != nil {
+							b.Fatal(err)
+						}
+					}
+					perOp[alg] = b.Elapsed().Seconds() / float64(b.N)
+					b.ReportMetric(s.cfg.FLOPs()/1e9/perOp[alg], "GFLOP/s")
+					b.ReportMetric(boolMetric(selected == alg), "selected")
+					if alg == kernels.ConvAlgFFT && perOp[kernels.ConvAlgDirect] > 0 && perOp[kernels.ConvAlgGemm] > 0 {
+						b.ReportMetric(perOp[selected]/slices.Min(perOp), "regret")
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestSelectionRegret holds the selector against measurement: on every shape
+// and layout of convAlgShapes the kernel it picks takes at most twice the
+// fastest kernel's time (best of a few calls each).  The margins between the
+// kernels are 3–30× outside the per-call-dominated rows, so this is a check
+// of the decisions, not a timing test of the kernels.
+func TestSelectionRegret(t *testing.T) {
+	if testing.Short() || raceDetector {
+		t.Skip("times full convolutions; skipped with -short and under the race detector")
+	}
+	for _, s := range convAlgShapes {
+		for _, lay := range s.layouts() {
+			best := map[kernels.ConvAlgorithm]time.Duration{}
+			for alg, call := range convAlgKernels(t, s.cfg, lay) {
+				for i := 0; i < 5 && (i == 0 || best[alg] < 200*time.Millisecond); i++ {
+					t0 := time.Now()
+					if err := call(); err != nil {
+						t.Fatal(err)
+					}
+					if d := time.Since(t0); i == 0 || d < best[alg] {
+						best[alg] = d
 					}
 				}
-				b.ReportMetric(gflop*float64(b.N)/b.Elapsed().Seconds(), "GFLOP/s")
-				b.ReportMetric(boolMetric(selected == kernels.ConvAlgDirect), "selected")
 			}
-		}
-		gemm := func(in, out *tensor.Tensor, scratch []float32) func(b *testing.B) {
-			return func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if err := kernels.ConvIm2colGemmInto(in, packed, out, cfg, scratch); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(gflop*float64(b.N)/b.Elapsed().Seconds(), "GFLOP/s")
-				b.ReportMetric(boolMetric(selected == kernels.ConvAlgGemm), "selected")
-			}
-		}
-		b.Run(s.name+"/direct", direct(in, out))
-		b.Run(s.name+"/gemm", gemm(in, out, scratch))
-		if s.chwn {
-			inCHWN, outCHWN := tensor.Convert(in, tensor.CHWN), tensor.New(cfg.OutputShape(), tensor.CHWN)
-			b.Run(s.name+"/direct-chwn", direct(inCHWN, outCHWN))
-			b.Run(s.name+"/gemm-chwn", gemm(inCHWN, outCHWN, make([]float32, kernels.ConvGemmWorkspaceElems(cfg, tensor.CHWN))))
-		}
-		b.Run(s.name+"/fft", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := kernels.ConvFFTInto(in, filters, out, cfg, fftScratch); err != nil {
-					b.Fatal(err)
+			selected := autotune.SelectConvAlgorithm(s.cfg, lay)
+			fastest := selected
+			for alg, d := range best {
+				if d < best[fastest] {
+					fastest = alg
 				}
 			}
-			b.ReportMetric(gflop*float64(b.N)/b.Elapsed().Seconds(), "GFLOP/s")
-			b.ReportMetric(boolMetric(selected == kernels.ConvAlgFFT), "selected")
-		})
+			regret := float64(best[selected]) / float64(best[fastest])
+			t.Logf("%s %v: direct %v, gemm %v, fft %v; selected %v, regret %.2f", s.name, lay,
+				best[kernels.ConvAlgDirect], best[kernels.ConvAlgGemm], best[kernels.ConvAlgFFT], selected, regret)
+			if regret > 2 {
+				t.Errorf("%s in %v: the selector picks %v (%v), %v runs in %v: regret %.2f > 2",
+					s.name, lay, selected, best[selected], fastest, best[fastest], regret)
+			}
+		}
 	}
 }
 

@@ -4,11 +4,12 @@
 // use to understand what the automatic layout support is doing to their
 // model (Section IV.D).
 //
-// The -algs flag adds the joint (layout, algorithm) sweep per convolution
-// layer: every production algorithm priced in its natural layout — including
-// the layout-switch charge from the planner's layout — through the same
-// internal/layout candidate rows the compiler decides from, with the
-// algorithm the compiler's own selection pass picks marked "<- chosen".
+// The -algs flag adds the (layout, algorithm) sweep per convolution layer:
+// every production algorithm priced on the modeled GPU in its natural layout,
+// including the layout-switch charge from the planner's layout.  Those
+// columns are model-only.  The algorithm the compiler's own selection pass
+// picks, which prices on the host that runs the program, is marked
+// "<- chosen".
 //
 // Usage:
 //
@@ -49,7 +50,7 @@ func run(args []string, stdout io.Writer) error {
 		annotate    = fs.Bool("annotate", false, "with -config: print the configuration re-annotated with the chosen layouts")
 		deviceName  = fs.String("device", "titanblack", "GPU model: titanblack or titanx")
 		thresholds  = fs.String("thresholds", "paper", "layout thresholds: 'paper' or 'calibrated'")
-		algSweep    = fs.Bool("algs", false, "print the compiler's joint (layout, algorithm) sweep per convolution layer")
+		algSweep    = fs.Bool("algs", false, "print the modeled (layout, algorithm) sweep per convolution layer, the compiler's choice marked")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -130,19 +131,17 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// printAlgSweep prints, for every convolution layer, the priced candidate
-// rows of the joint sweep (layout.ConvAlgCandidates) and marks the one the
-// compiler takes.  The marks come from the compiler's own selection pass
-// (runtime.SelectChoices) run on the plan: with the device for the choice
-// CompileWithOptions lowers, without one for the heuristic's base algorithm.
-// A row prices its algorithm in the algorithm's natural layout; where the
-// compiler keeps the base algorithm it also keeps the plan's layout, with no
-// switch, and the mark says so.
+// printAlgSweep prints, for every convolution layer, the candidate rows of
+// the model-domain sweep (layout.ConvAlgCandidates: each algorithm priced on
+// the modeled GPU in its natural layout) and marks the algorithm the compiler
+// takes.  The marks are the compiler's own selection pass
+// (runtime.SelectChoices) run on the plan, and that pass prices on the host,
+// where the program executes: a mark can sit on a row the GPU model prices
+// dearest.  A GEMM or direct choice stays in the plan's layout, and the mark
+// says so where the row's natural layout differs.
 func printAlgSweep(stdout io.Writer, dev *gpusim.Device, plan *network.ExecutionPlan) {
-	planned := memruntime.PlanChoices(plan)
-	base := memruntime.SelectChoices(plan.Network, planned, nil)
-	chosen := memruntime.SelectChoices(plan.Network, planned, dev)
-	fmt.Fprintf(stdout, "\njoint (layout, algorithm) sweep:\n")
+	chosen := memruntime.SelectChoices(plan.Network, memruntime.PlanChoices(plan))
+	fmt.Fprintf(stdout, "\n(layout, algorithm) sweep: times modeled on %s, model-only; the mark is the compiler's choice, priced on the host\n", dev.Name)
 	fmt.Fprintf(stdout, "%-12s %-14s %-6s %12s %14s %s\n", "layer", "algorithm", "layout", "kernel (us)", "switch (us)", "")
 	for i, pl := range plan.Layers {
 		conv, ok := pl.Layer.(*layers.Conv)
@@ -156,8 +155,6 @@ func printAlgSweep(stdout io.Writer, dev *gpusim.Device, plan *network.Execution
 				mark = "<- chosen"
 			case cand.Alg == chosen[i].Alg:
 				mark = fmt.Sprintf("<- chosen, in the plan's %v", chosen[i].Layout)
-			case cand.Alg == base[i].Alg:
-				mark = "(heuristic base)"
 			}
 			timing := fmt.Sprintf("%12.1f %14.1f", cand.TimeUS, cand.TransformUS)
 			if cand.OOM {

@@ -19,6 +19,7 @@ import (
 // `layoutplan -algs` marks one row per convolution "<- chosen", and the marks
 // are, layer for layer, the (layout, algorithm) of the program
 // CompileWithOptions lowers from the same plan with algorithm selection on.
+// The priced columns are the GPU model's, and the header says so.
 func TestAlgsMarksTheCompiledChoice(t *testing.T) {
 	nets, err := workloads.Networks()
 	if err != nil {
@@ -28,6 +29,9 @@ func TestAlgsMarksTheCompiledChoice(t *testing.T) {
 		var out bytes.Buffer
 		if err := run([]string{"-network", name, "-algs"}, &out); err != nil {
 			t.Fatalf("%s: %v", name, err)
+		}
+		if !strings.Contains(out.String(), "times modeled on GTX Titan Black (Kepler GK110B), model-only") {
+			t.Errorf("%s: the sweep's header does not label its columns model-only:\n%s", name, &out)
 		}
 		var got []string
 		for _, line := range strings.Split(out.String(), "\n") {

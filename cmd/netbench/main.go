@@ -10,13 +10,13 @@
 // named by -device, never run on it.
 //
 // With -runtime it is the static report of the programs internal/runtime
-// compiles for the same networks, with joint per-layer (layout, convolution
-// algorithm) selection on: op and buffer counts, the arena peak against one
+// compiles for the same networks, with per-layer convolution algorithm
+// selection on: op and buffer counts, the arena peak against one
 // allocation per buffer, the layout, algorithm and workspace of every
 // convolution, and the planned training footprints with and without
 // recompute checkpointing.  Counts and bytes are exact properties of the
-// compiled programs; the (layout, algorithm) choices are the compiler's own,
-// which it prices on the same gpusim model.
+// compiled programs; the layouts are the planner's, priced on the same gpusim
+// model, and the algorithms the compiler's, priced on the host.
 //
 // Usage:
 //
@@ -89,7 +89,7 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "device: %s\nlayout thresholds: %v\n", dev.Name, th)
 
 	if *runtimeView {
-		fmt.Fprint(stdout, "static report, nothing is executed: counts and bytes are exact; each convolution's (layout, algorithm) is the compiler's choice, priced on the gpusim model of this device (model-only)\n\n")
+		fmt.Fprint(stdout, "static report, nothing is executed: counts and bytes are exact; each convolution's layout is the planner's, priced on the gpusim model of this device (model-only), and its algorithm the compiler's, priced on the host that runs it\n\n")
 		return runtimeReport(stdout, dev, th, targets)
 	}
 

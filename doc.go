@@ -14,16 +14,27 @@
 // layout-transform ops, zero-copy reshape views), the buffers are packed into
 // a single arena by a liveness-driven static memory plan, and the compiled
 // program runs on recycled arena instances with no steady-state tensor
-// allocation.  The compiler additionally makes a joint per-layer (layout,
-// convolution algorithm) decision over three production strategies — direct,
-// im2col+GEMM and FFT: internal/autotune's analytic regimes (the paper's
-// merged-matrix-dimension argument, plus a large-filter stride-1 FFT regime)
-// pick a base algorithm, and internal/layout re-prices it
-// against the frequency-domain mode on the plan's device model, charging the
-// layout switch into the FFT kernels' NCHW home and respecting the emulated
-// cuDNN workspace's device-memory limit, so a layer's layout can flip
-// together with its algorithm (the paper's core joint-choice thesis).  The
-// compiler pre-packs the filter banks into packed GEMM operands and plans every
+// allocation.  The compiler additionally picks each convolution's algorithm
+// from three production strategies — direct, im2col+GEMM and FFT — the
+// paper's per-layer choice, priced where the program runs: every program
+// executes Go kernels on the host CPU, whatever GPU its plan models, so
+// internal/autotune compares three estimated host times, work ÷ rate plus a
+// per-call cost, from a short table of measured constants of this
+// repository's kernels.  Each constant names the sub-benchmark that
+// reproduces it (`go test -run '^$' -bench ConvAlgorithms -benchtime=20x .`)
+// and TestSelectionRegret fails if a pick takes over twice the fastest
+// kernel's time.  On this host GEMM wins 3–30× wherever there is work, direct
+// keeps layers so small that one fan-out is the whole cost (one 8×8 image,
+// two 3×3 filters: 4 µs against 18), and FFT is cheapest only where filters
+// are about as large as the image (31×31 on 32×32: 24–36 ms against GEMM's
+// 43–62; at 21×21 GEMM wins, 13–16 ms to 29–37).  No layer of the workload
+// networks is near that, so here FFT is a model-domain algorithm: kept,
+// bit-checked, priced on internal/gpusim for Figs. 14/15 and `layoutplan
+// -algs`, selected nowhere, and given no further host performance work.
+// Layouts stay the planner's, except that an FFT layer runs in the kernel's
+// NCHW and is charged both conversions.
+//
+// The compiler pre-packs the filter banks into packed GEMM operands and plans every
 // kernel workspace (convolution unroll matrices, FFT spectrum planes,
 // fully-connected flatten staging, softmax logits) into the arena as op-local
 // buffers.  Layers that declare in-place safety (ReLU) alias their output

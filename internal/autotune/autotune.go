@@ -1,14 +1,19 @@
-// Package autotune implements the hill-climbing search the paper uses to pick
-// the working-set expansion (thread coarsening) factors of the optimised
-// pooling kernel (Section V.A): "With an initial factor of 2, the expansion
-// factor continues to increase linearly if the performance improves.
-// Otherwise it stops as further expansion leads to high register pressure."
+// Package autotune holds the two per-layer tuning decisions of the stack.
+// The hill-climbing search (HillClimb, TunePoolExpansion) is the one the
+// paper uses to pick the working-set expansion (thread coarsening) factors of
+// the optimised pooling kernel (Section V.A): "With an initial factor of 2,
+// the expansion factor continues to increase linearly if the performance
+// improves.  Otherwise it stops as further expansion leads to high register
+// pressure."  It minimises the profiler it is handed (the figure code hands
+// it the gpusim model, kernels.PoolCoarsenedTimeUS).  The convolution
+// algorithm choice (SelectConvAlgorithm, convalg.go) prices direct, GEMM and
+// FFT on the host that runs them, from a table of measured kernel rates.
+// Nothing in this package asks a GPU model anything.
 package autotune
 
 import (
 	"fmt"
 
-	"memcnn/internal/gpusim"
 	"memcnn/internal/kernels"
 )
 
@@ -76,9 +81,9 @@ func HillClimb(start []int, neighbours func(point []int) [][]int, cost CostFunc,
 }
 
 // TunePoolExpansion searches the pooling working-set expansion factors for a
-// layer on a device, using the kernel cost model as the profiler.  It returns
-// the chosen expansion and the full search trace.
-func TunePoolExpansion(d *gpusim.Device, cfg kernels.PoolConfig) (kernels.PoolExpansion, Result, error) {
+// layer, with timeUS — the time of the layer's kernel at one expansion — as
+// the profiler.  It returns the chosen expansion and the full search trace.
+func TunePoolExpansion(cfg kernels.PoolConfig, timeUS func(kernels.PoolExpansion) float64) (kernels.PoolExpansion, Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return kernels.PoolExpansion{}, Result{}, err
 	}
@@ -87,8 +92,7 @@ func TunePoolExpansion(d *gpusim.Device, cfg kernels.PoolConfig) (kernels.PoolEx
 		if e.H < 1 || e.W < 1 || e.H > cfg.OutH() || e.W > cfg.OutW() {
 			return 0, fmt.Errorf("autotune: expansion %dx%d out of range", e.H, e.W)
 		}
-		stats := kernels.PoolCHWNCoarsenedCost(d, cfg, e)
-		return gpusim.EstimateTime(d, stats).TotalUS, nil
+		return timeUS(e), nil
 	}
 	neighbours := func(p []int) [][]int {
 		// Grow each dimension by one, the linear increase of the paper's
@@ -121,7 +125,7 @@ func TunePoolExpansion(d *gpusim.Device, cfg kernels.PoolConfig) (kernels.PoolEx
 // ExhaustivePoolExpansion scans the full (bounded) expansion space and
 // returns the global optimum.  It is used by the ablation benchmark to check
 // how close the hill-climbing pick gets while probing far fewer points.
-func ExhaustivePoolExpansion(d *gpusim.Device, cfg kernels.PoolConfig, maxFactor int) (kernels.PoolExpansion, float64, int, error) {
+func ExhaustivePoolExpansion(cfg kernels.PoolConfig, timeUS func(kernels.PoolExpansion) float64, maxFactor int) (kernels.PoolExpansion, float64, int, error) {
 	if err := cfg.Validate(); err != nil {
 		return kernels.PoolExpansion{}, 0, 0, err
 	}
@@ -129,13 +133,13 @@ func ExhaustivePoolExpansion(d *gpusim.Device, cfg kernels.PoolConfig, maxFactor
 		maxFactor = 6
 	}
 	best := kernels.PoolExpansion{H: 1, W: 1}
-	bestCost := gpusim.EstimateTime(d, kernels.PoolCHWNCoarsenedCost(d, cfg, best)).TotalUS
+	bestCost := timeUS(best)
 	probes := 0
 	for h := 1; h <= maxFactor && h <= cfg.OutH(); h++ {
 		for w := 1; w <= maxFactor && w <= cfg.OutW(); w++ {
 			probes++
 			e := kernels.PoolExpansion{H: h, W: w}
-			c := gpusim.EstimateTime(d, kernels.PoolCHWNCoarsenedCost(d, cfg, e)).TotalUS
+			c := timeUS(e)
 			if c < bestCost {
 				best, bestCost = e, c
 			}

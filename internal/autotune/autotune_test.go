@@ -93,7 +93,7 @@ func TestHillClimbDefaultIterationCap(t *testing.T) {
 func TestTunePoolExpansionImprovesOverlappedPooling(t *testing.T) {
 	d := gpusim.TitanBlack()
 	cfg := kernels.PoolConfig{N: 128, C: 96, H: 55, W: 55, Window: 3, Stride: 2, Op: kernels.MaxPool} // POOL5
-	e, res, err := TunePoolExpansion(d, cfg)
+	e, res, err := TunePoolExpansion(cfg, kernels.PoolCoarsenedTimeUS(d, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +121,11 @@ func TestTunePoolExpansionMatchesExhaustiveSearch(t *testing.T) {
 		{N: 128, C: 16, H: 28, W: 28, Window: 2, Stride: 2, Op: kernels.MaxPool},
 	}
 	for _, cfg := range cfgs {
-		tuned, res, err := TunePoolExpansion(d, cfg)
+		tuned, res, err := TunePoolExpansion(cfg, kernels.PoolCoarsenedTimeUS(d, cfg))
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, bestCost, probes, err := ExhaustivePoolExpansion(d, cfg, 6)
+		_, bestCost, probes, err := ExhaustivePoolExpansion(cfg, kernels.PoolCoarsenedTimeUS(d, cfg), 6)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,10 +144,10 @@ func TestTunePoolExpansionMatchesExhaustiveSearch(t *testing.T) {
 
 func TestTunePoolExpansionValidation(t *testing.T) {
 	d := gpusim.TitanBlack()
-	if _, _, err := TunePoolExpansion(d, kernels.PoolConfig{}); err == nil {
+	if _, _, err := TunePoolExpansion(kernels.PoolConfig{}, kernels.PoolCoarsenedTimeUS(d, kernels.PoolConfig{})); err == nil {
 		t.Error("invalid pool config must be rejected")
 	}
-	if _, _, _, err := ExhaustivePoolExpansion(d, kernels.PoolConfig{}, 4); err == nil {
+	if _, _, _, err := ExhaustivePoolExpansion(kernels.PoolConfig{}, kernels.PoolCoarsenedTimeUS(d, kernels.PoolConfig{}), 4); err == nil {
 		t.Error("invalid pool config must be rejected")
 	}
 }
@@ -155,7 +155,7 @@ func TestTunePoolExpansionValidation(t *testing.T) {
 func TestExhaustivePoolExpansionDefaultsMaxFactor(t *testing.T) {
 	d := gpusim.TitanBlack()
 	cfg := kernels.PoolConfig{N: 32, C: 16, H: 12, W: 12, Window: 3, Stride: 2, Op: kernels.MaxPool}
-	_, _, probes, err := ExhaustivePoolExpansion(d, cfg, 0)
+	_, _, probes, err := ExhaustivePoolExpansion(cfg, kernels.PoolCoarsenedTimeUS(d, cfg), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

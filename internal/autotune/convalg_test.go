@@ -4,77 +4,82 @@ import (
 	"testing"
 
 	"memcnn/internal/kernels"
+	"memcnn/internal/tensor"
 )
 
-// TestSelectConvAlgorithm pins the two regimes the paper's Section IV.A
-// argument predicts: a VGG-style mid-network layer (deep reduction, large
-// output matrix) goes to im2col+GEMM, a single small image (nothing to
-// amortise the unroll against) stays direct.
+// TestSelectConvAlgorithm pins the selector to facts measured on this host
+// (the times are BenchmarkConvAlgorithms' and the sizing runs' of the change
+// that introduced the price table): GEMM wherever there is work to spread the
+// unroll over, direct where one fan-out is the whole cost.
 func TestSelectConvAlgorithm(t *testing.T) {
-	vgg := kernels.ConvConfig{N: 32, C: 64, H: 56, W: 56, K: 128, FH: 3, FW: 3, PadH: 1, PadW: 1}
-	if got := SelectConvAlgorithm(vgg); got != kernels.ConvAlgGemm {
-		t.Errorf("VGG-style shape %v selected %v, want %v", vgg, got, kernels.ConvAlgGemm)
+	cases := []struct {
+		name string
+		cfg  kernels.ConvConfig
+		lay  tensor.Layout
+		want kernels.ConvAlgorithm
+	}{
+		// 1.6 ms batch-folded GEMM against 14–25 ms direct, a reduction of 25.
+		{"LeNet conv1 @128, CHWN", kernels.ConvConfig{N: 128, C: 1, H: 28, W: 28, K: 20, FH: 5, FW: 5}, tensor.CHWN, kernels.ConvAlgGemm},
+		{"LeNet conv1 @128, NCHW", kernels.ConvConfig{N: 128, C: 1, H: 28, W: 28, K: 20, FH: 5, FW: 5}, tensor.NCHW, kernels.ConvAlgGemm},
+		// 3.0–4.4 ms GEMM against 45–59 ms FFT.
+		{"Cifar10 conv2 @8", kernels.ConvConfig{N: 8, C: 64, H: 11, W: 11, K: 64, FH: 5, FW: 5, PadH: 2, PadW: 2}, tensor.NCHW, kernels.ConvAlgGemm},
+		// 75 GFLOP/s GEMM against 9.7 FFT and 3.6 direct.
+		{"AlexNet conv2 @64", kernels.ConvConfig{N: 64, C: 96, H: 27, W: 27, K: 256, FH: 5, FW: 5, PadH: 2, PadW: 2}, tensor.NCHW, kernels.ConvAlgGemm},
+		{"AlexNet conv3 @4", kernels.ConvConfig{N: 4, C: 256, H: 13, W: 13, K: 384, FH: 3, FW: 3, PadH: 1, PadW: 1}, tensor.NCHW, kernels.ConvAlgGemm},
+		{"VGG conv3_1 @32", kernels.ConvConfig{N: 32, C: 128, H: 56, W: 56, K: 256, FH: 3, FW: 3, PadH: 1, PadW: 1}, tensor.NCHW, kernels.ConvAlgGemm},
+		// One small image with a deep reduction: 0.11 ms GEMM, 0.73 ms direct.
+		{"deep, one 8x8 image", kernels.ConvConfig{N: 1, C: 64, H: 8, W: 8, K: 32, FH: 3, FW: 3}, tensor.NCHW, kernels.ConvAlgGemm},
+		// 4 µs direct against 18 µs GEMM (fan-out, pack, two barriers).
+		{"one 8x8 image, K=2", kernels.ConvConfig{N: 1, C: 1, H: 8, W: 8, K: 2, FH: 3, FW: 3}, tensor.NCHW, kernels.ConvAlgDirect},
+		{"one 12x12 image, K=4", kernels.ConvConfig{N: 1, C: 3, H: 12, W: 12, K: 4, FH: 3, FW: 3, PadH: 1, PadW: 1}, tensor.NCHW, kernels.ConvAlgDirect},
+		// The per-image stepper pays its barriers 64 times: 96 µs direct, 231 GEMM.
+		{"64 tiny images, NCHW", kernels.ConvConfig{N: 64, C: 1, H: 8, W: 8, K: 2, FH: 3, FW: 3}, tensor.NCHW, kernels.ConvAlgDirect},
+		{"invalid", kernels.ConvConfig{}, tensor.NCHW, kernels.ConvAlgDirect},
 	}
-	small := kernels.ConvConfig{N: 1, C: 3, H: 12, W: 12, K: 4, FH: 3, FW: 3, PadH: 1, PadW: 1}
-	if got := SelectConvAlgorithm(small); got != kernels.ConvAlgDirect {
-		t.Errorf("1-image small shape %v selected %v, want %v", small, got, kernels.ConvAlgDirect)
-	}
-
-	// A deep reduction alone is not enough: one tiny image keeps the
-	// arithmetic volume under the floor.
-	deepTiny := kernels.ConvConfig{N: 1, C: 64, H: 8, W: 8, K: 32, FH: 3, FW: 3}
-	if got := SelectConvAlgorithm(deepTiny); got != kernels.ConvAlgDirect {
-		t.Errorf("deep-but-tiny shape selected %v, want direct", got)
-	}
-	// A deep reduction over a small batch of small maps (the AlexNet conv3-5
-	// regime at serving batch sizes) clears the volume floor and goes to GEMM.
-	deepSmallBatch := kernels.ConvConfig{N: 4, C: 256, H: 13, W: 13, K: 384, FH: 3, FW: 3, PadH: 1, PadW: 1}
-	if got := SelectConvAlgorithm(deepSmallBatch); got != kernels.ConvAlgGemm {
-		t.Errorf("deep small-batch shape selected %v, want gemm", got)
-	}
-	// A huge batch of single-channel 1x1-reduction maps stays direct too
-	// (the LeNet first-layer regime where CHWN wins in Fig. 3).
-	shallow := kernels.ConvConfig{N: 128, C: 1, H: 28, W: 28, K: 16, FH: 5, FW: 5, PadH: 2, PadW: 2}
-	if got := SelectConvAlgorithm(shallow); got != kernels.ConvAlgDirect {
-		t.Errorf("shallow-reduction shape selected %v, want direct", got)
-	}
-	// Invalid configurations fall back to direct instead of panicking.
-	if got := SelectConvAlgorithm(kernels.ConvConfig{}); got != kernels.ConvAlgDirect {
-		t.Errorf("invalid config selected %v, want direct", got)
+	for _, tc := range cases {
+		if got := SelectConvAlgorithm(tc.cfg, tc.lay); got != tc.want {
+			t.Errorf("%s: selected %v, want %v (estimates: direct %.3g s, gemm %.3g s, fft %.3g s)", tc.name, got, tc.want,
+				hostSeconds(tc.cfg, tc.lay, kernels.ConvAlgDirect), hostSeconds(tc.cfg, tc.lay, kernels.ConvAlgGemm), hostSeconds(tc.cfg, tc.lay, kernels.ConvAlgFFT))
+		}
 	}
 }
 
-// TestSelectConvAlgorithmFFTRegime pins the FFT thresholds of Section IV.A:
-// big stride-1 layers with large filters go to FFT, 3×3 layers and any
-// strided layer never do.
+// TestSelectConvAlgorithmFFTRegime pins where the frequency-domain path wins
+// on the host: only where the filters are about as large as the image, so the
+// GEMM unroll is thousands of rows deep (24–36 ms FFT against 43–62 ms GEMM on
+// the 31×31 shape below).  No layer of the workload networks is near it, a
+// stride over one never is, and from CHWN the two conversions are charged.
 func TestSelectConvAlgorithmFFTRegime(t *testing.T) {
-	// AlexNet conv2 at the full serving batch: 5×5 stride-1, 28.7G FMAs.
-	alexConv2 := kernels.ConvConfig{N: 64, C: 96, H: 27, W: 27, K: 256, FH: 5, FW: 5, PadH: 2, PadW: 2}
-	if got := SelectConvAlgorithm(alexConv2); got != kernels.ConvAlgFFT {
-		t.Errorf("AlexNet conv2 shape selected %v, want fft", got)
+	big := kernels.ConvConfig{N: 4, C: 8, H: 32, W: 32, K: 16, FH: 31, FW: 31, PadH: 15, PadW: 15}
+	if got := SelectConvAlgorithm(big, tensor.NCHW); got != kernels.ConvAlgFFT {
+		t.Errorf("31x31 filters on 32x32 images selected %v, want fft", got)
 	}
-	// The same arithmetic volume at stride 2 throws away 3/4 of the dense
-	// correlation: never FFT.  (Quadruple the batch so the FMA volume still
-	// clears the FFT floor — the stride must be what disqualifies it.)
-	strided := kernels.ConvConfig{N: 256, C: 96, H: 27, W: 27, K: 256, FH: 5, FW: 5, PadH: 2, PadW: 2, StrideH: 2, StrideW: 2}
-	if got := SelectConvAlgorithm(strided); got == kernels.ConvAlgFFT {
-		t.Errorf("stride-2 shape selected fft; stride > 1 must never pick fft")
+	if nchw, chwn := hostSeconds(big, tensor.NCHW, kernels.ConvAlgFFT), hostSeconds(big, tensor.CHWN, kernels.ConvAlgFFT); chwn <= nchw {
+		t.Errorf("fft from CHWN priced %.3g s, from NCHW %.3g s: the two layout conversions must be charged", chwn, nchw)
 	}
-	// AlexNet conv1: 11×11 but stride 4 — the large filter alone does not
-	// qualify it.
-	alexConv1 := kernels.ConvConfig{N: 64, C: 3, H: 227, W: 227, K: 96, FH: 11, FW: 11, StrideH: 4, StrideW: 4}
-	if got := SelectConvAlgorithm(alexConv1); got == kernels.ConvAlgFFT {
-		t.Errorf("AlexNet conv1 (stride 4) selected fft, want a spatial algorithm")
+	// 21×21: 13–16 ms GEMM against 29–37 ms FFT.
+	mid := kernels.ConvConfig{N: 4, C: 8, H: 32, W: 32, K: 16, FH: 21, FW: 21, PadH: 10, PadW: 10}
+	if got := SelectConvAlgorithm(mid, tensor.NCHW); got != kernels.ConvAlgGemm {
+		t.Errorf("21x21 filters selected %v, want gemm", got)
 	}
-	// VGG conv3_1: huge volume but 3×3 filters — stays GEMM.
-	vgg := kernels.ConvConfig{N: 32, C: 128, H: 56, W: 56, K: 256, FH: 3, FW: 3, PadH: 1, PadW: 1}
-	if got := SelectConvAlgorithm(vgg); got != kernels.ConvAlgGemm {
-		t.Errorf("VGG 3x3 shape selected %v, want gemm", got)
+	// The same 31×31 layer at stride 2 computes a quarter of the outputs in
+	// GEMM and the whole dense correlation in FFT.
+	strided := big
+	strided.StrideH, strided.StrideW = 2, 2
+	if got := SelectConvAlgorithm(strided, tensor.NCHW); got == kernels.ConvAlgFFT {
+		t.Errorf("stride-2 31x31 layer selected fft")
 	}
-	// Cifar10 conv2: 5×5 stride-1 but only 1.3G FMAs — under the FFT volume
-	// floor, stays GEMM.
-	cifar2 := kernels.ConvConfig{N: 128, C: 64, H: 16, W: 16, K: 64, FH: 5, FW: 5, PadH: 2, PadW: 2}
-	if got := SelectConvAlgorithm(cifar2); got != kernels.ConvAlgGemm {
-		t.Errorf("Cifar10 conv2 shape selected %v, want gemm", got)
+	for _, cfg := range []kernels.ConvConfig{
+		{N: 64, C: 3, H: 227, W: 227, K: 96, FH: 11, FW: 11, StrideH: 4, StrideW: 4},                 // AlexNet conv1
+		{N: 64, C: 3, H: 224, W: 224, K: 96, FH: 7, FW: 7, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1}, // ZFNet conv1
+		{N: 64, C: 96, H: 27, W: 27, K: 256, FH: 5, FW: 5, PadH: 2, PadW: 2},                         // AlexNet conv2
+		{N: 128, C: 64, H: 16, W: 16, K: 64, FH: 5, FW: 5, PadH: 2, PadW: 2},                         // Cifar10 conv2
+		{N: 64, C: 8, H: 32, W: 32, K: 512, FH: 7, FW: 7, PadH: 3, PadW: 3},                          // 7×7, 13 GFMA, shallow input
+	} {
+		for _, lay := range []tensor.Layout{tensor.NCHW, tensor.CHWN} {
+			if got := SelectConvAlgorithm(cfg, lay); got != kernels.ConvAlgGemm {
+				t.Errorf("%v in %v selected %v, want gemm", cfg, lay, got)
+			}
+		}
 	}
 }

@@ -65,7 +65,7 @@ func Figure12(d *gpusim.Device) ([]Figure12Row, Table) {
 		base := gpusim.EstimateTime(d, kernels.PoolCHWNCost(d, p.Cfg))
 		caffe := gpusim.EstimateTime(d, kernels.PoolNCHWCost(d, p.Cfg, kernels.PoolCaffe)).TotalUS
 		cudnn := gpusim.EstimateTime(d, kernels.PoolNCHWCost(d, p.Cfg, kernels.PoolCuDNN)).TotalUS
-		expansion, _, err := autotune.TunePoolExpansion(d, p.Cfg)
+		expansion, _, err := autotune.TunePoolExpansion(p.Cfg, kernels.PoolCoarsenedTimeUS(d, p.Cfg))
 		if err != nil {
 			expansion = kernels.PoolExpansion{H: 2, W: 2}
 		}
@@ -183,11 +183,11 @@ type PoolingAblationRow struct {
 func PoolingAblation(d *gpusim.Device) ([]PoolingAblationRow, Table) {
 	var rows []PoolingAblationRow
 	for _, p := range workloads.Table1Pools() {
-		tuned, res, err := autotune.TunePoolExpansion(d, p.Cfg)
+		tuned, res, err := autotune.TunePoolExpansion(p.Cfg, kernels.PoolCoarsenedTimeUS(d, p.Cfg))
 		if err != nil {
 			continue
 		}
-		_, exhaustiveUS, probes, err := autotune.ExhaustivePoolExpansion(d, p.Cfg, 6)
+		_, exhaustiveUS, probes, err := autotune.ExhaustivePoolExpansion(p.Cfg, kernels.PoolCoarsenedTimeUS(d, p.Cfg), 6)
 		if err != nil {
 			continue
 		}

@@ -118,7 +118,7 @@ func (o *Optimizer) options(d *gpusim.Device, l layers.Layer, lay tensor.Layout)
 	case *layers.Pool:
 		if lay == tensor.CHWN && !o.Opts.DisablePoolingOpt {
 			opts.Pool = layers.PoolOptimized
-			if e, _, err := autotune.TunePoolExpansion(d, lt.Cfg); err == nil {
+			if e, _, err := autotune.TunePoolExpansion(lt.Cfg, kernels.PoolCoarsenedTimeUS(d, lt.Cfg)); err == nil {
 				opts.PoolExpansion = e
 			}
 		}

@@ -61,15 +61,15 @@ const (
 // GOMAXPROCS the program later runs under.
 const fftMaxWorkers = 8
 
-// fftProductionPad returns the transform edge the production kernel actually
-// uses: the next power of two of the padded input.  That is always enough for
-// a valid correlation — every needed output row ih = oh·stride satisfies
-// ih + FH - 1 ≤ padH - 1 ≤ pR - 1, so circular wraparound never reaches a
-// sampled element.  The modeled-cost side (fftPadSize, FFTWorkspaceBytes)
+// ConvFFTPlane returns the transform plane the production kernel (ConvFFTInto)
+// actually uses: the next power of two of the padded input, each way.  That
+// is always enough for a valid correlation — every needed output row
+// ih = oh·stride satisfies ih + FH - 1 ≤ padH - 1 ≤ pR - 1, so circular
+// wraparound never reaches a sampled element.  The modeled-cost side (fftPadSize, FFTWorkspaceBytes)
 // deliberately keeps the more conservative padH+FH-1 sizing of the emulated
 // cuDNN v4 mode: the paper's memory-overhead story (and its 6 GB OOM
 // failures) describe that implementation, not this leaner kernel.
-func fftProductionPad(cfg ConvConfig) (pR, pC int) {
+func ConvFFTPlane(cfg ConvConfig) (pR, pC int) {
 	cfg = cfg.withDefaults()
 	return fft.NextPow2(cfg.H + 2*cfg.PadH), fft.NextPow2(cfg.W + 2*cfg.PadW)
 }
@@ -81,7 +81,7 @@ func fftProductionPad(cfg ConvConfig) (pR, pC int) {
 // depends only on the layer shape.
 func ConvFFTWorkspaceElems(cfg ConvConfig) int {
 	cfg = cfg.withDefaults()
-	pR, pC := fftProductionPad(cfg)
+	pR, pC := ConvFFTPlane(cfg)
 	workers := cfg.N
 	if workers > fftMaxWorkers {
 		workers = fftMaxWorkers
@@ -117,7 +117,7 @@ func ConvFFTInto(in, filters, out *tensor.Tensor, cfg ConvConfig, scratch []floa
 	if need := ConvFFTWorkspaceElems(cfg); len(scratch) < need {
 		return fmt.Errorf("kernels: fft conv scratch has %d elements, want at least %d", len(scratch), need)
 	}
-	pR, pC := fftProductionPad(cfg)
+	pR, pC := ConvFFTPlane(cfg)
 	filtElems := cfg.K * cfg.C * 2 * pR * pC
 	j := convFFTJob{in: in, filters: filters, out: out, cfg: cfg, pR: pR, pC: pC,
 		filtArea: scratch[:filtElems], workArea: scratch[filtElems:],

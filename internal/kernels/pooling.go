@@ -403,3 +403,12 @@ func PoolCHWNCoarsenedCost(d *gpusim.Device, cfg PoolConfig, e PoolExpansion) gp
 		UsefulWriteBytes:  outBytes,
 	}
 }
+
+// PoolCoarsenedTimeUS returns the modeled time on d of the coarsened kernel
+// as a function of the expansion: the profiler internal/autotune's search
+// minimises.
+func PoolCoarsenedTimeUS(d *gpusim.Device, cfg PoolConfig) func(PoolExpansion) float64 {
+	return func(e PoolExpansion) float64 {
+		return gpusim.EstimateTime(d, PoolCHWNCoarsenedCost(d, cfg, e)).TotalUS
+	}
+}

@@ -8,76 +8,10 @@ import (
 	"memcnn/internal/tensor"
 )
 
-// Full-batch workload shapes the joint sweep's decisions are pinned on.
-var (
-	zfConv3   = kernels.ConvConfig{N: 64, C: 256, H: 12, W: 12, K: 384, FH: 3, FW: 3, PadH: 1, PadW: 1}
-	vggConv3  = kernels.ConvConfig{N: 32, C: 128, H: 56, W: 56, K: 256, FH: 3, FW: 3, PadH: 1, PadW: 1}
-	alexConv2 = kernels.ConvConfig{N: 64, C: 96, H: 27, W: 27, K: 256, FH: 5, FW: 5, PadH: 2, PadW: 2}
-)
+// zfConv3 is ZFNet's conv3 at full batch.
+var zfConv3 = kernels.ConvConfig{N: 64, C: 256, H: 12, W: 12, K: 384, FH: 3, FW: 3, PadH: 1, PadW: 1}
 
-// TestJointConvChoicePromotion pins the priced-promotion rule on real layer
-// shapes: ZFNet's conv3 (where the modeled FFT beats GEMM by more than the
-// margin) flips to FFT+NCHW, while VGG's conv3_1 (faster under FFT, but inside
-// the margin) keeps the spatial baseline.
-func TestJointConvChoicePromotion(t *testing.T) {
-	d := gpusim.TitanBlack()
-
-	got := JointConvChoice(d, zfConv3, tensor.NCHW, kernels.ConvAlgGemm)
-	if got.Alg != kernels.ConvAlgFFT || got.Layout != tensor.NCHW {
-		t.Errorf("ZFNet conv3: got %v/%v, want fft/NCHW promotion", got.Alg, got.Layout)
-	}
-	got = JointConvChoice(d, vggConv3, tensor.NCHW, kernels.ConvAlgGemm)
-	if got.Alg != kernels.ConvAlgGemm || got.Layout != tensor.NCHW {
-		t.Errorf("VGG conv3_1: got %v/%v, want gemm kept inside the promotion margin", got.Alg, got.Layout)
-	}
-}
-
-// TestJointConvChoiceNeverPromotesStrided checks the stride guard: the dense
-// frequency-domain correlation computes stride²-fold wasted work, so even a
-// shape deep in the FFT regime stays spatial once strided.
-func TestJointConvChoiceNeverPromotesStrided(t *testing.T) {
-	d := gpusim.TitanBlack()
-	strided := zfConv3
-	strided.StrideH, strided.StrideW = 2, 2
-	got := JointConvChoice(d, strided, tensor.CHWN, kernels.ConvAlgDirect)
-	if got.Alg != kernels.ConvAlgDirect || got.Layout != tensor.CHWN {
-		t.Errorf("strided layer: got %v/%v, want the planner's direct/CHWN kept", got.Alg, got.Layout)
-	}
-}
-
-// TestJointConvChoicePinsHeuristicFFTToNCHW checks the first rule: when the
-// analytic heuristic already picked FFT, the joint sweep's only job is to move
-// the layer into the kernel's NCHW layout, even from a CHWN plan.
-func TestJointConvChoicePinsHeuristicFFTToNCHW(t *testing.T) {
-	d := gpusim.TitanBlack()
-	got := JointConvChoice(d, alexConv2, tensor.CHWN, kernels.ConvAlgFFT)
-	if got.Alg != kernels.ConvAlgFFT || got.Layout != tensor.NCHW {
-		t.Errorf("heuristic FFT: got %v/%v, want fft pinned to NCHW", got.Alg, got.Layout)
-	}
-	if got.TransformUS <= 0 {
-		t.Error("CHWN->NCHW layout switch should be charged a transform cost")
-	}
-	// AlexNet conv2's emulated cuDNN v4 workspace exceeds the 6 GB card, so
-	// the candidate carries the OOM flag the paper's Table IV story rests on.
-	if !got.OOM {
-		t.Error("AlexNet conv2 FFT workspace should be flagged OOM on the 6 GB TitanBlack model")
-	}
-}
-
-// TestJointConvChoiceWithoutDevice checks the degenerate inputs: no device
-// model or an invalid shape leaves the planner's decision untouched.
-func TestJointConvChoiceWithoutDevice(t *testing.T) {
-	got := JointConvChoice(nil, zfConv3, tensor.CHWN, kernels.ConvAlgGemm)
-	if got.Alg != kernels.ConvAlgGemm || got.Layout != tensor.CHWN {
-		t.Errorf("nil device: got %v/%v, want the plan kept", got.Alg, got.Layout)
-	}
-	got = JointConvChoice(gpusim.TitanBlack(), kernels.ConvConfig{}, tensor.CHWN, kernels.ConvAlgDirect)
-	if got.Alg != kernels.ConvAlgDirect || got.Layout != tensor.CHWN {
-		t.Errorf("invalid config: got %v/%v, want the plan kept", got.Alg, got.Layout)
-	}
-}
-
-// TestConvAlgCandidatesTransformCharges checks the shared sweep rows: every
+// TestConvAlgCandidatesTransformCharges checks the model-only sweep rows: every
 // production algorithm is priced in its natural layout, and candidates whose
 // layout differs from the incoming one carry a positive layout-switch charge.
 func TestConvAlgCandidatesTransformCharges(t *testing.T) {

@@ -86,17 +86,9 @@ func MeasuredConvWinner(d *gpusim.Device, cfg kernels.ConvConfig) (tensor.Layout
 	return tensor.NCHW, chwn, nchw
 }
 
-// FFTPromotionMargin is how much faster the modeled FFT mode (including any
-// layout switch into NCHW) must be than a layer's heuristically selected
-// spatial algorithm before the compiler's joint sweep promotes the layer to
-// FFT.  The analytic model flatters the frequency-domain path (it ignores
-// tuning and occupancy cliffs real batched-FFT kernels hit), so a promotion
-// needs clear daylight, not a photo finish.
-const FFTPromotionMargin = 1.25
-
-// ConvCandidate is one priced (layout, algorithm) execution option for a
-// convolution layer — one row of the joint sweep the compiler and
-// cmd/layoutplan share.
+// ConvCandidate is one (layout, algorithm) execution option for a convolution
+// layer priced on a modeled GPU — one row of the model-only sweep
+// cmd/layoutplan -algs prints.
 type ConvCandidate struct {
 	Layout tensor.Layout
 	Alg    kernels.ConvAlgorithm
@@ -142,65 +134,18 @@ func convCandidate(d *gpusim.Device, cfg kernels.ConvConfig, alg kernels.ConvAlg
 	return cand
 }
 
-// ConvAlgCandidates prices every production algorithm for the layer in its
-// natural layout — direct in CHWN, im2col+GEMM and FFT in NCHW — charging
-// each candidate the best layout-transform kernel from the incoming layout.
-// This is the full sweep cmd/layoutplan reports; the compiler's per-layer
-// decision (JointConvChoice) picks from the same numbers, so the tool and the
-// compiler cannot disagree.
+// ConvAlgCandidates prices every production algorithm for the layer on the
+// modeled GPU in its natural layout — direct in CHWN, im2col+GEMM and FFT in
+// NCHW — charging each candidate the best layout-transform kernel from the
+// incoming layout.  This is the sweep cmd/layoutplan -algs reports, and it is
+// model-only: the compiler does not decide from it, because what it compiles
+// runs on the host (internal/autotune prices that).
 func ConvAlgCandidates(d *gpusim.Device, cfg kernels.ConvConfig, incoming tensor.Layout) []ConvCandidate {
 	return []ConvCandidate{
 		convCandidate(d, cfg, kernels.ConvAlgDirect, incoming),
 		convCandidate(d, cfg, kernels.ConvAlgGemm, incoming),
 		convCandidate(d, cfg, kernels.ConvAlgFFT, incoming),
 	}
-}
-
-// JointConvChoice makes the compiler's joint (layout, algorithm) decision for
-// one convolution layer.  `planned` is the layout the network planner picked
-// and `base` the analytic heuristic's algorithm for the shape; the sweep may
-// override both together.  The rules:
-//
-//   - A heuristic FFT choice is pinned to NCHW (the frequency-domain kernels
-//     are NCHW implementations, Section IV.A), flipping the layer's layout if
-//     the planner preferred CHWN.
-//   - A spatial choice on a stride-1 layer is promoted to FFT+NCHW when the
-//     modeled FFT time plus the layout switch beats the base algorithm's
-//     modeled time by FFTPromotionMargin and the FFT workspace fits in device
-//     memory.  Strided layers are never promoted: the dense correlation
-//     computes stride²-fold wasted work.
-//   - Otherwise the layer keeps the planner's layout and the base algorithm.
-//
-// With no device model the planner layout and base algorithm stand unchanged.
-func JointConvChoice(d *gpusim.Device, cfg kernels.ConvConfig, planned tensor.Layout, base kernels.ConvAlgorithm) ConvCandidate {
-	keep := ConvCandidate{Layout: planned, Alg: base}
-	if d == nil || cfg.Validate() != nil {
-		return keep
-	}
-	if base == kernels.ConvAlgFFT {
-		return convCandidate(d, cfg, kernels.ConvAlgFFT, planned)
-	}
-	sh, sw := cfg.StrideH, cfg.StrideW
-	if sh == 0 {
-		sh = 1
-	}
-	if sw == 0 {
-		sw = 1
-	}
-	if sh != 1 || sw != 1 {
-		return keep
-	}
-	// The base algorithm runs in the planner's layout with no switch, so the
-	// comparison is its bare kernel time against FFT's kernel plus transform.
-	basePriced := convCandidate(d, cfg, base, planned)
-	fftCand := convCandidate(d, cfg, kernels.ConvAlgFFT, planned)
-	if fftCand.OOM || fftCand.TotalUS() <= 0 {
-		return keep
-	}
-	if basePriced.TimeUS >= fftCand.TotalUS()*FFTPromotionMargin {
-		return fftCand
-	}
-	return keep
 }
 
 // calibrationReference is the layer shape used for the calibration sweeps; it

@@ -13,11 +13,15 @@
 //	                        one layout and one algorithm, or another
 //	                        program's Choices.  With Options.ConvAlgorithms
 //	                        one pass, SelectChoices, re-decides every
-//	                        convolution: a base algorithm by layer shape
-//	                        (internal/autotune's analytic regimes), then on
-//	                        a plan's device the joint sweep of
-//	                        internal/layout, which may move a layer to FFT
-//	                        and NCHW together.  Lowering binds exactly the
+//	                        convolution's algorithm: the direct, GEMM or
+//	                        FFT kernel internal/autotune estimates cheapest
+//	                        on the host, which runs every device's ops, in
+//	                        the layout the list gives the layer.  Measured,
+//	                        FFT wins only with filters about as large as the
+//	                        image (31×31 on 32×32, not 21×21): no workload
+//	                        network selects it, it is model-domain here.
+//	                        Layouts stay the source's; an FFT layer runs
+//	                        in NCHW.  Lowering binds exactly the
 //	                        list it is handed: an op per layer, a transform
 //	                        op where consecutive layouts differ, zero-copy
 //	                        reshape views at flattening boundaries.

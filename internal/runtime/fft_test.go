@@ -2,6 +2,7 @@ package runtime_test
 
 import (
 	"os"
+	"reflect"
 	goruntime "runtime"
 	"testing"
 
@@ -14,39 +15,43 @@ import (
 	"memcnn/internal/workloads"
 )
 
-// fftFlipNet builds a single-convolution network whose shape sits on both
-// sides of the layout decision: small channel depth (C=8 < the CHWN channel
-// threshold) makes the planner place it in CHWN for the direct kernel, while
-// its 7x7 stride-1 filters at 1.3e10 FMAs put it squarely in the FFT regime,
-// which runs in NCHW.
-func fftFlipNet(t *testing.T) (*network.Network, *layers.Conv) {
+// fftFlipNet builds pool → conv → pool with the one kind of convolution the
+// host prices cheapest in the frequency domain: filters as large as the image
+// (63×63 on 64×64), where the GEMM unroll matrix is 31 752 rows deep.  All
+// three layers are planned in CHWN, the pooling layers' layout.
+func fftFlipNet(t *testing.T) (*network.Network, *network.ExecutionPlan) {
 	t.Helper()
-	cfg := kernels.ConvConfig{N: 64, C: 8, H: 32, W: 32, K: 512, FH: 7, FW: 7, PadH: 3, PadW: 3}
-	conv, err := layers.NewConv("conv-flip", cfg, 7)
+	pool1, err := layers.NewPool("pool1", kernels.PoolConfig{N: 4, C: 8, H: 128, W: 128, Window: 2, Stride: 2, Op: kernels.MaxPool})
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := network.New("FlipNet", cfg.N, conv)
+	conv, err := layers.NewConv("conv-flip", kernels.ConvConfig{N: 4, C: 8, H: 64, W: 64, K: 16, FH: 63, FW: 63, PadH: 31, PadW: 31}, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return net, conv
+	pool2, err := layers.NewPool("pool2", kernels.PoolConfig{N: 4, C: 16, H: 64, W: 64, Window: 2, Stride: 2, Op: kernels.MaxPool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := network.New("FlipNet", 4, pool1, conv, pool2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := &network.ExecutionPlan{PlannerName: "test", Network: net, Device: gpusim.TitanBlack()}
+	for _, l := range net.Layers {
+		plan.Layers = append(plan.Layers, network.PlannedLayer{Layer: l, Layout: tensor.CHWN})
+	}
+	return net, plan
 }
 
-// TestJointLayoutAlgorithmFlip checks the headline property of joint
-// layout+algorithm selection: the same layer lands in a different layout
-// depending on whether algorithm selection is on.  Without ConvAlgorithms the
-// plan's CHWN assignment stands and the layer runs the direct kernel; with it,
-// the compiler prices the FFT mode, flips the algorithm to FFT and the layout
-// to NCHW in the same decision.
+// TestJointLayoutAlgorithmFlip checks the one layout rule of algorithm
+// selection: the FFT kernel runs in NCHW, so a convolution the selection pass
+// gives to FFT on a CHWN plan moves to NCHW, with a transform op on each side
+// of it.  Without ConvAlgorithms the plan's CHWN assignment stands and the
+// layer runs the direct kernel; an explicit FFT/NCHW entry in a decision list
+// lowers to the same program the selection pass produces.
 func TestJointLayoutAlgorithmFlip(t *testing.T) {
-	net, conv := fftFlipNet(t)
-	plan := &network.ExecutionPlan{
-		PlannerName: "test",
-		Network:     net,
-		Device:      gpusim.TitanBlack(),
-		Layers:      []network.PlannedLayer{{Layer: conv, Layout: tensor.CHWN}},
-	}
+	net, plan := fftFlipNet(t)
 
 	plain, err := runtime.CompileWithOptions(plan, runtime.Options{})
 	if err != nil {
@@ -61,76 +66,69 @@ func TestJointLayoutAlgorithmFlip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ch := joint.ConvChoices()[0]; ch.Alg != kernels.ConvAlgFFT || ch.Layout != tensor.NCHW {
-		t.Errorf("with algorithm selection: got %v/%v, want fft/NCHW — the layout must flip with the algorithm",
+		t.Fatalf("with algorithm selection: got %v/%v, want fft/NCHW — the layout must move with the algorithm",
 			ch.Alg, ch.Layout)
+	}
+	var kinds []string
+	for _, op := range joint.Ops {
+		kinds = append(kinds, op.Kind.String())
+	}
+	if want := []string{"layer", "transform", "layer", "transform", "layer"}; !reflect.DeepEqual(kinds, want) {
+		t.Errorf("selected program's ops are %v, want %v: a transform on each side of the FFT convolution", kinds, want)
+	}
+
+	explicit := runtime.PlanChoices(plan)
+	explicit[1] = runtime.Choice{Layout: tensor.NCHW, Alg: kernels.ConvAlgFFT}
+	listed, err := runtime.Compile(net, plan.PlannerName, explicit, runtime.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := programDump(listed), programDump(joint); got != want {
+		t.Errorf("the explicit FFT/NCHW decision list lowers to\n%s\nthe selection pass to\n%s", got, want)
 	}
 }
 
-// TestHeuristicSelectionPicksFFT pins the joint sweep's decisions on the
-// paper's workload networks at full batch: the ImageNet-scale models each
-// compile with at least one FFT convolution (AlexNet conv2 through the
-// analytic regime, ZFNet conv3-5 and VGG conv4_1 through priced promotion of
-// a GEMM baseline), always in NCHW, while the small networks stay FFT-free.
-func TestHeuristicSelectionPicksFFT(t *testing.T) {
+// TestHostSelectionNeverPicksFFT pins the finding of host-priced selection
+// on the paper's workload networks at full batch: no convolution of the five
+// is cheapest in the frequency domain on the CPU, so none compiles to FFT.
+// FFT stays a production algorithm for decision lists that name it
+// (TestFixedAlgorithmGolden executes such programs against their reference).
+func TestHostSelectionNeverPicksFFT(t *testing.T) {
 	nets, err := workloads.Networks()
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantFFT := map[string]bool{
-		"LeNet":   false,
-		"Cifar10": false,
-		"AlexNet": true,
-		"ZFNet":   true,
-		"VGG":     true,
-	}
-	for name, want := range wantFFT {
+	for _, name := range workloads.NetworkOrder {
 		prog := mustCompileOpts(t, planners()[2], nets[name], runtime.Options{ConvAlgorithms: true})
-		ffts := 0
 		for _, ch := range prog.ConvChoices() {
-			if ch.Alg != kernels.ConvAlgFFT {
-				continue
+			if ch.Alg == kernels.ConvAlgFFT {
+				t.Errorf("%s %s: FFT selected (in %v)", name, ch.Layer, ch.Layout)
 			}
-			ffts++
-			if ch.Layout != tensor.NCHW {
-				t.Errorf("%s %s: FFT selected in %v, the FFT kernel only prices in NCHW", name, ch.Layer, ch.Layout)
-			}
-			if ch.WorkspaceBytes == 0 {
-				t.Errorf("%s %s: FFT selected without planned workspace", name, ch.Layer)
-			}
-		}
-		if want && ffts == 0 {
-			t.Errorf("%s: no FFT convolution selected, want at least one", name)
-		}
-		if !want && ffts > 0 {
-			t.Errorf("%s: %d FFT convolutions selected, want none", name, ffts)
 		}
 	}
 }
 
 // TestWithBatchPinsFFT checks that rebatched clones inherit an FFT choice
 // instead of re-selecting by the smaller batch shape — the same pinning the
-// replica scheduler relies on for the GEMM path.
+// replica scheduler relies on for the GEMM path.  The FFT base comes from an
+// explicit decision list: selection would give these layers to GEMM.
 func TestWithBatchPinsFFT(t *testing.T) {
-	net, conv := fftFlipNet(t)
-	plan := &network.ExecutionPlan{
-		PlannerName: "test",
-		Network:     net,
-		Device:      gpusim.TitanBlack(),
-		Layers:      []network.PlannedLayer{{Layer: conv, Layout: tensor.CHWN}},
-	}
-	base, err := runtime.CompileWithOptions(plan, runtime.Options{ConvAlgorithms: true})
+	tiny, err := workloads.TinyNet()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ch := base.ConvChoices()[0]; ch.Alg != kernels.ConvAlgFFT {
-		t.Fatalf("base program selected %v, the test needs an FFT base", ch.Alg)
+	base, err := compilePinned(tiny, kernels.ConvAlgFFT)
+	if err != nil {
+		t.Fatal(err)
 	}
 	clone, err := base.WithBatch(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ch := clone.ConvChoices()[0]; ch.Alg != kernels.ConvAlgFFT || ch.Layout != tensor.NCHW {
-		t.Errorf("rebatched clone: got %v/%v, want the base's fft/NCHW pinned", ch.Alg, ch.Layout)
+	for _, ch := range clone.ConvChoices() {
+		if ch.Alg != kernels.ConvAlgFFT || ch.Layout != tensor.NCHW {
+			t.Errorf("rebatched clone, %s: got %v/%v, want the base's fft/NCHW pinned", ch.Layer, ch.Alg, ch.Layout)
+		}
 	}
 }
 

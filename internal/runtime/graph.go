@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"memcnn/internal/autotune"
-	"memcnn/internal/gpusim"
 	"memcnn/internal/kernels"
 	"memcnn/internal/layers"
-	"memcnn/internal/layout"
 	"memcnn/internal/network"
 	"memcnn/internal/tensor"
 )
@@ -241,23 +239,26 @@ func (p *Program) Choices() []Choice {
 }
 
 // SelectChoices is the one place a convolution's algorithm is chosen.  It
-// returns choices with every convolution layer re-decided: the analytic
-// heuristic (internal/autotune) picks a base algorithm by layer shape, and
-// the internal/layout joint sweep prices it against the FFT mode on dev —
-// including the cost of switching the layer's input layout — and may flip
-// the algorithm and the layout together (layout.JointConvChoice): the
-// paper's joint layout+algorithm choice.  With a nil device the heuristic
-// stands alone in the given layout.  Compile runs this pass under
-// Options.ConvAlgorithms; cmd/layoutplan prints its result.
-func SelectChoices(net *network.Network, choices []Choice, dev *gpusim.Device) []Choice {
+// returns choices with every convolution layer re-decided by
+// autotune.SelectConvAlgorithm: the direct, im2col+GEMM or FFT kernel with
+// the lowest estimated time on the host, which is where every program runs
+// (no gpusim device is asked: a modeled GPU time says nothing about a Go
+// kernel), in the layout the list gives the layer.  The layouts stay the
+// caller's with one exception, the FFT kernel's own: an FFT layer runs in
+// NCHW (Section IV.A), the lowering puts a transform on each side of it where
+// its neighbours differ, and the estimate has charged for both.  Compile runs
+// this pass under Options.ConvAlgorithms; cmd/layoutplan prints its result.
+func SelectChoices(net *network.Network, choices []Choice) []Choice {
 	selected := append([]Choice(nil), choices...)
 	for i, l := range net.Layers {
 		conv, ok := l.(*layers.Conv)
 		if !ok {
 			continue
 		}
-		joint := layout.JointConvChoice(dev, conv.Cfg, selected[i].Layout, autotune.SelectConvAlgorithm(conv.Cfg))
-		selected[i] = Choice{Layout: joint.Layout, Alg: joint.Alg}
+		selected[i].Alg = autotune.SelectConvAlgorithm(conv.Cfg, selected[i].Layout)
+		if selected[i].Alg == kernels.ConvAlgFFT {
+			selected[i].Layout = tensor.NCHW
+		}
 	}
 	return selected
 }
@@ -268,18 +269,19 @@ func SelectChoices(net *network.Network, choices []Choice, dev *gpusim.Device) [
 // binds exactly the list it is handed.  name labels the program
 // (Program.PlannerName).
 func Compile(net *network.Network, name string, choices []Choice, opts Options) (*Program, error) {
-	return compile(net, name, choices, nil, opts)
+	return compile(net, name, choices, opts)
 }
 
 // CompileWithOptions compiles an execution plan: its layouts are the decision
-// list and its device is the model the selection pass prices on, so with
-// Options.ConvAlgorithms the plan's layouts are not taken as given — a
-// convolution promoted to FFT moves to NCHW with it.
+// list, and with Options.ConvAlgorithms every convolution gets the algorithm
+// that is cheapest on the host in that layout (SelectChoices).  The plan's
+// device priced the layouts and keeps pricing modeled times; it has no say in
+// the algorithms, which run on the host whatever GPU the plan models.
 func CompileWithOptions(plan *network.ExecutionPlan, opts Options) (*Program, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, fmt.Errorf("runtime: %w", err)
 	}
-	return compile(plan.Network, plan.PlannerName, PlanChoices(plan), plan.Device, opts)
+	return compile(plan.Network, plan.PlannerName, PlanChoices(plan), opts)
 }
 
 // WithBatch compiles the program's network at another batch size from the
@@ -301,7 +303,7 @@ func (p *Program) WithBatch(batch int) (*Program, error) {
 
 // compile checks the preconditions every entrypoint shares, runs the
 // selection pass and lowers.
-func compile(net *network.Network, name string, choices []Choice, dev *gpusim.Device, opts Options) (*Program, error) {
+func compile(net *network.Network, name string, choices []Choice, opts Options) (*Program, error) {
 	if net == nil || len(net.Layers) == 0 {
 		return nil, fmt.Errorf("runtime: cannot compile an empty network")
 	}
@@ -314,7 +316,7 @@ func compile(net *network.Network, name string, choices []Choice, dev *gpusim.De
 		}
 	}
 	if opts.ConvAlgorithms {
-		choices = SelectChoices(net, choices, dev)
+		choices = SelectChoices(net, choices)
 	}
 	return lower(net, name, choices, opts)
 }

@@ -403,10 +403,11 @@ func TestExecutorRejectsBadShapes(t *testing.T) {
 
 // TestAlgorithmSelectionCompile checks the tentpole of the conv-algorithm
 // work: compiling with Options{ConvAlgorithms: true} records a per-layer
-// strategy (LeNet's shallow conv1 stays direct, its deep conv2 goes to GEMM),
-// plans the GEMM workspace and the fully-connected/softmax staging as
-// op-local arena buffers, and still reproduces the per-algorithm functional
-// reference bit for bit.
+// strategy (both LeNet convolutions go to GEMM at batch 128: measured on the
+// host, conv1 runs 4–9× and conv2 4–10× faster there than on the direct
+// kernel), plans the GEMM workspace and the fully-connected/softmax staging
+// as op-local arena buffers, and still reproduces the per-algorithm
+// functional reference bit for bit.
 func TestAlgorithmSelectionCompile(t *testing.T) {
 	nets, err := workloads.Networks()
 	if err != nil {
@@ -421,13 +422,10 @@ func TestAlgorithmSelectionCompile(t *testing.T) {
 	if len(choices) != 2 {
 		t.Fatalf("LeNet has 2 conv layers, ConvChoices reported %d", len(choices))
 	}
-	if choices[0].Alg != kernels.ConvAlgDirect || choices[0].WorkspaceBytes != 0 {
-		t.Errorf("conv1 (C=1, reduction 25): got %v with %d B workspace, want direct without workspace",
-			choices[0].Alg, choices[0].WorkspaceBytes)
-	}
-	if choices[1].Alg != kernels.ConvAlgGemm || choices[1].WorkspaceBytes == 0 {
-		t.Errorf("conv2 (reduction 400): got %v with %d B workspace, want im2col+gemm with workspace",
-			choices[1].Alg, choices[1].WorkspaceBytes)
+	for _, ch := range choices {
+		if ch.Alg != kernels.ConvAlgGemm || ch.WorkspaceBytes == 0 {
+			t.Errorf("%s: got %v with %d B workspace, want im2col+gemm with its workspace", ch.Layer, ch.Alg, ch.WorkspaceBytes)
+		}
 	}
 	if prog.ScratchBytes() == 0 {
 		t.Error("program should plan scratch buffers for the GEMM conv, fully-connected and softmax layers")
@@ -467,7 +465,7 @@ func TestAlgorithmSelectionCompile(t *testing.T) {
 	requireBitEqual(t, "LeNet selected rerun", again, want)
 
 	// The selected program must differ from the direct-only one where an
-	// algorithm switched: conv2's GEMM accumulation order is not the direct
+	// algorithm switched: the GEMM accumulation order is not the direct
 	// float64 tap order.
 	naive, err := net.Forward(in)
 	if err != nil {
