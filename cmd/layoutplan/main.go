@@ -29,7 +29,6 @@ import (
 	"memcnn/internal/gpusim"
 	"memcnn/internal/layers"
 	"memcnn/internal/layout"
-	"memcnn/internal/netconfig"
 	"memcnn/internal/network"
 	memruntime "memcnn/internal/runtime"
 	"memcnn/internal/workloads"
@@ -45,9 +44,7 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("layoutplan", flag.ContinueOnError)
 	var (
-		networkName = fs.String("network", "AlexNet", "network to plan: LeNet, Cifar10, AlexNet, ZFNet, VGG")
-		configPath  = fs.String("config", "", "JSON network configuration file (overrides -network)")
-		annotate    = fs.Bool("annotate", false, "with -config: print the configuration re-annotated with the chosen layouts")
+		networkName = fs.String("network", "AlexNet", "network to plan: LeNet, Cifar10, AlexNet, ZFNet, VGG or TinyNet")
 		deviceName  = fs.String("device", "titanblack", "GPU model: titanblack or titanx")
 		thresholds  = fs.String("thresholds", "paper", "layout thresholds: 'paper' or 'calibrated'")
 		algSweep    = fs.Bool("algs", false, "print the modeled (layout, algorithm) sweep per convolution layer, the compiler's choice marked")
@@ -65,31 +62,9 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("layoutplan: %w", err)
 	}
 
-	var net *network.Network
-	var spec *netconfig.NetworkSpec
-	if *configPath != "" {
-		data, err := os.ReadFile(*configPath)
-		if err != nil {
-			return err
-		}
-		spec, err = netconfig.Parse(data)
-		if err != nil {
-			return err
-		}
-		net, err = spec.Build()
-		if err != nil {
-			return err
-		}
-	} else {
-		nets, err := workloads.Networks()
-		if err != nil {
-			return err
-		}
-		var ok bool
-		net, ok = nets[*networkName]
-		if !ok {
-			return fmt.Errorf("layoutplan: unknown network %q", *networkName)
-		}
+	net, err := workloads.ByName(*networkName)
+	if err != nil {
+		return fmt.Errorf("layoutplan: %w", err)
 	}
 
 	optimizer := core.NewOptimizer(core.Options{Thresholds: th})
@@ -118,15 +93,6 @@ func run(args []string, stdout io.Writer) error {
 
 	if *algSweep {
 		printAlgSweep(stdout, dev, plan)
-	}
-
-	if spec != nil && *annotate {
-		spec.Annotate(plan)
-		data, err := spec.Marshal()
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "\nannotated configuration:\n%s\n", data)
 	}
 	return nil
 }

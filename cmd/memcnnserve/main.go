@@ -4,13 +4,14 @@
 // and fronted by the dynamic micro-batching server so concurrent single-image
 // requests coalesce into planned batched executions.
 //
-// With -select the program compiles through per-layer convolution algorithm
-// selection (direct vs im2col+GEMM) and is verified bit-for-bit against
-// Program.ReferenceForward before serving starts.  With -devices N the
-// compiled program is sharded into N pipeline stages over simulated devices
-// and batches stream through the sharded PipelineExecutor — results stay
-// bit-identical to the single-device path while each stage reports modeled
-// device latency.
+// The program always compiles through per-layer convolution algorithm
+// selection (direct, im2col+GEMM or FFT, priced on this host), prints the
+// choice per convolution, and is verified bit-for-bit against
+// Program.ReferenceForward on the serving engine before serving starts.  With
+// -devices N the compiled program is sharded into N pipeline stages over
+// simulated devices and batches stream through the sharded PipelineExecutor —
+// results stay bit-identical to the single-device path while each stage
+// reports modeled device latency.
 //
 // With -replicas N the program is instead replicated across N device groups
 // (internal/runtime/replica): each batch splits into per-replica sub-batches
@@ -56,7 +57,7 @@
 // Usage:
 //
 //	memcnnserve -network LeNet -addr :8080
-//	memcnnserve -network LeNet -select -devices 2 -demo 256
+//	memcnnserve -network LeNet -devices 2 -demo 256
 //	memcnnserve -network LeNet -replicas 4 -replica-devices titanblack,titanx -cache 256 -demo 512
 //	memcnnserve -network TinyNet -replicas 4 -chaos 42 -demo 512   # fault-tolerance demo
 //	memcnnserve -network TinyNet -demo 256      # self-driving load test
@@ -109,7 +110,6 @@ func main() {
 		maxBatch    = flag.Int("batch", 0, "max requests per planned execution (default: the network batch)")
 		maxDelay    = flag.Duration("delay", 2*time.Millisecond, "max time a request waits for its batch to fill")
 		workers     = flag.Int("workers", 2, "concurrent batch executors")
-		selectAlgs  = flag.Bool("select", false, "compile with per-layer convolution algorithm selection (verified against ReferenceForward at startup)")
 		devices     = flag.Int("devices", 1, "pipeline the program (or, with -replicas, each replica) across N simulated devices (1 = no pipelining)")
 		replicas    = flag.Int("replicas", 1, "replicate the program across N devices, splitting each batch by modeled throughput (1 = no data parallelism)")
 		replicaDevs = flag.String("replica-devices", "", "comma-separated replica hardware (titanblack, titanx or cpu), cycled across -replicas; default titanblack")
@@ -126,11 +126,11 @@ func main() {
 		fail(fmt.Errorf("memcnnserve: -chaos needs -replicas > 1 (failover needs somewhere to fail over to)"))
 	}
 
-	net, err := buildNetwork(*networkName)
+	net, err := workloads.ByName(*networkName)
 	if err != nil {
-		fail(err)
+		fail(fmt.Errorf("memcnnserve: %w", err))
 	}
-	prog, err := compile(net, *policy, memruntime.Options{ConvAlgorithms: *selectAlgs})
+	prog, err := compile(net, *policy)
 	if err != nil {
 		fail(err)
 	}
@@ -138,10 +138,8 @@ func main() {
 		net.Name, len(net.Layers), len(prog.Ops), len(prog.Buffers), prog.PlannerName)
 	fmt.Printf("memory plan: peak %.2f MiB vs naive %.2f MiB (%.0f%% saved)\n",
 		mib(prog.Mem.PeakBytes()), mib(prog.NaiveBytes()), 100*prog.Savings())
-	if *selectAlgs {
-		for _, ch := range prog.ConvChoices() {
-			fmt.Printf("conv %-12s %-5s %s\n", ch.Layer, ch.Layout, ch.Alg)
-		}
+	for _, ch := range prog.ConvChoices() {
+		fmt.Printf("conv %-12s %-5s %s\n", ch.Layer, ch.Layout, ch.Alg)
 	}
 
 	// Build the serving engine first so the startup golden check exercises
@@ -214,12 +212,10 @@ func main() {
 		exec.Instrument(ob, memruntime.LaneEngine)
 	}
 
-	if *selectAlgs {
-		if err := goldenCheck(prog, runner); err != nil {
-			fail(fmt.Errorf("memcnnserve: startup golden check: %w", err))
-		}
-		fmt.Println("startup golden check: serving engine output bit-equals ReferenceForward")
+	if err := goldenCheck(prog, runner); err != nil {
+		fail(fmt.Errorf("memcnnserve: startup golden check: %w", err))
 	}
+	fmt.Println("startup golden check: serving engine output bit-equals ReferenceForward")
 
 	srv, err := memruntime.NewServerWith(prog, runner, memruntime.ServerConfig{
 		MaxBatch:     *maxBatch,
@@ -236,8 +232,8 @@ func main() {
 
 	if *demo > 0 {
 		// Snapshot before the demo so the reported per-stage means cover the
-		// demo traffic only, excluding the cold arena-warming batch and the
-		// -select golden-check batch.
+		// demo traffic only, excluding the golden-check batch, which also
+		// warms the arena.
 		var before []memruntime.PipelineStageStats
 		if pipe != nil {
 			before = pipe.StageStats()
@@ -358,23 +354,11 @@ func traceHandler(rec *obs.Recorder) http.HandlerFunc {
 	}
 }
 
-func buildNetwork(name string) (*network.Network, error) {
-	if strings.EqualFold(name, "TinyNet") {
-		return workloads.TinyNet()
-	}
-	nets, err := workloads.Networks()
-	if err != nil {
-		return nil, err
-	}
-	for n, net := range nets {
-		if strings.EqualFold(n, name) {
-			return net, nil
-		}
-	}
-	return nil, fmt.Errorf("memcnnserve: unknown network %q", name)
-}
-
-func compile(net *network.Network, policy string, opts memruntime.Options) (*memruntime.Program, error) {
+// compile lowers the network under the named layout policy.  Every program
+// goes through the compiler's convolution algorithm selection: the algorithm
+// the fixed-layout policies name is only the starting point it replaces.
+func compile(net *network.Network, policy string) (*memruntime.Program, error) {
+	opts := memruntime.Options{ConvAlgorithms: true}
 	switch strings.ToLower(policy) {
 	case "opt":
 		plan, err := frameworks.Optimized(layout.TitanBlackThresholds()).Plan(gpusim.TitanBlack(), net)

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"memcnn/internal/kernels"
 	memruntime "memcnn/internal/runtime"
 	"memcnn/internal/runtime/replica"
 	"memcnn/internal/tensor"
@@ -36,6 +37,39 @@ func post(h http.Handler, ctx context.Context, body string) *httptest.ResponseRe
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/infer", strings.NewReader(body)).WithContext(ctx))
 	return rec
+}
+
+// TestServesTheSelectedProgram: the stock binary has no flag that turns
+// algorithm selection on, because nothing turns it off.  Under every policy
+// LeNet's convolutions compile to the GEMM the selector picks (the direct
+// kernel is 5-30x slower on them), and the executor passes the startup golden
+// check main always runs.
+func TestServesTheSelectedProgram(t *testing.T) {
+	net, err := workloads.ByName("lenet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if net, err = net.WithBatch(8); err != nil {
+		t.Fatal(err)
+	}
+	for _, policy := range []string{"opt", "nchw", "chwn"} {
+		prog, err := compile(net, policy)
+		if err != nil {
+			t.Fatalf("%s: %v", policy, err)
+		}
+		choices := prog.ConvChoices()
+		if len(choices) == 0 {
+			t.Fatalf("%s: no convolution in the compiled program", policy)
+		}
+		for _, ch := range choices {
+			if ch.Alg != kernels.ConvAlgGemm {
+				t.Errorf("%s: %s compiles to %v, the selector picks %v", policy, ch.Layer, ch.Alg, kernels.ConvAlgGemm)
+			}
+		}
+		if err := goldenCheck(prog, memruntime.NewExecutor(prog)); err != nil {
+			t.Errorf("%s: %v", policy, err)
+		}
+	}
 }
 
 // TestInferErrorStatuses drives every Infer failure through the handler and
@@ -79,7 +113,7 @@ func TestInferRequestValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := compile(net, "nchw", memruntime.Options{})
+	prog, err := compile(net, "nchw")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,7 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("netbench", flag.ContinueOnError)
 	var (
-		networkName = fs.String("network", "all", "network to report: LeNet, Cifar10, AlexNet, ZFNet, VGG or 'all'")
+		networkName = fs.String("network", "all", "network to report: LeNet, Cifar10, AlexNet, ZFNet, VGG, TinyNet or 'all'")
 		deviceName  = fs.String("device", "titanblack", "GPU model every time is priced on (model-only): titanblack or titanx")
 		thresholds  = fs.String("thresholds", "paper", "layout thresholds: 'paper' or 'calibrated'")
 		detail      = fs.Bool("detail", false, "print the modeled per-layer breakdown for each planner")
@@ -71,20 +71,22 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("netbench: %w", err)
 	}
-	nets, err := workloads.Networks()
-	if err != nil {
-		return err
-	}
 	all := strings.EqualFold(*networkName, "all")
 	var targets []*network.Network
 	if all {
+		nets, err := workloads.Networks()
+		if err != nil {
+			return err
+		}
 		for _, name := range workloads.NetworkOrder {
 			targets = append(targets, nets[name])
 		}
-	} else if net, ok := nets[*networkName]; ok {
-		targets = []*network.Network{net}
 	} else {
-		return fmt.Errorf("netbench: unknown network %q (want one of %s, or all)", *networkName, strings.Join(workloads.NetworkOrder, ", "))
+		net, err := workloads.ByName(*networkName)
+		if err != nil {
+			return fmt.Errorf("netbench: %w, or all", err)
+		}
+		targets = []*network.Network{net}
 	}
 	fmt.Fprintf(stdout, "device: %s\nlayout thresholds: %v\n", dev.Name, th)
 

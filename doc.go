@@ -44,10 +44,10 @@
 // — the native CPU, or a simulated GPU that computes real results while
 // pricing every op on the internal/gpusim hardware model — and a compiled
 // program scales along two axes.  Model parallelism: the program is sharded
-// into contiguous pipeline stages across several devices (FLOPs- or
-// bytes-balanced cuts, explicit cross-device transfers, one arena plan per
-// stage), and the pipelined executor streams batches through the stages
-// bit-identically to the single-device run.  Data parallelism: the
+// into contiguous pipeline stages across several devices (FLOPs-balanced
+// cuts, explicit cross-device transfers, one arena plan per stage), and the
+// pipelined executor streams batches through the stages bit-identically to
+// the single-device run.  Data parallelism: the
 // runtime/replica scheduler clones the program across N devices (shared
 // read-only weights, per-replica arena pools) and splits every batch into
 // sub-batches weighted by modeled — or, on the CPU, probed — per-device
@@ -58,8 +58,9 @@
 // single-image requests into planned batched executions over any engine,
 // optionally behind a checksum-keyed LRU result cache with single-flight
 // (repeated inputs skip execution entirely); cmd/memcnnserve serves it over
-// HTTP (`-select` verifies the serving engine against its functional
-// reference at startup, `-devices N` pipelines across simulated devices,
+// HTTP (it always serves the algorithm-selected program and verifies the
+// serving engine against its functional reference at startup; `-devices N`
+// pipelines across simulated devices,
 // `-replicas N`/`-replica-devices`/`-cache N` switch on replication and the
 // cache; `-demo` prints the per-stage and per-replica breakdowns and the
 // cache counters) and `netbench -runtime` is the static report: every
@@ -110,8 +111,8 @@
 // recompute-vs-store checkpointing is a planner decision (cheap activations
 // are dropped at the forward peak and recomputed just in time during the
 // backward pass, priced on the gpusim model, and kept only when the plan's
-// peak actually shrinks).  Backward kernels are allocation-free *Into
-// variants with fixed accumulation order, so a planned training step is
+// peak actually shrinks).  Backward kernels are allocation-free, with a
+// fixed accumulation order, so a planned training step is
 // bit-identical to the naive per-buffer executor across worker counts;
 // `netbench -runtime` reports planned-vs-naive training footprints with and
 // without checkpointing, and the benchmark's train-lenet16 workload measures

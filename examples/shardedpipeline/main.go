@@ -40,7 +40,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	fmt.Printf("%s sharded into %d stages (%s-balanced)\n", net.Name, len(sp.Stages), sp.Balance)
+	fmt.Printf("%s sharded into %d stages (flops-balanced)\n", net.Name, len(sp.Stages))
 	for _, st := range sp.Stages {
 		fmt.Printf("  stage %d on %s: ops [%d,%d], arena %d B, transfer in %d B\n",
 			st.Index, st.Device.Name(), st.FirstOp, st.LastOp,

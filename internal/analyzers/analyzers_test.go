@@ -1,9 +1,37 @@
 package analyzers
 
 import (
+	"go/ast"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
 	"strings"
 	"testing"
 )
+
+// loadSource parses and type-checks a single in-memory file against the
+// source importer: no export data exists for the synthetic package itself.
+func loadSource(filename, src string) (*Package, error) {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, filename, src, parser.ParseComments|parser.SkipObjectResolution)
+	if err != nil {
+		return nil, err
+	}
+	info := newInfo()
+	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
+	tpkg, err := conf.Check(f.Name.Name, fset, []*ast.File{f}, info)
+	if err != nil {
+		return nil, err
+	}
+	return &Package{
+		ImportPath: f.Name.Name,
+		Fset:       fset,
+		Files:      []*ast.File{f},
+		Types:      tpkg,
+		Info:       info,
+	}, nil
+}
 
 // runOn type-checks one in-memory file and runs a single analyzer over it.
 func runOn(t *testing.T, a *Analyzer, src string) []Diagnostic {

@@ -124,27 +124,3 @@ func newInfo() *types.Info {
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
 }
-
-// loadSource parses and type-checks a single in-memory file against the
-// source importer — the test path, where no export data exists for the
-// synthetic package itself.
-func loadSource(filename, src string) (*Package, error) {
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, filename, src, parser.ParseComments|parser.SkipObjectResolution)
-	if err != nil {
-		return nil, err
-	}
-	info := newInfo()
-	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
-	tpkg, err := conf.Check(f.Name.Name, fset, []*ast.File{f}, info)
-	if err != nil {
-		return nil, err
-	}
-	return &Package{
-		ImportPath: f.Name.Name,
-		Fset:       fset,
-		Files:      []*ast.File{f},
-		Types:      tpkg,
-		Info:       info,
-	}, nil
-}

@@ -1,17 +1,14 @@
 // Package fft implements the radix-2 complex fast Fourier transform used by
 // the FFT-based convolution path (cuDNN-FFT / cuDNN-FFT-Tiling in the paper).
 //
-// Only the pieces the convolution substrate needs are provided: an in-place
-// 1-D transform, a 2-D transform built on it, and next-power-of-two helpers
-// for the zero padding that gives the FFT approach its memory overhead
-// (Section IV.A, "Data Layouts in FFT-based Implementations").
+// Only the pieces the convolution kernel needs are provided: an in-place 2-D
+// transform over split re/im planes, the spectrum product of a
+// cross-correlation, and next-power-of-two helpers for the zero padding that
+// gives the FFT approach its memory overhead (Section IV.A, "Data Layouts in
+// FFT-based Implementations").
 package fft
 
-import (
-	"fmt"
-	"math"
-	"math/bits"
-)
+import "math/bits"
 
 // NextPow2 returns the smallest power of two that is >= n (and at least 1).
 func NextPow2(n int) int {
@@ -23,137 +20,3 @@ func NextPow2(n int) int {
 
 // IsPow2 reports whether n is a positive power of two.
 func IsPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
-
-// Forward computes the in-place forward DFT of x.  len(x) must be a power of
-// two.
-func Forward(x []complex128) error { return transform(x, false) }
-
-// Inverse computes the in-place inverse DFT of x (including the 1/N scale).
-// len(x) must be a power of two.
-func Inverse(x []complex128) error {
-	if err := transform(x, true); err != nil {
-		return err
-	}
-	n := float64(len(x))
-	for i := range x {
-		x[i] = complex(real(x[i])/n, imag(x[i])/n)
-	}
-	return nil
-}
-
-// transform is an iterative radix-2 Cooley–Tukey FFT.
-func transform(x []complex128, inverse bool) error {
-	n := len(x)
-	if n == 0 {
-		return nil
-	}
-	if !IsPow2(n) {
-		return fmt.Errorf("fft: length %d is not a power of two", n)
-	}
-	// Bit-reversal permutation.
-	shift := 64 - uint(bits.Len(uint(n-1)))
-	for i := 0; i < n; i++ {
-		j := int(bits.Reverse64(uint64(i)) >> shift)
-		if j > i {
-			x[i], x[j] = x[j], x[i]
-		}
-	}
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
-	for size := 2; size <= n; size <<= 1 {
-		half := size / 2
-		angle := sign * 2 * math.Pi / float64(size)
-		wStep := complex(math.Cos(angle), math.Sin(angle))
-		for start := 0; start < n; start += size {
-			w := complex(1, 0)
-			for k := 0; k < half; k++ {
-				a := x[start+k]
-				b := x[start+k+half] * w
-				x[start+k] = a + b
-				x[start+k+half] = a - b
-				w *= wStep
-			}
-		}
-	}
-	return nil
-}
-
-// Matrix is a dense 2-D complex matrix stored row-major, the working type of
-// the 2-D transform.
-type Matrix struct {
-	Rows, Cols int
-	Data       []complex128
-}
-
-// NewMatrix allocates a zero matrix.
-func NewMatrix(rows, cols int) *Matrix {
-	return &Matrix{Rows: rows, Cols: cols, Data: make([]complex128, rows*cols)}
-}
-
-// At returns element (r,c).
-func (m *Matrix) At(r, c int) complex128 { return m.Data[r*m.Cols+c] }
-
-// Set stores v at (r,c).
-func (m *Matrix) Set(r, c int, v complex128) { m.Data[r*m.Cols+c] = v }
-
-// Forward2D computes the in-place 2-D forward DFT (rows then columns).
-// Both dimensions must be powers of two.
-func Forward2D(m *Matrix) error { return transform2D(m, false) }
-
-// Inverse2D computes the in-place 2-D inverse DFT.
-func Inverse2D(m *Matrix) error { return transform2D(m, true) }
-
-func transform2D(m *Matrix, inverse bool) error {
-	if !IsPow2(m.Rows) || !IsPow2(m.Cols) {
-		return fmt.Errorf("fft: matrix %dx%d is not power-of-two sized", m.Rows, m.Cols)
-	}
-	apply := Forward
-	if inverse {
-		apply = Inverse
-	}
-	// Rows.
-	for r := 0; r < m.Rows; r++ {
-		if err := apply(m.Data[r*m.Cols : (r+1)*m.Cols]); err != nil {
-			return err
-		}
-	}
-	// Columns.
-	col := make([]complex128, m.Rows)
-	for c := 0; c < m.Cols; c++ {
-		for r := 0; r < m.Rows; r++ {
-			col[r] = m.At(r, c)
-		}
-		if err := apply(col); err != nil {
-			return err
-		}
-		for r := 0; r < m.Rows; r++ {
-			m.Set(r, c, col[r])
-		}
-	}
-	return nil
-}
-
-// MulPointwise multiplies a by b element-wise into a.  The matrices must have
-// identical dimensions.
-func MulPointwise(a, b *Matrix) error {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return fmt.Errorf("fft: pointwise size mismatch %dx%d vs %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
-	}
-	for i := range a.Data {
-		a.Data[i] *= b.Data[i]
-	}
-	return nil
-}
-
-// AddPointwise adds b into a element-wise.
-func AddPointwise(a, b *Matrix) error {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return fmt.Errorf("fft: pointwise size mismatch %dx%d vs %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
-	}
-	for i := range a.Data {
-		a.Data[i] += b.Data[i]
-	}
-	return nil
-}

@@ -2,10 +2,69 @@ package fft
 
 import (
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// The transforms store float32 between passes, so the tests compare at
+// float32 precision scaled by the magnitude of the data.
+const splitTol = 1e-5
+
+// split spreads x over fresh re/im planes.
+func split(x []complex128) (re, im []float32) {
+	re, im = make([]float32, len(x)), make([]float32, len(x))
+	for i, v := range x {
+		re[i], im[i] = float32(real(v)), float32(imag(v))
+	}
+	return re, im
+}
+
+// joined is the inverse of split.
+func joined(re, im []float32) []complex128 {
+	x := make([]complex128, len(re))
+	for i := range x {
+		x[i] = complex(float64(re[i]), float64(im[i]))
+	}
+	return x
+}
+
+// forward runs the 1-D transform of x: a 1×n matrix has only its row pass.
+func forward(t *testing.T, x []complex128) []complex128 {
+	t.Helper()
+	re, im := split(x)
+	if err := Forward2DSplit(re, im, 1, len(x)); err != nil {
+		t.Fatal(err)
+	}
+	return joined(re, im)
+}
+
+// naiveDFT2D is the O((rows·cols)²) definition of the 2-D forward DFT.
+func naiveDFT2D(x []complex128, rows, cols int) []complex128 {
+	out := make([]complex128, len(x))
+	for u := 0; u < rows; u++ {
+		for v := 0; v < cols; v++ {
+			var sum complex128
+			for r := 0; r < rows; r++ {
+				for c := 0; c < cols; c++ {
+					angle := -2 * math.Pi * (float64(u*r)/float64(rows) + float64(v*c)/float64(cols))
+					sum += x[r*cols+c] * cmplx.Rect(1, angle)
+				}
+			}
+			out[u*cols+v] = sum
+		}
+	}
+	return out
+}
+
+func randomComplex(r *rand.Rand, n int) []complex128 {
+	x := make([]complex128, n)
+	for i := range x {
+		x[i] = complex(float64(float32(r.NormFloat64())), float64(float32(r.NormFloat64())))
+	}
+	return x
+}
 
 func TestNextPow2(t *testing.T) {
 	cases := map[int]int{0: 1, 1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 17: 32, 28: 32, 224: 256, 226: 256, 255: 256, 257: 512}
@@ -30,35 +89,46 @@ func TestIsPow2(t *testing.T) {
 }
 
 func TestForwardRejectsNonPow2(t *testing.T) {
-	if err := Forward(make([]complex128, 3)); err == nil {
+	if err := Forward2DSplit(make([]float32, 3), make([]float32, 3), 1, 3); err == nil {
 		t.Error("expected error for non-power-of-two length")
 	}
-	if err := Forward(nil); err != nil {
-		t.Errorf("empty input should be a no-op, got %v", err)
+	if err := Forward2DSplit(make([]float32, 8), make([]float32, 7), 2, 4); err == nil {
+		t.Error("expected error for a plane shorter than rows*cols")
 	}
 }
 
 func TestForwardKnownValues(t *testing.T) {
 	// DFT of [1,1,1,1] is [4,0,0,0].
-	x := []complex128{1, 1, 1, 1}
-	if err := Forward(x); err != nil {
-		t.Fatal(err)
-	}
+	x := forward(t, []complex128{1, 1, 1, 1})
 	want := []complex128{4, 0, 0, 0}
 	for i := range x {
-		if cmplxAbs(x[i]-want[i]) > 1e-12 {
+		if cmplx.Abs(x[i]-want[i]) > splitTol {
 			t.Errorf("x[%d] = %v, want %v", i, x[i], want[i])
 		}
 	}
 
 	// DFT of an impulse is flat.
-	y := []complex128{1, 0, 0, 0, 0, 0, 0, 0}
-	if err := Forward(y); err != nil {
-		t.Fatal(err)
-	}
+	y := forward(t, []complex128{1, 0, 0, 0, 0, 0, 0, 0})
 	for i := range y {
-		if cmplxAbs(y[i]-1) > 1e-12 {
+		if cmplx.Abs(y[i]-1) > splitTol {
 			t.Errorf("impulse spectrum[%d] = %v, want 1", i, y[i])
+		}
+	}
+}
+
+func TestForward2DMatchesNaiveDFT(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for _, c := range []struct{ rows, cols int }{{1, 16}, {16, 1}, {4, 4}, {8, 16}, {16, 8}} {
+		x := randomComplex(r, c.rows*c.cols)
+		want := naiveDFT2D(x, c.rows, c.cols)
+		re, im := split(x)
+		if err := Forward2DSplit(re, im, c.rows, c.cols); err != nil {
+			t.Fatal(err)
+		}
+		for i, got := range joined(re, im) {
+			if cmplx.Abs(got-want[i]) > splitTol*float64(len(x)) {
+				t.Fatalf("%dx%d: spectrum[%d] = %v, want %v", c.rows, c.cols, i, got, want[i])
+			}
 		}
 	}
 }
@@ -66,21 +136,17 @@ func TestForwardKnownValues(t *testing.T) {
 func TestForwardInverseRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for _, n := range []int{1, 2, 8, 64, 256} {
-		x := make([]complex128, n)
-		orig := make([]complex128, n)
-		for i := range x {
-			x[i] = complex(r.NormFloat64(), r.NormFloat64())
-			orig[i] = x[i]
-		}
-		if err := Forward(x); err != nil {
+		orig := randomComplex(r, n)
+		re, im := split(orig)
+		if err := Forward2DSplit(re, im, 1, n); err != nil {
 			t.Fatal(err)
 		}
-		if err := Inverse(x); err != nil {
+		if err := Inverse2DSplit(re, im, 1, n); err != nil {
 			t.Fatal(err)
 		}
-		for i := range x {
-			if cmplxAbs(x[i]-orig[i]) > 1e-9 {
-				t.Fatalf("n=%d: round trip error at %d: %v vs %v", n, i, x[i], orig[i])
+		for i, got := range joined(re, im) {
+			if cmplx.Abs(got-orig[i]) > splitTol {
+				t.Fatalf("n=%d: round trip error at %d: %v vs %v", n, i, got, orig[i])
 			}
 		}
 	}
@@ -96,25 +162,25 @@ func TestParsevalProperty(t *testing.T) {
 		if n > 256 {
 			n = 256
 		}
-		x := make([]complex128, n)
+		re, im := make([]float32, n), make([]float32, n)
 		var timeEnergy float64
 		for i := 0; i < n && i < len(raw); i++ {
-			v := math.Mod(raw[i], 100)
-			if math.IsNaN(v) || math.IsInf(v, 0) {
+			v := float32(math.Mod(raw[i], 100))
+			if v != v || math.IsInf(float64(v), 0) {
 				v = 0
 			}
-			x[i] = complex(v, 0)
-			timeEnergy += v * v
+			re[i] = v
+			timeEnergy += float64(v) * float64(v)
 		}
-		if err := Forward(x); err != nil {
+		if err := Forward2DSplit(re, im, 1, n); err != nil {
 			return false
 		}
 		var freqEnergy float64
-		for _, v := range x {
-			freqEnergy += real(v)*real(v) + imag(v)*imag(v)
+		for i := range re {
+			freqEnergy += float64(re[i])*float64(re[i]) + float64(im[i])*float64(im[i])
 		}
 		freqEnergy /= float64(n)
-		return math.Abs(timeEnergy-freqEnergy) <= 1e-6*(1+timeEnergy)
+		return math.Abs(timeEnergy-freqEnergy) <= splitTol*(1+timeEnergy)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -124,77 +190,43 @@ func TestParsevalProperty(t *testing.T) {
 func TestLinearity(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	n := 64
-	a := make([]complex128, n)
-	b := make([]complex128, n)
+	a, b := randomComplex(r, n), randomComplex(r, n)
 	sum := make([]complex128, n)
+	for i := range sum {
+		sum[i] = complex128(complex64(a[i] + b[i]))
+	}
+	fa, fb, fsum := forward(t, a), forward(t, b), forward(t, sum)
 	for i := 0; i < n; i++ {
-		a[i] = complex(r.NormFloat64(), 0)
-		b[i] = complex(r.NormFloat64(), 0)
-		sum[i] = a[i] + b[i]
-	}
-	if err := Forward(a); err != nil {
-		t.Fatal(err)
-	}
-	if err := Forward(b); err != nil {
-		t.Fatal(err)
-	}
-	if err := Forward(sum); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		if cmplxAbs(sum[i]-(a[i]+b[i])) > 1e-9 {
-			t.Fatalf("linearity violated at %d", i)
+		if cmplx.Abs(fsum[i]-(fa[i]+fb[i])) > splitTol*float64(n) {
+			t.Fatalf("linearity violated at %d: %v vs %v", i, fsum[i], fa[i]+fb[i])
 		}
 	}
 }
 
 func TestMatrix2DRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	m := NewMatrix(16, 32)
-	orig := make([]complex128, len(m.Data))
-	for i := range m.Data {
-		m.Data[i] = complex(r.NormFloat64(), 0)
-		orig[i] = m.Data[i]
-	}
-	if err := Forward2D(m); err != nil {
+	const rows, cols = 16, 32
+	orig := randomComplex(r, rows*cols)
+	re, im := split(orig)
+	if err := Forward2DSplit(re, im, rows, cols); err != nil {
 		t.Fatal(err)
 	}
-	if err := Inverse2D(m); err != nil {
+	if err := Inverse2DSplit(re, im, rows, cols); err != nil {
 		t.Fatal(err)
 	}
-	for i := range m.Data {
-		if cmplxAbs(m.Data[i]-orig[i]) > 1e-9 {
-			t.Fatalf("2D round trip error at %d", i)
+	for i, got := range joined(re, im) {
+		if cmplx.Abs(got-orig[i]) > splitTol {
+			t.Fatalf("2D round trip error at %d: %v vs %v", i, got, orig[i])
 		}
 	}
 }
 
 func TestForward2DRejectsNonPow2(t *testing.T) {
-	if err := Forward2D(NewMatrix(3, 4)); err == nil {
+	re, im := make([]float32, 24), make([]float32, 24)
+	if err := Forward2DSplit(re, im, 3, 4); err == nil {
 		t.Error("expected error for 3-row matrix")
 	}
-	if err := Inverse2D(NewMatrix(4, 6)); err == nil {
+	if err := Inverse2DSplit(re, im, 4, 6); err == nil {
 		t.Error("expected error for 6-column matrix")
 	}
-}
-
-func TestPointwiseSizeMismatch(t *testing.T) {
-	if err := MulPointwise(NewMatrix(2, 2), NewMatrix(2, 4)); err == nil {
-		t.Error("expected size mismatch error")
-	}
-	if err := AddPointwise(NewMatrix(2, 2), NewMatrix(4, 2)); err == nil {
-		t.Error("expected size mismatch error")
-	}
-}
-
-func TestMatrixAtSet(t *testing.T) {
-	m := NewMatrix(2, 3)
-	m.Set(1, 2, complex(5, -1))
-	if m.At(1, 2) != complex(5, -1) {
-		t.Error("At/Set round trip failed")
-	}
-}
-
-func cmplxAbs(c complex128) float64 {
-	return math.Hypot(real(c), imag(c))
 }

@@ -1,7 +1,7 @@
 package fft
 
-// Split-storage transforms: the allocation-free counterpart of the Matrix
-// API, used by the production FFT convolution kernel (kernels.ConvFFTInto).
+// Split-storage transforms, used by the FFT convolution kernel
+// (kernels.ConvFFTInto).
 //
 // The arena memory planner hands kernels flat []float32 scratch, which cannot
 // carry complex128 values, so spectra are stored as separate re/im float32
@@ -26,7 +26,7 @@ func Forward2DSplit(re, im []float32, rows, cols int) error {
 }
 
 // Inverse2DSplit computes the in-place 2-D inverse DFT (including the 1/N
-// scale per dimension, matching Inverse2D) over split re/im planes.
+// scale per dimension) over split re/im planes.
 func Inverse2DSplit(re, im []float32, rows, cols int) error {
 	return transform2DSplit(re, im, rows, cols, true)
 }
@@ -97,10 +97,13 @@ func transformSplit(re, im []float32, off, n, stride int, inverse bool) {
 }
 
 // SpectrumCorrelateSplit accumulates img·conj(filt) into acc over split re/im
-// planes — the split-storage form of SpectrumCorrelate, with the products
-// computed in float64 and the running sum stored in float32.  All six planes
-// must have the accumulator's length; the caller guarantees it (every plane
-// is one padded spectrum of the same transform size).  It allocates nothing.
+// planes, with the products computed in float64 and the running sum stored in
+// float32: correlation in the space domain is pointwise multiplication by the
+// conjugated filter spectrum, and accumulating lets the kernel amortise the
+// image transform across output channels as batched cuDNN-FFT does.  All six
+// planes must have the accumulator's length; the caller guarantees it (every
+// plane is one padded spectrum of the same transform size).  It allocates
+// nothing.
 func SpectrumCorrelateSplit(accRe, accIm, imgRe, imgIm, filtRe, filtIm []float32) {
 	for i := range accRe {
 		iR, iI := float64(imgRe[i]), float64(imgIm[i])

@@ -97,24 +97,3 @@ func StridedWarp(base int64, strideElems, elemBytes, warpSize int) WarpAccess {
 	}
 	return WarpAccess{Addresses: addrs, Bytes: elemBytes}
 }
-
-// AccessPattern aggregates the coalescing behaviour of one class of memory
-// instruction within a kernel (for example "input tile load" or "output
-// store"), measured on a representative warp and scaled by the number of
-// times the kernel executes that instruction warp-wide.
-type AccessPattern struct {
-	Name       string
-	Warp       WarpAccess
-	Executions float64 // number of warp-level executions of this instruction
-}
-
-// TrafficBytes returns the DRAM bytes moved by this access pattern on the
-// device, i.e. transactions * transaction size * executions.
-func (p AccessPattern) TrafficBytes(d *Device) float64 {
-	return float64(p.Warp.Transactions(d.TransactionBytes)*d.TransactionBytes) * p.Executions
-}
-
-// UsefulTraffic returns the bytes the pattern actually consumes.
-func (p AccessPattern) UsefulTraffic() float64 {
-	return float64(p.Warp.UsefulBytes()) * p.Executions
-}

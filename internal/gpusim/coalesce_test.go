@@ -145,18 +145,3 @@ func TestStrideMonotonicityQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestAccessPatternTraffic(t *testing.T) {
-	d := TitanBlack()
-	p := AccessPattern{
-		Name:       "coalesced loads",
-		Warp:       StridedWarp(0, 1, 4, 32),
-		Executions: 100,
-	}
-	if got := p.TrafficBytes(d); got != 4*32*100 {
-		t.Errorf("TrafficBytes = %v, want %v", got, 4*32*100)
-	}
-	if got := p.UsefulTraffic(); got != 128*100 {
-		t.Errorf("UsefulTraffic = %v, want %v", got, 128*100)
-	}
-}

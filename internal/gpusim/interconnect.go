@@ -7,7 +7,7 @@ import "sort"
 // overlap they divide it — the fair-share behaviour of a PCIe switch under
 // congestion — which is what makes scattering a batch to K replicas more
 // expensive per byte than feeding one device.  The zero GBs value is invalid;
-// callers pick the modeled link speed (runtime.DefaultInterconnectGBs for the
+// callers pick the modeled link speed (runtime.InterconnectGBs for the
 // practical PCIe 3.0 x16 rate).
 type Interconnect struct {
 	// GBs is the link bandwidth in GB/s available to a lone transfer.
@@ -22,17 +22,6 @@ func (ic Interconnect) TransferUS(bytes int64) float64 {
 		return 0
 	}
 	return float64(bytes) / (ic.GBs * 1e9) * 1e6
-}
-
-// ContendedUS prices one transfer while `concurrent` transfers (including this
-// one) share the link: each sees bandwidth/K for its whole duration, so K
-// equal overlapping transfers each cost K times the lone price.  It is the
-// steady-state view of ScatterUS for transfers of equal size.
-func (ic Interconnect) ContendedUS(bytes int64, concurrent int) float64 {
-	if concurrent < 1 {
-		concurrent = 1
-	}
-	return ic.TransferUS(bytes) * float64(concurrent)
 }
 
 // ScatterUS prices len(sizes) transfers that start simultaneously on the

@@ -25,18 +25,11 @@ func TestInterconnectTransferScalesWithBytes(t *testing.T) {
 
 // TestInterconnectContention checks the ROADMAP contention property: when two
 // transfers overlap, each sees half the link, so both cost ~2x the lone
-// price — via the steady-state ContendedUS and via the event-driven ScatterUS.
+// price.
 func TestInterconnectContention(t *testing.T) {
 	ic := Interconnect{GBs: testLinkGBs}
 	const bytes = 4 << 20
 	lone := ic.TransferUS(bytes)
-
-	if got := ic.ContendedUS(bytes, 2); !approx(got, 2*lone, 1e-9) {
-		t.Errorf("2-way contended transfer priced %v us, want %v us", got, 2*lone)
-	}
-	if got := ic.ContendedUS(bytes, 1); !approx(got, lone, 1e-9) {
-		t.Errorf("uncontended ContendedUS priced %v us, want %v us", got, lone)
-	}
 
 	done := ic.ScatterUS([]int64{bytes, bytes})
 	for i, d := range done {
@@ -69,7 +62,7 @@ func TestInterconnectScatterWaterFilling(t *testing.T) {
 		t.Errorf("last completion %v us, want work-conserving %v us", last, ic.TransferUS(total))
 	}
 	// The smallest transfer ran 3-way contended for its whole life.
-	if want := ic.ContendedUS(sizes[0], 3); !approx(done[0], want, 1e-9) {
+	if want := 3 * ic.TransferUS(sizes[0]); !approx(done[0], want, 1e-9) {
 		t.Errorf("smallest transfer completed at %v us, want 3-way contended %v us", done[0], want)
 	}
 }

@@ -18,38 +18,22 @@ import (
 // filters, pooling backward, ReLU backward and the fused softmax +
 // cross-entropy gradient.
 //
-// Every kernel has an allocation-free *Into variant writing into a
-// caller-provided gradient tensor; the planned training executor
-// (internal/runtime/train) runs those over arena-planned buffers, so a
-// steady-state training step allocates no tensors.  The allocating functions
-// are thin wrappers over the *Into variants, which keeps the two paths
-// bit-identical.  Work is distributed plane by plane (par.Planes) with a
-// fixed per-element accumulation order, so results do not depend on the
-// worker count.  The two convolution gradients are stride walks over lane
-// tiles, like the forward direct kernel; conv_direct.go describes the scheme.
+// Every kernel writes into a caller-provided gradient tensor; the planned
+// training executor (internal/runtime/train) runs them over arena-planned
+// buffers, so a steady-state training step allocates no tensors.  Work is
+// distributed plane by plane (par.Planes) with a fixed per-element
+// accumulation order, so results do not depend on the worker count.  The two
+// convolution gradients are stride walks over lane tiles, like the forward
+// direct kernel; conv_direct.go describes the scheme.
 
-// ConvBackwardData computes the gradient of the convolution with respect to
-// its input: dIn[n][c][ih][iw] = sum over (k, fh, fw) hitting (ih, iw) of
-// dOut[n][k][oh][ow] * filter[k][c][fh][fw].  It is the functional reference
-// for the backward-data kernel.
-func ConvBackwardData(dOut, filters *tensor.Tensor, cfg ConvConfig, outLayout tensor.Layout) (*tensor.Tensor, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	dIn := tensor.New(cfg.InputShape(), outLayout)
-	if err := ConvBackwardDataInto(dOut, filters, dIn, cfg); err != nil {
-		return nil, err
-	}
-	return dIn, nil
-}
-
-// ConvBackwardDataInto is the allocation-free variant of ConvBackwardData: it
-// writes into a caller-provided input-gradient tensor of the config's input
-// shape (any layout).  Every element is overwritten, so the destination's
-// prior contents do not matter.  Each (c, ih) row is computed by exactly one
-// worker with a fixed accumulation order, so the result is bit-deterministic
-// for any worker count.
+// ConvBackwardDataInto computes the gradient of the convolution with respect
+// to its input: dIn[n][c][ih][iw] = sum over (k, fh, fw) hitting (ih, iw) of
+// dOut[n][k][oh][ow] * filter[k][c][fh][fw].  It writes into a
+// caller-provided input-gradient tensor of the config's input shape (any
+// layout).  Every element is overwritten, so the destination's prior contents
+// do not matter.  Each (c, ih) row is computed by exactly one worker with a
+// fixed accumulation order, so the result is bit-deterministic for any worker
+// count.
 //
 //memcnn:noalloc
 func ConvBackwardDataInto(dOut, filters, dIn *tensor.Tensor, cfg ConvConfig) error {
@@ -127,26 +111,12 @@ func convBackwardDataPlane(j convJob, p int) {
 	}
 }
 
-// ConvBackwardFilter computes the gradient of the convolution with respect to
-// its filter bank: dW[k][c][fh][fw] = sum over (n, oh, ow) of
-// dOut[n][k][oh][ow] * in[n][c][oh*S+fh-pad][ow*S+fw-pad].
-func ConvBackwardFilter(in, dOut *tensor.Tensor, cfg ConvConfig) (*tensor.Tensor, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	dW := tensor.New(cfg.FilterShape(), tensor.NCHW)
-	if err := ConvBackwardFilterInto(in, dOut, dW, cfg); err != nil {
-		return nil, err
-	}
-	return dW, nil
-}
-
-// ConvBackwardFilterInto is the allocation-free variant of ConvBackwardFilter:
-// it writes into a caller-provided filter-gradient tensor of the config's
-// filter shape.  Each (k, c, fh) filter row is accumulated by exactly one
-// worker in a fixed (n, oh, ow) order, so the result is bit-deterministic for
-// any worker count.
+// ConvBackwardFilterInto computes the gradient of the convolution with
+// respect to its filter bank: dW[k][c][fh][fw] = sum over (n, oh, ow) of
+// dOut[n][k][oh][ow] * in[n][c][oh*S+fh-pad][ow*S+fw-pad].  It writes into a
+// caller-provided filter-gradient tensor of the config's filter shape.  Each
+// (k, c, fh) filter row is accumulated by exactly one worker in a fixed
+// (n, oh, ow) order, so the result is bit-deterministic for any worker count.
 //
 //memcnn:noalloc
 func ConvBackwardFilterInto(in, dOut, dW *tensor.Tensor, cfg ConvConfig) error {
@@ -275,23 +245,11 @@ func ConvBackwardFilterCost(d *gpusim.Device, cfg ConvConfig) []gpusim.KernelSta
 	return []gpusim.KernelStats{Im2colCost(d, cfg), gemm}
 }
 
-// PoolBackward computes the gradient of the pooling layer.  For max pooling
-// the incoming gradient is routed to the window position that produced the
-// maximum (ties go to the first such position, as the CUDA kernels do); for
-// average pooling it is spread uniformly over the window.
-func PoolBackward(in, dOut *tensor.Tensor, cfg PoolConfig) (*tensor.Tensor, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	dIn := tensor.New(cfg.InputShape(), in.Layout)
-	if err := PoolBackwardInto(in, dOut, dIn, cfg); err != nil {
-		return nil, err
-	}
-	return dIn, nil
-}
-
-// PoolBackwardInto is the allocation-free variant of PoolBackward.  The
-// destination is fully overwritten (the scatter zeroes each (n, c) plane
+// PoolBackwardInto computes the gradient of the pooling layer.  For max
+// pooling the incoming gradient is routed to the window position that
+// produced the maximum (ties go to the first such position, as the CUDA
+// kernels do); for average pooling it is spread uniformly over the window.
+// The destination is fully overwritten (the scatter zeroes each (n, c) plane
 // before accumulating into it), so arena-recycled storage needs no clearing.
 // Each plane is owned by exactly one worker with a fixed window order, so the
 // result is bit-deterministic for any worker count.
@@ -393,58 +351,12 @@ func PoolBackwardCost(d *gpusim.Device, cfg PoolConfig, layoutIsCHWN bool) gpusi
 	}
 }
 
-// SoftmaxCrossEntropyBackward computes the gradient of the softmax +
-// cross-entropy loss with respect to the logits: probs - onehot(labels),
-// scaled by 1/N.  probs is the row-major N×Classes output of Softmax.
-func SoftmaxCrossEntropyBackward(probs []float32, labels []int, cfg SoftmaxConfig) ([]float32, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	grad := make([]float32, cfg.Elems())
-	if err := SoftmaxCrossEntropyBackwardInto(grad, probs, labels, cfg); err != nil {
-		return nil, err
-	}
-	return grad, nil
-}
-
-// SoftmaxCrossEntropyBackwardInto is the allocation-free variant of
-// SoftmaxCrossEntropyBackward, writing the logit gradient into a
-// caller-provided slice of at least cfg.Elems() elements.
-//
-//memcnn:noalloc
-func SoftmaxCrossEntropyBackwardInto(grad, probs []float32, labels []int, cfg SoftmaxConfig) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	if len(probs) < cfg.Elems() {
-		return fmt.Errorf("kernels: softmax backward probs has %d elements, want %d", len(probs), cfg.Elems())
-	}
-	if len(grad) < cfg.Elems() {
-		return fmt.Errorf("kernels: softmax backward grad has %d elements, want %d", len(grad), cfg.Elems())
-	}
-	if len(labels) != cfg.N {
-		return fmt.Errorf("kernels: softmax backward has %d labels, want %d", len(labels), cfg.N)
-	}
-	scale := 1 / float32(cfg.N)
-	for n := 0; n < cfg.N; n++ {
-		lbl := labels[n]
-		if lbl < 0 || lbl >= cfg.Classes {
-			return fmt.Errorf("kernels: label %d out of range for %d classes", lbl, cfg.Classes)
-		}
-		for c := 0; c < cfg.Classes; c++ {
-			g := probs[n*cfg.Classes+c]
-			if c == lbl {
-				g -= 1
-			}
-			grad[n*cfg.Classes+c] = g * scale
-		}
-	}
-	return nil
-}
-
-// SoftmaxCrossEntropyBackwardFloatInto is SoftmaxCrossEntropyBackwardInto
-// with the labels carried as float32 values (rounded class indices), the form
-// they take inside a planned training program's float32 arena.
+// SoftmaxCrossEntropyBackwardFloatInto computes the gradient of the softmax +
+// cross-entropy loss with respect to the logits, probs - onehot(labels)
+// scaled by 1/N, into a caller-provided slice of at least cfg.Elems()
+// elements.  probs is the row-major N×Classes output of Softmax; the labels
+// are carried as float32 values (rounded class indices), the form they take
+// inside a planned training program's float32 arena.
 //
 //memcnn:noalloc
 func SoftmaxCrossEntropyBackwardFloatInto(grad, probs, labels []float32, cfg SoftmaxConfig) error {
@@ -532,17 +444,8 @@ func SoftmaxBackwardCost(d *gpusim.Device, cfg SoftmaxConfig, fused bool) gpusim
 	}
 }
 
-// ReLUBackward masks the incoming gradient with the forward activation's
-// sign: dIn = dOut where the forward input was positive, 0 elsewhere.
-func ReLUBackward(in, dOut *tensor.Tensor) (*tensor.Tensor, error) {
-	dIn := tensor.New(in.Shape, dOut.Layout)
-	if err := ReLUBackwardInto(in, dOut, dIn); err != nil {
-		return nil, err
-	}
-	return dIn, nil
-}
-
-// ReLUBackwardInto is the allocation-free variant of ReLUBackward.  Every
+// ReLUBackwardInto masks the incoming gradient with the forward activation's
+// sign: dIn = dOut where the forward input was positive, 0 elsewhere.  Every
 // element of dIn is overwritten.  When all three tensors share a layout it is
 // a single linear pass over the backing slices; dIn may alias dOut (the mask
 // reads in, writes only dIn).

@@ -85,26 +85,12 @@ func tapRange(f, stride, pad, inLo, inHi, oLo, oHi int) (lo, hi int) {
 	return lo, hi
 }
 
-// ConvDirect is the functional reference convolution (cross-correlation, as
-// in Equation 1 of the paper).  It accepts input tensors in any layout and
-// produces the output in outLayout; the arithmetic is identical regardless of
-// layout, which is exactly the property the layout study relies on.
-func ConvDirect(in, filters *tensor.Tensor, cfg ConvConfig, outLayout tensor.Layout) (*tensor.Tensor, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	out := tensor.New(cfg.OutputShape(), outLayout)
-	if err := ConvDirectInto(in, filters, out, cfg); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ConvDirectInto is the allocation-free variant of ConvDirect: it writes into
-// a caller-provided output tensor of the config's output shape (any layout).
-// Every output element is overwritten, so the destination's prior contents do
-// not matter.
+// ConvDirectInto is the functional reference convolution (cross-correlation,
+// as in Equation 1 of the paper).  It accepts tensors in any layout and writes
+// into a caller-provided output tensor of the config's output shape; the
+// arithmetic is identical regardless of layout, which is exactly the property
+// the layout study relies on.  Every output element is overwritten, so the
+// destination's prior contents do not matter.
 //
 //memcnn:noalloc
 func ConvDirectInto(in, filters, out *tensor.Tensor, cfg ConvConfig) error {

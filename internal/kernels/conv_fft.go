@@ -230,22 +230,6 @@ func convFFTImage(in, out *tensor.Tensor, cfg ConvConfig, n int, block, filtArea
 	}
 }
 
-// ConvFFT is the functional (allocating) reference for the FFT convolution
-// path.  It allocates the output and workspace and delegates to ConvFFTInto,
-// so its results are bit-identical to the planned runtime's FFT path.
-func ConvFFT(in, filters *tensor.Tensor, cfg ConvConfig, outLayout tensor.Layout) (*tensor.Tensor, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	out := tensor.New(cfg.OutputShape(), outLayout)
-	scratch := make([]float32, ConvFFTWorkspaceElems(cfg))
-	if err := ConvFFTInto(in, filters, out, cfg, scratch); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // fftPadSize returns the padded transform edge for the full-image FFT mode.
 func fftPadSize(cfg ConvConfig) (pR, pC int) {
 	cfg = cfg.withDefaults()

@@ -141,8 +141,8 @@ func ConvGemmWorkspaceElems(cfg ConvConfig, outLayout tensor.Layout) int {
 // the per-image form: the images take turns in the scratch, each unrolled,
 // multiplied and (unless the output is NCHW) scattered in steps that meet at a
 // barrier.  The accumulation order per output element is fixed by the GEMM
-// core, so results are bit-identical to ConvIm2colGemm regardless of layout,
-// form, batching or worker count.
+// core, so results are bit-identical regardless of layout, form, batching or
+// worker count.
 //
 //memcnn:noalloc
 func ConvIm2colGemmInto(in *tensor.Tensor, packed []float32, out *tensor.Tensor, cfg ConvConfig, scratch []float32) error {
@@ -312,31 +312,6 @@ func convGemmLane(j convGemmBatch, lane int) {
 			}
 		}
 	}
-}
-
-// ConvIm2colGemm is the functional (allocating) reference for the GEMM
-// convolution path.  It packs the filters and delegates to
-// ConvIm2colGemmInto, so its output is bit-identical to the planned
-// runtime's GEMM path and numerically identical (up to float rounding) to
-// ConvDirect; the cross-check is part of the test suite.
-func ConvIm2colGemm(in, filters *tensor.Tensor, cfg ConvConfig, outLayout tensor.Layout) (*tensor.Tensor, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if in.Shape != cfg.InputShape() {
-		return nil, fmt.Errorf("kernels: conv input shape %v does not match config %v", in.Shape, cfg.InputShape())
-	}
-	packed, err := PackConvFilters(filters, cfg)
-	if err != nil {
-		return nil, err
-	}
-	out := tensor.New(cfg.OutputShape(), outLayout)
-	scratch := make([]float32, ConvGemmWorkspaceElems(cfg, outLayout))
-	if err := ConvIm2colGemmInto(in, packed, out, cfg, scratch); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // ConvGemmNCHWCost returns the kernel sequence of the NCHW GEMM convolution:

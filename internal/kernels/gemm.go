@@ -57,7 +57,7 @@ const (
 // operand: whole gemmMR-row slabs.
 func gemmPackedAElems(m, k int) int { return ceilDiv(m, gemmMR) * gemmMR * k }
 
-// gemmCheck validates the operand dimensions shared by Gemm and GemmInto.
+// gemmCheck validates the operand dimensions of GemmInto.
 func gemmCheck(a, b []float32, m, n, k int) error {
 	if m <= 0 || n <= 0 || k <= 0 {
 		return fmt.Errorf("kernels: gemm dims must be positive (m=%d n=%d k=%d)", m, n, k)
@@ -69,19 +69,6 @@ func gemmCheck(a, b []float32, m, n, k int) error {
 		return fmt.Errorf("kernels: gemm B has %d elements, want %d", len(b), k*n)
 	}
 	return nil
-}
-
-// Gemm computes C = A·B for row-major dense matrices: A is m×k, B is k×n and
-// the result C is m×n.
-func Gemm(a []float32, b []float32, m, n, k int) ([]float32, error) {
-	if err := gemmCheck(a, b, m, n, k); err != nil {
-		return nil, err
-	}
-	c := make([]float32, m*n)
-	if err := GemmInto(a, b, c, m, n, k); err != nil {
-		return nil, err
-	}
-	return c, nil
 }
 
 // gemmPackPool recycles GemmInto's pack buffers, so the unpacked entry point

@@ -151,11 +151,3 @@ func Im2colCost(d *gpusim.Device, cfg ConvConfig) gpusim.KernelStats {
 		UsefulWriteBytes:  expandedBytes,
 	}
 }
-
-// Im2colWorkspaceBytes returns the extra device memory the unrolled matrix
-// needs, the figure the paper quotes when discussing transformation memory
-// overhead.
-func Im2colWorkspaceBytes(cfg ConvConfig) int64 {
-	cfg = cfg.withDefaults()
-	return int64(cfg.C*cfg.FH*cfg.FW) * int64(cfg.N*cfg.OutH()*cfg.OutW()) * 4
-}

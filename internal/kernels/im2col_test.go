@@ -161,11 +161,3 @@ func TestIm2colCostScalesWithFilterArea(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestIm2colWorkspaceBytes(t *testing.T) {
-	cfg := ConvConfig{N: 2, C: 3, H: 8, W: 8, K: 4, FH: 3, FW: 3}
-	want := int64(3*3*3) * int64(2*6*6) * 4
-	if got := Im2colWorkspaceBytes(cfg); got != want {
-		t.Errorf("workspace = %d, want %d", got, want)
-	}
-}

@@ -147,11 +147,6 @@ func destStrideOfSourceInnermost(shape tensor.Shape, from, to tensor.Layout) int
 	}
 }
 
-// TransformWorkspaceBytes returns the extra memory the out-of-place transform
-// needs: one destination copy of the tensor.  The paper measures this at less
-// than 3% of the AlexNet footprint and frees it right after the transform.
-func TransformWorkspaceBytes(shape tensor.Shape) int64 { return shape.Bytes() }
-
 // BestTransform returns the fastest applicable transformation kernel for the
 // shape, the policy the integrated framework uses when it has to move a
 // tensor between layers with different preferred layouts.

@@ -146,13 +146,6 @@ func TestBestTransformPrefersVectorizedWhenApplicable(t *testing.T) {
 	}
 }
 
-func TestTransformWorkspaceBytes(t *testing.T) {
-	s := tensor.Shape{N: 2, C: 3, H: 4, W: 5}
-	if TransformWorkspaceBytes(s) != s.Bytes() {
-		t.Error("workspace should be one destination copy")
-	}
-}
-
 func TestTransformMethodString(t *testing.T) {
 	for _, m := range []TransformMethod{TransformNaive, TransformTiled, TransformVectorized, TransformMethod(9)} {
 		if m.String() == "" {

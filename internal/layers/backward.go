@@ -22,7 +22,7 @@ import (
 // their input.  Softmax deliberately does not implement it: its backward is
 // only meaningful fused with the cross-entropy loss, which the training
 // compiler lowers as a dedicated loss-gradient op
-// (kernels.SoftmaxCrossEntropyBackward).
+// (kernels.SoftmaxCrossEntropyBackwardFloatInto).
 type BackwardLayer interface {
 	Layer
 	// BackwardDataInto computes d(loss)/d(input) into dIn from the incoming

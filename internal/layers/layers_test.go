@@ -108,8 +108,8 @@ func TestConvForwardMatchesKernels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := kernels.ConvDirect(in, c.Filters(), c.Cfg, tensor.CHWN)
-	if err != nil {
+	want := tensor.New(c.OutputShape(), tensor.CHWN)
+	if err := kernels.ConvDirectInto(in, c.Filters(), want, c.Cfg); err != nil {
 		t.Fatal(err)
 	}
 	if !tensor.AllClose(got, want, 0) {

@@ -47,11 +47,6 @@ func (c *Counter) Add(n uint64) {
 	}
 }
 
-// Inc increments the counter by one.  Nil-safe.
-//
-//memcnn:noalloc
-func (c *Counter) Inc() { c.Add(1) }
-
 // Value returns the current count.  Nil-safe.
 //
 //memcnn:noalloc
@@ -121,9 +116,6 @@ const (
 	histBuckets = 100
 	// HistMinUS is the upper bound of the first bucket in microseconds.
 	HistMinUS = 1.0
-	// HistBucketRatio is the geometric ratio between consecutive bucket
-	// bounds — the worst-case relative error of Histogram.Quantile.
-	HistBucketRatio = 1.1892071150027210667 // 2^(1/4)
 )
 
 // histBounds holds the shared per-bucket upper bounds in microseconds.
@@ -203,8 +195,8 @@ func (h *Histogram) Sum() float64 {
 }
 
 // Quantile returns the upper bound of the bucket holding the q-quantile
-// observation (q in [0,1]), in microseconds — an estimate at most
-// HistBucketRatio above the exact order statistic.  Observations in the
+// observation (q in [0,1]), in microseconds — an estimate at most the bucket
+// ratio 2^(1/4) above the exact order statistic.  Observations in the
 // overflow bucket report the last finite bound.  Zero when empty.  Nil-safe.
 func (h *Histogram) Quantile(q float64) float64 {
 	if h == nil {

@@ -10,9 +10,13 @@ import (
 	"testing"
 )
 
+// histBucketRatio is the geometric ratio between consecutive bucket bounds:
+// the worst-case relative error of Histogram.Quantile.
+const histBucketRatio = 1.1892071150027210667 // 2^(1/4)
+
 func TestNilInstrumentsAreNoOps(t *testing.T) {
 	var c *Counter
-	c.Inc()
+	c.Add(1)
 	c.Add(5)
 	if c.Value() != 0 {
 		t.Error("nil Counter should stay 0")
@@ -52,7 +56,7 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 func TestCounterGaugeBasics(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("reqs", "requests", L("net", "LeNet"))
-	c.Inc()
+	c.Add(1)
 	c.Add(2)
 	if c.Value() != 3 {
 		t.Errorf("counter = %d, want 3", c.Value())
@@ -107,9 +111,9 @@ func TestHistogramQuantileVsExact(t *testing.T) {
 	for _, q := range []float64{0.01, 0.25, 0.50, 0.90, 0.95, 0.99, 1.0} {
 		exact := samples[int(math.Ceil(q*5000))-1]
 		got := h.Quantile(q)
-		if got < exact || got > exact*HistBucketRatio {
+		if got < exact || got > exact*histBucketRatio {
 			t.Errorf("Quantile(%g) = %g, exact %g: outside [exact, exact*%g]",
-				q, got, exact, HistBucketRatio)
+				q, got, exact, histBucketRatio)
 		}
 	}
 }
@@ -162,7 +166,7 @@ func TestObserveAllocationFree(t *testing.T) {
 	fc := &FloatCounter{}
 	if n := testing.AllocsPerRun(200, func() {
 		h.Observe(123.4)
-		c.Inc()
+		c.Add(1)
 		fc.Add(0.5)
 	}); n != 0 {
 		t.Errorf("hot-path instruments allocate %.1f per op, want 0", n)

@@ -116,10 +116,9 @@ func runLossGrad(op Op, in, out, aux *tensor.Tensor) error {
 	return kernels.SoftmaxCrossEntropyBackwardFloatInto(out.Data, in.Data, aux.Data, cfg)
 }
 
-// DefaultInterconnectGBs is the modeled host-interconnect bandwidth for
-// cross-device transfers when a SimDevice does not specify one: a PCIe 3.0
-// x16 link at its practical ~12 GB/s.
-const DefaultInterconnectGBs = 12.0
+// InterconnectGBs is the modeled host-interconnect bandwidth for cross-device
+// transfers: a PCIe 3.0 x16 link at its practical ~12 GB/s.
+const InterconnectGBs = 12.0
 
 // SimDevice wraps a gpusim hardware model around the CPU execution path:
 // every op computes its real result on the host (so sharded programs stay
@@ -132,9 +131,6 @@ type SimDevice struct {
 	Label string
 	// HW is the modeled hardware.
 	HW *gpusim.Device
-	// InterconnectGBs is the modeled stage-boundary transfer bandwidth;
-	// zero selects DefaultInterconnectGBs.
-	InterconnectGBs float64
 
 	cpu CPUDevice
 
@@ -210,11 +206,7 @@ func (d *SimDevice) programCosts(prog *Program) []float64 {
 // scatter with Interconnect.ScatterUS, dividing the link bandwidth among the
 // replicas it feeds at once.
 func (d *SimDevice) Link() gpusim.Interconnect {
-	bw := d.InterconnectGBs
-	if bw <= 0 {
-		bw = DefaultInterconnectGBs
-	}
-	return gpusim.Interconnect{GBs: bw}
+	return gpusim.Interconnect{GBs: InterconnectGBs}
 }
 
 // TransferInUS implements Device: bytes over the (uncontended) host

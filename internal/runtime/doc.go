@@ -62,8 +62,8 @@
 // On top of the single-device executor, shard.go cuts a compiled program into
 // contiguous pipeline stages (the lowered op list is a linear chain, so every
 // op boundary is a valid cut): the partitioner balances per-stage modeled
-// FLOPs or defined bytes, the buffer crossing each cut becomes an explicit
-// cross-device transfer, and every stage is compiled into a self-contained
+// FLOPs, the buffer crossing each cut becomes an explicit cross-device
+// transfer, and every stage is compiled into a self-contained
 // sub-program with its own arena plan.  pipeline.go streams batches through
 // the stages — one goroutine per stage, per-stage arena pools, pooled
 // boundary tensors — with results bit-identical to the unsharded executor.
@@ -187,9 +187,9 @@
 // train.Executor stages the batch and labels into an Instance it bound once,
 // runs Executor.ExecuteOn and reads the loss, so a step is cancellable between
 // ops, contains panics and can be instrumented like an inference run;
-// train.Trainer wraps it into a step/epoch loop.  Note the naming split:
-// core.Optimizer is the paper's layout planner, while the gradient-descent
-// optimiser (SGD) lives here.
+// train.Trainer is the compile-and-bind entry point over it.  Note the naming
+// split: core.Optimizer is the paper's layout planner, while the
+// gradient-descent optimiser (SGD) lives here.
 //
 // # Verified IR contract
 //
@@ -209,7 +209,8 @@
 // and never touch a layer's weights after its update; and every op pins an
 // accumulation order (a known algorithm), keeping results bit-deterministic.
 // verify.Sharded extends the contract across pipeline-stage boundaries
-// (contiguous tiling, boundary buffer identity, declared transfer sizes).
+// (contiguous tiling, boundary buffer identity, declared transfer sizes); no
+// program calls it yet, the runtime and verify tests run it over every cut.
 //
 // Compile, CompileWithOptions, Program.WithBatch (when its base was), Shard
 // and train.CompileTraining all run the checker when Options.Verify is set (the

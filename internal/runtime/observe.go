@@ -46,12 +46,11 @@ const (
 // Metric names the runtime registers.  All latency histograms observe
 // microseconds.
 const (
-	metricOpLatency      = "memcnn_op_latency_us"
-	metricRunLatency     = "memcnn_run_latency_us"
-	metricStageLatency   = "memcnn_stage_latency_us"
-	metricReplicaLatency = "memcnn_replica_latency_us"
-	metricOpMeasured     = "memcnn_op_measured_us_total"
-	metricOpModeled      = "memcnn_op_modeled_us_total"
+	metricOpLatency    = "memcnn_op_latency_us"
+	metricRunLatency   = "memcnn_run_latency_us"
+	metricStageLatency = "memcnn_stage_latency_us"
+	metricOpMeasured   = "memcnn_op_measured_us_total"
+	metricOpModeled    = "memcnn_op_modeled_us_total"
 )
 
 // execObs is an executor's prebuilt instrumentation: one template span and

@@ -110,9 +110,6 @@ func NewPipelineExecutor(sp *ShardedProgram) *PipelineExecutor {
 	return pe
 }
 
-// Sharded returns the sharded program the pipeline executes.
-func (pe *PipelineExecutor) Sharded() *ShardedProgram { return pe.sp }
-
 // Instrument attaches an observer to the pipeline: stage i renders on trace
 // lane laneBase+i (named "<label>stage i"), each stage's executor records its
 // op and run spans on the same lane, each batch crossing a stage records a

@@ -116,7 +116,7 @@ func TestChaosSoakReplicaDeath(t *testing.T) {
 	if h := g.Health(); h[2] != runtime.Unhealthy {
 		t.Errorf("replica 2 health = %v, want unhealthy", h[2])
 	}
-	shares := g.BatchShares()
+	shares := batchShares(g)
 	if shares[2] != 0 {
 		t.Errorf("dead replica still owns %d images: shares %v", shares[2], shares)
 	}
@@ -225,7 +225,7 @@ func TestChaosReadmission(t *testing.T) {
 	if n := g.HealthyReplicas(); n != 1 {
 		t.Fatalf("HealthyReplicas = %d after a death, want 1", n)
 	}
-	if shares := g.BatchShares(); shares[1] != 0 {
+	if shares := batchShares(g); shares[1] != 0 {
 		t.Fatalf("dead replica still owns images: %v", shares)
 	}
 
@@ -241,7 +241,7 @@ func TestChaosReadmission(t *testing.T) {
 	if fs.Readmissions == 0 {
 		t.Errorf("Readmissions = 0 after a successful probe")
 	}
-	if shares := g.BatchShares(); shares[0] == 0 || shares[1] == 0 {
+	if shares := batchShares(g); shares[0] == 0 || shares[1] == 0 {
 		t.Errorf("re-admitted replica received no traffic: shares %v", shares)
 	}
 	run("after re-admission")

@@ -432,13 +432,6 @@ func (g *Group) modelScatter(shares []int) []float64 {
 // Base returns the program the group replicates.
 func (g *Group) Base() *runtime.Program { return g.base }
 
-// BatchShares returns the per-replica image counts one full batch currently
-// splits into; they sum to the program's batch size.  Failover and
-// re-admission change the split.
-func (g *Group) BatchShares() []int {
-	return append([]int(nil), g.topo.Load().shares...)
-}
-
 // Weights returns the per-replica throughput weights the shares are derived
 // from.
 func (g *Group) Weights() []float64 { return append([]float64(nil), g.weights...) }

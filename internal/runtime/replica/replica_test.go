@@ -28,6 +28,17 @@ func mustCompile(t *testing.T, net *network.Network, opts runtime.Options) *runt
 	return prog
 }
 
+// batchShares returns the per-replica image counts one full batch currently
+// splits into.
+func batchShares(g *replica.Group) []int {
+	stats := g.ReplicaStats()
+	shares := make([]int, len(stats))
+	for i, st := range stats {
+		shares[i] = st.Share
+	}
+	return shares
+}
+
 func requireBitEqual(t *testing.T, label string, got, want *tensor.Tensor) {
 	t.Helper()
 	if got.Shape != want.Shape || got.Layout != want.Layout {
@@ -212,7 +223,7 @@ func TestGroupGoldenEquivalence(t *testing.T) {
 			}
 			requireBitEqual(t, tc.name+"/replicated rerun", again, want)
 
-			shares := g.BatchShares()
+			shares := batchShares(g)
 			total := 0
 			for i, s := range shares {
 				total += s
@@ -298,7 +309,7 @@ func TestGroupHeterogeneousSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	shares := g.BatchShares()
+	shares := batchShares(g)
 	for i := range shares {
 		if shares[i] != wantShares[i] {
 			t.Errorf("shares %v do not follow the modeled weights %v (want %v)", shares, weights, wantShares)
@@ -379,9 +390,9 @@ func TestGroupCPUProbeWeights(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	for i, s := range g.BatchShares() {
+	for i, s := range batchShares(g) {
 		if s == 0 {
-			t.Errorf("CPU replica %d starved out: shares %v", i, g.BatchShares())
+			t.Errorf("CPU replica %d starved out: shares %v", i, batchShares(g))
 		}
 	}
 	in := tensor.Random(prog.InputShape(), tensor.NCHW, 3)

@@ -34,8 +34,6 @@ type ServerConfig struct {
 	MaxDelay time.Duration
 	// Workers is the number of concurrent batch executors.  Default 2.
 	Workers int
-	// QueueDepth is the request queue capacity.  Default 2·MaxBatch·Workers.
-	QueueDepth int
 	// CacheEntries bounds the serving-side result cache: per-image outputs
 	// memoised by input checksum (LRU, single-flight), so repeated inputs
 	// skip execution entirely.  0 (the default) disables the cache.
@@ -61,9 +59,6 @@ func (c ServerConfig) withDefaults(batch int) ServerConfig {
 	}
 	if c.Workers <= 0 {
 		c.Workers = 2
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 2 * c.MaxBatch * c.Workers
 	}
 	return c
 }
@@ -144,10 +139,12 @@ func NewServerWith(prog *Program, run Runner, cfg ServerConfig) (*BatchServer, e
 		return nil, fmt.Errorf("runtime: MaxBatch %d exceeds the network batch %d", cfg.MaxBatch, in.N)
 	}
 	s := &BatchServer{
-		prog:      prog,
-		exec:      run,
-		cfg:       cfg,
-		reqs:      make(chan *request, cfg.QueueDepth),
+		prog: prog,
+		exec: run,
+		cfg:  cfg,
+		// The queue holds two full batches per worker: one being coalesced
+		// while the previous one executes.
+		reqs:      make(chan *request, 2*cfg.MaxBatch*cfg.Workers),
 		stop:      make(chan struct{}),
 		queueWait: obs.NewHistogram(),
 		batchLat:  obs.NewHistogram(),

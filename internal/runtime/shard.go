@@ -7,45 +7,12 @@ import (
 	"memcnn/internal/tensor"
 )
 
-// ShardBalance selects the per-op weight the partitioner balances across
-// stages.
-type ShardBalance int
-
-const (
-	// BalanceFLOPs balances the estimated arithmetic work per stage (layer
-	// ops weigh their Cost-model FLOPs, data-movement ops one op per element
-	// moved).  It is the default: pipeline throughput is set by the slowest
-	// stage.
-	BalanceFLOPs ShardBalance = iota
-	// BalanceBytes balances the activation and scratch storage defined per
-	// stage, approximating per-device peak arena footprint — the right
-	// choice when the model must be split to fit device memory.
-	BalanceBytes
-)
-
-// String names the balance policy.
-func (b ShardBalance) String() string {
-	switch b {
-	case BalanceFLOPs:
-		return "flops"
-	case BalanceBytes:
-		return "bytes"
-	default:
-		return fmt.Sprintf("ShardBalance(%d)", int(b))
-	}
-}
-
 // ShardOptions control how a program is cut into pipeline stages.
 type ShardOptions struct {
 	// Devices assigns one device per stage.  When nil every stage runs on
 	// the native CPU device.  When set, its length must equal the stage
 	// count passed to Shard.
 	Devices []Device
-	// Balance selects the partitioning objective (default BalanceFLOPs).
-	Balance ShardBalance
-	// CostModel is the hardware model the FLOPs weights are priced on;
-	// nil selects the paper's Titan Black.
-	CostModel *gpusim.Device
 }
 
 // Stage is one contiguous slice of a sharded program's op list, compiled into
@@ -62,7 +29,8 @@ type Stage struct {
 	// TransferInBytes is the size of the cross-device transfer feeding this
 	// stage (zero for the first stage, which is fed by the caller).
 	TransferInBytes int64
-	// Weight is the stage's partitioning weight under the chosen balance.
+	// Weight is the stage's partitioning weight: the summed opFLOPs of its
+	// ops.
 	Weight float64
 }
 
@@ -74,9 +42,8 @@ func (s *Stage) Ops() int { return s.LastOp - s.FirstOp + 1 }
 // output — so any op boundary is a valid cut: exactly one activation buffer
 // crosses it, and that buffer becomes an explicit cross-device transfer.
 type ShardedProgram struct {
-	Base    *Program
-	Balance ShardBalance
-	Stages  []*Stage
+	Base   *Program
+	Stages []*Stage
 }
 
 // SummedPeakBytes is the total arena footprint across stages — the cost of
@@ -100,19 +67,22 @@ func (sp *ShardedProgram) TransferBytes() int64 {
 
 // String summarises the sharding.
 func (sp *ShardedProgram) String() string {
-	return fmt.Sprintf("ShardedProgram{%s, %d stages, %s-balanced, %.2f MiB summed arena vs %.2f MiB unsharded, %.2f MiB transfers}",
-		sp.Base.Net.Name, len(sp.Stages), sp.Balance,
+	return fmt.Sprintf("ShardedProgram{%s, %d stages, flops-balanced, %.2f MiB summed arena vs %.2f MiB unsharded, %.2f MiB transfers}",
+		sp.Base.Net.Name, len(sp.Stages),
 		float64(sp.SummedPeakBytes())/(1<<20), float64(sp.Base.Mem.PeakBytes())/(1<<20),
 		float64(sp.TransferBytes())/(1<<20))
 }
 
 // Shard cuts a compiled program into `stages` contiguous pipeline stages,
-// choosing the cuts that minimise the largest stage weight (per-stage FLOPs
-// or defined bytes, see ShardBalance).  Each stage is compiled into a
-// self-contained sub-program with its own arena plan; the buffer crossing
-// each cut becomes an explicit transfer onto the next stage's device.  A
-// stage count above the op count is clamped (every program supports at least
-// one stage), so tiny networks stay shardable with a generic -devices flag.
+// choosing the cuts that minimise the largest stage weight: the estimated
+// arithmetic work per stage (layer ops weigh their Cost-model FLOPs on the
+// paper's Titan Black, data-movement ops one op per element moved), because
+// pipeline throughput is set by the slowest stage.  Each stage is compiled
+// into a self-contained sub-program with its own arena plan; the buffer
+// crossing each cut becomes an explicit transfer onto the next stage's
+// device.  A stage count above the op count is clamped (every program
+// supports at least one stage), so tiny networks stay shardable with a
+// generic -devices flag.
 func Shard(p *Program, stages int, opts ShardOptions) (*ShardedProgram, error) {
 	if p == nil || len(p.Ops) == 0 {
 		return nil, fmt.Errorf("runtime: cannot shard an empty program")
@@ -126,23 +96,14 @@ func Shard(p *Program, stages int, opts ShardOptions) (*ShardedProgram, error) {
 	if stages > len(p.Ops) {
 		stages = len(p.Ops)
 	}
-	model := opts.CostModel
-	if model == nil {
-		model = gpusim.TitanBlack()
-	}
-
+	model := gpusim.TitanBlack()
 	weights := make([]float64, len(p.Ops))
 	for i, op := range p.Ops {
-		switch opts.Balance {
-		case BalanceBytes:
-			weights[i] = opBytes(p, op)
-		default:
-			weights[i] = opFLOPs(model, p, op)
-		}
+		weights[i] = opFLOPs(model, p, op)
 	}
 	cuts := partition(weights, stages)
 
-	sp := &ShardedProgram{Base: p, Balance: opts.Balance}
+	sp := &ShardedProgram{Base: p}
 	first := 0
 	for i, last := range cuts {
 		prog, err := subProgram(p, i, first, last)
@@ -199,19 +160,6 @@ func opFLOPs(model *gpusim.Device, p *Program, op Op) float64 {
 		return 0
 	}
 	return float64(p.Buffers[op.In].Shape.Elems())
-}
-
-// opBytes is one op's storage weight: the root output buffer it defines plus
-// its op-local scratch.
-func opBytes(p *Program, op Op) float64 {
-	var b float64
-	if out := p.Buffers[op.Out]; out.AliasOf == NoBuffer {
-		b += float64(out.Bytes())
-	}
-	if op.Scratch != NoBuffer {
-		b += float64(p.Buffers[op.Scratch].Bytes())
-	}
-	return b
 }
 
 // partition cuts the weight sequence into k non-empty contiguous runs

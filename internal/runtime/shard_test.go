@@ -6,6 +6,7 @@ import (
 	"memcnn/internal/gpusim"
 	"memcnn/internal/network"
 	"memcnn/internal/runtime"
+	"memcnn/internal/runtime/verify"
 	"memcnn/internal/tensor"
 	"memcnn/internal/workloads"
 )
@@ -20,8 +21,9 @@ func simDevices(n int) []runtime.Device {
 // and without convolution algorithm selection) across 1–4 devices and checks
 // the structural invariants of every sharding: stages are contiguous and
 // cover the op list exactly once, every stage's memory plan validates, stage
-// shapes chain through the cut boundaries, and the transfer at each cut is
-// exactly the boundary buffer's storage.
+// shapes chain through the cut boundaries, the transfer at each cut is
+// exactly the boundary buffer's storage, and the static verifier accepts the
+// cut and every stage sub-program.
 func TestShardStructureProperty(t *testing.T) {
 	tiny, err := workloads.TinyNet()
 	if err != nil {
@@ -41,62 +43,62 @@ func TestShardStructureProperty(t *testing.T) {
 	}
 
 	for name, prog := range progs {
-		for _, balance := range []runtime.ShardBalance{runtime.BalanceFLOPs, runtime.BalanceBytes} {
-			for devices := 1; devices <= 4; devices++ {
-				sp, err := runtime.Shard(prog, devices, runtime.ShardOptions{
-					Devices: simDevices(devices),
-					Balance: balance,
-				})
-				if err != nil {
-					t.Fatalf("%s/%v/%d: %v", name, balance, devices, err)
+		for devices := 1; devices <= 4; devices++ {
+			sp, err := runtime.Shard(prog, devices, runtime.ShardOptions{
+				Devices: simDevices(devices),
+			})
+			if err != nil {
+				t.Fatalf("%s/%d: %v", name, devices, err)
+			}
+			if len(sp.Stages) != devices && len(sp.Stages) != len(prog.Ops) {
+				t.Errorf("%s/%d: %d stages", name, devices, len(sp.Stages))
+			}
+			if err := verify.Sharded(sp); err != nil {
+				t.Errorf("%s/%d: %v", name, devices, err)
+			}
+			next := 0
+			for i, st := range sp.Stages {
+				if st.FirstOp != next || st.LastOp < st.FirstOp {
+					t.Fatalf("%s/%d: stage %d spans [%d,%d], want to start at %d",
+						name, devices, i, st.FirstOp, st.LastOp, next)
 				}
-				if len(sp.Stages) != devices && len(sp.Stages) != len(prog.Ops) {
-					t.Errorf("%s/%v/%d: %d stages", name, balance, devices, len(sp.Stages))
+				next = st.LastOp + 1
+				if err := st.Prog.Mem.Validate(st.Prog); err != nil {
+					t.Errorf("%s/%d: stage %d plan: %v", name, devices, i, err)
 				}
-				next := 0
-				for i, st := range sp.Stages {
-					if st.FirstOp != next || st.LastOp < st.FirstOp {
-						t.Fatalf("%s/%v/%d: stage %d spans [%d,%d], want to start at %d",
-							name, balance, devices, i, st.FirstOp, st.LastOp, next)
-					}
-					next = st.LastOp + 1
-					if err := st.Prog.Mem.Validate(st.Prog); err != nil {
-						t.Errorf("%s/%v/%d: stage %d plan: %v", name, balance, devices, i, err)
-					}
-					if st.Ops() != len(st.Prog.Ops) {
-						t.Errorf("%s/%v/%d: stage %d has %d ops, program %d",
-							name, balance, devices, i, st.Ops(), len(st.Prog.Ops))
-					}
-					if i == 0 {
-						if st.TransferInBytes != 0 {
-							t.Errorf("%s/%v/%d: first stage reports a transfer", name, balance, devices)
-						}
-						if st.Prog.InputShape() != prog.InputShape() {
-							t.Errorf("%s/%v/%d: first stage consumes %v, want %v",
-								name, balance, devices, st.Prog.InputShape(), prog.InputShape())
-						}
-						continue
-					}
-					prev := sp.Stages[i-1]
-					if prev.Prog.OutputShape() != st.Prog.InputShape() {
-						t.Errorf("%s/%v/%d: cut %d: stage output %v does not feed stage input %v",
-							name, balance, devices, i, prev.Prog.OutputShape(), st.Prog.InputShape())
-					}
-					if want := st.Prog.Buffers[st.Prog.Input].Bytes(); st.TransferInBytes != want {
-						t.Errorf("%s/%v/%d: cut %d transfers %d B, boundary holds %d B",
-							name, balance, devices, i, st.TransferInBytes, want)
-					}
+				if st.Ops() != len(st.Prog.Ops) {
+					t.Errorf("%s/%d: stage %d has %d ops, program %d",
+						name, devices, i, st.Ops(), len(st.Prog.Ops))
 				}
-				if next != len(prog.Ops) {
-					t.Errorf("%s/%v/%d: stages cover %d of %d ops", name, balance, devices, next, len(prog.Ops))
+				if i == 0 {
+					if st.TransferInBytes != 0 {
+						t.Errorf("%s/%d: first stage reports a transfer", name, devices)
+					}
+					if st.Prog.InputShape() != prog.InputShape() {
+						t.Errorf("%s/%d: first stage consumes %v, want %v",
+							name, devices, st.Prog.InputShape(), prog.InputShape())
+					}
+					continue
 				}
-				if last := sp.Stages[len(sp.Stages)-1]; last.Prog.OutputShape() != prog.OutputShape() {
-					t.Errorf("%s/%v/%d: last stage produces %v, want %v",
-						name, balance, devices, last.Prog.OutputShape(), prog.OutputShape())
+				prev := sp.Stages[i-1]
+				if prev.Prog.OutputShape() != st.Prog.InputShape() {
+					t.Errorf("%s/%d: cut %d: stage output %v does not feed stage input %v",
+						name, devices, i, prev.Prog.OutputShape(), st.Prog.InputShape())
 				}
-				if sp.SummedPeakBytes() <= 0 {
-					t.Errorf("%s/%v/%d: summed peak %d", name, balance, devices, sp.SummedPeakBytes())
+				if want := st.Prog.Buffers[st.Prog.Input].Bytes(); st.TransferInBytes != want {
+					t.Errorf("%s/%d: cut %d transfers %d B, boundary holds %d B",
+						name, devices, i, st.TransferInBytes, want)
 				}
+			}
+			if next != len(prog.Ops) {
+				t.Errorf("%s/%d: stages cover %d of %d ops", name, devices, next, len(prog.Ops))
+			}
+			if last := sp.Stages[len(sp.Stages)-1]; last.Prog.OutputShape() != prog.OutputShape() {
+				t.Errorf("%s/%d: last stage produces %v, want %v",
+					name, devices, last.Prog.OutputShape(), prog.OutputShape())
+			}
+			if sp.SummedPeakBytes() <= 0 {
+				t.Errorf("%s/%d: summed peak %d", name, devices, sp.SummedPeakBytes())
 			}
 		}
 	}

@@ -26,10 +26,9 @@ import (
 // An Executor is single-goroutine: a training step mutates the layer
 // parameters, so concurrent steps over one network make no sense.
 type Executor struct {
-	prog    *Program
-	exec    *runtime.Executor
-	inst    *runtime.Instance
-	planned bool
+	prog *Program
+	exec *runtime.Executor
+	inst *runtime.Instance
 }
 
 // NewExecutor binds the program to one planned arena on the CPU device.
@@ -53,24 +52,11 @@ func newExecutor(p *Program, dev runtime.Device, planned bool) (*Executor, error
 	if err != nil {
 		return nil, fmt.Errorf("train: binding %s: %w", p.Net.Name, err)
 	}
-	return &Executor{prog: p, exec: runtime.NewExecutorOn(p.Program, dev), inst: inst, planned: planned}, nil
+	return &Executor{prog: p, exec: runtime.NewExecutorOn(p.Program, dev), inst: inst}, nil
 }
 
 // Program returns the compiled training program.
 func (e *Executor) Program() *Program { return e.prog }
-
-// Planned reports whether the executor runs over the planned arena (false:
-// naive per-buffer storage).
-func (e *Executor) Planned() bool { return e.planned }
-
-// AllocatedBytes is the activation/gradient storage the executor holds: the
-// arena for a planned binding, the sum of root buffers for a naive one.
-func (e *Executor) AllocatedBytes() int64 {
-	if e.planned {
-		return e.prog.Mem.PeakBytes()
-	}
-	return e.prog.NaiveBytes()
-}
 
 // Instrument attaches an observer to the step's op loop (see
 // runtime.Executor.Instrument); call it before the first step.

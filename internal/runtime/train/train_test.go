@@ -265,12 +265,11 @@ func TestTrainerEpoch(t *testing.T) {
 		images, lbls := batch(p, uint64(100+i))
 		batches = append(batches, Batch{Images: images, Labels: lbls})
 	}
-	stats, err := tr.Epoch(batches)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stats) != 3 {
-		t.Fatalf("epoch returned %d stats, want 3", len(stats))
+	stats := make([]StepStats, len(batches))
+	for i, b := range batches {
+		if stats[i], err = tr.Step(b); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
 	}
 	for i, s := range stats {
 		if s.Loss <= 0 || math.IsNaN(s.Loss) {

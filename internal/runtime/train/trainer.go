@@ -1,8 +1,6 @@
 package train
 
 import (
-	"fmt"
-
 	"memcnn/internal/network"
 	"memcnn/internal/tensor"
 )
@@ -13,7 +11,7 @@ type Batch struct {
 	Labels []int
 }
 
-// Trainer drives a compiled training program over steps and epochs.
+// Trainer drives a compiled training program step by step.
 type Trainer struct {
 	exec *Executor
 }
@@ -32,31 +30,10 @@ func NewTrainer(net *network.Network, opts Options) (*Trainer, error) {
 	return &Trainer{exec: exec}, nil
 }
 
-// NewTrainerFor wraps an already-built executor (any device, planned or
-// naive).
-func NewTrainerFor(exec *Executor) *Trainer { return &Trainer{exec: exec} }
-
 // Executor returns the underlying executor.
 func (t *Trainer) Executor() *Executor { return t.exec }
 
 // Step runs one training step.
 func (t *Trainer) Step(b Batch) (StepStats, error) {
 	return t.exec.Step(b.Images, b.Labels)
-}
-
-// Epoch runs one pass over the batches, returning the per-step stats in
-// order.
-func (t *Trainer) Epoch(batches []Batch) ([]StepStats, error) {
-	if len(batches) == 0 {
-		return nil, fmt.Errorf("train: epoch over zero batches")
-	}
-	stats := make([]StepStats, len(batches))
-	for i, b := range batches {
-		s, err := t.exec.Step(b.Images, b.Labels)
-		if err != nil {
-			return stats[:i], fmt.Errorf("train: step %d: %w", i, err)
-		}
-		stats[i] = s
-	}
-	return stats, nil
 }

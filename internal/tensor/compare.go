@@ -60,24 +60,3 @@ func RelClose(a, b *Tensor, atol, rtol float64) bool {
 	}
 	return true
 }
-
-// Checksum returns a layout-independent checksum of the logical contents,
-// useful for quickly asserting that an in-place optimisation did not alter
-// the data.
-func Checksum(t *Tensor) float64 {
-	s := t.Shape
-	var sum float64
-	i := 0
-	for n := 0; n < s.N; n++ {
-		for c := 0; c < s.C; c++ {
-			for h := 0; h < s.H; h++ {
-				for w := 0; w < s.W; w++ {
-					// Weight by position so permuted data does not collide.
-					sum += float64(t.At(n, c, h, w)) * float64(1+i%97)
-					i++
-				}
-			}
-		}
-	}
-	return sum
-}

@@ -60,40 +60,6 @@ func (l Layout) String() string {
 // Valid reports whether l is one of the supported layouts.
 func (l Layout) Valid() bool { return l >= 0 && l < numLayouts }
 
-// ParseLayout converts a layout name ("NCHW", "chwn", ...) to a Layout.
-func ParseLayout(s string) (Layout, error) {
-	switch {
-	case equalFold(s, "NCHW"):
-		return NCHW, nil
-	case equalFold(s, "CHWN"):
-		return CHWN, nil
-	case equalFold(s, "NHWC"):
-		return NHWC, nil
-	case equalFold(s, "HWCN"):
-		return HWCN, nil
-	}
-	return 0, fmt.Errorf("tensor: unknown layout %q", s)
-}
-
-func equalFold(a, b string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := 0; i < len(a); i++ {
-		ca, cb := a[i], b[i]
-		if 'a' <= ca && ca <= 'z' {
-			ca -= 'a' - 'A'
-		}
-		if 'a' <= cb && cb <= 'z' {
-			cb -= 'a' - 'A'
-		}
-		if ca != cb {
-			return false
-		}
-	}
-	return true
-}
-
 // Shape describes the logical extent of a 4-D tensor, independent of layout.
 type Shape struct {
 	N int // batch size

@@ -22,24 +22,6 @@ func TestLayoutString(t *testing.T) {
 	}
 }
 
-func TestParseLayout(t *testing.T) {
-	for _, l := range Layouts {
-		got, err := ParseLayout(l.String())
-		if err != nil {
-			t.Fatalf("ParseLayout(%q): %v", l.String(), err)
-		}
-		if got != l {
-			t.Errorf("ParseLayout(%q) = %v, want %v", l.String(), got, l)
-		}
-	}
-	if _, err := ParseLayout("nchw"); err != nil {
-		t.Errorf("ParseLayout should be case-insensitive: %v", err)
-	}
-	if _, err := ParseLayout("WXYZ"); err == nil {
-		t.Errorf("ParseLayout(WXYZ) should fail")
-	}
-}
-
 func TestLayoutValid(t *testing.T) {
 	for _, l := range Layouts {
 		if !l.Valid() {

@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"fmt"
+	"strings"
 
 	"memcnn/internal/kernels"
 	"memcnn/internal/layers"
@@ -298,24 +299,47 @@ func TinyNet() (*network.Network, error) {
 	return b.build()
 }
 
-// Networks returns the five complete networks of the paper's whole-network
-// evaluation (Fig. 14) in presentation order.
-func Networks() (map[string]*network.Network, error) {
-	out := make(map[string]*network.Network, 5)
-	for _, build := range []struct {
-		name string
-		fn   func() (*network.Network, error)
-	}{
-		{"LeNet", LeNet}, {"Cifar10", Cifar10}, {"AlexNet", AlexNet}, {"ZFNet", ZFNet}, {"VGG", VGG},
-	} {
-		net, err := build.fn()
-		if err != nil {
-			return nil, fmt.Errorf("workloads: building %s: %w", build.name, err)
+// NetworkOrder is the presentation order of the whole-network results.
+var NetworkOrder = []string{"LeNet", "Cifar10", "AlexNet", "ZFNet", "VGG"}
+
+// builders names every network this package can build: the five of
+// NetworkOrder, then TinyNet.
+var builders = []struct {
+	name string
+	fn   func() (*network.Network, error)
+}{
+	{"LeNet", LeNet}, {"Cifar10", Cifar10}, {"AlexNet", AlexNet}, {"ZFNet", ZFNet}, {"VGG", VGG},
+	{"TinyNet", TinyNet},
+}
+
+// ByName builds the network with the given name, compared without regard to
+// case: one of NetworkOrder, or TinyNet.  It is the lookup behind every
+// command's -network flag; the error names the accepted values.
+func ByName(name string) (*network.Network, error) {
+	names := make([]string, len(builders))
+	for i, b := range builders {
+		if strings.EqualFold(b.name, name) {
+			net, err := b.fn()
+			if err != nil {
+				return nil, fmt.Errorf("workloads: building %s: %w", b.name, err)
+			}
+			return net, nil
 		}
-		out[build.name] = net
+		names[i] = b.name
+	}
+	return nil, fmt.Errorf("workloads: unknown network %q (want one of %s)", name, strings.Join(names, ", "))
+}
+
+// Networks returns the five complete networks of the paper's whole-network
+// evaluation (Fig. 14), keyed by their NetworkOrder names.
+func Networks() (map[string]*network.Network, error) {
+	out := make(map[string]*network.Network, len(NetworkOrder))
+	for _, name := range NetworkOrder {
+		net, err := ByName(name)
+		if err != nil {
+			return nil, err
+		}
+		out[name] = net
 	}
 	return out, nil
 }
-
-// NetworkOrder is the presentation order of the whole-network results.
-var NetworkOrder = []string{"LeNet", "Cifar10", "AlexNet", "ZFNet", "VGG"}

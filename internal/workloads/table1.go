@@ -105,16 +105,6 @@ func FindConv(name string) (NamedConv, error) {
 	return NamedConv{}, fmt.Errorf("workloads: unknown convolution layer %q", name)
 }
 
-// FindPool returns the Table 1 pooling layer with the given name.
-func FindPool(name string) (NamedPool, error) {
-	for _, p := range Table1Pools() {
-		if p.Name == name {
-			return p, nil
-		}
-	}
-	return NamedPool{}, fmt.Errorf("workloads: unknown pooling layer %q", name)
-}
-
 // AlexNetFig1Convs returns the five AlexNet convolution shapes used by the
 // motivating Fig. 1 comparison (batch 64, as in the whole-network runs).
 func AlexNetFig1Convs() []NamedConv {

@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"memcnn/internal/layers"
@@ -65,15 +66,8 @@ func TestTable1PoolsMatchPaper(t *testing.T) {
 	if overlapped != 8 {
 		t.Errorf("expected 8 overlapped pooling layers, got %d", overlapped)
 	}
-	pl5, err := FindPool("PL5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pl5.Cfg.C != 96 || pl5.Cfg.H != 55 || pl5.Cfg.N != 128 {
-		t.Errorf("PL5 = %+v does not match Table 1", pl5.Cfg)
-	}
-	if _, err := FindPool("PL42"); err == nil {
-		t.Error("unknown pool name must be rejected")
+	if pl5 := pools[4]; pl5.Name != "PL5" || pl5.Cfg.C != 96 || pl5.Cfg.H != 55 || pl5.Cfg.N != 128 {
+		t.Errorf("%s = %+v does not match Table 1's PL5", pl5.Name, pl5.Cfg)
 	}
 }
 
@@ -174,6 +168,37 @@ func poolCount(net *network.Network) int {
 		}
 	}
 	return count
+}
+
+// TestByName: the one lookup behind every command's -network flag ignores
+// case, knows TinyNet next to the five evaluation networks, and names the
+// accepted values when it rejects one.
+func TestByName(t *testing.T) {
+	for _, tc := range []struct{ arg, want string }{
+		{"LeNet", "LeNet"}, {"lenet", "LeNet"}, {"CIFAR10", "Cifar10"}, {"alexnet", "AlexNet"},
+		{"tinynet", "TinyNet"}, {"TinyNet", "TinyNet"},
+	} {
+		net, err := ByName(tc.arg)
+		if err != nil {
+			t.Errorf("ByName(%q): %v", tc.arg, err)
+			continue
+		}
+		if net.Name != tc.want {
+			t.Errorf("ByName(%q) built %s, want %s", tc.arg, net.Name, tc.want)
+		}
+	}
+	for _, arg := range []string{"", "LeNet5", "all"} {
+		_, err := ByName(arg)
+		if err == nil {
+			t.Errorf("ByName(%q) succeeded", arg)
+			continue
+		}
+		for _, name := range append([]string{"TinyNet"}, NetworkOrder...) {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("ByName(%q): error %q does not name %s", arg, err, name)
+			}
+		}
+	}
 }
 
 func TestTinyNetForward(t *testing.T) {
