@@ -29,8 +29,8 @@
 // are about as large as the image (31×31 on 32×32: 24–36 ms against GEMM's
 // 43–62; at 21×21 GEMM wins, 13–16 ms to 29–37).  No layer of the workload
 // networks is near that, so here FFT is a model-domain algorithm: kept,
-// bit-checked, priced on internal/gpusim for Figs. 14/15 and `layoutplan
-// -algs`, selected nowhere, and given no further host performance work.
+// bit-checked, priced on internal/gpusim for Figs. 14/15 and `netbench
+// algs`, selected nowhere, and given no further host performance work.
 // Layouts stay the planner's, except that an FFT layer runs in the kernel's
 // NCHW and is charged both conversions.
 //
@@ -63,7 +63,7 @@
 // pipelines across simulated devices,
 // `-replicas N`/`-replica-devices`/`-cache N` switch on replication and the
 // cache; `-demo` prints the per-stage and per-replica breakdowns and the
-// cache counters) and `netbench -runtime` is the static report: every
+// cache counters) and `netbench programs` is the static report: every
 // network's op and buffer counts, arena footprint, per-layer (layout,
 // algorithm) choice and planned training footprints, nothing executed.
 //
@@ -114,7 +114,7 @@
 // peak actually shrinks).  Backward kernels are allocation-free, with a
 // fixed accumulation order, so a planned training step is
 // bit-identical to the naive per-buffer executor across worker counts;
-// `netbench -runtime` reports planned-vs-naive training footprints with and
+// `netbench programs` reports planned-vs-naive training footprints with and
 // without checkpointing, and the benchmark's train-lenet16 workload measures
 // the step latency and bounds the (deterministic) planned footprint.
 //
@@ -135,12 +135,12 @@
 // cmd/memcnnvet runs as a build-failing CI step next to go vet.
 //
 // The public entry points live under internal/ because the module is a
-// self-contained reproduction rather than an importable SDK; the cmd/ tools
-// and examples/ programs show every supported workflow, and bench_test.go
-// regenerates each table and figure of the paper's evaluation.  See
+// self-contained reproduction rather than an importable SDK; the three cmd/
+// tools and the examples/ programs show every supported workflow, and
+// bench_test.go regenerates each table and figure of the paper's evaluation.  See
 // internal/runtime/doc.go for the architecture of the execution stack,
 // ROADMAP.md for the measured state and the open items, CHANGES.md for what
 // each PR added, benchmark/README.md for the host-measured benchmark, and
-// internal/bench (printed by cmd/layerbench and cmd/netbench) for the
+// internal/bench (printed by cmd/netbench, one view per figure) for the
 // regenerated tables and figures.
 package memcnn

@@ -54,11 +54,15 @@ func main() {
 	fmt.Printf("\ntraining footprint: naive %d B, store-all plan %d B, checkpointed plan %d B (%d recompute ops)\n",
 		store.NaiveBytes(), store.Mem.PeakBytes(), ckpt.Mem.PeakBytes(), ckpt.RecomputeOps)
 
-	planned, err := train.NewTrainer(net, train.Options{SGD: train.SGD{LR: 0.005}})
+	prog, err := train.CompileTraining(net, train.Options{SGD: train.SGD{LR: 0.005}})
 	if err != nil {
 		fail(err)
 	}
-	naive, err := train.NewNaiveExecutor(planned.Executor().Program(), memruntime.CPUDevice{})
+	planned, err := train.NewExecutor(prog)
+	if err != nil {
+		fail(err)
+	}
+	naive, err := train.NewNaiveExecutor(prog, memruntime.CPUDevice{})
 	if err != nil {
 		fail(err)
 	}
@@ -67,7 +71,7 @@ func main() {
 	labels := []int{0, 2, 4, 1}
 	fmt.Println("\ntraining on one fixed batch (planned arena executor):")
 	for step := 0; step < 5; step++ {
-		stats, err := planned.Step(train.Batch{Images: images, Labels: labels})
+		stats, err := planned.Step(images, labels)
 		if err != nil {
 			fail(err)
 		}
@@ -80,7 +84,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	ps, err := planned.Step(train.Batch{Images: images, Labels: labels})
+	ps, err := planned.Step(images, labels)
 	if err != nil {
 		fail(err)
 	}

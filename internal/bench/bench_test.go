@@ -380,13 +380,12 @@ func TestTable1InventoryComplete(t *testing.T) {
 func TestExperimentsRegistryRunsEverything(t *testing.T) {
 	d := device()
 	th := thresholds()
-	names := ExperimentNames(d, th)
-	if len(names) < 19 {
-		t.Fatalf("expected at least 19 experiments, got %d", len(names))
-	}
 	m := Experiments(d, th)
-	for _, name := range names {
-		tbl, err := m[name]()
+	if len(m) < 19 {
+		t.Fatalf("expected at least 19 experiments, got %d", len(m))
+	}
+	for name, run := range m {
+		tbl, err := run()
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue

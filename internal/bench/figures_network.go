@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 
 	"memcnn/internal/frameworks"
 	"memcnn/internal/gpusim"
@@ -236,7 +235,7 @@ func Table1Inventory() Table {
 }
 
 // Experiments lists every named experiment the harness can run, mapped to a
-// function that renders its table.  The cmd/layerbench tool exposes it.
+// function that renders its table.  cmd/netbench prints each one as a view.
 func Experiments(d *gpusim.Device, th layout.Thresholds) map[string]func() (Table, error) {
 	m := map[string]func() (Table, error){
 		"table1":           func() (Table, error) { return Table1Inventory(), nil },
@@ -260,15 +259,4 @@ func Experiments(d *gpusim.Device, th layout.Thresholds) map[string]func() (Tabl
 		"titanx":           func() (Table, error) { _, t, err := TitanXSummary(); return t, err },
 	}
 	return m
-}
-
-// ExperimentNames returns the experiment keys in a stable order.
-func ExperimentNames(d *gpusim.Device, th layout.Thresholds) []string {
-	m := Experiments(d, th)
-	names := make([]string, 0, len(m))
-	for k := range m {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -21,8 +21,6 @@
 // itself; there is no per-experiment fitting.
 package gpusim
 
-import "fmt"
-
 // Device describes one GPU.  All throughput values are peak/effective values
 // as published; the timing model derates them with kernel-specific
 // efficiency factors.
@@ -117,33 +115,6 @@ func TitanX() *Device {
 		MaxBlocksPerSM:     32,
 		LaunchOverheadUS:   5,
 	}
-}
-
-// Validate reports whether the device description is internally consistent.
-func (d *Device) Validate() error {
-	switch {
-	case d.Name == "":
-		return fmt.Errorf("gpusim: device has no name")
-	case d.SMCount <= 0:
-		return fmt.Errorf("gpusim: %s: SMCount must be positive", d.Name)
-	case d.PeakGFLOPS <= 0:
-		return fmt.Errorf("gpusim: %s: PeakGFLOPS must be positive", d.Name)
-	case d.MemBandwidthGBs <= 0:
-		return fmt.Errorf("gpusim: %s: MemBandwidthGBs must be positive", d.Name)
-	case d.WarpSize <= 0:
-		return fmt.Errorf("gpusim: %s: WarpSize must be positive", d.Name)
-	case d.TransactionBytes <= 0 || d.CacheLineBytes < d.TransactionBytes:
-		return fmt.Errorf("gpusim: %s: inconsistent transaction/cache line sizes", d.Name)
-	case d.MaxThreadsPerBlock <= 0 || d.MaxThreadsPerSM < d.MaxThreadsPerBlock:
-		return fmt.Errorf("gpusim: %s: inconsistent thread limits", d.Name)
-	case d.GlobalMemBytes <= 0:
-		return fmt.Errorf("gpusim: %s: GlobalMemBytes must be positive", d.Name)
-	case d.MemLatencyNS <= 0:
-		return fmt.Errorf("gpusim: %s: MemLatencyNS must be positive", d.Name)
-	case d.RegistersPerSM <= 0 || d.SharedMemPerSM <= 0:
-		return fmt.Errorf("gpusim: %s: SM resources must be positive", d.Name)
-	}
-	return nil
 }
 
 // PeakBytesPerSec returns the effective DRAM bandwidth in bytes per second.

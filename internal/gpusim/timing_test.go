@@ -137,6 +137,41 @@ func TestEstimateSequence(t *testing.T) {
 	}
 }
 
+// Add merges another kernel's stats into a combined sequential cost (as if
+// the two kernels run back to back).  Launch counts add; geometry keeps the
+// larger grid so occupancy reflects the bigger kernel.
+func (s KernelStats) Add(o KernelStats) KernelStats {
+	out := s
+	if o.GridBlocks > out.GridBlocks {
+		out.GridBlocks = o.GridBlocks
+		out.Block = o.Block
+	}
+	out.Launches = s.launches() + o.launches()
+	out.FLOPs += o.FLOPs
+	out.DRAMReadBytes += o.DRAMReadBytes
+	out.DRAMWriteBytes += o.DRAMWriteBytes
+	out.UsefulReadBytes += o.UsefulReadBytes
+	out.UsefulWriteBytes += o.UsefulWriteBytes
+	// Combined efficiency: FLOP-weighted harmonic-style blend; if either has
+	// no FLOPs keep the other's.
+	switch {
+	case s.FLOPs == 0:
+		out.ComputeEfficiency = o.ComputeEfficiency
+	case o.FLOPs == 0:
+		out.ComputeEfficiency = s.ComputeEfficiency
+	default:
+		se, oe := s.ComputeEfficiency, o.ComputeEfficiency
+		if se <= 0 {
+			se = 1
+		}
+		if oe <= 0 {
+			oe = 1
+		}
+		out.ComputeEfficiency = (s.FLOPs + o.FLOPs) / (s.FLOPs/se + o.FLOPs/oe)
+	}
+	return out
+}
+
 func TestStatsAddMergesWork(t *testing.T) {
 	a, b := computeBoundStats(), memoryBoundStats()
 	sum := a.Add(b)

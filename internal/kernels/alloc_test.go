@@ -170,3 +170,15 @@ func SoftmaxCrossEntropyBackwardInto(grad, probs []float32, labels []int, cfg So
 	}
 	return nil
 }
+
+// Pool is PoolInto into a fresh tensor in the input's layout.
+func Pool(in *tensor.Tensor, cfg PoolConfig) (*tensor.Tensor, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	out := tensor.New(cfg.OutputShape(), in.Layout)
+	if err := PoolInto(in, out, cfg); err != nil {
+		return nil, err
+	}
+	return out, nil
+}

@@ -13,24 +13,11 @@ import (
 // (layout) and by how much of the overlapping-window redundancy is removed
 // (register-level reuse / thread coarsening).
 
-// Pool is the functional reference pooling operator.  The output tensor uses
-// the same layout as the input; the layout does not change the values, only
-// the memory behaviour, which is the whole point of the paper's Section IV.B.
-func Pool(in *tensor.Tensor, cfg PoolConfig) (*tensor.Tensor, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	out := tensor.New(cfg.OutputShape(), in.Layout)
-	if err := PoolInto(in, out, cfg); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// PoolInto is the allocation-free variant of Pool: it writes into a
+// PoolInto is the functional pooling operator: it writes into a
 // caller-provided output tensor of the config's output shape (any layout).
-// Every output element is overwritten, so the destination's prior contents do
-// not matter.
+// The layouts do not change the values, only the memory behaviour, which is
+// the whole point of the paper's Section IV.B.  Every output element is
+// overwritten, so the destination's prior contents do not matter.
 //
 //memcnn:noalloc
 func PoolInto(in, out *tensor.Tensor, cfg PoolConfig) error {

@@ -88,7 +88,7 @@ func MeasuredConvWinner(d *gpusim.Device, cfg kernels.ConvConfig) (tensor.Layout
 
 // ConvCandidate is one (layout, algorithm) execution option for a convolution
 // layer priced on a modeled GPU — one row of the model-only sweep
-// cmd/layoutplan -algs prints.
+// `netbench algs` prints.
 type ConvCandidate struct {
 	Layout tensor.Layout
 	Alg    kernels.ConvAlgorithm
@@ -102,10 +102,6 @@ type ConvCandidate struct {
 	// (kernels.ErrOutOfMemory); TimeUS is meaningless for it.
 	OOM bool
 }
-
-// TotalUS is the candidate's end-to-end modeled cost: kernel plus layout
-// switch.
-func (c ConvCandidate) TotalUS() float64 { return c.TimeUS + c.TransformUS }
 
 // convCandidate prices one algorithm in its natural layout, charging the best
 // applicable transform kernel when the incoming layout differs.
@@ -137,7 +133,7 @@ func convCandidate(d *gpusim.Device, cfg kernels.ConvConfig, alg kernels.ConvAlg
 // ConvAlgCandidates prices every production algorithm for the layer on the
 // modeled GPU in its natural layout — direct in CHWN, im2col+GEMM and FFT in
 // NCHW — charging each candidate the best layout-transform kernel from the
-// incoming layout.  This is the sweep cmd/layoutplan -algs reports, and it is
+// incoming layout.  This is the sweep `netbench algs` reports, and it is
 // model-only: the compiler does not decide from it, because what it compiles
 // runs on the host (internal/autotune prices that).
 func ConvAlgCandidates(d *gpusim.Device, cfg kernels.ConvConfig, incoming tensor.Layout) []ConvCandidate {

@@ -35,28 +35,6 @@ func renderLabels(labels []Label) string {
 	return b.String()
 }
 
-// Counter is a monotonically increasing integer metric.
-type Counter struct{ v atomic.Uint64 }
-
-// Add increments the counter.  Nil-safe.
-//
-//memcnn:noalloc
-func (c *Counter) Add(n uint64) {
-	if c != nil {
-		c.v.Add(n)
-	}
-}
-
-// Value returns the current count.  Nil-safe.
-//
-//memcnn:noalloc
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
 // FloatCounter is a monotonically increasing float metric — the shape modeled
 // microsecond totals take, where increments are fractional.
 type FloatCounter struct{ bits atomic.Uint64 }
@@ -84,28 +62,6 @@ func (c *FloatCounter) Value() float64 {
 		return 0
 	}
 	return math.Float64frombits(c.bits.Load())
-}
-
-// Gauge is a settable instantaneous value.
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set stores the gauge value.  Nil-safe.
-//
-//memcnn:noalloc
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.bits.Store(math.Float64bits(v))
-	}
-}
-
-// Value returns the gauge value.  Nil-safe.
-//
-//memcnn:noalloc
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
 }
 
 // Histogram bucket geometry: bucket i spans (HistMinUS·r^(i-1), HistMinUS·r^i]
@@ -234,9 +190,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 type metricKind uint8
 
 const (
-	kindCounter metricKind = iota
-	kindFloatCounter
-	kindGauge
+	kindFloatCounter metricKind = iota
 	kindFunc
 	kindCounterFunc
 	kindHistogram
@@ -249,11 +203,9 @@ type metric struct {
 	help   string
 	kind   metricKind
 
-	counter *Counter
-	fcount  *FloatCounter
-	gauge   *Gauge
-	fn      func() float64
-	hist    *Histogram
+	fcount *FloatCounter
+	fn     func() float64
+	hist   *Histogram
 }
 
 func (m *metric) key() string { return m.name + "{" + m.labels + "}" }
@@ -291,29 +243,12 @@ func (r *Registry) register(name, help string, labels []Label, kind metricKind, 
 	return m
 }
 
-// Counter returns the counter for name+labels, creating it on first use.
-// Nil-safe: a nil registry returns a nil (no-op) counter.
-func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	if r == nil {
-		return nil
-	}
-	return r.register(name, help, labels, kindCounter, func(m *metric) { m.counter = &Counter{} }).counter
-}
-
 // FloatCounter returns the float counter for name+labels.  Nil-safe.
 func (r *Registry) FloatCounter(name, help string, labels ...Label) *FloatCounter {
 	if r == nil {
 		return nil
 	}
 	return r.register(name, help, labels, kindFloatCounter, func(m *metric) { m.fcount = &FloatCounter{} }).fcount
-}
-
-// Gauge returns the gauge for name+labels.  Nil-safe.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	if r == nil {
-		return nil
-	}
-	return r.register(name, help, labels, kindGauge, func(m *metric) { m.gauge = &Gauge{} }).gauge
 }
 
 // GaugeFunc registers a gauge evaluated at exposition time by calling fn —
@@ -386,12 +321,8 @@ func (r *Registry) Snapshot() []Sample {
 	for _, m := range metrics {
 		s := Sample{Name: m.name, Labels: m.labels}
 		switch m.kind {
-		case kindCounter:
-			s.Value = float64(m.counter.Value())
 		case kindFloatCounter:
 			s.Value = m.fcount.Value()
-		case kindGauge:
-			s.Value = m.gauge.Value()
 		case kindFunc, kindCounterFunc:
 			s.Value = m.fn()
 		case kindHistogram:
@@ -443,7 +374,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 
 func promType(k metricKind) string {
 	switch k {
-	case kindCounter, kindFloatCounter, kindCounterFunc:
+	case kindFloatCounter, kindCounterFunc:
 		return "counter"
 	case kindHistogram:
 		return "histogram"
@@ -469,14 +400,8 @@ func series(name, labels, extra string) string {
 
 func writeSeries(w io.Writer, m *metric) error {
 	switch m.kind {
-	case kindCounter:
-		_, err := fmt.Fprintf(w, "%s %d\n", series(m.name, m.labels, ""), m.counter.Value())
-		return err
 	case kindFloatCounter:
 		_, err := fmt.Fprintf(w, "%s %g\n", series(m.name, m.labels, ""), m.fcount.Value())
-		return err
-	case kindGauge:
-		_, err := fmt.Fprintf(w, "%s %g\n", series(m.name, m.labels, ""), m.gauge.Value())
 		return err
 	case kindFunc, kindCounterFunc:
 		_, err := fmt.Fprintf(w, "%s %g\n", series(m.name, m.labels, ""), m.fn())

@@ -15,21 +15,10 @@ import (
 const histBucketRatio = 1.1892071150027210667 // 2^(1/4)
 
 func TestNilInstrumentsAreNoOps(t *testing.T) {
-	var c *Counter
-	c.Add(1)
-	c.Add(5)
-	if c.Value() != 0 {
-		t.Error("nil Counter should stay 0")
-	}
 	var fc *FloatCounter
 	fc.Add(1.5)
 	if fc.Value() != 0 {
 		t.Error("nil FloatCounter should stay 0")
-	}
-	var g *Gauge
-	g.Set(3)
-	if g.Value() != 0 {
-		t.Error("nil Gauge should stay 0")
 	}
 	var h *Histogram
 	h.Observe(10)
@@ -38,8 +27,7 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	}
 
 	var r *Registry
-	if r.Counter("x", "") != nil || r.FloatCounter("x", "") != nil ||
-		r.Gauge("x", "") != nil || r.Histogram("x", "") != nil {
+	if r.FloatCounter("x", "") != nil || r.Histogram("x", "") != nil {
 		t.Error("nil Registry should hand out nil instruments")
 	}
 	r.GaugeFunc("x", "", func() float64 { return 1 })
@@ -55,32 +43,26 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 
 func TestCounterGaugeBasics(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("reqs", "requests", L("net", "LeNet"))
-	c.Add(1)
-	c.Add(2)
-	if c.Value() != 3 {
-		t.Errorf("counter = %d, want 3", c.Value())
-	}
-	// Same name+labels must return the same instrument.
-	if c2 := reg.Counter("reqs", "requests", L("net", "LeNet")); c2 != c {
-		t.Error("re-registration returned a different counter")
-	}
-	// Different labels are a different series.
-	if c3 := reg.Counter("reqs", "requests", L("net", "VGG")); c3 == c {
-		t.Error("different labels returned the same counter")
-	}
-
-	fc := reg.FloatCounter("us", "")
+	fc := reg.FloatCounter("us", "", L("net", "LeNet"))
 	fc.Add(1.25)
 	fc.Add(0.25)
 	if fc.Value() != 1.5 {
 		t.Errorf("float counter = %g, want 1.5", fc.Value())
 	}
+	// Same name+labels must return the same instrument.
+	if fc2 := reg.FloatCounter("us", "", L("net", "LeNet")); fc2 != fc {
+		t.Error("re-registration returned a different counter")
+	}
+	// Different labels are a different series.
+	if fc3 := reg.FloatCounter("us", "", L("net", "VGG")); fc3 == fc {
+		t.Error("different labels returned the same counter")
+	}
 
-	g := reg.Gauge("depth", "")
-	g.Set(7)
-	if g.Value() != 7 {
-		t.Errorf("gauge = %g, want 7", g.Value())
+	depth := 7.0
+	reg.GaugeFunc("depth", "", func() float64 { return depth })
+	depth = 8
+	if snap := reg.Snapshot(); snap[len(snap)-1].Value != 8 {
+		t.Errorf("gauge reads %g, want its function's current value 8", snap[len(snap)-1].Value)
 	}
 }
 
@@ -162,11 +144,9 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 
 func TestObserveAllocationFree(t *testing.T) {
 	h := &Histogram{}
-	c := &Counter{}
 	fc := &FloatCounter{}
 	if n := testing.AllocsPerRun(200, func() {
 		h.Observe(123.4)
-		c.Add(1)
 		fc.Add(0.5)
 	}); n != 0 {
 		t.Errorf("hot-path instruments allocate %.1f per op, want 0", n)
@@ -175,9 +155,9 @@ func TestObserveAllocationFree(t *testing.T) {
 
 func TestWritePrometheus(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("memcnn_requests_total", "served requests", L("net", "LeNet")).Add(42)
-	reg.Counter("memcnn_requests_total", "served requests", L("net", "VGG")).Add(7)
-	reg.Gauge("memcnn_unhealthy_replicas", "replicas out of rotation").Set(1)
+	reg.FloatCounter("memcnn_requests_total", "served requests", L("net", "LeNet")).Add(42)
+	reg.FloatCounter("memcnn_requests_total", "served requests", L("net", "VGG")).Add(7)
+	reg.GaugeFunc("memcnn_unhealthy_replicas", "replicas out of rotation", func() float64 { return 1 })
 	reg.CounterFunc("memcnn_fault_retries_total", "retried sub-batches", func() float64 { return 3 })
 	h := reg.Histogram("memcnn_op_latency_us", "per-op latency", L("net", "LeNet"), L("kind", "layer"))
 	h.Observe(0.5) // bucket 0, le="1"
@@ -241,8 +221,8 @@ func TestAdoptHistogram(t *testing.T) {
 
 func TestSnapshotOrderAndValues(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("b_total", "").Add(2)
-	reg.Gauge("a_gauge", "").Set(1.5)
+	reg.FloatCounter("b_total", "").Add(2)
+	reg.GaugeFunc("a_gauge", "", func() float64 { return 1.5 })
 	reg.GaugeFunc("c_fn", "", func() float64 { return 9 })
 	snap := reg.Snapshot()
 	if len(snap) != 3 {

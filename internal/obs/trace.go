@@ -206,17 +206,6 @@ func (r *Recorder) snapshotLocked() []Span {
 	return out
 }
 
-// Reset discards all retained spans (the epoch and lane names survive, so
-// later spans stay in the same timebase).
-func (r *Recorder) Reset() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.next = 0
-	r.mu.Unlock()
-}
-
 // chromeEvent is one trace_event object; the subset of the Chrome trace-event
 // format Perfetto and chrome://tracing consume for complete ("X") and
 // metadata ("M") events.

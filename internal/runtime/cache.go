@@ -162,19 +162,3 @@ func (c *ResultCache) Stats() CacheStats {
 		Capacity:  c.capacity,
 	}
 }
-
-// Len returns the current entry count.
-func (c *ResultCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
-// Contains reports whether key is currently cached (or in flight), without
-// touching its recency or the counters.
-func (c *ResultCache) Contains(key uint64) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.byKey[key]
-	return ok
-}

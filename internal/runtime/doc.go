@@ -186,8 +186,8 @@
 // CPUDevice, priced per op on SimDevice — and through the same interpreter:
 // train.Executor stages the batch and labels into an Instance it bound once,
 // runs Executor.ExecuteOn and reads the loss, so a step is cancellable between
-// ops, contains panics and can be instrumented like an inference run;
-// train.Trainer is the compile-and-bind entry point over it.  Note the naming
+// ops and contains panics like an inference run; callers compile with
+// train.CompileTraining and bind with train.NewExecutor.  Note the naming
 // split: core.Optimizer is the paper's layout planner, while the
 // gradient-descent optimiser (SGD) lives here.
 //

@@ -31,9 +31,6 @@ func NewExecutorOn(p *Program, dev Device) *Executor {
 	return &Executor{prog: p, dev: dev, pool: NewPool(p)}
 }
 
-// Program returns the compiled program the executor runs.
-func (e *Executor) Program() *Program { return e.prog }
-
 // Device returns the device the executor runs on.
 func (e *Executor) Device() Device { return e.dev }
 

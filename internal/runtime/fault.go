@@ -100,10 +100,6 @@ func (d *FaultDevice) FaultCounts() (transients, stalls, panics, deadOps uint64)
 	return d.transients.Load(), d.stalls.Load(), d.panics.Load(), d.deadOps.Load()
 }
 
-// Ops returns the number of RunOp calls the device has admitted to its
-// schedule (including faulted ones).
-func (d *FaultDevice) Ops() int64 { return d.ops.Load() }
-
 // splitmix64 is the counter-keyed hash behind the deterministic draws: a
 // bijective avalanche mixer, so consecutive counters produce uncorrelated
 // 64-bit words.

@@ -247,7 +247,7 @@ func (p *Program) Choices() []Choice {
 // caller's with one exception, the FFT kernel's own: an FFT layer runs in
 // NCHW (Section IV.A), the lowering puts a transform on each side of it where
 // its neighbours differ, and the estimate has charged for both.  Compile runs
-// this pass under Options.ConvAlgorithms; cmd/layoutplan prints its result.
+// this pass under Options.ConvAlgorithms; `netbench algs` marks its result.
 func SelectChoices(net *network.Network, choices []Choice) []Choice {
 	selected := append([]Choice(nil), choices...)
 	for i, l := range net.Layers {

@@ -19,7 +19,7 @@ import (
 
 // observedFixture compiles TinyNet onto a simulated device so executor tests
 // exercise the modeled-vs-measured drift channel too.
-func observedFixture(t *testing.T) (*runtime.Executor, *tensor.Tensor, *tensor.Tensor) {
+func observedFixture(t *testing.T) (*runtime.Program, *runtime.Executor, *tensor.Tensor, *tensor.Tensor) {
 	t.Helper()
 	net, err := workloads.TinyNet()
 	if err != nil {
@@ -32,7 +32,7 @@ func observedFixture(t *testing.T) (*runtime.Executor, *tensor.Tensor, *tensor.T
 	exec := runtime.NewExecutorOn(prog, runtime.NewSimDevice("sim", gpusim.TitanBlack()))
 	in := tensor.Random(net.InputShape(), tensor.CHWN, 1)
 	out := tensor.New(prog.OutputShape(), tensor.CHWN)
-	return exec, in, out
+	return prog, exec, in, out
 }
 
 // TestInstrumentAddsNoAllocations pins the hot-path contract from both sides:
@@ -42,7 +42,7 @@ func observedFixture(t *testing.T) (*runtime.Executor, *tensor.Tensor, *tensor.T
 // must not add a single allocation per run either — spans are value copies
 // into the ring, observations are atomic increments.
 func TestInstrumentAddsNoAllocations(t *testing.T) {
-	exec, in, out := observedFixture(t)
+	_, exec, in, out := observedFixture(t)
 	run := func() {
 		if err := exec.RunInto(in, out); err != nil {
 			t.Fatal(err)
@@ -70,7 +70,7 @@ func TestInstrumentAddsNoAllocations(t *testing.T) {
 // op kind, and — because the device chain is a SimDevice — the per-layer
 // modeled-vs-measured drift counters DriftReport extracts.
 func TestExecutorSpansAndDrift(t *testing.T) {
-	exec, in, out := observedFixture(t)
+	prog, exec, in, out := observedFixture(t)
 	rec := obs.NewRecorder(1 << 10)
 	reg := obs.NewRegistry()
 	exec.Instrument(runtime.Observer{Trace: rec, Metrics: reg}, runtime.LaneEngine)
@@ -85,7 +85,6 @@ func TestExecutorSpansAndDrift(t *testing.T) {
 	spans := rec.Snapshot()
 	// Aliased reshapes are free views the executor never runs, so they record
 	// no spans; every other op must record one span per execution.
-	prog := exec.Program()
 	execOps := 0
 	for _, op := range prog.Ops {
 		if op.Kind == runtime.OpReshape && prog.Buffers[op.Out].AliasOf != runtime.NoBuffer {

@@ -31,8 +31,6 @@ type PipelineExecutor struct {
 
 	mu     sync.RWMutex
 	closed bool
-
-	batches atomic.Uint64
 }
 
 // pipeStage is one running stage: its executor, its inbound job queue and the
@@ -200,7 +198,6 @@ func (pe *PipelineExecutor) runStage(ps *pipeStage) {
 			continue
 		}
 		if ps.next == nil {
-			pe.batches.Add(1)
 			job.done <- nil
 			continue
 		}
@@ -210,16 +207,6 @@ func (pe *PipelineExecutor) runStage(ps *pipeStage) {
 	if ps.next != nil {
 		close(ps.next.in)
 	}
-}
-
-// Run executes one batch through the pipeline, returning a freshly allocated
-// output in the input's layout.
-func (pe *PipelineExecutor) Run(in *tensor.Tensor) (*tensor.Tensor, error) {
-	out := tensor.New(pe.sp.Base.OutputShape(), in.Layout)
-	if err := pe.RunInto(in, out); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // RunInto executes one batch through all stages, writing the result into dst.
@@ -331,6 +318,3 @@ func (pe *PipelineExecutor) StageStats() []PipelineStageStats {
 	}
 	return out
 }
-
-// Batches returns the number of batches that completed the whole pipeline.
-func (pe *PipelineExecutor) Batches() uint64 { return pe.batches.Load() }

@@ -142,7 +142,6 @@ type Group struct {
 	probeStop chan struct{}
 	probeWG   sync.WaitGroup
 
-	batches      atomic.Uint64
 	retries      atomic.Uint64
 	failovers    atomic.Uint64
 	readmissions atomic.Uint64
@@ -429,18 +428,8 @@ func (g *Group) modelScatter(shares []int) []float64 {
 	return out
 }
 
-// Base returns the program the group replicates.
-func (g *Group) Base() *runtime.Program { return g.base }
-
-// Weights returns the per-replica throughput weights the shares are derived
-// from.
-func (g *Group) Weights() []float64 { return append([]float64(nil), g.weights...) }
-
 // Replicas returns the replica count (including idle and unhealthy replicas).
 func (g *Group) Replicas() int { return len(g.units) }
-
-// Batches returns the number of full batches the group has served.
-func (g *Group) Batches() uint64 { return g.batches.Load() }
 
 // Health returns the per-replica health states.
 func (g *Group) Health() []runtime.Health {
@@ -549,7 +538,6 @@ func (g *Group) RunIntoCtx(ctx context.Context, in, dst *tensor.Tensor) error {
 		errs := g.runTopology(ctx, topo, src, out)
 		lastErr = errors.Join(errs...)
 		if lastErr == nil {
-			g.batches.Add(1)
 			if out != dst {
 				if err := tensor.ConvertInto(out, dst); err != nil {
 					return fmt.Errorf("replica: delivering output: %w", err)
@@ -725,16 +713,6 @@ func (g *Group) probeUnit(u *unit) bool {
 		return e.run(context.Background(), in, out)
 	}()
 	return err == nil
-}
-
-// Run executes one batch, returning a freshly allocated output in the input's
-// layout.
-func (g *Group) Run(in *tensor.Tensor) (*tensor.Tensor, error) {
-	out := tensor.New(g.outShape, in.Layout)
-	if err := g.RunInto(in, out); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Close stops the background prober and the stage goroutines of

@@ -28,6 +28,21 @@ func mustCompile(t *testing.T, net *network.Network, opts runtime.Options) *runt
 	return prog
 }
 
+// batchRunner runs one batch into a caller-provided output.
+type batchRunner interface {
+	RunInto(in, dst *tensor.Tensor) error
+}
+
+// runBatch runs one batch through r's RunInto into a fresh output of shape
+// out, in the input's layout.
+func runBatch(r batchRunner, in *tensor.Tensor, out tensor.Shape) (*tensor.Tensor, error) {
+	dst := tensor.New(out, in.Layout)
+	if err := r.RunInto(in, dst); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
 // batchShares returns the per-replica image counts one full batch currently
 // splits into.
 func batchShares(g *replica.Group) []int {
@@ -208,7 +223,7 @@ func TestGroupGoldenEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%d: %v", tc.name, replicas, err)
 			}
-			got, err := g.Run(in)
+			got, err := runBatch(g, in, prog.OutputShape())
 			if err != nil {
 				g.Close()
 				t.Fatalf("%s/%d: replicated run: %v", tc.name, replicas, err)
@@ -216,7 +231,7 @@ func TestGroupGoldenEquivalence(t *testing.T) {
 			requireBitEqual(t, tc.name+"/replicated", got, want)
 			// A second batch through the recycled per-replica arenas must be
 			// identical.
-			again, err := g.Run(in)
+			again, err := runBatch(g, in, prog.OutputShape())
 			if err != nil {
 				g.Close()
 				t.Fatalf("%s/%d: replicated rerun: %v", tc.name, replicas, err)
@@ -274,7 +289,7 @@ func TestGroupLayoutStaging(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	got, err := g.Run(in)
+	got, err := runBatch(g, in, prog.OutputShape())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +345,7 @@ func TestGroupHeterogeneousSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := g.Run(in)
+	got, err := runBatch(g, in, prog.OutputShape())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +376,7 @@ func TestGroupPipelinedReplicas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := g.Run(in)
+	got, err := runBatch(g, in, prog.OutputShape())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +415,7 @@ func TestGroupCPUProbeWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := g.Run(in)
+	got, err := runBatch(g, in, prog.OutputShape())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +454,7 @@ func TestGroupValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := tensor.New(tensor.Shape{N: 1, C: 1, H: 12, W: 12}, tensor.NCHW)
-	if _, err := g.Run(bad); err == nil {
+	if _, err := runBatch(g, bad, prog.OutputShape()); err == nil {
 		t.Error("a wrong input shape must be rejected")
 	}
 	g.Close()

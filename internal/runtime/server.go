@@ -309,9 +309,6 @@ func (s *BatchServer) Stats() ServerStats {
 	return st
 }
 
-// Cache returns the serving-side result cache, nil when disabled.
-func (s *BatchServer) Cache() *ResultCache { return s.cache }
-
 // Instrument attaches an observer to the server.  With a trace recorder,
 // every coalesced batch records a queue-wait span (admission of its oldest
 // request to dispatch), a coalesce span (first arrival at the worker to

@@ -161,7 +161,7 @@ func TestShardedGoldenEquivalence(t *testing.T) {
 				t.Fatalf("%s/%d: %v", tc.name, devices, err)
 			}
 			pe := runtime.NewPipelineExecutor(sp)
-			got, err := pe.Run(in)
+			got, err := runBatch(pe, in, prog.OutputShape())
 			if err != nil {
 				pe.Close()
 				t.Fatalf("%s/%d: pipelined run: %v", tc.name, devices, err)
@@ -171,7 +171,7 @@ func TestShardedGoldenEquivalence(t *testing.T) {
 			if tc.rerun {
 				// A second batch through the recycled stage arenas and
 				// boundary pools must be identical.
-				again, err := pe.Run(in)
+				again, err := runBatch(pe, in, prog.OutputShape())
 				if err != nil {
 					pe.Close()
 					t.Fatalf("%s/%d: pipelined rerun: %v", tc.name, devices, err)
@@ -197,6 +197,21 @@ func TestShardedGoldenEquivalence(t *testing.T) {
 	}
 }
 
+// batchRunner runs one batch into a caller-provided output.
+type batchRunner interface {
+	RunInto(in, dst *tensor.Tensor) error
+}
+
+// runBatch runs one batch through r's RunInto into a fresh output of shape
+// out, in the input's layout.
+func runBatch(r batchRunner, in *tensor.Tensor, out tensor.Shape) (*tensor.Tensor, error) {
+	dst := tensor.New(out, in.Layout)
+	if err := r.RunInto(in, dst); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
 // TestPipelineLifecycle covers close semantics and input validation.
 func TestPipelineLifecycle(t *testing.T) {
 	tiny, err := workloads.TinyNet()
@@ -213,16 +228,16 @@ func TestPipelineLifecycle(t *testing.T) {
 	}
 	pe := runtime.NewPipelineExecutor(sp)
 	bad := tensor.New(tensor.Shape{N: 1, C: 1, H: 12, W: 12}, tensor.NCHW)
-	if _, err := pe.Run(bad); err == nil {
+	if _, err := runBatch(pe, bad, prog.OutputShape()); err == nil {
 		t.Error("wrong input shape must be rejected")
 	}
 	in := tensor.Random(prog.InputShape(), tensor.NCHW, 3)
-	if _, err := pe.Run(in); err != nil {
+	if _, err := runBatch(pe, in, prog.OutputShape()); err != nil {
 		t.Fatal(err)
 	}
 	pe.Close()
 	pe.Close() // idempotent
-	if _, err := pe.Run(in); err != runtime.ErrPipelineClosed {
+	if _, err := runBatch(pe, in, prog.OutputShape()); err != runtime.ErrPipelineClosed {
 		t.Errorf("Run after Close returned %v, want ErrPipelineClosed", err)
 	}
 }

@@ -55,13 +55,6 @@ func newExecutor(p *Program, dev runtime.Device, planned bool) (*Executor, error
 	return &Executor{prog: p, exec: runtime.NewExecutorOn(p.Program, dev), inst: inst}, nil
 }
 
-// Program returns the compiled training program.
-func (e *Executor) Program() *Program { return e.prog }
-
-// Instrument attaches an observer to the step's op loop (see
-// runtime.Executor.Instrument); call it before the first step.
-func (e *Executor) Instrument(ob runtime.Observer, lane int32) { e.exec.Instrument(ob, lane) }
-
 // StepStats reports one training step.
 type StepStats struct {
 	// Loss is the mean softmax cross-entropy of the batch, computed from the

@@ -224,15 +224,18 @@ func TestLossDecreases(t *testing.T) {
 		t.Fatal(err)
 	}
 	scaleForTraining(net)
-	tr, err := NewTrainer(net, Options{SGD: SGD{LR: 0.05}})
+	p, err := CompileTraining(net, Options{SGD: SGD{LR: 0.05}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := tr.Executor().Program()
+	exec, err := NewExecutor(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	images, lbls := batch(p, 42)
 	var first, last float64
 	for step := 0; step < 5; step++ {
-		s, err := tr.Step(Batch{Images: images, Labels: lbls})
+		s, err := exec.Step(images, lbls)
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
@@ -246,6 +249,8 @@ func TestLossDecreases(t *testing.T) {
 	}
 }
 
+// TestTrainerEpoch steps one executor over three distinct batches, an epoch
+// in miniature: every step reports a plausible loss.
 func TestTrainerEpoch(t *testing.T) {
 	base, err := workloads.LeNet()
 	if err != nil {
@@ -255,23 +260,20 @@ func TestTrainerEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := NewTrainer(net, Options{})
+	p, err := CompileTraining(net, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := tr.Executor().Program()
-	var batches []Batch
+	exec, err := NewExecutor(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 3; i++ {
 		images, lbls := batch(p, uint64(100+i))
-		batches = append(batches, Batch{Images: images, Labels: lbls})
-	}
-	stats := make([]StepStats, len(batches))
-	for i, b := range batches {
-		if stats[i], err = tr.Step(b); err != nil {
+		s, err := exec.Step(images, lbls)
+		if err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
-	}
-	for i, s := range stats {
 		if s.Loss <= 0 || math.IsNaN(s.Loss) {
 			t.Errorf("step %d: implausible loss %v", i, s.Loss)
 		}
@@ -283,7 +285,7 @@ func TestTrainerEpoch(t *testing.T) {
 // must stay bit-identical to the CPU device (the sim device computes on the
 // host).
 func TestSimDeviceModelsTrainingStep(t *testing.T) {
-	mkExec := func(dev runtime.Device) *Executor {
+	mkExec := func(dev runtime.Device) (*Executor, *Program) {
 		base, err := workloads.LeNet()
 		if err != nil {
 			t.Fatal(err)
@@ -300,11 +302,11 @@ func TestSimDeviceModelsTrainingStep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return e
+		return e, p
 	}
-	sim := mkExec(runtime.NewSimDevice("sim0", gpusim.TitanBlack()))
-	cpu := mkExec(runtime.CPUDevice{})
-	images, lbls := batch(sim.Program(), 9)
+	sim, p := mkExec(runtime.NewSimDevice("sim0", gpusim.TitanBlack()))
+	cpu, _ := mkExec(runtime.CPUDevice{})
+	images, lbls := batch(p, 9)
 	ss, err := sim.Step(images, lbls)
 	if err != nil {
 		t.Fatal(err)
@@ -388,7 +390,7 @@ func TestStepSharesTheRunLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	observed.Instrument(runtime.Observer{Trace: rec}, runtime.LaneEngine)
+	observed.exec.Instrument(runtime.Observer{Trace: rec}, runtime.LaneEngine)
 	if _, err := observed.Step(images, lbls); err != nil {
 		t.Fatal(err)
 	}

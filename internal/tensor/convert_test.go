@@ -157,7 +157,7 @@ func TestRelClose(t *testing.T) {
 func BenchmarkConvertCHWNToNCHW(b *testing.B) {
 	src := Random(Shape{N: 128, C: 16, H: 28, W: 28}, CHWN, 1)
 	dst := New(src.Shape, NCHW)
-	b.SetBytes(src.Bytes())
+	b.SetBytes(src.Shape.Bytes())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := ConvertInto(src, dst); err != nil {

@@ -210,11 +210,6 @@ func (t *Tensor) Set(n, c, h, w int, v float32) {
 	t.Data[t.Shape.Offset(t.Layout, n, c, h, w)] = v
 }
 
-// Offset returns the linear offset of (n,c,h,w) under the tensor's layout.
-func (t *Tensor) Offset(n, c, h, w int) int {
-	return t.Shape.Offset(t.Layout, n, c, h, w)
-}
-
 func (t *Tensor) check(n, c, h, w int) {
 	s := t.Shape
 	if n < 0 || n >= s.N || c < 0 || c >= s.C || h < 0 || h >= s.H || w < 0 || w >= s.W {
@@ -228,9 +223,6 @@ func (t *Tensor) Clone() *Tensor {
 	copy(out.Data, t.Data)
 	return out
 }
-
-// Bytes returns the storage size of the tensor in bytes.
-func (t *Tensor) Bytes() int64 { return t.Shape.Bytes() }
 
 // Fill sets every element to v.
 func (t *Tensor) Fill(v float32) {

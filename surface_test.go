@@ -2,14 +2,14 @@ package memcnn_test
 
 import (
 	"go/ast"
-	"go/parser"
-	"go/token"
-	"io/fs"
+	"go/types"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
+
+	"memcnn/internal/analyzers"
 )
 
 // surfaceAllowlist names the declarations under internal/ that no non-test
@@ -28,62 +28,72 @@ var surfaceAllowlist = map[string]string{
 	"runtime.FaultDevice.Dead":        "chaos control: the replica chaos tests read the kill switch back",
 	"runtime.FaultDevice.FaultCounts": "chaos control: the replica chaos tests assert the exact injected-fault counters",
 	"verify.Sharded":                  "checker of Shard's output: the runtime tests run it over every cut of every network",
-}
-
-// decl is one package-level declaration of a non-test file: a function, a
-// method, a type, or one name of a const or var group.
-type decl struct {
-	dir     string          // directory relative to the repository root
-	key     string          // "pkg.Name" or "pkg.Recv.Name"
-	name    string          // the identifier other code would write
-	recv    string          // a method's receiver type
-	pos     string          // file:line
-	idents  map[string]bool // every identifier its definition mentions
-	imports map[string]bool // directories of the module its file imports
-	named   bool            // a method some live code mentions by name
-	live    bool
+	"obs.Recorder.Snapshot":           "span read-back of the runtime and train tests that check what an instrumented run records",
 }
 
 // implicitMethods are called by the standard library through an interface,
 // never by name in this repository.
 var implicitMethods = map[string]bool{"String": true, "Error": true, "ServeHTTP": true}
 
-// TestSurfaceFollowsCallers parses every non-test Go file of the repository
-// (benchmark/ included), marks what is reachable by name from the main and
-// init functions, and fails on a declaration under internal/ that nothing
-// live names: code that only tests reach is either an oracle, which lives in
-// a _test.go file, or dead.  Matching is by identifier, not by type, so it
-// errs towards keeping: a function, type, constant or variable is live when a
-// live declaration of its package, or of a file importing its package,
-// mentions its name; a method when its receiver type is live and anything
-// live mentions its name.
+// decl is one package-level declaration of a non-test file: a function, a
+// method, a type, or one name of a const or var group.
+type decl struct {
+	id         string          // objectID of what it declares
+	key        string          // "pkg.Name" or "pkg.Recv.Name", as the allowlist writes it
+	recv       string          // a method's receiver type, by objectID
+	name       string          // the declared identifier
+	pos        string          // file:line
+	internal   bool            // declared under internal/
+	root       bool            // a main or init function
+	uses       map[string]bool // objectIDs of the declarations its definition uses
+	ifaceCalls map[string]bool // names of the interface methods it selects
+	live       bool
+}
+
+// TestSurfaceFollowsCallers type-checks every non-test Go file of the
+// repository (the benchmark/ module included), marks what is reachable from
+// the main and init functions, and fails on a declaration under internal/
+// that nothing live uses: code that only tests reach is either an oracle,
+// which lives in a _test.go file, or dead.  Names resolve by type: a
+// function, type, constant or variable is live when live code uses that
+// object; a method when live code selects it on its own type, or when its
+// receiver type is live and live code selects an interface method of the
+// same name.
 func TestSurfaceFollowsCallers(t *testing.T) {
-	decls := parseDecls(t)
-	byName := map[string][]*decl{}
-	types := map[string]*decl{}
-	methods := map[*decl][]*decl{}
-	for _, d := range decls {
-		byName[d.name] = append(byName[d.name], d)
-		if d.recv == "" {
-			types[d.dir+"."+d.name] = d
+	base, err := filepath.Abs(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decls []*decl
+	for _, dir := range []string{".", "benchmark"} {
+		pkgs, err := analyzers.Load(dir, "./...")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pkg := range pkgs {
+			decls = append(decls, pkgDecls(base, pkg)...)
 		}
 	}
+	byID := map[string]*decl{}
+	methods := map[string][]*decl{} // by receiver type
 	for _, d := range decls {
+		byID[d.id] = d
 		if d.recv != "" {
-			methods[types[d.dir+"."+d.recv]] = append(methods[types[d.dir+"."+d.recv]], d)
-			d.named = implicitMethods[d.name]
+			methods[d.recv] = append(methods[d.recv], d)
 		}
 	}
+
+	called := map[string]bool{} // interface methods live code selects
 	var work []*decl
 	var mark func(d *decl)
 	mark = func(d *decl) {
-		if d.live {
+		if d == nil || d.live {
 			return
 		}
 		d.live = true
 		work = append(work, d)
-		for _, m := range methods[d] {
-			if m.named {
+		for _, m := range methods[d.id] {
+			if implicitMethods[m.name] || called[m.name] {
 				mark(m)
 			}
 		}
@@ -92,16 +102,16 @@ func TestSurfaceFollowsCallers(t *testing.T) {
 		for len(work) > 0 {
 			from := work[len(work)-1]
 			work = work[:len(work)-1]
-			for name := range from.idents {
-				for _, d := range byName[name] {
-					switch {
-					case d == from:
-					case d.recv != "":
-						d.named = true
-						if types[d.dir+"."+d.recv].live {
-							mark(d)
-						}
-					case d.dir == from.dir || from.imports[d.dir]:
+			for id := range from.uses {
+				mark(byID[id])
+			}
+			for name := range from.ifaceCalls {
+				if called[name] {
+					continue
+				}
+				called[name] = true
+				for _, d := range decls {
+					if d.name == name && d.recv != "" && byID[d.recv].live {
 						mark(d)
 					}
 				}
@@ -109,7 +119,7 @@ func TestSurfaceFollowsCallers(t *testing.T) {
 		}
 	}
 	for _, d := range decls {
-		if d.recv == "" && (d.name == "main" || d.name == "init" || d.name == "_") {
+		if d.root {
 			mark(d)
 		}
 	}
@@ -120,10 +130,10 @@ func TestSurfaceFollowsCallers(t *testing.T) {
 	// already reached no longer needs its entry.
 	allowed := map[string]bool{}
 	for _, d := range decls {
-		if _, ok := surfaceAllowlist[d.key]; ok && strings.HasPrefix(d.dir, "internal/") {
+		if _, ok := surfaceAllowlist[d.key]; ok && d.internal {
 			allowed[d.key] = true
 			if d.live {
-				t.Errorf("allowlist entry %s is named by non-test code at %s: remove the entry", d.key, d.pos)
+				t.Errorf("allowlist entry %s is used by non-test code at %s: remove the entry", d.key, d.pos)
 			}
 			mark(d)
 		}
@@ -140,109 +150,120 @@ func TestSurfaceFollowsCallers(t *testing.T) {
 
 	var dead []string
 	for _, d := range decls {
-		if !d.live && strings.HasPrefix(d.dir, "internal/") {
+		if !d.live && d.internal {
 			dead = append(dead, d.pos+": "+d.key)
 		}
 	}
 	sort.Strings(dead)
 	for _, line := range dead {
-		t.Errorf("%s is named by no non-test code: delete it, move it into a _test.go file, or allowlist it with a reason", line)
+		t.Errorf("%s is used by no non-test code: delete it, move it into a _test.go file, or allowlist it with a reason", line)
 	}
 }
 
-func parseDecls(t *testing.T) []*decl {
-	t.Helper()
-	const module = "memcnn/"
-	fset := token.NewFileSet()
+// pkgDecls lists the package-level declarations of one type-checked package
+// with what each one's definition uses.
+func pkgDecls(base string, pkg *analyzers.Package) []*decl {
 	var decls []*decl
-	err := filepath.WalkDir(".", func(path string, e fs.DirEntry, err error) error {
-		if err != nil {
-			return err
+	add := func(ident *ast.Ident, node ast.Node) {
+		obj := pkg.Info.Defs[ident]
+		id, root := objectID(obj), false
+		switch {
+		case ident.Name == "init" && !isMethod(obj):
+			// init functions are in no scope: nothing can name them.
+			id, root = pkg.ImportPath+".init", true
+		case ident.Name == "main" && pkg.Types.Name() == "main":
+			root = true
 		}
-		if e.IsDir() {
-			if name := e.Name(); path != "." && (name[0] == '.' || name == "testdata") {
-				return filepath.SkipDir
+		if id == "" {
+			return
+		}
+		d := &decl{
+			id:         id,
+			key:        pkg.Types.Name() + strings.TrimPrefix(id, pkg.ImportPath),
+			name:       ident.Name,
+			root:       root,
+			internal:   strings.HasPrefix(pkg.ImportPath, "memcnn/internal/"),
+			uses:       map[string]bool{},
+			ifaceCalls: map[string]bool{},
+		}
+		if isMethod(obj) {
+			d.recv = strings.TrimSuffix(id, "."+ident.Name)
+		}
+		p := pkg.Fset.Position(ident.Pos())
+		if rel, err := filepath.Rel(base, p.Filename); err == nil {
+			p.Filename = rel
+		}
+		d.pos = filepath.ToSlash(p.Filename) + ":" + strconv.Itoa(p.Line)
+		// A constant that repeats its group's last value names no type, but
+		// has one.
+		if _, ok := obj.(*types.Const); ok {
+			if named, ok := obj.Type().(*types.Named); ok {
+				d.uses[objectID(named.Obj())] = true
 			}
-			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		dir := filepath.ToSlash(filepath.Dir(path))
-		imports := map[string]bool{}
-		for _, imp := range file.Imports {
-			if p, _ := strconv.Unquote(imp.Path.Value); strings.HasPrefix(p, module) {
-				imports[strings.TrimPrefix(p, module)] = true
+		ast.Inspect(node, func(n ast.Node) bool {
+			ident, ok := n.(*ast.Ident)
+			if !ok {
+				return true
 			}
-		}
-		add := func(name, recv string, nodes ...ast.Node) {
-			d := &decl{dir: dir, name: name, recv: recv, imports: imports, idents: map[string]bool{}}
-			d.key = file.Name.Name + "." + name
-			if recv != "" {
-				d.key = file.Name.Name + "." + recv + "." + name
+			used := pkg.Info.Uses[ident]
+			if isMethod(used) && types.IsInterface(used.Type().(*types.Signature).Recv().Type()) {
+				d.ifaceCalls[used.Name()] = true
+			} else if uid := objectID(used); uid != "" {
+				d.uses[uid] = true
 			}
-			p := fset.Position(nodes[0].Pos())
-			d.pos = filepath.ToSlash(p.Filename) + ":" + strconv.Itoa(p.Line)
-			for _, node := range nodes {
-				ast.Inspect(node, func(n ast.Node) bool {
-					if id, ok := n.(*ast.Ident); ok {
-						d.idents[id.Name] = true
-					}
-					return true
-				})
-			}
-			decls = append(decls, d)
-		}
+			return true
+		})
+		decls = append(decls, d)
+	}
+	for _, file := range pkg.Files {
 		for _, top := range file.Decls {
 			switch top := top.(type) {
 			case *ast.FuncDecl:
-				recv := ""
-				if top.Recv != nil {
-					recv = receiverName(top.Recv.List[0].Type)
-				}
-				add(top.Name.Name, recv, top)
+				add(top.Name, top)
 			case *ast.GenDecl:
-				var valued *ast.ValueSpec
 				for _, spec := range top.Specs {
 					switch spec := spec.(type) {
 					case *ast.TypeSpec:
-						add(spec.Name.Name, "", spec)
+						add(spec.Name, spec)
 					case *ast.ValueSpec:
-						// A constant with no value repeats the last one that
-						// has one, type included.
-						if len(spec.Values) > 0 || valued == nil {
-							valued = spec
-						}
 						for _, name := range spec.Names {
-							add(name.Name, "", spec, valued)
+							add(name, spec)
 						}
 					}
 				}
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	return decls
 }
 
-func receiverName(expr ast.Expr) string {
-	for {
-		switch e := expr.(type) {
-		case *ast.StarExpr:
-			expr = e.X
-		case *ast.IndexExpr:
-			expr = e.X
-		case *ast.Ident:
-			return e.Name
-		default:
+func isMethod(obj types.Object) bool {
+	fn, ok := obj.(*types.Func)
+	return ok && fn.Type().(*types.Signature).Recv() != nil
+}
+
+// objectID names a package-level object or a method of a named type the same
+// way whether the object was type-checked from source or imported from export
+// data ("path.Name" or "path.Recv.Name"); anything else gets "".
+func objectID(obj types.Object) string {
+	if obj == nil || obj.Pkg() == nil {
+		return ""
+	}
+	path := obj.Pkg().Path()
+	if isMethod(obj) {
+		recv := obj.Type().(*types.Signature).Recv().Type()
+		if ptr, ok := recv.(*types.Pointer); ok {
+			recv = ptr.Elem()
+		}
+		named, ok := recv.(*types.Named)
+		if !ok {
 			return ""
 		}
+		return path + "." + named.Obj().Name() + "." + obj.Name()
 	}
+	if obj.Pkg().Scope().Lookup(obj.Name()) != obj {
+		return ""
+	}
+	return path + "." + obj.Name()
 }
