@@ -74,27 +74,29 @@ func Gemm(a []float32, b []float32, m, n, k int) ([]float32, error) {
 	return c, nil
 }
 
-// ConvBackwardData is ConvBackwardDataInto into a fresh tensor in outLayout.
+// ConvBackwardData is ConvGemmBackwardDataInto over a fresh workspace, into
+// a fresh tensor in outLayout.
 func ConvBackwardData(dOut, filters *tensor.Tensor, cfg ConvConfig, outLayout tensor.Layout) (*tensor.Tensor, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	dIn := tensor.New(cfg.InputShape(), outLayout)
-	if err := ConvBackwardDataInto(dOut, filters, dIn, cfg); err != nil {
+	if err := ConvGemmBackwardDataInto(dOut, filters, dIn, cfg, make([]float32, ConvGemmBackwardDataWorkspaceElems(cfg))); err != nil {
 		return nil, err
 	}
 	return dIn, nil
 }
 
-// ConvBackwardFilter is ConvBackwardFilterInto into a fresh NCHW tensor.
+// ConvBackwardFilter is ConvGemmBackwardFilterInto over a fresh workspace,
+// into a fresh NCHW tensor.
 func ConvBackwardFilter(in, dOut *tensor.Tensor, cfg ConvConfig) (*tensor.Tensor, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	dW := tensor.New(cfg.FilterShape(), tensor.NCHW)
-	if err := ConvBackwardFilterInto(in, dOut, dW, cfg); err != nil {
+	if err := ConvGemmBackwardFilterInto(in, dOut, dW, cfg, make([]float32, ConvGemmBackwardFilterWorkspaceElems(cfg))); err != nil {
 		return nil, err
 	}
 	return dW, nil

@@ -13,170 +13,17 @@ import (
 // same data structures and convolution operations are used in the forward and
 // backward passes, so the layout findings carry over to training; its Caffe
 // integration is profiled on complete forward-backward iterations.  This file
-// provides the backward kernels needed to price (and functionally check) a
-// training step: convolution gradients with respect to the input and to the
-// filters, pooling backward, ReLU backward and the fused softmax +
-// cross-entropy gradient.
+// provides pooling backward, ReLU backward, the fused softmax + cross-entropy
+// gradient and the GPU cost models of a training step.  A convolution's two
+// gradients, whichever algorithm its forward runs, are the packed GEMM core's
+// (backward_gemm.go).
 //
 // Every kernel writes into a caller-provided gradient tensor; the planned
 // training executor (internal/runtime/train) runs them over arena-planned
 // buffers, so a steady-state training step allocates no tensors.  Work is
 // distributed plane by plane (par.Planes) with a fixed per-element
-// accumulation order, so results do not depend on the worker count.  The two
-// convolution gradients are stride walks over lane tiles, like the forward
-// direct kernel; conv_direct.go describes the scheme.
-
-// ConvBackwardDataInto computes the gradient of the convolution with respect
-// to its input: dIn[n][c][ih][iw] = sum over (k, fh, fw) hitting (ih, iw) of
-// dOut[n][k][oh][ow] * filter[k][c][fh][fw].  It writes into a
-// caller-provided input-gradient tensor of the config's input shape (any
-// layout).  Every element is overwritten, so the destination's prior contents
-// do not matter.  Each (c, ih) row is computed by exactly one worker with a
-// fixed accumulation order, so the result is bit-deterministic for any worker
-// count.
-//
-//memcnn:noalloc
-func ConvBackwardDataInto(dOut, filters, dIn *tensor.Tensor, cfg ConvConfig) error {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	if dOut.Shape != cfg.OutputShape() {
-		return fmt.Errorf("kernels: backward-data dOut shape %v does not match config %v", dOut.Shape, cfg.OutputShape())
-	}
-	if filters.Shape != cfg.FilterShape() {
-		return fmt.Errorf("kernels: filter shape %v does not match config %v", filters.Shape, cfg.FilterShape())
-	}
-	if dIn.Shape != cfg.InputShape() {
-		return fmt.Errorf("kernels: backward-data dIn shape %v does not match config %v", dIn.Shape, cfg.InputShape())
-	}
-	j := convJob{cfg: cfg, outH: cfg.OutH(), outW: cfg.OutW(),
-		in: stridesOf(dIn), filters: stridesOf(filters), out: stridesOf(dOut)}
-	par.Planes(cfg.C*cfg.H, j, convBackwardDataPlane)
-	return nil
-}
-
-// convBackwardDataPlane computes input-gradient row (c, ih) for every image,
-// summing each element's taps in k→fh→fw order.  Lanes run along n with iw
-// stepping outside them, or the other way round; along W a tap at stride S
-// lands on every S-th lane.
-//
-//memcnn:noalloc
-func convBackwardDataPlane(j convJob, p int) {
-	cfg, dIn, dOut := &j.cfg, &j.in, &j.out
-	c, ih := p/cfg.H, p%cfg.H
-	alongN := dOut.lanesAlongN()
-	lanes, others, inStep := cfg.W, cfg.N, dIn.w
-	if alongN {
-		lanes, others, inStep = cfg.N, cfg.W, dIn.n
-	}
-	var tile [laneTile]float64
-	for o := 0; o < others; o++ {
-		for l0 := 0; l0 < lanes; l0 += laneTile {
-			acc := tile[:min(laneTile, lanes-l0)]
-			for i := range acc {
-				acc[i] = 0
-			}
-			n, iw := o, l0
-			if alongN {
-				n, iw = l0, o
-			}
-			for k := 0; k < cfg.K; k++ {
-				for fh := 0; fh < cfg.FH; fh++ {
-					ohNum := ih + cfg.PadH - fh
-					if ohNum < 0 || ohNum%cfg.StrideH != 0 || ohNum/cfg.StrideH >= j.outH {
-						continue
-					}
-					gRow := dOut.data[n*dOut.n+k*dOut.c+ohNum/cfg.StrideH*dOut.h:]
-					fRow := j.filters.data[k*j.filters.n+c*j.filters.c+fh*j.filters.h:]
-					for fw := 0; fw < cfg.FW; fw++ {
-						w := float64(fRow[fw*j.filters.w])
-						if alongN {
-							if owNum := iw + cfg.PadW - fw; owNum >= 0 && owNum%cfg.StrideW == 0 && owNum/cfg.StrideW < j.outW {
-								fmaLanes(acc, 1, gRow[owNum/cfg.StrideW*dOut.w:], dOut.n, w, len(acc))
-							}
-							continue
-						}
-						if lo, hi := tapRange(fw, cfg.StrideW, cfg.PadW, iw, iw+len(acc), 0, j.outW); lo < hi {
-							fmaLanes(acc[lo*cfg.StrideW-cfg.PadW+fw-iw:], cfg.StrideW, gRow[lo*dOut.w:], dOut.w, w, hi-lo)
-						}
-					}
-				}
-			}
-			dst := dIn.data[n*dIn.n+c*dIn.c+ih*dIn.h+iw*dIn.w:]
-			for i, v := range acc {
-				dst[i*inStep] = float32(v)
-			}
-		}
-	}
-}
-
-// ConvBackwardFilterInto computes the gradient of the convolution with
-// respect to its filter bank: dW[k][c][fh][fw] = sum over (n, oh, ow) of
-// dOut[n][k][oh][ow] * in[n][c][oh*S+fh-pad][ow*S+fw-pad].  It writes into a
-// caller-provided filter-gradient tensor of the config's filter shape.  Each
-// (k, c, fh) filter row is accumulated by exactly one worker in a fixed
-// (n, oh, ow) order, so the result is bit-deterministic for any worker count.
-//
-//memcnn:noalloc
-func ConvBackwardFilterInto(in, dOut, dW *tensor.Tensor, cfg ConvConfig) error {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	if in.Shape != cfg.InputShape() {
-		return fmt.Errorf("kernels: backward-filter input shape %v does not match config %v", in.Shape, cfg.InputShape())
-	}
-	if dOut.Shape != cfg.OutputShape() {
-		return fmt.Errorf("kernels: backward-filter dOut shape %v does not match config %v", dOut.Shape, cfg.OutputShape())
-	}
-	if dW.Shape != cfg.FilterShape() {
-		return fmt.Errorf("kernels: backward-filter dW shape %v does not match config %v", dW.Shape, cfg.FilterShape())
-	}
-	j := convJob{cfg: cfg, outH: cfg.OutH(), outW: cfg.OutW(),
-		in: stridesOf(in), filters: stridesOf(dW), out: stridesOf(dOut)}
-	par.Planes(cfg.K*cfg.C*cfg.FH, j, convBackwardFilterPlane)
-	return nil
-}
-
-// convBackwardFilterPlane computes filter-gradient row (k, c, fh).  Each
-// element is one serial n→oh→ow sum, so the lanes are the row's fw taps: one
-// gradient value is hoisted per (n, oh, ow) and multiplied into every tap's
-// accumulator, which keeps FW independent chains in flight.
-//
-//memcnn:noalloc
-func convBackwardFilterPlane(j convJob, p int) {
-	cfg, in, dW, dOut := &j.cfg, &j.in, &j.filters, &j.out
-	k, c, fh := p/(cfg.C*cfg.FH), p/cfg.FH%cfg.C, p%cfg.FH
-	var tile [laneTile]float64
-	for f0 := 0; f0 < cfg.FW; f0 += laneTile {
-		acc := tile[:min(laneTile, cfg.FW-f0)]
-		for i := range acc {
-			acc[i] = 0
-		}
-		for n := 0; n < cfg.N; n++ {
-			for oh := 0; oh < j.outH; oh++ {
-				ih := oh*cfg.StrideH - cfg.PadH + fh
-				if ih < 0 || ih >= cfg.H {
-					continue
-				}
-				inRow := in.data[n*in.n+c*in.c+ih*in.h:]
-				gRow := dOut.data[n*dOut.n+k*dOut.c+oh*dOut.h:]
-				for ow := 0; ow < j.outW; ow++ {
-					iw0 := ow*cfg.StrideW - cfg.PadW // input column of tap fw = 0
-					lo, hi := max(f0, -iw0), min(f0+len(acc), cfg.W-iw0)
-					if lo < hi {
-						fmaLanes(acc[lo-f0:], 1, inRow[(iw0+lo)*in.w:], in.w, float64(gRow[ow*dOut.w]), hi-lo)
-					}
-				}
-			}
-		}
-		dst := dW.data[k*dW.n+c*dW.c+fh*dW.h+f0*dW.w:]
-		for i, v := range acc {
-			dst[i*dW.w] = float32(v)
-		}
-	}
-}
+// accumulation order, so results do not depend on the worker count.  Pooling
+// backward walks each window through the tensors' strides.
 
 // ConvBackwardDataCHWNCost models the backward-data pass of the direct
 // convolution on the CHWN layout.  The access structure mirrors the forward
@@ -268,49 +115,59 @@ func PoolBackwardInto(in, dOut, dIn *tensor.Tensor, cfg PoolConfig) error {
 	if dIn.Shape != cfg.InputShape() {
 		return fmt.Errorf("kernels: pool backward dIn shape %v does not match config %v", dIn.Shape, cfg.InputShape())
 	}
-	par.Planes(cfg.N*cfg.C, poolBackwardJob{in, dOut, dIn, cfg}, poolBackwardPlane)
+	j := poolBackwardJob{cfg: cfg, outH: cfg.OutH(), outW: cfg.OutW(), in: stridesOf(in), dOut: stridesOf(dOut), dIn: stridesOf(dIn)}
+	par.Planes(cfg.N*cfg.C, j, poolBackwardPlane)
 	return nil
 }
 
 type poolBackwardJob struct {
-	in, dOut, dIn *tensor.Tensor
 	cfg           PoolConfig
+	outH, outW    int
+	in, dOut, dIn strided
 }
 
 // poolBackwardPlane zeroes input-gradient plane (n, c) and scatters the
-// plane's output gradients into it in (oh, ow) order.
+// plane's output gradients into it in (oh, ow) order, walking each window
+// through the strides of in and dIn.
+//
+//memcnn:noalloc
 func poolBackwardPlane(j poolBackwardJob, p int) {
-	in, dOut, dIn, cfg := j.in, j.dOut, j.dIn, j.cfg
-	outH, outW := cfg.OutH(), cfg.OutW()
+	cfg, in, dOut, dIn := &j.cfg, &j.in, &j.dOut, &j.dIn
 	n, c := p/cfg.C, p%cfg.C
+	src := in.data[n*in.n+c*in.c:]
+	g := dOut.data[n*dOut.n+c*dOut.c:]
+	dst := dIn.data[n*dIn.n+c*dIn.c:]
 	for h := 0; h < cfg.H; h++ {
+		row := dst[h*dIn.h:]
 		for w := 0; w < cfg.W; w++ {
-			dIn.Set(n, c, h, w, 0)
+			row[w*dIn.w] = 0
 		}
 	}
-	for oh := 0; oh < outH; oh++ {
-		for ow := 0; ow < outW; ow++ {
-			g := dOut.At(n, c, oh, ow)
-			h0, w0 := oh*cfg.Stride, ow*cfg.Stride
+	area := float32(cfg.Window * cfg.Window)
+	for oh := 0; oh < j.outH; oh++ {
+		for ow := 0; ow < j.outW; ow++ {
+			v := g[oh*dOut.h+ow*dOut.w]
+			win := src[oh*cfg.Stride*in.h+ow*cfg.Stride*in.w:]
+			to := dst[oh*cfg.Stride*dIn.h+ow*cfg.Stride*dIn.w:]
 			if cfg.Op == AvgPool {
-				share := g / float32(cfg.Window*cfg.Window)
+				share := v / area
 				for y := 0; y < cfg.Window; y++ {
 					for x := 0; x < cfg.Window; x++ {
-						dIn.Set(n, c, h0+y, w0+x, dIn.At(n, c, h0+y, w0+x)+share)
+						to[y*dIn.h+x*dIn.w] += share
 					}
 				}
 				continue
 			}
 			bestY, bestX := 0, 0
-			best := in.At(n, c, h0, w0)
+			best := win[0]
 			for y := 0; y < cfg.Window; y++ {
 				for x := 0; x < cfg.Window; x++ {
-					if v := in.At(n, c, h0+y, w0+x); v > best {
-						best, bestY, bestX = v, y, x
+					if u := win[y*in.h+x*in.w]; u > best {
+						best, bestY, bestX = u, y, x
 					}
 				}
 			}
-			dIn.Set(n, c, h0+bestY, w0+bestX, dIn.At(n, c, h0+bestY, w0+bestX)+g)
+			to[bestY*dIn.h+bestX*dIn.w] += v
 		}
 	}
 }

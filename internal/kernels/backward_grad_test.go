@@ -73,7 +73,7 @@ func TestConvBackwardDataGradient(t *testing.T) {
 		dOut := tensor.Random(cfg.OutputShape(), tensor.NCHW, 13)
 
 		dIn := tensor.New(cfg.InputShape(), tensor.NCHW)
-		if err := ConvBackwardDataInto(dOut, filters, dIn, cfg); err != nil {
+		if err := ConvGemmBackwardDataInto(dOut, filters, dIn, cfg, make([]float32, ConvGemmBackwardDataWorkspaceElems(cfg))); err != nil {
 			t.Fatalf("%v: %v", cfg, err)
 		}
 		out := tensor.New(cfg.OutputShape(), tensor.NCHW)
@@ -94,7 +94,7 @@ func TestConvBackwardFilterGradient(t *testing.T) {
 		dOut := tensor.Random(cfg.OutputShape(), tensor.NCHW, 23)
 
 		dW := tensor.New(cfg.FilterShape(), tensor.NCHW)
-		if err := ConvBackwardFilterInto(in, dOut, dW, cfg); err != nil {
+		if err := ConvGemmBackwardFilterInto(in, dOut, dW, cfg, make([]float32, ConvGemmBackwardFilterWorkspaceElems(cfg))); err != nil {
 			t.Fatalf("%v: %v", cfg, err)
 		}
 		out := tensor.New(cfg.OutputShape(), tensor.NCHW)
@@ -252,15 +252,17 @@ func TestBackwardIntoDeterminism(t *testing.T) {
 	dOut := tensor.Random(cfg.OutputShape(), tensor.NCHW, 63)
 	pin := tensor.Random(pcfg.InputShape(), tensor.NCHW, 64)
 	pdOut := tensor.Random(pcfg.OutputShape(), tensor.NCHW, 65)
+	dataScratch := make([]float32, ConvGemmBackwardDataWorkspaceElems(cfg))
+	filterScratch := make([]float32, ConvGemmBackwardFilterWorkspaceElems(cfg))
 
 	run := func() (dIn, dW, pdIn *tensor.Tensor) {
 		dIn = tensor.New(cfg.InputShape(), tensor.NCHW)
 		dW = tensor.New(cfg.FilterShape(), tensor.NCHW)
 		pdIn = tensor.New(pcfg.InputShape(), tensor.NCHW)
-		if err := ConvBackwardDataInto(dOut, filters, dIn, cfg); err != nil {
+		if err := ConvGemmBackwardDataInto(dOut, filters, dIn, cfg, dataScratch); err != nil {
 			t.Fatal(err)
 		}
-		if err := ConvBackwardFilterInto(in, dOut, dW, cfg); err != nil {
+		if err := ConvGemmBackwardFilterInto(in, dOut, dW, cfg, filterScratch); err != nil {
 			t.Fatal(err)
 		}
 		if err := PoolBackwardInto(pin, pdOut, pdIn, pcfg); err != nil {

@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -41,71 +42,6 @@ func oracleConvForward(in, filters, out *tensor.Tensor, cfg ConvConfig) {
 	}
 }
 
-func oracleConvBackwardData(dOut, filters, dIn *tensor.Tensor, cfg ConvConfig) {
-	outH, outW := cfg.OutH(), cfg.OutW()
-	for n := 0; n < cfg.N; n++ {
-		for c := 0; c < cfg.C; c++ {
-			for ih := 0; ih < cfg.H; ih++ {
-				for iw := 0; iw < cfg.W; iw++ {
-					var acc float64
-					for k := 0; k < cfg.K; k++ {
-						for fh := 0; fh < cfg.FH; fh++ {
-							ohNum := ih + cfg.PadH - fh
-							if ohNum < 0 || ohNum%cfg.StrideH != 0 {
-								continue
-							}
-							oh := ohNum / cfg.StrideH
-							if oh >= outH {
-								continue
-							}
-							for fw := 0; fw < cfg.FW; fw++ {
-								owNum := iw + cfg.PadW - fw
-								if owNum < 0 || owNum%cfg.StrideW != 0 {
-									continue
-								}
-								ow := owNum / cfg.StrideW
-								if ow >= outW {
-									continue
-								}
-								acc += float64(dOut.At(n, k, oh, ow)) * float64(filters.At(k, c, fh, fw))
-							}
-						}
-					}
-					dIn.Set(n, c, ih, iw, float32(acc))
-				}
-			}
-		}
-	}
-}
-
-func oracleConvBackwardFilter(in, dOut, dW *tensor.Tensor, cfg ConvConfig) {
-	for k := 0; k < cfg.K; k++ {
-		for c := 0; c < cfg.C; c++ {
-			for fh := 0; fh < cfg.FH; fh++ {
-				for fw := 0; fw < cfg.FW; fw++ {
-					var acc float64
-					for n := 0; n < cfg.N; n++ {
-						for oh := 0; oh < cfg.OutH(); oh++ {
-							ih := oh*cfg.StrideH - cfg.PadH + fh
-							if ih < 0 || ih >= cfg.H {
-								continue
-							}
-							for ow := 0; ow < cfg.OutW(); ow++ {
-								iw := ow*cfg.StrideW - cfg.PadW + fw
-								if iw < 0 || iw >= cfg.W {
-									continue
-								}
-								acc += float64(dOut.At(n, k, oh, ow)) * float64(in.At(n, c, ih, iw))
-							}
-						}
-					}
-					dW.Set(k, c, fh, fw, float32(acc))
-				}
-			}
-		}
-	}
-}
-
 func oraclePool(in, out *tensor.Tensor, cfg PoolConfig) {
 	for n := 0; n < cfg.N; n++ {
 		for c := 0; c < cfg.C; c++ {
@@ -127,6 +63,46 @@ func oraclePool(in, out *tensor.Tensor, cfg PoolConfig) {
 						best = float32(sum / float64(cfg.Window*cfg.Window))
 					}
 					out.Set(n, c, oh, ow, best)
+				}
+			}
+		}
+	}
+}
+
+// oraclePoolBackward is the At/Set loop PoolBackwardInto's stride walk
+// replaced: zero the plane, then scatter every output gradient in (oh, ow)
+// order, to the window's first maximum or spread over the window.
+func oraclePoolBackward(in, dOut, dIn *tensor.Tensor, cfg PoolConfig) {
+	for n := 0; n < cfg.N; n++ {
+		for c := 0; c < cfg.C; c++ {
+			for h := 0; h < cfg.H; h++ {
+				for w := 0; w < cfg.W; w++ {
+					dIn.Set(n, c, h, w, 0)
+				}
+			}
+			for oh := 0; oh < cfg.OutH(); oh++ {
+				for ow := 0; ow < cfg.OutW(); ow++ {
+					g := dOut.At(n, c, oh, ow)
+					h0, w0 := oh*cfg.Stride, ow*cfg.Stride
+					if cfg.Op == AvgPool {
+						share := g / float32(cfg.Window*cfg.Window)
+						for y := 0; y < cfg.Window; y++ {
+							for x := 0; x < cfg.Window; x++ {
+								dIn.Set(n, c, h0+y, w0+x, dIn.At(n, c, h0+y, w0+x)+share)
+							}
+						}
+						continue
+					}
+					bestY, bestX := 0, 0
+					best := in.At(n, c, h0, w0)
+					for y := 0; y < cfg.Window; y++ {
+						for x := 0; x < cfg.Window; x++ {
+							if v := in.At(n, c, h0+y, w0+x); v > best {
+								best, bestY, bestX = v, y, x
+							}
+						}
+					}
+					dIn.Set(n, c, h0+bestY, w0+bestX, dIn.At(n, c, h0+bestY, w0+bestX)+g)
 				}
 			}
 		}
@@ -183,7 +159,6 @@ func TestLaneConvKernelsMatchOracle(t *testing.T) {
 				name := fmt.Sprintf("%v %v→%v filters %v", cfg, la, lb, lf)
 				in := tensor.Random(cfg.InputShape(), la, uint64(ci)+1)
 				filters := tensor.Convert(tensor.Filters(cfg.K, cfg.C, cfg.FH, cfg.FW, uint64(ci)+2), lf)
-				dOut := tensor.Random(cfg.OutputShape(), lb, uint64(ci)+3)
 
 				got, want := tensor.New(cfg.OutputShape(), lb), tensor.New(cfg.OutputShape(), lb)
 				if err := ConvDirectInto(in, filters, got, cfg); err != nil {
@@ -191,20 +166,6 @@ func TestLaneConvKernelsMatchOracle(t *testing.T) {
 				}
 				oracleConvForward(in, filters, want, cfg)
 				sameBits(t, "forward "+name, got, want)
-
-				got, want = tensor.New(cfg.InputShape(), la), tensor.New(cfg.InputShape(), la)
-				if err := ConvBackwardDataInto(dOut, filters, got, cfg); err != nil {
-					t.Fatal(err)
-				}
-				oracleConvBackwardData(dOut, filters, want, cfg)
-				sameBits(t, "backward-data "+name, got, want)
-
-				got, want = tensor.New(cfg.FilterShape(), lf), tensor.New(cfg.FilterShape(), lf)
-				if err := ConvBackwardFilterInto(in, dOut, got, cfg); err != nil {
-					t.Fatal(err)
-				}
-				oracleConvBackwardFilter(in, dOut, want, cfg)
-				sameBits(t, "backward-filter "+name, got, want)
 			}
 		}
 	}
@@ -242,6 +203,37 @@ func TestLanePoolMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestPoolBackwardMatchesOracle holds the stride walk to the At/Set loop bit
+// for bit: max and average, 2×2/2 and overlapping 3×3/2 windows, every
+// NCHW/CHWN combination of the forward input, the incoming gradient and the
+// result.  Inputs with repeated values exercise the first-max tie rule.
+func TestPoolBackwardMatchesOracle(t *testing.T) {
+	layouts := []tensor.Layout{tensor.NCHW, tensor.CHWN}
+	for _, op := range []PoolOp{MaxPool, AvgPool} {
+		for _, window := range []int{2, 3} {
+			cfg := PoolConfig{N: 3, C: 2, H: 9, W: 8, Window: window, Stride: 2, Op: op}
+			for _, li := range layouts {
+				for _, lg := range layouts {
+					for _, ld := range layouts {
+						in := tensor.Random(cfg.InputShape(), li, uint64(window))
+						for i, v := range in.Data {
+							in.Data[i] = float32(math.Round(float64(v) * 2)) // ties
+						}
+						dOut := tensor.Random(cfg.OutputShape(), lg, 5)
+						got, want := tensor.New(cfg.InputShape(), ld), tensor.New(cfg.InputShape(), ld)
+						got.Fill(-1)
+						if err := PoolBackwardInto(in, dOut, got, cfg); err != nil {
+							t.Fatal(err)
+						}
+						oraclePoolBackward(in, dOut, want, cfg)
+						sameBits(t, fmt.Sprintf("%v in %v, dOut %v, dIn %v", cfg, li, lg, ld), got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // laneKernelRuns returns one run of each lane kernel on a layer with several
 // tiles per plane (three lanes for the batch-folded GEMM convolution, which is
 // what CHWN selects; NCHW runs its per-image form), and the tensors the runs
@@ -254,8 +246,6 @@ func laneKernelRuns(t *testing.T, layout tensor.Layout) (runs []func() error, ou
 	filters := tensor.Filters(cfg.K, cfg.C, cfg.FH, cfg.FW, 2)
 	dOut := tensor.Random(cfg.OutputShape(), layout, 3)
 	out := tensor.New(cfg.OutputShape(), layout)
-	dIn := tensor.New(cfg.InputShape(), layout)
-	dW := tensor.New(cfg.FilterShape(), tensor.NCHW)
 	pooled := tensor.New(pcfg.OutputShape(), layout)
 	packed, err := PackConvFilters(filters, cfg)
 	if err != nil {
@@ -263,14 +253,19 @@ func laneKernelRuns(t *testing.T, layout tensor.Layout) (runs []func() error, ou
 	}
 	gemmOut := tensor.New(cfg.OutputShape(), layout)
 	scratch := make([]float32, ConvGemmWorkspaceElems(cfg, layout))
+	dIn, dW := tensor.New(cfg.InputShape(), layout), tensor.New(cfg.FilterShape(), tensor.NCHW)
+	dataScratch := make([]float32, ConvGemmBackwardDataWorkspaceElems(cfg))
+	filterScratch := make([]float32, ConvGemmBackwardFilterWorkspaceElems(cfg))
+	pdOut, pdIn := tensor.Random(pcfg.OutputShape(), layout, 4), tensor.New(pcfg.InputShape(), layout)
 	runs = []func() error{
 		func() error { return ConvDirectInto(in, filters, out, cfg) },
-		func() error { return ConvBackwardDataInto(dOut, filters, dIn, cfg) },
-		func() error { return ConvBackwardFilterInto(in, dOut, dW, cfg) },
 		func() error { return PoolInto(in, pooled, pcfg) },
 		func() error { return ConvIm2colGemmInto(in, packed, gemmOut, cfg, scratch) },
+		func() error { return ConvGemmBackwardDataInto(dOut, filters, dIn, cfg, dataScratch) },
+		func() error { return ConvGemmBackwardFilterInto(in, dOut, dW, cfg, filterScratch) },
+		func() error { return PoolBackwardInto(in, pdOut, pdIn, pcfg) },
 	}
-	return runs, []*tensor.Tensor{out, dIn, dW, pooled, gemmOut}
+	return runs, []*tensor.Tensor{out, pooled, gemmOut, dIn, dW, pdIn}
 }
 
 func TestLaneKernelsWorkerCountInvariant(t *testing.T) {

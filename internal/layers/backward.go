@@ -13,7 +13,9 @@ import (
 // gradient kernels live in internal/kernels next to their forward kernels;
 // the layers adapt them (and their own parameters) behind two uniform
 // interfaces so the training compiler (internal/runtime/train) and the device
-// dispatch (internal/runtime) need no per-layer knowledge.  All methods are
+// dispatch (internal/runtime) need no per-layer knowledge.  A convolution's
+// two gradients run on the packed GEMM core whichever algorithm its forward
+// runs; every other layer's gradients are its own kernels.  All methods are
 // allocation-free and bit-deterministic for any worker count: parallel passes
 // go through par.Planes, so every output element is written by exactly one
 // worker in a fixed accumulation order.
@@ -43,9 +45,13 @@ type TrainableLayer interface {
 	BackwardLayer
 	// GradShape is the logical shape of the parameter-gradient tensor.
 	GradShape() tensor.Shape
-	// BackwardFilterInto computes d(loss)/d(params) into dW (shape GradShape)
-	// from the layer's forward input and the incoming gradient.
-	BackwardFilterInto(in, dOut, dW *tensor.Tensor) error
+	// BackwardFilterInto computes d(loss)/d(params) into dW (shape GradShape,
+	// NCHW) from the layer's forward input and the incoming gradient.
+	// scratch must hold at least GradWorkspaceElems() elements.
+	BackwardFilterInto(in, dOut, dW *tensor.Tensor, scratch []float32) error
+	// GradWorkspaceElems returns the scratch BackwardFilterInto needs, in
+	// float32 elements.
+	GradWorkspaceElems() int
 	// ApplySGD updates the parameters in place: W -= lr · dW.  Parameters are
 	// shared across rebatched clones, so the update is visible through every
 	// view of the layer.  Not safe concurrently with forward passes over the
@@ -53,22 +59,42 @@ type TrainableLayer interface {
 	ApplySGD(dW *tensor.Tensor, lr float32) error
 }
 
-// BackwardDataInto implements BackwardLayer: the input gradient depends only
-// on the incoming gradient and the filter bank, so the forward input is
-// ignored.
-func (c *Conv) BackwardDataInto(_, dOut, dIn *tensor.Tensor, _ []float32) error {
-	return kernels.ConvBackwardDataInto(dOut, c.Filters(), dIn, c.Cfg)
+// GradientAlg is the kernel l's gradient methods run, the algorithm a
+// training program records on its gradient ops: GEMM for a convolution,
+// whatever its forward runs, and kernels.ConvAlgDirect (the layer's own
+// kernels) for every other layer.
+func GradientAlg(l Layer) kernels.ConvAlgorithm {
+	if _, ok := l.(*Conv); ok {
+		return kernels.ConvAlgGemm
+	}
+	return kernels.ConvAlgDirect
 }
 
-// BackwardWorkspaceElems implements BackwardLayer.
-func (c *Conv) BackwardWorkspaceElems() int { return 0 }
+// BackwardDataInto implements BackwardLayer with the GEMM input gradient: the
+// input gradient depends only on the incoming gradient and the filter bank,
+// so the forward input is ignored.
+func (c *Conv) BackwardDataInto(_, dOut, dIn *tensor.Tensor, scratch []float32) error {
+	return kernels.ConvGemmBackwardDataInto(dOut, c.Filters(), dIn, c.Cfg, scratch)
+}
+
+// BackwardWorkspaceElems implements BackwardLayer: the GEMM input gradient's
+// packed operands.
+func (c *Conv) BackwardWorkspaceElems() int {
+	return kernels.ConvGemmBackwardDataWorkspaceElems(c.Cfg)
+}
 
 // GradShape implements TrainableLayer: the filter bank's K×C×FH×FW shape.
 func (c *Conv) GradShape() tensor.Shape { return c.Cfg.FilterShape() }
 
-// BackwardFilterInto implements TrainableLayer.
-func (c *Conv) BackwardFilterInto(in, dOut, dW *tensor.Tensor) error {
-	return kernels.ConvBackwardFilterInto(in, dOut, dW, c.Cfg)
+// BackwardFilterInto implements TrainableLayer with the GEMM filter gradient.
+func (c *Conv) BackwardFilterInto(in, dOut, dW *tensor.Tensor, scratch []float32) error {
+	return kernels.ConvGemmBackwardFilterInto(in, dOut, dW, c.Cfg, scratch)
+}
+
+// GradWorkspaceElems implements TrainableLayer: the GEMM filter gradient's
+// packed operands.
+func (c *Conv) GradWorkspaceElems() int {
+	return kernels.ConvGemmBackwardFilterWorkspaceElems(c.Cfg)
 }
 
 // ApplySGD implements TrainableLayer: the filter bank (shared across
@@ -169,6 +195,9 @@ func fcBackwardDataRow(j fcBackwardJob, n int) {
 // BackwardWorkspaceElems implements BackwardLayer.
 func (f *FullyConnected) BackwardWorkspaceElems() int { return 0 }
 
+// GradWorkspaceElems implements TrainableLayer.
+func (f *FullyConnected) GradWorkspaceElems() int { return 0 }
+
 // GradShape implements TrainableLayer: the OutDim×InDim weight matrix carried
 // N×C×1×1 like the weights themselves.
 func (f *FullyConnected) GradShape() tensor.Shape {
@@ -181,7 +210,7 @@ func (f *FullyConnected) GradShape() tensor.Shape {
 // order; the fast path keeps a float64 accumulator row pattern equivalent to
 // the generic one (per-element float64 adds in n order), so both paths agree
 // bit for bit.
-func (f *FullyConnected) BackwardFilterInto(in, dOut, dW *tensor.Tensor) error {
+func (f *FullyConnected) BackwardFilterInto(in, dOut, dW *tensor.Tensor, _ []float32) error {
 	if in.Shape.Elems() != f.InputShape().Elems() || in.Shape.N != f.Batch {
 		return fmt.Errorf("layers: %s: backward input shape %v incompatible with %v", f.LayerName, in.Shape, f.InputShape())
 	}

@@ -73,7 +73,7 @@ func TestFullyConnectedBackwardGradient(t *testing.T) {
 	fdCheck(t, "fc-bwd-data", in.Data, dIn.Data, loss)
 
 	dW := tensor.New(fc.GradShape(), tensor.NCHW)
-	if err := fc.BackwardFilterInto(in, dOut, dW); err != nil {
+	if err := fc.BackwardFilterInto(in, dOut, dW, nil); err != nil {
 		t.Fatal(err)
 	}
 	fdCheck(t, "fc-bwd-filter", fc.Weights(), dW.Data, loss)

@@ -84,7 +84,7 @@ func (CPUDevice) RunOp(prog *Program, opIndex int, in, out, aux *tensor.Tensor, 
 		if !ok {
 			return 0, fmt.Errorf("layer %q has no parameters", op.Name)
 		}
-		if err := tl.BackwardFilterInto(aux, in, out); err != nil {
+		if err := tl.BackwardFilterInto(aux, in, out, scratch); err != nil {
 			return 0, fmt.Errorf("grad-filter %q: %w", op.Name, err)
 		}
 	case OpSGD:
@@ -276,14 +276,12 @@ func trainingOpCost(hw *gpusim.Device, prog *Program, op Op) []gpusim.KernelStat
 	layout := prog.Buffers[op.In].Layout
 	switch l := op.Layer.(type) {
 	case *layers.Conv:
-		cfg := l.Cfg
+		// A convolution's gradients run on GEMM whatever its forward runs:
+		// Wᵀ·dY then col2im, and dY·col(X)ᵀ.
 		if op.Kind == OpGradFilter {
-			return kernels.ConvBackwardFilterCost(hw, cfg)
+			return kernels.ConvBackwardFilterCost(hw, l.Cfg)
 		}
-		if layout == tensor.CHWN {
-			return []gpusim.KernelStats{kernels.ConvBackwardDataCHWNCost(hw, cfg)}
-		}
-		return kernels.ConvBackwardDataNCHWCost(hw, cfg)
+		return kernels.ConvBackwardDataNCHWCost(hw, l.Cfg)
 	case *layers.Pool:
 		if op.Kind == OpBackward {
 			return []gpusim.KernelStats{kernels.PoolBackwardCost(hw, l.Cfg, layout == tensor.CHWN)}

@@ -181,8 +181,11 @@
 // needed by a backward op stays live until that op, unless the checkpointing
 // policy drops it at the forward peak and re-derives it just in time from its
 // stored predecessor.  Whether checkpointing is worth it is decided by the
-// planner (strictly lower peak, recompute cost priced on gpusim).  Training
-// ops dispatch through the same Device abstraction — bit-deterministic on
+// planner (the recompute plan is kept only at a strictly lower peak).  A
+// training program takes its convolution algorithms from SelectChoices like
+// any other, in NCHW, and binds each one on the layer's forward and recompute
+// ops; a convolution's backward-data and grad-filter ops run on GEMM whatever
+// its forward runs (layers.Conv's gradient methods).  Training ops dispatch through the same Device abstraction — bit-deterministic on
 // CPUDevice, priced per op on SimDevice — and through the same interpreter:
 // train.Executor stages the batch and labels into an Instance it bound once,
 // runs Executor.ExecuteOn and reads the loss, so a step is cancellable between

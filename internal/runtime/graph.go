@@ -114,15 +114,19 @@ type Op struct {
 	In    BufferID
 	Out   BufferID
 
-	// Alg is the kernel of Layer the compiler bound this forward op to: the
-	// (Layer, Alg) pair is everything the executor needs to run it.
+	// Alg is the kernel of Layer this op runs.  On a forward op the compiler
+	// binds it, and the (Layer, Alg) pair is everything the executor needs:
 	// ConvAlgDirect — every layer's own kernel — unless algorithm selection
-	// chose a convolution's GEMM or FFT path.
+	// chose a convolution's GEMM or FFT path.  A gradient op records the
+	// kernel its layer's gradient method runs: GEMM for a convolution,
+	// ConvAlgDirect for every other layer.
 	Alg kernels.ConvAlgorithm
 	// Scratch, when not NoBuffer, is the op-local workspace buffer the
-	// executor hands the layer, sized by Layer.WorkspaceElems at compile time
+	// executor hands the layer, sized at compile time by Layer.WorkspaceElems
 	// (GEMM unroll matrix, FFT spectrum planes, fully-connected flatten
-	// staging, softmax logits).  It is live only during this op.
+	// staging, softmax logits) or, on a gradient op, by the layer's gradient
+	// workspace (GEMM gradient operands, LRN staging).  It is live only during
+	// this op.
 	Scratch BufferID
 
 	// Aux, when not NoBuffer, is a second read operand: the forward

@@ -13,8 +13,12 @@
 //
 // The paper profiles its memory optimisations on complete forward-backward
 // Caffe iterations and notes that forward and backward share data structures
-// and convolution kernels; this package is that extension of the inference
-// planner built by the earlier milestones.
+// and convolution kernels (Section II.A, footnote 1); this package is that
+// extension of the inference planner built by the earlier milestones.  So a
+// convolution's forward runs the algorithm runtime.SelectChoices picks for
+// it, as in inference, and both its gradients run on the packed GEMM core
+// (layers.Conv).  Every kernel is bit-deterministic, so the planned and naive
+// executors, which run the same op list, agree bit for bit.
 package train
 
 import (
@@ -111,12 +115,13 @@ type Program struct {
 }
 
 // CompileTraining lowers a network into a single training-step program in the
-// fixed NCHW layout: every layer's forward op, the fused softmax +
-// cross-entropy loss gradient, per-layer backward-data and parameter-gradient
-// ops, and an SGD update per trainable layer, ordered so each layer's input
-// gradient is computed before its own update touches the weights.  The
-// network must end in a softmax classifier; every other layer must implement
-// layers.BackwardLayer.
+// NCHW layout: every layer's forward op, the fused softmax + cross-entropy
+// loss gradient, per-layer backward-data and parameter-gradient ops, and an
+// SGD update per trainable layer, ordered so each layer's input gradient is
+// computed before its own update touches the weights.  Each convolution's
+// forward runs the algorithm the host-priced selection picks for it in NCHW,
+// its gradients run on GEMM.  The network must end in a softmax classifier;
+// every other layer must implement layers.BackwardLayer.
 func CompileTraining(net *network.Network, opts Options) (*Program, error) {
 	if net == nil || len(net.Layers) < 2 {
 		return nil, fmt.Errorf("train: network must have at least a feature layer and a classifier")
@@ -169,10 +174,13 @@ func CompileTraining(net *network.Network, opts Options) (*Program, error) {
 // lowerTraining builds the joint op list.  All buffers use the NCHW layout:
 // flattening boundaries become zero-copy alias reshapes (an NCHW backing
 // slice is its own canonical flattening), both in the forward section and for
-// the gradients flowing back through them.
+// the gradients flowing back through them.  Each convolution's forward and
+// recompute ops run the algorithm runtime.SelectChoices picks for it in NCHW;
+// its gradient ops record GEMM, the kernel layers.Conv's gradient methods run.
 func lowerTraining(net *network.Network, sm *layers.Softmax, lr float32, drop bool) (*Program, error) {
 	const layout = tensor.NCHW
 	feat := net.Layers[:len(net.Layers)-1] // layers below the classifier
+	choices := runtime.SelectChoices(net, runtime.Uniform(net, layout, kernels.ConvAlgDirect))
 	p := &runtime.Program{
 		Net:         net,
 		PlannerName: "train-nchw",
@@ -205,7 +213,7 @@ func lowerTraining(net *network.Network, sm *layers.Softmax, lr float32, drop bo
 			return nil, err
 		}
 		fwdIn[i] = cur
-		if cur, err = p.AddLayer(runtime.OpLayer, l.Name(), l, cur, kernels.ConvAlgDirect, false); err != nil {
+		if cur, err = p.AddLayer(runtime.OpLayer, l.Name(), l, cur, choices[i].Alg, false); err != nil {
 			return nil, err
 		}
 		fwdOut[i] = cur
@@ -277,7 +285,7 @@ func lowerTraining(net *network.Network, sm *layers.Softmax, lr float32, drop bo
 			return runtime.NoBuffer, err
 		}
 		l := net.Layers[i]
-		out, err := p.AddLayer(runtime.OpRecompute, "recompute "+l.Name(), l, in, kernels.ConvAlgDirect, false)
+		out, err := p.AddLayer(runtime.OpRecompute, "recompute "+l.Name(), l, in, choices[i].Alg, false)
 		if err != nil {
 			return runtime.NoBuffer, err
 		}
@@ -312,7 +320,11 @@ func lowerTraining(net *network.Network, sm *layers.Softmax, lr float32, drop bo
 		}
 		bl := l.(layers.BackwardLayer) // validated by CompileTraining
 		tl, trainable := l.(layers.TrainableLayer)
+		alg := layers.GradientAlg(l)
 
+		// Each gradient op's output is created before its scratch, as AddLayer
+		// does: buffers defined at one op are placed in ID order, and the
+		// one-op workspace fits the holes the longer-lived output leaves.
 		var dIn runtime.BufferID = runtime.NoBuffer
 		if i > lowest {
 			// Conv and fully-connected input gradients depend only on their
@@ -323,11 +335,10 @@ func lowerTraining(net *network.Network, sm *layers.Softmax, lr float32, drop bo
 					return nil, err
 				}
 			}
-			bwdScratch := p.AddScratch(bl.BackwardWorkspaceElems())
 			dIn = newBuf(l.InputShape())
 			p.Ops = append(p.Ops, runtime.Op{
 				Kind: runtime.OpBackward, Name: "bwd " + l.Name(), Layer: l,
-				In: grad, Out: dIn, Aux: bwdAux, Scratch: bwdScratch,
+				In: grad, Out: dIn, Aux: bwdAux, Alg: alg, Scratch: p.AddScratch(bl.BackwardWorkspaceElems()),
 			})
 		}
 		if trainable {
@@ -338,7 +349,7 @@ func lowerTraining(net *network.Network, sm *layers.Softmax, lr float32, drop bo
 			dW := newBuf(tl.GradShape())
 			p.Ops = append(p.Ops, runtime.Op{
 				Kind: runtime.OpGradFilter, Name: "grad " + l.Name(), Layer: l,
-				In: grad, Out: dW, Aux: in, Scratch: runtime.NoBuffer,
+				In: grad, Out: dW, Aux: in, Alg: alg, Scratch: p.AddScratch(tl.GradWorkspaceElems()),
 			})
 			p.Ops = append(p.Ops, runtime.Op{
 				Kind: runtime.OpSGD, Name: "sgd " + l.Name(), Layer: l,

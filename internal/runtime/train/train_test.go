@@ -5,13 +5,16 @@ import (
 	"errors"
 	"math"
 	"os"
+	goruntime "runtime"
 	"testing"
 
 	"memcnn/internal/gpusim"
+	"memcnn/internal/kernels"
 	"memcnn/internal/layers"
 	"memcnn/internal/network"
 	"memcnn/internal/obs"
 	"memcnn/internal/runtime"
+	_ "memcnn/internal/runtime/verify" // Options.Verify
 	"memcnn/internal/tensor"
 	"memcnn/internal/workloads"
 )
@@ -82,6 +85,90 @@ func TestCompileAllWorkloadsPlansValidate(t *testing.T) {
 				t.Errorf("%s/%v: planned peak %d not below naive %d", name, ck, p.Mem.PeakBytes(), p.NaiveBytes())
 			}
 		}
+	}
+}
+
+// lenet16 compiles LeNet's training step at batch 16, the benchmark's
+// training workload.
+func lenet16(t *testing.T) *Program {
+	t.Helper()
+	base, err := workloads.LeNet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := base.WithBatch(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := CompileTraining(net, Options{Verify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestTrainingRunsTheSelectedAlgorithm checks that a convolution's forward
+// runs the algorithm the selector picks for it and both its gradients run on
+// GEMM: LeNet@16 selects GEMM for its two convolutions, TinyNet@4 the direct
+// kernel.  LeNet's conv2 has a forward, a backward-data and a grad-filter op,
+// conv1 (its input needs no gradient) no backward-data op; LeNet drops only
+// pooling and ReLU outputs, so no convolution is recomputed.
+func TestTrainingRunsTheSelectedAlgorithm(t *testing.T) {
+	tiny, err := workloads.TinyNet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tinyProg, err := CompileTraining(tiny, Options{Verify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lenetKinds := map[string][]runtime.OpKind{
+		"conv1": {runtime.OpLayer, runtime.OpGradFilter},
+		"conv2": {runtime.OpLayer, runtime.OpBackward, runtime.OpGradFilter},
+	}
+	for _, tc := range []struct {
+		p     *Program
+		fwd   kernels.ConvAlgorithm
+		kinds map[string][]runtime.OpKind // nil: not checked
+	}{{lenet16(t), kernels.ConvAlgGemm, lenetKinds}, {tinyProg, kernels.ConvAlgDirect, nil}} {
+		kinds := map[string]map[runtime.OpKind]bool{}
+		for _, op := range tc.p.Ops {
+			if _, ok := op.Layer.(*layers.Conv); !ok || op.Kind == runtime.OpSGD {
+				continue
+			}
+			want := kernels.ConvAlgGemm
+			if op.Kind == runtime.OpLayer || op.Kind == runtime.OpRecompute {
+				want = tc.fwd
+			}
+			if op.Alg != want {
+				t.Errorf("%s %s (%v) runs %v, want %v", tc.p.Net.Name, op.Name, op.Kind, op.Alg, want)
+			}
+			if kinds[op.Layer.Name()] == nil {
+				kinds[op.Layer.Name()] = map[runtime.OpKind]bool{}
+			}
+			kinds[op.Layer.Name()][op.Kind] = true
+		}
+		for name, ks := range tc.kinds {
+			if len(kinds[name]) != len(ks) {
+				t.Errorf("%s has ops of kinds %v, want %v", name, kinds[name], ks)
+			}
+			for _, k := range ks {
+				if !kinds[name][k] {
+					t.Errorf("%s has no %v op", name, k)
+				}
+			}
+		}
+	}
+}
+
+// TestTrainingArenaHoldsAtTheDirectStep pins LeNet@16's training arena at
+// the bytes it took when every convolution trained on the direct kernels:
+// the GEMM workspaces must fit in the holes the plan already has.  That holds
+// because a gradient op's output is placed before its one-op scratch.
+func TestTrainingArenaHoldsAtTheDirectStep(t *testing.T) {
+	const directBytes = 1857216
+	if got := lenet16(t).Mem.PeakBytes(); got > directBytes {
+		t.Errorf("LeNet@16 training arena is %d bytes, over the direct step's %d", got, directBytes)
 	}
 }
 
@@ -208,6 +295,51 @@ func scaleForTraining(net *network.Network) {
 			for i := range w {
 				w[i] *= s
 			}
+		}
+	}
+}
+
+// TestStepBitInvariantAcrossWorkerCounts trains identically seeded LeNets at
+// batch 8, whose convolutions train on GEMM, for two steps under GOMAXPROCS
+// 1, 2, 3 and 8: every loss and every weight must match the one-worker run
+// bit for bit.
+func TestStepBitInvariantAcrossWorkerCounts(t *testing.T) {
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(0))
+	var wantLoss [2]float64
+	var wantWeights uint64
+	for _, procs := range []int{1, 2, 3, 8} {
+		goruntime.GOMAXPROCS(procs)
+		base, err := workloads.LeNet()
+		if err != nil {
+			t.Fatal(err)
+		}
+		net, err := base.WithBatch(8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := CompileTraining(net, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		exec, err := NewExecutor(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var loss [2]float64
+		for step := range loss {
+			images, lbls := batch(p, uint64(5+step))
+			s, err := exec.Step(images, lbls)
+			if err != nil {
+				t.Fatal(err)
+			}
+			loss[step] = s.Loss
+		}
+		if procs == 1 {
+			wantLoss, wantWeights = loss, weightChecksum(base)
+			continue
+		}
+		if loss != wantLoss || weightChecksum(base) != wantWeights {
+			t.Errorf("%d workers: losses %v and weights %#x, one worker %v and %#x", procs, loss, weightChecksum(base), wantLoss, wantWeights)
 		}
 	}
 }

@@ -21,17 +21,19 @@
 //   - workspace: the scratch buffer attached to an op holds at least what
 //     the layer declares for the recorded algorithm and layout —
 //     Layer.WorkspaceElems for forward ops (GEMM unroll, FFT planes,
-//     flatten/softmax staging), BackwardWorkspaceElems for backward ops — and
-//     is never attached to an op that cannot consume it (check d);
+//     flatten/softmax staging), BackwardWorkspaceElems and GradWorkspaceElems
+//     for gradient ops (GEMM gradient operands, LRN staging) — and is never
+//     attached to an op that cannot consume it (check d);
 //   - plan: the memory plan's recorded live ranges match liveness recomputed
 //     from the op list, aliases share their root's offset, every extent lies
 //     inside the arena and no two live roots overlap (an O(n log n) offset
 //     sweep); training programs additionally recompute each checkpointed
 //     activation at most once and follow the backward-data → grad-filter →
 //     SGD order, with no op touching a layer after its SGD update (check e);
-//   - determinism: every reduction op records one of the three production
-//     convolution algorithms, whose accumulation orders are pinned; an
-//     unknown algorithm — or a non-layer op claiming one — means the
+//   - determinism: every op records the kernel it runs, whose accumulation
+//     order is pinned — one of the three production convolution algorithms
+//     on a forward op, GEMM on a convolution's gradient ops, direct on every
+//     other op; an unknown algorithm or any other recorded value means the
 //     accumulation order is unspecified and bit-reproducibility is lost
 //     (check f).
 //
@@ -432,9 +434,9 @@ func (c *checker) inPlaceOK(op runtime.Op) bool {
 // f): the recorded convolution algorithm is one the layer implements, the
 // attached scratch buffer holds at least what that algorithm's kernel
 // requires, scratch is never attached to an op that cannot consume it, and
-// no op records an algorithm outside the three production kernels — every
-// one of which pins its accumulation order, so an unknown value means the
-// result is not bit-reproducible.
+// no op records an algorithm other than the production kernel it runs —
+// every one of which pins its accumulation order, so any other value means
+// the result is not bit-reproducible.
 func (c *checker) opContracts() {
 	p := c.p
 	for i, op := range p.Ops {
@@ -442,7 +444,7 @@ func (c *checker) opContracts() {
 		case runtime.OpLayer, runtime.OpRecompute:
 			c.layerContract(i, op)
 		case runtime.OpBackward:
-			c.pinnedDirect(i, op)
+			c.pinnedAlg(i, op)
 			bl, ok := op.Layer.(layers.BackwardLayer)
 			if !ok {
 				c.add(CheckWorkspace, i, runtime.NoBuffer, "backward op's layer %q has no backward pass", op.Name)
@@ -450,7 +452,7 @@ func (c *checker) opContracts() {
 			}
 			c.requireScratch(i, op, bl.BackwardWorkspaceElems(), "backward pass")
 		case runtime.OpGradFilter:
-			c.pinnedDirect(i, op)
+			c.pinnedAlg(i, op)
 			tl, ok := op.Layer.(layers.TrainableLayer)
 			if !ok {
 				c.add(CheckWorkspace, i, runtime.NoBuffer, "grad-filter op's layer %q has no parameters", op.Name)
@@ -459,8 +461,9 @@ func (c *checker) opContracts() {
 			if got, want := p.Buffers[op.Out].Shape, tl.GradShape(); got != want {
 				c.add(CheckTraining, i, op.Out, "parameter gradient buffer %d has shape %v, layer %q gradients are %v", op.Out, got, op.Name, want)
 			}
+			c.requireScratch(i, op, tl.GradWorkspaceElems(), "grad-filter pass")
 		case runtime.OpSGD:
-			c.pinnedDirect(i, op)
+			c.pinnedAlg(i, op)
 			if _, ok := op.Layer.(layers.TrainableLayer); !ok {
 				c.add(CheckTraining, i, runtime.NoBuffer, "sgd op's layer %q has no parameters to update", op.Name)
 			}
@@ -468,7 +471,7 @@ func (c *checker) opContracts() {
 				c.add(CheckTraining, i, runtime.NoBuffer, "sgd op carries learning rate %v", op.LR)
 			}
 		default:
-			c.pinnedDirect(i, op)
+			c.pinnedAlg(i, op)
 			if op.Scratch != runtime.NoBuffer {
 				c.add(CheckWorkspace, i, op.Scratch, "%v op carries scratch buffer %d it cannot consume", op.Kind, op.Scratch)
 			}
@@ -476,13 +479,18 @@ func (c *checker) opContracts() {
 	}
 }
 
-// pinnedDirect flags any non-forward-layer op that records a convolution
-// algorithm: the executor would dispatch it through an interface the op's
-// kernel does not implement, and no pinned accumulation order is defined for
-// the combination.
-func (c *checker) pinnedDirect(i int, op runtime.Op) {
-	if op.Alg != kernels.ConvAlgDirect {
-		c.add(CheckDeterminism, i, runtime.NoBuffer, "%v op records convolution algorithm %v; only forward layer ops select algorithms, so its accumulation order is unpinned", op.Kind, op.Alg)
+// pinnedAlg flags a non-forward op whose recorded algorithm is not the kernel
+// it runs: a gradient op runs layers.GradientAlg (GEMM for a convolution),
+// every other such op ConvAlgDirect.  Only forward layer ops select
+// algorithms, so any other value names an accumulation order the op does not
+// have.
+func (c *checker) pinnedAlg(i int, op runtime.Op) {
+	want := kernels.ConvAlgDirect
+	if op.Kind == runtime.OpBackward || op.Kind == runtime.OpGradFilter {
+		want = layers.GradientAlg(op.Layer)
+	}
+	if op.Alg != want {
+		c.add(CheckDeterminism, i, runtime.NoBuffer, "%v op %q records convolution algorithm %v, but its kernel is %v; only forward layer ops select algorithms, so the recorded accumulation order is not the one that runs", op.Kind, op.Name, op.Alg, want)
 	}
 }
 

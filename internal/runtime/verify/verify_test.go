@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"memcnn/internal/kernels"
+	"memcnn/internal/layers"
 	"memcnn/internal/network"
 	"memcnn/internal/runtime"
 	"memcnn/internal/runtime/train"
@@ -318,6 +319,57 @@ func TestMutationShrunkScratch(t *testing.T) {
 		d := wantDiag(t, verify.Check(p), verify.CheckWorkspace, op, sc)
 		if !strings.Contains(d.Msg, "needs") {
 			t.Errorf("%v: diagnostic does not state the required size: %s", alg, d)
+		}
+	}
+}
+
+// gradientOp returns the index of the training program's first op of the
+// given kind on a layer of type L, or fails the test.
+func gradientOp[L any](t *testing.T, p *runtime.Program, kind runtime.OpKind) int {
+	t.Helper()
+	for k, o := range p.Ops {
+		if _, ok := o.Layer.(L); ok && o.Kind == kind {
+			return k
+		}
+	}
+	t.Fatalf("no %v op on a %T layer", kind, *new(L))
+	return -1
+}
+
+func TestMutationShrunkGradientScratch(t *testing.T) {
+	for _, kind := range []runtime.OpKind{runtime.OpBackward, runtime.OpGradFilter} {
+		p := cloneProgram(compileTraining(t, train.CheckpointOff).Program)
+		op := gradientOp[*layers.Conv](t, p, kind)
+		if p.Ops[op].Alg != kernels.ConvAlgGemm || p.Ops[op].Scratch == runtime.NoBuffer {
+			t.Fatalf("%v op %s runs %v with scratch %d; want a GEMM gradient with a workspace", kind, p.Ops[op].Name, p.Ops[op].Alg, p.Ops[op].Scratch)
+		}
+		sc := p.Ops[op].Scratch
+		p.Buffers[sc].Shape.W-- // one element short of the GEMM gradient's workspace
+		d := wantDiag(t, verify.Check(p), verify.CheckWorkspace, op, sc)
+		if !strings.Contains(d.Msg, "needs") {
+			t.Errorf("%v: diagnostic does not state the required size: %s", kind, d)
+		}
+	}
+}
+
+func TestMutationGradientAlgorithm(t *testing.T) {
+	for _, m := range []struct {
+		name string
+		op   func(*runtime.Program) int
+		alg  kernels.ConvAlgorithm
+	}{
+		// A convolution's gradients run on GEMM whatever its forward runs.
+		{"fft grad-filter", func(p *runtime.Program) int { return gradientOp[*layers.Conv](t, p, runtime.OpGradFilter) }, kernels.ConvAlgFFT},
+		{"direct conv backward", func(p *runtime.Program) int { return gradientOp[*layers.Conv](t, p, runtime.OpBackward) }, kernels.ConvAlgDirect},
+		// Every other layer's gradients are its own kernels.
+		{"gemm pool backward", func(p *runtime.Program) int { return gradientOp[*layers.Pool](t, p, runtime.OpBackward) }, kernels.ConvAlgGemm},
+	} {
+		p := cloneProgram(compileTraining(t, train.CheckpointOff).Program)
+		op := m.op(p)
+		p.Ops[op].Alg = m.alg
+		d := wantDiag(t, verify.Check(p), verify.CheckDeterminism, op, runtime.NoBuffer)
+		if !strings.Contains(d.Msg, "but its kernel is") {
+			t.Errorf("%s: diagnostic does not name the kernel the op runs: %s", m.name, d)
 		}
 	}
 }
