@@ -272,7 +272,7 @@ func describeImpl(pl network.PlannedLayer) string {
 		return "conv: " + pl.Options.Conv.String()
 	case *layers.Pool:
 		s := "pool: " + pl.Options.Pool.String()
-		if pl.Options.Pool == layers.PoolOptimized {
+		if pl.Options.Pool == gpusim.PoolOptimized {
 			s += fmt.Sprintf(" (%dx%d expansion)", pl.Options.PoolExpansion.H, pl.Options.PoolExpansion.W)
 		}
 		return s

@@ -8,6 +8,10 @@
 // selection, a fast 4-D layout transformation, register-reuse pooling and a
 // fused, inner-loop-parallel softmax, integrated into a network planner that
 // is compared against emulations of cuda-convnet, Caffe and the cuDNN modes.
+// That model domain is one package, internal/gpusim: the two GPUs, every
+// kernel's cost model and gpusim.LayerCost, the per-layer price the planners,
+// the figures and the simulated device ask.  The host kernels and layers do
+// not import it.
 //
 // Beyond estimating plans, internal/runtime carries them out: a planned
 // network is compiled into an op list with explicit buffer IDs (layer ops,
@@ -97,8 +101,8 @@
 // histograms (true p50/p95/p99, which also drive the server's SLO admission
 // estimate) and exports every serving, cache and fault counter in Prometheus
 // text format from the same atomics the stats endpoints read.  On simulated
-// fleets the trace carries per-op modeled-vs-measured drift, keeping the
-// gpusim cost model honest layer by layer.  `memcnnserve` exposes /metrics,
+// fleets the trace carries per-op modeled-vs-measured drift (the GPU model
+// against the host that ran the op).  `memcnnserve` exposes /metrics,
 // /trace and an expanded /stats (plus opt-in pprof); benchmark/run.sh writes
 // the same trace per workload for offline runs and reports the measured
 // latency quantiles next to the throughput.
@@ -110,8 +114,8 @@
 // forward activations stay live only until their last backward consumer, and
 // recompute-vs-store checkpointing is a planner decision (cheap activations
 // are dropped at the forward peak and recomputed just in time during the
-// backward pass, priced on the gpusim model, and kept only when the plan's
-// peak actually shrinks).  Backward kernels are allocation-free, with a
+// backward pass, and the recompute plan is kept only when its arena peak is
+// the smaller one).  Backward kernels are allocation-free, with a
 // fixed accumulation order, so a planned training step is
 // bit-identical to the naive per-buffer executor across worker counts;
 // `netbench programs` reports planned-vs-naive training footprints with and

@@ -13,7 +13,6 @@ import (
 	"log"
 
 	"memcnn/internal/gpusim"
-	"memcnn/internal/kernels"
 	"memcnn/internal/layout"
 	"memcnn/internal/tensor"
 	"memcnn/internal/workloads"
@@ -49,8 +48,8 @@ func main() {
 	fmt.Printf("heuristic with thresholds %v recommends: %v\n", thresholds, recommended)
 
 	// --- 3. Why: price the layer in both layouts ------------------------
-	chwn := gpusim.EstimateTime(device, kernels.ConvDirectCHWNCost(device, cv1.Cfg))
-	nchwTotal, _ := gpusim.EstimateSequence(device, kernels.ConvGemmNCHWCost(device, cv1.Cfg))
+	chwn := gpusim.EstimateTime(device, gpusim.ConvDirectCHWNCost(device, cv1.Cfg))
+	nchwTotal := gpusim.EstimateSequence(device, gpusim.ConvGemmNCHWCost(device, cv1.Cfg))
 	fmt.Printf("CHWN (direct convolution):     %8.1f us  (%s-bound, %.0f GFLOPS)\n",
 		chwn.TotalUS, chwn.Limiter, chwn.AchievedGFLOPS)
 	fmt.Printf("NCHW (im2col + GEMM):          %8.1f us\n", nchwTotal)

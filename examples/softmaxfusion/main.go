@@ -50,11 +50,11 @@ func main() {
 		cfg, maxDiff, intermediates)
 
 	// --- Implementation comparison across configurations ------------------
-	impls := []kernels.SoftmaxImpl{
-		kernels.SoftmaxThreadPerImage,
-		kernels.SoftmaxBlockPerImage,
-		kernels.SoftmaxFused,
-		kernels.SoftmaxFusedParallel,
+	impls := []gpusim.SoftmaxImpl{
+		gpusim.SoftmaxThreadPerImage,
+		gpusim.SoftmaxBlockPerImage,
+		gpusim.SoftmaxFused,
+		gpusim.SoftmaxFusedParallel,
 	}
 	fmt.Printf("%-12s", "batch/cls")
 	for _, impl := range impls {
@@ -66,7 +66,7 @@ func main() {
 	} {
 		fmt.Printf("%-12s", sc.String()[8:])
 		for _, impl := range impls {
-			kt := gpusim.EstimateTime(device, kernels.SoftmaxCost(device, sc, impl))
+			kt := gpusim.EstimateTime(device, gpusim.SoftmaxCost(device, sc, impl))
 			fmt.Printf("  %10.1f / %8.1f", kt.TotalUS, kt.AchievedBandwidthGBs)
 		}
 		fmt.Println()

@@ -4,10 +4,11 @@
 // the optimised pooling kernel (Section V.A): "With an initial factor of 2,
 // the expansion factor continues to increase linearly if the performance
 // improves.  Otherwise it stops as further expansion leads to high register
-// pressure."  It minimises the profiler it is handed (the figure code hands
-// it the gpusim model, kernels.PoolCoarsenedTimeUS).  The convolution
-// algorithm choice (SelectConvAlgorithm, convalg.go) prices direct, GEMM and
-// FFT on the host that runs them, from a table of measured kernel rates.
+// pressure."  It minimises the profiler it is handed (the planner and the
+// figure code hand it the GPU model's, gpusim.PoolCoarsenedTimeUS).  The
+// convolution algorithm choice (SelectConvAlgorithm, convalg.go) prices
+// direct, GEMM and FFT on the host that runs them, from a table of measured
+// kernel rates.
 // Nothing in this package asks a GPU model anything.
 package autotune
 

@@ -4,29 +4,10 @@ import (
 	"fmt"
 
 	"memcnn/internal/gpusim"
-	"memcnn/internal/kernels"
 	"memcnn/internal/layout"
 	"memcnn/internal/tensor"
 	"memcnn/internal/workloads"
 )
-
-// convLayoutTimes prices the best CHWN and best NCHW implementation of one
-// convolutional layer.
-func convLayoutTimes(d *gpusim.Device, cfg kernels.ConvConfig) (chwnUS, nchwUS float64) {
-	chwnUS = gpusim.EstimateTime(d, kernels.ConvDirectCHWNCost(d, cfg)).TotalUS
-	nchwUS, _ = gpusim.EstimateSequence(d, kernels.ConvGemmNCHWCost(d, cfg))
-	if seq, err := kernels.ConvFFTCost(d, cfg); err == nil {
-		if t, _ := gpusim.EstimateSequence(d, seq); t < nchwUS {
-			nchwUS = t
-		}
-	}
-	if seq, err := kernels.ConvFFTTilingCost(d, cfg); err == nil {
-		if t, _ := gpusim.EstimateSequence(d, seq); t < nchwUS {
-			nchwUS = t
-		}
-	}
-	return chwnUS, nchwUS
-}
 
 // Figure1Row is one bar group of Fig. 1: the execution time of the NCHW
 // (cuDNN) implementation normalised to the CHWN (cuda-convnet2) one for an
@@ -43,12 +24,12 @@ type Figure1Row struct {
 func Figure1(d *gpusim.Device) ([]Figure1Row, Table) {
 	var rows []Figure1Row
 	for _, c := range workloads.AlexNetFig1Convs() {
-		chwn, nchw := convLayoutTimes(d, c.Cfg)
+		_, chwn, nchw := layout.MeasuredConvWinner(d, c.Cfg)
 		rows = append(rows, Figure1Row{Layer: "CV" + c.Name[2:], CHWNTimeUS: chwn, NCHWTimeUS: nchw, NCHWNormalized: nchw / chwn})
 	}
 	for _, p := range workloads.AlexNetFig1Pools() {
-		chwn := gpusim.EstimateTime(d, kernels.PoolCHWNCost(d, p.Cfg)).TotalUS
-		nchw := gpusim.EstimateTime(d, kernels.PoolNCHWCost(d, p.Cfg, kernels.PoolCuDNN)).TotalUS
+		chwn := gpusim.EstimateTime(d, gpusim.PoolCHWNCost(d, p.Cfg)).TotalUS
+		nchw := gpusim.EstimateTime(d, gpusim.PoolNCHWCost(d, p.Cfg, gpusim.PoolCuDNN)).TotalUS
 		rows = append(rows, Figure1Row{Layer: "PL" + p.Name[2:], CHWNTimeUS: chwn, NCHWTimeUS: nchw, NCHWNormalized: nchw / chwn})
 	}
 	t := Table{
@@ -76,7 +57,7 @@ type Figure3Row struct {
 func Figure3(d *gpusim.Device) ([]Figure3Row, Table) {
 	var rows []Figure3Row
 	for _, c := range workloads.Table1Convs() {
-		chwn, nchw := convLayoutTimes(d, c.Cfg)
+		_, chwn, nchw := layout.MeasuredConvWinner(d, c.Cfg)
 		rows = append(rows, Figure3Row{
 			Layer:        c.Name,
 			CHWNTimeUS:   chwn,
@@ -154,18 +135,16 @@ type Figure5Row struct {
 func Figure5(d *gpusim.Device) ([]Figure5Row, Table) {
 	var rows []Figure5Row
 	for _, c := range workloads.Table1Convs() {
-		base := gpusim.EstimateTime(d, kernels.ConvDirectCHWNCost(d, c.Cfg)).TotalUS
-		mm, _ := gpusim.EstimateSequence(d, kernels.ConvGemmNCHWCost(d, c.Cfg))
+		base := gpusim.EstimateTime(d, gpusim.ConvDirectCHWNCost(d, c.Cfg)).TotalUS
+		mm := gpusim.EstimateSequence(d, gpusim.ConvGemmNCHWCost(d, c.Cfg))
 		row := Figure5Row{Layer: c.Name, MMSpeedup: base / mm}
-		if seq, err := kernels.ConvFFTCost(d, c.Cfg); err == nil {
-			t, _ := gpusim.EstimateSequence(d, seq)
-			row.FFTSpeedup = base / t
+		if seq, err := gpusim.ConvFFTCost(d, c.Cfg); err == nil {
+			row.FFTSpeedup = base / gpusim.EstimateSequence(d, seq)
 		} else {
 			row.FFTOOM = true
 		}
-		if seq, err := kernels.ConvFFTTilingCost(d, c.Cfg); err == nil {
-			t, _ := gpusim.EstimateSequence(d, seq)
-			row.FFTTileSpeedup = base / t
+		if seq, err := gpusim.ConvFFTTilingCost(d, c.Cfg); err == nil {
+			row.FFTTileSpeedup = base / gpusim.EstimateSequence(d, seq)
 		} else {
 			row.FFTTileOOM = true
 		}
@@ -206,7 +185,7 @@ type Figure10Row struct {
 func Figure10(d *gpusim.Device) ([]Figure10Row, Table) {
 	var rows []Figure10Row
 	for _, c := range workloads.Table1Convs() {
-		chwn, nchw := convLayoutTimes(d, c.Cfg)
+		_, chwn, nchw := layout.MeasuredConvWinner(d, c.Cfg)
 		preferredUS, alternativeUS := chwn, nchw
 		preferred, alternative := tensor.CHWN, tensor.NCHW
 		if nchw < chwn {
@@ -218,7 +197,7 @@ func Figure10(d *gpusim.Device) ([]Figure10Row, Table) {
 		// the network stays in the alternative layout, the worst case the
 		// paper prices in Fig. 10).
 		inShape, outShape := c.Cfg.InputShape(), c.Cfg.OutputShape()
-		naive := transformPairUS(d, inShape, outShape, alternative, preferred, kernels.TransformNaive)
+		naive := transformPairUS(d, inShape, outShape, alternative, preferred, gpusim.TransformNaive)
 		opt := optimizedTransformPairUS(d, inShape, outShape, alternative, preferred)
 
 		rows = append(rows, Figure10Row{
@@ -240,12 +219,12 @@ func Figure10(d *gpusim.Device) ([]Figure10Row, Table) {
 	return rows, t
 }
 
-func transformPairUS(d *gpusim.Device, in, out tensor.Shape, from, to tensor.Layout, m kernels.TransformMethod) float64 {
+func transformPairUS(d *gpusim.Device, in, out tensor.Shape, from, to tensor.Layout, m gpusim.TransformMethod) float64 {
 	total := 0.0
-	if s, err := kernels.TransformCost(d, in, from, to, m); err == nil {
+	if s, err := gpusim.TransformCost(d, in, from, to, m); err == nil {
 		total += gpusim.EstimateTime(d, s).TotalUS
 	}
-	if s, err := kernels.TransformCost(d, out, to, from, m); err == nil {
+	if s, err := gpusim.TransformCost(d, out, to, from, m); err == nil {
 		total += gpusim.EstimateTime(d, s).TotalUS
 	}
 	return total
@@ -253,10 +232,10 @@ func transformPairUS(d *gpusim.Device, in, out tensor.Shape, from, to tensor.Lay
 
 func optimizedTransformPairUS(d *gpusim.Device, in, out tensor.Shape, from, to tensor.Layout) float64 {
 	total := 0.0
-	if s, _, err := kernels.BestTransform(d, in, from, to); err == nil {
+	if s, _, err := gpusim.BestTransform(d, in, from, to); err == nil {
 		total += gpusim.EstimateTime(d, s).TotalUS
 	}
-	if s, _, err := kernels.BestTransform(d, out, to, from); err == nil {
+	if s, _, err := gpusim.BestTransform(d, out, to, from); err == nil {
 		total += gpusim.EstimateTime(d, s).TotalUS
 	}
 	return total
@@ -281,14 +260,14 @@ func Figure11(d *gpusim.Device) ([]Figure11Row, Table) {
 	for _, c := range workloads.Table1Convs() {
 		shape := c.Cfg.InputShape()
 		row := Figure11Row{Layer: c.Name}
-		naive, err := kernels.TransformCost(d, shape, tensor.CHWN, tensor.NCHW, kernels.TransformNaive)
+		naive, err := gpusim.TransformCost(d, shape, tensor.CHWN, tensor.NCHW, gpusim.TransformNaive)
 		if err != nil {
 			continue
 		}
 		naiveT := gpusim.EstimateTime(d, naive)
 		row.NaiveGBs = naiveT.AchievedBandwidthGBs
 
-		tiled, err := kernels.TransformCost(d, shape, tensor.CHWN, tensor.NCHW, kernels.TransformTiled)
+		tiled, err := gpusim.TransformCost(d, shape, tensor.CHWN, tensor.NCHW, gpusim.TransformTiled)
 		if err != nil {
 			continue
 		}
@@ -296,8 +275,8 @@ func Figure11(d *gpusim.Device) ([]Figure11Row, Table) {
 		row.TiledGBs = tiledT.AchievedBandwidthGBs
 		row.NaiveSpeedup = naiveT.TotalUS / tiledT.TotalUS
 
-		if kernels.TransformApplicable(kernels.TransformVectorized, shape) {
-			vec, err := kernels.TransformCost(d, shape, tensor.CHWN, tensor.NCHW, kernels.TransformVectorized)
+		if gpusim.TransformApplicable(gpusim.TransformVectorized, shape) {
+			vec, err := gpusim.TransformCost(d, shape, tensor.CHWN, tensor.NCHW, gpusim.TransformVectorized)
 			if err == nil {
 				vecT := gpusim.EstimateTime(d, vec)
 				row.VecGBs = vecT.AchievedBandwidthGBs

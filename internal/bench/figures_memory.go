@@ -24,9 +24,9 @@ type Figure6Row struct {
 func Figure6(d *gpusim.Device) ([]Figure6Row, Table) {
 	var rows []Figure6Row
 	for _, p := range workloads.Table1Pools() {
-		chwn := gpusim.EstimateTime(d, kernels.PoolCHWNCost(d, p.Cfg))
-		caffe := gpusim.EstimateTime(d, kernels.PoolNCHWCost(d, p.Cfg, kernels.PoolCaffe)).TotalUS
-		cudnn := gpusim.EstimateTime(d, kernels.PoolNCHWCost(d, p.Cfg, kernels.PoolCuDNN)).TotalUS
+		chwn := gpusim.EstimateTime(d, gpusim.PoolCHWNCost(d, p.Cfg))
+		caffe := gpusim.EstimateTime(d, gpusim.PoolNCHWCost(d, p.Cfg, gpusim.PoolPlain)).TotalUS
+		cudnn := gpusim.EstimateTime(d, gpusim.PoolNCHWCost(d, p.Cfg, gpusim.PoolCuDNN)).TotalUS
 		rows = append(rows, Figure6Row{
 			Layer:           p.Name,
 			CHWNTimeUS:      chwn.TotalUS,
@@ -62,14 +62,14 @@ type Figure12Row struct {
 func Figure12(d *gpusim.Device) ([]Figure12Row, Table) {
 	var rows []Figure12Row
 	for _, p := range workloads.Table1Pools() {
-		base := gpusim.EstimateTime(d, kernels.PoolCHWNCost(d, p.Cfg))
-		caffe := gpusim.EstimateTime(d, kernels.PoolNCHWCost(d, p.Cfg, kernels.PoolCaffe)).TotalUS
-		cudnn := gpusim.EstimateTime(d, kernels.PoolNCHWCost(d, p.Cfg, kernels.PoolCuDNN)).TotalUS
-		expansion, _, err := autotune.TunePoolExpansion(p.Cfg, kernels.PoolCoarsenedTimeUS(d, p.Cfg))
+		base := gpusim.EstimateTime(d, gpusim.PoolCHWNCost(d, p.Cfg))
+		caffe := gpusim.EstimateTime(d, gpusim.PoolNCHWCost(d, p.Cfg, gpusim.PoolPlain)).TotalUS
+		cudnn := gpusim.EstimateTime(d, gpusim.PoolNCHWCost(d, p.Cfg, gpusim.PoolCuDNN)).TotalUS
+		expansion, _, err := autotune.TunePoolExpansion(p.Cfg, gpusim.PoolCoarsenedTimeUS(d, p.Cfg))
 		if err != nil {
 			expansion = kernels.PoolExpansion{H: 2, W: 2}
 		}
-		optStats := kernels.PoolCHWNCoarsenedCost(d, p.Cfg, expansion)
+		optStats := gpusim.PoolCHWNCoarsenedCost(d, p.Cfg, expansion)
 		opt := gpusim.EstimateTime(d, optStats)
 		saving := 0.0
 		if base.Stats.DRAMReadBytes > 0 {
@@ -112,9 +112,9 @@ type Figure13Row struct {
 func Figure13(d *gpusim.Device) ([]Figure13Row, Table) {
 	var rows []Figure13Row
 	for _, s := range workloads.SoftmaxSweep() {
-		baseStats, _ := kernels.SoftmaxBaselineBest(d, s.Cfg)
+		baseStats, _ := gpusim.SoftmaxBaselineBest(d, s.Cfg)
 		base := gpusim.EstimateTime(d, baseStats)
-		opt := gpusim.EstimateTime(d, kernels.SoftmaxCost(d, s.Cfg, kernels.SoftmaxFusedParallel))
+		opt := gpusim.EstimateTime(d, gpusim.SoftmaxCost(d, s.Cfg, gpusim.SoftmaxFusedParallel))
 		rows = append(rows, Figure13Row{
 			Config:      s.Name,
 			BaselineGBs: base.AchievedBandwidthGBs,
@@ -146,9 +146,9 @@ type SoftmaxAblationRow struct {
 func SoftmaxAblation(d *gpusim.Device) ([]SoftmaxAblationRow, Table) {
 	var rows []SoftmaxAblationRow
 	for _, s := range workloads.SoftmaxSweep() {
-		base := gpusim.EstimateTime(d, kernels.SoftmaxCost(d, s.Cfg, kernels.SoftmaxThreadPerImage)).TotalUS
-		fused := gpusim.EstimateTime(d, kernels.SoftmaxCost(d, s.Cfg, kernels.SoftmaxFused)).TotalUS
-		full := gpusim.EstimateTime(d, kernels.SoftmaxCost(d, s.Cfg, kernels.SoftmaxFusedParallel)).TotalUS
+		base := gpusim.EstimateTime(d, gpusim.SoftmaxCost(d, s.Cfg, gpusim.SoftmaxThreadPerImage)).TotalUS
+		fused := gpusim.EstimateTime(d, gpusim.SoftmaxCost(d, s.Cfg, gpusim.SoftmaxFused)).TotalUS
+		full := gpusim.EstimateTime(d, gpusim.SoftmaxCost(d, s.Cfg, gpusim.SoftmaxFusedParallel)).TotalUS
 		rows = append(rows, SoftmaxAblationRow{
 			Config:          s.Name,
 			FusionSpeedup:   base / fused,
@@ -183,11 +183,11 @@ type PoolingAblationRow struct {
 func PoolingAblation(d *gpusim.Device) ([]PoolingAblationRow, Table) {
 	var rows []PoolingAblationRow
 	for _, p := range workloads.Table1Pools() {
-		tuned, res, err := autotune.TunePoolExpansion(p.Cfg, kernels.PoolCoarsenedTimeUS(d, p.Cfg))
+		tuned, res, err := autotune.TunePoolExpansion(p.Cfg, gpusim.PoolCoarsenedTimeUS(d, p.Cfg))
 		if err != nil {
 			continue
 		}
-		_, exhaustiveUS, probes, err := autotune.ExhaustivePoolExpansion(p.Cfg, kernels.PoolCoarsenedTimeUS(d, p.Cfg), 6)
+		_, exhaustiveUS, probes, err := autotune.ExhaustivePoolExpansion(p.Cfg, gpusim.PoolCoarsenedTimeUS(d, p.Cfg), 6)
 		if err != nil {
 			continue
 		}

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"memcnn/internal/gpusim"
-	"memcnn/internal/kernels"
 	"memcnn/internal/workloads"
 )
 
@@ -28,10 +27,10 @@ func TrainingStep(d *gpusim.Device) ([]TrainingRow, Table) {
 	var rows []TrainingRow
 	agree := 0
 	for _, c := range workloads.Table1Convs() {
-		fwdCHWN := gpusim.EstimateTime(d, kernels.ConvDirectCHWNCost(d, c.Cfg)).TotalUS
-		fwdNCHW, _ := gpusim.EstimateSequence(d, kernels.ConvGemmNCHWCost(d, c.Cfg))
-		trainCHWN, _ := gpusim.EstimateSequence(d, kernels.ConvTrainingCost(d, c.Cfg, true))
-		trainNCHW, _ := gpusim.EstimateSequence(d, kernels.ConvTrainingCost(d, c.Cfg, false))
+		fwdCHWN := gpusim.EstimateTime(d, gpusim.ConvDirectCHWNCost(d, c.Cfg)).TotalUS
+		fwdNCHW := gpusim.EstimateSequence(d, gpusim.ConvGemmNCHWCost(d, c.Cfg))
+		trainCHWN := gpusim.EstimateSequence(d, gpusim.ConvTrainingCost(d, c.Cfg, true))
+		trainNCHW := gpusim.EstimateSequence(d, gpusim.ConvTrainingCost(d, c.Cfg, false))
 		row := TrainingRow{
 			Layer:           c.Name,
 			ForwardCHWNUS:   fwdCHWN,

@@ -21,18 +21,19 @@ import (
 
 	"memcnn/internal/autotune"
 	"memcnn/internal/gpusim"
-	"memcnn/internal/kernels"
 	"memcnn/internal/layers"
 	"memcnn/internal/layout"
 	"memcnn/internal/network"
 	"memcnn/internal/tensor"
 )
 
-// Options configure the optimiser.  The zero value enables every
-// optimisation with thresholds calibrated for the target device.
+// Options configure the optimiser.  Thresholds must be set; the zero value of
+// every other field enables every optimisation.
 type Options struct {
-	// Thresholds are the layout-selection thresholds; when unset they are
-	// calibrated from the device model at planning time.
+	// Thresholds are the layout-selection thresholds: the paper's published
+	// ones for the device (layout.TitanBlackThresholds, TitanXThresholds) or
+	// the one-time calibration's (layout.Calibrate).  Plan rejects invalid
+	// ones.
 	Thresholds layout.Thresholds
 	// DisableTransforms forbids mixing layouts: the planner keeps the first
 	// layer's preferred layout for the whole network.  Used by the ablation
@@ -57,34 +58,15 @@ type Options struct {
 // (not a gradient-descent optimiser — see the package naming note).
 type Optimizer struct {
 	Opts Options
-
-	calibrated map[string]layout.Thresholds
 }
 
 // NewOptimizer builds an optimiser.
 func NewOptimizer(opts Options) *Optimizer {
-	return &Optimizer{Opts: opts, calibrated: make(map[string]layout.Thresholds)}
+	return &Optimizer{Opts: opts}
 }
 
 // Name implements network.Planner.
 func (o *Optimizer) Name() string { return "Opt" }
-
-// thresholds returns the layout thresholds for a device, calibrating and
-// caching them on first use (the paper's "one-time profiling").
-func (o *Optimizer) thresholds(d *gpusim.Device) layout.Thresholds {
-	if o.Opts.Thresholds.Valid() {
-		return o.Opts.Thresholds
-	}
-	if th, ok := o.calibrated[d.Name]; ok {
-		return th
-	}
-	th := layout.Calibrate(d)
-	if o.calibrated == nil {
-		o.calibrated = make(map[string]layout.Thresholds)
-	}
-	o.calibrated[d.Name] = th
-	return th
-}
 
 // preferredLayout returns the layout the heuristic assigns to a layer, or the
 // incoming layout for layout-agnostic layers.
@@ -106,27 +88,27 @@ func (o *Optimizer) preferredLayout(l layers.Layer, incoming tensor.Layout, th l
 
 // options returns the implementation options the optimiser uses for a layer
 // in a given layout.
-func (o *Optimizer) options(d *gpusim.Device, l layers.Layer, lay tensor.Layout) layers.CostOptions {
-	opts := layers.CostOptions{}
+func (o *Optimizer) options(d *gpusim.Device, l layers.Layer, lay tensor.Layout) gpusim.CostOptions {
+	opts := gpusim.CostOptions{}
 	switch lt := l.(type) {
 	case *layers.Conv:
 		if lay == tensor.NCHW {
-			opts.Conv = layers.ConvBestNCHW
+			opts.Conv = gpusim.ConvBestNCHW
 		} else {
-			opts.Conv = layers.ConvDirectImpl
+			opts.Conv = gpusim.ConvDirectImpl
 		}
 	case *layers.Pool:
 		if lay == tensor.CHWN && !o.Opts.DisablePoolingOpt {
-			opts.Pool = layers.PoolOptimized
-			if e, _, err := autotune.TunePoolExpansion(lt.Cfg, kernels.PoolCoarsenedTimeUS(d, lt.Cfg)); err == nil {
+			opts.Pool = gpusim.PoolOptimized
+			if e, _, err := autotune.TunePoolExpansion(lt.Cfg, gpusim.PoolCoarsenedTimeUS(d, lt.Cfg)); err == nil {
 				opts.PoolExpansion = e
 			}
 		}
 	case *layers.Softmax:
 		if o.Opts.DisableSoftmaxOpt {
-			opts.Softmax = kernels.SoftmaxThreadPerImage
+			opts.Softmax = gpusim.SoftmaxThreadPerImage
 		} else {
-			opts.Softmax = kernels.SoftmaxFusedParallel
+			opts.Softmax = gpusim.SoftmaxFusedParallel
 		}
 	}
 	return opts
@@ -134,26 +116,25 @@ func (o *Optimizer) options(d *gpusim.Device, l layers.Layer, lay tensor.Layout)
 
 // layerTime prices one layer in one layout (including an incoming transform
 // when needed) so the planner can compare alternatives.
-func (o *Optimizer) layerTime(d *gpusim.Device, l layers.Layer, lay, incoming tensor.Layout) (float64, *gpusim.KernelStats, kernels.TransformMethod, error) {
-	opts := o.options(d, l, lay)
-	seq, err := l.Cost(d, lay, opts)
+func (o *Optimizer) layerTime(d *gpusim.Device, l layers.Layer, lay, incoming tensor.Layout) (float64, *gpusim.KernelStats, gpusim.TransformMethod, error) {
+	seq, err := gpusim.LayerCost(d, l, lay, o.options(d, l, lay))
 	if err != nil {
 		return 0, nil, 0, err
 	}
-	total, _ := gpusim.EstimateSequence(d, seq)
+	total := gpusim.EstimateSequence(d, seq)
 
 	var transform *gpusim.KernelStats
-	var method kernels.TransformMethod
+	var method gpusim.TransformMethod
 	if lay != incoming {
 		shape := l.InputShape()
 		if o.Opts.NaiveTransforms {
-			stats, err := kernels.TransformCost(d, shape, incoming, lay, kernels.TransformNaive)
+			stats, err := gpusim.TransformCost(d, shape, incoming, lay, gpusim.TransformNaive)
 			if err != nil {
 				return 0, nil, 0, err
 			}
-			transform, method = &stats, kernels.TransformNaive
+			transform, method = &stats, gpusim.TransformNaive
 		} else {
-			stats, m, err := kernels.BestTransform(d, shape, incoming, lay)
+			stats, m, err := gpusim.BestTransform(d, shape, incoming, lay)
 			if err != nil {
 				return 0, nil, 0, err
 			}
@@ -184,7 +165,10 @@ func (o *Optimizer) Plan(d *gpusim.Device, net *network.Network) (*network.Execu
 	if net == nil || len(net.Layers) == 0 {
 		return nil, fmt.Errorf("core: cannot plan an empty network")
 	}
-	th := o.thresholds(d)
+	th := o.Opts.Thresholds
+	if !th.Valid() {
+		return nil, fmt.Errorf("core: invalid layout thresholds %v: pass the paper's or layout.Calibrate's", th)
+	}
 	plan := &network.ExecutionPlan{PlannerName: o.Name(), Network: net, Device: d}
 
 	// The network's input starts in the first layer's preferred layout: the
@@ -206,7 +190,7 @@ func (o *Optimizer) Plan(d *gpusim.Device, net *network.Network) (*network.Execu
 
 		lay := preferred
 		var transform *gpusim.KernelStats
-		var method kernels.TransformMethod
+		var method gpusim.TransformMethod
 
 		if !o.Opts.SkipTransformCheck && !o.Opts.DisableTransforms {
 			// One-time profiling check (Section IV.D): the heuristic proposes
@@ -240,7 +224,7 @@ func (o *Optimizer) Plan(d *gpusim.Device, net *network.Network) (*network.Execu
 					if next := nextLayoutSensitiveLayer(net, i); next != nil {
 						nextPreferred := o.preferredLayout(next, current, th)
 						if nextPreferred == current && next.SupportsLayout(current) {
-							if back, _, err := kernels.BestTransform(d, next.InputShape(), cand, current); err == nil {
+							if back, _, err := gpusim.BestTransform(d, next.InputShape(), cand, current); err == nil {
 								cost += gpusim.EstimateTime(d, back).TotalUS
 							}
 						}
@@ -259,7 +243,7 @@ func (o *Optimizer) Plan(d *gpusim.Device, net *network.Network) (*network.Execu
 		}
 
 		opts := o.options(d, l, lay)
-		if _, err := l.Cost(d, lay, opts); err != nil {
+		if _, err := gpusim.LayerCost(d, l, lay, opts); err != nil {
 			return nil, fmt.Errorf("core: layer %q cannot run in layout %v: %w", l.Name(), lay, err)
 		}
 		plan.Layers = append(plan.Layers, network.PlannedLayer{

@@ -125,7 +125,7 @@ func TestOptimizerUsesOptimizedKernels(t *testing.T) {
 	for _, pl := range plan.Layers {
 		switch pl.Layer.(type) {
 		case *layers.Pool:
-			if pl.Layout == tensor.CHWN && pl.Options.Pool != layers.PoolOptimized {
+			if pl.Layout == tensor.CHWN && pl.Options.Pool != gpusim.PoolOptimized {
 				t.Errorf("pool %q should use the optimised kernel", pl.Layer.Name())
 			}
 		case *layers.Softmax:
@@ -136,15 +136,29 @@ func TestOptimizerUsesOptimizedKernels(t *testing.T) {
 	}
 }
 
-func TestCalibrationIsUsedWhenThresholdsMissing(t *testing.T) {
-	// With zero-valued thresholds the optimiser calibrates from the device
-	// model; the resulting plan must still mix layouts sensibly for AlexNet.
-	plan, _ := planNetwork(t, "AlexNet", core.Options{})
+func TestCalibratedThresholdsMixLayouts(t *testing.T) {
+	// With the thresholds the one-time calibration derives from the device
+	// model, the plan must still mix layouts sensibly for AlexNet.
+	plan, _ := planNetwork(t, "AlexNet", core.Options{Thresholds: layout.Calibrate(gpusim.TitanBlack())})
 	if lay, ok := layoutOf(plan, "conv1"); !ok || lay != tensor.CHWN {
 		t.Errorf("calibrated thresholds: conv1 layout = %v, want CHWN", lay)
 	}
 	if lay, ok := layoutOf(plan, "conv4"); !ok || lay != tensor.NCHW {
 		t.Errorf("calibrated thresholds: conv4 layout = %v, want NCHW", lay)
+	}
+}
+
+func TestPlanRejectsInvalidThresholds(t *testing.T) {
+	// The optimiser does not calibrate behind the caller's back: unset or
+	// invalid thresholds are an error naming them, not a silent calibration.
+	net, err := workloads.LeNet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, th := range []layout.Thresholds{{}, {Ct: 32}, {Ct: -1, Nt: 128}} {
+		if _, err := core.NewOptimizer(core.Options{Thresholds: th}).Plan(gpusim.TitanBlack(), net); err == nil {
+			t.Errorf("thresholds %v: Plan succeeded, want an error", th)
+		}
 	}
 }
 

@@ -15,7 +15,7 @@ package frameworks
 
 import (
 	"memcnn/internal/core"
-	"memcnn/internal/kernels"
+	"memcnn/internal/gpusim"
 	"memcnn/internal/layers"
 	"memcnn/internal/layout"
 	"memcnn/internal/network"
@@ -55,10 +55,10 @@ func CudaConvnet() network.Planner {
 	return &network.FixedLayoutPlanner{
 		PlannerName: "cuda-convnet",
 		Layout:      tensor.CHWN,
-		Options: func(l layers.Layer) layers.CostOptions {
-			opts := layers.CostOptions{}
+		Options: func(l layers.Layer) gpusim.CostOptions {
+			opts := gpusim.CostOptions{}
 			if _, ok := l.(*layers.Softmax); ok {
-				opts.Softmax = kernels.SoftmaxThreadPerImage
+				opts.Softmax = gpusim.SoftmaxThreadPerImage
 			}
 			return opts
 		},
@@ -71,13 +71,13 @@ func Caffe() network.Planner {
 	return &network.FixedLayoutPlanner{
 		PlannerName: "Caffe",
 		Layout:      tensor.NCHW,
-		Options: func(l layers.Layer) layers.CostOptions {
-			opts := layers.CostOptions{}
+		Options: func(l layers.Layer) gpusim.CostOptions {
+			opts := gpusim.CostOptions{}
 			switch l.(type) {
 			case *layers.Conv:
-				opts.Conv = layers.ConvGemmImpl
+				opts.Conv = gpusim.ConvGemmImpl
 			case *layers.Softmax:
-				opts.Softmax = kernels.SoftmaxThreadPerImage
+				opts.Softmax = gpusim.SoftmaxThreadPerImage
 			}
 			return opts
 		},
@@ -88,41 +88,42 @@ func Caffe() network.Planner {
 // The FFT modes fall back to the MM mode on layers where they fail, matching
 // the paper's "falls back to the cuDNN-MM mode if failed" methodology.
 func CuDNN(mode CuDNNMode) network.Planner {
-	conv := layers.ConvGemmImpl
+	conv := gpusim.ConvGemmImpl
 	switch mode {
 	case CuDNNFFT:
-		conv = layers.ConvFFTImpl
+		conv = gpusim.ConvFFTImpl
 	case CuDNNFFTTiling:
-		conv = layers.ConvFFTTilingImpl
+		conv = gpusim.ConvFFTTilingImpl
 	case CuDNNBest:
-		conv = layers.ConvBestNCHW
+		conv = gpusim.ConvBestNCHW
 	}
 	return &network.FixedLayoutPlanner{
 		PlannerName: mode.String(),
 		Layout:      tensor.NCHW,
-		Options: func(l layers.Layer) layers.CostOptions {
-			opts := layers.CostOptions{}
+		Options: func(l layers.Layer) gpusim.CostOptions {
+			opts := gpusim.CostOptions{}
 			switch l.(type) {
 			case *layers.Conv:
 				opts.Conv = conv
 			case *layers.Pool:
-				opts.Pool = layers.PoolCuDNNVariant
+				opts.Pool = gpusim.PoolCuDNN
 			case *layers.Softmax:
-				opts.Softmax = kernels.SoftmaxBlockPerImage
+				opts.Softmax = gpusim.SoftmaxBlockPerImage
 			}
 			return opts
 		},
-		Fallback: func(l layers.Layer, err error) (layers.CostOptions, bool) {
+		Fallback: func(l layers.Layer, err error) (gpusim.CostOptions, bool) {
 			if _, ok := l.(*layers.Conv); ok {
-				return layers.CostOptions{Conv: layers.ConvGemmImpl}, true
+				return gpusim.CostOptions{Conv: gpusim.ConvGemmImpl}, true
 			}
-			return layers.CostOptions{}, false
+			return gpusim.CostOptions{}, false
 		},
 	}
 }
 
-// Optimized returns the paper's optimiser with the given thresholds (zero
-// thresholds trigger per-device calibration).
+// Optimized returns the paper's optimiser with the given layout thresholds:
+// the paper's published ones or layout.Calibrate's for the device the plan is
+// priced on.  Its Plan fails on invalid thresholds.
 func Optimized(th layout.Thresholds) network.Planner {
 	return core.NewOptimizer(core.Options{Thresholds: th})
 }

@@ -164,7 +164,7 @@ func TestTitanXShowsSameTrends(t *testing.T) {
 	}
 	for _, name := range []string{"LeNet", "VGG"} {
 		out := make(map[string]float64)
-		for _, p := range frameworks.All(layout.Thresholds{}) { // calibrate on the Titan X model
+		for _, p := range frameworks.All(layout.Calibrate(d)) { // calibrated on the Titan X model
 			plan, err := p.Plan(d, nets[name])
 			if err != nil {
 				t.Fatalf("%s on %s: %v", p.Name(), name, err)

@@ -4,8 +4,8 @@ import "fmt"
 
 // KernelStats is the analytic description of one GPU kernel invocation (or a
 // short sequence of identical invocations): its launch geometry, resource
-// demand, arithmetic work and off-chip traffic.  Kernel models in
-// internal/kernels produce KernelStats; EstimateTime turns them into time.
+// demand, arithmetic work and off-chip traffic.  The kernel models of this
+// package produce KernelStats; EstimateTime turns them into time.
 type KernelStats struct {
 	Name string
 

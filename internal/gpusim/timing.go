@@ -108,16 +108,13 @@ func EstimateTime(d *Device, s KernelStats) KernelTime {
 	return kt
 }
 
-// EstimateSequence estimates the total time of kernels executed back to back
-// (each paying its own launch overhead) and returns the per-kernel breakdown.
-func EstimateSequence(d *Device, kernels []KernelStats) (total float64, times []KernelTime) {
-	times = make([]KernelTime, 0, len(kernels))
+// EstimateSequence estimates the total time, in microseconds, of kernels
+// executed back to back, each paying its own launch overhead.
+func EstimateSequence(d *Device, kernels []KernelStats) (total float64) {
 	for _, k := range kernels {
-		kt := EstimateTime(d, k)
-		times = append(times, kt)
-		total += kt.TotalUS
+		total += EstimateTime(d, k).TotalUS
 	}
-	return total, times
+	return total
 }
 
 // String summarises the estimate.

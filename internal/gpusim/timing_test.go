@@ -127,11 +127,8 @@ func TestEstimateTimePanicsOnInvalidStats(t *testing.T) {
 func TestEstimateSequence(t *testing.T) {
 	d := TitanBlack()
 	kernels := []KernelStats{computeBoundStats(), memoryBoundStats()}
-	total, times := EstimateSequence(d, kernels)
-	if len(times) != 2 {
-		t.Fatalf("want 2 kernel times, got %d", len(times))
-	}
-	want := times[0].TotalUS + times[1].TotalUS
+	total := EstimateSequence(d, kernels)
+	want := EstimateTime(d, kernels[0]).TotalUS + EstimateTime(d, kernels[1]).TotalUS
 	if math.Abs(total-want) > 1e-9 {
 		t.Errorf("sequence total %v != sum of parts %v", total, want)
 	}

@@ -1,9 +1,8 @@
-package kernels
+package gpusim
 
 import (
 	"fmt"
 
-	"memcnn/internal/gpusim"
 	"memcnn/internal/tensor"
 )
 
@@ -13,8 +12,8 @@ import (
 // kernel, the flatten + shared-memory-tile kernel ("Opt1") and the float2
 // vectorised kernel ("Opt2").
 //
-// The functional transformation itself is tensor.Convert; these models only
-// describe the GPU cost of performing it.
+// The functional transformation itself is tensor.ConvertInto; these models
+// only describe the GPU cost of performing it.
 
 // TransformMethod identifies one of the modelled transformation kernels.
 type TransformMethod int
@@ -74,20 +73,20 @@ func TransformApplicable(m TransformMethod, shape tensor.Shape) bool {
 // TransformCost models moving one tensor of the given shape from layout
 // `from` to layout `to` with the selected kernel.  Transforming to the same
 // layout costs nothing.
-func TransformCost(d *gpusim.Device, shape tensor.Shape, from, to tensor.Layout, m TransformMethod) (gpusim.KernelStats, error) {
+func TransformCost(d *Device, shape tensor.Shape, from, to tensor.Layout, m TransformMethod) (KernelStats, error) {
 	if !from.Valid() || !to.Valid() {
-		return gpusim.KernelStats{}, fmt.Errorf("kernels: invalid layouts %v -> %v", from, to)
+		return KernelStats{}, fmt.Errorf("gpusim: invalid layouts %v -> %v", from, to)
 	}
 	if !shape.Valid() {
-		return gpusim.KernelStats{}, fmt.Errorf("kernels: invalid shape %v", shape)
+		return KernelStats{}, fmt.Errorf("gpusim: invalid shape %v", shape)
 	}
 	if !TransformApplicable(m, shape) {
-		return gpusim.KernelStats{}, fmt.Errorf("kernels: %v transform not applicable to shape %v (needs N >= %d)",
+		return KernelStats{}, fmt.Errorf("gpusim: %v transform not applicable to shape %v (needs N >= %d)",
 			m, shape, TransformVectorizedMinBatch)
 	}
 	name := fmt.Sprintf("transform %v->%v %v (%s)", from, to, shape, m)
 	if from == to {
-		return gpusim.KernelStats{Name: name, Launches: 0, ComputeEfficiency: 1}, nil
+		return KernelStats{Name: name, Launches: 0, ComputeEfficiency: 1}, nil
 	}
 	bytes := float64(shape.Bytes())
 
@@ -100,7 +99,7 @@ func TransformCost(d *gpusim.Device, shape tensor.Shape, from, to tensor.Layout,
 		// strided by the destination stride of the source's innermost
 		// logical dimension.
 		writeStride := destStrideOfSourceInnermost(shape, from, to)
-		warp := gpusim.StridedWarp(0, writeStride, 4, d.WarpSize)
+		warp := StridedWarp(0, writeStride, 4, d.WarpSize)
 		eff := warp.Efficiency(d.TransactionBytes)
 		read = bytes
 		write = bytes / eff
@@ -115,10 +114,10 @@ func TransformCost(d *gpusim.Device, shape tensor.Shape, from, to tensor.Layout,
 		regs, smem, threads = 32, 33*32*8, 256 // padded float2 tile
 	}
 	elems := shape.Elems()
-	return gpusim.KernelStats{
+	return KernelStats{
 		Name:              name,
 		GridBlocks:        ceilDiv(elems, 1024),
-		Block:             gpusim.BlockResources{ThreadsPerBlock: threads, RegsPerThread: regs, SharedMemPerBlock: smem},
+		Block:             BlockResources{ThreadsPerBlock: threads, RegsPerThread: regs, SharedMemPerBlock: smem},
 		Launches:          1,
 		FLOPs:             0,
 		ComputeEfficiency: 1,
@@ -150,15 +149,15 @@ func destStrideOfSourceInnermost(shape tensor.Shape, from, to tensor.Layout) int
 // BestTransform returns the fastest applicable transformation kernel for the
 // shape, the policy the integrated framework uses when it has to move a
 // tensor between layers with different preferred layouts.
-func BestTransform(d *gpusim.Device, shape tensor.Shape, from, to tensor.Layout) (gpusim.KernelStats, TransformMethod, error) {
+func BestTransform(d *Device, shape tensor.Shape, from, to tensor.Layout) (KernelStats, TransformMethod, error) {
 	best := TransformTiled
 	bestStats, err := TransformCost(d, shape, from, to, TransformTiled)
 	if err != nil {
-		return gpusim.KernelStats{}, 0, err
+		return KernelStats{}, 0, err
 	}
 	if TransformApplicable(TransformVectorized, shape) {
 		vec, err := TransformCost(d, shape, from, to, TransformVectorized)
-		if err == nil && gpusim.EstimateTime(d, vec).TotalUS < gpusim.EstimateTime(d, bestStats).TotalUS {
+		if err == nil && EstimateTime(d, vec).TotalUS < EstimateTime(d, bestStats).TotalUS {
 			best, bestStats = TransformVectorized, vec
 		}
 	}

@@ -13,7 +13,7 @@ import (
 
 // ConvDirect is ConvDirectInto into a fresh tensor in outLayout.
 func ConvDirect(in, filters *tensor.Tensor, cfg ConvConfig, outLayout tensor.Layout) (*tensor.Tensor, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -28,7 +28,7 @@ func ConvDirect(in, filters *tensor.Tensor, cfg ConvConfig, outLayout tensor.Lay
 // and delegates to ConvIm2colGemmInto, so its output is bit-identical to the
 // planned runtime's GEMM path.
 func ConvIm2colGemm(in, filters *tensor.Tensor, cfg ConvConfig, outLayout tensor.Layout) (*tensor.Tensor, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -50,7 +50,7 @@ func ConvIm2colGemm(in, filters *tensor.Tensor, cfg ConvConfig, outLayout tensor
 // ConvFFT allocates the output and workspace and delegates to ConvFFTInto, so
 // its results are bit-identical to the planned runtime's FFT path.
 func ConvFFT(in, filters *tensor.Tensor, cfg ConvConfig, outLayout tensor.Layout) (*tensor.Tensor, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -77,7 +77,7 @@ func Gemm(a []float32, b []float32, m, n, k int) ([]float32, error) {
 // ConvBackwardData is ConvGemmBackwardDataInto over a fresh workspace, into
 // a fresh tensor in outLayout.
 func ConvBackwardData(dOut, filters *tensor.Tensor, cfg ConvConfig, outLayout tensor.Layout) (*tensor.Tensor, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -91,7 +91,7 @@ func ConvBackwardData(dOut, filters *tensor.Tensor, cfg ConvConfig, outLayout te
 // ConvBackwardFilter is ConvGemmBackwardFilterInto over a fresh workspace,
 // into a fresh NCHW tensor.
 func ConvBackwardFilter(in, dOut *tensor.Tensor, cfg ConvConfig) (*tensor.Tensor, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"memcnn/internal/gpusim"
 	"memcnn/internal/par"
 	"memcnn/internal/tensor"
 )
@@ -13,10 +12,9 @@ import (
 // same data structures and convolution operations are used in the forward and
 // backward passes, so the layout findings carry over to training; its Caffe
 // integration is profiled on complete forward-backward iterations.  This file
-// provides pooling backward, ReLU backward, the fused softmax + cross-entropy
-// gradient and the GPU cost models of a training step.  A convolution's two
-// gradients, whichever algorithm its forward runs, are the packed GEMM core's
-// (backward_gemm.go).
+// provides pooling backward, ReLU backward and the fused softmax +
+// cross-entropy gradient.  A convolution's two gradients, whichever algorithm
+// its forward runs, are the packed GEMM core's (backward_gemm.go).
 //
 // Every kernel writes into a caller-provided gradient tensor; the planned
 // training executor (internal/runtime/train) runs them over arena-planned
@@ -24,73 +22,6 @@ import (
 // distributed plane by plane (par.Planes) with a fixed per-element
 // accumulation order, so results do not depend on the worker count.  Pooling
 // backward walks each window through the tensors' strides.
-
-// ConvBackwardDataCHWNCost models the backward-data pass of the direct
-// convolution on the CHWN layout.  The access structure mirrors the forward
-// kernel (the roles of C and K swap and the filter is traversed transposed),
-// so the cost model reuses the forward machinery on the transposed
-// configuration — exactly the paper's observation that forward and backward
-// share layout behaviour.
-func ConvBackwardDataCHWNCost(d *gpusim.Device, cfg ConvConfig) gpusim.KernelStats {
-	cfg = cfg.withDefaults()
-	t := transposedConfig(cfg)
-	s := ConvDirectCHWNCost(d, t)
-	s.Name = fmt.Sprintf("direct-conv-bwd-data CHWN %s", cfg.String())
-	return s
-}
-
-// ConvBackwardDataNCHWCost models the backward-data pass of the GEMM
-// convolution (col2im after a GEMM with the transposed filter matrix).
-func ConvBackwardDataNCHWCost(d *gpusim.Device, cfg ConvConfig) []gpusim.KernelStats {
-	cfg = cfg.withDefaults()
-	t := transposedConfig(cfg)
-	seq := ConvGemmNCHWCost(d, t)
-	for i := range seq {
-		seq[i].Name = fmt.Sprintf("gemm-conv-bwd-data NCHW %s (stage %d)", cfg.String(), i)
-	}
-	return seq
-}
-
-// transposedConfig returns the configuration of the backward-data convolution
-// seen as a forward convolution: output channels become input channels and
-// the spatial extent is the forward output's.  Degenerate sizes are clamped
-// so the cost query stays well defined for very small layers.
-func transposedConfig(cfg ConvConfig) ConvConfig {
-	h, w := cfg.OutH(), cfg.OutW()
-	if h < cfg.FH {
-		h = cfg.FH
-	}
-	if w < cfg.FW {
-		w = cfg.FW
-	}
-	padH, padW := cfg.FH-1-cfg.PadH, cfg.FW-1-cfg.PadW
-	if padH < 0 {
-		padH = 0
-	}
-	if padW < 0 {
-		padW = 0
-	}
-	return ConvConfig{
-		N: cfg.N, C: cfg.K, H: h, W: w,
-		K: cfg.C, FH: cfg.FH, FW: cfg.FW,
-		StrideH: 1, StrideW: 1,
-		PadH: padH, PadW: padW,
-	}
-}
-
-// ConvBackwardFilterCost models the weight-gradient kernel, which both
-// libraries implement as a GEMM over the unrolled input:
-// dW (K × C·FH·FW) = dOut (K × N·OutH·OutW) · unrolled(in)ᵀ.
-func ConvBackwardFilterCost(d *gpusim.Device, cfg ConvConfig) []gpusim.KernelStats {
-	cfg = cfg.withDefaults()
-	g := GemmCostConfig{M: cfg.K, N: cfg.ReductionLength(), K: cfg.N * cfg.OutH() * cfg.OutW()}
-	gemm := GemmCost(d, g)
-	gemm.Name = fmt.Sprintf("conv-bwd-filter %s", cfg.String())
-	if cfg.FH == 1 && cfg.FW == 1 && cfg.StrideH == 1 && cfg.StrideW == 1 {
-		return []gpusim.KernelStats{gemm}
-	}
-	return []gpusim.KernelStats{Im2colCost(d, cfg), gemm}
-}
 
 // PoolBackwardInto computes the gradient of the pooling layer.  For max
 // pooling the incoming gradient is routed to the window position that
@@ -172,42 +103,6 @@ func poolBackwardPlane(j poolBackwardJob, p int) {
 	}
 }
 
-// PoolBackwardCost models the pooling backward kernel: it reads the incoming
-// gradient and the forward activations (or the stored argmax mask) and
-// scatters into the input gradient.  The layout determines coalescing exactly
-// as in the forward pass.
-func PoolBackwardCost(d *gpusim.Device, cfg PoolConfig, layoutIsCHWN bool) gpusim.KernelStats {
-	inBytes := float64(cfg.InputShape().Elems()) * 4
-	outBytes := float64(cfg.OutputShape().Elems()) * 4
-	// Reads: gradient + mask; writes: input-sized gradient (atomics for the
-	// overlapped case).
-	read := 2 * outBytes
-	write := inBytes
-	eff := 1.0
-	if !layoutIsCHWN {
-		eff = nchwPoolWarpEfficiency(d, cfg)
-	}
-	if cfg.Overlapped() {
-		write *= 1.15 // atomic collisions on shared border elements
-	}
-	name := "pool-bwd CHWN"
-	if !layoutIsCHWN {
-		name = "pool-bwd NCHW"
-	}
-	return gpusim.KernelStats{
-		Name:              fmt.Sprintf("%s %s", name, cfg.String()),
-		GridBlocks:        ceilDiv(cfg.OutputShape().Elems(), 256),
-		Block:             gpusim.BlockResources{ThreadsPerBlock: 256, RegsPerThread: 24},
-		Launches:          1,
-		FLOPs:             cfg.FLOPs(),
-		ComputeEfficiency: 0.5,
-		DRAMReadBytes:     read / eff,
-		DRAMWriteBytes:    write / eff,
-		UsefulReadBytes:   read,
-		UsefulWriteBytes:  write,
-	}
-}
-
 // SoftmaxCrossEntropyBackwardFloatInto computes the gradient of the softmax +
 // cross-entropy loss with respect to the logits, probs - onehot(labels)
 // scaled by 1/N, into a caller-provided slice of at least cfg.Elems()
@@ -275,32 +170,6 @@ func SoftmaxCrossEntropyLoss(probs []float32, labels []int, cfg SoftmaxConfig) (
 	return loss / float64(cfg.N), nil
 }
 
-// SoftmaxBackwardCost models the (fused) softmax backward kernel: one
-// streaming pass over the probability matrix.
-func SoftmaxBackwardCost(d *gpusim.Device, cfg SoftmaxConfig, fused bool) gpusim.KernelStats {
-	matrix := cfg.Bytes()
-	launches := 1
-	read, write := matrix, matrix
-	if !fused {
-		// The unfused baseline recomputes through separate kernels and
-		// round-trips an intermediate matrix.
-		launches = 2
-		read, write = 2*matrix, 2*matrix
-	}
-	return gpusim.KernelStats{
-		Name:              fmt.Sprintf("softmax-bwd %s", cfg.String()),
-		GridBlocks:        cfg.N,
-		Block:             gpusim.BlockResources{ThreadsPerBlock: softmaxBlockThreads(cfg.Classes), RegsPerThread: 24},
-		Launches:          launches,
-		FLOPs:             float64(cfg.Elems()) * 2,
-		ComputeEfficiency: 0.25,
-		DRAMReadBytes:     read,
-		DRAMWriteBytes:    write,
-		UsefulReadBytes:   matrix,
-		UsefulWriteBytes:  matrix,
-	}
-}
-
 // ReLUBackwardInto masks the incoming gradient with the forward activation's
 // sign: dIn = dOut where the forward input was positive, 0 elsewhere.  Every
 // element of dIn is overwritten.  When all three tensors share a layout it is
@@ -340,26 +209,4 @@ func ReLUBackwardInto(in, dOut, dIn *tensor.Tensor) error {
 		}
 	}
 	return nil
-}
-
-// ConvTrainingCost returns the kernel sequence of one training step of a
-// convolutional layer (forward + backward-data + backward-filter) in the
-// given layout, the quantity the paper's complete forward-backward profiling
-// measures.
-func ConvTrainingCost(d *gpusim.Device, cfg ConvConfig, chwn bool) []gpusim.KernelStats {
-	bwdFilter := ConvBackwardFilterCost(d, cfg)
-	if chwn {
-		// cuda-convnet's weight-gradient kernel works on the CHWN data
-		// directly (no unroll step), so only the GEMM-equivalent part of the
-		// weight-gradient cost applies.
-		return []gpusim.KernelStats{
-			ConvDirectCHWNCost(d, cfg),
-			ConvBackwardDataCHWNCost(d, cfg),
-			bwdFilter[len(bwdFilter)-1],
-		}
-	}
-	seq := ConvGemmNCHWCost(d, cfg)
-	seq = append(seq, ConvBackwardDataNCHWCost(d, cfg)...)
-	seq = append(seq, bwdFilter...)
-	return seq
 }

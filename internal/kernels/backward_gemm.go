@@ -53,7 +53,7 @@ func flushSubnormal(v float32) float32 {
 // as the transposed left operand, then one K × gemmNR output-gradient panel per
 // lane.
 func ConvGemmBackwardDataWorkspaceElems(cfg ConvConfig) int {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	return gemmPackedAElems(cfg.ReductionLength(), cfg.K) + min(cfg.N, gemmGradLanes)*cfg.K*gemmNR
 }
 
@@ -69,7 +69,7 @@ func ConvGemmBackwardDataWorkspaceElems(cfg ConvConfig) int {
 //
 //memcnn:noalloc
 func ConvGemmBackwardDataInto(dOut, filters, dIn *tensor.Tensor, cfg ConvConfig, scratch []float32) error {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
@@ -208,7 +208,7 @@ func (j *gemmDataJob) col2imAdd(tile *[gemmMR * gemmNR]float32, n, row, h, oh, o
 // output positions (gradBlock) of the output gradient packed as the left
 // operand and the matching block of one unrolled tap panel.
 func ConvGemmBackwardFilterWorkspaceElems(cfg ConvConfig) int {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	rows, cols := gradBlock(cfg)
 	lanes := min(ceilDiv(cfg.ReductionLength(), gemmNR), gemmGradLanes)
 	return lanes * (gemmPackedAElems(cfg.K, rows*cols) + rows*cols*gemmNR)
@@ -239,7 +239,7 @@ func gradBlock(cfg ConvConfig) (rows, cols int) {
 //
 //memcnn:noalloc
 func ConvGemmBackwardFilterInto(in, dOut, dW *tensor.Tensor, cfg ConvConfig, scratch []float32) error {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
 		return err
 	}

@@ -119,7 +119,7 @@ func closeTo(t *testing.T, what string, got, want *tensor.Tensor) {
 
 func TestGemmGradientsMatchDirect(t *testing.T) {
 	for name, cfg := range gemmGradConfigs() {
-		cfg = cfg.withDefaults()
+		cfg = cfg.WithDefaults()
 		for _, lay := range []tensor.Layout{tensor.NCHW, tensor.CHWN} {
 			label := fmt.Sprintf("%s %v", name, lay)
 			in := tensor.Random(cfg.InputShape(), lay, 1)
@@ -155,7 +155,7 @@ func TestGemmGradientsMatchDirect(t *testing.T) {
 func TestGemmGradientsWorkerCountInvariant(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for name, cfg := range gemmGradConfigs() {
-		cfg = cfg.withDefaults()
+		cfg = cfg.WithDefaults()
 		in := tensor.Random(cfg.InputShape(), tensor.NCHW, 4)
 		filters := tensor.Filters(cfg.K, cfg.C, cfg.FH, cfg.FW, 5)
 		dOut := tensor.Random(cfg.OutputShape(), tensor.NCHW, 6)
@@ -185,7 +185,7 @@ func TestGemmGradientsWorkerCountInvariant(t *testing.T) {
 // gradient with subnormals of either sign in it: the bits must be those of
 // the same gradient with zeros there.
 func TestGemmGradientsReadSubnormalsAsZero(t *testing.T) {
-	cfg := gemmGradConfigs()["padded-odd"].withDefaults()
+	cfg := gemmGradConfigs()["padded-odd"].WithDefaults()
 	in := tensor.Random(cfg.InputShape(), tensor.NCHW, 7)
 	filters := tensor.Filters(cfg.K, cfg.C, cfg.FH, cfg.FW, 8)
 	dOut := tensor.Random(cfg.OutputShape(), tensor.NCHW, 9)
@@ -213,7 +213,7 @@ func TestGemmGradientsReadSubnormalsAsZero(t *testing.T) {
 }
 
 func TestGemmGradientsValidation(t *testing.T) {
-	cfg := ConvConfig{N: 2, C: 2, H: 6, W: 6, K: 3, FH: 3, FW: 3}.withDefaults()
+	cfg := ConvConfig{N: 2, C: 2, H: 6, W: 6, K: 3, FH: 3, FW: 3}.WithDefaults()
 	filters := tensor.Filters(cfg.K, cfg.C, cfg.FH, cfg.FW, 1)
 	in, dOut := tensor.New(cfg.InputShape(), tensor.NCHW), tensor.New(cfg.OutputShape(), tensor.NCHW)
 	dataScratch := make([]float32, ConvGemmBackwardDataWorkspaceElems(cfg))

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"memcnn/internal/gpusim"
 	"memcnn/internal/tensor"
 )
 
@@ -277,87 +276,5 @@ func TestReLUBackwardMasks(t *testing.T) {
 	}
 	if _, err := ReLUBackward(in, tensor.New(tensor.Shape{N: 1, C: 1, H: 1, W: 1}, tensor.NCHW)); err == nil {
 		t.Error("shape mismatch must be rejected")
-	}
-}
-
-func TestBackwardCostsAreValidAndLayoutSensitive(t *testing.T) {
-	d := gpusim.TitanBlack()
-	convs := []ConvConfig{
-		{N: 128, C: 16, H: 14, W: 14, K: 16, FH: 5, FW: 5},
-		{N: 64, C: 256, H: 13, W: 13, K: 384, FH: 3, FW: 3},
-		{N: 64, C: 3, H: 224, W: 224, K: 96, FH: 3, FW: 3, StrideH: 2, StrideW: 2},
-	}
-	for _, cfg := range convs {
-		for _, s := range []gpusim.KernelStats{ConvBackwardDataCHWNCost(d, cfg)} {
-			if err := s.Validate(); err != nil {
-				t.Errorf("%v: %v", cfg, err)
-			}
-		}
-		for _, s := range ConvBackwardDataNCHWCost(d, cfg) {
-			if err := s.Validate(); err != nil {
-				t.Errorf("%v: %v", cfg, err)
-			}
-		}
-		for _, s := range ConvBackwardFilterCost(d, cfg) {
-			if err := s.Validate(); err != nil {
-				t.Errorf("%v: %v", cfg, err)
-			}
-		}
-	}
-	// The paper's footnote: the backward pass uses the same structures, so
-	// the layout preference of the forward pass carries over to the combined
-	// training step.
-	cv2 := convs[0] // batch 128, small C -> CHWN preferred
-	chwnTrain, _ := gpusim.EstimateSequence(d, ConvTrainingCost(d, cv2, true))
-	nchwTrain, _ := gpusim.EstimateSequence(d, ConvTrainingCost(d, cv2, false))
-	if chwnTrain >= nchwTrain {
-		t.Errorf("CV2 training step: CHWN (%.0fus) should beat NCHW (%.0fus)", chwnTrain, nchwTrain)
-	}
-	cv7 := convs[1] // batch 64, C=256 -> NCHW preferred
-	chwnTrain, _ = gpusim.EstimateSequence(d, ConvTrainingCost(d, cv7, true))
-	nchwTrain, _ = gpusim.EstimateSequence(d, ConvTrainingCost(d, cv7, false))
-	if nchwTrain >= chwnTrain {
-		t.Errorf("CV7 training step: NCHW (%.0fus) should beat CHWN (%.0fus)", nchwTrain, chwnTrain)
-	}
-}
-
-func TestPoolAndSoftmaxBackwardCosts(t *testing.T) {
-	d := gpusim.TitanBlack()
-	pool := PoolConfig{N: 128, C: 96, H: 55, W: 55, Window: 3, Stride: 2, Op: MaxPool}
-	chwn := PoolBackwardCost(d, pool, true)
-	nchw := PoolBackwardCost(d, pool, false)
-	if err := chwn.Validate(); err != nil {
-		t.Error(err)
-	}
-	if err := nchw.Validate(); err != nil {
-		t.Error(err)
-	}
-	if gpusim.EstimateTime(d, chwn).TotalUS >= gpusim.EstimateTime(d, nchw).TotalUS {
-		t.Error("the CHWN pooling backward kernel should be faster than the NCHW one")
-	}
-	sm := SoftmaxConfig{N: 128, Classes: 1000}
-	fused := SoftmaxBackwardCost(d, sm, true)
-	unfused := SoftmaxBackwardCost(d, sm, false)
-	if err := fused.Validate(); err != nil {
-		t.Error(err)
-	}
-	if err := unfused.Validate(); err != nil {
-		t.Error(err)
-	}
-	if gpusim.EstimateTime(d, fused).TotalUS >= gpusim.EstimateTime(d, unfused).TotalUS {
-		t.Error("the fused softmax backward kernel should be faster than the unfused one")
-	}
-}
-
-func TestTransposedConfigClamping(t *testing.T) {
-	// A layer whose output is smaller than the filter must still yield a
-	// valid transposed configuration for the cost query.
-	cfg := ConvConfig{N: 4, C: 8, H: 5, W: 5, K: 16, FH: 5, FW: 5}
-	tc := transposedConfig(cfg)
-	if err := tc.Validate(); err != nil {
-		t.Errorf("transposed config invalid: %v", err)
-	}
-	if tc.C != cfg.K || tc.K != cfg.C {
-		t.Error("transposed config must swap the channel dimensions")
 	}
 }

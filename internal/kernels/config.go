@@ -1,16 +1,12 @@
-// Package kernels contains the GPU kernel models studied in the paper: for
-// every kernel (direct convolution, im2col+GEMM convolution, FFT convolution,
-// pooling in both layouts, the softmax variants, and the 4-D layout
-// transformations) it provides
-//
-//   - a functionally correct, goroutine-parallel CPU implementation used as
-//     the numerical reference and by the examples, and
-//   - an analytic cost model producing gpusim.KernelStats, which the
-//     benchmark harness turns into the paper's figures.
-//
-// The cost models are built from the mechanisms the paper identifies
-// (coalescing, register-level reuse, matrix-expansion overhead, kernel-launch
-// round trips, occupancy-limited latency hiding), priced by gpusim.EstimateTime.
+// Package kernels contains the host kernels of the layers the paper studies:
+// the direct, im2col+GEMM and FFT convolutions and their gradients, pooling,
+// softmax and the packed GEMM core they build on.  Every kernel runs on the
+// host CPU in any data layout, writes into caller-provided storage, splits its
+// work through internal/par and fixes its accumulation order, so its results
+// are bit-identical across layouts and worker counts.  It holds the layer
+// configurations (ConvConfig, PoolConfig, SoftmaxConfig) too.  What a kernel
+// would cost on the paper's GPUs is internal/gpusim's question, not this
+// package's: nothing here prices anything.
 package kernels
 
 import (
@@ -38,8 +34,8 @@ type ConvConfig struct {
 	PadW    int // horizontal zero padding
 }
 
-// withDefaults returns a copy with zero strides replaced by 1.
-func (c ConvConfig) withDefaults() ConvConfig {
+// WithDefaults returns a copy with zero strides replaced by 1.
+func (c ConvConfig) WithDefaults() ConvConfig {
 	if c.StrideH == 0 {
 		c.StrideH = 1
 	}
@@ -51,7 +47,7 @@ func (c ConvConfig) withDefaults() ConvConfig {
 
 // Validate reports whether the configuration describes a computable layer.
 func (c ConvConfig) Validate() error {
-	c = c.withDefaults()
+	c = c.WithDefaults()
 	switch {
 	case c.N <= 0 || c.C <= 0 || c.H <= 0 || c.W <= 0:
 		return fmt.Errorf("kernels: conv input dims must be positive: %+v", c)
@@ -69,13 +65,13 @@ func (c ConvConfig) Validate() error {
 
 // OutH returns the output feature-map height.
 func (c ConvConfig) OutH() int {
-	c = c.withDefaults()
+	c = c.WithDefaults()
 	return (c.H+2*c.PadH-c.FH)/c.StrideH + 1
 }
 
 // OutW returns the output feature-map width.
 func (c ConvConfig) OutW() int {
-	c = c.withDefaults()
+	c = c.WithDefaults()
 	return (c.W+2*c.PadW-c.FW)/c.StrideW + 1
 }
 
@@ -107,7 +103,7 @@ func (c ConvConfig) ReductionLength() int { return c.C * c.FH * c.FW }
 
 // String summarises the layer the way the paper's Table 1 does.
 func (c ConvConfig) String() string {
-	c = c.withDefaults()
+	c = c.WithDefaults()
 	return fmt.Sprintf("conv N=%d C=%d H/W=%dx%d K=%d F=%dx%d S=%d", c.N, c.C, c.H, c.W, c.K, c.FH, c.FW, c.StrideH)
 }
 

@@ -3,7 +3,6 @@ package kernels
 import (
 	"fmt"
 
-	"memcnn/internal/gpusim"
 	"memcnn/internal/par"
 	"memcnn/internal/tensor"
 )
@@ -94,7 +93,7 @@ func tapRange(f, stride, pad, inLo, inHi, oLo, oHi int) (lo, hi int) {
 //
 //memcnn:noalloc
 func ConvDirectInto(in, filters, out *tensor.Tensor, cfg ConvConfig) error {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
@@ -172,142 +171,5 @@ func convForwardPlane(j convJob, p int) {
 				dst[i*outStep] = float32(v)
 			}
 		}
-	}
-}
-
-// Blocking parameters of the modelled cuda-convnet direct-convolution kernel.
-const (
-	directWarpImages      = 32 // images handled by one warp (coalescing unit)
-	directFiltersPerBlock = 32 // filters processed by one thread block
-	directPixelsPerBlock  = 16 // output pixels processed by one thread block
-	directFiltersPerThrd  = 4
-)
-
-// DirectImagesPerThread returns the register-blocking factor the cuda-convnet
-// kernel selects for a batch size: four images per thread when N is a
-// multiple of 128, two when it is a multiple of 64, otherwise one
-// (Section IV.A).  The factor controls how often filter values loaded into
-// registers are reused, hence the strong sensitivity of the CHWN layout to N.
-func DirectImagesPerThread(n int) int {
-	switch {
-	case n >= 128:
-		return 4
-	case n >= 64:
-		return 2
-	default:
-		return 1
-	}
-}
-
-// directILPFactor maps the register-blocking factor to the fraction of issue
-// slots the kernel can keep busy: more in-flight independent FMAs per thread
-// hide more of the shared-memory and pipeline latency.
-func directILPFactor(imagesPerThread int) float64 {
-	switch {
-	case imagesPerThread >= 4:
-		return 0.82
-	case imagesPerThread >= 2:
-		return 0.55
-	default:
-		return 0.42
-	}
-}
-
-// DirectConvEfficiency returns the modelled fraction of peak arithmetic
-// throughput of the CHWN direct convolution for a layer configuration.
-func DirectConvEfficiency(cfg ConvConfig) float64 {
-	cfg = cfg.withDefaults()
-	p := DirectImagesPerThread(cfg.N)
-	ff := directFiltersPerThrd
-	if cfg.K < ff {
-		ff = cfg.K
-	}
-	// Instruction mix: p*ff FMAs per inner-loop step versus the loads and
-	// address arithmetic that accompany them.
-	issue := float64(p*ff) / float64(p*ff+p+ff+4)
-	ilp := directILPFactor(p)
-	// Partial warps along N waste coalescing and execution lanes.
-	coalesce := float64(cfg.N) / float64(directWarpImages)
-	if coalesce > 1 {
-		coalesce = 1
-	}
-	// A very short reduction loop (small C*FH*FW) leaves the loop overhead
-	// unamortised.
-	shortLoop := float64(cfg.ReductionLength()) / 48
-	if shortLoop > 1 {
-		shortLoop = 1
-	}
-	// Batches beyond 128 improve occupancy slightly (Fig. 4a keeps rising).
-	occBonus := 1.0
-	if cfg.N > 128 {
-		occBonus = 1 + float64(cfg.N-128)/3200
-		if occBonus > 1.15 {
-			occBonus = 1.15
-		}
-	}
-	eff := 0.75 * issue * ilp * coalesce * shortLoop * occBonus
-	if eff > 1 {
-		eff = 1
-	}
-	if eff <= 0 {
-		eff = 0.01
-	}
-	return eff
-}
-
-// ConvDirectCHWNCost returns the kernel statistics of the cuda-convnet style
-// direct convolution on the CHWN layout.
-func ConvDirectCHWNCost(d *gpusim.Device, cfg ConvConfig) gpusim.KernelStats {
-	cfg = cfg.withDefaults()
-	p := DirectImagesPerThread(cfg.N)
-
-	inBytes := float64(cfg.InputShape().Elems()) * 4
-	outBytes := float64(cfg.OutputShape().Elems()) * 4
-	filterBytes := float64(cfg.FilterShape().Elems()) * 4
-
-	filterBlocks := ceilDiv(cfg.K, directFiltersPerBlock)
-	imageBlocks := ceilDiv(cfg.N, directWarpImages*p)
-	pixelBlocks := ceilDiv(cfg.OutH()*cfg.OutW(), directPixelsPerBlock)
-
-	// Thread-level parallelism: one thread per (image group, filter group,
-	// output pixel) triple, so the grid grows with every one of N, K and the
-	// output area.  This is what keeps the kernel's occupancy high even when
-	// a single dimension is small.
-	ff := directFiltersPerThrd
-	if cfg.K < ff {
-		ff = cfg.K
-	}
-	totalThreads := ceilDiv(cfg.N, p) * ceilDiv(cfg.K, ff) * cfg.OutH() * cfg.OutW()
-
-	// Every filter block re-reads the input; the shared-memory tiles remove
-	// the intra-block redundancy of overlapping filter windows.
-	inputTraffic := inBytes * float64(filterBlocks)
-	// Filters are re-read by every (image block, pixel block) pair, but the
-	// filter bank is small and partially survives in L2.
-	filterTraffic := filterBytes * float64(imageBlocks) * float64(pixelBlocks)
-	if filterBytes < float64(d.L2CacheBytes)/2 {
-		filterTraffic = filterBytes * float64(imageBlocks) * (1 + float64(pixelBlocks-1)*0.25)
-	}
-
-	blocks := ceilDiv(totalThreads, directWarpImages*directFiltersPerThrd)
-	regs := 32 + 16*p // register blocking holds p images per filter in flight
-	if regs > 255 {
-		regs = 255
-	}
-	return gpusim.KernelStats{
-		Name:       fmt.Sprintf("direct-conv CHWN %s", cfg.String()),
-		GridBlocks: blocks,
-		Block: gpusim.BlockResources{
-			ThreadsPerBlock:   directWarpImages * directFiltersPerThrd,
-			RegsPerThread:     regs,
-			SharedMemPerBlock: 8 << 10,
-		},
-		Launches:          1,
-		FLOPs:             cfg.FLOPs(),
-		ComputeEfficiency: DirectConvEfficiency(cfg),
-		DRAMReadBytes:     inputTraffic + filterTraffic,
-		DRAMWriteBytes:    outBytes,
-		UsefulReadBytes:   inBytes + filterBytes,
-		UsefulWriteBytes:  outBytes,
 	}
 }

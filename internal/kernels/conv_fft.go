@@ -2,57 +2,16 @@ package kernels
 
 import (
 	"fmt"
-	"math"
 
 	"memcnn/internal/fft"
-	"memcnn/internal/gpusim"
 	"memcnn/internal/par"
 	"memcnn/internal/tensor"
 )
 
-// FFT-based convolution: the cuDNN v4 FFT and FFT-Tiling modes
-// (Section IV.A, "Data Layouts in FFT-based Implementations").  Convolution
-// in the space domain becomes a pointwise product in the frequency domain, at
-// the cost of padding every filter to the feature-map size: the padding (and
-// the frequency-domain copies of inputs, filters and outputs) is the memory
-// overhead that makes the FFT mode fail on CV5 and CV6 on a 6 GB card.
-
-// ErrOutOfMemory is returned when a convolution mode needs more device memory
-// than the target GPU provides, matching the execution failures the paper
-// reports for the FFT modes.
-type ErrOutOfMemory struct {
-	Kernel   string
-	Required int64
-	Device   string
-	Capacity int64
-}
-
-// Error implements the error interface.
-func (e *ErrOutOfMemory) Error() string {
-	return fmt.Sprintf("kernels: %s requires %.2f GiB but %s has %.2f GiB",
-		e.Kernel, float64(e.Required)/(1<<30), e.Device, float64(e.Capacity)/(1<<30))
-}
-
-// fftWorkspaceFactor scales the raw spectra footprint to the full workspace
-// the batched frequency-domain implementation keeps live (split-complex
-// copies, the out-of-place transform buffers and the transposed operands of
-// the per-frequency batched product).  The value reflects cuDNN v4's observed
-// workspace appetite: with it, exactly the two layers the paper reports
-// (CONV5 and CONV6) exceed the 6 GB Titan Black while the other Table 1
-// layers fit.
-const fftWorkspaceFactor = 4.2
-
-// fftTileEdge is the tile size of the FFT-Tiling mode (the paper: "splits the
-// inputs into 32x32 tiles such that the memory overhead can be reduced").
-const fftTileEdge = 32
-
-// fftStageEfficiency is the fraction of peak FLOPs the batched forward and
-// inverse transforms sustain; fftPointwiseMaxEff caps the frequency-domain
-// batched complex product.
-const (
-	fftStageEfficiency = 0.14
-	fftPointwiseMaxEff = 0.45
-)
+// FFT-based convolution (Section IV.A, "Data Layouts in FFT-based
+// Implementations"): convolution in the space domain becomes a pointwise
+// product in the frequency domain, at the cost of padding every filter to the
+// feature-map size.
 
 // fftMaxWorkers caps the image-stage parallelism of ConvFFTInto.  The
 // workspace carries one private block of channel spectra plus an accumulator
@@ -65,12 +24,13 @@ const fftMaxWorkers = 8
 // actually uses: the next power of two of the padded input, each way.  That
 // is always enough for a valid correlation — every needed output row
 // ih = oh·stride satisfies ih + FH - 1 ≤ padH - 1 ≤ pR - 1, so circular
-// wraparound never reaches a sampled element.  The modeled-cost side (fftPadSize, FFTWorkspaceBytes)
-// deliberately keeps the more conservative padH+FH-1 sizing of the emulated
-// cuDNN v4 mode: the paper's memory-overhead story (and its 6 GB OOM
-// failures) describe that implementation, not this leaner kernel.
+// wraparound never reaches a sampled element.  The GPU model
+// (gpusim.FFTWorkspaceBytes) deliberately keeps the more conservative
+// padH+FH-1 sizing of the emulated cuDNN v4 mode: the paper's memory-overhead
+// story (and its 6 GB OOM failures) describe that implementation, not this
+// leaner kernel.
 func ConvFFTPlane(cfg ConvConfig) (pR, pC int) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	return fft.NextPow2(cfg.H + 2*cfg.PadH), fft.NextPow2(cfg.W + 2*cfg.PadW)
 }
 
@@ -80,7 +40,7 @@ func ConvFFTPlane(cfg ConvConfig) (pR, pC int) {
 // accumulator plane.  The worker count is min(N, fftMaxWorkers), so the size
 // depends only on the layer shape.
 func ConvFFTWorkspaceElems(cfg ConvConfig) int {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	pR, pC := ConvFFTPlane(cfg)
 	workers := cfg.N
 	if workers > fftMaxWorkers {
@@ -101,7 +61,7 @@ func ConvFFTWorkspaceElems(cfg ConvConfig) int {
 //
 //memcnn:noalloc
 func ConvFFTInto(in, filters, out *tensor.Tensor, cfg ConvConfig, scratch []float32) error {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
@@ -228,131 +188,4 @@ func convFFTImage(in, out *tensor.Tensor, cfg ConvConfig, n int, block, filtArea
 			}
 		}
 	}
-}
-
-// fftPadSize returns the padded transform edge for the full-image FFT mode.
-func fftPadSize(cfg ConvConfig) (pR, pC int) {
-	cfg = cfg.withDefaults()
-	return fft.NextPow2(cfg.H + 2*cfg.PadH + cfg.FH - 1), fft.NextPow2(cfg.W + 2*cfg.PadW + cfg.FW - 1)
-}
-
-// FFTWorkspaceBytes returns the device memory required by the full-image FFT
-// convolution: the frequency-domain copies of the inputs, filters and outputs
-// (complex64 values) scaled by the implementation's working-copy factor.
-func FFTWorkspaceBytes(cfg ConvConfig) int64 {
-	cfg = cfg.withDefaults()
-	pR, pC := fftPadSize(cfg)
-	spectra := float64(cfg.N*cfg.C+cfg.K*cfg.C+cfg.N*cfg.K) * float64(pR*pC) * 8
-	return int64(spectra * fftWorkspaceFactor)
-}
-
-// FFTTilingWorkspaceBytes returns the device memory required by the FFT
-// tiling mode, which transforms fixed 32×32 tiles instead of whole feature
-// maps.
-func FFTTilingWorkspaceBytes(cfg ConvConfig) int64 {
-	cfg = cfg.withDefaults()
-	tile := fftTileEdge
-	spectra := float64(cfg.N*cfg.C+cfg.K*cfg.C+cfg.N*cfg.K) * float64(tile*tile) * 8
-	return int64(spectra * fftWorkspaceFactor)
-}
-
-// fftCost builds the kernel sequence shared by the two FFT modes.
-func fftCost(d *gpusim.Device, cfg ConvConfig, tiled bool) ([]gpusim.KernelStats, error) {
-	cfg = cfg.withDefaults()
-	name := "fft-conv NCHW"
-	workspace := FFTWorkspaceBytes(cfg)
-	pR, pC := fftPadSize(cfg)
-	tiles := 1
-	if tiled {
-		name = "fft-tiling-conv NCHW"
-		workspace = FFTTilingWorkspaceBytes(cfg)
-		pR, pC = fftTileEdge, fftTileEdge
-		// Each feature map is split into overlapping tiles whose usable
-		// output region shrinks by the filter size (overlap-add).
-		usable := fftTileEdge - cfg.FH + 1
-		if usable < 1 {
-			usable = 1
-		}
-		tiles = ceilDiv(cfg.H+2*cfg.PadH, usable) * ceilDiv(cfg.W+2*cfg.PadW, usable)
-	}
-	inputBytes := int64(cfg.InputShape().Elems()+cfg.OutputShape().Elems()+cfg.FilterShape().Elems()) * 4
-	if !d.FitsInMemory(workspace + inputBytes) {
-		return nil, &ErrOutOfMemory{Kernel: name + " " + cfg.String(), Required: workspace + inputBytes, Device: d.Name, Capacity: d.GlobalMemBytes}
-	}
-
-	points := float64(pR * pC)
-	logPts := math.Log2(points)
-	if logPts < 1 {
-		logPts = 1
-	}
-	transforms := float64(cfg.N*cfg.C+cfg.K*cfg.C+cfg.N*cfg.K) * float64(tiles)
-	fftFLOPs := transforms * 5 * points * logPts
-	// Pointwise complex multiply-accumulate over input channels for every
-	// (image, output channel, frequency) triple: 8 real FLOPs each.
-	pointFLOPs := float64(cfg.N) * float64(cfg.K) * float64(cfg.C) * points * float64(tiles) * 8
-
-	spectraBytes := transforms * points * 8
-
-	fftStage := gpusim.KernelStats{
-		Name:       name + " transforms " + cfg.String(),
-		GridBlocks: int(transforms),
-		Block:      gpusim.BlockResources{ThreadsPerBlock: 256, RegsPerThread: 40, SharedMemPerBlock: 8 << 10},
-		Launches:   2, // forward transforms of inputs and filters
-		FLOPs:      fftFLOPs,
-		// Butterfly stages are latency and shuffle bound; they do not reach
-		// FMA peak (batched cuFFT sustains a small fraction of peak FLOPs).
-		ComputeEfficiency: fftStageEfficiency,
-		DRAMReadBytes:     float64(inputBytes),
-		DRAMWriteBytes:    spectraBytes,
-		UsefulReadBytes:   float64(inputBytes),
-		UsefulWriteBytes:  spectraBytes,
-	}
-	// The per-frequency batched product is a complex GEMM of (K×C)·(C×N)
-	// repeated for every frequency bin: its reduction length is the channel
-	// count, so it only becomes efficient once C (and the filter count) are
-	// large — the same saturation behaviour as the spatial GEMM, but without
-	// the batch-size penalty because the frequency bins provide parallelism.
-	pointEff := fftPointwiseMaxEff *
-		(float64(cfg.C) / (float64(cfg.C) + 32)) *
-		(float64(cfg.K) / (float64(cfg.K) + 48))
-	if pointEff > fftPointwiseMaxEff {
-		pointEff = fftPointwiseMaxEff
-	}
-	pointStage := gpusim.KernelStats{
-		Name:              name + " pointwise " + cfg.String(),
-		GridBlocks:        int(points),
-		Block:             gpusim.BlockResources{ThreadsPerBlock: 256, RegsPerThread: 64, SharedMemPerBlock: 16 << 10},
-		Launches:          1,
-		FLOPs:             pointFLOPs,
-		ComputeEfficiency: pointEff,
-		DRAMReadBytes:     spectraBytes,
-		DRAMWriteBytes:    float64(cfg.N*cfg.K) * points * float64(tiles) * 8,
-		UsefulReadBytes:   spectraBytes,
-		UsefulWriteBytes:  float64(cfg.N*cfg.K) * points * float64(tiles) * 8,
-	}
-	inverseStage := gpusim.KernelStats{
-		Name:              name + " inverse " + cfg.String(),
-		GridBlocks:        cfg.N * cfg.K * tiles,
-		Block:             gpusim.BlockResources{ThreadsPerBlock: 256, RegsPerThread: 40, SharedMemPerBlock: 8 << 10},
-		Launches:          1,
-		FLOPs:             float64(cfg.N*cfg.K*tiles) * 5 * points * logPts,
-		ComputeEfficiency: fftStageEfficiency,
-		DRAMReadBytes:     float64(cfg.N*cfg.K) * points * float64(tiles) * 8,
-		DRAMWriteBytes:    float64(cfg.OutputShape().Elems()) * 4,
-		UsefulReadBytes:   float64(cfg.N*cfg.K) * points * float64(tiles) * 8,
-		UsefulWriteBytes:  float64(cfg.OutputShape().Elems()) * 4,
-	}
-	return []gpusim.KernelStats{fftStage, pointStage, inverseStage}, nil
-}
-
-// ConvFFTCost returns the kernel sequence of the full-image FFT convolution
-// mode, or ErrOutOfMemory when the padded spectra exceed device memory.
-func ConvFFTCost(d *gpusim.Device, cfg ConvConfig) ([]gpusim.KernelStats, error) {
-	return fftCost(d, cfg, false)
-}
-
-// ConvFFTTilingCost returns the kernel sequence of the FFT-Tiling convolution
-// mode.
-func ConvFFTTilingCost(d *gpusim.Device, cfg ConvConfig) ([]gpusim.KernelStats, error) {
-	return fftCost(d, cfg, true)
 }

@@ -3,7 +3,6 @@ package kernels
 import (
 	"fmt"
 
-	"memcnn/internal/gpusim"
 	"memcnn/internal/par"
 	"memcnn/internal/tensor"
 )
@@ -63,7 +62,7 @@ func (a ConvAlgorithm) String() string {
 // compile time; the format is private to this package, and the slice is only
 // good for passing to ConvIm2colGemmInto.
 func PackConvFilters(filters *tensor.Tensor, cfg ConvConfig) ([]float32, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -79,7 +78,7 @@ func PackConvFilters(filters *tensor.Tensor, cfg ConvConfig) ([]float32, error) 
 // uses to refresh its packed operand after a weight update.  Filters in any
 // layout are accepted.
 func PackConvFiltersInto(dst []float32, filters *tensor.Tensor, cfg ConvConfig) error {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
@@ -121,7 +120,7 @@ func PackConvFiltersInto(dst []float32, filters *tensor.Tensor, cfg ConvConfig) 
 // batch-folded CHWN form stages nothing and cuts the same space into one
 // panel-sized unroll slot per lane.
 func ConvGemmWorkspaceElems(cfg ConvConfig, outLayout tensor.Layout) int {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	ohw := cfg.OutH() * cfg.OutW()
 	elems := cfg.ReductionLength() * ohw
 	if outLayout != tensor.NCHW {
@@ -146,7 +145,7 @@ func ConvGemmWorkspaceElems(cfg ConvConfig, outLayout tensor.Layout) int {
 //
 //memcnn:noalloc
 func ConvIm2colGemmInto(in *tensor.Tensor, packed []float32, out *tensor.Tensor, cfg ConvConfig, scratch []float32) error {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
@@ -311,29 +310,5 @@ func convGemmLane(j convGemmBatch, lane int) {
 				}
 			}
 		}
-	}
-}
-
-// ConvGemmNCHWCost returns the kernel sequence of the NCHW GEMM convolution:
-// the im2col unroll followed by the SGEMM.  1×1 stride-1 convolutions skip
-// the unroll, as Caffe and cuDNN do.
-func ConvGemmNCHWCost(d *gpusim.Device, cfg ConvConfig) []gpusim.KernelStats {
-	cfg = cfg.withDefaults()
-	gemm := GemmCost(d, ConvGemmShape(cfg))
-	gemm.Name = fmt.Sprintf("gemm-conv NCHW %s", cfg.String())
-	if cfg.FH == 1 && cfg.FW == 1 && cfg.StrideH == 1 && cfg.StrideW == 1 && cfg.PadH == 0 && cfg.PadW == 0 {
-		return []gpusim.KernelStats{gemm}
-	}
-	return []gpusim.KernelStats{Im2colCost(d, cfg), gemm}
-}
-
-// ConvGemmShape returns the GEMM dimensions of the unrolled convolution:
-// M = Co, N = Ni*OutH*OutW, K = Ci*FH*FW.
-func ConvGemmShape(cfg ConvConfig) GemmCostConfig {
-	cfg = cfg.withDefaults()
-	return GemmCostConfig{
-		M: cfg.K,
-		N: cfg.N * cfg.OutH() * cfg.OutW(),
-		K: cfg.ReductionLength(),
 	}
 }

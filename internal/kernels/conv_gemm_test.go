@@ -73,7 +73,7 @@ func TestPackConvFilters(t *testing.T) {
 // loop once per image, and a scatter into the output layout.
 func oldConvIm2colGemm(t *testing.T, in, filters *tensor.Tensor, cfg ConvConfig, outLayout tensor.Layout) *tensor.Tensor {
 	t.Helper()
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	unroll, err := Im2col(in, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +164,7 @@ func TestConvIm2colGemmIntoMatchesOldPath(t *testing.T) {
 		{N: 1, C: 2, H: 19, W: 40, K: 13, FH: 3, FW: 7, PadW: 3, StrideW: 3},
 		{N: 3, C: 5, H: 13, W: 13, K: 6, FH: 3, FW: 3, PadH: 1, PadW: 1},
 		{N: 1, C: 1, H: 4, W: 67, K: 1, FH: 2, FW: 2, PadH: 1, PadW: 2, StrideH: 2, StrideW: 2},
-	}, smallConvCases...)
+	}, SmallConvCases...)
 	cases = append(cases, batchFoldedConvCases...)
 	r := rand.New(rand.NewSource(61))
 	for _, cfg := range cases {
@@ -177,7 +177,7 @@ func TestConvIm2colGemmIntoMatchesOldPath(t *testing.T) {
 // of the two layouts the runtime compiles for.
 func FuzzConvGemmLayouts(f *testing.F) {
 	for i, cfg := range batchFoldedConvCases {
-		cfg = cfg.withDefaults()
+		cfg = cfg.WithDefaults()
 		f.Add(uint8(cfg.N-1), uint8(cfg.C-1), uint8(cfg.H-1), uint8(cfg.W-1), uint8(cfg.K-1), uint8(cfg.FH-1), uint8(cfg.FW-1),
 			uint8(cfg.StrideH-1), uint8(cfg.StrideW-1), uint8(cfg.PadH), uint8(cfg.PadW), int64(i))
 	}
@@ -212,7 +212,7 @@ func TestConvGemmWorkspaceElems(t *testing.T) {
 // accumulation order) and against the direct convolution (tolerance), for
 // every small case in both runtime layouts and with a poisoned workspace.
 func TestConvIm2colGemmIntoMatchesFunctional(t *testing.T) {
-	for _, cfg := range smallConvCases {
+	for _, cfg := range SmallConvCases {
 		filters := tensor.Filters(cfg.K, cfg.C, cfg.FH, cfg.FW, 2)
 		packed, err := PackConvFilters(filters, cfg)
 		if err != nil {

@@ -1,17 +1,16 @@
 package kernels
 
 import (
-	"errors"
 	"testing"
 
-	"memcnn/internal/gpusim"
 	"memcnn/internal/tensor"
 )
 
-// smallConvCases is the set of layer shapes used for cross-implementation
-// agreement tests.  They exercise square and rectangular inputs, strides,
-// padding, single channels and single filters.
-var smallConvCases = []ConvConfig{
+// SmallConvCases is the set of layer shapes used for cross-implementation
+// agreement tests (and, exported to model_test.go, the cost-model validity
+// check).  They exercise square and rectangular inputs, strides, padding,
+// single channels and single filters.
+var SmallConvCases = []ConvConfig{
 	{N: 2, C: 1, H: 8, W: 8, K: 3, FH: 3, FW: 3},
 	{N: 3, C: 4, H: 10, W: 10, K: 5, FH: 5, FW: 5},
 	{N: 2, C: 3, H: 12, W: 12, K: 4, FH: 3, FW: 3, StrideH: 2, StrideW: 2},
@@ -47,7 +46,7 @@ func TestConvDirectHandComputed(t *testing.T) {
 }
 
 func TestConvImplementationsAgree(t *testing.T) {
-	for _, cfg := range smallConvCases {
+	for _, cfg := range SmallConvCases {
 		in := tensor.Random(cfg.InputShape(), tensor.CHWN, 1)
 		filters := tensor.Filters(cfg.K, cfg.C, cfg.FH, cfg.FW, 2)
 
@@ -133,155 +132,6 @@ func TestConvInputValidation(t *testing.T) {
 	badCfg.K = 0
 	if _, err := ConvDirect(good, filters, badCfg, tensor.NCHW); err == nil {
 		t.Error("invalid config accepted")
-	}
-}
-
-func TestDirectImagesPerThread(t *testing.T) {
-	cases := map[int]int{1: 1, 16: 1, 32: 1, 63: 1, 64: 2, 127: 2, 128: 4, 256: 4, 512: 4}
-	for n, want := range cases {
-		if got := DirectImagesPerThread(n); got != want {
-			t.Errorf("DirectImagesPerThread(%d) = %d, want %d", n, got, want)
-		}
-	}
-}
-
-func TestDirectConvEfficiencyIncreasesWithN(t *testing.T) {
-	// Fig. 4a: the CHWN direct convolution is highly sensitive to N.
-	base := ConvConfig{C: 256, H: 13, W: 13, K: 384, FH: 3, FW: 3} // CONV7 shape
-	prev := 0.0
-	for _, n := range []int{1, 3, 16, 32, 64, 128, 256, 512} {
-		cfg := base
-		cfg.N = n
-		eff := DirectConvEfficiency(cfg)
-		if eff < prev {
-			t.Errorf("efficiency decreased at N=%d: %v < %v", n, eff, prev)
-		}
-		if eff <= 0 || eff > 1 {
-			t.Errorf("efficiency %v out of range at N=%d", eff, n)
-		}
-		prev = eff
-	}
-	small := DirectConvEfficiency(ConvConfig{N: 16, C: 256, H: 13, W: 13, K: 384, FH: 3, FW: 3})
-	big := DirectConvEfficiency(ConvConfig{N: 128, C: 256, H: 13, W: 13, K: 384, FH: 3, FW: 3})
-	if big < 2*small {
-		t.Errorf("N=128 efficiency (%v) should be far larger than N=16 (%v)", big, small)
-	}
-}
-
-func TestConvDirectCostStatsValid(t *testing.T) {
-	d := gpusim.TitanBlack()
-	for _, cfg := range smallConvCases {
-		s := ConvDirectCHWNCost(d, cfg)
-		if err := s.Validate(); err != nil {
-			t.Errorf("%v: %v", cfg, err)
-		}
-		if s.FLOPs != cfg.FLOPs() {
-			t.Errorf("%v: FLOPs = %v, want %v", cfg, s.FLOPs, cfg.FLOPs())
-		}
-		if s.DRAMReadBytes < s.UsefulReadBytes {
-			t.Errorf("%v: moved bytes below useful bytes", cfg)
-		}
-	}
-}
-
-func TestConvGemmCostIncludesUnroll(t *testing.T) {
-	d := gpusim.TitanBlack()
-	cfg := ConvConfig{N: 64, C: 96, H: 55, W: 55, K: 256, FH: 5, FW: 5, StrideH: 2, StrideW: 2} // CONV6
-	seq := ConvGemmNCHWCost(d, cfg)
-	if len(seq) != 2 {
-		t.Fatalf("5x5 convolution must include the im2col kernel, got %d kernels", len(seq))
-	}
-	onebyone := ConvConfig{N: 64, C: 96, H: 55, W: 55, K: 256, FH: 1, FW: 1}
-	if got := ConvGemmNCHWCost(d, onebyone); len(got) != 1 {
-		t.Errorf("1x1 stride-1 convolution should skip im2col, got %d kernels", len(got))
-	}
-}
-
-func TestConvGemmShape(t *testing.T) {
-	cfg := ConvConfig{N: 64, C: 256, H: 13, W: 13, K: 384, FH: 3, FW: 3}
-	g := ConvGemmShape(cfg)
-	if g.M != 384 || g.K != 256*9 || g.N != 64*11*11 {
-		t.Errorf("GEMM shape = %+v", g)
-	}
-}
-
-// TestPaperLayoutWinners encodes the headline observation of Fig. 3: with
-// batch 128 or few channels the CHWN direct convolution wins, with small
-// batches and many channels the NCHW GEMM convolution wins.
-func TestPaperLayoutWinners(t *testing.T) {
-	d := gpusim.TitanBlack()
-	cases := []struct {
-		name     string
-		cfg      ConvConfig
-		wantCHWN bool
-	}{
-		{"CONV1 (LeNet, C=1, N=128)", ConvConfig{N: 128, C: 1, H: 28, W: 28, K: 16, FH: 5, FW: 5}, true},
-		{"CONV4 (Cifar, C=64, N=128)", ConvConfig{N: 128, C: 64, H: 12, W: 12, K: 64, FH: 5, FW: 5}, true},
-		{"CONV5 (ZFNet first, C=3)", ConvConfig{N: 64, C: 3, H: 224, W: 224, K: 96, FH: 3, FW: 3, StrideH: 2, StrideW: 2}, true},
-		{"CONV7 (ZFNet, C=256, N=64)", ConvConfig{N: 64, C: 256, H: 13, W: 13, K: 384, FH: 3, FW: 3}, false},
-		{"CONV11 (VGG, C=256, N=32)", ConvConfig{N: 32, C: 256, H: 28, W: 28, K: 512, FH: 3, FW: 3}, false},
-	}
-	for _, c := range cases {
-		chwn := gpusim.EstimateTime(d, ConvDirectCHWNCost(d, c.cfg)).TotalUS
-		nchwTotal, _ := gpusim.EstimateSequence(d, ConvGemmNCHWCost(d, c.cfg))
-		gotCHWN := chwn < nchwTotal
-		if gotCHWN != c.wantCHWN {
-			t.Errorf("%s: CHWN=%.0fus NCHW=%.0fus, wanted CHWN faster = %v", c.name, chwn, nchwTotal, c.wantCHWN)
-		}
-	}
-}
-
-func TestConvFFTCostOOMOnLargeFirstLayers(t *testing.T) {
-	d := gpusim.TitanBlack()
-	// CV5 and CV6 exceed the 6 GB card in the paper's experiments (Fig. 5).
-	cv5 := ConvConfig{N: 64, C: 3, H: 224, W: 224, K: 96, FH: 3, FW: 3, StrideH: 2, StrideW: 2}
-	cv6 := ConvConfig{N: 64, C: 96, H: 55, W: 55, K: 256, FH: 5, FW: 5, StrideH: 2, StrideW: 2}
-	for _, cfg := range []ConvConfig{cv5, cv6} {
-		if _, err := ConvFFTCost(d, cfg); err == nil {
-			t.Errorf("%v: expected out-of-memory failure", cfg)
-		} else {
-			var oom *ErrOutOfMemory
-			if !errors.As(err, &oom) {
-				t.Errorf("%v: error is not ErrOutOfMemory: %v", cfg, err)
-			} else if oom.Error() == "" {
-				t.Error("ErrOutOfMemory must describe itself")
-			}
-		}
-	}
-	// The tiling mode reduces the workspace and must succeed on the same layers.
-	if _, err := ConvFFTTilingCost(d, cv6); err != nil {
-		t.Errorf("FFT tiling should fit for CV6: %v", err)
-	}
-	// Smaller layers must not fail.
-	cv7 := ConvConfig{N: 64, C: 256, H: 13, W: 13, K: 384, FH: 3, FW: 3}
-	if _, err := ConvFFTCost(d, cv7); err != nil {
-		t.Errorf("CV7 FFT should fit: %v", err)
-	}
-}
-
-func TestConvFFTCostStatsValid(t *testing.T) {
-	d := gpusim.TitanBlack()
-	cfg := ConvConfig{N: 64, C: 256, H: 13, W: 13, K: 384, FH: 3, FW: 3}
-	for _, tiled := range []bool{false, true} {
-		seq, err := fftCost(d, cfg, tiled)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(seq) != 3 {
-			t.Fatalf("FFT cost should have 3 stages, got %d", len(seq))
-		}
-		for _, s := range seq {
-			if err := s.Validate(); err != nil {
-				t.Errorf("tiled=%v: %v", tiled, err)
-			}
-		}
-	}
-}
-
-func TestFFTWorkspaceLargerThanTiling(t *testing.T) {
-	cfg := ConvConfig{N: 64, C: 96, H: 55, W: 55, K: 256, FH: 5, FW: 5, StrideH: 2, StrideW: 2}
-	if FFTWorkspaceBytes(cfg) <= FFTTilingWorkspaceBytes(cfg) {
-		t.Error("full-image FFT workspace should exceed the tiled workspace for 55x55 maps")
 	}
 }
 

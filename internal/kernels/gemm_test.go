@@ -6,9 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
-	"testing/quick"
 
-	"memcnn/internal/gpusim"
 	"memcnn/internal/par"
 )
 
@@ -288,74 +286,6 @@ func TestGemmInputValidation(t *testing.T) {
 	}
 	if _, err := Gemm(make([]float32, 4), make([]float32, 3), 2, 2, 2); err == nil {
 		t.Error("wrong B size must be rejected")
-	}
-}
-
-func TestGemmEfficiencyMonotoneInK(t *testing.T) {
-	prev := 0.0
-	for _, k := range []int{9, 27, 144, 288, 576, 1152, 2304, 4608} {
-		eff := GemmEfficiency(GemmCostConfig{M: 384, N: 7744, K: k})
-		if eff < prev {
-			t.Errorf("efficiency decreased at K=%d: %v < %v", k, eff, prev)
-		}
-		if eff <= 0 || eff > 1 {
-			t.Errorf("efficiency %v out of range at K=%d", eff, k)
-		}
-		prev = eff
-	}
-}
-
-func TestGemmEfficiencyDegenerate(t *testing.T) {
-	if eff := GemmEfficiency(GemmCostConfig{M: 0, N: 10, K: 10}); eff != gemmMinEff {
-		t.Errorf("degenerate GEMM efficiency = %v, want floor %v", eff, gemmMinEff)
-	}
-	// The floor keeps even tiny GEMMs above zero throughput.
-	small := GemmEfficiency(GemmCostConfig{M: 16, N: 100, K: 9})
-	if small < gemmMinEff*gemmPeakFraction {
-		t.Errorf("small GEMM efficiency %v fell below the floor", small)
-	}
-}
-
-func TestGemmEfficiencyQuickProperties(t *testing.T) {
-	f := func(m, n, k uint16) bool {
-		g := GemmCostConfig{M: int(m%4096) + 1, N: int(n%8192) + 1, K: int(k%4096) + 1}
-		eff := GemmEfficiency(g)
-		return eff > 0 && eff <= gemmPeakFraction
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestGemmCostTrafficAndFLOPs(t *testing.T) {
-	d := gpusim.TitanBlack()
-	g := GemmCostConfig{M: 256, N: 4096, K: 1024}
-	s := GemmCost(d, g)
-	if s.FLOPs != g.FLOPs() {
-		t.Errorf("FLOPs = %v, want %v", s.FLOPs, g.FLOPs())
-	}
-	if err := s.Validate(); err != nil {
-		t.Errorf("GemmCost stats invalid: %v", err)
-	}
-	if s.DRAMWriteBytes != float64(g.M*g.N)*4 {
-		t.Errorf("write bytes = %v, want %v", s.DRAMWriteBytes, g.M*g.N*4)
-	}
-	if s.DRAMReadBytes < s.UsefulReadBytes {
-		t.Error("moved read bytes must be at least the useful bytes")
-	}
-	// The kernel estimate must be finite and positive.
-	kt := gpusim.EstimateTime(d, s)
-	if kt.TotalUS <= 0 {
-		t.Error("GEMM time must be positive")
-	}
-}
-
-func TestGemmCostLargerProblemsTakeLonger(t *testing.T) {
-	d := gpusim.TitanBlack()
-	small := gpusim.EstimateTime(d, GemmCost(d, GemmCostConfig{M: 128, N: 1024, K: 256})).TotalUS
-	large := gpusim.EstimateTime(d, GemmCost(d, GemmCostConfig{M: 512, N: 8192, K: 1024})).TotalUS
-	if large <= small {
-		t.Errorf("larger GEMM (%v us) should take longer than smaller (%v us)", large, small)
 	}
 }
 

@@ -1,11 +1,5 @@
 package kernels
 
-import (
-	"fmt"
-
-	"memcnn/internal/gpusim"
-)
-
 // im2col: the matrix-unroll step of the Caffe/cuDNN convolution path.  It
 // expands the input tensor into a 2-D matrix so that the convolution becomes
 // a single GEMM (Section II.B): one row per filter tap (C*FH*FW of them, the
@@ -116,38 +110,5 @@ func im2colBatchPanel(j *convGemmBatch, panel []float32, col0, w int) {
 			}
 		}
 		at += run
-	}
-}
-
-// Im2colCost models the GPU im2col kernel: it reads the input once (the
-// source reads along W are coalesced in NCHW) and writes the expanded matrix,
-// which is FH*FW/(SH*SW) times larger than the input.  The expanded matrix is
-// then read back by the GEMM, so the expansion costs DRAM bandwidth twice.
-// Only the write half is accounted here; the read-back belongs to the GEMM's
-// B-operand traffic.
-func Im2colCost(d *gpusim.Device, cfg ConvConfig) gpusim.KernelStats {
-	cfg = cfg.withDefaults()
-	inBytes := float64(cfg.InputShape().Elems()) * 4
-	expandedBytes := float64(cfg.C*cfg.FH*cfg.FW) * float64(cfg.N*cfg.OutH()*cfg.OutW()) * 4
-
-	// Source loads: each input element is touched FH*FW/(SH*SW) times, but
-	// consecutive output columns read overlapping rows that hit in L1/L2, so
-	// the DRAM read traffic stays close to one pass over the input.
-	readBytes := inBytes * 1.15
-
-	threads := cfg.N * cfg.OutH() * cfg.OutW()
-	blocks := ceilDiv(threads, 256)
-	return gpusim.KernelStats{
-		Name:       fmt.Sprintf("im2col %s", cfg.String()),
-		GridBlocks: blocks,
-		Block:      gpusim.BlockResources{ThreadsPerBlock: 256, RegsPerThread: 24},
-		Launches:   1,
-		// Pure data movement: negligible arithmetic.
-		FLOPs:             0,
-		ComputeEfficiency: 1,
-		DRAMReadBytes:     readBytes,
-		DRAMWriteBytes:    expandedBytes,
-		UsefulReadBytes:   inBytes,
-		UsefulWriteBytes:  expandedBytes,
 	}
 }

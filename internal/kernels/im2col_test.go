@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"memcnn/internal/gpusim"
 	"memcnn/internal/tensor"
 )
 
@@ -17,7 +16,7 @@ import (
 //
 // Out-of-range taps (from padding) contribute zeros.
 func Im2col(in *tensor.Tensor, cfg ConvConfig) ([]float32, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -46,8 +45,8 @@ func Im2col(in *tensor.Tensor, cfg ConvConfig) ([]float32, error) {
 // the matrix must sit where the GEMM core's panel format puts it, in a
 // poisoned, NaN-fenced destination of exactly rows·cols floats.
 func TestIm2colImagePacksTheReferenceMatrix(t *testing.T) {
-	for _, cfg := range smallConvCases {
-		cfg = cfg.withDefaults()
+	for _, cfg := range SmallConvCases {
+		cfg = cfg.WithDefaults()
 		rows, ohw := cfg.ReductionLength(), cfg.OutH()*cfg.OutW()
 		for _, lay := range tensor.Layouts {
 			in := tensor.Random(cfg.InputShape(), lay, 5)
@@ -144,20 +143,5 @@ func TestIm2colShapeMismatch(t *testing.T) {
 	}
 	if _, err := Im2col(tensor.New(cfg.InputShape(), tensor.NCHW), ConvConfig{}); err == nil {
 		t.Error("invalid config must be rejected")
-	}
-}
-
-func TestIm2colCostScalesWithFilterArea(t *testing.T) {
-	d := gpusim.TitanBlack()
-	small := Im2colCost(d, ConvConfig{N: 32, C: 64, H: 28, W: 28, K: 64, FH: 1, FW: 1})
-	large := Im2colCost(d, ConvConfig{N: 32, C: 64, H: 28, W: 28, K: 64, FH: 5, FW: 5})
-	if large.DRAMWriteBytes <= small.DRAMWriteBytes {
-		t.Error("a 5x5 unroll writes far more than a 1x1 unroll")
-	}
-	if err := small.Validate(); err != nil {
-		t.Error(err)
-	}
-	if err := large.Validate(); err != nil {
-		t.Error(err)
 	}
 }

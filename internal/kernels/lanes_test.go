@@ -142,7 +142,7 @@ func laneConvConfigs() []ConvConfig {
 		cfgs = append(cfgs, ConvConfig{N: n, C: 2, H: 4, W: 4, K: 2, FH: 3, FW: 3, StrideH: 2, PadH: 1, PadW: 1})
 	}
 	for i := range cfgs {
-		cfgs[i] = cfgs[i].withDefaults()
+		cfgs[i] = cfgs[i].WithDefaults()
 	}
 	return cfgs
 }
@@ -240,7 +240,7 @@ func TestPoolBackwardMatchesOracle(t *testing.T) {
 // write.
 func laneKernelRuns(t *testing.T, layout tensor.Layout) (runs []func() error, outputs []*tensor.Tensor) {
 	t.Helper()
-	cfg := ConvConfig{N: laneTile + 3, C: 3, H: 9, W: 9, K: 4, FH: 3, FW: 3, StrideW: 2, PadH: 1, PadW: 1}.withDefaults()
+	cfg := ConvConfig{N: laneTile + 3, C: 3, H: 9, W: 9, K: 4, FH: 3, FW: 3, StrideW: 2, PadH: 1, PadW: 1}.WithDefaults()
 	pcfg := PoolConfig{N: cfg.N, C: cfg.C, H: cfg.H, W: cfg.W, Window: 3, Stride: 2, Op: AvgPool}
 	in := tensor.Random(cfg.InputShape(), layout, 1)
 	filters := tensor.Filters(cfg.K, cfg.C, cfg.FH, cfg.FW, 2)

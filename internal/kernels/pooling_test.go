@@ -4,7 +4,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"memcnn/internal/gpusim"
 	"memcnn/internal/tensor"
 )
 
@@ -159,92 +158,6 @@ func TestPoolValidation(t *testing.T) {
 	}
 	if _, err := Pool(tensor.New(cfg.InputShape(), tensor.NCHW), PoolConfig{}); err == nil {
 		t.Error("invalid config must be rejected")
-	}
-}
-
-// Table 1 pooling layers used by the cost-model tests.
-var paperPoolLayers = []PoolConfig{
-	{N: 128, C: 16, H: 28, W: 28, Window: 2, Stride: 2, Op: MaxPool},  // POOL1
-	{N: 128, C: 16, H: 14, W: 14, Window: 2, Stride: 2, Op: MaxPool},  // POOL2
-	{N: 128, C: 64, H: 24, W: 24, Window: 3, Stride: 2, Op: MaxPool},  // POOL3
-	{N: 128, C: 96, H: 55, W: 55, Window: 3, Stride: 2, Op: MaxPool},  // POOL5
-	{N: 64, C: 96, H: 110, W: 110, Window: 3, Stride: 2, Op: MaxPool}, // POOL8
-}
-
-func TestPoolCHWNAlwaysBeatsNCHW(t *testing.T) {
-	// Section IV.B: for pooling layers the CHWN layout is always preferred.
-	d := gpusim.TitanBlack()
-	for _, cfg := range paperPoolLayers {
-		chwn := gpusim.EstimateTime(d, PoolCHWNCost(d, cfg)).TotalUS
-		caffe := gpusim.EstimateTime(d, PoolNCHWCost(d, cfg, PoolCaffe)).TotalUS
-		cudnn := gpusim.EstimateTime(d, PoolNCHWCost(d, cfg, PoolCuDNN)).TotalUS
-		if chwn >= caffe || chwn >= cudnn {
-			t.Errorf("%v: CHWN (%.0fus) must beat Caffe (%.0fus) and cuDNN (%.0fus)", cfg, chwn, caffe, cudnn)
-		}
-	}
-}
-
-func TestPoolCoarseningHelpsOverlappedPooling(t *testing.T) {
-	d := gpusim.TitanBlack()
-	for _, cfg := range paperPoolLayers {
-		base := gpusim.EstimateTime(d, PoolCHWNCost(d, cfg)).TotalUS
-		opt := gpusim.EstimateTime(d, PoolCHWNCoarsenedCost(d, cfg, PoolExpansion{H: 2, W: 2})).TotalUS
-		if cfg.Overlapped() && opt >= base {
-			t.Errorf("%v: coarsening should reduce time for overlapped pooling (base %.0fus, opt %.0fus)", cfg, base, opt)
-		}
-	}
-}
-
-func TestPoolExcessiveCoarseningBackfires(t *testing.T) {
-	d := gpusim.TitanBlack()
-	cfg := PoolConfig{N: 128, C: 64, H: 24, W: 24, Window: 3, Stride: 2, Op: MaxPool}
-	moderate := gpusim.EstimateTime(d, PoolCHWNCoarsenedCost(d, cfg, PoolExpansion{H: 2, W: 2})).TotalUS
-	extreme := gpusim.EstimateTime(d, PoolCHWNCoarsenedCost(d, cfg, PoolExpansion{H: 8, W: 8})).TotalUS
-	if extreme <= moderate {
-		t.Errorf("extreme coarsening (%.0fus) should lose to moderate coarsening (%.0fus) due to register pressure", extreme, moderate)
-	}
-}
-
-func TestPoolNonOverlappedHasNoRedundancy(t *testing.T) {
-	cfg := PoolConfig{N: 128, C: 16, H: 28, W: 28, Window: 2, Stride: 2, Op: MaxPool}
-	if got := loadRedundancy(cfg); got != 1 {
-		t.Errorf("non-overlapped redundancy = %v, want 1", got)
-	}
-	over := PoolConfig{N: 128, C: 64, H: 24, W: 24, Window: 3, Stride: 2, Op: MaxPool}
-	if got := loadRedundancy(over); got <= 1 {
-		t.Errorf("overlapped redundancy = %v, want > 1", got)
-	}
-}
-
-func TestPoolCostStatsValid(t *testing.T) {
-	d := gpusim.TitanBlack()
-	for _, cfg := range paperPoolLayers {
-		for _, s := range []gpusim.KernelStats{
-			PoolCHWNCost(d, cfg),
-			PoolNCHWCost(d, cfg, PoolCaffe),
-			PoolNCHWCost(d, cfg, PoolCuDNN),
-			PoolCHWNCoarsenedCost(d, cfg, PoolExpansion{H: 2, W: 2}),
-			PoolCHWNCoarsenedCost(d, cfg, PoolExpansion{}),
-		} {
-			if err := s.Validate(); err != nil {
-				t.Errorf("%v: %v", cfg, err)
-			}
-		}
-	}
-}
-
-func TestPoolCoarsenedRegistersGrowWithExpansion(t *testing.T) {
-	cfg := PoolConfig{N: 128, C: 64, H: 24, W: 24, Window: 3, Stride: 2, Op: MaxPool}
-	prev := 0
-	for e := 1; e <= 6; e++ {
-		regs := PoolCoarsenedRegisters(cfg, PoolExpansion{H: e, W: e})
-		if regs < prev {
-			t.Errorf("registers decreased at expansion %d", e)
-		}
-		if regs > 255 {
-			t.Errorf("registers must be capped at 255, got %d", regs)
-		}
-		prev = regs
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"memcnn/internal/gpusim"
 )
 
 func randomLogits(n, classes int, seed int64) []float32 {
@@ -137,95 +135,6 @@ func TestSoftmaxValidation(t *testing.T) {
 	}
 	if _, _, err := SoftmaxFiveStep(nil, SoftmaxConfig{N: 0, Classes: 4}); err == nil {
 		t.Error("invalid config must be rejected by the five-step variant")
-	}
-}
-
-// Softmax configurations from Fig. 13 (batch/categories).
-var paperSoftmaxConfigs = []SoftmaxConfig{
-	{N: 32, Classes: 10}, {N: 64, Classes: 10}, {N: 128, Classes: 10},
-	{N: 32, Classes: 100}, {N: 64, Classes: 100}, {N: 128, Classes: 100},
-	{N: 32, Classes: 1000}, {N: 64, Classes: 1000}, {N: 128, Classes: 1000},
-	{N: 128, Classes: 5000}, {N: 128, Classes: 10000}, {N: 256, Classes: 10000},
-}
-
-func TestSoftmaxOptimizationsAlwaysHelp(t *testing.T) {
-	d := gpusim.TitanBlack()
-	for _, cfg := range paperSoftmaxConfigs {
-		baseline, _ := SoftmaxBaselineBest(d, cfg)
-		base := gpusim.EstimateTime(d, baseline).TotalUS
-		fusedPar := gpusim.EstimateTime(d, SoftmaxCost(d, cfg, SoftmaxFusedParallel)).TotalUS
-		if fusedPar >= base {
-			t.Errorf("%v: fused+parallel (%.1fus) must beat the best baseline (%.1fus)", cfg, fusedPar, base)
-		}
-	}
-}
-
-func TestSoftmaxFusionAndParallelismAblation(t *testing.T) {
-	// Section VI.B: fusion alone contributes a multi-x speedup over the
-	// thread-per-image baseline; inner-loop parallelisation adds more on top.
-	d := gpusim.TitanBlack()
-	cfg := SoftmaxConfig{N: 128, Classes: 1000}
-	base := gpusim.EstimateTime(d, SoftmaxCost(d, cfg, SoftmaxThreadPerImage)).TotalUS
-	fused := gpusim.EstimateTime(d, SoftmaxCost(d, cfg, SoftmaxFused)).TotalUS
-	full := gpusim.EstimateTime(d, SoftmaxCost(d, cfg, SoftmaxFusedParallel)).TotalUS
-	if !(full < fused && fused < base) {
-		t.Errorf("expected base > fused > fused+parallel, got %.1f > %.1f > %.1f", base, fused, full)
-	}
-	if base/fused < 1.5 {
-		t.Errorf("fusion speedup %.2fx too small", base/fused)
-	}
-	if fused/full < 1.5 {
-		t.Errorf("parallelisation speedup %.2fx too small", fused/full)
-	}
-}
-
-func TestSoftmaxLargeCategoryBandwidthApproachesPeak(t *testing.T) {
-	// Fig. 13: with 10000 categories the optimised kernel reaches ~94% of the
-	// effective bandwidth, while the best baseline stays far below.
-	d := gpusim.TitanBlack()
-	cfg := SoftmaxConfig{N: 128, Classes: 10000}
-	opt := gpusim.EstimateTime(d, SoftmaxCost(d, cfg, SoftmaxFusedParallel))
-	if opt.AchievedBandwidthGBs < 0.75*d.MemBandwidthGBs {
-		t.Errorf("optimised softmax bandwidth %.1f GB/s, want >= 75%% of %v", opt.AchievedBandwidthGBs, d.MemBandwidthGBs)
-	}
-	baseline, _ := SoftmaxBaselineBest(d, cfg)
-	bl := gpusim.EstimateTime(d, baseline)
-	if bl.AchievedBandwidthGBs > 0.5*d.MemBandwidthGBs {
-		t.Errorf("baseline softmax bandwidth %.1f GB/s should stay well below peak", bl.AchievedBandwidthGBs)
-	}
-}
-
-func TestSoftmaxBaselineBestPicksFaster(t *testing.T) {
-	d := gpusim.TitanBlack()
-	for _, cfg := range paperSoftmaxConfigs {
-		best, impl := SoftmaxBaselineBest(d, cfg)
-		bestT := gpusim.EstimateTime(d, best).TotalUS
-		thread := gpusim.EstimateTime(d, SoftmaxCost(d, cfg, SoftmaxThreadPerImage)).TotalUS
-		block := gpusim.EstimateTime(d, SoftmaxCost(d, cfg, SoftmaxBlockPerImage)).TotalUS
-		if bestT > thread || bestT > block {
-			t.Errorf("%v: BaselineBest (%v, %.1fus) is not the fastest of %.1f / %.1f", cfg, impl, bestT, thread, block)
-		}
-	}
-}
-
-func TestSoftmaxCostStatsValid(t *testing.T) {
-	d := gpusim.TitanBlack()
-	impls := []SoftmaxImpl{SoftmaxThreadPerImage, SoftmaxBlockPerImage, SoftmaxFused, SoftmaxFusedParallel}
-	for _, cfg := range paperSoftmaxConfigs {
-		for _, impl := range impls {
-			s := SoftmaxCost(d, cfg, impl)
-			if err := s.Validate(); err != nil {
-				t.Errorf("%v %v: %v", cfg, impl, err)
-			}
-		}
-	}
-}
-
-func TestSoftmaxImplString(t *testing.T) {
-	for _, impl := range []SoftmaxImpl{SoftmaxThreadPerImage, SoftmaxBlockPerImage, SoftmaxFused, SoftmaxFusedParallel, SoftmaxImpl(99)} {
-		if impl.String() == "" {
-			t.Error("String must not be empty")
-		}
 	}
 }
 

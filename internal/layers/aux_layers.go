@@ -5,7 +5,6 @@ import (
 	"math"
 	"sync"
 
-	"memcnn/internal/gpusim"
 	"memcnn/internal/kernels"
 	"memcnn/internal/par"
 	"memcnn/internal/tensor"
@@ -38,8 +37,8 @@ func (s *Softmax) InputShape() tensor.Shape {
 func (s *Softmax) OutputShape() tensor.Shape { return s.InputShape() }
 
 // SupportsLayout implements Layer.  With H = W = 1 the NCHW and CHWN
-// linearisations are the only two distinct ones the libraries use; the kernel
-// cost does not depend on which, so both are accepted.
+// linearisations are the only two distinct ones the libraries use, and both
+// are accepted.
 func (s *Softmax) SupportsLayout(l tensor.Layout) bool {
 	return l == tensor.CHWN || l == tensor.NCHW
 }
@@ -50,14 +49,6 @@ func (s *Softmax) WithBatch(batch int) (Layer, error) {
 	cfg := s.Cfg
 	cfg.N = batch
 	return NewSoftmax(s.LayerName, cfg)
-}
-
-// Cost implements Layer.
-func (s *Softmax) Cost(d *gpusim.Device, l tensor.Layout, opts CostOptions) ([]gpusim.KernelStats, error) {
-	if !s.SupportsLayout(l) {
-		return nil, fmt.Errorf("layers: %s: unsupported layout %v", s.LayerName, l)
-	}
-	return []gpusim.KernelStats{kernels.SoftmaxCost(d, s.Cfg, opts.Softmax)}, nil
 }
 
 // WorkspaceElems implements Layer: staging room for the logit and probability
@@ -115,8 +106,7 @@ func (s *Softmax) ForwardInto(in, dst *tensor.Tensor, alg kernels.ConvAlgorithm,
 
 // FullyConnected is a dense layer computing Out = In × Wᵀ for a batch of
 // flattened feature vectors.  Both libraries implement it as a matrix
-// multiplication regardless of the activation layout, so its cost is layout
-// independent — it only matters for whole-network totals.
+// multiplication regardless of the activation layout.
 type FullyConnected struct {
 	LayerName string
 	Batch     int
@@ -169,16 +159,6 @@ func (f *FullyConnected) WithBatch(batch int) (Layer, error) {
 	}
 	nf.parent = f
 	return nf, nil
-}
-
-// Cost implements Layer: one SGEMM of (OutDim × InDim) by (InDim × Batch).
-func (f *FullyConnected) Cost(d *gpusim.Device, l tensor.Layout, _ CostOptions) ([]gpusim.KernelStats, error) {
-	if !f.SupportsLayout(l) {
-		return nil, fmt.Errorf("layers: %s: unsupported layout %v", f.LayerName, l)
-	}
-	s := kernels.GemmCost(d, kernels.GemmCostConfig{M: f.OutDim, N: f.Batch, K: f.InDim})
-	s.Name = fmt.Sprintf("fc %s %dx%d", f.LayerName, f.InDim, f.OutDim)
-	return []gpusim.KernelStats{s}, nil
 }
 
 // Weights returns (generating on first use) the deterministic weight matrix,
@@ -323,23 +303,6 @@ func (r *ReLU) WithBatch(batch int) (Layer, error) {
 	return NewReLU(r.LayerName, shape)
 }
 
-// Cost implements Layer: one streaming pass, read + write.
-func (r *ReLU) Cost(d *gpusim.Device, _ tensor.Layout, _ CostOptions) ([]gpusim.KernelStats, error) {
-	bytes := float64(r.Shape.Bytes())
-	return []gpusim.KernelStats{{
-		Name:              "relu " + r.LayerName,
-		GridBlocks:        ceil(r.Shape.Elems(), 256),
-		Block:             gpusim.BlockResources{ThreadsPerBlock: 256, RegsPerThread: 16},
-		Launches:          1,
-		FLOPs:             float64(r.Shape.Elems()),
-		ComputeEfficiency: 1,
-		DRAMReadBytes:     bytes,
-		DRAMWriteBytes:    bytes,
-		UsefulReadBytes:   bytes,
-		UsefulWriteBytes:  bytes,
-	}}, nil
-}
-
 // WorkspaceElems implements Layer: the rectifier needs no scratch.
 func (r *ReLU) WorkspaceElems(alg kernels.ConvAlgorithm, l tensor.Layout) (int, error) {
 	return ownKernel(r, alg, l, 0)
@@ -416,24 +379,6 @@ func (l *LRN) WithBatch(batch int) (Layer, error) {
 	shape := l.Shape
 	shape.N = batch
 	return NewLRN(l.LayerName, shape, l.LocalSize, l.Alpha, l.Beta)
-}
-
-// Cost implements Layer: the cross-channel window makes it read the
-// neighbourhood of every element; part of the re-reads hit in cache.
-func (l *LRN) Cost(d *gpusim.Device, _ tensor.Layout, _ CostOptions) ([]gpusim.KernelStats, error) {
-	bytes := float64(l.Shape.Bytes())
-	return []gpusim.KernelStats{{
-		Name:              "lrn " + l.LayerName,
-		GridBlocks:        ceil(l.Shape.Elems(), 256),
-		Block:             gpusim.BlockResources{ThreadsPerBlock: 256, RegsPerThread: 32},
-		Launches:          1,
-		FLOPs:             float64(l.Shape.Elems()) * float64(2*l.LocalSize+10),
-		ComputeEfficiency: 0.4,
-		DRAMReadBytes:     bytes * 2,
-		DRAMWriteBytes:    bytes,
-		UsefulReadBytes:   bytes,
-		UsefulWriteBytes:  bytes,
-	}}, nil
 }
 
 // WorkspaceElems implements Layer: normalisation needs no scratch.
@@ -516,11 +461,4 @@ type strided struct {
 func stridesOf(t *tensor.Tensor) strided {
 	sn, sc, sh, sw := t.Shape.Strides(t.Layout)
 	return strided{data: t.Data, n: sn, c: sc, h: sh, w: sw}
-}
-
-func ceil(a, b int) int {
-	if b == 0 {
-		return 0
-	}
-	return (a + b - 1) / b
 }

@@ -1,15 +1,14 @@
 // Package layers provides the CNN layer abstraction that networks are built
 // from: convolution, pooling, softmax, fully-connected, ReLU and LRN layers.
-// There are three interfaces.  Layer is what every layer is:
-//
-//   - a forward contract keyed by (algorithm, layout): WorkspaceElems says
-//     how much scratch a kernel needs — or that the layer has no such kernel
-//     — and ForwardInto runs it into caller-provided output and scratch.
-//     Compilers ask once and plan the scratch; the package-level Forward
-//     helper asks and allocates, which is the functional forward the
-//     examples and the correctness references use;
-//   - a GPU cost query for a given data layout and implementation choice,
-//     returning the kernel sequence modelled by internal/kernels.
+// There are three interfaces.  Layer is what every layer is: a description
+// (name, shapes, supported layouts) and a forward contract keyed by
+// (algorithm, layout).  WorkspaceElems says how much scratch a kernel needs —
+// or that the layer has no such kernel — and ForwardInto runs it into
+// caller-provided output and scratch.  Compilers ask once and plan the
+// scratch; the package-level Forward helper asks and allocates, which is the
+// functional forward the examples and the correctness references use.  What a
+// layer would cost on the paper's GPUs is not a layer's question:
+// gpusim.LayerCost prices it.
 //
 // BackwardLayer adds the input gradient and TrainableLayer the parameter
 // gradient and SGD update (backward.go).  A new convolution algorithm is a
@@ -24,94 +23,11 @@ import (
 	"fmt"
 	"sync"
 
-	"memcnn/internal/gpusim"
 	"memcnn/internal/kernels"
 	"memcnn/internal/tensor"
 )
 
-// ConvImpl selects the convolution implementation used for a cost query.
-type ConvImpl int
-
-// Convolution implementation choices (Section II.B).
-const (
-	// ConvAuto picks the conventional implementation for the layout: direct
-	// convolution for CHWN, the best available NCHW mode for NCHW.
-	ConvAuto ConvImpl = iota
-	// ConvDirectImpl is the cuda-convnet direct convolution (CHWN only).
-	ConvDirectImpl
-	// ConvGemmImpl is the Caffe/cuDNN im2col + GEMM mode (NCHW only).
-	ConvGemmImpl
-	// ConvFFTImpl is the cuDNN FFT mode (NCHW only); it can fail with
-	// ErrOutOfMemory.
-	ConvFFTImpl
-	// ConvFFTTilingImpl is the cuDNN FFT-Tiling mode (NCHW only).
-	ConvFFTTilingImpl
-	// ConvBestNCHW cherry-picks the fastest NCHW mode that fits in memory,
-	// the policy of the paper's "cuDNN-Best" configuration.
-	ConvBestNCHW
-)
-
-// String names the implementation.
-func (i ConvImpl) String() string {
-	switch i {
-	case ConvAuto:
-		return "auto"
-	case ConvDirectImpl:
-		return "direct"
-	case ConvGemmImpl:
-		return "gemm"
-	case ConvFFTImpl:
-		return "fft"
-	case ConvFFTTilingImpl:
-		return "fft-tiling"
-	case ConvBestNCHW:
-		return "best-nchw"
-	default:
-		return fmt.Sprintf("ConvImpl(%d)", int(i))
-	}
-}
-
-// PoolImpl selects the pooling implementation used for a cost query.
-type PoolImpl int
-
-// Pooling implementation choices.
-const (
-	// PoolPlain is the library kernel for the layout (cuda-convnet for CHWN,
-	// Caffe/cuDNN for NCHW).
-	PoolPlain PoolImpl = iota
-	// PoolOptimized is the paper's register-reuse kernel (CHWN only); the
-	// expansion factors come from CostOptions.PoolExpansion.
-	PoolOptimized
-	// PoolCuDNNVariant is the cuDNN NCHW kernel (adds the backward mask
-	// write); used by the cuDNN framework emulation.
-	PoolCuDNNVariant
-)
-
-// String names the implementation.
-func (i PoolImpl) String() string {
-	switch i {
-	case PoolPlain:
-		return "plain"
-	case PoolOptimized:
-		return "optimized"
-	case PoolCuDNNVariant:
-		return "cudnn"
-	default:
-		return fmt.Sprintf("PoolImpl(%d)", int(i))
-	}
-}
-
-// CostOptions selects the implementation variants for a cost query.  The zero
-// value is the conventional library behaviour for the layout.
-type CostOptions struct {
-	Conv          ConvImpl
-	Pool          PoolImpl
-	PoolExpansion kernels.PoolExpansion // zero value lets the layer pick 2x2
-	Softmax       kernels.SoftmaxImpl
-}
-
-// Layer is one stage of a CNN: its description, its cost model and its forward
-// contract.
+// Layer is one stage of a CNN: its description and its forward contract.
 type Layer interface {
 	// Name identifies the layer inside its network (e.g. "conv1").
 	Name() string
@@ -121,9 +37,6 @@ type Layer interface {
 	// SupportsLayout reports whether the layer has an implementation for the
 	// given activation layout.
 	SupportsLayout(l tensor.Layout) bool
-	// Cost returns the GPU kernel sequence for executing the layer with the
-	// given activation layout and implementation options.
-	Cost(d *gpusim.Device, l tensor.Layout, opts CostOptions) ([]gpusim.KernelStats, error)
 	// WorkspaceElems returns the scratch, in float32 elements, that
 	// ForwardInto needs to run alg on activations in layout l.  The zero
 	// algorithm (kernels.ConvAlgDirect) is every layer's own kernel and the
@@ -348,57 +261,6 @@ func (c *Conv) WithBatch(batch int) (Layer, error) {
 	return nc, nil
 }
 
-// Cost implements Layer.
-func (c *Conv) Cost(d *gpusim.Device, l tensor.Layout, opts CostOptions) ([]gpusim.KernelStats, error) {
-	impl := opts.Conv
-	switch l {
-	case tensor.CHWN:
-		if impl == ConvAuto {
-			impl = ConvDirectImpl
-		}
-		if impl != ConvDirectImpl {
-			return nil, fmt.Errorf("layers: %s: %v convolution is not available in the CHWN layout", c.LayerName, impl)
-		}
-		return []gpusim.KernelStats{kernels.ConvDirectCHWNCost(d, c.Cfg)}, nil
-	case tensor.NCHW:
-		if impl == ConvAuto {
-			impl = ConvGemmImpl
-		}
-		switch impl {
-		case ConvGemmImpl:
-			return kernels.ConvGemmNCHWCost(d, c.Cfg), nil
-		case ConvFFTImpl:
-			return kernels.ConvFFTCost(d, c.Cfg)
-		case ConvFFTTilingImpl:
-			return kernels.ConvFFTTilingCost(d, c.Cfg)
-		case ConvBestNCHW:
-			return c.bestNCHW(d), nil
-		default:
-			return nil, fmt.Errorf("layers: %s: %v convolution is not available in the NCHW layout", c.LayerName, impl)
-		}
-	default:
-		return nil, fmt.Errorf("layers: %s: unsupported layout %v", c.LayerName, l)
-	}
-}
-
-// bestNCHW picks the fastest NCHW mode that fits in device memory, falling
-// back to GEMM the way cuDNN falls back when an FFT mode fails.
-func (c *Conv) bestNCHW(d *gpusim.Device) []gpusim.KernelStats {
-	best := kernels.ConvGemmNCHWCost(d, c.Cfg)
-	bestT, _ := gpusim.EstimateSequence(d, best)
-	if fftSeq, err := kernels.ConvFFTCost(d, c.Cfg); err == nil {
-		if t, _ := gpusim.EstimateSequence(d, fftSeq); t < bestT {
-			best, bestT = fftSeq, t
-		}
-	}
-	if fftT, err := kernels.ConvFFTTilingCost(d, c.Cfg); err == nil {
-		if t, _ := gpusim.EstimateSequence(d, fftT); t < bestT {
-			best, bestT = fftT, t
-		}
-	}
-	return best
-}
-
 // Pool is a pooling layer.
 type Pool struct {
 	LayerName string
@@ -433,36 +295,6 @@ func (p *Pool) WithBatch(batch int) (Layer, error) {
 	cfg := p.Cfg
 	cfg.N = batch
 	return NewPool(p.LayerName, cfg)
-}
-
-// Cost implements Layer.
-func (p *Pool) Cost(d *gpusim.Device, l tensor.Layout, opts CostOptions) ([]gpusim.KernelStats, error) {
-	switch l {
-	case tensor.CHWN:
-		switch opts.Pool {
-		case PoolOptimized:
-			e := opts.PoolExpansion
-			if e.H <= 0 || e.W <= 0 {
-				e = kernels.PoolExpansion{H: 2, W: 2}
-			}
-			return []gpusim.KernelStats{kernels.PoolCHWNCoarsenedCost(d, p.Cfg, e)}, nil
-		case PoolCuDNNVariant:
-			return nil, fmt.Errorf("layers: %s: the cuDNN pooling kernel uses the NCHW layout", p.LayerName)
-		default:
-			return []gpusim.KernelStats{kernels.PoolCHWNCost(d, p.Cfg)}, nil
-		}
-	case tensor.NCHW:
-		variant := kernels.PoolCaffe
-		if opts.Pool == PoolCuDNNVariant {
-			variant = kernels.PoolCuDNN
-		}
-		if opts.Pool == PoolOptimized {
-			return nil, fmt.Errorf("layers: %s: the optimised pooling kernel requires the CHWN layout", p.LayerName)
-		}
-		return []gpusim.KernelStats{kernels.PoolNCHWCost(d, p.Cfg, variant)}, nil
-	default:
-		return nil, fmt.Errorf("layers: %s: unsupported layout %v", p.LayerName, l)
-	}
 }
 
 // WorkspaceElems implements Layer: pooling needs no scratch.

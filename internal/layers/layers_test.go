@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"memcnn/internal/gpusim"
 	"memcnn/internal/kernels"
 	"memcnn/internal/tensor"
 )
@@ -44,63 +43,6 @@ func TestConvSupportsLayouts(t *testing.T) {
 	}
 }
 
-func TestConvCostByLayoutAndImpl(t *testing.T) {
-	d := gpusim.TitanBlack()
-	c := testConvLayer(t)
-
-	chwn, err := c.Cost(d, tensor.CHWN, CostOptions{})
-	if err != nil || len(chwn) != 1 {
-		t.Fatalf("CHWN cost: %v (%d kernels)", err, len(chwn))
-	}
-	nchw, err := c.Cost(d, tensor.NCHW, CostOptions{})
-	if err != nil || len(nchw) != 2 {
-		t.Fatalf("NCHW cost: %v (%d kernels, want im2col+gemm)", err, len(nchw))
-	}
-	if _, err := c.Cost(d, tensor.NCHW, CostOptions{Conv: ConvBestNCHW}); err != nil {
-		t.Errorf("best-NCHW cost: %v", err)
-	}
-	if _, err := c.Cost(d, tensor.NCHW, CostOptions{Conv: ConvFFTImpl}); err != nil {
-		t.Errorf("FFT cost on a small layer should fit: %v", err)
-	}
-	if _, err := c.Cost(d, tensor.CHWN, CostOptions{Conv: ConvGemmImpl}); err == nil {
-		t.Error("GEMM convolution must be rejected in CHWN")
-	}
-	if _, err := c.Cost(d, tensor.NCHW, CostOptions{Conv: ConvDirectImpl}); err == nil {
-		t.Error("direct convolution must be rejected in NCHW")
-	}
-	if _, err := c.Cost(d, tensor.NHWC, CostOptions{}); err == nil {
-		t.Error("unsupported layout must be rejected")
-	}
-}
-
-func TestConvBestNCHWNeverSlowerThanGemm(t *testing.T) {
-	d := gpusim.TitanBlack()
-	cfgs := []kernels.ConvConfig{
-		{N: 64, C: 256, H: 13, W: 13, K: 384, FH: 3, FW: 3},
-		{N: 128, C: 16, H: 14, W: 14, K: 16, FH: 5, FW: 5},
-		{N: 32, C: 128, H: 56, W: 56, K: 256, FH: 3, FW: 3},
-	}
-	for _, cfg := range cfgs {
-		c, err := NewConv("c", cfg, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gemm, err := c.Cost(d, tensor.NCHW, CostOptions{Conv: ConvGemmImpl})
-		if err != nil {
-			t.Fatal(err)
-		}
-		best, err := c.Cost(d, tensor.NCHW, CostOptions{Conv: ConvBestNCHW})
-		if err != nil {
-			t.Fatal(err)
-		}
-		gemmT, _ := gpusim.EstimateSequence(d, gemm)
-		bestT, _ := gpusim.EstimateSequence(d, best)
-		if bestT > gemmT*1.0001 {
-			t.Errorf("%v: best-NCHW (%.0fus) slower than GEMM (%.0fus)", cfg, bestT, gemmT)
-		}
-	}
-}
-
 func TestConvForwardMatchesKernels(t *testing.T) {
 	c := testConvLayer(t)
 	in := tensor.Random(c.InputShape(), tensor.CHWN, 7)
@@ -121,7 +63,6 @@ func TestConvForwardMatchesKernels(t *testing.T) {
 }
 
 func TestPoolLayer(t *testing.T) {
-	d := gpusim.TitanBlack()
 	p, err := NewPool("pool1", kernels.PoolConfig{N: 4, C: 2, H: 8, W: 8, Window: 2, Stride: 2, Op: kernels.MaxPool})
 	if err != nil {
 		t.Fatal(err)
@@ -131,25 +72,6 @@ func TestPoolLayer(t *testing.T) {
 	}
 	if p.OutputShape() != (tensor.Shape{N: 4, C: 2, H: 4, W: 4}) {
 		t.Errorf("OutputShape = %v", p.OutputShape())
-	}
-
-	if _, err := p.Cost(d, tensor.CHWN, CostOptions{}); err != nil {
-		t.Errorf("plain CHWN pooling: %v", err)
-	}
-	if _, err := p.Cost(d, tensor.CHWN, CostOptions{Pool: PoolOptimized}); err != nil {
-		t.Errorf("optimised CHWN pooling: %v", err)
-	}
-	if _, err := p.Cost(d, tensor.NCHW, CostOptions{Pool: PoolCuDNNVariant}); err != nil {
-		t.Errorf("cuDNN NCHW pooling: %v", err)
-	}
-	if _, err := p.Cost(d, tensor.NCHW, CostOptions{Pool: PoolOptimized}); err == nil {
-		t.Error("optimised pooling must require CHWN")
-	}
-	if _, err := p.Cost(d, tensor.CHWN, CostOptions{Pool: PoolCuDNNVariant}); err == nil {
-		t.Error("cuDNN pooling must require NCHW")
-	}
-	if _, err := p.Cost(d, tensor.HWCN, CostOptions{}); err == nil {
-		t.Error("unsupported layout must be rejected")
 	}
 
 	in := tensor.Random(p.InputShape(), tensor.NCHW, 3)
@@ -162,27 +84,7 @@ func TestPoolLayer(t *testing.T) {
 	}
 }
 
-func TestPoolOptimizedDefaultExpansion(t *testing.T) {
-	d := gpusim.TitanBlack()
-	p, err := NewPool("pool3", kernels.PoolConfig{N: 128, C: 64, H: 24, W: 24, Window: 3, Stride: 2, Op: kernels.MaxPool})
-	if err != nil {
-		t.Fatal(err)
-	}
-	def, err := p.Cost(d, tensor.CHWN, CostOptions{Pool: PoolOptimized})
-	if err != nil {
-		t.Fatal(err)
-	}
-	explicit, err := p.Cost(d, tensor.CHWN, CostOptions{Pool: PoolOptimized, PoolExpansion: kernels.PoolExpansion{H: 2, W: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if def[0].DRAMReadBytes != explicit[0].DRAMReadBytes {
-		t.Error("default expansion should be 2x2")
-	}
-}
-
 func TestSoftmaxLayer(t *testing.T) {
-	d := gpusim.TitanBlack()
 	s, err := NewSoftmax("prob", kernels.SoftmaxConfig{N: 8, Classes: 10})
 	if err != nil {
 		t.Fatal(err)
@@ -192,12 +94,6 @@ func TestSoftmaxLayer(t *testing.T) {
 	}
 	if s.InputShape() != (tensor.Shape{N: 8, C: 10, H: 1, W: 1}) {
 		t.Errorf("InputShape = %v", s.InputShape())
-	}
-	if _, err := s.Cost(d, tensor.NCHW, CostOptions{Softmax: kernels.SoftmaxFusedParallel}); err != nil {
-		t.Errorf("softmax cost: %v", err)
-	}
-	if _, err := s.Cost(d, tensor.NHWC, CostOptions{}); err == nil {
-		t.Error("unsupported layout must be rejected")
 	}
 
 	in := tensor.Random(s.InputShape(), tensor.NCHW, 5)
@@ -221,7 +117,6 @@ func TestSoftmaxLayer(t *testing.T) {
 }
 
 func TestFullyConnectedLayer(t *testing.T) {
-	d := gpusim.TitanBlack()
 	fc, err := NewFullyConnected("fc1", 4, 6, 3, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -231,16 +126,6 @@ func TestFullyConnectedLayer(t *testing.T) {
 	}
 	if fc.OutputShape() != (tensor.Shape{N: 4, C: 3, H: 1, W: 1}) {
 		t.Errorf("OutputShape = %v", fc.OutputShape())
-	}
-	cost, err := fc.Cost(d, tensor.NCHW, CostOptions{})
-	if err != nil || len(cost) != 1 {
-		t.Fatalf("fc cost: %v", err)
-	}
-	if cost[0].FLOPs != 2*3*4*6 {
-		t.Errorf("fc FLOPs = %v", cost[0].FLOPs)
-	}
-	if _, err := fc.Cost(d, tensor.NHWC, CostOptions{}); err == nil {
-		t.Error("unsupported layout must be rejected")
 	}
 
 	// Functional check against a hand-computed case: weights from the
@@ -274,7 +159,6 @@ func TestFullyConnectedLayer(t *testing.T) {
 }
 
 func TestReLULayer(t *testing.T) {
-	d := gpusim.TitanBlack()
 	shape := tensor.Shape{N: 2, C: 3, H: 4, W: 4}
 	r, err := NewReLU("relu1", shape)
 	if err != nil {
@@ -282,13 +166,6 @@ func TestReLULayer(t *testing.T) {
 	}
 	if _, err := NewReLU("bad", tensor.Shape{}); err == nil {
 		t.Error("invalid shape must be rejected")
-	}
-	cost, err := r.Cost(d, tensor.CHWN, CostOptions{})
-	if err != nil || len(cost) != 1 {
-		t.Fatalf("relu cost: %v", err)
-	}
-	if cost[0].DRAMReadBytes != float64(shape.Bytes()) {
-		t.Error("relu should read the tensor once")
 	}
 	in := tensor.Random(shape, tensor.NCHW, 1)
 	out, err := Forward(r, in, kernels.ConvAlgDirect)
@@ -312,7 +189,6 @@ func TestReLULayer(t *testing.T) {
 }
 
 func TestLRNLayer(t *testing.T) {
-	d := gpusim.TitanBlack()
 	shape := tensor.Shape{N: 2, C: 8, H: 3, W: 3}
 	l, err := NewLRN("norm1", shape, 5, 0, 0)
 	if err != nil {
@@ -326,9 +202,6 @@ func TestLRNLayer(t *testing.T) {
 	}
 	if l.Alpha == 0 || l.Beta == 0 {
 		t.Error("defaults must be applied")
-	}
-	if _, err := l.Cost(d, tensor.NCHW, CostOptions{}); err != nil {
-		t.Errorf("lrn cost: %v", err)
 	}
 	in := tensor.Random(shape, tensor.NCHW, 11)
 	out, err := Forward(l, in, kernels.ConvAlgDirect)
@@ -353,19 +226,6 @@ func TestLRNLayer(t *testing.T) {
 	}
 	if _, err := Forward(l, tensor.New(tensor.Shape{N: 1, C: 1, H: 1, W: 1}, tensor.NCHW), kernels.ConvAlgDirect); err == nil {
 		t.Error("wrong shape must be rejected")
-	}
-}
-
-func TestImplStrings(t *testing.T) {
-	for _, impl := range []ConvImpl{ConvAuto, ConvDirectImpl, ConvGemmImpl, ConvFFTImpl, ConvFFTTilingImpl, ConvBestNCHW, ConvImpl(42)} {
-		if impl.String() == "" {
-			t.Error("ConvImpl.String must not be empty")
-		}
-	}
-	for _, impl := range []PoolImpl{PoolPlain, PoolOptimized, PoolCuDNNVariant, PoolImpl(42)} {
-		if impl.String() == "" {
-			t.Error("PoolImpl.String must not be empty")
-		}
 	}
 }
 

@@ -61,25 +61,14 @@ func PreferredConvLayout(cfg kernels.ConvConfig, t Thresholds) tensor.Layout {
 // wins across the board.
 func PreferredPoolLayout(kernels.PoolConfig) tensor.Layout { return tensor.CHWN }
 
-// MeasuredConvWinner runs both layouts' best implementations through the cost
-// model and returns the faster layout.  It is the "oracle" the heuristic is
-// validated against (and what one-time profiling would measure on real
-// hardware).
+// MeasuredConvWinner prices both layouts' best implementations on the GPU
+// model — the direct kernel in CHWN, gpusim.BestNCHWConv in NCHW, as the
+// paper's comparisons do — and returns the faster layout with both times.  It
+// is the "oracle" the heuristic is validated against (and what one-time
+// profiling would measure on real hardware).
 func MeasuredConvWinner(d *gpusim.Device, cfg kernels.ConvConfig) (tensor.Layout, float64, float64) {
-	chwn := gpusim.EstimateTime(d, kernels.ConvDirectCHWNCost(d, cfg)).TotalUS
-	nchw, _ := gpusim.EstimateSequence(d, kernels.ConvGemmNCHWCost(d, cfg))
-	// The NCHW layout may also use an FFT mode when it fits in memory; take
-	// the best available NCHW implementation, as the paper's comparisons do.
-	if fftSeq, err := kernels.ConvFFTCost(d, cfg); err == nil {
-		if t, _ := gpusim.EstimateSequence(d, fftSeq); t < nchw {
-			nchw = t
-		}
-	}
-	if fftT, err := kernels.ConvFFTTilingCost(d, cfg); err == nil {
-		if t, _ := gpusim.EstimateSequence(d, fftT); t < nchw {
-			nchw = t
-		}
-	}
+	chwn := gpusim.EstimateTime(d, gpusim.ConvDirectCHWNCost(d, cfg)).TotalUS
+	_, nchw := gpusim.BestNCHWConv(d, cfg)
 	if chwn <= nchw {
 		return tensor.CHWN, chwn, nchw
 	}
@@ -99,7 +88,7 @@ type ConvCandidate struct {
 	// incoming layout into Layout (zero when they already match).
 	TransformUS float64
 	// OOM marks a mode whose workspace exceeds device memory
-	// (kernels.ErrOutOfMemory); TimeUS is meaningless for it.
+	// (gpusim.ErrOutOfMemory); TimeUS is meaningless for it.
 	OOM bool
 }
 
@@ -110,20 +99,20 @@ func convCandidate(d *gpusim.Device, cfg kernels.ConvConfig, alg kernels.ConvAlg
 	switch alg {
 	case kernels.ConvAlgGemm:
 		cand.Layout = tensor.NCHW
-		cand.TimeUS, _ = gpusim.EstimateSequence(d, kernels.ConvGemmNCHWCost(d, cfg))
+		cand.TimeUS = gpusim.EstimateSequence(d, gpusim.ConvGemmNCHWCost(d, cfg))
 	case kernels.ConvAlgFFT:
 		cand.Layout = tensor.NCHW
-		if seq, err := kernels.ConvFFTCost(d, cfg); err != nil {
+		if seq, err := gpusim.ConvFFTCost(d, cfg); err != nil {
 			cand.OOM = true
 		} else {
-			cand.TimeUS, _ = gpusim.EstimateSequence(d, seq)
+			cand.TimeUS = gpusim.EstimateSequence(d, seq)
 		}
 	default:
 		cand.Layout = tensor.CHWN
-		cand.TimeUS = gpusim.EstimateTime(d, kernels.ConvDirectCHWNCost(d, cfg)).TotalUS
+		cand.TimeUS = gpusim.EstimateTime(d, gpusim.ConvDirectCHWNCost(d, cfg)).TotalUS
 	}
 	if incoming.Valid() && incoming != cand.Layout {
-		if stats, _, err := kernels.BestTransform(d, cfg.InputShape(), incoming, cand.Layout); err == nil {
+		if stats, _, err := gpusim.BestTransform(d, cfg.InputShape(), incoming, cand.Layout); err == nil {
 			cand.TransformUS = gpusim.EstimateTime(d, stats).TotalUS
 		}
 	}
@@ -234,8 +223,8 @@ func SweepC(d *gpusim.Device, cValues []int) []SweepPoint {
 }
 
 func sweepPoint(d *gpusim.Device, cfg kernels.ConvConfig, value int) SweepPoint {
-	chwn := gpusim.EstimateTime(d, kernels.ConvDirectCHWNCost(d, cfg)).TotalUS
-	nchw, _ := gpusim.EstimateSequence(d, kernels.ConvGemmNCHWCost(d, cfg))
+	chwn := gpusim.EstimateTime(d, gpusim.ConvDirectCHWNCost(d, cfg)).TotalUS
+	nchw := gpusim.EstimateSequence(d, gpusim.ConvGemmNCHWCost(d, cfg))
 	flops := cfg.FLOPs()
 	return SweepPoint{
 		Value:       value,

@@ -1,12 +1,15 @@
-// Package network assembles layers into whole CNNs, plans their execution
-// (which data layout and which kernel implementation each layer uses, and
-// where layout transformations are inserted), estimates the plan's execution
-// time on a GPU model and runs the network functionally.
+// Package network assembles layers into whole CNNs and runs them functionally
+// on the host kernels.  It also holds the model-domain execution plan: which
+// data layout and which GPU kernel implementation each layer uses and where
+// layout transformations are inserted, priced by gpusim.LayerCost on a GPU
+// model and never run.
 //
-// The planning abstraction is what lets the benchmark harness compare the
+// The planning abstraction is what lets the figure harness compare the
 // paper's six whole-network configurations (cuDNN-MM, cuDNN-FFT,
 // cuDNN-FFT-T, cuDNN-Best, cuda-convnet and the optimised framework) on the
-// same network descriptions (Figs. 14 and 15).
+// same network descriptions (Figs. 14 and 15).  The runtime compiles a plan's
+// layouts into a program (runtime.PlanChoices); its implementation options
+// are the model's alone.
 package network
 
 import (
@@ -125,12 +128,12 @@ func (n *Network) ForwardAlgs(in *tensor.Tensor, algs map[layers.Layer]kernels.C
 type PlannedLayer struct {
 	Layer   layers.Layer
 	Layout  tensor.Layout
-	Options layers.CostOptions
+	Options gpusim.CostOptions
 
 	// Transform, when non-nil, is the cost of converting the incoming
 	// activations from the previous layer's layout.
 	Transform       *gpusim.KernelStats
-	TransformMethod kernels.TransformMethod
+	TransformMethod gpusim.TransformMethod
 }
 
 // ExecutionPlan is a complete assignment of layouts, implementations and
@@ -156,7 +159,6 @@ type LayerTime struct {
 	Layout      tensor.Layout
 	TimeUS      float64 // layer kernels only
 	TransformUS float64 // layout transformation before the layer
-	Kernels     []gpusim.KernelTime
 }
 
 // Total returns layer time plus transformation time.
@@ -176,12 +178,11 @@ type Estimate struct {
 func (p *ExecutionPlan) Estimate() (Estimate, error) {
 	est := Estimate{PlannerName: p.PlannerName, NetworkName: p.Network.Name, Device: p.Device.Name}
 	for _, pl := range p.Layers {
-		seq, err := pl.Layer.Cost(p.Device, pl.Layout, pl.Options)
+		seq, err := gpusim.LayerCost(p.Device, pl.Layer, pl.Layout, pl.Options)
 		if err != nil {
 			return Estimate{}, fmt.Errorf("network: estimating %q: %w", pl.Layer.Name(), err)
 		}
-		layerUS, times := gpusim.EstimateSequence(p.Device, seq)
-		lt := LayerTime{Name: pl.Layer.Name(), Layout: pl.Layout, TimeUS: layerUS, Kernels: times}
+		lt := LayerTime{Name: pl.Layer.Name(), Layout: pl.Layout, TimeUS: gpusim.EstimateSequence(p.Device, seq)}
 		if pl.Transform != nil {
 			lt.TransformUS = gpusim.EstimateTime(p.Device, *pl.Transform).TotalUS
 		}
@@ -233,11 +234,11 @@ type FixedLayoutPlanner struct {
 	Layout      tensor.Layout
 	// Options returns the implementation options for one layer; nil means
 	// zero options for every layer.
-	Options func(l layers.Layer) layers.CostOptions
+	Options func(l layers.Layer) gpusim.CostOptions
 	// Fallback, when non-nil, may replace the options for a layer whose cost
 	// query fails (e.g. an FFT mode that runs out of memory falls back to
 	// GEMM, as cuDNN does).
-	Fallback func(l layers.Layer, err error) (layers.CostOptions, bool)
+	Fallback func(l layers.Layer, err error) (gpusim.CostOptions, bool)
 }
 
 // Name implements Planner.
@@ -250,15 +251,15 @@ func (f *FixedLayoutPlanner) Plan(d *gpusim.Device, net *Network) (*ExecutionPla
 		if !l.SupportsLayout(f.Layout) {
 			return nil, fmt.Errorf("network: %s: layer %q does not support layout %v", f.PlannerName, l.Name(), f.Layout)
 		}
-		opts := layers.CostOptions{}
+		opts := gpusim.CostOptions{}
 		if f.Options != nil {
 			opts = f.Options(l)
 		}
-		if _, err := l.Cost(d, f.Layout, opts); err != nil {
+		if _, err := gpusim.LayerCost(d, l, f.Layout, opts); err != nil {
 			ok := false
 			if f.Fallback != nil {
 				if fbOpts, use := f.Fallback(l, err); use {
-					if _, err2 := l.Cost(d, f.Layout, fbOpts); err2 == nil {
+					if _, err2 := gpusim.LayerCost(d, l, f.Layout, fbOpts); err2 == nil {
 						opts, ok = fbOpts, true
 					}
 				}

@@ -148,12 +148,12 @@ func TestFixedLayoutPlannerOptionsCallback(t *testing.T) {
 	planner := &network.FixedLayoutPlanner{
 		PlannerName: "opts",
 		Layout:      tensor.NCHW,
-		Options: func(l layers.Layer) layers.CostOptions {
+		Options: func(l layers.Layer) gpusim.CostOptions {
 			if _, ok := l.(*layers.Softmax); ok {
 				sawSoftmax = true
-				return layers.CostOptions{Softmax: kernels.SoftmaxFusedParallel}
+				return gpusim.CostOptions{Softmax: gpusim.SoftmaxFusedParallel}
 			}
-			return layers.CostOptions{}
+			return gpusim.CostOptions{}
 		},
 	}
 	if _, err := planner.Plan(d, net); err != nil {
@@ -179,7 +179,7 @@ func TestFixedLayoutPlannerFallback(t *testing.T) {
 	noFallback := &network.FixedLayoutPlanner{
 		PlannerName: "fft-strict",
 		Layout:      tensor.NCHW,
-		Options:     func(layers.Layer) layers.CostOptions { return layers.CostOptions{Conv: layers.ConvFFTImpl} },
+		Options:     func(layers.Layer) gpusim.CostOptions { return gpusim.CostOptions{Conv: gpusim.ConvFFTImpl} },
 	}
 	if _, err := noFallback.Plan(d, net); err == nil {
 		t.Error("without a fallback the out-of-memory FFT plan must fail")
@@ -187,19 +187,19 @@ func TestFixedLayoutPlannerFallback(t *testing.T) {
 	withFallback := &network.FixedLayoutPlanner{
 		PlannerName: "fft",
 		Layout:      tensor.NCHW,
-		Options:     func(layers.Layer) layers.CostOptions { return layers.CostOptions{Conv: layers.ConvFFTImpl} },
-		Fallback: func(l layers.Layer, err error) (layers.CostOptions, bool) {
+		Options:     func(layers.Layer) gpusim.CostOptions { return gpusim.CostOptions{Conv: gpusim.ConvFFTImpl} },
+		Fallback: func(l layers.Layer, err error) (gpusim.CostOptions, bool) {
 			if !strings.Contains(err.Error(), "GiB") {
-				return layers.CostOptions{}, false
+				return gpusim.CostOptions{}, false
 			}
-			return layers.CostOptions{Conv: layers.ConvGemmImpl}, true
+			return gpusim.CostOptions{Conv: gpusim.ConvGemmImpl}, true
 		},
 	}
 	plan, err := withFallback.Plan(d, net)
 	if err != nil {
 		t.Fatalf("fallback plan failed: %v", err)
 	}
-	if plan.Layers[0].Options.Conv != layers.ConvGemmImpl {
+	if plan.Layers[0].Options.Conv != gpusim.ConvGemmImpl {
 		t.Error("fallback options were not applied")
 	}
 }

@@ -123,9 +123,10 @@ const InterconnectGBs = 12.0
 // SimDevice wraps a gpusim hardware model around the CPU execution path:
 // every op computes its real result on the host (so sharded programs stay
 // bit-identical to unsharded ones) while the op is also priced on the modeled
-// GPU — layer ops through their Cost kernel sequence and the roofline +
-// occupancy estimator, data-movement ops as streaming copies, stage-boundary
-// transfers over the host interconnect.
+// GPU — layer ops by gpusim's per-layer models and its roofline + occupancy
+// estimator, data-movement ops as streaming copies, stage-boundary transfers
+// over the host interconnect.  The price is model-only: it describes the
+// paper's GPU, not the host that computed the result.
 type SimDevice struct {
 	// Label distinguishes devices of the same hardware model ("sim0").
 	Label string
@@ -163,8 +164,8 @@ func (d *SimDevice) Name() string {
 }
 
 // RunOp implements Device: the op runs on the CPU for its real result and is
-// priced on the hardware model (from the per-program cache, so the Cost
-// sequence is evaluated once per op, not once per batch).
+// priced on the hardware model (from the per-program cache, so the model is
+// evaluated once per op, not once per batch).
 func (d *SimDevice) RunOp(prog *Program, opIndex int, in, out, aux *tensor.Tensor, scratch []float32) (float64, error) {
 	_, err := d.cpu.RunOp(prog, opIndex, in, out, aux, scratch)
 	return d.programCosts(prog)[opIndex], err
@@ -221,21 +222,21 @@ func (d *SimDevice) TransferInUS(bytes int64) float64 {
 }
 
 // ModelOpUS prices one op on the hardware model without executing it.  Layer
-// ops go through the layer's Cost kernel sequence (with the compiled
-// convolution algorithm mapped onto the matching cost implementation) and
-// gpusim's roofline estimator; transform and reshape-copy ops are priced as
+// ops go through gpusim.LayerCost (the compiled convolution algorithm mapped
+// by gpusim.CompiledOptions) and gpusim's roofline estimator, gradient ops
+// through gpusim.GradientCost; transform and reshape-copy ops are priced as
 // streaming read+write passes; alias reshapes are free.
 func (d *SimDevice) ModelOpUS(prog *Program, op Op) float64 {
 	switch op.Kind {
 	case OpLayer, OpRecompute:
 		layout := prog.Buffers[op.In].Layout
-		stats, err := op.Layer.Cost(d.HW, layout, costOptionsFor(op, layout))
+		stats, err := gpusim.LayerCost(d.HW, op.Layer, layout, gpusim.CompiledOptions(op.Alg, layout))
 		if err != nil {
 			// No kernel model for this layout/impl combination: fall back to
 			// pricing the op as a streaming pass over its operands.
 			return d.streamUS(prog.Buffers[op.In].Bytes() + prog.Buffers[op.Out].Bytes())
 		}
-		total, _ := gpusim.EstimateSequence(d.HW, stats)
+		total := gpusim.EstimateSequence(d.HW, stats)
 		return total
 	case OpTransform, OpReshape:
 		if prog.Buffers[op.Out].AliasOf != NoBuffer {
@@ -245,13 +246,10 @@ func (d *SimDevice) ModelOpUS(prog *Program, op Op) float64 {
 	case OpLossGrad:
 		shape := prog.Buffers[op.In].Shape
 		cfg := kernels.SoftmaxConfig{N: shape.N, Classes: shape.C}
-		total, _ := gpusim.EstimateSequence(d.HW, []gpusim.KernelStats{
-			kernels.SoftmaxBackwardCost(d.HW, cfg, true),
-		})
-		return total
+		return gpusim.EstimateTime(d.HW, gpusim.SoftmaxBackwardCost(d.HW, cfg, true)).TotalUS
 	case OpBackward, OpGradFilter:
-		if stats := trainingOpCost(d.HW, prog, op); stats != nil {
-			total, _ := gpusim.EstimateSequence(d.HW, stats)
+		if stats := gpusim.GradientCost(d.HW, op.Layer, prog.Buffers[op.In].Layout, op.Kind == OpGradFilter); stats != nil {
+			total := gpusim.EstimateSequence(d.HW, stats)
 			return total
 		}
 		// Element-wise and window backward passes (ReLU, LRN) are bandwidth
@@ -269,37 +267,6 @@ func (d *SimDevice) ModelOpUS(prog *Program, op Op) float64 {
 	}
 }
 
-// trainingOpCost maps a backward or grad-filter op onto the kernels package's
-// training cost models — the same models bench.TrainingStep prices whole
-// layers with.  It returns nil for layers priced as pure streaming passes.
-func trainingOpCost(hw *gpusim.Device, prog *Program, op Op) []gpusim.KernelStats {
-	layout := prog.Buffers[op.In].Layout
-	switch l := op.Layer.(type) {
-	case *layers.Conv:
-		// A convolution's gradients run on GEMM whatever its forward runs:
-		// Wᵀ·dY then col2im, and dY·col(X)ᵀ.
-		if op.Kind == OpGradFilter {
-			return kernels.ConvBackwardFilterCost(hw, l.Cfg)
-		}
-		return kernels.ConvBackwardDataNCHWCost(hw, l.Cfg)
-	case *layers.Pool:
-		if op.Kind == OpBackward {
-			return []gpusim.KernelStats{kernels.PoolBackwardCost(hw, l.Cfg, layout == tensor.CHWN)}
-		}
-	case *layers.FullyConnected:
-		// Both directions are GEMMs over the weight matrix: dIn = dOut·W and
-		// dW = dOutᵀ·In.
-		g := kernels.GemmCostConfig{M: l.InDim, N: l.Batch, K: l.OutDim}
-		if op.Kind == OpGradFilter {
-			g = kernels.GemmCostConfig{M: l.OutDim, N: l.InDim, K: l.Batch}
-		}
-		s := kernels.GemmCost(hw, g)
-		s.Name = fmt.Sprintf("fc-bwd %s", op.Name)
-		return []gpusim.KernelStats{s}
-	}
-	return nil
-}
-
 // ModelProgramUS prices a whole program: the sum of its op estimates, each op
 // paying its own launch overhead (the kernels run back to back).
 func (d *SimDevice) ModelProgramUS(prog *Program) float64 {
@@ -314,18 +281,4 @@ func (d *SimDevice) ModelProgramUS(prog *Program) float64 {
 // kernel launch.
 func (d *SimDevice) streamUS(bytes int64) float64 {
 	return float64(bytes)/d.HW.PeakBytesPerSec()*1e6 + d.HW.LaunchOverheadUS
-}
-
-// costOptionsFor maps an op's compiled convolution algorithm onto the cost
-// model's implementation options, so modeled time prices the kernel the
-// executor actually runs.
-func costOptionsFor(op Op, layout tensor.Layout) layers.CostOptions {
-	opts := layers.CostOptions{}
-	if op.Alg == kernels.ConvAlgGemm && layout == tensor.NCHW {
-		opts.Conv = layers.ConvGemmImpl
-	}
-	if op.Alg == kernels.ConvAlgFFT && layout == tensor.NCHW {
-		opts.Conv = layers.ConvFFTImpl
-	}
-	return opts
 }

@@ -55,9 +55,10 @@
 //	                        steady-state runs allocate no tensors or scratch
 //	                        slices.  Every op dispatches through a Device:
 //	                        CPUDevice is the native path, SimDevice computes
-//	                        the same results while pricing each op on an
-//	                        internal/gpusim hardware model, so runs report
-//	                        modeled device latency.
+//	                        the same results on the host while pricing each
+//	                        op on an internal/gpusim GPU model
+//	                        (gpusim.LayerCost), so runs also report a
+//	                        model-only device latency.
 //
 // On top of the single-device executor, shard.go cuts a compiled program into
 // contiguous pipeline stages (the lowered op list is a linear chain, so every
@@ -167,8 +168,9 @@
 // so /metrics can never disagree with /stats.  When the device chain prices
 // ops on a SimDevice, per-layer measured and modeled microsecond totals
 // accumulate as counters and DriftReport extracts the modeled-vs-measured
-// drift ratio per layer — the live check that the gpusim cost model keeps
-// tracking reality.  cmd/memcnnserve surfaces all of it over HTTP
+// drift ratio per layer.  The two sides price different machines (the host
+// CPU that ran the op, the GPU the model describes), so the ratio is not yet
+// a check of the model.  cmd/memcnnserve surfaces all of it over HTTP
 // (/metrics, /trace, expanded /stats, opt-in pprof) and benchmark/run.sh
 // writes the same Chrome trace JSON per workload for offline runs.
 //

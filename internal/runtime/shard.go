@@ -140,12 +140,13 @@ func Shard(p *Program, stages int, opts ShardOptions) (*ShardedProgram, error) {
 	return sp, nil
 }
 
-// opFLOPs estimates one op's arithmetic weight: layer ops are priced through
-// their Cost kernel sequence on the model hardware; data-movement ops count
-// one operation per element moved; alias reshapes are free.
+// opFLOPs estimates one op's arithmetic weight: layer ops are counted from
+// their gpusim.LayerCost kernel sequence on the model hardware; data-movement
+// ops count one operation per element moved; alias reshapes are free.
 func opFLOPs(model *gpusim.Device, p *Program, op Op) float64 {
 	if op.Kind == OpLayer {
-		stats, err := op.Layer.Cost(model, p.Buffers[op.In].Layout, costOptionsFor(op, p.Buffers[op.In].Layout))
+		layout := p.Buffers[op.In].Layout
+		stats, err := gpusim.LayerCost(model, op.Layer, layout, gpusim.CompiledOptions(op.Alg, layout))
 		if err == nil {
 			var flops float64
 			for _, s := range stats {

@@ -2,22 +2,29 @@ package runtime_test
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"testing"
 
+	"memcnn/internal/gpusim"
 	"memcnn/internal/kernels"
 	"memcnn/internal/network"
 	"memcnn/internal/runtime"
+	"memcnn/internal/runtime/train"
 	"memcnn/internal/tensor"
 	"memcnn/internal/workloads"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/programs.golden from the programs the compiler produces now")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata golden of each test that runs from what the code produces now")
 
-const programsGolden = "testdata/programs.golden"
+const (
+	programsGolden = "testdata/programs.golden"
+	modelGolden    = "testdata/model.golden"
+)
 
 // unselectedGoldenSHA256 is the hash of the golden file's lines that no
 // selection pass touched: the 54 `select=false` and `pinned-` configurations
@@ -106,8 +113,6 @@ func TestCompiledProgramsAreStable(t *testing.T) {
 			record(fmt.Sprintf("%s rebatch-%d", net.Name, batch), prog, err)
 		}
 	}
-	got := strings.Join(lines, "\n") + "\n"
-
 	var unselected strings.Builder
 	for _, line := range lines {
 		if !strings.Contains(line, " select=true ") && !strings.Contains(line, " rebatch-") {
@@ -117,25 +122,101 @@ func TestCompiledProgramsAreStable(t *testing.T) {
 	if sum := fmt.Sprintf("%x", sha256.Sum256([]byte(unselected.String()))); sum != unselectedGoldenSHA256 {
 		t.Errorf("programs compiled without the selection pass changed: their lines hash to %s, want %s", sum, unselectedGoldenSHA256)
 	}
+	checkGolden(t, programsGolden, lines, func(line string) string {
+		return dumps[line[:strings.Index(line, " ops=")]]
+	})
+}
 
+// checkGolden compares lines with the golden file, or rewrites the file with
+// -update.  A changed line is reported with what detail says about it.
+func checkGolden(t *testing.T, path string, lines []string, detail func(line string) string) {
+	t.Helper()
 	if *updateGolden {
-		if err := os.WriteFile(programsGolden, []byte(got), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	data, err := os.ReadFile(programsGolden)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
 	if len(want) != len(lines) {
-		t.Fatalf("%d configurations compiled, %s records %d", len(lines), programsGolden, len(want))
+		t.Fatalf("%d configurations recorded, %s holds %d", len(lines), path, len(want))
 	}
 	for i, line := range lines {
 		if line != want[i] {
-			config := line[:strings.Index(line, " ops=")]
-			t.Errorf("program changed:\n got %s\nwant %s\n%s", line, want[i], dumps[config])
+			t.Errorf("%s changed:\n got %s\nwant %s\n%s", path, line, want[i], detail(line))
 		}
 	}
+}
+
+// TestSimDevicePricesAreStable pins the modeled side of the runtime bit for
+// bit: every op's SimDevice.ModelOpUS on both GPU models, for the five
+// networks' planned inference programs (selection off and on) and LeNet's
+// checkpointed training program, and Shard's cuts and stage weights at two to
+// four stages.  Each line holds the sha256 of the float64 bit patterns in op
+// order; a refactor of the cost models must leave testdata/model.golden
+// untouched (go test -run SimDevicePricesAreStable ./internal/runtime/ -update
+// rewrites it when a change is meant to move a modeled number).
+func TestSimDevicePricesAreStable(t *testing.T) {
+	nets, err := workloads.Networks()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lenet, err := workloads.LeNet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	training, err := train.CompileTraining(lenet, train.Options{Checkpoint: train.CheckpointOn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bits := func(values []float64) [sha256.Size]byte {
+		var b []byte
+		for _, v := range values {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		return sha256.Sum256(b)
+	}
+	var lines []string
+	price := func(config string, hw *gpusim.Device, p *runtime.Program) {
+		dev := runtime.NewSimDevice("sim", hw)
+		us := make([]float64, len(p.Ops))
+		for i, op := range p.Ops {
+			us[i] = dev.ModelOpUS(p, op)
+		}
+		lines = append(lines, fmt.Sprintf("%s %s ops=%d modeled=%.3fus sha256=%x",
+			hw.Name, config, len(p.Ops), dev.ModelProgramUS(p), bits(us)))
+	}
+	for _, hw := range []*gpusim.Device{gpusim.TitanBlack(), gpusim.TitanX()} {
+		for _, name := range workloads.NetworkOrder {
+			for _, sel := range []bool{false, true} {
+				p := mustCompileOpts(t, planners()[2], nets[name], runtime.Options{ConvAlgorithms: sel})
+				price(fmt.Sprintf("%s plan select=%t", name, sel), hw, p)
+			}
+		}
+		price("LeNet training checkpointed", hw, training.Program)
+	}
+	for _, name := range workloads.NetworkOrder {
+		for _, sel := range []bool{false, true} {
+			p := mustCompileOpts(t, planners()[2], nets[name], runtime.Options{ConvAlgorithms: sel})
+			for stages := 2; stages <= 4; stages++ {
+				sp, err := runtime.Shard(p, stages, runtime.ShardOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var cuts []string
+				var weights []float64
+				for _, st := range sp.Stages {
+					cuts = append(cuts, fmt.Sprintf("%d-%d", st.FirstOp, st.LastOp))
+					weights = append(weights, st.Weight)
+				}
+				lines = append(lines, fmt.Sprintf("%s plan select=%t shard=%d cuts=%s weights sha256=%x",
+					name, sel, stages, strings.Join(cuts, ","), bits(weights)))
+			}
+		}
+	}
+	checkGolden(t, modelGolden, lines, func(string) string { return "" })
 }
