@@ -8,17 +8,16 @@
 // selection (direct, im2col+GEMM or FFT, priced on this host), prints the
 // choice per convolution, and is verified bit-for-bit against
 // Program.ReferenceForward on the serving engine before serving starts.  With
-// -devices N the compiled program is sharded into N pipeline stages over
-// simulated devices and batches stream through the sharded PipelineExecutor —
-// results stay bit-identical to the single-device path while each stage
-// reports modeled device latency.
+// -devices N the compiled program is sharded into N pipeline stages on the
+// host CPU and batches stream through the sharded PipelineExecutor — results
+// stay bit-identical to the single-device path while each stage reports its
+// measured latency.
 //
-// With -replicas N the program is instead replicated across N device groups
-// (internal/runtime/replica): each batch splits into per-replica sub-batches
-// weighted by modeled device throughput, runs concurrently and reassembles
-// bit-identically; -replica-devices picks the hardware mix ("titanblack,
-// titanx" alternates the paper's two cards) and -devices M pipeline-shards
-// every replica across M devices, composing data and model parallelism.
+// With -replicas N the program is instead replicated N times on the host CPU
+// (internal/runtime/replica): each batch splits evenly into per-replica
+// sub-batches, runs concurrently and reassembles bit-identically; -devices M
+// pipeline-shards every replica across M stages, composing data and model
+// parallelism.
 // -cache N puts a checksum-keyed N-entry LRU result cache with single-flight
 // in front of the batching queue, so repeated inputs skip execution entirely.
 //
@@ -38,9 +37,7 @@
 // registry is always attached: /metrics serves it in Prometheus text format —
 // per-net request/batch/queue-wait latency histograms (true p50/p95/p99, the
 // same data /stats reports), per-op-kind and per-stage and per-replica
-// latency, throughput, cache and fault counters, and — on simulated device
-// fleets — per-layer modeled-vs-measured drift
-// (memcnn_op_measured_us_total / memcnn_op_modeled_us_total).
+// latency, throughput, cache and fault counters.
 //
 // Tracing is on by default with a bounded ring of -trace-buf spans (0
 // disables it; the disabled hot path is allocation-free).  /trace?last=N
@@ -58,7 +55,7 @@
 //
 //	memcnnserve -network LeNet -addr :8080
 //	memcnnserve -network LeNet -devices 2 -demo 256
-//	memcnnserve -network LeNet -replicas 4 -replica-devices titanblack,titanx -cache 256 -demo 512
+//	memcnnserve -network LeNet -replicas 4 -cache 256 -demo 512
 //	memcnnserve -network TinyNet -replicas 4 -chaos 42 -demo 512   # fault-tolerance demo
 //	memcnnserve -network TinyNet -demo 256      # self-driving load test
 //	memcnnserve -network TinyNet -replicas 2 -devices 2 -demo 256 -hold  # then GET /trace
@@ -110,9 +107,8 @@ func main() {
 		maxBatch    = flag.Int("batch", 0, "max requests per planned execution (default: the network batch)")
 		maxDelay    = flag.Duration("delay", 2*time.Millisecond, "max time a request waits for its batch to fill")
 		workers     = flag.Int("workers", 2, "concurrent batch executors")
-		devices     = flag.Int("devices", 1, "pipeline the program (or, with -replicas, each replica) across N simulated devices (1 = no pipelining)")
-		replicas    = flag.Int("replicas", 1, "replicate the program across N devices, splitting each batch by modeled throughput (1 = no data parallelism)")
-		replicaDevs = flag.String("replica-devices", "", "comma-separated replica hardware (titanblack, titanx or cpu), cycled across -replicas; default titanblack")
+		devices     = flag.Int("devices", 1, "pipeline the program (or, with -replicas, each replica) across N stages on the host CPU (1 = no pipelining)")
+		replicas    = flag.Int("replicas", 1, "replicate the program N times on the host CPU, splitting each batch evenly (1 = no data parallelism)")
 		cacheSize   = flag.Int("cache", 0, "memoise per-image results keyed by input checksum in an N-entry LRU (0 = no cache)")
 		slo         = flag.Duration("slo", 0, "per-request latency budget: requests run under a deadline and admission control sheds load the queue cannot serve in time (0 = no deadlines)")
 		chaosSeed   = flag.Uint64("chaos", 0, "inject a seeded fault schedule into every replica device (transient errors + stalls) and permanently kill one replica partway; requires -replicas > 1 (0 = no chaos)")
@@ -150,7 +146,7 @@ func main() {
 	var group *replica.Group
 	switch {
 	case *replicas > 1:
-		fleet, err := replica.ParseDevices(*replicaDevs, *replicas, *devices)
+		fleet, err := replica.ParseDevices("cpu", *replicas, *devices)
 		if err != nil {
 			fail(err)
 		}
@@ -163,21 +159,18 @@ func main() {
 			fail(err)
 		}
 		defer group.Close()
-		fmt.Printf("replicated across %d device group(s), batch split by modeled throughput (modeled %.0f us/batch):\n",
-			group.Replicas(), group.ModeledBatchUS())
+		fmt.Printf("replicated across %d device group(s), batch split by device count:\n", group.Replicas())
 		for _, st := range group.ReplicaStats() {
-			fmt.Printf("  replica %d on %s: %d of %d images/batch (weight %.3g), modeled %.0f us (scatter %.0f us)\n",
-				st.Replica, st.Devices, st.Share, prog.InputShape().N, st.Weight, st.ModeledUS, st.ScatterUS)
+			fmt.Printf("  replica %d on %s: %d of %d images/batch (weight %.3g)\n",
+				st.Replica, st.Devices, st.Share, prog.InputShape().N, st.Weight)
 		}
 		runner = group
 	case *devices > 1:
-		sp, err := memruntime.Shard(prog, *devices, memruntime.ShardOptions{
-			Devices: memruntime.SimDevices(*devices, gpusim.TitanBlack()),
-		})
+		sp, err := memruntime.Shard(prog, *devices, memruntime.ShardOptions{})
 		if err != nil {
 			fail(err)
 		}
-		fmt.Printf("sharded across %d simulated device(s): summed arena %.2f MiB vs single-device %.2f MiB, %.2f MiB transfers/batch\n",
+		fmt.Printf("sharded into %d stage(s): summed arena %.2f MiB vs single-device %.2f MiB, %.2f MiB transfers/batch\n",
 			len(sp.Stages), mib(sp.SummedPeakBytes()), mib(prog.Mem.PeakBytes()), mib(sp.TransferBytes()))
 		for _, st := range sp.Stages {
 			fmt.Printf("  stage %d on %s: ops [%d,%d], arena %.2f MiB, transfer in %.2f MiB\n",
@@ -245,8 +238,8 @@ func main() {
 				if d.Batches == 0 {
 					continue
 				}
-				fmt.Printf("  stage %d on %s: %d batches, modeled %.1f us/batch, measured %.1f us/batch\n",
-					d.Stage, d.Device, d.Batches, d.ModeledUS, d.MeasuredUS)
+				fmt.Printf("  stage %d on %s: %d batches, measured %.1f us/batch\n",
+					d.Stage, d.Device, d.Batches, d.MeasuredUS)
 			}
 		}
 		if group != nil {
@@ -254,8 +247,8 @@ func main() {
 				if st.Batches == 0 {
 					continue
 				}
-				fmt.Printf("  replica %d on %s: %d sub-batches of %d images, modeled %.1f us, measured %.1f us\n",
-					st.Replica, st.Devices, st.Batches, st.Share, st.ModeledUS, st.MeasuredUS)
+				fmt.Printf("  replica %d on %s: %d sub-batches of %d images, measured %.1f us\n",
+					st.Replica, st.Devices, st.Batches, st.Share, st.MeasuredUS)
 			}
 		}
 		if cs := srv.Stats().Cache; cs != nil {
@@ -279,7 +272,6 @@ func main() {
 		}
 		fmt.Printf("latency: queue-wait p50/p99 %.0f/%.0f us, batch p50/p99 %.0f/%.0f us (admission estimate %.0f us)\n",
 			st.QueueWaitP50US, st.QueueWaitP99US, st.BatchP50US, st.BatchP99US, st.QueueWaitEstimateUS)
-		printDrift(reg)
 		if rec != nil {
 			fmt.Printf("trace: %d spans recorded (ring holds %d)\n", rec.Len(), rec.Cap())
 		}
@@ -306,20 +298,6 @@ func main() {
 		*addr, srv.Config().MaxBatch, srv.Config().MaxDelay, srv.Config().Workers)
 	if err := http.ListenAndServe(*addr, mux); err != nil {
 		fail(err)
-	}
-}
-
-// printDrift reports the per-layer modeled-vs-measured drift channel — only
-// populated when the fleet contains simulated devices.
-func printDrift(reg *obs.Registry) {
-	drift := memruntime.DriftReport(reg)
-	if len(drift) == 0 {
-		return
-	}
-	fmt.Println("modeled-vs-measured drift (per layer op, cumulative):")
-	for _, d := range drift {
-		fmt.Printf("  %-20s modeled %10.1f us   measured %10.1f us   ratio %.2f\n",
-			d.Op, d.ModeledUS, d.MeasuredUS, d.Ratio())
 	}
 }
 

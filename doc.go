@@ -9,9 +9,9 @@
 // fused, inner-loop-parallel softmax, integrated into a network planner that
 // is compared against emulations of cuda-convnet, Caffe and the cuDNN modes.
 // That model domain is one package, internal/gpusim: the two GPUs, every
-// kernel's cost model and gpusim.LayerCost, the per-layer price the planners,
-// the figures and the simulated device ask.  The host kernels and layers do
-// not import it.
+// kernel's cost model and gpusim.LayerCost, the per-layer price the planners
+// and the figures ask.  The host kernels, layers and run path do not import
+// it.
 //
 // Beyond estimating plans, internal/runtime carries them out: a planned
 // network is compiled into an op list with explicit buffer IDs (layer ops,
@@ -44,30 +44,27 @@
 // buffers.  Layers that declare in-place safety (ReLU) alias their output
 // onto their input, shrinking the arena further.
 //
-// The execution stack is device-abstracted: ops run through a runtime.Device
-// — the native CPU, or a simulated GPU that computes real results while
-// pricing every op on the internal/gpusim hardware model — and a compiled
-// program scales along two axes.  Model parallelism: the program is sharded
-// into contiguous pipeline stages across several devices (FLOPs-balanced
-// cuts, explicit cross-device transfers, one arena plan per stage), and the
-// pipelined executor streams batches through the stages bit-identically to
-// the single-device run.  Data parallelism: the
-// runtime/replica scheduler clones the program across N devices (shared
-// read-only weights, per-replica arena pools) and splits every batch into
-// sub-batches weighted by modeled — or, on the CPU, probed — per-device
-// throughput, so heterogeneous TitanBlack+TitanX fleets balance wall-clock;
-// replicas may themselves be pipeline-sharded, composing both axes, and the
-// modeled batch scatter divides interconnect bandwidth among the overlapping
-// transfers.  A dynamic micro-batching server coalesces concurrent
-// single-image requests into planned batched executions over any engine,
-// optionally behind a checksum-keyed LRU result cache with single-flight
-// (repeated inputs skip execution entirely); cmd/memcnnserve serves it over
-// HTTP (it always serves the algorithm-selected program and verifies the
-// serving engine against its functional reference at startup; `-devices N`
-// pipelines across simulated devices,
-// `-replicas N`/`-replica-devices`/`-cache N` switch on replication and the
-// cache; `-demo` prints the per-stage and per-replica breakdowns and the
-// cache counters) and `netbench programs` is the static report: every
+// The execution stack is device-abstracted: ops run through a runtime.Device,
+// which is the host CPU (optionally behind a fault schedule); the paper's GPUs
+// stay in the model domain and divide no host work.  A compiled program
+// scales along two axes.  Model parallelism: the program is sharded into
+// contiguous pipeline stages (cuts balanced on a host work count read off the
+// ops' shapes, explicit cross-stage transfers, one arena plan per stage), and
+// the pipelined executor streams batches through the stages bit-identically
+// to the single-device run.  Data parallelism: the runtime/replica scheduler
+// clones the program across N devices (shared read-only weights, per-replica
+// arena pools) and splits every batch into sub-batches weighted by the
+// caller's weights or, by default, each replica's device count; replicas may
+// themselves be pipeline-sharded, composing both axes.  A dynamic
+// micro-batching server coalesces concurrent single-image requests into
+// planned batched executions over any engine, optionally behind a
+// checksum-keyed LRU result cache with single-flight (repeated inputs skip
+// execution entirely); cmd/memcnnserve serves it over HTTP (it always serves
+// the algorithm-selected program and verifies the serving engine against its
+// functional reference at startup; `-devices N` pipelines across N stages,
+// `-replicas N`/`-cache N` switch on replication and the cache; `-demo` prints
+// the per-stage and per-replica breakdowns and the cache counters) and
+// `netbench programs` is the static report: every
 // network's op and buffer counts, arena footprint, per-layer (layout,
 // algorithm) choice and planned training footprints, nothing executed.
 //
@@ -100,12 +97,10 @@
 // metrics registry keeps per-net/per-op-kind/per-stage/per-replica latency
 // histograms (true p50/p95/p99, which also drive the server's SLO admission
 // estimate) and exports every serving, cache and fault counter in Prometheus
-// text format from the same atomics the stats endpoints read.  On simulated
-// fleets the trace carries per-op modeled-vs-measured drift (the GPU model
-// against the host that ran the op).  `memcnnserve` exposes /metrics,
-// /trace and an expanded /stats (plus opt-in pprof); benchmark/run.sh writes
-// the same trace per workload for offline runs and reports the measured
-// latency quantiles next to the throughput.
+// text format from the same atomics the stats endpoints read.  `memcnnserve`
+// exposes /metrics, /trace and an expanded /stats (plus opt-in pprof);
+// benchmark/run.sh writes the same trace per workload for offline runs and
+// reports the measured latency quantiles next to the throughput.
 //
 // Training runs under the same memory discipline (runtime/train): the
 // compiler lowers a softmax-terminated network into one op list covering the

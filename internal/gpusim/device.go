@@ -23,9 +23,9 @@
 // The package is the whole model domain: besides the hardware it holds the
 // cost model of every kernel the paper studies (convolution, GEMM, pooling,
 // softmax, their gradients and the layout transforms), each producing
-// KernelStats, and LayerCost, the one per-layer price the planners, the
-// figures and runtime.SimDevice ask.  It imports internal/kernels and
-// internal/layers for their configurations; neither imports it, so no code
+// KernelStats, and LayerCost, the one per-layer price the planners and the
+// figures ask.  It imports internal/kernels and internal/layers for their
+// configurations; neither they nor internal/runtime import it, so no code
 // that runs on the host can take a modeled time for a measurement.
 package gpusim
 

@@ -91,9 +91,8 @@ type CostOptions struct {
 
 // LayerCost returns the modeled kernel sequence of layer l with its
 // activations in layout lay and the implementations opts selects: the one
-// per-layer price of the model.  The planners and ExecutionPlan.Estimate ask
-// it directly, runtime.SimDevice and Shard's FLOPs balance through
-// CompiledOptions.  An error means the model has no such kernel (a layout the
+// per-layer price of the model, which the planners and ExecutionPlan.Estimate
+// ask.  An error means the model has no such kernel (a layout the
 // layer does not run in, an implementation the layout does not offer, an FFT
 // mode that exceeds device memory).
 func LayerCost(d *Device, l layers.Layer, lay tensor.Layout, opts CostOptions) ([]KernelStats, error) {
@@ -191,57 +190,4 @@ func poolCost(d *Device, p *layers.Pool, lay tensor.Layout, opts CostOptions) ([
 	default:
 		return []KernelStats{PoolCHWNCost(d, p.Cfg)}, nil
 	}
-}
-
-// CompiledOptions maps the convolution algorithm a compiled op binds onto the
-// options that price it in layout lay.  In NCHW, GEMM and FFT are priced as
-// those modes and direct as GEMM, the layout's conventional kernel.  In CHWN
-// every algorithm is priced as the direct CHWN kernel: the model has no CHWN
-// GEMM, so a GEMM op the executor runs in CHWN (the batch-folded form, which
-// seven convolutions of the five workload networks compile to) is priced as a
-// kernel it does not run.
-func CompiledOptions(alg kernels.ConvAlgorithm, lay tensor.Layout) CostOptions {
-	if lay != tensor.NCHW {
-		return CostOptions{}
-	}
-	switch alg {
-	case kernels.ConvAlgGemm:
-		return CostOptions{Conv: ConvGemmImpl}
-	case kernels.ConvAlgFFT:
-		return CostOptions{Conv: ConvFFTImpl}
-	default:
-		return CostOptions{}
-	}
-}
-
-// GradientCost returns the modeled kernel sequence of layer l's input
-// gradient, or with filter its parameter gradient, with its activations in
-// layout lay — the same models bench.TrainingStep prices whole layers with.
-// It returns nil for a gradient the caller prices as a streaming pass (ReLU,
-// LRN).
-func GradientCost(d *Device, l layers.Layer, lay tensor.Layout, filter bool) []KernelStats {
-	switch l := l.(type) {
-	case *layers.Conv:
-		// A convolution's gradients run on GEMM whatever its forward runs:
-		// Wᵀ·dY then col2im, and dY·col(X)ᵀ.
-		if filter {
-			return ConvBackwardFilterCost(d, l.Cfg)
-		}
-		return ConvBackwardDataNCHWCost(d, l.Cfg)
-	case *layers.Pool:
-		if !filter {
-			return []KernelStats{PoolBackwardCost(d, l.Cfg, lay == tensor.CHWN)}
-		}
-	case *layers.FullyConnected:
-		// Both directions are GEMMs over the weight matrix: dIn = dOut·W and
-		// dW = dOutᵀ·In.
-		g := GemmCostConfig{M: l.InDim, N: l.Batch, K: l.OutDim}
-		if filter {
-			g = GemmCostConfig{M: l.OutDim, N: l.InDim, K: l.Batch}
-		}
-		s := GemmCost(d, g)
-		s.Name = fmt.Sprintf("fc-bwd %s", l.LayerName)
-		return []KernelStats{s}
-	}
-	return nil
 }

@@ -108,57 +108,3 @@ func TestLayerCostByLayerType(t *testing.T) {
 		t.Error("relu should read the tensor once")
 	}
 }
-
-// TestCompiledOptionsPriceTheModelsKernel pins what a compiled op is priced
-// as: GEMM and FFT in NCHW as those modes, everything in CHWN as the direct
-// kernel (the model has no CHWN GEMM), and a convolution's gradients as GEMMs
-// whatever the layout.
-func TestCompiledOptionsPriceTheModelsKernel(t *testing.T) {
-	d := TitanBlack()
-	conv, err := layers.NewConv("conv", kernels.ConvConfig{N: 8, C: 16, H: 12, W: 12, K: 32, FH: 3, FW: 3}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	price := func(alg kernels.ConvAlgorithm, lay tensor.Layout) float64 {
-		seq, err := LayerCost(d, conv, lay, CompiledOptions(alg, lay))
-		if err != nil {
-			t.Fatal(err)
-		}
-		us := EstimateSequence(d, seq)
-		return us
-	}
-	direct := EstimateTime(d, ConvDirectCHWNCost(d, conv.Cfg)).TotalUS
-	gemm := EstimateSequence(d, ConvGemmNCHWCost(d, conv.Cfg))
-	fftSeq, err := ConvFFTCost(d, conv.Cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fft := EstimateSequence(d, fftSeq)
-	for _, c := range []struct {
-		alg  kernels.ConvAlgorithm
-		lay  tensor.Layout
-		want float64
-	}{
-		{kernels.ConvAlgDirect, tensor.CHWN, direct},
-		{kernels.ConvAlgGemm, tensor.CHWN, direct},
-		{kernels.ConvAlgGemm, tensor.NCHW, gemm},
-		{kernels.ConvAlgDirect, tensor.NCHW, gemm},
-		{kernels.ConvAlgFFT, tensor.NCHW, fft},
-	} {
-		if got := price(c.alg, c.lay); got != c.want {
-			t.Errorf("%v in %v priced %.3f us, want %.3f", c.alg, c.lay, got, c.want)
-		}
-	}
-	for _, filter := range []bool{false, true} {
-		if len(GradientCost(d, conv, tensor.CHWN, filter)) == 0 {
-			t.Errorf("convolution gradient (filter %v) has no model", filter)
-		}
-	}
-	relu, err := layers.NewReLU("relu", conv.OutputShape())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if GradientCost(d, relu, tensor.NCHW, false) != nil {
-		t.Error("relu's gradient is a streaming pass, priced by the caller")
-	}
-}

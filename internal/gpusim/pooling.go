@@ -193,39 +193,3 @@ func PoolCoarsenedTimeUS(d *Device, cfg kernels.PoolConfig) func(kernels.PoolExp
 		return EstimateTime(d, PoolCHWNCoarsenedCost(d, cfg, e)).TotalUS
 	}
 }
-
-// PoolBackwardCost models the pooling backward kernel: it reads the incoming
-// gradient and the forward activations (or the stored argmax mask) and
-// scatters into the input gradient.  The layout determines coalescing exactly
-// as in the forward pass.
-func PoolBackwardCost(d *Device, cfg kernels.PoolConfig, layoutIsCHWN bool) KernelStats {
-	inBytes := float64(cfg.InputShape().Elems()) * 4
-	outBytes := float64(cfg.OutputShape().Elems()) * 4
-	// Reads: gradient + mask; writes: input-sized gradient (atomics for the
-	// overlapped case).
-	read := 2 * outBytes
-	write := inBytes
-	eff := 1.0
-	if !layoutIsCHWN {
-		eff = nchwPoolWarpEfficiency(d, cfg)
-	}
-	if cfg.Overlapped() {
-		write *= 1.15 // atomic collisions on shared border elements
-	}
-	name := "pool-bwd CHWN"
-	if !layoutIsCHWN {
-		name = "pool-bwd NCHW"
-	}
-	return KernelStats{
-		Name:              fmt.Sprintf("%s %s", name, cfg.String()),
-		GridBlocks:        ceilDiv(cfg.OutputShape().Elems(), 256),
-		Block:             BlockResources{ThreadsPerBlock: 256, RegsPerThread: 24},
-		Launches:          1,
-		FLOPs:             cfg.FLOPs(),
-		ComputeEfficiency: 0.5,
-		DRAMReadBytes:     read / eff,
-		DRAMWriteBytes:    write / eff,
-		UsefulReadBytes:   read,
-		UsefulWriteBytes:  write,
-	}
-}

@@ -156,29 +156,3 @@ func SoftmaxBaselineBest(d *Device, cfg kernels.SoftmaxConfig) (KernelStats, Sof
 	}
 	return block, SoftmaxBlockPerImage
 }
-
-// SoftmaxBackwardCost models the (fused) softmax backward kernel: one
-// streaming pass over the probability matrix.
-func SoftmaxBackwardCost(d *Device, cfg kernels.SoftmaxConfig, fused bool) KernelStats {
-	matrix := cfg.Bytes()
-	launches := 1
-	read, write := matrix, matrix
-	if !fused {
-		// The unfused baseline recomputes through separate kernels and
-		// round-trips an intermediate matrix.
-		launches = 2
-		read, write = 2*matrix, 2*matrix
-	}
-	return KernelStats{
-		Name:              fmt.Sprintf("softmax-bwd %s", cfg.String()),
-		GridBlocks:        cfg.N,
-		Block:             BlockResources{ThreadsPerBlock: softmaxBlockThreads(cfg.Classes), RegsPerThread: 24},
-		Launches:          launches,
-		FLOPs:             float64(cfg.Elems()) * 2,
-		ComputeEfficiency: 0.25,
-		DRAMReadBytes:     read,
-		DRAMWriteBytes:    write,
-		UsefulReadBytes:   matrix,
-		UsefulWriteBytes:  matrix,
-	}
-}

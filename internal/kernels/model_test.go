@@ -448,34 +448,6 @@ func TestBackwardCostsAreValidAndLayoutSensitive(t *testing.T) {
 	}
 }
 
-func TestPoolAndSoftmaxBackwardCosts(t *testing.T) {
-	d := gpusim.TitanBlack()
-	pool := kernels.PoolConfig{N: 128, C: 96, H: 55, W: 55, Window: 3, Stride: 2, Op: kernels.MaxPool}
-	chwn := gpusim.PoolBackwardCost(d, pool, true)
-	nchw := gpusim.PoolBackwardCost(d, pool, false)
-	if err := chwn.Validate(); err != nil {
-		t.Error(err)
-	}
-	if err := nchw.Validate(); err != nil {
-		t.Error(err)
-	}
-	if gpusim.EstimateTime(d, chwn).TotalUS >= gpusim.EstimateTime(d, nchw).TotalUS {
-		t.Error("the CHWN pooling backward kernel should be faster than the NCHW one")
-	}
-	sm := kernels.SoftmaxConfig{N: 128, Classes: 1000}
-	fused := gpusim.SoftmaxBackwardCost(d, sm, true)
-	unfused := gpusim.SoftmaxBackwardCost(d, sm, false)
-	if err := fused.Validate(); err != nil {
-		t.Error(err)
-	}
-	if err := unfused.Validate(); err != nil {
-		t.Error(err)
-	}
-	if gpusim.EstimateTime(d, fused).TotalUS >= gpusim.EstimateTime(d, unfused).TotalUS {
-		t.Error("the fused softmax backward kernel should be faster than the unfused one")
-	}
-}
-
 var transformShapes = []tensor.Shape{
 	{N: 128, C: 16, H: 28, W: 28}, // CONV1 input
 	{N: 64, C: 96, H: 55, W: 55},  // CONV6 input

@@ -35,35 +35,6 @@ func renderLabels(labels []Label) string {
 	return b.String()
 }
 
-// FloatCounter is a monotonically increasing float metric — the shape modeled
-// microsecond totals take, where increments are fractional.
-type FloatCounter struct{ bits atomic.Uint64 }
-
-// Add increments the counter.  Nil-safe, lock-free (CAS loop).
-//
-//memcnn:noalloc
-func (c *FloatCounter) Add(v float64) {
-	if c == nil {
-		return
-	}
-	for {
-		old := c.bits.Load()
-		if c.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
-			return
-		}
-	}
-}
-
-// Value returns the current total.  Nil-safe.
-//
-//memcnn:noalloc
-func (c *FloatCounter) Value() float64 {
-	if c == nil {
-		return 0
-	}
-	return math.Float64frombits(c.bits.Load())
-}
-
 // Histogram bucket geometry: bucket i spans (HistMinUS·r^(i-1), HistMinUS·r^i]
 // microseconds with r = 2^(1/4) — four buckets per doubling, so any quantile
 // read from the buckets is within ~19% of the exact sample.  100 buckets reach
@@ -190,8 +161,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 type metricKind uint8
 
 const (
-	kindFloatCounter metricKind = iota
-	kindFunc
+	kindFunc metricKind = iota
 	kindCounterFunc
 	kindHistogram
 )
@@ -203,9 +173,8 @@ type metric struct {
 	help   string
 	kind   metricKind
 
-	fcount *FloatCounter
-	fn     func() float64
-	hist   *Histogram
+	fn   func() float64
+	hist *Histogram
 }
 
 func (m *metric) key() string { return m.name + "{" + m.labels + "}" }
@@ -241,14 +210,6 @@ func (r *Registry) register(name, help string, labels []Label, kind metricKind, 
 	r.metrics[key] = m
 	r.order = append(r.order, key)
 	return m
-}
-
-// FloatCounter returns the float counter for name+labels.  Nil-safe.
-func (r *Registry) FloatCounter(name, help string, labels ...Label) *FloatCounter {
-	if r == nil {
-		return nil
-	}
-	return r.register(name, help, labels, kindFloatCounter, func(m *metric) { m.fcount = &FloatCounter{} }).fcount
 }
 
 // GaugeFunc registers a gauge evaluated at exposition time by calling fn —
@@ -294,46 +255,6 @@ func (r *Registry) AdoptHistogram(name, help string, h *Histogram, labels ...Lab
 	r.register(name, help, labels, kindHistogram, func(m *metric) { m.hist = h })
 }
 
-// Sample is one series value in a Snapshot.
-type Sample struct {
-	Name   string  // metric family name
-	Labels string  // rendered `k="v",…` or ""
-	Value  float64 // counter/gauge value; histogram observation count
-	// Hist is set for histogram series.
-	Hist *Histogram
-}
-
-// Snapshot returns every registered series with its current value, in
-// registration order — the programmatic mirror of the Prometheus exposition,
-// used by front-ends to print drift tables and latency summaries.  Nil-safe.
-func (r *Registry) Snapshot() []Sample {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	keys := append([]string(nil), r.order...)
-	metrics := make([]*metric, len(keys))
-	for i, k := range keys {
-		metrics[i] = r.metrics[k]
-	}
-	r.mu.Unlock()
-	out := make([]Sample, 0, len(metrics))
-	for _, m := range metrics {
-		s := Sample{Name: m.name, Labels: m.labels}
-		switch m.kind {
-		case kindFloatCounter:
-			s.Value = m.fcount.Value()
-		case kindFunc, kindCounterFunc:
-			s.Value = m.fn()
-		case kindHistogram:
-			s.Value = float64(m.hist.Count())
-			s.Hist = m.hist
-		}
-		out = append(out, s)
-	}
-	return out
-}
-
 // WritePrometheus writes every series in Prometheus text exposition format
 // (version 0.0.4): counters and gauges as single samples, histograms as
 // cumulative le-labelled buckets with _sum and _count.  Families are grouped
@@ -374,7 +295,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 
 func promType(k metricKind) string {
 	switch k {
-	case kindFloatCounter, kindCounterFunc:
+	case kindCounterFunc:
 		return "counter"
 	case kindHistogram:
 		return "histogram"
@@ -400,9 +321,6 @@ func series(name, labels, extra string) string {
 
 func writeSeries(w io.Writer, m *metric) error {
 	switch m.kind {
-	case kindFloatCounter:
-		_, err := fmt.Fprintf(w, "%s %g\n", series(m.name, m.labels, ""), m.fcount.Value())
-		return err
 	case kindFunc, kindCounterFunc:
 		_, err := fmt.Fprintf(w, "%s %g\n", series(m.name, m.labels, ""), m.fn())
 		return err

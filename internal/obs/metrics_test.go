@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -14,12 +15,32 @@ import (
 // the worst-case relative error of Histogram.Quantile.
 const histBucketRatio = 1.1892071150027210667 // 2^(1/4)
 
-func TestNilInstrumentsAreNoOps(t *testing.T) {
-	var fc *FloatCounter
-	fc.Add(1.5)
-	if fc.Value() != 0 {
-		t.Error("nil FloatCounter should stay 0")
+// exposition reads reg's Prometheus text back: its series (name plus labels)
+// in the order written, and each one's value.
+func exposition(t *testing.T, reg *Registry) ([]string, map[string]float64) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
 	}
+	var series []string
+	values := map[string]float64{}
+	for _, line := range strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("exposition line %q: %v", line, err)
+		}
+		series = append(series, line[:i])
+		values[line[:i]] = v
+	}
+	return series, values
+}
+
+func TestNilInstrumentsAreNoOps(t *testing.T) {
 	var h *Histogram
 	h.Observe(10)
 	if h.Count() != 0 || h.Sum() != 0 || h.Quantile(0.5) != 0 {
@@ -27,15 +48,12 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	}
 
 	var r *Registry
-	if r.FloatCounter("x", "") != nil || r.Histogram("x", "") != nil {
+	if r.Histogram("x", "") != nil {
 		t.Error("nil Registry should hand out nil instruments")
 	}
 	r.GaugeFunc("x", "", func() float64 { return 1 })
 	r.CounterFunc("x", "", func() float64 { return 1 })
 	r.AdoptHistogram("x", "", &Histogram{})
-	if r.Snapshot() != nil {
-		t.Error("nil Registry Snapshot should be nil")
-	}
 	if err := r.WritePrometheus(&bytes.Buffer{}); err != nil {
 		t.Errorf("nil Registry WritePrometheus: %v", err)
 	}
@@ -43,26 +61,20 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 
 func TestCounterGaugeBasics(t *testing.T) {
 	reg := NewRegistry()
-	fc := reg.FloatCounter("us", "", L("net", "LeNet"))
-	fc.Add(1.25)
-	fc.Add(0.25)
-	if fc.Value() != 1.5 {
-		t.Errorf("float counter = %g, want 1.5", fc.Value())
-	}
-	// Same name+labels must return the same instrument.
-	if fc2 := reg.FloatCounter("us", "", L("net", "LeNet")); fc2 != fc {
-		t.Error("re-registration returned a different counter")
-	}
+	reg.CounterFunc("us", "", func() float64 { return 1.5 }, L("net", "LeNet"))
+	// Same name+labels keeps the first registration.
+	reg.CounterFunc("us", "", func() float64 { return -1 }, L("net", "LeNet"))
 	// Different labels are a different series.
-	if fc3 := reg.FloatCounter("us", "", L("net", "VGG")); fc3 == fc {
-		t.Error("different labels returned the same counter")
+	reg.CounterFunc("us", "", func() float64 { return 7 }, L("net", "VGG"))
+	if series, values := exposition(t, reg); len(series) != 2 || values[`us{net="LeNet"}`] != 1.5 || values[`us{net="VGG"}`] != 7 {
+		t.Errorf("counters = %v, want LeNet 1.5 and VGG 7", values)
 	}
 
 	depth := 7.0
 	reg.GaugeFunc("depth", "", func() float64 { return depth })
 	depth = 8
-	if snap := reg.Snapshot(); snap[len(snap)-1].Value != 8 {
-		t.Errorf("gauge reads %g, want its function's current value 8", snap[len(snap)-1].Value)
+	if _, values := exposition(t, reg); values["depth"] != 8 {
+		t.Errorf("gauge reads %g, want its function's current value 8", values["depth"])
 	}
 }
 
@@ -144,10 +156,8 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 
 func TestObserveAllocationFree(t *testing.T) {
 	h := &Histogram{}
-	fc := &FloatCounter{}
 	if n := testing.AllocsPerRun(200, func() {
 		h.Observe(123.4)
-		fc.Add(0.5)
 	}); n != 0 {
 		t.Errorf("hot-path instruments allocate %.1f per op, want 0", n)
 	}
@@ -155,8 +165,8 @@ func TestObserveAllocationFree(t *testing.T) {
 
 func TestWritePrometheus(t *testing.T) {
 	reg := NewRegistry()
-	reg.FloatCounter("memcnn_requests_total", "served requests", L("net", "LeNet")).Add(42)
-	reg.FloatCounter("memcnn_requests_total", "served requests", L("net", "VGG")).Add(7)
+	reg.CounterFunc("memcnn_requests_total", "served requests", func() float64 { return 42 }, L("net", "LeNet"))
+	reg.CounterFunc("memcnn_requests_total", "served requests", func() float64 { return 7 }, L("net", "VGG"))
 	reg.GaugeFunc("memcnn_unhealthy_replicas", "replicas out of rotation", func() float64 { return 1 })
 	reg.CounterFunc("memcnn_fault_retries_total", "retried sub-batches", func() float64 { return 3 })
 	h := reg.Histogram("memcnn_op_latency_us", "per-op latency", L("net", "LeNet"), L("kind", "layer"))
@@ -213,26 +223,28 @@ func TestAdoptHistogram(t *testing.T) {
 	if h := reg.Histogram("memcnn_queue_wait_us", "queue wait", L("net", "LeNet")); h != own {
 		t.Error("Histogram() after AdoptHistogram returned a different instance")
 	}
-	snap := reg.Snapshot()
-	if len(snap) != 1 || snap[0].Hist != own || snap[0].Value != 1 {
-		t.Errorf("Snapshot = %+v, want the adopted histogram with 1 observation", snap)
+	if _, values := exposition(t, reg); values[`memcnn_queue_wait_us_count{net="LeNet"}`] != 1 {
+		t.Errorf("exposition = %v, want the adopted histogram with 1 observation", values)
 	}
 }
 
+// TestSnapshotOrderAndValues checks the order and values of the exposition, a
+// snapshot of the registry: families sorted by name, a family's series in
+// registration order, every value read when the text is written.
 func TestSnapshotOrderAndValues(t *testing.T) {
 	reg := NewRegistry()
-	reg.FloatCounter("b_total", "").Add(2)
+	reg.CounterFunc("b_total", "", func() float64 { return 2 }, L("net", "VGG"))
 	reg.GaugeFunc("a_gauge", "", func() float64 { return 1.5 })
-	reg.GaugeFunc("c_fn", "", func() float64 { return 9 })
-	snap := reg.Snapshot()
-	if len(snap) != 3 {
-		t.Fatalf("got %d samples, want 3", len(snap))
+	reg.CounterFunc("b_total", "", func() float64 { return 3 }, L("net", "LeNet"))
+	c := 8.0
+	reg.GaugeFunc("c_fn", "", func() float64 { return c })
+	c = 9
+	series, values := exposition(t, reg)
+	want := []string{"a_gauge", `b_total{net="VGG"}`, `b_total{net="LeNet"}`, "c_fn"}
+	if strings.Join(series, " ") != strings.Join(want, " ") {
+		t.Errorf("order = %v, want %v", series, want)
 	}
-	// Snapshot preserves registration order, not name order.
-	if snap[0].Name != "b_total" || snap[1].Name != "a_gauge" || snap[2].Name != "c_fn" {
-		t.Errorf("order = %s,%s,%s", snap[0].Name, snap[1].Name, snap[2].Name)
-	}
-	if snap[0].Value != 2 || snap[1].Value != 1.5 || snap[2].Value != 9 {
-		t.Errorf("values = %g,%g,%g", snap[0].Value, snap[1].Value, snap[2].Value)
+	if values["a_gauge"] != 1.5 || values[`b_total{net="VGG"}`] != 2 || values[`b_total{net="LeNet"}`] != 3 || values["c_fn"] != 9 {
+		t.Errorf("values = %v", values)
 	}
 }

@@ -90,10 +90,6 @@ type Span struct {
 	// Alg and Layout carry a conv op's compiled algorithm and buffer layout.
 	Alg    string
 	Layout string
-	// ModeledUS is the simulated device's modeled time for the interval, zero
-	// when the device chain models no hardware.  Together with DurNS it makes
-	// modeled-vs-measured drift visible per span.
-	ModeledUS float64
 	// Images is the batch size the span processed, zero when not meaningful.
 	Images int
 }
@@ -227,8 +223,8 @@ type chromeTrace struct {
 
 // WriteChromeTrace writes the last `last` retained spans (all of them when
 // last <= 0) as Chrome trace_event JSON: one metadata event naming each lane,
-// then one complete event per span with the span's kind, algorithm, layout,
-// modeled time and batch size in args.  The output loads directly in
+// then one complete event per span with the span's kind, algorithm, layout
+// and batch size in args.  The output loads directly in
 // chrome://tracing and Perfetto.  Export is off the hot path and may
 // allocate freely.
 func (r *Recorder) WriteChromeTrace(w io.Writer, last int) error {
@@ -277,12 +273,6 @@ func (r *Recorder) WriteChromeTrace(w io.Writer, last int) error {
 		}
 		if sp.Layout != "" {
 			args["layout"] = sp.Layout
-		}
-		if sp.ModeledUS > 0 {
-			args["modeled_us"] = sp.ModeledUS
-			if sp.DurNS > 0 {
-				args["drift"] = (float64(sp.DurNS) / 1e3) / sp.ModeledUS
-			}
 		}
 		if sp.Images > 0 {
 			args["images"] = sp.Images

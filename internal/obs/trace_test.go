@@ -86,8 +86,7 @@ func TestWriteChromeTraceRoundTrip(t *testing.T) {
 	r.Record(Span{
 		Name: "conv1", Cat: CatOp, Lane: 1,
 		StartNS: 1_500, DurNS: 2_000,
-		Kind: "layer", Alg: "im2col+gemm", Layout: "NCHW",
-		ModeledUS: 1.0, Images: 4,
+		Kind: "layer", Alg: "im2col+gemm", Layout: "NCHW", Images: 4,
 	})
 	r.Record(Span{Name: "batch", Cat: CatBatch, Lane: 2, StartNS: 4_000, DurNS: 500})
 
@@ -133,8 +132,7 @@ func TestWriteChromeTraceRoundTrip(t *testing.T) {
 		t.Errorf("op ts/dur = %g/%g us, want 1.5/2", op.TS, op.Dur)
 	}
 	for k, want := range map[string]any{
-		"kind": "layer", "alg": "im2col+gemm", "layout": "NCHW",
-		"modeled_us": 1.0, "drift": 2.0, "images": 4.0,
+		"kind": "layer", "alg": "im2col+gemm", "layout": "NCHW", "images": 4.0,
 	} {
 		if got := op.Args[k]; got != want {
 			t.Errorf("op args[%q] = %v, want %v", k, got, want)

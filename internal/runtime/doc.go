@@ -54,17 +54,19 @@
 //	                        algorithm and the planned scratch, so
 //	                        steady-state runs allocate no tensors or scratch
 //	                        slices.  Every op dispatches through a Device:
-//	                        CPUDevice is the native path, SimDevice computes
-//	                        the same results on the host while pricing each
-//	                        op on an internal/gpusim GPU model
-//	                        (gpusim.LayerCost), so runs also report a
-//	                        model-only device latency.
+//	                        CPUDevice is the native path and FaultDevice
+//	                        wraps one with a failure schedule.  Nothing on
+//	                        the run path imports internal/gpusim; the
+//	                        paper's GPUs price plans and figures, never the
+//	                        host work.
 //
 // On top of the single-device executor, shard.go cuts a compiled program into
 // contiguous pipeline stages (the lowered op list is a linear chain, so every
-// op boundary is a valid cut): the partitioner balances per-stage modeled
-// FLOPs, the buffer crossing each cut becomes an explicit cross-device
-// transfer, and every stage is compiled into a self-contained
+// op boundary is a valid cut): the partitioner balances a per-stage host work
+// count read off the ops' shapes (a convolution's or pooling layer's FLOPs, a
+// fully-connected layer's, elements otherwise), the buffer crossing each cut
+// becomes an explicit cross-device transfer, and every stage is compiled into
+// a self-contained
 // sub-program with its own arena plan.  pipeline.go streams batches through
 // the stages — one goroutine per stage, per-stage arena pools, pooled
 // boundary tensors — with results bit-identical to the unsharded executor.
@@ -73,13 +75,11 @@
 // sub-package clones a compiled program across N devices (shared read-only
 // weights via Layer.WithBatch and network.WithBatch, one arena pool per
 // replica) and splits every batch into per-replica sub-batches weighted by
-// modeled or probed device throughput, running them concurrently and
-// reassembling bit-identically.  Program.WithBatch supports it by lowering
+// Config.Weights or, by default, each replica's device count, running them
+// concurrently and reassembling bit-identically.  Program.WithBatch supports it by lowering
 // the rebatched network from the base program's own decision list instead of
 // re-selecting by the sub-batch shape.  Replicas may themselves be
-// pipeline-sharded, composing both axes; the modeled cost of the batch
-// scatter divides the interconnect bandwidth among the simultaneous transfers
-// (gpusim.Interconnect).
+// pipeline-sharded, composing both axes.
 //
 // Golden bit-equality holds per algorithm: direct-only programs reproduce the
 // naive Network.Forward exactly, while algorithm-selected programs reproduce
@@ -157,20 +157,15 @@
 //
 // The span taxonomy mirrors the execution layers, one trace lane per
 // concurrent actor so the export reads correctly in chrome://tracing or
-// Perfetto: "op" (one compiled op, carrying its kind, buffer layout, conv
-// algorithm and modeled device time), "run" (one whole program execution),
+// Perfetto: "op" (one compiled op, carrying its kind, buffer layout and conv
+// algorithm), "run" (one whole program execution),
 // "stage" (one batch crossing one pipeline stage, on per-stage lanes),
 // "replica" (one sub-batch on one replica, whose engines nest their own
 // run/op spans on the replica's lanes), and the server-side "queue",
 // "coalesce" and "batch" spans on per-worker lanes.  The metrics side
 // registers latency histograms per net/op-kind/stage/replica plus every
 // ServerStats counter as a function reading the same atomics Stats reads,
-// so /metrics can never disagree with /stats.  When the device chain prices
-// ops on a SimDevice, per-layer measured and modeled microsecond totals
-// accumulate as counters and DriftReport extracts the modeled-vs-measured
-// drift ratio per layer.  The two sides price different machines (the host
-// CPU that ran the op, the GPU the model describes), so the ratio is not yet
-// a check of the model.  cmd/memcnnserve surfaces all of it over HTTP
+// so /metrics can never disagree with /stats.  cmd/memcnnserve surfaces all of it over HTTP
 // (/metrics, /trace, expanded /stats, opt-in pprof) and benchmark/run.sh
 // writes the same Chrome trace JSON per workload for offline runs.
 //
@@ -187,8 +182,9 @@
 // training program takes its convolution algorithms from SelectChoices like
 // any other, in NCHW, and binds each one on the layer's forward and recompute
 // ops; a convolution's backward-data and grad-filter ops run on GEMM whatever
-// its forward runs (layers.Conv's gradient methods).  Training ops dispatch through the same Device abstraction — bit-deterministic on
-// CPUDevice, priced per op on SimDevice — and through the same interpreter:
+// its forward runs (layers.Conv's gradient methods).  Training ops dispatch
+// through the same Device abstraction, bit-deterministic on CPUDevice, and
+// through the same interpreter:
 // train.Executor stages the batch and labels into an Instance it bound once,
 // runs Executor.ExecuteOn and reads the loss, so a step is cancellable between
 // ops and contains panics like an inference run; callers compile with

@@ -10,8 +10,7 @@ import (
 
 // Executor runs a compiled program on one device.  It is safe for concurrent
 // use: each run borrows a private arena instance from the executor's pool,
-// while the device (stateless for the CPU, a shared hardware model for
-// simulated devices) is shared across runs.
+// while the device is shared across runs.
 type Executor struct {
 	prog *Program
 	dev  Device
@@ -36,17 +35,15 @@ func (e *Executor) Device() Device { return e.dev }
 
 // Instrument attaches an observer to this executor: every subsequent run
 // records one span per executed op (layer name, op kind, conv algorithm,
-// input layout, modeled micros) plus a whole-run span on the given trace
-// lane, and feeds the per-net run and per-op-kind latency histograms.  On a
-// modeled device chain (SimOf != nil) layer ops additionally accumulate the
-// measured/modeled drift counters.  Call before the executor serves traffic;
-// a zero Observer detaches.
+// input layout) plus a whole-run span on the given trace lane, and feeds the
+// per-net run and per-op-kind latency histograms.  Call before the executor
+// serves traffic; a zero Observer detaches.
 func (e *Executor) Instrument(ob Observer, lane int32) {
 	if !ob.Enabled() {
 		e.obs.Store(nil)
 		return
 	}
-	e.obs.Store(newExecObs(e.prog, e.dev, ob, lane))
+	e.obs.Store(newExecObs(e.prog, ob, lane))
 }
 
 // Run executes the program on one input batch, returning a freshly allocated
@@ -77,23 +74,15 @@ func (e *Executor) RunInto(in, dst *tensor.Tensor) error {
 // never partially delivered: on any error (including ctx.Err()) its contents
 // are unchanged.
 func (e *Executor) RunIntoCtx(ctx context.Context, in, dst *tensor.Tensor) error {
-	_, err := e.runModeled(ctx, in, dst)
-	return err
-}
-
-// runModeled is RunIntoCtx additionally returning the device's modeled
-// execution time in microseconds (zero when the device does not model
-// hardware, e.g. the CPU); pipeline stages report it.
-func (e *Executor) runModeled(ctx context.Context, in, dst *tensor.Tensor) (float64, error) {
 	if in.Shape != e.prog.InputShape() {
-		return 0, fmt.Errorf("runtime: %s input shape %v, want %v", e.prog.Net.Name, in.Shape, e.prog.InputShape())
+		return fmt.Errorf("runtime: %s input shape %v, want %v", e.prog.Net.Name, in.Shape, e.prog.InputShape())
 	}
 	if dst.Shape != e.prog.OutputShape() {
-		return 0, fmt.Errorf("runtime: %s output shape %v, want %v", e.prog.Net.Name, dst.Shape, e.prog.OutputShape())
+		return fmt.Errorf("runtime: %s output shape %v, want %v", e.prog.Net.Name, dst.Shape, e.prog.OutputShape())
 	}
 	inst, err := e.pool.Get()
 	if err != nil {
-		return 0, err
+		return err
 	}
 	defer e.pool.Put(inst)
 	return inst.run(ctx, e.dev, e.obs.Load(), in, dst)
@@ -104,9 +93,9 @@ func (e *Executor) runModeled(ctx context.Context, in, dst *tensor.Tensor) (floa
 // way: it writes the batch and the labels into the instance's buffers, calls
 // ExecuteOn and reads the loss off the still-resident probabilities.  The loop
 // and its guarantees are RunIntoCtx's.
-func (e *Executor) ExecuteOn(ctx context.Context, inst *Instance) (modeledUS float64, err error) {
+func (e *Executor) ExecuteOn(ctx context.Context, inst *Instance) error {
 	if inst.prog != e.prog {
-		return 0, fmt.Errorf("runtime: instance belongs to another program")
+		return fmt.Errorf("runtime: instance belongs to another program")
 	}
 	return inst.run(ctx, e.dev, e.obs.Load(), nil, nil)
 }
@@ -114,13 +103,12 @@ func (e *Executor) ExecuteOn(ctx context.Context, inst *Instance) (modeledUS flo
 // run is the op interpreter — the one loop over a program's ops.  It stages
 // in into the input buffer and delivers the output buffer into dst (either
 // may be nil when the caller does that itself), and in between runs every op
-// over the instance's bound buffers on dev, accumulating the device's modeled
-// time.  A panic anywhere below — a buggy kernel, a faulting device — is
-// contained into a *PanicError so it fails this run, never the process.
-// Cancellation is checked before every op.  eo is nil when the executor is
-// uninstrumented: the only observability cost on that path is the nil test
-// per op.
-func (inst *Instance) run(ctx context.Context, dev Device, eo *execObs, in, dst *tensor.Tensor) (modeledUS float64, err error) {
+// over the instance's bound buffers on dev.  A panic anywhere below — a buggy
+// kernel, a faulting device — is contained into a *PanicError so it fails
+// this run, never the process.  Cancellation is checked before every op.  eo
+// is nil when the executor is uninstrumented: the only observability cost on
+// that path is the nil test per op.
+func (inst *Instance) run(ctx context.Context, dev Device, eo *execObs, in, dst *tensor.Tensor) (err error) {
 	defer containPanic("executor", &err)
 	var runT0 int64
 	if eo != nil {
@@ -128,7 +116,7 @@ func (inst *Instance) run(ctx context.Context, dev Device, eo *execObs, in, dst 
 	}
 	if in != nil {
 		if err := tensor.ConvertInto(in, inst.bufs[inst.prog.Input]); err != nil {
-			return 0, fmt.Errorf("runtime: staging input: %w", err)
+			return fmt.Errorf("runtime: staging input: %w", err)
 		}
 	}
 	done := ctx.Done()
@@ -136,7 +124,7 @@ func (inst *Instance) run(ctx context.Context, dev Device, eo *execObs, in, dst 
 		if done != nil {
 			select {
 			case <-done:
-				return modeledUS, ctx.Err()
+				return ctx.Err()
 			default:
 			}
 		}
@@ -157,22 +145,20 @@ func (inst *Instance) run(ctx context.Context, dev Device, eo *execObs, in, dst 
 		if eo != nil {
 			opT0 = eo.now()
 		}
-		us, err := dev.RunOp(inst.prog, i, inst.bufs[op.In], inst.bufs[op.Out], aux, scratch)
-		if err != nil {
-			return modeledUS, fmt.Errorf("runtime: %w", err)
+		if _, err := dev.RunOp(inst.prog, i, inst.bufs[op.In], inst.bufs[op.Out], aux, scratch); err != nil {
+			return fmt.Errorf("runtime: %w", err)
 		}
 		if eo != nil {
-			eo.observeOp(i, opT0, us)
+			eo.observeOp(i, opT0)
 		}
-		modeledUS += us
 	}
 	if dst != nil {
 		if err := tensor.ConvertInto(inst.bufs[inst.prog.Output], dst); err != nil {
-			return modeledUS, fmt.Errorf("runtime: delivering output: %w", err)
+			return fmt.Errorf("runtime: delivering output: %w", err)
 		}
 	}
 	if eo != nil {
-		eo.observeRun(runT0, modeledUS)
+		eo.observeRun(runT0)
 	}
-	return modeledUS, nil
+	return nil
 }

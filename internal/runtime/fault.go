@@ -79,10 +79,6 @@ func (d *FaultDevice) Name() string {
 	return fmt.Sprintf("faulty(%s)", d.dev.Name())
 }
 
-// Unwrap returns the wrapped device, so schedulers that special-case a
-// device type (SimOf) can see through the fault layer.
-func (d *FaultDevice) Unwrap() Device { return d.dev }
-
 // Dead reports whether the device has died (by schedule or Kill).
 func (d *FaultDevice) Dead() bool { return d.dead.Load() }
 
@@ -143,25 +139,4 @@ func (d *FaultDevice) RunOp(prog *Program, opIndex int, in, out, aux *tensor.Ten
 		time.Sleep(d.cfg.Stall)
 	}
 	return d.dev.RunOp(prog, opIndex, in, out, aux, scratch)
-}
-
-// TransferInUS implements Device, delegating to the wrapped device.
-func (d *FaultDevice) TransferInUS(bytes int64) float64 { return d.dev.TransferInUS(bytes) }
-
-// SimOf resolves a device to its *SimDevice, seeing through wrappers (a
-// FaultDevice around a simulated device): schedulers use it so modeled
-// weights and scatter pricing survive fault injection.  Nil when no simulated
-// device is beneath.
-func SimOf(d Device) *SimDevice {
-	for d != nil {
-		if sd, ok := d.(*SimDevice); ok {
-			return sd
-		}
-		u, ok := d.(interface{ Unwrap() Device })
-		if !ok {
-			return nil
-		}
-		d = u.Unwrap()
-	}
-	return nil
 }

@@ -161,13 +161,3 @@ func TestBackoffDelay(t *testing.T) {
 		t.Errorf("zero Backoff delays %v", got)
 	}
 }
-
-// TestSimOf checks device resolution through fault wrappers.
-func TestSimOf(t *testing.T) {
-	if sd := runtime.SimOf(runtime.CPUDevice{}); sd != nil {
-		t.Fatalf("SimOf(CPU) = %v", sd)
-	}
-	if sd := runtime.SimOf(runtime.WrapFault(runtime.CPUDevice{}, runtime.FaultConfig{})); sd != nil {
-		t.Fatalf("SimOf(faulty CPU) = %v", sd)
-	}
-}

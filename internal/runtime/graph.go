@@ -279,8 +279,8 @@ func Compile(net *network.Network, name string, choices []Choice, opts Options) 
 // CompileWithOptions compiles an execution plan: its layouts are the decision
 // list, and with Options.ConvAlgorithms every convolution gets the algorithm
 // that is cheapest on the host in that layout (SelectChoices).  The plan's
-// device priced the layouts and keeps pricing modeled times; it has no say in
-// the algorithms, which run on the host whatever GPU the plan models.
+// device priced the layouts; it has no say in the algorithms, which run on
+// the host whatever GPU the plan models.
 func CompileWithOptions(plan *network.ExecutionPlan, opts Options) (*Program, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, fmt.Errorf("runtime: %w", err)

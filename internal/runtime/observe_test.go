@@ -4,12 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"memcnn/internal/gpusim"
 	"memcnn/internal/obs"
 	"memcnn/internal/runtime"
 	"memcnn/internal/runtime/replica"
@@ -17,8 +17,30 @@ import (
 	"memcnn/internal/workloads"
 )
 
-// observedFixture compiles TinyNet onto a simulated device so executor tests
-// exercise the modeled-vs-measured drift channel too.
+// metricValues reads reg's Prometheus exposition, what /metrics serves, back
+// into a map from series (name plus labels) to value.
+func metricValues(t *testing.T, reg *obs.Registry) map[string]float64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	values := map[string]float64{}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("exposition line %q: %v", line, err)
+		}
+		values[line[:i]] = v
+	}
+	return values
+}
+
+// observedFixture compiles TinyNet in CHWN and builds its executor.
 func observedFixture(t *testing.T) (*runtime.Program, *runtime.Executor, *tensor.Tensor, *tensor.Tensor) {
 	t.Helper()
 	net, err := workloads.TinyNet()
@@ -29,7 +51,7 @@ func observedFixture(t *testing.T) (*runtime.Program, *runtime.Executor, *tensor
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec := runtime.NewExecutorOn(prog, runtime.NewSimDevice("sim", gpusim.TitanBlack()))
+	exec := runtime.NewExecutor(prog)
 	in := tensor.Random(net.InputShape(), tensor.CHWN, 1)
 	out := tensor.New(prog.OutputShape(), tensor.CHWN)
 	return prog, exec, in, out
@@ -38,8 +60,7 @@ func observedFixture(t *testing.T) (*runtime.Program, *runtime.Executor, *tensor
 // TestInstrumentAddsNoAllocations pins the hot-path contract from both sides:
 // an executor with observability detached must allocate exactly what the
 // never-instrumented executor allocates, and attaching a full observer
-// (recorder + registry, including the drift counters a SimDevice enables)
-// must not add a single allocation per run either — spans are value copies
+// (recorder + registry) must not add a single allocation per run either — spans are value copies
 // into the ring, observations are atomic increments.
 func TestInstrumentAddsNoAllocations(t *testing.T) {
 	_, exec, in, out := observedFixture(t)
@@ -64,12 +85,11 @@ func TestInstrumentAddsNoAllocations(t *testing.T) {
 	}
 }
 
-// TestExecutorSpansAndDrift checks what an instrumented executor records: one
-// run span plus one op span per compiled op per execution, op spans carrying
-// kind/layout (and the conv algorithm on conv layers), latency histograms per
-// op kind, and — because the device chain is a SimDevice — the per-layer
-// modeled-vs-measured drift counters DriftReport extracts.
-func TestExecutorSpansAndDrift(t *testing.T) {
+// TestExecutorSpans checks what an instrumented executor records: one run span
+// plus one op span per compiled op per execution, op spans carrying
+// kind/layout (and the conv algorithm on conv layers), and latency histograms
+// per op kind.
+func TestExecutorSpans(t *testing.T) {
 	prog, exec, in, out := observedFixture(t)
 	rec := obs.NewRecorder(1 << 10)
 	reg := obs.NewRegistry()
@@ -106,9 +126,6 @@ func TestExecutorSpansAndDrift(t *testing.T) {
 			if sp.Alg != "" {
 				convSpans++
 			}
-			if sp.ModeledUS <= 0 && sp.Kind == "layer" {
-				t.Errorf("layer op span %q has no modeled time on a SimDevice", sp.Name)
-			}
 		}
 	}
 	if byCat["op"] != runs*execOps || byCat["run"] != runs {
@@ -118,35 +135,21 @@ func TestExecutorSpansAndDrift(t *testing.T) {
 		t.Error("no op span carries a conv algorithm")
 	}
 
-	var opObservations uint64
-	for _, s := range reg.Snapshot() {
-		switch s.Name {
-		case "memcnn_op_latency_us":
-			opObservations += s.Hist.Count()
-		case "memcnn_run_latency_us":
-			if s.Hist.Count() != runs {
-				t.Errorf("run latency counts %d, want %d", s.Hist.Count(), runs)
-			}
-			if p99 := s.Hist.Quantile(0.99); p99 <= 0 {
-				t.Errorf("run p99 = %g, want > 0", p99)
-			}
+	values := metricValues(t, reg)
+	var opObservations float64
+	for series, v := range values {
+		if strings.HasPrefix(series, "memcnn_op_latency_us_count{") {
+			opObservations += v
 		}
 	}
-	if opObservations != uint64(runs*execOps) {
-		t.Errorf("op latency histograms hold %d observations, want %d", opObservations, runs*execOps)
+	if n := values[`memcnn_run_latency_us_count{net="TinyNet"}`]; n != runs {
+		t.Errorf("run latency counts %g, want %d", n, runs)
 	}
-
-	drift := runtime.DriftReport(reg)
-	if len(drift) == 0 {
-		t.Fatal("DriftReport empty on a SimDevice executor")
+	if sum := values[`memcnn_run_latency_us_sum{net="TinyNet"}`]; sum <= 0 {
+		t.Errorf("run latency sums to %g us, want > 0", sum)
 	}
-	for _, d := range drift {
-		if d.Net != "TinyNet" || d.Op == "" {
-			t.Errorf("drift sample has bad identity: %+v", d)
-		}
-		if d.MeasuredUS <= 0 || d.ModeledUS <= 0 || d.Ratio() <= 0 {
-			t.Errorf("drift sample %s/%s not populated: %+v", d.Net, d.Op, d)
-		}
+	if opObservations != float64(runs*execOps) {
+		t.Errorf("op latency histograms hold %g observations, want %d", opObservations, runs*execOps)
 	}
 }
 
@@ -157,12 +160,7 @@ func TestExecutorSpansAndDrift(t *testing.T) {
 // and the histogram-backed queue-wait stats that replaced the EWMA estimate.
 func TestServerPipelinedInstrumented(t *testing.T) {
 	prog, images, _ := serverFixture(t)
-	sp, err := runtime.Shard(prog, 2, runtime.ShardOptions{
-		Devices: []runtime.Device{
-			runtime.NewSimDevice("sim0", gpusim.TitanBlack()),
-			runtime.NewSimDevice("sim1", gpusim.TitanX()),
-		},
-	})
+	sp, err := runtime.Shard(prog, 2, runtime.ShardOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,8 +274,8 @@ func TestServerReplicatedInstrumented(t *testing.T) {
 	prog, images, _ := serverFixture(t)
 	group, err := replica.NewGroup(prog, 2, replica.Config{
 		Devices: [][]runtime.Device{
-			{runtime.NewSimDevice("r0", gpusim.TitanBlack())},
-			{runtime.NewSimDevice("r1.0", gpusim.TitanX()), runtime.NewSimDevice("r1.1", gpusim.TitanX())},
+			{runtime.CPUDevice{}},
+			{runtime.CPUDevice{}, runtime.CPUDevice{}},
 		},
 	})
 	if err != nil {
@@ -327,11 +325,11 @@ func TestServerReplicatedInstrumented(t *testing.T) {
 	}
 
 	histReplicas := 0
-	for _, s := range reg.Snapshot() {
-		if s.Name == "memcnn_replica_latency_us" {
+	for series, n := range metricValues(t, reg) {
+		if strings.HasPrefix(series, "memcnn_replica_latency_us_count{") {
 			histReplicas++
-			if s.Hist.Count() == 0 {
-				t.Errorf("replica latency series %s empty", s.Labels)
+			if n == 0 {
+				t.Errorf("replica latency series %s empty", series)
 			}
 		}
 	}
@@ -367,12 +365,7 @@ func TestServerReplicatedInstrumented(t *testing.T) {
 // atomics, so any divergence is a bug.
 func TestServerStatsMatchMetrics(t *testing.T) {
 	prog, images, _ := serverFixture(t)
-	group, err := replica.NewGroup(prog, 2, replica.Config{
-		Devices: [][]runtime.Device{
-			{runtime.NewSimDevice("r0", gpusim.TitanBlack())},
-			{runtime.NewSimDevice("r1", gpusim.TitanX())},
-		},
-	})
+	group, err := replica.NewGroup(prog, 2, replica.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,9 +391,11 @@ func TestServerStatsMatchMetrics(t *testing.T) {
 	if st.Faults == nil {
 		t.Fatal("replica-group server reports no fault stats")
 	}
+	// Every family checked below has one series: key it by name alone.
 	vals := map[string]float64{}
-	for _, s := range reg.Snapshot() {
-		vals[s.Name] = s.Value
+	for series, v := range metricValues(t, reg) {
+		name, _, _ := strings.Cut(series, "{")
+		vals[name] = v
 	}
 	for name, want := range map[string]float64{
 		"memcnn_requests_total":        float64(st.Requests),

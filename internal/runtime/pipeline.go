@@ -47,11 +47,7 @@ type pipeStage struct {
 	// release returns a boundary tensor to this stage's pool; built once so
 	// the steady-state batch flow allocates no closures.
 	release func(t *tensor.Tensor)
-	// transferInUS is the modeled cost of the cross-device transfer feeding
-	// this stage, charged once per batch.
-	transferInUS float64
 
-	modeledNS  atomic.Int64
 	measuredNS atomic.Int64
 	jobs       atomic.Uint64
 
@@ -87,9 +83,6 @@ func NewPipelineExecutor(sp *ShardedProgram) *PipelineExecutor {
 			exec: NewExecutorOn(st.Prog, st.Device),
 			in:   make(chan *pipeJob, 1),
 		}
-		if i > 0 {
-			ps.transferInUS = st.Device.TransferInUS(st.TransferInBytes)
-		}
 		if i < len(sp.Stages)-1 {
 			shape, layout := st.Prog.OutputShape(), st.Prog.Buffers[st.Prog.Output].Layout
 			pool := &sync.Pool{New: func() any { return tensor.New(shape, layout) }}
@@ -111,10 +104,10 @@ func NewPipelineExecutor(sp *ShardedProgram) *PipelineExecutor {
 // Instrument attaches an observer to the pipeline: stage i renders on trace
 // lane laneBase+i (named "<label>stage i"), each stage's executor records its
 // op and run spans on the same lane, each batch crossing a stage records a
-// stage span carrying the batch size and the stage's modeled time (including
-// its inbound transfer), and per-stage latency histograms are registered
-// under memcnn_stage_latency_us{net,stage}.  label prefixes lane names so
-// multiple pipelines (replicas) stay distinguishable; it may be empty.
+// stage span carrying the batch size, and per-stage latency histograms are
+// registered under memcnn_stage_latency_us{net,stage}.  label prefixes lane
+// names so multiple pipelines (replicas) stay distinguishable; it may be
+// empty.
 // Call before submitting traffic; a zero Observer detaches.
 func (pe *PipelineExecutor) Instrument(ob Observer, laneBase int32, label string) {
 	net := pe.sp.Base.Net.Name
@@ -172,17 +165,15 @@ func (pe *PipelineExecutor) runStage(ps *pipeStage) {
 			spanT0 = so.rec.Now()
 		}
 		start := time.Now()
-		modeledUS, err := ps.exec.runModeled(job.ctx, job.cur, out)
+		err := ps.exec.RunIntoCtx(job.ctx, job.cur, out)
 		elapsed := time.Since(start)
 		ps.measuredNS.Add(int64(elapsed))
-		ps.modeledNS.Add(int64((modeledUS + ps.transferInUS) * 1e3))
 		ps.jobs.Add(1)
 		if so != nil {
 			if so.rec != nil {
 				sp := so.span
 				sp.StartNS = spanT0
 				sp.DurNS = int64(elapsed)
-				sp.ModeledUS = modeledUS + ps.transferInUS
 				so.rec.Record(sp)
 			}
 			so.hist.Observe(float64(elapsed) / 1e3)
@@ -266,14 +257,10 @@ type PipelineStageStats struct {
 	ArenaBytes      int64
 	TransferInBytes int64
 	Batches         uint64
-	// ModeledTotalUS and MeasuredTotalUS are cumulative across Batches:
-	// modeled device time (including the stage's inbound transfer; zero on
-	// unmodeled devices) and measured wall time.
-	ModeledTotalUS  float64
+	// MeasuredTotalUS is the wall time summed across Batches, MeasuredUS its
+	// per-batch mean.
 	MeasuredTotalUS float64
-	// ModeledUS and MeasuredUS are the per-batch means of the totals.
-	ModeledUS  float64
-	MeasuredUS float64
+	MeasuredUS      float64
 }
 
 // Delta returns the stats covering only the batches s saw beyond an earlier
@@ -282,11 +269,9 @@ type PipelineStageStats struct {
 func (s PipelineStageStats) Delta(prev PipelineStageStats) PipelineStageStats {
 	out := s
 	out.Batches = s.Batches - prev.Batches
-	out.ModeledTotalUS = s.ModeledTotalUS - prev.ModeledTotalUS
 	out.MeasuredTotalUS = s.MeasuredTotalUS - prev.MeasuredTotalUS
-	out.ModeledUS, out.MeasuredUS = 0, 0
+	out.MeasuredUS = 0
 	if out.Batches > 0 {
-		out.ModeledUS = out.ModeledTotalUS / float64(out.Batches)
 		out.MeasuredUS = out.MeasuredTotalUS / float64(out.Batches)
 	}
 	return out
@@ -307,11 +292,9 @@ func (pe *PipelineExecutor) StageStats() []PipelineStageStats {
 			ArenaBytes:      st.Prog.Mem.PeakBytes(),
 			TransferInBytes: st.TransferInBytes,
 			Batches:         ps.jobs.Load(),
-			ModeledTotalUS:  float64(ps.modeledNS.Load()) / 1e3,
 			MeasuredTotalUS: float64(ps.measuredNS.Load()) / 1e3,
 		}
 		if s.Batches > 0 {
-			s.ModeledUS = s.ModeledTotalUS / float64(s.Batches)
 			s.MeasuredUS = s.MeasuredTotalUS / float64(s.Batches)
 		}
 		out[i] = s

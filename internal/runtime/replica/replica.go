@@ -4,11 +4,10 @@
 // into per-replica sub-batches, running them concurrently and reassembling
 // the outputs bit-identically to a single-device run.
 //
-// The split is heterogeneity-aware: each replica's slice of the batch is
-// proportional to its modeled throughput (SimDevice replicas are priced on
-// their internal/gpusim hardware model; native CPU replicas are measured with
-// a warmup probe), so a TitanBlack+TitanX-style mixed fleet finishes its
-// sub-batches in comparable wall time instead of idling the faster card.
+// Each replica's slice of the batch is proportional to its weight:
+// Config.Weights when the caller sets one, otherwise the replica's device
+// count.  Every device runs on the host CPU, so the default split is a
+// function of the fleet alone, never of a timing probe or of a modeled GPU.
 // Replicas may themselves be pipeline-sharded across several devices
 // (runtime.Shard inside the replica), composing data parallelism with the
 // pipeline's model parallelism.
@@ -20,11 +19,6 @@
 // Program.WithBatch, which lowers the base program's own per-layer layouts and
 // convolution algorithms at the sub-batch size (golden bit-equality holds per
 // algorithm, and selection would otherwise go by the smaller sub-batch shape).
-//
-// The modeled cost of feeding the replicas accounts for interconnect
-// contention: the batch scatter starts one transfer per simulated replica at
-// the same instant, and gpusim.Interconnect.ScatterUS divides the link
-// bandwidth among them (K overlapping transfers run at 1/K the lone rate).
 //
 // # Fault tolerance
 //
@@ -57,7 +51,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"memcnn/internal/gpusim"
 	"memcnn/internal/obs"
 	"memcnn/internal/runtime"
 	"memcnn/internal/tensor"
@@ -78,12 +71,10 @@ type Config struct {
 	// replica the native CPU device; an empty inner slice does the same for
 	// that replica.
 	Devices [][]runtime.Device
-	// Weights fixes the per-replica throughput weights explicitly (len must
-	// equal the replica count; weights must be non-negative with a positive
-	// sum, and a replica weighted 0 receives no images).  When nil the
-	// weights are derived from the devices: modeled throughput for simulated
-	// devices, a warmup-probe measurement for CPU devices (the minimum of
-	// warmupProbes timed runs, filtering scheduler noise).
+	// Weights fixes the per-replica weights explicitly (len must equal the
+	// replica count; weights must be non-negative with a positive sum, and a
+	// replica weighted 0 receives no images).  When nil each replica weighs
+	// its device count.
 	Weights []float64
 	// MaxRetries is how many times a failed sub-batch is re-run on the same
 	// replica before the replica is marked unhealthy and the batch fails over
@@ -125,7 +116,7 @@ type Group struct {
 	base     *runtime.Program
 	cfg      Config
 	units    []*unit
-	weights  []float64 // original derived/configured weights, by replica
+	weights  []float64 // original configured or device-count weights, by replica
 	inShape  tensor.Shape
 	outShape tensor.Shape
 
@@ -170,22 +161,20 @@ func (gob *groupObs) laneFor(replica int) int32 {
 }
 
 // observe records one sub-batch run on one replica.
-func (gob *groupObs) observe(replica int, t0 int64, elapsed time.Duration, modeledUS float64, images int) {
+func (gob *groupObs) observe(replica int, t0 int64, elapsed time.Duration, images int) {
 	if gob.ob.Trace != nil {
 		sp := gob.spans[replica]
-		sp.StartNS, sp.DurNS = t0, int64(elapsed)
-		sp.ModeledUS, sp.Images = modeledUS, images
+		sp.StartNS, sp.DurNS, sp.Images = t0, int64(elapsed), images
 		gob.ob.Trace.Record(sp)
 	}
 	gob.hists[replica].Observe(float64(elapsed) / 1e3)
 }
 
 // topology is one immutable batch split over the units: the per-unit image
-// counts, their row offsets, and the modeled contended scatter cost.
+// counts and their row offsets.
 type topology struct {
 	shares  []int
 	offsets []int
-	scatter []float64 // modeled contended scatter cost per replica, us/batch
 }
 
 // unit is one replica: its devices, health, and the engines built for the
@@ -209,10 +198,9 @@ type unit struct {
 // engine is one compiled sub-batch program and the executor or pipeline
 // running it.
 type engine struct {
-	prog    *runtime.Program
-	exec    *runtime.Executor         // single-device replica
-	pipe    *runtime.PipelineExecutor // pipeline-sharded replica
-	modeled float64                   // static modeled us per sub-batch (0 on CPU)
+	prog *runtime.Program
+	exec *runtime.Executor         // single-device replica
+	pipe *runtime.PipelineExecutor // pipeline-sharded replica
 }
 
 // run executes one sub-batch on the engine.
@@ -262,7 +250,10 @@ func NewGroup(base *runtime.Program, replicas int, cfg Config) (*Group, error) {
 
 	weights := cfg.Weights
 	if weights == nil {
-		weights = DeriveWeights(base, devices)
+		weights = make([]float64, replicas)
+		for i, devs := range devices {
+			weights[i] = float64(len(devs))
+		}
 	}
 	if len(weights) != replicas {
 		return nil, fmt.Errorf("replica: %d weights for %d replicas", len(weights), replicas)
@@ -326,7 +317,7 @@ func (g *Group) deriveTopology() (*topology, error) {
 			}
 		}
 	}
-	return &topology{shares: shares, offsets: offsets, scatter: g.modelScatter(shares)}, nil
+	return &topology{shares: shares, offsets: offsets}, nil
 }
 
 // rebuild re-derives the topology after a health transition.  Concurrent
@@ -370,8 +361,6 @@ func (u *unit) engine(g *Group, share int) (*engine, error) {
 
 // buildEngine compiles a sub-batch program (the base's layouts and algorithm
 // choices, over the base network's shared weights) and starts its engine.
-// Devices are resolved through fault wrappers (runtime.SimOf) so a wrapped
-// simulated device keeps its modeled pricing.
 func buildEngine(base *runtime.Program, devices []runtime.Device, share int) (*engine, error) {
 	prog, err := base.WithBatch(share)
 	if err != nil {
@@ -380,9 +369,6 @@ func buildEngine(base *runtime.Program, devices []runtime.Device, share int) (*e
 	e := &engine{prog: prog}
 	if len(devices) == 1 {
 		e.exec = runtime.NewExecutorOn(prog, devices[0])
-		if sd := runtime.SimOf(devices[0]); sd != nil {
-			e.modeled = sd.ModelProgramUS(prog)
-		}
 		return e, nil
 	}
 	sp, err := runtime.Shard(prog, len(devices), runtime.ShardOptions{Devices: devices})
@@ -390,42 +376,7 @@ func buildEngine(base *runtime.Program, devices []runtime.Device, share int) (*e
 		return nil, err
 	}
 	e.pipe = runtime.NewPipelineExecutor(sp)
-	for _, st := range sp.Stages {
-		if sd := runtime.SimOf(st.Device); sd != nil {
-			e.modeled += sd.ModelProgramUS(st.Prog) + sd.TransferInUS(st.TransferInBytes)
-		}
-	}
 	return e, nil
-}
-
-// modelScatter prices the batch scatter for one share split: the sub-batch
-// transfers onto every simulated replica start together and contend for the
-// shared link, so each completes at the water-filled time
-// gpusim.Interconnect.ScatterUS assigns it (plus the receiving device's
-// launch overhead).  CPU replicas are host-local and free.
-func (g *Group) modelScatter(shares []int) []float64 {
-	chw := int64(g.inShape.C) * int64(g.inShape.H) * int64(g.inShape.W) * 4
-	sizes := make([]int64, len(g.units))
-	var link gpusim.Interconnect
-	sims := 0
-	for i, u := range g.units {
-		if sd := runtime.SimOf(u.devices[0]); sd != nil && shares[i] > 0 {
-			sizes[i] = int64(shares[i]) * chw
-			link = sd.Link()
-			sims++
-		}
-	}
-	out := make([]float64, len(g.units))
-	if sims == 0 {
-		return out
-	}
-	done := link.ScatterUS(sizes)
-	for i, u := range g.units {
-		if sizes[i] > 0 {
-			out[i] = done[i] + runtime.SimOf(u.devices[0]).HW.LaunchOverheadUS
-		}
-	}
-	return out
 }
 
 // Replicas returns the replica count (including idle and unhealthy replicas).
@@ -462,27 +413,6 @@ func (g *Group) FaultStats() runtime.FaultStats {
 		Panics:            g.panics.Load(),
 		UnhealthyReplicas: len(g.units) - g.HealthyReplicas(),
 	}
-}
-
-// ModeledBatchUS returns the modeled wall time of one scattered batch under
-// the current topology: the slowest replica's contended scatter transfer plus
-// sub-batch execution.  Zero when no replica runs on a modeled device.
-func (g *Group) ModeledBatchUS() float64 {
-	topo := g.topo.Load()
-	var worst float64
-	for i, u := range g.units {
-		if topo.shares[i] == 0 {
-			continue
-		}
-		e, err := u.engine(g, topo.shares[i])
-		if err != nil {
-			continue
-		}
-		if total := e.modeled + topo.scatter[i]; total > worst {
-			worst = total
-		}
-	}
-	return worst
 }
 
 // RunInto implements runtime.Runner: the batch is scattered across the
@@ -625,7 +555,7 @@ func (g *Group) runUnit(ctx context.Context, u *unit, e *engine, in, out *tensor
 		u.measuredNS.Add(int64(elapsed))
 		u.batches.Add(1)
 		if gob != nil {
-			gob.observe(u.index, t0, elapsed, e.modeled, in.Shape.N)
+			gob.observe(u.index, t0, elapsed, in.Shape.N)
 		}
 		if err == nil {
 			return nil
@@ -740,7 +670,7 @@ func (g *Group) Close() {
 }
 
 // Instrument attaches an observer to the group: every sub-batch records a
-// replica span (with its share and modeled micros) on the replica's trace
+// replica span (with its share) on the replica's trace
 // lane block — replica r owns lanes [laneFor(r), laneFor(r)+stride), where
 // stride is the deepest replica pipeline, so a pipelined replica's stage
 // lanes sit next to its sub-batch lane — and per-replica latency histograms
@@ -806,11 +736,6 @@ type Stats struct {
 	// Failures counts sub-batch runs (including retries) that returned an
 	// error.
 	Failures uint64
-	// ScatterUS is the modeled contended input transfer per batch and
-	// ModeledUS the modeled sub-batch total including it; both zero on
-	// unmodeled (CPU) replicas.
-	ScatterUS float64
-	ModeledUS float64
 	// MeasuredUS is the mean measured wall time per sub-batch.
 	MeasuredUS float64
 }
@@ -829,19 +754,13 @@ func (g *Group) ReplicaStats() []Stats {
 			health = runtime.Unhealthy
 		}
 		s := Stats{
-			Replica:   i,
-			Devices:   strings.Join(names, "+"),
-			Weight:    g.weights[i],
-			Share:     topo.shares[i],
-			Health:    health.String(),
-			Batches:   u.batches.Load(),
-			Failures:  u.failures.Load(),
-			ScatterUS: topo.scatter[i],
-		}
-		if topo.shares[i] > 0 {
-			if e, err := u.engine(g, topo.shares[i]); err == nil {
-				s.ModeledUS = e.modeled + topo.scatter[i]
-			}
+			Replica:  i,
+			Devices:  strings.Join(names, "+"),
+			Weight:   g.weights[i],
+			Share:    topo.shares[i],
+			Health:   health.String(),
+			Batches:  u.batches.Load(),
+			Failures: u.failures.Load(),
 		}
 		if s.Batches > 0 {
 			s.MeasuredUS = float64(u.measuredNS.Load()) / 1e3 / float64(s.Batches)
@@ -895,76 +814,12 @@ func Shares(batch int, weights []float64) ([]int, error) {
 	return shares, nil
 }
 
-// DeriveWeights estimates each replica's throughput weight from its devices:
-// a simulated device contributes its modeled batches-per-second for the base
-// program (gpusim pricing), a CPU device its measured rate from a short
-// warmup probe (warmupProbes timed runs after one warming run; minimum taken).  A
-// replica's weight is the sum over its devices, crediting pipeline-sharded
-// replicas with their extra stage throughput.  Devices are resolved through
-// fault wrappers (runtime.SimOf), so a FaultDevice around a simulated device
-// is still priced on its hardware model rather than probed.
-func DeriveWeights(base *runtime.Program, devices [][]runtime.Device) []float64 {
-	weights := make([]float64, len(devices))
-	for i, devs := range devices {
-		for _, d := range devs {
-			if sd := runtime.SimOf(d); sd != nil {
-				if us := sd.ModelProgramUS(base); us > 0 {
-					weights[i] += 1e6 / us
-				}
-				continue
-			}
-			if sec := probeSeconds(base, d); sec > 0 {
-				weights[i] += 1 / sec
-			}
-		}
-	}
-	return weights
-}
-
-// warmupProbes is the number of timed runs a CPU-device weight probe takes.
-const warmupProbes = 2
-
-// probeSeconds measures one warmed full-batch run of the base program on the
-// device, returning the minimum of the timed runs in seconds.  A transiently
-// faulty device (a FaultDevice schedule) gets a bounded number of extra
-// attempts before the probe gives up and weights the replica 0 — a flaky
-// device should start with its fair share and earn failover later, not be
-// starved at construction.
-func probeSeconds(base *runtime.Program, d runtime.Device) float64 {
-	exec := runtime.NewExecutorOn(base, d)
-	in := tensor.New(base.InputShape(), tensor.NCHW)
-	out := tensor.New(base.OutputShape(), tensor.NCHW)
-	warmed := false
-	for attempt := 0; attempt < 3 && !warmed; attempt++ { // warm the arena pool
-		warmed = exec.RunInto(in, out) == nil
-	}
-	if !warmed {
-		return 0
-	}
-	best := math.Inf(1)
-	for p, attempts := 0, 0; p < warmupProbes && attempts < warmupProbes+3; attempts++ {
-		start := time.Now()
-		if err := exec.RunInto(in, out); err != nil {
-			continue
-		}
-		if sec := time.Since(start).Seconds(); sec < best {
-			best = sec
-		}
-		p++
-	}
-	if math.IsInf(best, 1) {
-		return 0
-	}
-	return best
-}
-
 // ParseDevices builds the device matrix for a replica fleet from a
-// comma-separated hardware list: each entry is "titanblack", "titanx" or
-// "cpu", assigned to replicas in order and cycled when the fleet is larger
-// than the list ("titanblack,titanx" alternates the two models).  Every
-// replica receives `stages` devices of its model, pipeline-sharding the
-// replica when stages > 1.  An empty spec defaults to the paper's Titan
-// Black for every replica.
+// comma-separated device list: every replica receives `stages` devices,
+// pipeline-sharding the replica when stages > 1.  The one device is "cpu", the
+// host every op runs on, and an empty spec means it.  The paper's GPUs price
+// ops but run none: "titanblack" and "titanx" are rejected, as the model-only
+// views they belong to are `netbench -device`'s.
 func ParseDevices(spec string, replicas, stages int) ([][]runtime.Device, error) {
 	if replicas <= 0 {
 		return nil, fmt.Errorf("replica: replica count %d must be positive", replicas)
@@ -972,35 +827,23 @@ func ParseDevices(spec string, replicas, stages int) ([][]runtime.Device, error)
 	if stages <= 0 {
 		stages = 1
 	}
-	models := []string{"titanblack"}
 	if strings.TrimSpace(spec) != "" {
-		models = strings.Split(spec, ",")
-	}
-	hw := map[string]*gpusim.Device{}
-	out := make([][]runtime.Device, replicas)
-	for r := 0; r < replicas; r++ {
-		model := strings.ToLower(strings.TrimSpace(models[r%len(models)]))
-		devs := make([]runtime.Device, stages)
-		for s := 0; s < stages; s++ {
-			label := fmt.Sprintf("r%d.%d", r, s)
-			switch model {
+		for _, name := range strings.Split(spec, ",") {
+			switch name = strings.ToLower(strings.TrimSpace(name)); name {
 			case "cpu":
-				devs[s] = runtime.CPUDevice{}
-			case "titanblack":
-				if hw[model] == nil {
-					hw[model] = gpusim.TitanBlack()
-				}
-				devs[s] = runtime.NewSimDevice(label, hw[model])
-			case "titanx":
-				if hw[model] == nil {
-					hw[model] = gpusim.TitanX()
-				}
-				devs[s] = runtime.NewSimDevice(label, hw[model])
+			case "titanblack", "titanx":
+				return nil, fmt.Errorf("replica: %s is a GPU model, which is model-only: it runs nothing, see netbench -device", name)
 			default:
-				return nil, fmt.Errorf("replica: unknown device model %q (want titanblack, titanx or cpu)", model)
+				return nil, fmt.Errorf("replica: unknown device %q (want cpu)", name)
 			}
 		}
-		out[r] = devs
+	}
+	out := make([][]runtime.Device, replicas)
+	for r := range out {
+		out[r] = make([]runtime.Device, stages)
+		for s := range out[r] {
+			out[r][s] = runtime.CPUDevice{}
+		}
 	}
 	return out, nil
 }

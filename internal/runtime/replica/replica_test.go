@@ -2,6 +2,8 @@ package replica_test
 
 import (
 	"os"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"memcnn/internal/frameworks"
@@ -67,10 +69,10 @@ func requireBitEqual(t *testing.T, label string, got, want *tensor.Tensor) {
 	}
 }
 
-// simFleet builds n single-device replicas over one Titan Black model.
-func simFleet(t *testing.T, n int) [][]runtime.Device {
+// cpuFleet builds n single-device CPU replicas.
+func cpuFleet(t *testing.T, n int) [][]runtime.Device {
 	t.Helper()
-	devs, err := replica.ParseDevices("titanblack", n, 1)
+	devs, err := replica.ParseDevices("cpu", n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +205,7 @@ func goldenCases(t *testing.T) []goldenCase {
 }
 
 // TestGroupGoldenEquivalence scatters every affordable network across 1-4
-// simulated replicas — uniform and skewed weights, including idle zero-weight
+// CPU replicas — uniform and skewed weights, including idle zero-weight
 // replicas — and checks the reassembled output is bit-identical to the
 // single-device executor.
 func TestGroupGoldenEquivalence(t *testing.T) {
@@ -215,7 +217,7 @@ func TestGroupGoldenEquivalence(t *testing.T) {
 			t.Fatalf("%s: single-device run: %v", tc.name, err)
 		}
 		for _, replicas := range tc.replicas {
-			cfg := replica.Config{Devices: simFleet(t, replicas)}
+			cfg := replica.Config{Devices: cpuFleet(t, replicas)}
 			if w, ok := tc.weights[replicas]; ok {
 				cfg.Weights = w
 			}
@@ -253,10 +255,6 @@ func TestGroupGoldenEquivalence(t *testing.T) {
 				if st.Share > 0 && st.Batches != 2 {
 					t.Errorf("%s/%d: replica %d saw %d batches, want 2", tc.name, replicas, st.Replica, st.Batches)
 				}
-				if st.Share > 0 && st.ModeledUS <= 0 {
-					t.Errorf("%s/%d: replica %d reports no modeled time on a simulated device",
-						tc.name, replicas, st.Replica)
-				}
 				if st.Share == 0 && st.Batches != 0 {
 					t.Errorf("%s/%d: idle replica %d ran %d batches", tc.name, replicas, st.Replica, st.Batches)
 				}
@@ -284,7 +282,7 @@ func TestGroupLayoutStaging(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := replica.NewGroup(prog, 2, replica.Config{Devices: simFleet(t, 2)})
+	g, err := replica.NewGroup(prog, 2, replica.Config{Devices: cpuFleet(t, 2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,46 +294,23 @@ func TestGroupLayoutStaging(t *testing.T) {
 	requireBitEqual(t, "chwn staging", got, want)
 }
 
-// TestGroupHeterogeneousSplit checks heterogeneity-aware weighting end to
-// end: in a TitanBlack+TitanX fleet the shares must follow the modeled
-// per-device throughput of the program (the cards price differently, so the
-// split is not uniform), and the skewed split still reassembles
-// bit-identically.
+// TestGroupHeterogeneousSplit checks an uneven split end to end: weighted 1
+// and 3, the two replicas take a quarter and three quarters of LeNet's batch,
+// and the skewed split still reassembles bit-identically.
 func TestGroupHeterogeneousSplit(t *testing.T) {
 	nets, err := workloads.Networks()
 	if err != nil {
 		t.Fatal(err)
 	}
 	prog := mustCompile(t, nets["LeNet"], runtime.Options{})
-	devs, err := replica.ParseDevices("titanblack,titanx", 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	weights := replica.DeriveWeights(prog, devs)
-	if weights[0] == weights[1] {
-		t.Fatalf("TitanBlack and TitanX price LeNet identically (%v); the heterogeneity test needs a skew", weights)
-	}
-	wantShares, err := replica.Shares(prog.InputShape().N, weights)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := replica.NewGroup(prog, 2, replica.Config{Devices: devs})
+	g, err := replica.NewGroup(prog, 2, replica.Config{Weights: []float64{1, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	shares := batchShares(g)
-	for i := range shares {
-		if shares[i] != wantShares[i] {
-			t.Errorf("shares %v do not follow the modeled weights %v (want %v)", shares, weights, wantShares)
-			break
-		}
-	}
-	if shares[0] == shares[1] {
-		t.Errorf("mixed TitanBlack+TitanX fleet split uniformly (%v) despite modeled skew %v", shares, weights)
-	}
-	if shares[0] == 0 || shares[1] == 0 {
-		t.Errorf("a replica starved out entirely: shares %v", shares)
+	n := prog.InputShape().N
+	if shares := batchShares(g); shares[0] != n/4 || shares[1] != n-n/4 {
+		t.Errorf("weights 1:3 split a batch of %d into %v, want [%d %d]", n, shares, n/4, n-n/4)
 	}
 	if testing.Short() {
 		return
@@ -353,7 +328,7 @@ func TestGroupHeterogeneousSplit(t *testing.T) {
 }
 
 // TestGroupPipelinedReplicas composes data and model parallelism: each of two
-// replicas is itself pipeline-sharded across two simulated devices, and the
+// replicas is itself pipeline-sharded across two devices, and the
 // composition still matches the single-device run bit for bit.
 func TestGroupPipelinedReplicas(t *testing.T) {
 	tiny, err := workloads.TinyNet()
@@ -361,7 +336,7 @@ func TestGroupPipelinedReplicas(t *testing.T) {
 		t.Fatal(err)
 	}
 	prog := mustCompile(t, tiny, runtime.Options{})
-	devs, err := replica.ParseDevices("titanblack,titanx", 2, 2)
+	devs, err := replica.ParseDevices("cpu", 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,45 +356,63 @@ func TestGroupPipelinedReplicas(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireBitEqual(t, "pipelined replicas", got, want)
-	for _, st := range g.ReplicaStats() {
-		if st.Share > 0 && st.ModeledUS <= 0 {
-			t.Errorf("pipelined replica %d reports no modeled time", st.Replica)
-		}
-	}
-	if g.ModeledBatchUS() <= 0 {
-		t.Error("group reports no modeled batch time on a simulated fleet")
-	}
 }
 
-// TestGroupCPUProbeWeights exercises the warmup-probe weight path on native
-// CPU replicas: both replicas run on the same host, so each must receive a
-// non-empty share.
-func TestGroupCPUProbeWeights(t *testing.T) {
+// countingDevice is a CPU device that counts the ops it runs.
+type countingDevice struct {
+	runtime.CPUDevice
+	ops *atomic.Int64
+}
+
+func (d countingDevice) RunOp(prog *runtime.Program, i int, in, out, aux *tensor.Tensor, scratch []float32) (float64, error) {
+	d.ops.Add(1)
+	return d.CPUDevice.RunOp(prog, i, in, out, aux, scratch)
+}
+
+// TestGroupDefaultWeightsFollowTheFleet pins the split a group takes without
+// Config.Weights: each replica weighs its device count, so fleets of 1+1 and
+// 1+2 devices weigh [1 1] and [1 2] however fast the host runs, and building
+// the group executes no op.  The split still reassembles bit-identically.
+func TestGroupDefaultWeightsFollowTheFleet(t *testing.T) {
 	tiny, err := workloads.TinyNet()
 	if err != nil {
 		t.Fatal(err)
 	}
 	prog := mustCompile(t, tiny, runtime.Options{})
-	g, err := replica.NewGroup(prog, 2, replica.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	for i, s := range batchShares(g) {
-		if s == 0 {
-			t.Errorf("CPU replica %d starved out: shares %v", i, batchShares(g))
-		}
-	}
 	in := tensor.Random(prog.InputShape(), tensor.NCHW, 3)
 	want, err := runtime.NewExecutor(prog).Run(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := runBatch(g, in, prog.OutputShape())
-	if err != nil {
-		t.Fatal(err)
+	var ops atomic.Int64
+	dev := countingDevice{ops: &ops}
+	for _, tc := range []struct {
+		devices [][]runtime.Device
+		weights []float64
+	}{
+		{[][]runtime.Device{{dev}, {dev}}, []float64{1, 1}},
+		{[][]runtime.Device{{dev}, {dev, dev}}, []float64{1, 2}},
+	} {
+		ops.Store(0)
+		g, err := replica.NewGroup(prog, 2, replica.Config{Devices: tc.devices})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := ops.Load(); n != 0 {
+			t.Errorf("weights %v: building the group ran %d ops; the split must not come from timing runs", tc.weights, n)
+		}
+		for i, st := range g.ReplicaStats() {
+			if st.Weight != tc.weights[i] {
+				t.Errorf("replica %d of a %s fleet weighs %v, want %v", i, st.Devices, st.Weight, tc.weights[i])
+			}
+		}
+		got, err := runBatch(g, in, prog.OutputShape())
+		g.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireBitEqual(t, "device-count weights", got, want)
 	}
-	requireBitEqual(t, "cpu probe", got, want)
 }
 
 // TestGroupValidation covers the construction and submission error paths.
@@ -435,21 +428,21 @@ func TestGroupValidation(t *testing.T) {
 	if _, err := replica.NewGroup(prog, 0, replica.Config{}); err == nil {
 		t.Error("a zero replica count must be rejected")
 	}
-	if _, err := replica.NewGroup(prog, 2, replica.Config{Devices: simFleet(t, 3)}); err == nil {
+	if _, err := replica.NewGroup(prog, 2, replica.Config{Devices: cpuFleet(t, 3)}); err == nil {
 		t.Error("a device/replica count mismatch must be rejected")
 	}
 	if _, err := replica.NewGroup(prog, 2, replica.Config{
-		Devices: simFleet(t, 2), Weights: []float64{1},
+		Devices: cpuFleet(t, 2), Weights: []float64{1},
 	}); err == nil {
 		t.Error("a weight/replica count mismatch must be rejected")
 	}
 	if _, err := replica.NewGroup(prog, 2, replica.Config{
-		Devices: simFleet(t, 2), Weights: []float64{0, 0},
+		Devices: cpuFleet(t, 2), Weights: []float64{0, 0},
 	}); err == nil {
 		t.Error("an all-zero weight vector must be rejected")
 	}
 
-	g, err := replica.NewGroup(prog, 2, replica.Config{Devices: simFleet(t, 2)})
+	g, err := replica.NewGroup(prog, 2, replica.Config{Devices: cpuFleet(t, 2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,47 +454,39 @@ func TestGroupValidation(t *testing.T) {
 	g.Close() // idempotent
 }
 
-// TestParseDevices covers the fleet-spec parser.
+// TestParseDevices covers the fleet-spec parser: "cpu" (or nothing) builds
+// CPU devices, and the GPU models fail closed, pointing at the model-only
+// view.
 func TestParseDevices(t *testing.T) {
-	devs, err := replica.ParseDevices("titanblack,titanx", 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(devs) != 4 {
-		t.Fatalf("4 replicas produced %d device lists", len(devs))
-	}
-	for r, d := range devs {
-		if len(d) != 1 {
-			t.Fatalf("replica %d has %d devices, want 1", r, len(d))
+	for _, spec := range []string{"cpu", "", " CPU ,cpu"} {
+		devs, err := replica.ParseDevices(spec, 2, 3)
+		if err != nil {
+			t.Fatalf("%q: %v", spec, err)
+		}
+		if len(devs) != 2 {
+			t.Fatalf("%q: 2 replicas produced %d device lists", spec, len(devs))
+		}
+		for r, d := range devs {
+			if len(d) != 3 {
+				t.Fatalf("%q: 3-stage replica %d has %d devices", spec, r, len(d))
+			}
+			for _, dev := range d {
+				if _, ok := dev.(runtime.CPUDevice); !ok {
+					t.Errorf("%q produced %T", spec, dev)
+				}
+			}
 		}
 	}
-	// The model list cycles across replicas.
-	for _, pair := range [][2]int{{0, 2}, {1, 3}} {
-		a := devs[pair[0]][0].(*runtime.SimDevice)
-		b := devs[pair[1]][0].(*runtime.SimDevice)
-		if a.HW.Name != b.HW.Name {
-			t.Errorf("replicas %d and %d should share a model, got %q vs %q", pair[0], pair[1], a.HW.Name, b.HW.Name)
+	for _, spec := range []string{"titanblack", "titanx", "cpu,TitanX"} {
+		_, err := replica.ParseDevices(spec, 2, 1)
+		if err == nil || !strings.Contains(err.Error(), "model-only") || !strings.Contains(err.Error(), "netbench -device") {
+			t.Errorf("%q: err = %v, want the model-only error naming netbench -device", spec, err)
 		}
 	}
-	if devs[0][0].(*runtime.SimDevice).HW.Name == devs[1][0].(*runtime.SimDevice).HW.Name {
-		t.Error("alternating spec produced identical neighbouring models")
-	}
-
-	cpu, err := replica.ParseDevices("cpu", 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cpu[0]) != 3 {
-		t.Fatalf("3-stage replica has %d devices", len(cpu[0]))
-	}
-	if _, ok := cpu[0][0].(runtime.CPUDevice); !ok {
-		t.Errorf("cpu spec produced %T", cpu[0][0])
-	}
-
 	if _, err := replica.ParseDevices("keplerx", 2, 1); err == nil {
-		t.Error("an unknown model must be rejected")
+		t.Error("an unknown device must be rejected")
 	}
-	if _, err := replica.ParseDevices("titanx", 0, 1); err == nil {
+	if _, err := replica.ParseDevices("cpu", 0, 1); err == nil {
 		t.Error("a zero replica count must be rejected")
 	}
 }

@@ -3,7 +3,7 @@ package runtime
 import (
 	"fmt"
 
-	"memcnn/internal/gpusim"
+	"memcnn/internal/layers"
 	"memcnn/internal/tensor"
 )
 
@@ -29,9 +29,6 @@ type Stage struct {
 	// TransferInBytes is the size of the cross-device transfer feeding this
 	// stage (zero for the first stage, which is fed by the caller).
 	TransferInBytes int64
-	// Weight is the stage's partitioning weight: the summed opFLOPs of its
-	// ops.
-	Weight float64
 }
 
 // Ops returns the number of ops the stage executes.
@@ -67,17 +64,16 @@ func (sp *ShardedProgram) TransferBytes() int64 {
 
 // String summarises the sharding.
 func (sp *ShardedProgram) String() string {
-	return fmt.Sprintf("ShardedProgram{%s, %d stages, flops-balanced, %.2f MiB summed arena vs %.2f MiB unsharded, %.2f MiB transfers}",
+	return fmt.Sprintf("ShardedProgram{%s, %d stages, work-balanced, %.2f MiB summed arena vs %.2f MiB unsharded, %.2f MiB transfers}",
 		sp.Base.Net.Name, len(sp.Stages),
 		float64(sp.SummedPeakBytes())/(1<<20), float64(sp.Base.Mem.PeakBytes())/(1<<20),
 		float64(sp.TransferBytes())/(1<<20))
 }
 
 // Shard cuts a compiled program into `stages` contiguous pipeline stages,
-// choosing the cuts that minimise the largest stage weight: the estimated
-// arithmetic work per stage (layer ops weigh their Cost-model FLOPs on the
-// paper's Titan Black, data-movement ops one op per element moved), because
-// pipeline throughput is set by the slowest stage.  Each stage is compiled
+// choosing the cuts that minimise the largest stage weight: the host work of
+// its ops as opWork counts it from their shapes, because pipeline throughput
+// is set by the slowest stage.  Each stage is compiled
 // into a self-contained sub-program with its own arena plan; the buffer
 // crossing each cut becomes an explicit transfer onto the next stage's
 // device.  A stage count above the op count is clamped (every program
@@ -96,10 +92,9 @@ func Shard(p *Program, stages int, opts ShardOptions) (*ShardedProgram, error) {
 	if stages > len(p.Ops) {
 		stages = len(p.Ops)
 	}
-	model := gpusim.TitanBlack()
 	weights := make([]float64, len(p.Ops))
 	for i, op := range p.Ops {
-		weights[i] = opFLOPs(model, p, op)
+		weights[i] = opWork(p, op)
 	}
 	cuts := partition(weights, stages)
 
@@ -121,9 +116,6 @@ func Shard(p *Program, stages int, opts ShardOptions) (*ShardedProgram, error) {
 		if i > 0 {
 			st.TransferInBytes = p.Buffers[p.Ops[first].In].Bytes()
 		}
-		for _, w := range weights[first : last+1] {
-			st.Weight += w
-		}
 		sp.Stages = append(sp.Stages, st)
 		first = last + 1
 	}
@@ -140,24 +132,21 @@ func Shard(p *Program, stages int, opts ShardOptions) (*ShardedProgram, error) {
 	return sp, nil
 }
 
-// opFLOPs estimates one op's arithmetic weight: layer ops are counted from
-// their gpusim.LayerCost kernel sequence on the model hardware; data-movement
-// ops count one operation per element moved; alias reshapes are free.
-func opFLOPs(model *gpusim.Device, p *Program, op Op) float64 {
+// opWork counts one op's host work from its shapes alone: a convolution's or
+// pooling layer's FLOPs, a fully-connected layer's two FLOPs per
+// multiply-add, the input elements of any other layer op, and the elements a
+// data-movement op moves (none for an alias).
+func opWork(p *Program, op Op) float64 {
 	if op.Kind == OpLayer {
-		layout := p.Buffers[op.In].Layout
-		stats, err := gpusim.LayerCost(model, op.Layer, layout, gpusim.CompiledOptions(op.Alg, layout))
-		if err == nil {
-			var flops float64
-			for _, s := range stats {
-				flops += s.FLOPs
-			}
-			if flops > 0 {
-				return flops
-			}
+		switch l := op.Layer.(type) {
+		case *layers.Conv:
+			return l.Cfg.FLOPs()
+		case *layers.Pool:
+			return l.Cfg.FLOPs()
+		case *layers.FullyConnected:
+			return 2 * float64(l.Batch) * float64(l.InDim) * float64(l.OutDim)
 		}
-	}
-	if p.Buffers[op.Out].AliasOf != NoBuffer {
+	} else if p.Buffers[op.Out].AliasOf != NoBuffer {
 		return 0
 	}
 	return float64(p.Buffers[op.In].Shape.Elems())

@@ -2,19 +2,15 @@ package runtime_test
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"strings"
 	"testing"
 
-	"memcnn/internal/gpusim"
 	"memcnn/internal/kernels"
 	"memcnn/internal/network"
 	"memcnn/internal/runtime"
-	"memcnn/internal/runtime/train"
 	"memcnn/internal/tensor"
 	"memcnn/internal/workloads"
 )
@@ -23,7 +19,7 @@ var updateGolden = flag.Bool("update", false, "rewrite the testdata golden of ea
 
 const (
 	programsGolden = "testdata/programs.golden"
-	modelGolden    = "testdata/model.golden"
+	shardGolden    = "testdata/shard.golden"
 )
 
 // unselectedGoldenSHA256 is the hash of the golden file's lines that no
@@ -152,53 +148,18 @@ func checkGolden(t *testing.T, path string, lines []string, detail func(line str
 	}
 }
 
-// TestSimDevicePricesAreStable pins the modeled side of the runtime bit for
-// bit: every op's SimDevice.ModelOpUS on both GPU models, for the five
-// networks' planned inference programs (selection off and on) and LeNet's
-// checkpointed training program, and Shard's cuts and stage weights at two to
-// four stages.  Each line holds the sha256 of the float64 bit patterns in op
-// order; a refactor of the cost models must leave testdata/model.golden
-// untouched (go test -run SimDevicePricesAreStable ./internal/runtime/ -update
-// rewrites it when a change is meant to move a modeled number).
-func TestSimDevicePricesAreStable(t *testing.T) {
+// TestShardCutsAreStable pins where Shard cuts the five networks' planned
+// inference programs, selection off and on, at two to four stages.  The
+// cuts were recorded while Shard still balanced on the modeled GPU's FLOPs;
+// the host work count that replaced it must cut every program in the same
+// place (go test -run ShardCutsAreStable ./internal/runtime/ -update rewrites
+// testdata/shard.golden when a change is meant to move a cut).
+func TestShardCutsAreStable(t *testing.T) {
 	nets, err := workloads.Networks()
 	if err != nil {
 		t.Fatal(err)
 	}
-	lenet, err := workloads.LeNet()
-	if err != nil {
-		t.Fatal(err)
-	}
-	training, err := train.CompileTraining(lenet, train.Options{Checkpoint: train.CheckpointOn})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bits := func(values []float64) [sha256.Size]byte {
-		var b []byte
-		for _, v := range values {
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-		}
-		return sha256.Sum256(b)
-	}
 	var lines []string
-	price := func(config string, hw *gpusim.Device, p *runtime.Program) {
-		dev := runtime.NewSimDevice("sim", hw)
-		us := make([]float64, len(p.Ops))
-		for i, op := range p.Ops {
-			us[i] = dev.ModelOpUS(p, op)
-		}
-		lines = append(lines, fmt.Sprintf("%s %s ops=%d modeled=%.3fus sha256=%x",
-			hw.Name, config, len(p.Ops), dev.ModelProgramUS(p), bits(us)))
-	}
-	for _, hw := range []*gpusim.Device{gpusim.TitanBlack(), gpusim.TitanX()} {
-		for _, name := range workloads.NetworkOrder {
-			for _, sel := range []bool{false, true} {
-				p := mustCompileOpts(t, planners()[2], nets[name], runtime.Options{ConvAlgorithms: sel})
-				price(fmt.Sprintf("%s plan select=%t", name, sel), hw, p)
-			}
-		}
-		price("LeNet training checkpointed", hw, training.Program)
-	}
 	for _, name := range workloads.NetworkOrder {
 		for _, sel := range []bool{false, true} {
 			p := mustCompileOpts(t, planners()[2], nets[name], runtime.Options{ConvAlgorithms: sel})
@@ -208,15 +169,13 @@ func TestSimDevicePricesAreStable(t *testing.T) {
 					t.Fatal(err)
 				}
 				var cuts []string
-				var weights []float64
 				for _, st := range sp.Stages {
 					cuts = append(cuts, fmt.Sprintf("%d-%d", st.FirstOp, st.LastOp))
-					weights = append(weights, st.Weight)
 				}
-				lines = append(lines, fmt.Sprintf("%s plan select=%t shard=%d cuts=%s weights sha256=%x",
-					name, sel, stages, strings.Join(cuts, ","), bits(weights)))
+				lines = append(lines, fmt.Sprintf("%s plan select=%t shard=%d cuts=%s",
+					name, sel, stages, strings.Join(cuts, ",")))
 			}
 		}
 	}
-	checkGolden(t, modelGolden, lines, func(string) string { return "" })
+	checkGolden(t, shardGolden, lines, func(string) string { return "" })
 }

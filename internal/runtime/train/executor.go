@@ -60,8 +60,6 @@ type StepStats struct {
 	// Loss is the mean softmax cross-entropy of the batch, computed from the
 	// forward probabilities before the update.
 	Loss float64
-	// ModeledUS is the device's modeled step time (zero on the CPU device).
-	ModeledUS float64
 }
 
 // Step runs one training step: stage the batch and labels, execute the full
@@ -93,8 +91,7 @@ func (e *Executor) StepCtx(ctx context.Context, images *tensor.Tensor, labels []
 	if err := tensor.ConvertInto(images, e.inst.Buffer(p.Input)); err != nil {
 		return StepStats{}, fmt.Errorf("train: staging input: %w", err)
 	}
-	modeledUS, err := e.exec.ExecuteOn(ctx, e.inst)
-	if err != nil {
+	if err := e.exec.ExecuteOn(ctx, e.inst); err != nil {
 		return StepStats{}, fmt.Errorf("train: %w", err)
 	}
 
@@ -105,5 +102,5 @@ func (e *Executor) StepCtx(ctx context.Context, images *tensor.Tensor, labels []
 	if err != nil {
 		return StepStats{}, fmt.Errorf("train: loss: %w", err)
 	}
-	return StepStats{Loss: loss, ModeledUS: modeledUS}, nil
+	return StepStats{Loss: loss}, nil
 }

@@ -8,7 +8,6 @@ import (
 	goruntime "runtime"
 	"testing"
 
-	"memcnn/internal/gpusim"
 	"memcnn/internal/kernels"
 	"memcnn/internal/layers"
 	"memcnn/internal/network"
@@ -409,49 +408,6 @@ func TestTrainerEpoch(t *testing.T) {
 		if s.Loss <= 0 || math.IsNaN(s.Loss) {
 			t.Errorf("step %d: implausible loss %v", i, s.Loss)
 		}
-	}
-}
-
-// TestSimDeviceModelsTrainingStep prices a planned training step on the
-// modeled GPU: the step must carry a positive modeled latency and the result
-// must stay bit-identical to the CPU device (the sim device computes on the
-// host).
-func TestSimDeviceModelsTrainingStep(t *testing.T) {
-	mkExec := func(dev runtime.Device) (*Executor, *Program) {
-		base, err := workloads.LeNet()
-		if err != nil {
-			t.Fatal(err)
-		}
-		net, err := base.WithBatch(4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := CompileTraining(net, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, err := NewExecutorOn(p, dev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e, p
-	}
-	sim, p := mkExec(runtime.NewSimDevice("sim0", gpusim.TitanBlack()))
-	cpu, _ := mkExec(runtime.CPUDevice{})
-	images, lbls := batch(p, 9)
-	ss, err := sim.Step(images, lbls)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs, err := cpu.Step(images, lbls)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ss.ModeledUS <= 0 {
-		t.Errorf("sim device modeled %v us for a training step, want > 0", ss.ModeledUS)
-	}
-	if math.Float64bits(ss.Loss) != math.Float64bits(cs.Loss) {
-		t.Errorf("sim loss %v differs from cpu loss %v", ss.Loss, cs.Loss)
 	}
 }
 

@@ -53,7 +53,7 @@ func TestProgramsBitInvariantAcrossWorkerCounts(t *testing.T) {
 					if err := tensor.ConvertInto(in, inst.Buffer(prog.Input)); err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
-					if _, err := exec.ExecuteOn(context.Background(), inst); err != nil {
+					if err := exec.ExecuteOn(context.Background(), inst); err != nil {
 						t.Fatalf("%s, %d workers: %v", label, procs, err)
 					}
 					if want == nil {
