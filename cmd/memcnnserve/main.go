@@ -15,9 +15,9 @@
 //
 // With -replicas N the program is instead replicated N times on the host CPU
 // (internal/runtime/replica): each batch splits evenly into per-replica
-// sub-batches, runs concurrently and reassembles bit-identically; -devices M
-// pipeline-shards every replica across M stages, composing data and model
-// parallelism.
+// sub-batches, each run by one executor, concurrently, and reassembles
+// bit-identically.  -devices and -replicas are exclusive: a replica is never
+// itself pipelined.
 // -cache N puts a checksum-keyed N-entry LRU result cache with single-flight
 // in front of the batching queue, so repeated inputs skip execution entirely.
 //
@@ -58,7 +58,7 @@
 //	memcnnserve -network LeNet -replicas 4 -cache 256 -demo 512
 //	memcnnserve -network TinyNet -replicas 4 -chaos 42 -demo 512   # fault-tolerance demo
 //	memcnnserve -network TinyNet -demo 256      # self-driving load test
-//	memcnnserve -network TinyNet -replicas 2 -devices 2 -demo 256 -hold  # then GET /trace
+//	memcnnserve -network TinyNet -replicas 2 -demo 256 -hold  # then GET /trace
 //
 // Endpoints:
 //
@@ -107,8 +107,8 @@ func main() {
 		maxBatch    = flag.Int("batch", 0, "max requests per planned execution (default: the network batch)")
 		maxDelay    = flag.Duration("delay", 2*time.Millisecond, "max time a request waits for its batch to fill")
 		workers     = flag.Int("workers", 2, "concurrent batch executors")
-		devices     = flag.Int("devices", 1, "pipeline the program (or, with -replicas, each replica) across N stages on the host CPU (1 = no pipelining)")
-		replicas    = flag.Int("replicas", 1, "replicate the program N times on the host CPU, splitting each batch evenly (1 = no data parallelism)")
+		devices     = flag.Int("devices", 1, "pipeline the program across N stages on the host CPU (1 = no pipelining; excludes -replicas)")
+		replicas    = flag.Int("replicas", 1, "replicate the program N times on the host CPU, one executor each, splitting each batch evenly (1 = no data parallelism; excludes -devices)")
 		cacheSize   = flag.Int("cache", 0, "memoise per-image results keyed by input checksum in an N-entry LRU (0 = no cache)")
 		slo         = flag.Duration("slo", 0, "per-request latency budget: requests run under a deadline and admission control sheds load the queue cannot serve in time (0 = no deadlines)")
 		chaosSeed   = flag.Uint64("chaos", 0, "inject a seeded fault schedule into every replica device (transient errors + stalls) and permanently kill one replica partway; requires -replicas > 1 (0 = no chaos)")
@@ -120,6 +120,9 @@ func main() {
 	flag.Parse()
 	if *chaosSeed != 0 && *replicas <= 1 {
 		fail(fmt.Errorf("memcnnserve: -chaos needs -replicas > 1 (failover needs somewhere to fail over to)"))
+	}
+	if *replicas > 1 && *devices > 1 {
+		fail(fmt.Errorf("memcnnserve: -replicas and -devices are exclusive: a replica is one executor, so replicate with -replicas or pipeline with -devices"))
 	}
 
 	net, err := workloads.ByName(*networkName)
@@ -146,7 +149,7 @@ func main() {
 	var group *replica.Group
 	switch {
 	case *replicas > 1:
-		fleet, err := replica.ParseDevices("cpu", *replicas, *devices)
+		fleet, err := replica.ParseDevices("cpu", *replicas, 1)
 		if err != nil {
 			fail(err)
 		}
@@ -159,10 +162,10 @@ func main() {
 			fail(err)
 		}
 		defer group.Close()
-		fmt.Printf("replicated across %d device group(s), batch split by device count:\n", group.Replicas())
+		fmt.Printf("replicated across %d executor(s), batch split evenly:\n", group.Replicas())
 		for _, st := range group.ReplicaStats() {
 			fmt.Printf("  replica %d on %s: %d of %d images/batch (weight %.3g)\n",
-				st.Replica, st.Devices, st.Share, prog.InputShape().N, st.Weight)
+				st.Replica, st.Device, st.Share, prog.InputShape().N, st.Weight)
 		}
 		runner = group
 	case *devices > 1:
@@ -173,8 +176,8 @@ func main() {
 		fmt.Printf("sharded into %d stage(s): summed arena %.2f MiB vs single-device %.2f MiB, %.2f MiB transfers/batch\n",
 			len(sp.Stages), mib(sp.SummedPeakBytes()), mib(prog.Mem.PeakBytes()), mib(sp.TransferBytes()))
 		for _, st := range sp.Stages {
-			fmt.Printf("  stage %d on %s: ops [%d,%d], arena %.2f MiB, transfer in %.2f MiB\n",
-				st.Index, st.Device.Name(), st.FirstOp, st.LastOp,
+			fmt.Printf("  stage %d: ops [%d,%d], arena %.2f MiB, transfer in %.2f MiB\n",
+				st.Index, st.FirstOp, st.LastOp,
 				mib(st.Prog.Mem.PeakBytes()), mib(st.TransferInBytes))
 		}
 		pipe = memruntime.NewPipelineExecutor(sp)
@@ -200,7 +203,7 @@ func main() {
 	case group != nil:
 		group.Instrument(ob)
 	case pipe != nil:
-		pipe.Instrument(ob, memruntime.LaneEngine, "")
+		pipe.Instrument(ob, memruntime.LaneEngine)
 	default:
 		exec.Instrument(ob, memruntime.LaneEngine)
 	}
@@ -238,8 +241,8 @@ func main() {
 				if d.Batches == 0 {
 					continue
 				}
-				fmt.Printf("  stage %d on %s: %d batches, measured %.1f us/batch\n",
-					d.Stage, d.Device, d.Batches, d.MeasuredUS)
+				fmt.Printf("  stage %d: %d batches, measured %.1f us/batch\n",
+					d.Stage, d.Batches, d.MeasuredUS)
 			}
 		}
 		if group != nil {
@@ -248,7 +251,7 @@ func main() {
 					continue
 				}
 				fmt.Printf("  replica %d on %s: %d sub-batches of %d images, measured %.1f us\n",
-					st.Replica, st.Devices, st.Batches, st.Share, st.MeasuredUS)
+					st.Replica, st.Device, st.Batches, st.Share, st.MeasuredUS)
 			}
 		}
 		if cs := srv.Stats().Cache; cs != nil {
@@ -495,23 +498,21 @@ func inferHandler(srv inferrer, in tensor.Shape) http.HandlerFunc {
 }
 
 // injectChaos wraps every replica device in a seeded FaultDevice with a mild
-// transient/stall schedule, and arms replica 1's first device to die
-// permanently after killOps ops — the demo then shows retries absorbing the
-// transients and failover re-splitting the batch over the survivors.
-func injectChaos(fleet [][]memruntime.Device, seed uint64, killOps int64) {
-	for r, devs := range fleet {
-		for s, d := range devs {
-			cfg := memruntime.FaultConfig{
-				Seed:          seed + uint64(r*len(devs)+s),
-				TransientRate: 0.005,
-				StallRate:     0.002,
-				Stall:         500 * time.Microsecond,
-			}
-			if r == 1 && s == 0 {
-				cfg.KillAfterOps = killOps
-			}
-			fleet[r][s] = memruntime.WrapFault(d, cfg)
+// transient/stall schedule, and arms replica 1's device to die permanently
+// after killOps ops — the demo then shows retries absorbing the transients and
+// failover re-splitting the batch over the survivors.
+func injectChaos(fleet []memruntime.Device, seed uint64, killOps int64) {
+	for r, d := range fleet {
+		cfg := memruntime.FaultConfig{
+			Seed:          seed + uint64(r),
+			TransientRate: 0.005,
+			StallRate:     0.002,
+			Stall:         500 * time.Microsecond,
 		}
+		if r == 1 {
+			cfg.KillAfterOps = killOps
+		}
+		fleet[r] = memruntime.WrapFault(d, cfg)
 	}
 }
 

@@ -52,17 +52,18 @@
 // ops' shapes, explicit cross-stage transfers, one arena plan per stage), and
 // the pipelined executor streams batches through the stages bit-identically
 // to the single-device run.  Data parallelism: the runtime/replica scheduler
-// clones the program across N devices (shared read-only weights, per-replica
-// arena pools) and splits every batch into sub-batches weighted by the
-// caller's weights or, by default, each replica's device count; replicas may
-// themselves be pipeline-sharded, composing both axes.  A dynamic
+// clones the program across N devices, one executor each (shared read-only
+// weights, per-replica arena pools), and splits every batch into sub-batches
+// weighted by the caller's weights or, by default, evenly.  The two axes do
+// not compose: a replica is never itself pipelined.  A dynamic
 // micro-batching server coalesces concurrent single-image requests into
 // planned batched executions over any engine, optionally behind a
 // checksum-keyed LRU result cache with single-flight (repeated inputs skip
 // execution entirely); cmd/memcnnserve serves it over HTTP (it always serves
 // the algorithm-selected program and verifies the serving engine against its
 // functional reference at startup; `-devices N` pipelines across N stages,
-// `-replicas N`/`-cache N` switch on replication and the cache; `-demo` prints
+// `-replicas N` replicates instead (the two are exclusive), `-cache N` switches
+// on the cache; `-demo` prints
 // the per-stage and per-replica breakdowns and the cache counters) and
 // `netbench programs` is the static report: every
 // network's op and buffer counts, arena footprint, per-layer (layout,

@@ -52,8 +52,8 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	got, err := memruntime.NewExecutor(prog).Run(in)
-	if err != nil {
+	got := tensor.New(prog.OutputShape(), tensor.NCHW)
+	if err := memruntime.NewExecutor(prog).RunInto(in, got); err != nil {
 		fail(err)
 	}
 	diff, err := tensor.MaxAbsDiff(got, want)

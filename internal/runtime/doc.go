@@ -65,21 +65,21 @@
 // op boundary is a valid cut): the partitioner balances a per-stage host work
 // count read off the ops' shapes (a convolution's or pooling layer's FLOPs, a
 // fully-connected layer's, elements otherwise), the buffer crossing each cut
-// becomes an explicit cross-device transfer, and every stage is compiled into
+// becomes an explicit stage-to-stage transfer, and every stage is compiled into
 // a self-contained
 // sub-program with its own arena plan.  pipeline.go streams batches through
 // the stages — one goroutine per stage, per-stage arena pools, pooled
 // boundary tensors — with results bit-identical to the unsharded executor.
 //
 // The complementary execution axis is data parallelism: the replica
-// sub-package clones a compiled program across N devices (shared read-only
-// weights via Layer.WithBatch and network.WithBatch, one arena pool per
-// replica) and splits every batch into per-replica sub-batches weighted by
-// Config.Weights or, by default, each replica's device count, running them
-// concurrently and reassembling bit-identically.  Program.WithBatch supports it by lowering
-// the rebatched network from the base program's own decision list instead of
-// re-selecting by the sub-batch shape.  Replicas may themselves be
-// pipeline-sharded, composing both axes.
+// sub-package clones a compiled program across N devices, one Executor each
+// (shared read-only weights via Layer.WithBatch and network.WithBatch, one
+// arena pool per replica), and splits every batch into per-replica sub-batches
+// weighted by Config.Weights or, by default, evenly, running them
+// concurrently and reassembling bit-identically.  Program.WithBatch supports
+// it by lowering the rebatched network from the base program's own decision
+// list instead of re-selecting by the sub-batch shape.  The axes do not
+// compose: a replica is never itself pipelined.
 //
 // Golden bit-equality holds per algorithm: direct-only programs reproduce the
 // naive Network.Forward exactly, while algorithm-selected programs reproduce
@@ -93,8 +93,8 @@
 // front-end: many concurrent single-image requests coalesce into planned
 // batched executions (bounded by a maximum batch size and a maximum queueing
 // delay) running on any Runner — the single-device Executor, the sharded
-// PipelineExecutor or the data-parallel replica.Group, whose engines the
-// server's concurrent workers keep filled.  With ServerConfig.CacheEntries a
+// PipelineExecutor or the data-parallel replica.Group, whose stages or
+// replicas the server's concurrent workers keep filled.  With ServerConfig.CacheEntries a
 // checksum-keyed result cache (cache.go: bounded LRU, hit/miss/eviction
 // counters, single-flight on concurrent identical inputs) sits in front of
 // the batching queue, so repeated inputs skip execution entirely.  That is
@@ -120,7 +120,7 @@
 // error is ErrDeviceDead — it is marked Unhealthy, the failover counter
 // increments exactly once (CAS), and the whole batch re-runs over the
 // survivors: batch shares are re-derived from the healthy units' original
-// throughput weights, so the degraded group's outputs stay bit-identical to
+// weights, so the degraded group's outputs stay bit-identical to
 // the full-fleet run (every kernel fixes its accumulation order and rows are
 // image-independent).  A background probe (Config.ProbeInterval) runs a
 // one-image batch against each Unhealthy replica and re-admits it on
@@ -160,10 +160,11 @@
 // Perfetto: "op" (one compiled op, carrying its kind, buffer layout and conv
 // algorithm), "run" (one whole program execution),
 // "stage" (one batch crossing one pipeline stage, on per-stage lanes),
-// "replica" (one sub-batch on one replica, whose engines nest their own
-// run/op spans on the replica's lanes), and the server-side "queue",
-// "coalesce" and "batch" spans on per-worker lanes.  The metrics side
-// registers latency histograms per net/op-kind/stage/replica plus every
+// "replica" (one sub-batch on one replica, whose executor records its run/op
+// spans on the same lane), and the server-side "queue", "coalesce" and
+// "batch" spans on per-worker lanes.  The metrics side registers latency
+// histograms per net/op-kind plus each stage's and replica's always-on
+// histogram, adopted into the registry, and every
 // ServerStats counter as a function reading the same atomics Stats reads,
 // so /metrics can never disagree with /stats.  cmd/memcnnserve surfaces all of it over HTTP
 // (/metrics, /trace, expanded /stats, opt-in pprof) and benchmark/run.sh

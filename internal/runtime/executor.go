@@ -30,9 +30,6 @@ func NewExecutorOn(p *Program, dev Device) *Executor {
 	return &Executor{prog: p, dev: dev, pool: NewPool(p)}
 }
 
-// Device returns the device the executor runs on.
-func (e *Executor) Device() Device { return e.dev }
-
 // Instrument attaches an observer to this executor: every subsequent run
 // records one span per executed op (layer name, op kind, conv algorithm,
 // input layout) plus a whole-run span on the given trace lane, and feeds the
@@ -44,16 +41,6 @@ func (e *Executor) Instrument(ob Observer, lane int32) {
 		return
 	}
 	e.obs.Store(newExecObs(e.prog, ob, lane))
-}
-
-// Run executes the program on one input batch, returning a freshly allocated
-// output in the input's layout.  Use RunInto to avoid the output allocation.
-func (e *Executor) Run(in *tensor.Tensor) (*tensor.Tensor, error) {
-	out := tensor.New(e.prog.OutputShape(), in.Layout)
-	if err := e.RunInto(in, out); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // RunInto executes the program on one input batch, writing the result into

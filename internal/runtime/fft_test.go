@@ -183,7 +183,7 @@ func TestFixedAlgorithmGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%v: reference forward: %v", net.Name, alg, err)
 			}
-			got, err := runtime.NewExecutor(prog).Run(in)
+			got, err := runBatch(runtime.NewExecutor(prog), in, prog.OutputShape())
 			if err != nil {
 				t.Fatalf("%s/%v: %v", net.Name, alg, err)
 			}

@@ -31,9 +31,9 @@ func (ob Observer) Enabled() bool { return ob.Trace != nil || ob.Metrics != nil 
 
 // Trace lanes: each component renders its spans on a virtual thread ("lane")
 // of the shared recorder.  Lane 1 is the single-engine lane; pipeline stages
-// and replicas fan out from their caller's lane base (stage i on base+i,
-// replica r on base + r·stride); the batch server's workers use a high base
-// so they never collide with engine lanes.
+// fan out from their caller's lane base (stage i on base+i) and replica r
+// renders on LaneEngine+r; the batch server's workers use a high base so
+// they never collide with engine lanes.
 const (
 	// LaneEngine is the default lane for a standalone executor or the first
 	// pipeline stage.

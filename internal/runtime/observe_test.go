@@ -170,7 +170,7 @@ func TestServerPipelinedInstrumented(t *testing.T) {
 
 	pipe := runtime.NewPipelineExecutor(sp)
 	defer pipe.Close()
-	pipe.Instrument(ob, runtime.LaneEngine, "")
+	pipe.Instrument(ob, runtime.LaneEngine)
 	srv, err := runtime.NewServerWith(prog, pipe, runtime.ServerConfig{
 		MaxDelay: 5 * time.Millisecond,
 		Workers:  4,
@@ -267,16 +267,14 @@ func TestServerPipelinedInstrumented(t *testing.T) {
 }
 
 // TestServerReplicatedInstrumented is the data-parallel twin: a two-replica
-// group (one of them pipeline-sharded) behind the batch server, all recording
-// into one observer under -race, checked for per-replica spans, per-replica
-// latency histograms and the replica batch counters in /metrics.
+// group (weighted 1 and 2, so the split is uneven) behind the batch server,
+// all recording into one observer under -race, checked for per-replica spans,
+// per-replica latency histograms and the replica batch counters in /metrics.
 func TestServerReplicatedInstrumented(t *testing.T) {
 	prog, images, _ := serverFixture(t)
 	group, err := replica.NewGroup(prog, 2, replica.Config{
-		Devices: [][]runtime.Device{
-			{runtime.CPUDevice{}},
-			{runtime.CPUDevice{}, runtime.CPUDevice{}},
-		},
+		Devices: []runtime.Device{runtime.CPUDevice{}, runtime.CPUDevice{}},
+		Weights: []float64{1, 2},
 	})
 	if err != nil {
 		t.Fatal(err)

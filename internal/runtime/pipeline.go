@@ -48,20 +48,21 @@ type pipeStage struct {
 	// the steady-state batch flow allocates no closures.
 	release func(t *tensor.Tensor)
 
-	measuredNS atomic.Int64
-	jobs       atomic.Uint64
+	// lat is the stage's always-on batch latency in microseconds; its count
+	// and sum are the stage's batch count and measured time, and Instrument
+	// adopts it into the registry.
+	lat *obs.Histogram
 
-	// obs holds the stage's prebuilt span template and latency histogram when
-	// the pipeline is instrumented; nil otherwise.  Atomic because the stage
-	// goroutines are already running when Instrument is called.
+	// obs holds the stage's prebuilt span template when the pipeline is
+	// traced; nil otherwise.  Atomic because the stage goroutines are already
+	// running when Instrument is called.
 	obs atomic.Pointer[stageObs]
 }
 
-// stageObs is one stage's instrumentation, prepared once at Instrument time.
+// stageObs is one stage's trace hook, prepared once at Instrument time.
 type stageObs struct {
 	rec  *obs.Recorder
 	span obs.Span
-	hist *obs.Histogram
 }
 
 // pipeJob is one batch moving through the pipeline.
@@ -80,8 +81,9 @@ func NewPipelineExecutor(sp *ShardedProgram) *PipelineExecutor {
 	for i, st := range sp.Stages {
 		ps := &pipeStage{
 			idx:  i,
-			exec: NewExecutorOn(st.Prog, st.Device),
+			exec: NewExecutor(st.Prog),
 			in:   make(chan *pipeJob, 1),
+			lat:  obs.NewHistogram(),
 		}
 		if i < len(sp.Stages)-1 {
 			shape, layout := st.Prog.OutputShape(), st.Prog.Buffers[st.Prog.Output].Layout
@@ -102,25 +104,25 @@ func NewPipelineExecutor(sp *ShardedProgram) *PipelineExecutor {
 }
 
 // Instrument attaches an observer to the pipeline: stage i renders on trace
-// lane laneBase+i (named "<label>stage i"), each stage's executor records its
-// op and run spans on the same lane, each batch crossing a stage records a
-// stage span carrying the batch size, and per-stage latency histograms are
-// registered under memcnn_stage_latency_us{net,stage}.  label prefixes lane
-// names so multiple pipelines (replicas) stay distinguishable; it may be
-// empty.
-// Call before submitting traffic; a zero Observer detaches.
-func (pe *PipelineExecutor) Instrument(ob Observer, laneBase int32, label string) {
+// lane laneBase+i (named "stage i"), each stage's executor records its op and
+// run spans on the same lane, each batch crossing a stage records a stage
+// span carrying the batch size, and the registry adopts each stage's
+// always-on latency histogram as memcnn_stage_latency_us{net,stage}.  Call
+// before submitting traffic; a zero Observer detaches the tracer (metric
+// registrations persist).
+func (pe *PipelineExecutor) Instrument(ob Observer, laneBase int32) {
 	net := pe.sp.Base.Net.Name
 	images := pe.sp.Base.InputShape().N
 	for i, ps := range pe.stages {
 		lane := laneBase + int32(i)
-		if !ob.Enabled() {
+		ps.exec.Instrument(ob, lane)
+		ob.Metrics.AdoptHistogram(metricStageLatency, "Per-pipeline-stage batch latency.",
+			ps.lat, obs.L("net", net), obs.L("stage", fmt.Sprintf("%d", i)))
+		if ob.Trace == nil {
 			ps.obs.Store(nil)
-			ps.exec.Instrument(Observer{}, lane)
 			continue
 		}
-		ob.Trace.SetLane(lane, fmt.Sprintf("%sstage %d (%s)", label, i, pe.sp.Stages[i].Device.Name()))
-		ps.exec.Instrument(ob, lane)
+		ob.Trace.SetLane(lane, fmt.Sprintf("stage %d", i))
 		ps.obs.Store(&stageObs{
 			rec: ob.Trace,
 			span: obs.Span{
@@ -129,9 +131,6 @@ func (pe *PipelineExecutor) Instrument(ob Observer, laneBase int32, label string
 				Lane:   lane,
 				Images: images,
 			},
-			hist: ob.Metrics.Histogram(metricStageLatency,
-				"Per-pipeline-stage batch latency.",
-				obs.L("net", net), obs.L("stage", fmt.Sprintf("%d", i))),
 		})
 	}
 }
@@ -167,16 +166,12 @@ func (pe *PipelineExecutor) runStage(ps *pipeStage) {
 		start := time.Now()
 		err := ps.exec.RunIntoCtx(job.ctx, job.cur, out)
 		elapsed := time.Since(start)
-		ps.measuredNS.Add(int64(elapsed))
-		ps.jobs.Add(1)
+		ps.lat.Observe(float64(elapsed) / 1e3)
 		if so != nil {
-			if so.rec != nil {
-				sp := so.span
-				sp.StartNS = spanT0
-				sp.DurNS = int64(elapsed)
-				so.rec.Record(sp)
-			}
-			so.hist.Observe(float64(elapsed) / 1e3)
+			sp := so.span
+			sp.StartNS = spanT0
+			sp.DurNS = int64(elapsed)
+			so.rec.Record(sp)
 		}
 		if job.release != nil {
 			job.release(job.cur)
@@ -252,7 +247,6 @@ func (pe *PipelineExecutor) Close() {
 // PipelineStageStats reports one stage's shape and observed cost.
 type PipelineStageStats struct {
 	Stage           int
-	Device          string
 	Ops             int
 	ArenaBytes      int64
 	TransferInBytes int64
@@ -287,12 +281,11 @@ func (pe *PipelineExecutor) StageStats() []PipelineStageStats {
 		st := pe.sp.Stages[i]
 		s := PipelineStageStats{
 			Stage:           i,
-			Device:          st.Device.Name(),
 			Ops:             st.Ops(),
 			ArenaBytes:      st.Prog.Mem.PeakBytes(),
 			TransferInBytes: st.TransferInBytes,
-			Batches:         ps.jobs.Load(),
-			MeasuredTotalUS: float64(ps.measuredNS.Load()) / 1e3,
+			Batches:         ps.lat.Count(),
+			MeasuredTotalUS: ps.lat.Sum(),
 		}
 		if s.Batches > 0 {
 			s.MeasuredUS = s.MeasuredTotalUS / float64(s.Batches)

@@ -39,12 +39,12 @@ func chaosFixture(t *testing.T) (*runtime.Program, *tensor.Tensor, *tensor.Tenso
 
 // faultFleet wraps n CPU replicas in FaultDevices with the given schedules
 // (one per replica).
-func faultFleet(cfgs []runtime.FaultConfig) ([][]runtime.Device, []*runtime.FaultDevice) {
-	devices := make([][]runtime.Device, len(cfgs))
+func faultFleet(cfgs []runtime.FaultConfig) ([]runtime.Device, []*runtime.FaultDevice) {
+	devices := make([]runtime.Device, len(cfgs))
 	fds := make([]*runtime.FaultDevice, len(cfgs))
 	for i, cfg := range cfgs {
 		fds[i] = runtime.WrapFault(runtime.CPUDevice{}, cfg)
-		devices[i] = []runtime.Device{fds[i]}
+		devices[i] = fds[i]
 	}
 	return devices, fds
 }

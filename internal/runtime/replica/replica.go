@@ -4,13 +4,10 @@
 // into per-replica sub-batches, running them concurrently and reassembling
 // the outputs bit-identically to a single-device run.
 //
-// Each replica's slice of the batch is proportional to its weight:
-// Config.Weights when the caller sets one, otherwise the replica's device
-// count.  Every device runs on the host CPU, so the default split is a
-// function of the fleet alone, never of a timing probe or of a modeled GPU.
-// Replicas may themselves be pipeline-sharded across several devices
-// (runtime.Shard inside the replica), composing data parallelism with the
-// pipeline's model parallelism.
+// Each replica is one executor on one device.  Its slice of the batch is
+// proportional to its weight: Config.Weights when the caller sets one,
+// otherwise 1 per replica, so the default split is even and never comes from
+// a timing probe or a modeled GPU.
 //
 // Bit-identical reassembly rests on two properties the rest of the runtime
 // already guarantees: every layer processes images independently with a fixed
@@ -65,16 +62,12 @@ var ErrNoHealthyReplicas = errors.New("replica: no healthy replicas")
 
 // Config tunes how a Group is built.
 type Config struct {
-	// Devices assigns each replica its device list: one device runs the
-	// replica on a single executor, several pipeline-shard the replica's
-	// program across them (data × model parallelism).  nil gives every
-	// replica the native CPU device; an empty inner slice does the same for
-	// that replica.
-	Devices [][]runtime.Device
+	// Devices assigns each replica its device, one per replica.  nil runs
+	// every replica on the host CPU.
+	Devices []runtime.Device
 	// Weights fixes the per-replica weights explicitly (len must equal the
 	// replica count; weights must be non-negative with a positive sum, and a
-	// replica weighted 0 receives no images).  When nil each replica weighs
-	// its device count.
+	// replica weighted 0 receives no images).  When nil each replica weighs 1.
 	Weights []float64
 	// MaxRetries is how many times a failed sub-batch is re-run on the same
 	// replica before the replica is marked unhealthy and the batch fails over
@@ -116,7 +109,7 @@ type Group struct {
 	base     *runtime.Program
 	cfg      Config
 	units    []*unit
-	weights  []float64 // original configured or device-count weights, by replica
+	weights  []float64 // original configured or default weights, by replica
 	inShape  tensor.Shape
 	outShape tensor.Shape
 
@@ -139,35 +132,17 @@ type Group struct {
 	panics       atomic.Uint64
 
 	// obsv is the group's instrumentation (nil when uninstrumented).  Atomic
-	// because engines are built lazily under each unit's lock — a failover
-	// rebuild compiling a new engine must see the observer without taking a
+	// because executors are built lazily under each unit's lock — a failover
+	// rebuild compiling a new executor must see the observer without taking a
 	// group-wide lock on the batch path.
 	obsv atomic.Pointer[groupObs]
 }
 
-// groupObs is the group's prepared instrumentation: the shared observer, the
-// per-replica lane layout and the per-replica sub-batch span templates and
-// latency histograms.
+// groupObs is the group's prepared instrumentation: the shared observer and
+// the per-replica sub-batch span templates.
 type groupObs struct {
-	ob     runtime.Observer
-	stride int32 // trace lanes reserved per replica (its pipeline depth)
-	spans  []obs.Span
-	hists  []*obs.Histogram
-}
-
-// laneFor returns the first trace lane of a replica's block.
-func (gob *groupObs) laneFor(replica int) int32 {
-	return runtime.LaneEngine + int32(replica)*gob.stride
-}
-
-// observe records one sub-batch run on one replica.
-func (gob *groupObs) observe(replica int, t0 int64, elapsed time.Duration, images int) {
-	if gob.ob.Trace != nil {
-		sp := gob.spans[replica]
-		sp.StartNS, sp.DurNS, sp.Images = t0, int64(elapsed), images
-		gob.ob.Trace.Record(sp)
-	}
-	gob.hists[replica].Observe(float64(elapsed) / 1e3)
+	ob    runtime.Observer
+	spans []obs.Span
 }
 
 // topology is one immutable batch split over the units: the per-unit image
@@ -177,56 +152,40 @@ type topology struct {
 	offsets []int
 }
 
-// unit is one replica: its devices, health, and the engines built for the
+// unit is one replica: its device, health, and the executors built for the
 // sub-batch sizes it has served (one compiled program per distinct share,
 // cached — failover changes a replica's share, and re-deriving the split
 // must not recompile programs on the hot path more than once per size).
 type unit struct {
-	index   int
-	devices []runtime.Device
+	index  int
+	device runtime.Device
 
 	healthy atomic.Bool
 
-	mu      sync.Mutex
-	engines map[int]*engine // share -> engine
+	mu    sync.Mutex
+	execs map[int]*runtime.Executor // share -> executor
 
-	batches    atomic.Uint64
-	failures   atomic.Uint64
-	measuredNS atomic.Int64
+	// lat is the replica's always-on sub-batch wall latency in microseconds
+	// (retries included); its count and sum are the replica's batch count
+	// and measured time, and Instrument adopts it into the registry.
+	lat      *obs.Histogram
+	failures atomic.Uint64
 }
 
-// engine is one compiled sub-batch program and the executor or pipeline
-// running it.
-type engine struct {
-	prog *runtime.Program
-	exec *runtime.Executor         // single-device replica
-	pipe *runtime.PipelineExecutor // pipeline-sharded replica
-}
+// lane returns the replica's trace lane.
+func (u *unit) lane() int32 { return runtime.LaneEngine + int32(u.index) }
 
-// run executes one sub-batch on the engine.
-func (e *engine) run(ctx context.Context, in, out *tensor.Tensor) error {
-	if e.exec != nil {
-		return e.exec.RunIntoCtx(ctx, in, out)
+// instrument attaches (or with a zero observer detaches) one of the unit's
+// executors to the replica's trace lane.
+func (u *unit) instrument(e *runtime.Executor, ob runtime.Observer) {
+	if ob.Trace != nil {
+		ob.Trace.SetLane(u.lane(), fmt.Sprintf("replica %d (%s)", u.index, u.device.Name()))
 	}
-	return e.pipe.RunIntoCtx(ctx, in, out)
-}
-
-// instrument attaches (or with a zero observer detaches) the engine's
-// executor or pipeline to the replica's trace lane block.
-func (e *engine) instrument(ob runtime.Observer, lane int32, replica int) {
-	if e.exec != nil {
-		if ob.Trace != nil {
-			ob.Trace.SetLane(lane, fmt.Sprintf("replica %d (%s)", replica, e.exec.Device().Name()))
-		}
-		e.exec.Instrument(ob, lane)
-		return
-	}
-	e.pipe.Instrument(ob, lane, fmt.Sprintf("r%d ", replica))
+	e.Instrument(ob, u.lane())
 }
 
 // NewGroup builds a replica group for a compiled program.  Close must be
-// called to stop the background prober and the stage goroutines of
-// pipeline-sharded replicas.
+// called to stop the background prober.
 func NewGroup(base *runtime.Program, replicas int, cfg Config) (*Group, error) {
 	if base == nil {
 		return nil, fmt.Errorf("replica: cannot replicate a nil program")
@@ -235,24 +194,15 @@ func NewGroup(base *runtime.Program, replicas int, cfg Config) (*Group, error) {
 		return nil, fmt.Errorf("replica: replica count %d must be positive", replicas)
 	}
 	if cfg.Devices != nil && len(cfg.Devices) != replicas {
-		return nil, fmt.Errorf("replica: %d device lists for %d replicas", len(cfg.Devices), replicas)
+		return nil, fmt.Errorf("replica: %d devices for %d replicas", len(cfg.Devices), replicas)
 	}
 	cfg = cfg.withDefaults()
-	// Work on a copy of the outer slice: defaulting empty entries to the CPU
-	// must not write through to the caller's configuration.
-	devices := make([][]runtime.Device, replicas)
-	copy(devices, cfg.Devices)
-	for i, devs := range devices {
-		if len(devs) == 0 {
-			devices[i] = []runtime.Device{runtime.CPUDevice{}}
-		}
-	}
 
 	weights := cfg.Weights
 	if weights == nil {
 		weights = make([]float64, replicas)
-		for i, devs := range devices {
-			weights[i] = float64(len(devs))
+		for i := range weights {
+			weights[i] = 1
 		}
 	}
 	if len(weights) != replicas {
@@ -269,8 +219,12 @@ func NewGroup(base *runtime.Program, replicas int, cfg Config) (*Group, error) {
 	}
 	g.inPool.New = func() any { return tensor.New(g.inShape, tensor.NCHW) }
 	g.outPool.New = func() any { return tensor.New(g.outShape, tensor.NCHW) }
-	for i := range devices {
-		u := &unit{index: i, devices: devices[i], engines: map[int]*engine{}}
+	for i := 0; i < replicas; i++ {
+		var dev runtime.Device = runtime.CPUDevice{}
+		if cfg.Devices != nil {
+			dev = cfg.Devices[i]
+		}
+		u := &unit{index: i, device: dev, execs: map[int]*runtime.Executor{}, lat: obs.NewHistogram()}
 		u.healthy.Store(true)
 		g.units = append(g.units, u)
 	}
@@ -289,7 +243,7 @@ func NewGroup(base *runtime.Program, replicas int, cfg Config) (*Group, error) {
 
 // deriveTopology computes the batch split over the currently healthy units
 // (using their original weights) and ensures every unit that receives images
-// has an engine compiled for its share.
+// has an executor compiled for its share.
 func (g *Group) deriveTopology() (*topology, error) {
 	live := make([]float64, len(g.units))
 	any := false
@@ -312,7 +266,7 @@ func (g *Group) deriveTopology() (*topology, error) {
 		offsets[i] = offset
 		offset += share
 		if share > 0 {
-			if _, err := g.units[i].engine(g, share); err != nil {
+			if _, err := g.units[i].executor(g, share); err != nil {
 				return nil, err
 			}
 		}
@@ -338,44 +292,27 @@ func (g *Group) rebuild() error {
 	return nil
 }
 
-// engine returns the unit's engine for a sub-batch of the given share,
-// compiling and caching it on first use.  A freshly built engine inherits the
-// group's instrumentation — failover and re-admission compile new shares on
-// the hot path, and their spans must not silently vanish.
-func (u *unit) engine(g *Group, share int) (*engine, error) {
+// executor returns the unit's executor for a sub-batch of the given share,
+// compiling it (the base's layouts and algorithm choices, over the base
+// network's shared weights) and caching it on first use.  A freshly built
+// executor inherits the group's instrumentation — failover and re-admission
+// compile new shares on the hot path, and their spans must not silently
+// vanish.
+func (u *unit) executor(g *Group, share int) (*runtime.Executor, error) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	if e, ok := u.engines[share]; ok {
+	if e, ok := u.execs[share]; ok {
 		return e, nil
 	}
-	e, err := buildEngine(g.base, u.devices, share)
+	prog, err := g.base.WithBatch(share)
 	if err != nil {
 		return nil, fmt.Errorf("replica %d: %w", u.index, err)
 	}
+	e := runtime.NewExecutorOn(prog, u.device)
 	if gob := g.obsv.Load(); gob != nil {
-		e.instrument(gob.ob, gob.laneFor(u.index), u.index)
+		u.instrument(e, gob.ob)
 	}
-	u.engines[share] = e
-	return e, nil
-}
-
-// buildEngine compiles a sub-batch program (the base's layouts and algorithm
-// choices, over the base network's shared weights) and starts its engine.
-func buildEngine(base *runtime.Program, devices []runtime.Device, share int) (*engine, error) {
-	prog, err := base.WithBatch(share)
-	if err != nil {
-		return nil, err
-	}
-	e := &engine{prog: prog}
-	if len(devices) == 1 {
-		e.exec = runtime.NewExecutorOn(prog, devices[0])
-		return e, nil
-	}
-	sp, err := runtime.Shard(prog, len(devices), runtime.ShardOptions{Devices: devices})
-	if err != nil {
-		return nil, err
-	}
-	e.pipe = runtime.NewPipelineExecutor(sp)
+	u.execs[share] = e
 	return e, nil
 }
 
@@ -423,7 +360,7 @@ func (g *Group) RunInto(in, dst *tensor.Tensor) error {
 }
 
 // RunIntoCtx is RunInto honoring a context: cancellation propagates into
-// every replica's sub-batch (between ops, between pipeline stages) and
+// every replica's sub-batch (between ops) and
 // suppresses retries and failover — a deadline-expired batch fails with
 // ctx.Err() instead of burning the survivors on work nobody is waiting for.
 func (g *Group) RunIntoCtx(ctx context.Context, in, dst *tensor.Tensor) error {
@@ -507,7 +444,7 @@ func (g *Group) runTopology(ctx context.Context, topo *topology, src, out *tenso
 		if share == 0 {
 			continue
 		}
-		e, err := u.engine(g, share)
+		e, err := u.executor(g, share)
 		if err != nil {
 			errs[i] = err
 			continue
@@ -527,7 +464,7 @@ func (g *Group) runTopology(ctx context.Context, topo *topology, src, out *tenso
 			continue
 		}
 		wg.Add(1)
-		go func(u *unit, e *engine, subIn, subOut *tensor.Tensor) {
+		go func(u *unit, e *runtime.Executor, subIn, subOut *tensor.Tensor) {
 			defer wg.Done()
 			if err := g.runUnit(ctx, u, e, subIn, subOut); err != nil {
 				errs[u.index] = fmt.Errorf("replica %d: %w", u.index, err)
@@ -540,9 +477,9 @@ func (g *Group) runTopology(ctx context.Context, topo *topology, src, out *tenso
 
 // runUnit runs one sub-batch on one replica, retrying under backoff on
 // failure.  Panics have already been contained into *runtime.PanicError by
-// the engine's executor; they are counted here and treated like any other
-// failure.  Cancellation suppresses retries.
-func (g *Group) runUnit(ctx context.Context, u *unit, e *engine, in, out *tensor.Tensor) error {
+// the executor; they are counted here and treated like any other failure.
+// Cancellation suppresses retries.
+func (g *Group) runUnit(ctx context.Context, u *unit, e *runtime.Executor, in, out *tensor.Tensor) error {
 	for attempt := 0; ; attempt++ {
 		gob := g.obsv.Load()
 		var t0 int64
@@ -550,12 +487,13 @@ func (g *Group) runUnit(ctx context.Context, u *unit, e *engine, in, out *tensor
 			t0 = gob.ob.Trace.Now()
 		}
 		start := time.Now()
-		err := e.run(ctx, in, out)
+		err := e.RunIntoCtx(ctx, in, out)
 		elapsed := time.Since(start)
-		u.measuredNS.Add(int64(elapsed))
-		u.batches.Add(1)
-		if gob != nil {
-			gob.observe(u.index, t0, elapsed, in.Shape.N)
+		u.lat.Observe(float64(elapsed) / 1e3)
+		if gob != nil && gob.ob.Trace != nil {
+			sp := gob.spans[u.index]
+			sp.StartNS, sp.DurNS, sp.Images = t0, int64(elapsed), in.Shape.N
+			gob.ob.Trace.Record(sp)
 		}
 		if err == nil {
 			return nil
@@ -612,14 +550,14 @@ func (g *Group) probeLoop() {
 	}
 }
 
-// probeUnit runs one sub-batch through the replica's smallest cached engine
-// (compiling a one-image engine if it has none) and reports success.  A dead
-// device fails the probe immediately; a transiently faulty one eventually
-// passes.
+// probeUnit runs one sub-batch through the replica's smallest cached
+// executor (compiling a one-image executor if it has none) and reports
+// success.  A dead device fails the probe immediately; a transiently faulty
+// one eventually passes.
 func (g *Group) probeUnit(u *unit) bool {
 	u.mu.Lock()
 	share := -1
-	for s := range u.engines {
+	for s := range u.execs {
 		if share == -1 || s < share {
 			share = s
 		}
@@ -628,7 +566,7 @@ func (g *Group) probeUnit(u *unit) bool {
 	if share == -1 {
 		share = 1
 	}
-	e, err := u.engine(g, share)
+	e, err := u.executor(g, share)
 	if err != nil {
 		return false
 	}
@@ -640,14 +578,13 @@ func (g *Group) probeUnit(u *unit) bool {
 				err = fmt.Errorf("replica %d: probe panic: %v", u.index, r)
 			}
 		}()
-		return e.run(context.Background(), in, out)
+		return e.RunIntoCtx(context.Background(), in, out)
 	}()
 	return err == nil
 }
 
-// Close stops the background prober and the stage goroutines of
-// pipeline-sharded replicas.  It is idempotent; RunInto after Close returns
-// ErrGroupClosed.
+// Close stops the background prober.  It is idempotent; RunInto after Close
+// returns ErrGroupClosed.
 func (g *Group) Close() {
 	g.mu.Lock()
 	if g.closed.Load() {
@@ -658,68 +595,45 @@ func (g *Group) Close() {
 	close(g.probeStop)
 	g.mu.Unlock()
 	g.probeWG.Wait()
-	for _, u := range g.units {
-		u.mu.Lock()
-		for _, e := range u.engines {
-			if e.pipe != nil {
-				e.pipe.Close()
-			}
-		}
-		u.mu.Unlock()
-	}
 }
 
 // Instrument attaches an observer to the group: every sub-batch records a
-// replica span (with its share) on the replica's trace
-// lane block — replica r owns lanes [laneFor(r), laneFor(r)+stride), where
-// stride is the deepest replica pipeline, so a pipelined replica's stage
-// lanes sit next to its sub-batch lane — and per-replica latency histograms
-// and batch/failure counters are registered in the metrics registry.  All
-// engines already compiled are instrumented, and engines compiled later
-// (failover shares, probe engines) inherit the observer.  Call before
-// serving traffic; a zero Observer detaches.
+// replica span (with its share) on the replica's trace lane — replica r
+// renders on lane LaneEngine+r, next to the run and op spans of its
+// executors — and the registry adopts each replica's always-on latency
+// histogram and exports its batch and failure counters.  All executors
+// already compiled are instrumented, and executors compiled later (failover
+// shares, probe executors) inherit the observer.  Call before serving
+// traffic; a zero Observer detaches the tracer (metric registrations
+// persist).
 func (g *Group) Instrument(ob runtime.Observer) {
-	if !ob.Enabled() {
-		g.obsv.Store(nil)
-		for _, u := range g.units {
-			u.mu.Lock()
-			for _, e := range u.engines {
-				e.instrument(runtime.Observer{}, 0, u.index)
-			}
-			u.mu.Unlock()
+	var gob *groupObs
+	if ob.Enabled() {
+		gob = &groupObs{ob: ob}
+		netL := obs.L("net", g.base.Net.Name)
+		for i, u := range g.units {
+			rL := obs.L("replica", fmt.Sprintf("%d", i))
+			gob.spans = append(gob.spans, obs.Span{
+				Name: fmt.Sprintf("replica %d", i),
+				Cat:  obs.CatReplica,
+				Lane: u.lane(),
+			})
+			u := u
+			ob.Metrics.AdoptHistogram("memcnn_replica_latency_us",
+				"Per-replica sub-batch wall latency.", u.lat, netL, rL)
+			ob.Metrics.CounterFunc("memcnn_replica_batches_total",
+				"Sub-batch runs per replica (including retries).",
+				func() float64 { return float64(u.lat.Count()) }, netL, rL)
+			ob.Metrics.CounterFunc("memcnn_replica_failures_total",
+				"Failed sub-batch runs per replica.",
+				func() float64 { return float64(u.failures.Load()) }, netL, rL)
 		}
-		return
-	}
-	stride := 1
-	for _, u := range g.units {
-		if len(u.devices) > stride {
-			stride = len(u.devices)
-		}
-	}
-	net := g.base.Net.Name
-	gob := &groupObs{ob: ob, stride: int32(stride)}
-	for i, u := range g.units {
-		rL := obs.L("replica", fmt.Sprintf("%d", i))
-		gob.spans = append(gob.spans, obs.Span{
-			Name: fmt.Sprintf("replica %d", i),
-			Cat:  obs.CatReplica,
-			Lane: gob.laneFor(i),
-		})
-		gob.hists = append(gob.hists, ob.Metrics.Histogram("memcnn_replica_latency_us",
-			"Per-replica sub-batch wall latency.", obs.L("net", net), rL))
-		u := u
-		ob.Metrics.CounterFunc("memcnn_replica_batches_total",
-			"Sub-batch runs per replica (including retries).",
-			func() float64 { return float64(u.batches.Load()) }, obs.L("net", net), rL)
-		ob.Metrics.CounterFunc("memcnn_replica_failures_total",
-			"Failed sub-batch runs per replica.",
-			func() float64 { return float64(u.failures.Load()) }, obs.L("net", net), rL)
 	}
 	g.obsv.Store(gob)
-	for i, u := range g.units {
+	for _, u := range g.units {
 		u.mu.Lock()
-		for _, e := range u.engines {
-			e.instrument(ob, gob.laneFor(i), i)
+		for _, e := range u.execs {
+			u.instrument(e, ob)
 		}
 		u.mu.Unlock()
 	}
@@ -728,7 +642,7 @@ func (g *Group) Instrument(ob runtime.Observer) {
 // Stats reports one replica's share and observed cost.
 type Stats struct {
 	Replica int
-	Devices string
+	Device  string
 	Weight  float64
 	Share   int
 	Health  string
@@ -745,25 +659,21 @@ func (g *Group) ReplicaStats() []Stats {
 	topo := g.topo.Load()
 	out := make([]Stats, len(g.units))
 	for i, u := range g.units {
-		names := make([]string, len(u.devices))
-		for j, d := range u.devices {
-			names[j] = d.Name()
-		}
 		health := runtime.Healthy
 		if !u.healthy.Load() {
 			health = runtime.Unhealthy
 		}
 		s := Stats{
 			Replica:  i,
-			Devices:  strings.Join(names, "+"),
+			Device:   u.device.Name(),
 			Weight:   g.weights[i],
 			Share:    topo.shares[i],
 			Health:   health.String(),
-			Batches:  u.batches.Load(),
+			Batches:  u.lat.Count(),
 			Failures: u.failures.Load(),
 		}
 		if s.Batches > 0 {
-			s.MeasuredUS = float64(u.measuredNS.Load()) / 1e3 / float64(s.Batches)
+			s.MeasuredUS = u.lat.Sum() / float64(s.Batches)
 		}
 		out[i] = s
 	}
@@ -814,18 +724,18 @@ func Shares(batch int, weights []float64) ([]int, error) {
 	return shares, nil
 }
 
-// ParseDevices builds the device matrix for a replica fleet from a
-// comma-separated device list: every replica receives `stages` devices,
-// pipeline-sharding the replica when stages > 1.  The one device is "cpu", the
-// host every op runs on, and an empty spec means it.  The paper's GPUs price
-// ops but run none: "titanblack" and "titanx" are rejected, as the model-only
-// views they belong to are `netbench -device`'s.
-func ParseDevices(spec string, replicas, stages int) ([][]runtime.Device, error) {
+// ParseDevices builds a replica fleet from a comma-separated device list, one
+// device per replica.  The one device is "cpu", the host every op runs on, and
+// an empty spec means it.  The paper's GPUs price ops but run none:
+// "titanblack" and "titanx" are rejected, as the model-only views they belong
+// to are `netbench -device`'s.  A replica is one executor, so stages above 1
+// are rejected too: pipeline one program across stages, or replicate it.
+func ParseDevices(spec string, replicas, stages int) ([]runtime.Device, error) {
 	if replicas <= 0 {
 		return nil, fmt.Errorf("replica: replica count %d must be positive", replicas)
 	}
-	if stages <= 0 {
-		stages = 1
+	if stages > 1 {
+		return nil, fmt.Errorf("replica: a replica is one executor, not %d pipeline stages: pipeline with -devices, or replicate with -replicas", stages)
 	}
 	if strings.TrimSpace(spec) != "" {
 		for _, name := range strings.Split(spec, ",") {
@@ -838,12 +748,9 @@ func ParseDevices(spec string, replicas, stages int) ([][]runtime.Device, error)
 			}
 		}
 	}
-	out := make([][]runtime.Device, replicas)
+	out := make([]runtime.Device, replicas)
 	for r := range out {
-		out[r] = make([]runtime.Device, stages)
-		for s := range out[r] {
-			out[r][s] = runtime.CPUDevice{}
-		}
+		out[r] = runtime.CPUDevice{}
 	}
 	return out, nil
 }

@@ -69,8 +69,8 @@ func requireBitEqual(t *testing.T, label string, got, want *tensor.Tensor) {
 	}
 }
 
-// cpuFleet builds n single-device CPU replicas.
-func cpuFleet(t *testing.T, n int) [][]runtime.Device {
+// cpuFleet builds n CPU replicas.
+func cpuFleet(t *testing.T, n int) []runtime.Device {
 	t.Helper()
 	devs, err := replica.ParseDevices("cpu", n, 1)
 	if err != nil {
@@ -212,7 +212,7 @@ func TestGroupGoldenEquivalence(t *testing.T) {
 	for _, tc := range goldenCases(t) {
 		prog := mustCompile(t, tc.net, tc.opts)
 		in := tensor.Random(prog.InputShape(), tensor.NCHW, 23)
-		want, err := runtime.NewExecutor(prog).Run(in)
+		want, err := runBatch(runtime.NewExecutor(prog), in, prog.OutputShape())
 		if err != nil {
 			t.Fatalf("%s: single-device run: %v", tc.name, err)
 		}
@@ -278,7 +278,7 @@ func TestGroupLayoutStaging(t *testing.T) {
 	}
 	prog := mustCompile(t, tiny, runtime.Options{})
 	in := tensor.Random(prog.InputShape(), tensor.CHWN, 7)
-	want, err := runtime.NewExecutor(prog).Run(in)
+	want, err := runBatch(runtime.NewExecutor(prog), in, prog.OutputShape())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestGroupHeterogeneousSplit(t *testing.T) {
 		return
 	}
 	in := tensor.Random(prog.InputShape(), tensor.NCHW, 11)
-	want, err := runtime.NewExecutor(prog).Run(in)
+	want, err := runBatch(runtime.NewExecutor(prog), in, prog.OutputShape())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,37 +325,6 @@ func TestGroupHeterogeneousSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireBitEqual(t, "heterogeneous", got, want)
-}
-
-// TestGroupPipelinedReplicas composes data and model parallelism: each of two
-// replicas is itself pipeline-sharded across two devices, and the
-// composition still matches the single-device run bit for bit.
-func TestGroupPipelinedReplicas(t *testing.T) {
-	tiny, err := workloads.TinyNet()
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog := mustCompile(t, tiny, runtime.Options{})
-	devs, err := replica.ParseDevices("cpu", 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := replica.NewGroup(prog, 2, replica.Config{Devices: devs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-
-	in := tensor.Random(prog.InputShape(), tensor.NCHW, 5)
-	want, err := runtime.NewExecutor(prog).Run(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := runBatch(g, in, prog.OutputShape())
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireBitEqual(t, "pipelined replicas", got, want)
 }
 
 // countingDevice is a CPU device that counts the ops it runs.
@@ -370,9 +339,9 @@ func (d countingDevice) RunOp(prog *runtime.Program, i int, in, out, aux *tensor
 }
 
 // TestGroupDefaultWeightsFollowTheFleet pins the split a group takes without
-// Config.Weights: each replica weighs its device count, so fleets of 1+1 and
-// 1+2 devices weigh [1 1] and [1 2] however fast the host runs, and building
-// the group executes no op.  The split still reassembles bit-identically.
+// Config.Weights: every replica weighs 1, so a 1+1 fleet weighs [1 1] however
+// fast the host runs, and building the group executes no op.  The split still
+// reassembles bit-identically.
 func TestGroupDefaultWeightsFollowTheFleet(t *testing.T) {
 	tiny, err := workloads.TinyNet()
 	if err != nil {
@@ -380,39 +349,30 @@ func TestGroupDefaultWeightsFollowTheFleet(t *testing.T) {
 	}
 	prog := mustCompile(t, tiny, runtime.Options{})
 	in := tensor.Random(prog.InputShape(), tensor.NCHW, 3)
-	want, err := runtime.NewExecutor(prog).Run(in)
+	want, err := runBatch(runtime.NewExecutor(prog), in, prog.OutputShape())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var ops atomic.Int64
 	dev := countingDevice{ops: &ops}
-	for _, tc := range []struct {
-		devices [][]runtime.Device
-		weights []float64
-	}{
-		{[][]runtime.Device{{dev}, {dev}}, []float64{1, 1}},
-		{[][]runtime.Device{{dev}, {dev, dev}}, []float64{1, 2}},
-	} {
-		ops.Store(0)
-		g, err := replica.NewGroup(prog, 2, replica.Config{Devices: tc.devices})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n := ops.Load(); n != 0 {
-			t.Errorf("weights %v: building the group ran %d ops; the split must not come from timing runs", tc.weights, n)
-		}
-		for i, st := range g.ReplicaStats() {
-			if st.Weight != tc.weights[i] {
-				t.Errorf("replica %d of a %s fleet weighs %v, want %v", i, st.Devices, st.Weight, tc.weights[i])
-			}
-		}
-		got, err := runBatch(g, in, prog.OutputShape())
-		g.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireBitEqual(t, "device-count weights", got, want)
+	g, err := replica.NewGroup(prog, 2, replica.Config{Devices: []runtime.Device{dev, dev}})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer g.Close()
+	if n := ops.Load(); n != 0 {
+		t.Errorf("building the group ran %d ops; the split must not come from timing runs", n)
+	}
+	for i, st := range g.ReplicaStats() {
+		if st.Weight != 1 {
+			t.Errorf("replica %d on %s weighs %v, want 1", i, st.Device, st.Weight)
+		}
+	}
+	got, err := runBatch(g, in, prog.OutputShape())
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireBitEqual(t, "default weights", got, want)
 }
 
 // TestGroupValidation covers the construction and submission error paths.
@@ -455,27 +415,27 @@ func TestGroupValidation(t *testing.T) {
 }
 
 // TestParseDevices covers the fleet-spec parser: "cpu" (or nothing) builds
-// CPU devices, and the GPU models fail closed, pointing at the model-only
-// view.
+// one CPU device per replica, the GPU models fail closed, pointing at the
+// model-only view, and pipelined replicas are rejected, naming the two flags
+// that replace them.
 func TestParseDevices(t *testing.T) {
 	for _, spec := range []string{"cpu", "", " CPU ,cpu"} {
-		devs, err := replica.ParseDevices(spec, 2, 3)
+		devs, err := replica.ParseDevices(spec, 2, 1)
 		if err != nil {
 			t.Fatalf("%q: %v", spec, err)
 		}
 		if len(devs) != 2 {
-			t.Fatalf("%q: 2 replicas produced %d device lists", spec, len(devs))
+			t.Fatalf("%q: 2 replicas produced %d devices", spec, len(devs))
 		}
-		for r, d := range devs {
-			if len(d) != 3 {
-				t.Fatalf("%q: 3-stage replica %d has %d devices", spec, r, len(d))
-			}
-			for _, dev := range d {
-				if _, ok := dev.(runtime.CPUDevice); !ok {
-					t.Errorf("%q produced %T", spec, dev)
-				}
+		for _, dev := range devs {
+			if _, ok := dev.(runtime.CPUDevice); !ok {
+				t.Errorf("%q produced %T", spec, dev)
 			}
 		}
+	}
+	_, err := replica.ParseDevices("cpu", 2, 3)
+	if err == nil || !strings.Contains(err.Error(), "-devices") || !strings.Contains(err.Error(), "-replicas") {
+		t.Errorf("3-stage replicas: err = %v, want the error naming -devices and -replicas", err)
 	}
 	for _, spec := range []string{"titanblack", "titanx", "cpu,TitanX"} {
 		_, err := replica.ParseDevices(spec, 2, 1)

@@ -282,7 +282,7 @@ func TestGoldenEquivalence(t *testing.T) {
 				want = ref
 			}
 			exec := runtime.NewExecutor(prog)
-			got, err := exec.Run(in)
+			got, err := runBatch(exec, in, prog.OutputShape())
 			if err != nil {
 				t.Fatalf("%s/%s: %v", tc.name, planner.Name(), err)
 			}
@@ -291,7 +291,7 @@ func TestGoldenEquivalence(t *testing.T) {
 				continue
 			}
 			// A second run through the recycled arena must be identical.
-			again, err := exec.Run(in)
+			again, err := runBatch(exec, in, prog.OutputShape())
 			if err != nil {
 				t.Fatalf("%s/%s rerun: %v", tc.name, planner.Name(), err)
 			}
@@ -391,7 +391,7 @@ func TestExecutorRejectsBadShapes(t *testing.T) {
 	}
 	exec := runtime.NewExecutor(prog)
 	bad := tensor.New(tensor.Shape{N: 4, C: 2, H: 12, W: 12}, tensor.NCHW)
-	if _, err := exec.Run(bad); err == nil {
+	if _, err := runBatch(exec, bad, prog.OutputShape()); err == nil {
 		t.Error("wrong input shape must be rejected")
 	}
 	in := tensor.New(net.InputShape(), tensor.NCHW)
@@ -453,12 +453,12 @@ func TestAlgorithmSelectionCompile(t *testing.T) {
 		t.Fatal(err)
 	}
 	exec := runtime.NewExecutor(prog)
-	got, err := exec.Run(in)
+	got, err := runBatch(exec, in, prog.OutputShape())
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireBitEqual(t, "LeNet selected", got, want)
-	again, err := exec.Run(in) // recycled arena with dirty scratch
+	again, err := runBatch(exec, in, prog.OutputShape()) // recycled arena with dirty scratch
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -532,11 +532,11 @@ func TestInPlaceReLUShrinksArena(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := tensor.Random(net.InputShape(), tensor.NCHW, 29)
-	want, err := runtime.NewExecutor(outOfPlace).Run(in)
+	want, err := runBatch(runtime.NewExecutor(outOfPlace), in, outOfPlace.OutputShape())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := runtime.NewExecutor(inPlace).Run(in)
+	got, err := runBatch(runtime.NewExecutor(inPlace), in, inPlace.OutputShape())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,13 +43,13 @@ func (r *slowRunner) RunIntoCtx(ctx context.Context, in, dst *tensor.Tensor) err
 // failover with one replica out of rotation.
 func TestServerChaosSoakReplicaDeath(t *testing.T) {
 	prog, images, golden := serverFixture(t)
-	devices := make([][]runtime.Device, 4)
+	devices := make([]runtime.Device, 4)
 	for i := range devices {
 		cfg := runtime.FaultConfig{}
 		if i == 1 {
 			cfg.KillAfterOps = 40
 		}
-		devices[i] = []runtime.Device{runtime.WrapFault(runtime.CPUDevice{}, cfg)}
+		devices[i] = runtime.WrapFault(runtime.CPUDevice{}, cfg)
 	}
 	g, err := replica.NewGroup(prog, 4, replica.Config{
 		Devices:      devices,

@@ -183,19 +183,17 @@ func TestServerPipelinedConcurrentRequests(t *testing.T) {
 
 // TestServerReplicatedCachedConcurrentRequests is the data-parallel twin of
 // the concurrent-server tests: 96 concurrent single-image requests served
-// through a replica group (a single-device replica plus one that is itself
-// pipeline-sharded across two devices, so the batch splits 1:2) with the
-// result cache enabled (run under -race by CI).  Every response must
-// bit-equal the naive per-image golden output, and with 4 distinct request
-// images the single-flight cache must execute each image exactly once — 4
-// misses, 92 hits — so only the misses ever reach the batching queue.
+// through a replica group (two CPU replicas weighted 1 and 2, so the batch
+// splits unevenly) with the result cache enabled (run under -race by CI).
+// Every response must bit-equal the naive per-image golden output, and with 4
+// distinct request images the single-flight cache must execute each image
+// exactly once — 4 misses, 92 hits — so only the misses ever reach the
+// batching queue.
 func TestServerReplicatedCachedConcurrentRequests(t *testing.T) {
 	prog, images, golden := serverFixture(t)
 	group, err := replica.NewGroup(prog, 2, replica.Config{
-		Devices: [][]runtime.Device{
-			{runtime.CPUDevice{}},
-			{runtime.CPUDevice{}, runtime.CPUDevice{}},
-		},
+		Devices: []runtime.Device{runtime.CPUDevice{}, runtime.CPUDevice{}},
+		Weights: []float64{1, 2},
 	})
 	if err != nil {
 		t.Fatal(err)

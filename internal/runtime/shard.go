@@ -7,26 +7,21 @@ import (
 	"memcnn/internal/tensor"
 )
 
-// ShardOptions control how a program is cut into pipeline stages.
-type ShardOptions struct {
-	// Devices assigns one device per stage.  When nil every stage runs on
-	// the native CPU device.  When set, its length must equal the stage
-	// count passed to Shard.
-	Devices []Device
-}
+// ShardOptions is Shard's options argument.  It holds no option: every stage
+// runs on the host CPU.
+type ShardOptions struct{}
 
 // Stage is one contiguous slice of a sharded program's op list, compiled into
-// a self-contained sub-program with its own memory plan, bound to one device.
+// a self-contained sub-program with its own memory plan.
 type Stage struct {
-	Index  int
-	Device Device
+	Index int
 	// Prog is the stage's sub-program: the base ops [FirstOp, LastOp]
 	// re-indexed over the stage's own buffers, with the stage boundary as
 	// program input/output and a per-stage arena plan.
 	Prog *Program
 	// FirstOp and LastOp delimit the stage in the base program's op list.
 	FirstOp, LastOp int
-	// TransferInBytes is the size of the cross-device transfer feeding this
+	// TransferInBytes is the size of the boundary activation handed to this
 	// stage (zero for the first stage, which is fed by the caller).
 	TransferInBytes int64
 }
@@ -37,7 +32,7 @@ func (s *Stage) Ops() int { return s.LastOp - s.FirstOp + 1 }
 // ShardedProgram is a compiled program cut into contiguous pipeline stages.
 // The lowered op list is a linear chain — every op consumes the previous op's
 // output — so any op boundary is a valid cut: exactly one activation buffer
-// crosses it, and that buffer becomes an explicit cross-device transfer.
+// crosses it, and that buffer becomes an explicit stage-to-stage transfer.
 type ShardedProgram struct {
 	Base   *Program
 	Stages []*Stage
@@ -53,7 +48,7 @@ func (sp *ShardedProgram) SummedPeakBytes() int64 {
 	return total
 }
 
-// TransferBytes is the total cross-device traffic per batch.
+// TransferBytes is the total stage-to-stage traffic per batch.
 func (sp *ShardedProgram) TransferBytes() int64 {
 	var total int64
 	for _, st := range sp.Stages {
@@ -62,32 +57,20 @@ func (sp *ShardedProgram) TransferBytes() int64 {
 	return total
 }
 
-// String summarises the sharding.
-func (sp *ShardedProgram) String() string {
-	return fmt.Sprintf("ShardedProgram{%s, %d stages, work-balanced, %.2f MiB summed arena vs %.2f MiB unsharded, %.2f MiB transfers}",
-		sp.Base.Net.Name, len(sp.Stages),
-		float64(sp.SummedPeakBytes())/(1<<20), float64(sp.Base.Mem.PeakBytes())/(1<<20),
-		float64(sp.TransferBytes())/(1<<20))
-}
-
 // Shard cuts a compiled program into `stages` contiguous pipeline stages,
 // choosing the cuts that minimise the largest stage weight: the host work of
 // its ops as opWork counts it from their shapes, because pipeline throughput
-// is set by the slowest stage.  Each stage is compiled
-// into a self-contained sub-program with its own arena plan; the buffer
-// crossing each cut becomes an explicit transfer onto the next stage's
-// device.  A stage count above the op count is clamped (every program
-// supports at least one stage), so tiny networks stay shardable with a
-// generic -devices flag.
-func Shard(p *Program, stages int, opts ShardOptions) (*ShardedProgram, error) {
+// is set by the slowest stage.  Each stage is compiled into a self-contained
+// sub-program with its own arena plan; the buffer crossing each cut becomes an
+// explicit transfer into the next stage.  A stage count above the op count is
+// clamped (every program supports at least one stage), so tiny networks stay
+// shardable with a generic -devices flag.
+func Shard(p *Program, stages int, _ ShardOptions) (*ShardedProgram, error) {
 	if p == nil || len(p.Ops) == 0 {
 		return nil, fmt.Errorf("runtime: cannot shard an empty program")
 	}
 	if stages <= 0 {
 		return nil, fmt.Errorf("runtime: stage count %d must be positive", stages)
-	}
-	if opts.Devices != nil && len(opts.Devices) != stages {
-		return nil, fmt.Errorf("runtime: %d devices for %d stages", len(opts.Devices), stages)
 	}
 	if stages > len(p.Ops) {
 		stages = len(p.Ops)
@@ -105,14 +88,7 @@ func Shard(p *Program, stages int, opts ShardOptions) (*ShardedProgram, error) {
 		if err != nil {
 			return nil, err
 		}
-		var dev Device = CPUDevice{}
-		if opts.Devices != nil {
-			dev = opts.Devices[i]
-		}
-		st := &Stage{
-			Index: i, Device: dev, Prog: prog,
-			FirstOp: first, LastOp: last,
-		}
+		st := &Stage{Index: i, Prog: prog, FirstOp: first, LastOp: last}
 		if i > 0 {
 			st.TransferInBytes = p.Buffers[p.Ops[first].In].Bytes()
 		}
