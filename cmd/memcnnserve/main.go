@@ -9,9 +9,9 @@
 // choice per convolution, and is verified bit-for-bit against
 // Program.ReferenceForward on the serving engine before serving starts.  With
 // -devices N the compiled program is sharded into N pipeline stages on the
-// host CPU and batches stream through the sharded PipelineExecutor — results
-// stay bit-identical to the single-device path while each stage reports its
-// measured latency.
+// host CPU and the serving workers walk their batches through the stages of
+// the PipelineExecutor — results stay bit-identical to the single-device path
+// while each stage reports its measured latency.
 //
 // With -replicas N the program is instead replicated N times on the host CPU
 // (internal/runtime/replica): each batch splits evenly into per-replica

@@ -50,12 +50,13 @@
 // scales along two axes.  Model parallelism: the program is sharded into
 // contiguous pipeline stages (cuts balanced on a host work count read off the
 // ops' shapes, explicit cross-stage transfers, one arena plan per stage), and
-// the pipelined executor streams batches through the stages bit-identically
-// to the single-device run.  Data parallelism: the runtime/replica scheduler
-// clones the program across N devices, one executor each (shared read-only
-// weights, per-replica arena pools), and splits every batch into sub-batches
-// weighted by the caller's weights or, by default, evenly.  The two axes do
-// not compose: a replica is never itself pipelined.  A dynamic
+// the pipelined executor walks each batch through the stages on its caller's
+// goroutine, one stage at a time, bit-identically to the single-device run.
+// Data parallelism: the runtime/replica scheduler clones the program across N
+// devices, one executor each (shared read-only weights, per-replica arena
+// pools), and splits every batch into sub-batches weighted by the caller's
+// weights or, by default, evenly.  The two axes do not compose: a replica is
+// never itself pipelined.  A dynamic
 // micro-batching server coalesces concurrent single-image requests into
 // planned batched executions over any engine, optionally behind a
 // checksum-keyed LRU result cache with single-flight (repeated inputs skip

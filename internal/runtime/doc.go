@@ -67,9 +67,10 @@
 // fully-connected layer's, elements otherwise), the buffer crossing each cut
 // becomes an explicit stage-to-stage transfer, and every stage is compiled into
 // a self-contained
-// sub-program with its own arena plan.  pipeline.go streams batches through
-// the stages — one goroutine per stage, per-stage arena pools, pooled
-// boundary tensors — with results bit-identical to the unsharded executor.
+// sub-program with its own arena plan.  pipeline.go runs each batch through
+// the stages on its caller's goroutine, one stage lock at a time (per-stage
+// arena pools, pooled boundary tensors, concurrent callers filling the
+// stages), with results bit-identical to the unsharded executor.
 //
 // The complementary execution axis is data parallelism: the replica
 // sub-package clones a compiled program across N devices, one Executor each

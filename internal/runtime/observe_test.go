@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -154,10 +155,11 @@ func TestExecutorSpans(t *testing.T) {
 }
 
 // TestServerPipelinedInstrumented drives the pipelined server fixture with a
-// shared observer attached (run under -race by CI: four workers and two stage
-// goroutines all record into one ring) and then checks the whole span
-// taxonomy landed — queue, coalesce, batch, stage — plus the serving metrics
-// and the histogram-backed queue-wait stats that replaced the EWMA estimate.
+// shared observer attached (run under -race by CI: four workers walk the two
+// stages and all record into one ring) and then checks the whole span
+// taxonomy landed — queue, coalesce, batch, stage — that the stage spans on
+// each stage's lane never overlap, plus the serving metrics and the
+// histogram-backed queue-wait stats that replaced the EWMA estimate.
 func TestServerPipelinedInstrumented(t *testing.T) {
 	prog, images, _ := serverFixture(t)
 	sp, err := runtime.Shard(prog, 2, runtime.ShardOptions{})
@@ -203,6 +205,26 @@ func TestServerPipelinedInstrumented(t *testing.T) {
 	for _, cat := range []string{"queue", "coalesce", "batch", "stage", "op", "run"} {
 		if byCat[cat] == 0 {
 			t.Errorf("no %q spans recorded (got %v)", cat, byCat)
+		}
+	}
+
+	// A stage runs one batch at a time, so on each stage lane a stage span
+	// starts no earlier than the previous one ended.
+	stageSpans := map[int32][]obs.Span{}
+	for _, sp := range rec.Snapshot() {
+		if sp.Cat == obs.CatStage {
+			stageSpans[sp.Lane] = append(stageSpans[sp.Lane], sp)
+		}
+	}
+	if len(stageSpans) != 2 {
+		t.Errorf("stage spans on %d lanes, want 2", len(stageSpans))
+	}
+	for lane, spans := range stageSpans {
+		sort.Slice(spans, func(a, b int) bool { return spans[a].StartNS < spans[b].StartNS })
+		for i := 1; i < len(spans); i++ {
+			if prevEnd := spans[i-1].StartNS + spans[i-1].DurNS; spans[i].StartNS < prevEnd {
+				t.Errorf("lane %d: stage span starts at %d ns, before the previous one ends at %d ns", lane, spans[i].StartNS, prevEnd)
+			}
 		}
 	}
 

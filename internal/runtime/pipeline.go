@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"memcnn/internal/obs"
@@ -15,38 +14,38 @@ import (
 // ErrPipelineClosed is returned for batches submitted to a closed pipeline.
 var ErrPipelineClosed = errors.New("runtime: pipeline closed")
 
-// PipelineExecutor streams batches through the stages of a sharded program:
-// one goroutine per stage, connected by bounded channels, so several batches
-// are in flight at once — batch N on stage 2 while batch N+1 runs on stage 1.
-// Each stage owns a per-stage arena pool (via its Executor) and a pool of
-// boundary tensors carrying the one activation that crosses each cut; the
-// boundary hand-off is a same-layout copy, so a pipelined run is bit-identical
-// to the unsharded executor and to Program.ReferenceForward.
+// PipelineExecutor runs batches through the stages of a sharded program on the
+// callers' goroutines: a batch walks the stages in order, holding one stage's
+// lock at a time, so a stage runs one batch at a time while concurrent callers
+// keep several batches in flight — batch N on stage 2 while batch N+1 runs on
+// stage 1.  Each stage owns a per-stage arena pool (via its Executor) and a
+// pool of boundary tensors carrying the one activation that crosses each cut;
+// the boundary hand-off is a same-layout copy, so a pipelined run is
+// bit-identical to the unsharded executor and to Program.ReferenceForward.
 //
 // RunInto is safe for concurrent use; concurrent callers fill the pipeline.
 type PipelineExecutor struct {
 	sp     *ShardedProgram
 	stages []*pipeStage
-	wg     sync.WaitGroup
 
+	// mu is held shared by every run and exclusively by Close, so Close
+	// waits for in-flight batches.
 	mu     sync.RWMutex
 	closed bool
 }
 
-// pipeStage is one running stage: its executor, its inbound job queue and the
-// pool of boundary tensors it hands to the next stage.
+// pipeStage is one stage: its executor, its lock and the pool of boundary
+// tensors it hands to the next stage.
 type pipeStage struct {
 	idx  int
 	exec *Executor
-	in   chan *pipeJob
-	next *pipeStage
+
+	// mu admits one batch at a time; it also guards obs.
+	mu sync.Mutex
 
 	// boundary pools output tensors in the stage's output layout; nil for
 	// the last stage, which writes into the caller's destination.
 	boundary *sync.Pool
-	// release returns a boundary tensor to this stage's pool; built once so
-	// the steady-state batch flow allocates no closures.
-	release func(t *tensor.Tensor)
 
 	// lat is the stage's always-on batch latency in microseconds; its count
 	// and sum are the stage's batch count and measured time, and Instrument
@@ -54,9 +53,8 @@ type pipeStage struct {
 	lat *obs.Histogram
 
 	// obs holds the stage's prebuilt span template when the pipeline is
-	// traced; nil otherwise.  Atomic because the stage goroutines are already
-	// running when Instrument is called.
-	obs atomic.Pointer[stageObs]
+	// traced; nil otherwise.
+	obs *stageObs
 }
 
 // stageObs is one stage's trace hook, prepared once at Instrument time.
@@ -65,40 +63,17 @@ type stageObs struct {
 	span obs.Span
 }
 
-// pipeJob is one batch moving through the pipeline.
-type pipeJob struct {
-	ctx     context.Context        // the submitting request's context
-	cur     *tensor.Tensor         // input to the stage about to run
-	release func(t *tensor.Tensor) // returns cur to its boundary pool (nil for the caller's input)
-	dst     *tensor.Tensor         // final destination, written by the last stage
-	done    chan error
-}
-
-// NewPipelineExecutor starts the stage goroutines for a sharded program.
-// Close must be called to stop them.
+// NewPipelineExecutor builds the stage executors for a sharded program.  It
+// starts nothing; Close only turns later batches away.
 func NewPipelineExecutor(sp *ShardedProgram) *PipelineExecutor {
 	pe := &PipelineExecutor{sp: sp}
 	for i, st := range sp.Stages {
-		ps := &pipeStage{
-			idx:  i,
-			exec: NewExecutor(st.Prog),
-			in:   make(chan *pipeJob, 1),
-			lat:  obs.NewHistogram(),
-		}
+		ps := &pipeStage{idx: i, exec: NewExecutor(st.Prog), lat: obs.NewHistogram()}
 		if i < len(sp.Stages)-1 {
 			shape, layout := st.Prog.OutputShape(), st.Prog.Buffers[st.Prog.Output].Layout
-			pool := &sync.Pool{New: func() any { return tensor.New(shape, layout) }}
-			ps.boundary = pool
-			ps.release = func(t *tensor.Tensor) { pool.Put(t) }
+			ps.boundary = &sync.Pool{New: func() any { return tensor.New(shape, layout) }}
 		}
 		pe.stages = append(pe.stages, ps)
-	}
-	for i := 0; i < len(pe.stages)-1; i++ {
-		pe.stages[i].next = pe.stages[i+1]
-	}
-	pe.wg.Add(len(pe.stages))
-	for _, ps := range pe.stages {
-		go pe.runStage(ps)
 	}
 	return pe
 }
@@ -118,86 +93,59 @@ func (pe *PipelineExecutor) Instrument(ob Observer, laneBase int32) {
 		ps.exec.Instrument(ob, lane)
 		ob.Metrics.AdoptHistogram(metricStageLatency, "Per-pipeline-stage batch latency.",
 			ps.lat, obs.L("net", net), obs.L("stage", fmt.Sprintf("%d", i)))
-		if ob.Trace == nil {
-			ps.obs.Store(nil)
-			continue
+		var so *stageObs
+		if ob.Trace != nil {
+			ob.Trace.SetLane(lane, fmt.Sprintf("stage %d", i))
+			so = &stageObs{
+				rec: ob.Trace,
+				span: obs.Span{
+					Name:   fmt.Sprintf("stage %d", i),
+					Cat:    obs.CatStage,
+					Lane:   lane,
+					Images: images,
+				},
+			}
 		}
-		ob.Trace.SetLane(lane, fmt.Sprintf("stage %d", i))
-		ps.obs.Store(&stageObs{
-			rec: ob.Trace,
-			span: obs.Span{
-				Name:   fmt.Sprintf("stage %d", i),
-				Cat:    obs.CatStage,
-				Lane:   lane,
-				Images: images,
-			},
-		})
+		ps.mu.Lock()
+		ps.obs = so
+		ps.mu.Unlock()
 	}
 }
 
-// runStage drains one stage's job queue until the pipeline closes, forwarding
-// each batch to the next stage (or completing it at the last).  A batch whose
-// context is already cancelled skips the stage; a panic inside the stage's
-// executor is contained into the batch's error (the executor recovers it),
-// so a poisoned batch fails its own request and the stage goroutine keeps
-// serving the next one.
-func (pe *PipelineExecutor) runStage(ps *pipeStage) {
-	defer pe.wg.Done()
-	for job := range ps.in {
-		if err := job.ctx.Err(); err != nil {
-			// Cancelled while queued: don't burn the stage on a dead batch.
-			if job.release != nil {
-				job.release(job.cur)
-			}
-			job.done <- err
-			continue
-		}
-		var out *tensor.Tensor
-		if ps.next == nil {
-			out = job.dst
-		} else {
-			out = ps.boundary.Get().(*tensor.Tensor)
-		}
-		so := ps.obs.Load()
-		var spanT0 int64
-		if so != nil {
-			spanT0 = so.rec.Now()
-		}
-		start := time.Now()
-		err := ps.exec.RunIntoCtx(job.ctx, job.cur, out)
-		elapsed := time.Since(start)
-		ps.lat.Observe(float64(elapsed) / 1e3)
-		if so != nil {
-			sp := so.span
-			sp.StartNS = spanT0
-			sp.DurNS = int64(elapsed)
-			so.rec.Record(sp)
-		}
-		if job.release != nil {
-			job.release(job.cur)
-		}
-		if err != nil {
-			if ps.next != nil {
-				ps.boundary.Put(out)
-			}
-			job.done <- fmt.Errorf("runtime: stage %d: %w", ps.idx, err)
-			continue
-		}
-		if ps.next == nil {
-			job.done <- nil
-			continue
-		}
-		job.cur, job.release = out, ps.release
-		ps.next.in <- job
+// run executes one batch on the stage under its lock, timing it into the
+// stage's histogram and, when traced, a stage span; holding the lock across
+// the span keeps the spans on the stage's lane from overlapping.  A batch
+// whose context is already done skips the stage; a panic inside the stage's
+// executor comes back as the batch's error (the executor recovers it).
+func (ps *pipeStage) run(ctx context.Context, in, out *tensor.Tensor) error {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	if err := ctx.Err(); err != nil {
+		return err
 	}
-	if ps.next != nil {
-		close(ps.next.in)
+	so := ps.obs
+	var spanT0 int64
+	if so != nil {
+		spanT0 = so.rec.Now()
 	}
+	start := time.Now()
+	err := ps.exec.RunIntoCtx(ctx, in, out)
+	elapsed := time.Since(start)
+	ps.lat.Observe(float64(elapsed) / 1e3)
+	if so != nil {
+		sp := so.span
+		sp.StartNS = spanT0
+		sp.DurNS = int64(elapsed)
+		so.rec.Record(sp)
+	}
+	if err != nil {
+		return fmt.Errorf("runtime: stage %d: %w", ps.idx, err)
+	}
+	return nil
 }
 
 // RunInto executes one batch through all stages, writing the result into dst.
-// It blocks until the batch has drained from the last stage; submit batches
-// from several goroutines to keep every stage busy.
+// Submit batches from several goroutines to keep every stage busy.
 func (pe *PipelineExecutor) RunInto(in, dst *tensor.Tensor) error {
 	return pe.RunIntoCtx(context.Background(), in, dst)
 }
@@ -205,9 +153,8 @@ func (pe *PipelineExecutor) RunInto(in, dst *tensor.Tensor) error {
 // RunIntoCtx is RunInto honoring a context: a batch whose context is
 // cancelled or past its deadline skips the stages it has not reached yet (and
 // abandons the one it is on between ops) and fails with ctx.Err().  The call
-// still blocks until the batch has drained from the pipeline — dst may not be
-// written concurrently with the caller reclaiming it — so cancellation stops
-// work early but never races the destination buffer.
+// returns only once no stage touches dst any more, so cancellation stops work
+// early but never races the destination buffer.
 func (pe *PipelineExecutor) RunIntoCtx(ctx context.Context, in, dst *tensor.Tensor) error {
 	base := pe.sp.Base
 	if in.Shape != base.InputShape() {
@@ -216,41 +163,46 @@ func (pe *PipelineExecutor) RunIntoCtx(ctx context.Context, in, dst *tensor.Tens
 	if dst.Shape != base.OutputShape() {
 		return fmt.Errorf("runtime: %s output shape %v, want %v", base.Net.Name, dst.Shape, base.OutputShape())
 	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	job := &pipeJob{ctx: ctx, cur: in, dst: dst, done: make(chan error, 1)}
 	pe.mu.RLock()
+	defer pe.mu.RUnlock()
 	if pe.closed {
-		pe.mu.RUnlock()
 		return ErrPipelineClosed
 	}
-	pe.stages[0].in <- job
-	pe.mu.RUnlock()
-	return <-job.done
+	// cur is the batch's input to the next stage; prev is the pool it came
+	// from, nil for the caller's input.
+	cur, prev := in, (*sync.Pool)(nil)
+	for _, ps := range pe.stages {
+		out := dst
+		if ps.boundary != nil {
+			out = ps.boundary.Get().(*tensor.Tensor)
+		}
+		err := ps.run(ctx, cur, out)
+		if prev != nil {
+			prev.Put(cur)
+		}
+		if err != nil {
+			if ps.boundary != nil {
+				ps.boundary.Put(out)
+			}
+			return err
+		}
+		cur, prev = out, ps.boundary
+	}
+	return nil
 }
 
-// Close stops the stage goroutines after in-flight batches drain.  It is
-// idempotent; RunInto after Close returns ErrPipelineClosed.
+// Close waits for in-flight batches; RunInto after Close returns
+// ErrPipelineClosed.  It is idempotent.
 func (pe *PipelineExecutor) Close() {
 	pe.mu.Lock()
-	if pe.closed {
-		pe.mu.Unlock()
-		return
-	}
 	pe.closed = true
-	close(pe.stages[0].in)
 	pe.mu.Unlock()
-	pe.wg.Wait()
 }
 
-// PipelineStageStats reports one stage's shape and observed cost.
+// PipelineStageStats reports one stage's observed cost.
 type PipelineStageStats struct {
-	Stage           int
-	Ops             int
-	ArenaBytes      int64
-	TransferInBytes int64
-	Batches         uint64
+	Stage   int
+	Batches uint64
 	// MeasuredTotalUS is the wall time summed across Batches, MeasuredUS its
 	// per-batch mean.
 	MeasuredTotalUS float64
@@ -278,12 +230,8 @@ func (s PipelineStageStats) Delta(prev PipelineStageStats) PipelineStageStats {
 func (pe *PipelineExecutor) StageStats() []PipelineStageStats {
 	out := make([]PipelineStageStats, len(pe.stages))
 	for i, ps := range pe.stages {
-		st := pe.sp.Stages[i]
 		s := PipelineStageStats{
 			Stage:           i,
-			Ops:             st.Ops(),
-			ArenaBytes:      st.Prog.Mem.PeakBytes(),
-			TransferInBytes: st.TransferInBytes,
 			Batches:         ps.lat.Count(),
 			MeasuredTotalUS: ps.lat.Sum(),
 		}

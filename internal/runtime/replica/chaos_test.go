@@ -136,8 +136,8 @@ func errMismatch(i int, got, want float32) error {
 	return fmt.Errorf("output differs from single-device golden at %d: %v vs %v", i, got, want)
 }
 
-// waitGoroutines gives background goroutines (pipeline stages, the prober)
-// time to exit after Close, then checks none leaked.
+// waitGoroutines gives background goroutines (the prober, replica
+// sub-batches) time to exit after Close, then checks none leaked.
 func waitGoroutines(t *testing.T, before int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)

@@ -117,9 +117,6 @@ type Group struct {
 	// re-admission so in-flight batches keep a consistent view.
 	topo atomic.Pointer[topology]
 
-	inPool  sync.Pool // staging for non-NCHW callers
-	outPool sync.Pool
-
 	mu     sync.Mutex // serialises topology rebuilds and Close
 	closed atomic.Bool
 
@@ -146,10 +143,12 @@ type groupObs struct {
 }
 
 // topology is one immutable batch split over the units: the per-unit image
-// counts and their row offsets.
+// counts, their row offsets and the executors compiled for those shares (nil
+// for idle units).
 type topology struct {
 	shares  []int
 	offsets []int
+	execs   []*runtime.Executor
 }
 
 // unit is one replica: its device, health, and the executors built for the
@@ -217,8 +216,6 @@ func NewGroup(base *runtime.Program, replicas int, cfg Config) (*Group, error) {
 		outShape:  base.OutputShape(),
 		probeStop: make(chan struct{}),
 	}
-	g.inPool.New = func() any { return tensor.New(g.inShape, tensor.NCHW) }
-	g.outPool.New = func() any { return tensor.New(g.outShape, tensor.NCHW) }
 	for i := 0; i < replicas; i++ {
 		var dev runtime.Device = runtime.CPUDevice{}
 		if cfg.Devices != nil {
@@ -242,8 +239,8 @@ func NewGroup(base *runtime.Program, replicas int, cfg Config) (*Group, error) {
 }
 
 // deriveTopology computes the batch split over the currently healthy units
-// (using their original weights) and ensures every unit that receives images
-// has an executor compiled for its share.
+// (using their original weights) and looks up, compiling on first use, the
+// executor of every unit that receives images.
 func (g *Group) deriveTopology() (*topology, error) {
 	live := make([]float64, len(g.units))
 	any := false
@@ -260,18 +257,19 @@ func (g *Group) deriveTopology() (*topology, error) {
 	if err != nil {
 		return nil, err
 	}
-	offsets := make([]int, len(shares))
+	n := len(shares)
+	topo := &topology{shares: shares, offsets: make([]int, n), execs: make([]*runtime.Executor, n)}
 	offset := 0
 	for i, share := range shares {
-		offsets[i] = offset
+		topo.offsets[i] = offset
 		offset += share
 		if share > 0 {
-			if _, err := g.units[i].executor(g, share); err != nil {
+			if topo.execs[i], err = g.units[i].executor(g, share); err != nil {
 				return nil, err
 			}
 		}
 	}
-	return &topology{shares: shares, offsets: offsets}, nil
+	return topo, nil
 }
 
 // rebuild re-derives the topology after a health transition.  Concurrent
@@ -363,6 +361,8 @@ func (g *Group) RunInto(in, dst *tensor.Tensor) error {
 // every replica's sub-batch (between ops) and
 // suppresses retries and failover — a deadline-expired batch fails with
 // ctx.Err() instead of burning the survivors on work nobody is waiting for.
+// Sub-batches are row slices of the NCHW linearisation, so in and dst must
+// both be NCHW.
 func (g *Group) RunIntoCtx(ctx context.Context, in, dst *tensor.Tensor) error {
 	if g.closed.Load() {
 		return ErrGroupClosed
@@ -373,22 +373,8 @@ func (g *Group) RunIntoCtx(ctx context.Context, in, dst *tensor.Tensor) error {
 	if dst.Shape != g.outShape {
 		return fmt.Errorf("replica: %s output shape %v, want %v", g.base.Net.Name, dst.Shape, g.outShape)
 	}
-	// Sub-batch views slice images off the NCHW linearisation; callers in
-	// other layouts stage through pooled NCHW tensors.
-	src := in
-	if in.Layout != tensor.NCHW {
-		staged := g.inPool.Get().(*tensor.Tensor)
-		defer g.inPool.Put(staged)
-		if err := tensor.ConvertInto(in, staged); err != nil {
-			return fmt.Errorf("replica: staging input: %w", err)
-		}
-		src = staged
-	}
-	out := dst
-	if dst.Layout != tensor.NCHW {
-		staged := g.outPool.Get().(*tensor.Tensor)
-		defer g.outPool.Put(staged)
-		out = staged
+	if in.Layout != tensor.NCHW || dst.Layout != tensor.NCHW {
+		return fmt.Errorf("replica: input in %v and output in %v, want both in NCHW", in.Layout, dst.Layout)
 	}
 
 	// Failover loop: run the whole batch on the current topology; if any
@@ -402,14 +388,9 @@ func (g *Group) RunIntoCtx(ctx context.Context, in, dst *tensor.Tensor) error {
 	var lastErr error
 	for round := 0; round <= len(g.units); round++ {
 		topo := g.topo.Load()
-		errs := g.runTopology(ctx, topo, src, out)
+		errs := g.runTopology(ctx, topo, in, dst)
 		lastErr = errors.Join(errs...)
 		if lastErr == nil {
-			if out != dst {
-				if err := tensor.ConvertInto(out, dst); err != nil {
-					return fmt.Errorf("replica: delivering output: %w", err)
-				}
-			}
 			return nil
 		}
 		if err := ctx.Err(); err != nil {
@@ -444,11 +425,6 @@ func (g *Group) runTopology(ctx context.Context, topo *topology, src, out *tenso
 		if share == 0 {
 			continue
 		}
-		e, err := u.executor(g, share)
-		if err != nil {
-			errs[i] = err
-			continue
-		}
 		subIn, err := tensor.NewFrom(
 			tensor.Shape{N: share, C: g.inShape.C, H: g.inShape.H, W: g.inShape.W},
 			tensor.NCHW, src.Data[offset*chwIn:(offset+share)*chwIn])
@@ -469,7 +445,7 @@ func (g *Group) runTopology(ctx context.Context, topo *topology, src, out *tenso
 			if err := g.runUnit(ctx, u, e, subIn, subOut); err != nil {
 				errs[u.index] = fmt.Errorf("replica %d: %w", u.index, err)
 			}
-		}(u, e, subIn, subOut)
+		}(u, topo.execs[i], subIn, subOut)
 	}
 	wg.Wait()
 	return errs

@@ -269,29 +269,34 @@ func TestGroupGoldenEquivalence(t *testing.T) {
 	}
 }
 
-// TestGroupLayoutStaging covers the non-NCHW caller path: CHWN batches stage
-// through the pooled conversion tensors and must still reassemble exactly.
-func TestGroupLayoutStaging(t *testing.T) {
+// TestGroupRejectsNonNCHW covers the layout contract: sub-batches are row
+// slices of the NCHW linearisation, so a CHWN input and a CHWN destination
+// each fail the call without counting as a replica failure.
+func TestGroupRejectsNonNCHW(t *testing.T) {
 	tiny, err := workloads.TinyNet()
 	if err != nil {
 		t.Fatal(err)
 	}
 	prog := mustCompile(t, tiny, runtime.Options{})
-	in := tensor.Random(prog.InputShape(), tensor.CHWN, 7)
-	want, err := runBatch(runtime.NewExecutor(prog), in, prog.OutputShape())
-	if err != nil {
-		t.Fatal(err)
-	}
 	g, err := replica.NewGroup(prog, 2, replica.Config{Devices: cpuFleet(t, 2)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	got, err := runBatch(g, in, prog.OutputShape())
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct{ in, out tensor.Layout }{
+		{tensor.CHWN, tensor.NCHW},
+		{tensor.NCHW, tensor.CHWN},
+	} {
+		in := tensor.Random(prog.InputShape(), tc.in, 7)
+		dst := tensor.New(prog.OutputShape(), tc.out)
+		err := g.RunInto(in, dst)
+		if err == nil || !strings.Contains(err.Error(), tc.in.String()) || !strings.Contains(err.Error(), tc.out.String()) {
+			t.Errorf("%v in, %v out: got %v, want an error naming both layouts", tc.in, tc.out, err)
+		}
 	}
-	requireBitEqual(t, "chwn staging", got, want)
+	if fs := g.FaultStats(); fs.Failovers != 0 {
+		t.Errorf("rejected layouts caused %d failovers", fs.Failovers)
+	}
 }
 
 // TestGroupHeterogeneousSplit checks an uneven split end to end: weighted 1

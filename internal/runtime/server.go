@@ -129,8 +129,8 @@ func NewServer(prog *Program, cfg ServerConfig) (*BatchServer, error) {
 }
 
 // NewServerWith starts the workers for a compiled program on an explicit
-// runner — e.g. a PipelineExecutor streaming batches across sharded devices,
-// whose stages the concurrent workers keep filled.  The runner's lifetime is
+// runner — e.g. a PipelineExecutor, whose stages the concurrent workers keep
+// filled by walking them with a batch each.  The runner's lifetime is
 // the caller's: Close stops the workers but not the runner.
 func NewServerWith(prog *Program, run Runner, cfg ServerConfig) (*BatchServer, error) {
 	in := prog.InputShape()

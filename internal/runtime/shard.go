@@ -26,9 +26,6 @@ type Stage struct {
 	TransferInBytes int64
 }
 
-// Ops returns the number of ops the stage executes.
-func (s *Stage) Ops() int { return s.LastOp - s.FirstOp + 1 }
-
 // ShardedProgram is a compiled program cut into contiguous pipeline stages.
 // The lowered op list is a linear chain — every op consumes the previous op's
 // output — so any op boundary is a valid cut: exactly one activation buffer

@@ -1,6 +1,7 @@
 package runtime_test
 
 import (
+	goruntime "runtime"
 	"testing"
 
 	"memcnn/internal/network"
@@ -58,9 +59,9 @@ func TestShardStructureProperty(t *testing.T) {
 				if err := st.Prog.Mem.Validate(st.Prog); err != nil {
 					t.Errorf("%s/%d: stage %d plan: %v", name, devices, i, err)
 				}
-				if st.Ops() != len(st.Prog.Ops) {
+				if ops := st.LastOp - st.FirstOp + 1; ops != len(st.Prog.Ops) {
 					t.Errorf("%s/%d: stage %d has %d ops, program %d",
-						name, devices, i, st.Ops(), len(st.Prog.Ops))
+						name, devices, i, ops, len(st.Prog.Ops))
 				}
 				if i == 0 {
 					if st.TransferInBytes != 0 {
@@ -227,6 +228,47 @@ func TestPipelineLifecycle(t *testing.T) {
 	pe.Close() // idempotent
 	if _, err := runBatch(pe, in, prog.OutputShape()); err != runtime.ErrPipelineClosed {
 		t.Errorf("Run after Close returned %v, want ErrPipelineClosed", err)
+	}
+}
+
+// TestPipelineAddsNoAllocations checks that walking the stages costs no
+// allocation per batch: at one worker, a two-stage pipelined run allocates no
+// more than the single executor running the same program.
+func TestPipelineAddsNoAllocations(t *testing.T) {
+	nets, err := workloads.Networks()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := mustCompile(t, planners()[2], nets["LeNet"]).WithBatch(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := runtime.Shard(prog, 2, runtime.ShardOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pe := runtime.NewPipelineExecutor(sp)
+	defer pe.Close()
+	in := tensor.Random(prog.InputShape(), tensor.NCHW, 5)
+	dst := tensor.New(prog.OutputShape(), tensor.NCHW)
+
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(1))
+	allocs := func(r batchRunner) float64 {
+		// Warm the arena and boundary pools so the measured runs reuse them.
+		for i := 0; i < 2; i++ {
+			if err := r.RunInto(in, dst); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return testing.AllocsPerRun(20, func() {
+			if err := r.RunInto(in, dst); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	single, piped := allocs(runtime.NewExecutor(prog)), allocs(pe)
+	if piped > single {
+		t.Errorf("a pipelined run allocates %.2f objects, the single executor %.2f", piped, single)
 	}
 }
 
