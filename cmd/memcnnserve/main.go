@@ -8,9 +8,10 @@
 // selection (direct, im2col+GEMM or FFT, priced on this host), prints the
 // choice per convolution, and is verified bit-for-bit against
 // Program.ReferenceForward on the serving engine before serving starts.  With
-// -devices N the compiled program is sharded into N pipeline stages on the
-// host CPU and the serving workers walk their batches through the stages of
-// the PipelineExecutor — results stay bit-identical to the single-device path
+// -devices N the compiled program is cut into N pipeline stages on the host
+// CPU, each a range of its ops, and the serving workers walk their batches
+// through the stages of the PipelineExecutor, each batch over one arena of the
+// program's own plan — results stay bit-identical to the single-device path
 // while each stage reports its measured latency.
 //
 // With -replicas N the program is instead replicated N times on the host CPU
@@ -173,12 +174,10 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		fmt.Printf("sharded into %d stage(s): summed arena %.2f MiB vs single-device %.2f MiB, %.2f MiB transfers/batch\n",
-			len(sp.Stages), mib(sp.SummedPeakBytes()), mib(prog.Mem.PeakBytes()), mib(sp.TransferBytes()))
-		for _, st := range sp.Stages {
-			fmt.Printf("  stage %d: ops [%d,%d], arena %.2f MiB, transfer in %.2f MiB\n",
-				st.Index, st.FirstOp, st.LastOp,
-				mib(st.Prog.Mem.PeakBytes()), mib(st.TransferInBytes))
+		fmt.Printf("sharded into %d stage(s) over the program's %.2f MiB arena (one per batch in flight, at most one per stage):\n",
+			len(sp.Stages), mib(prog.Mem.PeakBytes()))
+		for i, st := range sp.Stages {
+			fmt.Printf("  stage %d: ops [%d,%d]\n", i, st.FirstOp, st.LastOp)
 		}
 		pipe = memruntime.NewPipelineExecutor(sp)
 		defer pipe.Close()

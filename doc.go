@@ -49,9 +49,10 @@
 // stay in the model domain and divide no host work.  A compiled program
 // scales along two axes.  Model parallelism: the program is sharded into
 // contiguous pipeline stages (cuts balanced on a host work count read off the
-// ops' shapes, explicit cross-stage transfers, one arena plan per stage), and
-// the pipelined executor walks each batch through the stages on its caller's
-// goroutine, one stage at a time, bit-identically to the single-device run.
+// ops' shapes; a stage is a range of the program's ops), and the pipelined
+// executor walks each batch through the stages on its caller's goroutine, one
+// stage at a time, over one arena of the program's own plan, bit-identically
+// to the single-device run.
 // Data parallelism: the runtime/replica scheduler clones the program across N
 // devices, one executor each (shared read-only weights, per-replica arena
 // pools), and splits every batch into sub-batches weighted by the caller's

@@ -64,13 +64,14 @@
 // contiguous pipeline stages (the lowered op list is a linear chain, so every
 // op boundary is a valid cut): the partitioner balances a per-stage host work
 // count read off the ops' shapes (a convolution's or pooling layer's FLOPs, a
-// fully-connected layer's, elements otherwise), the buffer crossing each cut
-// becomes an explicit stage-to-stage transfer, and every stage is compiled into
-// a self-contained
-// sub-program with its own arena plan.  pipeline.go runs each batch through
-// the stages on its caller's goroutine, one stage lock at a time (per-stage
-// arena pools, pooled boundary tensors, concurrent callers filling the
-// stages), with results bit-identical to the unsharded executor.
+// fully-connected layer's, elements otherwise), and a stage is the range of
+// the program's ops between two cuts, not a program of its own.  pipeline.go
+// runs each batch through the stages on its caller's goroutine: the batch
+// takes one arena of the program's own plan from one pool and runs every
+// stage's ops over it, hand over hand through the stage locks (it takes the
+// next stage's lock before it releases the current one), so nothing is copied
+// at a cut, at most one arena per stage is live, concurrent callers fill the
+// stages, and results are bit-identical to the unsharded executor.
 //
 // The complementary execution axis is data parallelism: the replica
 // sub-package clones a compiled program across N devices, one Executor each
@@ -116,14 +117,14 @@
 // # Health state machine
 //
 // replica.Group tracks each replica as Healthy or Unhealthy.  A failed
-// sub-batch retries on its own replica up to Config.MaxRetries times with
-// capped exponential backoff (Backoff); if the replica still fails — or its
+// sub-batch retries on its own replica up to twice, after 1 ms and then 2 ms
+// (the wait doubles up to 50 ms); if the replica still fails — or its
 // error is ErrDeviceDead — it is marked Unhealthy, the failover counter
 // increments exactly once (CAS), and the whole batch re-runs over the
 // survivors: batch shares are re-derived from the healthy units' original
 // weights, so the degraded group's outputs stay bit-identical to
 // the full-fleet run (every kernel fixes its accumulation order and rows are
-// image-independent).  A background probe (Config.ProbeInterval) runs a
+// image-independent).  A background probe, every 25 ms, runs a
 // one-image batch against each Unhealthy replica and re-admits it on
 // success, re-deriving shares again.  Cancellation is not failure: a
 // sub-batch that dies of its own request's context.Context never marks a
@@ -211,12 +212,11 @@
 // activation at most once, run every OpSGD after its layer's OpGradFilter
 // and never touch a layer's weights after its update; and every op pins an
 // accumulation order (a known algorithm), keeping results bit-deterministic.
-// verify.Sharded extends the contract across pipeline-stage boundaries
-// (contiguous tiling, boundary buffer identity, declared transfer sizes); no
-// program calls it yet, the runtime and verify tests run it over every cut.
+// A pipeline stage needs no check of its own: it is a range of a checked
+// program's ops, run over that program's arena in the program's order.
 //
-// Compile, CompileWithOptions, Program.WithBatch (when its base was), Shard
-// and train.CompileTraining all run the checker when Options.Verify is set (the
+// Compile, CompileWithOptions, Program.WithBatch (when its base was) and
+// train.CompileTraining all run the checker when Options.Verify is set (the
 // caller must import memcnn/internal/runtime/verify, which registers itself
 // via RegisterVerifier — the indirection keeps the IR package free of a
 // dependency on its own checker), and the test suite verifies every

@@ -72,7 +72,7 @@ func (e *Executor) RunIntoCtx(ctx context.Context, in, dst *tensor.Tensor) error
 		return err
 	}
 	defer e.pool.Put(inst)
-	return inst.run(ctx, e.dev, e.obs.Load(), in, dst)
+	return inst.run(ctx, e.dev, e.obs.Load(), 0, len(e.prog.Ops)-1, in, dst)
 }
 
 // ExecuteOn executes the program's ops over an instance the caller bound
@@ -84,18 +84,19 @@ func (e *Executor) ExecuteOn(ctx context.Context, inst *Instance) error {
 	if inst.prog != e.prog {
 		return fmt.Errorf("runtime: instance belongs to another program")
 	}
-	return inst.run(ctx, e.dev, e.obs.Load(), nil, nil)
+	return inst.run(ctx, e.dev, e.obs.Load(), 0, len(e.prog.Ops)-1, nil, nil)
 }
 
-// run is the op interpreter — the one loop over a program's ops.  It stages
-// in into the input buffer and delivers the output buffer into dst (either
-// may be nil when the caller does that itself), and in between runs every op
-// over the instance's bound buffers on dev.  A panic anywhere below — a buggy
-// kernel, a faulting device — is contained into a *PanicError so it fails
-// this run, never the process.  Cancellation is checked before every op.  eo
-// is nil when the executor is uninstrumented: the only observability cost on
-// that path is the nil test per op.
-func (inst *Instance) run(ctx context.Context, dev Device, eo *execObs, in, dst *tensor.Tensor) (err error) {
+// run is the op interpreter — the one loop over a program's ops.  It runs
+// ops [first, last] over the instance's bound buffers on dev: the executor
+// passes the whole program, a pipeline stage its range.  It stages in into
+// the input buffer first and delivers the output buffer into dst last (either
+// may be nil when the caller, or another stage, does that).  A panic anywhere
+// below — a buggy kernel, a faulting device — is contained into a
+// *PanicError so it fails this run, never the process.  Cancellation is
+// checked before every op.  eo is nil when the run is uninstrumented: the
+// only observability cost on that path is the nil test per op.
+func (inst *Instance) run(ctx context.Context, dev Device, eo *execObs, first, last int, in, dst *tensor.Tensor) (err error) {
 	defer containPanic("executor", &err)
 	var runT0 int64
 	if eo != nil {
@@ -107,7 +108,8 @@ func (inst *Instance) run(ctx context.Context, dev Device, eo *execObs, in, dst 
 		}
 	}
 	done := ctx.Done()
-	for i, op := range inst.prog.Ops {
+	for i := first; i <= last; i++ {
+		op := inst.prog.Ops[i]
 		if done != nil {
 			select {
 			case <-done:

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"time"
 
 	"memcnn/internal/runtime"
 	"memcnn/internal/tensor"
@@ -138,26 +137,5 @@ func TestExecutorCancellation(t *testing.T) {
 	}
 	if err := exec.RunIntoCtx(context.Background(), in, out); err != nil {
 		t.Fatalf("run after cancellation: %v", err)
-	}
-}
-
-// TestBackoffDelay pins the capped exponential schedule.
-func TestBackoffDelay(t *testing.T) {
-	b := runtime.Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond}
-	want := []time.Duration{
-		1 * time.Millisecond,
-		2 * time.Millisecond,
-		4 * time.Millisecond,
-		5 * time.Millisecond,
-		5 * time.Millisecond,
-	}
-	for attempt, w := range want {
-		if got := b.Delay(attempt); got != w {
-			t.Errorf("Delay(%d) = %v, want %v", attempt, got, w)
-		}
-	}
-	var zero runtime.Backoff
-	if got := zero.Delay(3); got != 0 {
-		t.Errorf("zero Backoff delays %v", got)
 	}
 }

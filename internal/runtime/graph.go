@@ -144,7 +144,7 @@ type Program struct {
 	Net         *network.Network
 	PlannerName string
 	// Opts records the options the program was lowered with, so derived
-	// programs (WithBatch, Shard) can reproduce behaviour-affecting choices
+	// programs (WithBatch) can reproduce behaviour-affecting choices
 	// such as NoInPlace.
 	Opts    Options
 	Buffers []Buffer
@@ -187,8 +187,8 @@ type Options struct {
 	// either way.  The flag exists to measure that shrinkage.
 	NoInPlace bool
 	// Verify runs the registered whole-program static checker
-	// (internal/runtime/verify) over the lowered program — and, for Shard,
-	// over every stage sub-program — before it is returned: def-before-use
+	// (internal/runtime/verify) over the lowered program before it is
+	// returned (Shard compiles nothing, so it checks nothing): def-before-use
 	// dataflow, alias-chain soundness, in-place clobber detection, workspace
 	// sufficiency, plan/liveness consistency and the determinism lint.
 	// Compilation fails if any check does.  The checker must be registered

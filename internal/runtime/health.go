@@ -3,7 +3,6 @@ package runtime
 import (
 	"fmt"
 	"runtime/debug"
-	"time"
 )
 
 // Health is the state of one serving replica in the failover state machine:
@@ -86,29 +85,4 @@ func containPanic(op string, errp *error) {
 	if r := recover(); r != nil {
 		*errp = &PanicError{Op: op, Value: r, Stack: debug.Stack()}
 	}
-}
-
-// Backoff is a capped exponential retry delay: attempt 0 waits Base, each
-// further attempt doubles it up to Max.  The zero value disables waiting.
-type Backoff struct {
-	Base time.Duration
-	Max  time.Duration
-}
-
-// Delay returns the wait before retry number attempt (0-based).
-func (b Backoff) Delay(attempt int) time.Duration {
-	if b.Base <= 0 {
-		return 0
-	}
-	d := b.Base
-	for i := 0; i < attempt; i++ {
-		d *= 2
-		if b.Max > 0 && d >= b.Max {
-			return b.Max
-		}
-	}
-	if b.Max > 0 && d > b.Max {
-		return b.Max
-	}
-	return d
 }

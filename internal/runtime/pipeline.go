@@ -15,17 +15,20 @@ import (
 var ErrPipelineClosed = errors.New("runtime: pipeline closed")
 
 // PipelineExecutor runs batches through the stages of a sharded program on the
-// callers' goroutines: a batch walks the stages in order, holding one stage's
-// lock at a time, so a stage runs one batch at a time while concurrent callers
-// keep several batches in flight — batch N on stage 2 while batch N+1 runs on
-// stage 1.  Each stage owns a per-stage arena pool (via its Executor) and a
-// pool of boundary tensors carrying the one activation that crosses each cut;
-// the boundary hand-off is a same-layout copy, so a pipelined run is
-// bit-identical to the unsharded executor and to Program.ReferenceForward.
+// callers' goroutines.  A batch takes one instance of the base program's arena
+// and runs every stage's op range over it, so nothing is copied at a cut and
+// a pipelined run executes exactly the ops of the unsharded executor: it is
+// bit-identical to it and to Program.ReferenceForward.  Each stage has a lock
+// and runs one batch at a time.  A batch takes its arena under stage 0's lock
+// and walks the stages hand over hand, taking stage s+1's lock before it
+// releases stage s's, and returns the arena before it releases the last lock.
+// So concurrent callers keep several batches in flight — batch N on stage 2
+// while batch N+1 runs on stage 1 — and at most one arena per stage is live.
 //
 // RunInto is safe for concurrent use; concurrent callers fill the pipeline.
 type PipelineExecutor struct {
 	sp     *ShardedProgram
+	pool   *Pool
 	stages []*pipeStage
 
 	// mu is held shared by every run and exclusively by Close, so Close
@@ -34,109 +37,87 @@ type PipelineExecutor struct {
 	closed bool
 }
 
-// pipeStage is one stage: its executor, its lock and the pool of boundary
-// tensors it hands to the next stage.
+// pipeStage is one stage: its op range and its lock.
 type pipeStage struct {
-	idx  int
-	exec *Executor
+	idx         int
+	first, last int
 
-	// mu admits one batch at a time; it also guards obs.
+	// mu admits one batch at a time; it also guards eo and span.
 	mu sync.Mutex
-
-	// boundary pools output tensors in the stage's output layout; nil for
-	// the last stage, which writes into the caller's destination.
-	boundary *sync.Pool
 
 	// lat is the stage's always-on batch latency in microseconds; its count
 	// and sum are the stage's batch count and measured time, and Instrument
 	// adopts it into the registry.
 	lat *obs.Histogram
 
-	// obs holds the stage's prebuilt span template when the pipeline is
-	// traced; nil otherwise.
-	obs *stageObs
-}
-
-// stageObs is one stage's trace hook, prepared once at Instrument time.
-type stageObs struct {
-	rec  *obs.Recorder
+	// eo is the stage's op and run instrumentation, nil when uninstrumented;
+	// span is its stage span template, recorded when eo traces.
+	eo   *execObs
 	span obs.Span
 }
 
-// NewPipelineExecutor builds the stage executors for a sharded program.  It
-// starts nothing; Close only turns later batches away.
+// NewPipelineExecutor builds the stages of a sharded program over one pool of
+// base-program arenas.  It starts nothing; Close only turns later batches
+// away.
 func NewPipelineExecutor(sp *ShardedProgram) *PipelineExecutor {
-	pe := &PipelineExecutor{sp: sp}
+	pe := &PipelineExecutor{sp: sp, pool: NewPool(sp.Base)}
 	for i, st := range sp.Stages {
-		ps := &pipeStage{idx: i, exec: NewExecutor(st.Prog), lat: obs.NewHistogram()}
-		if i < len(sp.Stages)-1 {
-			shape, layout := st.Prog.OutputShape(), st.Prog.Buffers[st.Prog.Output].Layout
-			ps.boundary = &sync.Pool{New: func() any { return tensor.New(shape, layout) }}
-		}
-		pe.stages = append(pe.stages, ps)
+		pe.stages = append(pe.stages, &pipeStage{idx: i, first: st.FirstOp, last: st.LastOp, lat: obs.NewHistogram()})
 	}
 	return pe
 }
 
 // Instrument attaches an observer to the pipeline: stage i renders on trace
-// lane laneBase+i (named "stage i"), each stage's executor records its op and
-// run spans on the same lane, each batch crossing a stage records a stage
-// span carrying the batch size, and the registry adopts each stage's
-// always-on latency histogram as memcnn_stage_latency_us{net,stage}.  Call
-// before submitting traffic; a zero Observer detaches the tracer (metric
-// registrations persist).
+// lane laneBase+i (named "stage i"), where it records its op spans and a run
+// span per batch, each batch crossing a stage records a stage span carrying
+// the batch size, and the registry adopts each stage's always-on latency
+// histogram as memcnn_stage_latency_us{net,stage}.  Call before submitting
+// traffic; a zero Observer detaches the tracer (metric registrations
+// persist).
 func (pe *PipelineExecutor) Instrument(ob Observer, laneBase int32) {
-	net := pe.sp.Base.Net.Name
-	images := pe.sp.Base.InputShape().N
+	base := pe.sp.Base
 	for i, ps := range pe.stages {
 		lane := laneBase + int32(i)
-		ps.exec.Instrument(ob, lane)
 		ob.Metrics.AdoptHistogram(metricStageLatency, "Per-pipeline-stage batch latency.",
-			ps.lat, obs.L("net", net), obs.L("stage", fmt.Sprintf("%d", i)))
-		var so *stageObs
+			ps.lat, obs.L("net", base.Net.Name), obs.L("stage", fmt.Sprintf("%d", i)))
+		var eo *execObs
+		if ob.Enabled() {
+			eo = newExecObs(base, ob, lane)
+		}
 		if ob.Trace != nil {
 			ob.Trace.SetLane(lane, fmt.Sprintf("stage %d", i))
-			so = &stageObs{
-				rec: ob.Trace,
-				span: obs.Span{
-					Name:   fmt.Sprintf("stage %d", i),
-					Cat:    obs.CatStage,
-					Lane:   lane,
-					Images: images,
-				},
-			}
 		}
 		ps.mu.Lock()
-		ps.obs = so
+		ps.eo = eo
+		ps.span = obs.Span{Name: fmt.Sprintf("stage %d", i), Cat: obs.CatStage, Lane: lane, Images: base.InputShape().N}
 		ps.mu.Unlock()
 	}
 }
 
-// run executes one batch on the stage under its lock, timing it into the
-// stage's histogram and, when traced, a stage span; holding the lock across
-// the span keeps the spans on the stage's lane from overlapping.  A batch
-// whose context is already done skips the stage; a panic inside the stage's
-// executor comes back as the batch's error (the executor recovers it).
-func (ps *pipeStage) run(ctx context.Context, in, out *tensor.Tensor) error {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
+// run executes the stage's op range of one batch over inst, staging in first
+// and delivering into dst last when they are not nil.  The caller holds the
+// stage lock.  It times the stage into its histogram and, when traced, a
+// stage span; holding the lock across the span keeps the spans on the
+// stage's lane from overlapping.  A batch whose context is already done
+// skips the stage; a panic inside it comes back as the batch's error.
+func (ps *pipeStage) run(ctx context.Context, inst *Instance, in, dst *tensor.Tensor) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	so := ps.obs
+	traced := ps.eo != nil && ps.eo.rec != nil
 	var spanT0 int64
-	if so != nil {
-		spanT0 = so.rec.Now()
+	if traced {
+		spanT0 = ps.eo.rec.Now()
 	}
 	start := time.Now()
-	err := ps.exec.RunIntoCtx(ctx, in, out)
+	err := inst.run(ctx, CPUDevice{}, ps.eo, ps.first, ps.last, in, dst)
 	elapsed := time.Since(start)
 	ps.lat.Observe(float64(elapsed) / 1e3)
-	if so != nil {
-		sp := so.span
+	if traced {
+		sp := ps.span
 		sp.StartNS = spanT0
 		sp.DurNS = int64(elapsed)
-		so.rec.Record(sp)
+		ps.eo.rec.Record(sp)
 	}
 	if err != nil {
 		return fmt.Errorf("runtime: stage %d: %w", ps.idx, err)
@@ -152,9 +133,9 @@ func (pe *PipelineExecutor) RunInto(in, dst *tensor.Tensor) error {
 
 // RunIntoCtx is RunInto honoring a context: a batch whose context is
 // cancelled or past its deadline skips the stages it has not reached yet (and
-// abandons the one it is on between ops) and fails with ctx.Err().  The call
-// returns only once no stage touches dst any more, so cancellation stops work
-// early but never races the destination buffer.
+// abandons the one it is on between ops) and fails with ctx.Err().  dst is
+// written only by the last stage's final delivery, so on any error its
+// contents are unchanged.
 func (pe *PipelineExecutor) RunIntoCtx(ctx context.Context, in, dst *tensor.Tensor) error {
 	base := pe.sp.Base
 	if in.Shape != base.InputShape() {
@@ -168,27 +149,28 @@ func (pe *PipelineExecutor) RunIntoCtx(ctx context.Context, in, dst *tensor.Tens
 	if pe.closed {
 		return ErrPipelineClosed
 	}
-	// cur is the batch's input to the next stage; prev is the pool it came
-	// from, nil for the caller's input.
-	cur, prev := in, (*sync.Pool)(nil)
-	for _, ps := range pe.stages {
-		out := dst
-		if ps.boundary != nil {
-			out = ps.boundary.Get().(*tensor.Tensor)
+	ps := pe.stages[0]
+	ps.mu.Lock()
+	inst, err := pe.pool.Get()
+	for i := 0; err == nil && i < len(pe.stages); i++ {
+		if i > 0 {
+			next := pe.stages[i]
+			next.mu.Lock()
+			ps.mu.Unlock()
+			ps = next
 		}
-		err := ps.run(ctx, cur, out)
-		if prev != nil {
-			prev.Put(cur)
+		var stageIn, stageOut *tensor.Tensor
+		if i == 0 {
+			stageIn = in
 		}
-		if err != nil {
-			if ps.boundary != nil {
-				ps.boundary.Put(out)
-			}
-			return err
+		if i == len(pe.stages)-1 {
+			stageOut = dst
 		}
-		cur, prev = out, ps.boundary
+		err = ps.run(ctx, inst, stageIn, stageOut)
 	}
-	return nil
+	pe.pool.Put(inst)
+	ps.mu.Unlock()
+	return err
 }
 
 // Close waits for in-flight batches; RunInto after Close returns

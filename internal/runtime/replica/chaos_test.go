@@ -63,9 +63,8 @@ func TestChaosSoakReplicaDeath(t *testing.T) {
 		{}, {}, {KillAfterOps: 40}, {},
 	})
 	g, err := replica.NewGroup(prog, 4, replica.Config{
-		Devices:      devices,
-		Weights:      []float64{1, 1, 1, 1},
-		RetryBackoff: runtime.Backoff{Base: 100 * time.Microsecond, Max: time.Millisecond},
+		Devices: devices,
+		Weights: []float64{1, 1, 1, 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -159,10 +158,8 @@ func TestChaosTransientRetries(t *testing.T) {
 		{}, {Seed: 7, TransientRate: 0.02},
 	})
 	g, err := replica.NewGroup(prog, 2, replica.Config{
-		Devices:      devices,
-		Weights:      []float64{1, 1},
-		MaxRetries:   4,
-		RetryBackoff: runtime.Backoff{Base: 50 * time.Microsecond, Max: time.Millisecond},
+		Devices: devices,
+		Weights: []float64{1, 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -196,10 +193,8 @@ func TestChaosReadmission(t *testing.T) {
 	prog, in, golden := chaosFixture(t)
 	devices, fds := faultFleet([]runtime.FaultConfig{{}, {}})
 	g, err := replica.NewGroup(prog, 2, replica.Config{
-		Devices:       devices,
-		Weights:       []float64{1, 1},
-		RetryBackoff:  runtime.Backoff{Base: 50 * time.Microsecond, Max: time.Millisecond},
-		ProbeInterval: 5 * time.Millisecond,
+		Devices: devices,
+		Weights: []float64{1, 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -255,10 +250,8 @@ func TestChaosPanicContainment(t *testing.T) {
 		{}, {Seed: 3, PanicRate: 1},
 	})
 	g, err := replica.NewGroup(prog, 2, replica.Config{
-		Devices:      devices,
-		Weights:      []float64{1, 1},
-		MaxRetries:   1,
-		RetryBackoff: runtime.Backoff{Base: 50 * time.Microsecond, Max: time.Millisecond},
+		Devices: devices,
+		Weights: []float64{1, 1},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -20,14 +20,14 @@
 // # Fault tolerance
 //
 // The group survives its replicas: a sub-batch that fails is retried on the
-// same replica under capped exponential backoff (Config.MaxRetries,
-// Config.RetryBackoff); a replica that exhausts its retries is marked
+// same replica under capped exponential backoff (maxRetries, retryBase,
+// retryMax); a replica that exhausts its retries is marked
 // runtime.Unhealthy, taken out of rotation, and the batch split is re-derived
 // over the surviving replicas' original weights — the whole batch then re-runs
 // on the new topology, so whatever the group answers is still bit-identical
 // to the single-device run (rows are image-independent and deterministic,
 // never partially stitched across topologies).  Unhealthy replicas are probed
-// in the background (Config.ProbeInterval) and re-admitted — with another
+// in the background (every probeInterval) and re-admitted — with another
 // topology re-derivation — once a probe run succeeds, so a replica that only
 // suffered transient faults returns to rotation while a permanently dead one
 // stays out.  Panics inside a replica's engine are contained into
@@ -69,35 +69,19 @@ type Config struct {
 	// replica count; weights must be non-negative with a positive sum, and a
 	// replica weighted 0 receives no images).  When nil each replica weighs 1.
 	Weights []float64
-	// MaxRetries is how many times a failed sub-batch is re-run on the same
-	// replica before the replica is marked unhealthy and the batch fails over
-	// to the survivors.  Default 2; negative disables retries (first failure
-	// fails over immediately).
-	MaxRetries int
-	// RetryBackoff is the capped exponential delay between retries.  The
-	// zero value defaults to Base 1ms, Max 50ms.
-	RetryBackoff runtime.Backoff
-	// ProbeInterval is how often unhealthy replicas are probed for
-	// re-admission.  Default 25ms; negative disables background probing
-	// (an unhealthy replica then stays out until the process restarts).
-	ProbeInterval time.Duration
 }
 
-// withDefaults replaces unset fields with their defaults.
-func (c Config) withDefaults() Config {
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 2
-	} else if c.MaxRetries < 0 {
-		c.MaxRetries = 0
-	}
-	if c.RetryBackoff == (runtime.Backoff{}) {
-		c.RetryBackoff = runtime.Backoff{Base: time.Millisecond, Max: 50 * time.Millisecond}
-	}
-	if c.ProbeInterval == 0 {
-		c.ProbeInterval = 25 * time.Millisecond
-	}
-	return c
-}
+// The group's fault policy.  A failed sub-batch is re-run on the same
+// replica up to maxRetries times, the first retry after retryBase and each
+// further one after twice the last wait, capped at retryMax; a replica that
+// still fails is marked unhealthy and its batch fails over to the survivors.
+// Unhealthy replicas are probed for re-admission every probeInterval.
+const (
+	maxRetries    = 2
+	retryBase     = time.Millisecond
+	retryMax      = 50 * time.Millisecond
+	probeInterval = 25 * time.Millisecond
+)
 
 // Group replicates a compiled program across devices and implements
 // runtime.Runner by scattering each batch over the replicas.  RunInto is safe
@@ -107,7 +91,6 @@ func (c Config) withDefaults() Config {
 // behaviour.
 type Group struct {
 	base     *runtime.Program
-	cfg      Config
 	units    []*unit
 	weights  []float64 // original configured or default weights, by replica
 	inShape  tensor.Shape
@@ -195,8 +178,6 @@ func NewGroup(base *runtime.Program, replicas int, cfg Config) (*Group, error) {
 	if cfg.Devices != nil && len(cfg.Devices) != replicas {
 		return nil, fmt.Errorf("replica: %d devices for %d replicas", len(cfg.Devices), replicas)
 	}
-	cfg = cfg.withDefaults()
-
 	weights := cfg.Weights
 	if weights == nil {
 		weights = make([]float64, replicas)
@@ -210,7 +191,6 @@ func NewGroup(base *runtime.Program, replicas int, cfg Config) (*Group, error) {
 
 	g := &Group{
 		base:      base,
-		cfg:       cfg,
 		weights:   append([]float64(nil), weights...),
 		inShape:   base.InputShape(),
 		outShape:  base.OutputShape(),
@@ -231,10 +211,8 @@ func NewGroup(base *runtime.Program, replicas int, cfg Config) (*Group, error) {
 		return nil, err
 	}
 	g.topo.Store(topo)
-	if cfg.ProbeInterval > 0 {
-		g.probeWG.Add(1)
-		go g.probeLoop()
-	}
+	g.probeWG.Add(1)
+	go g.probeLoop()
 	return g, nil
 }
 
@@ -456,6 +434,7 @@ func (g *Group) runTopology(ctx context.Context, topo *topology, src, out *tenso
 // the executor; they are counted here and treated like any other failure.
 // Cancellation suppresses retries.
 func (g *Group) runUnit(ctx context.Context, u *unit, e *runtime.Executor, in, out *tensor.Tensor) error {
+	delay := retryBase
 	for attempt := 0; ; attempt++ {
 		gob := g.obsv.Load()
 		var t0 int64
@@ -479,19 +458,18 @@ func (g *Group) runUnit(ctx context.Context, u *unit, e *runtime.Executor, in, o
 		if errors.As(err, &pe) {
 			g.panics.Add(1)
 		}
-		if ctx.Err() != nil || attempt >= g.cfg.MaxRetries {
+		if ctx.Err() != nil || attempt >= maxRetries {
 			return err
 		}
 		g.retries.Add(1)
-		if d := g.cfg.RetryBackoff.Delay(attempt); d > 0 {
-			select {
-			case <-time.After(d):
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-g.probeStop:
-				return ErrGroupClosed
-			}
+		select {
+		case <-time.After(delay):
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-g.probeStop:
+			return ErrGroupClosed
 		}
+		delay = min(2*delay, retryMax)
 	}
 }
 
@@ -500,7 +478,7 @@ func (g *Group) runUnit(ctx context.Context, u *unit, e *runtime.Executor, in, o
 // traffic again.
 func (g *Group) probeLoop() {
 	defer g.probeWG.Done()
-	ticker := time.NewTicker(g.cfg.ProbeInterval)
+	ticker := time.NewTicker(probeInterval)
 	defer ticker.Stop()
 	for {
 		select {

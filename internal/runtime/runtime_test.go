@@ -613,10 +613,6 @@ func TestCompileRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := runtime.Shard(base, 2, runtime.ShardOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	compile := func(net *network.Network, choices []runtime.Choice) func() error {
 		return func() error {
 			_, err := runtime.Compile(net, "test", choices, runtime.Options{})
@@ -648,10 +644,6 @@ func TestCompileRejects(t *testing.T) {
 			_, err := base.WithBatch(0)
 			return err
 		}, "batch"},
-		{"rebatching a pipeline stage", func() error {
-			_, err := sharded.Stages[1].Prog.WithBatch(2)
-			return err
-		}, "choices for the"},
 	} {
 		err := tc.compile()
 		if err == nil {

@@ -52,9 +52,8 @@ func TestServerChaosSoakReplicaDeath(t *testing.T) {
 		devices[i] = runtime.WrapFault(runtime.CPUDevice{}, cfg)
 	}
 	g, err := replica.NewGroup(prog, 4, replica.Config{
-		Devices:      devices,
-		Weights:      []float64{1, 1, 1, 1},
-		RetryBackoff: runtime.Backoff{Base: 100 * time.Microsecond, Max: time.Millisecond},
+		Devices: devices,
+		Weights: []float64{1, 1, 1, 1},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -4,70 +4,46 @@ import (
 	"fmt"
 
 	"memcnn/internal/layers"
-	"memcnn/internal/tensor"
 )
 
 // ShardOptions is Shard's options argument.  It holds no option: every stage
 // runs on the host CPU.
 type ShardOptions struct{}
 
-// Stage is one contiguous slice of a sharded program's op list, compiled into
-// a self-contained sub-program with its own memory plan.
+// Stage is one contiguous range of a sharded program's op list: the base
+// program's ops [FirstOp, LastOp], run over the base program's own arena.
 type Stage struct {
-	Index int
-	// Prog is the stage's sub-program: the base ops [FirstOp, LastOp]
-	// re-indexed over the stage's own buffers, with the stage boundary as
-	// program input/output and a per-stage arena plan.
-	Prog *Program
-	// FirstOp and LastOp delimit the stage in the base program's op list.
 	FirstOp, LastOp int
-	// TransferInBytes is the size of the boundary activation handed to this
-	// stage (zero for the first stage, which is fed by the caller).
-	TransferInBytes int64
 }
 
 // ShardedProgram is a compiled program cut into contiguous pipeline stages.
-// The lowered op list is a linear chain — every op consumes the previous op's
-// output — so any op boundary is a valid cut: exactly one activation buffer
-// crosses it, and that buffer becomes an explicit stage-to-stage transfer.
+// A stage is a range of the base program's ops, not a program of its own: a
+// pipelined batch runs every stage over one instance of the base program's
+// arena, so nothing is copied at a cut and the base memory plan holds as is.
 type ShardedProgram struct {
 	Base   *Program
-	Stages []*Stage
-}
-
-// SummedPeakBytes is the total arena footprint across stages — the cost of
-// sharding, reported against the single-device plan's PeakBytes.
-func (sp *ShardedProgram) SummedPeakBytes() int64 {
-	var total int64
-	for _, st := range sp.Stages {
-		total += st.Prog.Mem.PeakBytes()
-	}
-	return total
-}
-
-// TransferBytes is the total stage-to-stage traffic per batch.
-func (sp *ShardedProgram) TransferBytes() int64 {
-	var total int64
-	for _, st := range sp.Stages {
-		total += st.TransferInBytes
-	}
-	return total
+	Stages []Stage
 }
 
 // Shard cuts a compiled program into `stages` contiguous pipeline stages,
 // choosing the cuts that minimise the largest stage weight: the host work of
 // its ops as opWork counts it from their shapes, because pipeline throughput
-// is set by the slowest stage.  Each stage is compiled into a self-contained
-// sub-program with its own arena plan; the buffer crossing each cut becomes an
-// explicit transfer into the next stage.  A stage count above the op count is
+// is set by the slowest stage.  Any op boundary is a valid cut, since every
+// stage runs over the same arena.  A stage count above the op count is
 // clamped (every program supports at least one stage), so tiny networks stay
-// shardable with a generic -devices flag.
+// shardable with a generic -devices flag.  A program with caller-staged
+// inputs beyond its input (a training step's labels) is rejected: a
+// pipelined batch stages only its input.
 func Shard(p *Program, stages int, _ ShardOptions) (*ShardedProgram, error) {
 	if p == nil || len(p.Ops) == 0 {
 		return nil, fmt.Errorf("runtime: cannot shard an empty program")
 	}
 	if stages <= 0 {
 		return nil, fmt.Errorf("runtime: stage count %d must be positive", stages)
+	}
+	if len(p.ExtraInputs) > 0 {
+		return nil, fmt.Errorf("runtime: %s reads %d caller-staged buffer(s) besides its input, which a pipelined batch does not stage; the program cannot be cut here",
+			p.PlannerName, len(p.ExtraInputs))
 	}
 	if stages > len(p.Ops) {
 		stages = len(p.Ops)
@@ -76,31 +52,11 @@ func Shard(p *Program, stages int, _ ShardOptions) (*ShardedProgram, error) {
 	for i, op := range p.Ops {
 		weights[i] = opWork(p, op)
 	}
-	cuts := partition(weights, stages)
-
 	sp := &ShardedProgram{Base: p}
 	first := 0
-	for i, last := range cuts {
-		prog, err := subProgram(p, i, first, last)
-		if err != nil {
-			return nil, err
-		}
-		st := &Stage{Index: i, Prog: prog, FirstOp: first, LastOp: last}
-		if i > 0 {
-			st.TransferInBytes = p.Buffers[p.Ops[first].In].Bytes()
-		}
-		sp.Stages = append(sp.Stages, st)
+	for _, last := range partition(weights, stages) {
+		sp.Stages = append(sp.Stages, Stage{FirstOp: first, LastOp: last})
 		first = last + 1
-	}
-	if p.Opts.Verify {
-		// The base program was verified at compile time; the cut re-indexes
-		// buffers and re-roots alias chains, so each stage sub-program must
-		// survive the same checks on its own.
-		for _, st := range sp.Stages {
-			if err := VerifyProgram(st.Prog); err != nil {
-				return nil, fmt.Errorf("runtime: verifying stage %d [%d,%d]: %w", st.Index, st.FirstOp, st.LastOp, err)
-			}
-		}
 	}
 	return sp, nil
 }
@@ -169,103 +125,4 @@ func partition(weights []float64, k int) []int {
 		m--
 	}
 	return cuts
-}
-
-// subProgram compiles base ops [first, last] into a self-contained stage
-// program: the boundary buffer feeding the stage becomes the program input
-// (always a root — the transfer writes into it), every referenced buffer is
-// re-indexed, and alias chains whose root precedes the stage are re-rooted at
-// the stage input (the linear chain threads their shared storage through the
-// boundary).  The stage gets its own arena plan.
-func subProgram(base *Program, index, first, last int) (*Program, error) {
-	sp := &Program{
-		Net:         base.Net,
-		PlannerName: fmt.Sprintf("%s/stage%d", base.PlannerName, index),
-		Opts:        base.Opts,
-	}
-	idmap := make(map[BufferID]BufferID)
-	add := func(old, alias BufferID) BufferID {
-		ob := base.Buffers[old]
-		id := sp.AddBuffer(ob.Shape, ob.Layout, alias)
-		sp.Buffers[id].Scratch = ob.Scratch
-		idmap[old] = id
-		return id
-	}
-
-	boundary := base.Input
-	if first > 0 {
-		boundary = base.Ops[first].In
-	}
-	sp.Input = add(boundary, NoBuffer)
-
-	mapBuf := func(old BufferID) BufferID {
-		if id, ok := idmap[old]; ok {
-			return id
-		}
-		ob := base.Buffers[old]
-		if ob.AliasOf == NoBuffer {
-			return add(old, NoBuffer)
-		}
-		root, ok := idmap[base.root(old)]
-		if !ok {
-			// The alias's root precedes the stage; its storage reaches the
-			// stage through the boundary buffer, which shares it.
-			root = sp.Input
-		}
-		if !tensor.CanReinterpret(sp.Buffers[root].Shape, ob.Shape, ob.Layout) {
-			// The relabelled view cannot reinterpret its new root: demote the
-			// alias to a root of its own; the executor falls back to a copy.
-			return add(old, NoBuffer)
-		}
-		return add(old, root)
-	}
-
-	for i := first; i <= last; i++ {
-		op := base.Ops[i]
-		op.In = mapBuf(op.In)
-		op.Out = mapBuf(op.Out)
-		if op.Scratch != NoBuffer {
-			op.Scratch = mapBuf(op.Scratch)
-		}
-		if op.Aux != NoBuffer {
-			op.Aux = mapBuf(op.Aux)
-		}
-		sp.Ops = append(sp.Ops, op)
-	}
-	sp.Output = idmap[base.Ops[last].Out]
-
-	// The stage must be self-contained: every buffer its ops read is either
-	// the boundary input or produced by an earlier in-stage op.  Training
-	// programs break this — backward ops reach across the cut for forward
-	// activations (Aux) and the loss gradient reads the caller-staged label
-	// vector (ExtraInputs) — and before this check subProgram silently
-	// compiled such cuts into stages whose executor would read unwritten
-	// arena storage.  Reject the cut instead.
-	defined := make([]bool, len(sp.Buffers))
-	defined[sp.root(sp.Input)] = true
-	checkRead := func(op int, id BufferID) error {
-		if !defined[sp.root(id)] {
-			return fmt.Errorf("runtime: stage %d [%d,%d]: op %d (%s) reads buffer %d, whose value is produced outside the stage; the program cannot be cut here",
-				index, first, last, op, base.Ops[first+op].Name, id)
-		}
-		return nil
-	}
-	for i, op := range sp.Ops {
-		if err := checkRead(i, op.In); err != nil {
-			return nil, err
-		}
-		if op.Aux != NoBuffer {
-			if err := checkRead(i, op.Aux); err != nil {
-				return nil, err
-			}
-		}
-		defined[sp.root(op.Out)] = true
-	}
-
-	mem, err := PlanMemory(sp)
-	if err != nil {
-		return nil, fmt.Errorf("runtime: planning stage %d [%d,%d]: %w", index, first, last, err)
-	}
-	sp.Mem = mem
-	return sp, nil
 }

@@ -6,7 +6,6 @@ import (
 
 	"memcnn/internal/network"
 	"memcnn/internal/runtime"
-	"memcnn/internal/runtime/verify"
 	"memcnn/internal/tensor"
 	"memcnn/internal/workloads"
 )
@@ -14,11 +13,8 @@ import (
 // TestShardStructureProperty shards every supported network (TinyNet plus the
 // five paper models, the latter compiled under the paper's optimiser, with
 // and without convolution algorithm selection) across 1–4 devices and checks
-// the structural invariants of every sharding: stages are contiguous and
-// cover the op list exactly once, every stage's memory plan validates, stage
-// shapes chain through the cut boundaries, the transfer at each cut is
-// exactly the boundary buffer's storage, and the static verifier accepts the
-// cut and every stage sub-program.
+// the structural invariants of every sharding: the stage count, and stages
+// that are contiguous and cover the op list exactly once.
 func TestShardStructureProperty(t *testing.T) {
 	tiny, err := workloads.TinyNet()
 	if err != nil {
@@ -46,9 +42,6 @@ func TestShardStructureProperty(t *testing.T) {
 			if len(sp.Stages) != devices && len(sp.Stages) != len(prog.Ops) {
 				t.Errorf("%s/%d: %d stages", name, devices, len(sp.Stages))
 			}
-			if err := verify.Sharded(sp); err != nil {
-				t.Errorf("%s/%d: %v", name, devices, err)
-			}
 			next := 0
 			for i, st := range sp.Stages {
 				if st.FirstOp != next || st.LastOp < st.FirstOp {
@@ -56,42 +49,9 @@ func TestShardStructureProperty(t *testing.T) {
 						name, devices, i, st.FirstOp, st.LastOp, next)
 				}
 				next = st.LastOp + 1
-				if err := st.Prog.Mem.Validate(st.Prog); err != nil {
-					t.Errorf("%s/%d: stage %d plan: %v", name, devices, i, err)
-				}
-				if ops := st.LastOp - st.FirstOp + 1; ops != len(st.Prog.Ops) {
-					t.Errorf("%s/%d: stage %d has %d ops, program %d",
-						name, devices, i, ops, len(st.Prog.Ops))
-				}
-				if i == 0 {
-					if st.TransferInBytes != 0 {
-						t.Errorf("%s/%d: first stage reports a transfer", name, devices)
-					}
-					if st.Prog.InputShape() != prog.InputShape() {
-						t.Errorf("%s/%d: first stage consumes %v, want %v",
-							name, devices, st.Prog.InputShape(), prog.InputShape())
-					}
-					continue
-				}
-				prev := sp.Stages[i-1]
-				if prev.Prog.OutputShape() != st.Prog.InputShape() {
-					t.Errorf("%s/%d: cut %d: stage output %v does not feed stage input %v",
-						name, devices, i, prev.Prog.OutputShape(), st.Prog.InputShape())
-				}
-				if want := st.Prog.Buffers[st.Prog.Input].Bytes(); st.TransferInBytes != want {
-					t.Errorf("%s/%d: cut %d transfers %d B, boundary holds %d B",
-						name, devices, i, st.TransferInBytes, want)
-				}
 			}
 			if next != len(prog.Ops) {
 				t.Errorf("%s/%d: stages cover %d of %d ops", name, devices, next, len(prog.Ops))
-			}
-			if last := sp.Stages[len(sp.Stages)-1]; last.Prog.OutputShape() != prog.OutputShape() {
-				t.Errorf("%s/%d: last stage produces %v, want %v",
-					name, devices, last.Prog.OutputShape(), prog.OutputShape())
-			}
-			if sp.SummedPeakBytes() <= 0 {
-				t.Errorf("%s/%d: summed peak %d", name, devices, sp.SummedPeakBytes())
 			}
 		}
 	}
@@ -162,8 +122,8 @@ func TestShardedGoldenEquivalence(t *testing.T) {
 			requireBitEqual(t, tc.name+"/sharded", got, want)
 			batches := uint64(1)
 			if tc.rerun {
-				// A second batch through the recycled stage arenas and
-				// boundary pools must be identical.
+				// A second batch through the recycled arena must be
+				// identical.
 				again, err := runBatch(pe, in, prog.OutputShape())
 				if err != nil {
 					pe.Close()
@@ -177,10 +137,8 @@ func TestShardedGoldenEquivalence(t *testing.T) {
 					t.Errorf("%s/%d: stage %d saw %d batches, want %d", tc.name, devices, st.Stage, st.Batches, batches)
 				}
 			}
-			summed, single := sp.SummedPeakBytes(), prog.Mem.PeakBytes()
-			t.Logf("%s across %d device(s): summed arena %.2f MiB vs single-device %.2f MiB, transfers %.2f MiB",
-				tc.name, len(sp.Stages), float64(summed)/(1<<20), float64(single)/(1<<20),
-				float64(sp.TransferBytes())/(1<<20))
+			t.Logf("%s across %d device(s): one %.2f MiB arena per batch in flight",
+				tc.name, len(sp.Stages), float64(prog.Mem.PeakBytes())/(1<<20))
 			pe.Close()
 		}
 	}

@@ -1,9 +1,9 @@
 // Package verify is the whole-program static checker for the compiled IR.
 //
 // Every compiler in the repository — runtime.Compile and CompileWithOptions,
-// Program.WithBatch, train.CompileTraining, and the per-stage sub-programs
-// Shard emits — produces the same artefact: a runtime.Program,
-// an op list over explicit buffers plus an arena memory plan.  The paper's
+// Program.WithBatch and train.CompileTraining — produces the same artefact: a
+// runtime.Program, an op list over explicit buffers plus an arena memory plan
+// (Shard compiles nothing: its stages are op ranges of the program it cuts).  The paper's
 // claim that memory efficiency comes from planning rather than runtime
 // bookkeeping only holds if those plans are sound, so this package turns the
 // invariants the executor silently relies on into machine-checked ones:
@@ -65,7 +65,6 @@ const (
 	CheckPlan        = "plan"        // memory plan matches the op list
 	CheckTraining    = "training"    // recompute/SGD ordering
 	CheckDeterminism = "determinism" // accumulation order is pinned
-	CheckStages      = "stages"      // sharded stage boundaries
 )
 
 // Diagnostic is one verified-contract violation, anchored to the op and
@@ -648,78 +647,4 @@ func (c *checker) plan() {
 	if err := m.Validate(p); err != nil {
 		c.add(CheckPlan, -1, runtime.NoBuffer, "%s", strings.TrimPrefix(err.Error(), "runtime: "))
 	}
-}
-
-// Sharded verifies a pipeline-sharded program: the stages tile the base op
-// list contiguously, each stage's boundary input matches the base buffer
-// crossing the cut (and its recorded transfer size), consecutive stages
-// agree on the element count flowing between them, and every stage
-// sub-program independently passes the full Check suite.
-func Sharded(sp *runtime.ShardedProgram) error {
-	if sp == nil || sp.Base == nil {
-		return &Error{Name: "<nil sharded program>", Diags: []Diagnostic{{
-			Check: CheckStages, Op: -1, Buffer: runtime.NoBuffer, Msg: "sharded program or its base is nil",
-		}}}
-	}
-	var diags []Diagnostic
-	addf := func(format string, args ...any) {
-		diags = append(diags, Diagnostic{Check: CheckStages, Op: -1, Buffer: runtime.NoBuffer, Msg: fmt.Sprintf(format, args...)})
-	}
-	if len(sp.Stages) == 0 {
-		addf("sharded program has no stages")
-	}
-	next := 0
-	prevElems := -1
-	for i, st := range sp.Stages {
-		if st.Index != i {
-			addf("stage at position %d carries index %d", i, st.Index)
-		}
-		if st.FirstOp != next || st.LastOp < st.FirstOp || st.LastOp >= len(sp.Base.Ops) {
-			addf("stage %d covers ops [%d,%d] of %d; stages must tile the base op list contiguously (expected to start at %d)", i, st.FirstOp, st.LastOp, len(sp.Base.Ops), next)
-			prevElems = -1
-			if st.Prog != nil {
-				for _, d := range Check(st.Prog) {
-					d.Msg = fmt.Sprintf("stage %d: %s", i, d.Msg)
-					diags = append(diags, d)
-				}
-			}
-			continue
-		}
-		next = st.LastOp + 1
-		if st.Prog == nil {
-			addf("stage %d has no sub-program", i)
-			prevElems = -1
-			continue
-		}
-		boundary := sp.Base.Input
-		if st.FirstOp > 0 {
-			boundary = sp.Base.Ops[st.FirstOp].In
-		}
-		bb := sp.Base.Buffers[boundary]
-		if got := st.Prog.InputShape(); got != bb.Shape {
-			addf("stage %d input shape %v does not match boundary buffer %d (%v)", i, got, boundary, bb.Shape)
-		}
-		var wantTransfer int64
-		if i > 0 {
-			wantTransfer = bb.Bytes()
-		}
-		if st.TransferInBytes != wantTransfer {
-			addf("stage %d records a %d-byte transfer in; the boundary buffer carries %d bytes", i, st.TransferInBytes, wantTransfer)
-		}
-		if i > 0 && prevElems >= 0 && st.Prog.InputShape().Elems() != prevElems {
-			addf("stage %d consumes %d elements but stage %d produces %d", i, st.Prog.InputShape().Elems(), i-1, prevElems)
-		}
-		prevElems = st.Prog.OutputShape().Elems()
-		for _, d := range Check(st.Prog) {
-			d.Msg = fmt.Sprintf("stage %d: %s", i, d.Msg)
-			diags = append(diags, d)
-		}
-	}
-	if len(sp.Stages) > 0 && next != len(sp.Base.Ops) {
-		addf("stages cover ops [0,%d) of %d: the tail of the base program is unassigned", next, len(sp.Base.Ops))
-	}
-	if len(diags) == 0 {
-		return nil
-	}
-	return &Error{Name: sp.Base.PlannerName, Diags: diags}
 }

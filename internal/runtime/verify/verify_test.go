@@ -31,8 +31,8 @@ func compileNCHW(net *network.Network, alg kernels.ConvAlgorithm, opts runtime.O
 }
 
 // TestMatrixInference runs the full checker over every workload network ×
-// every production convolution algorithm, unsharded and cut into 4 pipeline
-// stages.  Every compiler output must verify clean.
+// every production convolution algorithm.  Every compiler output must verify
+// clean.
 func TestMatrixInference(t *testing.T) {
 	for name, net := range mustNets(t) {
 		for _, alg := range algs {
@@ -42,13 +42,6 @@ func TestMatrixInference(t *testing.T) {
 			}
 			if diags := verify.Check(p); len(diags) != 0 {
 				t.Errorf("%s/%v: %d diagnostics on a sound program:\n%s", name, alg, len(diags), diagText(diags))
-			}
-			sp, err := runtime.Shard(p, 4, runtime.ShardOptions{})
-			if err != nil {
-				t.Fatalf("%s/%v: shard: %v", name, alg, err)
-			}
-			if err := verify.Sharded(sp); err != nil {
-				t.Errorf("%s/%v: sharded program rejected: %v", name, alg, err)
 			}
 		}
 	}
@@ -120,7 +113,7 @@ func TestOptionsVerify(t *testing.T) {
 	if !p.Opts.Verify {
 		t.Fatalf("compiled program lost the Verify flag")
 	}
-	// Shard re-verifies each stage behind the same flag.
+	// Shard accepts a verified program; its stages are op ranges of it.
 	if _, err := runtime.Shard(p, 2, runtime.ShardOptions{}); err != nil {
 		t.Fatalf("shard with Verify: %v", err)
 	}
@@ -587,45 +580,6 @@ func TestMutationDuplicateRecompute(t *testing.T) {
 	d := wantDiag(t, verify.Check(p), verify.CheckTraining, rc+1, dup.Out)
 	if !strings.Contains(d.Msg, "recompute") {
 		t.Errorf("diagnostic does not mention the recompute: %s", d)
-	}
-}
-
-func TestShardedMutations(t *testing.T) {
-	p := compileLeNet(t, kernels.ConvAlgDirect)
-	sp, err := runtime.Shard(p, 3, runtime.ShardOptions{})
-	if err != nil {
-		t.Fatalf("shard: %v", err)
-	}
-	cloneSharded := func() *runtime.ShardedProgram {
-		q := *sp
-		q.Stages = make([]*runtime.Stage, len(sp.Stages))
-		for i, st := range sp.Stages {
-			c := *st
-			q.Stages[i] = &c
-		}
-		return &q
-	}
-
-	bad := cloneSharded()
-	bad.Stages[1].TransferInBytes += 4
-	if err := verify.Sharded(bad); err == nil {
-		t.Error("mismatched transfer size accepted")
-	} else if !strings.Contains(err.Error(), "transfer") {
-		t.Errorf("wrong rejection for transfer mismatch: %v", err)
-	}
-
-	bad = cloneSharded()
-	bad.Stages[1].FirstOp++ // stage no longer tiles the base op list
-	if err := verify.Sharded(bad); err == nil {
-		t.Error("non-contiguous stages accepted")
-	} else if !strings.Contains(err.Error(), "tile") {
-		t.Errorf("wrong rejection for non-contiguous stages: %v", err)
-	}
-
-	bad = cloneSharded()
-	bad.Stages[2] = &runtime.Stage{Index: 2, FirstOp: bad.Stages[2].FirstOp, LastOp: bad.Stages[2].LastOp}
-	if err := verify.Sharded(bad); err == nil {
-		t.Error("stage without a sub-program accepted")
 	}
 }
 

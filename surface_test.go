@@ -27,7 +27,6 @@ var surfaceAllowlist = map[string]string{
 	"runtime.FaultDevice.Revive":      "chaos control: the replica chaos tests bring a killed device back",
 	"runtime.FaultDevice.Dead":        "chaos control: the replica chaos tests read the kill switch back",
 	"runtime.FaultDevice.FaultCounts": "chaos control: the replica chaos tests assert the exact injected-fault counters",
-	"verify.Sharded":                  "checker of Shard's output: the runtime tests run it over every cut of every network",
 	"obs.Recorder.Snapshot":           "span read-back of the runtime and train tests that check what an instrumented run records",
 }
 
