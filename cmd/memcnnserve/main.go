@@ -136,8 +136,7 @@ func main() {
 	}
 	fmt.Printf("%s: %d layers -> %d ops over %d buffers (%s policy)\n",
 		net.Name, len(net.Layers), len(prog.Ops), len(prog.Buffers), prog.PlannerName)
-	fmt.Printf("memory plan: peak %.2f MiB vs naive %.2f MiB (%.0f%% saved)\n",
-		mib(prog.Mem.PeakBytes()), mib(prog.NaiveBytes()), 100*prog.Savings())
+	fmt.Printf("memory plan: %v; naive %.2f MiB (%.0f%% saved)\n", prog.Mem, mib(prog.NaiveBytes()), 100*prog.Savings())
 	for _, ch := range prog.ConvChoices() {
 		fmt.Printf("conv %-12s %-5s %s\n", ch.Layer, ch.Layout, ch.Alg)
 	}

@@ -292,7 +292,7 @@ func describeImpl(pl network.PlannedLayer) string {
 // only; no program runs.
 func programsReport(stdout io.Writer, dev *gpusim.Device, th layout.Thresholds, targets []*network.Network) error {
 	planner := frameworks.Optimized(th)
-	fmt.Fprintf(stdout, "%-8s %9s %8s %12s %12s %7s\n", "network", "ops", "buffers", "peak", "naive", "saved")
+	fmt.Fprintf(stdout, "%-8s %9s %8s %12s %12s %12s %7s\n", "network", "ops", "buffers", "peak", "bound", "naive", "saved")
 	for _, net := range targets {
 		plan, err := planner.Plan(dev, net)
 		if err != nil {
@@ -302,8 +302,8 @@ func programsReport(stdout io.Writer, dev *gpusim.Device, th layout.Thresholds, 
 		if err != nil {
 			return fmt.Errorf("netbench: compiling %s: %w", net.Name, err)
 		}
-		fmt.Fprintf(stdout, "%-8s %9d %8d %9.2f MiB %9.2f MiB %6.0f%%\n",
-			net.Name, len(prog.Ops), len(prog.Buffers), mib(prog.Mem.PeakBytes()), mib(prog.NaiveBytes()), 100*prog.Savings())
+		fmt.Fprintf(stdout, "%-8s %9d %8d %9.2f MiB %9.2f MiB %9.2f MiB %6.0f%%\n", net.Name, len(prog.Ops), len(prog.Buffers),
+			mib(prog.Mem.PeakBytes()), mib(prog.Mem.BoundBytes()), mib(prog.NaiveBytes()), 100*prog.Savings())
 		for _, ch := range prog.ConvChoices() {
 			line := fmt.Sprintf("         conv %-12s %-5s %s", ch.Layer, ch.Layout, ch.Alg)
 			if ch.WorkspaceBytes > 0 {
@@ -319,8 +319,8 @@ func programsReport(stdout io.Writer, dev *gpusim.Device, th layout.Thresholds, 
 	// one allocation per buffer of the store-all program (naive).  ops and
 	// recompute count the checkpointed program.
 	fmt.Fprintf(stdout, "\ntraining memory (forward + loss + backward + SGD):\n")
-	fmt.Fprintf(stdout, "%-8s %6s %11s %11s %11s %10s %12s %11s\n",
-		"network", "ops", "naive", "store", "ckpt", "recompute", "saved(store)", "saved(ckpt)")
+	fmt.Fprintf(stdout, "%-8s %6s %11s %11s %11s %11s %11s %10s %12s %11s\n",
+		"network", "ops", "naive", "store", "bound", "ckpt", "bound", "recompute", "saved(store)", "saved(ckpt)")
 	for _, net := range targets {
 		store, err := train.CompileTraining(net, train.Options{Checkpoint: train.CheckpointOff})
 		if err != nil {
@@ -331,8 +331,8 @@ func programsReport(stdout io.Writer, dev *gpusim.Device, th layout.Thresholds, 
 			return fmt.Errorf("netbench: training %s: %w", net.Name, err)
 		}
 		naive, storePeak, ckptPeak := store.NaiveBytes(), store.Mem.PeakBytes(), ckpt.Mem.PeakBytes()
-		fmt.Fprintf(stdout, "%-8s %6d %7.2f MiB %7.2f MiB %7.2f MiB %10d %11.0f%% %10.0f%%\n",
-			net.Name, len(ckpt.Ops), mib(naive), mib(storePeak), mib(ckptPeak), ckpt.RecomputeOps,
+		fmt.Fprintf(stdout, "%-8s %6d %7.2f MiB %7.2f MiB %7.2f MiB %7.2f MiB %7.2f MiB %10d %11.0f%% %10.0f%%\n", net.Name, len(ckpt.Ops),
+			mib(naive), mib(storePeak), mib(store.Mem.BoundBytes()), mib(ckptPeak), mib(ckpt.Mem.BoundBytes()), ckpt.RecomputeOps,
 			100*(1-float64(storePeak)/float64(naive)), 100*(1-float64(ckptPeak)/float64(naive)))
 	}
 	return nil

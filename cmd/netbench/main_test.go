@@ -21,8 +21,8 @@ import (
 // TestRuntimeReportDescribesTheCompiledProgram checks that the printed
 // `netbench -network LeNet programs` report describes the programs the
 // compiler produces for the same plan and options: op and buffer counts, the
-// arena peak, one row per convolution with its (layout, algorithm, workspace),
-// and the planned training footprints.
+// arena peak and its lower bound, one row per convolution with its (layout,
+// algorithm, workspace), and the planned training footprints with theirs.
 func TestRuntimeReportDescribesTheCompiledProgram(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-network", "LeNet", "programs"}, &out); err != nil {
@@ -55,9 +55,9 @@ func TestRuntimeReportDescribesTheCompiledProgram(t *testing.T) {
 		t.Fatal(err)
 	}
 	mib := func(b int64) string { return fmt.Sprintf("%.2f", float64(b)/(1<<20)) }
-	want := []string{fmt.Sprint(len(prog.Ops)), fmt.Sprint(len(prog.Buffers)), mib(prog.Mem.PeakBytes()), "MiB", mib(prog.NaiveBytes()), "MiB"}
-	if got := netRows[0][1:7]; strings.Join(got, " ") != strings.Join(want, " ") {
-		t.Errorf("inference row reads %q; the program has ops, buffers, peak, naive = %q", got, want)
+	want := []string{fmt.Sprint(len(prog.Ops)), fmt.Sprint(len(prog.Buffers)), mib(prog.Mem.PeakBytes()), "MiB", mib(prog.Mem.BoundBytes()), "MiB", mib(prog.NaiveBytes()), "MiB"}
+	if got := netRows[0][1:9]; strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("inference row reads %q; the program has ops, buffers, peak, bound, naive = %q", got, want)
 	}
 
 	choices := prog.ConvChoices()
@@ -82,9 +82,10 @@ func TestRuntimeReportDescribesTheCompiledProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want = []string{fmt.Sprint(len(ckpt.Ops)), mib(store.NaiveBytes()), "MiB", mib(store.Mem.PeakBytes()), "MiB", mib(ckpt.Mem.PeakBytes()), "MiB", fmt.Sprint(ckpt.RecomputeOps)}
-	if got := netRows[1][1:9]; strings.Join(got, " ") != strings.Join(want, " ") {
-		t.Errorf("training row reads %q; the programs have ops, naive, store, ckpt, recompute = %q", got, want)
+	want = []string{fmt.Sprint(len(ckpt.Ops)), mib(store.NaiveBytes()), "MiB", mib(store.Mem.PeakBytes()), "MiB", mib(store.Mem.BoundBytes()), "MiB",
+		mib(ckpt.Mem.PeakBytes()), "MiB", mib(ckpt.Mem.BoundBytes()), "MiB", fmt.Sprint(ckpt.RecomputeOps)}
+	if got := netRows[1][1:13]; strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("training row reads %q; the programs have ops, naive, store, its bound, ckpt, its bound, recompute = %q", got, want)
 	}
 }
 

@@ -35,12 +35,13 @@
 //	                        alias their output onto their input.
 //	                        Program.Choices reads the list back; ConvChoices,
 //	                        ReferenceForward and WithBatch go through it.
-//	memory plan (memplan.go) — liveness analysis over buffer IDs followed by
-//	                        greedy best-fit offset assignment into one arena;
-//	                        scratch buffers are live only during their op, so
-//	                        the packer overlays them with activation storage,
-//	                        and alias live ranges merge into their root's.
-//	                        The plan reports its peak footprint against the
+//	memory plan (memplan.go) — liveness analysis over buffer IDs, then best-fit
+//	                        offset assignment into one arena in three root
+//	                        orders, keeping the smallest; scratch buffers are
+//	                        live only during their op, so the packer overlays
+//	                        them with activation storage, and alias live
+//	                        ranges merge into their root's.  The plan reports
+//	                        its peak against its liveness lower bound and the
 //	                        naive all-buffers-live total, making the paper's
 //	                        memory-efficiency story measurable.
 //	execute (executor.go, pool.go, device.go) — run the compiled program on

@@ -3,6 +3,7 @@ package runtime
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"memcnn/internal/tensor"
 )
@@ -34,11 +35,22 @@ type MemPlan struct {
 	Live []Interval
 	// ArenaElems is the arena size, in float32 elements.
 	ArenaElems int
+	// BoundElems is the liveness lower bound: the most root elements live at
+	// any one op.  No placement fits in a smaller arena.
+	BoundElems int
+	// PeakOp is the first op at which BoundElems elements are live (-1 is the
+	// input before the first op, len(ops) the output after the last), and
+	// PeakBuffers the roots live there: why the arena is at least that big.
+	PeakOp      int
+	PeakBuffers []BufferID
 }
 
 // PeakBytes is the arena footprint: the paper's "memory efficiency" quantity
 // at the whole-network scope.
 func (m *MemPlan) PeakBytes() int64 { return int64(m.ArenaElems) * 4 }
+
+// BoundBytes is the liveness lower bound in bytes.
+func (m *MemPlan) BoundBytes() int64 { return int64(m.BoundElems) * 4 }
 
 // placed records one buffer already assigned arena space.
 type placed struct {
@@ -47,10 +59,13 @@ type placed struct {
 }
 
 // PlanMemory computes buffer liveness over the program's op list and packs
-// the buffers into a single arena with greedy best-fit offset assignment:
-// buffers are placed in definition order, each into the free gap (among the
-// offsets left by conflicting, already-placed buffers) that wastes the least
-// space.
+// the root buffers into a single arena by best fit: each root goes into the
+// free gap (among the offsets left by conflicting, already-placed roots) that
+// wastes the least space.  Greedy placement depends on the order, so the
+// roots are placed in three fixed orders — definition order, size
+// descending, and size × lifetime descending — and the smallest arena is
+// kept, the earliest order on a tie.  No arena can be smaller than the
+// liveness lower bound, so the first order that meets it ends the search.
 func PlanMemory(p *Program) (*MemPlan, error) {
 	n := len(p.Buffers)
 	if n == 0 {
@@ -66,10 +81,8 @@ func PlanMemory(p *Program) (*MemPlan, error) {
 	}
 	touch := func(id BufferID, op int, write bool) {
 		r := p.root(id)
-		if write {
-			if op < def[r] {
-				def[r] = op
-			}
+		if write && op < def[r] {
+			def[r] = op
 		}
 		if op > last[r] {
 			last[r] = op
@@ -95,50 +108,93 @@ func PlanMemory(p *Program) (*MemPlan, error) {
 	}
 	touch(p.Output, len(p.Ops), false)
 
-	// Best-fit placement of root buffers in definition order.
 	roots := make([]BufferID, 0, n)
+	live := make([]Interval, n)
 	for id := range p.Buffers {
-		if p.Buffers[id].AliasOf == NoBuffer {
-			roots = append(roots, BufferID(id))
+		r := p.root(BufferID(id))
+		live[id] = Interval{Def: def[r], LastUse: last[r]}
+		if BufferID(id) != r {
+			continue
 		}
+		if def[id] > len(p.Ops) {
+			return nil, fmt.Errorf("runtime: buffer %d (%v) is dead in the program", id, p.Buffers[id].Shape)
+		}
+		roots = append(roots, BufferID(id))
 	}
-	sort.SliceStable(roots, func(i, j int) bool { return def[roots[i]] < def[roots[j]] })
+	m := &MemPlan{Live: live}
+	m.BoundElems, m.PeakOp, m.PeakBuffers = lowerBound(p, live, roots)
 
-	offsets := make([]int, n)
-	var placements []placed
-	arena := 0
-	for _, id := range roots {
-		b := p.Buffers[id]
-		if def[id] > len(p.Ops) || last[id] < -1 {
-			return nil, fmt.Errorf("runtime: buffer %d (%v) is dead in the program", id, b.Shape)
+	elems := func(id BufferID) int { return p.Buffers[id].Elems() }
+	byDef := append([]BufferID(nil), roots...)
+	sort.SliceStable(byDef, func(i, j int) bool { return def[byDef[i]] < def[byDef[j]] })
+	bySize := append([]BufferID(nil), byDef...)
+	sort.SliceStable(bySize, func(i, j int) bool { return elems(bySize[i]) > elems(bySize[j]) })
+	byArea := append([]BufferID(nil), byDef...)
+	area := func(id BufferID) int { return elems(id) * (last[id] - def[id] + 1) }
+	sort.SliceStable(byArea, func(i, j int) bool { return area(byArea[i]) > area(byArea[j]) })
+	for _, order := range [][]BufferID{byDef, bySize, byArea} {
+		if offsets, arena := placeRoots(p, live, order); m.Offsets == nil || arena < m.ArenaElems {
+			m.Offsets, m.ArenaElems = offsets, arena
 		}
-		live := Interval{Def: def[id], LastUse: last[id]}
-		var conflicts []placed
-		for _, pl := range placements {
-			if pl.live.overlaps(live) {
-				conflicts = append(conflicts, pl)
-			}
-		}
-		off := bestFit(conflicts, b.Elems())
-		offsets[id] = off
-		placements = append(placements, placed{off: off, elems: b.Elems(), live: live})
-		if end := off + b.Elems(); end > arena {
-			arena = end
+		if m.ArenaElems == m.BoundElems {
+			break
 		}
 	}
 	// Aliases inherit their root's offset.
-	liveOut := make([]Interval, n)
 	for id := range p.Buffers {
-		r := p.root(BufferID(id))
-		offsets[id] = offsets[r]
-		liveOut[id] = Interval{Def: def[r], LastUse: last[r]}
+		m.Offsets[id] = m.Offsets[p.root(BufferID(id))]
 	}
-
-	m := &MemPlan{Offsets: offsets, Live: liveOut, ArenaElems: arena}
 	if err := m.validateInstantiable(p); err != nil {
 		return nil, err
 	}
 	return m, nil
+}
+
+// placeRoots places the roots in the given order, each at the best-fit
+// offset among the roots placed before it whose live ranges conflict with
+// its own, and returns the offsets (indexed by BufferID, aliases left at 0)
+// and the arena size.
+func placeRoots(p *Program, live []Interval, order []BufferID) ([]int, int) {
+	offsets := make([]int, len(p.Buffers))
+	placements := make([]placed, 0, len(order))
+	var conflicts []placed
+	arena := 0
+	for _, id := range order {
+		size := p.Buffers[id].Elems()
+		conflicts = conflicts[:0]
+		for _, pl := range placements {
+			if pl.live.overlaps(live[id]) {
+				conflicts = append(conflicts, pl)
+			}
+		}
+		offsets[id] = bestFit(conflicts, size)
+		placements = append(placements, placed{off: offsets[id], elems: size, live: live[id]})
+		arena = max(arena, offsets[id]+size)
+	}
+	return offsets, arena
+}
+
+// lowerBound sweeps the roots' live ranges once and returns the most root
+// elements live at any one op, the first op where that many are, and the
+// roots live there.
+func lowerBound(p *Program, live []Interval, roots []BufferID) (bound, op int, at []BufferID) {
+	delta := make([]int, len(p.Ops)+3) // index t+1 for op t in [-1, len(ops)+1]
+	for _, id := range roots {
+		delta[live[id].Def+1] += p.Buffers[id].Elems()
+		delta[live[id].LastUse+2] -= p.Buffers[id].Elems()
+	}
+	op = -1
+	for t, sum := 0, 0; t < len(delta); t++ {
+		if sum += delta[t]; sum > bound {
+			bound, op = sum, t-1
+		}
+	}
+	for _, id := range roots {
+		if live[id].Def <= op && op <= live[id].LastUse {
+			at = append(at, id)
+		}
+	}
+	return bound, op, at
 }
 
 // validateInstantiable checks that an executor instance can be bound over the
@@ -337,8 +393,8 @@ func (m *MemPlan) Validate(p *Program) error {
 	return nil
 }
 
-// String summarises the plan.
+// String summarises the plan: its arena, its lower bound and where that is.
 func (m *MemPlan) String() string {
-	return fmt.Sprintf("MemPlan{%d buffers, arena %d elems (%.2f MiB)}",
-		len(m.Offsets), m.ArenaElems, float64(m.PeakBytes())/(1<<20))
+	return fmt.Sprintf("arena %.4f MiB, bound %.4f MiB, peak at op %d (buffers %v)",
+		float64(m.PeakBytes())/(1<<20), float64(m.BoundBytes())/(1<<20), m.PeakOp, strings.Trim(fmt.Sprint(m.PeakBuffers), "[]"))
 }

@@ -9,7 +9,8 @@
 // outputs) can be dropped from the stored set and recomputed just in time
 // during the backward pass (OpRecompute), trading a bounded amount of forward
 // FLOPs — each dropped activation is recomputed at most once — for peak arena
-// bytes.  CheckpointAuto compiles both variants and keeps the smaller plan.
+// bytes.  CheckpointAuto compiles both variants and keeps the smaller plan;
+// a tie goes to store-all, which pays no recompute.
 //
 // The paper profiles its memory optimisations on complete forward-backward
 // Caffe iterations and notes that forward and backward share data structures
@@ -36,7 +37,8 @@ type Checkpoint int
 
 const (
 	// CheckpointAuto compiles both variants and keeps the one with the lower
-	// planned peak — checkpointing is a planner decision, not a user knob.
+	// planned peak, store-all on a tie since it pays no recompute —
+	// checkpointing is a planner decision, not a user knob.
 	CheckpointAuto Checkpoint = iota
 	// CheckpointOff stores every forward activation until its last backward
 	// use.

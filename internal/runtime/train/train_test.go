@@ -171,6 +171,19 @@ func TestTrainingArenaHoldsAtTheDirectStep(t *testing.T) {
 	}
 }
 
+// TestAutoStoresAllAtATie holds CheckpointAuto to its tie rule on LeNet@16,
+// whose store-all plan sits at its lower bound and equals the recompute
+// plan: the tie goes to store-all, which pays no recompute.
+func TestAutoStoresAllAtATie(t *testing.T) {
+	p := lenet16(t)
+	if p.Checkpointed || p.RecomputeOps != 0 {
+		t.Errorf("LeNet@16 auto plan checkpoints (%d recompute ops); store-all is as small", p.RecomputeOps)
+	}
+	if p.Mem.PeakBytes() != p.StorePeakBytes {
+		t.Errorf("LeNet@16 auto arena is %d bytes, the store-all plan's %d", p.Mem.PeakBytes(), p.StorePeakBytes)
+	}
+}
+
 // TestCheckpointLowersPeak is the acceptance criterion: recompute-vs-store
 // checkpointing strictly lowers the planned peak on the big nets.
 func TestCheckpointLowersPeak(t *testing.T) {

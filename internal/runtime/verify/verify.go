@@ -575,9 +575,10 @@ func (c *checker) trainingOrder() {
 // plan checks the memory plan against the op list (check e): the recorded
 // live ranges must equal liveness recomputed from the ops — a stale plan
 // (ops mutated after planning) is exactly as dangerous as a wrong one — and,
-// with the ranges trusted, the arena packing must place no two live roots on
-// overlapping extents (MemPlan.Validate's offset sweep, which also confirms
-// bounds and that aliases share their root's offset).
+// with the ranges trusted, the recorded lower bound must equal the one they
+// imply, the arena must not be under it, and the arena packing must place no
+// two live roots on overlapping extents (MemPlan.Validate's offset sweep,
+// which also confirms bounds and that aliases share their root's offset).
 func (c *checker) plan() {
 	p := c.p
 	m := p.Mem
@@ -643,6 +644,26 @@ func (c *checker) plan() {
 		// The overlap sweep reads m.Live; with ranges that contradict the op
 		// list its verdict would be meaningless either way.
 		return
+	}
+	// The lower bound, the most root elements live at any one op, explains
+	// the arena's size; an arena under it must overlap two live roots.
+	delta := make([]int, len(p.Ops)+3)
+	for i, b := range p.Buffers {
+		if b.AliasOf == runtime.NoBuffer {
+			delta[def[i]+1] += b.Elems()
+			delta[last[i]+2] -= b.Elems()
+		}
+	}
+	bound, sum := 0, 0
+	for _, d := range delta {
+		sum += d
+		bound = max(bound, sum)
+	}
+	if m.BoundElems != bound {
+		c.add(CheckPlan, -1, runtime.NoBuffer, "plan records a lower bound of %d elems but the op list implies %d: the plan is stale", m.BoundElems, bound)
+	}
+	if m.ArenaElems < bound {
+		c.add(CheckPlan, -1, runtime.NoBuffer, "arena of %d elems is under the liveness lower bound of %d", m.ArenaElems, bound)
 	}
 	if err := m.Validate(p); err != nil {
 		c.add(CheckPlan, -1, runtime.NoBuffer, "%s", strings.TrimPrefix(err.Error(), "runtime: "))

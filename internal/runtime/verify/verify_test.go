@@ -517,6 +517,26 @@ func TestMutationStaleLiveRange(t *testing.T) {
 	}
 }
 
+// TestMutationStaleBound tampers with the recorded lower bound, so the plan's
+// explanation of its size no longer matches its live ranges, and then with
+// the arena, shrinking it under the bound.
+func TestMutationStaleBound(t *testing.T) {
+	p := cloneProgram(compileLeNet(t, kernels.ConvAlgDirect))
+	p.Mem.BoundElems--
+	d := wantDiag(t, verify.Check(p), verify.CheckPlan, -1, runtime.NoBuffer)
+	if !strings.Contains(d.Msg, "lower bound") || !strings.Contains(d.Msg, "stale") {
+		t.Errorf("diagnostic does not report a stale bound: %s", d)
+	}
+
+	// An arena under the (true) bound cannot hold the roots live at its peak.
+	p = cloneProgram(compileLeNet(t, kernels.ConvAlgDirect))
+	p.Mem.ArenaElems = p.Mem.BoundElems - 1
+	d = wantDiag(t, verify.Check(p), verify.CheckPlan, -1, runtime.NoBuffer)
+	if !strings.Contains(d.Msg, "under the liveness lower bound") {
+		t.Errorf("diagnostic does not report an arena under the bound: %s", d)
+	}
+}
+
 func TestMutationSGDBeforeGradFilter(t *testing.T) {
 	tp := compileTraining(t, train.CheckpointOff)
 	p := cloneProgram(tp.Program)
