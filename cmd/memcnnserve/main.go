@@ -223,6 +223,9 @@ func main() {
 	}
 	defer srv.Close()
 	srv.Instrument(ob)
+	if batches, arena := srv.Buckets(); arena > 0 {
+		fmt.Printf("buckets %s over one %.4f MiB arena per worker\n", strings.Trim(strings.Join(strings.Fields(fmt.Sprint(batches)), ","), "[]"), mib(arena))
+	}
 
 	if *demo > 0 {
 		// Snapshot before the demo so the reported per-stage means cover the
@@ -410,8 +413,8 @@ func runDemo(srv *memruntime.BatchServer, prog *memruntime.Program, n int) {
 	st := srv.Stats()
 	fmt.Printf("demo: %d requests in %v (%.1f imgs/sec), %d failed\n",
 		n, elapsed.Round(time.Millisecond), float64(n)/elapsed.Seconds(), failed)
-	fmt.Printf("batching: %d executions, avg batch %.2f, largest %d\n",
-		st.Batches, st.AvgBatch, st.LargestBatch)
+	fmt.Printf("batching: %d executions, avg batch %.2f, largest %d, %d images of padding\n",
+		st.Batches, st.AvgBatch, st.LargestBatch, st.Padded)
 }
 
 type inferRequest struct {

@@ -97,7 +97,10 @@
 // batched executions (bounded by a maximum batch size and a maximum queueing
 // delay) running on any Runner — the single-device Executor, the sharded
 // PipelineExecutor or the data-parallel replica.Group, whose stages or
-// replicas the server's concurrent workers keep filled.  With ServerConfig.CacheEntries a
+// replicas the server's concurrent workers keep filled.  On the program's own
+// Executor a batch runs on the smallest power-of-two rebatching of the program
+// that holds it, each worker binding every bucket into one arena; any other
+// runner pads every batch to the program's batch.  With ServerConfig.CacheEntries a
 // checksum-keyed result cache (cache.go: bounded LRU, hit/miss/eviction
 // counters, single-flight on concurrent identical inputs) sits in front of
 // the batching queue, so repeated inputs skip execution entirely.  That is

@@ -16,3 +16,37 @@ func DefinitionOrderArena(p *Program) int {
 	_, arena := placeRoots(p, p.Mem.Live, roots)
 	return arena
 }
+
+// ServerBuckets returns the programs s runs coalesced batches on, smallest
+// first.
+func ServerBuckets(s *BatchServer) []*Program { return s.buckets }
+
+// WorkerArenas returns, per worker of s, the length of its one arena and how
+// many root buffers of its bucket instances are stored anywhere else.
+func WorkerArenas(s *BatchServer) (elems, outside []int) {
+	for _, w := range s.workers {
+		n := 0
+		for _, inst := range w.insts {
+			for id, b := range inst.prog.Buffers {
+				if b.AliasOf != NoBuffer {
+					continue
+				}
+				// A sub-slice of the arena extends, at its capacity, to the
+				// arena's last element.
+				d := inst.bufs[id].Data
+				if len(w.arena) == 0 || &d[:cap(d)][cap(d)-1] != &w.arena[len(w.arena)-1] {
+					n++
+				}
+			}
+		}
+		elems, outside = append(elems, len(w.arena)), append(outside, n)
+	}
+	return elems, outside
+}
+
+// QueueDepth is the number of requests waiting in s's queue.
+func QueueDepth(s *BatchServer) int { return len(s.reqs) }
+
+// FullBatchP95US is the p95 time of the batches s ran on its last bucket,
+// the figure admission control prices a queued batch at.
+func FullBatchP95US(s *BatchServer) float64 { return s.fullLat.Quantile(0.95) }

@@ -56,6 +56,7 @@ const (
 // reads, one ring write and one histogram increment.
 type execObs struct {
 	rec   *obs.Recorder
+	reg   *obs.Registry
 	epoch time.Time // fallback clock when only metrics are attached
 	lane  int32
 
@@ -76,6 +77,7 @@ func newExecObs(prog *Program, ob Observer, lane int32) *execObs {
 	net := prog.Net.Name
 	eo := &execObs{
 		rec:   ob.Trace,
+		reg:   ob.Metrics,
 		epoch: time.Now(),
 		lane:  lane,
 		runSpan: obs.Span{
@@ -105,6 +107,11 @@ func newExecObs(prog *Program, ob Observer, lane int32) *execObs {
 			obs.L("net", net), obs.L("kind", op.Kind.String()))
 	}
 	return eo
+}
+
+// forProgram is eo's instrumentation, same sinks and lane, for a server bucket.
+func (eo *execObs) forProgram(p *Program) *execObs {
+	return newExecObs(p, Observer{Trace: eo.rec, Metrics: eo.reg}, eo.lane)
 }
 
 // now returns a span timestamp: the shared recorder's clock when tracing, a

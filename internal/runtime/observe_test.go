@@ -419,6 +419,7 @@ func TestServerStatsMatchMetrics(t *testing.T) {
 	}
 	for name, want := range map[string]float64{
 		"memcnn_requests_total":        float64(st.Requests),
+		"memcnn_padded_images_total":   float64(st.Padded),
 		"memcnn_batches_total":         float64(st.Batches),
 		"memcnn_request_errors_total":  float64(st.Errors),
 		"memcnn_shed_total":            float64(st.Shed),

@@ -16,24 +16,28 @@ type Instance struct {
 	bufs []*tensor.Tensor
 }
 
-// NewInstance binds every buffer header of a program to storage — the one
-// place that happens.  With perBuffer false the buffers share one arena
-// allocation at the memory plan's offsets (Mem.PeakBytes of storage); with
-// perBuffer true every root buffer gets an allocation of its own
-// (Program.NaiveBytes), the keep-everything baseline planned footprints are
-// measured against.  Alias buffers view their root's storage either way.
-//
-// The consistency conditions binding depends on (alias reinterpretability,
-// offsets inside the arena, shape/layout validity) are checked when the
-// program is constructed — PlanMemory rejects a plan that cannot instantiate
-// — so a bad plan surfaces as a compile error, not a crash in a serving
-// worker; the errors here are a backstop for hand-built programs.
+// NewInstance binds every buffer header of a program to storage.  With
+// perBuffer false the buffers share one arena allocation at the memory plan's
+// offsets (Mem.PeakBytes of storage); with perBuffer true every root buffer
+// gets an allocation of its own (Program.NaiveBytes), the keep-everything
+// baseline planned footprints are measured against.
 func NewInstance(p *Program, perBuffer bool) (*Instance, error) {
-	inst := &Instance{prog: p, bufs: make([]*tensor.Tensor, len(p.Buffers))}
-	var arena []float32
-	if !perBuffer {
-		arena = make([]float32, p.Mem.ArenaElems)
+	if perBuffer {
+		return bindInstance(p, nil)
 	}
+	return bindInstance(p, make([]float32, p.Mem.ArenaElems))
+}
+
+// bindInstance is the one place buffers are bound: into arena at the plan's
+// offsets, or each root into an allocation of its own when arena is nil.
+// Alias buffers view their root's storage either way.  The arena may be longer
+// than the plan: a batching worker binds one instance per bucket into one.
+//
+// PlanMemory already rejects a plan that cannot bind (alias
+// reinterpretability, offsets inside the arena, shape/layout validity), so
+// the errors here are a backstop for hand-built programs.
+func bindInstance(p *Program, arena []float32) (*Instance, error) {
+	inst := &Instance{prog: p, bufs: make([]*tensor.Tensor, len(p.Buffers))}
 	for i, b := range p.Buffers {
 		if b.AliasOf != NoBuffer {
 			// A zero-copy view of its root's storage; roots always precede
@@ -50,7 +54,7 @@ func NewInstance(p *Program, perBuffer bool) (*Instance, error) {
 			continue
 		}
 		var backing []float32
-		if perBuffer {
+		if arena == nil {
 			backing = make([]float32, b.Elems())
 		} else {
 			off := p.Mem.Offsets[i]

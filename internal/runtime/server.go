@@ -30,7 +30,7 @@ type ServerConfig struct {
 	// is also the default.
 	MaxBatch int
 	// MaxDelay bounds how long a request waits for the batch to fill before
-	// the server runs a padded partial batch.  Default 2ms.
+	// the server runs the partial batch it has.  Default 2ms.
 	MaxDelay time.Duration
 	// Workers is the number of concurrent batch executors.  Default 2.
 	Workers int
@@ -43,9 +43,9 @@ type ServerConfig struct {
 	// sooner), requests whose deadline passes while queued are failed with
 	// context.DeadlineExceeded without occupying a batch slot, and admission
 	// control sheds new requests with ErrShed when the queue is deep enough
-	// that their estimated wait (p95 measured batch time x batches ahead)
-	// would already exceed the budget.  0 (the default) disables deadlines
-	// and shedding.
+	// that their estimated wait (p95 measured full-batch time x batches
+	// ahead) would already exceed the budget.  0 (the default) disables
+	// deadlines and shedding.
 	SLO time.Duration
 }
 
@@ -70,6 +70,7 @@ type ServerStats struct {
 	Errors       uint64  // requests that failed
 	LargestBatch uint64  // largest coalesced batch observed
 	AvgBatch     float64 // mean requests per execution
+	Padded       uint64  // images computed as padding, summed over batches
 	// Shed counts requests rejected by admission control (ErrShed) and
 	// Expired requests whose deadline passed while they waited in the queue;
 	// both are zero unless ServerConfig.SLO is set.  Neither is included in
@@ -79,8 +80,8 @@ type ServerStats struct {
 	// Queue-wait and batch-execution latency quantiles, in microseconds, from
 	// the server's always-on histograms (bucketed: values are bucket upper
 	// bounds, relative error <= ~19%).  QueueWaitEstimateUS is the current
-	// admission-control wait estimate — p95 batch time x batches queued ahead
-	// / workers — which the measured QueueWaitP99US keeps honest.
+	// admission-control wait estimate — p95 full-batch time x batches queued
+	// ahead / workers — which the measured QueueWaitP99US keeps honest.
 	QueueWaitEstimateUS float64
 	QueueWaitP50US      float64
 	QueueWaitP99US      float64
@@ -132,6 +133,9 @@ func NewServer(prog *Program, cfg ServerConfig) (*BatchServer, error) {
 // runner — e.g. a PipelineExecutor, whose stages the concurrent workers keep
 // filled by walking them with a batch each.  The runner's lifetime is
 // the caller's: Close stops the workers but not the runner.
+// On the program's own *Executor a batch runs on the smallest bucket that
+// holds it (bucketPrograms), over one arena per worker; any other runner gets
+// every batch padded to the program's batch.
 func NewServerWith(prog *Program, run Runner, cfg ServerConfig) (*BatchServer, error) {
 	in := prog.InputShape()
 	cfg = cfg.withDefaults(in.N)
@@ -139,15 +143,17 @@ func NewServerWith(prog *Program, run Runner, cfg ServerConfig) (*BatchServer, e
 		return nil, fmt.Errorf("runtime: MaxBatch %d exceeds the network batch %d", cfg.MaxBatch, in.N)
 	}
 	s := &BatchServer{
-		prog: prog,
-		exec: run,
-		cfg:  cfg,
+		prog:    prog,
+		exec:    run,
+		buckets: []*Program{prog},
+		cfg:     cfg,
 		// The queue holds two full batches per worker: one being coalesced
 		// while the previous one executes.
 		reqs:      make(chan *request, 2*cfg.MaxBatch*cfg.Workers),
 		stop:      make(chan struct{}),
 		queueWait: obs.NewHistogram(),
 		batchLat:  obs.NewHistogram(),
+		fullLat:   obs.NewHistogram(),
 		reqLat:    obs.NewHistogram(),
 	}
 	if cfg.CacheEntries > 0 {
@@ -156,6 +162,18 @@ func NewServerWith(prog *Program, run Runner, cfg ServerConfig) (*BatchServer, e
 			return nil, err
 		}
 		s.cache = cache
+	}
+	if e, ok := run.(*Executor); ok && e.prog == prog {
+		buckets, err := bucketPrograms(prog, cfg.MaxBatch)
+		if err != nil {
+			return nil, err
+		}
+		s.buckets, s.direct = buckets, e
+	}
+	for i := 0; i < cfg.Workers; i++ {
+		if err := s.addWorker(); err != nil {
+			return nil, err
+		}
 	}
 	s.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -166,8 +184,9 @@ func NewServerWith(prog *Program, run Runner, cfg ServerConfig) (*BatchServer, e
 
 // BatchServer is a concurrent batched-inference front-end over a compiled
 // program: single-image requests are queued, coalesced into batches of up to
-// MaxBatch images (waiting at most MaxDelay), padded to the network's batch
-// size and run through the planned executor.  Every layer processes images
+// MaxBatch images (waiting at most MaxDelay), padded to the smallest bucket
+// that holds them (the network's batch unless the runner is the program's
+// own Executor; see NewServerWith) and run.  Every layer processes images
 // independently, so padded slots cannot perturb real results.  An optional
 // checksum-keyed result cache sits in front of the queue (ServerConfig.
 // CacheEntries), short-circuiting repeated and concurrent-identical inputs.
@@ -178,6 +197,12 @@ type BatchServer struct {
 	exec  Runner
 	cfg   ServerConfig
 	cache *ResultCache // nil unless CacheEntries > 0
+
+	// buckets run batches, smallest first, the last full ones; direct is the
+	// executor they run on, nil when exec pads every batch to prog alone.
+	buckets []*Program
+	direct  *Executor
+	workers []*workerState
 
 	reqs chan *request
 	stop chan struct{}
@@ -190,16 +215,18 @@ type BatchServer struct {
 	batches      atomic.Uint64
 	errors       atomic.Uint64
 	largestBatch atomic.Uint64
+	padded       atomic.Uint64
 	shed         atomic.Uint64
 	expired      atomic.Uint64
 
 	// The server's always-on latency histograms: per-request queue wait,
-	// successful batch execution time (feeding the admission-control wait
-	// estimate, which used to be an opaque EWMA) and end-to-end request
-	// latency.  Instrument surfaces them in a metrics registry; Stats reads
-	// quantiles from them either way.
+	// successful batch execution time, the same for batches run on the last
+	// bucket only (feeding the admission-control wait estimate) and
+	// end-to-end request latency.  Instrument surfaces all but fullLat in a
+	// metrics registry; Stats reads quantiles from them either way.
 	queueWait *obs.Histogram
 	batchLat  *obs.Histogram
+	fullLat   *obs.Histogram
 	reqLat    *obs.Histogram
 	// trace, when set by Instrument, receives queue-wait/coalesce/batch spans
 	// on per-worker lanes.
@@ -208,6 +235,15 @@ type BatchServer struct {
 
 // Config returns the effective (defaulted) configuration.
 func (s *BatchServer) Config() ServerConfig { return s.cfg }
+
+// Buckets returns the batch sizes batches run on, smallest first, and the
+// bytes of each worker's one arena (0 when the runner pads every batch).
+func (s *BatchServer) Buckets() (batches []int, arenaBytes int64) {
+	for _, p := range s.buckets {
+		batches = append(batches, p.InputShape().N)
+	}
+	return batches, 4 * int64(len(s.workers[0].arena))
+}
 
 // Infer submits one image — shape {1,C,H,W} for a network consuming
 // {B,C,H,W} — and blocks until its result, a {1,classes…} tensor in NCHW
@@ -238,13 +274,12 @@ func (s *BatchServer) Infer(ctx context.Context, img *tensor.Tensor) (*tensor.Te
 
 // admissionWait estimates how long a request entering the queue now will wait
 // before its batch starts: the batches already queued ahead of it, divided
-// over the workers, each taking the p95 measured batch time from the batch
-// histogram.  Zero until the first batch has been measured.  Using a high
-// quantile (rather than the old EWMA of recent batches) makes the estimate
-// conservative under bimodal batch times — the regime where an optimistic
-// mean admits requests that then blow their SLO in the queue.
+// over the workers, each taking the p95 time of a batch run on the last
+// bucket, since a batch queued ahead is full (lone requests on small buckets
+// must not pull the estimate down).  Zero until a full batch has been
+// measured.  A high quantile keeps the estimate conservative.
 func (s *BatchServer) admissionWait() time.Duration {
-	per := s.batchLat.Quantile(0.95) // microseconds
+	per := s.fullLat.Quantile(0.95) // microseconds
 	if per <= 0 {
 		return 0
 	}
@@ -287,6 +322,7 @@ func (s *BatchServer) Stats() ServerStats {
 		Batches:             s.batches.Load(),
 		Errors:              s.errors.Load(),
 		LargestBatch:        s.largestBatch.Load(),
+		Padded:              s.padded.Load(),
 		Shed:                s.shed.Load(),
 		Expired:             s.expired.Load(),
 		QueueWaitEstimateUS: float64(s.admissionWait()) / 1e3,
@@ -340,6 +376,9 @@ func (s *BatchServer) Instrument(ob Observer) {
 	reg.CounterFunc("memcnn_requests_total",
 		"Single-image requests completed (success or error).",
 		func() float64 { return float64(s.requests.Load()) }, netL)
+	reg.CounterFunc("memcnn_padded_images_total",
+		"Images computed as padding: bucket batch minus requests, summed over batches.",
+		func() float64 { return float64(s.padded.Load()) }, netL)
 	reg.CounterFunc("memcnn_batches_total",
 		"Planned batch executions performed.",
 		func() float64 { return float64(s.batches.Load()) }, netL)
@@ -411,8 +450,7 @@ func (s *BatchServer) Close() {
 func (s *BatchServer) worker(id int) {
 	defer s.wg.Done()
 	lane := laneServerBase + int32(id)
-	inBatch := tensor.New(s.prog.InputShape(), tensor.NCHW)
-	outBatch := tensor.New(s.prog.OutputShape(), tensor.NCHW)
+	w := s.workers[id]
 	batch := make([]*request, 0, s.cfg.MaxBatch)
 	timer := time.NewTimer(time.Hour)
 	stopTimer(timer)
@@ -481,7 +519,7 @@ func (s *BatchServer) worker(id int) {
 						Images: len(live),
 					})
 				}
-				s.serveBatch(lane, inBatch, outBatch, live)
+				s.serveBatch(lane, w, live)
 			}
 		}
 	}
@@ -515,13 +553,94 @@ func batchContext(batch []*request) (context.Context, context.CancelFunc) {
 	return context.WithDeadline(context.Background(), latest)
 }
 
-// serveBatch packs the requests into the staging batch, runs the planned
-// program once and slices the results back out per request.
-func (s *BatchServer) serveBatch(lane int32, inBatch, outBatch *tensor.Tensor, batch []*request) {
+// bucketPrograms returns what a batch of up to maxBatch images runs on,
+// smallest first: prog rebatched (same layouts, algorithms and weights) to 1,
+// 2, 4, … until one holds maxBatch, or prog once a power reaches its batch.
+func bucketPrograms(prog *Program, maxBatch int) ([]*Program, error) {
+	var buckets []*Program
+	for b := 1; ; b *= 2 {
+		if b >= prog.InputShape().N {
+			return append(buckets, prog), nil
+		}
+		p, err := prog.WithBatch(b)
+		if err != nil {
+			return nil, err
+		}
+		if buckets = append(buckets, p); b >= maxBatch {
+			return buckets, nil
+		}
+	}
+}
+
+// workerState is one worker's per-bucket NCHW staging views and instances,
+// the instances (when direct is set) all bound into one max-bucket arena.
+type workerState struct {
+	in, out []*tensor.Tensor
+	arena   []float32
+	insts   []*Instance
+	obsSrc  *execObs   // the executor instrumentation obs was built from
+	obs     []*execObs // per bucket, built on first use
+}
+
+func (s *BatchServer) addWorker() error {
+	top := s.buckets[len(s.buckets)-1]
+	inAll := tensor.New(top.InputShape(), tensor.NCHW)
+	outAll := tensor.New(top.OutputShape(), tensor.NCHW)
+	w := &workerState{obs: make([]*execObs, len(s.buckets))}
+	if s.direct != nil {
+		elems := 0
+		for _, p := range s.buckets {
+			elems = max(elems, p.Mem.ArenaElems)
+		}
+		w.arena = make([]float32, elems)
+	}
+	for _, p := range s.buckets {
+		in, out := p.InputShape(), p.OutputShape()
+		w.in = append(w.in, &tensor.Tensor{Shape: in, Layout: tensor.NCHW, Data: inAll.Data[:in.Elems()]})
+		w.out = append(w.out, &tensor.Tensor{Shape: out, Layout: tensor.NCHW, Data: outAll.Data[:out.Elems()]})
+		if w.arena != nil {
+			inst, err := bindInstance(p, w.arena)
+			if err != nil {
+				return err
+			}
+			w.insts = append(w.insts, inst)
+		}
+	}
+	s.workers = append(s.workers, w)
+	return nil
+}
+
+// run executes bucket k over the worker's staging views: through the runner,
+// or over its instance on the executor's device, with the executor's observer.
+func (s *BatchServer) run(ctx context.Context, w *workerState, k int) error {
+	if w.insts == nil {
+		return s.exec.RunIntoCtx(ctx, w.in[k], w.out[k])
+	}
+	inst := w.insts[k]
+	if eo := s.direct.obs.Load(); eo != w.obsSrc {
+		w.obsSrc = eo
+		clear(w.obs)
+	}
+	if w.obsSrc != nil && w.obs[k] == nil {
+		w.obs[k] = w.obsSrc.forProgram(inst.prog)
+	}
+	return inst.run(ctx, s.direct.dev, w.obs[k], 0, len(inst.prog.Ops)-1, w.in[k], w.out[k])
+}
+
+// serveBatch packs the requests into the smallest bucket that holds them,
+// runs it once and slices the results back out per request.
+func (s *BatchServer) serveBatch(lane int32, w *workerState, batch []*request) {
+	k := 0
+	for s.buckets[k].InputShape().N < len(batch) {
+		k++
+	}
+	inBatch, outBatch := w.in[k], w.out[k]
 	in := s.prog.InputShape()
 	chw := in.C * in.H * in.W
 	for slot, r := range batch {
-		packImage(inBatch.Data[slot*chw:(slot+1)*chw], r.img)
+		// Infer checked the shape, the one thing ConvertInto can reject.
+		slotView := &tensor.Tensor{Shape: r.img.Shape, Layout: tensor.NCHW, Data: inBatch.Data[slot*chw : (slot+1)*chw]}
+		_ = tensor.ConvertInto(r.img, slotView)
 	}
 	// Zero the padding slots: stale activations from a previous batch must
 	// not leak between requests (values cannot, but padded garbage could
@@ -537,7 +656,7 @@ func (s *BatchServer) serveBatch(lane int32, inBatch, outBatch *tensor.Tensor, b
 	start := time.Now()
 	err := func() (err error) {
 		defer containPanic("server batch", &err)
-		return s.exec.RunIntoCtx(runCtx, inBatch, outBatch)
+		return s.run(runCtx, w, k)
 	}()
 	elapsed := time.Since(start)
 	cancel()
@@ -545,6 +664,9 @@ func (s *BatchServer) serveBatch(lane int32, inBatch, outBatch *tensor.Tensor, b
 		// Feed the admission-control estimate from successful batches only;
 		// failed ones (faults, cancellations) do not measure capacity.
 		s.batchLat.Observe(float64(elapsed) / 1e3)
+		if k == len(s.buckets)-1 {
+			s.fullLat.Observe(float64(elapsed) / 1e3)
+		}
 	}
 	if rec != nil {
 		rec.Record(obs.Span{
@@ -555,6 +677,7 @@ func (s *BatchServer) serveBatch(lane int32, inBatch, outBatch *tensor.Tensor, b
 	}
 	s.batches.Add(1)
 	s.requests.Add(uint64(len(batch)))
+	s.padded.Add(uint64(inBatch.Shape.N - len(batch)))
 	for {
 		cur := s.largestBatch.Load()
 		if uint64(len(batch)) <= cur || s.largestBatch.CompareAndSwap(cur, uint64(len(batch))) {
@@ -574,25 +697,5 @@ func (s *BatchServer) serveBatch(lane int32, inBatch, outBatch *tensor.Tensor, b
 		res := tensor.New(tensor.Shape{N: 1, C: out.C, H: out.H, W: out.W}, tensor.NCHW)
 		copy(res.Data, outBatch.Data[slot*perImage:(slot+1)*perImage])
 		r.resp <- response{out: res}
-	}
-}
-
-// packImage writes one {1,C,H,W} request image into an NCHW batch slot.  With
-// N = 1 the NCHW and CHWN linearisations coincide, so both copy directly; the
-// channel-interleaved layouts are gathered element-wise.
-func packImage(dst []float32, img *tensor.Tensor) {
-	if img.Layout == tensor.NCHW || img.Layout == tensor.CHWN {
-		copy(dst, img.Data)
-		return
-	}
-	s := img.Shape
-	i := 0
-	for c := 0; c < s.C; c++ {
-		for h := 0; h < s.H; h++ {
-			for w := 0; w < s.W; w++ {
-				dst[i] = img.At(0, c, h, w)
-				i++
-			}
-		}
 	}
 }

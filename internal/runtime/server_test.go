@@ -271,26 +271,37 @@ func (e errMismatchErr) Error() string {
 	return fmt.Sprintf("request %d: result differs from golden output at element %d", e.req, e.elem)
 }
 
-// TestServerPartialBatch checks the padded partial-batch path: one lone
-// request must still produce the exact golden output.
+// TestServerPartialBatch checks the partial-batch path: one lone request must
+// still produce the exact golden output, on bucket 1 under NewServer (no
+// padding) and padded to the full batch under any other runner.
 func TestServerPartialBatch(t *testing.T) {
 	prog, images, golden := serverFixture(t)
-	srv, err := runtime.NewServer(prog, runtime.ServerConfig{MaxDelay: time.Millisecond, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	out, err := srv.Infer(context.Background(), images[2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range golden[2].Data {
-		if out.Data[j] != golden[2].Data[j] {
-			t.Fatalf("padded partial batch corrupted the result at %d", j)
+	n := prog.InputShape().N
+	for _, tc := range []struct {
+		name   string
+		run    runtime.Runner
+		padded uint64
+	}{
+		{"executor", runtime.NewExecutor(prog), 0},
+		{"other runner", &slowRunner{exec: runtime.NewExecutor(prog)}, uint64(n - 1)},
+	} {
+		srv, err := runtime.NewServerWith(prog, tc.run, runtime.ServerConfig{MaxDelay: time.Millisecond, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if st := srv.Stats(); st.Requests != 1 || st.Batches != 1 {
-		t.Errorf("stats = %+v, want 1 request in 1 batch", st)
+		out, err := srv.Infer(context.Background(), images[2])
+		srv.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range golden[2].Data {
+			if out.Data[j] != golden[2].Data[j] {
+				t.Fatalf("%s: partial batch corrupted the result at %d", tc.name, j)
+			}
+		}
+		if st := srv.Stats(); st.Requests != 1 || st.Batches != 1 || st.Padded != tc.padded {
+			t.Errorf("%s: stats = %+v, want 1 request in 1 batch with %d padded", tc.name, st, tc.padded)
+		}
 	}
 }
 
