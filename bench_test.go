@@ -8,16 +8,21 @@ package memcnn_test
 // internal/bench.
 
 import (
+	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"memcnn/internal/autotune"
 	"memcnn/internal/bench"
+	"memcnn/internal/frameworks"
 	"memcnn/internal/gpusim"
 	"memcnn/internal/kernels"
+	"memcnn/internal/layers"
 	"memcnn/internal/layout"
+	"memcnn/internal/network"
 	memruntime "memcnn/internal/runtime"
 	"memcnn/internal/tensor"
 	"memcnn/internal/workloads"
@@ -366,7 +371,7 @@ func (s convAlgShape) layouts() []tensor.Layout {
 
 // convAlgShapes are the layer shapes BenchmarkConvAlgorithms times and
 // TestSelectionRegret checks: the shapes the constants of the host price
-// table (internal/autotune/convalg.go) cite.  Every shape runs on NCHW
+// list (internal/autotune/prices.go) cite.  Every shape runs on NCHW
 // tensors; chwn ones also on CHWN tensors, the layout the compiler gives those
 // layers, where the GEMM kernel takes its batch-folded form.
 var convAlgShapes = []convAlgShape{
@@ -375,6 +380,15 @@ var convAlgShapes = []convAlgShape{
 	{name: "1img-small", cfg: kernels.ConvConfig{N: 1, C: 3, H: 16, W: 16, K: 8, FH: 3, FW: 3, PadH: 1, PadW: 1}},
 	{name: "cifar10-conv1@n8", cfg: kernels.ConvConfig{N: 8, C: 3, H: 24, W: 24, K: 64, FH: 5, FW: 5, PadH: 2, PadW: 2}, chwn: true},
 	{name: "cifar10-conv2@n8", cfg: kernels.ConvConfig{N: 8, C: 64, H: 11, W: 11, K: 64, FH: 5, FW: 5, PadH: 2, PadW: 2}, chwn: true},
+	// The server's smaller buckets of the same layers: one image runs the
+	// per-image form in either layout, two and four the batch-folded one in
+	// CHWN with its unroll runs reaching across a row's inside pixels.
+	{name: "cifar10-conv1@n1", cfg: kernels.ConvConfig{N: 1, C: 3, H: 24, W: 24, K: 64, FH: 5, FW: 5, PadH: 2, PadW: 2}, chwn: true},
+	{name: "cifar10-conv2@n1", cfg: kernels.ConvConfig{N: 1, C: 64, H: 11, W: 11, K: 64, FH: 5, FW: 5, PadH: 2, PadW: 2}, chwn: true},
+	{name: "cifar10-conv1@n2", cfg: kernels.ConvConfig{N: 2, C: 3, H: 24, W: 24, K: 64, FH: 5, FW: 5, PadH: 2, PadW: 2}, chwn: true},
+	{name: "cifar10-conv2@n2", cfg: kernels.ConvConfig{N: 2, C: 64, H: 11, W: 11, K: 64, FH: 5, FW: 5, PadH: 2, PadW: 2}, chwn: true},
+	{name: "cifar10-conv1@n4", cfg: kernels.ConvConfig{N: 4, C: 3, H: 24, W: 24, K: 64, FH: 5, FW: 5, PadH: 2, PadW: 2}, chwn: true},
+	{name: "cifar10-conv2@n4", cfg: kernels.ConvConfig{N: 4, C: 64, H: 11, W: 11, K: 64, FH: 5, FW: 5, PadH: 2, PadW: 2}, chwn: true},
 	{name: "cifar-conv2", cfg: kernels.ConvConfig{N: 32, C: 64, H: 12, W: 12, K: 64, FH: 5, FW: 5, PadH: 2, PadW: 2}},
 	{name: "vgg-conv3_1", cfg: kernels.ConvConfig{N: 2, C: 128, H: 28, W: 28, K: 256, FH: 3, FW: 3, PadH: 1, PadW: 1}},
 	{name: "alexnet-conv2@n32", cfg: kernels.ConvConfig{N: 32, C: 96, H: 27, W: 27, K: 256, FH: 5, FW: 5, PadH: 2, PadW: 2}},
@@ -421,7 +435,7 @@ func BenchmarkConvAlgorithms(b *testing.B) {
 				suffix = "-chwn"
 			}
 			run := convAlgKernels(b, s.cfg, lay)
-			selected := autotune.SelectConvAlgorithm(s.cfg, lay)
+			selected := selectedAlg(s.cfg, lay)
 			perOp := make([]float64, len(algNames))
 			for alg, name := range algNames {
 				alg := kernels.ConvAlgorithm(alg)
@@ -438,6 +452,55 @@ func BenchmarkConvAlgorithms(b *testing.B) {
 					if alg == kernels.ConvAlgFFT && perOp[kernels.ConvAlgDirect] > 0 && perOp[kernels.ConvAlgGemm] > 0 {
 						b.ReportMetric(perOp[selected]/slices.Min(perOp), "regret")
 					}
+				})
+			}
+		}
+	}
+}
+
+// BenchmarkLayerRates times every layer but the convolutions of the three
+// inference workloads' networks (LeNet at batch 128, Cifar10 at 8, AlexNet at
+// 4) through the layer's own ForwardInto, in NCHW and (suffix -chwn) in CHWN,
+// exactly as the executor drives it.  It is the provenance of the host price
+// list's pooling, fully-connected, ReLU, LRN and softmax rates: each
+// sub-benchmark reports the list's estimate for the call (priced_ns), so
+// rate × ns/op ÷ priced_ns re-reads a rate.
+func BenchmarkLayerRates(b *testing.B) {
+	for _, tg := range []struct {
+		build func() (*network.Network, error)
+		batch int
+	}{{workloads.LeNet, 128}, {workloads.Cifar10, 8}, {workloads.AlexNet, 4}} {
+		full, err := tg.build()
+		if err != nil {
+			b.Fatal(err)
+		}
+		net, err := full.WithBatch(tg.batch)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, l := range net.Layers {
+			if _, ok := l.(*layers.Conv); ok {
+				continue
+			}
+			for _, lay := range []tensor.Layout{tensor.NCHW, tensor.CHWN} {
+				in, out := tensor.Random(l.InputShape(), lay, 1), tensor.New(l.OutputShape(), lay)
+				elems, err := l.WorkspaceElems(kernels.ConvAlgDirect, lay)
+				if err != nil {
+					b.Fatal(err)
+				}
+				scratch := make([]float32, elems)
+				priced, _ := autotune.HostPrices().Layer(l, lay, kernels.ConvAlgDirect)
+				name := fmt.Sprintf("%s@n%d/%s", strings.ToLower(net.Name), tg.batch, l.Name())
+				if lay == tensor.CHWN {
+					name += "-chwn"
+				}
+				b.Run(name, func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						if err := l.ForwardInto(in, out, kernels.ConvAlgDirect, scratch); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportMetric(priced*1e9, "priced_ns")
 				})
 			}
 		}
@@ -467,7 +530,7 @@ func TestSelectionRegret(t *testing.T) {
 					}
 				}
 			}
-			selected := autotune.SelectConvAlgorithm(s.cfg, lay)
+			selected := selectedAlg(s.cfg, lay)
 			fastest := selected
 			for alg, d := range best {
 				if d < best[fastest] {
@@ -483,6 +546,100 @@ func TestSelectionRegret(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestLayoutRegret holds the selection's layouts against measurement: on
+// Cifar10 at batch 1, 2, 4 and 8 and LeNet at 16 and 128, the program compiled
+// the way the benchmark compiles it (the optimised plan, then selection) runs
+// within 1.25× of the faster of the two single-layout programs, all-NCHW and
+// all-CHWN, each with its algorithms selected in its layout.  Times are the
+// best of several alternating runs; where the selection picked one of the
+// single-layout programs, the two are one program, timed once.
+func TestLayoutRegret(t *testing.T) {
+	if testing.Short() || raceDetector {
+		t.Skip("times whole programs; skipped with -short and under the race detector")
+	}
+	type target struct {
+		build func() (*network.Network, error)
+		batch int
+	}
+	var targets []target
+	for _, n := range []int{1, 2, 4, 8} {
+		targets = append(targets, target{workloads.Cifar10, n})
+	}
+	targets = append(targets, target{workloads.LeNet, 16}, target{workloads.LeNet, 128})
+	for _, tg := range targets {
+		full, err := tg.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		net, err := full.WithBatch(tg.batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := frameworks.Optimized(thresholds()).Plan(device(), net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		selected, err := memruntime.CompileWithOptions(plan, memruntime.Options{ConvAlgorithms: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// slot[i] is the timing of program i: a single-layout program with the
+		// selected program's choices is that program, timed once.
+		progs, slot := []*memruntime.Program{selected}, []int{0}
+		for _, lay := range []tensor.Layout{tensor.NCHW, tensor.CHWN} {
+			choices := memruntime.SelectChoices(net, memruntime.Uniform(net, lay, kernels.ConvAlgDirect), lay)
+			if slices.Equal(choices, selected.Choices()) {
+				slot = append(slot, 0)
+				continue
+			}
+			p, err := memruntime.Compile(net, "all-"+lay.String(), choices, memruntime.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			slot = append(slot, len(progs))
+			progs = append(progs, p)
+		}
+		in := tensor.Random(net.InputShape(), tensor.NCHW, 1)
+		out := tensor.New(selected.OutputShape(), tensor.NCHW)
+		execs := make([]*memruntime.Executor, len(progs))
+		for i, p := range progs {
+			execs[i] = memruntime.NewExecutor(p)
+		}
+		times := make([]time.Duration, len(progs))
+		for round := 0; round < 21; round++ { // round 0 fills the arenas
+			for i, exec := range execs {
+				t0 := time.Now()
+				if err := exec.RunInto(in, out); err != nil {
+					t.Fatal(err)
+				}
+				if d := time.Since(t0); round > 0 && (times[i] == 0 || d < times[i]) {
+					times[i] = d
+				}
+			}
+		}
+		best := []time.Duration{times[slot[0]], times[slot[1]], times[slot[2]]}
+		regret := float64(best[0]) / float64(min(best[1], best[2]))
+		t.Logf("%s@%d: selected %v (%v), all-NCHW %v, all-CHWN %v: regret %.2f", net.Name, tg.batch, best[0], selected.Choices()[0].Layout, best[1], best[2], regret)
+		if regret > 1.25 {
+			t.Errorf("%s@%d: the selected program runs in %v, the faster single-layout one in %v: regret %.2f > 1.25",
+				net.Name, tg.batch, best[0], min(best[1], best[2]), regret)
+		}
+	}
+}
+
+// selectedAlg is the algorithm the compiler's selection gives a convolution
+// of shape cfg in layout lay: the one the host price list prices cheapest
+// there, direct on a tie.
+func selectedAlg(cfg kernels.ConvConfig, lay tensor.Layout) kernels.ConvAlgorithm {
+	best, bestT := kernels.ConvAlgDirect, math.Inf(1)
+	for _, alg := range []kernels.ConvAlgorithm{kernels.ConvAlgDirect, kernels.ConvAlgGemm, kernels.ConvAlgFFT} {
+		if t, ok := autotune.HostPrices().Conv(cfg, lay, alg); ok && t < bestT {
+			best, bestT = alg, t
+		}
+	}
+	return best
 }
 
 func boolMetric(v bool) float64 {

@@ -13,10 +13,10 @@
 //     layer the memory optimiser plans and where it inserts layout
 //     transformations (Section IV.D), then each library policy's per-layer
 //     breakdown;
-//   - algs: per network, the same plan, then the (layout, algorithm) sweep of
-//     every convolution layer, each production algorithm priced in its natural
-//     layout with the layout-switch charge, and the algorithm the compiler's
-//     own selection pass picks, which prices on the host, marked "<- chosen";
+//   - algs: per network, the same plan, then the decision record of the
+//     program compiled from it: every layer's (layout, algorithm) candidates
+//     with their host prices, the one the compiler's selection pass chose
+//     marked "<- chosen" with its margin and reason;
 //   - programs: per network, the static report of the programs
 //     internal/runtime compiles with per-layer algorithm selection on: op and
 //     buffer counts, the arena peak against one allocation per buffer, the
@@ -25,7 +25,8 @@
 //     and bytes are exact properties of the compiled programs.
 //
 // Every time and speedup is model-only: priced on the gpusim model of the GPU
-// named by -device, never run on it.  -network picks the network of the three
+// named by -device, never run on it; the decision record's are the host price
+// list's estimates.  -network picks the network of the three
 // per-network views (all five by default).
 //
 // Usage:
@@ -172,8 +173,8 @@ func networks(name string) ([]*network.Network, error) {
 // planReport prints, per network, the memory optimiser's plan: every layer's
 // layout, implementation and modeled time and the layout transformations
 // inserted before it.  The plan is followed by each library policy's modeled
-// per-layer breakdown, or with algs by the convolution layers' (layout,
-// algorithm) sweep.
+// per-layer breakdown, or with algs by the decision record of the program
+// compiled from it.
 func planReport(stdout io.Writer, dev *gpusim.Device, th layout.Thresholds, targets []*network.Network, algs bool) error {
 	for _, net := range targets {
 		plan, err := frameworks.Optimized(th).Plan(dev, net)
@@ -197,7 +198,9 @@ func planReport(stdout io.Writer, dev *gpusim.Device, th layout.Thresholds, targ
 		fmt.Fprintf(stdout, "\ntotal: %.0f us (%.0f us, %.1f%% spent in %d layout transformations)\n\n",
 			est.TotalUS, est.TransformUS, 100*est.TransformUS/est.TotalUS, plan.TransformCount())
 		if algs {
-			printAlgSweep(stdout, dev, plan)
+			if err := printDecisions(stdout, plan); err != nil {
+				return err
+			}
 		} else if err := printPlanners(stdout, dev, th, net); err != nil {
 			return err
 		}
@@ -231,38 +234,28 @@ func printPlanners(stdout io.Writer, dev *gpusim.Device, th layout.Thresholds, n
 	return nil
 }
 
-// printAlgSweep prints, for every convolution layer, the candidate rows of
-// the model-domain sweep (layout.ConvAlgCandidates: each algorithm priced on
-// the modeled GPU in its natural layout) and marks the algorithm the compiler
-// takes.  The marks are the compiler's own selection pass
-// (runtime.SelectChoices) run on the plan, and that pass prices on the host,
-// where the program executes: a mark can sit on a row the GPU model prices
-// dearest.  A GEMM or direct choice stays in the plan's layout, and the mark
-// says so where the row's natural layout differs.
-func printAlgSweep(stdout io.Writer, dev *gpusim.Device, plan *network.ExecutionPlan) {
-	chosen := memruntime.SelectChoices(plan.Network, memruntime.PlanChoices(plan))
-	fmt.Fprintf(stdout, "(layout, algorithm) sweep: times modeled on %s, model-only; the mark is the compiler's choice, priced on the host\n", dev.Name)
-	fmt.Fprintf(stdout, "%-12s %-14s %-6s %12s %14s %s\n", "layer", "algorithm", "layout", "kernel (us)", "switch (us)", "")
-	for i, pl := range plan.Layers {
-		conv, ok := pl.Layer.(*layers.Conv)
-		if !ok {
-			continue
-		}
-		for _, cand := range layout.ConvAlgCandidates(dev, conv.Cfg, pl.Layout) {
+// printDecisions compiles the plan with selection on and prints its decision
+// record: per layer, every (layout, algorithm) the host price list prices
+// with its price, and on the winner's row its margin and reason.  The plan's
+// layouts are only the selection's tie-break, so the marks may sit in other
+// layouts than the plan above.
+func printDecisions(stdout io.Writer, plan *network.ExecutionPlan) error {
+	prog, err := memruntime.CompileWithOptions(plan, memruntime.Options{ConvAlgorithms: true})
+	if err != nil {
+		return fmt.Errorf("netbench: compiling %s: %w", plan.Network.Name, err)
+	}
+	fmt.Fprintln(stdout, "decision record of the program compiled from this plan: host-priced estimates (internal/autotune), not modeled, not measured")
+	fmt.Fprintf(stdout, "%-12s %-6s %-12s %10s\n", "layer", "layout", "algorithm", "host (us)")
+	for _, d := range prog.Decisions {
+		for _, c := range d.Candidates {
 			mark := ""
-			switch {
-			case cand.Alg == chosen[i].Alg && cand.Layout == chosen[i].Layout:
-				mark = "<- chosen"
-			case cand.Alg == chosen[i].Alg:
-				mark = fmt.Sprintf("<- chosen, in the plan's %v", chosen[i].Layout)
+			if c.Choice == d.Chosen {
+				mark = "  <- chosen: " + d.Reason
 			}
-			timing := fmt.Sprintf("%12.1f %14.1f", cand.TimeUS, cand.TransformUS)
-			if cand.OOM {
-				timing = fmt.Sprintf("%12s %14.1f", "OOM", cand.TransformUS)
-			}
-			fmt.Fprintf(stdout, "%-12s %-14s %-6s %s %s\n", conv.Name(), cand.Alg, cand.Layout, timing, mark)
+			fmt.Fprintf(stdout, "%-12s %-6s %-12s %10.1f%s\n", d.Layer, c.Layout, c.Alg, c.Seconds*1e6, mark)
 		}
 	}
+	return nil
 }
 
 // describeImpl summarises the implementation a planned layer will use.

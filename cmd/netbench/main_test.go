@@ -11,7 +11,6 @@ import (
 	"memcnn/internal/bench"
 	"memcnn/internal/frameworks"
 	"memcnn/internal/gpusim"
-	"memcnn/internal/layers"
 	"memcnn/internal/layout"
 	memruntime "memcnn/internal/runtime"
 	"memcnn/internal/runtime/train"
@@ -89,11 +88,10 @@ func TestRuntimeReportDescribesTheCompiledProgram(t *testing.T) {
 	}
 }
 
-// TestAlgsMarksTheCompiledChoice checks that the tool and the compiler agree:
-// `netbench algs` marks one row per convolution "<- chosen", and the marks
-// are, layer for layer, the (layout, algorithm) of the program
-// CompileWithOptions lowers from the same plan with algorithm selection on.
-// The priced columns are the GPU model's, and the header says so.
+// TestAlgsMarksTheCompiledChoice checks that `netbench algs` prints the
+// compiled program's decision record: one row per priced (layout, algorithm)
+// of every layer, and the "<- chosen" marks on exactly the layouts and
+// algorithms the program compiled from the plan runs.
 func TestAlgsMarksTheCompiledChoice(t *testing.T) {
 	nets, err := workloads.Networks()
 	if err != nil {
@@ -104,20 +102,14 @@ func TestAlgsMarksTheCompiledChoice(t *testing.T) {
 		if err := run([]string{"-network", name, "algs"}, &out); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if !strings.Contains(out.String(), "times modeled on GTX Titan Black (Kepler GK110B), model-only") {
-			t.Errorf("%s: the sweep's header does not label its columns model-only:\n%s", name, &out)
+		if !strings.Contains(out.String(), "decision record of the program compiled from this plan: host-priced estimates") {
+			t.Errorf("%s: the decision record's header does not say what its prices are:\n%s", name, &out)
 		}
 		var got []string
 		for _, line := range strings.Split(out.String(), "\n") {
-			if !strings.Contains(line, "<- chosen") {
-				continue
+			if f := strings.Fields(line); strings.Contains(line, "<- chosen") {
+				got = append(got, fmt.Sprintf("%s %s %s", f[0], f[1], f[2]))
 			}
-			f := strings.Fields(line)
-			lay := f[2] // the row's own layout, unless the mark names the plan's
-			if !strings.HasSuffix(line, "<- chosen") {
-				lay = f[len(f)-1]
-			}
-			got = append(got, fmt.Sprintf("%s %s %s", f[0], f[1], lay))
 		}
 
 		net := nets[name]
@@ -131,9 +123,7 @@ func TestAlgsMarksTheCompiledChoice(t *testing.T) {
 		}
 		var want []string
 		for i, ch := range prog.Choices() {
-			if _, ok := net.Layers[i].(*layers.Conv); ok {
-				want = append(want, fmt.Sprintf("%s %v %v", net.Layers[i].Name(), ch.Alg, ch.Layout))
-			}
+			want = append(want, fmt.Sprintf("%s %v %v", net.Layers[i].Name(), ch.Layout, ch.Alg))
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: algs marks %q as chosen, the compiled program runs %q", name, got, want)

@@ -6,9 +6,10 @@
 // improves.  Otherwise it stops as further expansion leads to high register
 // pressure."  It minimises the profiler it is handed (the planner and the
 // figure code hand it the GPU model's, gpusim.PoolCoarsenedTimeUS).  The
-// convolution algorithm choice (SelectConvAlgorithm, convalg.go) prices
-// direct, GEMM and FFT on the host that runs them, from a table of measured
-// kernel rates.
+// host price list (Prices, prices.go) prices every layer's kernels in each
+// layout, and the transforms between layouts, on the host that runs them,
+// from measured rates; the compiler's selection pass chooses each layer's
+// (layout, algorithm) over it.
 // Nothing in this package asks a GPU model anything.
 package autotune
 

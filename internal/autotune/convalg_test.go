@@ -1,11 +1,38 @@
 package autotune
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"memcnn/internal/kernels"
+	"memcnn/internal/layers"
 	"memcnn/internal/tensor"
+	"memcnn/internal/workloads"
 )
+
+// selectConvAlgorithm is what the selection's dynamic program takes for a
+// convolution whose layout is fixed: the algorithm the host price list prices
+// cheapest in lay, direct on a tie.
+func selectConvAlgorithm(cfg kernels.ConvConfig, lay tensor.Layout) kernels.ConvAlgorithm {
+	best, bestT := kernels.ConvAlgDirect, math.Inf(1)
+	for _, alg := range []kernels.ConvAlgorithm{kernels.ConvAlgDirect, kernels.ConvAlgGemm, kernels.ConvAlgFFT} {
+		if t, ok := HostPrices().Conv(cfg, lay, alg); ok && t < bestT {
+			best, bestT = alg, t
+		}
+	}
+	return best
+}
+
+// estimates prints the three prices of a layer for a failure message.
+func estimates(cfg kernels.ConvConfig, lay tensor.Layout) string {
+	s := ""
+	for _, alg := range []kernels.ConvAlgorithm{kernels.ConvAlgDirect, kernels.ConvAlgGemm, kernels.ConvAlgFFT} {
+		t, ok := HostPrices().Conv(cfg, lay, alg)
+		s += fmt.Sprintf(" %v %.3g s (%t)", alg, t, ok)
+	}
+	return s
+}
 
 // TestSelectConvAlgorithm pins the selector to facts measured on this host
 // (the times are BenchmarkConvAlgorithms' and the sizing runs' of the change
@@ -37,9 +64,8 @@ func TestSelectConvAlgorithm(t *testing.T) {
 		{"invalid", kernels.ConvConfig{}, tensor.NCHW, kernels.ConvAlgDirect},
 	}
 	for _, tc := range cases {
-		if got := SelectConvAlgorithm(tc.cfg, tc.lay); got != tc.want {
-			t.Errorf("%s: selected %v, want %v (estimates: direct %.3g s, gemm %.3g s, fft %.3g s)", tc.name, got, tc.want,
-				hostSeconds(tc.cfg, tc.lay, kernels.ConvAlgDirect), hostSeconds(tc.cfg, tc.lay, kernels.ConvAlgGemm), hostSeconds(tc.cfg, tc.lay, kernels.ConvAlgFFT))
+		if got := selectConvAlgorithm(tc.cfg, tc.lay); got != tc.want {
+			t.Errorf("%s: selected %v, want %v (estimates:%s)", tc.name, got, tc.want, estimates(tc.cfg, tc.lay))
 		}
 	}
 }
@@ -48,25 +74,26 @@ func TestSelectConvAlgorithm(t *testing.T) {
 // on the host: only where the filters are about as large as the image, so the
 // GEMM unroll is thousands of rows deep (24–36 ms FFT against 43–62 ms GEMM on
 // the 31×31 shape below).  No layer of the workload networks is near it, a
-// stride over one never is, and from CHWN the two conversions are charged.
+// stride over one never is, and it has no price outside NCHW: the selection's
+// edges charge the two conversions around it.
 func TestSelectConvAlgorithmFFTRegime(t *testing.T) {
 	big := kernels.ConvConfig{N: 4, C: 8, H: 32, W: 32, K: 16, FH: 31, FW: 31, PadH: 15, PadW: 15}
-	if got := SelectConvAlgorithm(big, tensor.NCHW); got != kernels.ConvAlgFFT {
+	if got := selectConvAlgorithm(big, tensor.NCHW); got != kernels.ConvAlgFFT {
 		t.Errorf("31x31 filters on 32x32 images selected %v, want fft", got)
 	}
-	if nchw, chwn := hostSeconds(big, tensor.NCHW, kernels.ConvAlgFFT), hostSeconds(big, tensor.CHWN, kernels.ConvAlgFFT); chwn <= nchw {
-		t.Errorf("fft from CHWN priced %.3g s, from NCHW %.3g s: the two layout conversions must be charged", chwn, nchw)
+	if chwn, ok := HostPrices().Conv(big, tensor.CHWN, kernels.ConvAlgFFT); ok {
+		t.Errorf("fft in CHWN priced %.3g s: the FFT kernel runs in NCHW only", chwn)
 	}
 	// 21×21: 13–16 ms GEMM against 29–37 ms FFT.
 	mid := kernels.ConvConfig{N: 4, C: 8, H: 32, W: 32, K: 16, FH: 21, FW: 21, PadH: 10, PadW: 10}
-	if got := SelectConvAlgorithm(mid, tensor.NCHW); got != kernels.ConvAlgGemm {
+	if got := selectConvAlgorithm(mid, tensor.NCHW); got != kernels.ConvAlgGemm {
 		t.Errorf("21x21 filters selected %v, want gemm", got)
 	}
 	// The same 31×31 layer at stride 2 computes a quarter of the outputs in
 	// GEMM and the whole dense correlation in FFT.
 	strided := big
 	strided.StrideH, strided.StrideW = 2, 2
-	if got := SelectConvAlgorithm(strided, tensor.NCHW); got == kernels.ConvAlgFFT {
+	if got := selectConvAlgorithm(strided, tensor.NCHW); got == kernels.ConvAlgFFT {
 		t.Errorf("stride-2 31x31 layer selected fft")
 	}
 	for _, cfg := range []kernels.ConvConfig{
@@ -77,9 +104,43 @@ func TestSelectConvAlgorithmFFTRegime(t *testing.T) {
 		{N: 64, C: 8, H: 32, W: 32, K: 512, FH: 7, FW: 7, PadH: 3, PadW: 3},                          // 7×7, 13 GFMA, shallow input
 	} {
 		for _, lay := range []tensor.Layout{tensor.NCHW, tensor.CHWN} {
-			if got := SelectConvAlgorithm(cfg, lay); got != kernels.ConvAlgGemm {
+			if got := selectConvAlgorithm(cfg, lay); got != kernels.ConvAlgGemm {
 				t.Errorf("%v in %v selected %v, want gemm", cfg, lay, got)
 			}
 		}
+	}
+}
+
+// TestLayerPricesEveryKindInBothLayouts checks which candidates the price
+// list offers the selection: every layer kind of the workload networks has a
+// positive price in NCHW and CHWN and none in NHWC, a layer other than a
+// convolution only on its own kernel, and FFT only in NCHW.
+func TestLayerPricesEveryKindInBothLayouts(t *testing.T) {
+	net, err := workloads.AlexNetWithBatch(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[string]bool{}
+	for _, l := range net.Layers {
+		kind := fmt.Sprintf("%T", l)
+		kinds[kind] = true
+		for _, lay := range []tensor.Layout{tensor.NCHW, tensor.CHWN} {
+			if s, ok := HostPrices().Layer(l, lay, kernels.ConvAlgDirect); !ok || !(s > 0) {
+				t.Errorf("%s (%s) in %v: price %g, %t", l.Name(), kind, lay, s, ok)
+			}
+		}
+		if _, ok := HostPrices().Layer(l, tensor.NHWC, kernels.ConvAlgDirect); ok {
+			t.Errorf("%s (%s) is priced in NHWC", l.Name(), kind)
+		}
+		_, conv := l.(*layers.Conv)
+		if _, ok := HostPrices().Layer(l, tensor.NCHW, kernels.ConvAlgGemm); ok != conv {
+			t.Errorf("%s (%s): a GEMM price is %t", l.Name(), kind, ok)
+		}
+		if _, ok := HostPrices().Layer(l, tensor.CHWN, kernels.ConvAlgFFT); ok {
+			t.Errorf("%s (%s) has an FFT price in CHWN", l.Name(), kind)
+		}
+	}
+	if len(kinds) != 6 {
+		t.Errorf("AlexNet has layer kinds %v, want all six", kinds)
 	}
 }

@@ -1,0 +1,205 @@
+package autotune
+
+import (
+	"math"
+
+	"memcnn/internal/kernels"
+	"memcnn/internal/layers"
+	"memcnn/internal/tensor"
+)
+
+// The host price list: what one call of a layer's kernel costs on the CPU
+// that runs every compiled program, in estimated seconds, work ÷ rate +
+// per-call cost.  It is the host's peer of gpusim.LayerCost, and the
+// compiler's selection pass (runtime.SelectChoices) prices each layer's
+// (layout, algorithm) candidates and the layout transforms between them with
+// it.  The convolution candidates are the paper's observation that no single
+// strategy wins across layer shapes (Sections II.B, IV.A); the layouts are its
+// §IV.D decision.  Every rate is this repository's kernels measured on a
+// 2-vCPU 2.1 GHz AVX2 Xeon, and its comment names the sub-benchmark that
+// reproduces it: the convolution rates `go test -run '^$' -bench
+// ConvAlgorithms -benchtime=20x .` (2026-10-04, the batch-folded ones
+// re-read 2026-10-17 with the Cifar10 rows at N = 1, 2 and 4), the other
+// layers' `go test -run '^$' -bench LayerRates -benchtime=20x .`
+// (2026-10-17).  Re-run them and edit the list when a kernel or the host
+// changes.
+
+// PerLayout is one rate measured in each of the two layouts the price list
+// prices.  A layer in any other layout has no price, so no candidate there.
+type PerLayout struct{ NCHW, CHWN float64 }
+
+func (r PerLayout) in(lay tensor.Layout) (float64, bool) {
+	switch lay {
+	case tensor.NCHW:
+		return r.NCHW, true
+	case tensor.CHWN:
+		return r.CHWN, true
+	}
+	return 0, false
+}
+
+// Prices is a price list: the rates HostPrices measured, or a copy with one
+// changed (the selection tests flip a decision that way).
+type Prices struct {
+	// DirectGFLOPS is the direct lane walk: 2.3–5.4 on 5×5 shapes in NCHW
+	// (`lenet-conv1@n128/direct`, `cifar10-conv1@n8/direct`), 3.2–6.6 in CHWN
+	// (`lenet-conv2@n128/direct-chwn`), about 1 on `1img-small/direct`.
+	DirectGFLOPS float64
+	// GemmGFLOPS is the packed GEMM core once the unroll below is paid for:
+	// `alexnet-conv2@n32/gemm` and `vgg-conv3_1/gemm` read 72–90 overall, with
+	// 256 filters to spread each unrolled element over.
+	GemmGFLOPS float64
+	// GemmStepUnrollNS is what the per-image stepper (every layout pair but
+	// CHWN → CHWN of several images) pays per element of the C·FH·FW ×
+	// OutH·OutW unroll matrix: `lenet-conv2@n128/gemm` runs 20–22 ms, 3.4 of
+	// them the product, over 10.0 M elements.  With few filters it is the
+	// whole cost: the stepper reads 14 GFLOP/s at K = 16, 40 at K = 64
+	// (`cifar-conv2/gemm`), 72 at 256.
+	GemmStepUnrollNS float64
+	// GemmFoldUnrollNS and GemmFoldRunNS are the same for the batch-folded
+	// form (CHWN in and out, N > 1), whose unroll copies runs of consecutive
+	// images: GemmFoldUnrollNS + GemmFoldRunNS/N an element.  At N = 128
+	// (`lenet-conv2@n128/gemm-chwn`, 6.8–8.2 ms over the same 10.0 M
+	// elements) the first is all of it.  At small N a window on the image's
+	// edge copies runs of only N floats: `cifar10-conv2@n2/gemm-chwn` (1.1–1.7
+	// ms), `cifar10-conv1@n4/gemm-chwn` (0.40–0.47 ms) and the other @n2,
+	// @n4 and @n8 rows read 0.5–1.2 ns an element above it at N = 2 and 4 and
+	// 0.1 at N = 8, which 2/N follows within a factor of two.  At N = 1 the
+	// layer runs the stepper.
+	GemmFoldUnrollNS, GemmFoldRunNS float64
+	// FFTPointNS is the FFT path per plane point and unit of work, a transform
+	// being log2(points) units a point and a spectrum product one:
+	// `bigfilter-31x31/fft` (64×64 planes, 224 transforms, 512 products) runs
+	// 24–36 ms, `cifar10-conv2@n8/fft` (16×16, 5120, 32768) 45–59 ms.
+	FFTPointNS float64
+	// SyncUS is one goroutine fan-out, or one image's barriers in the stepper:
+	// `1img-tiny/direct` runs 4–6 µs and `1img-tiny/gemm` 9–19 µs for 1.3 kFLOP
+	// (at the default -benchtime: a process's first calls run several times
+	// slower).
+	SyncUS float64
+	// ConvertGBs is tensor.ConvertInto between NCHW and CHWN, per byte of
+	// tensor: `go test -run '^$' -bench ConvertCHWNToNCHW ./internal/tensor`
+	// (0.9 GB/s).  It prices every transform the selection puts between two
+	// layers, and the staging of the program's input and output from and to
+	// NCHW, the layout callers hand tensors in.
+	ConvertGBs float64
+	// PoolTapNS is pooling per window tap (output element × window area):
+	// `LayerRates/lenet@n128/pool1` and its -chwn row run 3.2–3.5 and 2.3–2.5
+	// ns a tap, `LayerRates/cifar10@n8/pool1` 2.3–3.6 and 2.2–3.3,
+	// `LayerRates/alexnet@n4/pool1` 2.0–2.2 and 2.5–2.6.
+	PoolTapNS PerLayout
+	// FCGFLOPS is the fully-connected product, 2·N·In·Out FLOPs: 5.5–6.6 in
+	// NCHW on `LayerRates/lenet@n128/fc1` and `LayerRates/alexnet@n4/fc6`;
+	// CHWN stages the input through the scratch first, 5.5–6.0 on their -chwn
+	// rows.
+	FCGFLOPS PerLayout
+	// ReLUNS is the rectifier per element, in place: 5.5–6.8 in either layout
+	// (`LayerRates/alexnet@n4/conv1_relu`, `LayerRates/lenet@n128/relu1`).
+	ReLUNS PerLayout
+	// LRNNS is cross-channel normalisation per element, almost all of it
+	// math.Pow: 26–36 in either layout (`LayerRates/alexnet@n4/norm1`).
+	LRNNS PerLayout
+	// SoftmaxNS is the classifier per element: 7–26 in NCHW, and 10–31 in
+	// CHWN, which stages both sides (`LayerRates/alexnet@n4/prob`,
+	// `LayerRates/lenet@n128/prob`).
+	SoftmaxNS PerLayout
+}
+
+// hostPrices is this host's price list.
+var hostPrices = Prices{
+	DirectGFLOPS:     3.5,
+	GemmGFLOPS:       95,
+	GemmStepUnrollNS: 1.7,
+	GemmFoldUnrollNS: 0.35,
+	GemmFoldRunNS:    2,
+	FFTPointNS:       2.7,
+	SyncUS:           4,
+	ConvertGBs:       1,
+	PoolTapNS:        PerLayout{NCHW: 2.4, CHWN: 2.2},
+	FCGFLOPS:         PerLayout{NCHW: 6.5, CHWN: 6.0},
+	ReLUNS:           PerLayout{NCHW: 5.7, CHWN: 5.7},
+	LRNNS:            PerLayout{NCHW: 27.5, CHWN: 27.5},
+	SoftmaxNS:        PerLayout{NCHW: 10, CHWN: 12},
+}
+
+// HostPrices returns the price list measured on this repository's reference
+// host.  It is the only way into the price list from outside the package, and
+// the compiler's selection pass its only caller.
+func HostPrices() Prices { return hostPrices }
+
+// Layer prices one call of l's alg kernel on activations in lay, in seconds.
+// ok is false when l has no such kernel or the list no rate for it: every
+// layer but a convolution has only its own kernel (kernels.ConvAlgDirect),
+// and the FFT convolution runs in NCHW only (Section IV.A), so a selection
+// that wants it elsewhere pays the transforms around it.
+func (p Prices) Layer(l layers.Layer, lay tensor.Layout, alg kernels.ConvAlgorithm) (float64, bool) {
+	if !l.SupportsLayout(lay) {
+		return 0, false
+	}
+	if conv, ok := l.(*layers.Conv); ok {
+		return p.Conv(conv.Cfg, lay, alg)
+	}
+	if alg != kernels.ConvAlgDirect {
+		return 0, false
+	}
+	var rate PerLayout // ns per unit of work
+	var work float64
+	switch l := l.(type) {
+	case *layers.FullyConnected:
+		r, ok := p.FCGFLOPS.in(lay)
+		return 2 * float64(l.Batch*l.InDim*l.OutDim) / (r * 1e9), ok
+	case *layers.Pool:
+		rate, work = p.PoolTapNS, l.Cfg.FLOPs()
+	case *layers.ReLU:
+		rate, work = p.ReLUNS, float64(l.Shape.Elems())
+	case *layers.LRN:
+		rate, work = p.LRNNS, float64(l.Shape.Elems())
+	case *layers.Softmax:
+		rate, work = p.SoftmaxNS, float64(l.Cfg.Elems())
+	default:
+		return 0, false
+	}
+	r, ok := rate.in(lay)
+	return work * r * 1e-9, ok
+}
+
+// Conv prices one call of the convolution kernel alg on a layer whose input
+// and output are in lay.  GEMM's two forms differ in the unroll, and the
+// stepper also synchronises per image.  FFT is K·C filter, N·C image and N·K
+// inverse transforms plus N·K·C spectrum products on power-of-two planes of
+// the padded input: the dense correlation whatever the stride.  ok is false
+// for FFT outside NCHW and for an invalid configuration.
+func (p Prices) Conv(cfg kernels.ConvConfig, lay tensor.Layout, alg kernels.ConvAlgorithm) (float64, bool) {
+	if cfg.Validate() != nil || (lay != tensor.NCHW && lay != tensor.CHWN) {
+		return 0, false
+	}
+	n, c, k := float64(cfg.N), float64(cfg.C), float64(cfg.K)
+	switch alg {
+	case kernels.ConvAlgDirect:
+		return cfg.FLOPs()/(p.DirectGFLOPS*1e9) + p.SyncUS*1e-6, true
+	case kernels.ConvAlgGemm:
+		product := cfg.FLOPs() / (p.GemmGFLOPS * 1e9)
+		unroll := n * float64(cfg.ReductionLength()*cfg.OutH()*cfg.OutW())
+		if lay == tensor.CHWN && cfg.N > 1 {
+			return product + unroll*(p.GemmFoldUnrollNS+p.GemmFoldRunNS/n)*1e-9 + p.SyncUS*1e-6, true
+		}
+		return product + unroll*p.GemmStepUnrollNS*1e-9 + (1+n)*p.SyncUS*1e-6, true
+	case kernels.ConvAlgFFT:
+		if lay != tensor.NCHW {
+			return 0, false
+		}
+		rows, cols := kernels.ConvFFTPlane(cfg)
+		points := float64(rows * cols)
+		return points*((k*c+n*c+n*k)*math.Log2(points)+n*k*c)*p.FFTPointNS*1e-9 + 2*p.SyncUS*1e-6, true
+	}
+	return 0, false
+}
+
+// Convert prices tensor.ConvertInto of a tensor of shape s between two
+// layouts: nothing when they are the same, else its bytes at ConvertGBs.
+func (p Prices) Convert(s tensor.Shape, from, to tensor.Layout) float64 {
+	if from == to {
+		return 0
+	}
+	return float64(s.Bytes()) / (p.ConvertGBs * 1e9)
+}

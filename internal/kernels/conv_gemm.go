@@ -112,36 +112,63 @@ func PackConvFiltersInto(dst []float32, filters *tensor.Tensor, cfg ConvConfig) 
 	return nil
 }
 
-// ConvGemmWorkspaceElems returns the scratch ConvIm2colGemmInto needs, in
-// float32 elements: the single-image unroll matrix (im2colPanel writes it
-// already panel-packed, in the same space), plus a product staging
-// area when the output layout is not NCHW (for NCHW the GEMM writes each
-// image's K×OutH×OutW block straight into the output storage).  The
-// batch-folded CHWN form stages nothing and cuts the same space into one
-// panel-sized unroll slot per lane.
+// ConvGemmWorkspaceElems returns the scratch ConvIm2colGemmInto needs for a
+// layer whose input and output are both in outLayout, in float32 elements:
+// the single-image unroll matrix (im2colPanel writes it already panel-packed,
+// in the same space), plus a product staging area where the product cannot be
+// written in place.  The per-image form writes each image's K×OutH×OutW block
+// straight into an NCHW output, and into a CHWN one of a single image, which
+// is the same memory; the batch-folded form (CHWN, more than one image)
+// writes the whole batch's product in place and cuts the same space into one
+// panel-sized unroll slot per lane; NHWC and HWCN outputs stage.  The one
+// mixed pair that stages where its output layout does not is a non-CHWN input
+// into a CHWN output of several images; no layer runs it (a layer's input and
+// output share a layout), and convGemmScratchElems sizes it.
 func ConvGemmWorkspaceElems(cfg ConvConfig, outLayout tensor.Layout) int {
+	return convGemmScratchElems(cfg, outLayout, outLayout)
+}
+
+// convGemmScratchElems is the scratch of the form ConvIm2colGemmInto takes for
+// an input in inLayout and an output in outLayout: the unroll, plus K×OutH×OutW
+// when the per-image form has to stage its product.
+func convGemmScratchElems(cfg ConvConfig, inLayout, outLayout tensor.Layout) int {
 	cfg = cfg.WithDefaults()
 	ohw := cfg.OutH() * cfg.OutW()
 	elems := cfg.ReductionLength() * ohw
-	if outLayout != tensor.NCHW {
+	if !convGemmBatchFolded(cfg, inLayout, outLayout) && !convGemmWritesInPlace(cfg, outLayout) {
 		elems += cfg.K * ohw
 	}
 	return elems
 }
 
+// convGemmBatchFolded reports whether ConvIm2colGemmInto takes the
+// batch-folded form: CHWN on both sides and more than one image.  With one
+// image CHWN is NCHW's memory, and the per-image form writes it in place.
+func convGemmBatchFolded(cfg ConvConfig, inLayout, outLayout tensor.Layout) bool {
+	return inLayout == tensor.CHWN && outLayout == tensor.CHWN && cfg.N > 1
+}
+
+// convGemmWritesInPlace reports whether the per-image form multiplies straight
+// into the output: an image's K × (OutH·OutW) product is a contiguous
+// row-major block of it.
+func convGemmWritesInPlace(cfg ConvConfig, outLayout tensor.Layout) bool {
+	return outLayout == tensor.NCHW || (outLayout == tensor.CHWN && cfg.N == 1)
+}
+
 // ConvIm2colGemmInto is the allocation-free production form of the GEMM
 // convolution: it unrolls the input into the caller-provided scratch (at least
-// ConvGemmWorkspaceElems(cfg, out.Layout) elements, contents unspecified on
-// entry), already in the packed format of the GEMM core, and multiplies it by
-// the pre-packed filter operand (see PackConvFilters).  Any input and output
-// layouts are accepted.  A CHWN input with a CHWN output takes the
-// batch-folded form: lanes unroll and multiply gemmNR-column panels of the
-// whole batch's product independently, in one fan-out.  Every other pair takes
-// the per-image form: the images take turns in the scratch, each unrolled,
-// multiplied and (unless the output is NCHW) scattered in steps that meet at a
-// barrier.  The accumulation order per output element is fixed by the GEMM
-// core, so results are bit-identical regardless of layout, form, batching or
-// worker count.
+// ConvGemmWorkspaceElems(cfg, out.Layout) elements when the input is in the
+// same layout, contents unspecified on entry), already in the packed format of
+// the GEMM core, and multiplies it by the pre-packed filter operand (see
+// PackConvFilters).  Any input and output layouts are accepted.  A CHWN input
+// with a CHWN output of more than one image takes the batch-folded form:
+// lanes unroll and multiply gemmNR-column panels of the whole batch's product
+// independently, in one fan-out.  Every other pair takes the per-image form:
+// the images take turns in the scratch, each unrolled, multiplied and (unless
+// the product lands in place, see ConvGemmWorkspaceElems) scattered in steps
+// that meet at a barrier.  The accumulation order per output element is fixed
+// by the GEMM core, so results are bit-identical regardless of layout, form,
+// batching or worker count.
 //
 //memcnn:noalloc
 func ConvIm2colGemmInto(in *tensor.Tensor, packed []float32, out *tensor.Tensor, cfg ConvConfig, scratch []float32) error {
@@ -159,18 +186,18 @@ func ConvIm2colGemmInto(in *tensor.Tensor, packed []float32, out *tensor.Tensor,
 	if len(packed) != gemmPackedAElems(cfg.K, kdim) {
 		return fmt.Errorf("kernels: packed filters have %d elements, want %d", len(packed), gemmPackedAElems(cfg.K, kdim))
 	}
-	need := ConvGemmWorkspaceElems(cfg, out.Layout)
+	need := convGemmScratchElems(cfg, in.Layout, out.Layout)
 	if len(scratch) < need {
 		return fmt.Errorf("kernels: gemm conv scratch has %d elements, want at least %d", len(scratch), need)
 	}
-	if in.Layout == tensor.CHWN && out.Layout == tensor.CHWN {
+	if convGemmBatchFolded(cfg, in.Layout, out.Layout) {
 		convGemmBatched(in, packed, out, cfg, scratch[:need])
 		return nil
 	}
 	j := convGemmJob{cfg: cfg, in: stridesOf(in), out: stridesOf(out), packed: packed, kdim: kdim, outW: cfg.OutW()}
 	j.ohw = cfg.OutH() * j.outW
 	j.unroll = scratch[:kdim*j.ohw]
-	if out.Layout != tensor.NCHW {
+	if !convGemmWritesInPlace(cfg, out.Layout) {
 		j.prod = scratch[kdim*j.ohw : kdim*j.ohw+cfg.K*j.ohw]
 	}
 	par.Steps(cfg.N*j.stepsPerImage(), j, convGemmPlanes, convGemmPlane)
@@ -179,13 +206,14 @@ func ConvIm2colGemmInto(in *tensor.Tensor, packed []float32, out *tensor.Tensor,
 
 // convGemmJob is one ConvIm2colGemmInto call.  The images take turns in the
 // one-image scratch, each in two or three steps: unroll it panel by panel;
-// multiply the packed filters by the panels tile by tile, straight into an
-// NCHW output or else into the prod staging area; and from there scatter the
-// K × (OutH·OutW) product into the output layout, one filter a plane.
+// multiply the packed filters by the panels tile by tile, straight into the
+// output where an image's block is in place or else into the prod staging
+// area; and from there scatter the K × (OutH·OutW) product into the output
+// layout, one filter a plane.
 type convGemmJob struct {
 	cfg                  ConvConfig
 	in, out              strided
-	packed, unroll, prod []float32 // prod is nil for an NCHW output
+	packed, unroll, prod []float32 // prod is nil when the product lands in place
 	kdim, outW, ohw      int
 }
 
@@ -242,11 +270,11 @@ func convGemmPlane(j convGemmJob, step, p int) {
 // multiplying every filter slab by it straight into the output.  No lane reads
 // what another writes, so there is one fan-out and no barrier.
 //
-// The workspace bounds the lanes: ConvGemmWorkspaceElems holds at least
-// OutH·OutW/gemmNR slots of full gemmNR-column panels, and cores beyond that
-// idle (ROADMAP item 2's worker budget is where that is revisited).  When it
-// holds less than one such slot (OutH·OutW < gemmNR) a single lane runs
-// narrower panels.
+// The workspace bounds the lanes: ConvGemmWorkspaceElems holds the unroll of
+// one image, OutH·OutW/gemmNR slots of full gemmNR-column panels, and cores
+// beyond that idle (a worker budget handed down is where that is
+// revisited).  When it holds less than one such slot (OutH·OutW < gemmNR) a
+// single lane runs narrower panels.
 type convGemmBatch struct {
 	cfg                ConvConfig
 	in                 strided

@@ -97,9 +97,11 @@ func oldConvIm2colGemm(t *testing.T, in, filters *tensor.Tensor, cfg ConvConfig,
 
 // batchFoldedConvCases covers every regime of the batch-folded CHWN form (the
 // other layout pairs run them through the per-image form): one pixel a panel,
-// panels straddling pixels, a ragged last panel, one and several lanes, and the
-// narrow panels of a workspace under one gemmNR-column slot.  Each stays under
-// 2^20 multiply-adds and inside FuzzConvGemmLayouts' ranges, whose seeds they are.
+// panels straddling pixels, a ragged last panel, one and several lanes, the
+// narrow panels of a workspace under one gemmNR-column slot, and the runs that
+// stride-W 1 extends across the pixels whose window is inside the image, cut by
+// both padded edges and by panel ends.  Each stays under 2^20 multiply-adds and
+// inside FuzzConvGemmLayouts' ranges, whose seeds they are.
 var batchFoldedConvCases = []ConvConfig{
 	// N = 16: a panel is one pixel; C·FH·FW = 400 > gemmKC; K cuts the last slab.
 	{N: 16, C: 16, H: 4, W: 4, K: 8, FH: 5, FW: 5, PadH: 2, PadW: 2},
@@ -119,11 +121,21 @@ var batchFoldedConvCases = []ConvConfig{
 	// OutH·OutW = 4 with N ≥ gemmNR: 80 columns through 4-column panels, the
 	// reduction in two gemmKC blocks.
 	{N: 20, C: 16, H: 2, W: 2, K: 8, FH: 5, FW: 5, PadH: 2, PadW: 2},
+	// Stride-W 1 with padding at N = 1 (the per-image hand-off), 2 and 3:
+	// OutW < gemmNR, so a run over the inside pixels ends at the row's padded
+	// edge or at the panel's end, and W < FW leaves a row no inside pixel.
+	{N: 1, C: 2, H: 5, W: 9, K: 3, FH: 3, FW: 3, PadH: 1, PadW: 1},
+	{N: 2, C: 2, H: 5, W: 9, K: 3, FH: 3, FW: 3, PadH: 1, PadW: 1},
+	{N: 3, C: 3, H: 4, W: 11, K: 5, FH: 3, FW: 5, PadH: 1, PadW: 2},
+	{N: 2, C: 2, H: 6, W: 4, K: 4, FH: 3, FW: 5, PadH: 1, PadW: 2},
+	{N: 3, C: 1, H: 3, W: 3, K: 2, FH: 2, FW: 4, PadW: 3},
 }
 
 // convGemmMatchesOldPath runs one configuration through ConvIm2colGemmInto for
 // every pair of the given layouts and compares it with oldConvIm2colGemm bit
 // for bit: filters and scratch fenced by NaNs, scratch and output poisoned.
+// The scratch is exactly the size of the form the pair takes, so the fence
+// catches a form that writes past it.
 func convGemmMatchesOldPath(t *testing.T, r *rand.Rand, cfg ConvConfig, layouts []tensor.Layout) {
 	t.Helper()
 	filters := tensor.Filters(cfg.K, cfg.C, cfg.FH, cfg.FW, 2)
@@ -139,7 +151,7 @@ func convGemmMatchesOldPath(t *testing.T, r *rand.Rand, cfg ConvConfig, layouts 
 			want := oldConvIm2colGemm(t, in, filters, cfg, outLay)
 			out := tensor.New(cfg.OutputShape(), outLay)
 			poison(out.Data)
-			elems := ConvGemmWorkspaceElems(cfg, outLay)
+			elems := convGemmScratchElems(cfg, inLay, outLay)
 			scratch, backing := guarded(r, elems)
 			poison(scratch)
 			if err := ConvIm2colGemmInto(in, packed, out, cfg, scratch); err != nil {
@@ -192,18 +204,79 @@ func FuzzConvGemmLayouts(f *testing.F) {
 	})
 }
 
-// TestConvGemmWorkspaceElems checks the NCHW direct-write optimisation: only
-// non-NCHW outputs need the product staging area.
+// TestConvGemmWorkspaceElems checks where the product lands in place: an NCHW
+// output, a CHWN one of one image (the same memory) and the batch-folded CHWN
+// form need the unroll alone; NHWC outputs and a non-CHWN input into a CHWN
+// output of several images add the product staging area.
 func TestConvGemmWorkspaceElems(t *testing.T) {
 	cfg := ConvConfig{N: 2, C: 3, H: 8, W: 8, K: 4, FH: 3, FW: 3, PadH: 1, PadW: 1}
 	ohw := cfg.OutH() * cfg.OutW()
-	nchw := ConvGemmWorkspaceElems(cfg, tensor.NCHW)
-	chwn := ConvGemmWorkspaceElems(cfg, tensor.CHWN)
-	if nchw != cfg.ReductionLength()*ohw {
-		t.Errorf("NCHW workspace = %d, want %d", nchw, cfg.ReductionLength()*ohw)
+	unroll, staged := cfg.ReductionLength()*ohw, (cfg.ReductionLength()+cfg.K)*ohw
+	one := cfg
+	one.N = 1
+	for _, tc := range []struct {
+		cfg     ConvConfig
+		in, out tensor.Layout
+		want    int
+	}{
+		{cfg, tensor.NCHW, tensor.NCHW, unroll},
+		{cfg, tensor.CHWN, tensor.NCHW, unroll},
+		{cfg, tensor.CHWN, tensor.CHWN, unroll},
+		{cfg, tensor.NCHW, tensor.CHWN, staged},
+		{cfg, tensor.NHWC, tensor.NHWC, staged},
+		{one, tensor.NCHW, tensor.CHWN, unroll},
+		{one, tensor.CHWN, tensor.CHWN, unroll},
+	} {
+		if got := convGemmScratchElems(tc.cfg, tc.in, tc.out); got != tc.want {
+			t.Errorf("N=%d %v->%v workspace = %d, want %d", tc.cfg.N, tc.in, tc.out, got, tc.want)
+		}
+		if tc.in == tc.out {
+			if got := ConvGemmWorkspaceElems(tc.cfg, tc.out); got != tc.want {
+				t.Errorf("ConvGemmWorkspaceElems(N=%d, %v) = %d, want %d", tc.cfg.N, tc.out, got, tc.want)
+			}
+		}
 	}
-	if chwn != nchw+cfg.K*ohw {
-		t.Errorf("CHWN workspace = %d, want %d", chwn, nchw+cfg.K*ohw)
+}
+
+// TestConvGemmOneImageHandOff checks that a CHWN → CHWN call of one image,
+// which the per-image form writes in place, is bit-equal to the batch-folded
+// form: the same image run as a batch of two (with a second, different image
+// beside it) gives the same K × OutH × OutW values.
+func TestConvGemmOneImageHandOff(t *testing.T) {
+	for _, cfg := range []ConvConfig{
+		{N: 1, C: 2, H: 5, W: 9, K: 3, FH: 3, FW: 3, PadH: 1, PadW: 1},
+		{N: 1, C: 16, H: 11, W: 11, K: 7, FH: 5, FW: 5, PadH: 2, PadW: 2},
+		{N: 1, C: 3, H: 9, W: 10, K: gemmMR + 1, FH: 3, FW: 2, StrideW: 2, PadW: 1},
+	} {
+		cfg = cfg.WithDefaults()
+		pair := cfg
+		pair.N = 2
+		filters := tensor.Filters(cfg.K, cfg.C, cfg.FH, cfg.FW, 3)
+		packed, err := PackConvFilters(filters, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		two := tensor.Random(pair.InputShape(), tensor.CHWN, 4)
+		one := tensor.New(cfg.InputShape(), tensor.CHWN)
+		for i := range one.Data {
+			one.Data[i] = two.Data[2*i]
+		}
+		outOne, outTwo := tensor.New(cfg.OutputShape(), tensor.CHWN), tensor.New(pair.OutputShape(), tensor.CHWN)
+		scratch := make([]float32, ConvGemmWorkspaceElems(pair, tensor.CHWN))
+		poison(scratch)
+		if err := ConvIm2colGemmInto(two, packed, outTwo, pair, scratch); err != nil {
+			t.Fatal(err)
+		}
+		scratch = scratch[:ConvGemmWorkspaceElems(cfg, tensor.CHWN)]
+		poison(scratch)
+		if err := ConvIm2colGemmInto(one, packed, outOne, cfg, scratch); err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range outOne.Data {
+			if want := outTwo.Data[2*i]; math.Float32bits(v) != math.Float32bits(want) {
+				t.Fatalf("%v: element %d = %v one image at a time, %v batch-folded", cfg, i, v, want)
+			}
+		}
 	}
 }
 
@@ -227,7 +300,7 @@ func TestConvIm2colGemmIntoMatchesFunctional(t *testing.T) {
 				}
 				out := tensor.New(cfg.OutputShape(), outLay)
 				poison(out.Data)
-				scratch := make([]float32, ConvGemmWorkspaceElems(cfg, outLay))
+				scratch := make([]float32, convGemmScratchElems(cfg, inLay, outLay))
 				poison(scratch)
 				if err := ConvIm2colGemmInto(in, packed, out, cfg, scratch); err != nil {
 					t.Fatalf("%v: into: %v", cfg, err)

@@ -77,18 +77,30 @@ func im2colPanel(j *convGemmJob, n, p int) {
 // column j is output pixel j/N of image j%N, into panel in the same packed
 // format (row-major at the true width w, every element written).  The batch is
 // the unit-stride axis of the input, so the panel is cut into runs of
-// consecutive images of one pixel — one run when N is a multiple of the panel
-// width, several when a panel straddles pixels — and a run is one copy per
-// filter tap (a fixed-size move, which the compiler inlines, when the run is a
-// whole gemmNR-wide panel), or zeros where the tap falls in the padding.
+// consecutive columns that are consecutive input floats for every filter tap,
+// and a run is one copy per tap (a fixed-size move, which the compiler
+// inlines, when the run is a whole gemmNR-wide panel), or zeros where the tap
+// falls in the padding.  A run is the images of one pixel; with stride-W 1 the
+// next pixel of the output row reads every tap one input column, N floats, on,
+// so a run that starts on a pixel whose window lies inside the image goes on
+// across every such pixel of the row, up to the panel's end.
 func im2colBatchPanel(j *convGemmBatch, panel []float32, col0, w int) {
 	cfg := &j.cfg
 	in := &j.in
+	// Output columns [PadW, inside) have every tap inside the image.
+	inside := -1
+	if cfg.StrideW == 1 {
+		inside = min(j.outW, cfg.W-cfg.FW+cfg.PadW+1)
+	}
 	for at := 0; at < w; {
 		pixel, n := (col0+at)/cfg.N, (col0+at)%cfg.N
+		ow := pixel % j.outW
 		run := min(w-at, cfg.N-n)
+		if ow >= cfg.PadW && ow < inside {
+			run = min(w-at, (inside-ow)*cfg.N-n)
+		}
 		ih0 := pixel/j.outW*cfg.StrideH - cfg.PadH
-		iw0 := pixel%j.outW*cfg.StrideW - cfg.PadW
+		iw0 := ow*cfg.StrideW - cfg.PadW
 		row := at
 		for c := 0; c < cfg.C; c++ {
 			for fh := 0; fh < cfg.FH; fh++ {

@@ -73,10 +73,10 @@ func (s *Softmax) ForwardInto(in, dst *tensor.Tensor, alg kernels.ConvAlgorithm,
 		return err
 	}
 	elems := s.Cfg.Elems()
-	// With N×C×1×1 shapes the NCHW backing slice is the row-major logit
-	// matrix itself; other layouts stage through the scratch.
+	// With N×C×1×1 shapes a backing slice in NCHW's order is the row-major
+	// logit matrix itself; other orders stage through the scratch.
 	logits := in.Data
-	if in.Layout != tensor.NCHW {
+	if !in.Shape.SameOrder(in.Layout, tensor.NCHW) {
 		logits = scratch[:elems]
 		src := stridesOf(in)
 		for n := 0; n < s.Cfg.N; n++ {
@@ -86,14 +86,15 @@ func (s *Softmax) ForwardInto(in, dst *tensor.Tensor, alg kernels.ConvAlgorithm,
 			}
 		}
 	}
+	inPlace := dst.Shape.SameOrder(dst.Layout, tensor.NCHW)
 	probs := dst.Data
-	if dst.Layout != tensor.NCHW {
+	if !inPlace {
 		probs = scratch[elems : 2*elems]
 	}
 	if err := kernels.SoftmaxInto(probs, logits, s.Cfg); err != nil {
 		return err
 	}
-	if dst.Layout != tensor.NCHW {
+	if !inPlace {
 		out := stridesOf(dst)
 		for n := 0; n < s.Cfg.N; n++ {
 			for c, v := range probs[n*s.Cfg.Classes : (n+1)*s.Cfg.Classes] {
@@ -199,10 +200,11 @@ func (f *FullyConnected) ForwardInto(in, dst *tensor.Tensor, alg kernels.ConvAlg
 	if err := checkScratch(f, alg, dst.Layout, scratch); err != nil {
 		return err
 	}
-	// Flatten each image's features in canonical (C,H,W) order.  An NCHW
-	// backing slice already is that flattening, so no staging copy is needed.
+	// Flatten each image's features in canonical (C,H,W) order.  A backing
+	// slice in NCHW's order already is that flattening, so no staging copy is
+	// needed.
 	flat := in.Data
-	if in.Layout != tensor.NCHW {
+	if !in.Shape.SameOrder(in.Layout, tensor.NCHW) {
 		flat = scratch[:f.Batch*f.InDim]
 		src := stridesOf(in)
 		idx := 0

@@ -75,64 +75,6 @@ func MeasuredConvWinner(d *gpusim.Device, cfg kernels.ConvConfig) (tensor.Layout
 	return tensor.NCHW, chwn, nchw
 }
 
-// ConvCandidate is one (layout, algorithm) execution option for a convolution
-// layer priced on a modeled GPU — one row of the model-only sweep
-// `netbench algs` prints.
-type ConvCandidate struct {
-	Layout tensor.Layout
-	Alg    kernels.ConvAlgorithm
-	// TimeUS is the modeled kernel time of the algorithm in its layout,
-	// excluding the layout switch.
-	TimeUS float64
-	// TransformUS is the modeled cost of moving the layer input from the
-	// incoming layout into Layout (zero when they already match).
-	TransformUS float64
-	// OOM marks a mode whose workspace exceeds device memory
-	// (gpusim.ErrOutOfMemory); TimeUS is meaningless for it.
-	OOM bool
-}
-
-// convCandidate prices one algorithm in its natural layout, charging the best
-// applicable transform kernel when the incoming layout differs.
-func convCandidate(d *gpusim.Device, cfg kernels.ConvConfig, alg kernels.ConvAlgorithm, incoming tensor.Layout) ConvCandidate {
-	cand := ConvCandidate{Alg: alg}
-	switch alg {
-	case kernels.ConvAlgGemm:
-		cand.Layout = tensor.NCHW
-		cand.TimeUS = gpusim.EstimateSequence(d, gpusim.ConvGemmNCHWCost(d, cfg))
-	case kernels.ConvAlgFFT:
-		cand.Layout = tensor.NCHW
-		if seq, err := gpusim.ConvFFTCost(d, cfg); err != nil {
-			cand.OOM = true
-		} else {
-			cand.TimeUS = gpusim.EstimateSequence(d, seq)
-		}
-	default:
-		cand.Layout = tensor.CHWN
-		cand.TimeUS = gpusim.EstimateTime(d, gpusim.ConvDirectCHWNCost(d, cfg)).TotalUS
-	}
-	if incoming.Valid() && incoming != cand.Layout {
-		if stats, _, err := gpusim.BestTransform(d, cfg.InputShape(), incoming, cand.Layout); err == nil {
-			cand.TransformUS = gpusim.EstimateTime(d, stats).TotalUS
-		}
-	}
-	return cand
-}
-
-// ConvAlgCandidates prices every production algorithm for the layer on the
-// modeled GPU in its natural layout — direct in CHWN, im2col+GEMM and FFT in
-// NCHW — charging each candidate the best layout-transform kernel from the
-// incoming layout.  This is the sweep `netbench algs` reports, and it is
-// model-only: the compiler does not decide from it, because what it compiles
-// runs on the host (internal/autotune prices that).
-func ConvAlgCandidates(d *gpusim.Device, cfg kernels.ConvConfig, incoming tensor.Layout) []ConvCandidate {
-	return []ConvCandidate{
-		convCandidate(d, cfg, kernels.ConvAlgDirect, incoming),
-		convCandidate(d, cfg, kernels.ConvAlgGemm, incoming),
-		convCandidate(d, cfg, kernels.ConvAlgFFT, incoming),
-	}
-}
-
 // calibrationReference is the layer shape used for the calibration sweeps; it
 // mirrors the paper's use of CONV7 in Fig. 4 (13x13 maps, 384 filters, 3x3
 // kernels).

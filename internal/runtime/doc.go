@@ -12,16 +12,24 @@
 //	                        PlanChoices from an execution plan, Uniform for
 //	                        one layout and one algorithm, or another
 //	                        program's Choices.  With Options.ConvAlgorithms
-//	                        one pass, SelectChoices, re-decides every
-//	                        convolution's algorithm: the direct, GEMM or
-//	                        FFT kernel internal/autotune estimates cheapest
-//	                        on the host, which runs every device's ops, in
-//	                        the layout the list gives the layer.  Measured,
-//	                        FFT wins only with filters about as large as the
-//	                        image (31×31 on 32×32, not 21×21): no workload
-//	                        network selects it, it is model-domain here.
-//	                        Layouts stay the source's; an FFT layer runs
-//	                        in NCHW.  Lowering binds exactly the
+//	                        one pass, SelectChoices (select.go), re-decides
+//	                        every layer's layout and every convolution's
+//	                        algorithm at once: an exact dynamic program over
+//	                        the layer chain, node costs from the host price
+//	                        list internal/autotune keeps (each layer's
+//	                        kernel in each layout), edge costs the transform
+//	                        between two layouts, ties to the list's own
+//	                        layouts; the program keeps the decision record
+//	                        (Program.Decisions: every candidate's price, the
+//	                        winner, the runner-up and the margin).  On the
+//	                        host the layout picks the GEMM form: CHWN of
+//	                        more than one image is the batch-folded product,
+//	                        whose workspace is the one-image unroll alone,
+//	                        as NCHW's is.  Measured, FFT wins only with
+//	                        filters about as large as the image (31×31 on
+//	                        32×32, not 21×21): no workload network selects
+//	                        it, it is model-domain here.  FFT is priced
+//	                        in NCHW only.  Lowering binds exactly the
 //	                        list it is handed: an op per layer, a transform
 //	                        op where consecutive layouts differ, zero-copy
 //	                        reshape views at flattening boundaries.
@@ -187,7 +195,7 @@
 // stored predecessor.  Whether checkpointing is worth it is decided by the
 // planner (the recompute plan is kept only at a strictly lower peak).  A
 // training program takes its convolution algorithms from SelectChoices like
-// any other, in NCHW, and binds each one on the layer's forward and recompute
+// any other, with NCHW the only layout allowed, and binds each one on the layer's forward and recompute
 // ops; a convolution's backward-data and grad-filter ops run on GEMM whatever
 // its forward runs (layers.Conv's gradient methods).  Training ops dispatch
 // through the same Device abstraction, bit-deterministic on CPUDevice, and

@@ -1,6 +1,17 @@
 package runtime
 
-import "sort"
+import (
+	"sort"
+
+	"memcnn/internal/autotune"
+	"memcnn/internal/network"
+)
+
+// SelectWith runs the selection pass over the price list prices instead of
+// the host's, returning the choices and the decision record.
+func SelectWith(net *network.Network, choices []Choice, prices autotune.Prices) ([]Choice, []Decision) {
+	return selectChoices(net, choices, prices, nil)
+}
 
 // DefinitionOrderArena places p's roots in definition order, the first of
 // PlanMemory's three orders, and returns that arena's size in elements: the

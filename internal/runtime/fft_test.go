@@ -44,12 +44,14 @@ func fftFlipNet(t *testing.T) (*network.Network, *network.ExecutionPlan) {
 	return net, plan
 }
 
-// TestJointLayoutAlgorithmFlip checks the one layout rule of algorithm
-// selection: the FFT kernel runs in NCHW, so a convolution the selection pass
-// gives to FFT on a CHWN plan moves to NCHW, with a transform op on each side
-// of it.  Without ConvAlgorithms the plan's CHWN assignment stands and the
-// layer runs the direct kernel; an explicit FFT/NCHW entry in a decision list
-// lowers to the same program the selection pass produces.
+// TestJointLayoutAlgorithmFlip checks that layout and algorithm are chosen
+// together: the FFT kernel runs in NCHW only, so the selection pass that gives
+// the convolution to FFT on a CHWN plan moves it to NCHW, and since the two
+// transforms around it would cost more than running both pooling layers in
+// NCHW, the pooling layers move too and the program has no transform.
+// Without ConvAlgorithms the plan's CHWN assignment stands and the layer runs
+// the direct kernel; the explicit all-NCHW decision list with FFT lowers to
+// the same program the selection pass produces.
 func TestJointLayoutAlgorithmFlip(t *testing.T) {
 	net, plan := fftFlipNet(t)
 
@@ -73,18 +75,19 @@ func TestJointLayoutAlgorithmFlip(t *testing.T) {
 	for _, op := range joint.Ops {
 		kinds = append(kinds, op.Kind.String())
 	}
-	if want := []string{"layer", "transform", "layer", "transform", "layer"}; !reflect.DeepEqual(kinds, want) {
-		t.Errorf("selected program's ops are %v, want %v: a transform on each side of the FFT convolution", kinds, want)
+	if want := []string{"layer", "layer", "layer"}; !reflect.DeepEqual(kinds, want) {
+		t.Errorf("selected program's ops are %v, want %v: the pooling layers follow the FFT convolution into NCHW", kinds, want)
+	}
+	if d := joint.Decisions[0]; d.RunnerUp != (runtime.Choice{Layout: tensor.CHWN}) || !(d.Margin > 0) {
+		t.Errorf("pool1's decision: runner-up %v by %g s, want CHWN/direct by a positive margin (%s)", d.RunnerUp, d.Margin, d.Reason)
 	}
 
-	explicit := runtime.PlanChoices(plan)
-	explicit[1] = runtime.Choice{Layout: tensor.NCHW, Alg: kernels.ConvAlgFFT}
-	listed, err := runtime.Compile(net, plan.PlannerName, explicit, runtime.Options{})
+	listed, err := runtime.Compile(net, plan.PlannerName, runtime.Uniform(net, tensor.NCHW, kernels.ConvAlgFFT), runtime.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := programDump(listed), programDump(joint); got != want {
-		t.Errorf("the explicit FFT/NCHW decision list lowers to\n%s\nthe selection pass to\n%s", got, want)
+		t.Errorf("the explicit all-NCHW FFT decision list lowers to\n%s\nthe selection pass to\n%s", got, want)
 	}
 }
 

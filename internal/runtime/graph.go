@@ -3,7 +3,6 @@ package runtime
 import (
 	"fmt"
 
-	"memcnn/internal/autotune"
 	"memcnn/internal/kernels"
 	"memcnn/internal/layers"
 	"memcnn/internal/network"
@@ -156,6 +155,10 @@ type Program struct {
 	// treats them like Input: defined before the first op.
 	ExtraInputs []BufferID
 	Mem         *MemPlan
+	// Decisions is the selection pass's record, one per layer, when the
+	// program was compiled with Options.ConvAlgorithms; nil otherwise (a
+	// WithBatch clone copies its base's choices and selects nothing).
+	Decisions []Decision
 }
 
 // InputShape returns the shape the program consumes.
@@ -175,8 +178,12 @@ func (p *Program) root(id BufferID) BufferID {
 // Options control how a decision list is compiled.
 type Options struct {
 	// ConvAlgorithms runs the selection pass (SelectChoices) over the
-	// decision list before it is lowered, giving each convolution the direct,
-	// im2col+GEMM or FFT strategy.  Off by default: the direct path is the
+	// decision list before it is lowered: a dynamic program over the layer
+	// chain that gives every layer the layout, and each convolution the
+	// direct, im2col+GEMM or FFT strategy, that make the whole chain cheapest
+	// on the host, transforms included, the list's own layouts winning ties.
+	// The program keeps the pass's decision record (Program.Decisions).  Off
+	// by default: the list is lowered as given, the direct path being the
 	// bit-equality reference against the naive Network.Forward, while GEMM
 	// and FFT programs are cross-checked per algorithm via ReferenceForward.
 	ConvAlgorithms bool
@@ -242,31 +249,6 @@ func (p *Program) Choices() []Choice {
 	return choices
 }
 
-// SelectChoices is the one place a convolution's algorithm is chosen.  It
-// returns choices with every convolution layer re-decided by
-// autotune.SelectConvAlgorithm: the direct, im2col+GEMM or FFT kernel with
-// the lowest estimated time on the host, which is where every program runs
-// (no gpusim device is asked: a modeled GPU time says nothing about a Go
-// kernel), in the layout the list gives the layer.  The layouts stay the
-// caller's with one exception, the FFT kernel's own: an FFT layer runs in
-// NCHW (Section IV.A), the lowering puts a transform on each side of it where
-// its neighbours differ, and the estimate has charged for both.  Compile runs
-// this pass under Options.ConvAlgorithms; `netbench algs` marks its result.
-func SelectChoices(net *network.Network, choices []Choice) []Choice {
-	selected := append([]Choice(nil), choices...)
-	for i, l := range net.Layers {
-		conv, ok := l.(*layers.Conv)
-		if !ok {
-			continue
-		}
-		selected[i].Alg = autotune.SelectConvAlgorithm(conv.Cfg, selected[i].Layout)
-		if selected[i].Alg == kernels.ConvAlgFFT {
-			selected[i].Layout = tensor.NCHW
-		}
-	}
-	return selected
-}
-
 // Compile lowers a network into a program from one Choice per layer
 // (PlanChoices, Uniform, or another program's Choices): the selection pass
 // rewrites the list when Options.ConvAlgorithms is set, and the lowering
@@ -277,10 +259,10 @@ func Compile(net *network.Network, name string, choices []Choice, opts Options) 
 }
 
 // CompileWithOptions compiles an execution plan: its layouts are the decision
-// list, and with Options.ConvAlgorithms every convolution gets the algorithm
-// that is cheapest on the host in that layout (SelectChoices).  The plan's
-// device priced the layouts; it has no say in the algorithms, which run on
-// the host whatever GPU the plan models.
+// list, and with Options.ConvAlgorithms the selection pass (SelectChoices)
+// re-chooses every layer's layout and algorithm on the host, the plan's
+// layouts only breaking ties.  The plan's device priced the layouts; it has
+// no say in what runs on the host whatever GPU the plan models.
 func CompileWithOptions(plan *network.ExecutionPlan, opts Options) (*Program, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, fmt.Errorf("runtime: %w", err)
@@ -319,10 +301,16 @@ func compile(net *network.Network, name string, choices []Choice, opts Options) 
 			return nil, fmt.Errorf("runtime: layer %q has no valid layout (%v)", net.Layers[i].Name(), ch.Layout)
 		}
 	}
+	var decisions []Decision
 	if opts.ConvAlgorithms {
-		choices = SelectChoices(net, choices)
+		choices, decisions = selectChoices(net, choices, hostPrices, nil)
 	}
-	return lower(net, name, choices, opts)
+	p, err := lower(net, name, choices, opts)
+	if err != nil {
+		return nil, err
+	}
+	p.Decisions = decisions
+	return p, nil
 }
 
 // AddBuffer appends a buffer to a program under construction.  alias is

@@ -177,12 +177,13 @@ func CompileTraining(net *network.Network, opts Options) (*Program, error) {
 // flattening boundaries become zero-copy alias reshapes (an NCHW backing
 // slice is its own canonical flattening), both in the forward section and for
 // the gradients flowing back through them.  Each convolution's forward and
-// recompute ops run the algorithm runtime.SelectChoices picks for it in NCHW;
+// recompute ops run the algorithm runtime.SelectChoices picks for it with NCHW
+// the only layout it may take;
 // its gradient ops record GEMM, the kernel layers.Conv's gradient methods run.
 func lowerTraining(net *network.Network, sm *layers.Softmax, lr float32, drop bool) (*Program, error) {
 	const layout = tensor.NCHW
 	feat := net.Layers[:len(net.Layers)-1] // layers below the classifier
-	choices := runtime.SelectChoices(net, runtime.Uniform(net, layout, kernels.ConvAlgDirect))
+	choices := runtime.SelectChoices(net, runtime.Uniform(net, layout, kernels.ConvAlgDirect), layout)
 	p := &runtime.Program{
 		Net:         net,
 		PlannerName: "train-nchw",

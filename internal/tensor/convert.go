@@ -27,12 +27,13 @@ func Convert(t *Tensor, target Layout) *Tensor {
 }
 
 // ConvertInto re-linearises t into dst, which must have the same shape.
-// It is the allocation-free variant of Convert.
+// It is the allocation-free variant of Convert.  Two layouts that store the
+// shape in the same order (Shape.SameOrder) are a plain copy.
 func ConvertInto(t, dst *Tensor) error {
 	if t.Shape != dst.Shape {
 		return fmt.Errorf("tensor: convert shape mismatch %v vs %v", t.Shape, dst.Shape)
 	}
-	if t.Layout == dst.Layout {
+	if t.Shape.SameOrder(t.Layout, dst.Layout) {
 		copy(dst.Data, t.Data)
 		return nil
 	}

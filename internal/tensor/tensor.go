@@ -113,6 +113,15 @@ func (s Shape) Strides(l Layout) (sn, sc, sh, sw int) {
 	return sn, sc, sh, sw
 }
 
+// SameOrder reports whether layouts a and b store a tensor of this shape in
+// the same order: every dimension longer than one has the same stride in
+// both, as NCHW and CHWN do for a single image.
+func (s Shape) SameOrder(a, b Layout) bool {
+	an, ac, ah, aw := s.Strides(a)
+	bn, bc, bh, bw := s.Strides(b)
+	return (s.N == 1 || an == bn) && (s.C == 1 || ac == bc) && (s.H == 1 || ah == bh) && (s.W == 1 || aw == bw)
+}
+
 // Offset returns the linear element offset of logical coordinate (n,c,h,w)
 // under layout l.  It does not bounds-check; callers that need checking use
 // Tensor.At / Tensor.Set.

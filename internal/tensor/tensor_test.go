@@ -235,3 +235,38 @@ func mustPanic(t *testing.T, f func()) {
 	}()
 	f()
 }
+
+// TestSameOrder checks which layout pairs store a shape in the same order:
+// NCHW and CHWN for one image, NCHW and NHWC for one channel, CHWN and HWCN
+// for one channel, every layout with itself, and no pair once the dimensions
+// they order differently are longer than one.
+func TestSameOrder(t *testing.T) {
+	cases := []struct {
+		s    Shape
+		a, b Layout
+		want bool
+	}{
+		{Shape{N: 1, C: 3, H: 4, W: 5}, NCHW, CHWN, true},
+		{Shape{N: 2, C: 3, H: 4, W: 5}, NCHW, CHWN, false},
+		{Shape{N: 2, C: 1, H: 4, W: 5}, NCHW, NHWC, true},
+		{Shape{N: 2, C: 3, H: 4, W: 5}, NCHW, NHWC, false},
+		{Shape{N: 2, C: 1, H: 4, W: 5}, CHWN, HWCN, true},
+		{Shape{N: 2, C: 3, H: 1, W: 1}, HWCN, CHWN, true},
+		{Shape{N: 2, C: 3, H: 1, W: 1}, NCHW, CHWN, false},
+		{Shape{N: 2, C: 3, H: 4, W: 5}, HWCN, HWCN, true},
+	}
+	for _, tc := range cases {
+		if got := tc.s.SameOrder(tc.a, tc.b); got != tc.want {
+			t.Errorf("%v: SameOrder(%v, %v) = %t, want %t", tc.s, tc.a, tc.b, got, tc.want)
+		}
+		// Whatever the answer, ConvertInto's result is the conversion.
+		src := Random(tc.s, tc.a, 3)
+		dst := New(tc.s, tc.b)
+		if err := ConvertInto(src, dst); err != nil {
+			t.Fatal(err)
+		}
+		if want := Convert(src, tc.b); !RelClose(dst, want, 0, 0) {
+			t.Errorf("%v: ConvertInto %v -> %v differs from Convert", tc.s, tc.a, tc.b)
+		}
+	}
+}

@@ -22,7 +22,6 @@ var surfaceAllowlist = map[string]string{
 	"tensor.Sequential":               "position-coded fill of the kernels tests",
 	"tensor.Tensor.Fill":              "constant fill of the kernels tests",
 	"tensor.Shape.Coord":              "offset-to-coordinate map of the kernels tests' At/Set oracles",
-	"tensor.Layouts":                  "layout sweep of the kernels and layers tests",
 	"runtime.FaultDevice.Kill":        "chaos control: the replica chaos tests kill a device mid-run",
 	"runtime.FaultDevice.Revive":      "chaos control: the replica chaos tests bring a killed device back",
 	"runtime.FaultDevice.Dead":        "chaos control: the replica chaos tests read the kill switch back",
