@@ -29,12 +29,13 @@
 //	                        filters about as large as the image (31×31 on
 //	                        32×32, not 21×21): no workload network selects
 //	                        it, it is model-domain here.  FFT is priced
-//	                        in NCHW only.  Lowering binds exactly the
-//	                        list it is handed: an op per layer, a transform
-//	                        op where consecutive layouts differ, zero-copy
-//	                        reshape views at flattening boundaries.
-//	                        Program.AddLayer does the binding, for training
-//	                        too: the kernel's workspace (GEMM unroll matrix,
+//	                        in NCHW only.  Lowering (Program.AddForward,
+//	                        the one forward builder, training's too) binds
+//	                        exactly the list it is handed: per layer an
+//	                        AddView (a transform op where consecutive layouts
+//	                        differ, a zero-copy reshape view at a flattening
+//	                        boundary), then an AddLayer, which does the
+//	                        binding: the kernel's workspace (GEMM unroll matrix,
 //	                        FFT spectrum planes, flatten staging, softmax
 //	                        logits), sized by Layer.WorkspaceElems, becomes
 //	                        an op-local scratch buffer — a layer without the
@@ -185,8 +186,8 @@
 // writes the same Chrome trace JSON per workload for offline runs.
 //
 // The train sub-package extends the same discipline to training.
-// CompileTraining appends loss and backward ops to the lowered forward
-// program — OpLossGrad (fused softmax cross-entropy gradient), OpBackward
+// CompileTraining lowers the forward pass through Program.AddForward, out of
+// place, then appends loss and backward ops — OpLossGrad (fused softmax cross-entropy gradient), OpBackward
 // (data gradients via layers.BackwardLayer), OpGradFilter and OpSGD (for
 // layers.TrainableLayer), and OpRecompute for checkpointed activations — and
 // the memory plan covers the joint forward+backward graph: an activation
@@ -194,10 +195,11 @@
 // policy drops it at the forward peak and re-derives it just in time from its
 // stored predecessor.  Whether checkpointing is worth it is decided by the
 // planner (the recompute plan is kept only at a strictly lower peak).  A
-// training program takes its convolution algorithms from SelectChoices like
-// any other, with NCHW the only layout allowed, and binds each one on the layer's forward and recompute
-// ops; a convolution's backward-data and grad-filter ops run on GEMM whatever
-// its forward runs (layers.Conv's gradient methods).  Training ops dispatch
+// training program takes its layouts and convolution algorithms from one
+// choice list, SelectChoices with NCHW the only layout allowed today; each
+// gradient takes the layout of the forward buffer it mirrors, and a
+// convolution's backward-data and grad-filter ops run on GEMM whatever its
+// forward runs (layers.Conv's gradient methods).  Training ops dispatch
 // through the same Device abstraction, bit-deterministic on CPUDevice, and
 // through the same interpreter:
 // train.Executor stages the batch and labels into an Instance it bound once,

@@ -7,6 +7,13 @@ import (
 	"memcnn/internal/network"
 )
 
+// CompileOutOfPlace is Compile with in-place execution off: every layer's
+// output gets storage of its own, the baseline the in-place arena is
+// measured against.
+func CompileOutOfPlace(net *network.Network, name string, choices []Choice, opts Options) (*Program, error) {
+	return compile(net, name, choices, opts, false)
+}
+
 // SelectWith runs the selection pass over the price list prices instead of
 // the host's, returning the choices and the decision record.
 func SelectWith(net *network.Network, choices []Choice, prices autotune.Prices) ([]Choice, []Decision) {

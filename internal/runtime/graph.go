@@ -143,8 +143,7 @@ type Program struct {
 	Net         *network.Network
 	PlannerName string
 	// Opts records the options the program was lowered with, so derived
-	// programs (WithBatch) can reproduce behaviour-affecting choices
-	// such as NoInPlace.
+	// programs (WithBatch) keep verifying.
 	Opts    Options
 	Buffers []Buffer
 	Ops     []Op
@@ -187,12 +186,6 @@ type Options struct {
 	// bit-equality reference against the naive Network.Forward, while GEMM
 	// and FFT programs are cross-checked per algorithm via ReferenceForward.
 	ConvAlgorithms bool
-	// NoInPlace disables in-place execution of layers that declare it safe
-	// (Layer.ForwardsInPlace, e.g. ReLU).  By default such a layer's
-	// output buffer aliases its input, so the op reads and writes the same
-	// arena storage and the memory plan shrinks; results are bit-identical
-	// either way.  The flag exists to measure that shrinkage.
-	NoInPlace bool
 	// Verify runs the registered whole-program static checker
 	// (internal/runtime/verify) over the lowered program before it is
 	// returned (Shard compiles nothing, so it checks nothing): def-before-use
@@ -255,7 +248,7 @@ func (p *Program) Choices() []Choice {
 // binds exactly the list it is handed.  name labels the program
 // (Program.PlannerName).
 func Compile(net *network.Network, name string, choices []Choice, opts Options) (*Program, error) {
-	return compile(net, name, choices, opts)
+	return compile(net, name, choices, opts, true)
 }
 
 // CompileWithOptions compiles an execution plan: its layouts are the decision
@@ -267,7 +260,7 @@ func CompileWithOptions(plan *network.ExecutionPlan, opts Options) (*Program, er
 	if err := plan.Validate(); err != nil {
 		return nil, fmt.Errorf("runtime: %w", err)
 	}
-	return compile(plan.Network, plan.PlannerName, PlanChoices(plan), opts)
+	return compile(plan.Network, plan.PlannerName, PlanChoices(plan), opts, true)
 }
 
 // WithBatch compiles the program's network at another batch size from the
@@ -276,20 +269,21 @@ func CompileWithOptions(plan *network.ExecutionPlan, opts Options) (*Program, er
 // matters because golden bit-equality holds per algorithm, and selection goes
 // by shape — a sub-batch clone left to its own selection could pick direct
 // where the base runs GEMM and drift from the base's bits.  The clone shares
-// the base network's weights (Network.WithBatch) and keeps its in-place and
-// verification options; the data-parallel replica scheduler builds every
-// per-replica sub-batch program this way.
+// the base network's weights (Network.WithBatch) and keeps its verification
+// option; the data-parallel replica scheduler builds every per-replica
+// sub-batch program this way.
 func (p *Program) WithBatch(batch int) (*Program, error) {
 	net, err := p.Net.WithBatch(batch)
 	if err != nil {
 		return nil, err
 	}
-	return Compile(net, p.PlannerName, p.Choices(), Options{NoInPlace: p.Opts.NoInPlace, Verify: p.Opts.Verify})
+	return compile(net, p.PlannerName, p.Choices(), Options{Verify: p.Opts.Verify}, true)
 }
 
 // compile checks the preconditions every entrypoint shares, runs the
-// selection pass and lowers.
-func compile(net *network.Network, name string, choices []Choice, opts Options) (*Program, error) {
+// selection pass and lowers, with in-place layers aliased when inPlace is
+// set.
+func compile(net *network.Network, name string, choices []Choice, opts Options, inPlace bool) (*Program, error) {
 	if net == nil || len(net.Layers) == 0 {
 		return nil, fmt.Errorf("runtime: cannot compile an empty network")
 	}
@@ -305,7 +299,7 @@ func compile(net *network.Network, name string, choices []Choice, opts Options) 
 	if opts.ConvAlgorithms {
 		choices, decisions = selectChoices(net, choices, hostPrices, nil)
 	}
-	p, err := lower(net, name, choices, opts)
+	p, err := lower(net, name, choices, opts, inPlace)
 	if err != nil {
 		return nil, err
 	}
@@ -332,12 +326,23 @@ func (p *Program) AddScratch(elems int) BufferID {
 	return id
 }
 
-// AddReshape returns a view of src with the given logical shape: src itself
-// when the shape already matches, otherwise the output of an appended
-// OpReshape — a zero-copy alias whenever the layout permits
-// (tensor.CanReinterpret), a canonical-order copy elsewhere.
-func (p *Program) AddReshape(src BufferID, shape tensor.Shape, tag string) (BufferID, error) {
-	have, lay := p.Buffers[src].Shape, p.Buffers[src].Layout
+// AddView returns a view of src in layout lay with the given logical shape:
+// src itself when both already match, otherwise the output of an appended
+// OpTransform where the layout differs, then of an OpReshape where the shape
+// does — a zero-copy alias whenever the layout permits
+// (tensor.CanReinterpret), a canonical-order copy elsewhere.  Each op is
+// named "<from>-><to> tag".
+func (p *Program) AddView(src BufferID, shape tensor.Shape, lay tensor.Layout, tag string) (BufferID, error) {
+	if from := p.Buffers[src].Layout; from != lay {
+		out := p.AddBuffer(p.Buffers[src].Shape, lay, NoBuffer)
+		p.Ops = append(p.Ops, Op{
+			Kind: OpTransform,
+			Name: fmt.Sprintf("%v->%v %s", from, lay, tag),
+			In:   src, Out: out, Scratch: NoBuffer, Aux: NoBuffer,
+		})
+		src = out
+	}
+	have := p.Buffers[src].Shape
 	if have == shape {
 		return src, nil
 	}
@@ -386,38 +391,38 @@ func (p *Program) AddLayer(kind OpKind, name string, l layers.Layer, in BufferID
 	return out, nil
 }
 
-// lower builds the op list for a network from its decision list: a layout
-// change between consecutive layers becomes an OpTransform, a logical shape
-// change (conv/pool output flattening into a fully-connected layer) an
-// OpReshape — a zero-copy view whenever the layout permits — and each layer
-// an OpLayer bound to its chosen kernel.  The program carries its static
-// memory plan (see PlanMemory).
-func lower(net *network.Network, plannerName string, choices []Choice, opts Options) (*Program, error) {
-	p := &Program{Net: net, PlannerName: plannerName, Opts: opts}
+// AddForward lowers net's forward pass into p from its decision list — the
+// input buffer, then per layer AddView into the layer's layout and shape and
+// AddLayer on its chosen kernel — sets p's Input and Output, and returns each
+// layer's input view and output.  Inference and training both lower through
+// it; training passes inPlace false, because its backward pass reads the
+// activations an in-place op would overwrite.
+func (p *Program) AddForward(net *network.Network, choices []Choice, inPlace bool) (ins, outs []BufferID, err error) {
 	cur := p.AddBuffer(net.InputShape(), choices[0].Layout, NoBuffer)
 	p.Input = cur
-
+	ins = make([]BufferID, len(net.Layers))
+	outs = make([]BufferID, len(net.Layers))
 	for i, l := range net.Layers {
-		lay := choices[i].Layout
-		if from := p.Buffers[cur].Layout; from != lay {
-			out := p.AddBuffer(p.Buffers[cur].Shape, lay, NoBuffer)
-			p.Ops = append(p.Ops, Op{
-				Kind: OpTransform,
-				Name: fmt.Sprintf("%v->%v before %s", from, lay, l.Name()),
-				In:   cur, Out: out, Scratch: NoBuffer, Aux: NoBuffer,
-			})
-			cur = out
+		if ins[i], err = p.AddView(cur, l.InputShape(), choices[i].Layout, "before "+l.Name()); err != nil {
+			return nil, nil, err
 		}
-		var err error
-		if cur, err = p.AddReshape(cur, l.InputShape(), "before "+l.Name()); err != nil {
-			return nil, err
+		if cur, err = p.AddLayer(OpLayer, l.Name(), l, ins[i], choices[i].Alg, inPlace); err != nil {
+			return nil, nil, err
 		}
-		if cur, err = p.AddLayer(OpLayer, l.Name(), l, cur, choices[i].Alg, !opts.NoInPlace); err != nil {
-			return nil, err
-		}
+		outs[i] = cur
 	}
 	p.Output = cur
+	return ins, outs, nil
+}
 
+// lower builds a program from a decision list: the forward pass
+// (AddForward) and its static memory plan (see PlanMemory), checked when
+// opts ask for it.
+func lower(net *network.Network, plannerName string, choices []Choice, opts Options, inPlace bool) (*Program, error) {
+	p := &Program{Net: net, PlannerName: plannerName, Opts: opts}
+	if _, _, err := p.AddForward(net, choices, inPlace); err != nil {
+		return nil, err
+	}
 	mem, err := PlanMemory(p)
 	if err != nil {
 		return nil, err

@@ -47,7 +47,11 @@ func TestPlannerNeverRegresses(t *testing.T) {
 			for _, sel := range []bool{false, true} {
 				for _, noInPlace := range []bool{false, true} {
 					config := fmt.Sprintf("%s fixed-%v select=%t noinplace=%t", name, lay, sel, noInPlace)
-					p, err := compileFixedLayout(net, lay, runtime.Options{ConvAlgorithms: sel, NoInPlace: noInPlace})
+					compile := compileFixedLayout
+					if noInPlace {
+						compile = compileFixedOutOfPlace
+					}
+					p, err := compile(net, lay, runtime.Options{ConvAlgorithms: sel})
 					switch {
 					case err != nil && (lay == tensor.NCHW || lay == tensor.CHWN):
 						t.Fatalf("%s: %v", config, err)

@@ -53,6 +53,11 @@ func compileFixedLayout(net *network.Network, lay tensor.Layout, opts runtime.Op
 	return runtime.Compile(net, "fixed-"+lay.String(), runtime.Uniform(net, lay, kernels.ConvAlgDirect), opts)
 }
 
+// compileFixedOutOfPlace is compileFixedLayout with in-place execution off.
+func compileFixedOutOfPlace(net *network.Network, lay tensor.Layout, opts runtime.Options) (*runtime.Program, error) {
+	return runtime.CompileOutOfPlace(net, "fixed-"+lay.String(), runtime.Uniform(net, lay, kernels.ConvAlgDirect), opts)
+}
+
 // compilePinned lowers net in NCHW with every convolution pinned to alg and
 // the static checker run over the result: the per-algorithm programs the
 // golden suite holds against ReferenceForward.
@@ -496,7 +501,7 @@ func TestInPlaceReLUShrinksArena(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outOfPlace, err := compileFixedLayout(net, tensor.NCHW, runtime.Options{NoInPlace: true})
+	outOfPlace, err := compileFixedOutOfPlace(net, tensor.NCHW, runtime.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -520,7 +525,7 @@ func TestInPlaceReLUShrinksArena(t *testing.T) {
 	}
 	for _, op := range outOfPlace.Ops {
 		if op.Kind == runtime.OpLayer && outOfPlace.Buffers[op.Out].AliasOf != runtime.NoBuffer {
-			t.Errorf("NoInPlace program still aliases layer %q", op.Name)
+			t.Errorf("out-of-place program still aliases layer %q", op.Name)
 		}
 	}
 	if ip, op := inPlace.Mem.PeakBytes(), outOfPlace.Mem.PeakBytes(); ip > op {
@@ -553,7 +558,7 @@ func TestInPlaceReLUShrinksArena(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alexOut, err := compileFixedLayout(alex, tensor.NCHW, runtime.Options{NoInPlace: true})
+	alexOut, err := compileFixedOutOfPlace(alex, tensor.NCHW, runtime.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -582,7 +587,7 @@ func TestInPlaceReLUShrinksArena(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reluOut, err := compileFixedLayout(reluNet, tensor.NCHW, runtime.Options{NoInPlace: true})
+	reluOut, err := compileFixedOutOfPlace(reluNet, tensor.NCHW, runtime.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

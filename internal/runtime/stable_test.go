@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"memcnn/internal/gpusim"
 	"memcnn/internal/kernels"
 	"memcnn/internal/network"
 	"memcnn/internal/runtime"
@@ -88,14 +89,24 @@ func TestCompiledProgramsAreStable(t *testing.T) {
 			config, len(p.Ops), len(p.Buffers), p.Mem.PeakBytes(), sha256.Sum256([]byte(dumps[config]))))
 	}
 	for _, net := range all {
+		// The plan's layouts are the decision list CompileWithOptions feeds
+		// Compile.
+		plan, err := planners()[2].Plan(gpusim.TitanBlack(), net)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, sel := range []bool{false, true} {
 			for _, noInPlace := range []bool{false, true} {
-				opts := runtime.Options{ConvAlgorithms: sel, NoInPlace: noInPlace}
+				opts := runtime.Options{ConvAlgorithms: sel}
+				compile, compileFixed := runtime.Compile, compileFixedLayout
+				if noInPlace {
+					compile, compileFixed = runtime.CompileOutOfPlace, compileFixedOutOfPlace
+				}
 				tag := fmt.Sprintf("select=%t noinplace=%t", sel, noInPlace)
-				prog := mustCompileOpts(t, planners()[2], net, opts)
-				record(fmt.Sprintf("%s plan %s", net.Name, tag), prog, nil)
+				prog, err := compile(net, plan.PlannerName, runtime.PlanChoices(plan), opts)
+				record(fmt.Sprintf("%s plan %s", net.Name, tag), prog, err)
 				for _, lay := range []tensor.Layout{tensor.NCHW, tensor.CHWN} {
-					prog, err := compileFixedLayout(net, lay, opts)
+					prog, err := compileFixed(net, lay, opts)
 					record(fmt.Sprintf("%s fixed-%v %s", net.Name, lay, tag), prog, err)
 				}
 			}

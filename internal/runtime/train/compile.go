@@ -15,11 +15,13 @@
 // The paper profiles its memory optimisations on complete forward-backward
 // Caffe iterations and notes that forward and backward share data structures
 // and convolution kernels (Section II.A, footnote 1); this package is that
-// extension of the inference planner built by the earlier milestones.  So a
-// convolution's forward runs the algorithm runtime.SelectChoices picks for
-// it, as in inference, and both its gradients run on the packed GEMM core
-// (layers.Conv).  Every kernel is bit-deterministic, so the planned and naive
-// executors, which run the same op list, agree bit for bit.
+// extension of the inference planner built by the earlier milestones.  So the
+// forward pass is the inference builder's (runtime.Program.AddForward), its
+// layouts and convolution algorithms from one choice list (NCHW alone today),
+// every gradient takes the layout of the forward buffer it mirrors, and both
+// gradients of a convolution run on the packed GEMM core (layers.Conv).  Every
+// kernel is bit-deterministic, so the planned and naive executors, which run
+// the same op list, agree bit for bit.
 package train
 
 import (
@@ -106,9 +108,8 @@ type Program struct {
 	// the arena keeps it readable after the run for the loss value.
 	Probs runtime.BufferID
 
-	// Checkpointed reports whether the program drops-and-recomputes cheap
-	// activations; RecomputeOps counts the OpRecompute ops emitted.
-	Checkpointed bool
+	// RecomputeOps counts the OpRecompute ops emitted: the program drops and
+	// recomputes cheap activations iff it is positive.
 	RecomputeOps int
 	// StorePeakBytes is the planned peak of the store-all variant, kept for
 	// reporting when the recompute plan was returned (equal to
@@ -116,14 +117,15 @@ type Program struct {
 	StorePeakBytes int64
 }
 
-// CompileTraining lowers a network into a single training-step program in the
-// NCHW layout: every layer's forward op, the fused softmax + cross-entropy
-// loss gradient, per-layer backward-data and parameter-gradient ops, and an
-// SGD update per trainable layer, ordered so each layer's input gradient is
-// computed before its own update touches the weights.  Each convolution's
-// forward runs the algorithm the host-priced selection picks for it in NCHW,
-// its gradients run on GEMM.  The network must end in a softmax classifier;
-// every other layer must implement layers.BackwardLayer.
+// CompileTraining lowers a network into a single training-step program:
+// every layer's forward op, the fused softmax + cross-entropy loss gradient,
+// per-layer backward-data and parameter-gradient ops, and an SGD update per
+// trainable layer, ordered so each layer's input gradient is computed before
+// its own update touches the weights.  The layouts and the convolutions'
+// forward algorithms come from one choice list, the host-priced selection
+// with NCHW the only layout it may take; the gradients run on GEMM.  The
+// network must end in a softmax classifier; every other layer must implement
+// layers.BackwardLayer.
 func CompileTraining(net *network.Network, opts Options) (*Program, error) {
 	if net == nil || len(net.Layers) < 2 {
 		return nil, fmt.Errorf("train: network must have at least a feature layer and a classifier")
@@ -146,16 +148,17 @@ func CompileTraining(net *network.Network, opts Options) (*Program, error) {
 		lr = DefaultLR
 	}
 
-	// Each variant is lowered at most once: store-all always (its peak is
-	// reported next to whichever variant is returned), recompute unless the
-	// policy rules it out.
-	p, err := lowerTraining(net, sm, lr, false)
+	// Both variants lower one choice list, each at most once: store-all
+	// always (its peak is reported next to whichever variant is returned),
+	// recompute unless the policy rules it out.
+	choices := runtime.SelectChoices(net, runtime.Uniform(net, tensor.NCHW, kernels.ConvAlgDirect), tensor.NCHW)
+	p, err := lowerTraining(net, sm, choices, lr, false)
 	if err != nil {
 		return nil, err
 	}
 	storePeak := p.Mem.PeakBytes()
 	if opts.Checkpoint != CheckpointOff {
-		ckpt, err := lowerTraining(net, sm, lr, true)
+		ckpt, err := lowerTraining(net, sm, choices, lr, true)
 		if err != nil {
 			return nil, err
 		}
@@ -173,17 +176,16 @@ func CompileTraining(net *network.Network, opts Options) (*Program, error) {
 	return p, nil
 }
 
-// lowerTraining builds the joint op list.  All buffers use the NCHW layout:
-// flattening boundaries become zero-copy alias reshapes (an NCHW backing
-// slice is its own canonical flattening), both in the forward section and for
-// the gradients flowing back through them.  Each convolution's forward and
-// recompute ops run the algorithm runtime.SelectChoices picks for it with NCHW
-// the only layout it may take;
-// its gradient ops record GEMM, the kernel layers.Conv's gradient methods run.
-func lowerTraining(net *network.Network, sm *layers.Softmax, lr float32, drop bool) (*Program, error) {
-	const layout = tensor.NCHW
+// lowerTraining builds the joint op list from the choice list.  The forward
+// section is the inference builder's (runtime.Program.AddForward), out of
+// place.  Each gradient takes the layout of the forward buffer it mirrors,
+// and a recomputed activation is re-viewed through AddView as in the forward
+// pass.  Only the labels, the logit gradient (the loss gradient's NCHW
+// contract) and the parameter gradients (GradShape) are NCHW by name.  A
+// convolution's forward and recompute ops run its chosen algorithm, its
+// gradient ops record GEMM, the kernel layers.Conv's gradient methods run.
+func lowerTraining(net *network.Network, sm *layers.Softmax, choices []runtime.Choice, lr float32, drop bool) (*Program, error) {
 	feat := net.Layers[:len(net.Layers)-1] // layers below the classifier
-	choices := runtime.SelectChoices(net, runtime.Uniform(net, layout, kernels.ConvAlgDirect), layout)
 	p := &runtime.Program{
 		Net:         net,
 		PlannerName: "train-nchw",
@@ -198,29 +200,14 @@ func lowerTraining(net *network.Network, sm *layers.Softmax, lr float32, drop bo
 		LR:      lr,
 	}
 
-	newBuf := func(shape tensor.Shape) runtime.BufferID {
-		return p.AddBuffer(shape, layout, runtime.NoBuffer)
+	fwdIn, fwdOut, err := p.AddForward(net, choices, false)
+	if err != nil {
+		return nil, err
 	}
-
-	// Forward section.  Forward and recompute ops go through the same binder
-	// inference lowering uses, but never in place: the backward pass reads
-	// the activations an in-place op would overwrite.
-	cur := newBuf(net.InputShape())
-	p.Input = cur
-	fwdIn := make([]runtime.BufferID, len(net.Layers))  // view feeding each layer
-	fwdOut := make([]runtime.BufferID, len(net.Layers)) // each layer's output
+	tp.Probs = p.Output
 	dropped := make([]bool, len(net.Layers))
-	for i, l := range net.Layers {
-		var err error
-		if cur, err = p.AddReshape(cur, l.InputShape(), "before "+l.Name()); err != nil {
-			return nil, err
-		}
-		fwdIn[i] = cur
-		if cur, err = p.AddLayer(runtime.OpLayer, l.Name(), l, cur, choices[i].Alg, false); err != nil {
-			return nil, err
-		}
-		fwdOut[i] = cur
-		if drop && i < len(feat) {
+	if drop {
+		for i, l := range feat {
 			switch l.(type) {
 			case *layers.ReLU, *layers.Pool:
 				// Cheap to recompute: the planner drops the stored activation
@@ -230,15 +217,13 @@ func lowerTraining(net *network.Network, sm *layers.Softmax, lr float32, drop bo
 			}
 		}
 	}
-	tp.Probs = cur
-	p.Output = cur
 
 	// Loss gradient: dLogits = (probs - onehot(labels)) / batch, fused with
 	// the softmax backward so the classifier needs no backward op of its own.
-	labels := newBuf(tensor.Shape{N: tp.Batch, C: 1, H: 1, W: 1})
+	labels := p.AddBuffer(tensor.Shape{N: tp.Batch, C: 1, H: 1, W: 1}, tensor.NCHW, runtime.NoBuffer)
 	p.ExtraInputs = append(p.ExtraInputs, labels)
 	tp.Labels = labels
-	dLogits := newBuf(sm.InputShape())
+	dLogits := p.AddBuffer(sm.InputShape(), tensor.NCHW, runtime.NoBuffer)
 	p.Ops = append(p.Ops, runtime.Op{
 		Kind: runtime.OpLossGrad, Name: "loss " + sm.Name(), Layer: sm,
 		In: tp.Probs, Out: dLogits, Aux: labels, Scratch: runtime.NoBuffer,
@@ -248,7 +233,7 @@ func lowerTraining(net *network.Network, sm *layers.Softmax, lr float32, drop bo
 	// the current backward position, emitting just-in-time OpRecompute ops
 	// for dropped activations (each at most once, cached across consumers).
 	recomputed := make(map[int]runtime.BufferID)
-	reviews := make(map[int]runtime.BufferID) // re-derived reshape views per layer
+	reviews := make(map[int]runtime.BufferID) // re-derived views per layer
 	var materialize func(i int) (runtime.BufferID, error)
 	materializeInput := func(i int) (runtime.BufferID, error) {
 		if i == 0 {
@@ -262,11 +247,12 @@ func lowerTraining(net *network.Network, sm *layers.Softmax, lr float32, drop bo
 			return fwdIn[i], nil
 		}
 		// The feeding activation was recomputed into a fresh buffer: re-derive
-		// the reshape view against it.
+		// the view against it.
 		if v, ok := reviews[i]; ok {
 			return v, nil
 		}
-		v, err := p.AddReshape(src, net.Layers[i].InputShape(), "recomputed before "+net.Layers[i].Name())
+		l := net.Layers[i]
+		v, err := p.AddView(src, l.InputShape(), choices[i].Layout, "recomputed before "+l.Name())
 		if err != nil {
 			return runtime.NoBuffer, err
 		}
@@ -316,8 +302,7 @@ func lowerTraining(net *network.Network, sm *layers.Softmax, lr float32, drop bo
 	grad := dLogits // gradient w.r.t. the current layer's output
 	for i := len(feat) - 1; i >= lowest; i-- {
 		l := feat[i]
-		var err error
-		grad, err = p.AddReshape(grad, l.OutputShape(), "grad into "+l.Name())
+		grad, err = p.AddView(grad, l.OutputShape(), p.Buffers[fwdOut[i]].Layout, "grad into "+l.Name())
 		if err != nil {
 			return nil, err
 		}
@@ -338,7 +323,7 @@ func lowerTraining(net *network.Network, sm *layers.Softmax, lr float32, drop bo
 					return nil, err
 				}
 			}
-			dIn = newBuf(l.InputShape())
+			dIn = p.AddBuffer(l.InputShape(), p.Buffers[fwdIn[i]].Layout, runtime.NoBuffer)
 			p.Ops = append(p.Ops, runtime.Op{
 				Kind: runtime.OpBackward, Name: "bwd " + l.Name(), Layer: l,
 				In: grad, Out: dIn, Aux: bwdAux, Alg: alg, Scratch: p.AddScratch(bl.BackwardWorkspaceElems()),
@@ -349,7 +334,7 @@ func lowerTraining(net *network.Network, sm *layers.Softmax, lr float32, drop bo
 			if err != nil {
 				return nil, err
 			}
-			dW := newBuf(tl.GradShape())
+			dW := p.AddBuffer(tl.GradShape(), tensor.NCHW, runtime.NoBuffer)
 			p.Ops = append(p.Ops, runtime.Op{
 				Kind: runtime.OpGradFilter, Name: "grad " + l.Name(), Layer: l,
 				In: grad, Out: dW, Aux: in, Alg: alg, Scratch: p.AddScratch(tl.GradWorkspaceElems()),
@@ -367,6 +352,5 @@ func lowerTraining(net *network.Network, sm *layers.Softmax, lr float32, drop bo
 		return nil, fmt.Errorf("train: planning %s: %w", p.PlannerName, err)
 	}
 	p.Mem = mem
-	tp.Checkpointed = tp.RecomputeOps > 0
 	return tp, nil
 }

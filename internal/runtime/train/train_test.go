@@ -3,6 +3,7 @@ package train
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	goruntime "runtime"
@@ -176,7 +177,7 @@ func TestTrainingArenaHoldsAtTheDirectStep(t *testing.T) {
 // plan: the tie goes to store-all, which pays no recompute.
 func TestAutoStoresAllAtATie(t *testing.T) {
 	p := lenet16(t)
-	if p.Checkpointed || p.RecomputeOps != 0 {
+	if p.RecomputeOps != 0 {
 		t.Errorf("LeNet@16 auto plan checkpoints (%d recompute ops); store-all is as small", p.RecomputeOps)
 	}
 	if p.Mem.PeakBytes() != p.StorePeakBytes {
@@ -209,7 +210,7 @@ func TestCheckpointLowersPeak(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if !auto.Checkpointed {
+		if auto.RecomputeOps == 0 {
 			t.Errorf("%s: auto policy did not select the checkpointed plan", name)
 		}
 		for policy, p := range map[string]*Program{"auto": auto, "recompute": ckpt, "store": store} {
@@ -497,5 +498,129 @@ func TestStepSharesTheRunLoop(t *testing.T) {
 	}
 	if got := len(rec.Snapshot()); got != executed+1 {
 		t.Errorf("instrumented step recorded %d spans, want %d op spans + 1 run span", got, executed)
+	}
+}
+
+// TestTrainingIsLayoutInvariant lowers LeNet@8 and Cifar10@8 from two choice
+// lists, convolution, pooling and ReLU in CHWN with the fully-connected
+// layers and the softmax in NCHW, and everything in NCHW, each convolution's
+// forward on GEMM, under both checkpoint modes.  Each program must pass the
+// static checker; each gradient must flow back in the layout of the forward
+// buffer it mirrors, with one transform per layout change on the way down;
+// and three steps must give bit-equal losses and weights in both layouts,
+// the weights having moved.
+func TestTrainingIsLayoutInvariant(t *testing.T) {
+	for _, ctor := range []func() (*network.Network, error){workloads.LeNet, workloads.Cifar10} {
+		for _, drop := range []bool{false, true} {
+			var losses [2][3]float64
+			var weights [2]uint64
+			var names [2]string
+			for v := range losses {
+				base, err := ctor()
+				if err != nil {
+					t.Fatal(err)
+				}
+				net, err := base.WithBatch(8)
+				if err != nil {
+					t.Fatal(err)
+				}
+				scaleForTraining(net)
+				choices := runtime.Uniform(net, tensor.NCHW, kernels.ConvAlgGemm)
+				for i, l := range net.Layers {
+					switch l.(type) {
+					case *layers.Conv, *layers.Pool, *layers.ReLU:
+						if v == 0 { // the mixed list first, then all NCHW
+							choices[i].Layout = tensor.CHWN
+						}
+					}
+				}
+				sm := net.Layers[len(net.Layers)-1].(*layers.Softmax)
+				p, err := lowerTraining(net, sm, choices, 0.05, drop)
+				if err != nil {
+					t.Fatal(err)
+				}
+				names[v] = fmt.Sprintf("%s@8 %v drop=%t", net.Name, choices[0].Layout, drop)
+				name := names[v]
+				if err := runtime.VerifyProgram(p.Program); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				checkGradientLayouts(t, name, p, choices)
+
+				exec, err := NewExecutor(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				before := weightChecksum(base)
+				for step := range losses[v] {
+					images, lbls := batch(p, uint64(11+step))
+					s, err := exec.Step(images, lbls)
+					if err != nil {
+						t.Fatalf("%s: step %d: %v", name, step, err)
+					}
+					losses[v][step] = s.Loss
+				}
+				if weights[v] = weightChecksum(base); weights[v] == before {
+					t.Errorf("%s: three steps left the weights unchanged", name)
+				}
+			}
+			if losses[0] != losses[1] || weights[0] != weights[1] {
+				t.Errorf("%s gives losses %v and weights %#x, %s %v and %#x",
+					names[0], losses[0], weights[0], names[1], losses[1], weights[1])
+			}
+		}
+	}
+}
+
+// checkGradientLayouts holds p's backward section to its choice list: every
+// gradient op reads the layout of its layer's forward output, a backward-data
+// op writes the layout of its layer's forward input, and the gradient
+// changes layout exactly where the choice list does, by one transform of a
+// gradient each.
+func checkGradientLayouts(t *testing.T, name string, p *Program, choices []runtime.Choice) {
+	t.Helper()
+	index := make(map[layers.Layer]int)
+	lowest := -1 // the lowest trainable layer, where the gradient chain stops
+	for i, l := range p.Net.Layers {
+		index[l] = i
+		if _, ok := l.(layers.TrainableLayer); ok && lowest < 0 {
+			lowest = i
+		}
+	}
+	want := 0 // the last is the logit gradient's NCHW into the top layer
+	for i := lowest; i < len(choices)-1; i++ {
+		if choices[i].Layout != choices[i+1].Layout {
+			want++
+		}
+	}
+	layoutOf := func(id runtime.BufferID) tensor.Layout { return p.Buffers[id].Layout }
+	grads := make(map[runtime.BufferID]bool) // buffers holding a gradient
+	transforms := 0
+	for _, op := range p.Ops {
+		switch op.Kind {
+		case runtime.OpLossGrad:
+			grads[op.Out] = true
+		case runtime.OpReshape, runtime.OpTransform:
+			if !grads[op.In] {
+				continue
+			}
+			grads[op.Out] = true
+			if op.Kind == runtime.OpTransform {
+				transforms++
+			}
+		case runtime.OpBackward, runtime.OpGradFilter:
+			i := index[op.Layer]
+			if !grads[op.In] || layoutOf(op.In) != choices[i].Layout {
+				t.Errorf("%s: %s reads %v, want the gradient in its forward output's %v", name, op.Name, layoutOf(op.In), choices[i].Layout)
+			}
+			if op.Kind == runtime.OpBackward {
+				grads[op.Out] = true
+				if layoutOf(op.Out) != choices[i].Layout {
+					t.Errorf("%s: %s writes %v, its forward input is %v", name, op.Name, layoutOf(op.Out), choices[i].Layout)
+				}
+			}
+		}
+	}
+	if transforms != want {
+		t.Errorf("%s: %d transforms of a gradient, want %d", name, transforms, want)
 	}
 }
