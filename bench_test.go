@@ -456,15 +456,69 @@ func BenchmarkConvAlgorithms(b *testing.B) {
 			}
 		}
 	}
+	for _, s := range convTrainShapes {
+		for _, lay := range s.layouts() {
+			suffix := ""
+			if lay == tensor.CHWN {
+				suffix = "-chwn"
+			}
+			for _, op := range convTrainOps(b, s.cfg, lay) {
+				b.Run(s.name+"/"+op.name+suffix, func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if err := op.run(); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportMetric(s.cfg.FLOPs()/1e9/(b.Elapsed().Seconds()/float64(b.N)), "GFLOP/s")
+				})
+			}
+		}
+	}
+}
+
+// convTrainShapes are the convolutions of the two training networks the
+// tests and the benchmark train, at their batches: BenchmarkConvAlgorithms
+// times the three ops a training step runs on each (the GEMM forward, the
+// data gradient and the filter gradient) in both layouts.  They are the
+// provenance of the host price list's gradient rates.
+var convTrainShapes = []convAlgShape{
+	{name: "train-lenet-conv1@n16", cfg: kernels.ConvConfig{N: 16, C: 1, H: 28, W: 28, K: 16, FH: 5, FW: 5, PadH: 2, PadW: 2}, chwn: true},
+	{name: "train-lenet-conv2@n16", cfg: kernels.ConvConfig{N: 16, C: 16, H: 14, W: 14, K: 16, FH: 5, FW: 5, PadH: 2, PadW: 2}, chwn: true},
+	{name: "train-cifar10-conv1@n8", cfg: kernels.ConvConfig{N: 8, C: 3, H: 24, W: 24, K: 64, FH: 5, FW: 5, PadH: 2, PadW: 2}, chwn: true},
+	{name: "train-cifar10-conv2@n8", cfg: kernels.ConvConfig{N: 8, C: 64, H: 11, W: 11, K: 64, FH: 5, FW: 5, PadH: 2, PadW: 2}, chwn: true},
+}
+
+// convTrainOps returns the three ops of a convolution's training step, each a
+// single allocation-free call on lay tensors of shape cfg, in step order.
+func convTrainOps(tb testing.TB, cfg kernels.ConvConfig, lay tensor.Layout) []struct {
+	name string
+	run  func() error
+} {
+	in, dIn := tensor.Random(cfg.InputShape(), lay, 1), tensor.New(cfg.InputShape(), lay)
+	dOut := tensor.Random(cfg.OutputShape(), lay, 3)
+	filters := tensor.Filters(cfg.K, cfg.C, cfg.FH, cfg.FW, 2)
+	dW := tensor.New(cfg.FilterShape(), tensor.NCHW)
+	dataScratch := make([]float32, kernels.ConvGemmBackwardDataWorkspaceElems(cfg))
+	filterScratch := make([]float32, kernels.ConvGemmBackwardFilterWorkspaceElems(cfg))
+	return []struct {
+		name string
+		run  func() error
+	}{
+		{"gemm", convAlgKernels(tb, cfg, lay)[kernels.ConvAlgGemm]},
+		{"bwd-data", func() error { return kernels.ConvGemmBackwardDataInto(dOut, filters, dIn, cfg, dataScratch) }},
+		{"grad-filter", func() error { return kernels.ConvGemmBackwardFilterInto(in, dOut, dW, cfg, filterScratch) }},
+	}
 }
 
 // BenchmarkLayerRates times every layer but the convolutions of the three
 // inference workloads' networks (LeNet at batch 128, Cifar10 at 8, AlexNet at
 // 4) through the layer's own ForwardInto, in NCHW and (suffix -chwn) in CHWN,
-// exactly as the executor drives it.  It is the provenance of the host price
-// list's pooling, fully-connected, ReLU, LRN and softmax rates: each
-// sub-benchmark reports the list's estimate for the call (priced_ns), so
-// rate × ns/op ÷ priced_ns re-reads a rate.
+// exactly as the executor drives it, and (suffix /bwd) the gradients a
+// training step runs for each layer that has them.  It is the provenance of
+// the host price list's pooling, fully-connected, ReLU, LRN and softmax rates
+// and of their gradients': each sub-benchmark reports the list's estimate for
+// the call (priced_ns), so rate × ns/op ÷ priced_ns re-reads a rate.
 func BenchmarkLayerRates(b *testing.B) {
 	for _, tg := range []struct {
 		build func() (*network.Network, error)
@@ -502,8 +556,41 @@ func BenchmarkLayerRates(b *testing.B) {
 					}
 					b.ReportMetric(priced*1e9, "priced_ns")
 				})
+				if bl, ok := l.(layers.BackwardLayer); ok {
+					b.Run(name+"/bwd", func(b *testing.B) {
+						layerBackwardRate(b, bl, lay, priced)
+					})
+				}
 			}
 		}
+	}
+}
+
+// layerBackwardRate times what a training step runs for l beyond its forward
+// (its data gradient, and a trainable layer's parameter gradient too) on lay
+// tensors, and reports the price list's estimate for it: Prices.Step less
+// the forward's price fwd, 0 where the list prices no step in lay.
+func layerBackwardRate(b *testing.B, l layers.BackwardLayer, lay tensor.Layout, fwd float64) {
+	in, dOut, dIn := tensor.Random(l.InputShape(), lay, 1), tensor.Random(l.OutputShape(), lay, 2), tensor.New(l.InputShape(), lay)
+	scratch := make([]float32, l.BackwardWorkspaceElems())
+	tl, trainable := l.(layers.TrainableLayer)
+	var dW *tensor.Tensor
+	var gradScratch []float32
+	if trainable {
+		dW, gradScratch = tensor.New(tl.GradShape(), tensor.NCHW), make([]float32, tl.GradWorkspaceElems())
+	}
+	for i := 0; i < b.N; i++ {
+		if err := l.BackwardDataInto(in, dOut, dIn, scratch); err != nil {
+			b.Fatal(err)
+		}
+		if trainable {
+			if err := tl.BackwardFilterInto(in, dOut, dW, gradScratch); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if step, ok := autotune.HostPrices().Step(l, lay, kernels.ConvAlgDirect); ok {
+		b.ReportMetric((step-fwd)*1e9, "priced_ns")
 	}
 }
 
@@ -589,7 +676,7 @@ func TestLayoutRegret(t *testing.T) {
 		// selected program's choices is that program, timed once.
 		progs, slot := []*memruntime.Program{selected}, []int{0}
 		for _, lay := range []tensor.Layout{tensor.NCHW, tensor.CHWN} {
-			choices := memruntime.SelectChoices(net, memruntime.Uniform(net, lay, kernels.ConvAlgDirect), lay)
+			choices := memruntime.SelectChoices(net, memruntime.Uniform(net, lay, kernels.ConvAlgDirect), false, lay)
 			if slices.Equal(choices, selected.Choices()) {
 				slot = append(slot, 0)
 				continue

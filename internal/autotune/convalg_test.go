@@ -144,3 +144,34 @@ func TestLayerPricesEveryKindInBothLayouts(t *testing.T) {
 		t.Errorf("AlexNet has layer kinds %v, want all six", kinds)
 	}
 }
+
+// TestStepPricesTheGradients checks the training step's candidates: a step
+// costs more than the layer's forward wherever both are priced, every layer
+// kind of the workload networks has a step price in NCHW, and in CHWN all
+// but the fully-connected layers (their gradients walk At/Set there) and the
+// softmax (the loss gradient reads NCHW) do.
+func TestStepPricesTheGradients(t *testing.T) {
+	net, err := workloads.AlexNetWithBatch(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range net.Layers {
+		for _, lay := range []tensor.Layout{tensor.NCHW, tensor.CHWN} {
+			fwd, _ := HostPrices().Layer(l, lay, kernels.ConvAlgDirect)
+			step, ok := HostPrices().Step(l, lay, kernels.ConvAlgDirect)
+			switch l.(type) {
+			case *layers.FullyConnected, *layers.Softmax:
+				if ok != (lay == tensor.NCHW) {
+					t.Errorf("%s in %v: a step price is %t", l.Name(), lay, ok)
+				}
+			default:
+				if !ok {
+					t.Errorf("%s in %v has no step price", l.Name(), lay)
+				}
+			}
+			if _, sm := l.(*layers.Softmax); ok && !sm && !(step > fwd) {
+				t.Errorf("%s in %v: a step costs %g s, its forward %g s", l.Name(), lay, step, fwd)
+			}
+		}
+	}
+}

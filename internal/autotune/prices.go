@@ -103,6 +103,38 @@ type Prices struct {
 	// CHWN, which stages both sides (`LayerRates/alexnet@n4/prob`,
 	// `LayerRates/lenet@n128/prob`).
 	SoftmaxNS PerLayout
+
+	// The gradient rates price what a training step runs beyond the forward
+	// pass; only Step reads them.  They were read against the forward rows
+	// of the same runs, because the host's speed moved by up to 2× between
+	// runs that day: `go test -run '^$' -bench 'ConvAlgorithms/train-'
+	// -benchtime=20x .` and the /bwd rows of LayerRates (2026-10-18).
+
+	// gradMoveNS is a convolution's two GEMM gradients per element they
+	// move, beyond their two products at GemmGFLOPS: the data gradient
+	// gathers dY (K·N·OutH·OutW) and adds the C·FH·FW × N·OutH·OutW product
+	// back, the filter gradient packs dY and unrolls the input as large.
+	// Both are batch-folded in every layout; CHWN walks runs of consecutive
+	// images and adds the data gradient's product in place, NCHW walks the
+	// same runs an image apart: `train-lenet-conv2@n16/bwd-data-chwn` and
+	// `/grad-filter-chwn` run 1.4 and 2.2 ms against the forward's 0.87 (2.6
+	// M elements), their NCHW rows 3.4 and 1.9; the `train-cifar10-conv2@n8`
+	// rows read 1.1 ns an element in CHWN and 2.0 in NCHW.
+	gradMoveNS PerLayout
+	// poolBackTapNS is pooling's backward per window tap: 1.3–1.7× its
+	// forward (`LayerRates/lenet@n128/pool1/bwd`, `LayerRates/cifar10@n8/pool1/bwd`
+	// and their -chwn rows).  The rectifier's backward runs at ReLUNS
+	// (`LayerRates/lenet@n128/relu1/bwd` reads the forward's time).
+	poolBackTapNS PerLayout
+	// fcBackGFLOPS is the fully-connected layer's two gradients, 4·N·In·Out
+	// FLOPs, in NCHW: `LayerRates/lenet@n128/fc1/bwd` runs 1.4–2.1× the
+	// forward's time for twice its work.  In CHWN they walk At/Set (the -chwn
+	// row is 20× slower), so the list has no rate there.
+	fcBackGFLOPS float64
+	// lrnBackNS is cross-channel normalisation's backward per element, an
+	// At/Set walk with math.Pow in either layout: 5.9× the forward in NCHW and
+	// 7.1× in CHWN (`LayerRates/alexnet@n4/norm1/bwd` and its -chwn row).
+	lrnBackNS PerLayout
 }
 
 // hostPrices is this host's price list.
@@ -120,6 +152,10 @@ var hostPrices = Prices{
 	ReLUNS:           PerLayout{NCHW: 5.7, CHWN: 5.7},
 	LRNNS:            PerLayout{NCHW: 27.5, CHWN: 27.5},
 	SoftmaxNS:        PerLayout{NCHW: 10, CHWN: 12},
+	gradMoveNS:       PerLayout{NCHW: 2, CHWN: 1.2},
+	poolBackTapNS:    PerLayout{NCHW: 3.6, CHWN: 3.2},
+	fcBackGFLOPS:     7,
+	lrnBackNS:        PerLayout{NCHW: 160, CHWN: 200},
 }
 
 // HostPrices returns the price list measured on this repository's reference
@@ -161,6 +197,42 @@ func (p Prices) Layer(l layers.Layer, lay tensor.Layout, alg kernels.ConvAlgorit
 	}
 	r, ok := rate.in(lay)
 	return work * r * 1e-9, ok
+}
+
+// Step prices what one training step runs for l with its activations in
+// lay, in seconds: the forward (Layer) and the layer's gradients — both GEMM
+// gradients of a convolution, the data gradient of pooling, ReLU and LRN,
+// both gradients of a fully-connected layer.  The softmax's loss gradient is
+// left out: it runs in NCHW whatever the list, so the softmax has a step
+// price in NCHW alone.  ok is false where Layer has no price or the list
+// prices no gradient in lay (a fully-connected layer outside NCHW).
+func (p Prices) Step(l layers.Layer, lay tensor.Layout, alg kernels.ConvAlgorithm) (float64, bool) {
+	fwd, ok := p.Layer(l, lay, alg)
+	if !ok {
+		return 0, false
+	}
+	var rate PerLayout // ns per unit of gradient work
+	var work float64
+	switch l := l.(type) {
+	case *layers.Conv:
+		cfg := l.Cfg.WithDefaults()
+		rate, work = p.gradMoveNS, 2*float64((cfg.ReductionLength()+cfg.K)*cfg.N*cfg.OutH()*cfg.OutW())
+		fwd += 2*cfg.FLOPs()/(p.GemmGFLOPS*1e9) + 2*p.SyncUS*1e-6
+	case *layers.FullyConnected:
+		return fwd + 4*float64(l.Batch*l.InDim*l.OutDim)/(p.fcBackGFLOPS*1e9), lay == tensor.NCHW
+	case *layers.Pool:
+		rate, work = p.poolBackTapNS, l.Cfg.FLOPs()
+	case *layers.ReLU:
+		rate, work = p.ReLUNS, float64(l.Shape.Elems())
+	case *layers.LRN:
+		rate, work = p.lrnBackNS, float64(l.Shape.Elems())
+	case *layers.Softmax:
+		return fwd, lay == tensor.NCHW
+	default:
+		return 0, false
+	}
+	r, ok := rate.in(lay)
+	return fwd + work*r*1e-9, ok
 }
 
 // Conv prices one call of the convolution kernel alg on a layer whose input

@@ -21,7 +21,8 @@ import (
 // buffers, so a steady-state training step allocates no tensors.  Work is
 // distributed plane by plane (par.Planes) with a fixed per-element
 // accumulation order, so results do not depend on the worker count.  Pooling
-// backward walks each window through the tensors' strides.
+// backward walks each window through the tensors' strides, or, all in CHWN,
+// a channel of every image at once.
 
 // PoolBackwardInto computes the gradient of the pooling layer.  For max
 // pooling the incoming gradient is routed to the window position that
@@ -47,6 +48,10 @@ func PoolBackwardInto(in, dOut, dIn *tensor.Tensor, cfg PoolConfig) error {
 		return fmt.Errorf("kernels: pool backward dIn shape %v does not match config %v", dIn.Shape, cfg.InputShape())
 	}
 	j := poolBackwardJob{cfg: cfg, outH: cfg.OutH(), outW: cfg.OutW(), in: stridesOf(in), dOut: stridesOf(dOut), dIn: stridesOf(dIn)}
+	if in.Layout == tensor.CHWN && dOut.Layout == tensor.CHWN && dIn.Layout == tensor.CHWN {
+		par.Planes(cfg.C, j, poolBackwardChannel)
+		return nil
+	}
 	par.Planes(cfg.N*cfg.C, j, poolBackwardPlane)
 	return nil
 }
@@ -99,6 +104,66 @@ func poolBackwardPlane(j poolBackwardJob, p int) {
 				}
 			}
 			to[bestY*dIn.h+bestX*dIn.w] += v
+		}
+	}
+}
+
+// poolBackImages is how many images poolBackwardChannel keeps a running
+// argmax for at once.
+const poolBackImages = 64
+
+// poolBackwardChannel is poolBackwardPlane for channel c of every image at
+// once, all three tensors in CHWN: it zeroes the channel's input gradient and
+// walks its windows in (oh, ow) order with the images innermost, up to
+// poolBackImages of them with a running argmax each.  Every input element
+// receives its adds in poolBackwardPlane's order, so the bits are the same.
+//
+//memcnn:noalloc
+func poolBackwardChannel(j poolBackwardJob, c int) {
+	cfg := &j.cfg
+	n := cfg.N
+	src := j.in.data[c*j.in.c : (c+1)*j.in.c]
+	g := j.dOut.data[c*j.dOut.c : (c+1)*j.dOut.c]
+	dst := j.dIn.data[c*j.dIn.c : (c+1)*j.dIn.c]
+	clear(dst)
+	area := float32(cfg.Window * cfg.Window)
+	var best [poolBackImages]float32
+	var at [poolBackImages]int
+	for oh := 0; oh < j.outH; oh++ {
+		for ow := 0; ow < j.outW; ow++ {
+			v := g[(oh*j.outW+ow)*n:]
+			win := (oh*cfg.Stride*cfg.W + ow*cfg.Stride) * n
+			for n0 := 0; n0 < n; n0 += poolBackImages {
+				m := min(poolBackImages, n-n0)
+				if cfg.Op == AvgPool {
+					for y := 0; y < cfg.Window; y++ {
+						for x := 0; x < cfg.Window; x++ {
+							to := dst[win+(y*cfg.W+x)*n+n0:]
+							for i, u := range v[n0 : n0+m] {
+								to[i] += u / area
+							}
+						}
+					}
+					continue
+				}
+				copy(best[:m], src[win+n0:])
+				for i := range at[:m] {
+					at[i] = win + n0 + i
+				}
+				for y := 0; y < cfg.Window; y++ {
+					for x := 0; x < cfg.Window; x++ {
+						off := win + (y*cfg.W+x)*n + n0
+						for i, u := range src[off : off+m] {
+							if u > best[i] {
+								best[i], at[i] = u, off+i
+							}
+						}
+					}
+				}
+				for i, u := range v[n0 : n0+m] {
+					dst[at[i]] += u
+				}
+			}
 		}
 	}
 }

@@ -10,29 +10,53 @@ import (
 
 // The two convolution gradients, whichever algorithm the forward runs: the
 // im2col view of the forward pass (conv_gemm.go) turned around and run through
-// the same packed core (gemm.go).  With col(X_n) the (C·FH·FW) × (OutH·OutW)
-// unroll of image n:
+// the same packed core (gemm.go), batch-folded like the CHWN forward.  With
+// col(X) the (C·FH·FW) × (OutH·OutW·N) unroll of the batch, its columns
+// (output position, image) with the image fastest:
 //
-//   - the data gradient is col(dX_n) = Wᵀ · dY_n, added back onto the input
+//   - the data gradient is col(dX) = Wᵀ · dY, added back onto the input
 //     positions each column was unrolled from (col2im, a scatter-add that
-//     covers every stride and pad);
-//   - the filter gradient is dW = Σ_n dY_n · col(X_n)ᵀ.
+//     covers every stride and pad).  Its rows are taken one filter tap
+//     (fh, fw) and gemmMR input channels at a time, so a product tile's rows
+//     land gemmMR channel planes apart: the micro-kernel adds it onto dX in
+//     place wherever the tile's columns are consecutive floats of dX (CHWN),
+//     and through a stack tile elsewhere;
+//   - the filter gradient is dW = dY · col(X)ᵀ.
 //
 // Neither product is ever materialised whole.  A lane multiplies one
 // gemmNR-wide panel at a time, from operands it packs into its own slot of the
 // workspace, and owns every element it writes: the data gradient's lanes own
-// images, the filter gradient's own panels of filter taps.  Every element is
-// therefore one chain of float32 multiply-then-add steps in a fixed order, so
-// results are bit-identical for any worker count.
+// slabs of gemmMR input channels, the filter gradient's own panels of filter
+// taps.  Both read every tensor through its strides, so one form serves every
+// layout: in CHWN the images of one output position are consecutive floats, in
+// NCHW they are an image apart, and with one image the two are one memory.
+//
+// Each element has one reduction order, set by the configuration alone:
+//
+//   - a filter-gradient element sums its N·OutH·OutW products in column
+//     order, position by position and image by image within a position, one
+//     float32 multiply and one float32 add a step;
+//   - an input-gradient element starts at zero and takes one float32
+//     multiply and one float32 add per (output position, filter tap, filter)
+//     that reaches it: the columns cut into gemmNR-wide panels, panel by
+//     panel, tap by tap in (fh, fw) order within a panel, filter by filter
+//     within a tap.
+//
+// So the results are bit-identical in every layout and for any worker count.
 
 const (
 	// gemmGradLanes is the most lanes a GEMM gradient call splits into; its
 	// workspace holds one slot per lane, and only the slots of lanes that run
 	// (par.Workers) are touched.
 	gemmGradLanes = 8
-	// gemmGradKC is how many output positions the filter gradient reduces
-	// over per packed block: half of gemmKC keeps a lane's slot, and so the
-	// planned workspace, under half of one image's unroll on LeNet's layers.
+	// gemmGradDataLanes is the most lanes the data gradient splits into: its
+	// packed Wᵀ pads the channels of every tap to whole slabs, and four
+	// slots keep LeNet's and Cifar10's workspace within the K × gemmNR panel
+	// per image, up to eight, that the per-image form took.
+	gemmGradDataLanes = 4
+	// gemmGradKC bounds how many columns the filter gradient reduces over per
+	// packed block: half of gemmKC keeps a lane's slot, and so the planned
+	// workspace, under half of one image's unroll on LeNet's layers.
 	gemmGradKC = gemmKC / 2
 )
 
@@ -48,24 +72,47 @@ func flushSubnormal(v float32) float32 {
 	return v
 }
 
+// gradRun is a run of consecutive columns of the unroll that share one output
+// position (oh, ow): images n, n+1, …, n+len-1, starting at column at of the
+// panel or block it belongs to.
+type gradRun struct{ at, len, n, oh, ow int }
+
+// gradRuns cuts columns [col, col+w) of the unroll into runs, and returns how
+// many it wrote into runs (w of them at most).
+func gradRuns(runs []gradRun, cfg *ConvConfig, col, w int) int {
+	outW, r := cfg.OutW(), 0
+	for at := 0; at < w; r++ {
+		pos, n := (col+at)/cfg.N, (col+at)%cfg.N
+		runs[r] = gradRun{at: at, len: min(cfg.N-n, w-at), n: n, oh: pos / outW, ow: pos % outW}
+		at += runs[r].len
+	}
+	return r
+}
+
+// gradDataSlabs returns how many slabs of gemmMR input channels the data
+// gradient's packed Wᵀ holds per filter tap.
+func gradDataSlabs(cfg ConvConfig) int { return ceilDiv(cfg.C, gemmMR) }
+
 // ConvGemmBackwardDataWorkspaceElems returns the scratch
 // ConvGemmBackwardDataInto needs, in float32 elements: the filter bank packed
-// as the transposed left operand, then one K × gemmNR output-gradient panel per
-// lane.
+// as the transposed left operand, every tap's channels in whole slabs, then
+// one K × gemmNR output-gradient panel per lane.
 func ConvGemmBackwardDataWorkspaceElems(cfg ConvConfig) int {
 	cfg = cfg.WithDefaults()
-	return gemmPackedAElems(cfg.ReductionLength(), cfg.K) + min(cfg.N, gemmGradLanes)*cfg.K*gemmNR
+	slabs := gradDataSlabs(cfg)
+	return cfg.FH*cfg.FW*slabs*gemmMR*cfg.K + min(slabs, gemmGradDataLanes)*cfg.K*gemmNR
 }
 
 // ConvGemmBackwardDataInto computes the gradient of the convolution with
 // respect to its input, dIn[n][c][ih][iw] = sum over (k, fh, fw) hitting
 // (ih, iw) of dOut[n][k][oh][ow] * filter[k][c][fh][fw], into dIn (any layout,
 // fully overwritten) from dOut and the filter bank (any layouts), with scratch
-// of at least ConvGemmBackwardDataWorkspaceElems(cfg) elements.  Lane l takes
-// images l, l+lanes, …: it zeroes each one's gradient, then for every panel of
-// output positions multiplies Wᵀ by the panel of dOut slab by slab and adds
-// the product tile onto the input positions its taps read.  A subnormal dOut
-// value is read as zero (flushSubnormal).
+// of at least ConvGemmBackwardDataWorkspaceElems(cfg) elements.  The slabs of
+// input channels are split between the lanes in contiguous runs.  A lane
+// zeroes its channels' gradient, then for every gemmNR-wide panel of columns
+// packs the panel of dOut and, tap by tap, multiplies each of its slabs of
+// Wᵀ by it, adding the product onto the input positions the tap reads.  A
+// subnormal dOut value is read as zero (flushSubnormal).
 //
 //memcnn:noalloc
 func ConvGemmBackwardDataInto(dOut, filters, dIn *tensor.Tensor, cfg ConvConfig, scratch []float32) error {
@@ -86,58 +133,143 @@ func ConvGemmBackwardDataInto(dOut, filters, dIn *tensor.Tensor, cfg ConvConfig,
 	if len(scratch) < need {
 		return fmt.Errorf("kernels: gemm backward-data scratch has %d elements, want at least %d", len(scratch), need)
 	}
-	kdim := cfg.ReductionLength()
-	wt := scratch[:gemmPackedAElems(kdim, cfg.K)]
-	packTransposedFilters(wt, stridesOf(filters), cfg)
-	j := gemmDataJob{cfg: cfg, dOut: stridesOf(dOut), dIn: stridesOf(dIn), wt: wt, slots: scratch[len(wt):need],
-		kdim: kdim, lanes: par.Workers(min(cfg.N, gemmGradLanes))}
+	j := gemmDataJob{cfg: cfg, dOut: stridesOf(dOut), dIn: stridesOf(dIn), slabs: gradDataSlabs(cfg)}
+	j.wt = scratch[:cfg.FH*cfg.FW*j.slabs*gemmMR*cfg.K]
+	j.slots = scratch[len(j.wt):need]
+	j.lanes = min(j.slabs, gemmGradDataLanes)
+	packTransposedFilters(j.wt, stridesOf(filters), cfg)
 	par.Planes(j.lanes, j, gemmDataLane)
 	return nil
 }
 
 // packTransposedFilters writes the filter bank as the slab-packed left
-// operand Wᵀ: C·FH·FW rows (filter taps) by K (the reduction), its last slab
-// zero-padded.
+// operand Wᵀ, tap by tap in (fh, fw) order: each tap's C rows (input
+// channels) in slabs of gemmMR, the last zero-padded, by K (the reduction).
 func packTransposedFilters(dst []float32, f strided, cfg ConvConfig) {
-	taps := cfg.FH * cfg.FW
-	kdim := cfg.C * taps
-	for t := 0; t < len(dst)/cfg.K; t++ {
-		slab := dst[t/gemmMR*gemmMR*cfg.K:]
-		at := t % gemmMR
-		if t >= kdim {
+	perTap := gradDataSlabs(cfg) * gemmMR // rows a tap takes
+	for i := 0; i < len(dst)/cfg.K; i++ {
+		slab := dst[i/gemmMR*gemmMR*cfg.K:]
+		row, tp, c := i%gemmMR, i/perTap, i%perTap
+		if c >= cfg.C {
 			for k := 0; k < cfg.K; k++ {
-				slab[at+k*gemmMR] = 0
+				slab[row+k*gemmMR] = 0
 			}
 			continue
 		}
-		src := f.data[t/taps*f.c+t%taps/cfg.FW*f.h+t%cfg.FW*f.w:]
+		src := f.data[c*f.c+tp/cfg.FW*f.h+tp%cfg.FW*f.w:]
 		for k := 0; k < cfg.K; k++ {
-			slab[at+k*gemmMR] = src[k*f.n]
+			slab[row+k*gemmMR] = src[k*f.n]
 		}
 	}
 }
 
 // gemmDataJob is one ConvGemmBackwardDataInto call: wt is the packed Wᵀ every
-// lane reads, slots one K × gemmNR panel per lane.
+// lane reads, slabs its slabs per tap, slots one K × gemmNR panel per lane.
 type gemmDataJob struct {
-	cfg         ConvConfig
-	dOut, dIn   strided
-	wt, slots   []float32
-	kdim, lanes int
+	cfg          ConvConfig
+	dOut, dIn    strided
+	wt, slots    []float32
+	slabs, lanes int
 }
 
-// gemmDataLane computes the input gradient of every lanes-th image.  A panel
-// is up to gemmNR output positions of one output row, so each of its taps
-// reads one strided run of one input row.
+// gemmDataLane computes the input gradient of the lane's slabs of channels.
 //
 //memcnn:noalloc
 func gemmDataLane(j gemmDataJob, lane int) {
 	cfg, d := &j.cfg, &j.dIn
 	k := cfg.K
+	s0, s1 := lane*j.slabs/j.lanes, (lane+1)*j.slabs/j.lanes
 	panel := j.slots[lane*k*gemmNR : (lane+1)*k*gemmNR]
 	var cTile [gemmMR * gemmNR]float32
-	for n := lane; n < cfg.N; n += j.lanes {
-		for c := 0; c < cfg.C; c++ {
+	var runs [gemmNR]gradRun
+	var at [gemmNR]int // the dX offset of each run's first image, channel 0
+	j.zeroChannels(s0*gemmMR, min(s1*gemmMR, cfg.C))
+	cols := cfg.N * cfg.OutH() * cfg.OutW()
+	for col := 0; col < cols; col += gemmNR {
+		w := min(gemmNR, cols-col)
+		rs := runs[:gradRuns(runs[:], cfg, col, w)]
+		j.gatherPanel(panel, rs, w)
+		for fh := 0; fh < cfg.FH; fh++ {
+			for fw := 0; fw < cfg.FW; fw++ {
+				direct, any := j.targets(at[:len(rs)], rs, w, fh, fw)
+				if !any {
+					continue
+				}
+				for s := s0; s < s1; s++ {
+					a, c := j.wt[((fh*cfg.FW+fw)*j.slabs+s)*gemmMR*k:], s*gemmMR
+					if direct && c+gemmMR <= cfg.C {
+						gemmMicro(k, a, panel, d.data[c*d.c+at[0]:], d.c, true)
+						continue
+					}
+					j.moveTile(&cTile, at[:len(rs)], rs, c, false)
+					gemmMicro(k, a, panel, cTile[:], gemmNR, true)
+					j.moveTile(&cTile, at[:len(rs)], rs, c, true)
+				}
+			}
+		}
+	}
+}
+
+// targets works out, for filter tap (fh, fw), where each run of the panel
+// adds onto dX: at[i] is run i's first image's offset in channel 0, or -1
+// where the tap falls outside the input.  direct reports whether the panel's
+// w = gemmNR columns are gemmNR consecutive floats of each channel plane, so
+// the micro-kernel can add onto dX in place; any whether any run is in range.
+func (j *gemmDataJob) targets(at []int, runs []gradRun, w, fh, fw int) (direct, any bool) {
+	cfg, d := &j.cfg, &j.dIn
+	direct = w == gemmNR && d.n == 1
+	for i, r := range runs {
+		ih, iw := r.oh*cfg.StrideH-cfg.PadH+fh, r.ow*cfg.StrideW-cfg.PadW+fw
+		if ih < 0 || ih >= cfg.H || iw < 0 || iw >= cfg.W {
+			at[i], direct = -1, false
+			continue
+		}
+		at[i], any = r.n*d.n+ih*d.h+iw*d.w, true
+		if i > 0 && at[i] != at[i-1]+runs[i-1].len {
+			direct = false
+		}
+	}
+	return direct, any
+}
+
+// moveTile copies the in-range columns of the tile's rows — channels c,
+// c+1, … below C — between dX and tile: into the tile when back is false, out
+// of it when true.
+func (j *gemmDataJob) moveTile(tile *[gemmMR * gemmNR]float32, at []int, runs []gradRun, c int, back bool) {
+	cfg, d := &j.cfg, &j.dIn
+	for r := 0; r < gemmMR && c+r < cfg.C; r++ {
+		for i, run := range runs {
+			if at[i] < 0 {
+				continue
+			}
+			row, from := tile[r*gemmNR+run.at:r*gemmNR+run.at+run.len], (c+r)*d.c+at[i]
+			switch {
+			case d.n == 1 && back:
+				copy(d.data[from:], row)
+			case d.n == 1:
+				copy(row, d.data[from:])
+			case back:
+				for x := range row {
+					d.data[from+x*d.n] = row[x]
+				}
+			default:
+				for x := range row {
+					row[x] = d.data[from+x*d.n]
+				}
+			}
+		}
+	}
+}
+
+// zeroChannels zeroes the input gradient of channels [c0, c1), every image.
+func (j *gemmDataJob) zeroChannels(c0, c1 int) {
+	cfg, d := &j.cfg, &j.dIn
+	if d.n == 1 { // CHWN: the channels are one run
+		clear(d.data[c0*d.c : c1*d.c])
+		return
+	}
+	for n := 0; n < cfg.N; n++ {
+		for c := c0; c < c1; c++ {
 			for ih := 0; ih < cfg.H; ih++ {
 				row := d.data[n*d.n+c*d.c+ih*d.h:]
 				for iw := 0; iw < cfg.W; iw++ {
@@ -145,84 +277,54 @@ func gemmDataLane(j gemmDataJob, lane int) {
 				}
 			}
 		}
-		for oh := 0; oh < cfg.OutH(); oh++ {
-			for ow := 0; ow < cfg.OutW(); ow += gemmNR {
-				w := min(gemmNR, cfg.OutW()-ow)
-				j.gatherPanel(panel, n, oh, ow, w)
-				for row := 0; row < j.kdim; row += gemmMR {
-					for kb := 0; kb < k; kb += gemmKC {
-						kc := min(gemmKC, k-kb)
-						gemmMicro(kc, j.wt[row*k+kb*gemmMR:row*k+(kb+kc)*gemmMR], panel[kb*gemmNR:(kb+kc)*gemmNR], cTile[:], gemmNR, kb > 0)
-					}
-					j.col2imAdd(&cTile, n, row, min(gemmMR, j.kdim-row), oh, ow, w)
-				}
+	}
+}
+
+// gatherPanel copies the panel's columns — the runs, w columns in all — of
+// the output gradient, all K filters, into panel in the packed right-operand
+// format at the full gemmNR width, the columns past w zeroed.
+func (j *gemmDataJob) gatherPanel(panel []float32, runs []gradRun, w int) {
+	d := &j.dOut
+	for _, r := range runs {
+		src := d.data[r.n*d.n+r.oh*d.h+r.ow*d.w:]
+		for k := 0; k < j.cfg.K; k++ {
+			dst, s := panel[k*gemmNR+r.at:k*gemmNR+r.at+r.len], src[k*d.c:]
+			for i := range dst {
+				dst[i] = flushSubnormal(s[i*d.n])
 			}
 		}
 	}
-}
-
-// gatherPanel copies output positions [ow, ow+w) of output row oh of image
-// n's gradient, all K filters, into panel in the packed right-operand format
-// at the full gemmNR width, the columns past w zeroed.
-func (j *gemmDataJob) gatherPanel(panel []float32, n, oh, ow, w int) {
-	d := &j.dOut
-	src := d.data[n*d.n+oh*d.h+ow*d.w:]
 	for k := 0; k < j.cfg.K; k++ {
-		dst, s := panel[k*gemmNR:(k+1)*gemmNR], src[k*d.c:]
-		for i := range dst[:w] {
-			dst[i] = flushSubnormal(s[i*d.w])
-		}
-		clear(dst[w:])
-	}
-}
-
-// col2imAdd adds rows [row, row+h) of a product tile — filter taps of the
-// unroll — over columns [0, w) — output positions (oh, ow), (oh, ow+1), … —
-// onto image n of the input gradient, at the positions im2colPanel reads
-// those taps from.  Tap by tap, each element receives its adds in a fixed
-// order.
-func (j *gemmDataJob) col2imAdd(tile *[gemmMR * gemmNR]float32, n, row, h, oh, ow, w int) {
-	cfg, d := &j.cfg, &j.dIn
-	taps := cfg.FH * cfg.FW
-	step := cfg.StrideW * d.w
-	for r := 0; r < h; r++ {
-		t := row + r
-		c, fh, fw := t/taps, t%taps/cfg.FW, t%cfg.FW
-		ih := oh*cfg.StrideH - cfg.PadH + fh
-		if ih < 0 || ih >= cfg.H {
-			continue
-		}
-		lo, hi := tapRange(fw, cfg.StrideW, cfg.PadW, 0, cfg.W, ow, ow+w)
-		if lo >= hi {
-			continue
-		}
-		dst := d.data[n*d.n+c*d.c+ih*d.h+(lo*cfg.StrideW-cfg.PadW+fw)*d.w:]
-		for i, v := range tile[r*gemmNR+lo-ow : r*gemmNR+hi-ow] {
-			dst[i*step] += v
-		}
+		clear(panel[k*gemmNR+w : (k+1)*gemmNR])
 	}
 }
 
 // ConvGemmBackwardFilterWorkspaceElems returns the scratch
 // ConvGemmBackwardFilterInto needs, in float32 elements: per lane, a block of
-// output positions (gradBlock) of the output gradient packed as the left
-// operand and the matching block of one unrolled tap panel.
+// gradBlock(cfg) columns of the output gradient packed as the left operand and
+// the matching block of one unrolled tap panel.
 func ConvGemmBackwardFilterWorkspaceElems(cfg ConvConfig) int {
 	cfg = cfg.WithDefaults()
-	rows, cols := gradBlock(cfg)
+	block := gradBlock(cfg)
 	lanes := min(ceilDiv(cfg.ReductionLength(), gemmNR), gemmGradLanes)
-	return lanes * (gemmPackedAElems(cfg.K, rows*cols) + rows*cols*gemmNR)
+	return lanes * (gemmPackedAElems(cfg.K, block) + block*gemmNR)
 }
 
-// gradBlock returns the shape of the blocks of output positions the filter
-// gradient reduces over at once, at most gemmGradKC of them: as many whole
-// output rows as fit, or one row cut into gemmGradKC-wide pieces when a row
-// does not fit.
-func gradBlock(cfg ConvConfig) (rows, cols int) {
+// gradBlock returns how many columns the filter gradient reduces over per
+// packed block.  It is at most the block of the per-image form this one
+// replaced, the positions of as many whole output rows of one image as
+// gemmGradKC holds (gemmGradKC when one row does not fit), so the workspace
+// is no larger; and it is whole output positions of the batch where that
+// holds one, so a block cuts no run of images.
+func gradBlock(cfg ConvConfig) int {
+	block := gemmGradKC
 	if outW := cfg.OutW(); outW <= gemmGradKC {
-		return min(gemmGradKC/outW, cfg.OutH()), outW
+		block = min(gemmGradKC/outW, cfg.OutH()) * outW
 	}
-	return 1, gemmGradKC
+	if block >= cfg.N {
+		block -= block % cfg.N
+	}
+	return block
 }
 
 // ConvGemmBackwardFilterInto computes the gradient of the convolution with
@@ -230,12 +332,12 @@ func gradBlock(cfg ConvConfig) (rows, cols int) {
 // dOut[n][k][oh][ow] * in[n][c][oh*S+fh-pad][ow*S+fw-pad], into dW (NCHW: the
 // row-major K × C·FH·FW matrix the product fills in place; fully overwritten)
 // from in and dOut (any layouts), with scratch of at least
-// ConvGemmBackwardFilterWorkspaceElems(cfg) elements.  The gemmNR-wide panels of filter taps are split between the lanes
-// in contiguous runs.  A lane walks the whole reduction, image by image and
-// block by block of output positions: it packs the block of dOut once and, for
-// each of its panels, unrolls the block of input straight into the packed
-// format and accumulates the product into dW.  A subnormal dOut value is read
-// as zero (flushSubnormal).
+// ConvGemmBackwardFilterWorkspaceElems(cfg) elements.  The gemmNR-wide panels
+// of filter taps are split between the lanes in contiguous runs.  A lane
+// walks the whole reduction block by block of columns: it packs the block of
+// dOut once and, for each of its panels, unrolls the block of input straight
+// into the packed format and accumulates the product into dW.  A subnormal
+// dOut value is read as zero (flushSubnormal).
 //
 //memcnn:noalloc
 func ConvGemmBackwardFilterInto(in, dOut, dW *tensor.Tensor, cfg ConvConfig, scratch []float32) error {
@@ -256,8 +358,7 @@ func ConvGemmBackwardFilterInto(in, dOut, dW *tensor.Tensor, cfg ConvConfig, scr
 	if len(scratch) < need {
 		return fmt.Errorf("kernels: gemm backward-filter scratch has %d elements, want at least %d", len(scratch), need)
 	}
-	j := gemmFilterJob{cfg: cfg, in: stridesOf(in), dOut: stridesOf(dOut), dW: dW.Data, kdim: cfg.ReductionLength()}
-	j.rows, j.cols = gradBlock(cfg)
+	j := gemmFilterJob{cfg: cfg, in: stridesOf(in), dOut: stridesOf(dOut), dW: dW.Data, kdim: cfg.ReductionLength(), block: gradBlock(cfg)}
 	j.panels = ceilDiv(j.kdim, gemmNR)
 	j.lanes = par.Workers(min(j.panels, gemmGradLanes))
 	j.slot = need / min(j.panels, gemmGradLanes)
@@ -268,12 +369,12 @@ func ConvGemmBackwardFilterInto(in, dOut, dW *tensor.Tensor, cfg ConvConfig, scr
 
 // gemmFilterJob is one ConvGemmBackwardFilterInto call: lane l owns panels
 // [l·panels/lanes, (l+1)·panels/lanes) and slot l of slots; blocks are at most
-// rows × cols output positions.
+// block columns.
 type gemmFilterJob struct {
 	cfg                 ConvConfig
 	in, dOut            strided
 	dW, slots           []float32
-	kdim, rows, cols    int
+	kdim, block         int
 	panels, lanes, slot int
 }
 
@@ -286,51 +387,45 @@ func gemmFilterLane(j gemmFilterJob, lane int) {
 	cfg := &j.cfg
 	m, k := cfg.K, j.kdim
 	slot := j.slots[lane*j.slot : (lane+1)*j.slot]
-	aElems := gemmPackedAElems(m, j.rows*j.cols)
+	aElems := gemmPackedAElems(m, j.block)
 	var cTile [gemmMR * gemmNR]float32
-	accumulate := false
-	for n := 0; n < cfg.N; n++ {
-		for oh := 0; oh < cfg.OutH(); oh += j.rows {
-			for ow := 0; ow < cfg.OutW(); ow += j.cols {
-				rows, cols := min(j.rows, cfg.OutH()-oh), min(j.cols, cfg.OutW()-ow)
-				kc := rows * cols
-				ap, bp := slot[:gemmPackedAElems(m, kc)], slot[aElems:aElems+kc*gemmNR]
-				j.packGradBlock(ap, n, oh, ow, rows, cols)
-				for p := lane * j.panels / j.lanes; p < (lane+1)*j.panels/j.lanes; p++ {
-					col := p * gemmNR
-					w := min(gemmNR, k-col)
-					j.unrollBlock(bp, n, oh, ow, rows, cols, col, w)
-					for row := 0; row < m; row += gemmMR {
-						h := min(gemmMR, m-row)
-						a := ap[row*kc : (row+gemmMR)*kc]
-						if h == gemmMR && w == gemmNR {
-							gemmMicro(kc, a, bp, j.dW[row*k+col:], k, accumulate)
-							continue
-						}
-						if accumulate {
-							for r := 0; r < h; r++ {
-								copy(cTile[r*gemmNR:r*gemmNR+w], j.dW[(row+r)*k+col:])
-							}
-						}
-						gemmMicro(kc, a, bp, cTile[:], gemmNR, accumulate)
-						for r := 0; r < h; r++ {
-							copy(j.dW[(row+r)*k+col:(row+r)*k+col+w], cTile[r*gemmNR:])
-						}
+	var runs [gemmGradKC]gradRun
+	cols := cfg.N * cfg.OutH() * cfg.OutW()
+	for col := 0; col < cols; col += j.block {
+		kc := min(j.block, cols-col)
+		ap, bp := slot[:gemmPackedAElems(m, kc)], slot[aElems:aElems+kc*gemmNR]
+		rs := runs[:gradRuns(runs[:], cfg, col, kc)]
+		j.packGradBlock(ap, rs, kc)
+		for p := lane * j.panels / j.lanes; p < (lane+1)*j.panels/j.lanes; p++ {
+			first := p * gemmNR
+			w := min(gemmNR, k-first)
+			j.unrollBlock(bp, rs, kc, first, w)
+			for row := 0; row < m; row += gemmMR {
+				h := min(gemmMR, m-row)
+				a := ap[row*kc : (row+gemmMR)*kc]
+				if h == gemmMR && w == gemmNR {
+					gemmMicro(kc, a, bp, j.dW[row*k+first:], k, col > 0)
+					continue
+				}
+				if col > 0 {
+					for r := 0; r < h; r++ {
+						copy(cTile[r*gemmNR:r*gemmNR+w], j.dW[(row+r)*k+first:])
 					}
 				}
-				accumulate = true
+				gemmMicro(kc, a, bp, cTile[:], gemmNR, col > 0)
+				for r := 0; r < h; r++ {
+					copy(j.dW[(row+r)*k+first:(row+r)*k+first+w], cTile[r*gemmNR:])
+				}
 			}
 		}
 	}
 }
 
-// packGradBlock packs the block of output positions rows [oh, oh+rows) ×
-// columns [ow, ow+cols) of image n's gradient, all K filters, into ap in the
-// slab format of the left operand (the block's positions, row-major, are the
-// reduction), the last slab zero-padded.
-func (j *gemmFilterJob) packGradBlock(ap []float32, n, oh, ow, rows, cols int) {
+// packGradBlock packs the block's kc columns — the runs — of the output
+// gradient, all K filters, into ap in the slab format of the left operand
+// (the columns are the reduction), the last slab zero-padded.
+func (j *gemmFilterJob) packGradBlock(ap []float32, runs []gradRun, kc int) {
 	d := &j.dOut
-	kc := rows * cols
 	for k := 0; k < len(ap)/kc; k++ {
 		slab := ap[k/gemmMR*gemmMR*kc+k%gemmMR:]
 		if k >= j.cfg.K {
@@ -339,57 +434,122 @@ func (j *gemmFilterJob) packGradBlock(ap []float32, n, oh, ow, rows, cols int) {
 			}
 			continue
 		}
-		for y := 0; y < rows; y++ {
-			src, dst := d.data[n*d.n+k*d.c+(oh+y)*d.h+ow*d.w:], slab[y*cols*gemmMR:]
-			for x := 0; x < cols; x++ {
-				dst[x*gemmMR] = flushSubnormal(src[x*d.w])
+		for _, r := range runs {
+			at, dst := r.n*d.n+k*d.c+r.oh*d.h+r.ow*d.w, slab[r.at*gemmMR:]
+			if d.n == 1 {
+				packRun(dst, d.data[at:at+r.len])
+				continue
+			}
+			for i := 0; i < r.len; i++ {
+				dst[i*gemmMR] = flushSubnormal(d.data[at+i*d.n])
 			}
 		}
 	}
 }
 
-// unrollBlock writes the block's rows of col(X_n)ᵀ — one per output position,
-// row-major over rows [oh, oh+rows) × columns [ow, ow+cols) — restricted to
-// taps [col, col+w), into bp in the packed right-operand format at the full
-// gemmNR width: each holds the input value every tap reads at that position,
-// zero where it falls in the padding, and zero past w.  A tap's in-range
-// output columns are the same in every row of the block, so it works them out
-// once; in a row they are one strided copy.
-func (j *gemmFilterJob) unrollBlock(bp []float32, n, oh, ow, rows, cols, col, w int) {
+// unrollBlock writes the block's rows of col(X)ᵀ — one per column, the runs
+// — restricted to taps [first, first+w), into bp in the packed right-operand
+// format at the full gemmNR width: each holds the input value every tap
+// reads at that column, zero where it falls in the padding, and zero past w.
+func (j *gemmFilterJob) unrollBlock(bp []float32, runs []gradRun, kc, first, w int) {
 	cfg, in := &j.cfg, &j.in
-	taps := cfg.FH * cfg.FW
+	tp := tapAt(cfg, first)
 	for t := 0; t < gemmNR; t++ {
-		dst := bp[t:] // position i's tap t is dst[i*gemmNR]
+		dst := bp[t : t+(kc-1)*gemmNR+1] // column i's tap t is dst[i*gemmNR]
 		if t >= w {
-			for i := 0; i < rows*cols; i++ {
-				dst[i*gemmNR] = 0
+			for i := 0; i < len(dst); i += gemmNR {
+				dst[i] = 0
 			}
 			continue
 		}
-		c, fh, fw := (col+t)/taps, (col+t)%taps/cfg.FW, (col+t)%cfg.FW
-		lo, hi := cols, cols // block columns whose tap is in range: none yet
-		if l, h := tapRange(fw, cfg.StrideW, cfg.PadW, 0, cfg.W, ow, ow+cols); l < h {
-			lo, hi = l-ow, h-ow
-		}
-		for y := 0; y < rows; y++ {
-			row := dst[y*cols*gemmNR:]
-			a, b := lo, hi
-			ih := (oh+y)*cfg.StrideH - cfg.PadH + fh
-			if ih < 0 || ih >= cfg.H {
-				a, b = cols, cols
-			}
-			for x := 0; x < a; x++ {
-				row[x*gemmNR] = 0
-			}
-			if a < b {
-				src := in.data[n*in.n+c*in.c+ih*in.h+((ow+a)*cfg.StrideW-cfg.PadW+fw)*in.w:]
-				for x := a; x < b; x++ {
-					row[x*gemmNR] = src[(x-a)*cfg.StrideW*in.w]
+		for _, r := range runs {
+			to := dst[r.at*gemmNR : (r.at+r.len-1)*gemmNR+1]
+			ih, iw := r.oh*cfg.StrideH-cfg.PadH+tp.fh, r.ow*cfg.StrideW-cfg.PadW+tp.fw
+			if ih < 0 || ih >= cfg.H || iw < 0 || iw >= cfg.W {
+				for i := 0; i < len(to); i += gemmNR {
+					to[i] = 0
 				}
+				continue
 			}
-			for x := b; x < cols; x++ {
-				row[x*gemmNR] = 0
+			at := r.n*in.n + tp.c*in.c + ih*in.h + iw*in.w
+			if in.n == 1 {
+				spreadRun(to, in.data[at:at+r.len])
+				continue
+			}
+			for i := 0; i < len(to); i += gemmNR {
+				to[i] = in.data[at]
+				at += in.n
 			}
 		}
+		tp = tp.next(cfg)
+	}
+}
+
+// tap is a filter tap, a row of the unroll: input channel c, filter row fh
+// and column fw.
+type tap struct{ c, fh, fw int }
+
+// tapAt returns row t of cfg's unroll.
+func tapAt(cfg *ConvConfig, t int) tap {
+	taps := cfg.FH * cfg.FW
+	return tap{t / taps, t % taps / cfg.FW, t % cfg.FW}
+}
+
+// next returns the tap after p, without a division.
+func (p tap) next(cfg *ConvConfig) tap {
+	if p.fw++; p.fw == cfg.FW {
+		if p.fw, p.fh = 0, p.fh+1; p.fh == cfg.FH {
+			p.fh, p.c = 0, p.c+1
+		}
+	}
+	return p
+}
+
+// spreadRun writes src into every gemmNR-th element of dst, a column of a
+// packed panel; whole runs of 8 go without a loop or a bounds check.
+func spreadRun(dst, src []float32) {
+	for len(src) >= 8 {
+		d, s := (*[7*gemmNR + 1]float32)(dst), (*[8]float32)(src)
+		d[0] = s[0]
+		d[gemmNR] = s[1]
+		d[2*gemmNR] = s[2]
+		d[3*gemmNR] = s[3]
+		d[4*gemmNR] = s[4]
+		d[5*gemmNR] = s[5]
+		d[6*gemmNR] = s[6]
+		d[7*gemmNR] = s[7]
+		src = src[8:]
+		if len(src) == 0 {
+			return
+		}
+		dst = dst[8*gemmNR:]
+	}
+	for i, v := range src {
+		dst[i*gemmNR] = v
+	}
+}
+
+// packRun writes src, each subnormal read as zero, into every gemmMR-th
+// element of dst, a column of a packed slab; whole runs of 8 go without a
+// loop or a bounds check.
+func packRun(dst, src []float32) {
+	for len(src) >= 8 {
+		d, s := (*[7*gemmMR + 1]float32)(dst), (*[8]float32)(src)
+		d[0] = flushSubnormal(s[0])
+		d[gemmMR] = flushSubnormal(s[1])
+		d[2*gemmMR] = flushSubnormal(s[2])
+		d[3*gemmMR] = flushSubnormal(s[3])
+		d[4*gemmMR] = flushSubnormal(s[4])
+		d[5*gemmMR] = flushSubnormal(s[5])
+		d[6*gemmMR] = flushSubnormal(s[6])
+		d[7*gemmMR] = flushSubnormal(s[7])
+		src = src[8:]
+		if len(src) == 0 {
+			return
+		}
+		dst = dst[8*gemmMR:]
+	}
+	for i, v := range src {
+		dst[i*gemmMR] = flushSubnormal(v)
 	}
 }

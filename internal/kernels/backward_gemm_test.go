@@ -231,3 +231,97 @@ func TestGemmGradientsValidation(t *testing.T) {
 		t.Error("a wrong gradient shape must be rejected")
 	}
 }
+
+// TestGemmGradientsOneOrderForEveryLayout runs both GEMM gradients over
+// batchFoldedConvCases (one to 128 images, odd batches, strides and pads) in
+// NCHW and CHWN under one and two workers: every result must have the bits of
+// the NCHW one-worker result, which must lie within gemmGradTol of the direct
+// sums.
+func TestGemmGradientsOneOrderForEveryLayout(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for i, cfg := range batchFoldedConvCases {
+		cfg = cfg.WithDefaults()
+		filters := tensor.Filters(cfg.K, cfg.C, cfg.FH, cfg.FW, 2)
+		nchwIn, nchwDOut := tensor.Random(cfg.InputShape(), tensor.NCHW, 1), tensor.Random(cfg.OutputShape(), tensor.NCHW, 3)
+		dataScratch := make([]float32, ConvGemmBackwardDataWorkspaceElems(cfg))
+		filterScratch := make([]float32, ConvGemmBackwardFilterWorkspaceElems(cfg))
+		var wantIn, wantW *tensor.Tensor
+		for _, lay := range []tensor.Layout{tensor.NCHW, tensor.CHWN} {
+			in, dOut := tensor.New(cfg.InputShape(), lay), tensor.New(cfg.OutputShape(), lay)
+			if err := tensor.ConvertInto(nchwIn, in); err != nil {
+				t.Fatal(err)
+			}
+			if err := tensor.ConvertInto(nchwDOut, dOut); err != nil {
+				t.Fatal(err)
+			}
+			for _, procs := range []int{1, 2} {
+				runtime.GOMAXPROCS(procs)
+				label := fmt.Sprintf("case %d %v at %d workers", i, lay, procs)
+				dIn, dW := tensor.New(cfg.InputShape(), lay), tensor.New(cfg.FilterShape(), tensor.NCHW)
+				dIn.Fill(float32(math.NaN()))
+				dW.Fill(float32(math.NaN()))
+				if err := ConvGemmBackwardDataInto(dOut, filters, dIn, cfg, dataScratch); err != nil {
+					t.Fatal(err)
+				}
+				if err := ConvGemmBackwardFilterInto(in, dOut, dW, cfg, filterScratch); err != nil {
+					t.Fatal(err)
+				}
+				if wantIn == nil {
+					wantIn, wantW = dIn, dW
+					direct := tensor.New(cfg.InputShape(), tensor.NCHW)
+					oracleConvBackwardData(dOut, filters, direct, cfg)
+					closeTo(t, "backward-data "+label, dIn, direct)
+					direct = tensor.New(cfg.FilterShape(), tensor.NCHW)
+					oracleConvBackwardFilter(in, dOut, direct, cfg)
+					closeTo(t, "backward-filter "+label, dW, direct)
+					continue
+				}
+				back := tensor.New(cfg.InputShape(), tensor.NCHW)
+				if err := tensor.ConvertInto(dIn, back); err != nil {
+					t.Fatal(err)
+				}
+				sameBits(t, "backward-data "+label, back, wantIn)
+				sameBits(t, "backward-filter "+label, dW, wantW)
+			}
+		}
+	}
+}
+
+// TestPoolBackwardCHWNMatchesNCHW holds the channel walk of an all-CHWN
+// pooling backward to the plane walk of an all-NCHW one bit for bit: max and
+// average, 2×2/2 and overlapping 3×3/2 windows, batches below, at and above
+// the walk's image chunk, inputs with ties.
+func TestPoolBackwardCHWNMatchesNCHW(t *testing.T) {
+	for _, op := range []PoolOp{MaxPool, AvgPool} {
+		for _, window := range []int{2, 3} {
+			for _, n := range []int{1, 5, poolBackImages, poolBackImages + 3} {
+				cfg := PoolConfig{N: n, C: 3, H: 9, W: 8, Window: window, Stride: 2, Op: op}
+				in := tensor.Random(cfg.InputShape(), tensor.NCHW, uint64(window))
+				for i, v := range in.Data {
+					in.Data[i] = float32(math.Round(float64(v) * 2)) // ties
+				}
+				dOut := tensor.Random(cfg.OutputShape(), tensor.NCHW, 5)
+				want := tensor.New(cfg.InputShape(), tensor.NCHW)
+				if err := PoolBackwardInto(in, dOut, want, cfg); err != nil {
+					t.Fatal(err)
+				}
+				cin, cdOut, got := tensor.New(cfg.InputShape(), tensor.CHWN), tensor.New(cfg.OutputShape(), tensor.CHWN), tensor.New(cfg.InputShape(), tensor.CHWN)
+				if err := tensor.ConvertInto(in, cin); err != nil {
+					t.Fatal(err)
+				}
+				if err := tensor.ConvertInto(dOut, cdOut); err != nil {
+					t.Fatal(err)
+				}
+				got.Fill(-1)
+				if err := PoolBackwardInto(cin, cdOut, got, cfg); err != nil {
+					t.Fatal(err)
+				}
+				back := tensor.New(cfg.InputShape(), tensor.NCHW)
+				if err := tensor.ConvertInto(got, back); err != nil {
+					t.Fatal(err)
+				}
+				sameBits(t, cfg.String(), back, want)
+			}
+		}
+	}
+}

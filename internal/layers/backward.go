@@ -52,10 +52,11 @@ type TrainableLayer interface {
 	// GradWorkspaceElems returns the scratch BackwardFilterInto needs, in
 	// float32 elements.
 	GradWorkspaceElems() int
-	// ApplySGD updates the parameters in place: W -= lr · dW.  Parameters are
-	// shared across rebatched clones, so the update is visible through every
-	// view of the layer.  Not safe concurrently with forward passes over the
-	// same parameter storage.
+	// ApplySGD updates the parameters in place: W -= lr · dW, dW in NCHW as
+	// BackwardFilterInto writes it (any other layout is an error).
+	// Parameters are shared across rebatched clones, so the update is visible
+	// through every view of the layer.  Not safe concurrently with forward
+	// passes over the same parameter storage.
 	ApplySGD(dW *tensor.Tensor, lr float32) error
 }
 
@@ -103,24 +104,11 @@ func (c *Conv) GradWorkspaceElems() int {
 // the new weights.
 func (c *Conv) ApplySGD(dW *tensor.Tensor, lr float32) error {
 	filters := c.Filters()
-	if dW.Shape != filters.Shape {
-		return fmt.Errorf("layers: %s: sgd dW shape %v, want %v", c.LayerName, dW.Shape, filters.Shape)
+	if dW.Shape != filters.Shape || dW.Layout != filters.Layout {
+		return fmt.Errorf("layers: %s: sgd dW is %v %v, want %v %v", c.LayerName, dW.Shape, dW.Layout, filters.Shape, filters.Layout)
 	}
-	if dW.Layout == filters.Layout {
-		for i, g := range dW.Data {
-			filters.Data[i] -= lr * g
-		}
-	} else {
-		s := filters.Shape
-		for k := 0; k < s.N; k++ {
-			for ch := 0; ch < s.C; ch++ {
-				for fh := 0; fh < s.H; fh++ {
-					for fw := 0; fw < s.W; fw++ {
-						filters.Set(k, ch, fh, fw, filters.At(k, ch, fh, fw)-lr*dW.At(k, ch, fh, fw))
-					}
-				}
-			}
-		}
+	for i, g := range dW.Data {
+		filters.Data[i] -= lr * g
 	}
 	c.refreshPacked()
 	return nil
@@ -168,13 +156,32 @@ type fcBackwardJob struct {
 	in, dOut, dst *tensor.Tensor
 }
 
-// fcBackwardDataRow computes image n's row of the input gradient.
+// fcBackwardDataRow computes image n's row of the input gradient.  In NCHW
+// it keeps eight float64 sums in registers and walks eight weights of a row
+// at a time, each sum o-ascending as the generic loop does, so both agree bit
+// for bit.
 func fcBackwardDataRow(j fcBackwardJob, n int) {
 	f, w, dOut, dIn := j.f, j.w, j.dOut, j.dst
 	if dOut.Layout == tensor.NCHW && dIn.Layout == tensor.NCHW {
 		gRow := dOut.Data[n*f.OutDim : (n+1)*f.OutDim]
 		dRow := dIn.Data[n*f.InDim : (n+1)*f.InDim]
-		for k := 0; k < f.InDim; k++ {
+		k := 0
+		for ; k+8 <= f.InDim; k += 8 {
+			var a0, a1, a2, a3, a4, a5, a6, a7 float64
+			for o, g := range gRow {
+				x, r := float64(g), (*[8]float32)(w[o*f.InDim+k:])
+				a0 += x * float64(r[0])
+				a1 += x * float64(r[1])
+				a2 += x * float64(r[2])
+				a3 += x * float64(r[3])
+				a4 += x * float64(r[4])
+				a5 += x * float64(r[5])
+				a6 += x * float64(r[6])
+				a7 += x * float64(r[7])
+			}
+			*(*[8]float32)(dRow[k:]) = [8]float32{float32(a0), float32(a1), float32(a2), float32(a3), float32(a4), float32(a5), float32(a6), float32(a7)}
+		}
+		for ; k < f.InDim; k++ {
 			var acc float64
 			for o, g := range gRow {
 				acc += float64(g) * float64(w[o*f.InDim+k])
@@ -224,12 +231,30 @@ func (f *FullyConnected) BackwardFilterInto(in, dOut, dW *tensor.Tensor, _ []flo
 	return nil
 }
 
-// fcBackwardFilterRow computes weight row o of the parameter gradient.
+// fcBackwardFilterRow computes weight row o of the parameter gradient.  In
+// NCHW it keeps eight float64 sums in registers and walks eight inputs of a
+// row at a time, each sum n-ascending as the generic loop does.
 func fcBackwardFilterRow(j fcBackwardJob, o int) {
 	f, in, dOut, dW := j.f, j.in, j.dOut, j.dst
 	if in.Layout == tensor.NCHW && dOut.Layout == tensor.NCHW && dW.Layout == tensor.NCHW {
 		wRow := dW.Data[o*f.InDim : (o+1)*f.InDim]
-		for k := range wRow {
+		k := 0
+		for ; k+8 <= f.InDim; k += 8 {
+			var a0, a1, a2, a3, a4, a5, a6, a7 float64
+			for n := 0; n < f.Batch; n++ {
+				x, r := float64(dOut.Data[n*f.OutDim+o]), (*[8]float32)(in.Data[n*f.InDim+k:])
+				a0 += x * float64(r[0])
+				a1 += x * float64(r[1])
+				a2 += x * float64(r[2])
+				a3 += x * float64(r[3])
+				a4 += x * float64(r[4])
+				a5 += x * float64(r[5])
+				a6 += x * float64(r[6])
+				a7 += x * float64(r[7])
+			}
+			*(*[8]float32)(wRow[k:]) = [8]float32{float32(a0), float32(a1), float32(a2), float32(a3), float32(a4), float32(a5), float32(a6), float32(a7)}
+		}
+		for ; k < f.InDim; k++ {
 			var acc float64
 			for n := 0; n < f.Batch; n++ {
 				acc += float64(dOut.Data[n*f.OutDim+o]) * float64(in.Data[n*f.InDim+k])
@@ -253,17 +278,12 @@ func (f *FullyConnected) ApplySGD(dW *tensor.Tensor, lr float32) error {
 	if dW.Shape != f.GradShape() {
 		return fmt.Errorf("layers: %s: sgd dW shape %v, want %v", f.LayerName, dW.Shape, f.GradShape())
 	}
-	w := f.Weights()
-	if dW.Layout == tensor.NCHW {
-		for i, g := range dW.Data {
-			w[i] -= lr * g
-		}
-		return nil
+	if dW.Layout != tensor.NCHW {
+		return fmt.Errorf("layers: %s: sgd dW is %v, want NCHW", f.LayerName, dW.Layout)
 	}
-	for o := 0; o < f.OutDim; o++ {
-		for k := 0; k < f.InDim; k++ {
-			w[o*f.InDim+k] -= lr * dW.At(o, k, 0, 0)
-		}
+	w := f.Weights()
+	for i, g := range dW.Data {
+		w[i] -= lr * g
 	}
 	return nil
 }

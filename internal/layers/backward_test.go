@@ -194,3 +194,79 @@ func TestTrainingInterfaceCompliance(t *testing.T) {
 		t.Fatal("pool has no parameters and must not be trainable")
 	}
 }
+
+// oldFCBackwardData and oldFCBackwardFilter are the NCHW loops the blocked
+// fully-connected gradients replaced: one float64 sum per element, striding
+// through the weights (data) or the input (filter).
+func oldFCBackwardData(f *FullyConnected, dOut, dIn []float32) {
+	w := f.Weights()
+	for n := 0; n < f.Batch; n++ {
+		for k := 0; k < f.InDim; k++ {
+			var acc float64
+			for o, g := range dOut[n*f.OutDim : (n+1)*f.OutDim] {
+				acc += float64(g) * float64(w[o*f.InDim+k])
+			}
+			dIn[n*f.InDim+k] = float32(acc)
+		}
+	}
+}
+
+func oldFCBackwardFilter(f *FullyConnected, in, dOut, dW []float32) {
+	for o := 0; o < f.OutDim; o++ {
+		for k := 0; k < f.InDim; k++ {
+			var acc float64
+			for n := 0; n < f.Batch; n++ {
+				acc += float64(dOut[n*f.OutDim+o]) * float64(in[n*f.InDim+k])
+			}
+			dW[o*f.InDim+k] = float32(acc)
+		}
+	}
+}
+
+// TestFullyConnectedGradientsMatchOldLoops holds both NCHW fully-connected
+// gradients to the old loops bit for bit, on input widths below, at and
+// across the eight sums kept in registers (LeNet's fc1 among them).
+func TestFullyConnectedGradientsMatchOldLoops(t *testing.T) {
+	for _, dims := range [][3]int{{3, 5, 4}, {16, 784, 100}, {4, 8, 10}, {5, 2*8 + 7, 3}} {
+		f := &FullyConnected{LayerName: "fc", Batch: dims[0], InDim: dims[1], OutDim: dims[2], Seed: 17}
+		in := tensor.Random(f.InputShape(), tensor.NCHW, 1)
+		dOut := tensor.Random(f.OutputShape(), tensor.NCHW, 2)
+		dIn, dW := tensor.New(f.InputShape(), tensor.NCHW), tensor.New(f.GradShape(), tensor.NCHW)
+		if err := f.BackwardDataInto(nil, dOut, dIn, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.BackwardFilterInto(in, dOut, dW, nil); err != nil {
+			t.Fatal(err)
+		}
+		wantIn, wantW := make([]float32, len(dIn.Data)), make([]float32, len(dW.Data))
+		oldFCBackwardData(f, dOut.Data, wantIn)
+		oldFCBackwardFilter(f, in.Data, dOut.Data, wantW)
+		for i := range wantIn {
+			if math.Float32bits(dIn.Data[i]) != math.Float32bits(wantIn[i]) {
+				t.Fatalf("%v: backward-data element %d = %v, old loop %v", dims, i, dIn.Data[i], wantIn[i])
+			}
+		}
+		for i := range wantW {
+			if math.Float32bits(dW.Data[i]) != math.Float32bits(wantW[i]) {
+				t.Fatalf("%v: backward-filter element %d = %v, old loop %v", dims, i, dW.Data[i], wantW[i])
+			}
+		}
+	}
+}
+
+// TestApplySGDRejectsOtherLayouts: the compiler allocates every parameter
+// gradient in NCHW, so a gradient in another layout is an error, not a
+// slower path.
+func TestApplySGDRejectsOtherLayouts(t *testing.T) {
+	fc := &FullyConnected{LayerName: "fc", Batch: 2, InDim: 3, OutDim: 2, Seed: 95}
+	if err := fc.ApplySGD(tensor.New(fc.GradShape(), tensor.CHWN), 0.1); err == nil {
+		t.Error("fully-connected SGD took a CHWN gradient")
+	}
+	conv, err := NewConv("conv", kernels.ConvConfig{N: 1, C: 2, H: 5, W: 5, K: 3, FH: 3, FW: 3}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := conv.ApplySGD(tensor.New(conv.GradShape(), tensor.CHWN), 0.1); err == nil {
+		t.Error("convolution SGD took a CHWN gradient")
+	}
+}

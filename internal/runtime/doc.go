@@ -196,10 +196,13 @@
 // stored predecessor.  Whether checkpointing is worth it is decided by the
 // planner (the recompute plan is kept only at a strictly lower peak).  A
 // training program takes its layouts and convolution algorithms from one
-// choice list, SelectChoices with NCHW the only layout allowed today; each
-// gradient takes the layout of the forward buffer it mirrors, and a
-// convolution's backward-data and grad-filter ops run on GEMM whatever its
-// forward runs (layers.Conv's gradient methods).  Training ops dispatch
+// choice list, SelectChoices pricing a whole step (each layer's forward and
+// gradients, each transform twice: LeNet trains its convolutions and pools in
+// CHWN and its fully-connected tail in NCHW); each gradient takes the layout
+// of the forward buffer it mirrors, and a convolution's backward-data and
+// grad-filter ops run on the batch-folded GEMM gradients whatever its forward
+// runs (layers.Conv's gradient methods), with one reduction order in every
+// layout.  Training ops dispatch
 // through the same Device abstraction, bit-deterministic on CPUDevice, and
 // through the same interpreter:
 // train.Executor stages the batch and labels into an Instance it bound once,

@@ -15,9 +15,10 @@ func CompileOutOfPlace(net *network.Network, name string, choices []Choice, opts
 }
 
 // SelectWith runs the selection pass over the price list prices instead of
-// the host's, returning the choices and the decision record.
-func SelectWith(net *network.Network, choices []Choice, prices autotune.Prices) ([]Choice, []Decision) {
-	return selectChoices(net, choices, prices, nil)
+// the host's, a training step's chain with step, returning the choices and
+// the decision record.
+func SelectWith(net *network.Network, choices []Choice, prices autotune.Prices, step bool) ([]Choice, []Decision) {
+	return selectChoices(net, choices, prices, step, nil)
 }
 
 // DefinitionOrderArena places p's roots in definition order, the first of

@@ -297,7 +297,7 @@ func compile(net *network.Network, name string, choices []Choice, opts Options, 
 	}
 	var decisions []Decision
 	if opts.ConvAlgorithms {
-		choices, decisions = selectChoices(net, choices, hostPrices, nil)
+		choices, decisions = selectChoices(net, choices, hostPrices, false, nil)
 	}
 	p, err := lower(net, name, choices, opts, inPlace)
 	if err != nil {

@@ -48,12 +48,13 @@ type Decision struct {
 // cheapest assignment wins; of equally cheap ones, the one that keeps the
 // most layers in the caller's layout, so the caller's layouts (an execution
 // plan's, say) are the tie-break.  layouts narrows the layouts a layer may
-// take; none means every layout the layer supports.  Training passes NCHW
-// alone, because its lowering requires it, so only its algorithms are
-// chosen.  Compile runs this pass under Options.ConvAlgorithms and keeps its
-// decision record (Program.Decisions).
-func SelectChoices(net *network.Network, choices []Choice, layouts ...tensor.Layout) []Choice {
-	selected, _ := selectChoices(net, choices, hostPrices, layouts)
+// take; none means every layout the layer supports.  With step the chain is
+// priced as a training step: a node is the layer's forward and gradients
+// (autotune.Prices.Step), and an edge is paid twice, by the activation going
+// up and by its gradient coming back.  Compile runs this pass under
+// Options.ConvAlgorithms and keeps its decision record (Program.Decisions).
+func SelectChoices(net *network.Network, choices []Choice, step bool, layouts ...tensor.Layout) []Choice {
+	selected, _ := selectChoices(net, choices, hostPrices, step, layouts)
 	return selected
 }
 
@@ -74,9 +75,13 @@ func (a chainPrice) less(b chainPrice) bool {
 
 // selectChoices is SelectChoices over the price list prices, returning the
 // decision record too.
-func selectChoices(net *network.Network, choices []Choice, prices autotune.Prices, layouts []tensor.Layout) ([]Choice, []Decision) {
+func selectChoices(net *network.Network, choices []Choice, prices autotune.Prices, step bool, layouts []tensor.Layout) ([]Choice, []Decision) {
 	if len(layouts) == 0 {
 		layouts = tensor.Layouts
+	}
+	price, edges := prices.Layer, 1.0
+	if step {
+		price, edges = prices.Step, 2
 	}
 	n := len(net.Layers)
 	// cands[i] are layer i's states; node[i][s] their prices.
@@ -89,7 +94,7 @@ func selectChoices(net *network.Network, choices []Choice, prices autotune.Price
 		}
 		for _, lay := range layouts {
 			for _, alg := range algs {
-				if s, ok := prices.Layer(l, lay, alg); ok {
+				if s, ok := price(l, lay, alg); ok {
 					cands[i] = append(cands[i], Candidate{Choice{lay, alg}, s})
 				}
 			}
@@ -106,9 +111,9 @@ func selectChoices(net *network.Network, choices []Choice, prices autotune.Price
 		}
 	}
 	// edge prices the transform the lowering puts before layer i, from layout
-	// a of the layer below into layout b.
+	// a of the layer below into layout b (and, in a step, the gradient's back).
 	edge := func(i int, a, b tensor.Layout) chainPrice {
-		return chainPrice{s: prices.Convert(net.Layers[i-1].OutputShape(), a, b)}
+		return chainPrice{s: edges * prices.Convert(net.Layers[i-1].OutputShape(), a, b)}
 	}
 	// fwd[i][s] is the cheapest chain through layers 0..i that ends in state
 	// s, bwd[i][s] the cheapest rest of the chain after it.

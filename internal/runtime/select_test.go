@@ -26,10 +26,10 @@ func TestDecisionRecordExplainsAFlip(t *testing.T) {
 	}
 	caller := runtime.Uniform(net, tensor.NCHW, kernels.ConvAlgDirect)
 	host := autotune.HostPrices()
-	base, baseRecord := runtime.SelectWith(net, caller, host)
+	base, baseRecord := runtime.SelectWith(net, caller, host, false)
 	changed := host
 	changed.SoftmaxNS.CHWN = 40 * host.SoftmaxNS.CHWN
-	flipped, record := runtime.SelectWith(net, caller, changed)
+	flipped, record := runtime.SelectWith(net, caller, changed, false)
 
 	last := len(net.Layers) - 1
 	for i := range net.Layers {
@@ -89,7 +89,7 @@ func TestSelectionKeepsTheCallersLayoutOnATie(t *testing.T) {
 	for i := 1; i < len(caller); i += 2 {
 		caller[i].Layout = tensor.CHWN
 	}
-	got, record := runtime.SelectWith(net, caller, flat)
+	got, record := runtime.SelectWith(net, caller, flat, false)
 	for i, ch := range got {
 		if ch.Layout != caller[i].Layout {
 			t.Errorf("%s: %v, want the caller's %v on a tie", net.Layers[i].Name(), ch, caller[i].Layout)
@@ -121,7 +121,7 @@ func TestDecisionRecordRidesOnThePlannedProgram(t *testing.T) {
 	if plain := mustCompileOpts(t, planners()[2], net, runtime.Options{}); plain.Decisions != nil {
 		t.Errorf("a program compiled without selection carries %d decisions", len(plain.Decisions))
 	}
-	for i, ch := range runtime.SelectChoices(net, runtime.Uniform(net, tensor.NCHW, kernels.ConvAlgDirect), tensor.NCHW) {
+	for i, ch := range runtime.SelectChoices(net, runtime.Uniform(net, tensor.NCHW, kernels.ConvAlgDirect), false, tensor.NCHW) {
 		if ch.Layout != tensor.NCHW {
 			t.Errorf("%s: %v with NCHW the only layout allowed", net.Layers[i].Name(), ch)
 		}
@@ -187,4 +187,65 @@ func TestSelectedBucketsMatchNCHW(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestTrainingStepSelection prices LeNet@16 as a training step: both
+// convolutions and both pools run in CHWN and the fully-connected tail and
+// the softmax in NCHW, one transform each way at fc1.  A copy of the price
+// list whose transform costs the step between half and all of what the CHWN
+// layers save flips them back to NCHW, and one where it costs under half
+// keeps them: the transform is paid twice, by the activation and by its
+// gradient.
+func TestTrainingStepSelection(t *testing.T) {
+	base, err := workloads.LeNet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := base.WithBatch(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	caller := runtime.Uniform(net, tensor.NCHW, kernels.ConvAlgDirect)
+	host := autotune.HostPrices()
+	fc1 := 4 // the first layer priced in NCHW alone
+	wantCHWN := func(prices autotune.Prices) {
+		t.Helper()
+		got, _ := runtime.SelectWith(net, caller, prices, true)
+		for i, ch := range got {
+			if want := i < fc1; (ch.Layout == tensor.CHWN) != want {
+				t.Errorf("%s trains in %v; CHWN wanted: %t", net.Layers[i].Name(), ch, want)
+			}
+		}
+	}
+	wantCHWN(host)
+
+	// saved is what the layers below fc1 save in CHWN, each at its cheapest
+	// algorithm in either layout.
+	var saved float64
+	for _, l := range net.Layers[:fc1] {
+		best := func(lay tensor.Layout) float64 {
+			b := math.Inf(1)
+			for _, alg := range []kernels.ConvAlgorithm{kernels.ConvAlgDirect, kernels.ConvAlgGemm} {
+				if s, ok := host.Step(l, lay, alg); ok {
+					b = math.Min(b, s)
+				}
+			}
+			return b
+		}
+		saved += best(tensor.NCHW) - best(tensor.CHWN)
+	}
+	if !(saved > 0) {
+		t.Fatalf("the layers below fc1 save %g s in CHWN", saved)
+	}
+	bytes := float64(net.Layers[fc1].InputShape().Bytes())
+	dear, cheap := host, host
+	dear.ConvertGBs = bytes / (saved / 1.5 * 1e9)  // a transform costs 2/3 of the saving
+	cheap.ConvertGBs = bytes / (saved / 2.5 * 1e9) // and here 2/5
+	got, _ := runtime.SelectWith(net, caller, dear, true)
+	for i, ch := range got {
+		if ch.Layout != tensor.NCHW {
+			t.Errorf("%s trains in %v when two transforms cost more than CHWN saves", net.Layers[i].Name(), ch)
+		}
+	}
+	wantCHWN(cheap)
 }

@@ -17,11 +17,13 @@
 // and convolution kernels (Section II.A, footnote 1); this package is that
 // extension of the inference planner built by the earlier milestones.  So the
 // forward pass is the inference builder's (runtime.Program.AddForward), its
-// layouts and convolution algorithms from one choice list (NCHW alone today),
-// every gradient takes the layout of the forward buffer it mirrors, and both
-// gradients of a convolution run on the packed GEMM core (layers.Conv).  Every
-// kernel is bit-deterministic, so the planned and naive executors, which run
-// the same op list, agree bit for bit.
+// layouts and convolution algorithms from one choice list, the host-priced
+// selection of a whole training step (runtime.SelectChoices); every gradient
+// takes the layout of the forward buffer it mirrors, and both gradients of a
+// convolution run on the batch-folded GEMM core (layers.Conv).  Every kernel
+// is bit-deterministic, and in every layout the same, so the planned and
+// naive executors, which run the same op list, agree bit for bit, and so do
+// two choice lists that differ only in layouts.
 package train
 
 import (
@@ -102,11 +104,9 @@ type Program struct {
 	// LR is the learning rate every OpSGD op applies.
 	LR float32
 	// Labels is the float32-coded label buffer the caller stages before each
-	// step (listed in ExtraInputs).
+	// step (listed in ExtraInputs).  The softmax output is the program's
+	// Output, so the arena keeps it readable after the run for the loss.
 	Labels runtime.BufferID
-	// Probs is the softmax output buffer; it doubles as the program output so
-	// the arena keeps it readable after the run for the loss value.
-	Probs runtime.BufferID
 
 	// RecomputeOps counts the OpRecompute ops emitted: the program drops and
 	// recomputes cheap activations iff it is positive.
@@ -123,9 +123,10 @@ type Program struct {
 // trainable layer, ordered so each layer's input gradient is computed before
 // its own update touches the weights.  The layouts and the convolutions'
 // forward algorithms come from one choice list, the host-priced selection
-// with NCHW the only layout it may take; the gradients run on GEMM.  The
-// network must end in a softmax classifier; every other layer must implement
-// layers.BackwardLayer.
+// over every layout, each layer priced for its forward and its gradients and
+// each transform for the activation and its gradient; the gradients run on
+// GEMM.  The network must end in a softmax classifier; every other layer must
+// implement layers.BackwardLayer.
 func CompileTraining(net *network.Network, opts Options) (*Program, error) {
 	if net == nil || len(net.Layers) < 2 {
 		return nil, fmt.Errorf("train: network must have at least a feature layer and a classifier")
@@ -151,7 +152,7 @@ func CompileTraining(net *network.Network, opts Options) (*Program, error) {
 	// Both variants lower one choice list, each at most once: store-all
 	// always (its peak is reported next to whichever variant is returned),
 	// recompute unless the policy rules it out.
-	choices := runtime.SelectChoices(net, runtime.Uniform(net, tensor.NCHW, kernels.ConvAlgDirect), tensor.NCHW)
+	choices := runtime.SelectChoices(net, runtime.Uniform(net, tensor.NCHW, kernels.ConvAlgDirect), true)
 	p, err := lowerTraining(net, sm, choices, lr, false)
 	if err != nil {
 		return nil, err
@@ -188,10 +189,10 @@ func lowerTraining(net *network.Network, sm *layers.Softmax, choices []runtime.C
 	feat := net.Layers[:len(net.Layers)-1] // layers below the classifier
 	p := &runtime.Program{
 		Net:         net,
-		PlannerName: "train-nchw",
+		PlannerName: "train",
 	}
 	if drop {
-		p.PlannerName = "train-nchw-ckpt"
+		p.PlannerName = "train-ckpt"
 	}
 	tp := &Program{
 		Program: p,
@@ -204,7 +205,6 @@ func lowerTraining(net *network.Network, sm *layers.Softmax, choices []runtime.C
 	if err != nil {
 		return nil, err
 	}
-	tp.Probs = p.Output
 	dropped := make([]bool, len(net.Layers))
 	if drop {
 		for i, l := range feat {
@@ -226,7 +226,7 @@ func lowerTraining(net *network.Network, sm *layers.Softmax, choices []runtime.C
 	dLogits := p.AddBuffer(sm.InputShape(), tensor.NCHW, runtime.NoBuffer)
 	p.Ops = append(p.Ops, runtime.Op{
 		Kind: runtime.OpLossGrad, Name: "loss " + sm.Name(), Layer: sm,
-		In: tp.Probs, Out: dLogits, Aux: labels, Scratch: runtime.NoBuffer,
+		In: p.Output, Out: dLogits, Aux: labels, Scratch: runtime.NoBuffer,
 	})
 
 	// materialize returns a buffer holding layer i's forward output valid at

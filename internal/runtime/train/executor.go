@@ -95,9 +95,9 @@ func (e *Executor) StepCtx(ctx context.Context, images *tensor.Tensor, labels []
 		return StepStats{}, fmt.Errorf("train: %w", err)
 	}
 
-	// The probability buffer doubles as the program output, so the planner
-	// kept it live past the last op.
-	loss, err := kernels.SoftmaxCrossEntropyLoss(e.inst.Buffer(p.Probs).Data, labels,
+	// The probability buffer is the program output, so the planner kept it
+	// live past the last op.
+	loss, err := kernels.SoftmaxCrossEntropyLoss(e.inst.Buffer(p.Output).Data, labels,
 		kernels.SoftmaxConfig{N: p.Batch, Classes: p.Classes})
 	if err != nil {
 		return StepStats{}, fmt.Errorf("train: loss: %w", err)

@@ -23,8 +23,8 @@ const programsGolden = "testdata/programs.golden"
 // the peak.
 func trainingDump(p *Program) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "planner %s input=%d output=%d extra=%v labels=%d probs=%d\n",
-		p.PlannerName, p.Input, p.Output, p.ExtraInputs, p.Labels, p.Probs)
+	fmt.Fprintf(&b, "planner %s input=%d output=%d extra=%v labels=%d\n",
+		p.PlannerName, p.Input, p.Output, p.ExtraInputs, p.Labels)
 	for i, op := range p.Ops {
 		fmt.Fprintf(&b, "op %d %v %q in=%d out=%d aux=%d scratch=%d alg=%v lr=%v\n",
 			i, op.Kind, op.Name, op.In, op.Out, op.Aux, op.Scratch, op.Alg, op.LR)

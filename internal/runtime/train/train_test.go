@@ -109,10 +109,11 @@ func lenet16(t *testing.T) *Program {
 
 // TestTrainingRunsTheSelectedAlgorithm checks that a convolution's forward
 // runs the algorithm the selector picks for it and both its gradients run on
-// GEMM: LeNet@16 selects GEMM for its two convolutions, TinyNet@4 the direct
-// kernel.  LeNet's conv2 has a forward, a backward-data and a grad-filter op,
-// conv1 (its input needs no gradient) no backward-data op; LeNet drops only
-// pooling and ReLU outputs, so no convolution is recomputed.
+// GEMM: LeNet@16 selects GEMM for its two convolutions, TinyNet@4 whatever
+// the training step's selection gives it.  LeNet's conv2 has a forward, a
+// backward-data and a grad-filter op, conv1 (its input needs no gradient) no
+// backward-data op; LeNet drops only pooling and ReLU outputs, so no
+// convolution is recomputed.
 func TestTrainingRunsTheSelectedAlgorithm(t *testing.T) {
 	tiny, err := workloads.TinyNet()
 	if err != nil {
@@ -122,15 +123,20 @@ func TestTrainingRunsTheSelectedAlgorithm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tinyAlgs := map[string]kernels.ConvAlgorithm{}
+	for i, ch := range runtime.SelectChoices(tiny, runtime.Uniform(tiny, tensor.NCHW, kernels.ConvAlgDirect), true) {
+		tinyAlgs[tiny.Layers[i].Name()] = ch.Alg
+	}
+	lenetAlgs := map[string]kernels.ConvAlgorithm{"conv1": kernels.ConvAlgGemm, "conv2": kernels.ConvAlgGemm}
 	lenetKinds := map[string][]runtime.OpKind{
 		"conv1": {runtime.OpLayer, runtime.OpGradFilter},
 		"conv2": {runtime.OpLayer, runtime.OpBackward, runtime.OpGradFilter},
 	}
 	for _, tc := range []struct {
 		p     *Program
-		fwd   kernels.ConvAlgorithm
-		kinds map[string][]runtime.OpKind // nil: not checked
-	}{{lenet16(t), kernels.ConvAlgGemm, lenetKinds}, {tinyProg, kernels.ConvAlgDirect, nil}} {
+		fwd   map[string]kernels.ConvAlgorithm // by layer name
+		kinds map[string][]runtime.OpKind      // nil: not checked
+	}{{lenet16(t), lenetAlgs, lenetKinds}, {tinyProg, tinyAlgs, nil}} {
 		kinds := map[string]map[runtime.OpKind]bool{}
 		for _, op := range tc.p.Ops {
 			if _, ok := op.Layer.(*layers.Conv); !ok || op.Kind == runtime.OpSGD {
@@ -138,7 +144,7 @@ func TestTrainingRunsTheSelectedAlgorithm(t *testing.T) {
 			}
 			want := kernels.ConvAlgGemm
 			if op.Kind == runtime.OpLayer || op.Kind == runtime.OpRecompute {
-				want = tc.fwd
+				want = tc.fwd[op.Layer.Name()]
 			}
 			if op.Alg != want {
 				t.Errorf("%s %s (%v) runs %v, want %v", tc.p.Net.Name, op.Name, op.Kind, op.Alg, want)
