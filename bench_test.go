@@ -23,6 +23,7 @@ import (
 	"memcnn/internal/layers"
 	"memcnn/internal/layout"
 	"memcnn/internal/network"
+	"memcnn/internal/par"
 	memruntime "memcnn/internal/runtime"
 	"memcnn/internal/tensor"
 	"memcnn/internal/workloads"
@@ -399,24 +400,26 @@ var convAlgShapes = []convAlgShape{
 	{name: "bigfilter-31x31", cfg: kernels.ConvConfig{N: 4, C: 8, H: 32, W: 32, K: 16, FH: 31, FW: 31, PadH: 15, PadW: 15}},
 }
 
-// convAlgKernels returns one closure per production convolution kernel, each
-// a single allocation-free call on lay tensors of shape cfg into pre-sized
-// buffers, exactly as the executor drives them.
-func convAlgKernels(tb testing.TB, cfg kernels.ConvConfig, lay tensor.Layout) map[kernels.ConvAlgorithm]func() error {
+// convAlgKernel returns one allocation-free call of the production alg
+// kernel on lay tensors of shape cfg into pre-sized buffers, exactly as the
+// executor drives it.  It builds only what that kernel reads.
+func convAlgKernel(tb testing.TB, cfg kernels.ConvConfig, lay tensor.Layout, alg kernels.ConvAlgorithm) func() error {
 	in := tensor.Random(cfg.InputShape(), lay, 1)
 	filters := tensor.Filters(cfg.K, cfg.C, cfg.FH, cfg.FW, 2)
 	out := tensor.New(cfg.OutputShape(), lay)
-	packed, err := kernels.PackConvFilters(filters, cfg)
-	if err != nil {
-		tb.Fatal(err)
+	switch alg {
+	case kernels.ConvAlgGemm:
+		packed, err := kernels.PackConvFilters(filters, cfg)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		scratch := make([]float32, kernels.ConvGemmWorkspaceElems(cfg, lay))
+		return func() error { return kernels.ConvIm2colGemmInto(in, packed, out, cfg, scratch) }
+	case kernels.ConvAlgFFT:
+		scratch := make([]float32, kernels.ConvFFTWorkspaceElems(cfg))
+		return func() error { return kernels.ConvFFTInto(in, filters, out, cfg, scratch) }
 	}
-	scratch := make([]float32, kernels.ConvGemmWorkspaceElems(cfg, lay))
-	fftScratch := make([]float32, kernels.ConvFFTWorkspaceElems(cfg))
-	return map[kernels.ConvAlgorithm]func() error{
-		kernels.ConvAlgDirect: func() error { return kernels.ConvDirectInto(in, filters, out, cfg) },
-		kernels.ConvAlgGemm:   func() error { return kernels.ConvIm2colGemmInto(in, packed, out, cfg, scratch) },
-		kernels.ConvAlgFFT:    func() error { return kernels.ConvFFTInto(in, filters, out, cfg, fftScratch) },
-	}
+	return func() error { return kernels.ConvDirectInto(in, filters, out, cfg) }
 }
 
 // BenchmarkConvAlgorithms times the three production convolution kernels —
@@ -434,15 +437,16 @@ func BenchmarkConvAlgorithms(b *testing.B) {
 			if lay == tensor.CHWN {
 				suffix = "-chwn"
 			}
-			run := convAlgKernels(b, s.cfg, lay)
 			selected := selectedAlg(s.cfg, lay)
 			perOp := make([]float64, len(algNames))
 			for alg, name := range algNames {
 				alg := kernels.ConvAlgorithm(alg)
 				b.Run(s.name+"/"+name+suffix, func(b *testing.B) {
+					run := convAlgKernel(b, s.cfg, lay, alg)
 					b.ReportAllocs()
+					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						if err := run[alg](); err != nil {
+						if err := run(); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -462,11 +466,13 @@ func BenchmarkConvAlgorithms(b *testing.B) {
 			if lay == tensor.CHWN {
 				suffix = "-chwn"
 			}
-			for _, op := range convTrainOps(b, s.cfg, lay) {
+			for _, op := range convTrainOps(s.cfg, lay) {
 				b.Run(s.name+"/"+op.name+suffix, func(b *testing.B) {
+					run := op.build(b)
 					b.ReportAllocs()
+					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						if err := op.run(); err != nil {
+						if err := run(); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -489,25 +495,31 @@ var convTrainShapes = []convAlgShape{
 	{name: "train-cifar10-conv2@n8", cfg: kernels.ConvConfig{N: 8, C: 64, H: 11, W: 11, K: 64, FH: 5, FW: 5, PadH: 2, PadW: 2}, chwn: true},
 }
 
-// convTrainOps returns the three ops of a convolution's training step, each a
-// single allocation-free call on lay tensors of shape cfg, in step order.
-func convTrainOps(tb testing.TB, cfg kernels.ConvConfig, lay tensor.Layout) []struct {
-	name string
-	run  func() error
+// convTrainOps names the three ops of a convolution's training step (the
+// GEMM forward, the data gradient and the filter gradient), in step order.
+// Each build returns one allocation-free call of its op on lay tensors of
+// shape cfg, and builds only what that op reads.
+func convTrainOps(cfg kernels.ConvConfig, lay tensor.Layout) []struct {
+	name  string
+	build func(testing.TB) func() error
 } {
-	in, dIn := tensor.Random(cfg.InputShape(), lay, 1), tensor.New(cfg.InputShape(), lay)
-	dOut := tensor.Random(cfg.OutputShape(), lay, 3)
-	filters := tensor.Filters(cfg.K, cfg.C, cfg.FH, cfg.FW, 2)
-	dW := tensor.New(cfg.FilterShape(), tensor.NCHW)
-	dataScratch := make([]float32, kernels.ConvGemmBackwardDataWorkspaceElems(cfg))
-	filterScratch := make([]float32, kernels.ConvGemmBackwardFilterWorkspaceElems(cfg))
 	return []struct {
-		name string
-		run  func() error
+		name  string
+		build func(testing.TB) func() error
 	}{
-		{"gemm", convAlgKernels(tb, cfg, lay)[kernels.ConvAlgGemm]},
-		{"bwd-data", func() error { return kernels.ConvGemmBackwardDataInto(dOut, filters, dIn, cfg, dataScratch) }},
-		{"grad-filter", func() error { return kernels.ConvGemmBackwardFilterInto(in, dOut, dW, cfg, filterScratch) }},
+		{"gemm", func(tb testing.TB) func() error { return convAlgKernel(tb, cfg, lay, kernels.ConvAlgGemm) }},
+		{"bwd-data", func(testing.TB) func() error {
+			dOut, dIn := tensor.Random(cfg.OutputShape(), lay, 3), tensor.New(cfg.InputShape(), lay)
+			filters := tensor.Filters(cfg.K, cfg.C, cfg.FH, cfg.FW, 2)
+			scratch := make([]float32, kernels.ConvGemmBackwardDataWorkspaceElems(cfg))
+			return func() error { return kernels.ConvGemmBackwardDataInto(dOut, filters, dIn, cfg, scratch) }
+		}},
+		{"grad-filter", func(testing.TB) func() error {
+			in, dOut := tensor.Random(cfg.InputShape(), lay, 1), tensor.Random(cfg.OutputShape(), lay, 3)
+			dW := tensor.New(cfg.FilterShape(), tensor.NCHW)
+			scratch := make([]float32, kernels.ConvGemmBackwardFilterWorkspaceElems(cfg))
+			return func() error { return kernels.ConvGemmBackwardFilterInto(in, dOut, dW, cfg, scratch) }
+		}},
 	}
 }
 
@@ -537,18 +549,19 @@ func BenchmarkLayerRates(b *testing.B) {
 				continue
 			}
 			for _, lay := range []tensor.Layout{tensor.NCHW, tensor.CHWN} {
-				in, out := tensor.Random(l.InputShape(), lay, 1), tensor.New(l.OutputShape(), lay)
-				elems, err := l.WorkspaceElems(kernels.ConvAlgDirect, lay)
-				if err != nil {
-					b.Fatal(err)
-				}
-				scratch := make([]float32, elems)
 				priced, _ := autotune.HostPrices().Layer(l, lay, kernels.ConvAlgDirect)
 				name := fmt.Sprintf("%s@n%d/%s", strings.ToLower(net.Name), tg.batch, l.Name())
 				if lay == tensor.CHWN {
 					name += "-chwn"
 				}
 				b.Run(name, func(b *testing.B) {
+					in, out := tensor.Random(l.InputShape(), lay, 1), tensor.New(l.OutputShape(), lay)
+					elems, err := l.WorkspaceElems(kernels.ConvAlgDirect, lay)
+					if err != nil {
+						b.Fatal(err)
+					}
+					scratch := make([]float32, elems)
+					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						if err := l.ForwardInto(in, out, kernels.ConvAlgDirect, scratch); err != nil {
 							b.Fatal(err)
@@ -566,6 +579,43 @@ func BenchmarkLayerRates(b *testing.B) {
 	}
 }
 
+// BenchmarkStreamRead is the host's roofline row: it reads a float32 slice as
+// large as AlexNet's fc6 weights (4096 rows of 9216, 151 MB) through
+// par.Planes, one row a plane as the fully-connected forward walks them, and
+// reports GB/s.  `LayerRates/alexnet@n4/fc6` streams the same bytes once, so
+// this read bounds it from below.
+func BenchmarkStreamRead(b *testing.B) {
+	const rows, cols = 4096, 9216
+	job := streamJob{data: make([]float32, rows*cols), sums: make([]float32, rows), cols: cols}
+	for i := range job.data {
+		job.data[i] = float32(i % 7)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		par.Planes(rows, job, streamRow)
+	}
+	b.ReportMetric(float64(4*rows*cols)/1e9/(b.Elapsed().Seconds()/float64(b.N)), "GB/s")
+}
+
+// streamJob is one BenchmarkStreamRead pass: the rows and one sum per row.
+type streamJob struct {
+	data, sums []float32
+	cols       int
+}
+
+// streamRow sums row r in four lanes, so the adds keep up with the reads.
+func streamRow(j streamJob, r int) {
+	row := j.data[r*j.cols : (r+1)*j.cols]
+	var a0, a1, a2, a3 float32
+	for k := 0; k+4 <= len(row); k += 4 {
+		a0 += row[k]
+		a1 += row[k+1]
+		a2 += row[k+2]
+		a3 += row[k+3]
+	}
+	j.sums[r] = a0 + a1 + a2 + a3
+}
+
 // layerBackwardRate times what a training step runs for l beyond its forward
 // (its data gradient, and a trainable layer's parameter gradient too) on lay
 // tensors, and reports the price list's estimate for it: Prices.Step less
@@ -579,6 +629,7 @@ func layerBackwardRate(b *testing.B, l layers.BackwardLayer, lay tensor.Layout, 
 	if trainable {
 		dW, gradScratch = tensor.New(tl.GradShape(), tensor.NCHW), make([]float32, tl.GradWorkspaceElems())
 	}
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := l.BackwardDataInto(in, dOut, dIn, scratch); err != nil {
 			b.Fatal(err)
@@ -606,7 +657,8 @@ func TestSelectionRegret(t *testing.T) {
 	for _, s := range convAlgShapes {
 		for _, lay := range s.layouts() {
 			best := map[kernels.ConvAlgorithm]time.Duration{}
-			for alg, call := range convAlgKernels(t, s.cfg, lay) {
+			for _, alg := range []kernels.ConvAlgorithm{kernels.ConvAlgDirect, kernels.ConvAlgGemm, kernels.ConvAlgFFT} {
+				call := convAlgKernel(t, s.cfg, lay, alg)
 				for i := 0; i < 5 && (i == 0 || best[alg] < 200*time.Millisecond); i++ {
 					t0 := time.Now()
 					if err := call(); err != nil {

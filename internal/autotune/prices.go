@@ -91,13 +91,18 @@ type Prices struct {
 	// FCGFLOPS is the fully-connected product, 2·N·In·Out FLOPs: 5.5–6.6 in
 	// NCHW on `LayerRates/lenet@n128/fc1` and `LayerRates/alexnet@n4/fc6`;
 	// CHWN stages the input through the scratch first, 5.5–6.0 on their -chwn
-	// rows.
+	// rows.  fc6 at batch 4 (70–80 ms) is not bound by reading its 151 MB of
+	// weights: it runs 3.3–4.3× `StreamRead` (18–23 ms, 6.5–8.5 GB/s) in the
+	// same runs (2026-10-18).
 	FCGFLOPS PerLayout
 	// ReLUNS is the rectifier per element, in place: 5.5–6.8 in either layout
 	// (`LayerRates/alexnet@n4/conv1_relu`, `LayerRates/lenet@n128/relu1`).
 	ReLUNS PerLayout
-	// LRNNS is cross-channel normalisation per element, almost all of it
-	// math.Pow: 26–36 in either layout (`LayerRates/alexnet@n4/norm1`).
+	// LRNNS is cross-channel normalisation per element, two square roots and
+	// a divide where the old loop called math.Pow: 14–16 in either layout on
+	// `LayerRates/alexnet@n4/norm1` (29 on a process's first row), 14–17 and
+	// 14–19 on `norm2` and its -chwn row (2026-10-18, eight runs; the old
+	// loop read 53–74 in the same minutes).
 	LRNNS PerLayout
 	// SoftmaxNS is the classifier per element: 7–26 in NCHW, and 10–31 in
 	// CHWN, which stages both sides (`LayerRates/alexnet@n4/prob`,
@@ -131,9 +136,11 @@ type Prices struct {
 	// forward's time for twice its work.  In CHWN they walk At/Set (the -chwn
 	// row is 20× slower), so the list has no rate there.
 	fcBackGFLOPS float64
-	// lrnBackNS is cross-channel normalisation's backward per element, an
-	// At/Set walk with math.Pow in either layout: 5.9× the forward in NCHW and
-	// 7.1× in CHWN (`LayerRates/alexnet@n4/norm1/bwd` and its -chwn row).
+	// lrnBackNS is cross-channel normalisation's backward per element, a
+	// sequential walk of each pixel's channels along their strides: 75–103 in
+	// NCHW on `LayerRates/alexnet@n4/norm1/bwd` and `norm2/bwd`, 104–165 in
+	// CHWN on their -chwn rows, whose channel stride is N times longer
+	// (2026-10-18, eight runs; the At/Set loop read 311–531).
 	lrnBackNS PerLayout
 }
 
@@ -150,12 +157,12 @@ var hostPrices = Prices{
 	PoolTapNS:        PerLayout{NCHW: 2.4, CHWN: 2.2},
 	FCGFLOPS:         PerLayout{NCHW: 6.5, CHWN: 6.0},
 	ReLUNS:           PerLayout{NCHW: 5.7, CHWN: 5.7},
-	LRNNS:            PerLayout{NCHW: 27.5, CHWN: 27.5},
+	LRNNS:            PerLayout{NCHW: 16, CHWN: 16},
 	SoftmaxNS:        PerLayout{NCHW: 10, CHWN: 12},
 	gradMoveNS:       PerLayout{NCHW: 2, CHWN: 1.2},
 	poolBackTapNS:    PerLayout{NCHW: 3.6, CHWN: 3.2},
 	fcBackGFLOPS:     7,
-	lrnBackNS:        PerLayout{NCHW: 160, CHWN: 200},
+	lrnBackNS:        PerLayout{NCHW: 90, CHWN: 125},
 }
 
 // HostPrices returns the price list measured on this repository's reference

@@ -423,12 +423,13 @@ type lrnJob struct {
 // lrnPlane normalises plane (n, c).  It walks the plane's rows in tiles of
 // lrnLanes pixels along W, adds the squares of the window's channels into a
 // float64 tile channel by channel (ascending, as the per-pixel loop it
-// replaces summed them) and scales each pixel by (1 + alphaN·sum)^-beta.
+// replaces summed them) and scales the tile's pixels by (1 + alphaN·sum)^-beta
+// through lrnScale.
 func lrnPlane(j lrnJob, p int) {
 	in, out := &j.in, &j.out
 	n, c := p/j.shape.C, p%j.shape.C
 	lo, hi := max(c-j.half, 0), min(c+j.half, j.shape.C-1)
-	var tile [lrnLanes]float64
+	var tile, xTile [lrnLanes]float64
 	for h := 0; h < j.shape.H; h++ {
 		for w0 := 0; w0 < j.shape.W; w0 += lrnLanes {
 			sq := tile[:min(lrnLanes, j.shape.W-w0)]
@@ -443,14 +444,65 @@ func lrnPlane(j lrnJob, p int) {
 					sq[i] += v * v
 				}
 			}
-			src := in.data[at+c*in.c:]
-			dst := out.data[n*out.n+c*out.c+h*out.h+w0*out.w:]
-			for i, sum := range sq {
-				scale := math.Pow(1+j.alphaN*sum, -j.beta)
-				dst[i*out.w] = float32(float64(src[i*in.w]) * scale)
+			src, x := in.data[at+c*in.c:], xTile[:len(sq)]
+			for i := range sq {
+				sq[i] = 1 + j.alphaN*sq[i]
+				x[i] = float64(src[i*in.w])
 			}
+			lrnScale(out.data[n*out.n+c*out.c+h*out.h+w0*out.w:], out.w, x, sq, -j.beta)
 		}
 	}
+}
+
+// lrnGuard is how far, in float64 ulps, lrnScale's quotient must lie from a
+// float32 rounding midpoint to be taken: over 300 times the largest gap
+// between the quotient and the math.Pow form seen on 1 ≤ s < 2^64, 12 ulps
+// in 20 M seeded pairs (TestLRNQuotientStaysNearPow fails above lrnGuard/64).
+const lrnGuard = 1 << 12
+
+// lrnScale sets dst[i·stride] = float32(x[i] · math.Pow(s[i], e)) for every i
+// with exactly that expression's bits.  For the two exponents AlexNet's LRN
+// raises s to (β = 0.75: -β in the forward, -β-1 in the backward) and
+// 1 ≤ s[i] < 2^64 it divides x[i] by lrnDenominator's s[i]^-e instead, and
+// takes the quotient only when rounding it to float32 cannot differ from
+// rounding the math.Pow form (Ziv's rounding test): its exponent is a normal
+// float32 one, and the 29 low mantissa bits that float32 drops lie more than
+// lrnGuard from their midpoint 2^28, farther than the two forms are apart.
+// Every other case (another exponent, a NaN or infinite s or x, a subnormal
+// result, one near a midpoint) runs the math.Pow form.  It takes a tile, not
+// one value, so the loop runs without a call per element.
+func lrnScale(dst []float32, stride int, x, s []float64, e float64) {
+	fast := e == -0.75 || e == -1.75
+	for i, si := range s {
+		xi := x[i]
+		if fast && 1 <= si && si < 0x1p64 {
+			if xi == 0 {
+				dst[i*stride] = float32(xi) // keeps a -0
+				continue
+			}
+			y := xi / lrnDenominator(si, e)
+			b := math.Float64bits(y)
+			exp := b >> 52 & 0x7ff
+			mid := int64(b&(1<<29-1)) - 1<<28
+			if 1023-126 <= exp && exp <= 1023+127 && (mid > lrnGuard || mid < -lrnGuard) {
+				dst[i*stride] = float32(y)
+				continue
+			}
+		}
+		dst[i*stride] = float32(xi * math.Pow(si, e))
+	}
+}
+
+// lrnDenominator is s^-e for e = -0.75 or -1.75: r·√r or s·r·√r with r = √s,
+// two correctly rounded square roots and one or two products, a few float64
+// ulps from the math.Pow form.
+func lrnDenominator(s, e float64) float64 {
+	r := math.Sqrt(s)
+	d := r * math.Sqrt(r)
+	if e == -1.75 {
+		d *= s
+	}
+	return d
 }
 
 // strided is a tensor's backing slice with the element stride of each logical

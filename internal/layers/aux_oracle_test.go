@@ -9,9 +9,10 @@ import (
 	"memcnn/internal/tensor"
 )
 
-// The fully-connected, LRN and softmax forwards as they ran before the stride
-// walks, every element resolved through At and Set: kept as the oracles the
-// new loops are checked against bit for bit.
+// The fully-connected, LRN and softmax forwards and the LRN backward as they
+// ran before the stride walks, every element resolved through At and Set and
+// every LRN power through math.Pow: kept as the oracles the new loops are
+// checked against bit for bit.
 
 func oldFullyConnectedForward(f *FullyConnected, in, dst *tensor.Tensor) {
 	flat := make([]float32, 0, f.Batch*f.InDim)
@@ -64,6 +65,52 @@ func oldLRNForward(l *LRN, in, dst *tensor.Tensor) {
 	}
 }
 
+func oldLRNBackward(l *LRN, in, dOut, dIn *tensor.Tensor) {
+	half := l.LocalSize / 2
+	C := l.Shape.C
+	pow, prod := make([]float32, C), make([]float32, C)
+	coef := 2 * l.Alpha * l.Beta / float64(l.LocalSize)
+	for n := 0; n < l.Shape.N; n++ {
+		for h := 0; h < l.Shape.H; h++ {
+			for w := 0; w < l.Shape.W; w++ {
+				for c := 0; c < C; c++ {
+					lo, hi := c-half, c+half
+					if lo < 0 {
+						lo = 0
+					}
+					if hi >= C {
+						hi = C - 1
+					}
+					var sq float64
+					for cc := lo; cc <= hi; cc++ {
+						v := float64(in.At(n, cc, h, w))
+						sq += v * v
+					}
+					s := 1 + l.Alpha/float64(l.LocalSize)*sq
+					sInv := math.Pow(s, -l.Beta-1)
+					pow[c] = float32(sInv * s) // s^{-β}
+					prod[c] = float32(float64(dOut.At(n, c, h, w)) * float64(in.At(n, c, h, w)) * sInv)
+				}
+				for c := 0; c < C; c++ {
+					lo, hi := c-half, c+half
+					if lo < 0 {
+						lo = 0
+					}
+					if hi >= C {
+						hi = C - 1
+					}
+					var acc float64
+					for cc := lo; cc <= hi; cc++ {
+						acc += float64(prod[cc])
+					}
+					g := float64(dOut.At(n, c, h, w))*float64(pow[c]) - coef*float64(in.At(n, c, h, w))*acc
+					dIn.Set(n, c, h, w, float32(g))
+				}
+			}
+		}
+	}
+}
+
 func oldSoftmaxForward(t *testing.T, s *Softmax, in, dst *tensor.Tensor) {
 	t.Helper()
 	logits := make([]float32, s.Cfg.Elems())
@@ -88,9 +135,19 @@ func oldSoftmaxForward(t *testing.T, s *Softmax, in, dst *tensor.Tensor) {
 // old, the loop the layer ran before.
 func forwardMatchesOld(t *testing.T, l Layer, inShape tensor.Shape, old func(in, dst *tensor.Tensor)) {
 	t.Helper()
+	forwardMatchesOldScaled(t, l, inShape, 1, old)
+}
+
+// forwardMatchesOldScaled is forwardMatchesOld on inputs drawn from
+// [-scale, scale).
+func forwardMatchesOldScaled(t *testing.T, l Layer, inShape tensor.Shape, scale float32, old func(in, dst *tensor.Tensor)) {
+	t.Helper()
 	nan := float32(math.NaN())
 	for _, inLay := range tensor.Layouts {
 		in := tensor.Random(inShape, inLay, 17)
+		for i := range in.Data {
+			in.Data[i] *= scale
+		}
 		for _, outLay := range tensor.Layouts {
 			if !l.SupportsLayout(outLay) {
 				continue

@@ -2,7 +2,6 @@ package layers
 
 import (
 	"fmt"
-	"math"
 
 	"memcnn/internal/kernels"
 	"memcnn/internal/par"
@@ -298,9 +297,11 @@ func (l *LRN) BackwardWorkspaceElems() int { return 2 * l.Shape.C }
 //	dX_j = dY_j · s_j^{-β} - (2αβ/size) · x_j · Σ_{i: j∈win(i)} dY_i · x_i · s_i^{-β-1}
 //
 // and window membership is symmetric, so the same clamped window serves both
-// directions.  The scratch stages the per-channel s^{-β} and dY·x·s^{-β-1}
-// rows; the pass is sequential in a fixed order, so it is trivially
-// bit-deterministic.
+// directions.  It walks the pixels in (n, h, w) order and each pixel's
+// channels along the tensors' strides, lrnLanes channels at a time; the
+// scratch stages the pixel's s^{-β} and dY·x·s^{-β-1} rows, both rounded from
+// s^{-β-1} through lrnScale.  The pass is sequential in a fixed order, so it
+// is trivially bit-deterministic.
 func (l *LRN) BackwardDataInto(in, dOut, dIn *tensor.Tensor, scratch []float32) error {
 	if in.Shape != l.Shape {
 		return fmt.Errorf("layers: %s: backward input shape %v, want %v", l.LayerName, in.Shape, l.Shape)
@@ -317,42 +318,37 @@ func (l *LRN) BackwardDataInto(in, dOut, dIn *tensor.Tensor, scratch []float32) 
 	half := l.LocalSize / 2
 	C := l.Shape.C
 	pow, prod := scratch[:C], scratch[C:2*C]
+	alphaN, e := l.Alpha/float64(l.LocalSize), -l.Beta-1
 	coef := 2 * l.Alpha * l.Beta / float64(l.LocalSize)
+	x, dy, dx := stridesOf(in), stridesOf(dOut), stridesOf(dIn)
+	var sTile, xdyTile [lrnLanes]float64
 	for n := 0; n < l.Shape.N; n++ {
 		for h := 0; h < l.Shape.H; h++ {
 			for w := 0; w < l.Shape.W; w++ {
-				for c := 0; c < C; c++ {
-					lo, hi := c-half, c+half
-					if lo < 0 {
-						lo = 0
+				xs := x.data[n*x.n+h*x.h+w*x.w:]
+				dys := dy.data[n*dy.n+h*dy.h+w*dy.w:]
+				dxs := dx.data[n*dx.n+h*dx.h+w*dx.w:]
+				for c0 := 0; c0 < C; c0 += lrnLanes {
+					s, xdy := sTile[:min(lrnLanes, C-c0)], xdyTile[:min(lrnLanes, C-c0)]
+					for i := range s {
+						c := c0 + i
+						var sq float64
+						for cc := max(c-half, 0); cc <= min(c+half, C-1); cc++ {
+							v := float64(xs[cc*x.c])
+							sq += v * v
+						}
+						s[i] = 1 + alphaN*sq
+						xdy[i] = float64(dys[c*dy.c]) * float64(xs[c*x.c])
 					}
-					if hi >= C {
-						hi = C - 1
-					}
-					var sq float64
-					for cc := lo; cc <= hi; cc++ {
-						v := float64(in.At(n, cc, h, w))
-						sq += v * v
-					}
-					s := 1 + l.Alpha/float64(l.LocalSize)*sq
-					sInv := math.Pow(s, -l.Beta-1)
-					pow[c] = float32(sInv * s) // s^{-β}
-					prod[c] = float32(float64(dOut.At(n, c, h, w)) * float64(in.At(n, c, h, w)) * sInv)
+					lrnScale(pow[c0:], 1, s, s, e)
+					lrnScale(prod[c0:], 1, xdy, s, e)
 				}
 				for c := 0; c < C; c++ {
-					lo, hi := c-half, c+half
-					if lo < 0 {
-						lo = 0
-					}
-					if hi >= C {
-						hi = C - 1
-					}
 					var acc float64
-					for cc := lo; cc <= hi; cc++ {
-						acc += float64(prod[cc])
+					for _, p := range prod[max(c-half, 0) : min(c+half, C-1)+1] {
+						acc += float64(p)
 					}
-					g := float64(dOut.At(n, c, h, w))*float64(pow[c]) - coef*float64(in.At(n, c, h, w))*acc
-					dIn.Set(n, c, h, w, float32(g))
+					dxs[c*dx.c] = float32(float64(dys[c*dy.c])*float64(pow[c]) - coef*float64(xs[c*x.c])*acc)
 				}
 			}
 		}
