@@ -374,16 +374,16 @@ func (s convAlgShape) layouts() []tensor.Layout {
 // TestSelectionRegret checks: the shapes the constants of the host price
 // list (internal/autotune/prices.go) cite.  Every shape runs on NCHW
 // tensors; chwn ones also on CHWN tensors, the layout the compiler gives those
-// layers, where the GEMM kernel takes its batch-folded form.
+// layers, where the GEMM kernel's columns run image by image.
 var convAlgShapes = []convAlgShape{
 	// One fan-out dominates: 1.3 kFLOP of work.
 	{name: "1img-tiny", cfg: kernels.ConvConfig{N: 1, C: 1, H: 8, W: 8, K: 2, FH: 3, FW: 3}},
 	{name: "1img-small", cfg: kernels.ConvConfig{N: 1, C: 3, H: 16, W: 16, K: 8, FH: 3, FW: 3, PadH: 1, PadW: 1}},
 	{name: "cifar10-conv1@n8", cfg: kernels.ConvConfig{N: 8, C: 3, H: 24, W: 24, K: 64, FH: 5, FW: 5, PadH: 2, PadW: 2}, chwn: true},
 	{name: "cifar10-conv2@n8", cfg: kernels.ConvConfig{N: 8, C: 64, H: 11, W: 11, K: 64, FH: 5, FW: 5, PadH: 2, PadW: 2}, chwn: true},
-	// The server's smaller buckets of the same layers: one image runs the
-	// per-image form in either layout, two and four the batch-folded one in
-	// CHWN with its unroll runs reaching across a row's inside pixels.
+	// The server's smaller buckets of the same layers: one image is one
+	// column order in either layout, two and four run image by image in CHWN
+	// with the unroll's runs reaching across a row's inside pixels.
 	{name: "cifar10-conv1@n1", cfg: kernels.ConvConfig{N: 1, C: 3, H: 24, W: 24, K: 64, FH: 5, FW: 5, PadH: 2, PadW: 2}, chwn: true},
 	{name: "cifar10-conv2@n1", cfg: kernels.ConvConfig{N: 1, C: 64, H: 11, W: 11, K: 64, FH: 5, FW: 5, PadH: 2, PadW: 2}, chwn: true},
 	{name: "cifar10-conv1@n2", cfg: kernels.ConvConfig{N: 2, C: 3, H: 24, W: 24, K: 64, FH: 5, FW: 5, PadH: 2, PadW: 2}, chwn: true},
@@ -526,7 +526,7 @@ func convTrainOps(cfg kernels.ConvConfig, lay tensor.Layout) []struct {
 // BenchmarkLayerRates times every layer but the convolutions of the three
 // inference workloads' networks (LeNet at batch 128, Cifar10 at 8, AlexNet at
 // 4) through the layer's own ForwardInto, in NCHW and (suffix -chwn) in CHWN,
-// exactly as the executor drives it, and (suffix /bwd) the gradients a
+// exactly as the executor drives it (on layerInput's inputs), and (suffix /bwd) the gradients a
 // training step runs for each layer that has them.  It is the provenance of
 // the host price list's pooling, fully-connected, ReLU, LRN and softmax rates
 // and of their gradients': each sub-benchmark reports the list's estimate for
@@ -555,7 +555,7 @@ func BenchmarkLayerRates(b *testing.B) {
 					name += "-chwn"
 				}
 				b.Run(name, func(b *testing.B) {
-					in, out := tensor.Random(l.InputShape(), lay, 1), tensor.New(l.OutputShape(), lay)
+					in, out := layerInput(l, lay), tensor.New(l.OutputShape(), lay)
 					elems, err := l.WorkspaceElems(kernels.ConvAlgDirect, lay)
 					if err != nil {
 						b.Fatal(err)
@@ -577,6 +577,19 @@ func BenchmarkLayerRates(b *testing.B) {
 			}
 		}
 	}
+}
+
+// layerInput is a [-1, 1) input for l in lay, rectified for an LRN layer: in
+// AlexNet every LRN follows a ReLU, so about half its inputs are zero, and the
+// layer skips the power of a zero.
+func layerInput(l layers.Layer, lay tensor.Layout) *tensor.Tensor {
+	in := tensor.Random(l.InputShape(), lay, 1)
+	if _, ok := l.(*layers.LRN); ok {
+		for i, v := range in.Data {
+			in.Data[i] = max(v, 0)
+		}
+	}
+	return in
 }
 
 // BenchmarkStreamRead is the host's roofline row: it reads a float32 slice as
@@ -621,7 +634,7 @@ func streamRow(j streamJob, r int) {
 // tensors, and reports the price list's estimate for it: Prices.Step less
 // the forward's price fwd, 0 where the list prices no step in lay.
 func layerBackwardRate(b *testing.B, l layers.BackwardLayer, lay tensor.Layout, fwd float64) {
-	in, dOut, dIn := tensor.Random(l.InputShape(), lay, 1), tensor.Random(l.OutputShape(), lay, 2), tensor.New(l.InputShape(), lay)
+	in, dOut, dIn := layerInput(l, lay), tensor.Random(l.OutputShape(), lay, 2), tensor.New(l.InputShape(), lay)
 	scratch := make([]float32, l.BackwardWorkspaceElems())
 	tl, trainable := l.(layers.TrainableLayer)
 	var dW *tensor.Tensor

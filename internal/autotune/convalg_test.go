@@ -36,8 +36,9 @@ func estimates(cfg kernels.ConvConfig, lay tensor.Layout) string {
 
 // TestSelectConvAlgorithm pins the selector to facts measured on this host
 // (the times are BenchmarkConvAlgorithms' and the sizing runs' of the change
-// that introduced the price table): GEMM wherever there is work to spread the
-// unroll over, direct where one fan-out is the whole cost.
+// that introduced the price table; the one-image and tiny cases re-timed once
+// every layout ran the GEMM lane loop): GEMM wherever there is work to spread
+// the unroll over, direct where one fan-out is the whole cost.
 func TestSelectConvAlgorithm(t *testing.T) {
 	cases := []struct {
 		name string
@@ -56,10 +57,13 @@ func TestSelectConvAlgorithm(t *testing.T) {
 		{"VGG conv3_1 @32", kernels.ConvConfig{N: 32, C: 128, H: 56, W: 56, K: 256, FH: 3, FW: 3, PadH: 1, PadW: 1}, tensor.NCHW, kernels.ConvAlgGemm},
 		// One small image with a deep reduction: 0.11 ms GEMM, 0.73 ms direct.
 		{"deep, one 8x8 image", kernels.ConvConfig{N: 1, C: 64, H: 8, W: 8, K: 32, FH: 3, FW: 3}, tensor.NCHW, kernels.ConvAlgGemm},
-		// 4 µs direct against 18 µs GEMM (fan-out, pack, two barriers).
+		// 4.4–5.9 µs direct against 5.6–5.8 µs GEMM (a fan-out of two lanes
+		// and the unroll): about a tie, which the list leaves to direct.
 		{"one 8x8 image, K=2", kernels.ConvConfig{N: 1, C: 1, H: 8, W: 8, K: 2, FH: 3, FW: 3}, tensor.NCHW, kernels.ConvAlgDirect},
-		{"one 12x12 image, K=4", kernels.ConvConfig{N: 1, C: 3, H: 12, W: 12, K: 4, FH: 3, FW: 3, PadH: 1, PadW: 1}, tensor.NCHW, kernels.ConvAlgDirect},
-		// The per-image stepper pays its barriers 64 times: 96 µs direct, 231 GEMM.
+		// 13–16 µs GEMM against 23–31 µs direct.
+		{"one 12x12 image, K=4", kernels.ConvConfig{N: 1, C: 3, H: 12, W: 12, K: 4, FH: 3, FW: 3, PadH: 1, PadW: 1}, tensor.NCHW, kernels.ConvAlgGemm},
+		// One fan-out for the whole batch: 70–135 µs direct, 49–114 µs GEMM,
+		// about a tie, which the list leaves to direct.
 		{"64 tiny images, NCHW", kernels.ConvConfig{N: 64, C: 1, H: 8, W: 8, K: 2, FH: 3, FW: 3}, tensor.NCHW, kernels.ConvAlgDirect},
 		{"invalid", kernels.ConvConfig{}, tensor.NCHW, kernels.ConvAlgDirect},
 	}
@@ -72,8 +76,8 @@ func TestSelectConvAlgorithm(t *testing.T) {
 
 // TestSelectConvAlgorithmFFTRegime pins where the frequency-domain path wins
 // on the host: only where the filters are about as large as the image, so the
-// GEMM unroll is thousands of rows deep (24–36 ms FFT against 43–62 ms GEMM on
-// the 31×31 shape below).  No layer of the workload networks is near it, a
+// GEMM unroll is thousands of rows deep (38–40 ms FFT against 35–40 ms GEMM on
+// the 31×31 shape below: a tie since every layout runs the GEMM lane loop).  No layer of the workload networks is near it, a
 // stride over one never is, and it has no price outside NCHW: the selection's
 // edges charge the two conversions around it.
 func TestSelectConvAlgorithmFFTRegime(t *testing.T) {
@@ -84,7 +88,7 @@ func TestSelectConvAlgorithmFFTRegime(t *testing.T) {
 	if chwn, ok := HostPrices().Conv(big, tensor.CHWN, kernels.ConvAlgFFT); ok {
 		t.Errorf("fft in CHWN priced %.3g s: the FFT kernel runs in NCHW only", chwn)
 	}
-	// 21×21: 13–16 ms GEMM against 29–37 ms FFT.
+	// 21×21: 14–17 ms GEMM against 38–42 ms FFT.
 	mid := kernels.ConvConfig{N: 4, C: 8, H: 32, W: 32, K: 16, FH: 21, FW: 21, PadH: 10, PadW: 10}
 	if got := selectConvAlgorithm(mid, tensor.NCHW); got != kernels.ConvAlgGemm {
 		t.Errorf("21x21 filters selected %v, want gemm", got)

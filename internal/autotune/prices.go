@@ -19,7 +19,8 @@ import (
 // 2-vCPU 2.1 GHz AVX2 Xeon, and its comment names the sub-benchmark that
 // reproduces it: the convolution rates `go test -run '^$' -bench
 // ConvAlgorithms -benchtime=20x .` (2026-10-04, the batch-folded ones
-// re-read 2026-10-17 with the Cifar10 rows at N = 1, 2 and 4), the other
+// re-read 2026-10-17 with the Cifar10 rows at N = 1, 2 and 4, GemmRunNS
+// 2026-10-18 once every layout ran the lane loop), the other
 // layers' `go test -run '^$' -bench LayerRates -benchtime=20x .`
 // (2026-10-17).  Re-run them and edit the list when a kernel or the host
 // changes.
@@ -49,31 +50,29 @@ type Prices struct {
 	// `alexnet-conv2@n32/gemm` and `vgg-conv3_1/gemm` read 72–90 overall, with
 	// 256 filters to spread each unrolled element over.
 	GemmGFLOPS float64
-	// GemmStepUnrollNS is what the per-image stepper (every layout pair but
-	// CHWN → CHWN of several images) pays per element of the C·FH·FW ×
-	// OutH·OutW unroll matrix: `lenet-conv2@n128/gemm` runs 20–22 ms, 3.4 of
-	// them the product, over 10.0 M elements.  With few filters it is the
-	// whole cost: the stepper reads 14 GFLOP/s at K = 16, 40 at K = 64
-	// (`cifar-conv2/gemm`), 72 at 256.
-	GemmStepUnrollNS float64
-	// GemmFoldUnrollNS and GemmFoldRunNS are the same for the batch-folded
-	// form (CHWN in and out, N > 1), whose unroll copies runs of consecutive
-	// images: GemmFoldUnrollNS + GemmFoldRunNS/N an element.  At N = 128
-	// (`lenet-conv2@n128/gemm-chwn`, 6.8–8.2 ms over the same 10.0 M
-	// elements) the first is all of it.  At small N a window on the image's
-	// edge copies runs of only N floats: `cifar10-conv2@n2/gemm-chwn` (1.1–1.7
-	// ms), `cifar10-conv1@n4/gemm-chwn` (0.40–0.47 ms) and the other @n2,
-	// @n4 and @n8 rows read 0.5–1.2 ns an element above it at N = 2 and 4 and
-	// 0.1 at N = 8, which 2/N follows within a factor of two.  At N = 1 the
-	// layer runs the stepper.
-	GemmFoldUnrollNS, GemmFoldRunNS float64
+	// GemmUnrollNS and GemmRunNS are what the unroll costs per element of
+	// the (C·FH·FW) × (N·OutH·OutW) unroll matrix: GemmUnrollNS +
+	// GemmRunNS/run, where run is the layout's run of consecutive images: N
+	// in CHWN, 1 in NCHW, and 1 for one image, which is one memory and one
+	// column order in either layout.  At N = 128
+	// (`lenet-conv2@n128/gemm-chwn`, 6.8–9.9 ms over 10.0 M elements) the
+	// first is all of it.  At small N a window on the image's edge copies runs
+	// of only N floats: `cifar10-conv2@n2/gemm-chwn` (1.1–1.9 ms),
+	// `cifar10-conv1@n4/gemm-chwn` (0.40–0.62 ms) and the other @n2, @n4 and
+	// @n8 rows read 0.5–1.2 ns an element above it at N = 2 and 4 and 0.1 at
+	// N = 8, which 1.7/N follows within a factor of two.  The sum, 2.05 ns, is
+	// NCHW's rate, whose copies are pieces of output rows, and one image's:
+	// `cifar10-conv2@n8/gemm` runs 4.8–6.6 ms and `cifar10-conv2@n1/gemm` and
+	// its -chwn row 0.65–1.06 ms, 1.8–2.2 ns an element beyond the product;
+	// a 21×21 filter on 32×32 images (14–17 ms), whose taps are mostly
+	// padding, reads under 1.
+	GemmUnrollNS, GemmRunNS float64
 	// FFTPointNS is the FFT path per plane point and unit of work, a transform
 	// being log2(points) units a point and a spectrum product one:
 	// `bigfilter-31x31/fft` (64×64 planes, 224 transforms, 512 products) runs
 	// 24–36 ms, `cifar10-conv2@n8/fft` (16×16, 5120, 32768) 45–59 ms.
 	FFTPointNS float64
-	// SyncUS is one goroutine fan-out, or one image's barriers in the stepper:
-	// `1img-tiny/direct` runs 4–6 µs and `1img-tiny/gemm` 9–19 µs for 1.3 kFLOP
+	// SyncUS is one goroutine fan-out: `1img-tiny/direct` runs 4–6 µs and `1img-tiny/gemm` 9–19 µs for 1.3 kFLOP
 	// (at the default -benchtime: a process's first calls run several times
 	// slower).
 	SyncUS float64
@@ -102,7 +101,11 @@ type Prices struct {
 	// a divide where the old loop called math.Pow: 14–16 in either layout on
 	// `LayerRates/alexnet@n4/norm1` (29 on a process's first row), 14–17 and
 	// 14–19 on `norm2` and its -chwn row (2026-10-18, eight runs; the old
-	// loop read 53–74 in the same minutes).
+	// loop read 53–74 in the same minutes).  Those rows were uniform inputs;
+	// since they are ReLU'd as in AlexNet (about half zeros, whose power the
+	// layer skips) they read 11–20 in NCHW and 12–16 in CHWN, against 13–24
+	// for the uniform rows in the same minutes (four alternating runs): within
+	// the spread, so the rate stays.
 	LRNNS PerLayout
 	// SoftmaxNS is the classifier per element: 7–26 in NCHW, and 10–31 in
 	// CHWN, which stages both sides (`LayerRates/alexnet@n4/prob`,
@@ -140,29 +143,30 @@ type Prices struct {
 	// sequential walk of each pixel's channels along their strides: 75–103 in
 	// NCHW on `LayerRates/alexnet@n4/norm1/bwd` and `norm2/bwd`, 104–165 in
 	// CHWN on their -chwn rows, whose channel stride is N times longer
-	// (2026-10-18, eight runs; the At/Set loop read 311–531).
+	// (2026-10-18, eight runs; the At/Set loop read 311–531).  On ReLU'd
+	// inputs they read 70–91 and 99–163 (four runs): the backward computes
+	// every element's scale, zero or not.
 	lrnBackNS PerLayout
 }
 
 // hostPrices is this host's price list.
 var hostPrices = Prices{
-	DirectGFLOPS:     3.5,
-	GemmGFLOPS:       95,
-	GemmStepUnrollNS: 1.7,
-	GemmFoldUnrollNS: 0.35,
-	GemmFoldRunNS:    2,
-	FFTPointNS:       2.7,
-	SyncUS:           4,
-	ConvertGBs:       1,
-	PoolTapNS:        PerLayout{NCHW: 2.4, CHWN: 2.2},
-	FCGFLOPS:         PerLayout{NCHW: 6.5, CHWN: 6.0},
-	ReLUNS:           PerLayout{NCHW: 5.7, CHWN: 5.7},
-	LRNNS:            PerLayout{NCHW: 16, CHWN: 16},
-	SoftmaxNS:        PerLayout{NCHW: 10, CHWN: 12},
-	gradMoveNS:       PerLayout{NCHW: 2, CHWN: 1.2},
-	poolBackTapNS:    PerLayout{NCHW: 3.6, CHWN: 3.2},
-	fcBackGFLOPS:     7,
-	lrnBackNS:        PerLayout{NCHW: 90, CHWN: 125},
+	DirectGFLOPS:  3.5,
+	GemmGFLOPS:    95,
+	GemmUnrollNS:  0.35,
+	GemmRunNS:     1.7,
+	FFTPointNS:    2.7,
+	SyncUS:        4,
+	ConvertGBs:    1,
+	PoolTapNS:     PerLayout{NCHW: 2.4, CHWN: 2.2},
+	FCGFLOPS:      PerLayout{NCHW: 6.5, CHWN: 6.0},
+	ReLUNS:        PerLayout{NCHW: 5.7, CHWN: 5.7},
+	LRNNS:         PerLayout{NCHW: 16, CHWN: 16},
+	SoftmaxNS:     PerLayout{NCHW: 10, CHWN: 12},
+	gradMoveNS:    PerLayout{NCHW: 2, CHWN: 1.2},
+	poolBackTapNS: PerLayout{NCHW: 3.6, CHWN: 3.2},
+	fcBackGFLOPS:  7,
+	lrnBackNS:     PerLayout{NCHW: 90, CHWN: 125},
 }
 
 // HostPrices returns the price list measured on this repository's reference
@@ -243,11 +247,11 @@ func (p Prices) Step(l layers.Layer, lay tensor.Layout, alg kernels.ConvAlgorith
 }
 
 // Conv prices one call of the convolution kernel alg on a layer whose input
-// and output are in lay.  GEMM's two forms differ in the unroll, and the
-// stepper also synchronises per image.  FFT is K·C filter, N·C image and N·K
-// inverse transforms plus N·K·C spectrum products on power-of-two planes of
-// the padded input: the dense correlation whatever the stride.  ok is false
-// for FFT outside NCHW and for an invalid configuration.
+// and output are in lay.  GEMM's unroll costs more per element the fewer
+// images a copy moves.  FFT is K·C filter, N·C image and N·K inverse
+// transforms plus N·K·C spectrum products on power-of-two planes of the
+// padded input: the dense correlation whatever the stride.  ok is false for
+// FFT outside NCHW and for an invalid configuration.
 func (p Prices) Conv(cfg kernels.ConvConfig, lay tensor.Layout, alg kernels.ConvAlgorithm) (float64, bool) {
 	if cfg.Validate() != nil || (lay != tensor.NCHW && lay != tensor.CHWN) {
 		return 0, false
@@ -258,11 +262,11 @@ func (p Prices) Conv(cfg kernels.ConvConfig, lay tensor.Layout, alg kernels.Conv
 		return cfg.FLOPs()/(p.DirectGFLOPS*1e9) + p.SyncUS*1e-6, true
 	case kernels.ConvAlgGemm:
 		product := cfg.FLOPs() / (p.GemmGFLOPS * 1e9)
-		unroll := n * float64(cfg.ReductionLength()*cfg.OutH()*cfg.OutW())
-		if lay == tensor.CHWN && cfg.N > 1 {
-			return product + unroll*(p.GemmFoldUnrollNS+p.GemmFoldRunNS/n)*1e-9 + p.SyncUS*1e-6, true
+		unroll, run := n*float64(cfg.ReductionLength()*cfg.OutH()*cfg.OutW()), 1.0
+		if lay == tensor.CHWN {
+			run = n
 		}
-		return product + unroll*p.GemmStepUnrollNS*1e-9 + (1+n)*p.SyncUS*1e-6, true
+		return product + unroll*(p.GemmUnrollNS+p.GemmRunNS/run)*1e-9 + p.SyncUS*1e-6, true
 	case kernels.ConvAlgFFT:
 		if lay != tensor.NCHW {
 			return 0, false

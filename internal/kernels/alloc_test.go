@@ -40,7 +40,7 @@ func ConvIm2colGemm(in, filters *tensor.Tensor, cfg ConvConfig, outLayout tensor
 		return nil, err
 	}
 	out := tensor.New(cfg.OutputShape(), outLayout)
-	scratch := make([]float32, convGemmScratchElems(cfg, in.Layout, outLayout))
+	scratch := make([]float32, ConvGemmWorkspaceElems(cfg, outLayout))
 	if err := ConvIm2colGemmInto(in, packed, out, cfg, scratch); err != nil {
 		return nil, err
 	}

@@ -259,16 +259,18 @@ func ReLUBackwardInto(in, dOut, dIn *tensor.Tensor) error {
 		}
 		return nil
 	}
-	s := in.Shape
+	s, x, g, d := in.Shape, stridesOf(in), stridesOf(dOut), stridesOf(dIn)
 	for n := 0; n < s.N; n++ {
 		for c := 0; c < s.C; c++ {
 			for h := 0; h < s.H; h++ {
+				xi, gi, di := n*x.n+c*x.c+h*x.h, n*g.n+c*g.c+h*g.h, n*d.n+c*d.c+h*d.h
 				for w := 0; w < s.W; w++ {
-					var g float32
-					if in.At(n, c, h, w) > 0 {
-						g = dOut.At(n, c, h, w)
+					var v float32
+					if x.data[xi] > 0 {
+						v = g.data[gi]
 					}
-					dIn.Set(n, c, h, w, g)
+					d.data[di] = v
+					xi, gi, di = xi+x.w, gi+g.w, di+d.w
 				}
 			}
 		}

@@ -72,18 +72,14 @@ func flushSubnormal(v float32) float32 {
 	return v
 }
 
-// gradRun is a run of consecutive columns of the unroll that share one output
-// position (oh, ow): images n, n+1, …, n+len-1, starting at column at of the
-// panel or block it belongs to.
-type gradRun struct{ at, len, n, oh, ow int }
-
-// gradRuns cuts columns [col, col+w) of the unroll into runs, and returns how
-// many it wrote into runs (w of them at most).
-func gradRuns(runs []gradRun, cfg *ConvConfig, col, w int) int {
+// gradRuns cuts columns [col, col+w) of the unroll into runs of the images of
+// one output position, and returns how many it wrote into runs (w of them at
+// most).
+func gradRuns(runs []colRun, cfg *ConvConfig, col, w int) int {
 	outW, r := cfg.OutW(), 0
 	for at := 0; at < w; r++ {
 		pos, n := (col+at)/cfg.N, (col+at)%cfg.N
-		runs[r] = gradRun{at: at, len: min(cfg.N-n, w-at), n: n, oh: pos / outW, ow: pos % outW}
+		runs[r] = colRun{at: at, len: min(cfg.N-n, w-at), n: n, oh: pos / outW, ow: pos % outW}
 		at += runs[r].len
 	}
 	return r
@@ -181,7 +177,7 @@ func gemmDataLane(j gemmDataJob, lane int) {
 	s0, s1 := lane*j.slabs/j.lanes, (lane+1)*j.slabs/j.lanes
 	panel := j.slots[lane*k*gemmNR : (lane+1)*k*gemmNR]
 	var cTile [gemmMR * gemmNR]float32
-	var runs [gemmNR]gradRun
+	var runs [gemmNR]colRun
 	var at [gemmNR]int // the dX offset of each run's first image, channel 0
 	j.zeroChannels(s0*gemmMR, min(s1*gemmMR, cfg.C))
 	cols := cfg.N * cfg.OutH() * cfg.OutW()
@@ -201,9 +197,10 @@ func gemmDataLane(j gemmDataJob, lane int) {
 						gemmMicro(k, a, panel, d.data[c*d.c+at[0]:], d.c, true)
 						continue
 					}
-					j.moveTile(&cTile, at[:len(rs)], rs, c, false)
+					plane, h := d.data[c*d.c:], min(gemmMR, cfg.C-c)
+					moveTile(&cTile, plane, d.c, d.n, h, rs, at[:len(rs)], false)
 					gemmMicro(k, a, panel, cTile[:], gemmNR, true)
-					j.moveTile(&cTile, at[:len(rs)], rs, c, true)
+					moveTile(&cTile, plane, d.c, d.n, h, rs, at[:len(rs)], true)
 				}
 			}
 		}
@@ -215,7 +212,7 @@ func gemmDataLane(j gemmDataJob, lane int) {
 // where the tap falls outside the input.  direct reports whether the panel's
 // w = gemmNR columns are gemmNR consecutive floats of each channel plane, so
 // the micro-kernel can add onto dX in place; any whether any run is in range.
-func (j *gemmDataJob) targets(at []int, runs []gradRun, w, fh, fw int) (direct, any bool) {
+func (j *gemmDataJob) targets(at []int, runs []colRun, w, fh, fw int) (direct, any bool) {
 	cfg, d := &j.cfg, &j.dIn
 	direct = w == gemmNR && d.n == 1
 	for i, r := range runs {
@@ -230,35 +227,6 @@ func (j *gemmDataJob) targets(at []int, runs []gradRun, w, fh, fw int) (direct, 
 		}
 	}
 	return direct, any
-}
-
-// moveTile copies the in-range columns of the tile's rows — channels c,
-// c+1, … below C — between dX and tile: into the tile when back is false, out
-// of it when true.
-func (j *gemmDataJob) moveTile(tile *[gemmMR * gemmNR]float32, at []int, runs []gradRun, c int, back bool) {
-	cfg, d := &j.cfg, &j.dIn
-	for r := 0; r < gemmMR && c+r < cfg.C; r++ {
-		for i, run := range runs {
-			if at[i] < 0 {
-				continue
-			}
-			row, from := tile[r*gemmNR+run.at:r*gemmNR+run.at+run.len], (c+r)*d.c+at[i]
-			switch {
-			case d.n == 1 && back:
-				copy(d.data[from:], row)
-			case d.n == 1:
-				copy(row, d.data[from:])
-			case back:
-				for x := range row {
-					d.data[from+x*d.n] = row[x]
-				}
-			default:
-				for x := range row {
-					row[x] = d.data[from+x*d.n]
-				}
-			}
-		}
-	}
 }
 
 // zeroChannels zeroes the input gradient of channels [c0, c1), every image.
@@ -283,7 +251,7 @@ func (j *gemmDataJob) zeroChannels(c0, c1 int) {
 // gatherPanel copies the panel's columns — the runs, w columns in all — of
 // the output gradient, all K filters, into panel in the packed right-operand
 // format at the full gemmNR width, the columns past w zeroed.
-func (j *gemmDataJob) gatherPanel(panel []float32, runs []gradRun, w int) {
+func (j *gemmDataJob) gatherPanel(panel []float32, runs []colRun, w int) {
 	d := &j.dOut
 	for _, r := range runs {
 		src := d.data[r.n*d.n+r.oh*d.h+r.ow*d.w:]
@@ -380,7 +348,7 @@ type gemmFilterJob struct {
 
 // gemmFilterLane accumulates the filter gradient over the lane's tap panels.
 // A micro-tile cut by the last slab or a narrow panel goes through a stack
-// tile, as in gemmTile.
+// tile, as in convGemmLane.
 //
 //memcnn:noalloc
 func gemmFilterLane(j gemmFilterJob, lane int) {
@@ -389,7 +357,7 @@ func gemmFilterLane(j gemmFilterJob, lane int) {
 	slot := j.slots[lane*j.slot : (lane+1)*j.slot]
 	aElems := gemmPackedAElems(m, j.block)
 	var cTile [gemmMR * gemmNR]float32
-	var runs [gemmGradKC]gradRun
+	var runs [gemmGradKC]colRun
 	cols := cfg.N * cfg.OutH() * cfg.OutW()
 	for col := 0; col < cols; col += j.block {
 		kc := min(j.block, cols-col)
@@ -424,7 +392,7 @@ func gemmFilterLane(j gemmFilterJob, lane int) {
 // packGradBlock packs the block's kc columns — the runs — of the output
 // gradient, all K filters, into ap in the slab format of the left operand
 // (the columns are the reduction), the last slab zero-padded.
-func (j *gemmFilterJob) packGradBlock(ap []float32, runs []gradRun, kc int) {
+func (j *gemmFilterJob) packGradBlock(ap []float32, runs []colRun, kc int) {
 	d := &j.dOut
 	for k := 0; k < len(ap)/kc; k++ {
 		slab := ap[k/gemmMR*gemmMR*kc+k%gemmMR:]
@@ -451,7 +419,7 @@ func (j *gemmFilterJob) packGradBlock(ap []float32, runs []gradRun, kc int) {
 // — restricted to taps [first, first+w), into bp in the packed right-operand
 // format at the full gemmNR width: each holds the input value every tap
 // reads at that column, zero where it falls in the padding, and zero past w.
-func (j *gemmFilterJob) unrollBlock(bp []float32, runs []gradRun, kc, first, w int) {
+func (j *gemmFilterJob) unrollBlock(bp []float32, runs []colRun, kc, first, w int) {
 	cfg, in := &j.cfg, &j.in
 	tp := tapAt(cfg, first)
 	for t := 0; t < gemmNR; t++ {

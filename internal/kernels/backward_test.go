@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -252,7 +253,7 @@ func TestSoftmaxCrossEntropyBackward(t *testing.T) {
 }
 
 func TestReLUBackwardMasks(t *testing.T) {
-	shape := tensor.Shape{N: 2, C: 2, H: 3, W: 3}
+	shape := tensor.Shape{N: 2, C: 3, H: 3, W: 4}
 	in := tensor.Random(shape, tensor.NCHW, 9)
 	dOut := tensor.Random(shape, tensor.NCHW, 10)
 	dIn, err := ReLUBackward(in, dOut)
@@ -271,6 +272,26 @@ func TestReLUBackwardMasks(t *testing.T) {
 						t.Fatalf("dIn(%d,%d,%d,%d) = %v, want %v", n, c, h, w, got, want)
 					}
 				}
+			}
+		}
+	}
+	// Mixed layouts walk the three tensors through their strides: every
+	// combination must be bit-equal to the same-layout pass, a zero input
+	// included (it masks like a negative one).
+	in.Data[0] = 0
+	want, err := ReLUBackward(in, dOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, li := range tensor.Layouts {
+		for _, lg := range tensor.Layouts {
+			for _, ld := range tensor.Layouts {
+				got := tensor.New(shape, ld)
+				got.Fill(-1)
+				if err := ReLUBackwardInto(tensor.Convert(in, li), tensor.Convert(dOut, lg), got); err != nil {
+					t.Fatal(err)
+				}
+				sameBits(t, fmt.Sprintf("in %v, dOut %v, dIn %v", li, lg, ld), tensor.Convert(got, tensor.NCHW), want)
 			}
 		}
 	}

@@ -95,8 +95,8 @@ func oldConvIm2colGemm(t *testing.T, in, filters *tensor.Tensor, cfg ConvConfig,
 	return out
 }
 
-// batchFoldedConvCases covers every regime of the batch-folded CHWN form (the
-// other layout pairs run them through the per-image form): one pixel a panel,
+// batchFoldedConvCases covers every regime of the lane loop with the images
+// fastest (CHWN and HWCN outputs of several images): one pixel a panel,
 // panels straddling pixels, a ragged last panel, one and several lanes, the
 // narrow panels of a workspace under one gemmNR-column slot, and the runs that
 // stride-W 1 extends across the pixels whose window is inside the image, cut by
@@ -121,7 +121,7 @@ var batchFoldedConvCases = []ConvConfig{
 	// OutH·OutW = 4 with N ≥ gemmNR: 80 columns through 4-column panels, the
 	// reduction in two gemmKC blocks.
 	{N: 20, C: 16, H: 2, W: 2, K: 8, FH: 5, FW: 5, PadH: 2, PadW: 2},
-	// Stride-W 1 with padding at N = 1 (the per-image hand-off), 2 and 3:
+	// Stride-W 1 with padding at N = 1 (one order in every layout), 2 and 3:
 	// OutW < gemmNR, so a run over the inside pixels ends at the row's padded
 	// edge or at the panel's end, and W < FW leaves a row no inside pixel.
 	{N: 1, C: 2, H: 5, W: 9, K: 3, FH: 3, FW: 3, PadH: 1, PadW: 1},
@@ -134,8 +134,8 @@ var batchFoldedConvCases = []ConvConfig{
 // convGemmMatchesOldPath runs one configuration through ConvIm2colGemmInto for
 // every pair of the given layouts and compares it with oldConvIm2colGemm bit
 // for bit: filters and scratch fenced by NaNs, scratch and output poisoned.
-// The scratch is exactly the size of the form the pair takes, so the fence
-// catches a form that writes past it.
+// The scratch is exactly one image's unroll, so the fence catches a lane that
+// writes past it.
 func convGemmMatchesOldPath(t *testing.T, r *rand.Rand, cfg ConvConfig, layouts []tensor.Layout) {
 	t.Helper()
 	filters := tensor.Filters(cfg.K, cfg.C, cfg.FH, cfg.FW, 2)
@@ -151,7 +151,7 @@ func convGemmMatchesOldPath(t *testing.T, r *rand.Rand, cfg ConvConfig, layouts 
 			want := oldConvIm2colGemm(t, in, filters, cfg, outLay)
 			out := tensor.New(cfg.OutputShape(), outLay)
 			poison(out.Data)
-			elems := convGemmScratchElems(cfg, inLay, outLay)
+			elems := ConvGemmWorkspaceElems(cfg, outLay)
 			scratch, backing := guarded(r, elems)
 			poison(scratch)
 			if err := ConvIm2colGemmInto(in, packed, out, cfg, scratch); err != nil {
@@ -165,11 +165,11 @@ func convGemmMatchesOldPath(t *testing.T, r *rand.Rand, cfg ConvConfig, layouts 
 	}
 }
 
-// TestConvIm2colGemmIntoMatchesOldPath pins both forms of the GEMM convolution
-// — the fused unroll-and-pack plus the packed core, an image or a batch at a
-// time — to the outputs of the path they replaced, bit for bit: every small
-// case, four wider strided, padded and ragged ones and the batch-folded
-// regimes, over all sixteen layout pairs.
+// TestConvIm2colGemmIntoMatchesOldPath pins the GEMM convolution — the fused
+// unroll-and-pack plus the packed core, in either column order — to the
+// outputs of the path it replaced, bit for bit: every small case, four wider
+// strided, padded and ragged ones and the image-fastest regimes, over all
+// sixteen layout pairs.
 func TestConvIm2colGemmIntoMatchesOldPath(t *testing.T) {
 	cases := append([]ConvConfig{
 		{N: 2, C: 3, H: 23, W: 37, K: 7, FH: 5, FW: 3, PadH: 2, PadW: 1, StrideH: 2},
@@ -184,9 +184,9 @@ func TestConvIm2colGemmIntoMatchesOldPath(t *testing.T) {
 	}
 }
 
-// FuzzConvGemmLayouts checks both forms of the GEMM convolution against the old
-// path on arbitrary legal configurations, through all four input/output pairs
-// of the two layouts the runtime compiles for.
+// FuzzConvGemmLayouts checks the GEMM convolution against the old path on
+// arbitrary legal configurations, through all sixteen input/output pairs of
+// the four layouts: every pair takes the one lane loop.
 func FuzzConvGemmLayouts(f *testing.F) {
 	for i, cfg := range batchFoldedConvCases {
 		cfg = cfg.WithDefaults()
@@ -200,48 +200,45 @@ func FuzzConvGemmLayouts(f *testing.F) {
 		if cfg.Validate() != nil || cfg.FLOPs()/2 > 1<<20 {
 			t.Skip()
 		}
-		convGemmMatchesOldPath(t, rand.New(rand.NewSource(seed)), cfg, []tensor.Layout{tensor.NCHW, tensor.CHWN})
+		convGemmMatchesOldPath(t, rand.New(rand.NewSource(seed)), cfg, tensor.Layouts)
 	})
 }
 
-// TestConvGemmWorkspaceElems checks where the product lands in place: an NCHW
-// output, a CHWN one of one image (the same memory) and the batch-folded CHWN
-// form need the unroll alone; NHWC outputs and a non-CHWN input into a CHWN
-// output of several images add the product staging area.
+// TestConvGemmWorkspaceElems checks that the workspace is one image's unroll
+// for every layout pair and batch, and that the call takes exactly that: one
+// element less is rejected.
 func TestConvGemmWorkspaceElems(t *testing.T) {
 	cfg := ConvConfig{N: 2, C: 3, H: 8, W: 8, K: 4, FH: 3, FW: 3, PadH: 1, PadW: 1}
-	ohw := cfg.OutH() * cfg.OutW()
-	unroll, staged := cfg.ReductionLength()*ohw, (cfg.ReductionLength()+cfg.K)*ohw
-	one := cfg
-	one.N = 1
-	for _, tc := range []struct {
-		cfg     ConvConfig
-		in, out tensor.Layout
-		want    int
-	}{
-		{cfg, tensor.NCHW, tensor.NCHW, unroll},
-		{cfg, tensor.CHWN, tensor.NCHW, unroll},
-		{cfg, tensor.CHWN, tensor.CHWN, unroll},
-		{cfg, tensor.NCHW, tensor.CHWN, staged},
-		{cfg, tensor.NHWC, tensor.NHWC, staged},
-		{one, tensor.NCHW, tensor.CHWN, unroll},
-		{one, tensor.CHWN, tensor.CHWN, unroll},
-	} {
-		if got := convGemmScratchElems(tc.cfg, tc.in, tc.out); got != tc.want {
-			t.Errorf("N=%d %v->%v workspace = %d, want %d", tc.cfg.N, tc.in, tc.out, got, tc.want)
-		}
-		if tc.in == tc.out {
-			if got := ConvGemmWorkspaceElems(tc.cfg, tc.out); got != tc.want {
-				t.Errorf("ConvGemmWorkspaceElems(N=%d, %v) = %d, want %d", tc.cfg.N, tc.out, got, tc.want)
+	unroll := cfg.ReductionLength() * cfg.OutH() * cfg.OutW()
+	filters := tensor.Filters(cfg.K, cfg.C, cfg.FH, cfg.FW, 1)
+	packed, err := PackConvFilters(filters, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{1, 2, 17} {
+		cfg.N = n
+		for _, inLay := range tensor.Layouts {
+			in := tensor.Random(cfg.InputShape(), inLay, 2)
+			for _, outLay := range tensor.Layouts {
+				if got := ConvGemmWorkspaceElems(cfg, outLay); got != unroll {
+					t.Errorf("ConvGemmWorkspaceElems(N=%d, %v) = %d, want %d", n, outLay, got, unroll)
+				}
+				out := tensor.New(cfg.OutputShape(), outLay)
+				if err := ConvIm2colGemmInto(in, packed, out, cfg, make([]float32, unroll)); err != nil {
+					t.Errorf("N=%d %v->%v with one image's unroll: %v", n, inLay, outLay, err)
+				}
+				if err := ConvIm2colGemmInto(in, packed, out, cfg, make([]float32, unroll-1)); err == nil {
+					t.Errorf("N=%d %v->%v accepted a workspace one element short", n, inLay, outLay)
+				}
 			}
 		}
 	}
 }
 
-// TestConvGemmOneImageHandOff checks that a CHWN → CHWN call of one image,
-// which the per-image form writes in place, is bit-equal to the batch-folded
-// form: the same image run as a batch of two (with a second, different image
-// beside it) gives the same K × OutH × OutW values.
+// TestConvGemmOneImageHandOff checks batch-split invariance in CHWN: a call
+// of one image, whose columns run along the output row, is bit-equal to the
+// same image run as a batch of two (with a second, different image beside
+// it), whose columns run image by image.
 func TestConvGemmOneImageHandOff(t *testing.T) {
 	for _, cfg := range []ConvConfig{
 		{N: 1, C: 2, H: 5, W: 9, K: 3, FH: 3, FW: 3, PadH: 1, PadW: 1},
@@ -300,7 +297,7 @@ func TestConvIm2colGemmIntoMatchesFunctional(t *testing.T) {
 				}
 				out := tensor.New(cfg.OutputShape(), outLay)
 				poison(out.Data)
-				scratch := make([]float32, convGemmScratchElems(cfg, inLay, outLay))
+				scratch := make([]float32, ConvGemmWorkspaceElems(cfg, outLay))
 				poison(scratch)
 				if err := ConvIm2colGemmInto(in, packed, out, cfg, scratch); err != nil {
 					t.Fatalf("%v: into: %v", cfg, err)
@@ -359,8 +356,8 @@ func TestConvIm2colGemmIntoValidation(t *testing.T) {
 
 // TestConvIm2colGemmDeterministicAcrossWorkers pins the bit-stability
 // contract the golden suite relies on: the same convolution computed with one,
-// two and four workers must agree exactly, in the per-image form (CHWN→NCHW)
-// and in the batch-folded one (CHWN→CHWN, three lanes).
+// two and four workers must agree exactly, with the positions fastest
+// (CHWN→NCHW) and with the images fastest (CHWN→CHWN, two lanes).
 func TestConvIm2colGemmDeterministicAcrossWorkers(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	cfg := ConvConfig{N: 3, C: 5, H: 13, W: 11, K: 7, FH: 3, FW: 3, PadH: 1, PadW: 1, StrideH: 2, StrideW: 2}

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"sync"
 
-	"memcnn/internal/par"
+	"memcnn/internal/tensor"
 )
 
 // Packed, register-blocked single-precision matrix multiplication in the
@@ -22,18 +22,17 @@ import (
 //     element (kk, j) is at (j/gemmNR)·gemmNR·k + kk·w + j%gemmNR, where w is
 //     the panel's width.  The ragged last panel is stored at its true width
 //     w = n%gemmNR, so packed B holds exactly k·n floats — the size of the
-//     unpacked matrix, which is what lets im2colPanel emit this format
-//     straight into the unroll scratch without growing it.
+//     unpacked matrix, which is what lets the convolution's unroll emit this
+//     format straight into its scratch without growing it.
 //
-// C is cut into tiles of gemmTileSlabs×gemmTilePanels micro-tiles, each one
-// plane of a parallel step (par.Steps); a tile walks the reduction in
-// gemmKC blocks so the B micro-panel (gemmKC·gemmNR floats, 16 KiB) stays in
-// L1 across the tile's slabs and the A block (≤ 48 KiB) in L2 across its
-// panels.  The micro-kernel holds a gemmMR×gemmNR block of C in registers:
-// twelve 8-float accumulators, two B vectors, one broadcast A value and one
-// product on AVX2's sixteen.
+// The driver is the GEMM convolution's lane loop (conv_gemm.go), GemmInto
+// included: a lane owns one gemmNR-column panel of C at a time and walks the
+// reduction in gemmKC blocks, so the B micro-panel (gemmKC·gemmNR floats, 16
+// KiB) stays in L1 across every slab of A.  The micro-kernel holds a
+// gemmMR×gemmNR block of C in registers: twelve 8-float accumulators, two B
+// vectors, one broadcast A value and one product on AVX2's sixteen.
 //
-// Every C element is owned by one tile and accumulates k-ascending with one
+// Every C element is owned by one lane and accumulates k-ascending with one
 // float32 multiply and one float32 add per step, exactly like the scalar
 // triple loop: the AVX2 kernel issues VMULPS and VADDPS separately and never
 // VFMADD, whose single rounding would change low bits, and the pure-Go kernel
@@ -45,9 +44,6 @@ const (
 	gemmMR = 6   // rows of C held in registers
 	gemmNR = 16  // columns of C held in registers (two 8-float vectors)
 	gemmKC = 256 // reduction steps per block
-
-	gemmTileSlabs  = 8 // gemmMR-row slabs per parallel tile
-	gemmTilePanels = 8 // gemmNR-column panels per parallel tile
 )
 
 // gemmPackedAElems returns the length of the slab-packed form of an m×k left
@@ -84,11 +80,13 @@ func gemmPackBuffer(elems int) *[]float32 {
 }
 
 // GemmInto computes C = A·B into the caller-provided slice c (length m×n,
-// overwritten whatever it held): it packs both row-major operands into a
-// pooled buffer and runs the packed core.  The accumulation order of every
-// output element — ascending k, each product and each sum rounded to float32
-// — is fixed regardless of blocking and tile split, so results are
-// bit-identical across GOMAXPROCS settings and repeated runs.
+// overwritten whatever it held) as the 1×1 convolution of one NCHW image: B
+// is the {1, k, 1, n} input, A the {m, k, 1, 1} filter bank, packed into a
+// pooled buffer by PackConvFiltersInto, and C the {1, m, 1, n} output, with
+// the rest of the buffer as ConvIm2colGemmInto's workspace.  The accumulation
+// order of every output element — ascending k, each product and each sum
+// rounded to float32 — is fixed regardless of blocking and lane split, so
+// results are bit-identical across GOMAXPROCS settings and repeated runs.
 //
 //memcnn:noalloc
 func GemmInto(a, b, c []float32, m, n, k int) error {
@@ -98,132 +96,19 @@ func GemmInto(a, b, c []float32, m, n, k int) error {
 	if len(c) != m*n {
 		return fmt.Errorf("kernels: gemm C has %d elements, want %d", len(c), m*n)
 	}
+	cfg := ConvConfig{N: 1, C: k, H: 1, W: n, K: m, FH: 1, FW: 1}
 	aElems := gemmPackedAElems(m, k)
 	buf := gemmPackBuffer(aElems + k*n)
-	pa, pb := (*buf)[:aElems], (*buf)[aElems:aElems+k*n]
-	par.Steps(2, gemmPackJob{gemmJob: newGemmJob(pa, pb, c, m, n, k), rawA: a, rawB: b}, gemmIntoPlanes, gemmIntoPlane)
+	pa, scratch := (*buf)[:aElems], (*buf)[aElems:aElems+k*n]
+	in := tensor.Tensor{Shape: cfg.InputShape(), Layout: tensor.NCHW, Data: b}
+	filters := tensor.Tensor{Shape: cfg.FilterShape(), Layout: tensor.NCHW, Data: a}
+	out := tensor.Tensor{Shape: cfg.OutputShape(), Layout: tensor.NCHW, Data: c}
+	err := PackConvFiltersInto(pa, &filters, cfg)
+	if err == nil {
+		err = ConvIm2colGemmInto(&in, pa, &out, cfg, scratch)
+	}
 	gemmPackPool.Put(buf)
-	return nil
-}
-
-// gemmPackJob is one GemmInto call in two steps: pack the row-major operands
-// — one plane per A slab, then one per B panel — and multiply the packed ones.
-type gemmPackJob struct {
-	gemmJob
-	rawA, rawB []float32
-}
-
-func gemmIntoPlanes(j gemmPackJob, step int) int {
-	if step == 0 {
-		return ceilDiv(j.m, gemmMR) + ceilDiv(j.n, gemmNR)
-	}
-	return j.tiles()
-}
-
-func gemmIntoPlane(j gemmPackJob, step, p int) {
-	if step == 0 {
-		gemmPackPlane(j, p)
-		return
-	}
-	gemmTile(j.gemmJob, p)
-}
-
-// gemmPackPlane packs the p-th A slab (zero-padding its missing rows), or the
-// B panel after the last slab.
-func gemmPackPlane(j gemmPackJob, p int) {
-	k := j.k
-	if slabs := ceilDiv(j.m, gemmMR); p >= slabs {
-		col := (p - slabs) * gemmNR
-		w := min(gemmNR, j.n-col)
-		panel := j.b[col*k : (col+w)*k]
-		for kk := 0; kk < k; kk++ {
-			copy(panel[kk*w:(kk+1)*w], j.rawB[kk*j.n+col:])
-		}
-		return
-	}
-	slab := j.a[p*gemmMR*k : (p+1)*gemmMR*k]
-	for r := 0; r < gemmMR; r++ {
-		i := p*gemmMR + r
-		if i >= j.m {
-			for at := r; at < len(slab); at += gemmMR {
-				slab[at] = 0
-			}
-			continue
-		}
-		at := r
-		for _, v := range j.rawA[i*k : (i+1)*k] {
-			slab[at] = v
-			at += gemmMR
-		}
-	}
-}
-
-// gemmJob is one packed multiplication cut into rowTiles×colTiles tiles of
-// whole slabs and panels.
-type gemmJob struct {
-	a, b, c            []float32
-	m, n, k            int
-	rowTiles, colTiles int
-}
-
-// newGemmJob describes C = A·B from slab-packed A and panel-packed B (formats
-// at the top of this file) into row-major c (m×n), which it overwrites: run
-// gemmTile for each of its tiles().
-func newGemmJob(pa, pb, c []float32, m, n, k int) gemmJob {
-	return gemmJob{a: pa, b: pb, c: c, m: m, n: n, k: k,
-		rowTiles: ceilDiv(ceilDiv(m, gemmMR), gemmTileSlabs),
-		colTiles: ceilDiv(ceilDiv(n, gemmNR), gemmTilePanels)}
-}
-
-func (j gemmJob) tiles() int { return j.rowTiles * j.colTiles }
-
-// gemmTile computes the t-th tile of C: an even share of the slabs by an even
-// share of the panels, over the whole reduction.  Full micro-tiles go straight
-// to C; a micro-tile cut by the last slab or the last panel is computed in a
-// stack tile and only its valid part copied out, and the ragged panel is
-// widened to gemmNR zero-padded columns on the stack first, so the micro-kernel
-// never reads or writes past an operand.
-func gemmTile(j gemmJob, t int) {
-	m, n, k := j.m, j.n, j.k
-	slabs, panels := ceilDiv(m, gemmMR), ceilDiv(n, gemmNR)
-	rt, ct := t/j.colTiles, t%j.colTiles
-	s0, s1 := rt*slabs/j.rowTiles, (rt+1)*slabs/j.rowTiles
-	p0, p1 := ct*panels/j.colTiles, (ct+1)*panels/j.colTiles
-	var cTile [gemmMR * gemmNR]float32
-	var bTile [gemmKC * gemmNR]float32
-	for kb := 0; kb < k; kb += gemmKC {
-		kc := min(gemmKC, k-kb)
-		accumulate := kb > 0
-		for p := p0; p < p1; p++ {
-			col := p * gemmNR
-			w := min(gemmNR, n-col)
-			bp := j.b[col*k+kb*w : col*k+(kb+kc)*w]
-			if w < gemmNR {
-				for kk := 0; kk < kc; kk++ {
-					copy(bTile[kk*gemmNR:kk*gemmNR+w], bp[kk*w:])
-				}
-				bp = bTile[:kc*gemmNR]
-			}
-			for s := s0; s < s1; s++ {
-				row := s * gemmMR
-				h := min(gemmMR, m-row)
-				ap := j.a[(s*k+kb)*gemmMR : (s*k+kb+kc)*gemmMR]
-				if h == gemmMR && w == gemmNR {
-					gemmMicro(kc, ap, bp, j.c[row*n+col:], n, accumulate)
-					continue
-				}
-				if accumulate {
-					for r := 0; r < h; r++ {
-						copy(cTile[r*gemmNR:r*gemmNR+w], j.c[(row+r)*n+col:])
-					}
-				}
-				gemmMicro(kc, ap, bp, cTile[:], gemmNR, accumulate)
-				for r := 0; r < h; r++ {
-					copy(j.c[(row+r)*n+col:(row+r)*n+col+w], cTile[r*gemmNR:])
-				}
-			}
-		}
-	}
+	return err
 }
 
 // gemmMicroGo is the portable micro-kernel, and the definition of the

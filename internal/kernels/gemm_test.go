@@ -7,7 +7,7 @@ import (
 	"runtime"
 	"testing"
 
-	"memcnn/internal/par"
+	"memcnn/internal/tensor"
 )
 
 func naiveGemm(a, b []float32, m, n, k int) []float32 {
@@ -142,12 +142,12 @@ func TestGemmDeterministicAcrossWorkers(t *testing.T) {
 
 // gemmShapes is the table the packed core, both micro-kernels and the fuzz
 // target share: the degenerate and ragged corners, shapes one off every
-// blocking multiple, and three convolution GEMMs of the networks (LeNet conv2,
-// AlexNet conv1 and conv4).
+// blocking multiple and off a block of 8×8 micro-tiles, and three convolution
+// GEMMs of the networks (LeNet conv2, AlexNet conv1 and conv4).
 func gemmShapes() [][3]int {
 	shapes := [][3]int{
 		{1, 1, 1}, {7, 33, 19}, {50, 64, 500}, {96, 3025, 363}, {384, 169, 3456},
-		{gemmMR * gemmTileSlabs, gemmNR * gemmTilePanels, 40}, {gemmMR*gemmTileSlabs + 1, gemmNR*gemmTilePanels + 1, 40},
+		{gemmMR * 8, gemmNR * 8, 40}, {gemmMR*8 + 1, gemmNR*8 + 1, 40},
 	}
 	for _, m := range []int{gemmMR - 1, gemmMR, gemmMR + 1, 2*gemmMR - 1, 2*gemmMR + 1} {
 		for _, n := range []int{gemmNR - 1, gemmNR, gemmNR + 1, 2*gemmNR - 1, 2*gemmNR + 1} {
@@ -229,10 +229,11 @@ func TestGemmMatchesOldLoop(t *testing.T) {
 	}
 }
 
-// TestGemmPackedStaysInsideItsOperands runs the packed core on operands in
-// their packed formats, each fenced by NaNs: reading one step past a slab or
-// treating the ragged panel as a full one would poison C, and writing a padded
-// row or column of a micro-tile would break C's fence.
+// TestGemmPackedStaysInsideItsOperands runs the one driver as GemmInto does —
+// A packed by PackConvFiltersInto, B the input of a 1×1 convolution — on
+// operands fenced by NaNs: reading one step past a slab or treating the ragged
+// panel as a full one would poison C, and writing a padded row or column of a
+// micro-tile, or past the workspace, would break a fence.
 func TestGemmPackedStaysInsideItsOperands(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
 	for _, s := range gemmShapes() {
@@ -240,15 +241,27 @@ func TestGemmPackedStaysInsideItsOperands(t *testing.T) {
 		if m*n*k > 1<<22 {
 			continue // the big shapes add nothing here
 		}
+		cfg := ConvConfig{N: 1, C: k, H: 1, W: n, K: m, FH: 1, FW: 1}
 		a, _ := guarded(r, m*k)
 		b, _ := guarded(r, k*n)
 		pa, _ := guarded(r, gemmPackedAElems(m, k))
-		pb, _ := guarded(r, k*n)
+		scratch, scratchBacking := guarded(r, ConvGemmWorkspaceElems(cfg, tensor.NCHW))
 		c, backing := guarded(r, m*n)
-		par.Steps(2, gemmPackJob{gemmJob: newGemmJob(pa, pb, c, m, n, k), rawA: a, rawB: b}, gemmIntoPlanes, gemmIntoPlane)
+		filters := &tensor.Tensor{Shape: cfg.FilterShape(), Layout: tensor.NCHW, Data: a}
+		if err := PackConvFiltersInto(pa, filters, cfg); err != nil {
+			t.Fatal(err)
+		}
+		in := &tensor.Tensor{Shape: cfg.InputShape(), Layout: tensor.NCHW, Data: b}
+		out := &tensor.Tensor{Shape: cfg.OutputShape(), Layout: tensor.NCHW, Data: c}
+		if err := ConvIm2colGemmInto(in, pa, out, cfg, scratch); err != nil {
+			t.Fatal(err)
+		}
 		equalBits(t, fmt.Sprintf("%dx%dx%d", m, n, k), c, oldGemm(a, b, m, n, k))
 		if !fenceIntact(backing, m*n) {
 			t.Fatalf("%dx%dx%d: wrote outside C", m, n, k)
+		}
+		if !fenceIntact(scratchBacking, len(scratch)) {
+			t.Fatalf("%dx%dx%d: wrote outside the workspace", m, n, k)
 		}
 	}
 }

@@ -7,9 +7,9 @@ import (
 	"memcnn/internal/tensor"
 )
 
-// Im2col is the reference unroll the packed production ones (im2colPanel and
-// im2colBatchPanel) are checked against: the whole batch as a plain row-major
-// matrix with
+// Im2col is the reference unroll the packed production one (convGemmJob's
+// im2col) is checked against: the whole batch as a plain row-major matrix
+// with
 //
 //	rows = C*FH*FW            (the reduction dimension K of the GEMM)
 //	cols = N*OutH*OutW        (one column per output pixel of the batch)
@@ -41,36 +41,44 @@ func Im2col(in *tensor.Tensor, cfg ConvConfig) ([]float32, error) {
 }
 
 // TestIm2colImagePacksTheReferenceMatrix checks the production unroll against
-// the reference for every small case, image and layout: element (row, col) of
-// the matrix must sit where the GEMM core's panel format puts it, in a
-// poisoned, NaN-fenced destination of exactly rows·cols floats.
+// the reference for every small case and layout pair, panel by panel as the
+// lanes cut the batch: column i of a panel must hold the reference column of
+// its (image, output position) — the images fastest where the output's batch
+// stride is 1 and there are several, the positions fastest otherwise — in the
+// GEMM core's panel format, in a poisoned, NaN-fenced destination of exactly
+// rows·w floats.
 func TestIm2colImagePacksTheReferenceMatrix(t *testing.T) {
 	for _, cfg := range SmallConvCases {
 		cfg = cfg.WithDefaults()
 		rows, ohw := cfg.ReductionLength(), cfg.OutH()*cfg.OutW()
-		for _, lay := range tensor.Layouts {
-			in := tensor.Random(cfg.InputShape(), lay, 5)
+		for _, inLay := range tensor.Layouts {
+			in := tensor.Random(cfg.InputShape(), inLay, 5)
 			want, err := Im2col(in, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for n := 0; n < cfg.N; n++ {
-				got, backing := guarded(nil, rows*ohw)
-				poison(got)
-				job := convGemmJob{cfg: cfg, in: stridesOf(in), unroll: got, kdim: rows, outW: cfg.OutW(), ohw: ohw}
-				for p := 0; p < ceilDiv(ohw, gemmNR); p++ {
-					im2colPanel(&job, n, p)
-				}
-				if !fenceIntact(backing, rows*ohw) {
-					t.Fatalf("%v %v image %d: wrote outside the unroll matrix", cfg, lay, n)
-				}
-				for row := 0; row < rows; row++ {
-					for col := 0; col < ohw; col++ {
-						panel := col / gemmNR * gemmNR
-						w := min(gemmNR, ohw-panel)
-						g := got[panel*rows+row*w+col-panel]
-						if ref := want[row*cfg.N*ohw+n*ohw+col]; g != ref {
-							t.Fatalf("%v %v image %d: unroll(%d,%d) = %v, want %v", cfg, lay, n, row, col, g, ref)
+			for _, outLay := range tensor.Layouts {
+				out := tensor.New(cfg.OutputShape(), outLay)
+				sn, _, _, _ := out.Shape.Strides(outLay)
+				j := newConvGemmJob(in, nil, out, cfg, make([]float32, ConvGemmWorkspaceElems(cfg, outLay)))
+				var runs [gemmNR]colRun
+				for col := 0; col < j.cols; col += j.pw {
+					w := min(j.pw, j.cols-col)
+					got, backing := guarded(nil, rows*w)
+					poison(got)
+					j.im2col(got, runs[:j.cutRuns(runs[:], col, w)], w)
+					if !fenceIntact(backing, rows*w) {
+						t.Fatalf("%v %v->%v columns %d+%d: wrote outside the panel", cfg, inLay, outLay, col, w)
+					}
+					for i := 0; i < w; i++ {
+						n, pos := (col+i)/ohw, (col+i)%ohw
+						if sn == 1 && cfg.N > 1 {
+							n, pos = (col+i)%cfg.N, (col+i)/cfg.N
+						}
+						for row := 0; row < rows; row++ {
+							if g, ref := got[row*w+i], want[row*cfg.N*ohw+n*ohw+pos]; g != ref {
+								t.Fatalf("%v %v->%v: unroll(%d, image %d position %d) = %v, want %v", cfg, inLay, outLay, row, n, pos, g, ref)
+							}
 						}
 					}
 				}

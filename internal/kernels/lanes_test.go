@@ -235,8 +235,8 @@ func TestPoolBackwardMatchesOracle(t *testing.T) {
 }
 
 // laneKernelRuns returns one run of each lane kernel on a layer with several
-// tiles per plane (three lanes for the batch-folded GEMM convolution, which is
-// what CHWN selects; NCHW runs its per-image form), and the tensors the runs
+// tiles per plane (two lanes for the GEMM convolution, its columns image by
+// image in CHWN and position by position in NCHW), and the tensors the runs
 // write.
 func laneKernelRuns(t *testing.T, layout tensor.Layout) (runs []func() error, outputs []*tensor.Tensor) {
 	t.Helper()

@@ -206,8 +206,8 @@ func (c *Conv) refreshPacked() {
 }
 
 // WorkspaceElems implements Layer: the direct kernel needs no scratch, the
-// im2col+GEMM path its unroll matrix (and output staging outside NCHW), the
-// FFT path its spectrum planes.
+// im2col+GEMM path one image's unroll matrix, the FFT path its spectrum
+// planes.
 func (c *Conv) WorkspaceElems(alg kernels.ConvAlgorithm, l tensor.Layout) (int, error) {
 	if !c.SupportsLayout(l) {
 		return 0, fmt.Errorf("layers: %s: unsupported layout %v", c.LayerName, l)

@@ -22,13 +22,14 @@
 //	                        layouts; the program keeps the decision record
 //	                        (Program.Decisions: every candidate's price, the
 //	                        winner, the runner-up and the margin).  On the
-//	                        host the layout picks the GEMM form: CHWN of
-//	                        more than one image is the batch-folded product,
-//	                        whose workspace is the one-image unroll alone,
-//	                        as NCHW's is.  Measured, FFT wins only with
-//	                        filters about as large as the image (31×31 on
-//	                        32×32, not 21×21): no workload network selects
-//	                        it, it is model-domain here.  FFT is priced
+//	                        host the layout orders the GEMM product's
+//	                        columns: image by image in CHWN, position by
+//	                        position in NCHW, one lane loop and a one-image
+//	                        unroll for workspace in both.  Measured, FFT
+//	                        wins only with filters about as large as the
+//	                        image (31×31 on 32×32, a tie there, not 21×21):
+//	                        no workload network selects it, it is
+//	                        model-domain here.  FFT is priced
 //	                        in NCHW only.  Lowering (Program.AddForward,
 //	                        the one forward builder, training's too) binds
 //	                        exactly the list it is handed: per layer an

@@ -79,7 +79,7 @@ func TestSelectionKeepsTheCallersLayoutOnATie(t *testing.T) {
 		t.Fatal(err)
 	}
 	flat := autotune.HostPrices()
-	flat.GemmFoldUnrollNS, flat.GemmFoldRunNS = flat.GemmStepUnrollNS, 0
+	flat.GemmRunNS = 0
 	flat.SyncUS = 0
 	flat.ConvertGBs = math.Inf(1)
 	for _, p := range []*autotune.PerLayout{&flat.PoolTapNS, &flat.FCGFLOPS, &flat.ReLUNS, &flat.LRNNS, &flat.SoftmaxNS} {
@@ -131,9 +131,9 @@ func TestDecisionRecordRidesOnThePlannedProgram(t *testing.T) {
 // TestSelectedBucketsMatchNCHW runs every power-of-two rebatching the batching
 // server binds (1, 2, 4 and the base 8) of the selection's Cifar10@8 program,
 // which runs in CHWN, against the all-NCHW program with the same algorithms,
-// and compares every layer's output bit for bit: one image takes the
-// per-image GEMM form in either layout, more take the batch-folded one in
-// CHWN, and the GEMM core fixes each element's accumulation order in both.
+// and compares every layer's output bit for bit: the GEMM convolution's
+// columns run image by image in CHWN (one image is one order in either
+// layout), and the GEMM core fixes each element's accumulation order in both.
 func TestSelectedBucketsMatchNCHW(t *testing.T) {
 	net, err := workloads.Cifar10WithBatch(8)
 	if err != nil {
