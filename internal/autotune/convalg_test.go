@@ -152,8 +152,8 @@ func TestLayerPricesEveryKindInBothLayouts(t *testing.T) {
 // TestStepPricesTheGradients checks the training step's candidates: a step
 // costs more than the layer's forward wherever both are priced, every layer
 // kind of the workload networks has a step price in NCHW, and in CHWN all
-// but the fully-connected layers (their gradients walk At/Set there) and the
-// softmax (the loss gradient reads NCHW) do.
+// but the fully-connected layers (their filter gradient walks strides there)
+// and the softmax (the loss gradient reads NCHW) do.
 func TestStepPricesTheGradients(t *testing.T) {
 	net, err := workloads.AlexNetWithBatch(2)
 	if err != nil {

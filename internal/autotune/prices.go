@@ -87,12 +87,15 @@ type Prices struct {
 	// ns a tap, `LayerRates/cifar10@n8/pool1` 2.3–3.6 and 2.2–3.3,
 	// `LayerRates/alexnet@n4/pool1` 2.0–2.2 and 2.5–2.6.
 	PoolTapNS PerLayout
-	// FCGFLOPS is the fully-connected product, 2·N·In·Out FLOPs: 5.5–6.6 in
-	// NCHW on `LayerRates/lenet@n128/fc1` and `LayerRates/alexnet@n4/fc6`;
-	// CHWN stages the input through the scratch first, 5.5–6.0 on their -chwn
-	// rows.  fc6 at batch 4 (70–80 ms) is not bound by reading its 151 MB of
-	// weights: it runs 3.3–4.3× `StreamRead` (18–23 ms, 6.5–8.5 GB/s) in the
-	// same runs (2026-10-18).
+	// FCGFLOPS is the fully-connected product, 2·N·In·Out FLOPs, on the
+	// float64 FMA contraction (kernels.FCInto): 19–22 on
+	// `LayerRates/lenet@n128/fc1-chwn`, `cifar10@n8/fc1-chwn` and
+	// `alexnet@n4/fc6-chwn`, `fc7-chwn`, `fc8-chwn` (medians of five runs,
+	// 2026-10-19).  NCHW transposes its input into the scratch first, priced
+	// as the transform it is (Convert): its rows run the same product
+	// 0.0–0.3 ms slower.  fc6 at batch 4 reads its 151 MB of weights at the
+	// host's stream rate: 14 ms against `StreamRead`'s 16 in the same runs.
+	// A call pays one fan-out (SyncUS), as a convolution does.
 	FCGFLOPS PerLayout
 	// ReLUNS is the rectifier per element, in place: 5.5–6.8 in either layout
 	// (`LayerRates/alexnet@n4/conv1_relu`, `LayerRates/lenet@n128/relu1`).
@@ -134,11 +137,19 @@ type Prices struct {
 	// and their -chwn rows).  The rectifier's backward runs at ReLUNS
 	// (`LayerRates/lenet@n128/relu1/bwd` reads the forward's time).
 	poolBackTapNS PerLayout
-	// fcBackGFLOPS is the fully-connected layer's two gradients, 4·N·In·Out
-	// FLOPs, in NCHW: `LayerRates/lenet@n128/fc1/bwd` runs 1.4–2.1× the
-	// forward's time for twice its work.  In CHWN they walk At/Set (the -chwn
-	// row is 20× slower), so the list has no rate there.
-	fcBackGFLOPS float64
+	// fcBackGFLOPS and fcBackGBs are the fully-connected layer's two
+	// gradients in NCHW: 4·N·In·Out FLOPs, and the weights read by the data
+	// gradient and the weight gradient written, 8·In·Out bytes, at the
+	// host's stream rate (`StreamRead`, 8–11 GB/s).  At batch 128 the FLOPs
+	// are all of it (`LayerRates/lenet@n128/fc1/bwd`, 2.2–2.7 ms); at batch
+	// 4 each weight is touched for four images and the data gradient's
+	// blocks run half empty, so `alexnet@n4/fc6/bwd`, `fc7/bwd` and
+	// `fc8/bwd` read 1.6–1.7× the estimate and lenet 0.7× (2026-10-19, five
+	// runs).  Each gradient is one fan-out.  In CHWN no free axis of the
+	// filter gradient is contiguous and it walks strides in the portable
+	// body (the -chwn/bwd rows run 2.5–5× the NCHW ones), so the list has no
+	// rate there.
+	fcBackGFLOPS, fcBackGBs float64
 	// lrnBackNS is cross-channel normalisation's backward per element, a
 	// sequential walk of each pixel's channels along their strides: 75–103 in
 	// NCHW on `LayerRates/alexnet@n4/norm1/bwd` and `norm2/bwd`, 104–165 in
@@ -159,13 +170,14 @@ var hostPrices = Prices{
 	SyncUS:        4,
 	ConvertGBs:    1,
 	PoolTapNS:     PerLayout{NCHW: 2.4, CHWN: 2.2},
-	FCGFLOPS:      PerLayout{NCHW: 6.5, CHWN: 6.0},
+	FCGFLOPS:      PerLayout{NCHW: 20, CHWN: 20},
 	ReLUNS:        PerLayout{NCHW: 5.7, CHWN: 5.7},
 	LRNNS:         PerLayout{NCHW: 16, CHWN: 16},
 	SoftmaxNS:     PerLayout{NCHW: 10, CHWN: 12},
 	gradMoveNS:    PerLayout{NCHW: 2, CHWN: 1.2},
 	poolBackTapNS: PerLayout{NCHW: 3.6, CHWN: 3.2},
-	fcBackGFLOPS:  7,
+	fcBackGFLOPS:  12,
+	fcBackGBs:     9,
 	lrnBackNS:     PerLayout{NCHW: 90, CHWN: 125},
 }
 
@@ -194,7 +206,11 @@ func (p Prices) Layer(l layers.Layer, lay tensor.Layout, alg kernels.ConvAlgorit
 	switch l := l.(type) {
 	case *layers.FullyConnected:
 		r, ok := p.FCGFLOPS.in(lay)
-		return 2 * float64(l.Batch*l.InDim*l.OutDim) / (r * 1e9), ok
+		t := 2*float64(l.Batch*l.InDim*l.OutDim)/(r*1e9) + p.SyncUS*1e-6
+		if lay != tensor.CHWN {
+			t += p.Convert(l.InputShape(), lay, tensor.CHWN)
+		}
+		return t, ok
 	case *layers.Pool:
 		rate, work = p.PoolTapNS, l.Cfg.FLOPs()
 	case *layers.ReLU:
@@ -230,7 +246,8 @@ func (p Prices) Step(l layers.Layer, lay tensor.Layout, alg kernels.ConvAlgorith
 		rate, work = p.gradMoveNS, 2*float64((cfg.ReductionLength()+cfg.K)*cfg.N*cfg.OutH()*cfg.OutW())
 		fwd += 2*cfg.FLOPs()/(p.GemmGFLOPS*1e9) + 2*p.SyncUS*1e-6
 	case *layers.FullyConnected:
-		return fwd + 4*float64(l.Batch*l.InDim*l.OutDim)/(p.fcBackGFLOPS*1e9), lay == tensor.NCHW
+		weights := float64(l.InDim * l.OutDim)
+		return fwd + 4*float64(l.Batch)*weights/(p.fcBackGFLOPS*1e9) + 8*weights/(p.fcBackGBs*1e9) + 2*p.SyncUS*1e-6, lay == tensor.NCHW
 	case *layers.Pool:
 		rate, work = p.poolBackTapNS, l.Cfg.FLOPs()
 	case *layers.ReLU:

@@ -74,7 +74,8 @@ func PackConvFilters(filters *tensor.Tensor, cfg ConvConfig) ([]float32, error) 
 // PackConvFiltersInto is PackConvFilters into a slice the caller owns (of the
 // length PackConvFilters returns, contents unspecified on entry): what a layer
 // uses to refresh its packed operand after a weight update.  Filters in any
-// layout are accepted.
+// layout are accepted.  The slabs are packed in one par.Planes fan-out, one
+// plane a slab.
 func PackConvFiltersInto(dst []float32, filters *tensor.Tensor, cfg ConvConfig) error {
 	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -88,30 +89,44 @@ func PackConvFiltersInto(dst []float32, filters *tensor.Tensor, cfg ConvConfig) 
 		return fmt.Errorf("kernels: packed filters have %d elements, want %d", len(dst), gemmPackedAElems(cfg.K, kdim))
 	}
 	// An NCHW bank holds each filter's taps back to back: walk them as one row.
-	f := stridesOf(filters)
-	nc, nh, nw := cfg.C, cfg.FH, cfg.FW
-	if f.w == 1 && f.h == nw && f.c == nh*nw {
-		nc, nh, nw = 1, 1, kdim
+	j := packJob{dst: dst, f: stridesOf(filters), k: cfg.K, kdim: kdim, nc: cfg.C, nh: cfg.FH, nw: cfg.FW}
+	if j.f.w == 1 && j.f.h == j.nw && j.f.c == j.nh*j.nw {
+		j.nc, j.nh, j.nw = 1, 1, kdim
 	}
-	for k := 0; k < len(dst)/kdim; k++ {
-		slab, at := dst[k/gemmMR*gemmMR*kdim:][:gemmMR*kdim], k%gemmMR
-		if k >= cfg.K {
+	par.Planes(len(dst)/(gemmMR*kdim), j, packSlab)
+	return nil
+}
+
+// packJob is one PackConvFiltersInto call: the packed operand, the bank, its
+// K filters of kdim taps each, walked as nc × nh × nw.
+type packJob struct {
+	dst        []float32
+	f          strided
+	k, kdim    int
+	nc, nh, nw int
+}
+
+// packSlab packs slab s: filters s·gemmMR to s·gemmMR+gemmMR-1, zeros past K.
+func packSlab(j packJob, s int) {
+	slab := j.dst[s*gemmMR*j.kdim:][:gemmMR*j.kdim]
+	for i := 0; i < gemmMR; i++ {
+		k, at := s*gemmMR+i, i
+		if k >= j.k {
 			for ; at < len(slab); at += gemmMR {
 				slab[at] = 0
 			}
 			continue
 		}
-		for c := 0; c < nc; c++ {
-			for fh := 0; fh < nh; fh++ {
-				row := f.data[k*f.n+c*f.c+fh*f.h:]
-				for fw := 0; fw < nw; fw++ {
-					slab[at] = row[fw*f.w]
+		for c := 0; c < j.nc; c++ {
+			for fh := 0; fh < j.nh; fh++ {
+				row := j.f.data[k*j.f.n+c*j.f.c+fh*j.f.h:]
+				for fw := 0; fw < j.nw; fw++ {
+					slab[at] = row[fw*j.f.w]
 					at += gemmMR
 				}
 			}
 		}
 	}
-	return nil
 }
 
 // ConvGemmWorkspaceElems returns the scratch ConvIm2colGemmInto needs, in

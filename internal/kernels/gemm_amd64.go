@@ -2,8 +2,9 @@
 
 package kernels
 
-// useAVX2 is decided once at start-up: the CPU has AVX2 and the operating
-// system saves the YMM state across context switches.
+// useAVX2 is decided once at start-up: the CPU has AVX2 and FMA and the
+// operating system saves the YMM state across context switches.  The GEMM
+// body needs AVX2 alone, the fully-connected body FMA too.
 var useAVX2 = hasAVX2()
 
 func hasAVX2() bool {
@@ -11,8 +12,8 @@ func hasAVX2() bool {
 	if maxLeaf < 7 {
 		return false
 	}
-	const osxsave, avx = 1 << 27, 1 << 28
-	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 || ecx&avx == 0 {
+	const fma, osxsave, avx = 1 << 12, 1 << 27, 1 << 28
+	if _, _, ecx, _ := cpuid(1, 0); ecx&fma == 0 || ecx&osxsave == 0 || ecx&avx == 0 {
 		return false
 	}
 	const xmmYmmState = 0b110
@@ -37,10 +38,30 @@ func gemmMicro(kc int, a, b, c []float32, ldc int, accumulate bool) {
 	gemmMicroAVX2(kc, &a[0], &b[0], &c[0], ldc, accumulate)
 }
 
-// Implemented in gemm_amd64.s.
+// fcMicro is the fully-connected micro-kernel (contract in fc.go).  The
+// assembly body reads fcMR rows of a, a partial block repeating its last, and
+// steps runs of fcNR floats of b; the slice expressions below are the bounds
+// checks it does not do itself.
+func fcMicro(steps int, a []float32, ra, sa, rows int, b []float32, sb int, acc []float64) {
+	if !useAVX2 || steps == 0 {
+		fcMicroGo(steps, a, ra, sa, b, sb, 1, rows, fcNR, acc)
+		return
+	}
+	var off [fcMR]int
+	for r := range off {
+		off[r] = min(r, rows-1) * ra
+	}
+	_, _, _ = a[off[fcMR-1]+(steps-1)*sa], b[(steps-1)*sb+fcNR-1], acc[(fcMR-1)*fcPlaneLanes+fcNR-1]
+	fcMicroAVX2(steps, &a[0], &off, sa, &b[0], sb, &acc[0])
+}
+
+// Implemented in gemm_amd64.s and fc_amd64.s.
 
 //go:noescape
 func gemmMicroAVX2(kc int, a, b, c *float32, ldc int, accumulate bool)
+
+//go:noescape
+func fcMicroAVX2(steps int, a *float32, rows *[fcMR]int, sa int, b *float32, sb int, acc *float64)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

@@ -7,3 +7,9 @@ package kernels
 func gemmMicro(kc int, a, b, c []float32, ldc int, accumulate bool) {
 	gemmMicroGo(kc, a, b, c, ldc, accumulate)
 }
+
+// fcMicro is the fully-connected micro-kernel (contract in fc.go): without
+// the assembly body, the portable one.
+func fcMicro(steps int, a []float32, ra, sa, rows int, b []float32, sb int, acc []float64) {
+	fcMicroGo(steps, a, ra, sa, b, sb, 1, rows, fcNR, acc)
+}

@@ -178,9 +178,9 @@ func (f *FullyConnected) Weights() []float32 {
 	return f.weights
 }
 
-// WorkspaceElems implements Layer: staging room for the flattened feature
-// matrix (skipped when the input is already in the canonical NCHW
-// linearisation).
+// WorkspaceElems implements Layer: staging room for the feature matrix,
+// features major and images fastest (skipped when the input already is that
+// matrix, as a CHWN one is).
 func (f *FullyConnected) WorkspaceElems(alg kernels.ConvAlgorithm, l tensor.Layout) (int, error) {
 	return ownKernel(f, alg, l, f.Batch*f.InDim)
 }
@@ -200,74 +200,36 @@ func (f *FullyConnected) ForwardInto(in, dst *tensor.Tensor, alg kernels.ConvAlg
 	if err := checkScratch(f, alg, dst.Layout, scratch); err != nil {
 		return err
 	}
-	// Flatten each image's features in canonical (C,H,W) order.  A backing
-	// slice in NCHW's order already is that flattening, so no staging copy is
-	// needed.
-	flat := in.Data
-	if !in.Shape.SameOrder(in.Layout, tensor.NCHW) {
-		flat = scratch[:f.Batch*f.InDim]
+	// The contraction's B is the features k-major, the images fastest (k in
+	// canonical (C,H,W) order).  An input whose features flatten to one stride
+	// with the images contiguous (CHWN) already is that matrix; any other is
+	// transposed into the scratch.
+	feats, step := in.Data, 0
+	if sn, sk, ok := flatStrides(in); ok && sn == 1 {
+		step = sk
+	} else {
+		feats, step = scratch[:f.Batch*f.InDim], f.Batch
 		src := stridesOf(in)
-		idx := 0
-		for n := 0; n < in.Shape.N; n++ {
-			for c := 0; c < in.Shape.C; c++ {
-				for h := 0; h < in.Shape.H; h++ {
-					row := src.data[n*src.n+c*src.c+h*src.h:]
-					for w := 0; w < in.Shape.W; w++ {
-						flat[idx] = row[w*src.w]
-						idx++
+		k := 0
+		for c := 0; c < in.Shape.C; c++ {
+			for h := 0; h < in.Shape.H; h++ {
+				for w := 0; w < in.Shape.W; w++ {
+					row := src.data[c*src.c+h*src.h+w*src.w:]
+					col := feats[k*f.Batch : (k+1)*f.Batch]
+					for n := range col {
+						col[n] = row[n*src.n]
 					}
+					k++
 				}
 			}
 		}
 	}
-	par.Planes(f.OutDim, fcJob{flat: flat, weights: f.Weights(), out: stridesOf(dst), batch: f.Batch, inDim: f.InDim}, fcOutput)
+	out := stridesOf(dst)
+	kernels.FCInto(kernels.FC{Rows: f.OutDim, Lanes: f.Batch, Steps: f.InDim,
+		A: f.Weights(), ARow: f.InDim, AStep: 1,
+		B: feats, BStep: step, BLane: 1,
+		Out: dst.Data, OutRow: out.c, OutLane: out.n})
 	return nil
-}
-
-// fcJob is one fully-connected forward: the flattened batch×inDim features,
-// the outDim×inDim weights and the output tensor.
-type fcJob struct {
-	flat, weights []float32
-	out           strided
-	batch, inDim  int
-}
-
-// fcOutput computes output o of every image: out[n][o] = Σ_k W[o][k]·flat[n][k],
-// a float64 sum in ascending k rounded to float32 once.  The weight row is
-// walked once per four images, each with its own accumulator, so the weights
-// (the large operand: 151 MB in AlexNet's fc6) stream through the cache once a
-// batch instead of once an image.  The product of two float32 values is exact
-// in float64, so its operand order is immaterial.
-func fcOutput(j fcJob, o int) {
-	wRow := j.weights[o*j.inDim : (o+1)*j.inDim]
-	dst := j.out.data[o*j.out.c:]
-	n := 0
-	for ; n+4 <= j.batch; n += 4 {
-		r0 := j.flat[(n+0)*j.inDim:][:len(wRow)]
-		r1 := j.flat[(n+1)*j.inDim:][:len(wRow)]
-		r2 := j.flat[(n+2)*j.inDim:][:len(wRow)]
-		r3 := j.flat[(n+3)*j.inDim:][:len(wRow)]
-		var a0, a1, a2, a3 float64
-		for k, wv := range wRow {
-			w := float64(wv)
-			a0 += float64(r0[k]) * w
-			a1 += float64(r1[k]) * w
-			a2 += float64(r2[k]) * w
-			a3 += float64(r3[k]) * w
-		}
-		dst[(n+0)*j.out.n] = float32(a0)
-		dst[(n+1)*j.out.n] = float32(a1)
-		dst[(n+2)*j.out.n] = float32(a2)
-		dst[(n+3)*j.out.n] = float32(a3)
-	}
-	for ; n < j.batch; n++ {
-		row := j.flat[n*j.inDim:][:len(wRow)]
-		var acc float64
-		for k, wv := range wRow {
-			acc += float64(row[k]) * float64(wv)
-		}
-		dst[n*j.out.n] = float32(acc)
-	}
 }
 
 // ReLU is the element-wise rectifier.  It is purely bandwidth bound and
@@ -515,4 +477,22 @@ type strided struct {
 func stridesOf(t *tensor.Tensor) strided {
 	sn, sc, sh, sw := t.Shape.Strides(t.Layout)
 	return strided{data: t.Data, n: sn, c: sc, h: sh, w: sw}
+}
+
+// flatStrides returns the image stride of t and the stride of its flattened
+// features, k over (C,H,W) in canonical order, when the features sit at one
+// stride (NCHW and CHWN, and any layout of an N×C×1×1 tensor).
+func flatStrides(t *tensor.Tensor) (sn, sk int, ok bool) {
+	s := t.Shape
+	sn, sc, sh, sw := s.Strides(t.Layout)
+	switch {
+	case s.W > 1:
+		sk = sw
+	case s.H > 1:
+		sk = sh
+	default:
+		sk = sc
+	}
+	ok = (s.H == 1 || sh == s.W*sk) && (s.C == 1 || sc == s.H*s.W*sk)
+	return sn, sk, ok
 }

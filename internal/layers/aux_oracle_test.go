@@ -177,18 +177,22 @@ func forwardMatchesOldScaled(t *testing.T, l Layer, inShape tensor.Shape, scale 
 }
 
 // TestAuxForwardsMatchOldLoops pins the fully-connected, LRN and softmax
-// forwards to the loops they replaced at batch 1, 3, 4 and 5 — below, across
-// and above the four images a fully-connected weight row is shared by.
+// forwards to the loops they replaced at batch 1, 3, 4, 5, 8 and 9 — below,
+// at and across the four images of a fully-connected block's lanes — and
+// the fully-connected one at 7 outputs, under its eight rows, and at 19,
+// across two whole blocks.
 func TestAuxForwardsMatchOldLoops(t *testing.T) {
-	for _, batch := range []int{1, 3, 4, 5} {
-		// A feature map that is not yet flat: the layer flattens (C,H,W).
-		fc, err := NewFullyConnected(fmt.Sprintf("fc@%d", batch), batch, 3*2*5, 7, 3)
-		if err != nil {
-			t.Fatal(err)
+	for _, batch := range []int{1, 3, 4, 5, 8, 9} {
+		for _, outDim := range []int{7, 19} {
+			// A feature map that is not yet flat: the layer flattens (C,H,W).
+			fc, err := NewFullyConnected(fmt.Sprintf("fc@%d", batch), batch, 3*2*5, outDim, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			forwardMatchesOld(t, fc, tensor.Shape{N: batch, C: 3, H: 2, W: 5}, func(in, dst *tensor.Tensor) {
+				oldFullyConnectedForward(fc, in, dst)
+			})
 		}
-		forwardMatchesOld(t, fc, tensor.Shape{N: batch, C: 3, H: 2, W: 5}, func(in, dst *tensor.Tensor) {
-			oldFullyConnectedForward(fc, in, dst)
-		})
 
 		// Wider than a lane tile, and a window that is cut at both ends.
 		lrn, err := NewLRN(fmt.Sprintf("lrn@%d", batch), tensor.Shape{N: batch, C: 7, H: 3, W: 70}, 5, 0, 0)

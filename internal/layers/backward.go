@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"memcnn/internal/kernels"
-	"memcnn/internal/par"
 	"memcnn/internal/tensor"
 )
 
@@ -132,9 +131,9 @@ func (r *ReLU) BackwardDataInto(in, dOut, dIn *tensor.Tensor, _ []float32) error
 func (r *ReLU) BackwardWorkspaceElems() int { return 0 }
 
 // BackwardDataInto implements BackwardLayer: dIn[n][k] = Σ_o dOut[n][o] ·
-// W[o][k].  The input gradient depends only on the weights, so the forward
-// input is ignored.  Each image row is computed by one worker, so the result
-// is bit-deterministic for any worker count.
+// W[o][k], the contraction with the images as rows and the features, which
+// are contiguous in W, as lanes.  The input gradient depends only on the
+// weights, so the forward input is ignored.
 func (f *FullyConnected) BackwardDataInto(_, dOut, dIn *tensor.Tensor, _ []float32) error {
 	if dOut.Shape != f.OutputShape() {
 		return fmt.Errorf("layers: %s: backward dOut shape %v, want %v", f.LayerName, dOut.Shape, f.OutputShape())
@@ -142,60 +141,16 @@ func (f *FullyConnected) BackwardDataInto(_, dOut, dIn *tensor.Tensor, _ []float
 	if dIn.Shape.Elems() != f.InputShape().Elems() || dIn.Shape.N != f.Batch {
 		return fmt.Errorf("layers: %s: backward dIn shape %v incompatible with %v", f.LayerName, dIn.Shape, f.InputShape())
 	}
-	par.Planes(f.Batch, fcBackwardJob{f: f, w: f.Weights(), dOut: dOut, dst: dIn}, fcBackwardDataRow)
+	xn, xk, ok := flatStrides(dIn)
+	if !ok {
+		return fmt.Errorf("layers: %s: backward dIn %v %v does not flatten to one feature stride", f.LayerName, dIn.Shape, dIn.Layout)
+	}
+	g := stridesOf(dOut)
+	kernels.FCInto(kernels.FC{Rows: f.Batch, Lanes: f.InDim, Steps: f.OutDim,
+		A: dOut.Data, ARow: g.n, AStep: g.c,
+		B: f.Weights(), BStep: f.InDim, BLane: 1,
+		Out: dIn.Data, OutRow: xn, OutLane: xk})
 	return nil
-}
-
-// fcBackwardJob is the by-value job of the two fully-connected backward
-// passes: dst is dIn for the data pass, dW for the filter pass (which also
-// reads the forward input in).
-type fcBackwardJob struct {
-	f             *FullyConnected
-	w             []float32
-	in, dOut, dst *tensor.Tensor
-}
-
-// fcBackwardDataRow computes image n's row of the input gradient.  In NCHW
-// it keeps eight float64 sums in registers and walks eight weights of a row
-// at a time, each sum o-ascending as the generic loop does, so both agree bit
-// for bit.
-func fcBackwardDataRow(j fcBackwardJob, n int) {
-	f, w, dOut, dIn := j.f, j.w, j.dOut, j.dst
-	if dOut.Layout == tensor.NCHW && dIn.Layout == tensor.NCHW {
-		gRow := dOut.Data[n*f.OutDim : (n+1)*f.OutDim]
-		dRow := dIn.Data[n*f.InDim : (n+1)*f.InDim]
-		k := 0
-		for ; k+8 <= f.InDim; k += 8 {
-			var a0, a1, a2, a3, a4, a5, a6, a7 float64
-			for o, g := range gRow {
-				x, r := float64(g), (*[8]float32)(w[o*f.InDim+k:])
-				a0 += x * float64(r[0])
-				a1 += x * float64(r[1])
-				a2 += x * float64(r[2])
-				a3 += x * float64(r[3])
-				a4 += x * float64(r[4])
-				a5 += x * float64(r[5])
-				a6 += x * float64(r[6])
-				a7 += x * float64(r[7])
-			}
-			*(*[8]float32)(dRow[k:]) = [8]float32{float32(a0), float32(a1), float32(a2), float32(a3), float32(a4), float32(a5), float32(a6), float32(a7)}
-		}
-		for ; k < f.InDim; k++ {
-			var acc float64
-			for o, g := range gRow {
-				acc += float64(g) * float64(w[o*f.InDim+k])
-			}
-			dRow[k] = float32(acc)
-		}
-		return
-	}
-	for k := 0; k < f.InDim; k++ {
-		var acc float64
-		for o := 0; o < f.OutDim; o++ {
-			acc += float64(dOut.At(n, o, 0, 0)) * float64(w[o*f.InDim+k])
-		}
-		dIn.Set(n, k, 0, 0, float32(acc))
-	}
 }
 
 // BackwardWorkspaceElems implements BackwardLayer.
@@ -211,11 +166,10 @@ func (f *FullyConnected) GradShape() tensor.Shape {
 }
 
 // BackwardFilterInto implements TrainableLayer: dW[o][k] = Σ_n dOut[n][o] ·
-// in[n][k], with `in` the flattened feature matrix the forward pass consumed.
-// Each weight row is accumulated by one worker over the batch in a fixed
-// order; the fast path keeps a float64 accumulator row pattern equivalent to
-// the generic one (per-element float64 adds in n order), so both paths agree
-// bit for bit.
+// in[n][k], with `in` the flattened feature matrix the forward pass consumed:
+// the contraction with the outputs as rows, the features as lanes and the
+// images as steps.  The features are contiguous in an NCHW input; in CHWN
+// no free axis is, and the portable body walks the strides.
 func (f *FullyConnected) BackwardFilterInto(in, dOut, dW *tensor.Tensor, _ []float32) error {
 	if in.Shape.Elems() != f.InputShape().Elems() || in.Shape.N != f.Batch {
 		return fmt.Errorf("layers: %s: backward input shape %v incompatible with %v", f.LayerName, in.Shape, f.InputShape())
@@ -226,49 +180,16 @@ func (f *FullyConnected) BackwardFilterInto(in, dOut, dW *tensor.Tensor, _ []flo
 	if dW.Shape != f.GradShape() {
 		return fmt.Errorf("layers: %s: backward dW shape %v, want %v", f.LayerName, dW.Shape, f.GradShape())
 	}
-	par.Planes(f.OutDim, fcBackwardJob{f: f, in: in, dOut: dOut, dst: dW}, fcBackwardFilterRow)
+	xn, xk, ok := flatStrides(in)
+	if !ok {
+		return fmt.Errorf("layers: %s: backward input %v %v does not flatten to one feature stride", f.LayerName, in.Shape, in.Layout)
+	}
+	g, w := stridesOf(dOut), stridesOf(dW)
+	kernels.FCInto(kernels.FC{Rows: f.OutDim, Lanes: f.InDim, Steps: f.Batch,
+		A: dOut.Data, ARow: g.c, AStep: g.n,
+		B: in.Data, BStep: xn, BLane: xk,
+		Out: dW.Data, OutRow: w.n, OutLane: w.c})
 	return nil
-}
-
-// fcBackwardFilterRow computes weight row o of the parameter gradient.  In
-// NCHW it keeps eight float64 sums in registers and walks eight inputs of a
-// row at a time, each sum n-ascending as the generic loop does.
-func fcBackwardFilterRow(j fcBackwardJob, o int) {
-	f, in, dOut, dW := j.f, j.in, j.dOut, j.dst
-	if in.Layout == tensor.NCHW && dOut.Layout == tensor.NCHW && dW.Layout == tensor.NCHW {
-		wRow := dW.Data[o*f.InDim : (o+1)*f.InDim]
-		k := 0
-		for ; k+8 <= f.InDim; k += 8 {
-			var a0, a1, a2, a3, a4, a5, a6, a7 float64
-			for n := 0; n < f.Batch; n++ {
-				x, r := float64(dOut.Data[n*f.OutDim+o]), (*[8]float32)(in.Data[n*f.InDim+k:])
-				a0 += x * float64(r[0])
-				a1 += x * float64(r[1])
-				a2 += x * float64(r[2])
-				a3 += x * float64(r[3])
-				a4 += x * float64(r[4])
-				a5 += x * float64(r[5])
-				a6 += x * float64(r[6])
-				a7 += x * float64(r[7])
-			}
-			*(*[8]float32)(wRow[k:]) = [8]float32{float32(a0), float32(a1), float32(a2), float32(a3), float32(a4), float32(a5), float32(a6), float32(a7)}
-		}
-		for ; k < f.InDim; k++ {
-			var acc float64
-			for n := 0; n < f.Batch; n++ {
-				acc += float64(dOut.Data[n*f.OutDim+o]) * float64(in.Data[n*f.InDim+k])
-			}
-			wRow[k] = float32(acc)
-		}
-		return
-	}
-	for k := 0; k < f.InDim; k++ {
-		var acc float64
-		for n := 0; n < f.Batch; n++ {
-			acc += float64(dOut.At(n, o, 0, 0)) * float64(in.At(n, k, 0, 0))
-		}
-		dW.Set(o, k, 0, 0, float32(acc))
-	}
 }
 
 // ApplySGD implements TrainableLayer: the weight matrix (shared across

@@ -225,7 +225,7 @@ func oldFCBackwardFilter(f *FullyConnected, in, dOut, dW []float32) {
 
 // TestFullyConnectedGradientsMatchOldLoops holds both NCHW fully-connected
 // gradients to the old loops bit for bit, on input widths below, at and
-// across the eight sums kept in registers (LeNet's fc1 among them).
+// across the contraction's blocks (LeNet's fc1 among them).
 func TestFullyConnectedGradientsMatchOldLoops(t *testing.T) {
 	for _, dims := range [][3]int{{3, 5, 4}, {16, 784, 100}, {4, 8, 10}, {5, 2*8 + 7, 3}} {
 		f := &FullyConnected{LayerName: "fc", Batch: dims[0], InDim: dims[1], OutDim: dims[2], Seed: 17}
@@ -252,6 +252,70 @@ func TestFullyConnectedGradientsMatchOldLoops(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fcGradientsMatchOld runs both fully-connected gradients with in, dOut and
+// dIn in lay on an input of shape inShape, and wants the old NCHW loops' bits
+// for each element, read through the layout.
+func fcGradientsMatchOld(t *testing.T, f *FullyConnected, inShape tensor.Shape, lay tensor.Layout) {
+	t.Helper()
+	in, dOut := tensor.Random(inShape, tensor.NCHW, 1), tensor.Random(f.OutputShape(), tensor.NCHW, 2)
+	wantIn, wantW := make([]float32, inShape.Elems()), make([]float32, f.OutDim*f.InDim)
+	oldFCBackwardData(f, dOut.Data, wantIn)
+	oldFCBackwardFilter(f, in.Data, dOut.Data, wantW)
+	dIn, dW := tensor.New(inShape, lay), tensor.New(f.GradShape(), tensor.NCHW)
+	if err := f.BackwardDataInto(nil, tensor.Convert(dOut, lay), dIn, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.BackwardFilterInto(tensor.Convert(in, lay), tensor.Convert(dOut, lay), dW, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range tensor.Convert(dIn, tensor.NCHW).Data {
+		if math.Float32bits(v) != math.Float32bits(wantIn[i]) {
+			t.Fatalf("%v %v: backward-data element %d = %v, old loop %v", inShape, lay, i, v, wantIn[i])
+		}
+	}
+	for i, v := range dW.Data {
+		if math.Float32bits(v) != math.Float32bits(wantW[i]) {
+			t.Fatalf("%v %v: backward-filter element %d = %v, old loop %v", inShape, lay, i, v, wantW[i])
+		}
+	}
+}
+
+// TestFullyConnectedCHWNGradientsMatchNCHW holds both gradients with CHWN
+// activations to the old NCHW loops bit for bit, on flat inputs and on
+// feature maps, with batches and widths off the kernel's 8×4 blocks and
+// outputs past its 256-step block (the data gradient steps over them).
+func TestFullyConnectedCHWNGradientsMatchNCHW(t *testing.T) {
+	for _, s := range []tensor.Shape{{N: 3, C: 5, H: 1, W: 1}, {N: 16, C: 784, H: 1, W: 1}, {N: 9, C: 7, H: 2, W: 3}, {N: 4, C: 3, H: 5, W: 4}} {
+		for _, outDim := range []int{4, 19, 300} {
+			f := &FullyConnected{LayerName: "fc", Batch: s.N, InDim: s.C * s.H * s.W, OutDim: outDim, Seed: 17}
+			for _, lay := range []tensor.Layout{tensor.NCHW, tensor.CHWN} {
+				fcGradientsMatchOld(t, f, s, lay)
+			}
+		}
+	}
+}
+
+// FuzzFullyConnected runs the fully-connected forward from every input
+// layout into NCHW and CHWN, and both gradients in NCHW and CHWN, against the
+// old loops bit for bit, at batches, feature counts and outputs off the
+// kernel's 8×4 blocks and its 256-step block.
+func FuzzFullyConnected(f *testing.F) {
+	f.Add(uint8(4), uint8(3), uint8(2), uint8(5), uint16(7), uint64(1))
+	f.Add(uint8(9), uint8(40), uint8(3), uint8(3), uint16(19), uint64(2))
+	f.Add(uint8(1), uint8(1), uint8(1), uint8(1), uint16(300), uint64(3))
+	f.Fuzz(func(t *testing.T, batch, c, h, w uint8, outDim uint16, seed uint64) {
+		s := tensor.Shape{N: int(batch%20) + 1, C: int(c%48) + 1, H: int(h%4) + 1, W: int(w%4) + 1}
+		fc, err := NewFullyConnected("fc", s.N, s.C*s.H*s.W, int(outDim%300)+1, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		forwardMatchesOld(t, fc, s, func(in, dst *tensor.Tensor) { oldFullyConnectedForward(fc, in, dst) })
+		for _, lay := range []tensor.Layout{tensor.NCHW, tensor.CHWN} {
+			fcGradientsMatchOld(t, fc, s, lay)
+		}
+	})
 }
 
 // TestApplySGDRejectsOtherLayouts: the compiler allocates every parameter

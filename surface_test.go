@@ -22,6 +22,7 @@ var surfaceAllowlist = map[string]string{
 	"tensor.Sequential":               "position-coded fill of the kernels tests",
 	"tensor.Tensor.Fill":              "constant fill of the kernels tests",
 	"tensor.Shape.Coord":              "offset-to-coordinate map of the kernels tests' At/Set oracles",
+	"tensor.Tensor.Set":               "element write of the kernels and layers tests' At/Set oracles",
 	"runtime.FaultDevice.Kill":        "chaos control: the replica chaos tests kill a device mid-run",
 	"runtime.FaultDevice.Revive":      "chaos control: the replica chaos tests bring a killed device back",
 	"runtime.FaultDevice.Dead":        "chaos control: the replica chaos tests read the kill switch back",
