@@ -395,9 +395,6 @@ var convAlgShapes = []convAlgShape{
 	{name: "alexnet-conv2@n32", cfg: kernels.ConvConfig{N: 32, C: 96, H: 27, W: 27, K: 256, FH: 5, FW: 5, PadH: 2, PadW: 2}},
 	{name: "lenet-conv1@n128", cfg: kernels.ConvConfig{N: 128, C: 1, H: 28, W: 28, K: 20, FH: 5, FW: 5}, chwn: true},
 	{name: "lenet-conv2@n128", cfg: kernels.ConvConfig{N: 128, C: 16, H: 14, W: 14, K: 16, FH: 5, FW: 5, PadH: 2, PadW: 2}, chwn: true},
-	// The one regime where FFT wins on this host: filters as large as the
-	// image, so the unroll matrix is 7688 rows deep.
-	{name: "bigfilter-31x31", cfg: kernels.ConvConfig{N: 4, C: 8, H: 32, W: 32, K: 16, FH: 31, FW: 31, PadH: 15, PadW: 15}},
 }
 
 // convAlgKernel returns one allocation-free call of the production alg
@@ -407,30 +404,26 @@ func convAlgKernel(tb testing.TB, cfg kernels.ConvConfig, lay tensor.Layout, alg
 	in := tensor.Random(cfg.InputShape(), lay, 1)
 	filters := tensor.Filters(cfg.K, cfg.C, cfg.FH, cfg.FW, 2)
 	out := tensor.New(cfg.OutputShape(), lay)
-	switch alg {
-	case kernels.ConvAlgGemm:
+	if alg == kernels.ConvAlgGemm {
 		packed, err := kernels.PackConvFilters(filters, cfg)
 		if err != nil {
 			tb.Fatal(err)
 		}
 		scratch := make([]float32, kernels.ConvGemmWorkspaceElems(cfg, lay))
 		return func() error { return kernels.ConvIm2colGemmInto(in, packed, out, cfg, scratch) }
-	case kernels.ConvAlgFFT:
-		scratch := make([]float32, kernels.ConvFFTWorkspaceElems(cfg))
-		return func() error { return kernels.ConvFFTInto(in, filters, out, cfg, scratch) }
 	}
 	return func() error { return kernels.ConvDirectInto(in, filters, out, cfg) }
 }
 
-// BenchmarkConvAlgorithms times the three production convolution kernels —
-// direct, im2col+GEMM and FFT — on convAlgShapes, in NCHW and (suffix -chwn)
-// in CHWN.  It is the provenance of the host price table the compile-time
-// selector decides from: each sub-benchmark reports its GFLOP/s, whether the
-// selector picks that kernel for the shape in that layout (selected), and the
-// shape's regret, the selected kernel's time over the fastest kernel's (on
-// the last kernel of each layout, once all three are timed).
+// BenchmarkConvAlgorithms times the two convolution kernels the compiler
+// selects between — direct and im2col+GEMM — on convAlgShapes, in NCHW and
+// (suffix -chwn) in CHWN.  It is the provenance of the host price table the
+// compile-time selector decides from: each sub-benchmark reports its GFLOP/s,
+// whether the selector picks that kernel for the shape in that layout
+// (selected), and the shape's regret, the selected kernel's time over the
+// faster kernel's (on the GEMM row, once both are timed).
 func BenchmarkConvAlgorithms(b *testing.B) {
-	algNames := []string{kernels.ConvAlgDirect: "direct", kernels.ConvAlgGemm: "gemm", kernels.ConvAlgFFT: "fft"}
+	algNames := []string{kernels.ConvAlgDirect: "direct", kernels.ConvAlgGemm: "gemm"}
 	for _, s := range convAlgShapes {
 		for _, lay := range s.layouts() {
 			suffix := ""
@@ -453,7 +446,7 @@ func BenchmarkConvAlgorithms(b *testing.B) {
 					perOp[alg] = b.Elapsed().Seconds() / float64(b.N)
 					b.ReportMetric(s.cfg.FLOPs()/1e9/perOp[alg], "GFLOP/s")
 					b.ReportMetric(boolMetric(selected == alg), "selected")
-					if alg == kernels.ConvAlgFFT && perOp[kernels.ConvAlgDirect] > 0 && perOp[kernels.ConvAlgGemm] > 0 {
+					if alg == kernels.ConvAlgGemm && perOp[kernels.ConvAlgDirect] > 0 {
 						b.ReportMetric(perOp[selected]/slices.Min(perOp), "regret")
 					}
 				})
@@ -670,7 +663,7 @@ func TestSelectionRegret(t *testing.T) {
 	for _, s := range convAlgShapes {
 		for _, lay := range s.layouts() {
 			best := map[kernels.ConvAlgorithm]time.Duration{}
-			for _, alg := range []kernels.ConvAlgorithm{kernels.ConvAlgDirect, kernels.ConvAlgGemm, kernels.ConvAlgFFT} {
+			for _, alg := range []kernels.ConvAlgorithm{kernels.ConvAlgDirect, kernels.ConvAlgGemm} {
 				call := convAlgKernel(t, s.cfg, lay, alg)
 				for i := 0; i < 5 && (i == 0 || best[alg] < 200*time.Millisecond); i++ {
 					t0 := time.Now()
@@ -690,8 +683,8 @@ func TestSelectionRegret(t *testing.T) {
 				}
 			}
 			regret := float64(best[selected]) / float64(best[fastest])
-			t.Logf("%s %v: direct %v, gemm %v, fft %v; selected %v, regret %.2f", s.name, lay,
-				best[kernels.ConvAlgDirect], best[kernels.ConvAlgGemm], best[kernels.ConvAlgFFT], selected, regret)
+			t.Logf("%s %v: direct %v, gemm %v; selected %v, regret %.2f", s.name, lay,
+				best[kernels.ConvAlgDirect], best[kernels.ConvAlgGemm], selected, regret)
 			if regret > 2 {
 				t.Errorf("%s in %v: the selector picks %v (%v), %v runs in %v: regret %.2f > 2",
 					s.name, lay, selected, best[selected], fastest, best[fastest], regret)
@@ -786,7 +779,7 @@ func TestLayoutRegret(t *testing.T) {
 // there, direct on a tie.
 func selectedAlg(cfg kernels.ConvConfig, lay tensor.Layout) kernels.ConvAlgorithm {
 	best, bestT := kernels.ConvAlgDirect, math.Inf(1)
-	for _, alg := range []kernels.ConvAlgorithm{kernels.ConvAlgDirect, kernels.ConvAlgGemm, kernels.ConvAlgFFT} {
+	for _, alg := range []kernels.ConvAlgorithm{kernels.ConvAlgDirect, kernels.ConvAlgGemm} {
 		if t, ok := autotune.HostPrices().Conv(cfg, lay, alg); ok && t < bestT {
 			best, bestT = alg, t
 		}

@@ -5,7 +5,7 @@
 // requests coalesce into planned batched executions.
 //
 // The program always compiles through per-layer convolution algorithm
-// selection (direct, im2col+GEMM or FFT, priced on this host), prints the
+// selection (direct or im2col+GEMM, priced on this host), prints the
 // choice per convolution, and is verified bit-for-bit against
 // Program.ReferenceForward on the serving engine before serving starts.  With
 // -devices N the compiled program is cut into N pipeline stages on the host

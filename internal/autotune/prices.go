@@ -1,8 +1,6 @@
 package autotune
 
 import (
-	"math"
-
 	"memcnn/internal/kernels"
 	"memcnn/internal/layers"
 	"memcnn/internal/tensor"
@@ -67,11 +65,6 @@ type Prices struct {
 	// a 21×21 filter on 32×32 images (14–17 ms), whose taps are mostly
 	// padding, reads under 1.
 	GemmUnrollNS, GemmRunNS float64
-	// FFTPointNS is the FFT path per plane point and unit of work, a transform
-	// being log2(points) units a point and a spectrum product one:
-	// `bigfilter-31x31/fft` (64×64 planes, 224 transforms, 512 products) runs
-	// 24–36 ms, `cifar10-conv2@n8/fft` (16×16, 5120, 32768) 45–59 ms.
-	FFTPointNS float64
 	// SyncUS is one goroutine fan-out: `1img-tiny/direct` runs 4–6 µs and `1img-tiny/gemm` 9–19 µs for 1.3 kFLOP
 	// (at the default -benchtime: a process's first calls run several times
 	// slower).
@@ -166,7 +159,6 @@ var hostPrices = Prices{
 	GemmGFLOPS:    95,
 	GemmUnrollNS:  0.35,
 	GemmRunNS:     1.7,
-	FFTPointNS:    2.7,
 	SyncUS:        4,
 	ConvertGBs:    1,
 	PoolTapNS:     PerLayout{NCHW: 2.4, CHWN: 2.2},
@@ -189,8 +181,7 @@ func HostPrices() Prices { return hostPrices }
 // Layer prices one call of l's alg kernel on activations in lay, in seconds.
 // ok is false when l has no such kernel or the list no rate for it: every
 // layer but a convolution has only its own kernel (kernels.ConvAlgDirect),
-// and the FFT convolution runs in NCHW only (Section IV.A), so a selection
-// that wants it elsewhere pays the transforms around it.
+// and a convolution has the direct and the GEMM kernel in either layout.
 func (p Prices) Layer(l layers.Layer, lay tensor.Layout, alg kernels.ConvAlgorithm) (float64, bool) {
 	if !l.SupportsLayout(lay) {
 		return 0, false
@@ -265,32 +256,23 @@ func (p Prices) Step(l layers.Layer, lay tensor.Layout, alg kernels.ConvAlgorith
 
 // Conv prices one call of the convolution kernel alg on a layer whose input
 // and output are in lay.  GEMM's unroll costs more per element the fewer
-// images a copy moves.  FFT is K·C filter, N·C image and N·K inverse
-// transforms plus N·K·C spectrum products on power-of-two planes of the
-// padded input: the dense correlation whatever the stride.  ok is false for
-// FFT outside NCHW and for an invalid configuration.
+// images a copy moves.  ok is false for any other algorithm and for an
+// invalid configuration.
 func (p Prices) Conv(cfg kernels.ConvConfig, lay tensor.Layout, alg kernels.ConvAlgorithm) (float64, bool) {
 	if cfg.Validate() != nil || (lay != tensor.NCHW && lay != tensor.CHWN) {
 		return 0, false
 	}
-	n, c, k := float64(cfg.N), float64(cfg.C), float64(cfg.K)
 	switch alg {
 	case kernels.ConvAlgDirect:
 		return cfg.FLOPs()/(p.DirectGFLOPS*1e9) + p.SyncUS*1e-6, true
 	case kernels.ConvAlgGemm:
 		product := cfg.FLOPs() / (p.GemmGFLOPS * 1e9)
+		n := float64(cfg.N)
 		unroll, run := n*float64(cfg.ReductionLength()*cfg.OutH()*cfg.OutW()), 1.0
 		if lay == tensor.CHWN {
 			run = n
 		}
 		return product + unroll*(p.GemmUnrollNS+p.GemmRunNS/run)*1e-9 + p.SyncUS*1e-6, true
-	case kernels.ConvAlgFFT:
-		if lay != tensor.NCHW {
-			return 0, false
-		}
-		rows, cols := kernels.ConvFFTPlane(cfg)
-		points := float64(rows * cols)
-		return points*((k*c+n*c+n*k)*math.Log2(points)+n*k*c)*p.FFTPointNS*1e-9 + 2*p.SyncUS*1e-6, true
 	}
 	return 0, false
 }

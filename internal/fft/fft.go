@@ -6,6 +6,11 @@
 // cross-correlation, and next-power-of-two helpers for the zero padding that
 // gives the FFT approach its memory overhead (Section IV.A, "Data Layouts in
 // FFT-based Implementations").
+//
+// No compiled program runs a transform: the package stays only for the
+// benchmark module's fft.split2d_mpts_s metric and kernels.ConvFFTInto, which
+// the compiler no longer runs, and goes with them (ROADMAP item 4); the GPU
+// model (internal/gpusim) reads only NextPow2.
 package fft
 
 import "math/bits"

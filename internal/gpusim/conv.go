@@ -233,7 +233,7 @@ func (e *ErrOutOfMemory) Error() string {
 // the frequency-domain copies of inputs, filters and outputs) is the memory
 // overhead that makes the FFT mode fail on CV5 and CV6 on a 6 GB card.  The
 // sizing is the emulated cuDNN v4 mode's, padH+FH-1 each way, not the leaner
-// host kernel's (kernels.ConvFFTPlane).
+// host kernel's (kernels.ConvFFTInto).
 const (
 	// fftWorkspaceFactor scales the raw spectra footprint to the full
 	// workspace the batched frequency-domain implementation keeps live

@@ -21,8 +21,8 @@ import (
 // buffers, so a steady-state training step allocates no tensors.  Work is
 // distributed plane by plane (par.Planes) with a fixed per-element
 // accumulation order, so results do not depend on the worker count.  Pooling
-// backward walks each window through the tensors' strides, or, all in CHWN,
-// a channel of every image at once.
+// backward walks each window through the tensors' strides, a channel of every
+// image at once where the input's images are its lanes.
 
 // PoolBackwardInto computes the gradient of the pooling layer.  For max
 // pooling the incoming gradient is routed to the window position that
@@ -48,11 +48,11 @@ func PoolBackwardInto(in, dOut, dIn *tensor.Tensor, cfg PoolConfig) error {
 		return fmt.Errorf("kernels: pool backward dIn shape %v does not match config %v", dIn.Shape, cfg.InputShape())
 	}
 	j := poolBackwardJob{cfg: cfg, outH: cfg.OutH(), outW: cfg.OutW(), in: stridesOf(in), dOut: stridesOf(dOut), dIn: stridesOf(dIn)}
-	if in.Layout == tensor.CHWN && dOut.Layout == tensor.CHWN && dIn.Layout == tensor.CHWN {
-		par.Planes(cfg.C, j, poolBackwardChannel)
-		return nil
+	planes := cfg.N * cfg.C
+	if j.in.lanesAlongN() {
+		planes = cfg.C
 	}
-	par.Planes(cfg.N*cfg.C, j, poolBackwardPlane)
+	par.Planes(planes, j, poolBackwardPlane)
 	return nil
 }
 
@@ -62,108 +62,114 @@ type poolBackwardJob struct {
 	in, dOut, dIn strided
 }
 
-// poolBackwardPlane zeroes input-gradient plane (n, c) and scatters the
-// plane's output gradients into it in (oh, ow) order, walking each window
-// through the strides of in and dIn.
+// poolBackLanes is how many lanes poolBackwardPlane keeps at once.
+const poolBackLanes = 64
+
+// poolBackwardPlane zeroes one plane of the input gradient and scatters its
+// output gradients into it with poolPlane's lanes, through the strides of in,
+// dOut and dIn: plane p is channel p of every image, the images the lanes,
+// where in runs its lanes along N, else channel p%C of image p/C, the lanes
+// along ow.  A tile keeps a running argmax (the first maximum) per lane and
+// adds lane after lane, so every input element receives its adds in (oh, ow)
+// order whatever the walk, and the bits are the same.
 //
 //memcnn:noalloc
 func poolBackwardPlane(j poolBackwardJob, p int) {
 	cfg, in, dOut, dIn := &j.cfg, &j.in, &j.dOut, &j.dIn
-	n, c := p/cfg.C, p%cfg.C
-	src := in.data[n*in.n+c*in.c:]
-	g := dOut.data[n*dOut.n+c*dOut.c:]
-	dst := dIn.data[n*dIn.n+c*dIn.c:]
+	alongN := in.lanesAlongN()
+	c, n0, lanes, others := p, 0, cfg.N, j.outW
+	inStep, gStep, toStep := in.n, dOut.n, dIn.n
+	// The plane is zeroed row by row, its images or its columns innermost.
+	zl, zo, zlStep, zoStep := cfg.N, cfg.W, dIn.n, dIn.w
+	if !alongN {
+		c, n0, lanes, others = p%cfg.C, p/cfg.C, j.outW, 1
+		inStep, gStep, toStep = cfg.Stride*in.w, dOut.w, cfg.Stride*dIn.w
+		zl, zo, zlStep, zoStep = cfg.W, 1, dIn.w, 0
+	}
 	for h := 0; h < cfg.H; h++ {
-		row := dst[h*dIn.h:]
-		for w := 0; w < cfg.W; w++ {
-			row[w*dIn.w] = 0
+		row := dIn.data[n0*dIn.n+c*dIn.c+h*dIn.h:]
+		if zlStep == 1 && (zo == 1 || zoStep == zl) { // one run of memory
+			clear(row[:zo*zl])
+			continue
+		}
+		for o := 0; o < zo; o++ {
+			for i := 0; i < zl; i++ {
+				row[o*zoStep+i*zlStep] = 0
+			}
 		}
 	}
 	area := float32(cfg.Window * cfg.Window)
+	var best [poolBackLanes]float32 // a lane's maximum, or its share of an average
+	var at [poolBackLanes]int       // the maximum's offset in the lane's window of dIn
 	for oh := 0; oh < j.outH; oh++ {
-		for ow := 0; ow < j.outW; ow++ {
-			v := g[oh*dOut.h+ow*dOut.w]
-			win := src[oh*cfg.Stride*in.h+ow*cfg.Stride*in.w:]
-			to := dst[oh*cfg.Stride*dIn.h+ow*cfg.Stride*dIn.w:]
-			if cfg.Op == AvgPool {
-				share := v / area
-				for y := 0; y < cfg.Window; y++ {
-					for x := 0; x < cfg.Window; x++ {
-						to[y*dIn.h+x*dIn.w] += share
-					}
+		for o := 0; o < others; o++ {
+			for l0 := 0; l0 < lanes; l0 += poolBackLanes {
+				m := min(poolBackLanes, lanes-l0)
+				n, ow := l0, o
+				if !alongN {
+					n, ow = n0, l0
 				}
-				continue
-			}
-			bestY, bestX := 0, 0
-			best := win[0]
-			for y := 0; y < cfg.Window; y++ {
-				for x := 0; x < cfg.Window; x++ {
-					if u := win[y*in.h+x*in.w]; u > best {
-						best, bestY, bestX = u, y, x
-					}
-				}
-			}
-			to[bestY*dIn.h+bestX*dIn.w] += v
-		}
-	}
-}
-
-// poolBackImages is how many images poolBackwardChannel keeps a running
-// argmax for at once.
-const poolBackImages = 64
-
-// poolBackwardChannel is poolBackwardPlane for channel c of every image at
-// once, all three tensors in CHWN: it zeroes the channel's input gradient and
-// walks its windows in (oh, ow) order with the images innermost, up to
-// poolBackImages of them with a running argmax each.  Every input element
-// receives its adds in poolBackwardPlane's order, so the bits are the same.
-//
-//memcnn:noalloc
-func poolBackwardChannel(j poolBackwardJob, c int) {
-	cfg := &j.cfg
-	n := cfg.N
-	src := j.in.data[c*j.in.c : (c+1)*j.in.c]
-	g := j.dOut.data[c*j.dOut.c : (c+1)*j.dOut.c]
-	dst := j.dIn.data[c*j.dIn.c : (c+1)*j.dIn.c]
-	clear(dst)
-	area := float32(cfg.Window * cfg.Window)
-	var best [poolBackImages]float32
-	var at [poolBackImages]int
-	for oh := 0; oh < j.outH; oh++ {
-		for ow := 0; ow < j.outW; ow++ {
-			v := g[(oh*j.outW+ow)*n:]
-			win := (oh*cfg.Stride*cfg.W + ow*cfg.Stride) * n
-			for n0 := 0; n0 < n; n0 += poolBackImages {
-				m := min(poolBackImages, n-n0)
+				g := dOut.data[n*dOut.n+c*dOut.c+oh*dOut.h+ow*dOut.w:]
+				win := in.data[n*in.n+c*in.c+oh*cfg.Stride*in.h+ow*cfg.Stride*in.w:]
+				to := dIn.data[n*dIn.n+c*dIn.c+oh*cfg.Stride*dIn.h+ow*cfg.Stride*dIn.w:]
 				if cfg.Op == AvgPool {
-					for y := 0; y < cfg.Window; y++ {
-						for x := 0; x < cfg.Window; x++ {
-							to := dst[win+(y*cfg.W+x)*n+n0:]
-							for i, u := range v[n0 : n0+m] {
-								to[i] += u / area
+					share := best[:m]
+					for i := range share {
+						share[i] = g[i*gStep] / area
+					}
+					if alongN { // images share no element: tap by tap
+						for y := 0; y < cfg.Window; y++ {
+							for x := 0; x < cfg.Window; x++ {
+								off := y*dIn.h + x*dIn.w
+								for i, v := range share {
+									to[off+i*toStep] += v
+								}
+							}
+						}
+						continue
+					}
+					// Windows along ow may overlap: lane by lane.
+					for i, v := range share {
+						lane := to[i*toStep:]
+						for y := 0; y < cfg.Window; y++ {
+							for x := 0; x < cfg.Window; x++ {
+								lane[y*dIn.h+x*dIn.w] += v
 							}
 						}
 					}
 					continue
 				}
-				copy(best[:m], src[win+n0:])
-				for i := range at[:m] {
-					at[i] = win + n0 + i
+				for i := range best[:m] {
+					best[i], at[i] = win[i*inStep], 0
 				}
 				for y := 0; y < cfg.Window; y++ {
 					for x := 0; x < cfg.Window; x++ {
-						off := win + (y*cfg.W+x)*n + n0
-						for i, u := range src[off : off+m] {
-							if u > best[i] {
-								best[i], at[i] = u, off+i
-							}
-						}
+						argmaxLanes(best[:m], at[:m], win[y*in.h+x*in.w:], inStep, y*dIn.h+x*dIn.w)
 					}
 				}
-				for i, u := range v[n0 : n0+m] {
-					dst[at[i]] += u
+				for i, a := range at[:m] {
+					to[i*toStep+a] += g[i*gStep]
 				}
 			}
+		}
+	}
+}
+
+// argmaxLanes performs best[i], at[i] = src[i*srcStep], pos wherever
+// src[i*srcStep] > best[i], keeping the first maximum as maxLanes does.
+func argmaxLanes(best []float32, at []int, src []float32, srcStep, pos int) {
+	at = at[:len(best)]
+	if srcStep == 1 {
+		for i, u := range src[:len(best)] {
+			if u > best[i] {
+				best[i], at[i] = u, pos
+			}
+		}
+		return
+	}
+	for i := range best {
+		if u := src[i*srcStep]; u > best[i] {
+			best[i], at[i] = u, pos
 		}
 	}
 }

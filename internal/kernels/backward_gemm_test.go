@@ -287,14 +287,14 @@ func TestGemmGradientsOneOrderForEveryLayout(t *testing.T) {
 	}
 }
 
-// TestPoolBackwardCHWNMatchesNCHW holds the channel walk of an all-CHWN
-// pooling backward to the plane walk of an all-NCHW one bit for bit: max and
-// average, 2×2/2 and overlapping 3×3/2 windows, batches below, at and above
-// the walk's image chunk, inputs with ties.
+// TestPoolBackwardCHWNMatchesNCHW holds an all-CHWN pooling backward, whose
+// lanes are the images, to an all-NCHW one, whose lanes run along ow, bit for
+// bit: max and average, 2×2/2 and overlapping 3×3/2 windows, batches below,
+// at and above a tile of lanes, inputs with ties.
 func TestPoolBackwardCHWNMatchesNCHW(t *testing.T) {
 	for _, op := range []PoolOp{MaxPool, AvgPool} {
 		for _, window := range []int{2, 3} {
-			for _, n := range []int{1, 5, poolBackImages, poolBackImages + 3} {
+			for _, n := range []int{1, 5, poolBackLanes, poolBackLanes + 3} {
 				cfg := PoolConfig{N: n, C: 3, H: 9, W: 8, Window: window, Stride: 2, Op: op}
 				in := tensor.Random(cfg.InputShape(), tensor.NCHW, uint64(window))
 				for i, v := range in.Data {

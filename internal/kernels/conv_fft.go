@@ -12,6 +12,13 @@ import (
 // Implementations"): convolution in the space domain becomes a pointwise
 // product in the frequency domain, at the cost of padding every filter to the
 // feature-map size.
+//
+// No compiled program runs this kernel: it ran 14–679× slower than the
+// fastest other kernel on every convolution of the five workload networks,
+// so the compiler's layers, price list and verifier know only direct and
+// GEMM.  It stays, with its tests, only because the benchmark module
+// (benchmark/layers.go, benchmark/work.go) still times it and classifies
+// ConvAlgFFT; it goes when the benchmark's FFT metrics do (ROADMAP item 4).
 
 // fftMaxWorkers caps the image-stage parallelism of ConvFFTInto.  The
 // workspace carries one private block of channel spectra plus an accumulator
@@ -20,8 +27,7 @@ import (
 // GOMAXPROCS the program later runs under.
 const fftMaxWorkers = 8
 
-// ConvFFTPlane returns the transform plane the production kernel (ConvFFTInto)
-// actually uses: the next power of two of the padded input, each way.  That
+// convFFTPlane returns the transform plane ConvFFTInto uses: the next power of two of the padded input, each way.  That
 // is always enough for a valid correlation — every needed output row
 // ih = oh·stride satisfies ih + FH - 1 ≤ padH - 1 ≤ pR - 1, so circular
 // wraparound never reaches a sampled element.  The GPU model
@@ -29,7 +35,7 @@ const fftMaxWorkers = 8
 // padH+FH-1 sizing of the emulated cuDNN v4 mode: the paper's memory-overhead
 // story (and its 6 GB OOM failures) describe that implementation, not this
 // leaner kernel.
-func ConvFFTPlane(cfg ConvConfig) (pR, pC int) {
+func convFFTPlane(cfg ConvConfig) (pR, pC int) {
 	cfg = cfg.WithDefaults()
 	return fft.NextPow2(cfg.H + 2*cfg.PadH), fft.NextPow2(cfg.W + 2*cfg.PadW)
 }
@@ -41,7 +47,7 @@ func ConvFFTPlane(cfg ConvConfig) (pR, pC int) {
 // depends only on the layer shape.
 func ConvFFTWorkspaceElems(cfg ConvConfig) int {
 	cfg = cfg.WithDefaults()
-	pR, pC := ConvFFTPlane(cfg)
+	pR, pC := convFFTPlane(cfg)
 	workers := cfg.N
 	if workers > fftMaxWorkers {
 		workers = fftMaxWorkers
@@ -77,7 +83,7 @@ func ConvFFTInto(in, filters, out *tensor.Tensor, cfg ConvConfig, scratch []floa
 	if need := ConvFFTWorkspaceElems(cfg); len(scratch) < need {
 		return fmt.Errorf("kernels: fft conv scratch has %d elements, want at least %d", len(scratch), need)
 	}
-	pR, pC := ConvFFTPlane(cfg)
+	pR, pC := convFFTPlane(cfg)
 	filtElems := cfg.K * cfg.C * 2 * pR * pC
 	j := convFFTJob{in: in, filters: filters, out: out, cfg: cfg, pR: pR, pC: pC,
 		filtArea: scratch[:filtElems], workArea: scratch[filtElems:],

@@ -23,19 +23,20 @@ import (
 // one image the two orders are one.
 
 // ConvAlgorithm identifies a CPU convolution execution strategy of the
-// planned runtime: the cuda-convnet style direct kernel, the Caffe/cuDNN
-// style im2col+GEMM path, or the cuDNN v4 style frequency-domain FFT path.
-// internal/autotune selects between them per layer shape and
+// planned runtime: the cuda-convnet style direct kernel or the Caffe/cuDNN
+// style im2col+GEMM path.  internal/autotune prices them per layer shape and
 // internal/runtime records the choice in the compiled op.
 type ConvAlgorithm int
 
-// The convolution algorithms the planned runtime selects between.
+// The convolution algorithms.  The planned runtime selects between the first two.
 const (
 	// ConvAlgDirect is the direct convolution (ConvDirectInto).
 	ConvAlgDirect ConvAlgorithm = iota
 	// ConvAlgGemm is the im2col+GEMM convolution (ConvIm2colGemmInto).
 	ConvAlgGemm
-	// ConvAlgFFT is the frequency-domain convolution (ConvFFTInto).
+	// ConvAlgFFT is the frequency-domain convolution (ConvFFTInto), which no
+	// compiled program runs.  It stays only because benchmark/work.go
+	// classifies it, and goes with that kernel (ROADMAP item 4).
 	ConvAlgFFT
 )
 

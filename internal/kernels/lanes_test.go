@@ -206,27 +206,33 @@ func TestLanePoolMatchesOracle(t *testing.T) {
 // TestPoolBackwardMatchesOracle holds the stride walk to the At/Set loop bit
 // for bit: max and average, 2×2/2 and overlapping 3×3/2 windows, every
 // NCHW/CHWN combination of the forward input, the incoming gradient and the
-// result.  Inputs with repeated values exercise the first-max tie rule.
+// result, with one tile of lanes and with more than one along N and along
+// ow.  Inputs with repeated values exercise the first-max tie rule.
 func TestPoolBackwardMatchesOracle(t *testing.T) {
 	layouts := []tensor.Layout{tensor.NCHW, tensor.CHWN}
 	for _, op := range []PoolOp{MaxPool, AvgPool} {
 		for _, window := range []int{2, 3} {
-			cfg := PoolConfig{N: 3, C: 2, H: 9, W: 8, Window: window, Stride: 2, Op: op}
-			for _, li := range layouts {
-				for _, lg := range layouts {
-					for _, ld := range layouts {
-						in := tensor.Random(cfg.InputShape(), li, uint64(window))
-						for i, v := range in.Data {
-							in.Data[i] = float32(math.Round(float64(v) * 2)) // ties
+			for _, cfg := range []PoolConfig{
+				{N: 3, C: 2, H: 9, W: 8, Window: window, Stride: 2, Op: op},
+				{N: poolBackLanes + 3, C: 2, H: 5, W: 6, Window: window, Stride: 2, Op: op},
+				{N: 2, C: 2, H: 5, W: 2*poolBackLanes + 7, Window: window, Stride: 2, Op: op},
+			} {
+				for _, li := range layouts {
+					for _, lg := range layouts {
+						for _, ld := range layouts {
+							in := tensor.Random(cfg.InputShape(), li, uint64(window))
+							for i, v := range in.Data {
+								in.Data[i] = float32(math.Round(float64(v) * 2)) // ties
+							}
+							dOut := tensor.Random(cfg.OutputShape(), lg, 5)
+							got, want := tensor.New(cfg.InputShape(), ld), tensor.New(cfg.InputShape(), ld)
+							got.Fill(-1)
+							if err := PoolBackwardInto(in, dOut, got, cfg); err != nil {
+								t.Fatal(err)
+							}
+							oraclePoolBackward(in, dOut, want, cfg)
+							sameBits(t, fmt.Sprintf("%v in %v, dOut %v, dIn %v", cfg, li, lg, ld), got, want)
 						}
-						dOut := tensor.Random(cfg.OutputShape(), lg, 5)
-						got, want := tensor.New(cfg.InputShape(), ld), tensor.New(cfg.InputShape(), ld)
-						got.Fill(-1)
-						if err := PoolBackwardInto(in, dOut, got, cfg); err != nil {
-							t.Fatal(err)
-						}
-						oraclePoolBackward(in, dOut, want, cfg)
-						sameBits(t, fmt.Sprintf("%v in %v, dOut %v, dIn %v", cfg, li, lg, ld), got, want)
 					}
 				}
 			}

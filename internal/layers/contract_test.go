@@ -49,8 +49,6 @@ func TestForwardContract(t *testing.T) {
 			switch alg {
 			case kernels.ConvAlgGemm:
 				return kernels.ConvGemmWorkspaceElems(conv.Cfg, lay)
-			case kernels.ConvAlgFFT:
-				return kernels.ConvFFTWorkspaceElems(conv.Cfg)
 			}
 			return 0
 		}},
@@ -60,7 +58,7 @@ func TestForwardContract(t *testing.T) {
 		{relu, func(kernels.ConvAlgorithm, tensor.Layout) int { return 0 }},
 		{lrn, func(kernels.ConvAlgorithm, tensor.Layout) int { return 0 }},
 	}
-	algs := []kernels.ConvAlgorithm{kernels.ConvAlgDirect, kernels.ConvAlgGemm, kernels.ConvAlgFFT, kernels.ConvAlgorithm(99)}
+	algs := []kernels.ConvAlgorithm{kernels.ConvAlgDirect, kernels.ConvAlgGemm, kernels.ConvAlgorithm(99)}
 	layouts := []tensor.Layout{tensor.NCHW, tensor.CHWN, tensor.NHWC, tensor.HWCN}
 
 	for _, tc := range cases {
@@ -70,7 +68,7 @@ func TestForwardContract(t *testing.T) {
 			for _, lay := range layouts {
 				name := fmt.Sprintf("%s/%v/%v", l.Name(), alg, lay)
 				accepted := l.SupportsLayout(lay) &&
-					(alg == kernels.ConvAlgDirect || isConv && (alg == kernels.ConvAlgGemm || alg == kernels.ConvAlgFFT))
+					(alg == kernels.ConvAlgDirect || isConv && alg == kernels.ConvAlgGemm)
 				need, err := l.WorkspaceElems(alg, lay)
 				if !accepted {
 					if err == nil {

@@ -145,8 +145,8 @@ func (c *Conv) InputShape() tensor.Shape { return c.Cfg.InputShape() }
 // OutputShape implements Layer.
 func (c *Conv) OutputShape() tensor.Shape { return c.Cfg.OutputShape() }
 
-// SupportsLayout implements Layer: convolutions run in CHWN (direct) or NCHW
-// (GEMM / FFT).
+// SupportsLayout implements Layer: both convolution kernels run in CHWN and
+// NCHW.
 func (c *Conv) SupportsLayout(l tensor.Layout) bool {
 	return l == tensor.CHWN || l == tensor.NCHW
 }
@@ -206,8 +206,7 @@ func (c *Conv) refreshPacked() {
 }
 
 // WorkspaceElems implements Layer: the direct kernel needs no scratch, the
-// im2col+GEMM path one image's unroll matrix, the FFT path its spectrum
-// planes.
+// im2col+GEMM path one image's unroll matrix.
 func (c *Conv) WorkspaceElems(alg kernels.ConvAlgorithm, l tensor.Layout) (int, error) {
 	if !c.SupportsLayout(l) {
 		return 0, fmt.Errorf("layers: %s: unsupported layout %v", c.LayerName, l)
@@ -217,26 +216,20 @@ func (c *Conv) WorkspaceElems(alg kernels.ConvAlgorithm, l tensor.Layout) (int, 
 		return 0, nil
 	case kernels.ConvAlgGemm:
 		return kernels.ConvGemmWorkspaceElems(c.Cfg, l), nil
-	case kernels.ConvAlgFFT:
-		return kernels.ConvFFTWorkspaceElems(c.Cfg), nil
 	default:
 		return 0, fmt.Errorf("layers: %s has no %v kernel", c.LayerName, alg)
 	}
 }
 
 // ForwardInto implements Layer.  The GEMM path multiplies by the packed
-// operand (packed on first use; compilers pre-pack it); the FFT path
-// transforms the filter bank out of the per-run scratch, so rebatched clones
-// share weights with no extra compile-time state.  The kernels check the
-// scratch size themselves.
+// operand (packed on first use; compilers pre-pack it).  The kernels check
+// the scratch size themselves.
 func (c *Conv) ForwardInto(in, dst *tensor.Tensor, alg kernels.ConvAlgorithm, scratch []float32) error {
 	switch alg {
 	case kernels.ConvAlgDirect:
 		return kernels.ConvDirectInto(in, c.Filters(), dst, c.Cfg)
 	case kernels.ConvAlgGemm:
 		return kernels.ConvIm2colGemmInto(in, c.PackedFilters(), dst, c.Cfg, scratch)
-	case kernels.ConvAlgFFT:
-		return kernels.ConvFFTInto(in, c.Filters(), dst, c.Cfg, scratch)
 	default:
 		return fmt.Errorf("layers: %s has no %v kernel", c.LayerName, alg)
 	}

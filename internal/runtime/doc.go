@@ -25,20 +25,19 @@
 //	                        host the layout orders the GEMM product's
 //	                        columns: image by image in CHWN, position by
 //	                        position in NCHW, one lane loop and a one-image
-//	                        unroll for workspace in both.  Measured, FFT
-//	                        wins only with filters about as large as the
-//	                        image (31×31 on 32×32, a tie there, not 21×21):
-//	                        no workload network selects it, it is
-//	                        model-domain here.  FFT is priced
-//	                        in NCHW only.  Lowering (Program.AddForward,
-//	                        the one forward builder, training's too) binds
-//	                        exactly the list it is handed: per layer an
-//	                        AddView (a transform op where consecutive layouts
-//	                        differ, a zero-copy reshape view at a flattening
-//	                        boundary), then an AddLayer, which does the
-//	                        binding: the kernel's workspace (GEMM unroll matrix,
-//	                        FFT spectrum planes, flatten staging, softmax
-//	                        logits), sized by Layer.WorkspaceElems, becomes
+//	                        unroll for workspace in both.  The candidates
+//	                        are direct and GEMM: the FFT convolution lost
+//	                        to the fastest kernel on every measured shape,
+//	                        and it stays in the GPU model only.  Lowering
+//	                        (Program.AddForward, the one forward builder,
+//	                        training's too) binds exactly the list it is
+//	                        handed: per layer an AddView (a transform op
+//	                        where consecutive layouts differ, a zero-copy
+//	                        reshape view at a flattening boundary), then an
+//	                        AddLayer, which does the binding: the kernel's
+//	                        workspace (GEMM unroll matrix, flatten staging,
+//	                        softmax logits), sized by Layer.WorkspaceElems,
+//	                        becomes
 //	                        an op-local scratch buffer — a layer without the
 //	                        kernel fails the compile — GEMM filter banks are
 //	                        pre-packed once, and in-place-safe layers (ReLU)
@@ -223,8 +222,8 @@
 // their root's arena offset; an op may write a buffer whose root it also
 // reads only when the layer declared in-place safety for exactly that shape
 // and layout; every kernel that needs workspace has a scratch buffer at
-// least as large as the layer's declared requirement (GEMM unroll, FFT
-// spectrum planes, flatten staging); the memory plan's live ranges match a
+// least as large as the layer's declared requirement (GEMM unroll, flatten
+// staging); the memory plan's live ranges match a
 // recomputed liveness analysis and the packed offsets never overlap two
 // simultaneously-live buffers; training graphs recompute each checkpointed
 // activation at most once, run every OpSGD after its layer's OpGradFilter

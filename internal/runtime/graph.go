@@ -116,16 +116,15 @@ type Op struct {
 	// Alg is the kernel of Layer this op runs.  On a forward op the compiler
 	// binds it, and the (Layer, Alg) pair is everything the executor needs:
 	// ConvAlgDirect — every layer's own kernel — unless algorithm selection
-	// chose a convolution's GEMM or FFT path.  A gradient op records the
-	// kernel its layer's gradient method runs: GEMM for a convolution,
-	// ConvAlgDirect for every other layer.
+	// chose a convolution's GEMM path.  A gradient op records the kernel its
+	// layer's gradient method runs: GEMM for a convolution, ConvAlgDirect for
+	// every other layer.
 	Alg kernels.ConvAlgorithm
 	// Scratch, when not NoBuffer, is the op-local workspace buffer the
 	// executor hands the layer, sized at compile time by Layer.WorkspaceElems
-	// (GEMM unroll matrix, FFT spectrum planes, fully-connected flatten
-	// staging, softmax logits) or, on a gradient op, by the layer's gradient
-	// workspace (GEMM gradient operands, LRN staging).  It is live only during
-	// this op.
+	// (GEMM unroll matrix, fully-connected flatten staging, softmax logits)
+	// or, on a gradient op, by the layer's gradient workspace (GEMM gradient
+	// operands, LRN staging).  It is live only during this op.
 	Scratch BufferID
 
 	// Aux, when not NoBuffer, is a second read operand: the forward
@@ -179,12 +178,12 @@ type Options struct {
 	// ConvAlgorithms runs the selection pass (SelectChoices) over the
 	// decision list before it is lowered: a dynamic program over the layer
 	// chain that gives every layer the layout, and each convolution the
-	// direct, im2col+GEMM or FFT strategy, that make the whole chain cheapest
+	// direct or im2col+GEMM strategy, that make the whole chain cheapest
 	// on the host, transforms included, the list's own layouts winning ties.
 	// The program keeps the pass's decision record (Program.Decisions).  Off
 	// by default: the list is lowered as given, the direct path being the
 	// bit-equality reference against the naive Network.Forward, while GEMM
-	// and FFT programs are cross-checked per algorithm via ReferenceForward.
+	// programs are cross-checked via ReferenceForward.
 	ConvAlgorithms bool
 	// Verify runs the registered whole-program static checker
 	// (internal/runtime/verify) over the lowered program before it is

@@ -16,8 +16,8 @@ type ConvChoice struct {
 }
 
 // ConvChoices lists the program's choice (Choices) for every convolution
-// layer in layer order, together with the arena workspace each GEMM or FFT
-// choice claims.
+// layer in layer order, together with the arena workspace each GEMM choice
+// claims.
 func (p *Program) ConvChoices() []ConvChoice {
 	var out []ConvChoice
 	for i, ch := range p.Choices() {

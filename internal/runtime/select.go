@@ -27,7 +27,7 @@ type Decision struct {
 	Chosen     Choice
 	// RunnerUp is the best other candidate and Margin how many seconds the
 	// whole chain's price rises by if the layer takes it, every other layer
-	// re-chosen around it.  A margin of 0 is a tie, which the caller's layout
+	// re-chosen around it.  A margin that ties is one the caller's layout
 	// won; a layer with one candidate has no runner-up and an infinite margin.
 	RunnerUp Choice
 	Margin   float64
@@ -45,14 +45,15 @@ type Decision struct {
 // input and output is not an edge: the executor copies both through
 // tensor.ConvertInto whatever the program's layouts.  No gpusim device is
 // asked: a modeled GPU time says nothing about a Go kernel.  The chain's
-// cheapest assignment wins; of equally cheap ones, the one that keeps the
-// most layers in the caller's layout, so the caller's layouts (an execution
-// plan's, say) are the tie-break.  layouts narrows the layouts a layer may
-// take; none means every layout the layer supports.  With step the chain is
-// priced as a training step: a node is the layer's forward and gradients
-// (autotune.Prices.Step), and an edge is paid twice, by the activation going
-// up and by its gradient coming back.  Compile runs this pass under
-// Options.ConvAlgorithms and keeps its decision record (Program.Decisions).
+// cheapest assignment wins; of equally cheap ones (within a relative 1e-9,
+// see ties), the one that keeps the most layers in the caller's layout, so
+// the caller's layouts (an execution plan's, say) are the tie-break.
+// layouts narrows the layouts a layer may take; none means every layout the
+// layer supports.  With step the chain is priced as a training step: a node
+// is the layer's forward and gradients (autotune.Prices.Step), and an edge is
+// paid twice, by the activation going up and by its gradient coming back.
+// Compile runs this pass under Options.ConvAlgorithms and keeps its decision
+// record (Program.Decisions).
 func SelectChoices(net *network.Network, choices []Choice, step bool, layouts ...tensor.Layout) []Choice {
 	selected, _ := selectChoices(net, choices, hostPrices, step, layouts)
 	return selected
@@ -70,7 +71,17 @@ type chainPrice struct {
 
 func (a chainPrice) plus(b chainPrice) chainPrice { return chainPrice{a.s + b.s, a.moved + b.moved} }
 func (a chainPrice) less(b chainPrice) bool {
-	return a.s < b.s || (a.s == b.s && a.moved < b.moved)
+	if ties(a.s, b.s) {
+		return a.moved < b.moved
+	}
+	return a.s < b.s
+}
+
+// ties reports whether two finite prices differ by at most a relative 1e-9,
+// as sums of the same terms in another order do: a transform priced the same
+// before or after a ReLU, say.
+func ties(a, b float64) bool {
+	return !math.IsInf(a, 0) && !math.IsInf(b, 0) && math.Abs(a-b) <= 1e-9*max(math.Abs(a), math.Abs(b))
 }
 
 // selectChoices is SelectChoices over the price list prices, returning the
@@ -90,7 +101,7 @@ func selectChoices(net *network.Network, choices []Choice, prices autotune.Price
 	for i, l := range net.Layers {
 		algs := []kernels.ConvAlgorithm{kernels.ConvAlgDirect}
 		if _, ok := l.(*layers.Conv); ok {
-			algs = append(algs, kernels.ConvAlgGemm, kernels.ConvAlgFFT)
+			algs = append(algs, kernels.ConvAlgGemm)
 		}
 		for _, lay := range layouts {
 			for _, alg := range algs {
@@ -169,7 +180,7 @@ func selectChoices(net *network.Network, choices []Choice, prices autotune.Price
 		switch {
 		case runner < 0:
 			d.Reason = "the only candidate"
-		case d.Margin == 0:
+		case ties(through+d.Margin, through):
 			d.RunnerUp = cands[i][runner].Choice
 			d.Reason = fmt.Sprintf("ties %v, and keeps the caller's layout", d.RunnerUp)
 		default:

@@ -72,7 +72,11 @@ func TestDecisionRecordExplainsAFlip(t *testing.T) {
 // TestSelectionKeepsTheCallersLayoutOnATie prices every layout the same and
 // every transform at nothing: every assignment then costs the same, and the
 // selection must hand back the caller's layouts, whatever they are, with a
-// margin of 0 where a layer had a real alternative.
+// margin of 0 where a layer had a real alternative.  Then a tie the order of
+// a sum's terms decides: in AlexNet's training step on the host's prices,
+// conv1 runs in CHWN and norm1 in NCHW, and the transform between them costs
+// the same before or after conv1_relu, which costs the same in either layout,
+// so the ReLU keeps the caller's NCHW and its record says it ties.
 func TestSelectionKeepsTheCallersLayoutOnATie(t *testing.T) {
 	net, err := workloads.LeNet()
 	if err != nil {
@@ -97,6 +101,20 @@ func TestSelectionKeepsTheCallersLayoutOnATie(t *testing.T) {
 		if d := record[i]; d.RunnerUp.Layout != ch.Layout && d.Margin != 0 {
 			t.Errorf("%s: margin %g s over %v, want a tie", d.Layer, d.Margin, d.RunnerUp)
 		}
+	}
+
+	alex, err := workloads.AlexNet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, record = runtime.SelectWith(alex, runtime.Uniform(alex, tensor.NCHW, kernels.ConvAlgDirect), autotune.HostPrices(), true)
+	conv1, relu, norm1 := got[0], got[1], got[2]
+	if alex.Layers[1].Name() != "conv1_relu" || conv1.Layout != tensor.CHWN || norm1.Layout != tensor.NCHW {
+		t.Fatalf("AlexNet's step runs %s %v, %s %v, %s %v: want a ReLU between a CHWN and an NCHW layer",
+			alex.Layers[0].Name(), conv1, alex.Layers[1].Name(), relu, alex.Layers[2].Name(), norm1)
+	}
+	if d := record[1]; relu.Layout != tensor.NCHW || !strings.HasPrefix(d.Reason, "ties ") {
+		t.Errorf("%s: %v (%s), want the caller's NCHW on a tie", d.Layer, relu, d.Reason)
 	}
 }
 

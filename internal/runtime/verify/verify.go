@@ -20,8 +20,8 @@
 //     (check c);
 //   - workspace: the scratch buffer attached to an op holds at least what
 //     the layer declares for the recorded algorithm and layout —
-//     Layer.WorkspaceElems for forward ops (GEMM unroll, FFT planes,
-//     flatten/softmax staging), BackwardWorkspaceElems and GradWorkspaceElems
+//     Layer.WorkspaceElems for forward ops (GEMM unroll, flatten/softmax
+//     staging), BackwardWorkspaceElems and GradWorkspaceElems
 //     for gradient ops (GEMM gradient operands, LRN staging) — and is never
 //     attached to an op that cannot consume it (check d);
 //   - plan: the memory plan's recorded live ranges match liveness recomputed
@@ -498,9 +498,7 @@ func (c *checker) pinnedAlg(i int, op runtime.Op) {
 // it: does it have the recorded algorithm for the buffer's layout, and how
 // much workspace does that kernel need.
 func (c *checker) layerContract(i int, op runtime.Op) {
-	switch op.Alg {
-	case kernels.ConvAlgDirect, kernels.ConvAlgGemm, kernels.ConvAlgFFT:
-	default:
+	if op.Alg != kernels.ConvAlgDirect && op.Alg != kernels.ConvAlgGemm {
 		c.add(CheckDeterminism, i, runtime.NoBuffer, "op records unknown convolution algorithm %d: no production kernel — and no pinned accumulation order — exists for it", int(op.Alg))
 		return
 	}

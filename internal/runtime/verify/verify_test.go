@@ -23,7 +23,7 @@ func mustNets(t *testing.T) map[string]*network.Network {
 	return nets
 }
 
-var algs = []kernels.ConvAlgorithm{kernels.ConvAlgDirect, kernels.ConvAlgGemm, kernels.ConvAlgFFT}
+var algs = []kernels.ConvAlgorithm{kernels.ConvAlgDirect, kernels.ConvAlgGemm}
 
 // compileNCHW lowers net in NCHW with every convolution on alg.
 func compileNCHW(net *network.Network, alg kernels.ConvAlgorithm, opts runtime.Options) (*runtime.Program, error) {
@@ -295,24 +295,22 @@ func TestMutationAliasShape(t *testing.T) {
 }
 
 func TestMutationShrunkScratch(t *testing.T) {
-	for _, alg := range []kernels.ConvAlgorithm{kernels.ConvAlgGemm, kernels.ConvAlgFFT} {
-		p := cloneProgram(compileLeNet(t, alg))
-		op := -1
-		for k, o := range p.Ops {
-			if o.Kind == runtime.OpLayer && o.Alg == alg && o.Scratch != runtime.NoBuffer {
-				op = k
-				break
-			}
+	p := cloneProgram(compileLeNet(t, kernels.ConvAlgGemm))
+	op := -1
+	for k, o := range p.Ops {
+		if o.Kind == runtime.OpLayer && o.Alg == kernels.ConvAlgGemm && o.Scratch != runtime.NoBuffer {
+			op = k
+			break
 		}
-		if op < 0 {
-			t.Fatalf("%v: no conv op with scratch", alg)
-		}
-		sc := p.Ops[op].Scratch
-		p.Buffers[sc].Shape.W /= 2 // workspace now smaller than the kernel needs
-		d := wantDiag(t, verify.Check(p), verify.CheckWorkspace, op, sc)
-		if !strings.Contains(d.Msg, "needs") {
-			t.Errorf("%v: diagnostic does not state the required size: %s", alg, d)
-		}
+	}
+	if op < 0 {
+		t.Fatal("no GEMM conv op with scratch")
+	}
+	sc := p.Ops[op].Scratch
+	p.Buffers[sc].Shape.W /= 2 // workspace now smaller than the kernel needs
+	d := wantDiag(t, verify.Check(p), verify.CheckWorkspace, op, sc)
+	if !strings.Contains(d.Msg, "needs") {
+		t.Errorf("diagnostic does not state the required size: %s", d)
 	}
 }
 
@@ -352,7 +350,6 @@ func TestMutationGradientAlgorithm(t *testing.T) {
 		alg  kernels.ConvAlgorithm
 	}{
 		// A convolution's gradients run on GEMM whatever its forward runs.
-		{"fft grad-filter", func(p *runtime.Program) int { return gradientOp[*layers.Conv](t, p, runtime.OpGradFilter) }, kernels.ConvAlgFFT},
 		{"direct conv backward", func(p *runtime.Program) int { return gradientOp[*layers.Conv](t, p, runtime.OpBackward) }, kernels.ConvAlgDirect},
 		// Every other layer's gradients are its own kernels.
 		{"gemm pool backward", func(p *runtime.Program) int { return gradientOp[*layers.Pool](t, p, runtime.OpBackward) }, kernels.ConvAlgGemm},

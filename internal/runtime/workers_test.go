@@ -17,7 +17,7 @@ import (
 // GOMAXPROCS 1, 2, 3 and 8 and compares every activation buffer, not just the
 // (saturating) softmax output, bit for bit with the one-worker run: TinyNet,
 // LeNet and Cifar10 at batch 8, in NCHW and CHWN, every convolution pinned to
-// direct, GEMM and FFT in turn.  Every kernel splits its work through
+// direct and GEMM in turn.  Every kernel splits its work through
 // internal/par, so this is the program-level form of "each plane runs on
 // exactly one worker".  Scratch buffers are skipped: which lane's block an
 // image went through is the one thing the budget may change.
@@ -29,7 +29,7 @@ func TestProgramsBitInvariantAcrossWorkerCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, lay := range []tensor.Layout{tensor.NCHW, tensor.CHWN} {
-			for _, alg := range []kernels.ConvAlgorithm{kernels.ConvAlgDirect, kernels.ConvAlgGemm, kernels.ConvAlgFFT} {
+			for _, alg := range []kernels.ConvAlgorithm{kernels.ConvAlgDirect, kernels.ConvAlgGemm} {
 				label := fmt.Sprintf("%s/%v/%v", net.Name, lay, alg)
 				full, err := runtime.Compile(net, label, runtime.Uniform(net, lay, alg), runtime.Options{Verify: true})
 				if err != nil {
