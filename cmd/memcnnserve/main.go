@@ -1,12 +1,12 @@
 // Command memcnnserve serves batched CNN inference over HTTP with the
-// planned-execution engine: the network is planned (paper optimiser or a
-// fixed layout), compiled to an op list, packed into a static memory arena,
-// and fronted by the dynamic micro-batching server so concurrent single-image
-// requests coalesce into planned batched executions.
+// planned-execution engine: the network is compiled to an op list, packed
+// into a static memory arena, and fronted by the dynamic micro-batching server
+// so concurrent single-image requests coalesce into planned batched
+// executions.
 //
-// The program always compiles through per-layer convolution algorithm
-// selection (direct or im2col+GEMM, priced on this host), prints the
-// choice per convolution, and is verified bit-for-bit against
+// The program compiles through the per-layer selection of layout and
+// convolution algorithm (direct or im2col+GEMM, priced on this host), prints
+// the choice per convolution, and is verified bit-for-bit against
 // Program.ReferenceForward on the serving engine before serving starts.  With
 // -devices N the compiled program is cut into N pipeline stages on the host
 // CPU, each a range of its ops, and the serving workers walk their batches
@@ -88,10 +88,7 @@ import (
 	"sync"
 	"time"
 
-	"memcnn/internal/frameworks"
-	"memcnn/internal/gpusim"
 	"memcnn/internal/kernels"
-	"memcnn/internal/layout"
 	"memcnn/internal/network"
 	"memcnn/internal/obs"
 	memruntime "memcnn/internal/runtime"
@@ -103,7 +100,6 @@ import (
 func main() {
 	var (
 		networkName = flag.String("network", "LeNet", "network to serve: TinyNet, LeNet, Cifar10, AlexNet, ZFNet or VGG")
-		policy      = flag.String("policy", "opt", "execution policy: 'opt' (paper optimiser), 'nchw' or 'chwn'")
 		addr        = flag.String("addr", ":8080", "HTTP listen address")
 		maxBatch    = flag.Int("batch", 0, "max requests per planned execution (default: the network batch)")
 		maxDelay    = flag.Duration("delay", 2*time.Millisecond, "max time a request waits for its batch to fill")
@@ -130,12 +126,11 @@ func main() {
 	if err != nil {
 		fail(fmt.Errorf("memcnnserve: %w", err))
 	}
-	prog, err := compile(net, *policy)
+	prog, err := compile(net)
 	if err != nil {
 		fail(err)
 	}
-	fmt.Printf("%s: %d layers -> %d ops over %d buffers (%s policy)\n",
-		net.Name, len(net.Layers), len(prog.Ops), len(prog.Buffers), prog.PlannerName)
+	fmt.Printf("%s: %d layers -> %d ops over %d buffers\n", net.Name, len(net.Layers), len(prog.Ops), len(prog.Buffers))
 	fmt.Printf("memory plan: %v; naive %.2f MiB (%.0f%% saved)\n", prog.Mem, mib(prog.NaiveBytes()), 100*prog.Savings())
 	for _, ch := range prog.ConvChoices() {
 		fmt.Printf("conv %-12s %-5s %s\n", ch.Layer, ch.Layout, ch.Alg)
@@ -336,25 +331,13 @@ func traceHandler(rec *obs.Recorder) http.HandlerFunc {
 	}
 }
 
-// compile lowers the network under the named layout policy.  Every program
-// goes through the compiler's convolution algorithm selection: the algorithm
-// the fixed-layout policies name is only the starting point it replaces.
-func compile(net *network.Network, policy string) (*memruntime.Program, error) {
-	opts := memruntime.Options{ConvAlgorithms: true}
-	switch strings.ToLower(policy) {
-	case "opt":
-		plan, err := frameworks.Optimized(layout.TitanBlackThresholds()).Plan(gpusim.TitanBlack(), net)
-		if err != nil {
-			return nil, err
-		}
-		return memruntime.CompileWithOptions(plan, opts)
-	case "nchw":
-		return memruntime.Compile(net, "fixed-NCHW", memruntime.Uniform(net, tensor.NCHW, kernels.ConvAlgDirect), opts)
-	case "chwn":
-		return memruntime.Compile(net, "fixed-CHWN", memruntime.Uniform(net, tensor.CHWN, kernels.ConvAlgDirect), opts)
-	default:
-		return nil, fmt.Errorf("memcnnserve: unknown policy %q", policy)
-	}
+// compile lowers the network through the compiler's selection of every
+// layer's layout and algorithm on this host.  The all-NCHW, all-direct list
+// it starts from only breaks ties: the paper optimiser's plan, priced on a
+// GPU model, compiles to the same ops and buffers on each of the six
+// networks at its own batch.
+func compile(net *network.Network) (*memruntime.Program, error) {
+	return memruntime.Compile(net, "selected", memruntime.Uniform(net, tensor.NCHW, kernels.ConvAlgDirect), memruntime.Options{ConvAlgorithms: true})
 }
 
 // goldenCheck verifies at startup that the serving engine — the exact runner

@@ -40,10 +40,9 @@ func post(h http.Handler, ctx context.Context, body string) *httptest.ResponseRe
 }
 
 // TestServesTheSelectedProgram: the stock binary has no flag that turns
-// algorithm selection on, because nothing turns it off.  Under every policy
-// LeNet's convolutions compile to the GEMM the selector picks (the direct
-// kernel is 5-30x slower on them), and the executor passes the startup golden
-// check main always runs.
+// algorithm selection on, because nothing turns it off.  LeNet's convolutions
+// compile to the GEMM the selector picks (the direct kernel is 5-30x slower on
+// them), and the executor passes the startup golden check main always runs.
 func TestServesTheSelectedProgram(t *testing.T) {
 	net, err := workloads.ByName("lenet")
 	if err != nil {
@@ -52,23 +51,21 @@ func TestServesTheSelectedProgram(t *testing.T) {
 	if net, err = net.WithBatch(8); err != nil {
 		t.Fatal(err)
 	}
-	for _, policy := range []string{"opt", "nchw", "chwn"} {
-		prog, err := compile(net, policy)
-		if err != nil {
-			t.Fatalf("%s: %v", policy, err)
+	prog, err := compile(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	choices := prog.ConvChoices()
+	if len(choices) == 0 {
+		t.Fatal("no convolution in the compiled program")
+	}
+	for _, ch := range choices {
+		if ch.Alg != kernels.ConvAlgGemm {
+			t.Errorf("%s compiles to %v, the selector picks %v", ch.Layer, ch.Alg, kernels.ConvAlgGemm)
 		}
-		choices := prog.ConvChoices()
-		if len(choices) == 0 {
-			t.Fatalf("%s: no convolution in the compiled program", policy)
-		}
-		for _, ch := range choices {
-			if ch.Alg != kernels.ConvAlgGemm {
-				t.Errorf("%s: %s compiles to %v, the selector picks %v", policy, ch.Layer, ch.Alg, kernels.ConvAlgGemm)
-			}
-		}
-		if err := goldenCheck(prog, memruntime.NewExecutor(prog)); err != nil {
-			t.Errorf("%s: %v", policy, err)
-		}
+	}
+	if err := goldenCheck(prog, memruntime.NewExecutor(prog)); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -113,7 +110,7 @@ func TestInferRequestValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := compile(net, "nchw")
+	prog, err := compile(net)
 	if err != nil {
 		t.Fatal(err)
 	}

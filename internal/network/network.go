@@ -204,14 +204,18 @@ func (p *ExecutionPlan) TransformCount() int {
 	return count
 }
 
-// Validate checks that the plan covers every layer of its network in order
-// and uses only supported layouts.
+// Validate checks that the plan covers every layer of its network in order,
+// uses only supported layouts and transforms nothing before its first layer:
+// the network's input is written in whatever layout that layer takes.
 func (p *ExecutionPlan) Validate() error {
 	if p == nil || p.Network == nil || p.Device == nil {
 		return fmt.Errorf("network: plan is nil or missing its network or device")
 	}
 	if len(p.Layers) != len(p.Network.Layers) {
 		return fmt.Errorf("network: plan has %d layers, network has %d", len(p.Layers), len(p.Network.Layers))
+	}
+	if len(p.Layers) > 0 && p.Layers[0].Transform != nil {
+		return fmt.Errorf("network: plan transforms the input of its first layer %q", p.Layers[0].Layer.Name())
 	}
 	for i, pl := range p.Layers {
 		if pl.Layer != p.Network.Layers[i] {

@@ -236,6 +236,16 @@ func TestPlanValidateCatchesCorruption(t *testing.T) {
 	if err := wrongLayout.Validate(); err == nil {
 		t.Error("an unsupported layout must fail validation")
 	}
+	inputTransform := *plan
+	inputTransform.Layers = append([]network.PlannedLayer(nil), plan.Layers...)
+	stats, method, err := gpusim.BestTransform(d, net.InputShape(), tensor.NCHW, tensor.CHWN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputTransform.Layers[0].Transform, inputTransform.Layers[0].TransformMethod = &stats, method
+	if err := inputTransform.Validate(); err == nil {
+		t.Error("a transform before the first layer must fail validation: the input is written in its layout")
+	}
 	var empty network.ExecutionPlan
 	if err := empty.Validate(); err == nil {
 		t.Error("an empty plan must fail validation")

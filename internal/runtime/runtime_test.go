@@ -114,33 +114,42 @@ func TestCompileStructure(t *testing.T) {
 	}
 }
 
-// TestCompileWithTransforms checks that a plan with layout switches lowers
-// into transform ops.
+// TestCompileWithTransforms checks that a plan's layout switches lower into
+// as many transform ops: AlexNet at its own batch mixes layouts, and the
+// workloads' batches move the first layer off its preferred layout, where
+// there is nothing to transform (the input is written in its layout).
 func TestCompileWithTransforms(t *testing.T) {
-	net, err := workloads.AlexNet()
-	if err != nil {
-		t.Fatal(err)
-	}
 	th := layout.TitanBlackThresholds()
-	plan, err := frameworks.Optimized(th).Plan(gpusim.TitanBlack(), net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.TransformCount() == 0 {
-		t.Skip("optimiser planned AlexNet without layout switches; nothing to check")
-	}
-	prog, err := runtime.CompileWithOptions(plan, runtime.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	transforms := 0
-	for _, op := range prog.Ops {
-		if op.Kind == runtime.OpTransform {
-			transforms++
+	for _, tc := range []struct {
+		name  string
+		batch int
+	}{{"AlexNet", 0}, {"AlexNet", 4}, {"Cifar10", 8}, {"LeNet", 16}} {
+		net, err := workloads.ByName(tc.name)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if transforms != plan.TransformCount() {
-		t.Errorf("program has %d transform ops, plan expects %d", transforms, plan.TransformCount())
+		if tc.batch > 0 {
+			if net, err = net.WithBatch(tc.batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		plan, err := frameworks.Optimized(th).Plan(gpusim.TitanBlack(), net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := runtime.CompileWithOptions(plan, runtime.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		transforms := 0
+		for _, op := range prog.Ops {
+			if op.Kind == runtime.OpTransform {
+				transforms++
+			}
+		}
+		if transforms != plan.TransformCount() {
+			t.Errorf("%s@%d: program has %d transform ops, plan expects %d", tc.name, net.InputShape().N, transforms, plan.TransformCount())
+		}
 	}
 }
 
