@@ -212,17 +212,14 @@ func planReport(stdout io.Writer, dev *gpusim.Device, th layout.Thresholds, targ
 // printPlanners prints every library policy's modeled total for one network
 // and its per-layer breakdown (the Fig. 15 view for AlexNet).
 func printPlanners(stdout io.Writer, dev *gpusim.Device, th layout.Thresholds, net *network.Network) error {
-	for _, planner := range frameworks.All(th) {
-		plan, err := planner.Plan(dev, net)
-		if err != nil {
-			return fmt.Errorf("netbench: %s on %s: %w", planner.Name(), net.Name, err)
-		}
-		est, err := plan.Estimate()
-		if err != nil {
-			return err
-		}
+	priced, err := bench.PricePolicies(dev, net, frameworks.All(th))
+	if err != nil {
+		return fmt.Errorf("netbench: %w", err)
+	}
+	for _, p := range priced {
+		est := p.Estimate
 		fmt.Fprintf(stdout, "%-14s %10.0f us modeled  (%d layout transforms, %.0f us modeled in transforms)\n",
-			planner.Name(), est.TotalUS, plan.TransformCount(), est.TransformUS)
+			est.PlannerName, est.TotalUS, p.Plan.TransformCount(), est.TransformUS)
 		for _, lt := range est.PerLayer {
 			fmt.Fprintf(stdout, "    %-12s %-5s %10.1f us modeled", lt.Name, lt.Layout, lt.TimeUS)
 			if lt.TransformUS > 0 {

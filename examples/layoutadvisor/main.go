@@ -2,8 +2,9 @@
 //
 // The example defines a CNN that is not part of the paper's benchmark set,
 // calibrates the layout-selection thresholds for both modelled GPUs, and
-// prints per-layer advice: which layout each layer should use, how much the
-// right choice is worth, and where layout transformations pay for themselves.
+// prints per-layer advice: which layout each layer should use, what the other
+// layout would cost against it, and where layout transformations pay for
+// themselves.
 //
 // Run with:  go run ./examples/layoutadvisor
 package main
@@ -12,7 +13,9 @@ import (
 	"fmt"
 	"log"
 
+	"memcnn/internal/bench"
 	"memcnn/internal/core"
+	"memcnn/internal/frameworks"
 	"memcnn/internal/gpusim"
 	"memcnn/internal/kernels"
 	"memcnn/internal/layers"
@@ -91,53 +94,42 @@ func main() {
 		fmt.Printf("calibrated layout thresholds: %v (published for this class of GPU: %v / %v)\n\n",
 			thresholds, layout.TitanBlackThresholds(), layout.TitanXThresholds())
 
-		// Per-layer advice for the convolutional layers.
-		fmt.Printf("%-8s %-34s %-10s %s\n", "layer", "shape", "preferred", "benefit of the right layout")
+		// Per-layer advice for the convolutional layers: the other layout's
+		// time over the preferred one's, below 1 where the heuristic picks the
+		// slower layout, marked where it disagrees with the model's winner.
+		fmt.Printf("%-8s %-46s %-10s %s\n", "layer", "shape", "preferred", "other layout / preferred")
 		for _, l := range net.Layers {
 			conv, ok := l.(*layers.Conv)
 			if !ok {
 				continue
 			}
 			preferred := layout.PreferredConvLayout(conv.Cfg, thresholds)
-			_, chwnUS, nchwUS := layout.MeasuredConvWinner(device, conv.Cfg)
-			benefit := chwnUS / nchwUS
-			if nchwUS > chwnUS {
-				benefit = nchwUS / chwnUS
+			winner, chwnUS, nchwUS := layout.MeasuredConvWinner(device, conv.Cfg)
+			benefit := nchwUS / chwnUS
+			if preferred == tensor.NCHW {
+				benefit = chwnUS / nchwUS
 			}
-			fmt.Printf("%-8s %-34s %-10v %.2fx (CHWN %.0f us, NCHW %.0f us)\n",
-				conv.Name(), conv.Cfg.String(), preferred, benefit, chwnUS, nchwUS)
+			mark := ""
+			if preferred != winner {
+				mark = fmt.Sprintf("  <- the model prices %v faster", winner)
+			}
+			fmt.Printf("%-8s %-46s %-10v %.2fx (CHWN %.0f us, NCHW %.0f us)%s\n",
+				conv.Name(), conv.Cfg.String(), preferred, benefit, chwnUS, nchwUS, mark)
 		}
 
-		// Whole-network plan with the optimiser.
-		optimizer := core.NewOptimizer(core.Options{Thresholds: thresholds})
-		plan, err := optimizer.Plan(device, net)
+		// Whole-network plans: the optimiser's against each layout alone with
+		// its conventional kernels.
+		priced, err := bench.PricePolicies(device, net, []core.Policy{
+			frameworks.Optimized(thresholds),
+			{Name: "all-CHWN", Layouts: map[tensor.Layout]gpusim.CostOptions{tensor.CHWN: {}}},
+			{Name: "all-NCHW", Layouts: map[tensor.Layout]gpusim.CostOptions{tensor.NCHW: {}}},
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		est, err := plan.Estimate()
-		if err != nil {
-			log.Fatal(err)
-		}
-		fixedCHWN := &network.FixedLayoutPlanner{PlannerName: "all-CHWN", Layout: tensor.CHWN}
-		fixedNCHW := &network.FixedLayoutPlanner{PlannerName: "all-NCHW", Layout: tensor.NCHW}
-		chwnPlan, err := fixedCHWN.Plan(device, net)
-		if err != nil {
-			log.Fatal(err)
-		}
-		chwnEst, err := chwnPlan.Estimate()
-		if err != nil {
-			log.Fatal(err)
-		}
-		nchwPlan, err := fixedNCHW.Plan(device, net)
-		if err != nil {
-			log.Fatal(err)
-		}
-		nchwEst, err := nchwPlan.Estimate()
-		if err != nil {
-			log.Fatal(err)
-		}
+		opt := priced[0].Estimate
 		fmt.Printf("\nwhole network: mixed layouts %.1f ms  |  all-CHWN %.1f ms  |  all-NCHW %.1f ms  (%d transforms, %.1f%% overhead)\n\n",
-			est.TotalUS/1000, chwnEst.TotalUS/1000, nchwEst.TotalUS/1000,
-			plan.TransformCount(), 100*est.TransformUS/est.TotalUS)
+			opt.TotalUS/1000, priced[1].Estimate.TotalUS/1000, priced[2].Estimate.TotalUS/1000,
+			priced[0].Plan.TransformCount(), 100*opt.TransformUS/opt.TotalUS)
 	}
 }

@@ -3,12 +3,37 @@ package bench
 import (
 	"fmt"
 
+	"memcnn/internal/core"
 	"memcnn/internal/frameworks"
 	"memcnn/internal/gpusim"
 	"memcnn/internal/layout"
 	"memcnn/internal/network"
 	"memcnn/internal/workloads"
 )
+
+// Priced is one policy's plan of a network and the plan's modeled estimate.
+type Priced struct {
+	Plan     *network.ExecutionPlan
+	Estimate network.Estimate
+}
+
+// PricePolicies plans net under each policy in turn and prices every plan on
+// d, in the policies' order.
+func PricePolicies(d *gpusim.Device, net *network.Network, policies []core.Policy) ([]Priced, error) {
+	priced := make([]Priced, 0, len(policies))
+	for _, p := range policies {
+		plan, err := p.Plan(d, net)
+		if err != nil {
+			return nil, fmt.Errorf("bench: %s on %s: %w", p.Name, net.Name, err)
+		}
+		est, err := plan.Estimate()
+		if err != nil {
+			return nil, fmt.Errorf("bench: %s on %s: %w", p.Name, net.Name, err)
+		}
+		priced = append(priced, Priced{Plan: plan, Estimate: est})
+	}
+	return priced, nil
+}
 
 // Figure14Row is one network of Fig. 14: the speedup of every mechanism over
 // the cuDNN-MM baseline.
@@ -30,17 +55,13 @@ func Figure14(d *gpusim.Device, th layout.Thresholds) ([]Figure14Row, Table, err
 	}
 	var rows []Figure14Row
 	for _, name := range workloads.NetworkOrder {
+		priced, err := PricePolicies(d, nets[name], frameworks.All(th))
+		if err != nil {
+			return nil, Table{}, err
+		}
 		row := Figure14Row{Network: name, TimesUS: map[string]float64{}, Speedups: map[string]float64{}}
-		for _, p := range frameworks.All(th) {
-			plan, err := p.Plan(d, nets[name])
-			if err != nil {
-				return nil, Table{}, fmt.Errorf("bench: %s on %s: %w", p.Name(), name, err)
-			}
-			est, err := plan.Estimate()
-			if err != nil {
-				return nil, Table{}, err
-			}
-			row.TimesUS[p.Name()] = est.TotalUS
+		for _, p := range priced {
+			row.TimesUS[p.Estimate.PlannerName] = p.Estimate.TotalUS
 		}
 		base := row.TimesUS["cuDNN-MM"]
 		for planner, us := range row.TimesUS {
@@ -80,21 +101,11 @@ func Figure15(d *gpusim.Device, th layout.Thresholds) ([]Figure15Row, Table, err
 	if err != nil {
 		return nil, Table{}, err
 	}
-	estimates := map[string]network.Estimate{}
-	for _, p := range []network.Planner{frameworks.CuDNN(frameworks.CuDNNMM), frameworks.CudaConvnet(), frameworks.Optimized(th)} {
-		plan, err := p.Plan(d, net)
-		if err != nil {
-			return nil, Table{}, err
-		}
-		est, err := plan.Estimate()
-		if err != nil {
-			return nil, Table{}, err
-		}
-		estimates[p.Name()] = est
+	priced, err := PricePolicies(d, net, []core.Policy{frameworks.CuDNN(frameworks.CuDNNMM), frameworks.CudaConvnet(), frameworks.Optimized(th)})
+	if err != nil {
+		return nil, Table{}, err
 	}
-	cudnn := estimates["cuDNN-MM"]
-	cc := estimates["cuda-convnet"]
-	opt := estimates["Opt"]
+	cudnn, cc, opt := priced[0].Estimate, priced[1].Estimate, priced[2].Estimate
 
 	var rows []Figure15Row
 	for i := range cudnn.PerLayer {
@@ -113,23 +124,13 @@ func Figure15(d *gpusim.Device, th layout.Thresholds) ([]Figure15Row, Table, err
 		Headers: []string{"layer", "cuDNN-MM us", "cuda-convnet", "Opt", "Opt layout", "Opt transform us"},
 		Notes: []string{
 			fmt.Sprintf("whole-network: cuda-convnet %.2fx, Opt %.2fx over cuDNN-MM; Opt spends %.0fus in %d transforms",
-				cudnn.TotalUS/cc.TotalUS, cudnn.TotalUS/opt.TotalUS, opt.TransformUS, transformCount(opt)),
+				cudnn.TotalUS/cc.TotalUS, cudnn.TotalUS/opt.TotalUS, opt.TransformUS, priced[2].Plan.TransformCount()),
 		},
 	}
 	for _, r := range rows {
 		t.Rows = append(t.Rows, []string{r.Layer, f1(r.CuDNNUS), f2(r.CudaConvnetSpeedup), f2(r.OptSpeedup), r.OptLayout, f1(r.OptTransformUS)})
 	}
 	return rows, t, nil
-}
-
-func transformCount(est network.Estimate) int {
-	count := 0
-	for _, lt := range est.PerLayer {
-		if lt.TransformUS > 0 {
-			count++
-		}
-	}
-	return count
 }
 
 // CalibrationRow is one device's calibrated thresholds.
@@ -178,20 +179,16 @@ func TitanXSummary() ([]TitanXRow, Table, error) {
 	if err != nil {
 		return nil, Table{}, err
 	}
-	planners := []network.Planner{frameworks.CudaConvnet(), frameworks.Caffe(), frameworks.CuDNN(frameworks.CuDNNBest), frameworks.Optimized(th)}
+	policies := []core.Policy{frameworks.CudaConvnet(), frameworks.Caffe(), frameworks.CuDNN(frameworks.CuDNNBest), frameworks.Optimized(th)}
 	var rows []TitanXRow
 	for _, name := range []string{"LeNet", "VGG"} {
+		priced, err := PricePolicies(d, nets[name], policies)
+		if err != nil {
+			return nil, Table{}, err
+		}
 		times := map[string]float64{}
-		for _, p := range planners {
-			plan, err := p.Plan(d, nets[name])
-			if err != nil {
-				return nil, Table{}, err
-			}
-			est, err := plan.Estimate()
-			if err != nil {
-				return nil, Table{}, err
-			}
-			times[p.Name()] = est.TotalUS
+		for _, p := range priced {
+			times[p.Estimate.PlannerName] = p.Estimate.TotalUS
 		}
 		rows = append(rows, TitanXRow{
 			Network:            name,

@@ -5,8 +5,16 @@
 // register-reuse and kernel-fusion variants of Section V, and picks the best
 // convolution implementation for each chosen layout.
 //
-// The layouts are the exact optimum of the modeled chain: Plan runs the chain
-// dynamic program the compiler's selection runs on the host
+// It has one planner, Policy.Plan, and every model-domain policy is a value of
+// it: the layouts it may use, the kernels it runs in each and the thresholds
+// that break its ties.  The optimiser (frameworks.Optimized) is the policy
+// with NCHW and CHWN and the Section V kernels; each library emulation of
+// internal/frameworks is a policy with one layout and that library's kernels,
+// so the whole-network benchmarks (Figs. 14 and 15) compare them all through
+// the same program.
+//
+// The optimiser's layouts are the exact optimum of the modeled chain: Plan
+// runs the chain dynamic program the compiler's selection runs on the host
 // (autotune.CheapestChain), over the layers' modeled prices and the
 // transformations between them.  The (Ct, Nt) heuristic of Section IV.A
 // breaks its ties.  The paper refines the heuristic with a one-time check of
@@ -32,17 +40,14 @@
 // the paper's thresholds also ran pool1 alone in CHWN, 4.4 us dearer than
 // staying in NCHW.
 //
-// The optimiser is a network.Planner, so it is compared head to head with the
-// library emulations of internal/frameworks in the whole-network benchmarks
-// (Figs. 14 and 15).
-//
-// Naming note: core.Optimizer optimises memory layout and kernel choice — it
+// Naming note: the optimiser optimises memory layout and kernel choice — it
 // is the paper's planner, not a training optimiser.  Gradient-descent
 // training (the SGD update rule and its step loop) lives in
 // internal/runtime/train.
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"memcnn/internal/autotune"
@@ -53,32 +58,23 @@ import (
 	"memcnn/internal/tensor"
 )
 
-// Options configure the optimiser.
-type Options struct {
-	// Thresholds are the layout-selection thresholds: the paper's published
-	// ones for the device (layout.TitanBlackThresholds, TitanXThresholds) or
-	// the one-time calibration's (layout.Calibrate).  Plan rejects invalid
-	// ones.
+// Policy is one model-domain planning policy: a name, the layouts its layers
+// may run in with the implementations (gpusim.CostOptions) it runs in each,
+// and the (Ct, Nt) thresholds whose heuristic breaks ties between layouts.  A
+// library emulation lists one layout; the paper's optimiser lists NCHW and
+// CHWN.  Thresholds matter, and must be valid, only where a policy lists more
+// than one layout: the paper's published ones for the device
+// (layout.TitanBlackThresholds, TitanXThresholds) or the one-time
+// calibration's (layout.Calibrate).  Plan never calibrates on its own.
+type Policy struct {
+	Name       string
+	Layouts    map[tensor.Layout]gpusim.CostOptions
 	Thresholds layout.Thresholds
 }
 
-// Optimizer is the paper's automatic data-layout and memory-access optimiser
-// (not a gradient-descent optimiser — see the package naming note).
-type Optimizer struct {
-	Opts Options
-}
-
-// NewOptimizer builds an optimiser.
-func NewOptimizer(opts Options) *Optimizer {
-	return &Optimizer{Opts: opts}
-}
-
-// Name implements network.Planner.
-func (o *Optimizer) Name() string { return "Opt" }
-
 // preferredLayout returns the layout the heuristic assigns to a layer, or the
 // incoming layout for layout-agnostic layers.
-func (o *Optimizer) preferredLayout(l layers.Layer, incoming tensor.Layout, th layout.Thresholds) tensor.Layout {
+func preferredLayout(l layers.Layer, incoming tensor.Layout, th layout.Thresholds) tensor.Layout {
 	switch lt := l.(type) {
 	case *layers.Conv:
 		return layout.PreferredConvLayout(lt.Cfg, th)
@@ -94,50 +90,53 @@ func (o *Optimizer) preferredLayout(l layers.Layer, incoming tensor.Layout, th l
 	}
 }
 
-// options returns the implementation options the optimiser uses for a layer
-// in a given layout.
-func (o *Optimizer) options(d *gpusim.Device, l layers.Layer, lay tensor.Layout) gpusim.CostOptions {
-	opts := gpusim.CostOptions{}
-	switch lt := l.(type) {
-	case *layers.Conv:
-		if lay == tensor.NCHW {
-			opts.Conv = gpusim.ConvBestNCHW
-		} else {
-			opts.Conv = gpusim.ConvDirectImpl
+// layerCost prices l in lay under opts, the options of the policy's layout,
+// and returns the options it priced: a pool under the optimised kernel gets
+// the expansion factors tuned for it, and a convolution the device cannot run
+// in the chosen mode (an FFT mode out of memory) runs the GEMM mode, which is
+// how cuDNN falls back and what the paper reports.
+func layerCost(d *gpusim.Device, l layers.Layer, lay tensor.Layout, opts gpusim.CostOptions) (float64, gpusim.CostOptions, error) {
+	if p, ok := l.(*layers.Pool); ok && opts.Pool == gpusim.PoolOptimized {
+		if e, _, err := autotune.TunePoolExpansion(p.Cfg, gpusim.PoolCoarsenedTimeUS(d, p.Cfg)); err == nil {
+			opts.PoolExpansion = e
 		}
-	case *layers.Pool:
-		if lay == tensor.CHWN {
-			opts.Pool = gpusim.PoolOptimized
-			if e, _, err := autotune.TunePoolExpansion(lt.Cfg, gpusim.PoolCoarsenedTimeUS(d, lt.Cfg)); err == nil {
-				opts.PoolExpansion = e
-			}
-		}
-	case *layers.Softmax:
-		opts.Softmax = gpusim.SoftmaxFusedParallel
 	}
-	return opts
+	seq, err := gpusim.LayerCost(d, l, lay, opts)
+	if oom := (*gpusim.ErrOutOfMemory)(nil); errors.As(err, &oom) {
+		opts.Conv = gpusim.ConvGemmImpl
+		seq, err = gpusim.LayerCost(d, l, lay, opts)
+	}
+	if err != nil {
+		return 0, opts, err
+	}
+	return gpusim.EstimateSequence(d, seq), opts, nil
 }
 
-// Plan implements network.Planner.  It is the exact chain dynamic program
-// (autotune.CheapestChain) over NCHW and CHWN: a layer's state is a layout it
-// supports, priced by gpusim.LayerCost under the optimiser's options, and the
-// step into it adds the fastest layout transformation (gpusim.BestTransform)
-// from the layer below's layout, free between equal ones.  The network's
-// input is written once by the host in whatever layout the first layer takes,
-// so there is no transform to pay for before it (the same assumption as the
-// paper's framework integration).  Of equally cheap plans the one closest to
-// the heuristic wins: the fewest convolution and pooling layers off their
-// (Ct, Nt) or pooling preference, and the fewest layout-agnostic layers off
-// the layout the layer below hands them, so a transform sits as late as it
-// can.  The thresholds thus still set the starting list, and the one-time
-// profiling check of Section IV.D is the program's exact answer.
-func (o *Optimizer) Plan(d *gpusim.Device, net *network.Network) (*network.ExecutionPlan, error) {
+// Plan is the exact chain dynamic program (autotune.CheapestChain) over the
+// policy's layouts: a layer's state is a layout of the policy it supports,
+// priced by gpusim.LayerCost under that layout's options (see layerCost), and
+// the step into it adds the fastest layout transformation
+// (gpusim.BestTransform) from the layer below's layout, free between equal
+// ones.  A single-layout policy is thus one state per layer and no
+// transformations.  The network's input is written once by the host in
+// whatever layout the first layer takes, so there is no transform to pay for
+// before it (the same assumption as the paper's framework integration).  Of
+// equally cheap plans the one closest to the heuristic wins: the fewest
+// convolution and pooling layers off their (Ct, Nt) or pooling preference, and
+// the fewest layout-agnostic layers off the layout the layer below hands them,
+// so a transform sits as late as it can.  The thresholds thus still set the
+// starting list, and the one-time profiling check of Section IV.D is the
+// program's exact answer.
+func (p Policy) Plan(d *gpusim.Device, net *network.Network) (*network.ExecutionPlan, error) {
 	if net == nil || len(net.Layers) == 0 {
 		return nil, fmt.Errorf("core: cannot plan an empty network")
 	}
-	th := o.Opts.Thresholds
-	if !th.Valid() {
-		return nil, fmt.Errorf("core: invalid layout thresholds %v: pass the paper's or layout.Calibrate's", th)
+	th := p.Thresholds
+	switch {
+	case len(p.Layouts) == 0:
+		return nil, fmt.Errorf("core: %s lists no layout", p.Name)
+	case len(p.Layouts) > 1 && !th.Valid():
+		return nil, fmt.Errorf("core: %s: invalid layout thresholds %v: pass the paper's or layout.Calibrate's", p.Name, th)
 	}
 	n := len(net.Layers)
 	// cands[i] are layer i's states and node[i] their prices; into[i][a][b]
@@ -147,22 +146,22 @@ func (o *Optimizer) Plan(d *gpusim.Device, net *network.Network) (*network.Execu
 	states := make([]int, n)
 	for i, l := range net.Layers {
 		var costErr error
-		for _, lay := range []tensor.Layout{tensor.NCHW, tensor.CHWN} {
-			if !l.SupportsLayout(lay) {
+		for _, lay := range tensor.Layouts {
+			opts, ok := p.Layouts[lay]
+			if !ok || !l.SupportsLayout(lay) {
 				continue
 			}
-			opts := o.options(d, l, lay)
-			seq, err := gpusim.LayerCost(d, l, lay, opts)
+			us, opts, err := layerCost(d, l, lay, opts)
 			if err != nil {
-				costErr = fmt.Errorf("core: layer %q cannot run in layout %v: %w", l.Name(), lay, err)
+				costErr = fmt.Errorf("core: %s: layer %q cannot run in layout %v: %w", p.Name, l.Name(), lay, err)
 				continue
 			}
 			cands[i] = append(cands[i], network.PlannedLayer{Layer: l, Layout: lay, Options: opts})
-			node[i] = append(node[i], gpusim.EstimateSequence(d, seq))
+			node[i] = append(node[i], us)
 		}
 		if states[i] = len(cands[i]); states[i] == 0 {
 			if costErr == nil {
-				costErr = fmt.Errorf("core: layer %q supports neither NCHW nor CHWN", l.Name())
+				costErr = fmt.Errorf("core: %s: layer %q runs in none of the policy's layouts", p.Name, l.Name())
 			}
 			return nil, costErr
 		}
@@ -181,17 +180,17 @@ func (o *Optimizer) Plan(d *gpusim.Device, net *network.Network) (*network.Execu
 		}
 	}
 	path, _ := autotune.CheapestChain(states, func(i, a, s int) (float64, bool) {
-		p, in := node[i][s], tensor.NCHW // the first layer is handed NCHW
+		price, in := node[i][s], tensor.NCHW // the first layer is handed NCHW
 		if a >= 0 {
 			in = cands[i-1][a].Layout
 			if t := into[i][a][s].Transform; t != nil {
-				p += gpusim.EstimateTime(d, *t).TotalUS
+				price += gpusim.EstimateTime(d, *t).TotalUS
 			}
 		}
-		return p, cands[i][s].Layout != o.preferredLayout(net.Layers[i], in, th)
+		return price, cands[i][s].Layout != preferredLayout(net.Layers[i], in, th)
 	})
 
-	plan := &network.ExecutionPlan{PlannerName: o.Name(), Network: net, Device: d}
+	plan := &network.ExecutionPlan{PlannerName: p.Name, Network: net, Device: d}
 	plan.Layers = append(plan.Layers, cands[0][path[0]])
 	for i := 1; i < n; i++ {
 		plan.Layers = append(plan.Layers, into[i][path[i-1]][path[i]])

@@ -7,18 +7,18 @@
 //	cuDNN-FFT     — NCHW, FFT mode, falling back to GEMM when it fails
 //	cuDNN-FFT-T   — NCHW, FFT-Tiling mode, falling back to GEMM when it fails
 //	cuDNN-Best    — NCHW, the fastest mode per layer
-//	Opt           — the paper's optimiser (internal/core)
+//	Opt           — the paper's optimiser: NCHW or CHWN per layer
 //
-// Every emulation is a network.Planner so the whole-network benchmarks can
-// price them on identical network descriptions.
+// Every policy is a core.Policy value, a layout-to-kernels table that
+// core.Policy.Plan plans, so the whole-network benchmarks price them all on
+// identical network descriptions through one planner.  The FFT modes'
+// fallback to GEMM is that planner's rule, not the policy's.
 package frameworks
 
 import (
 	"memcnn/internal/core"
 	"memcnn/internal/gpusim"
-	"memcnn/internal/layers"
 	"memcnn/internal/layout"
-	"memcnn/internal/network"
 	"memcnn/internal/tensor"
 )
 
@@ -51,43 +51,24 @@ func (m CuDNNMode) String() string {
 
 // CudaConvnet returns the cuda-convnet2 emulation: everything in CHWN with
 // the direct convolution and the library's own memory-bound kernels.
-func CudaConvnet() network.Planner {
-	return &network.FixedLayoutPlanner{
-		PlannerName: "cuda-convnet",
-		Layout:      tensor.CHWN,
-		Options: func(l layers.Layer) gpusim.CostOptions {
-			opts := gpusim.CostOptions{}
-			if _, ok := l.(*layers.Softmax); ok {
-				opts.Softmax = gpusim.SoftmaxThreadPerImage
-			}
-			return opts
-		},
-	}
+func CudaConvnet() core.Policy {
+	return core.Policy{Name: "cuda-convnet", Layouts: map[tensor.Layout]gpusim.CostOptions{
+		tensor.CHWN: {Softmax: gpusim.SoftmaxThreadPerImage},
+	}}
 }
 
 // Caffe returns the Caffe emulation: NCHW with im2col+GEMM convolutions and
 // the framework's plain pooling and multi-kernel softmax.
-func Caffe() network.Planner {
-	return &network.FixedLayoutPlanner{
-		PlannerName: "Caffe",
-		Layout:      tensor.NCHW,
-		Options: func(l layers.Layer) gpusim.CostOptions {
-			opts := gpusim.CostOptions{}
-			switch l.(type) {
-			case *layers.Conv:
-				opts.Conv = gpusim.ConvGemmImpl
-			case *layers.Softmax:
-				opts.Softmax = gpusim.SoftmaxThreadPerImage
-			}
-			return opts
-		},
-	}
+func Caffe() core.Policy {
+	return core.Policy{Name: "Caffe", Layouts: map[tensor.Layout]gpusim.CostOptions{
+		tensor.NCHW: {Conv: gpusim.ConvGemmImpl, Softmax: gpusim.SoftmaxThreadPerImage},
+	}}
 }
 
 // CuDNN returns the cuDNN v4 emulation in the requested convolution mode.
-// The FFT modes fall back to the MM mode on layers where they fail, matching
+// The planner runs the MM mode on layers where an FFT mode fails, matching
 // the paper's "falls back to the cuDNN-MM mode if failed" methodology.
-func CuDNN(mode CuDNNMode) network.Planner {
+func CuDNN(mode CuDNNMode) core.Policy {
 	conv := gpusim.ConvGemmImpl
 	switch mode {
 	case CuDNNFFT:
@@ -97,40 +78,26 @@ func CuDNN(mode CuDNNMode) network.Planner {
 	case CuDNNBest:
 		conv = gpusim.ConvBestNCHW
 	}
-	return &network.FixedLayoutPlanner{
-		PlannerName: mode.String(),
-		Layout:      tensor.NCHW,
-		Options: func(l layers.Layer) gpusim.CostOptions {
-			opts := gpusim.CostOptions{}
-			switch l.(type) {
-			case *layers.Conv:
-				opts.Conv = conv
-			case *layers.Pool:
-				opts.Pool = gpusim.PoolCuDNN
-			case *layers.Softmax:
-				opts.Softmax = gpusim.SoftmaxBlockPerImage
-			}
-			return opts
-		},
-		Fallback: func(l layers.Layer, err error) (gpusim.CostOptions, bool) {
-			if _, ok := l.(*layers.Conv); ok {
-				return gpusim.CostOptions{Conv: gpusim.ConvGemmImpl}, true
-			}
-			return gpusim.CostOptions{}, false
-		},
-	}
+	return core.Policy{Name: mode.String(), Layouts: map[tensor.Layout]gpusim.CostOptions{
+		tensor.NCHW: {Conv: conv, Pool: gpusim.PoolCuDNN, Softmax: gpusim.SoftmaxBlockPerImage},
+	}}
 }
 
 // Optimized returns the paper's optimiser with the given layout thresholds:
 // the paper's published ones or layout.Calibrate's for the device the plan is
-// priced on.  Its Plan fails on invalid thresholds.
-func Optimized(th layout.Thresholds) network.Planner {
-	return core.NewOptimizer(core.Options{Thresholds: th})
+// priced on.  It runs the fastest NCHW convolution mode in NCHW and the
+// direct convolution with the register-reuse pooling kernel in CHWN, and the
+// fused, parallel softmax in both.  Its Plan fails on invalid thresholds.
+func Optimized(th layout.Thresholds) core.Policy {
+	return core.Policy{Name: "Opt", Thresholds: th, Layouts: map[tensor.Layout]gpusim.CostOptions{
+		tensor.NCHW: {Conv: gpusim.ConvBestNCHW, Softmax: gpusim.SoftmaxFusedParallel},
+		tensor.CHWN: {Conv: gpusim.ConvDirectImpl, Pool: gpusim.PoolOptimized, Softmax: gpusim.SoftmaxFusedParallel},
+	}}
 }
 
-// All returns the planners compared in Fig. 14, keyed in presentation order.
-func All(th layout.Thresholds) []network.Planner {
-	return []network.Planner{
+// All returns the policies compared in Fig. 14, in presentation order.
+func All(th layout.Thresholds) []core.Policy {
+	return []core.Policy{
 		CuDNN(CuDNNMM),
 		CuDNN(CuDNNFFT),
 		CuDNN(CuDNNFFTTiling),

@@ -5,6 +5,7 @@ import (
 
 	"memcnn/internal/frameworks"
 	"memcnn/internal/gpusim"
+	"memcnn/internal/layers"
 	"memcnn/internal/layout"
 	"memcnn/internal/network"
 	"memcnn/internal/workloads"
@@ -18,16 +19,16 @@ func estimateAll(t *testing.T, d *gpusim.Device, net *network.Network) map[strin
 	for _, p := range frameworks.All(layout.TitanBlackThresholds()) {
 		plan, err := p.Plan(d, net)
 		if err != nil {
-			t.Fatalf("%s on %s: %v", p.Name(), net.Name, err)
+			t.Fatalf("%s on %s: %v", p.Name, net.Name, err)
 		}
 		if err := plan.Validate(); err != nil {
-			t.Fatalf("%s on %s: %v", p.Name(), net.Name, err)
+			t.Fatalf("%s on %s: %v", p.Name, net.Name, err)
 		}
 		est, err := plan.Estimate()
 		if err != nil {
-			t.Fatalf("%s on %s: %v", p.Name(), net.Name, err)
+			t.Fatalf("%s on %s: %v", p.Name, net.Name, err)
 		}
-		out[p.Name()] = est.TotalUS
+		out[p.Name] = est.TotalUS
 	}
 	return out
 }
@@ -136,21 +137,38 @@ func TestCuDNNBestNeverLosesToOtherCuDNNModes(t *testing.T) {
 
 func TestCuDNNFFTFallsBackOnOOMLayers(t *testing.T) {
 	// ZFNet contains CONV5/CONV6-shaped layers whose FFT mode exceeds device
-	// memory; the cuDNN-FFT emulation must still produce a plan by falling
-	// back to the MM mode for those layers (as the paper's methodology
-	// describes).
+	// memory; the cuDNN-FFT emulation must plan exactly those on the MM mode
+	// (as the paper's methodology describes) and keep the FFT mode on every
+	// other convolution.
 	d := gpusim.TitanBlack()
 	nets, err := workloads.Networks()
 	if err != nil {
 		t.Fatal(err)
 	}
-	planner := frameworks.CuDNN(frameworks.CuDNNFFT)
-	plan, err := planner.Plan(d, nets["ZFNet"])
+	plan, err := frameworks.CuDNN(frameworks.CuDNNFFT).Plan(d, nets["ZFNet"])
 	if err != nil {
 		t.Fatalf("cuDNN-FFT must fall back instead of failing: %v", err)
 	}
 	if err := plan.Validate(); err != nil {
 		t.Fatal(err)
+	}
+	fellBack := 0
+	for _, pl := range plan.Layers {
+		conv, ok := pl.Layer.(*layers.Conv)
+		if !ok {
+			continue
+		}
+		want := gpusim.ConvFFTImpl
+		if _, err := gpusim.ConvFFTCost(d, conv.Cfg); err != nil {
+			want = gpusim.ConvGemmImpl
+			fellBack++
+		}
+		if pl.Options.Conv != want {
+			t.Errorf("%s planned on %v, want %v", conv.Name(), pl.Options.Conv, want)
+		}
+	}
+	if fellBack == 0 {
+		t.Error("no ZFNet convolution exceeds device memory in the FFT mode: the test checks no fallback")
 	}
 }
 
@@ -167,13 +185,13 @@ func TestTitanXShowsSameTrends(t *testing.T) {
 		for _, p := range frameworks.All(layout.Calibrate(d)) { // calibrated on the Titan X model
 			plan, err := p.Plan(d, nets[name])
 			if err != nil {
-				t.Fatalf("%s on %s: %v", p.Name(), name, err)
+				t.Fatalf("%s on %s: %v", p.Name, name, err)
 			}
 			est, err := plan.Estimate()
 			if err != nil {
 				t.Fatal(err)
 			}
-			out[p.Name()] = est.TotalUS
+			out[p.Name] = est.TotalUS
 		}
 		for planner, us := range out {
 			if planner == "Opt" {
@@ -201,10 +219,10 @@ func TestPlannerNames(t *testing.T) {
 		"cuda-convnet": true, "cuDNN-Best": true, "Opt": true,
 	}
 	for _, p := range frameworks.All(layout.TitanBlackThresholds()) {
-		if !want[p.Name()] {
-			t.Errorf("unexpected planner name %q", p.Name())
+		if !want[p.Name] {
+			t.Errorf("unexpected planner name %q", p.Name)
 		}
-		delete(want, p.Name())
+		delete(want, p.Name)
 	}
 	if len(want) != 0 {
 		t.Errorf("missing planners: %v", want)

@@ -4,12 +4,10 @@
 // layout transformations are inserted, priced by gpusim.LayerCost on a GPU
 // model and never run.
 //
-// The planning abstraction is what lets the figure harness compare the
-// paper's six whole-network configurations (cuDNN-MM, cuDNN-FFT,
-// cuDNN-FFT-T, cuDNN-Best, cuda-convnet and the optimised framework) on the
-// same network descriptions (Figs. 14 and 15).  The runtime compiles a plan's
-// layouts into a program (runtime.PlanChoices); its implementation options
-// are the model's alone.
+// The package holds no planner: core.Policy.Plan makes every execution plan,
+// the paper's optimiser's and each library emulation's alike.  The runtime
+// compiles a plan's layouts into a program (runtime.PlanChoices); its
+// implementation options are the model's alone.
 package network
 
 import (
@@ -145,14 +143,6 @@ type ExecutionPlan struct {
 	Layers      []PlannedLayer
 }
 
-// Planner produces an execution plan for a network on a device.  The
-// framework emulations in internal/frameworks and the paper's optimiser in
-// internal/core implement it.
-type Planner interface {
-	Name() string
-	Plan(d *gpusim.Device, net *Network) (*ExecutionPlan, error)
-}
-
 // LayerTime is the estimated cost of one planned layer.
 type LayerTime struct {
 	Name        string
@@ -226,53 +216,4 @@ func (p *ExecutionPlan) Validate() error {
 		}
 	}
 	return nil
-}
-
-// FixedLayoutPlanner plans every layer in a single layout with per-layer
-// options chosen by a callback; it is the shared machinery of the library
-// emulations (cuda-convnet, Caffe and the cuDNN modes all use one fixed
-// layout for the whole network — the design decision the paper argues
-// against).
-type FixedLayoutPlanner struct {
-	PlannerName string
-	Layout      tensor.Layout
-	// Options returns the implementation options for one layer; nil means
-	// zero options for every layer.
-	Options func(l layers.Layer) gpusim.CostOptions
-	// Fallback, when non-nil, may replace the options for a layer whose cost
-	// query fails (e.g. an FFT mode that runs out of memory falls back to
-	// GEMM, as cuDNN does).
-	Fallback func(l layers.Layer, err error) (gpusim.CostOptions, bool)
-}
-
-// Name implements Planner.
-func (f *FixedLayoutPlanner) Name() string { return f.PlannerName }
-
-// Plan implements Planner.
-func (f *FixedLayoutPlanner) Plan(d *gpusim.Device, net *Network) (*ExecutionPlan, error) {
-	plan := &ExecutionPlan{PlannerName: f.PlannerName, Network: net, Device: d}
-	for _, l := range net.Layers {
-		if !l.SupportsLayout(f.Layout) {
-			return nil, fmt.Errorf("network: %s: layer %q does not support layout %v", f.PlannerName, l.Name(), f.Layout)
-		}
-		opts := gpusim.CostOptions{}
-		if f.Options != nil {
-			opts = f.Options(l)
-		}
-		if _, err := gpusim.LayerCost(d, l, f.Layout, opts); err != nil {
-			ok := false
-			if f.Fallback != nil {
-				if fbOpts, use := f.Fallback(l, err); use {
-					if _, err2 := gpusim.LayerCost(d, l, f.Layout, fbOpts); err2 == nil {
-						opts, ok = fbOpts, true
-					}
-				}
-			}
-			if !ok {
-				return nil, fmt.Errorf("network: %s: layer %q: %w", f.PlannerName, l.Name(), err)
-			}
-		}
-		plan.Layers = append(plan.Layers, PlannedLayer{Layer: l, Layout: f.Layout, Options: opts})
-	}
-	return plan, nil
 }

@@ -2,7 +2,6 @@ package network_test
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"memcnn/internal/gpusim"
@@ -108,118 +107,12 @@ func TestNetworkForwardLayoutInvariance(t *testing.T) {
 	}
 }
 
-func TestFixedLayoutPlannerPlansEveryLayer(t *testing.T) {
-	d := gpusim.TitanBlack()
-	net := smallNet(t)
-	planner := &network.FixedLayoutPlanner{PlannerName: "chwn-everything", Layout: tensor.CHWN}
-	plan, err := planner.Plan(d, net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := plan.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if plan.TransformCount() != 0 {
-		t.Error("a fixed-layout plan must not contain transforms")
-	}
-	est, err := plan.Estimate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(est.PerLayer) != len(net.Layers) {
-		t.Errorf("estimate covers %d layers, want %d", len(est.PerLayer), len(net.Layers))
-	}
-	if est.TotalUS <= 0 {
-		t.Error("total time must be positive")
-	}
-	var sum float64
-	for _, lt := range est.PerLayer {
-		sum += lt.Total()
-	}
-	if math.Abs(sum-est.TotalUS) > 1e-6 {
-		t.Error("per-layer times must add up to the total")
-	}
-}
-
-func TestFixedLayoutPlannerOptionsCallback(t *testing.T) {
-	d := gpusim.TitanBlack()
-	net := smallNet(t)
-	var sawSoftmax bool
-	planner := &network.FixedLayoutPlanner{
-		PlannerName: "opts",
-		Layout:      tensor.NCHW,
-		Options: func(l layers.Layer) gpusim.CostOptions {
-			if _, ok := l.(*layers.Softmax); ok {
-				sawSoftmax = true
-				return gpusim.CostOptions{Softmax: gpusim.SoftmaxFusedParallel}
-			}
-			return gpusim.CostOptions{}
-		},
-	}
-	if _, err := planner.Plan(d, net); err != nil {
-		t.Fatal(err)
-	}
-	if !sawSoftmax {
-		t.Error("options callback was not consulted for the softmax layer")
-	}
-}
-
-func TestFixedLayoutPlannerFallback(t *testing.T) {
-	d := gpusim.TitanBlack()
-	// CV5-sized first layer: the FFT mode fails with out-of-memory, so a
-	// planner pinned to FFT needs the fallback to succeed.
-	conv, err := layers.NewConv("conv1", kernels.ConvConfig{N: 64, C: 3, H: 224, W: 224, K: 96, FH: 3, FW: 3, StrideH: 2, StrideW: 2}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net, err := network.New("deep", 64, conv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	noFallback := &network.FixedLayoutPlanner{
-		PlannerName: "fft-strict",
-		Layout:      tensor.NCHW,
-		Options:     func(layers.Layer) gpusim.CostOptions { return gpusim.CostOptions{Conv: gpusim.ConvFFTImpl} },
-	}
-	if _, err := noFallback.Plan(d, net); err == nil {
-		t.Error("without a fallback the out-of-memory FFT plan must fail")
-	}
-	withFallback := &network.FixedLayoutPlanner{
-		PlannerName: "fft",
-		Layout:      tensor.NCHW,
-		Options:     func(layers.Layer) gpusim.CostOptions { return gpusim.CostOptions{Conv: gpusim.ConvFFTImpl} },
-		Fallback: func(l layers.Layer, err error) (gpusim.CostOptions, bool) {
-			if !strings.Contains(err.Error(), "GiB") {
-				return gpusim.CostOptions{}, false
-			}
-			return gpusim.CostOptions{Conv: gpusim.ConvGemmImpl}, true
-		},
-	}
-	plan, err := withFallback.Plan(d, net)
-	if err != nil {
-		t.Fatalf("fallback plan failed: %v", err)
-	}
-	if plan.Layers[0].Options.Conv != gpusim.ConvGemmImpl {
-		t.Error("fallback options were not applied")
-	}
-}
-
-func TestFixedLayoutPlannerRejectsUnsupportedLayout(t *testing.T) {
-	d := gpusim.TitanBlack()
-	net := smallNet(t)
-	planner := &network.FixedLayoutPlanner{PlannerName: "nhwc", Layout: tensor.NHWC}
-	if _, err := planner.Plan(d, net); err == nil {
-		t.Error("NHWC is not supported by conv layers and must be rejected")
-	}
-}
-
 func TestPlanValidateCatchesCorruption(t *testing.T) {
 	d := gpusim.TitanBlack()
 	net := smallNet(t)
-	planner := &network.FixedLayoutPlanner{PlannerName: "p", Layout: tensor.CHWN}
-	plan, err := planner.Plan(d, net)
-	if err != nil {
-		t.Fatal(err)
+	plan := &network.ExecutionPlan{PlannerName: "p", Network: net, Device: d}
+	for _, l := range net.Layers {
+		plan.Layers = append(plan.Layers, network.PlannedLayer{Layer: l, Layout: tensor.CHWN})
 	}
 	good := *plan
 	if err := good.Validate(); err != nil {

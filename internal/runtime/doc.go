@@ -209,8 +209,8 @@
 // runs Executor.ExecuteOn and reads the loss, so a step is cancellable between
 // ops and contains panics like an inference run; callers compile with
 // train.CompileTraining and bind with train.NewExecutor.  Note the naming
-// split: core.Optimizer is the paper's layout planner, while the
-// gradient-descent optimiser (SGD) lives here.
+// split: internal/core holds the paper's layout optimiser (a core.Policy),
+// while the gradient-descent optimiser (SGD) lives here.
 //
 // # Verified IR contract
 //

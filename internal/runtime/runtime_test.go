@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"memcnn/internal/core"
 	"memcnn/internal/frameworks"
 	"memcnn/internal/gpusim"
 	"memcnn/internal/kernels"
@@ -20,29 +21,29 @@ import (
 
 // planners returns the execution policies the runtime is exercised under:
 // both fixed layouts and the paper's optimiser.
-func planners() []network.Planner {
+func planners() []core.Policy {
 	th := layout.TitanBlackThresholds()
-	return []network.Planner{
+	return []core.Policy{
 		frameworks.CudaConvnet(),
 		frameworks.Caffe(),
 		frameworks.Optimized(th),
 	}
 }
 
-func mustCompile(t *testing.T, planner network.Planner, net *network.Network) *runtime.Program {
+func mustCompile(t *testing.T, planner core.Policy, net *network.Network) *runtime.Program {
 	t.Helper()
 	return mustCompileOpts(t, planner, net, runtime.Options{})
 }
 
-func mustCompileOpts(t *testing.T, planner network.Planner, net *network.Network, opts runtime.Options) *runtime.Program {
+func mustCompileOpts(t *testing.T, planner core.Policy, net *network.Network, opts runtime.Options) *runtime.Program {
 	t.Helper()
 	plan, err := planner.Plan(gpusim.TitanBlack(), net)
 	if err != nil {
-		t.Fatalf("planning %s with %s: %v", net.Name, planner.Name(), err)
+		t.Fatalf("planning %s with %s: %v", net.Name, planner.Name, err)
 	}
 	prog, err := runtime.CompileWithOptions(plan, opts)
 	if err != nil {
-		t.Fatalf("compiling %s/%s: %v", net.Name, planner.Name(), err)
+		t.Fatalf("compiling %s/%s: %v", net.Name, planner.Name, err)
 	}
 	return prog
 }
@@ -167,20 +168,20 @@ func TestMemoryPlanInvariants(t *testing.T) {
 		for _, planner := range planners() {
 			prog := mustCompile(t, planner, net)
 			if err := prog.Mem.Validate(prog); err != nil {
-				t.Errorf("%s/%s: %v", name, planner.Name(), err)
+				t.Errorf("%s/%s: %v", name, planner.Name, err)
 			}
 			peak, naive := prog.Mem.PeakBytes(), prog.NaiveBytes()
 			if peak >= naive {
-				t.Errorf("%s/%s: peak %d B not below naive %d B", name, planner.Name(), peak, naive)
+				t.Errorf("%s/%s: peak %d B not below naive %d B", name, planner.Name, peak, naive)
 			}
 			// The arena must still hold the largest single buffer.
 			for _, b := range prog.Buffers {
 				if b.AliasOf == runtime.NoBuffer && b.Bytes() > peak {
-					t.Errorf("%s/%s: buffer %v larger than arena", name, planner.Name(), b.Shape)
+					t.Errorf("%s/%s: buffer %v larger than arena", name, planner.Name, b.Shape)
 				}
 			}
 			t.Logf("%s/%s: peak %.2f MiB vs naive %.2f MiB (%.0f%% saved)",
-				name, planner.Name(), float64(peak)/(1<<20), float64(naive)/(1<<20), 100*prog.Savings())
+				name, planner.Name, float64(peak)/(1<<20), float64(naive)/(1<<20), 100*prog.Savings())
 		}
 	}
 }
@@ -203,7 +204,7 @@ func TestMemoryPlanInvariants(t *testing.T) {
 type goldenCase struct {
 	name     string
 	net      *network.Network
-	planners []network.Planner
+	planners []core.Policy
 	rerun    bool
 	opts     runtime.Options
 }
@@ -298,18 +299,18 @@ func TestGoldenEquivalence(t *testing.T) {
 			exec := runtime.NewExecutor(prog)
 			got, err := runBatch(exec, in, prog.OutputShape())
 			if err != nil {
-				t.Fatalf("%s/%s: %v", tc.name, planner.Name(), err)
+				t.Fatalf("%s/%s: %v", tc.name, planner.Name, err)
 			}
-			requireBitEqual(t, tc.name+"/"+planner.Name(), got, want)
+			requireBitEqual(t, tc.name+"/"+planner.Name, got, want)
 			if !tc.rerun {
 				continue
 			}
 			// A second run through the recycled arena must be identical.
 			again, err := runBatch(exec, in, prog.OutputShape())
 			if err != nil {
-				t.Fatalf("%s/%s rerun: %v", tc.name, planner.Name(), err)
+				t.Fatalf("%s/%s rerun: %v", tc.name, planner.Name, err)
 			}
-			requireBitEqual(t, tc.name+"/"+planner.Name()+" rerun", again, want)
+			requireBitEqual(t, tc.name+"/"+planner.Name+" rerun", again, want)
 		}
 	}
 }

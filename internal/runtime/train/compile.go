@@ -69,7 +69,7 @@ func (c Checkpoint) String() string {
 // SGD is the optimiser the training subsystem implements: plain stochastic
 // gradient descent, W -= LR · dW, applied in place by the program's OpSGD
 // ops.  It is deliberately named after the update rule — internal/core's
-// Optimizer, despite the name, optimises data layouts, not parameters.
+// optimiser optimises data layouts, not parameters.
 type SGD struct {
 	// LR is the learning rate; zero selects DefaultLR.
 	LR float32
