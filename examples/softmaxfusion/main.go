@@ -32,8 +32,8 @@ func main() {
 	// --- Functional equivalence ------------------------------------------
 	cfg := kernels.SoftmaxConfig{N: 32, Classes: 1000}
 	logits := tensor.Random(tensor.Shape{N: cfg.N, C: cfg.Classes, H: 1, W: 1}, tensor.NCHW, 123)
-	fused, err := kernels.Softmax(logits.Data, cfg)
-	if err != nil {
+	fused := make([]float32, cfg.Elems())
+	if err := kernels.SoftmaxInto(fused, logits.Data, cfg); err != nil {
 		log.Fatal(err)
 	}
 	fiveStep, intermediates, err := kernels.SoftmaxFiveStep(logits.Data, cfg)

@@ -45,8 +45,10 @@ type Prices struct {
 	// (`lenet-conv2@n128/direct-chwn`), about 1 on `1img-small/direct`.
 	DirectGFLOPS float64
 	// GemmGFLOPS is the packed GEMM core once the unroll below is paid for:
-	// `alexnet-conv2@n32/gemm` and `vgg-conv3_1/gemm` read 72–90 overall, with
-	// 256 filters to spread each unrolled element over.
+	// `alexnet-conv2@n32/gemm` and `vgg-conv3_1/gemm` read 78–85 and 69–89
+	// overall on the fused multiply-add core (2026-10-19), with 256 filters
+	// to spread each unrolled element over, against a two-worker
+	// `BenchmarkGemmMicroPeak` (internal/kernels) of 88–108.
 	GemmGFLOPS float64
 	// GemmUnrollNS and GemmRunNS are what the unroll costs per element of
 	// the (C·FH·FW) × (N·OutH·OutW) unroll matrix: GemmUnrollNS +

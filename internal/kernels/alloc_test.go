@@ -184,3 +184,15 @@ func Pool(in *tensor.Tensor, cfg PoolConfig) (*tensor.Tensor, error) {
 	}
 	return out, nil
 }
+
+// Softmax is SoftmaxInto into a fresh N×Classes matrix.
+func Softmax(in []float32, cfg SoftmaxConfig) ([]float32, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	out := make([]float32, len(in))
+	if err := SoftmaxInto(out, in, cfg); err != nil {
+		return nil, err
+	}
+	return out, nil
+}

@@ -35,12 +35,11 @@ import (
 //
 //   - a filter-gradient element sums its N·OutH·OutW products in column
 //     order, position by position and image by image within a position, one
-//     float32 multiply and one float32 add a step;
-//   - an input-gradient element starts at zero and takes one float32
-//     multiply and one float32 add per (output position, filter tap, filter)
-//     that reaches it: the columns cut into gemmNR-wide panels, panel by
-//     panel, tap by tap in (fh, fw) order within a panel, filter by filter
-//     within a tap.
+//     float32 fused multiply-add a step (the core's contract, gemm.go);
+//   - an input-gradient element starts at zero and takes one float32 fused
+//     multiply-add per (output position, filter tap, filter) that reaches
+//     it: the columns cut into gemmNR-wide panels, panel by panel, tap by tap
+//     in (fh, fw) order within a panel, filter by filter within a tap.
 //
 // So the results are bit-identical in every layout and for any worker count.
 
@@ -62,8 +61,8 @@ const (
 
 // flushSubnormal reads a subnormal float32 as zero, the x86 DAZ rule, applied
 // to the output gradient as the GEMM gradients pack it.  A saturated softmax
-// sends subnormal gradients down the network, and every float32 multiply or
-// add the micro-kernel runs on one takes a microcode assist: on a 2-vCPU Xeon,
+// sends subnormal gradients down the network, and every multiply-add the
+// micro-kernel runs on one takes a microcode assist: on a 2-vCPU Xeon,
 // LeNet@16's backward-data went from 2.8 to 14 ms on steps with 1849 of them.
 func flushSubnormal(v float32) float32 {
 	if math.Float32bits(v)&0x7f800000 == 0 {

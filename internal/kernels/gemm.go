@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"memcnn/internal/tensor"
@@ -33,11 +34,10 @@ import (
 // vectors, one broadcast A value and one product on AVX2's sixteen.
 //
 // Every C element is owned by one lane and accumulates k-ascending with one
-// float32 multiply and one float32 add per step, exactly like the scalar
-// triple loop: the AVX2 kernel issues VMULPS and VADDPS separately and never
-// VFMADD, whose single rounding would change low bits, and the pure-Go kernel
-// rounds each product explicitly.  Results are therefore bit-identical across
-// kernels, blockings, worker counts and repeated runs.
+// IEEE float32 fused multiply-add per step, c = RN(c + a·b): the AVX2 kernel
+// issues one VFMADD231PS a product and the pure-Go kernel emulates it exactly
+// (fma32).  Results are therefore bit-identical across kernels, blockings,
+// worker counts and repeated runs.
 
 // Blocking parameters of the CPU GEMM.
 const (
@@ -84,9 +84,9 @@ func gemmPackBuffer(elems int) *[]float32 {
 // is the {1, k, 1, n} input, A the {m, k, 1, 1} filter bank, packed into a
 // pooled buffer by PackConvFiltersInto, and C the {1, m, 1, n} output, with
 // the rest of the buffer as ConvIm2colGemmInto's workspace.  The accumulation
-// order of every output element — ascending k, each product and each sum
-// rounded to float32 — is fixed regardless of blocking and lane split, so
-// results are bit-identical across GOMAXPROCS settings and repeated runs.
+// of every output element — ascending k, one float32 fused multiply-add a
+// step — is fixed regardless of blocking and lane split, so results are
+// bit-identical across GOMAXPROCS settings and repeated runs.
 //
 //memcnn:noalloc
 func GemmInto(a, b, c []float32, m, n, k int) error {
@@ -115,40 +115,50 @@ func GemmInto(a, b, c []float32, m, n, k int) error {
 // micro-kernel contract: for the gemmMR×gemmNR block of C at c (row stride
 // ldc), C = A·B when accumulate is false and C += A·B when it is true, where a
 // is kc steps of one slab (gemmMR floats a step) and b kc steps of one panel
-// (gemmNR floats a step); each element sums its kc products in ascending
-// order, one float32 multiply and one float32 add per step.  The explicit
-// float32 conversions forbid the compiler from fusing the two (Go spec,
-// "Floating-point operators"; it does on arm64, ppc64le, s390x and riscv64).
-// It walks the block in 2×4 pieces so the accumulators stay in registers.
+// (gemmNR floats a step); each element takes its kc products in ascending
+// order, one float32 fused multiply-add (fma32) per step.  A NaN element is
+// some NaN: its payload is not part of the contract.  A step rounds the
+// float64 sum once more, to float32, unless that sum is a float32 midpoint,
+// where the second rounding could break the tie the wrong way (the subnormal
+// range, where the midpoints lie elsewhere, counts as one): fma32 takes those.
 func gemmMicroGo(kc int, a, b, c []float32, ldc int, accumulate bool) {
 	a, b = a[:kc*gemmMR], b[:kc*gemmNR]
-	for r := 0; r < gemmMR; r += 2 {
-		c0 := c[r*ldc : r*ldc+gemmNR]
-		c1 := c[(r+1)*ldc : (r+1)*ldc+gemmNR]
-		for q := 0; q < gemmNR; q += 4 {
-			var s00, s01, s02, s03, s10, s11, s12, s13 float32
-			if accumulate {
-				s00, s01, s02, s03 = c0[q], c0[q+1], c0[q+2], c0[q+3]
-				s10, s11, s12, s13 = c1[q], c1[q+1], c1[q+2], c1[q+3]
+	for r := 0; r < gemmMR; r++ {
+		row := c[r*ldc : r*ldc+gemmNR]
+		if !accumulate {
+			clear(row)
+		}
+		for p := 0; p < kc; p++ {
+			ar := a[p*gemmMR+r]
+			for q, bv := range b[p*gemmNR : (p+1)*gemmNR] {
+				x := float64(row[q]) + float64(ar)*float64(bv)
+				if bits := math.Float64bits(x); bits&(1<<29-1) != 1<<28 && bits>>52&0x7ff >= 1023-126 {
+					row[q] = float32(x)
+				} else {
+					row[q] = fma32(ar, bv, row[q])
+				}
 			}
-			for p := 0; p < kc; p++ {
-				aa := a[p*gemmMR+r : p*gemmMR+r+2]
-				bb := b[p*gemmNR+q : p*gemmNR+q+4]
-				a0, a1 := aa[0], aa[1]
-				b0, b1, b2, b3 := bb[0], bb[1], bb[2], bb[3]
-				s00 += float32(a0 * b0)
-				s01 += float32(a0 * b1)
-				s02 += float32(a0 * b2)
-				s03 += float32(a0 * b3)
-				s10 += float32(a1 * b0)
-				s11 += float32(a1 * b1)
-				s12 += float32(a1 * b2)
-				s13 += float32(a1 * b3)
-			}
-			c0[q], c0[q+1], c0[q+2], c0[q+3] = s00, s01, s02, s03
-			c1[q], c1[q+1], c1[q+2], c1[q+3] = s10, s11, s12, s13
 		}
 	}
+}
+
+// fma32 returns s + a·b rounded once to float32, as VFMADD231PS does.  The
+// product is exact in float64 (fc.go), so only the sum rounds: TwoSum gives
+// its error e, and a nearest sum that is inexact is rounded to odd (one step
+// toward zero when e has the other sign, then the last bit set), which rounds
+// to the float32 nearest the exact value (Boldo and Melquiond, "Emulation of
+// FMA and Correctly Rounded Sums: Proved Algorithms Using Rounding to Odd",
+// IEEE Trans. Computers 57(4), 2008); float32(math.FMA(...)) rounds twice.
+// An infinite or NaN sum has a NaN e and is left as it is.
+func fma32(a, b, s float32) float32 {
+	p, s64 := float64(a)*float64(b), float64(s)
+	x := s64 + p
+	z := x - s64
+	if e := (s64 - (x - z)) + (p - z); e < 0 || e > 0 {
+		bits := math.Float64bits(x)
+		return float32(math.Float64frombits(bits - (bits^math.Float64bits(e))>>63 | 1))
+	}
+	return float32(x)
 }
 
 func ceilDiv(a, b int) int {

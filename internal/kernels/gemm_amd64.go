@@ -3,8 +3,8 @@
 package kernels
 
 // useAVX2 is decided once at start-up: the CPU has AVX2 and FMA and the
-// operating system saves the YMM state across context switches.  The GEMM
-// body needs AVX2 alone, the fully-connected body FMA too.
+// operating system saves the YMM state across context switches.  Both bodies
+// need FMA: the GEMM's VFMADD231PS and the fully-connected VFMADD231PD.
 var useAVX2 = hasAVX2()
 
 func hasAVX2() bool {

@@ -2,10 +2,10 @@ package kernels
 
 // The GEMM this package ran before the packed core, kept as the oracle the
 // packed core is checked against bit for bit: row-major operands, no packing,
-// a 4×4 scalar tile, the reduction in blocks of 256.  The only edit is the
-// explicit float32 conversion around each product, which is how the Go spec
-// spells "do not fuse this multiply with the add"; on amd64, where the goldens
-// were taken, the compiler never fused them.
+// a 4×4 scalar tile, the reduction in blocks of 256.  Its step takes the
+// packed core's contract, one float32 fused multiply-add (fma32, which
+// TestFMA32IsCorrectlyRounded holds to an exact reference), where the loop
+// once rounded the product and the sum apart; the loop order is unchanged.
 
 const (
 	oldGemmKBlock = 256
@@ -61,25 +61,25 @@ func oldGemmMicro4(a, b, c []float32, i, n, k, kb, kEnd int) {
 			off := kk*n + j
 			b0, b1, b2, b3 := b[off], b[off+1], b[off+2], b[off+3]
 			av := a0[kk]
-			s00 += float32(av * b0)
-			s01 += float32(av * b1)
-			s02 += float32(av * b2)
-			s03 += float32(av * b3)
+			s00 = fma32(av, b0, s00)
+			s01 = fma32(av, b1, s01)
+			s02 = fma32(av, b2, s02)
+			s03 = fma32(av, b3, s03)
 			av = a1[kk]
-			s10 += float32(av * b0)
-			s11 += float32(av * b1)
-			s12 += float32(av * b2)
-			s13 += float32(av * b3)
+			s10 = fma32(av, b0, s10)
+			s11 = fma32(av, b1, s11)
+			s12 = fma32(av, b2, s12)
+			s13 = fma32(av, b3, s13)
 			av = a2[kk]
-			s20 += float32(av * b0)
-			s21 += float32(av * b1)
-			s22 += float32(av * b2)
-			s23 += float32(av * b3)
+			s20 = fma32(av, b0, s20)
+			s21 = fma32(av, b1, s21)
+			s22 = fma32(av, b2, s22)
+			s23 = fma32(av, b3, s23)
 			av = a3[kk]
-			s30 += float32(av * b0)
-			s31 += float32(av * b1)
-			s32 += float32(av * b2)
-			s33 += float32(av * b3)
+			s30 = fma32(av, b0, s30)
+			s31 = fma32(av, b1, s31)
+			s32 = fma32(av, b2, s32)
+			s33 = fma32(av, b3, s33)
 		}
 		c0[j], c0[j+1], c0[j+2], c0[j+3] = s00, s01, s02, s03
 		c1[j], c1[j+1], c1[j+2], c1[j+3] = s10, s11, s12, s13
@@ -90,10 +90,10 @@ func oldGemmMicro4(a, b, c []float32, i, n, k, kb, kEnd int) {
 		s0, s1, s2, s3 := c0[j], c1[j], c2[j], c3[j]
 		for kk := kb; kk < kEnd; kk++ {
 			bv := b[kk*n+j]
-			s0 += float32(a0[kk] * bv)
-			s1 += float32(a1[kk] * bv)
-			s2 += float32(a2[kk] * bv)
-			s3 += float32(a3[kk] * bv)
+			s0 = fma32(a0[kk], bv, s0)
+			s1 = fma32(a1[kk], bv, s1)
+			s2 = fma32(a2[kk], bv, s2)
+			s3 = fma32(a3[kk], bv, s3)
 		}
 		c0[j], c1[j], c2[j], c3[j] = s0, s1, s2, s3
 	}
@@ -110,17 +110,17 @@ func oldGemmMicro1(a, b, c []float32, i, n, k, kb, kEnd int) {
 		for kk := kb; kk < kEnd; kk++ {
 			off := kk*n + j
 			av := aRow[kk]
-			s0 += float32(av * b[off])
-			s1 += float32(av * b[off+1])
-			s2 += float32(av * b[off+2])
-			s3 += float32(av * b[off+3])
+			s0 = fma32(av, b[off], s0)
+			s1 = fma32(av, b[off+1], s1)
+			s2 = fma32(av, b[off+2], s2)
+			s3 = fma32(av, b[off+3], s3)
 		}
 		cRow[j], cRow[j+1], cRow[j+2], cRow[j+3] = s0, s1, s2, s3
 	}
 	for ; j < n; j++ {
 		s := cRow[j]
 		for kk := kb; kk < kEnd; kk++ {
-			s += float32(aRow[kk] * b[kk*n+j])
+			s = fma32(aRow[kk], b[kk*n+j], s)
 		}
 		cRow[j] = s
 	}

@@ -6,7 +6,9 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"time"
 
+	"memcnn/internal/par"
 	"memcnn/internal/tensor"
 )
 
@@ -311,6 +313,9 @@ func TestCeilDiv(t *testing.T) {
 	}
 }
 
+// BenchmarkGemm256 times GemmInto on 256×256×256 and reports its rate with
+// its fraction of the micro-kernel's peak at the same worker count, measured
+// just before (the host's speed moves between minutes).
 func BenchmarkGemm256(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	m, n, k := 256, 256, 256
@@ -322,11 +327,77 @@ func BenchmarkGemm256(b *testing.B) {
 	for i := range bb {
 		bb[i] = float32(r.NormFloat64())
 	}
+	peak := microPeak(runtime.GOMAXPROCS(0))
+	start := time.Now()
+	peak.run(64)
+	peakGFLOPS := peak.gflop(64) / time.Since(start).Seconds()
 	b.SetBytes(int64(2 * m * n * k))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Gemm(a, bb, m, n, k); err != nil {
 			b.Fatal(err)
 		}
+	}
+	gflops := float64(2*m*n*k) * float64(b.N) / b.Elapsed().Seconds() / 1e9
+	b.ReportMetric(gflops, "GFLOP/s")
+	b.ReportMetric(gflops/peakGFLOPS, "of-peak")
+}
+
+// BenchmarkGemmMicroPeak is the packed core's compute roofline: each worker
+// runs gemmMicro over its own gemmKC-step slab and panel (22 KiB, inside L1)
+// into a tile of C, so nothing but the micro-kernel's own loads and
+// multiply-adds is timed.  An iteration is microPeakCalls calls a worker.
+func BenchmarkGemmMicroPeak(b *testing.B) {
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			if runtime.GOMAXPROCS(0) < workers {
+				b.Skipf("GOMAXPROCS %d runs fewer than %d workers", runtime.GOMAXPROCS(0), workers)
+			}
+			peak := microPeak(workers)
+			b.ResetTimer()
+			peak.run(b.N)
+			b.ReportMetric(peak.gflop(b.N)/b.Elapsed().Seconds(), "GFLOP/s")
+		})
+	}
+}
+
+// microPeakJob is one slab, panel and tile of C per worker.
+type microPeakJob struct{ a, b, c [][]float32 }
+
+// microPeakCalls is the micro-kernel calls a worker makes per iteration,
+// 25 MFLOP, which keeps the fan-out under a percent of the time.
+const microPeakCalls = 512
+
+func microPeak(workers int) microPeakJob {
+	r := rand.New(rand.NewSource(2))
+	var j microPeakJob
+	for w := 0; w < workers; w++ {
+		a, b := make([]float32, gemmKC*gemmMR), make([]float32, gemmKC*gemmNR)
+		for i := range a {
+			a[i] = float32(r.NormFloat64())
+		}
+		for i := range b {
+			b[i] = float32(r.NormFloat64())
+		}
+		j.a, j.b, j.c = append(j.a, a), append(j.b, b), append(j.c, make([]float32, gemmMR*gemmNR))
+	}
+	return j
+}
+
+// run makes iters iterations on every worker at once.
+func (j microPeakJob) run(iters int) {
+	for i := 0; i < iters; i++ {
+		par.Planes(len(j.a), j, microPeakPlane)
+	}
+}
+
+// gflop is the work of iters iterations, in GFLOP.
+func (j microPeakJob) gflop(iters int) float64 {
+	return float64(2*gemmMR*gemmNR*gemmKC*microPeakCalls*len(j.a)) * float64(iters) / 1e9
+}
+
+func microPeakPlane(j microPeakJob, w int) {
+	for i := 0; i < microPeakCalls; i++ {
+		gemmMicro(gemmKC, j.a[w], j.b[w], j.c[w], gemmNR, i > 0)
 	}
 }

@@ -81,9 +81,7 @@ func poolPlane(j poolJob, p int) {
 				continue
 			}
 			sum := sums[:m]
-			for i := range sum {
-				sum[i] = 0
-			}
+			clear(sum)
 			for y := 0; y < cfg.Window; y++ {
 				for x := 0; x < cfg.Window; x++ {
 					fmaLanes(sum, 1, win[y*in.h+x*in.w:], inStep, 1, m)

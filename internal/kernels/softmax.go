@@ -11,22 +11,10 @@ import (
 // runtime runs, and the five-step algorithm of the libraries' unfused
 // baseline.  Their GPU cost models are gpusim's SoftmaxCost variants.
 
-// Softmax computes the row-wise softmax of an N×Classes matrix (row-major).
-// It is the functional reference of every modelled softmax implementation.
-func Softmax(in []float32, cfg SoftmaxConfig) ([]float32, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	out := make([]float32, len(in))
-	if err := SoftmaxInto(out, in, cfg); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // SoftmaxInto computes the row-wise softmax of src into the caller-provided
 // dst (both N×Classes row-major) without allocating.  dst may alias src: each
-// row is read fully for its maximum before anything is written.
+// row is read fully for its maximum before anything is written.  It is the
+// functional reference of every modelled softmax implementation.
 //
 //memcnn:noalloc
 func SoftmaxInto(dst, src []float32, cfg SoftmaxConfig) error {
