@@ -78,10 +78,13 @@ type Prices struct {
 	// NCHW, the layout callers hand tensors in.
 	ConvertGBs float64
 	// PoolTapNS is pooling per window tap (output element × window area):
-	// `LayerRates/lenet@n128/pool1` and its -chwn row run 3.2–3.5 and 2.3–2.5
-	// ns a tap, `LayerRates/cifar10@n8/pool1` 2.3–3.6 and 2.2–3.3,
-	// `LayerRates/alexnet@n4/pool1` 2.0–2.2 and 2.5–2.6.
-	PoolTapNS PerLayout
+	// `LayerRates/lenet@n128/pool1` 3.2–3.5 ns, `cifar10@n8/pool1` 2.3–3.6,
+	// `alexnet@n4/pool1` and its -chwn row (4 lanes, no vector) 2.0–2.6.
+	// Max pooling's whole 8-image chunks in CHWN run the vector body at
+	// PoolVecTapNS: 0.18–0.28 on the lenet@n128 -chwn rows, 0.36–0.73 on the
+	// cifar10@n8 ones, which make one call a chunk (2026-10-19, five runs).
+	PoolTapNS    PerLayout
+	PoolVecTapNS float64
 	// FCGFLOPS is the fully-connected product, 2·N·In·Out FLOPs, on the
 	// float64 FMA contraction (kernels.FCInto): 19–22 on
 	// `LayerRates/lenet@n128/fc1-chwn`, `cifar10@n8/fc1-chwn` and
@@ -164,6 +167,7 @@ var hostPrices = Prices{
 	SyncUS:        4,
 	ConvertGBs:    1,
 	PoolTapNS:     PerLayout{NCHW: 2.4, CHWN: 2.2},
+	PoolVecTapNS:  0.35,
 	FCGFLOPS:      PerLayout{NCHW: 20, CHWN: 20},
 	ReLUNS:        PerLayout{NCHW: 5.7, CHWN: 5.7},
 	LRNNS:         PerLayout{NCHW: 16, CHWN: 16},
@@ -206,6 +210,9 @@ func (p Prices) Layer(l layers.Layer, lay tensor.Layout, alg kernels.ConvAlgorit
 		return t, ok
 	case *layers.Pool:
 		rate, work = p.PoolTapNS, l.Cfg.FLOPs()
+		if l.Cfg.Op == kernels.MaxPool { // CHWN's whole 8-image chunks run the vector body
+			rate.CHWN += (p.PoolVecTapNS - rate.CHWN) * float64(l.Cfg.N&^7) / float64(l.Cfg.N)
+		}
 	case *layers.ReLU:
 		rate, work = p.ReLUNS, float64(l.Shape.Elems())
 	case *layers.LRN:

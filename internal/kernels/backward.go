@@ -62,9 +62,6 @@ type poolBackwardJob struct {
 	in, dOut, dIn strided
 }
 
-// poolBackLanes is how many lanes poolBackwardPlane keeps at once.
-const poolBackLanes = 64
-
 // poolBackwardPlane zeroes one plane of the input gradient and scatters its
 // output gradients into it with poolPlane's lanes, through the strides of in,
 // dOut and dIn: plane p is channel p of every image, the images the lanes,
@@ -99,12 +96,12 @@ func poolBackwardPlane(j poolBackwardJob, p int) {
 		}
 	}
 	area := float32(cfg.Window * cfg.Window)
-	var best [poolBackLanes]float32 // a lane's maximum, or its share of an average
-	var at [poolBackLanes]int       // the maximum's offset in the lane's window of dIn
+	var best [laneTile]float32 // a lane's maximum, or its share of an average
+	var at [laneTile]int       // the maximum's offset in the lane's window of dIn
 	for oh := 0; oh < j.outH; oh++ {
 		for o := 0; o < others; o++ {
-			for l0 := 0; l0 < lanes; l0 += poolBackLanes {
-				m := min(poolBackLanes, lanes-l0)
+			for l0 := 0; l0 < lanes; l0 += laneTile {
+				m := min(laneTile, lanes-l0)
 				n, ow := l0, o
 				if !alongN {
 					n, ow = n0, l0
@@ -156,7 +153,7 @@ func poolBackwardPlane(j poolBackwardJob, p int) {
 }
 
 // argmaxLanes performs best[i], at[i] = src[i*srcStep], pos wherever
-// src[i*srcStep] > best[i], keeping the first maximum as maxLanes does.
+// src[i*srcStep] > best[i], keeping the first maximum as poolPlane does.
 func argmaxLanes(best []float32, at []int, src []float32, srcStep, pos int) {
 	at = at[:len(best)]
 	if srcStep == 1 {

@@ -294,7 +294,7 @@ func TestGemmGradientsOneOrderForEveryLayout(t *testing.T) {
 func TestPoolBackwardCHWNMatchesNCHW(t *testing.T) {
 	for _, op := range []PoolOp{MaxPool, AvgPool} {
 		for _, window := range []int{2, 3} {
-			for _, n := range []int{1, 5, poolBackLanes, poolBackLanes + 3} {
+			for _, n := range []int{1, 5, laneTile, laneTile + 3} {
 				cfg := PoolConfig{N: n, C: 3, H: 9, W: 8, Window: window, Stride: 2, Op: op}
 				in := tensor.Random(cfg.InputShape(), tensor.NCHW, uint64(window))
 				for i, v := range in.Data {

@@ -137,9 +137,7 @@ func convForwardPlane(j convJob, p int) {
 	for o := 0; o < others; o++ {
 		for l0 := 0; l0 < lanes; l0 += laneTile {
 			acc := tile[:min(laneTile, lanes-l0)]
-			for i := range acc {
-				acc[i] = 0
-			}
+			clear(acc)
 			n, ow := o, l0
 			if alongN {
 				n, ow = l0, o

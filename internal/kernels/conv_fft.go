@@ -48,10 +48,7 @@ func convFFTPlane(cfg ConvConfig) (pR, pC int) {
 func ConvFFTWorkspaceElems(cfg ConvConfig) int {
 	cfg = cfg.WithDefaults()
 	pR, pC := convFFTPlane(cfg)
-	workers := cfg.N
-	if workers > fftMaxWorkers {
-		workers = fftMaxWorkers
-	}
+	workers := min(cfg.N, fftMaxWorkers)
 	return 2 * pR * pC * (cfg.K*cfg.C + workers*(cfg.C+1))
 }
 
@@ -123,12 +120,7 @@ func convFFTFilterBlock(j convFFTJob, idx int) {
 	k, c := idx/cfg.C, idx%cfg.C
 	re := filtArea[idx*2*pts : idx*2*pts+pts]
 	im := filtArea[idx*2*pts+pts : (idx+1)*2*pts]
-	for i := range re {
-		re[i] = 0
-	}
-	for i := range im {
-		im[i] = 0
-	}
+	clear(filtArea[idx*2*pts : (idx+1)*2*pts])
 	for fh := 0; fh < cfg.FH; fh++ {
 		row := re[fh*pC:]
 		for fw := 0; fw < cfg.FW; fw++ {
@@ -150,12 +142,7 @@ func convFFTImage(in, out *tensor.Tensor, cfg ConvConfig, n int, block, filtArea
 	for c := 0; c < cfg.C; c++ {
 		re := block[c*2*pts : c*2*pts+pts]
 		im := block[c*2*pts+pts : (c+1)*2*pts]
-		for i := range re {
-			re[i] = 0
-		}
-		for i := range im {
-			im[i] = 0
-		}
+		clear(block[c*2*pts : (c+1)*2*pts])
 		base := n*sn + c*sc
 		for h := 0; h < cfg.H; h++ {
 			row := re[(h+cfg.PadH)*pC+cfg.PadW:]
@@ -171,12 +158,8 @@ func convFFTImage(in, out *tensor.Tensor, cfg ConvConfig, n int, block, filtArea
 	outH, outW := cfg.OutH(), cfg.OutW()
 	on, oc, ohs, ows := out.Shape.Strides(out.Layout)
 	for k := 0; k < cfg.K; k++ {
-		for i := range accRe {
-			accRe[i] = 0
-		}
-		for i := range accIm {
-			accIm[i] = 0
-		}
+		clear(accRe)
+		clear(accIm)
 		for c := 0; c < cfg.C; c++ {
 			fbase := (k*cfg.C + c) * 2 * pts
 			fft.SpectrumCorrelateSplit(accRe, accIm,

@@ -3,8 +3,8 @@
 package kernels
 
 // useAVX2 is decided once at start-up: the CPU has AVX2 and FMA and the
-// operating system saves the YMM state across context switches.  Both bodies
-// need FMA: the GEMM's VFMADD231PS and the fully-connected VFMADD231PD.
+// operating system saves the YMM state across context switches.  The GEMM
+// and fully-connected bodies need FMA: VFMADD231PS and VFMADD231PD.
 var useAVX2 = hasAVX2()
 
 func hasAVX2() bool {
@@ -55,13 +55,27 @@ func fcMicro(steps int, a []float32, ra, sa, rows int, b []float32, sb int, acc 
 	fcMicroAVX2(steps, &a[0], &off, sa, &b[0], sb, &acc[0])
 }
 
-// Implemented in gemm_amd64.s and fc_amd64.s.
+// maxChunks is max pooling's vector body (contract in pooling.go); the slice
+// expressions are the bounds checks the assembly body does not do itself.
+func maxChunks(win, dst []float32, m, window, sh, sw int) int {
+	if k := m &^ 7; useAVX2 && k > 0 {
+		_, _ = win[(window-1)*(sh+sw)+k-1], dst[k-1]
+		maxPoolAVX2(k/8, window, &win[0], sh, sw, &dst[0])
+		return k
+	}
+	return 0
+}
+
+// Implemented in gemm_amd64.s, fc_amd64.s and pool_amd64.s.
 
 //go:noescape
 func gemmMicroAVX2(kc int, a, b, c *float32, ldc int, accumulate bool)
 
 //go:noescape
 func fcMicroAVX2(steps int, a *float32, rows *[fcMR]int, sa int, b *float32, sb int, acc *float64)
+
+//go:noescape
+func maxPoolAVX2(chunks, window int, win *float32, sh, sw int, dst *float32)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

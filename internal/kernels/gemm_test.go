@@ -313,14 +313,15 @@ func TestCeilDiv(t *testing.T) {
 	}
 }
 
-// BenchmarkGemm256 times GemmInto on 256×256×256 and reports its rate with
-// its fraction of the micro-kernel's peak at the same worker count, measured
-// just before (the host's speed moves between minutes).
+// BenchmarkGemm256 times GemmInto on 256×256×256, into a C allocated once,
+// and reports its rate with its fraction of the micro-kernel's peak at the
+// same worker count, measured just before (the host's speed moves between
+// minutes).
 func BenchmarkGemm256(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	m, n, k := 256, 256, 256
 	a := make([]float32, m*k)
-	bb := make([]float32, k*n)
+	bb, c := make([]float32, k*n), make([]float32, m*n)
 	for i := range a {
 		a[i] = float32(r.NormFloat64())
 	}
@@ -334,7 +335,7 @@ func BenchmarkGemm256(b *testing.B) {
 	b.SetBytes(int64(2 * m * n * k))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Gemm(a, bb, m, n, k); err != nil {
+		if err := GemmInto(a, bb, c, m, n, k); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -214,8 +214,8 @@ func TestPoolBackwardMatchesOracle(t *testing.T) {
 		for _, window := range []int{2, 3} {
 			for _, cfg := range []PoolConfig{
 				{N: 3, C: 2, H: 9, W: 8, Window: window, Stride: 2, Op: op},
-				{N: poolBackLanes + 3, C: 2, H: 5, W: 6, Window: window, Stride: 2, Op: op},
-				{N: 2, C: 2, H: 5, W: 2*poolBackLanes + 7, Window: window, Stride: 2, Op: op},
+				{N: laneTile + 3, C: 2, H: 5, W: 6, Window: window, Stride: 2, Op: op},
+				{N: 2, C: 2, H: 5, W: 2*laneTile + 7, Window: window, Stride: 2, Op: op},
 			} {
 				for _, li := range layouts {
 					for _, lg := range layouts {

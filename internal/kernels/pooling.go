@@ -9,8 +9,10 @@ import (
 
 // Pooling kernels (Sections IV.B and V.A).  Pooling is memory bound: its
 // performance is decided by how the window loads map onto memory transactions
-// (layout) and by how much of the overlapping-window redundancy is removed
-// (register-level reuse / thread coarsening).
+// (layout) and by register-level reuse, a window's partial result held in
+// registers instead of going back to memory.  On a CPU that is max pooling's
+// vector body: 8 unit-stride lanes (CHWN's images) load each tap as one
+// vector and keep their maxima in one register across the window.
 
 // PoolInto is the functional pooling operator: it writes into a
 // caller-provided output tensor of the config's output shape (any layout).
@@ -42,7 +44,9 @@ type poolJob struct {
 
 // poolPlane computes output row (c, oh) for every image with the lane scheme
 // of the direct convolution (conv_direct.go): a tile of running maxima, or of
-// float64 sums taken in (y, x) order, along n or along ow.
+// float64 sums taken in (y, x) order, along n or along ow.  A max tile
+// unit-stride in and out goes to maxChunks first: it writes the first k lanes,
+// whole 8-lane chunks, with the bits of the v > best scan below and returns k.
 //
 //memcnn:noalloc
 func poolPlane(j poolJob, p int) {
@@ -66,13 +70,32 @@ func poolPlane(j poolJob, p int) {
 			win := in.data[n*in.n+c*in.c+oh*cfg.Stride*in.h+ow*cfg.Stride*in.w:]
 			dst := out.data[n*out.n+c*out.c+oh*out.h+ow*out.w:]
 			if cfg.Op == MaxPool {
+				if inStep == 1 && outStep == 1 && m >= 8 {
+					k := maxChunks(win, dst, m, cfg.Window, in.h, in.w)
+					if win, dst, m = win[k:], dst[k:], m-k; m == 0 {
+						continue
+					}
+				}
 				best := bests[:m]
 				for i := range best {
 					best[i] = win[i*inStep]
 				}
 				for y := 0; y < cfg.Window; y++ {
 					for x := 0; x < cfg.Window; x++ {
-						maxLanes(best, win[y*in.h+x*in.w:], inStep)
+						tap := win[y*in.h+x*in.w:]
+						if inStep == 1 { // a tenth faster than the strided scan at N = 4 in CHWN
+							for i, v := range tap[:len(best)] {
+								if v > best[i] {
+									best[i] = v
+								}
+							}
+							continue
+						}
+						for i := range best {
+							if v := tap[i*inStep]; v > best[i] {
+								best[i] = v
+							}
+						}
 					}
 				}
 				for i, v := range best {
@@ -90,24 +113,6 @@ func poolPlane(j poolJob, p int) {
 			for i, v := range sum {
 				dst[i*outStep] = float32(v / area)
 			}
-		}
-	}
-}
-
-// maxLanes performs best[i] = max(best[i], src[i*srcStep]), keeping the
-// earlier value on ties and NaNs as a serial v > best scan does.
-func maxLanes(best, src []float32, srcStep int) {
-	if srcStep == 1 {
-		for i, v := range src[:len(best)] {
-			if v > best[i] {
-				best[i] = v
-			}
-		}
-		return
-	}
-	for i := range best {
-		if v := src[i*srcStep]; v > best[i] {
-			best[i] = v
 		}
 	}
 }

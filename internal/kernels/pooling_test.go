@@ -167,14 +167,35 @@ func TestPoolExpansionOutputs(t *testing.T) {
 	}
 }
 
-func BenchmarkPoolCHWNFunctional(b *testing.B) {
-	cfg := PoolConfig{N: 32, C: 16, H: 28, W: 28, Window: 2, Stride: 2, Op: MaxPool}
-	in := tensor.Random(cfg.InputShape(), tensor.CHWN, 1)
-	b.SetBytes(cfg.InputShape().Bytes())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Pool(in, cfg); err != nil {
-			b.Fatal(err)
+// BenchmarkPoolInto is pooling's roofline row: PoolInto on LeNet's pool1 at
+// batch 128 and Cifar10's at batch 8, in NCHW and (suffix -chwn) CHWN, into
+// an output allocated once.  It reports GB/s of input plus output bytes, the
+// traffic a memory-bound kernel cannot avoid, to read against the root
+// package's BenchmarkStreamRead.
+func BenchmarkPoolInto(b *testing.B) {
+	for _, s := range []struct {
+		name string
+		cfg  PoolConfig
+	}{
+		{"lenet@n128/pool1", PoolConfig{N: 128, C: 16, H: 28, W: 28, Window: 2, Stride: 2, Op: MaxPool}},
+		{"cifar10@n8/pool1", PoolConfig{N: 8, C: 64, H: 24, W: 24, Window: 3, Stride: 2, Op: MaxPool}},
+	} {
+		for _, lay := range []tensor.Layout{tensor.NCHW, tensor.CHWN} {
+			name := s.name
+			if lay == tensor.CHWN {
+				name += "-chwn"
+			}
+			b.Run(name, func(b *testing.B) {
+				in, out := tensor.Random(s.cfg.InputShape(), lay, 1), tensor.New(s.cfg.OutputShape(), lay)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := PoolInto(in, out, s.cfg); err != nil {
+						b.Fatal(err)
+					}
+				}
+				bytes := float64(s.cfg.InputShape().Bytes() + s.cfg.OutputShape().Bytes())
+				b.ReportMetric(bytes/1e9/(b.Elapsed().Seconds()/float64(b.N)), "GB/s")
+			})
 		}
 	}
 }

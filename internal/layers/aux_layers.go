@@ -395,9 +395,7 @@ func lrnPlane(j lrnJob, p int) {
 	for h := 0; h < j.shape.H; h++ {
 		for w0 := 0; w0 < j.shape.W; w0 += lrnLanes {
 			sq := tile[:min(lrnLanes, j.shape.W-w0)]
-			for i := range sq {
-				sq[i] = 0
-			}
+			clear(sq)
 			at := n*in.n + h*in.h + w0*in.w
 			for cc := lo; cc <= hi; cc++ {
 				src := in.data[at+cc*in.c:]

@@ -89,6 +89,7 @@ func TestSelectionKeepsTheCallersLayoutOnATie(t *testing.T) {
 	for _, p := range []*autotune.PerLayout{&flat.PoolTapNS, &flat.FCGFLOPS, &flat.ReLUNS, &flat.LRNNS, &flat.SoftmaxNS} {
 		p.CHWN = p.NCHW
 	}
+	flat.PoolVecTapNS = flat.PoolTapNS.NCHW
 	caller := runtime.Uniform(net, tensor.NCHW, kernels.ConvAlgDirect)
 	for i := 1; i < len(caller); i += 2 {
 		caller[i].Layout = tensor.CHWN

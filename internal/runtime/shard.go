@@ -45,9 +45,7 @@ func Shard(p *Program, stages int, _ ShardOptions) (*ShardedProgram, error) {
 		return nil, fmt.Errorf("runtime: %s reads %d caller-staged buffer(s) besides its input, which a pipelined batch does not stage; the program cannot be cut here",
 			p.PlannerName, len(p.ExtraInputs))
 	}
-	if stages > len(p.Ops) {
-		stages = len(p.Ops)
-	}
+	stages = min(stages, len(p.Ops))
 	weights := make([]float64, len(p.Ops))
 	for i, op := range p.Ops {
 		weights[i] = opWork(p, op)

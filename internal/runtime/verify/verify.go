@@ -604,9 +604,7 @@ func (c *checker) plan() {
 		if write && op < def[r] {
 			def[r] = op
 		}
-		if op > last[r] {
-			last[r] = op
-		}
+		last[r] = max(last[r], op)
 	}
 	touch(p.Input, -1, true)
 	for _, id := range p.ExtraInputs {
