@@ -45,7 +45,7 @@ func buildCustomNet() (*network.Network, error) {
 		return nil
 	}
 	addPool := func(name string, window, stride int) error {
-		cfg := kernels.PoolConfig{N: batch, C: shape.C, H: shape.H, W: shape.W, Window: window, Stride: stride, Op: kernels.MaxPool}
+		cfg := kernels.PoolConfig{N: batch, C: shape.C, H: shape.H, W: shape.W, Window: window, Stride: stride}
 		l, err := layers.NewPool(name, cfg)
 		if err != nil {
 			return err

@@ -92,7 +92,7 @@ func TestHillClimbDefaultIterationCap(t *testing.T) {
 
 func TestTunePoolExpansionImprovesOverlappedPooling(t *testing.T) {
 	d := gpusim.TitanBlack()
-	cfg := kernels.PoolConfig{N: 128, C: 96, H: 55, W: 55, Window: 3, Stride: 2, Op: kernels.MaxPool} // POOL5
+	cfg := kernels.PoolConfig{N: 128, C: 96, H: 55, W: 55, Window: 3, Stride: 2} // POOL5
 	e, res, err := TunePoolExpansion(cfg, gpusim.PoolCoarsenedTimeUS(d, cfg))
 	if err != nil {
 		t.Fatal(err)
@@ -116,9 +116,9 @@ func TestTunePoolExpansionImprovesOverlappedPooling(t *testing.T) {
 func TestTunePoolExpansionMatchesExhaustiveSearch(t *testing.T) {
 	d := gpusim.TitanBlack()
 	cfgs := []kernels.PoolConfig{
-		{N: 128, C: 64, H: 24, W: 24, Window: 3, Stride: 2, Op: kernels.MaxPool},
-		{N: 128, C: 96, H: 55, W: 55, Window: 3, Stride: 2, Op: kernels.MaxPool},
-		{N: 128, C: 16, H: 28, W: 28, Window: 2, Stride: 2, Op: kernels.MaxPool},
+		{N: 128, C: 64, H: 24, W: 24, Window: 3, Stride: 2},
+		{N: 128, C: 96, H: 55, W: 55, Window: 3, Stride: 2},
+		{N: 128, C: 16, H: 28, W: 28, Window: 2, Stride: 2},
 	}
 	for _, cfg := range cfgs {
 		tuned, res, err := TunePoolExpansion(cfg, gpusim.PoolCoarsenedTimeUS(d, cfg))
@@ -154,7 +154,7 @@ func TestTunePoolExpansionValidation(t *testing.T) {
 
 func TestExhaustivePoolExpansionDefaultsMaxFactor(t *testing.T) {
 	d := gpusim.TitanBlack()
-	cfg := kernels.PoolConfig{N: 32, C: 16, H: 12, W: 12, Window: 3, Stride: 2, Op: kernels.MaxPool}
+	cfg := kernels.PoolConfig{N: 32, C: 16, H: 12, W: 12, Window: 3, Stride: 2}
 	_, _, probes, err := ExhaustivePoolExpansion(cfg, gpusim.PoolCoarsenedTimeUS(d, cfg), 0)
 	if err != nil {
 		t.Fatal(err)

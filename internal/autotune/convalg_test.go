@@ -78,8 +78,8 @@ func TestSelectConvAlgorithm(t *testing.T) {
 
 // TestLayerPricesEveryKindInBothLayouts checks which candidates the price
 // list offers the selection: every layer kind of the workload networks has a
-// positive price in NCHW and CHWN and none in NHWC, and a layer other than a
-// convolution only on its own kernel.
+// positive price in NCHW and CHWN and none in a layout past tensor.Layouts,
+// and a layer other than a convolution only on its own kernel.
 func TestLayerPricesEveryKindInBothLayouts(t *testing.T) {
 	net, err := workloads.AlexNetWithBatch(2)
 	if err != nil {
@@ -94,8 +94,8 @@ func TestLayerPricesEveryKindInBothLayouts(t *testing.T) {
 				t.Errorf("%s (%s) in %v: price %g, %t", l.Name(), kind, lay, s, ok)
 			}
 		}
-		if _, ok := HostPrices().Layer(l, tensor.NHWC, kernels.ConvAlgDirect); ok {
-			t.Errorf("%s (%s) is priced in NHWC", l.Name(), kind)
+		if _, ok := HostPrices().Layer(l, tensor.Layout(9), kernels.ConvAlgDirect); ok {
+			t.Errorf("%s (%s) is priced in %v", l.Name(), kind, tensor.Layout(9))
 		}
 		_, conv := l.(*layers.Conv)
 		if _, ok := HostPrices().Layer(l, tensor.NCHW, kernels.ConvAlgGemm); ok != conv {

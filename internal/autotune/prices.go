@@ -189,9 +189,6 @@ func HostPrices() Prices { return hostPrices }
 // layer but a convolution has only its own kernel (kernels.ConvAlgDirect),
 // and a convolution has the direct and the GEMM kernel in either layout.
 func (p Prices) Layer(l layers.Layer, lay tensor.Layout, alg kernels.ConvAlgorithm) (float64, bool) {
-	if !l.SupportsLayout(lay) {
-		return 0, false
-	}
 	if conv, ok := l.(*layers.Conv); ok {
 		return p.Conv(conv.Cfg, lay, alg)
 	}
@@ -210,9 +207,8 @@ func (p Prices) Layer(l layers.Layer, lay tensor.Layout, alg kernels.ConvAlgorit
 		return t, ok
 	case *layers.Pool:
 		rate, work = p.PoolTapNS, l.Cfg.FLOPs()
-		if l.Cfg.Op == kernels.MaxPool { // CHWN's whole 8-image chunks run the vector body
-			rate.CHWN += (p.PoolVecTapNS - rate.CHWN) * float64(l.Cfg.N&^7) / float64(l.Cfg.N)
-		}
+		// CHWN's whole 8-image chunks run the vector body.
+		rate.CHWN += (p.PoolVecTapNS - rate.CHWN) * float64(l.Cfg.N&^7) / float64(l.Cfg.N)
 	case *layers.ReLU:
 		rate, work = p.ReLUNS, float64(l.Shape.Elems())
 	case *layers.LRN:

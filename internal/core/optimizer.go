@@ -83,10 +83,7 @@ func preferredLayout(l layers.Layer, incoming tensor.Layout, th layout.Threshold
 	default:
 		// Fully-connected, ReLU, LRN and softmax layers are layout agnostic;
 		// keep whatever layout the data is already in to avoid transforms.
-		if l.SupportsLayout(incoming) {
-			return incoming
-		}
-		return tensor.NCHW
+		return incoming
 	}
 }
 
@@ -113,20 +110,19 @@ func layerCost(d *gpusim.Device, l layers.Layer, lay tensor.Layout, opts gpusim.
 }
 
 // Plan is the exact chain dynamic program (autotune.CheapestChain) over the
-// policy's layouts: a layer's state is a layout of the policy it supports,
-// priced by gpusim.LayerCost under that layout's options (see layerCost), and
-// the step into it adds the fastest layout transformation
-// (gpusim.BestTransform) from the layer below's layout, free between equal
-// ones.  A single-layout policy is thus one state per layer and no
-// transformations.  The network's input is written once by the host in
-// whatever layout the first layer takes, so there is no transform to pay for
-// before it (the same assumption as the paper's framework integration).  Of
-// equally cheap plans the one closest to the heuristic wins: the fewest
-// convolution and pooling layers off their (Ct, Nt) or pooling preference, and
-// the fewest layout-agnostic layers off the layout the layer below hands them,
-// so a transform sits as late as it can.  The thresholds thus still set the
-// starting list, and the one-time profiling check of Section IV.D is the
-// program's exact answer.
+// policy's layouts: a layer's state is a layout of the policy, priced by
+// gpusim.LayerCost under that layout's options (see layerCost), and the step
+// into it adds the fastest layout transformation (gpusim.BestTransform) from
+// the layer below's layout, free between equal ones.  A single-layout policy
+// is thus one state per layer and no transformations.  The network's input is
+// written once by the host in whatever layout the first layer takes, so there
+// is no transform to pay for before it (the same assumption as the paper's
+// framework integration).  Of equally cheap plans the one closest to the
+// heuristic wins: the fewest convolution and pooling layers off their (Ct, Nt)
+// or pooling preference, and the fewest layout-agnostic layers off the layout
+// the layer below hands them, so a transform sits as late as it can.  The
+// thresholds thus still set the starting list, and the one-time profiling
+// check of Section IV.D is the program's exact answer.
 func (p Policy) Plan(d *gpusim.Device, net *network.Network) (*network.ExecutionPlan, error) {
 	if net == nil || len(net.Layers) == 0 {
 		return nil, fmt.Errorf("core: cannot plan an empty network")
@@ -148,7 +144,7 @@ func (p Policy) Plan(d *gpusim.Device, net *network.Network) (*network.Execution
 		var costErr error
 		for _, lay := range tensor.Layouts {
 			opts, ok := p.Layouts[lay]
-			if !ok || !l.SupportsLayout(lay) {
+			if !ok {
 				continue
 			}
 			us, opts, err := layerCost(d, l, lay, opts)

@@ -428,16 +428,16 @@ func TestOutOfMemoryConvolutionFallsBackToGemm(t *testing.T) {
 	}
 }
 
-// TestPolicyRejectsUnsupportedLayout: a policy whose layouts a layer cannot
-// run in, or which lists none, plans nothing.
+// TestPolicyRejectsUnsupportedLayout: a policy that lists only a layout
+// outside tensor.Layouts, or none at all, plans nothing.
 func TestPolicyRejectsUnsupportedLayout(t *testing.T) {
 	net, err := workloads.TinyNet()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, layouts := range []map[tensor.Layout]gpusim.CostOptions{{tensor.NHWC: {}}, {}} {
+	for _, layouts := range []map[tensor.Layout]gpusim.CostOptions{{tensor.Layout(9): {}}, {}} {
 		if _, err := (core.Policy{Name: "p", Layouts: layouts}).Plan(gpusim.TitanBlack(), net); err == nil {
-			t.Errorf("layouts %v: Plan succeeded, want an error (the convolutions run in NCHW and CHWN only)", layouts)
+			t.Errorf("layouts %v: Plan succeeded, want an error (the layers run in NCHW and CHWN only)", layouts)
 		}
 	}
 }

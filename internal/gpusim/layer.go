@@ -92,13 +92,9 @@ type CostOptions struct {
 // LayerCost returns the modeled kernel sequence of layer l with its
 // activations in layout lay and the implementations opts selects: the one
 // per-layer price of the model, which the planners and ExecutionPlan.Estimate
-// ask.  An error means the model has no such kernel (a layout the
-// layer does not run in, an implementation the layout does not offer, an FFT
-// mode that exceeds device memory).
+// ask.  An error means the model has no such kernel (an implementation the
+// layout does not offer, an FFT mode that exceeds device memory).
 func LayerCost(d *Device, l layers.Layer, lay tensor.Layout, opts CostOptions) ([]KernelStats, error) {
-	if !l.SupportsLayout(lay) {
-		return nil, fmt.Errorf("gpusim: %s: unsupported layout %v", l.Name(), lay)
-	}
 	switch l := l.(type) {
 	case *layers.Conv:
 		return convCost(d, l, lay, opts.Conv)

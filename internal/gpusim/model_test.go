@@ -45,11 +45,11 @@ func TestGemmEfficiencyQuickProperties(t *testing.T) {
 }
 
 // TestLayerCostByLayerType prices each non-convolution layer type: every one
-// has a model in its supported layouts, the implementation options are held
-// to their layouts, and an unsupported layout is an error.
+// has a model in both layouts, and the implementation options are held to
+// their layouts.
 func TestLayerCostByLayerType(t *testing.T) {
 	d := TitanBlack()
-	pool, err := layers.NewPool("pool1", kernels.PoolConfig{N: 4, C: 2, H: 8, W: 8, Window: 2, Stride: 2, Op: kernels.MaxPool})
+	pool, err := layers.NewPool("pool1", kernels.PoolConfig{N: 4, C: 2, H: 8, W: 8, Window: 2, Stride: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,11 +82,11 @@ func TestLayerCostByLayerType(t *testing.T) {
 		{"cuDNN NCHW pooling", pool, tensor.NCHW, CostOptions{Pool: PoolCuDNN}, true},
 		{"optimised NCHW pooling", pool, tensor.NCHW, CostOptions{Pool: PoolOptimized}, false},
 		{"cuDNN CHWN pooling", pool, tensor.CHWN, CostOptions{Pool: PoolCuDNN}, false},
-		{"HWCN pooling", pool, tensor.HWCN, CostOptions{}, false},
+		{"plain NCHW pooling", pool, tensor.NCHW, CostOptions{}, true},
 		{"fused softmax", softmax, tensor.NCHW, CostOptions{Softmax: SoftmaxFusedParallel}, true},
-		{"NHWC softmax", softmax, tensor.NHWC, CostOptions{}, false},
+		{"CHWN softmax", softmax, tensor.CHWN, CostOptions{}, true},
 		{"fully-connected", fc, tensor.NCHW, CostOptions{}, true},
-		{"NHWC fully-connected", fc, tensor.NHWC, CostOptions{}, false},
+		{"CHWN fully-connected", fc, tensor.CHWN, CostOptions{}, true},
 		{"relu", relu, tensor.CHWN, CostOptions{}, true},
 		{"lrn", lrn, tensor.NCHW, CostOptions{}, true},
 	} {

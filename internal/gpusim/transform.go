@@ -133,17 +133,11 @@ func TransformCost(d *Device, shape tensor.Shape, from, to tensor.Layout, m Tran
 // It is the distance between the writes of two adjacent threads of the naive
 // kernel.
 func destStrideOfSourceInnermost(shape tensor.Shape, from, to tensor.Layout) int {
-	dn, dc, _, dw := shape.Strides(to)
-	switch from {
-	case tensor.NCHW:
-		return dw
-	case tensor.CHWN, tensor.HWCN:
+	dn, _, _, dw := shape.Strides(to)
+	if from == tensor.CHWN {
 		return dn
-	case tensor.NHWC:
-		return dc
-	default:
-		return dw
 	}
+	return dw
 }
 
 // BestTransform returns the fastest applicable transformation kernel for the

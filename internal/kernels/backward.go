@@ -24,10 +24,9 @@ import (
 // backward walks each window through the tensors' strides, a channel of every
 // image at once where the input's images are its lanes.
 
-// PoolBackwardInto computes the gradient of the pooling layer.  For max
-// pooling the incoming gradient is routed to the window position that
-// produced the maximum (ties go to the first such position, as the CUDA
-// kernels do); for average pooling it is spread uniformly over the window.
+// PoolBackwardInto computes the gradient of the max pooling layer: the
+// incoming gradient is routed to the window position that produced the
+// maximum (ties go to the first such position, as the CUDA kernels do).
 // The destination is fully overwritten (the scatter zeroes each (n, c) plane
 // before accumulating into it), so arena-recycled storage needs no clearing.
 // Each plane is owned by exactly one worker with a fixed window order, so the
@@ -95,8 +94,7 @@ func poolBackwardPlane(j poolBackwardJob, p int) {
 			}
 		}
 	}
-	area := float32(cfg.Window * cfg.Window)
-	var best [laneTile]float32 // a lane's maximum, or its share of an average
+	var best [laneTile]float32 // a lane's maximum
 	var at [laneTile]int       // the maximum's offset in the lane's window of dIn
 	for oh := 0; oh < j.outH; oh++ {
 		for o := 0; o < others; o++ {
@@ -109,33 +107,6 @@ func poolBackwardPlane(j poolBackwardJob, p int) {
 				g := dOut.data[n*dOut.n+c*dOut.c+oh*dOut.h+ow*dOut.w:]
 				win := in.data[n*in.n+c*in.c+oh*cfg.Stride*in.h+ow*cfg.Stride*in.w:]
 				to := dIn.data[n*dIn.n+c*dIn.c+oh*cfg.Stride*dIn.h+ow*cfg.Stride*dIn.w:]
-				if cfg.Op == AvgPool {
-					share := best[:m]
-					for i := range share {
-						share[i] = g[i*gStep] / area
-					}
-					if alongN { // images share no element: tap by tap
-						for y := 0; y < cfg.Window; y++ {
-							for x := 0; x < cfg.Window; x++ {
-								off := y*dIn.h + x*dIn.w
-								for i, v := range share {
-									to[off+i*toStep] += v
-								}
-							}
-						}
-						continue
-					}
-					// Windows along ow may overlap: lane by lane.
-					for i, v := range share {
-						lane := to[i*toStep:]
-						for y := 0; y < cfg.Window; y++ {
-							for x := 0; x < cfg.Window; x++ {
-								lane[y*dIn.h+x*dIn.w] += v
-							}
-						}
-					}
-					continue
-				}
 				for i := range best[:m] {
 					best[i], at[i] = win[i*inStep], 0
 				}

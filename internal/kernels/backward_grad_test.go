@@ -131,10 +131,8 @@ func distinctInput(shape tensor.Shape, seed uint64) *tensor.Tensor {
 
 func TestPoolBackwardGradient(t *testing.T) {
 	cfgs := []PoolConfig{
-		{N: 2, C: 2, H: 6, W: 6, Window: 2, Stride: 2, Op: MaxPool},
-		{N: 2, C: 2, H: 6, W: 6, Window: 2, Stride: 2, Op: AvgPool},
-		{N: 1, C: 3, H: 7, W: 7, Window: 3, Stride: 2, Op: MaxPool}, // overlapped
-		{N: 1, C: 3, H: 7, W: 7, Window: 3, Stride: 2, Op: AvgPool},
+		{N: 2, C: 2, H: 6, W: 6, Window: 2, Stride: 2},
+		{N: 1, C: 3, H: 7, W: 7, Window: 3, Stride: 2}, // overlapped
 	}
 	for _, cfg := range cfgs {
 		in := distinctInput(cfg.InputShape(), uint64(31+cfg.Window))
@@ -245,7 +243,7 @@ func TestSoftmaxCrossEntropyBackwardGradient(t *testing.T) {
 // show up in the bits.
 func TestBackwardIntoDeterminism(t *testing.T) {
 	cfg := ConvConfig{N: 4, C: 5, H: 13, W: 11, K: 6, FH: 3, FW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
-	pcfg := PoolConfig{N: 4, C: 5, H: 12, W: 12, Window: 3, Stride: 2, Op: MaxPool}
+	pcfg := PoolConfig{N: 4, C: 5, H: 12, W: 12, Window: 3, Stride: 2}
 
 	in := tensor.Random(cfg.InputShape(), tensor.NCHW, 61)
 	filters := tensor.Filters(cfg.K, cfg.C, cfg.FH, cfg.FW, 62)

@@ -129,7 +129,7 @@ func TestConvBackwardValidation(t *testing.T) {
 }
 
 func TestPoolBackwardMaxRoutesToArgmax(t *testing.T) {
-	cfg := PoolConfig{N: 1, C: 1, H: 4, W: 4, Window: 2, Stride: 2, Op: MaxPool}
+	cfg := PoolConfig{N: 1, C: 1, H: 4, W: 4, Window: 2, Stride: 2}
 	in := tensor.New(cfg.InputShape(), tensor.NCHW)
 	copy(in.Data, []float32{
 		1, 2, 3, 4,
@@ -155,30 +155,8 @@ func TestPoolBackwardMaxRoutesToArgmax(t *testing.T) {
 	}
 }
 
-func TestPoolBackwardAvgConservesGradient(t *testing.T) {
-	cfg := PoolConfig{N: 2, C: 3, H: 8, W: 8, Window: 2, Stride: 2, Op: AvgPool}
-	in := tensor.Random(cfg.InputShape(), tensor.CHWN, 7)
-	dOut := tensor.Random(cfg.OutputShape(), tensor.CHWN, 8)
-	dIn, err := PoolBackward(in, dOut, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Average pooling distributes each gradient over its window, so the
-	// total gradient mass is conserved for non-overlapped pooling.
-	var sumOut, sumIn float64
-	for _, v := range dOut.Data {
-		sumOut += float64(v)
-	}
-	for _, v := range dIn.Data {
-		sumIn += float64(v)
-	}
-	if math.Abs(sumOut-sumIn) > 1e-3 {
-		t.Errorf("gradient mass not conserved: out %v, in %v", sumOut, sumIn)
-	}
-}
-
 func TestPoolBackwardOverlappedAccumulates(t *testing.T) {
-	cfg := PoolConfig{N: 1, C: 1, H: 5, W: 5, Window: 3, Stride: 2, Op: MaxPool}
+	cfg := PoolConfig{N: 1, C: 1, H: 5, W: 5, Window: 3, Stride: 2}
 	in := tensor.New(cfg.InputShape(), tensor.NCHW)
 	// Make the centre element (2,2) the maximum of all four windows.
 	in.Set(0, 0, 2, 2, 100)
@@ -194,7 +172,7 @@ func TestPoolBackwardOverlappedAccumulates(t *testing.T) {
 }
 
 func TestPoolBackwardValidation(t *testing.T) {
-	cfg := PoolConfig{N: 1, C: 1, H: 4, W: 4, Window: 2, Stride: 2, Op: MaxPool}
+	cfg := PoolConfig{N: 1, C: 1, H: 4, W: 4, Window: 2, Stride: 2}
 	in := tensor.New(cfg.InputShape(), tensor.NCHW)
 	if _, err := PoolBackward(in, tensor.New(tensor.Shape{N: 1, C: 1, H: 3, W: 2}, tensor.NCHW), cfg); err == nil {
 		t.Error("wrong gradient shape must be rejected")

@@ -107,27 +107,6 @@ func (c ConvConfig) String() string {
 	return fmt.Sprintf("conv N=%d C=%d H/W=%dx%d K=%d F=%dx%d S=%d", c.N, c.C, c.H, c.W, c.K, c.FH, c.FW, c.StrideH)
 }
 
-// PoolOp selects the pooling operator.
-type PoolOp int
-
-// Pooling operators.
-const (
-	MaxPool PoolOp = iota
-	AvgPool
-)
-
-// String names the operator.
-func (op PoolOp) String() string {
-	switch op {
-	case MaxPool:
-		return "max"
-	case AvgPool:
-		return "avg"
-	default:
-		return fmt.Sprintf("PoolOp(%d)", int(op))
-	}
-}
-
 // PoolConfig describes one pooling layer: a Window×Window region is reduced
 // to one value, windows advance by Stride.  Stride < Window is the overlapped
 // pooling case whose redundant loads Section V.A optimises.
@@ -138,7 +117,6 @@ type PoolConfig struct {
 	W      int
 	Window int
 	Stride int
-	Op     PoolOp
 }
 
 // Validate reports whether the configuration is computable.
@@ -150,8 +128,6 @@ func (c PoolConfig) Validate() error {
 		return fmt.Errorf("kernels: pool window and stride must be positive: %+v", c)
 	case c.Window > c.H || c.Window > c.W:
 		return fmt.Errorf("kernels: pool window larger than input: %+v", c)
-	case c.Op != MaxPool && c.Op != AvgPool:
-		return fmt.Errorf("kernels: unknown pool op %v", c.Op)
 	}
 	return nil
 }
@@ -187,8 +163,8 @@ func (c PoolConfig) String() string {
 	if c.Overlapped() {
 		kind = "overlapped"
 	}
-	return fmt.Sprintf("pool(%v) N=%d C=%d H/W=%dx%d win=%d stride=%d (%s)",
-		c.Op, c.N, c.C, c.H, c.W, c.Window, c.Stride, kind)
+	return fmt.Sprintf("pool(max) N=%d C=%d H/W=%dx%d win=%d stride=%d (%s)",
+		c.N, c.C, c.H, c.W, c.Window, c.Stride, kind)
 }
 
 // SoftmaxConfig describes a classifier layer: N images, Classes categories.

@@ -70,14 +70,14 @@ func TestConvConfigShapesAndFLOPs(t *testing.T) {
 }
 
 func TestPoolConfig(t *testing.T) {
-	overlapped := PoolConfig{N: 128, C: 64, H: 24, W: 24, Window: 3, Stride: 2, Op: MaxPool}
+	overlapped := PoolConfig{N: 128, C: 64, H: 24, W: 24, Window: 3, Stride: 2}
 	if !overlapped.Overlapped() {
 		t.Error("window 3 stride 2 is overlapped")
 	}
 	if overlapped.OutH() != 11 || overlapped.OutW() != 11 {
 		t.Errorf("OutH/W = %d/%d, want 11/11", overlapped.OutH(), overlapped.OutW())
 	}
-	plain := PoolConfig{N: 128, C: 16, H: 28, W: 28, Window: 2, Stride: 2, Op: MaxPool}
+	plain := PoolConfig{N: 128, C: 16, H: 28, W: 28, Window: 2, Stride: 2}
 	if plain.Overlapped() {
 		t.Error("window 2 stride 2 is not overlapped")
 	}
@@ -92,7 +92,6 @@ func TestPoolConfig(t *testing.T) {
 		{N: 1, C: 1, H: 4, W: 4, Window: 0, Stride: 2},
 		{N: 1, C: 1, H: 4, W: 4, Window: 5, Stride: 2},
 		{N: 1, C: 1, H: 4, W: 4, Window: 2, Stride: 0},
-		{N: 1, C: 1, H: 4, W: 4, Window: 2, Stride: 2, Op: PoolOp(9)},
 	}
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -105,8 +104,8 @@ func TestPoolConfig(t *testing.T) {
 	if !strings.Contains(overlapped.String(), "overlapped") {
 		t.Error("String should flag overlapped pooling")
 	}
-	if MaxPool.String() != "max" || AvgPool.String() != "avg" || PoolOp(7).String() == "" {
-		t.Error("PoolOp.String incorrect")
+	if !strings.HasPrefix(plain.String(), "pool(max) ") {
+		t.Errorf("String = %q, want the pool(max) prefix", plain.String())
 	}
 }
 

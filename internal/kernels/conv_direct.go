@@ -19,9 +19,9 @@ import (
 // backward.go, pooling in pooling.go) are the CPU rendering of that idea.
 // They walk the tensors' backing slices by stride and run their innermost
 // loop over a tile of laneTile "lanes" along the axis with the smaller stride
-// in the tensor they read: N for CHWN/HWCN (the paper's coalesced case), W
-// for NCHW/NHWC.  A tile of float64 accumulators lives on the stack, one
-// filter value is hoisted per tap, and the loop is acc[i] += src[i] * w.
+// in the tensor they read: N for CHWN (the paper's coalesced case), W for
+// NCHW.  A tile of float64 accumulators lives on the stack, one filter value
+// is hoisted per tap, and the loop is acc[i] += src[i] * w.
 // Any layout pair works; axes that are not unit-stride just make the lanes
 // strided.  Every output element still sums its taps in float64 in the fixed
 // c→fh→fw order, skips out-of-range taps and rounds to float32 once, so the

@@ -17,10 +17,9 @@ import (
 // The CPU path is one form for every layout pair and batch.  The whole batch
 // is one K × (N·OutH·OutW) product whose columns are the output positions in
 // the output's memory order, so its rows are the output's channel planes:
-// with the image fastest where the output's batch stride is 1 (CHWN, HWCN;
-// cuda-convnet's batch-innermost arrangement, the paper's CHWN reference),
-// with the position within the image fastest otherwise (NCHW, NHWC).  With
-// one image the two orders are one.
+// with the image fastest in CHWN (cuda-convnet's batch-innermost
+// arrangement, the paper's CHWN reference), with the position within the
+// image fastest in NCHW.  With one image the two orders are one.
 
 // ConvAlgorithm identifies a CPU convolution execution strategy of the
 // planned runtime: the cuda-convnet style direct kernel or the Caffe/cuDNN

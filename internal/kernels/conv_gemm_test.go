@@ -96,7 +96,7 @@ func oldConvIm2colGemm(t *testing.T, in, filters *tensor.Tensor, cfg ConvConfig,
 }
 
 // batchFoldedConvCases covers every regime of the lane loop with the images
-// fastest (CHWN and HWCN outputs of several images): one pixel a panel,
+// fastest (CHWN outputs of several images): one pixel a panel,
 // panels straddling pixels, a ragged last panel, one and several lanes, the
 // narrow panels of a workspace under one gemmNR-column slot, and the runs that
 // stride-W 1 extends across the pixels whose window is inside the image, cut by
@@ -169,7 +169,7 @@ func convGemmMatchesOldPath(t *testing.T, r *rand.Rand, cfg ConvConfig, layouts 
 // unroll-and-pack plus the packed core, in either column order — to the
 // outputs of the path it replaced, bit for bit: every small case, four wider
 // strided, padded and ragged ones and the image-fastest regimes, over all
-// sixteen layout pairs.
+// four layout pairs.
 func TestConvIm2colGemmIntoMatchesOldPath(t *testing.T) {
 	cases := append([]ConvConfig{
 		{N: 2, C: 3, H: 23, W: 37, K: 7, FH: 5, FW: 3, PadH: 2, PadW: 1, StrideH: 2},
@@ -185,8 +185,8 @@ func TestConvIm2colGemmIntoMatchesOldPath(t *testing.T) {
 }
 
 // FuzzConvGemmLayouts checks the GEMM convolution against the old path on
-// arbitrary legal configurations, through all sixteen input/output pairs of
-// the four layouts: every pair takes the one lane loop.
+// arbitrary legal configurations, through all four input/output pairs of
+// the two layouts: every pair takes the one lane loop.
 func FuzzConvGemmLayouts(f *testing.F) {
 	for i, cfg := range batchFoldedConvCases {
 		cfg = cfg.WithDefaults()

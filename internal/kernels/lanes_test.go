@@ -49,18 +49,12 @@ func oraclePool(in, out *tensor.Tensor, cfg PoolConfig) {
 				for ow := 0; ow < cfg.OutW(); ow++ {
 					h0, w0 := oh*cfg.Stride, ow*cfg.Stride
 					best := in.At(n, c, h0, w0)
-					var sum float64
 					for y := 0; y < cfg.Window; y++ {
 						for x := 0; x < cfg.Window; x++ {
-							v := in.At(n, c, h0+y, w0+x)
-							if v > best {
+							if v := in.At(n, c, h0+y, w0+x); v > best {
 								best = v
 							}
-							sum += float64(v)
 						}
-					}
-					if cfg.Op == AvgPool {
-						best = float32(sum / float64(cfg.Window*cfg.Window))
 					}
 					out.Set(n, c, oh, ow, best)
 				}
@@ -71,7 +65,7 @@ func oraclePool(in, out *tensor.Tensor, cfg PoolConfig) {
 
 // oraclePoolBackward is the At/Set loop PoolBackwardInto's stride walk
 // replaced: zero the plane, then scatter every output gradient in (oh, ow)
-// order, to the window's first maximum or spread over the window.
+// order, to the window's first maximum.
 func oraclePoolBackward(in, dOut, dIn *tensor.Tensor, cfg PoolConfig) {
 	for n := 0; n < cfg.N; n++ {
 		for c := 0; c < cfg.C; c++ {
@@ -84,15 +78,6 @@ func oraclePoolBackward(in, dOut, dIn *tensor.Tensor, cfg PoolConfig) {
 				for ow := 0; ow < cfg.OutW(); ow++ {
 					g := dOut.At(n, c, oh, ow)
 					h0, w0 := oh*cfg.Stride, ow*cfg.Stride
-					if cfg.Op == AvgPool {
-						share := g / float32(cfg.Window*cfg.Window)
-						for y := 0; y < cfg.Window; y++ {
-							for x := 0; x < cfg.Window; x++ {
-								dIn.Set(n, c, h0+y, w0+x, dIn.At(n, c, h0+y, w0+x)+share)
-							}
-						}
-						continue
-					}
 					bestY, bestX := 0, 0
 					best := in.At(n, c, h0, w0)
 					for y := 0; y < cfg.Window; y++ {
@@ -173,16 +158,14 @@ func TestLaneConvKernelsMatchOracle(t *testing.T) {
 
 func lanePoolConfigs() []PoolConfig {
 	var cfgs []PoolConfig
-	for _, op := range []PoolOp{MaxPool, AvgPool} {
-		for window := 2; window <= 3; window++ {
-			for stride := 1; stride <= 3; stride++ {
-				cfgs = append(cfgs, PoolConfig{N: 3, C: 2, H: 8, W: 9, Window: window, Stride: stride, Op: op})
-			}
+	for window := 2; window <= 3; window++ {
+		for stride := 1; stride <= 3; stride++ {
+			cfgs = append(cfgs, PoolConfig{N: 3, C: 2, H: 8, W: 9, Window: window, Stride: stride})
 		}
-		cfgs = append(cfgs, PoolConfig{N: 2, C: 1, H: 3, W: 140, Window: 3, Stride: 2, Op: op})
-		for _, n := range []int{1, laneTile - 1, laneTile, laneTile + 1} {
-			cfgs = append(cfgs, PoolConfig{N: n, C: 2, H: 5, W: 5, Window: 3, Stride: 2, Op: op})
-		}
+	}
+	cfgs = append(cfgs, PoolConfig{N: 2, C: 1, H: 3, W: 140, Window: 3, Stride: 2})
+	for _, n := range []int{1, laneTile - 1, laneTile, laneTile + 1} {
+		cfgs = append(cfgs, PoolConfig{N: n, C: 2, H: 5, W: 5, Window: 3, Stride: 2})
 	}
 	return cfgs
 }
@@ -204,35 +187,33 @@ func TestLanePoolMatchesOracle(t *testing.T) {
 }
 
 // TestPoolBackwardMatchesOracle holds the stride walk to the At/Set loop bit
-// for bit: max and average, 2×2/2 and overlapping 3×3/2 windows, every
+// for bit: 2×2/2 and overlapping 3×3/2 windows, every
 // NCHW/CHWN combination of the forward input, the incoming gradient and the
 // result, with one tile of lanes and with more than one along N and along
 // ow.  Inputs with repeated values exercise the first-max tie rule.
 func TestPoolBackwardMatchesOracle(t *testing.T) {
 	layouts := []tensor.Layout{tensor.NCHW, tensor.CHWN}
-	for _, op := range []PoolOp{MaxPool, AvgPool} {
-		for _, window := range []int{2, 3} {
-			for _, cfg := range []PoolConfig{
-				{N: 3, C: 2, H: 9, W: 8, Window: window, Stride: 2, Op: op},
-				{N: laneTile + 3, C: 2, H: 5, W: 6, Window: window, Stride: 2, Op: op},
-				{N: 2, C: 2, H: 5, W: 2*laneTile + 7, Window: window, Stride: 2, Op: op},
-			} {
-				for _, li := range layouts {
-					for _, lg := range layouts {
-						for _, ld := range layouts {
-							in := tensor.Random(cfg.InputShape(), li, uint64(window))
-							for i, v := range in.Data {
-								in.Data[i] = float32(math.Round(float64(v) * 2)) // ties
-							}
-							dOut := tensor.Random(cfg.OutputShape(), lg, 5)
-							got, want := tensor.New(cfg.InputShape(), ld), tensor.New(cfg.InputShape(), ld)
-							got.Fill(-1)
-							if err := PoolBackwardInto(in, dOut, got, cfg); err != nil {
-								t.Fatal(err)
-							}
-							oraclePoolBackward(in, dOut, want, cfg)
-							sameBits(t, fmt.Sprintf("%v in %v, dOut %v, dIn %v", cfg, li, lg, ld), got, want)
+	for _, window := range []int{2, 3} {
+		for _, cfg := range []PoolConfig{
+			{N: 3, C: 2, H: 9, W: 8, Window: window, Stride: 2},
+			{N: laneTile + 3, C: 2, H: 5, W: 6, Window: window, Stride: 2},
+			{N: 2, C: 2, H: 5, W: 2*laneTile + 7, Window: window, Stride: 2},
+		} {
+			for _, li := range layouts {
+				for _, lg := range layouts {
+					for _, ld := range layouts {
+						in := tensor.Random(cfg.InputShape(), li, uint64(window))
+						for i, v := range in.Data {
+							in.Data[i] = float32(math.Round(float64(v) * 2)) // ties
 						}
+						dOut := tensor.Random(cfg.OutputShape(), lg, 5)
+						got, want := tensor.New(cfg.InputShape(), ld), tensor.New(cfg.InputShape(), ld)
+						got.Fill(-1)
+						if err := PoolBackwardInto(in, dOut, got, cfg); err != nil {
+							t.Fatal(err)
+						}
+						oraclePoolBackward(in, dOut, want, cfg)
+						sameBits(t, fmt.Sprintf("%v in %v, dOut %v, dIn %v", cfg, li, lg, ld), got, want)
 					}
 				}
 			}
@@ -247,7 +228,7 @@ func TestPoolBackwardMatchesOracle(t *testing.T) {
 func laneKernelRuns(t *testing.T, layout tensor.Layout) (runs []func() error, outputs []*tensor.Tensor) {
 	t.Helper()
 	cfg := ConvConfig{N: laneTile + 3, C: 3, H: 9, W: 9, K: 4, FH: 3, FW: 3, StrideW: 2, PadH: 1, PadW: 1}.WithDefaults()
-	pcfg := PoolConfig{N: cfg.N, C: cfg.C, H: cfg.H, W: cfg.W, Window: 3, Stride: 2, Op: AvgPool}
+	pcfg := PoolConfig{N: cfg.N, C: cfg.C, H: cfg.H, W: cfg.W, Window: 3, Stride: 2}
 	in := tensor.Random(cfg.InputShape(), layout, 1)
 	filters := tensor.Filters(cfg.K, cfg.C, cfg.FH, cfg.FW, 2)
 	dOut := tensor.Random(cfg.OutputShape(), layout, 3)

@@ -230,11 +230,11 @@ func TestGemmCostLargerProblemsTakeLonger(t *testing.T) {
 
 // Table 1 pooling layers used by the cost-model tests.
 var paperPoolLayers = []kernels.PoolConfig{
-	{N: 128, C: 16, H: 28, W: 28, Window: 2, Stride: 2, Op: kernels.MaxPool},  // POOL1
-	{N: 128, C: 16, H: 14, W: 14, Window: 2, Stride: 2, Op: kernels.MaxPool},  // POOL2
-	{N: 128, C: 64, H: 24, W: 24, Window: 3, Stride: 2, Op: kernels.MaxPool},  // POOL3
-	{N: 128, C: 96, H: 55, W: 55, Window: 3, Stride: 2, Op: kernels.MaxPool},  // POOL5
-	{N: 64, C: 96, H: 110, W: 110, Window: 3, Stride: 2, Op: kernels.MaxPool}, // POOL8
+	{N: 128, C: 16, H: 28, W: 28, Window: 2, Stride: 2},  // POOL1
+	{N: 128, C: 16, H: 14, W: 14, Window: 2, Stride: 2},  // POOL2
+	{N: 128, C: 64, H: 24, W: 24, Window: 3, Stride: 2},  // POOL3
+	{N: 128, C: 96, H: 55, W: 55, Window: 3, Stride: 2},  // POOL5
+	{N: 64, C: 96, H: 110, W: 110, Window: 3, Stride: 2}, // POOL8
 }
 
 func TestPoolCHWNAlwaysBeatsNCHW(t *testing.T) {
@@ -263,7 +263,7 @@ func TestPoolCoarseningHelpsOverlappedPooling(t *testing.T) {
 
 func TestPoolExcessiveCoarseningBackfires(t *testing.T) {
 	d := gpusim.TitanBlack()
-	cfg := kernels.PoolConfig{N: 128, C: 64, H: 24, W: 24, Window: 3, Stride: 2, Op: kernels.MaxPool}
+	cfg := kernels.PoolConfig{N: 128, C: 64, H: 24, W: 24, Window: 3, Stride: 2}
 	moderate := gpusim.EstimateTime(d, gpusim.PoolCHWNCoarsenedCost(d, cfg, kernels.PoolExpansion{H: 2, W: 2})).TotalUS
 	extreme := gpusim.EstimateTime(d, gpusim.PoolCHWNCoarsenedCost(d, cfg, kernels.PoolExpansion{H: 8, W: 8})).TotalUS
 	if extreme <= moderate {
@@ -276,11 +276,11 @@ func TestPoolExcessiveCoarseningBackfires(t *testing.T) {
 // than once.
 func TestPoolNonOverlappedHasNoRedundancy(t *testing.T) {
 	d := gpusim.TitanBlack()
-	cfg := kernels.PoolConfig{N: 128, C: 16, H: 28, W: 28, Window: 2, Stride: 2, Op: kernels.MaxPool}
+	cfg := kernels.PoolConfig{N: 128, C: 16, H: 28, W: 28, Window: 2, Stride: 2}
 	if s := gpusim.PoolCHWNCost(d, cfg); s.DRAMReadBytes != s.UsefulReadBytes {
 		t.Errorf("non-overlapped pooling reads %v bytes for %v useful ones", s.DRAMReadBytes, s.UsefulReadBytes)
 	}
-	over := kernels.PoolConfig{N: 128, C: 64, H: 24, W: 24, Window: 3, Stride: 2, Op: kernels.MaxPool}
+	over := kernels.PoolConfig{N: 128, C: 64, H: 24, W: 24, Window: 3, Stride: 2}
 	if s := gpusim.PoolCHWNCost(d, over); s.DRAMReadBytes <= s.UsefulReadBytes {
 		t.Errorf("overlapped pooling reads %v bytes for %v useful ones, want more", s.DRAMReadBytes, s.UsefulReadBytes)
 	}
@@ -304,7 +304,7 @@ func TestPoolCostStatsValid(t *testing.T) {
 }
 
 func TestPoolCoarsenedRegistersGrowWithExpansion(t *testing.T) {
-	cfg := kernels.PoolConfig{N: 128, C: 64, H: 24, W: 24, Window: 3, Stride: 2, Op: kernels.MaxPool}
+	cfg := kernels.PoolConfig{N: 128, C: 64, H: 24, W: 24, Window: 3, Stride: 2}
 	prev := 0
 	for e := 1; e <= 6; e++ {
 		regs := gpusim.PoolCoarsenedRegisters(cfg, kernels.PoolExpansion{H: e, W: e})

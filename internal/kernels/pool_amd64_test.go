@@ -48,7 +48,7 @@ func TestPoolAssemblyMatchesPureGo(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
 	for _, n := range []int{1, 4, 7, 8, 9, 16, 128} {
 		for _, ws := range [][2]int{{2, 2}, {3, 2}, {3, 1}} {
-			cfg := PoolConfig{N: n, C: 2, H: 7, W: 8, Window: ws[0], Stride: ws[1], Op: MaxPool}
+			cfg := PoolConfig{N: n, C: 2, H: 7, W: 8, Window: ws[0], Stride: ws[1]}
 			for _, lay := range []tensor.Layout{tensor.NCHW, tensor.CHWN} {
 				for _, fill := range []string{"random", "special", "ties"} {
 					in := tensor.New(cfg.InputShape(), lay)

@@ -70,24 +70,13 @@ func poolCoarsenedPlane(j poolCoarsenedJob, p int) {
 
 func poolFromCache(window []float32, unionW int, cfg PoolConfig, dy, dx int) float32 {
 	y0, x0 := dy*cfg.Stride, dx*cfg.Stride
-	switch cfg.Op {
-	case MaxPool:
-		best := window[y0*unionW+x0]
-		for y := 0; y < cfg.Window; y++ {
-			for x := 0; x < cfg.Window; x++ {
-				if v := window[(y0+y)*unionW+(x0+x)]; v > best {
-					best = v
-				}
+	best := window[y0*unionW+x0]
+	for y := 0; y < cfg.Window; y++ {
+		for x := 0; x < cfg.Window; x++ {
+			if v := window[(y0+y)*unionW+(x0+x)]; v > best {
+				best = v
 			}
 		}
-		return best
-	default:
-		var sum float64
-		for y := 0; y < cfg.Window; y++ {
-			for x := 0; x < cfg.Window; x++ {
-				sum += float64(window[(y0+y)*unionW+(x0+x)])
-			}
-		}
-		return float32(sum / float64(cfg.Window*cfg.Window))
 	}
+	return best
 }

@@ -43,10 +43,10 @@ type poolJob struct {
 }
 
 // poolPlane computes output row (c, oh) for every image with the lane scheme
-// of the direct convolution (conv_direct.go): a tile of running maxima, or of
-// float64 sums taken in (y, x) order, along n or along ow.  A max tile
-// unit-stride in and out goes to maxChunks first: it writes the first k lanes,
-// whole 8-lane chunks, with the bits of the v > best scan below and returns k.
+// of the direct convolution (conv_direct.go): a tile of running maxima along
+// n or along ow.  A tile unit-stride in and out goes to maxChunks first: it
+// writes the first k lanes, whole 8-lane chunks, with the bits of the
+// v > best scan below and returns k.
 //
 //memcnn:noalloc
 func poolPlane(j poolJob, p int) {
@@ -57,8 +57,6 @@ func poolPlane(j poolJob, p int) {
 	if alongN {
 		lanes, others, inStep, outStep = cfg.N, j.outW, in.n, out.n
 	}
-	area := float64(cfg.Window * cfg.Window)
-	var sums [laneTile]float64
 	var bests [laneTile]float32
 	for o := 0; o < others; o++ {
 		for l0 := 0; l0 < lanes; l0 += laneTile {
@@ -69,49 +67,36 @@ func poolPlane(j poolJob, p int) {
 			}
 			win := in.data[n*in.n+c*in.c+oh*cfg.Stride*in.h+ow*cfg.Stride*in.w:]
 			dst := out.data[n*out.n+c*out.c+oh*out.h+ow*out.w:]
-			if cfg.Op == MaxPool {
-				if inStep == 1 && outStep == 1 && m >= 8 {
-					k := maxChunks(win, dst, m, cfg.Window, in.h, in.w)
-					if win, dst, m = win[k:], dst[k:], m-k; m == 0 {
-						continue
-					}
+			if inStep == 1 && outStep == 1 && m >= 8 {
+				k := maxChunks(win, dst, m, cfg.Window, in.h, in.w)
+				if win, dst, m = win[k:], dst[k:], m-k; m == 0 {
+					continue
 				}
-				best := bests[:m]
-				for i := range best {
-					best[i] = win[i*inStep]
-				}
-				for y := 0; y < cfg.Window; y++ {
-					for x := 0; x < cfg.Window; x++ {
-						tap := win[y*in.h+x*in.w:]
-						if inStep == 1 { // a tenth faster than the strided scan at N = 4 in CHWN
-							for i, v := range tap[:len(best)] {
-								if v > best[i] {
-									best[i] = v
-								}
-							}
-							continue
-						}
-						for i := range best {
-							if v := tap[i*inStep]; v > best[i] {
+			}
+			best := bests[:m]
+			for i := range best {
+				best[i] = win[i*inStep]
+			}
+			for y := 0; y < cfg.Window; y++ {
+				for x := 0; x < cfg.Window; x++ {
+					tap := win[y*in.h+x*in.w:]
+					if inStep == 1 { // a tenth faster than the strided scan at N = 4 in CHWN
+						for i, v := range tap[:len(best)] {
+							if v > best[i] {
 								best[i] = v
 							}
 						}
+						continue
+					}
+					for i := range best {
+						if v := tap[i*inStep]; v > best[i] {
+							best[i] = v
+						}
 					}
 				}
-				for i, v := range best {
-					dst[i*outStep] = v
-				}
-				continue
 			}
-			sum := sums[:m]
-			clear(sum)
-			for y := 0; y < cfg.Window; y++ {
-				for x := 0; x < cfg.Window; x++ {
-					fmaLanes(sum, 1, win[y*in.h+x*in.w:], inStep, 1, m)
-				}
-			}
-			for i, v := range sum {
-				dst[i*outStep] = float32(v / area)
+			for i, v := range best {
+				dst[i*outStep] = v
 			}
 		}
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 func TestPoolMaxHandComputed(t *testing.T) {
-	cfg := PoolConfig{N: 1, C: 1, H: 4, W: 4, Window: 2, Stride: 2, Op: MaxPool}
+	cfg := PoolConfig{N: 1, C: 1, H: 4, W: 4, Window: 2, Stride: 2}
 	in := tensor.New(cfg.InputShape(), tensor.NCHW)
 	copy(in.Data, []float32{
 		1, 2, 3, 4,
@@ -28,29 +28,8 @@ func TestPoolMaxHandComputed(t *testing.T) {
 	}
 }
 
-func TestPoolAvgHandComputed(t *testing.T) {
-	cfg := PoolConfig{N: 1, C: 1, H: 4, W: 4, Window: 2, Stride: 2, Op: AvgPool}
-	in := tensor.New(cfg.InputShape(), tensor.NCHW)
-	copy(in.Data, []float32{
-		1, 2, 3, 4,
-		5, 6, 7, 8,
-		9, 10, 11, 12,
-		13, 14, 15, 16,
-	})
-	out, err := Pool(in, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float32{3.5, 5.5, 11.5, 13.5}
-	for i, w := range want {
-		if out.Data[i] != w {
-			t.Errorf("out[%d] = %v, want %v", i, out.Data[i], w)
-		}
-	}
-}
-
 func TestPoolOverlappedWindows(t *testing.T) {
-	cfg := PoolConfig{N: 1, C: 1, H: 5, W: 5, Window: 3, Stride: 2, Op: MaxPool}
+	cfg := PoolConfig{N: 1, C: 1, H: 5, W: 5, Window: 3, Stride: 2}
 	in := tensor.Sequential(cfg.InputShape(), tensor.NCHW)
 	out, err := Pool(in, cfg)
 	if err != nil {
@@ -66,7 +45,7 @@ func TestPoolOverlappedWindows(t *testing.T) {
 }
 
 func TestPoolLayoutInvariance(t *testing.T) {
-	cfg := PoolConfig{N: 4, C: 3, H: 12, W: 12, Window: 3, Stride: 2, Op: MaxPool}
+	cfg := PoolConfig{N: 4, C: 3, H: 12, W: 12, Window: 3, Stride: 2}
 	var ref *tensor.Tensor
 	for _, l := range tensor.Layouts {
 		in := tensor.Random(cfg.InputShape(), l, 21)
@@ -86,10 +65,9 @@ func TestPoolLayoutInvariance(t *testing.T) {
 
 func TestPoolCoarsenedMatchesPool(t *testing.T) {
 	cfgs := []PoolConfig{
-		{N: 2, C: 3, H: 12, W: 12, Window: 3, Stride: 2, Op: MaxPool},
-		{N: 2, C: 3, H: 12, W: 12, Window: 3, Stride: 2, Op: AvgPool},
-		{N: 1, C: 2, H: 28, W: 28, Window: 2, Stride: 2, Op: MaxPool},
-		{N: 2, C: 1, H: 13, W: 13, Window: 3, Stride: 2, Op: MaxPool},
+		{N: 2, C: 3, H: 12, W: 12, Window: 3, Stride: 2},
+		{N: 1, C: 2, H: 28, W: 28, Window: 2, Stride: 2},
+		{N: 2, C: 1, H: 13, W: 13, Window: 3, Stride: 2},
 	}
 	expansions := []PoolExpansion{{1, 1}, {2, 2}, {3, 2}, {4, 4}}
 	for _, cfg := range cfgs {
@@ -113,18 +91,14 @@ func TestPoolCoarsenedMatchesPool(t *testing.T) {
 // Property: for random shapes and windows the coarsened kernel always equals
 // the plain kernel.
 func TestPoolCoarsenedPropertyQuick(t *testing.T) {
-	f := func(rawH, rawWin, rawStride, rawEH, rawEW uint8, avg bool) bool {
+	f := func(rawH, rawWin, rawStride, rawEH, rawEW uint8) bool {
 		h := int(rawH%14) + 4
 		win := int(rawWin%3) + 2
 		stride := int(rawStride%2) + 1
 		if win > h {
 			win = h
 		}
-		op := MaxPool
-		if avg {
-			op = AvgPool
-		}
-		cfg := PoolConfig{N: 2, C: 2, H: h, W: h, Window: win, Stride: stride, Op: op}
+		cfg := PoolConfig{N: 2, C: 2, H: h, W: h, Window: win, Stride: stride}
 		if cfg.Validate() != nil {
 			return true
 		}
@@ -145,7 +119,7 @@ func TestPoolCoarsenedPropertyQuick(t *testing.T) {
 }
 
 func TestPoolValidation(t *testing.T) {
-	cfg := PoolConfig{N: 1, C: 1, H: 4, W: 4, Window: 2, Stride: 2, Op: MaxPool}
+	cfg := PoolConfig{N: 1, C: 1, H: 4, W: 4, Window: 2, Stride: 2}
 	wrong := tensor.New(tensor.Shape{N: 1, C: 1, H: 5, W: 4}, tensor.NCHW)
 	if _, err := Pool(wrong, cfg); err != nil == false {
 		t.Error("shape mismatch must be rejected")
@@ -177,8 +151,8 @@ func BenchmarkPoolInto(b *testing.B) {
 		name string
 		cfg  PoolConfig
 	}{
-		{"lenet@n128/pool1", PoolConfig{N: 128, C: 16, H: 28, W: 28, Window: 2, Stride: 2, Op: MaxPool}},
-		{"cifar10@n8/pool1", PoolConfig{N: 8, C: 64, H: 24, W: 24, Window: 3, Stride: 2, Op: MaxPool}},
+		{"lenet@n128/pool1", PoolConfig{N: 128, C: 16, H: 28, W: 28, Window: 2, Stride: 2}},
+		{"cifar10@n8/pool1", PoolConfig{N: 8, C: 64, H: 24, W: 24, Window: 3, Stride: 2}},
 	} {
 		for _, lay := range []tensor.Layout{tensor.NCHW, tensor.CHWN} {
 			name := s.name

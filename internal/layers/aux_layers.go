@@ -36,13 +36,6 @@ func (s *Softmax) InputShape() tensor.Shape {
 // OutputShape implements Layer.
 func (s *Softmax) OutputShape() tensor.Shape { return s.InputShape() }
 
-// SupportsLayout implements Layer.  With H = W = 1 the NCHW and CHWN
-// linearisations are the only two distinct ones the libraries use, and both
-// are accepted.
-func (s *Softmax) SupportsLayout(l tensor.Layout) bool {
-	return l == tensor.CHWN || l == tensor.NCHW
-}
-
 // WithBatch implements Layer: the classifier is stateless, so the clone
 // only changes the batch dimension.
 func (s *Softmax) WithBatch(batch int) (Layer, error) {
@@ -54,8 +47,8 @@ func (s *Softmax) WithBatch(batch int) (Layer, error) {
 // WorkspaceElems implements Layer: staging room for the logit and probability
 // matrices (each skipped when the corresponding tensor is already in the
 // canonical NCHW linearisation).
-func (s *Softmax) WorkspaceElems(alg kernels.ConvAlgorithm, l tensor.Layout) (int, error) {
-	return ownKernel(s, alg, l, 2*s.Cfg.Elems())
+func (s *Softmax) WorkspaceElems(alg kernels.ConvAlgorithm, _ tensor.Layout) (int, error) {
+	return ownKernel(s, alg, 2*s.Cfg.Elems())
 }
 
 // ForwardsInPlace implements Layer: each probability reads its whole row.
@@ -145,11 +138,6 @@ func (f *FullyConnected) OutputShape() tensor.Shape {
 	return tensor.Shape{N: f.Batch, C: f.OutDim, H: 1, W: 1}
 }
 
-// SupportsLayout implements Layer.
-func (f *FullyConnected) SupportsLayout(l tensor.Layout) bool {
-	return l == tensor.CHWN || l == tensor.NCHW
-}
-
 // WithBatch implements Layer: the clone multiplies by the receiver's
 // weight matrix (shared lazily through the parent link, not regenerated), so
 // per-image results are bit-identical at any batch size.
@@ -181,8 +169,8 @@ func (f *FullyConnected) Weights() []float32 {
 // WorkspaceElems implements Layer: staging room for the feature matrix,
 // features major and images fastest (skipped when the input already is that
 // matrix, as a CHWN one is).
-func (f *FullyConnected) WorkspaceElems(alg kernels.ConvAlgorithm, l tensor.Layout) (int, error) {
-	return ownKernel(f, alg, l, f.Batch*f.InDim)
+func (f *FullyConnected) WorkspaceElems(alg kernels.ConvAlgorithm, _ tensor.Layout) (int, error) {
+	return ownKernel(f, alg, f.Batch*f.InDim)
 }
 
 // ForwardsInPlace implements Layer: each output reads a whole feature row.
@@ -256,9 +244,6 @@ func (r *ReLU) InputShape() tensor.Shape { return r.Shape }
 // OutputShape implements Layer.
 func (r *ReLU) OutputShape() tensor.Shape { return r.Shape }
 
-// SupportsLayout implements Layer.
-func (r *ReLU) SupportsLayout(tensor.Layout) bool { return true }
-
 // WithBatch implements Layer: the rectifier is stateless, so the clone
 // only changes the batch dimension.
 func (r *ReLU) WithBatch(batch int) (Layer, error) {
@@ -268,8 +253,8 @@ func (r *ReLU) WithBatch(batch int) (Layer, error) {
 }
 
 // WorkspaceElems implements Layer: the rectifier needs no scratch.
-func (r *ReLU) WorkspaceElems(alg kernels.ConvAlgorithm, l tensor.Layout) (int, error) {
-	return ownKernel(r, alg, l, 0)
+func (r *ReLU) WorkspaceElems(alg kernels.ConvAlgorithm, _ tensor.Layout) (int, error) {
+	return ownKernel(r, alg, 0)
 }
 
 // ForwardsInPlace implements Layer: the same-layout path reads each element
@@ -334,9 +319,6 @@ func (l *LRN) InputShape() tensor.Shape { return l.Shape }
 // OutputShape implements Layer.
 func (l *LRN) OutputShape() tensor.Shape { return l.Shape }
 
-// SupportsLayout implements Layer.
-func (l *LRN) SupportsLayout(tensor.Layout) bool { return true }
-
 // WithBatch implements Layer: normalisation is stateless, so the clone
 // only changes the batch dimension.
 func (l *LRN) WithBatch(batch int) (Layer, error) {
@@ -346,8 +328,8 @@ func (l *LRN) WithBatch(batch int) (Layer, error) {
 }
 
 // WorkspaceElems implements Layer: normalisation needs no scratch.
-func (l *LRN) WorkspaceElems(alg kernels.ConvAlgorithm, lay tensor.Layout) (int, error) {
-	return ownKernel(l, alg, lay, 0)
+func (l *LRN) WorkspaceElems(alg kernels.ConvAlgorithm, _ tensor.Layout) (int, error) {
+	return ownKernel(l, alg, 0)
 }
 
 // ForwardsInPlace implements Layer.  The cross-channel window reads a

@@ -149,9 +149,6 @@ func forwardMatchesOldScaled(t *testing.T, l Layer, inShape tensor.Shape, scale 
 			in.Data[i] *= scale
 		}
 		for _, outLay := range tensor.Layouts {
-			if !l.SupportsLayout(outLay) {
-				continue
-			}
 			elems, err := l.WorkspaceElems(kernels.ConvAlgDirect, outLay)
 			if err != nil {
 				t.Fatal(err)

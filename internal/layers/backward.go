@@ -113,7 +113,7 @@ func (c *Conv) ApplySGD(dW *tensor.Tensor, lr float32) error {
 }
 
 // BackwardDataInto implements BackwardLayer: max pooling routes each gradient
-// to its window's argmax in the forward input, average pooling spreads it.
+// to its window's argmax in the forward input.
 func (p *Pool) BackwardDataInto(in, dOut, dIn *tensor.Tensor, _ []float32) error {
 	return kernels.PoolBackwardInto(in, dOut, dIn, p.Cfg)
 }

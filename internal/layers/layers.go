@@ -1,10 +1,10 @@
 // Package layers provides the CNN layer abstraction that networks are built
 // from: convolution, pooling, softmax, fully-connected, ReLU and LRN layers.
 // There are three interfaces.  Layer is what every layer is: a description
-// (name, shapes, supported layouts) and a forward contract keyed by
-// (algorithm, layout).  WorkspaceElems says how much scratch a kernel needs —
-// or that the layer has no such kernel — and ForwardInto runs it into
-// caller-provided output and scratch.  Compilers ask once and plan the
+// (name, shapes) and a forward contract keyed by (algorithm, layout); every
+// layer runs in both of tensor's layouts, NCHW and CHWN.  WorkspaceElems says
+// how much scratch a kernel needs — or that the layer has no such kernel —
+// and ForwardInto runs it into caller-provided output and scratch.  Compilers ask once and plan the
 // scratch; the package-level Forward helper asks and allocates, which is the
 // functional forward the examples and the correctness references use.  What a
 // layer would cost on the paper's GPUs is not a layer's question:
@@ -28,15 +28,13 @@ import (
 )
 
 // Layer is one stage of a CNN: its description and its forward contract.
+// Every layer runs in NCHW and in CHWN, so the layout is the caller's choice.
 type Layer interface {
 	// Name identifies the layer inside its network (e.g. "conv1").
 	Name() string
 	// InputShape and OutputShape describe the logical tensors.
 	InputShape() tensor.Shape
 	OutputShape() tensor.Shape
-	// SupportsLayout reports whether the layer has an implementation for the
-	// given activation layout.
-	SupportsLayout(l tensor.Layout) bool
 	// WorkspaceElems returns the scratch, in float32 elements, that
 	// ForwardInto needs to run alg on activations in layout l.  The zero
 	// algorithm (kernels.ConvAlgDirect) is every layer's own kernel and the
@@ -97,14 +95,10 @@ func checkScratch(l Layer, alg kernels.ConvAlgorithm, lay tensor.Layout, scratch
 }
 
 // ownKernel is the WorkspaceElems answer of a layer with a single kernel
-// needing elems scratch elements: any other algorithm, or a layout the layer
-// does not run in, is an error.
-func ownKernel(l Layer, alg kernels.ConvAlgorithm, lay tensor.Layout, elems int) (int, error) {
+// needing elems scratch elements: any other algorithm is an error.
+func ownKernel(l Layer, alg kernels.ConvAlgorithm, elems int) (int, error) {
 	if alg != kernels.ConvAlgDirect {
 		return 0, fmt.Errorf("layers: %s has no %v kernel", l.Name(), alg)
-	}
-	if !l.SupportsLayout(lay) {
-		return 0, fmt.Errorf("layers: %s: unsupported layout %v", l.Name(), lay)
 	}
 	return elems, nil
 }
@@ -144,12 +138,6 @@ func (c *Conv) InputShape() tensor.Shape { return c.Cfg.InputShape() }
 
 // OutputShape implements Layer.
 func (c *Conv) OutputShape() tensor.Shape { return c.Cfg.OutputShape() }
-
-// SupportsLayout implements Layer: both convolution kernels run in CHWN and
-// NCHW.
-func (c *Conv) SupportsLayout(l tensor.Layout) bool {
-	return l == tensor.CHWN || l == tensor.NCHW
-}
 
 // Filters returns (generating on first use) the layer's deterministic filter
 // bank — adopted from the rebatch parent when there is one.  Generation is
@@ -208,9 +196,6 @@ func (c *Conv) refreshPacked() {
 // WorkspaceElems implements Layer: the direct kernel needs no scratch, the
 // im2col+GEMM path one image's unroll matrix.
 func (c *Conv) WorkspaceElems(alg kernels.ConvAlgorithm, l tensor.Layout) (int, error) {
-	if !c.SupportsLayout(l) {
-		return 0, fmt.Errorf("layers: %s: unsupported layout %v", c.LayerName, l)
-	}
 	switch alg {
 	case kernels.ConvAlgDirect:
 		return 0, nil
@@ -277,11 +262,6 @@ func (p *Pool) InputShape() tensor.Shape { return p.Cfg.InputShape() }
 // OutputShape implements Layer.
 func (p *Pool) OutputShape() tensor.Shape { return p.Cfg.OutputShape() }
 
-// SupportsLayout implements Layer.
-func (p *Pool) SupportsLayout(l tensor.Layout) bool {
-	return l == tensor.CHWN || l == tensor.NCHW
-}
-
 // WithBatch implements Layer: pooling is stateless, so the clone only
 // changes the batch dimension.
 func (p *Pool) WithBatch(batch int) (Layer, error) {
@@ -291,8 +271,8 @@ func (p *Pool) WithBatch(batch int) (Layer, error) {
 }
 
 // WorkspaceElems implements Layer: pooling needs no scratch.
-func (p *Pool) WorkspaceElems(alg kernels.ConvAlgorithm, l tensor.Layout) (int, error) {
-	return ownKernel(p, alg, l, 0)
+func (p *Pool) WorkspaceElems(alg kernels.ConvAlgorithm, _ tensor.Layout) (int, error) {
+	return ownKernel(p, alg, 0)
 }
 
 // ForwardInto implements Layer.

@@ -33,13 +33,19 @@ func TestNewConvValidation(t *testing.T) {
 	}
 }
 
+// TestConvSupportsLayouts: both convolution kernels run in both layouts, and
+// an activation in a layout past tensor.Layouts cannot be built to feed one.
 func TestConvSupportsLayouts(t *testing.T) {
 	c := testConvLayer(t)
-	if !c.SupportsLayout(tensor.CHWN) || !c.SupportsLayout(tensor.NCHW) {
-		t.Error("conv must support CHWN and NCHW")
+	for _, lay := range tensor.Layouts {
+		for _, alg := range []kernels.ConvAlgorithm{kernels.ConvAlgDirect, kernels.ConvAlgGemm} {
+			if _, err := Forward(c, tensor.Random(c.InputShape(), lay, 1), alg); err != nil {
+				t.Errorf("%v %v: %v", lay, alg, err)
+			}
+		}
 	}
-	if c.SupportsLayout(tensor.NHWC) {
-		t.Error("conv should not claim NHWC support")
+	if _, err := tensor.NewFrom(c.InputShape(), tensor.Layout(9), make([]float32, c.InputShape().Elems())); err == nil {
+		t.Error("an activation in an invalid layout must be rejected")
 	}
 }
 
@@ -63,7 +69,7 @@ func TestConvForwardMatchesKernels(t *testing.T) {
 }
 
 func TestPoolLayer(t *testing.T) {
-	p, err := NewPool("pool1", kernels.PoolConfig{N: 4, C: 2, H: 8, W: 8, Window: 2, Stride: 2, Op: kernels.MaxPool})
+	p, err := NewPool("pool1", kernels.PoolConfig{N: 4, C: 2, H: 8, W: 8, Window: 2, Stride: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,9 +188,6 @@ func TestReLULayer(t *testing.T) {
 	}
 	if _, err := Forward(r, tensor.New(tensor.Shape{N: 1, C: 1, H: 1, W: 1}, tensor.NCHW), kernels.ConvAlgDirect); err == nil {
 		t.Error("wrong shape must be rejected")
-	}
-	if !r.SupportsLayout(tensor.NHWC) {
-		t.Error("relu is layout agnostic")
 	}
 }
 

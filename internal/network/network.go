@@ -195,7 +195,7 @@ func (p *ExecutionPlan) TransformCount() int {
 }
 
 // Validate checks that the plan covers every layer of its network in order,
-// uses only supported layouts and transforms nothing before its first layer:
+// uses only valid layouts and transforms nothing before its first layer:
 // the network's input is written in whatever layout that layer takes.
 func (p *ExecutionPlan) Validate() error {
 	if p == nil || p.Network == nil || p.Device == nil {
@@ -211,8 +211,8 @@ func (p *ExecutionPlan) Validate() error {
 		if pl.Layer != p.Network.Layers[i] {
 			return fmt.Errorf("network: plan layer %d is not the network's layer %q", i, p.Network.Layers[i].Name())
 		}
-		if !pl.Layer.SupportsLayout(pl.Layout) {
-			return fmt.Errorf("network: layer %q does not support layout %v", pl.Layer.Name(), pl.Layout)
+		if !pl.Layout.Valid() {
+			return fmt.Errorf("network: layer %q has invalid layout %v", pl.Layer.Name(), pl.Layout)
 		}
 	}
 	return nil

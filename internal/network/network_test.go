@@ -18,7 +18,7 @@ func smallNet(t *testing.T) *network.Network {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := layers.NewPool("pool1", kernels.PoolConfig{N: 4, C: 4, H: 8, W: 8, Window: 2, Stride: 2, Op: kernels.MaxPool})
+	pool, err := layers.NewPool("pool1", kernels.PoolConfig{N: 4, C: 4, H: 8, W: 8, Window: 2, Stride: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestNewValidation(t *testing.T) {
 		t.Error("batch mismatch must be rejected")
 	}
 	// Mismatched chaining: conv output is 4x4x6x6, pool expects something else.
-	badPool, _ := layers.NewPool("pool1", kernels.PoolConfig{N: 4, C: 4, H: 8, W: 8, Window: 2, Stride: 2, Op: kernels.MaxPool})
+	badPool, _ := layers.NewPool("pool1", kernels.PoolConfig{N: 4, C: 4, H: 8, W: 8, Window: 2, Stride: 2})
 	if _, err := network.New("n", 4, conv, badPool); err == nil {
 		t.Error("element-count mismatch between layers must be rejected")
 	}
@@ -125,9 +125,9 @@ func TestPlanValidateCatchesCorruption(t *testing.T) {
 	}
 	wrongLayout := *plan
 	wrongLayout.Layers = append([]network.PlannedLayer(nil), plan.Layers...)
-	wrongLayout.Layers[0].Layout = tensor.NHWC
+	wrongLayout.Layers[0].Layout = tensor.Layout(9)
 	if err := wrongLayout.Validate(); err == nil {
-		t.Error("an unsupported layout must fail validation")
+		t.Error("an invalid layout must fail validation")
 	}
 	inputTransform := *plan
 	inputTransform.Layers = append([]network.PlannedLayer(nil), plan.Layers...)

@@ -13,9 +13,10 @@ import (
 // ImageChecksum fingerprints one request image for the serving-side result
 // cache: an FNV-1a hash over the shape and the canonical (N,C,H,W)-order
 // float32 bits, so the key does not depend on the layout the client happened
-// to send.  Two images collide only if 64-bit FNV collides — acceptable for a
-// memoisation cache, where a collision returns a wrong cached answer with
-// probability ~2^-64 per lookup.
+// to send.  A CHWN tensor of more than one image, the one case whose order
+// differs, is hashed through an NCHW copy.  Two images collide only if 64-bit
+// FNV collides — acceptable for a memoisation cache, where a collision
+// returns a wrong cached answer with probability ~2^-64 per lookup.
 func ImageChecksum(img *tensor.Tensor) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -30,21 +31,11 @@ func ImageChecksum(img *tensor.Tensor) uint64 {
 	}
 	s := img.Shape
 	mix(uint64(s.N)<<48 | uint64(s.C)<<32 | uint64(s.H)<<16 | uint64(s.W))
-	if img.Layout == tensor.NCHW || s.N == 1 && img.Layout == tensor.CHWN {
-		// The backing slice already is the canonical linearisation.
-		for _, v := range img.Data {
-			mix(uint64(math.Float32bits(v)))
-		}
-		return h
+	if !s.SameOrder(img.Layout, tensor.NCHW) {
+		img = tensor.Convert(img, tensor.NCHW)
 	}
-	for n := 0; n < s.N; n++ {
-		for c := 0; c < s.C; c++ {
-			for hh := 0; hh < s.H; hh++ {
-				for w := 0; w < s.W; w++ {
-					mix(uint64(math.Float32bits(img.At(n, c, hh, w))))
-				}
-			}
-		}
+	for _, v := range img.Data {
+		mix(uint64(math.Float32bits(v)))
 	}
 	return h
 }

@@ -240,9 +240,11 @@ func TestImageChecksum(t *testing.T) {
 	if runtime.ImageChecksum(a) == runtime.ImageChecksum(d) {
 		t.Error("a perturbed image produced the same checksum")
 	}
-	// Layout-independent: the same image sent HWCN hashes like its NCHW twin.
-	e := tensor.Convert(a, tensor.HWCN)
-	if runtime.ImageChecksum(a) != runtime.ImageChecksum(e) {
+	// Layout-independent: the same batch sent CHWN, whose order differs from
+	// NCHW's once it holds more than one image, hashes like its NCHW twin.
+	batch := tensor.Random(tensor.Shape{N: 2, C: 3, H: 8, W: 8}, tensor.NCHW, 1)
+	e := tensor.Convert(batch, tensor.CHWN)
+	if runtime.ImageChecksum(batch) != runtime.ImageChecksum(e) {
 		t.Error("the checksum depends on the client's layout")
 	}
 	// Shape participates: the same bytes under a different shape differ.

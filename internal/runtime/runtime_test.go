@@ -644,7 +644,7 @@ func TestCompileRejects(t *testing.T) {
 		{"no choices", compile(net, nil), "choices for the"},
 		{"one choice short", compile(net, nchw[1:]), "choices for the"},
 		{"invalid layout", compile(net, badLayout), "no valid layout"},
-		{"layout no conv kernel has", compile(net, runtime.Uniform(net, tensor.NHWC, kernels.ConvAlgDirect)), "unsupported layout"},
+		{"layout past tensor.Layouts", compile(net, runtime.Uniform(net, tensor.Layout(9), kernels.ConvAlgDirect)), "no valid layout"},
 		{"unknown algorithm", compile(net, badAlg), "kernel"},
 		{"algorithm on a layer without it", compile(net, onPool), "kernel"},
 		{"nil plan", func() error {

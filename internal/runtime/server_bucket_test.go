@@ -18,7 +18,7 @@ import (
 
 // checkBucketedServer sends k = 1…N concurrent requests, for every k, to a
 // NewServer over prog (batch N) and holds every reply bit for bit to its
-// image's row of one full-batch RunInto.  Odd images are sent in NHWC, which
+// image's row of one full-batch RunInto.  Odd images are sent in CHWN, which
 // the server converts into its NCHW staging batch.  Then it checks the
 // buckets keep the base's layouts and algorithms and that each worker bound
 // every bucket into one arena the size of the largest bucket's.
@@ -46,7 +46,7 @@ func checkBucketedServer(t *testing.T, prog *runtime.Program) {
 				img := tensor.New(tensor.Shape{N: 1, C: in.C, H: in.H, W: in.W}, tensor.NCHW)
 				copy(img.Data, batch.Data[i*chw:(i+1)*chw])
 				if i%2 == 1 {
-					img = tensor.Convert(img, tensor.NHWC)
+					img = tensor.Convert(img, tensor.CHWN)
 				}
 				got, err := srv.Infer(context.Background(), img)
 				if err != nil {

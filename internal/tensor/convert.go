@@ -48,11 +48,8 @@ func ConvertInto(t, dst *Tensor) error {
 // mirroring the "coalesced writes" goal of the GPU transpose kernel.
 func convert(src, dst *Tensor) {
 	outer := src.Shape.N
-	switch dst.Layout {
-	case CHWN:
+	if dst.Layout == CHWN {
 		outer = src.Shape.C
-	case HWCN:
-		outer = src.Shape.H
 	}
 	par.Planes(outer, convertJob{src, dst}, convertPlane)
 }
@@ -67,7 +64,7 @@ func convertPlane(j convertJob, i int) {
 	sn, sc, sh, sw := s.Strides(src.Layout)
 	dn, dc, dh, dw := s.Strides(dst.Layout)
 	switch dst.Layout {
-	case NCHW, NHWC:
+	case NCHW:
 		for c := 0; c < s.C; c++ {
 			for h := 0; h < s.H; h++ {
 				sBase := i*sn + c*sc + h*sh
@@ -82,16 +79,6 @@ func convertPlane(j convertJob, i int) {
 			for w := 0; w < s.W; w++ {
 				sBase := i*sc + h*sh + w*sw
 				dBase := i*dc + h*dh + w*dw
-				for n := 0; n < s.N; n++ {
-					dst.Data[dBase+n*dn] = src.Data[sBase+n*sn]
-				}
-			}
-		}
-	case HWCN:
-		for w := 0; w < s.W; w++ {
-			for c := 0; c < s.C; c++ {
-				sBase := i*sh + w*sw + c*sc
-				dBase := i*dh + w*dw + c*dc
 				for n := 0; n < s.N; n++ {
 					dst.Data[dBase+n*dn] = src.Data[sBase+n*sn]
 				}

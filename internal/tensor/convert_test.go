@@ -31,8 +31,8 @@ func TestConvertRoundTrip(t *testing.T) {
 }
 
 func TestConvertSameLayoutIsCopy(t *testing.T) {
-	src := Random(Shape{2, 2, 3, 3}, NHWC, 3)
-	got := Convert(src, NHWC)
+	src := Random(Shape{2, 2, 3, 3}, CHWN, 3)
+	got := Convert(src, CHWN)
 	got.Data[0] = 1234
 	if src.Data[0] == 1234 {
 		t.Error("Convert to same layout must return an independent copy")

@@ -9,13 +9,11 @@
 //	W — feature map width
 //
 // The same logical tensor can be linearised in memory in 4! = 24 different
-// orders.  The paper (and this library) focuses on the orders used by real
-// GPU CNN libraries:
+// orders.  The paper's layout study (Section IV) compares the two that real
+// GPU CNN libraries use, and they are the two this library supports:
 //
 //	NCHW — Caffe / cuDNN: W is the fastest-varying dimension.
 //	CHWN — cuda-convnet:  N is the fastest-varying dimension.
-//	NHWC — cuDNN's alternative layout.
-//	HWCN — equivalent to CHWN for coalescing purposes (Section IV.A).
 //
 // The layout determines the memory access pattern of every GPU kernel that
 // touches the tensor and therefore its memory efficiency.
@@ -33,13 +31,11 @@ type Layout int
 const (
 	NCHW Layout = iota // Caffe / cuDNN default: row-major over N, C, H, W.
 	CHWN               // cuda-convnet: batch dimension innermost.
-	NHWC               // channels innermost.
-	HWCN               // spatial outermost, batch innermost.
 	numLayouts
 )
 
 // Layouts lists every supported layout, in a stable order.
-var Layouts = []Layout{NCHW, CHWN, NHWC, HWCN}
+var Layouts = []Layout{NCHW, CHWN}
 
 // String returns the conventional name of the layout.
 func (l Layout) String() string {
@@ -48,10 +44,6 @@ func (l Layout) String() string {
 		return "NCHW"
 	case CHWN:
 		return "CHWN"
-	case NHWC:
-		return "NHWC"
-	case HWCN:
-		return "HWCN"
 	default:
 		return fmt.Sprintf("Layout(%d)", int(l))
 	}
@@ -97,16 +89,6 @@ func (s Shape) Strides(l Layout) (sn, sc, sh, sw int) {
 		sw = s.N
 		sh = s.W * s.N
 		sc = s.H * s.W * s.N
-	case NHWC:
-		sc = 1
-		sw = s.C
-		sh = s.W * s.C
-		sn = s.H * s.W * s.C
-	case HWCN:
-		sn = 1
-		sc = s.N
-		sw = s.C * s.N
-		sh = s.W * s.C * s.N
 	default:
 		panic(fmt.Sprintf("tensor: invalid layout %v", l))
 	}
@@ -148,20 +130,6 @@ func (s Shape) Coord(l Layout, off int) (n, c, h, w int) {
 		off /= s.W
 		h = off % s.H
 		c = off / s.H
-	case NHWC:
-		c = off % s.C
-		off /= s.C
-		w = off % s.W
-		off /= s.W
-		h = off % s.H
-		n = off / s.H
-	case HWCN:
-		n = off % s.N
-		off /= s.N
-		c = off % s.C
-		off /= s.C
-		w = off % s.W
-		h = off / s.W
 	default:
 		panic(fmt.Sprintf("tensor: invalid layout %v", l))
 	}

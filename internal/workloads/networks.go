@@ -64,7 +64,7 @@ func (b *netBuilder) pool(name string, window, stride int) *netBuilder {
 	}
 	cfg := kernels.PoolConfig{
 		N: b.batch, C: b.shape.C, H: b.shape.H, W: b.shape.W,
-		Window: window, Stride: stride, Op: kernels.MaxPool,
+		Window: window, Stride: stride,
 	}
 	l, err := layers.NewPool(name, cfg)
 	if err != nil {

@@ -56,16 +56,16 @@ func Table1Convs() []NamedConv {
 // LeNet pools, the rest are overlapped (window 3, stride 2).
 func Table1Pools() []NamedPool {
 	return []NamedPool{
-		{"PL1", "LeNet", kernels.PoolConfig{N: 128, C: 16, H: 28, W: 28, Window: 2, Stride: 2, Op: kernels.MaxPool}},
-		{"PL2", "LeNet", kernels.PoolConfig{N: 128, C: 16, H: 14, W: 14, Window: 2, Stride: 2, Op: kernels.MaxPool}},
-		{"PL3", "Cifar10", kernels.PoolConfig{N: 128, C: 64, H: 24, W: 24, Window: 3, Stride: 2, Op: kernels.MaxPool}},
-		{"PL4", "Cifar10", kernels.PoolConfig{N: 128, C: 64, H: 12, W: 12, Window: 3, Stride: 2, Op: kernels.MaxPool}},
-		{"PL5", "AlexNet", kernels.PoolConfig{N: 128, C: 96, H: 55, W: 55, Window: 3, Stride: 2, Op: kernels.MaxPool}},
-		{"PL6", "AlexNet", kernels.PoolConfig{N: 128, C: 192, H: 27, W: 27, Window: 3, Stride: 2, Op: kernels.MaxPool}},
-		{"PL7", "AlexNet", kernels.PoolConfig{N: 128, C: 256, H: 13, W: 13, Window: 3, Stride: 2, Op: kernels.MaxPool}},
-		{"PL8", "ZFNet", kernels.PoolConfig{N: 64, C: 96, H: 110, W: 110, Window: 3, Stride: 2, Op: kernels.MaxPool}},
-		{"PL9", "ZFNet", kernels.PoolConfig{N: 64, C: 256, H: 26, W: 26, Window: 3, Stride: 2, Op: kernels.MaxPool}},
-		{"PL10", "ZFNet", kernels.PoolConfig{N: 64, C: 256, H: 13, W: 13, Window: 3, Stride: 2, Op: kernels.MaxPool}},
+		{"PL1", "LeNet", kernels.PoolConfig{N: 128, C: 16, H: 28, W: 28, Window: 2, Stride: 2}},
+		{"PL2", "LeNet", kernels.PoolConfig{N: 128, C: 16, H: 14, W: 14, Window: 2, Stride: 2}},
+		{"PL3", "Cifar10", kernels.PoolConfig{N: 128, C: 64, H: 24, W: 24, Window: 3, Stride: 2}},
+		{"PL4", "Cifar10", kernels.PoolConfig{N: 128, C: 64, H: 12, W: 12, Window: 3, Stride: 2}},
+		{"PL5", "AlexNet", kernels.PoolConfig{N: 128, C: 96, H: 55, W: 55, Window: 3, Stride: 2}},
+		{"PL6", "AlexNet", kernels.PoolConfig{N: 128, C: 192, H: 27, W: 27, Window: 3, Stride: 2}},
+		{"PL7", "AlexNet", kernels.PoolConfig{N: 128, C: 256, H: 13, W: 13, Window: 3, Stride: 2}},
+		{"PL8", "ZFNet", kernels.PoolConfig{N: 64, C: 96, H: 110, W: 110, Window: 3, Stride: 2}},
+		{"PL9", "ZFNet", kernels.PoolConfig{N: 64, C: 256, H: 26, W: 26, Window: 3, Stride: 2}},
+		{"PL10", "ZFNet", kernels.PoolConfig{N: 64, C: 256, H: 13, W: 13, Window: 3, Stride: 2}},
 	}
 }
 
