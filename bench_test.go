@@ -336,7 +336,7 @@ func BenchmarkInference(b *testing.B) {
 	})
 
 	b.Run("Planned", func(b *testing.B) {
-		prog, err := memruntime.Compile(net, "fixed-NCHW", memruntime.Uniform(net, tensor.NCHW, kernels.ConvAlgDirect), memruntime.Options{})
+		prog, err := memruntime.Compile(net, "fixed-NCHW", memruntime.Uniform(net, tensor.NCHW), memruntime.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -415,22 +415,21 @@ func convAlgKernel(tb testing.TB, cfg kernels.ConvConfig, lay tensor.Layout, alg
 	return func() error { return kernels.ConvDirectInto(in, filters, out, cfg) }
 }
 
-// BenchmarkConvAlgorithms times the two convolution kernels the compiler
-// selects between — direct and im2col+GEMM — on convAlgShapes, in NCHW and
-// (suffix -chwn) in CHWN.  It is the provenance of the host price table the
-// compile-time selector decides from: each sub-benchmark reports its GFLOP/s,
-// whether the selector picks that kernel for the shape in that layout
-// (selected), and the shape's regret, the selected kernel's time over the
-// faster kernel's (on the GEMM row, once both are timed).
+// BenchmarkConvAlgorithms times the im2col+GEMM kernel every compiled
+// convolution runs and the direct kernel Network.Forward runs as the
+// reference, on convAlgShapes, in NCHW and (suffix -chwn) in CHWN.  It is the
+// provenance of the host price table's convolution rates: each sub-benchmark
+// reports its GFLOP/s, whether the compiler runs that kernel (selected), and
+// on the GEMM row the shape's regret, GEMM's time over the faster kernel's.
 func BenchmarkConvAlgorithms(b *testing.B) {
 	algNames := []string{kernels.ConvAlgDirect: "direct", kernels.ConvAlgGemm: "gemm"}
+	const selected = kernels.ConvAlgGemm
 	for _, s := range convAlgShapes {
 		for _, lay := range s.layouts() {
 			suffix := ""
 			if lay == tensor.CHWN {
 				suffix = "-chwn"
 			}
-			selected := selectedAlg(s.cfg, lay)
 			perOp := make([]float64, len(algNames))
 			for alg, name := range algNames {
 				alg := kernels.ConvAlgorithm(alg)
@@ -542,21 +541,17 @@ func BenchmarkLayerRates(b *testing.B) {
 				continue
 			}
 			for _, lay := range []tensor.Layout{tensor.NCHW, tensor.CHWN} {
-				priced, _ := autotune.HostPrices().Layer(l, lay, kernels.ConvAlgDirect)
+				priced, _ := autotune.HostPrices().Layer(l, lay)
 				name := fmt.Sprintf("%s@n%d/%s", strings.ToLower(net.Name), tg.batch, l.Name())
 				if lay == tensor.CHWN {
 					name += "-chwn"
 				}
 				b.Run(name, func(b *testing.B) {
 					in, out := layerInput(l, lay), tensor.New(l.OutputShape(), lay)
-					elems, err := l.WorkspaceElems(kernels.ConvAlgDirect, lay)
-					if err != nil {
-						b.Fatal(err)
-					}
-					scratch := make([]float32, elems)
+					scratch := make([]float32, l.WorkspaceElems(lay))
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						if err := l.ForwardInto(in, out, kernels.ConvAlgDirect, scratch); err != nil {
+						if err := l.ForwardInto(in, out, scratch); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -646,16 +641,17 @@ func layerBackwardRate(b *testing.B, l layers.BackwardLayer, lay tensor.Layout, 
 			}
 		}
 	}
-	if step, ok := autotune.HostPrices().Step(l, lay, kernels.ConvAlgDirect); ok {
+	if step, ok := autotune.HostPrices().Step(l, lay); ok {
 		b.ReportMetric((step-fwd)*1e9, "priced_ns")
 	}
 }
 
-// TestSelectionRegret holds the selector against measurement: on every shape
-// and layout of convAlgShapes the kernel it picks takes at most twice the
-// fastest kernel's time (best of a few calls each).  The margins between the
-// kernels are 3–30× outside the per-call-dominated rows, so this is a check
-// of the decisions, not a timing test of the kernels.
+// TestSelectionRegret holds the compiler's one convolution kernel against
+// measurement: on every shape and layout of convAlgShapes the im2col+GEMM
+// kernel every program runs takes at most twice the time of the direct
+// kernel it replaced (best of the calls each makes in 20 ms, at least five).  The margins between the
+// kernels are 9–40× outside the per-call-dominated rows, so this is a check
+// that direct belongs in no program, not a timing test of the kernels.
 func TestSelectionRegret(t *testing.T) {
 	if testing.Short() || raceDetector {
 		t.Skip("times full convolutions; skipped with -short and under the race detector")
@@ -665,7 +661,10 @@ func TestSelectionRegret(t *testing.T) {
 			best := map[kernels.ConvAlgorithm]time.Duration{}
 			for _, alg := range []kernels.ConvAlgorithm{kernels.ConvAlgDirect, kernels.ConvAlgGemm} {
 				call := convAlgKernel(t, s.cfg, lay, alg)
-				for i := 0; i < 5 && (i == 0 || best[alg] < 200*time.Millisecond); i++ {
+				// At least five calls, and calls for at least 20 ms: a few
+				// microsecond calls in a fresh process read up to 4× their
+				// steady time on this shared host.
+				for i, began := 0, time.Now(); i == 0 || best[alg] < 200*time.Millisecond && (i < 5 || time.Since(began) < 20*time.Millisecond); i++ {
 					t0 := time.Now()
 					if err := call(); err != nil {
 						t.Fatal(err)
@@ -675,7 +674,7 @@ func TestSelectionRegret(t *testing.T) {
 					}
 				}
 			}
-			selected := selectedAlg(s.cfg, lay)
+			selected := kernels.ConvAlgGemm
 			fastest := selected
 			for alg, d := range best {
 				if d < best[fastest] {
@@ -686,7 +685,7 @@ func TestSelectionRegret(t *testing.T) {
 			t.Logf("%s %v: direct %v, gemm %v; selected %v, regret %.2f", s.name, lay,
 				best[kernels.ConvAlgDirect], best[kernels.ConvAlgGemm], selected, regret)
 			if regret > 2 {
-				t.Errorf("%s in %v: the selector picks %v (%v), %v runs in %v: regret %.2f > 2",
+				t.Errorf("%s in %v: the compiler runs %v (%v), %v runs in %v: regret %.2f > 2",
 					s.name, lay, selected, best[selected], fastest, best[fastest], regret)
 			}
 		}
@@ -697,7 +696,7 @@ func TestSelectionRegret(t *testing.T) {
 // Cifar10 at batch 1, 2, 4 and 8 and LeNet at 16 and 128, the program compiled
 // the way the benchmark compiles it (the optimised plan, then selection) runs
 // within 1.25× of the faster of the two single-layout programs, all-NCHW and
-// all-CHWN, each with its algorithms selected in its layout.  Times are the
+// all-CHWN.  Times are the
 // best of several alternating runs; where the selection picked one of the
 // single-layout programs, the two are one program, timed once.
 func TestLayoutRegret(t *testing.T) {
@@ -734,7 +733,7 @@ func TestLayoutRegret(t *testing.T) {
 		// selected program's choices is that program, timed once.
 		progs, slot := []*memruntime.Program{selected}, []int{0}
 		for _, lay := range []tensor.Layout{tensor.NCHW, tensor.CHWN} {
-			choices := memruntime.SelectChoices(net, memruntime.Uniform(net, lay, kernels.ConvAlgDirect), false, lay)
+			choices := memruntime.SelectChoices(net, memruntime.Uniform(net, lay), false, lay)
 			if slices.Equal(choices, selected.Choices()) {
 				slot = append(slot, 0)
 				continue
@@ -766,25 +765,12 @@ func TestLayoutRegret(t *testing.T) {
 		}
 		best := []time.Duration{times[slot[0]], times[slot[1]], times[slot[2]]}
 		regret := float64(best[0]) / float64(min(best[1], best[2]))
-		t.Logf("%s@%d: selected %v (%v), all-NCHW %v, all-CHWN %v: regret %.2f", net.Name, tg.batch, best[0], selected.Choices()[0].Layout, best[1], best[2], regret)
+		t.Logf("%s@%d: selected %v (%v), all-NCHW %v, all-CHWN %v: regret %.2f", net.Name, tg.batch, best[0], selected.Choices()[0], best[1], best[2], regret)
 		if regret > 1.25 {
 			t.Errorf("%s@%d: the selected program runs in %v, the faster single-layout one in %v: regret %.2f > 1.25",
 				net.Name, tg.batch, best[0], min(best[1], best[2]), regret)
 		}
 	}
-}
-
-// selectedAlg is the algorithm the compiler's selection gives a convolution
-// of shape cfg in layout lay: the one the host price list prices cheapest
-// there, direct on a tie.
-func selectedAlg(cfg kernels.ConvConfig, lay tensor.Layout) kernels.ConvAlgorithm {
-	best, bestT := kernels.ConvAlgDirect, math.Inf(1)
-	for _, alg := range []kernels.ConvAlgorithm{kernels.ConvAlgDirect, kernels.ConvAlgGemm} {
-		if t, ok := autotune.HostPrices().Conv(cfg, lay, alg); ok && t < bestT {
-			best, bestT = alg, t
-		}
-	}
-	return best
 }
 
 func boolMetric(v bool) float64 {

@@ -4,9 +4,9 @@
 // so concurrent single-image requests coalesce into planned batched
 // executions.
 //
-// The program compiles through the per-layer selection of layout and
-// convolution algorithm (direct or im2col+GEMM, priced on this host), prints
-// the choice per convolution, and is verified bit-for-bit against
+// The program compiles through the per-layer selection of layout (priced on
+// this host), prints each convolution's layout and GEMM workspace, and is
+// verified bit-for-bit against
 // Program.ReferenceForward on the serving engine before serving starts.  With
 // -devices N the compiled program is cut into N pipeline stages on the host
 // CPU, each a range of its ops, and the serving workers walk their batches
@@ -44,7 +44,7 @@
 // disables it; the disabled hot path is allocation-free).  /trace?last=N
 // downloads the most recent N spans (all retained when omitted) as Chrome
 // trace_event JSON that loads directly in chrome://tracing or Perfetto: op
-// spans (layer, conv algorithm, layout), pipeline stage spans, per-replica
+// spans (layer, kernel label, layout), pipeline stage spans, per-replica
 // sub-batch spans and the server's queue-wait/coalesce/batch spans, on one
 // shared timebase so pipeline overlap and replica skew are visible.
 //
@@ -88,7 +88,6 @@ import (
 	"sync"
 	"time"
 
-	"memcnn/internal/kernels"
 	"memcnn/internal/network"
 	"memcnn/internal/obs"
 	memruntime "memcnn/internal/runtime"
@@ -133,7 +132,7 @@ func main() {
 	fmt.Printf("%s: %d layers -> %d ops over %d buffers\n", net.Name, len(net.Layers), len(prog.Ops), len(prog.Buffers))
 	fmt.Printf("memory plan: %v; naive %.2f MiB (%.0f%% saved)\n", prog.Mem, mib(prog.NaiveBytes()), 100*prog.Savings())
 	for _, ch := range prog.ConvChoices() {
-		fmt.Printf("conv %-12s %-5s %s\n", ch.Layer, ch.Layout, ch.Alg)
+		fmt.Printf("conv %-12s %-5s workspace %.4g MiB\n", ch.Layer, ch.Layout, mib(ch.WorkspaceBytes))
 	}
 
 	// Build the serving engine first so the startup golden check exercises
@@ -332,12 +331,11 @@ func traceHandler(rec *obs.Recorder) http.HandlerFunc {
 }
 
 // compile lowers the network through the compiler's selection of every
-// layer's layout and algorithm on this host.  The all-NCHW, all-direct list
-// it starts from only breaks ties: the paper optimiser's plan, priced on a
-// GPU model, compiles to the same ops and buffers on each of the six
-// networks at its own batch.
+// layer's layout on this host.  The all-NCHW list it starts from only breaks
+// ties: the paper optimiser's plan, priced on a GPU model, compiles to the
+// same ops and buffers on each of the six networks at its own batch.
 func compile(net *network.Network) (*memruntime.Program, error) {
-	return memruntime.Compile(net, "selected", memruntime.Uniform(net, tensor.NCHW, kernels.ConvAlgDirect), memruntime.Options{ConvAlgorithms: true})
+	return memruntime.Compile(net, "selected", memruntime.Uniform(net, tensor.NCHW), memruntime.Options{ConvAlgorithms: true})
 }
 
 // goldenCheck verifies at startup that the serving engine — the exact runner

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"memcnn/internal/kernels"
 	memruntime "memcnn/internal/runtime"
 	"memcnn/internal/runtime/replica"
 	"memcnn/internal/tensor"
@@ -40,9 +39,9 @@ func post(h http.Handler, ctx context.Context, body string) *httptest.ResponseRe
 }
 
 // TestServesTheSelectedProgram: the stock binary has no flag that turns
-// algorithm selection on, because nothing turns it off.  LeNet's convolutions
-// compile to the GEMM the selector picks (the direct kernel is 5-30x slower on
-// them), and the executor passes the startup golden check main always runs.
+// layout selection on, because nothing turns it off.  The program carries a
+// decision per layer, LeNet's convolutions plan their GEMM workspace, and the
+// executor passes the startup golden check main always runs.
 func TestServesTheSelectedProgram(t *testing.T) {
 	net, err := workloads.ByName("lenet")
 	if err != nil {
@@ -55,13 +54,16 @@ func TestServesTheSelectedProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(prog.Decisions) != len(net.Layers) {
+		t.Errorf("%d decisions for %d layers: the program was not selected", len(prog.Decisions), len(net.Layers))
+	}
 	choices := prog.ConvChoices()
 	if len(choices) == 0 {
 		t.Fatal("no convolution in the compiled program")
 	}
 	for _, ch := range choices {
-		if ch.Alg != kernels.ConvAlgGemm {
-			t.Errorf("%s compiles to %v, the selector picks %v", ch.Layer, ch.Alg, kernels.ConvAlgGemm)
+		if ch.WorkspaceBytes == 0 {
+			t.Errorf("%s in %v plans no GEMM workspace", ch.Layer, ch.Layout)
 		}
 	}
 	if err := goldenCheck(prog, memruntime.NewExecutor(prog)); err != nil {

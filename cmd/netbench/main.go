@@ -14,13 +14,13 @@
 //     transformations (Section IV.D), then each library policy's per-layer
 //     breakdown;
 //   - algs: per network, the same plan, then the decision record of the
-//     program compiled from it: every layer's (layout, algorithm) candidates
-//     with their host prices, the one the compiler's selection pass chose
-//     marked "<- chosen" with its margin and reason;
+//     program compiled from it: every layer's layout candidates with their
+//     host prices, the one the compiler's selection pass chose marked
+//     "<- chosen" with its margin and reason;
 //   - programs: per network, the static report of the programs
-//     internal/runtime compiles with per-layer algorithm selection on: op and
+//     internal/runtime compiles with per-layer layout selection on: op and
 //     buffer counts, the arena peak against one allocation per buffer, the
-//     layout, algorithm and workspace of every convolution, and the planned
+//     layout and GEMM workspace of every convolution, and the planned
 //     training footprints with and without recompute checkpointing.  Counts
 //     and bytes are exact properties of the compiled programs.
 //
@@ -130,7 +130,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "device: %s\nlayout thresholds: %v\n", dev.Name, th)
 	if view == "programs" {
-		fmt.Fprint(stdout, "static report, nothing is executed: counts and bytes are exact; each convolution's layout is the planner's, priced on the gpusim model of this device (model-only), and its algorithm the compiler's, priced on the host that runs it\n\n")
+		fmt.Fprint(stdout, "static report, nothing is executed: counts and bytes are exact; each convolution's layout is the planner's, priced on the gpusim model of this device (model-only), then re-chosen by the compiler, priced on the host that runs it\n\n")
 		return programsReport(stdout, dev, th, targets)
 	}
 	fmt.Fprint(stdout, "model-only: every time and speedup below is priced on the gpusim model of this device; nothing is executed or measured\n\n")
@@ -232,8 +232,8 @@ func printPlanners(stdout io.Writer, dev *gpusim.Device, th layout.Thresholds, n
 }
 
 // printDecisions compiles the plan with selection on and prints its decision
-// record: per layer, every (layout, algorithm) the host price list prices
-// with its price, and on the winner's row its margin and reason.  The plan's
+// record: per layer, every layout the host price list prices with its price,
+// and on the winner's row its margin and reason.  The plan's
 // layouts are only the selection's tie-break, so the marks may sit in other
 // layouts than the plan above.
 func printDecisions(stdout io.Writer, plan *network.ExecutionPlan) error {
@@ -242,14 +242,14 @@ func printDecisions(stdout io.Writer, plan *network.ExecutionPlan) error {
 		return fmt.Errorf("netbench: compiling %s: %w", plan.Network.Name, err)
 	}
 	fmt.Fprintln(stdout, "decision record of the program compiled from this plan: host-priced estimates (internal/autotune), not modeled, not measured")
-	fmt.Fprintf(stdout, "%-12s %-6s %-12s %10s\n", "layer", "layout", "algorithm", "host (us)")
+	fmt.Fprintf(stdout, "%-12s %-6s %10s\n", "layer", "layout", "host (us)")
 	for _, d := range prog.Decisions {
 		for _, c := range d.Candidates {
 			mark := ""
-			if c.Choice == d.Chosen {
+			if c.Layout == d.Chosen {
 				mark = "  <- chosen: " + d.Reason
 			}
-			fmt.Fprintf(stdout, "%-12s %-6s %-12s %10.1f%s\n", d.Layer, c.Layout, c.Alg, c.Seconds*1e6, mark)
+			fmt.Fprintf(stdout, "%-12s %-6s %10.1f%s\n", d.Layer, c.Layout, c.Seconds*1e6, mark)
 		}
 	}
 	return nil
@@ -276,9 +276,9 @@ func describeImpl(pl network.PlannedLayer) string {
 }
 
 // programsReport compiles each target network from the optimised planner's
-// plan with algorithm selection on and prints, per network, the op and buffer
-// counts, the static memory plan and every convolution's (layout, algorithm,
-// workspace), then the planned training footprints.  It compiles and plans
+// plan with layout selection on and prints, per network, the op and buffer
+// counts, the static memory plan and every convolution's layout and
+// workspace, then the planned training footprints.  It compiles and plans
 // only; no program runs.
 func programsReport(stdout io.Writer, dev *gpusim.Device, th layout.Thresholds, targets []*network.Network) error {
 	planner := frameworks.Optimized(th)
@@ -295,11 +295,7 @@ func programsReport(stdout io.Writer, dev *gpusim.Device, th layout.Thresholds, 
 		fmt.Fprintf(stdout, "%-8s %9d %8d %9.2f MiB %9.2f MiB %9.2f MiB %6.0f%%\n", net.Name, len(prog.Ops), len(prog.Buffers),
 			mib(prog.Mem.PeakBytes()), mib(prog.Mem.BoundBytes()), mib(prog.NaiveBytes()), 100*prog.Savings())
 		for _, ch := range prog.ConvChoices() {
-			line := fmt.Sprintf("         conv %-12s %-5s %s", ch.Layer, ch.Layout, ch.Alg)
-			if ch.WorkspaceBytes > 0 {
-				line += fmt.Sprintf(" (workspace %.2f MiB)", mib(ch.WorkspaceBytes))
-			}
-			fmt.Fprintln(stdout, line)
+			fmt.Fprintf(stdout, "         conv %-12s %-5s (workspace %.2f MiB)\n", ch.Layer, ch.Layout, mib(ch.WorkspaceBytes))
 		}
 	}
 

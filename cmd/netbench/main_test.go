@@ -20,8 +20,8 @@ import (
 // TestRuntimeReportDescribesTheCompiledProgram checks that the printed
 // `netbench -network LeNet programs` report describes the programs the
 // compiler produces for the same plan and options: op and buffer counts, the
-// arena peak and its lower bound, one row per convolution with its (layout,
-// algorithm, workspace), and the planned training footprints with theirs.
+// arena peak and its lower bound, one row per convolution with its layout
+// and workspace, and the planned training footprints with theirs.
 func TestRuntimeReportDescribesTheCompiledProgram(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-network", "LeNet", "programs"}, &out); err != nil {
@@ -64,10 +64,7 @@ func TestRuntimeReportDescribesTheCompiledProgram(t *testing.T) {
 		t.Fatalf("report lists %d convolutions, the program has %d", len(convRows), len(choices))
 	}
 	for i, ch := range choices {
-		want := []string{ch.Layer, ch.Layout.String(), ch.Alg.String()}
-		if ch.WorkspaceBytes > 0 {
-			want = append(want, "(workspace", mib(ch.WorkspaceBytes), "MiB)")
-		}
+		want := []string{ch.Layer, ch.Layout.String(), "(workspace", mib(ch.WorkspaceBytes), "MiB)"}
 		if strings.Join(convRows[i], " ") != strings.Join(want, " ") {
 			t.Errorf("convolution %d: report %q, program %q", i, convRows[i], want)
 		}
@@ -89,9 +86,9 @@ func TestRuntimeReportDescribesTheCompiledProgram(t *testing.T) {
 }
 
 // TestAlgsMarksTheCompiledChoice checks that `netbench algs` prints the
-// compiled program's decision record: one row per priced (layout, algorithm)
-// of every layer, and the "<- chosen" marks on exactly the layouts and
-// algorithms the program compiled from the plan runs.
+// compiled program's decision record: one row per priced layout of every
+// layer, and the "<- chosen" marks on exactly the layouts the program
+// compiled from the plan runs.
 func TestAlgsMarksTheCompiledChoice(t *testing.T) {
 	nets, err := workloads.Networks()
 	if err != nil {
@@ -108,7 +105,7 @@ func TestAlgsMarksTheCompiledChoice(t *testing.T) {
 		var got []string
 		for _, line := range strings.Split(out.String(), "\n") {
 			if f := strings.Fields(line); strings.Contains(line, "<- chosen") {
-				got = append(got, fmt.Sprintf("%s %s %s", f[0], f[1], f[2]))
+				got = append(got, fmt.Sprintf("%s %s", f[0], f[1]))
 			}
 		}
 
@@ -122,8 +119,8 @@ func TestAlgsMarksTheCompiledChoice(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		var want []string
-		for i, ch := range prog.Choices() {
-			want = append(want, fmt.Sprintf("%s %v %v", net.Layers[i].Name(), ch.Layout, ch.Alg))
+		for i, lay := range prog.Choices() {
+			want = append(want, fmt.Sprintf("%s %v", net.Layers[i].Name(), lay))
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: algs marks %q as chosen, the compiled program runs %q", name, got, want)

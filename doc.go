@@ -18,22 +18,23 @@
 // layout-transform ops, zero-copy reshape views), the buffers are packed into
 // a single arena by a liveness-driven static memory plan, and the compiled
 // program runs on recycled arena instances with no steady-state tensor
-// allocation.  The compiler additionally picks each convolution's algorithm
-// from two production strategies — direct and im2col+GEMM — the paper's
-// per-layer choice, priced where the program runs: every program executes Go
-// kernels on the host CPU, whatever GPU its plan models, so internal/autotune
-// compares two estimated host times, work ÷ rate plus a per-call cost, from a
-// short table of measured constants of this repository's kernels.  Each
-// constant names the sub-benchmark that reproduces it (`go test -run '^$'
-// -bench ConvAlgorithms -benchtime=20x .`) and TestSelectionRegret fails if a
-// pick takes over twice the faster kernel's time.  On this host GEMM wins
-// 3–30× wherever there is work, and direct keeps layers so small that one
-// fan-out is the whole cost (one 8×8 image, two 3×3 filters: 4 µs against
-// 18).  The paper's third strategy, FFT, lost to the fastest kernel on every
-// convolution of the five workload networks, at batch 1 and at the
-// benchmark's batches, and on the one shape it was once picked for (31×31
-// filters on 32×32 images), so here it is a model-domain algorithm: priced
-// on internal/gpusim for Figs. 5, 14 and 15, and compiled nowhere.
+// allocation.  The compiler picks each layer's layout, the paper's per-layer
+// choice, priced where the program runs: every program executes Go kernels on
+// the host CPU, whatever GPU its plan models, so internal/autotune compares
+// estimated host times, work ÷ rate plus a per-call cost, from a short table
+// of measured constants of this repository's kernels.  Each constant names the
+// sub-benchmark that reproduces it (`go test -run '^$' -bench ConvAlgorithms
+// -benchtime=20x .`).  Every convolution runs im2col+GEMM: on this host it
+// runs 9–40× faster than cuda-convnet's direct strategy on every convolution
+// of the five workload networks, and TestSelectionRegret fails if it takes
+// over twice the direct kernel's time on any shape the price list cites.  The
+// direct kernel stays as the functional reference (Network.Forward), which
+// accumulates in float64 and shares no code with the GEMM core.  The paper's
+// third strategy, FFT, lost to the fastest kernel on every convolution of the
+// five workload networks, at batch 1 and at the benchmark's batches, and on
+// the one shape it was once picked for (31×31 filters on 32×32 images).  So
+// direct and FFT are model-domain algorithms here: priced on internal/gpusim
+// for Figs. 5, 14 and 15, and compiled nowhere.
 //
 // The compiler pre-packs the filter banks into packed GEMM operands and plans every
 // kernel workspace (convolution unroll matrices, fully-connected flatten
@@ -58,14 +59,14 @@
 // planned batched executions over any engine, optionally behind a
 // checksum-keyed LRU result cache with single-flight (repeated inputs skip
 // execution entirely); cmd/memcnnserve serves it over HTTP (it always serves
-// the algorithm-selected program and verifies the serving engine against its
+// the layout-selected program and verifies the serving engine against its
 // functional reference at startup; `-devices N` pipelines across N stages,
 // `-replicas N` replicates instead (the two are exclusive), `-cache N` switches
 // on the cache; `-demo` prints
 // the per-stage and per-replica breakdowns and the cache counters) and
 // `netbench programs` is the static report: every
-// network's op and buffer counts, arena footprint, per-layer (layout,
-// algorithm) choice and planned training footprints, nothing executed.
+// network's op and buffer counts, arena footprint, per-convolution layout and
+// workspace and planned training footprints, nothing executed.
 //
 // The serving stack is fault-tolerant end to end.  runtime.FaultDevice wraps
 // any Device with a deterministic seeded failure schedule — transient op

@@ -1,7 +1,9 @@
 // Example plannedexec walks the compile → memory-plan → execute pipeline of
 // internal/runtime on a small network: it plans the network with the paper's
 // optimiser, prints the lowered op list and the static memory plan, runs the
-// compiled program and checks the result against the naive Network.Forward.
+// compiled program and compares the result with the naive Network.Forward.
+// The program's convolution runs im2col+GEMM and the naive forward the
+// float64-accumulating direct kernel, so the two differ in the last bits.
 package main
 
 import (

@@ -9,7 +9,7 @@
 // host price list (Prices, prices.go) prices every layer's kernels in each
 // layout, and the transforms between layouts, on the host that runs them,
 // from measured rates; the compiler's selection pass chooses each layer's
-// (layout, algorithm) over it with CheapestChain (chain.go), the chain
+// layout over it with CheapestChain (chain.go), the chain
 // dynamic program that the paper's planner (internal/core) runs too, over
 // modeled prices.
 // Nothing in this package asks a GPU model anything.

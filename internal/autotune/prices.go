@@ -10,10 +10,9 @@ import (
 // that runs every compiled program, in estimated seconds, work ÷ rate +
 // per-call cost.  It is the host's peer of gpusim.LayerCost, and the
 // compiler's selection pass (runtime.SelectChoices) prices each layer's
-// (layout, algorithm) candidates and the layout transforms between them with
-// it.  The convolution candidates are the paper's observation that no single
-// strategy wins across layer shapes (Sections II.B, IV.A); the layouts are its
-// §IV.D decision.  Every rate is this repository's kernels measured on a
+// layout candidates and the layout transforms between them with it.  The candidates are the layouts, the paper's §IV.D decision; a
+// convolution runs im2col+GEMM in either, the strategy that wins every
+// network shape on this host.  Every rate is this repository's kernels measured on a
 // 2-vCPU 2.1 GHz AVX2 Xeon, and its comment names the sub-benchmark that
 // reproduces it: the convolution rates `go test -run '^$' -bench
 // ConvAlgorithms -benchtime=20x .` (2026-10-04, the batch-folded ones
@@ -40,10 +39,6 @@ func (r PerLayout) in(lay tensor.Layout) (float64, bool) {
 // Prices is a price list: the rates HostPrices measured, or a copy with one
 // changed (the selection tests flip a decision that way).
 type Prices struct {
-	// DirectGFLOPS is the direct lane walk: 2.3–5.4 on 5×5 shapes in NCHW
-	// (`lenet-conv1@n128/direct`, `cifar10-conv1@n8/direct`), 3.2–6.6 in CHWN
-	// (`lenet-conv2@n128/direct-chwn`), about 1 on `1img-small/direct`.
-	DirectGFLOPS float64
 	// GemmGFLOPS is the packed GEMM core once the unroll below is paid for:
 	// `alexnet-conv2@n32/gemm` and `vgg-conv3_1/gemm` read 78–85 and 69–89
 	// overall on the fused multiply-add core (2026-10-19), with 256 filters
@@ -67,9 +62,9 @@ type Prices struct {
 	// a 21×21 filter on 32×32 images (14–17 ms), whose taps are mostly
 	// padding, reads under 1.
 	GemmUnrollNS, GemmRunNS float64
-	// SyncUS is one goroutine fan-out: `1img-tiny/direct` runs 4–6 µs and `1img-tiny/gemm` 9–19 µs for 1.3 kFLOP
-	// (at the default -benchtime: a process's first calls run several times
-	// slower).
+	// SyncUS is one goroutine fan-out: `1img-tiny/gemm` runs 9–19 µs for 1.3
+	// kFLOP (at the default -benchtime: a process's first calls run several
+	// times slower).
 	SyncUS float64
 	// ConvertGBs is tensor.ConvertInto between NCHW and CHWN, per byte of
 	// tensor: `go test -run '^$' -bench ConvertCHWNToNCHW ./internal/tensor`
@@ -160,7 +155,6 @@ type Prices struct {
 
 // hostPrices is this host's price list.
 var hostPrices = Prices{
-	DirectGFLOPS:  3.5,
 	GemmGFLOPS:    95,
 	GemmUnrollNS:  0.35,
 	GemmRunNS:     1.7,
@@ -184,16 +178,11 @@ var hostPrices = Prices{
 // the compiler's selection pass its only caller.
 func HostPrices() Prices { return hostPrices }
 
-// Layer prices one call of l's alg kernel on activations in lay, in seconds.
-// ok is false when l has no such kernel or the list no rate for it: every
-// layer but a convolution has only its own kernel (kernels.ConvAlgDirect),
-// and a convolution has the direct and the GEMM kernel in either layout.
-func (p Prices) Layer(l layers.Layer, lay tensor.Layout, alg kernels.ConvAlgorithm) (float64, bool) {
+// Layer prices one call of l's kernel on activations in lay, in seconds.  ok
+// is false when the list has no rate for it.
+func (p Prices) Layer(l layers.Layer, lay tensor.Layout) (float64, bool) {
 	if conv, ok := l.(*layers.Conv); ok {
-		return p.Conv(conv.Cfg, lay, alg)
-	}
-	if alg != kernels.ConvAlgDirect {
-		return 0, false
+		return p.Conv(conv.Cfg, lay)
 	}
 	var rate PerLayout // ns per unit of work
 	var work float64
@@ -229,8 +218,8 @@ func (p Prices) Layer(l layers.Layer, lay tensor.Layout, alg kernels.ConvAlgorit
 // left out: it runs in NCHW whatever the list, so the softmax has a step
 // price in NCHW alone.  ok is false where Layer has no price or the list
 // prices no gradient in lay (a fully-connected layer outside NCHW).
-func (p Prices) Step(l layers.Layer, lay tensor.Layout, alg kernels.ConvAlgorithm) (float64, bool) {
-	fwd, ok := p.Layer(l, lay, alg)
+func (p Prices) Step(l layers.Layer, lay tensor.Layout) (float64, bool) {
+	fwd, ok := p.Layer(l, lay)
 	if !ok {
 		return 0, false
 	}
@@ -259,27 +248,20 @@ func (p Prices) Step(l layers.Layer, lay tensor.Layout, alg kernels.ConvAlgorith
 	return fwd + work*r*1e-9, ok
 }
 
-// Conv prices one call of the convolution kernel alg on a layer whose input
-// and output are in lay.  GEMM's unroll costs more per element the fewer
-// images a copy moves.  ok is false for any other algorithm and for an
-// invalid configuration.
-func (p Prices) Conv(cfg kernels.ConvConfig, lay tensor.Layout, alg kernels.ConvAlgorithm) (float64, bool) {
+// Conv prices one call of the im2col+GEMM convolution on a layer whose input
+// and output are in lay.  The unroll costs more per element the fewer images
+// a copy moves.  ok is false for an invalid configuration.
+func (p Prices) Conv(cfg kernels.ConvConfig, lay tensor.Layout) (float64, bool) {
 	if cfg.Validate() != nil || (lay != tensor.NCHW && lay != tensor.CHWN) {
 		return 0, false
 	}
-	switch alg {
-	case kernels.ConvAlgDirect:
-		return cfg.FLOPs()/(p.DirectGFLOPS*1e9) + p.SyncUS*1e-6, true
-	case kernels.ConvAlgGemm:
-		product := cfg.FLOPs() / (p.GemmGFLOPS * 1e9)
-		n := float64(cfg.N)
-		unroll, run := n*float64(cfg.ReductionLength()*cfg.OutH()*cfg.OutW()), 1.0
-		if lay == tensor.CHWN {
-			run = n
-		}
-		return product + unroll*(p.GemmUnrollNS+p.GemmRunNS/run)*1e-9 + p.SyncUS*1e-6, true
+	product := cfg.FLOPs() / (p.GemmGFLOPS * 1e9)
+	n := float64(cfg.N)
+	unroll, run := n*float64(cfg.ReductionLength()*cfg.OutH()*cfg.OutW()), 1.0
+	if lay == tensor.CHWN {
+		run = n
 	}
-	return 0, false
+	return product + unroll*(p.GemmUnrollNS+p.GemmRunNS/run)*1e-9 + p.SyncUS*1e-6, true
 }
 
 // Convert prices tensor.ConvertInto of a tensor of shape s between two

@@ -46,19 +46,19 @@ func stridesOf(t *tensor.Tensor) strided {
 // (true) or along W (false): whichever has the smaller stride.
 func (s strided) lanesAlongN() bool { return s.n < s.w }
 
-// fmaLanes performs acc[i*accStep] += float64(src[i*srcStep]) * w for i in
-// [0, n).  The product of two float32 values is exact in float64, so the
-// operand order inside it is immaterial.
-func fmaLanes(acc []float64, accStep int, src []float32, srcStep int, w float64, n int) {
-	if accStep == 1 && srcStep == 1 {
+// fmaLanes performs acc[i] += float64(src[i*srcStep]) * w for i in [0, n).
+// The product of two float32 values is exact in float64, so the operand
+// order inside it is immaterial.
+func fmaLanes(acc []float64, src []float32, srcStep int, w float64, n int) {
+	if srcStep == 1 {
 		acc, src = acc[:n], src[:n]
 		for i := range acc {
 			acc[i] += float64(src[i]) * w
 		}
 		return
 	}
-	for i, a, s := 0, 0, 0; i < n; i, a, s = i+1, a+accStep, s+srcStep {
-		acc[a] += float64(src[s]) * w
+	for i, s := 0, 0; i < n; i, s = i+1, s+srcStep {
+		acc[i] += float64(src[s]) * w
 	}
 }
 
@@ -154,12 +154,12 @@ func convForwardPlane(j convJob, p int) {
 						w := float64(fRow[fw*j.filters.w])
 						if alongN {
 							if iw := ow*cfg.StrideW - cfg.PadW + fw; iw >= 0 && iw < cfg.W {
-								fmaLanes(acc, 1, inRow[iw*in.w:], in.n, w, len(acc))
+								fmaLanes(acc, inRow[iw*in.w:], in.n, w, len(acc))
 							}
 							continue
 						}
 						if lo, hi := tapRange(fw, cfg.StrideW, cfg.PadW, 0, cfg.W, ow, ow+len(acc)); lo < hi {
-							fmaLanes(acc[lo-ow:], 1, inRow[(lo*cfg.StrideW-cfg.PadW+fw)*in.w:], cfg.StrideW*in.w, w, hi-lo)
+							fmaLanes(acc[lo-ow:], inRow[(lo*cfg.StrideW-cfg.PadW+fw)*in.w:], cfg.StrideW*in.w, w, hi-lo)
 						}
 					}
 				}

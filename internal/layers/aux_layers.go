@@ -47,22 +47,20 @@ func (s *Softmax) WithBatch(batch int) (Layer, error) {
 // WorkspaceElems implements Layer: staging room for the logit and probability
 // matrices (each skipped when the corresponding tensor is already in the
 // canonical NCHW linearisation).
-func (s *Softmax) WorkspaceElems(alg kernels.ConvAlgorithm, _ tensor.Layout) (int, error) {
-	return ownKernel(s, alg, 2*s.Cfg.Elems())
-}
+func (s *Softmax) WorkspaceElems(tensor.Layout) int { return 2 * s.Cfg.Elems() }
 
 // ForwardsInPlace implements Layer: each probability reads its whole row.
 func (s *Softmax) ForwardsInPlace(tensor.Layout) bool { return false }
 
 // ForwardInto implements Layer.
-func (s *Softmax) ForwardInto(in, dst *tensor.Tensor, alg kernels.ConvAlgorithm, scratch []float32) error {
+func (s *Softmax) ForwardInto(in, dst *tensor.Tensor, scratch []float32) error {
 	if in.Shape != s.InputShape() {
 		return fmt.Errorf("layers: %s: input shape %v, want %v", s.LayerName, in.Shape, s.InputShape())
 	}
 	if dst.Shape != s.OutputShape() {
 		return fmt.Errorf("layers: %s: output shape %v, want %v", s.LayerName, dst.Shape, s.OutputShape())
 	}
-	if err := checkScratch(s, alg, dst.Layout, scratch); err != nil {
+	if err := checkScratch(s, dst.Layout, scratch); err != nil {
 		return err
 	}
 	elems := s.Cfg.Elems()
@@ -169,15 +167,13 @@ func (f *FullyConnected) Weights() []float32 {
 // WorkspaceElems implements Layer: staging room for the feature matrix,
 // features major and images fastest (skipped when the input already is that
 // matrix, as a CHWN one is).
-func (f *FullyConnected) WorkspaceElems(alg kernels.ConvAlgorithm, _ tensor.Layout) (int, error) {
-	return ownKernel(f, alg, f.Batch*f.InDim)
-}
+func (f *FullyConnected) WorkspaceElems(tensor.Layout) int { return f.Batch * f.InDim }
 
 // ForwardsInPlace implements Layer: each output reads a whole feature row.
 func (f *FullyConnected) ForwardsInPlace(tensor.Layout) bool { return false }
 
 // ForwardInto implements Layer.
-func (f *FullyConnected) ForwardInto(in, dst *tensor.Tensor, alg kernels.ConvAlgorithm, scratch []float32) error {
+func (f *FullyConnected) ForwardInto(in, dst *tensor.Tensor, scratch []float32) error {
 	want := f.InputShape()
 	if in.Shape.Elems() != want.Elems() || in.Shape.N != f.Batch {
 		return fmt.Errorf("layers: %s: input shape %v incompatible with %v", f.LayerName, in.Shape, want)
@@ -185,7 +181,7 @@ func (f *FullyConnected) ForwardInto(in, dst *tensor.Tensor, alg kernels.ConvAlg
 	if dst.Shape != f.OutputShape() {
 		return fmt.Errorf("layers: %s: output shape %v, want %v", f.LayerName, dst.Shape, f.OutputShape())
 	}
-	if err := checkScratch(f, alg, dst.Layout, scratch); err != nil {
+	if err := checkScratch(f, dst.Layout, scratch); err != nil {
 		return err
 	}
 	// The contraction's B is the features k-major, the images fastest (k in
@@ -253,9 +249,7 @@ func (r *ReLU) WithBatch(batch int) (Layer, error) {
 }
 
 // WorkspaceElems implements Layer: the rectifier needs no scratch.
-func (r *ReLU) WorkspaceElems(alg kernels.ConvAlgorithm, _ tensor.Layout) (int, error) {
-	return ownKernel(r, alg, 0)
-}
+func (r *ReLU) WorkspaceElems(tensor.Layout) int { return 0 }
 
 // ForwardsInPlace implements Layer: the same-layout path reads each element
 // exactly once, at the index it writes, so dst may alias in under any layout.
@@ -263,10 +257,7 @@ func (r *ReLU) ForwardsInPlace(tensor.Layout) bool { return true }
 
 // ForwardInto implements Layer: element-wise over a shared layout, so a single
 // linear pass over the backing slices.
-func (r *ReLU) ForwardInto(in, dst *tensor.Tensor, alg kernels.ConvAlgorithm, scratch []float32) error {
-	if err := checkScratch(r, alg, dst.Layout, scratch); err != nil {
-		return err
-	}
+func (r *ReLU) ForwardInto(in, dst *tensor.Tensor, _ []float32) error {
 	if in.Shape != r.Shape || in.Layout != dst.Layout {
 		return fmt.Errorf("layers: %s: input %v %v, want %v %v", r.LayerName, in.Shape, in.Layout, r.Shape, dst.Layout)
 	}
@@ -328,9 +319,7 @@ func (l *LRN) WithBatch(batch int) (Layer, error) {
 }
 
 // WorkspaceElems implements Layer: normalisation needs no scratch.
-func (l *LRN) WorkspaceElems(alg kernels.ConvAlgorithm, _ tensor.Layout) (int, error) {
-	return ownKernel(l, alg, 0)
-}
+func (l *LRN) WorkspaceElems(tensor.Layout) int { return 0 }
 
 // ForwardsInPlace implements Layer.  The cross-channel window reads a
 // neighbourhood of the input for every output value: an in-place run would
@@ -338,10 +327,7 @@ func (l *LRN) WorkspaceElems(alg kernels.ConvAlgorithm, _ tensor.Layout) (int, e
 func (l *LRN) ForwardsInPlace(tensor.Layout) bool { return false }
 
 // ForwardInto implements Layer.
-func (l *LRN) ForwardInto(in, dst *tensor.Tensor, alg kernels.ConvAlgorithm, scratch []float32) error {
-	if err := checkScratch(l, alg, dst.Layout, scratch); err != nil {
-		return err
-	}
+func (l *LRN) ForwardInto(in, dst *tensor.Tensor, _ []float32) error {
 	if in.Shape != l.Shape {
 		return fmt.Errorf("layers: %s: input shape %v, want %v", l.LayerName, in.Shape, l.Shape)
 	}

@@ -149,18 +149,14 @@ func forwardMatchesOldScaled(t *testing.T, l Layer, inShape tensor.Shape, scale 
 			in.Data[i] *= scale
 		}
 		for _, outLay := range tensor.Layouts {
-			elems, err := l.WorkspaceElems(kernels.ConvAlgDirect, outLay)
-			if err != nil {
-				t.Fatal(err)
-			}
-			scratch := make([]float32, elems)
+			scratch := make([]float32, l.WorkspaceElems(outLay))
 			got, want := tensor.New(l.OutputShape(), outLay), tensor.New(l.OutputShape(), outLay)
 			for _, s := range [][]float32{scratch, got.Data} {
 				for i := range s {
 					s[i] = nan
 				}
 			}
-			if err := l.ForwardInto(in, got, kernels.ConvAlgDirect, scratch); err != nil {
+			if err := l.ForwardInto(in, got, scratch); err != nil {
 				t.Fatalf("%s %v->%v: %v", l.Name(), inLay, outLay, err)
 			}
 			old(in, want)

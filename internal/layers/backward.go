@@ -12,11 +12,11 @@ import (
 // the layers adapt them (and their own parameters) behind two uniform
 // interfaces so the training compiler (internal/runtime/train) and the device
 // dispatch (internal/runtime) need no per-layer knowledge.  A convolution's
-// two gradients run on the packed GEMM core whichever algorithm its forward
-// runs; every other layer's gradients are its own kernels.  All methods are
-// allocation-free and bit-deterministic for any worker count: parallel passes
-// go through par.Planes, so every output element is written by exactly one
-// worker in a fixed accumulation order.
+// two gradients run on the packed GEMM core, as its forward does; every other
+// layer's gradients are its own kernels.  All methods are allocation-free and
+// bit-deterministic for any worker count: parallel passes go through
+// par.Planes, so every output element is written by exactly one worker in a
+// fixed accumulation order.
 
 // BackwardLayer is implemented by layers that can propagate a gradient to
 // their input.  Softmax deliberately does not implement it: its backward is
@@ -58,17 +58,6 @@ type TrainableLayer interface {
 	ApplySGD(dW *tensor.Tensor, lr float32) error
 }
 
-// GradientAlg is the kernel l's gradient methods run, the algorithm a
-// training program records on its gradient ops: GEMM for a convolution,
-// whatever its forward runs, and kernels.ConvAlgDirect (the layer's own
-// kernels) for every other layer.
-func GradientAlg(l Layer) kernels.ConvAlgorithm {
-	if _, ok := l.(*Conv); ok {
-		return kernels.ConvAlgGemm
-	}
-	return kernels.ConvAlgDirect
-}
-
 // BackwardDataInto implements BackwardLayer with the GEMM input gradient: the
 // input gradient depends only on the incoming gradient and the filter bank,
 // so the forward input is ignored.
@@ -98,8 +87,8 @@ func (c *Conv) GradWorkspaceElems() int {
 
 // ApplySGD implements TrainableLayer: the filter bank (shared across
 // rebatched clones) is updated in place, and the packed GEMM operand — if a
-// GEMM program materialised it — is refreshed so subsequent GEMM forwards see
-// the new weights.
+// forward materialised it — is refreshed so subsequent forwards see the new
+// weights.
 func (c *Conv) ApplySGD(dW *tensor.Tensor, lr float32) error {
 	filters := c.Filters()
 	if dW.Shape != filters.Shape || dW.Layout != filters.Layout {

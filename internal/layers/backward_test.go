@@ -60,7 +60,7 @@ func TestFullyConnectedBackwardGradient(t *testing.T) {
 
 	out := tensor.New(fc.OutputShape(), tensor.NCHW)
 	loss := func() float64 {
-		if err := fc.ForwardInto(in, out, kernels.ConvAlgDirect, make([]float32, fc.Batch*fc.InDim)); err != nil {
+		if err := fc.ForwardInto(in, out, make([]float32, fc.Batch*fc.InDim)); err != nil {
 			t.Fatal(err)
 		}
 		return probe(dOut.Data, out.Data)
@@ -92,7 +92,7 @@ func TestLRNBackwardGradient(t *testing.T) {
 
 	out := tensor.New(shape, tensor.NCHW)
 	loss := func() float64 {
-		if err := lrn.ForwardInto(in, out, kernels.ConvAlgDirect, nil); err != nil {
+		if err := lrn.ForwardInto(in, out, nil); err != nil {
 			t.Fatal(err)
 		}
 		return probe(dOut.Data, out.Data)

@@ -1,19 +1,20 @@
 // Package layers provides the CNN layer abstraction that networks are built
 // from: convolution, pooling, softmax, fully-connected, ReLU and LRN layers.
 // There are three interfaces.  Layer is what every layer is: a description
-// (name, shapes) and a forward contract keyed by (algorithm, layout); every
-// layer runs in both of tensor's layouts, NCHW and CHWN.  WorkspaceElems says
-// how much scratch a kernel needs — or that the layer has no such kernel —
-// and ForwardInto runs it into caller-provided output and scratch.  Compilers ask once and plan the
-// scratch; the package-level Forward helper asks and allocates, which is the
-// functional forward the examples and the correctness references use.  What a
-// layer would cost on the paper's GPUs is not a layer's question:
-// gpusim.LayerCost prices it.
+// (name, shapes) and a forward contract keyed by layout; every layer runs its
+// one kernel in both of tensor's layouts, NCHW and CHWN, and a convolution's
+// kernel is im2col+GEMM.  WorkspaceElems says how much scratch that kernel
+// needs and ForwardInto runs it into caller-provided output and scratch.
+// Compilers ask once and plan the scratch; the package-level Forward helper
+// asks and allocates, which is the functional forward the examples and the
+// correctness references use.  What a layer would cost on the paper's GPUs is
+// not a layer's question: gpusim.LayerCost prices it.
 //
 // BackwardLayer adds the input gradient and TrainableLayer the parameter
-// gradient and SGD update (backward.go).  A new convolution algorithm is a
-// kernel in internal/kernels plus one case in Conv.WorkspaceElems and
-// Conv.ForwardInto; nothing that runs layers needs to hear of it.
+// gradient and SGD update (backward.go).  The direct convolution
+// (kernels.ConvDirectInto) runs on no compiled path: Forward's reference
+// switch runs it, as the float64-accumulating oracle that shares no code with
+// the packed GEMM core.
 //
 // The separation mirrors the paper's experimental set-up: the layer's values
 // do not depend on layout or implementation, only its memory behaviour does.
@@ -36,20 +37,15 @@ type Layer interface {
 	InputShape() tensor.Shape
 	OutputShape() tensor.Shape
 	// WorkspaceElems returns the scratch, in float32 elements, that
-	// ForwardInto needs to run alg on activations in layout l.  The zero
-	// algorithm (kernels.ConvAlgDirect) is every layer's own kernel and the
-	// only one layers other than Conv have.  An error means the layer has no
-	// kernel for the pair; that is how compilers, the verifier and the
-	// reference forward learn it, before anything runs.
-	WorkspaceElems(alg kernels.ConvAlgorithm, l tensor.Layout) (int, error)
-	// ForwardInto runs the layer's alg kernel from in into dst, a tensor of
-	// the layer's output shape in the same layout as in; dst is fully
-	// overwritten.  scratch must hold at least WorkspaceElems(alg,
-	// dst.Layout) elements; its contents are unspecified on entry and
-	// trashed on return.  The values written do not depend on the layout,
-	// and each algorithm fixes its own accumulation order.  dst must not
-	// share storage with in unless ForwardsInPlace reports the layout safe.
-	ForwardInto(in, dst *tensor.Tensor, alg kernels.ConvAlgorithm, scratch []float32) error
+	// ForwardInto needs on activations in layout l.
+	WorkspaceElems(l tensor.Layout) int
+	// ForwardInto runs the layer's kernel from in into dst, a tensor of the
+	// layer's output shape in the same layout as in; dst is fully
+	// overwritten.  scratch must hold at least WorkspaceElems(dst.Layout)
+	// elements; its contents are unspecified on entry and trashed on return.
+	// The values written do not depend on the layout.  dst must not share
+	// storage with in unless ForwardsInPlace reports the layout safe.
+	ForwardInto(in, dst *tensor.Tensor, scratch []float32) error
 	// ForwardsInPlace reports whether ForwardInto may run with dst sharing
 	// in's storage when both use layout l.  Compilers then alias the output
 	// buffer onto the input and the arena never holds both.  Only layers that
@@ -65,42 +61,49 @@ type Layer interface {
 	WithBatch(batch int) (Layer, error)
 }
 
-// Forward is the allocating functional forward: it allocates the output (in
-// the input's layout) and the scratch the contract asks for, then runs the
-// alg kernel.  Network.Forward and the runtime's ReferenceForward, the
-// references every planned execution is compared against, are built on it.
-func Forward(l Layer, in *tensor.Tensor, alg kernels.ConvAlgorithm) (*tensor.Tensor, error) {
-	elems, err := l.WorkspaceElems(alg, in.Layout)
-	if err != nil {
-		return nil, err
+// Forward is the allocating functional forward.  It relabels an input whose
+// shape differs from the layer's but holds as many elements (the flattening
+// boundary in front of a fully-connected layer) into the layer's input shape,
+// in canonical (N,C,H,W) order.  It then allocates the output, in the input's
+// layout, and the scratch the contract asks for, and runs the layer's kernel.
+// With reference it is the one reference switch: a convolution runs the
+// direct kernel instead, which accumulates in float64 and shares no code with
+// the GEMM core, and every other layer its one kernel.  Network.Forward walks
+// the reference, the runtime's ReferenceForward the kernels a compiled program
+// runs.
+func Forward(l Layer, in *tensor.Tensor, reference bool) (*tensor.Tensor, error) {
+	if want := l.InputShape(); in.Shape != want && in.Shape.Elems() == want.Elems() {
+		reshaped := tensor.New(want, in.Layout)
+		if err := tensor.ReshapeInto(in, reshaped); err != nil {
+			return nil, err
+		}
+		in = reshaped
 	}
 	out := tensor.New(l.OutputShape(), in.Layout)
-	if err := l.ForwardInto(in, out, alg, make([]float32, elems)); err != nil {
-		return nil, err
+	if conv, ok := l.(*Conv); ok && reference {
+		return out, kernels.ConvDirectInto(in, conv.Filters(), out, conv.Cfg)
 	}
-	return out, nil
+	return out, l.ForwardInto(in, out, make([]float32, l.WorkspaceElems(in.Layout)))
 }
 
-// checkScratch is the common ForwardInto preamble: the layer must have the
-// kernel, and the caller's scratch must be large enough for it.
-func checkScratch(l Layer, alg kernels.ConvAlgorithm, lay tensor.Layout, scratch []float32) error {
-	need, err := l.WorkspaceElems(alg, lay)
-	if err != nil {
-		return err
+// KernelAlg is the label of the kernel l's forward and gradient methods run,
+// the one value a compiled op records in runtime.Op.Alg: GEMM for a
+// convolution, the zero value for every other layer.  Nothing dispatches on
+// it; it names the kernel in traces and benchmark reports.
+func KernelAlg(l Layer) kernels.ConvAlgorithm {
+	if _, ok := l.(*Conv); ok {
+		return kernels.ConvAlgGemm
 	}
-	if len(scratch) < need {
+	return 0
+}
+
+// checkScratch is the common ForwardInto preamble: the caller's scratch must
+// be large enough for the layer's kernel.
+func checkScratch(l Layer, lay tensor.Layout, scratch []float32) error {
+	if need := l.WorkspaceElems(lay); len(scratch) < need {
 		return fmt.Errorf("layers: %s: scratch has %d elements, want at least %d", l.Name(), len(scratch), need)
 	}
 	return nil
-}
-
-// ownKernel is the WorkspaceElems answer of a layer with a single kernel
-// needing elems scratch elements: any other algorithm is an error.
-func ownKernel(l Layer, alg kernels.ConvAlgorithm, elems int) (int, error) {
-	if alg != kernels.ConvAlgDirect {
-		return 0, fmt.Errorf("layers: %s has no %v kernel", l.Name(), alg)
-	}
-	return elems, nil
 }
 
 // Conv is a convolutional layer.
@@ -176,7 +179,7 @@ func (c *Conv) PackedFilters() []float32 {
 // refreshPacked re-packs the filter bank into the packed GEMM operand after
 // an in-place weight update, writing over the existing slice so every
 // rebatched clone sharing it sees the refresh.  A nil packed slice means no
-// GEMM program ever materialised it, and there is nothing to refresh; the
+// forward ever materialised it, and there is nothing to refresh; the
 // unsynchronised read is safe because ApplySGD's contract already forbids
 // running training concurrently with forwards on the same layer.
 func (c *Conv) refreshPacked() {
@@ -193,31 +196,16 @@ func (c *Conv) refreshPacked() {
 	}
 }
 
-// WorkspaceElems implements Layer: the direct kernel needs no scratch, the
-// im2col+GEMM path one image's unroll matrix.
-func (c *Conv) WorkspaceElems(alg kernels.ConvAlgorithm, l tensor.Layout) (int, error) {
-	switch alg {
-	case kernels.ConvAlgDirect:
-		return 0, nil
-	case kernels.ConvAlgGemm:
-		return kernels.ConvGemmWorkspaceElems(c.Cfg, l), nil
-	default:
-		return 0, fmt.Errorf("layers: %s has no %v kernel", c.LayerName, alg)
-	}
+// WorkspaceElems implements Layer: the im2col+GEMM kernel's unroll matrix.
+func (c *Conv) WorkspaceElems(l tensor.Layout) int {
+	return kernels.ConvGemmWorkspaceElems(c.Cfg, l)
 }
 
-// ForwardInto implements Layer.  The GEMM path multiplies by the packed
-// operand (packed on first use; compilers pre-pack it).  The kernels check
-// the scratch size themselves.
-func (c *Conv) ForwardInto(in, dst *tensor.Tensor, alg kernels.ConvAlgorithm, scratch []float32) error {
-	switch alg {
-	case kernels.ConvAlgDirect:
-		return kernels.ConvDirectInto(in, c.Filters(), dst, c.Cfg)
-	case kernels.ConvAlgGemm:
-		return kernels.ConvIm2colGemmInto(in, c.PackedFilters(), dst, c.Cfg, scratch)
-	default:
-		return fmt.Errorf("layers: %s has no %v kernel", c.LayerName, alg)
-	}
+// ForwardInto implements Layer with im2col+GEMM, multiplying by the packed
+// operand (packed on first use; compilers pre-pack it).  The kernel checks
+// the scratch size itself.
+func (c *Conv) ForwardInto(in, dst *tensor.Tensor, scratch []float32) error {
+	return kernels.ConvIm2colGemmInto(in, c.PackedFilters(), dst, c.Cfg, scratch)
 }
 
 // ForwardsInPlace implements Layer: every output reads a window of inputs.
@@ -225,9 +213,8 @@ func (c *Conv) ForwardsInPlace(tensor.Layout) bool { return false }
 
 // WithBatch implements Layer: the clone convolves with the receiver's
 // filter bank (shared lazily through the parent link, not regenerated —
-// including the packed GEMM operand, which is only materialised if a GEMM
-// program actually needs it), so per-image results are bit-identical at any
-// batch size.
+// including the packed GEMM operand, materialised on first use), so
+// per-image results are bit-identical at any batch size.
 func (c *Conv) WithBatch(batch int) (Layer, error) {
 	cfg := c.Cfg
 	cfg.N = batch
@@ -271,15 +258,10 @@ func (p *Pool) WithBatch(batch int) (Layer, error) {
 }
 
 // WorkspaceElems implements Layer: pooling needs no scratch.
-func (p *Pool) WorkspaceElems(alg kernels.ConvAlgorithm, _ tensor.Layout) (int, error) {
-	return ownKernel(p, alg, 0)
-}
+func (p *Pool) WorkspaceElems(tensor.Layout) int { return 0 }
 
 // ForwardInto implements Layer.
-func (p *Pool) ForwardInto(in, dst *tensor.Tensor, alg kernels.ConvAlgorithm, scratch []float32) error {
-	if err := checkScratch(p, alg, dst.Layout, scratch); err != nil {
-		return err
-	}
+func (p *Pool) ForwardInto(in, dst *tensor.Tensor, _ []float32) error {
 	return kernels.PoolInto(in, dst, p.Cfg)
 }
 

@@ -33,14 +33,15 @@ func TestNewConvValidation(t *testing.T) {
 	}
 }
 
-// TestConvSupportsLayouts: both convolution kernels run in both layouts, and
-// an activation in a layout past tensor.Layouts cannot be built to feed one.
+// TestConvSupportsLayouts: the convolution's kernel and its direct reference
+// run in both layouts, and an activation in a layout past tensor.Layouts
+// cannot be built to feed one.
 func TestConvSupportsLayouts(t *testing.T) {
 	c := testConvLayer(t)
 	for _, lay := range tensor.Layouts {
-		for _, alg := range []kernels.ConvAlgorithm{kernels.ConvAlgDirect, kernels.ConvAlgGemm} {
-			if _, err := Forward(c, tensor.Random(c.InputShape(), lay, 1), alg); err != nil {
-				t.Errorf("%v %v: %v", lay, alg, err)
+		for _, reference := range []bool{false, true} {
+			if _, err := Forward(c, tensor.Random(c.InputShape(), lay, 1), reference); err != nil {
+				t.Errorf("%v reference=%t: %v", lay, reference, err)
 			}
 		}
 	}
@@ -49,22 +50,36 @@ func TestConvSupportsLayouts(t *testing.T) {
 	}
 }
 
+// TestConvForwardMatchesKernels: the layer's forward is the im2col+GEMM
+// kernel on its packed filters, and the reference switch the direct kernel,
+// each exactly.
 func TestConvForwardMatchesKernels(t *testing.T) {
 	c := testConvLayer(t)
 	in := tensor.Random(c.InputShape(), tensor.CHWN, 7)
-	got, err := Forward(c, in, kernels.ConvAlgDirect)
+	got, err := Forward(c, in, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := tensor.New(c.OutputShape(), tensor.CHWN)
-	if err := kernels.ConvDirectInto(in, c.Filters(), want, c.Cfg); err != nil {
+	scratch := make([]float32, kernels.ConvGemmWorkspaceElems(c.Cfg, tensor.CHWN))
+	if err := kernels.ConvIm2colGemmInto(in, c.PackedFilters(), want, c.Cfg, scratch); err != nil {
 		t.Fatal(err)
 	}
 	if !tensor.AllClose(got, want, 0) {
-		t.Error("layer forward differs from the kernel reference")
+		t.Error("layer forward differs from the GEMM kernel")
 	}
 	if got.Layout != in.Layout {
 		t.Error("forward should preserve the input layout")
+	}
+	ref, err := Forward(c, in, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := kernels.ConvDirectInto(in, c.Filters(), want, c.Cfg); err != nil {
+		t.Fatal(err)
+	}
+	if !tensor.AllClose(ref, want, 0) {
+		t.Error("reference forward differs from the direct kernel")
 	}
 }
 
@@ -81,7 +96,7 @@ func TestPoolLayer(t *testing.T) {
 	}
 
 	in := tensor.Random(p.InputShape(), tensor.NCHW, 3)
-	out, err := Forward(p, in, kernels.ConvAlgDirect)
+	out, err := Forward(p, in, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +118,7 @@ func TestSoftmaxLayer(t *testing.T) {
 	}
 
 	in := tensor.Random(s.InputShape(), tensor.NCHW, 5)
-	out, err := Forward(s, in, kernels.ConvAlgDirect)
+	out, err := Forward(s, in, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +132,7 @@ func TestSoftmaxLayer(t *testing.T) {
 		}
 	}
 	wrong := tensor.New(tensor.Shape{N: 8, C: 11, H: 1, W: 1}, tensor.NCHW)
-	if _, err := Forward(s, wrong, kernels.ConvAlgDirect); err == nil {
+	if _, err := Forward(s, wrong, false); err == nil {
 		t.Error("wrong input shape must be rejected")
 	}
 }
@@ -137,7 +152,7 @@ func TestFullyConnectedLayer(t *testing.T) {
 	// Functional check against a hand-computed case: weights from the
 	// deterministic generator, identity-like input.
 	in := tensor.Random(tensor.Shape{N: 4, C: 6, H: 1, W: 1}, tensor.NCHW, 9)
-	out, err := Forward(fc, in, kernels.ConvAlgDirect)
+	out, err := Forward(fc, in, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,11 +170,11 @@ func TestFullyConnectedLayer(t *testing.T) {
 	}
 	// Flattened 4-D input from a conv layer must also be accepted.
 	conv4d := tensor.Random(tensor.Shape{N: 4, C: 2, H: 3, W: 1}, tensor.CHWN, 3)
-	if _, err := Forward(fc, conv4d, kernels.ConvAlgDirect); err != nil {
+	if _, err := Forward(fc, conv4d, false); err != nil {
 		t.Errorf("4-D input with matching element count must be accepted: %v", err)
 	}
 	wrong := tensor.Random(tensor.Shape{N: 4, C: 7, H: 1, W: 1}, tensor.NCHW, 3)
-	if _, err := Forward(fc, wrong, kernels.ConvAlgDirect); err == nil {
+	if _, err := Forward(fc, wrong, false); err == nil {
 		t.Error("mismatched input must be rejected")
 	}
 }
@@ -174,7 +189,7 @@ func TestReLULayer(t *testing.T) {
 		t.Error("invalid shape must be rejected")
 	}
 	in := tensor.Random(shape, tensor.NCHW, 1)
-	out, err := Forward(r, in, kernels.ConvAlgDirect)
+	out, err := Forward(r, in, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +201,7 @@ func TestReLULayer(t *testing.T) {
 			t.Fatalf("positive value altered at %d", i)
 		}
 	}
-	if _, err := Forward(r, tensor.New(tensor.Shape{N: 1, C: 1, H: 1, W: 1}, tensor.NCHW), kernels.ConvAlgDirect); err == nil {
+	if _, err := Forward(r, tensor.New(tensor.Shape{N: 1, C: 1, H: 1, W: 1}, tensor.NCHW), false); err == nil {
 		t.Error("wrong shape must be rejected")
 	}
 }
@@ -207,7 +222,7 @@ func TestLRNLayer(t *testing.T) {
 		t.Error("defaults must be applied")
 	}
 	in := tensor.Random(shape, tensor.NCHW, 11)
-	out, err := Forward(l, in, kernels.ConvAlgDirect)
+	out, err := Forward(l, in, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +242,7 @@ func TestLRNLayer(t *testing.T) {
 			}
 		}
 	}
-	if _, err := Forward(l, tensor.New(tensor.Shape{N: 1, C: 1, H: 1, W: 1}, tensor.NCHW), kernels.ConvAlgDirect); err == nil {
+	if _, err := Forward(l, tensor.New(tensor.Shape{N: 1, C: 1, H: 1, W: 1}, tensor.NCHW), false); err == nil {
 		t.Error("wrong shape must be rejected")
 	}
 }

@@ -129,7 +129,7 @@ func TestLRNScaleEdgeCases(t *testing.T) {
 		in.Set(1, 4, 1, 2, float32(nan))
 		in.Set(0, 2, 0, 1, float32(math.Copysign(0, -1)))
 		got, want := tensor.New(lrn.Shape, lay), tensor.New(lrn.Shape, lay)
-		if err := lrn.ForwardInto(in, got, 0, nil); err != nil {
+		if err := lrn.ForwardInto(in, got, nil); err != nil {
 			t.Fatal(err)
 		}
 		oldLRNForward(lrn, in, want)

@@ -14,7 +14,6 @@ import (
 	"fmt"
 
 	"memcnn/internal/gpusim"
-	"memcnn/internal/kernels"
 	"memcnn/internal/layers"
 	"memcnn/internal/tensor"
 )
@@ -85,33 +84,18 @@ func (n *Network) InputShape() tensor.Shape { return n.Layers[0].InputShape() }
 func (n *Network) OutputShape() tensor.Shape { return n.Layers[len(n.Layers)-1].OutputShape() }
 
 // Forward runs the network functionally on one input batch, allocating layer
-// by layer through each layer's own (direct) kernel.  Layout is irrelevant to
-// the values; layers flatten or reshape as needed.
+// by layer through layers.Forward's reference switch: a convolution runs the
+// float64-accumulating direct kernel, which no compiled program runs, so this
+// is the reference independent of the GEMM core that programs are held to
+// within a tolerance.  Layout is irrelevant to the values; layers flatten or
+// reshape as needed.
 func (n *Network) Forward(in *tensor.Tensor) (*tensor.Tensor, error) {
-	return n.ForwardAlgs(in, nil)
-}
-
-// ForwardAlgs is Forward with the layers named in algs running that
-// convolution algorithm instead of the direct one.  Each algorithm fixes its
-// own accumulation order, so this is the bit-exact functional reference for a
-// program compiled with those per-layer choices.
-func (n *Network) ForwardAlgs(in *tensor.Tensor, algs map[layers.Layer]kernels.ConvAlgorithm) (*tensor.Tensor, error) {
 	if in.Shape != n.InputShape() {
 		return nil, fmt.Errorf("network: %s input shape %v, want %v", n.Name, in.Shape, n.InputShape())
 	}
 	cur := in
 	for _, l := range n.Layers {
-		// Reshape flattening boundaries (conv/pool -> fully connected or
-		// softmax): the element count is preserved, only the logical shape
-		// label changes; values carry over in canonical (N,C,H,W) order.
-		if cur.Shape != l.InputShape() && cur.Shape.Elems() == l.InputShape().Elems() {
-			reshaped := tensor.New(l.InputShape(), cur.Layout)
-			if err := tensor.ReshapeInto(cur, reshaped); err != nil {
-				return nil, fmt.Errorf("network: %s before layer %q: %w", n.Name, l.Name(), err)
-			}
-			cur = reshaped
-		}
-		out, err := layers.Forward(l, cur, algs[l])
+		out, err := layers.Forward(l, cur, true)
 		if err != nil {
 			return nil, fmt.Errorf("network: %s layer %q: %w", n.Name, l.Name(), err)
 		}

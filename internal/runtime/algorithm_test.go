@@ -17,10 +17,10 @@ import (
 
 // flipNet builds relu → conv → relu around a convolution of three 3×3
 // filters over eight 16-channel 32×32 images, every layer planned in NCHW.
-// The host price list gives the convolution to direct in NCHW, where GEMM's
-// unroll copies pieces of rows (2.1 ns an element against direct's 1.7), and
-// to GEMM in CHWN, where the copies move runs of eight images (0.6 ns); both
-// ReLUs cost the same in either layout.
+// The host price list prices the convolution's GEMM unroll at 2.05 ns an
+// element in NCHW, where it copies pieces of rows, and 0.56 ns in CHWN, where
+// the copies move runs of eight images; both ReLUs cost the same in either
+// layout.
 func flipNet(t *testing.T) (*network.Network, *network.ExecutionPlan) {
 	t.Helper()
 	shape := tensor.Shape{N: 8, C: 16, H: 32, W: 32}
@@ -47,14 +47,13 @@ func flipNet(t *testing.T) (*network.Network, *network.ExecutionPlan) {
 	return net, plan
 }
 
-// TestJointLayoutAlgorithmFlip checks that layout and algorithm are chosen
-// together: the convolution's cheapest kernel is GEMM in CHWN, but in the
-// plan's NCHW it is direct, so the selection pass moves the convolution to
-// CHWN and GEMM at once, and since the two transforms around it would cost
-// more than running both ReLUs in CHWN, the ReLUs move too and the program
-// has no transform.  Without ConvAlgorithms, or with GEMM priced out, the
-// plan's NCHW assignment stands and the layer runs the direct kernel; the
-// explicit all-CHWN GEMM decision list lowers to the same program the
+// TestJointLayoutAlgorithmFlip checks that the layouts of a chain are chosen
+// together: the convolution's GEMM unroll is cheapest in CHWN, so the
+// selection pass moves the convolution there, and since the two transforms
+// around it would cost more than running both ReLUs in CHWN, the ReLUs move
+// too and the program has no transform.  Without selection, or with the
+// unroll priced the same in both layouts, the plan's NCHW assignment stands;
+// the explicit all-CHWN decision list lowers to the same program the
 // selection pass produces.
 func TestJointLayoutAlgorithmFlip(t *testing.T) {
 	net, plan := flipNet(t)
@@ -63,17 +62,17 @@ func TestJointLayoutAlgorithmFlip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ch := plain.ConvChoices()[0]; ch.Alg != kernels.ConvAlgDirect || ch.Layout != tensor.NCHW {
-		t.Errorf("without algorithm selection: got %v/%v, want direct/NCHW", ch.Alg, ch.Layout)
+	if ch := plain.ConvChoices()[0]; ch.Layout != tensor.NCHW {
+		t.Errorf("without selection: got %v, want NCHW", ch.Layout)
 	}
-	// Priced out of GEMM, every layout costs the same and the plan's stands:
-	// it is the algorithm that moves the layout.
-	noGemm := autotune.HostPrices()
-	noGemm.GemmGFLOPS = 1e-6
-	direct, _ := runtime.SelectWith(net, runtime.PlanChoices(plan), noGemm, false)
-	for i, ch := range direct {
-		if ch != (runtime.Choice{Layout: tensor.NCHW, Alg: kernels.ConvAlgDirect}) {
-			t.Errorf("%s without GEMM: %v, want the plan's NCHW/direct", net.Layers[i].Name(), ch)
+	// With the unroll's run length priced out, every layout costs the same
+	// and the plan's stands: it is the unroll that moves the layout.
+	flat := autotune.HostPrices()
+	flat.GemmRunNS = 0
+	same, _ := runtime.SelectWith(net, runtime.PlanChoices(plan), flat, false)
+	for i, lay := range same {
+		if lay != tensor.NCHW {
+			t.Errorf("%s with a layout-blind unroll: %v, want the plan's NCHW", net.Layers[i].Name(), lay)
 		}
 	}
 
@@ -81,37 +80,37 @@ func TestJointLayoutAlgorithmFlip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ch := joint.ConvChoices()[0]; ch.Alg != kernels.ConvAlgGemm || ch.Layout != tensor.CHWN {
-		t.Fatalf("with algorithm selection: got %v/%v, want im2col+gemm/CHWN — the layout must move with the algorithm",
-			ch.Alg, ch.Layout)
+	if ch := joint.ConvChoices()[0]; ch.Layout != tensor.CHWN {
+		t.Fatalf("with selection: got %v, want CHWN — the layout must move with the unroll", ch.Layout)
 	}
 	var kinds []string
 	for _, op := range joint.Ops {
 		kinds = append(kinds, op.Kind.String())
 	}
 	if want := []string{"layer", "layer", "layer"}; !reflect.DeepEqual(kinds, want) {
-		t.Errorf("selected program's ops are %v, want %v: the ReLUs follow the GEMM convolution into CHWN", kinds, want)
+		t.Errorf("selected program's ops are %v, want %v: the ReLUs follow the convolution into CHWN", kinds, want)
 	}
-	if d := joint.Decisions[0]; d.RunnerUp != (runtime.Choice{Layout: tensor.NCHW}) || !(d.Margin > 0) {
-		t.Errorf("relu1's decision: runner-up %v by %g s, want NCHW/direct by a positive margin (%s)", d.RunnerUp, d.Margin, d.Reason)
+	if d := joint.Decisions[0]; d.RunnerUp != tensor.NCHW || !(d.Margin > 0) {
+		t.Errorf("relu1's decision: runner-up %v by %g s, want NCHW by a positive margin (%s)", d.RunnerUp, d.Margin, d.Reason)
 	}
 
-	listed, err := runtime.Compile(net, plan.PlannerName, runtime.Uniform(net, tensor.CHWN, kernels.ConvAlgGemm), runtime.Options{})
+	listed, err := runtime.Compile(net, plan.PlannerName, runtime.Uniform(net, tensor.CHWN), runtime.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := programDump(listed), programDump(joint); got != want {
-		t.Errorf("the explicit all-CHWN GEMM decision list lowers to\n%s\nthe selection pass to\n%s", got, want)
+		t.Errorf("the explicit all-CHWN decision list lowers to\n%s\nthe selection pass to\n%s", got, want)
 	}
 }
 
-// TestFixedAlgorithmGolden holds both production convolution algorithms
-// against ReferenceForward on the workload networks, with selection bypassed
-// so each algorithm covers every convolution layer.  The cheap networks run
+// TestFixedAlgorithmGolden holds the single-layout programs, selection
+// bypassed, against ReferenceForward bit for bit and against the naive
+// Network.Forward, whose convolutions run the direct kernel, within the
+// benchmark's tolerance, on the workload networks.  The cheap networks run
 // un-gated; the ImageNet-scale shapes join behind MEMCNN_GOLDEN_FULL.
 func TestFixedAlgorithmGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("fixed-algorithm goldens run full convolutions; skipped with -short")
+		t.Skip("fixed-layout goldens run full convolutions; skipped with -short")
 	}
 	nets, err := workloads.Networks()
 	if err != nil {
@@ -138,28 +137,28 @@ func TestFixedAlgorithmGolden(t *testing.T) {
 		}
 		cases = append(cases, alexSmall, zfSmall, vggSmall)
 	}
-	algs := []kernels.ConvAlgorithm{kernels.ConvAlgDirect, kernels.ConvAlgGemm}
 	for _, net := range cases {
 		in := tensor.Random(net.InputShape(), tensor.NCHW, 99)
-		for _, alg := range algs {
-			prog, err := compilePinned(net, alg)
+		naive, err := net.Forward(in)
+		if err != nil {
+			t.Fatalf("%s: naive forward: %v", net.Name, err)
+		}
+		for _, lay := range tensor.Layouts {
+			label := net.Name + "/" + lay.String()
+			prog, err := compileFixedLayout(net, lay, runtime.Options{Verify: true})
 			if err != nil {
-				t.Fatalf("%s/%v: %v", net.Name, alg, err)
-			}
-			for _, ch := range prog.ConvChoices() {
-				if ch.Alg != alg {
-					t.Fatalf("%s/%v: layer %s compiled with %v", net.Name, alg, ch.Layer, ch.Alg)
-				}
+				t.Fatalf("%s: %v", label, err)
 			}
 			want, err := prog.ReferenceForward(in)
 			if err != nil {
-				t.Fatalf("%s/%v: reference forward: %v", net.Name, alg, err)
+				t.Fatalf("%s: reference forward: %v", label, err)
 			}
 			got, err := runBatch(runtime.NewExecutor(prog), in, prog.OutputShape())
 			if err != nil {
-				t.Fatalf("%s/%v: %v", net.Name, alg, err)
+				t.Fatalf("%s: %v", label, err)
 			}
-			requireBitEqual(t, net.Name+"/"+alg.String(), got, want)
+			requireBitEqual(t, label, got, want)
+			requireClose(t, label, got, naive)
 		}
 	}
 }

@@ -31,8 +31,7 @@ type Device interface {
 
 // CPUDevice executes compiled ops directly on the host: layout transforms via
 // tensor.ConvertInto, reshape copies via tensor.ReshapeInto and layer ops
-// through the kernel the compiler bound (Op.Layer, Op.Alg) with the scratch it
-// planned.  It is the executor's default device and the bit-equality baseline
+// through the layer's kernel with the scratch the compiler planned.  It is the executor's default device and the bit-equality baseline
 // every other device is held to.
 type CPUDevice struct{}
 
@@ -52,7 +51,7 @@ func (CPUDevice) RunOp(prog *Program, opIndex int, in, out, aux *tensor.Tensor, 
 			return 0, fmt.Errorf("%s: %w", op.Name, err)
 		}
 	case OpLayer, OpRecompute:
-		if err := op.Layer.ForwardInto(in, out, op.Alg, scratch); err != nil {
+		if err := op.Layer.ForwardInto(in, out, scratch); err != nil {
 			return 0, fmt.Errorf("layer %q: %w", op.Name, err)
 		}
 	case OpLossGrad:

@@ -7,15 +7,15 @@
 // The pipeline has three stages:
 //
 //	compile (graph.go)    — source -> select -> lower.  A source produces
-//	                        the decision list, one Choice{Layout, Alg} per
-//	                        layer (the paper's per-layer assignment):
-//	                        PlanChoices from an execution plan, Uniform for
-//	                        one layout and one algorithm, or another
-//	                        program's Choices.  With Options.ConvAlgorithms
-//	                        one pass, SelectChoices (select.go), re-decides
-//	                        every layer's layout and every convolution's
-//	                        algorithm at once: an exact dynamic program over
-//	                        the layer chain, node costs from the host price
+//	                        the decision list, one layout per layer (the
+//	                        paper's per-layer assignment): PlanChoices from
+//	                        an execution plan, Uniform for one layout, or
+//	                        another program's Choices.  With
+//	                        Options.ConvAlgorithms (a name that stays only
+//	                        because the benchmark module sets it) one pass,
+//	                        SelectChoices (select.go), re-decides every
+//	                        layer's layout at once: an exact dynamic program
+//	                        over the layer chain, node costs from the host price
 //	                        list internal/autotune keeps (each layer's
 //	                        kernel in each layout), edge costs the transform
 //	                        between two layouts, ties to the list's own
@@ -25,10 +25,11 @@
 //	                        host the layout orders the GEMM product's
 //	                        columns: image by image in CHWN, position by
 //	                        position in NCHW, one lane loop and a one-image
-//	                        unroll for workspace in both.  The candidates
-//	                        are direct and GEMM: the FFT convolution lost
-//	                        to the fastest kernel on every measured shape,
-//	                        and it stays in the GPU model only.  Lowering
+//	                        unroll for workspace in both.  A convolution
+//	                        runs im2col+GEMM, 9–40× faster than the direct
+//	                        kernel on every network shape measured; the
+//	                        direct and FFT strategies stay in the GPU model,
+//	                        and direct as the functional reference.  Lowering
 //	                        (Program.AddForward, the one forward builder,
 //	                        training's too) binds exactly the list it is
 //	                        handed: per layer an AddView (a transform op
@@ -37,11 +38,10 @@
 //	                        AddLayer, which does the binding: the kernel's
 //	                        workspace (GEMM unroll matrix, flatten staging,
 //	                        softmax logits), sized by Layer.WorkspaceElems,
-//	                        becomes
-//	                        an op-local scratch buffer — a layer without the
-//	                        kernel fails the compile — GEMM filter banks are
-//	                        pre-packed once, and in-place-safe layers (ReLU)
-//	                        alias their output onto their input.
+//	                        becomes an op-local scratch buffer, GEMM filter
+//	                        banks are pre-packed once, and in-place-safe
+//	                        layers (ReLU) alias their output onto their
+//	                        input.
 //	                        Program.Choices reads the list back; ConvChoices,
 //	                        ReferenceForward and WithBatch go through it.
 //	memory plan (memplan.go) — liveness analysis over buffer IDs, then best-fit
@@ -60,8 +60,8 @@
 //	                        one arena, or one allocation per buffer as the
 //	                        naive baseline) and one op interpreter
 //	                        (Instance.run) serve inference and training; a
-//	                        layer op is Layer.ForwardInto with the bound
-//	                        algorithm and the planned scratch, so
+//	                        layer op is Layer.ForwardInto with the planned
+//	                        scratch, so
 //	                        steady-state runs allocate no tensors or scratch
 //	                        slices.  Every op dispatches through a Device:
 //	                        CPUDevice is the native path and FaultDevice
@@ -93,13 +93,12 @@
 // list instead of re-selecting by the sub-batch shape.  The axes do not
 // compose: a replica is never itself pipelined.
 //
-// Golden bit-equality holds per algorithm: direct-only programs reproduce the
-// naive Network.Forward exactly, while algorithm-selected programs reproduce
-// Program.ReferenceForward (the functional forward mirroring the recorded
-// per-layer choices); every kernel fixes its accumulation order so results do
-// not depend on layout, batching or worker count.  Uniform pins every
-// convolution to one algorithm, which is how the golden suite holds each of
-// the three production paths against the reference on every workload network.
+// Every program reproduces Program.ReferenceForward (the functional forward on
+// the same kernels) bit for bit, and the naive Network.Forward, whose
+// convolutions run the float64-accumulating direct kernel, within the
+// benchmark's tolerance (tensor.RelClose, 1e-5 absolute and 1e-3 relative).
+// Every kernel fixes its accumulation order, so results do not depend on
+// layout, batching or worker count.
 //
 // On top of any engine, server.go provides a dynamic micro-batching
 // front-end: many concurrent single-image requests coalesce into planned
@@ -172,8 +171,8 @@
 //
 // The span taxonomy mirrors the execution layers, one trace lane per
 // concurrent actor so the export reads correctly in chrome://tracing or
-// Perfetto: "op" (one compiled op, carrying its kind, buffer layout and conv
-// algorithm), "run" (one whole program execution),
+// Perfetto: "op" (one compiled op, carrying its kind, buffer layout and
+// kernel label, Op.Alg), "run" (one whole program execution),
 // "stage" (one batch crossing one pipeline stage, on per-stage lanes),
 // "replica" (one sub-batch on one replica, whose executor records its run/op
 // spans on the same lane), and the server-side "queue", "coalesce" and
@@ -195,14 +194,13 @@
 // policy drops it at the forward peak and re-derives it just in time from its
 // stored predecessor.  Whether checkpointing is worth it is decided by the
 // planner (the recompute plan is kept only at a strictly lower peak).  A
-// training program takes its layouts and convolution algorithms from one
-// choice list, SelectChoices pricing a whole step (each layer's forward and
+// training program takes its layouts from one decision list, SelectChoices
+// pricing a whole step (each layer's forward and
 // gradients, each transform twice: LeNet trains its convolutions and pools in
 // CHWN and its fully-connected tail in NCHW); each gradient takes the layout
 // of the forward buffer it mirrors, and a convolution's backward-data and
-// grad-filter ops run on the batch-folded GEMM gradients whatever its forward
-// runs (layers.Conv's gradient methods), with one reduction order in every
-// layout.  Training ops dispatch
+// grad-filter ops run on the batch-folded GEMM gradients (layers.Conv's
+// gradient methods), with one reduction order in every layout.  Training ops dispatch
 // through the same Device abstraction, bit-deterministic on CPUDevice, and
 // through the same interpreter:
 // train.Executor stages the batch and labels into an Instance it bound once,
@@ -227,8 +225,9 @@
 // recomputed liveness analysis and the packed offsets never overlap two
 // simultaneously-live buffers; training graphs recompute each checkpointed
 // activation at most once, run every OpSGD after its layer's OpGradFilter
-// and never touch a layer's weights after its update; and every op pins an
-// accumulation order (a known algorithm), keeping results bit-deterministic.
+// and never touch a layer's weights after its update; and every op records
+// the kernel label layers.KernelAlg gives its layer, so traces and reports
+// name the kernel that runs.
 // A pipeline stage needs no check of its own: it is a range of a checked
 // program's ops, run over that program's arena in the program's order.
 //

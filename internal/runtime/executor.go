@@ -31,7 +31,7 @@ func NewExecutorOn(p *Program, dev Device) *Executor {
 }
 
 // Instrument attaches an observer to this executor: every subsequent run
-// records one span per executed op (layer name, op kind, conv algorithm,
+// records one span per executed op (layer name, op kind, kernel label,
 // input layout) plus a whole-run span on the given trace lane, and feeds the
 // per-net run and per-op-kind latency histograms.  Call before the executor
 // serves traffic; a zero Observer detaches.

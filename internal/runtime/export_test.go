@@ -5,19 +5,20 @@ import (
 
 	"memcnn/internal/autotune"
 	"memcnn/internal/network"
+	"memcnn/internal/tensor"
 )
 
 // CompileOutOfPlace is Compile with in-place execution off: every layer's
 // output gets storage of its own, the baseline the in-place arena is
 // measured against.
-func CompileOutOfPlace(net *network.Network, name string, choices []Choice, opts Options) (*Program, error) {
+func CompileOutOfPlace(net *network.Network, name string, choices []tensor.Layout, opts Options) (*Program, error) {
 	return compile(net, name, choices, opts, false)
 }
 
 // SelectWith runs the selection pass over the price list prices instead of
 // the host's, a training step's chain with step, returning the choices and
 // the decision record.
-func SelectWith(net *network.Network, choices []Choice, prices autotune.Prices, step bool) ([]Choice, []Decision) {
+func SelectWith(net *network.Network, choices []tensor.Layout, prices autotune.Prices, step bool) ([]tensor.Layout, []Decision) {
 	return selectChoices(net, choices, prices, step, nil)
 }
 

@@ -113,12 +113,10 @@ type Op struct {
 	In    BufferID
 	Out   BufferID
 
-	// Alg is the kernel of Layer this op runs.  On a forward op the compiler
-	// binds it, and the (Layer, Alg) pair is everything the executor needs:
-	// ConvAlgDirect — every layer's own kernel — unless algorithm selection
-	// chose a convolution's GEMM path.  A gradient op records the kernel its
-	// layer's gradient method runs: GEMM for a convolution, ConvAlgDirect for
-	// every other layer.
+	// Alg labels the kernel the op runs: layers.KernelAlg of Layer (GEMM for
+	// a convolution) on a forward, recompute or gradient op, the zero value on
+	// every other.  The executor never reads it, since a layer has one kernel;
+	// the field stays because the benchmark module and the trace read it.
 	Alg kernels.ConvAlgorithm
 	// Scratch, when not NoBuffer, is the op-local workspace buffer the
 	// executor hands the layer, sized at compile time by Layer.WorkspaceElems
@@ -177,13 +175,12 @@ func (p *Program) root(id BufferID) BufferID {
 type Options struct {
 	// ConvAlgorithms runs the selection pass (SelectChoices) over the
 	// decision list before it is lowered: a dynamic program over the layer
-	// chain that gives every layer the layout, and each convolution the
-	// direct or im2col+GEMM strategy, that make the whole chain cheapest
-	// on the host, transforms included, the list's own layouts winning ties.
-	// The program keeps the pass's decision record (Program.Decisions).  Off
-	// by default: the list is lowered as given, the direct path being the
-	// bit-equality reference against the naive Network.Forward, while GEMM
-	// programs are cross-checked via ReferenceForward.
+	// chain that gives every layer the layout that makes the whole chain
+	// cheapest on the host, transforms included, the list's own layouts
+	// winning ties.  The program keeps the pass's decision record
+	// (Program.Decisions).  Off by default: the list is lowered as given.
+	// It selects layouts only, since a convolution has one kernel; the name
+	// stays because the benchmark module sets it.
 	ConvAlgorithms bool
 	// Verify runs the registered whole-program static checker
 	// (internal/runtime/verify) over the lowered program before it is
@@ -196,64 +193,52 @@ type Options struct {
 	Verify bool
 }
 
-// Choice is the compiler's decision for one network layer — the paper's
-// per-layer assignment: the data layout the layer runs in and the convolution
-// algorithm it is bound to.  Layers other than convolutions have one kernel,
-// ConvAlgDirect.  A program is lowered from one Choice per layer.
-type Choice struct {
-	Layout tensor.Layout
-	Alg    kernels.ConvAlgorithm
-}
-
 // Uniform is the decision list of a single-layout program: every layer in
-// lay and every convolution on alg, the policy of the library emulations
-// and the baseline planned programs are compared against.
-func Uniform(net *network.Network, lay tensor.Layout, alg kernels.ConvAlgorithm) []Choice {
-	choices := make([]Choice, len(net.Layers))
-	for i, l := range net.Layers {
-		choices[i].Layout = lay
-		if _, ok := l.(*layers.Conv); ok {
-			choices[i].Alg = alg
-		}
+// lay, the policy of the library emulations and the baseline planned
+// programs are compared against.  A decision list holds one layout per layer.
+func Uniform(net *network.Network, lay tensor.Layout) []tensor.Layout {
+	choices := make([]tensor.Layout, len(net.Layers))
+	for i := range choices {
+		choices[i] = lay
 	}
 	return choices
 }
 
 // PlanChoices is the decision list an execution plan stands for: its
-// per-layer layouts, every layer on its direct kernel.
-func PlanChoices(plan *network.ExecutionPlan) []Choice {
-	choices := make([]Choice, len(plan.Layers))
+// per-layer layouts.
+func PlanChoices(plan *network.ExecutionPlan) []tensor.Layout {
+	choices := make([]tensor.Layout, len(plan.Layers))
 	for i, pl := range plan.Layers {
-		choices[i].Layout = pl.Layout
+		choices[i] = pl.Layout
 	}
 	return choices
 }
 
-// Choices reads the decision list back from a compiled program: the layout
-// and algorithm of every layer op, in layer order.
-func (p *Program) Choices() []Choice {
-	var choices []Choice
+// Choices reads the decision list back from a compiled program: the layout of
+// every layer op, in layer order.
+func (p *Program) Choices() []tensor.Layout {
+	var choices []tensor.Layout
 	for _, op := range p.Ops {
 		if op.Kind == OpLayer {
-			choices = append(choices, Choice{Layout: p.Buffers[op.In].Layout, Alg: op.Alg})
+			choices = append(choices, p.Buffers[op.In].Layout)
 		}
 	}
 	return choices
 }
 
-// Compile lowers a network into a program from one Choice per layer
+// Compile lowers a network into a program from one layout per layer
 // (PlanChoices, Uniform, or another program's Choices): the selection pass
 // rewrites the list when Options.ConvAlgorithms is set, and the lowering
 // binds exactly the list it is handed.  name labels the program
 // (Program.PlannerName).
-func Compile(net *network.Network, name string, choices []Choice, opts Options) (*Program, error) {
+func Compile(net *network.Network, name string, choices []tensor.Layout, opts Options) (*Program, error) {
 	return compile(net, name, choices, opts, true)
 }
 
 // CompileWithOptions compiles an execution plan: its layouts are the decision
 // list, and with Options.ConvAlgorithms the selection pass (SelectChoices)
-// re-chooses every layer's layout and algorithm on the host, the plan's
-// layouts only breaking ties.  The plan's device priced the layouts; it has
+// re-chooses every layer's layout on the host, the plan's layouts only
+// breaking ties.  The plan's device priced the layouts; it has
 // no say in what runs on the host whatever GPU the plan models.
 func CompileWithOptions(plan *network.ExecutionPlan, opts Options) (*Program, error) {
 	if err := plan.Validate(); err != nil {
@@ -263,11 +248,9 @@ func CompileWithOptions(plan *network.ExecutionPlan, opts Options) (*Program, er
 }
 
 // WithBatch compiles the program's network at another batch size from the
-// program's own decision list, so layouts and convolution algorithms are
-// copied rather than re-planned or re-selected.  Pinning the algorithms
-// matters because golden bit-equality holds per algorithm, and selection goes
-// by shape — a sub-batch clone left to its own selection could pick direct
-// where the base runs GEMM and drift from the base's bits.  The clone shares
+// program's own decision list, so layouts are copied rather than re-planned
+// or re-selected: selection goes by shape, and a sub-batch clone left to its
+// own would pick its layouts for its own batch.  The clone shares
 // the base network's weights (Network.WithBatch) and keeps its verification
 // option; the data-parallel replica scheduler builds every per-replica
 // sub-batch program this way.
@@ -282,16 +265,16 @@ func (p *Program) WithBatch(batch int) (*Program, error) {
 // compile checks the preconditions every entrypoint shares, runs the
 // selection pass and lowers, with in-place layers aliased when inPlace is
 // set.
-func compile(net *network.Network, name string, choices []Choice, opts Options, inPlace bool) (*Program, error) {
+func compile(net *network.Network, name string, choices []tensor.Layout, opts Options, inPlace bool) (*Program, error) {
 	if net == nil || len(net.Layers) == 0 {
 		return nil, fmt.Errorf("runtime: cannot compile an empty network")
 	}
 	if len(choices) != len(net.Layers) {
 		return nil, fmt.Errorf("runtime: %d choices for the %d layers of %s", len(choices), len(net.Layers), net.Name)
 	}
-	for i, ch := range choices {
-		if !ch.Layout.Valid() {
-			return nil, fmt.Errorf("runtime: layer %q has no valid layout (%v)", net.Layers[i].Name(), ch.Layout)
+	for i, lay := range choices {
+		if !lay.Valid() {
+			return nil, fmt.Errorf("runtime: layer %q has no valid layout (%v)", net.Layers[i].Name(), lay)
 		}
 	}
 	var decisions []Decision
@@ -362,52 +345,45 @@ func (p *Program) AddView(src BufferID, shape tensor.Shape, lay tensor.Layout, t
 }
 
 // AddLayer appends a forward op (OpLayer or OpRecompute) running layer l's
-// alg kernel on buffer in, and returns its output buffer.  This is where a
-// kernel is bound: the layer's contract says whether it has the kernel for
-// the buffer's layout and how much scratch it needs, and that scratch
-// becomes an op-local buffer.  With inPlace, a layer that declares it safe
-// gets its output aliased onto its input: the op reads and writes the same
-// storage, and the arena never holds both sides at once.
-func (p *Program) AddLayer(kind OpKind, name string, l layers.Layer, in BufferID, alg kernels.ConvAlgorithm, inPlace bool) (BufferID, error) {
+// kernel on buffer in, and returns its output buffer.  The layer's contract
+// says how much scratch the kernel needs in the buffer's layout, and that
+// scratch becomes an op-local buffer.  With inPlace, a layer that declares it
+// safe gets its output aliased onto its input: the op reads and writes the
+// same storage, and the arena never holds both sides at once.
+func (p *Program) AddLayer(kind OpKind, name string, l layers.Layer, in BufferID, inPlace bool) BufferID {
 	lay := p.Buffers[in].Layout
-	elems, err := l.WorkspaceElems(alg, lay)
-	if err != nil {
-		return NoBuffer, fmt.Errorf("runtime: binding layer %q: %w", l.Name(), err)
-	}
 	alias := NoBuffer
 	if inPlace && l.ForwardsInPlace(lay) && l.OutputShape() == p.Buffers[in].Shape &&
 		tensor.CanReinterpret(p.Buffers[p.root(in)].Shape, l.OutputShape(), lay) {
 		alias = p.root(in)
 	}
 	out := p.AddBuffer(l.OutputShape(), lay, alias)
-	if conv, ok := l.(*layers.Conv); ok && alg == kernels.ConvAlgGemm {
+	if conv, ok := l.(*layers.Conv); ok {
 		conv.PackedFilters() // pre-pack the GEMM operand once, at compile time
 	}
 	p.Ops = append(p.Ops, Op{
 		Kind: kind, Name: name, Layer: l, In: in, Out: out,
-		Alg: alg, Scratch: p.AddScratch(elems), Aux: NoBuffer,
+		Alg: layers.KernelAlg(l), Scratch: p.AddScratch(l.WorkspaceElems(lay)), Aux: NoBuffer,
 	})
-	return out, nil
+	return out
 }
 
 // AddForward lowers net's forward pass into p from its decision list — the
 // input buffer, then per layer AddView into the layer's layout and shape and
-// AddLayer on its chosen kernel — sets p's Input and Output, and returns each
+// AddLayer — sets p's Input and Output, and returns each
 // layer's input view and output.  Inference and training both lower through
 // it; training passes inPlace false, because its backward pass reads the
 // activations an in-place op would overwrite.
-func (p *Program) AddForward(net *network.Network, choices []Choice, inPlace bool) (ins, outs []BufferID, err error) {
-	cur := p.AddBuffer(net.InputShape(), choices[0].Layout, NoBuffer)
+func (p *Program) AddForward(net *network.Network, choices []tensor.Layout, inPlace bool) (ins, outs []BufferID, err error) {
+	cur := p.AddBuffer(net.InputShape(), choices[0], NoBuffer)
 	p.Input = cur
 	ins = make([]BufferID, len(net.Layers))
 	outs = make([]BufferID, len(net.Layers))
 	for i, l := range net.Layers {
-		if ins[i], err = p.AddView(cur, l.InputShape(), choices[i].Layout, "before "+l.Name()); err != nil {
+		if ins[i], err = p.AddView(cur, l.InputShape(), choices[i], "before "+l.Name()); err != nil {
 			return nil, nil, err
 		}
-		if cur, err = p.AddLayer(OpLayer, l.Name(), l, ins[i], choices[i].Alg, inPlace); err != nil {
-			return nil, nil, err
-		}
+		cur = p.AddLayer(OpLayer, l.Name(), l, ins[i], inPlace)
 		outs[i] = cur
 	}
 	p.Output = cur
@@ -417,7 +393,7 @@ func (p *Program) AddForward(net *network.Network, choices []Choice, inPlace boo
 // lower builds a program from a decision list: the forward pass
 // (AddForward) and its static memory plan (see PlanMemory), checked when
 // opts ask for it.
-func lower(net *network.Network, plannerName string, choices []Choice, opts Options, inPlace bool) (*Program, error) {
+func lower(net *network.Network, plannerName string, choices []tensor.Layout, opts Options, inPlace bool) (*Program, error) {
 	p := &Program{Net: net, PlannerName: plannerName, Opts: opts}
 	if _, _, err := p.AddForward(net, choices, inPlace); err != nil {
 		return nil, err

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"testing"
 
-	"memcnn/internal/kernels"
 	"memcnn/internal/tensor"
 	"memcnn/internal/workloads"
 )
@@ -19,7 +18,7 @@ func TestPipelineArenasPerStage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := Compile(net, "fixed-NCHW", Uniform(net, tensor.NCHW, kernels.ConvAlgDirect), Options{})
+	prog, err := Compile(net, "fixed-NCHW", Uniform(net, tensor.NCHW), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

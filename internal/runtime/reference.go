@@ -1,34 +1,28 @@
 package runtime
 
 import (
-	"memcnn/internal/kernels"
+	"fmt"
+
 	"memcnn/internal/layers"
 	"memcnn/internal/tensor"
 )
 
-// ConvChoice describes the (layout, algorithm) choice a program was lowered
-// with for one convolution layer.
+// ConvChoice describes the layout a program was lowered with for one
+// convolution layer, and the arena workspace its GEMM kernel claims.
 type ConvChoice struct {
 	Layer          string
-	Alg            kernels.ConvAlgorithm
 	Layout         tensor.Layout
 	WorkspaceBytes int64
 }
 
-// ConvChoices lists the program's choice (Choices) for every convolution
-// layer in layer order, together with the arena workspace each GEMM choice
-// claims.
+// ConvChoices lists the program's layout (Choices) for every convolution
+// layer in layer order, together with its workspace.
 func (p *Program) ConvChoices() []ConvChoice {
 	var out []ConvChoice
-	for i, ch := range p.Choices() {
-		conv, ok := p.Net.Layers[i].(*layers.Conv)
-		if !ok {
-			continue
+	for i, lay := range p.Choices() {
+		if conv, ok := p.Net.Layers[i].(*layers.Conv); ok {
+			out = append(out, ConvChoice{Layer: conv.Name(), Layout: lay, WorkspaceBytes: 4 * int64(conv.WorkspaceElems(lay))})
 		}
-		// The binder sized the op's scratch buffer from this same query and
-		// would have failed the compile on an error.
-		elems, _ := conv.WorkspaceElems(ch.Alg, ch.Layout)
-		out = append(out, ConvChoice{Layer: conv.Name(), Alg: ch.Alg, Layout: ch.Layout, WorkspaceBytes: 4 * int64(elems)})
 	}
 	return out
 }
@@ -45,18 +39,22 @@ func (p *Program) ScratchBytes() int64 {
 	return total
 }
 
-// ReferenceForward runs the program's network functionally — allocating layer
-// by layer, like Network.Forward — while mirroring the program's per-layer
-// convolution algorithm choices.  Because each algorithm fixes its
-// accumulation order, the result is bit-identical to the executor's output
-// for the same program; it is the cross-check reference for
-// algorithm-selected programs, the way Network.Forward is for direct-only
-// ones (for a program compiled without algorithm selection the two references
-// coincide).
+// ReferenceForward runs the program's network functionally, allocating layer
+// by layer through layers.Forward on the kernels the program runs.  Every
+// kernel fixes its accumulation order whatever the layout, so the result is
+// bit-identical to the executor's output for the same program.
+// Network.Forward is the independent reference, within a tolerance.
 func (p *Program) ReferenceForward(in *tensor.Tensor) (*tensor.Tensor, error) {
-	algs := make(map[layers.Layer]kernels.ConvAlgorithm)
-	for i, ch := range p.Choices() {
-		algs[p.Net.Layers[i]] = ch.Alg
+	if in.Shape != p.Net.InputShape() {
+		return nil, fmt.Errorf("runtime: %s input shape %v, want %v", p.Net.Name, in.Shape, p.Net.InputShape())
 	}
-	return p.Net.ForwardAlgs(in, algs)
+	cur := in
+	for _, l := range p.Net.Layers {
+		out, err := layers.Forward(l, cur, false)
+		if err != nil {
+			return nil, fmt.Errorf("runtime: %s layer %q: %w", p.Net.Name, l.Name(), err)
+		}
+		cur = out
+	}
+	return cur, nil
 }

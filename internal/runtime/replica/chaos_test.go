@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"memcnn/internal/kernels"
 	"memcnn/internal/runtime"
 	"memcnn/internal/runtime/replica"
 	"memcnn/internal/tensor"
@@ -25,7 +24,7 @@ func chaosFixture(t *testing.T) (*runtime.Program, *tensor.Tensor, *tensor.Tenso
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := runtime.Compile(net, "fixed-CHWN", runtime.Uniform(net, tensor.CHWN, kernels.ConvAlgDirect), runtime.Options{})
+	prog, err := runtime.Compile(net, "fixed-CHWN", runtime.Uniform(net, tensor.CHWN), runtime.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

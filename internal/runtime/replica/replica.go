@@ -13,9 +13,9 @@
 // already guarantees: every layer processes images independently with a fixed
 // per-image accumulation order (so a sub-batch computes exactly the rows of
 // the full batch it was handed), and per-replica programs come from
-// Program.WithBatch, which lowers the base program's own per-layer layouts and
-// convolution algorithms at the sub-batch size (golden bit-equality holds per
-// algorithm, and selection would otherwise go by the smaller sub-batch shape).
+// Program.WithBatch, which lowers the base program's own per-layer layouts at
+// the sub-batch size (selection would otherwise go by the smaller sub-batch
+// shape).
 //
 // # Fault tolerance
 //
@@ -269,7 +269,7 @@ func (g *Group) rebuild() error {
 }
 
 // executor returns the unit's executor for a sub-batch of the given share,
-// compiling it (the base's layouts and algorithm choices, over the base
+// compiling it (the base's layouts, over the base
 // network's shared weights) and caching it on first use.  A freshly built
 // executor inherits the group's instrumentation — failover and re-admission
 // compile new shares on the hot path, and their spans must not silently

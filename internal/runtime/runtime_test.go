@@ -48,22 +48,22 @@ func mustCompileOpts(t *testing.T, planner core.Policy, net *network.Network, op
 	return prog
 }
 
-// compileFixedLayout lowers net with every layer in one layout on the direct
-// kernels, the single-layout baseline most tests run on.
+// compileFixedLayout lowers net with every layer in one layout, the
+// single-layout baseline most tests run on.
 func compileFixedLayout(net *network.Network, lay tensor.Layout, opts runtime.Options) (*runtime.Program, error) {
-	return runtime.Compile(net, "fixed-"+lay.String(), runtime.Uniform(net, lay, kernels.ConvAlgDirect), opts)
+	return runtime.Compile(net, "fixed-"+lay.String(), runtime.Uniform(net, lay), opts)
 }
 
 // compileFixedOutOfPlace is compileFixedLayout with in-place execution off.
 func compileFixedOutOfPlace(net *network.Network, lay tensor.Layout, opts runtime.Options) (*runtime.Program, error) {
-	return runtime.CompileOutOfPlace(net, "fixed-"+lay.String(), runtime.Uniform(net, lay, kernels.ConvAlgDirect), opts)
+	return runtime.CompileOutOfPlace(net, "fixed-"+lay.String(), runtime.Uniform(net, lay), opts)
 }
 
-// compilePinned lowers net in NCHW with every convolution pinned to alg and
-// the static checker run over the result: the per-algorithm programs the
-// golden suite holds against ReferenceForward.
-func compilePinned(net *network.Network, alg kernels.ConvAlgorithm) (*runtime.Program, error) {
-	return runtime.Compile(net, fmt.Sprintf("fixed-NCHW-%v", alg), runtime.Uniform(net, tensor.NCHW, alg), runtime.Options{Verify: true})
+// compilePinned lowers net in NCHW with the static checker run over the
+// result.  Its name carries the GEMM kernel's label, which programs.golden's
+// pinned lines record.
+func compilePinned(net *network.Network) (*runtime.Program, error) {
+	return runtime.Compile(net, fmt.Sprintf("fixed-NCHW-%v", kernels.ConvAlgGemm), runtime.Uniform(net, tensor.NCHW), runtime.Options{Verify: true})
 }
 
 // TestCompileStructure checks the lowering of TinyNet: one op per layer, a
@@ -196,17 +196,19 @@ func TestMemoryPlanInvariants(t *testing.T) {
 // remaining ImageNet-scale models at full batch join — optimiser only — when
 // MEMCNN_GOLDEN_FULL is set, as their forwards take minutes on a CPU.
 //
-// Direct-only programs are checked against the naive Network.Forward;
-// algorithm-selected programs against Program.ReferenceForward, which mirrors
-// the per-layer algorithm choices (golden bit-equality holds per algorithm,
-// not across algorithms — direct accumulates in float64 tap order, GEMM in
-// float32 k-block order).
+// Every program, selection on and off, is checked bit for bit against
+// Program.ReferenceForward, which runs the same kernels, and within the
+// benchmark's tolerance against the naive Network.Forward, whose
+// convolutions run the direct kernel (it accumulates in float64 tap order,
+// GEMM in float32 k-block order).  Under the race detector the naive forward
+// of the ImageNet-scale cases (heavy) takes minutes, so there they are held
+// to ReferenceForward alone.
 type goldenCase struct {
 	name     string
 	net      *network.Network
 	planners []core.Policy
 	rerun    bool
-	opts     runtime.Options
+	heavy    bool
 }
 
 func goldenCases(t *testing.T) []goldenCase {
@@ -227,29 +229,19 @@ func goldenCases(t *testing.T) []goldenCase {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cases = append(cases, goldenCase{
-			name: "AlexNet@4", net: alexSmall, planners: opt,
-			opts: runtime.Options{ConvAlgorithms: true},
-		})
+		cases = append(cases, goldenCase{name: "AlexNet@4", net: alexSmall, planners: opt, heavy: true})
 		// Reduced-batch Cifar10 and ZFNet follow the AlexNet@4 precedent:
-		// layer shapes unchanged, batch small enough for CI, checked against
-		// ReferenceForward through the algorithm-selected GEMM path.
+		// layer shapes unchanged, batch small enough for CI.
 		cifarSmall, err := workloads.Cifar10WithBatch(16)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cases = append(cases, goldenCase{
-			name: "Cifar10@16", net: cifarSmall, planners: opt,
-			opts: runtime.Options{ConvAlgorithms: true},
-		})
+		cases = append(cases, goldenCase{name: "Cifar10@16", net: cifarSmall, planners: opt})
 		zfSmall, err := workloads.ZFNetWithBatch(4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cases = append(cases, goldenCase{
-			name: "ZFNet@4", net: zfSmall, planners: opt,
-			opts: runtime.Options{ConvAlgorithms: true},
-		})
+		cases = append(cases, goldenCase{name: "ZFNet@4", net: zfSmall, planners: opt, heavy: true})
 		// Reduced-batch VGG completes the set: the last paper network whose
 		// golden run was gated behind MEMCNN_GOLDEN_FULL.  Batch 1 keeps its
 		// thirteen 224x224 convolution layers affordable under -race.
@@ -257,68 +249,72 @@ func goldenCases(t *testing.T) []goldenCase {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cases = append(cases, goldenCase{
-			name: "VGG@1", net: vggSmall, planners: opt,
-			opts: runtime.Options{ConvAlgorithms: true},
-		})
+		cases = append(cases, goldenCase{name: "VGG@1", net: vggSmall, planners: opt, heavy: true})
 	}
 	if os.Getenv("MEMCNN_GOLDEN_FULL") != "" {
 		for _, name := range []string{"Cifar10", "AlexNet", "ZFNet", "VGG"} {
-			cases = append(cases, goldenCase{name: name, net: nets[name], planners: opt})
+			cases = append(cases, goldenCase{name: name, net: nets[name], planners: opt, heavy: true})
 		}
 	}
 	return cases
 }
 
-// TestGoldenEquivalence checks the runtime against its functional reference:
-// the planned execution must reproduce the reference output bit for bit
-// (every layer accumulates in a fixed order regardless of layout and worker
-// count, so even float32 results are exactly equal).
+// TestGoldenEquivalence checks the runtime against its functional references,
+// selection on and off: the planned execution must reproduce
+// ReferenceForward bit for bit (every layer accumulates in a fixed order
+// regardless of layout and worker count, so even float32 results are exactly
+// equal) and the naive Network.Forward within the benchmark's tolerance.
 func TestGoldenEquivalence(t *testing.T) {
 	for _, tc := range goldenCases(t) {
 		in := tensor.Random(tc.net.InputShape(), tensor.CHWN, 42)
-		var want *tensor.Tensor
-		if !tc.opts.ConvAlgorithms {
-			naive, err := tc.net.Forward(in)
-			if err != nil {
+		var naive, want *tensor.Tensor
+		var err error
+		if !tc.heavy || !raceDetector {
+			if naive, err = tc.net.Forward(in); err != nil {
 				t.Fatalf("%s: naive forward: %v", tc.name, err)
 			}
-			want = naive
 		}
-		for _, planner := range tc.planners {
-			prog := mustCompileOpts(t, planner, tc.net, tc.opts)
-			if tc.opts.ConvAlgorithms && want == nil {
-				// Algorithm selection depends only on layer shapes, so the
-				// reference is shared across planners.
-				ref, err := prog.ReferenceForward(in)
-				if err != nil {
-					t.Fatalf("%s: reference forward: %v", tc.name, err)
+		for _, sel := range []bool{false, true} {
+			for _, planner := range tc.planners {
+				label := fmt.Sprintf("%s/%s select=%t", tc.name, planner.Name, sel)
+				prog := mustCompileOpts(t, planner, tc.net, runtime.Options{ConvAlgorithms: sel})
+				if want == nil {
+					// Every program runs the same kernels, whose bits do not
+					// depend on the layout, so the reference is shared.
+					if want, err = prog.ReferenceForward(in); err != nil {
+						t.Fatalf("%s: reference forward: %v", label, err)
+					}
+					if naive != nil {
+						requireClose(t, tc.name+" reference", want, naive)
+					}
 				}
-				want = ref
+				exec := runtime.NewExecutor(prog)
+				got, err := runBatch(exec, in, prog.OutputShape())
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				requireBitEqual(t, label, got, want)
+				if naive != nil {
+					requireClose(t, label, got, naive)
+				}
+				if !tc.rerun {
+					continue
+				}
+				// A second run through the recycled arena must be identical.
+				again, err := runBatch(exec, in, prog.OutputShape())
+				if err != nil {
+					t.Fatalf("%s rerun: %v", label, err)
+				}
+				requireBitEqual(t, label+" rerun", again, want)
 			}
-			exec := runtime.NewExecutor(prog)
-			got, err := runBatch(exec, in, prog.OutputShape())
-			if err != nil {
-				t.Fatalf("%s/%s: %v", tc.name, planner.Name, err)
-			}
-			requireBitEqual(t, tc.name+"/"+planner.Name, got, want)
-			if !tc.rerun {
-				continue
-			}
-			// A second run through the recycled arena must be identical.
-			again, err := runBatch(exec, in, prog.OutputShape())
-			if err != nil {
-				t.Fatalf("%s/%s rerun: %v", tc.name, planner.Name, err)
-			}
-			requireBitEqual(t, tc.name+"/"+planner.Name+" rerun", again, want)
 		}
 	}
 }
 
 // TestWithBatchPinsChoices checks that rebatching a program lowers its own
-// decision list — the base's layouts and convolution algorithms — instead of
-// re-selecting by the (smaller) sub-batch shape: the property the replica
-// scheduler's bit-equality rests on.
+// decision list — the base's layouts — instead of re-selecting by the
+// (smaller) sub-batch shape: the property the replica scheduler's
+// bit-equality rests on.
 func TestWithBatchPinsChoices(t *testing.T) {
 	nets, err := workloads.Networks()
 	if err != nil {
@@ -326,15 +322,6 @@ func TestWithBatchPinsChoices(t *testing.T) {
 	}
 	base := mustCompileOpts(t, planners()[2], nets["LeNet"],
 		runtime.Options{ConvAlgorithms: true})
-	gemms := 0
-	for _, ch := range base.ConvChoices() {
-		if ch.Alg == kernels.ConvAlgGemm {
-			gemms++
-		}
-	}
-	if gemms == 0 {
-		t.Fatal("LeNet@128 selected no GEMM convolution; the pinning test needs one")
-	}
 
 	prog, err := base.WithBatch(1)
 	if err != nil {
@@ -343,15 +330,14 @@ func TestWithBatchPinsChoices(t *testing.T) {
 	if got, want := prog.InputShape().N, 1; got != want {
 		t.Errorf("rebatched program batch %d, want %d", got, want)
 	}
-	// Layouts and algorithms must match layer for layer.
+	// Layouts must match layer for layer.
 	baseChoices, gotChoices := base.Choices(), prog.Choices()
 	if len(gotChoices) != len(baseChoices) {
 		t.Fatalf("rebatched program has %d choices, base %d", len(gotChoices), len(baseChoices))
 	}
-	for i, ch := range gotChoices {
-		if ch != baseChoices[i] {
-			t.Errorf("layer %d: rebatched %v/%v, base %v/%v — the choice was not pinned",
-				i, ch.Layout, ch.Alg, baseChoices[i].Layout, baseChoices[i].Alg)
+	for i, lay := range gotChoices {
+		if lay != baseChoices[i] {
+			t.Errorf("layer %d: rebatched %v, base %v — the choice was not pinned", i, lay, baseChoices[i])
 		}
 	}
 }
@@ -364,9 +350,19 @@ func requireBitEqual(t *testing.T, label string, got, want *tensor.Tensor) {
 	for i := range want.Data {
 		if got.Data[i] != want.Data[i] {
 			diff, _ := tensor.MaxAbsDiff(got, want)
-			t.Fatalf("%s: output differs from Network.Forward (first at %d: %v vs %v, max |Δ| %v)",
+			t.Fatalf("%s: output differs from the reference (first at %d: %v vs %v, max |Δ| %v)",
 				label, i, got.Data[i], want.Data[i], diff)
 		}
+	}
+}
+
+// requireClose holds got within the benchmark's tolerance of want, the naive
+// Network.Forward: 1e-5 absolute and 1e-3 relative.
+func requireClose(t *testing.T, label string, got, want *tensor.Tensor) {
+	t.Helper()
+	if !tensor.RelClose(got, want, 1e-5, 1e-3) {
+		diff, _ := tensor.MaxAbsDiff(got, want)
+		t.Fatalf("%s: output is not within tolerance of Network.Forward (max |Δ| %v)", label, diff)
 	}
 }
 
@@ -383,7 +379,11 @@ func TestRunIntoConvertsLayouts(t *testing.T) {
 	}
 	exec := runtime.NewExecutor(prog)
 	in := tensor.Random(net.InputShape(), tensor.NCHW, 7)
-	want, err := net.Forward(in)
+	want, err := prog.ReferenceForward(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	naive, err := net.Forward(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,6 +392,7 @@ func TestRunIntoConvertsLayouts(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireBitEqual(t, "chwn delivery", tensor.Convert(dst, tensor.NCHW), want)
+	requireClose(t, "chwn delivery", dst, naive)
 }
 
 // TestExecutorRejectsBadShapes covers the error paths.
@@ -416,13 +417,12 @@ func TestExecutorRejectsBadShapes(t *testing.T) {
 	}
 }
 
-// TestAlgorithmSelectionCompile checks the tentpole of the conv-algorithm
-// work: compiling with Options{ConvAlgorithms: true} records a per-layer
-// strategy (both LeNet convolutions go to GEMM at batch 128: measured on the
-// host, conv1 runs 4–9× and conv2 4–10× faster there than on the direct
-// kernel), plans the GEMM workspace and the fully-connected/softmax staging
-// as op-local arena buffers, and still reproduces the per-algorithm
-// functional reference bit for bit.
+// TestAlgorithmSelectionCompile checks a selected program's workspace:
+// compiling with Options{ConvAlgorithms: true} records each convolution's
+// layout with its GEMM workspace, plans that workspace and the
+// fully-connected/softmax staging as op-local arena buffers, reproduces
+// ReferenceForward bit for bit and the naive Network.Forward within
+// tolerance.
 func TestAlgorithmSelectionCompile(t *testing.T) {
 	nets, err := workloads.Networks()
 	if err != nil {
@@ -438,8 +438,8 @@ func TestAlgorithmSelectionCompile(t *testing.T) {
 		t.Fatalf("LeNet has 2 conv layers, ConvChoices reported %d", len(choices))
 	}
 	for _, ch := range choices {
-		if ch.Alg != kernels.ConvAlgGemm || ch.WorkspaceBytes == 0 {
-			t.Errorf("%s: got %v with %d B workspace, want im2col+gemm with its workspace", ch.Layer, ch.Alg, ch.WorkspaceBytes)
+		if ch.WorkspaceBytes == 0 {
+			t.Errorf("%s in %v: no workspace for the GEMM unroll", ch.Layer, ch.Layout)
 		}
 	}
 	if prog.ScratchBytes() == 0 {
@@ -478,24 +478,11 @@ func TestAlgorithmSelectionCompile(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireBitEqual(t, "LeNet selected rerun", again, want)
-
-	// The selected program must differ from the direct-only one where an
-	// algorithm switched: the GEMM accumulation order is not the direct
-	// float64 tap order.
 	naive, err := net.Forward(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	same := true
-	for i := range naive.Data {
-		if got.Data[i] != naive.Data[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Log("selected output happens to bit-match the direct reference; equality is allowed but unexpected")
-	}
+	requireClose(t, "LeNet selected", got, naive)
 }
 
 // TestInPlaceReLUShrinksArena checks the aliasing-aware liveness tweak: with
@@ -613,22 +600,14 @@ func TestCompileRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nchw := runtime.Uniform(net, tensor.NCHW, kernels.ConvAlgDirect)
-	badLayout := append([]runtime.Choice(nil), nchw...)
-	badLayout[1].Layout = tensor.Layout(99)
-	badAlg := append([]runtime.Choice(nil), nchw...)
-	badAlg[0].Alg = kernels.ConvAlgorithm(99)
-	onPool := runtime.Uniform(net, tensor.NCHW, kernels.ConvAlgDirect)
-	for i, l := range net.Layers {
-		if _, ok := l.(*layers.Pool); ok {
-			onPool[i].Alg = kernels.ConvAlgGemm
-		}
-	}
+	nchw := runtime.Uniform(net, tensor.NCHW)
+	badLayout := append([]tensor.Layout(nil), nchw...)
+	badLayout[1] = tensor.Layout(99)
 	base, err := runtime.Compile(net, "base", nchw, runtime.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	compile := func(net *network.Network, choices []runtime.Choice) func() error {
+	compile := func(net *network.Network, choices []tensor.Layout) func() error {
 		return func() error {
 			_, err := runtime.Compile(net, "test", choices, runtime.Options{})
 			return err
@@ -644,9 +623,7 @@ func TestCompileRejects(t *testing.T) {
 		{"no choices", compile(net, nil), "choices for the"},
 		{"one choice short", compile(net, nchw[1:]), "choices for the"},
 		{"invalid layout", compile(net, badLayout), "no valid layout"},
-		{"layout past tensor.Layouts", compile(net, runtime.Uniform(net, tensor.Layout(9), kernels.ConvAlgDirect)), "no valid layout"},
-		{"unknown algorithm", compile(net, badAlg), "kernel"},
-		{"algorithm on a layer without it", compile(net, onPool), "kernel"},
+		{"layout past tensor.Layouts", compile(net, runtime.Uniform(net, tensor.Layout(9))), "no valid layout"},
 		{"nil plan", func() error {
 			_, err := runtime.CompileWithOptions(nil, runtime.Options{})
 			return err

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"memcnn/internal/autotune"
-	"memcnn/internal/kernels"
 	"memcnn/internal/runtime"
 	"memcnn/internal/tensor"
 	"memcnn/internal/workloads"
@@ -24,7 +23,7 @@ func TestDecisionRecordExplainsAFlip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	caller := runtime.Uniform(net, tensor.NCHW, kernels.ConvAlgDirect)
+	caller := runtime.Uniform(net, tensor.NCHW)
 	host := autotune.HostPrices()
 	base, baseRecord := runtime.SelectWith(net, caller, host, false)
 	changed := host
@@ -38,12 +37,12 @@ func TestDecisionRecordExplainsAFlip(t *testing.T) {
 		}
 	}
 	prob := net.Layers[last]
-	nchw, chwn := runtime.Choice{Layout: tensor.NCHW}, runtime.Choice{Layout: tensor.CHWN}
+	nchw, chwn := tensor.NCHW, tensor.CHWN
 	if base[last] != chwn || flipped[last] != nchw {
-		t.Fatalf("%s: %v on the host's prices, %v on the changed ones; want CHWN/direct, then NCHW/direct", prob.Name(), base[last], flipped[last])
+		t.Fatalf("%s: %v on the host's prices, %v on the changed ones; want CHWN, then NCHW", prob.Name(), base[last], flipped[last])
 	}
 	price := func(p autotune.Prices, lay tensor.Layout) float64 {
-		s, ok := p.Layer(prob, lay, kernels.ConvAlgDirect)
+		s, ok := p.Layer(prob, lay)
 		if !ok {
 			t.Fatalf("%s has no price in %v", prob.Name(), lay)
 		}
@@ -52,12 +51,12 @@ func TestDecisionRecordExplainsAFlip(t *testing.T) {
 	transform := host.Convert(prob.InputShape(), tensor.CHWN, tensor.NCHW)
 	d := record[last]
 	if d.Layer != prob.Name() || d.Chosen != nchw || d.RunnerUp != chwn {
-		t.Fatalf("decision %+v: want %s choosing NCHW/direct over CHWN/direct", d, prob.Name())
+		t.Fatalf("decision %+v: want %s choosing NCHW over CHWN", d, prob.Name())
 	}
 	if want := price(changed, tensor.CHWN) - price(changed, tensor.NCHW) - transform; math.Abs(d.Margin-want) > 1e-12 {
 		t.Errorf("%s's margin is %g s, want its CHWN price less its NCHW price and the transform before it, %g s", prob.Name(), d.Margin, want)
 	}
-	if !strings.HasPrefix(d.Reason, "beats CHWN/direct by ") || !strings.Contains(d.Reason, "own price is") {
+	if !strings.HasPrefix(d.Reason, "beats CHWN by ") || !strings.Contains(d.Reason, "own price is") {
 		t.Errorf("%s's reason %q does not name the runner-up and the price it lost on", prob.Name(), d.Reason)
 	}
 	b := baseRecord[last]
@@ -90,16 +89,16 @@ func TestSelectionKeepsTheCallersLayoutOnATie(t *testing.T) {
 		p.CHWN = p.NCHW
 	}
 	flat.PoolVecTapNS = flat.PoolTapNS.NCHW
-	caller := runtime.Uniform(net, tensor.NCHW, kernels.ConvAlgDirect)
+	caller := runtime.Uniform(net, tensor.NCHW)
 	for i := 1; i < len(caller); i += 2 {
-		caller[i].Layout = tensor.CHWN
+		caller[i] = tensor.CHWN
 	}
 	got, record := runtime.SelectWith(net, caller, flat, false)
-	for i, ch := range got {
-		if ch.Layout != caller[i].Layout {
-			t.Errorf("%s: %v, want the caller's %v on a tie", net.Layers[i].Name(), ch, caller[i].Layout)
+	for i, lay := range got {
+		if lay != caller[i] {
+			t.Errorf("%s: %v, want the caller's %v on a tie", net.Layers[i].Name(), lay, caller[i])
 		}
-		if d := record[i]; d.RunnerUp.Layout != ch.Layout && d.Margin != 0 {
+		if d := record[i]; d.RunnerUp != lay && d.Margin != 0 {
 			t.Errorf("%s: margin %g s over %v, want a tie", d.Layer, d.Margin, d.RunnerUp)
 		}
 	}
@@ -108,13 +107,13 @@ func TestSelectionKeepsTheCallersLayoutOnATie(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, record = runtime.SelectWith(alex, runtime.Uniform(alex, tensor.NCHW, kernels.ConvAlgDirect), autotune.HostPrices(), true)
+	got, record = runtime.SelectWith(alex, runtime.Uniform(alex, tensor.NCHW), autotune.HostPrices(), true)
 	conv1, relu, norm1 := got[0], got[1], got[2]
-	if alex.Layers[1].Name() != "conv1_relu" || conv1.Layout != tensor.CHWN || norm1.Layout != tensor.NCHW {
+	if alex.Layers[1].Name() != "conv1_relu" || conv1 != tensor.CHWN || norm1 != tensor.NCHW {
 		t.Fatalf("AlexNet's step runs %s %v, %s %v, %s %v: want a ReLU between a CHWN and an NCHW layer",
 			alex.Layers[0].Name(), conv1, alex.Layers[1].Name(), relu, alex.Layers[2].Name(), norm1)
 	}
-	if d := record[1]; relu.Layout != tensor.NCHW || !strings.HasPrefix(d.Reason, "ties ") {
+	if d := record[1]; relu != tensor.NCHW || !strings.HasPrefix(d.Reason, "ties ") {
 		t.Errorf("%s: %v (%s), want the caller's NCHW on a tie", d.Layer, relu, d.Reason)
 	}
 }
@@ -140,17 +139,17 @@ func TestDecisionRecordRidesOnThePlannedProgram(t *testing.T) {
 	if plain := mustCompileOpts(t, planners()[2], net, runtime.Options{}); plain.Decisions != nil {
 		t.Errorf("a program compiled without selection carries %d decisions", len(plain.Decisions))
 	}
-	for i, ch := range runtime.SelectChoices(net, runtime.Uniform(net, tensor.NCHW, kernels.ConvAlgDirect), false, tensor.NCHW) {
-		if ch.Layout != tensor.NCHW {
-			t.Errorf("%s: %v with NCHW the only layout allowed", net.Layers[i].Name(), ch)
+	for i, lay := range runtime.SelectChoices(net, runtime.Uniform(net, tensor.NCHW), false, tensor.NCHW) {
+		if lay != tensor.NCHW {
+			t.Errorf("%s: %v with NCHW the only layout allowed", net.Layers[i].Name(), lay)
 		}
 	}
 }
 
 // TestSelectedBucketsMatchNCHW runs every power-of-two rebatching the batching
 // server binds (1, 2, 4 and the base 8) of the selection's Cifar10@8 program,
-// which runs in CHWN, against the all-NCHW program with the same algorithms,
-// and compares every layer's output bit for bit: the GEMM convolution's
+// which runs in CHWN, against the all-NCHW program, and compares every
+// layer's output bit for bit: the GEMM convolution's
 // columns run image by image in CHWN (one image is one order in either
 // layout), and the GEMM core fixes each element's accumulation order in both.
 func TestSelectedBucketsMatchNCHW(t *testing.T) {
@@ -159,8 +158,8 @@ func TestSelectedBucketsMatchNCHW(t *testing.T) {
 		t.Fatal(err)
 	}
 	prog := mustCompileOpts(t, planners()[2], net, runtime.Options{ConvAlgorithms: true, Verify: true})
-	if got := prog.Choices()[0]; got != (runtime.Choice{Layout: tensor.CHWN, Alg: kernels.ConvAlgGemm}) {
-		t.Fatalf("conv1 selected %v, want CHWN/im2col+gemm", got)
+	if got := prog.Choices()[0]; got != tensor.CHWN {
+		t.Fatalf("conv1 selected %v, want CHWN", got)
 	}
 	// layerOutputs runs p on in, one allocation per buffer, and returns every
 	// layer op's output in NCHW.
@@ -188,11 +187,7 @@ func TestSelectedBucketsMatchNCHW(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nchw := bucket.Choices()
-		for i := range nchw {
-			nchw[i].Layout = tensor.NCHW
-		}
-		ref, err := runtime.Compile(bucket.Net, "fixed-NCHW", nchw, runtime.Options{Verify: true})
+		ref, err := runtime.Compile(bucket.Net, "fixed-NCHW", runtime.Uniform(bucket.Net, tensor.NCHW), runtime.Options{Verify: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,34 +219,26 @@ func TestTrainingStepSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	caller := runtime.Uniform(net, tensor.NCHW, kernels.ConvAlgDirect)
+	caller := runtime.Uniform(net, tensor.NCHW)
 	host := autotune.HostPrices()
 	fc1 := 4 // the first layer priced in NCHW alone
 	wantCHWN := func(prices autotune.Prices) {
 		t.Helper()
 		got, _ := runtime.SelectWith(net, caller, prices, true)
-		for i, ch := range got {
-			if want := i < fc1; (ch.Layout == tensor.CHWN) != want {
-				t.Errorf("%s trains in %v; CHWN wanted: %t", net.Layers[i].Name(), ch, want)
+		for i, lay := range got {
+			if want := i < fc1; (lay == tensor.CHWN) != want {
+				t.Errorf("%s trains in %v; CHWN wanted: %t", net.Layers[i].Name(), lay, want)
 			}
 		}
 	}
 	wantCHWN(host)
 
-	// saved is what the layers below fc1 save in CHWN, each at its cheapest
-	// algorithm in either layout.
+	// saved is what the layers below fc1 save in CHWN.
 	var saved float64
 	for _, l := range net.Layers[:fc1] {
-		best := func(lay tensor.Layout) float64 {
-			b := math.Inf(1)
-			for _, alg := range []kernels.ConvAlgorithm{kernels.ConvAlgDirect, kernels.ConvAlgGemm} {
-				if s, ok := host.Step(l, lay, alg); ok {
-					b = math.Min(b, s)
-				}
-			}
-			return b
-		}
-		saved += best(tensor.NCHW) - best(tensor.CHWN)
+		nchw, _ := host.Step(l, tensor.NCHW)
+		chwn, _ := host.Step(l, tensor.CHWN)
+		saved += nchw - chwn
 	}
 	if !(saved > 0) {
 		t.Fatalf("the layers below fc1 save %g s in CHWN", saved)
@@ -261,9 +248,9 @@ func TestTrainingStepSelection(t *testing.T) {
 	dear.ConvertGBs = bytes / (saved / 1.5 * 1e9)  // a transform costs 2/3 of the saving
 	cheap.ConvertGBs = bytes / (saved / 2.5 * 1e9) // and here 2/5
 	got, _ := runtime.SelectWith(net, caller, dear, true)
-	for i, ch := range got {
-		if ch.Layout != tensor.NCHW {
-			t.Errorf("%s trains in %v when two transforms cost more than CHWN saves", net.Layers[i].Name(), ch)
+	for i, lay := range got {
+		if lay != tensor.NCHW {
+			t.Errorf("%s trains in %v when two transforms cost more than CHWN saves", net.Layers[i].Name(), lay)
 		}
 	}
 	wantCHWN(cheap)

@@ -554,7 +554,7 @@ func batchContext(batch []*request) (context.Context, context.CancelFunc) {
 }
 
 // bucketPrograms returns what a batch of up to maxBatch images runs on,
-// smallest first: prog rebatched (same layouts, algorithms and weights) to 1,
+// smallest first: prog rebatched (same layouts and weights) to 1,
 // 2, 4, … until one holds maxBatch, or prog once a power reaches its batch.
 func bucketPrograms(prog *Program, maxBatch int) ([]*Program, error) {
 	var buckets []*Program

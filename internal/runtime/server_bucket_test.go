@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"memcnn/internal/kernels"
 	"memcnn/internal/obs"
 	"memcnn/internal/runtime"
 	"memcnn/internal/tensor"
@@ -109,7 +108,7 @@ func TestServerBucketsBitEqualLeNetCHWN(t *testing.T) {
 	if net, err = net.WithBatch(16); err != nil {
 		t.Fatal(err)
 	}
-	prog, err := runtime.Compile(net, "fixed-CHWN", runtime.Uniform(net, tensor.CHWN, kernels.ConvAlgGemm), runtime.Options{Verify: true})
+	prog, err := runtime.Compile(net, "fixed-CHWN", runtime.Uniform(net, tensor.CHWN), runtime.Options{Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,8 +14,8 @@ import (
 	"memcnn/internal/workloads"
 )
 
-// serverFixture compiles TinyNet, builds per-image golden outputs with the
-// naive Network.Forward, and returns the distinct request images.
+// serverFixture compiles TinyNet, builds per-image golden outputs with
+// ReferenceForward, and returns the distinct request images.
 func serverFixture(t *testing.T) (*runtime.Program, []*tensor.Tensor, []*tensor.Tensor) {
 	t.Helper()
 	net, err := workloads.TinyNet()
@@ -32,9 +32,10 @@ func serverFixture(t *testing.T) (*runtime.Program, []*tensor.Tensor, []*tensor.
 }
 
 // goldenPerImage builds `count` distinct single-image inputs, runs them
-// through the naive forward pass as one batch and slices the per-image
-// outputs.  Every layer processes images independently, so each row is the
-// exact golden answer for its image alone.
+// through ReferenceForward as one batch and slices the per-image outputs.
+// Every layer processes images independently, so each row is the exact
+// golden answer for its image alone; the batch is held within tolerance of
+// the naive Network.Forward too.
 func goldenPerImage(t *testing.T, net *network.Network, count int) (images, golden []*tensor.Tensor) {
 	t.Helper()
 	in := net.InputShape()
@@ -45,10 +46,19 @@ func goldenPerImage(t *testing.T, net *network.Network, count int) (images, gold
 		copy(img.Data, batch.Data[i*chw:(i+1)*chw])
 		images = append(images, img)
 	}
-	out, err := net.Forward(batch)
+	prog, err := compileFixedLayout(net, tensor.NCHW, runtime.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	out, err := prog.ReferenceForward(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	naive, err := net.Forward(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireClose(t, net.Name+" golden batch", out, naive)
 	outNCHW := tensor.Convert(out, tensor.NCHW)
 	os := out.Shape
 	per := os.C * os.H * os.W

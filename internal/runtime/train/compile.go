@@ -17,8 +17,8 @@
 // and convolution kernels (Section II.A, footnote 1); this package is that
 // extension of the inference planner built by the earlier milestones.  So the
 // forward pass is the inference builder's (runtime.Program.AddForward), its
-// layouts and convolution algorithms from one choice list, the host-priced
-// selection of a whole training step (runtime.SelectChoices); every gradient
+// layouts from one decision list, the host-priced selection of a whole
+// training step (runtime.SelectChoices); every gradient
 // takes the layout of the forward buffer it mirrors, and both gradients of a
 // convolution run on the batch-folded GEMM core (layers.Conv).  Every kernel
 // is bit-deterministic, and in every layout the same, so the planned and
@@ -29,7 +29,6 @@ package train
 import (
 	"fmt"
 
-	"memcnn/internal/kernels"
 	"memcnn/internal/layers"
 	"memcnn/internal/network"
 	"memcnn/internal/runtime"
@@ -121,11 +120,10 @@ type Program struct {
 // every layer's forward op, the fused softmax + cross-entropy loss gradient,
 // per-layer backward-data and parameter-gradient ops, and an SGD update per
 // trainable layer, ordered so each layer's input gradient is computed before
-// its own update touches the weights.  The layouts and the convolutions'
-// forward algorithms come from one choice list, the host-priced selection
-// over every layout, each layer priced for its forward and its gradients and
-// each transform for the activation and its gradient; the gradients run on
-// GEMM.  The network must end in a softmax classifier; every other layer must
+// its own update touches the weights.  The layouts come from one decision
+// list, the host-priced selection over every layout, each layer priced for
+// its forward and its gradients and each transform for the activation and
+// its gradient; a convolution's forward and gradients run on GEMM.  The network must end in a softmax classifier; every other layer must
 // implement layers.BackwardLayer.
 func CompileTraining(net *network.Network, opts Options) (*Program, error) {
 	if net == nil || len(net.Layers) < 2 {
@@ -152,7 +150,7 @@ func CompileTraining(net *network.Network, opts Options) (*Program, error) {
 	// Both variants lower one choice list, each at most once: store-all
 	// always (its peak is reported next to whichever variant is returned),
 	// recompute unless the policy rules it out.
-	choices := runtime.SelectChoices(net, runtime.Uniform(net, tensor.NCHW, kernels.ConvAlgDirect), true)
+	choices := runtime.SelectChoices(net, runtime.Uniform(net, tensor.NCHW), true)
 	p, err := lowerTraining(net, sm, choices, lr, false)
 	if err != nil {
 		return nil, err
@@ -182,10 +180,10 @@ func CompileTraining(net *network.Network, opts Options) (*Program, error) {
 // place.  Each gradient takes the layout of the forward buffer it mirrors,
 // and a recomputed activation is re-viewed through AddView as in the forward
 // pass.  Only the labels, the logit gradient (the loss gradient's NCHW
-// contract) and the parameter gradients (GradShape) are NCHW by name.  A
-// convolution's forward and recompute ops run its chosen algorithm, its
-// gradient ops record GEMM, the kernel layers.Conv's gradient methods run.
-func lowerTraining(net *network.Network, sm *layers.Softmax, choices []runtime.Choice, lr float32, drop bool) (*Program, error) {
+// contract) and the parameter gradients (GradShape) are NCHW by name.  Every
+// forward, recompute and gradient op records its layer's kernel label
+// (layers.KernelAlg).
+func lowerTraining(net *network.Network, sm *layers.Softmax, choices []tensor.Layout, lr float32, drop bool) (*Program, error) {
 	feat := net.Layers[:len(net.Layers)-1] // layers below the classifier
 	p := &runtime.Program{
 		Net:         net,
@@ -252,7 +250,7 @@ func lowerTraining(net *network.Network, sm *layers.Softmax, choices []runtime.C
 			return v, nil
 		}
 		l := net.Layers[i]
-		v, err := p.AddView(src, l.InputShape(), choices[i].Layout, "recomputed before "+l.Name())
+		v, err := p.AddView(src, l.InputShape(), choices[i], "recomputed before "+l.Name())
 		if err != nil {
 			return runtime.NoBuffer, err
 		}
@@ -274,10 +272,7 @@ func lowerTraining(net *network.Network, sm *layers.Softmax, choices []runtime.C
 			return runtime.NoBuffer, err
 		}
 		l := net.Layers[i]
-		out, err := p.AddLayer(runtime.OpRecompute, "recompute "+l.Name(), l, in, choices[i].Alg, false)
-		if err != nil {
-			return runtime.NoBuffer, err
-		}
+		out := p.AddLayer(runtime.OpRecompute, "recompute "+l.Name(), l, in, false)
 		tp.RecomputeOps++
 		recomputed[i] = out
 		return out, nil
@@ -308,7 +303,7 @@ func lowerTraining(net *network.Network, sm *layers.Softmax, choices []runtime.C
 		}
 		bl := l.(layers.BackwardLayer) // validated by CompileTraining
 		tl, trainable := l.(layers.TrainableLayer)
-		alg := layers.GradientAlg(l)
+		alg := layers.KernelAlg(l)
 
 		// Each gradient op's output is created before its scratch, as AddLayer
 		// does: buffers defined at one op are placed in ID order, and the

@@ -107,10 +107,9 @@ func lenet16(t *testing.T) *Program {
 	return p
 }
 
-// TestTrainingRunsTheSelectedAlgorithm checks that a convolution's forward
-// runs the algorithm the selector picks for it and both its gradients run on
-// GEMM: LeNet@16 selects GEMM for its two convolutions, TinyNet@4 whatever
-// the training step's selection gives it.  LeNet's conv2 has a forward, a
+// TestTrainingRunsTheSelectedAlgorithm checks that every op of a convolution
+// but its update records GEMM, the kernel its forward and both its gradients
+// run, on LeNet@16 and TinyNet@4.  LeNet's conv2 has a forward, a
 // backward-data and a grad-filter op, conv1 (its input needs no gradient) no
 // backward-data op; LeNet drops only pooling and ReLU outputs, so no
 // convolution is recomputed.
@@ -123,31 +122,21 @@ func TestTrainingRunsTheSelectedAlgorithm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tinyAlgs := map[string]kernels.ConvAlgorithm{}
-	for i, ch := range runtime.SelectChoices(tiny, runtime.Uniform(tiny, tensor.NCHW, kernels.ConvAlgDirect), true) {
-		tinyAlgs[tiny.Layers[i].Name()] = ch.Alg
-	}
-	lenetAlgs := map[string]kernels.ConvAlgorithm{"conv1": kernels.ConvAlgGemm, "conv2": kernels.ConvAlgGemm}
 	lenetKinds := map[string][]runtime.OpKind{
 		"conv1": {runtime.OpLayer, runtime.OpGradFilter},
 		"conv2": {runtime.OpLayer, runtime.OpBackward, runtime.OpGradFilter},
 	}
 	for _, tc := range []struct {
 		p     *Program
-		fwd   map[string]kernels.ConvAlgorithm // by layer name
-		kinds map[string][]runtime.OpKind      // nil: not checked
-	}{{lenet16(t), lenetAlgs, lenetKinds}, {tinyProg, tinyAlgs, nil}} {
+		kinds map[string][]runtime.OpKind // nil: not checked
+	}{{lenet16(t), lenetKinds}, {tinyProg, nil}} {
 		kinds := map[string]map[runtime.OpKind]bool{}
 		for _, op := range tc.p.Ops {
 			if _, ok := op.Layer.(*layers.Conv); !ok || op.Kind == runtime.OpSGD {
 				continue
 			}
-			want := kernels.ConvAlgGemm
-			if op.Kind == runtime.OpLayer || op.Kind == runtime.OpRecompute {
-				want = tc.fwd[op.Layer.Name()]
-			}
-			if op.Alg != want {
-				t.Errorf("%s %s (%v) runs %v, want %v", tc.p.Net.Name, op.Name, op.Kind, op.Alg, want)
+			if op.Alg != kernels.ConvAlgGemm {
+				t.Errorf("%s %s (%v) runs %v, want %v", tc.p.Net.Name, op.Name, op.Kind, op.Alg, kernels.ConvAlgGemm)
 			}
 			if kinds[op.Layer.Name()] == nil {
 				kinds[op.Layer.Name()] = map[runtime.OpKind]bool{}
@@ -531,12 +520,12 @@ func TestTrainingIsLayoutInvariant(t *testing.T) {
 					t.Fatal(err)
 				}
 				scaleForTraining(net)
-				choices := runtime.Uniform(net, tensor.NCHW, kernels.ConvAlgGemm)
+				choices := runtime.Uniform(net, tensor.NCHW)
 				for i, l := range net.Layers {
 					switch l.(type) {
 					case *layers.Conv, *layers.Pool, *layers.ReLU:
 						if v == 0 { // the mixed list first, then all NCHW
-							choices[i].Layout = tensor.CHWN
+							choices[i] = tensor.CHWN
 						}
 					}
 				}
@@ -545,7 +534,7 @@ func TestTrainingIsLayoutInvariant(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				names[v] = fmt.Sprintf("%s@8 %v drop=%t", net.Name, choices[0].Layout, drop)
+				names[v] = fmt.Sprintf("%s@8 %v drop=%t", net.Name, choices[0], drop)
 				name := names[v]
 				if err := runtime.VerifyProgram(p.Program); err != nil {
 					t.Fatalf("%s: %v", name, err)
@@ -582,7 +571,7 @@ func TestTrainingIsLayoutInvariant(t *testing.T) {
 // op writes the layout of its layer's forward input, and the gradient
 // changes layout exactly where the choice list does, by one transform of a
 // gradient each.
-func checkGradientLayouts(t *testing.T, name string, p *Program, choices []runtime.Choice) {
+func checkGradientLayouts(t *testing.T, name string, p *Program, choices []tensor.Layout) {
 	t.Helper()
 	index := make(map[layers.Layer]int)
 	lowest := -1 // the lowest trainable layer, where the gradient chain stops
@@ -594,7 +583,7 @@ func checkGradientLayouts(t *testing.T, name string, p *Program, choices []runti
 	}
 	want := 0 // the last is the logit gradient's NCHW into the top layer
 	for i := lowest; i < len(choices)-1; i++ {
-		if choices[i].Layout != choices[i+1].Layout {
+		if choices[i] != choices[i+1] {
 			want++
 		}
 	}
@@ -615,13 +604,13 @@ func checkGradientLayouts(t *testing.T, name string, p *Program, choices []runti
 			}
 		case runtime.OpBackward, runtime.OpGradFilter:
 			i := index[op.Layer]
-			if !grads[op.In] || layoutOf(op.In) != choices[i].Layout {
-				t.Errorf("%s: %s reads %v, want the gradient in its forward output's %v", name, op.Name, layoutOf(op.In), choices[i].Layout)
+			if !grads[op.In] || layoutOf(op.In) != choices[i] {
+				t.Errorf("%s: %s reads %v, want the gradient in its forward output's %v", name, op.Name, layoutOf(op.In), choices[i])
 			}
 			if op.Kind == runtime.OpBackward {
 				grads[op.Out] = true
-				if layoutOf(op.Out) != choices[i].Layout {
-					t.Errorf("%s: %s writes %v, its forward input is %v", name, op.Name, layoutOf(op.Out), choices[i].Layout)
+				if layoutOf(op.Out) != choices[i] {
+					t.Errorf("%s: %s writes %v, its forward input is %v", name, op.Name, layoutOf(op.Out), choices[i])
 				}
 			}
 		}

@@ -19,7 +19,7 @@
 //     write over their own operands when the layer declares that safe
 //     (check c);
 //   - workspace: the scratch buffer attached to an op holds at least what
-//     the layer declares for the recorded algorithm and layout —
+//     the layer declares for the buffer's layout —
 //     Layer.WorkspaceElems for forward ops (GEMM unroll, flatten/softmax
 //     staging), BackwardWorkspaceElems and GradWorkspaceElems
 //     for gradient ops (GEMM gradient operands, LRN staging) — and is never
@@ -30,12 +30,10 @@
 //     sweep); training programs additionally recompute each checkpointed
 //     activation at most once and follow the backward-data → grad-filter →
 //     SGD order, with no op touching a layer after its SGD update (check e);
-//   - determinism: every op records the kernel it runs, whose accumulation
-//     order is pinned — one of the three production convolution algorithms
-//     on a forward op, GEMM on a convolution's gradient ops, direct on every
-//     other op; an unknown algorithm or any other recorded value means the
-//     accumulation order is unspecified and bit-reproducibility is lost
-//     (check f).
+//   - determinism: every op records the one kernel label the compiler writes,
+//     layers.KernelAlg of its layer (GEMM for a convolution) on a forward,
+//     recompute or gradient op and the zero value on every other, so a trace
+//     or report never names a kernel that does not run (check f).
 //
 // Importing the package registers Program with runtime.RegisterVerifier, so
 // any compile run with Options.Verify (or train.Options.Verify) fails with
@@ -61,7 +59,7 @@ const (
 	CheckDataflow    = "dataflow"    // def-before-use over the op list
 	CheckAlias       = "alias"       // alias chains are sound views
 	CheckInPlace     = "inplace"     // no read of clobbered storage
-	CheckWorkspace   = "workspace"   // op scratch fits the recorded algorithm
+	CheckWorkspace   = "workspace"   // op scratch fits the layer's kernel
 	CheckPlan        = "plan"        // memory plan matches the op list
 	CheckTraining    = "training"    // recompute/SGD ordering
 	CheckDeterminism = "determinism" // accumulation order is pinned
@@ -429,21 +427,18 @@ func (c *checker) inPlaceOK(op runtime.Op) bool {
 	return op.Layer.ForwardsInPlace(in.Layout) && in.Shape == out.Shape && in.Layout == out.Layout
 }
 
-// opContracts checks per-op algorithm and workspace contracts (checks d and
-// f): the recorded convolution algorithm is one the layer implements, the
-// attached scratch buffer holds at least what that algorithm's kernel
-// requires, scratch is never attached to an op that cannot consume it, and
-// no op records an algorithm other than the production kernel it runs —
-// every one of which pins its accumulation order, so any other value means
-// the result is not bit-reproducible.
+// opContracts checks per-op label and workspace contracts (checks d and f):
+// every op records its kernel's label (kernelLabel), the attached scratch
+// buffer holds at least what the kernel requires, and scratch is never
+// attached to an op that cannot consume it.
 func (c *checker) opContracts() {
 	p := c.p
 	for i, op := range p.Ops {
+		c.kernelLabel(i, op)
 		switch op.Kind {
 		case runtime.OpLayer, runtime.OpRecompute:
 			c.layerContract(i, op)
 		case runtime.OpBackward:
-			c.pinnedAlg(i, op)
 			bl, ok := op.Layer.(layers.BackwardLayer)
 			if !ok {
 				c.add(CheckWorkspace, i, runtime.NoBuffer, "backward op's layer %q has no backward pass", op.Name)
@@ -451,7 +446,6 @@ func (c *checker) opContracts() {
 			}
 			c.requireScratch(i, op, bl.BackwardWorkspaceElems(), "backward pass")
 		case runtime.OpGradFilter:
-			c.pinnedAlg(i, op)
 			tl, ok := op.Layer.(layers.TrainableLayer)
 			if !ok {
 				c.add(CheckWorkspace, i, runtime.NoBuffer, "grad-filter op's layer %q has no parameters", op.Name)
@@ -462,7 +456,6 @@ func (c *checker) opContracts() {
 			}
 			c.requireScratch(i, op, tl.GradWorkspaceElems(), "grad-filter pass")
 		case runtime.OpSGD:
-			c.pinnedAlg(i, op)
 			if _, ok := op.Layer.(layers.TrainableLayer); !ok {
 				c.add(CheckTraining, i, runtime.NoBuffer, "sgd op's layer %q has no parameters to update", op.Name)
 			}
@@ -470,7 +463,6 @@ func (c *checker) opContracts() {
 				c.add(CheckTraining, i, runtime.NoBuffer, "sgd op carries learning rate %v", op.LR)
 			}
 		default:
-			c.pinnedAlg(i, op)
 			if op.Scratch != runtime.NoBuffer {
 				c.add(CheckWorkspace, i, op.Scratch, "%v op carries scratch buffer %d it cannot consume", op.Kind, op.Scratch)
 			}
@@ -478,40 +470,32 @@ func (c *checker) opContracts() {
 	}
 }
 
-// pinnedAlg flags a non-forward op whose recorded algorithm is not the kernel
-// it runs: a gradient op runs layers.GradientAlg (GEMM for a convolution),
-// every other such op ConvAlgDirect.  Only forward layer ops select
-// algorithms, so any other value names an accumulation order the op does not
-// have.
-func (c *checker) pinnedAlg(i int, op runtime.Op) {
-	want := kernels.ConvAlgDirect
-	if op.Kind == runtime.OpBackward || op.Kind == runtime.OpGradFilter {
-		want = layers.GradientAlg(op.Layer)
+// kernelLabel flags an op whose recorded kernel label is not the one the
+// compiler writes: layers.KernelAlg of its layer on an op that runs one of
+// the layer's kernels (forward, recompute, backward-data, grad-filter), the
+// zero value on every other op.  Any other value would name, in a trace or a
+// report, a kernel the op does not run.
+func (c *checker) kernelLabel(i int, op runtime.Op) {
+	var want kernels.ConvAlgorithm
+	switch op.Kind {
+	case runtime.OpLayer, runtime.OpRecompute, runtime.OpBackward, runtime.OpGradFilter:
+		want = layers.KernelAlg(op.Layer)
 	}
 	if op.Alg != want {
-		c.add(CheckDeterminism, i, runtime.NoBuffer, "%v op %q records convolution algorithm %v, but its kernel is %v; only forward layer ops select algorithms, so the recorded accumulation order is not the one that runs", op.Kind, op.Name, op.Alg, want)
+		c.add(CheckDeterminism, i, runtime.NoBuffer, "%v op %q records kernel %v, but it runs %v", op.Kind, op.Name, op.Alg, want)
 	}
 }
 
-// layerContract checks a forward layer op (OpLayer/OpRecompute) against the
-// kernel it is bound to, by asking the layer what the executor will ask of
-// it: does it have the recorded algorithm for the buffer's layout, and how
-// much workspace does that kernel need.
+// layerContract checks a forward layer op (OpLayer/OpRecompute) against its
+// layer's kernel, by asking the layer what the executor will ask of it: how
+// much workspace the kernel needs in the buffer's layout.
 func (c *checker) layerContract(i int, op runtime.Op) {
-	if op.Alg != kernels.ConvAlgDirect && op.Alg != kernels.ConvAlgGemm {
-		c.add(CheckDeterminism, i, runtime.NoBuffer, "op records unknown convolution algorithm %d: no production kernel — and no pinned accumulation order — exists for it", int(op.Alg))
-		return
-	}
-	need, err := op.Layer.WorkspaceElems(op.Alg, c.p.Buffers[op.Out].Layout)
-	if err != nil {
-		c.add(CheckWorkspace, i, runtime.NoBuffer, "op is bound to a kernel layer %q does not have: %v", op.Name, err)
-		return
-	}
+	need := op.Layer.WorkspaceElems(c.p.Buffers[op.Out].Layout)
 	if need == 0 && op.Scratch != runtime.NoBuffer {
-		c.add(CheckWorkspace, i, op.Scratch, "scratch buffer %d is attached to layer %q, whose %v kernel cannot consume a workspace", op.Scratch, op.Name, op.Alg)
+		c.add(CheckWorkspace, i, op.Scratch, "scratch buffer %d is attached to layer %q, whose kernel cannot consume a workspace", op.Scratch, op.Name)
 		return
 	}
-	c.requireScratch(i, op, need, op.Alg.String()+" path")
+	c.requireScratch(i, op, need, "forward pass")
 }
 
 // requireScratch checks that the op's scratch buffer holds at least `need`

@@ -23,25 +23,22 @@ func mustNets(t *testing.T) map[string]*network.Network {
 	return nets
 }
 
-var algs = []kernels.ConvAlgorithm{kernels.ConvAlgDirect, kernels.ConvAlgGemm}
-
-// compileNCHW lowers net in NCHW with every convolution on alg.
-func compileNCHW(net *network.Network, alg kernels.ConvAlgorithm, opts runtime.Options) (*runtime.Program, error) {
-	return runtime.Compile(net, "fixed-NCHW", runtime.Uniform(net, tensor.NCHW, alg), opts)
+// compileNCHW lowers net with every layer in NCHW.
+func compileNCHW(net *network.Network, opts runtime.Options) (*runtime.Program, error) {
+	return runtime.Compile(net, "fixed-NCHW", runtime.Uniform(net, tensor.NCHW), opts)
 }
 
 // TestMatrixInference runs the full checker over every workload network ×
-// every production convolution algorithm.  Every compiler output must verify
-// clean.
+// both layouts.  Every compiler output must verify clean.
 func TestMatrixInference(t *testing.T) {
 	for name, net := range mustNets(t) {
-		for _, alg := range algs {
-			p, err := compileNCHW(net, alg, runtime.Options{})
+		for _, lay := range tensor.Layouts {
+			p, err := runtime.Compile(net, "fixed-"+lay.String(), runtime.Uniform(net, lay), runtime.Options{})
 			if err != nil {
-				t.Fatalf("%s/%v: compile: %v", name, alg, err)
+				t.Fatalf("%s/%v: compile: %v", name, lay, err)
 			}
 			if diags := verify.Check(p); len(diags) != 0 {
-				t.Errorf("%s/%v: %d diagnostics on a sound program:\n%s", name, alg, len(diags), diagText(diags))
+				t.Errorf("%s/%v: %d diagnostics on a sound program:\n%s", name, lay, len(diags), diagText(diags))
 			}
 		}
 	}
@@ -75,7 +72,7 @@ func TestMatrixDerived(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cifar10: %v", err)
 	}
-	base, err := compileNCHW(net, kernels.ConvAlgGemm, runtime.Options{})
+	base, err := compileNCHW(net, runtime.Options{})
 	if err != nil {
 		t.Fatalf("compile base: %v", err)
 	}
@@ -106,7 +103,7 @@ func TestOptionsVerify(t *testing.T) {
 	if err != nil {
 		t.Fatalf("lenet: %v", err)
 	}
-	p, err := compileNCHW(net, kernels.ConvAlgDirect, runtime.Options{Verify: true})
+	p, err := compileNCHW(net, runtime.Options{Verify: true})
 	if err != nil {
 		t.Fatalf("compile with Verify: %v", err)
 	}
@@ -122,7 +119,7 @@ func TestOptionsVerify(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cifar10: %v", err)
 	}
-	base, err := compileNCHW(small, kernels.ConvAlgDirect, runtime.Options{Verify: true})
+	base, err := compileNCHW(small, runtime.Options{Verify: true})
 	if err != nil {
 		t.Fatalf("compile base: %v", err)
 	}
@@ -197,13 +194,13 @@ func wantDiag(t *testing.T, diags []verify.Diagnostic, check string, op int, buf
 	return verify.Diagnostic{}
 }
 
-func compileLeNet(t *testing.T, alg kernels.ConvAlgorithm) *runtime.Program {
+func compileLeNet(t *testing.T) *runtime.Program {
 	t.Helper()
 	net, err := workloads.LeNet()
 	if err != nil {
 		t.Fatalf("lenet: %v", err)
 	}
-	p, err := compileNCHW(net, alg, runtime.Options{})
+	p, err := compileNCHW(net, runtime.Options{})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -216,7 +213,7 @@ func compileCifar(t *testing.T) *runtime.Program {
 	if err != nil {
 		t.Fatalf("cifar10: %v", err)
 	}
-	p, err := compileNCHW(net, kernels.ConvAlgDirect, runtime.Options{})
+	p, err := compileNCHW(net, runtime.Options{})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -237,7 +234,7 @@ func compileTraining(t *testing.T, ckpt train.Checkpoint) *train.Program {
 }
 
 func TestMutationSwappedOps(t *testing.T) {
-	p := cloneProgram(compileLeNet(t, kernels.ConvAlgDirect))
+	p := cloneProgram(compileLeNet(t))
 	i := -1
 	for k := 0; k+1 < len(p.Ops); k++ {
 		a, b := p.Ops[k], p.Ops[k+1]
@@ -295,10 +292,10 @@ func TestMutationAliasShape(t *testing.T) {
 }
 
 func TestMutationShrunkScratch(t *testing.T) {
-	p := cloneProgram(compileLeNet(t, kernels.ConvAlgGemm))
+	p := cloneProgram(compileLeNet(t))
 	op := -1
 	for k, o := range p.Ops {
-		if o.Kind == runtime.OpLayer && o.Alg == kernels.ConvAlgGemm && o.Scratch != runtime.NoBuffer {
+		if _, conv := o.Layer.(*layers.Conv); conv && o.Kind == runtime.OpLayer && o.Scratch != runtime.NoBuffer {
 			op = k
 			break
 		}
@@ -349,23 +346,25 @@ func TestMutationGradientAlgorithm(t *testing.T) {
 		op   func(*runtime.Program) int
 		alg  kernels.ConvAlgorithm
 	}{
-		// A convolution's gradients run on GEMM whatever its forward runs.
+		// A convolution's gradients run on GEMM.
 		{"direct conv backward", func(p *runtime.Program) int { return gradientOp[*layers.Conv](t, p, runtime.OpBackward) }, kernels.ConvAlgDirect},
-		// Every other layer's gradients are its own kernels.
+		// Every other layer's gradients are its own kernels, labelled zero.
 		{"gemm pool backward", func(p *runtime.Program) int { return gradientOp[*layers.Pool](t, p, runtime.OpBackward) }, kernels.ConvAlgGemm},
+		// An update runs no kernel of the layer's.
+		{"gemm conv sgd", func(p *runtime.Program) int { return gradientOp[*layers.Conv](t, p, runtime.OpSGD) }, kernels.ConvAlgGemm},
 	} {
 		p := cloneProgram(compileTraining(t, train.CheckpointOff).Program)
 		op := m.op(p)
 		p.Ops[op].Alg = m.alg
 		d := wantDiag(t, verify.Check(p), verify.CheckDeterminism, op, runtime.NoBuffer)
-		if !strings.Contains(d.Msg, "but its kernel is") {
+		if !strings.Contains(d.Msg, "but it runs") {
 			t.Errorf("%s: diagnostic does not name the kernel the op runs: %s", m.name, d)
 		}
 	}
 }
 
 func TestMutationReadBeforeWrite(t *testing.T) {
-	p := cloneProgram(compileLeNet(t, kernels.ConvAlgDirect))
+	p := cloneProgram(compileLeNet(t))
 	// Point an early op's input at a buffer only defined later.
 	op := -1
 	for k, o := range p.Ops {
@@ -414,7 +413,7 @@ func TestMutationInPlaceClobber(t *testing.T) {
 }
 
 func TestMutationUnknownAlgorithm(t *testing.T) {
-	p := cloneProgram(compileLeNet(t, kernels.ConvAlgDirect))
+	p := cloneProgram(compileLeNet(t))
 	op := -1
 	for k, o := range p.Ops {
 		if o.Kind == runtime.OpLayer {
@@ -424,15 +423,15 @@ func TestMutationUnknownAlgorithm(t *testing.T) {
 	}
 	p.Ops[op].Alg = kernels.ConvAlgorithm(99)
 	d := wantDiag(t, verify.Check(p), verify.CheckDeterminism, op, runtime.NoBuffer)
-	if !strings.Contains(d.Msg, "accumulation order") {
-		t.Errorf("diagnostic does not mention the accumulation order: %s", d)
+	if !strings.Contains(d.Msg, "but it runs im2col+gemm") {
+		t.Errorf("diagnostic does not name the kernel the op runs: %s", d)
 	}
 }
 
 func TestMutationScratchOnWrongLayer(t *testing.T) {
 	p := cloneProgram(compileCifar(t))
 	// Attach an existing scratch buffer to an op whose layer has no
-	// workspace path on the direct algorithm (an in-place ReLU).
+	// workspace (an in-place ReLU).
 	var sc runtime.BufferID = runtime.NoBuffer
 	for _, o := range p.Ops {
 		if o.Scratch != runtime.NoBuffer {
@@ -458,7 +457,7 @@ func TestMutationScratchOnWrongLayer(t *testing.T) {
 }
 
 func TestMutationOverlapOffsets(t *testing.T) {
-	p := cloneProgram(compileLeNet(t, kernels.ConvAlgDirect))
+	p := cloneProgram(compileLeNet(t))
 	// Find two roots with intersecting live ranges and force them onto the
 	// same offset.
 	var a, b runtime.BufferID = runtime.NoBuffer, runtime.NoBuffer
@@ -499,7 +498,7 @@ outer:
 }
 
 func TestMutationStaleLiveRange(t *testing.T) {
-	p := cloneProgram(compileLeNet(t, kernels.ConvAlgDirect))
+	p := cloneProgram(compileLeNet(t))
 	var root runtime.BufferID = runtime.NoBuffer
 	for id := range p.Buffers {
 		if p.Buffers[id].AliasOf == runtime.NoBuffer && !p.Buffers[id].Scratch {
@@ -518,7 +517,7 @@ func TestMutationStaleLiveRange(t *testing.T) {
 // explanation of its size no longer matches its live ranges, and then with
 // the arena, shrinking it under the bound.
 func TestMutationStaleBound(t *testing.T) {
-	p := cloneProgram(compileLeNet(t, kernels.ConvAlgDirect))
+	p := cloneProgram(compileLeNet(t))
 	p.Mem.BoundElems--
 	d := wantDiag(t, verify.Check(p), verify.CheckPlan, -1, runtime.NoBuffer)
 	if !strings.Contains(d.Msg, "lower bound") || !strings.Contains(d.Msg, "stale") {
@@ -526,7 +525,7 @@ func TestMutationStaleBound(t *testing.T) {
 	}
 
 	// An arena under the (true) bound cannot hold the roots live at its peak.
-	p = cloneProgram(compileLeNet(t, kernels.ConvAlgDirect))
+	p = cloneProgram(compileLeNet(t))
 	p.Mem.ArenaElems = p.Mem.BoundElems - 1
 	d = wantDiag(t, verify.Check(p), verify.CheckPlan, -1, runtime.NoBuffer)
 	if !strings.Contains(d.Msg, "under the liveness lower bound") {
@@ -604,7 +603,7 @@ func TestMutationDuplicateRecompute(t *testing.T) {
 // rejection into a compile error: a program corrupted after compilation and
 // re-verified through the runtime hook must fail.
 func TestVerifyOptionRejects(t *testing.T) {
-	p := cloneProgram(compileLeNet(t, kernels.ConvAlgDirect))
+	p := cloneProgram(compileLeNet(t))
 	p.Ops[0].In = p.Ops[len(p.Ops)-1].Out
 	err := runtime.VerifyProgram(p)
 	if err == nil {
