@@ -271,6 +271,11 @@ func convGemmLane(j convGemmJob, lane int) {
 			}
 			for row := 0; row < m; row += gemmMR {
 				ap := j.packed[row*k+kb*gemmMR : row*k+(kb+kc)*gemmMR]
+				if direct && row+2*gemmMR <= m && m >= gemmPairM {
+					gemmMicro2(kc, ap, j.packed[(row+gemmMR)*k+kb*gemmMR:], bp, j.out.data[row*ldc+at[0]:], ldc, accumulate)
+					row += gemmMR
+					continue
+				}
 				if direct && row+gemmMR <= m {
 					gemmMicro(kc, ap, bp, j.out.data[row*ldc+at[0]:], ldc, accumulate)
 					continue

@@ -105,6 +105,9 @@ func oldConvIm2colGemm(t *testing.T, in, filters *tensor.Tensor, cfg ConvConfig,
 var batchFoldedConvCases = []ConvConfig{
 	// N = 16: a panel is one pixel; C·FH·FW = 400 > gemmKC; K cuts the last slab.
 	{N: 16, C: 16, H: 4, W: 4, K: 8, FH: 5, FW: 5, PadH: 2, PadW: 2},
+	// N = 16, K = 25 (gemmPairM and more): two slab pairs, then the partial
+	// slab.
+	{N: 16, C: 4, H: 4, W: 4, K: 25, FH: 5, FW: 5, PadH: 2, PadW: 2},
 	// N = 17: panels straddle pixels, the last one is ragged; C·FH·FW = 12 < gemmNR.
 	{N: 17, C: 2, H: 9, W: 10, K: 5, FH: 3, FW: 2, StrideW: 2, PadW: 1},
 	// N = 32: two panels a pixel, three lanes.
@@ -195,7 +198,7 @@ func FuzzConvGemmLayouts(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, n, c, h, w, k, fh, fw, strideH, strideW, padH, padW uint8, seed int64) {
 		cfg := ConvConfig{N: int(n%128) + 1, C: int(c%16) + 1, H: int(h%16) + 1, W: int(w%16) + 1,
-			K: int(k%16) + 1, FH: int(fh%7) + 1, FW: int(fw%7) + 1,
+			K: int(k%32) + 1, FH: int(fh%7) + 1, FW: int(fw%7) + 1,
 			StrideH: int(strideH%4) + 1, StrideW: int(strideW%4) + 1, PadH: int(padH % 4), PadW: int(padW % 4)}
 		if cfg.Validate() != nil || cfg.FLOPs()/2 > 1<<20 {
 			t.Skip()

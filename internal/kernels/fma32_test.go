@@ -120,18 +120,22 @@ func fma32Tile(r *rand.Rand, kind int, a, b, s []float32) {
 }
 
 // microStep runs one reduction step over a tile whose C starts as s, through
-// gemmMicroGo and through gemmMicro (the assembly body where the host has
-// one), and returns both results.
-func microStep(a, b, s []float32) (pure, micro []float32) {
-	pure, micro = append([]float32(nil), s...), append([]float32(nil), s...)
+// gemmMicroGo, through gemmMicro and through gemmMicro2 with a as both slabs
+// (the assembly bodies where the host has them), and returns the pure-Go
+// result and the other three: gemmMicro's, then each slab's of gemmMicro2.
+func microStep(a, b, s []float32) (pure []float32, micro [3][]float32) {
+	pure, micro[0] = append([]float32(nil), s...), append([]float32(nil), s...)
 	gemmMicroGo(1, a, b, pure, gemmNR, true)
-	gemmMicro(1, a, b, micro, gemmNR, true)
+	gemmMicro(1, a, b, micro[0], gemmNR, true)
+	pair := append(append([]float32(nil), s...), s...)
+	gemmMicro2(1, a, a, b, pair, gemmNR, true)
+	micro[1], micro[2] = pair[:len(s)], pair[len(s):]
 	return pure, micro
 }
 
 // TestFMA32IsCorrectlyRounded holds the micro-kernel's reduction step —
-// fma32, gemmMicroGo, and the assembly body where this host runs one — to the
-// exact reference, one step over whole tiles of each kind of triple fma32Tile
+// fma32, gemmMicroGo, and gemmMicro's and gemmMicro2's assembly bodies where
+// this host runs them — to the exact reference, one step over whole tiles of each kind of triple fma32Tile
 // draws.
 func TestFMA32IsCorrectlyRounded(t *testing.T) {
 	tiles := 5000
@@ -146,13 +150,13 @@ func TestFMA32IsCorrectlyRounded(t *testing.T) {
 		pure, micro := microStep(a, b, s)
 		for i := range s {
 			aa, bb := a[i/gemmNR], b[i%gemmNR]
-			checkFMA32(t, fmt.Sprintf("tile %d kind %d element %d", tile, kind, i), aa, bb, s[i], fma32(aa, bb, s[i]), pure[i], micro[i])
+			checkFMA32(t, fmt.Sprintf("tile %d kind %d element %d", tile, kind, i), aa, bb, s[i], fma32(aa, bb, s[i]), pure[i], micro[0][i], micro[1][i], micro[2][i])
 		}
 	}
 }
 
 // FuzzFMA32 checks the reduction step on arbitrary bit patterns, through
-// fma32 and through both micro-kernel bodies' first element.  Random bits
+// fma32 and through the first element of every micro-kernel entry.  Random bits
 // almost never land next to a midpoint, so the first seed is one where
 // rounding to float64 first gives the wrong float32.
 func FuzzFMA32(f *testing.F) {
@@ -165,6 +169,6 @@ func FuzzFMA32(f *testing.F) {
 		a, b, s := make([]float32, gemmMR), make([]float32, gemmNR), make([]float32, gemmMR*gemmNR)
 		a[0], b[0], s[0] = aa, bb, ss
 		pure, micro := microStep(a, b, s)
-		checkFMA32(t, "fma32, gemmMicroGo, gemmMicro", aa, bb, ss, fma32(aa, bb, ss), pure[0], micro[0])
+		checkFMA32(t, "fma32, gemmMicroGo, gemmMicro, gemmMicro2", aa, bb, ss, fma32(aa, bb, ss), pure[0], micro[0][0], micro[1][0], micro[2][0])
 	})
 }

@@ -29,21 +29,34 @@ import (
 // The driver is the GEMM convolution's lane loop (conv_gemm.go), GemmInto
 // included: a lane owns one gemmNR-column panel of C at a time and walks the
 // reduction in gemmKC blocks, so the B micro-panel (gemmKC·gemmNR floats, 16
-// KiB) stays in L1 across every slab of A.  The micro-kernel holds a
-// gemmMR×gemmNR block of C in registers: twelve 8-float accumulators, two B
-// vectors, one broadcast A value and one product on AVX2's sixteen.
+// KiB) stays in L1 across every slab of A.  The micro-kernel holds C in
+// registers in one of two plans: one gemmMR×gemmNR slab as twelve 8-float
+// accumulators, two B vectors and one broadcast A value on AVX2's sixteen YMM
+// registers (gemmMicro); two adjacent slabs, 2·gemmMR×gemmNR, as twelve
+// 16-float accumulators and one B vector on AVX-512's ZMM registers, each A
+// value an embedded broadcast (gemmMicro2, which is gemmMicro twice without
+// AVX-512).  The forward lane loop hands pairs of full slabs to gemmMicro2
+// where a layer has gemmPairM filters or more; the gradients keep gemmMicro
+// (train-lenet16 measured no gain from pairs).
 //
 // Every C element is owned by one lane and accumulates k-ascending with one
-// IEEE float32 fused multiply-add per step, c = RN(c + a·b): the AVX2 kernel
-// issues one VFMADD231PS a product and the pure-Go kernel emulates it exactly
-// (fma32).  Results are therefore bit-identical across kernels, blockings,
-// worker counts and repeated runs.
+// IEEE float32 fused multiply-add per step, c = RN(c + a·b): each assembly
+// body issues one VFMADD231PS a product and the pure-Go kernel emulates it
+// exactly (fma32).  Results are therefore bit-identical across bodies,
+// blockings, worker counts and repeated runs.
 
 // Blocking parameters of the CPU GEMM.
 const (
 	gemmMR = 6   // rows of C held in registers
 	gemmNR = 16  // columns of C held in registers (two 8-float vectors)
 	gemmKC = 256 // reduction steps per block
+	// gemmPairM is the fewest filters (rows of C) for which the lane loop
+	// hands slab pairs to gemmMicro2.  The ZMM body wins alone at every kc,
+	// but a layer with few filters reuses each unrolled panel little, so the
+	// unroll dominates and the pair did not pay: LeNet's 16-filter layers ran
+	// slower on it (lenet-conv2@n128 CHWN 3–9% in 6 of 8 alternating runs,
+	// batch-lenet128 2–7% in 4 of 4 with conv1's 25-step reduction paired).
+	gemmPairM = 4 * gemmMR
 )
 
 // gemmPackedAElems returns the length of the slab-packed form of an m×k left

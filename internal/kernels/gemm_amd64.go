@@ -2,27 +2,27 @@
 
 package kernels
 
-// useAVX2 is decided once at start-up: the CPU has AVX2 and FMA and the
-// operating system saves the YMM state across context switches.  The GEMM
-// and fully-connected bodies need FMA: VFMADD231PS and VFMADD231PD.
-var useAVX2 = hasAVX2()
+// useAVX2 and useAVX512 are decided once at start-up.  useAVX2: the CPU has
+// AVX2 and FMA (VFMADD231PS and VFMADD231PD) and the OS saves the YMM state.
+// useAVX512, for gemmMicro2's ZMM body: AVX-512F too, and the OS saves the
+// opmask and ZMM states (XCR0 bits 5–7) as well.
+var useAVX2, useAVX512 = vectorISA()
 
-func hasAVX2() bool {
+func vectorISA() (avx2, avx512 bool) {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {
-		return false
+		return false, false
 	}
 	const fma, osxsave, avx = 1 << 12, 1 << 27, 1 << 28
 	if _, _, ecx, _ := cpuid(1, 0); ecx&fma == 0 || ecx&osxsave == 0 || ecx&avx == 0 {
-		return false
+		return false, false
 	}
-	const xmmYmmState = 0b110
-	if lo, _ := xgetbv(); lo&xmmYmmState != xmmYmmState {
-		return false
-	}
-	const avx2 = 1 << 5
+	const xmmYmmState, zmmState = 0b110, 0b1110_0110
+	const avx2Bit, avx512fBit = 1 << 5, 1 << 16
+	xcr0, _ := xgetbv()
 	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&avx2 != 0
+	avx2 = xcr0&xmmYmmState == xmmYmmState && ebx&avx2Bit != 0
+	return avx2, avx2 && xcr0&zmmState == zmmState && ebx&avx512fBit != 0
 }
 
 // gemmMicro is the micro-kernel the packed core calls; gemmMicroGo documents
@@ -36,6 +36,20 @@ func gemmMicro(kc int, a, b, c []float32, ldc int, accumulate bool) {
 	}
 	_, _, _ = a[:kc*gemmMR], b[:kc*gemmNR], c[:(gemmMR-1)*ldc+gemmNR]
 	gemmMicroAVX2(kc, &a[0], &b[0], &c[0], ldc, accumulate)
+}
+
+// gemmMicro2 runs the micro-kernel on two adjacent slabs, a0's rows of C at c
+// and a1's gemmMR rows below them, over one panel: the 12×16 ZMM body where
+// the host has AVX-512, gemmMicro twice elsewhere.  Each slab's rows keep
+// gemmMicroGo's contract, so the result is the same bits either way.
+func gemmMicro2(kc int, a0, a1, b, c []float32, ldc int, accumulate bool) {
+	if !useAVX512 {
+		gemmMicro(kc, a0, b, c, ldc, accumulate)
+		gemmMicro(kc, a1, b, c[gemmMR*ldc:], ldc, accumulate)
+		return
+	}
+	_, _, _, _ = a0[:kc*gemmMR], a1[:kc*gemmMR], b[:kc*gemmNR], c[:(2*gemmMR-1)*ldc+gemmNR]
+	gemmMicroAVX512(kc, &a0[0], &a1[0], &b[0], &c[0], ldc, accumulate)
 }
 
 // fcMicro is the fully-connected micro-kernel (contract in fc.go).  The
@@ -66,10 +80,13 @@ func maxChunks(win, dst []float32, m, window, sh, sw int) int {
 	return 0
 }
 
-// Implemented in gemm_amd64.s, fc_amd64.s and pool_amd64.s.
+// Implemented in gemm_amd64.s, gemm_avx512_amd64.s, fc_amd64.s, pool_amd64.s.
 
 //go:noescape
 func gemmMicroAVX2(kc int, a, b, c *float32, ldc int, accumulate bool)
+
+//go:noescape
+func gemmMicroAVX512(kc int, a0, a1, b, c *float32, ldc int, accumulate bool)
 
 //go:noescape
 func fcMicroAVX2(steps int, a *float32, rows *[fcMR]int, sa int, b *float32, sb int, acc *float64)

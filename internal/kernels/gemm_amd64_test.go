@@ -6,54 +6,155 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"memcnn/internal/tensor"
 )
 
-// TestGemmAssemblyMatchesPureGo runs the shape table through the packed core
-// twice, once per micro-kernel body, and wants the same bits.
-func TestGemmAssemblyMatchesPureGo(t *testing.T) {
-	if !useAVX2 {
-		t.Skip("the CPU or the OS lacks AVX2: the assembly kernel never runs here")
+// gemmBodies lists the micro-kernel bodies this build has, widest first: the
+// two assembly bodies, then the pure-Go one.
+var gemmBodies = []gemmBody{{"avx512", true, true}, {"avx2", true, false}, {"go", false, false}}
+
+// hostAVX2 and hostAVX512 are what the start-up check found, whatever a test
+// has switched the dispatch to since.
+var hostAVX2, hostAVX512 = vectorISA()
+
+// use switches the dispatch to the body until tb ends, or skips tb, saying
+// why, when this host cannot run it.
+func (g gemmBody) use(tb testing.TB) {
+	tb.Helper()
+	if g.avx512 && !hostAVX512 {
+		tb.Skipf("body=%s: the CPU or the OS lacks AVX-512F with the ZMM state, so this body never runs here", g.name)
 	}
-	defer func() { useAVX2 = true }()
+	if g.avx2 && !hostAVX2 {
+		tb.Skipf("body=%s: the CPU or the OS lacks AVX2 and FMA, so this body never runs here", g.name)
+	}
+	prev2, prev512 := useAVX2, useAVX512
+	useAVX2, useAVX512 = g.avx2, g.avx512
+	tb.Cleanup(func() { useAVX2, useAVX512 = prev2, prev512 })
+}
+
+// bodyShapes is the shape table plus row counts around gemmPairM, two slab
+// pairs and odd slab counts (3, 5 and 7 slabs), with a reduction inside one
+// gemmKC block and one that crosses it into a 3-step block.
+func bodyShapes() [][3]int {
+	shapes := gemmShapes()
+	for _, m := range []int{11, 12, 13, 18, 23, 24, 25, 30, 42} {
+		shapes = append(shapes, [3]int{m, 2*gemmNR + 1, 100}, [3]int{m, gemmNR, gemmKC + 3})
+	}
+	return shapes
+}
+
+// TestGemmAssemblyMatchesPureGo runs the shape table through the packed core
+// on the pure-Go body, then once per assembly body in a sub-test, and wants
+// the same bits.
+func TestGemmAssemblyMatchesPureGo(t *testing.T) {
 	r := rand.New(rand.NewSource(47))
-	for _, s := range gemmShapes() {
+	var ops [][]float32
+	for _, s := range bodyShapes() {
 		m, n, k := s[0], s[1], s[2]
 		a, _ := guarded(r, m*k)
 		b, _ := guarded(r, k*n)
-		useAVX2 = true
-		asm, err := Gemm(a, b, m, n, k)
+		ops = append(ops, a, b)
+	}
+	var pure [][]float32
+	gemmBodies[2].use(t)
+	for i, s := range bodyShapes() {
+		c, err := Gemm(ops[2*i], ops[2*i+1], s[0], s[1], s[2])
 		if err != nil {
 			t.Fatal(err)
 		}
-		useAVX2 = false
-		pure, err := Gemm(a, b, m, n, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		equalBits(t, fmt.Sprintf("%dx%dx%d", m, n, k), asm, pure)
+		pure = append(pure, c)
+	}
+	for _, body := range gemmBodies[:2] {
+		t.Run("body="+body.name, func(t *testing.T) {
+			body.use(t)
+			for i, s := range bodyShapes() {
+				c, err := Gemm(ops[2*i], ops[2*i+1], s[0], s[1], s[2])
+				if err != nil {
+					t.Fatal(err)
+				}
+				equalBits(t, fmt.Sprintf("%dx%dx%d", s[0], s[1], s[2]), c, pure[i])
+			}
+		})
 	}
 }
 
-// TestGemmMicroKernelContract drives the two bodies directly on one
-// micro-tile inside a wider C, overwriting and accumulating.
+// TestGemmMicroKernelContract drives each assembly body directly inside a
+// wider C fenced by NaNs, overwriting and accumulating, against gemmMicroGo:
+// the AVX2 body on one slab, the ZMM body on a slab pair.
 func TestGemmMicroKernelContract(t *testing.T) {
-	if !useAVX2 {
-		t.Skip("the CPU or the OS lacks AVX2: the assembly kernel never runs here")
-	}
-	r := rand.New(rand.NewSource(53))
 	const ldc = gemmNR + 5
-	for _, kc := range []int{1, 2, 7, gemmKC} {
-		a, _ := guarded(r, kc*gemmMR)
-		b, _ := guarded(r, kc*gemmNR)
-		for _, accumulate := range []bool{false, true} {
-			cAsm, backing := guarded(r, (gemmMR-1)*ldc+gemmNR)
-			cGo := append([]float32(nil), cAsm...)
-			gemmMicroAVX2(kc, &a[0], &b[0], &cAsm[0], ldc, accumulate)
-			gemmMicroGo(kc, a, b, cGo, ldc, accumulate)
-			equalBits(t, fmt.Sprintf("kc=%d accumulate=%v", kc, accumulate), cAsm, cGo)
-			if !fenceIntact(backing, len(cAsm)) {
-				t.Fatalf("kc=%d: assembly kernel wrote outside its tile", kc)
+	for _, body := range gemmBodies[:2] {
+		t.Run("body="+body.name, func(t *testing.T) {
+			body.use(t)
+			r := rand.New(rand.NewSource(53))
+			slabs := 1
+			if body.avx512 {
+				slabs = 2
 			}
+			for _, kc := range []int{1, 2, 7, 25, gemmKC} {
+				a0, _ := guarded(r, kc*gemmMR)
+				a1, _ := guarded(r, kc*gemmMR)
+				b, _ := guarded(r, kc*gemmNR)
+				for _, accumulate := range []bool{false, true} {
+					cAsm, backing := guarded(r, (slabs*gemmMR-1)*ldc+gemmNR)
+					cGo := append([]float32(nil), cAsm...)
+					if body.avx512 {
+						gemmMicroAVX512(kc, &a0[0], &a1[0], &b[0], &cAsm[0], ldc, accumulate)
+						gemmMicroGo(kc, a1, b, cGo[gemmMR*ldc:], ldc, accumulate)
+					} else {
+						gemmMicroAVX2(kc, &a0[0], &b[0], &cAsm[0], ldc, accumulate)
+					}
+					gemmMicroGo(kc, a0, b, cGo, ldc, accumulate)
+					equalBits(t, fmt.Sprintf("kc=%d accumulate=%v", kc, accumulate), cAsm, cGo)
+					if !fenceIntact(backing, len(cAsm)) {
+						t.Fatalf("kc=%d: the body wrote outside its tile", kc)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestConvGemmBodiesAgree runs a convolution's forward and both GEMM
+// gradients through each micro-kernel body, in both layouts, and wants the
+// pure-Go body's bits.  The forward's 64 filters over a reduction of 216 take
+// the slab-pair entry.
+func TestConvGemmBodiesAgree(t *testing.T) {
+	cfg := ConvConfig{N: 16, C: 24, H: 8, W: 8, K: 64, FH: 3, FW: 3, PadH: 1, PadW: 1}.WithDefaults()
+	filters := tensor.Filters(cfg.K, cfg.C, cfg.FH, cfg.FW, 2)
+	packed, err := PackConvFilters(filters, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(lay tensor.Layout) []*tensor.Tensor {
+		in, dOut := tensor.Random(cfg.InputShape(), lay, 1), tensor.Random(cfg.OutputShape(), lay, 3)
+		out, dIn, dW := tensor.New(cfg.OutputShape(), lay), tensor.New(cfg.InputShape(), lay), tensor.New(cfg.FilterShape(), tensor.NCHW)
+		scratch := make([]float32, max(ConvGemmWorkspaceElems(cfg, lay), ConvGemmBackwardDataWorkspaceElems(cfg), ConvGemmBackwardFilterWorkspaceElems(cfg)))
+		if err := ConvIm2colGemmInto(in, packed, out, cfg, scratch); err != nil {
+			t.Fatal(err)
 		}
+		if err := ConvGemmBackwardDataInto(dOut, filters, dIn, cfg, scratch); err != nil {
+			t.Fatal(err)
+		}
+		if err := ConvGemmBackwardFilterInto(in, dOut, dW, cfg, scratch); err != nil {
+			t.Fatal(err)
+		}
+		return []*tensor.Tensor{out, dIn, dW}
+	}
+	want := map[tensor.Layout][]*tensor.Tensor{}
+	gemmBodies[2].use(t)
+	for _, lay := range tensor.Layouts {
+		want[lay] = run(lay)
+	}
+	for _, body := range gemmBodies[:2] {
+		t.Run("body="+body.name, func(t *testing.T) {
+			body.use(t)
+			for _, lay := range tensor.Layouts {
+				for i, got := range run(lay) {
+					equalBits(t, fmt.Sprintf("%v %s", lay, []string{"forward", "data gradient", "filter gradient"}[i]), got.Data, want[lay][i].Data)
+				}
+			}
+		})
 	}
 }

@@ -8,6 +8,13 @@ func gemmMicro(kc int, a, b, c []float32, ldc int, accumulate bool) {
 	gemmMicroGo(kc, a, b, c, ldc, accumulate)
 }
 
+// gemmMicro2 runs the micro-kernel on two adjacent slabs over one panel
+// (contract in gemm_amd64.go): here, the portable body twice.
+func gemmMicro2(kc int, a0, a1, b, c []float32, ldc int, accumulate bool) {
+	gemmMicroGo(kc, a0, b, c, ldc, accumulate)
+	gemmMicroGo(kc, a1, b, c[gemmMR*ldc:], ldc, accumulate)
+}
+
 // fcMicro is the fully-connected micro-kernel (contract in fc.go): without
 // the assembly body, the portable one.
 func fcMicro(steps int, a []float32, ra, sa, rows int, b []float32, sb int, acc []float64) {

@@ -314,9 +314,9 @@ func TestCeilDiv(t *testing.T) {
 }
 
 // BenchmarkGemm256 times GemmInto on 256×256×256, into a C allocated once,
-// and reports its rate with its fraction of the micro-kernel's peak at the
-// same worker count, measured just before (the host's speed moves between
-// minutes).
+// and reports its rate with its fraction of the peak of the body the core
+// dispatches, at the same worker count, measured just before (the host's
+// speed moves between minutes).
 func BenchmarkGemm256(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	m, n, k := 256, 256, 256
@@ -344,43 +344,54 @@ func BenchmarkGemm256(b *testing.B) {
 	b.ReportMetric(gflops/peakGFLOPS, "of-peak")
 }
 
-// BenchmarkGemmMicroPeak is the packed core's compute roofline: each worker
-// runs gemmMicro over its own gemmKC-step slab and panel (22 KiB, inside L1)
-// into a tile of C, so nothing but the micro-kernel's own loads and
-// multiply-adds is timed.  An iteration is microPeakCalls calls a worker.
+// BenchmarkGemmMicroPeak is the packed core's compute roofline, a row per
+// micro-kernel body: each worker runs gemmMicro2 over its own two gemmKC-step
+// slabs and panel (28 KiB, inside L1) into a 12-row tile of C, so nothing but
+// the body's own loads and multiply-adds is timed.  An iteration is
+// microPeakCalls calls a worker.
 func BenchmarkGemmMicroPeak(b *testing.B) {
-	for _, workers := range []int{1, 2} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			if runtime.GOMAXPROCS(0) < workers {
-				b.Skipf("GOMAXPROCS %d runs fewer than %d workers", runtime.GOMAXPROCS(0), workers)
-			}
-			peak := microPeak(workers)
-			b.ResetTimer()
-			peak.run(b.N)
-			b.ReportMetric(peak.gflop(b.N)/b.Elapsed().Seconds(), "GFLOP/s")
-		})
+	for _, body := range gemmBodies {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("body=%s/workers=%d", body.name, workers), func(b *testing.B) {
+				body.use(b)
+				if runtime.GOMAXPROCS(0) < workers {
+					b.Skipf("GOMAXPROCS %d runs fewer than %d workers", runtime.GOMAXPROCS(0), workers)
+				}
+				peak := microPeak(workers)
+				b.ResetTimer()
+				peak.run(b.N)
+				b.ReportMetric(peak.gflop(b.N)/b.Elapsed().Seconds(), "GFLOP/s")
+			})
+		}
 	}
 }
 
-// microPeakJob is one slab, panel and tile of C per worker.
+// gemmBody is one micro-kernel body and the start-up switches that select
+// it; use (in the build's own test file) switches to it.
+type gemmBody struct {
+	name         string
+	avx2, avx512 bool
+}
+
+// microPeakJob is two slabs, a panel and a 12-row tile of C per worker.
 type microPeakJob struct{ a, b, c [][]float32 }
 
-// microPeakCalls is the micro-kernel calls a worker makes per iteration,
-// 25 MFLOP, which keeps the fan-out under a percent of the time.
+// microPeakCalls is the gemmMicro2 calls a worker makes per iteration,
+// 50 MFLOP, which keeps the fan-out under a percent of the time.
 const microPeakCalls = 512
 
 func microPeak(workers int) microPeakJob {
 	r := rand.New(rand.NewSource(2))
 	var j microPeakJob
 	for w := 0; w < workers; w++ {
-		a, b := make([]float32, gemmKC*gemmMR), make([]float32, gemmKC*gemmNR)
+		a, b := make([]float32, 2*gemmKC*gemmMR), make([]float32, gemmKC*gemmNR)
 		for i := range a {
 			a[i] = float32(r.NormFloat64())
 		}
 		for i := range b {
 			b[i] = float32(r.NormFloat64())
 		}
-		j.a, j.b, j.c = append(j.a, a), append(j.b, b), append(j.c, make([]float32, gemmMR*gemmNR))
+		j.a, j.b, j.c = append(j.a, a), append(j.b, b), append(j.c, make([]float32, 2*gemmMR*gemmNR))
 	}
 	return j
 }
@@ -394,11 +405,12 @@ func (j microPeakJob) run(iters int) {
 
 // gflop is the work of iters iterations, in GFLOP.
 func (j microPeakJob) gflop(iters int) float64 {
-	return float64(2*gemmMR*gemmNR*gemmKC*microPeakCalls*len(j.a)) * float64(iters) / 1e9
+	return float64(2*2*gemmMR*gemmNR*gemmKC*microPeakCalls*len(j.a)) * float64(iters) / 1e9
 }
 
 func microPeakPlane(j microPeakJob, w int) {
+	a0, a1 := j.a[w][:gemmKC*gemmMR], j.a[w][gemmKC*gemmMR:]
 	for i := 0; i < microPeakCalls; i++ {
-		gemmMicro(gemmKC, j.a[w], j.b[w], j.c[w], gemmNR, i > 0)
+		gemmMicro2(gemmKC, a0, a1, j.b[w], j.c[w], gemmNR, i > 0)
 	}
 }
