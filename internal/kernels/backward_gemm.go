@@ -178,6 +178,7 @@ func gemmDataLane(j gemmDataJob, lane int) {
 	var cTile [gemmMR * gemmNR]float32
 	var runs [gemmNR]colRun
 	var at [gemmNR]int // the dX offset of each run's first image, channel 0
+	var rows panelRows
 	j.zeroChannels(s0*gemmMR, min(s1*gemmMR, cfg.C))
 	cols := cfg.N * cfg.OutH() * cfg.OutW()
 	for col := 0; col < cols; col += gemmNR {
@@ -193,16 +194,26 @@ func gemmDataLane(j gemmDataJob, lane int) {
 				for s := s0; s < s1; s++ {
 					a, c := j.wt[((fh*cfg.FW+fw)*j.slabs+s)*gemmMR*k:], s*gemmMR
 					if direct && c+gemmMR <= cfg.C {
-						gemmMicro(k, a, panel, d.data[c*d.c+at[0]:], d.c, true)
+						gemmMicroPanel(&rows, k, a, panel, d.data[c*d.c+at[0]:], d.c)
 						continue
 					}
 					plane, h := d.data[c*d.c:], min(gemmMR, cfg.C-c)
 					moveTile(&cTile, plane, d.c, d.n, h, rs, at[:len(rs)], false)
-					gemmMicro(k, a, panel, cTile[:], gemmNR, true)
+					gemmMicroPanel(&rows, k, a, panel, cTile[:], gemmNR)
 					moveTile(&cTile, plane, d.c, d.n, h, rs, at[:len(rs)], true)
 				}
 			}
 		}
+	}
+}
+
+// gemmMicroPanel adds A·B onto the micro-tile at c (contract: gemmMicroGo),
+// where B is all k steps of the packed panel p, in gemmKC blocks through
+// rows.
+func gemmMicroPanel(rows *panelRows, k int, a, p, c []float32, ldc int) {
+	for kb := 0; kb < k; kb += gemmKC {
+		kc := min(gemmKC, k-kb)
+		gemmMicro(kc, a[kb*gemmMR:], rows.of(p[kb*gemmNR:], kc), c, ldc, true)
 	}
 }
 
@@ -357,6 +368,7 @@ func gemmFilterLane(j gemmFilterJob, lane int) {
 	aElems := gemmPackedAElems(m, j.block)
 	var cTile [gemmMR * gemmNR]float32
 	var runs [gemmGradKC]colRun
+	var rows panelRows
 	cols := cfg.N * cfg.OutH() * cfg.OutW()
 	for col := 0; col < cols; col += j.block {
 		kc := min(j.block, cols-col)
@@ -367,11 +379,12 @@ func gemmFilterLane(j gemmFilterJob, lane int) {
 			first := p * gemmNR
 			w := min(gemmNR, k-first)
 			j.unrollBlock(bp, rs, kc, first, w)
+			b := rows.of(bp, kc)
 			for row := 0; row < m; row += gemmMR {
 				h := min(gemmMR, m-row)
 				a := ap[row*kc : (row+gemmMR)*kc]
 				if h == gemmMR && w == gemmNR {
-					gemmMicro(kc, a, bp, j.dW[row*k+first:], k, col > 0)
+					gemmMicro(kc, a, b, j.dW[row*k+first:], k, col > 0)
 					continue
 				}
 				if col > 0 {
@@ -379,7 +392,7 @@ func gemmFilterLane(j gemmFilterJob, lane int) {
 						copy(cTile[r*gemmNR:r*gemmNR+w], j.dW[(row+r)*k+first:])
 					}
 				}
-				gemmMicro(kc, a, bp, cTile[:], gemmNR, col > 0)
+				gemmMicro(kc, a, b, cTile[:], gemmNR, col > 0)
 				for r := 0; r < h; r++ {
 					copy(j.dW[(row+r)*k+first:(row+r)*k+first+w], cTile[r*gemmNR:])
 				}

@@ -20,6 +20,18 @@ import (
 // with the image fastest in CHWN (cuda-convnet's batch-innermost
 // arrangement, the paper's CHWN reference), with the position within the
 // image fastest in NCHW.  With one image the two orders are one.
+//
+// The unroll matrix is never built whole.  The product is taken a
+// gemmNR-column panel at a time, and the panel's rows reach the micro-kernel
+// through a table of row references (gemm.go).  In a CHWN input the columns
+// of a panel that is one run of images — one position's at N ≥ 16, a row's
+// inside positions' at smaller N — are gemmNR consecutive input floats for
+// every filter tap, the property that makes CHWN the paper's layout for
+// large batches, so the table points into the input itself and nothing is
+// copied (the indirect convolution; cuDNN's implicit GEMM is its GPU form).
+// Every other panel is unrolled (im2col.go) into the lane's slot of the
+// workspace first.  Both give the micro-kernel the same values in the same
+// order, so the output bits do not depend on which one a panel took.
 
 // ConvAlgorithm identifies a CPU convolution execution strategy of the
 // planned runtime: the cuda-convnet style direct kernel or the Caffe/cuDNN
@@ -132,21 +144,24 @@ func packSlab(j packJob, s int) {
 // ConvGemmWorkspaceElems returns the scratch ConvIm2colGemmInto needs, in
 // float32 elements: the unroll matrix of one image, (C·FH·FW) × (OutH·OutW),
 // whatever the layouts.  The call cuts it into one panel-sized unroll slot per
-// lane.
+// lane, which a call that reads every panel in place leaves untouched.
 func ConvGemmWorkspaceElems(cfg ConvConfig, outLayout tensor.Layout) int {
 	cfg = cfg.WithDefaults()
 	return cfg.ReductionLength() * cfg.OutH() * cfg.OutW()
 }
 
 // ConvIm2colGemmInto is the allocation-free production form of the GEMM
-// convolution: it unrolls the input into the caller-provided scratch (at least
+// convolution: it multiplies the pre-packed filter operand (see
+// PackConvFilters) by the input's unroll, taken a gemmNR-column panel at a
+// time, each read in place from a CHWN input where its columns are one run of
+// images, else unrolled into the caller-provided scratch (at least
 // ConvGemmWorkspaceElems(cfg, out.Layout) elements, contents unspecified on
-// entry), already in the packed format of the GEMM core, and multiplies it by
-// the pre-packed filter operand (see PackConvFilters).  Any input and output
-// layouts are accepted.  Lanes unroll and multiply gemmNR-column panels of the
-// whole batch's product independently, in one fan-out (convGemmJob).  The
-// accumulation order per output element is fixed by the GEMM core, so results
-// are bit-identical regardless of layout, batching or worker count.
+// entry) in the packed format of the GEMM core.  Any input and output layouts
+// are accepted.  Lanes take the panels of the whole batch's product
+// independently, in one fan-out (convGemmJob).  The accumulation order per
+// output element is fixed by the GEMM core, so results are bit-identical
+// regardless of layout, batching, worker count or which panels were read in
+// place.
 //
 //memcnn:noalloc
 func ConvIm2colGemmInto(in *tensor.Tensor, packed []float32, out *tensor.Tensor, cfg ConvConfig, scratch []float32) error {
@@ -177,9 +192,10 @@ func ConvIm2colGemmInto(in *tensor.Tensor, packed []float32, out *tensor.Tensor,
 // (row stride out.c) are the rows of the K × cols product, cols =
 // N·OutH·OutW, its columns in the order newConvGemmJob picks.  It is computed
 // in panels of pw consecutive columns: lane l owns slot l of the scratch
-// (kdim × pw floats) and takes panels l, l+lanes, …, unrolling each into its
-// slot and multiplying every filter slab by it into the output.  No lane
-// reads what another writes, so there is one fan-out and no barrier.
+// (kdim × pw floats) and takes panels l, l+lanes, …, reading each in place or
+// unrolling it into its slot, and multiplying every filter slab by it into
+// the output.  No lane reads what another writes, so there is one fan-out and
+// no barrier.
 //
 // The workspace bounds the lanes: it holds the unroll of one image,
 // OutH·OutW/gemmNR slots of full gemmNR-column panels, and cores beyond that
@@ -203,6 +219,10 @@ type convGemmJob struct {
 	// input and the output hold a row's images back to back (CHWN, stride-W
 	// 1).  It is -1 where no run crosses a position.
 	inside int
+	// inPlace is set where the columns run image by image over a CHWN
+	// input, so a run's columns are consecutive input floats for every tap:
+	// a panel that is one run is read where it lies.
+	inPlace bool
 }
 
 // newConvGemmJob sets up a call on validated operands: the images run fastest
@@ -220,6 +240,7 @@ func newConvGemmJob(in *tensor.Tensor, packed []float32, out *tensor.Tensor, cfg
 			j.inside = min(j.outW, cfg.W-cfg.FW+cfg.PadW+1)
 		}
 	}
+	j.inPlace = j.imageFastest && j.in.n == 1
 	j.pw = min(gemmNR, len(scratch)/j.kdim)
 	j.lanes = min(len(scratch)/(j.kdim*j.pw), ceilDiv(j.cols, j.pw))
 	return j
@@ -230,12 +251,15 @@ func newConvGemmJob(in *tensor.Tensor, packed []float32, out *tensor.Tensor, cfg
 // panel, the first one image n's output position (oh, ow).
 type colRun struct{ at, len, n, oh, ow int }
 
-// convGemmLane runs one lane.  The multiplication walks the reduction in
+// convGemmLane runs one lane.  A panel that is one run of gemmNR columns in a
+// CHWN input, image by image (j.inPlace), is not unrolled: each step of its
+// table points into the input (inputRows).  Any other panel is unrolled into
+// the lane's slot, or, when narrower than gemmNR, into a stack tile widened
+// to gemmNR zero-padded columns.  The multiplication walks the reduction in
 // gemmKC blocks for a single panel over every slab.  A full micro-tile whose
 // gemmNR columns are gemmNR consecutive floats of each output plane goes
 // straight to the output; any other (cut by the last slab, a narrow panel,
-// columns an image apart or strided) goes through a stack tile, and a narrow
-// panel is widened to gemmNR zero-padded columns first.
+// columns an image apart or strided) goes through a stack tile.
 //
 //memcnn:noalloc
 func convGemmLane(j convGemmJob, lane int) {
@@ -245,11 +269,17 @@ func convGemmLane(j convGemmJob, lane int) {
 	var bTile [gemmKC * gemmNR]float32
 	var runs [gemmNR]colRun
 	var at [gemmNR]int // each run's output offset in plane 0
+	var packed panelRows
+	var input, tile gemmRows
+	taps := [2]tapBlock{{kb: -1}, {kb: -1}} // blocks alternate: a reduction of two never refills
 	for col := lane * j.pw; col < j.cols; col += j.lanes * j.pw {
 		w := min(j.pw, j.cols-col)
 		panel := slot[:k*w]
 		rs := runs[:j.cutRuns(runs[:], col, w)]
-		j.im2col(panel, rs, w)
+		inPlace := j.inPlace && len(rs) == 1 && w == gemmNR
+		if !inPlace {
+			j.im2col(panel, rs, w)
+		}
 		direct := w == gemmNR
 		for i, r := range rs {
 			at[i] = r.n*j.out.n + r.oh*j.out.h + r.ow*j.out.w
@@ -260,18 +290,26 @@ func convGemmLane(j convGemmJob, lane int) {
 		for kb := 0; kb < k; kb += gemmKC {
 			kc := min(gemmKC, k-kb)
 			accumulate := kb > 0
-			bp := panel[kb*w : (kb+kc)*w]
-			if w < gemmNR {
+			var bp *gemmRows
+			switch {
+			case inPlace:
+				j.inputRows(&input, &taps[kb/gemmKC%2], rs[0], kb, kc)
+				bp = &input
+			case w < gemmNR:
+				from := panel[kb*w : (kb+kc)*w]
 				for kk := 0; kk < kc; kk++ {
-					wide := bTile[kk*gemmNR : (kk+1)*gemmNR]
-					copy(wide, bp[kk*w:(kk+1)*w])
+					wide := (*[gemmNR]float32)(bTile[kk*gemmNR:])
+					copy(wide[:], from[kk*w:(kk+1)*w])
 					clear(wide[w:])
+					tile[kk] = wide
 				}
-				bp = bTile[:kc*gemmNR]
+				bp = &tile
+			default:
+				bp = packed.of(panel[kb*w:], kc)
 			}
 			for row := 0; row < m; row += gemmMR {
 				ap := j.packed[row*k+kb*gemmMR : row*k+(kb+kc)*gemmMR]
-				if direct && row+2*gemmMR <= m && m >= gemmPairM {
+				if direct && row+2*gemmMR <= m {
 					gemmMicro2(kc, ap, j.packed[(row+gemmMR)*k+kb*gemmMR:], bp, j.out.data[row*ldc+at[0]:], ldc, accumulate)
 					row += gemmMR
 					continue
@@ -289,6 +327,56 @@ func convGemmLane(j convGemmJob, lane int) {
 			}
 		}
 	}
+}
+
+// inputRows points rows at the input for the kc taps from tap kb of run r, a
+// whole panel whose gemmNR columns are, for every tap in range, gemmNR
+// consecutive input floats: a tap's row starts at the input value its first
+// column reads, and is gemmZeroRow where the tap falls in the padding.  A run
+// across positions lies inside the row's window (j.inside), so a tap is in
+// range for all of its columns or, above and below the image, for none.
+// taps holds the block's tap offsets, worked out again only for another
+// block; a window wholly inside the image takes them without a range check.
+func (j *convGemmJob) inputRows(rows *gemmRows, taps *tapBlock, r colRun, kb, kc int) {
+	cfg, in := &j.cfg, &j.in
+	if taps.kb != kb {
+		taps.fill(cfg, in, kb, kc)
+	}
+	ih0, iw0 := r.oh*cfg.StrideH-cfg.PadH, r.ow*cfg.StrideW-cfg.PadW
+	base := r.n*in.n + ih0*in.h + iw0*in.w
+	if ih0 >= 0 && ih0+cfg.FH <= cfg.H && iw0 >= 0 && iw0+cfg.FW <= cfg.W {
+		for kk, off := range taps.off[:kc] {
+			rows[kk] = (*[gemmNR]float32)(in.data[base+off:])
+		}
+		return
+	}
+	for kk, off := range taps.off[:kc] {
+		if uint(ih0+int(taps.fh[kk])) < uint(cfg.H) && uint(iw0+int(taps.fw[kk])) < uint(cfg.W) {
+			rows[kk] = (*[gemmNR]float32)(in.data[base+off:])
+		} else {
+			rows[kk] = &gemmZeroRow
+		}
+	}
+}
+
+// tapBlock is the taps of the reduction block from tap kb: each one's input
+// offset from its window's corner, c·in.c + fh·in.h + fw·in.w, and its filter
+// row and column.
+type tapBlock struct {
+	off    [gemmKC]int
+	fh, fw [gemmKC]int32
+	kb     int
+}
+
+// fill works out the block of kc taps from tap kb, walking (c, fh, fw).
+func (b *tapBlock) fill(cfg *ConvConfig, in *strided, kb, kc int) {
+	t := tapAt(cfg, kb)
+	for kk := 0; kk < kc; kk++ {
+		b.off[kk] = t.c*in.c + t.fh*in.h + t.fw*in.w
+		b.fh[kk], b.fw[kk] = int32(t.fh), int32(t.fw)
+		t = t.next(cfg)
+	}
+	b.kb = kb
 }
 
 // moveTile copies the first h rows of tile between it and h planes of a

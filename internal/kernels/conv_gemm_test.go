@@ -134,6 +134,36 @@ var batchFoldedConvCases = []ConvConfig{
 	{N: 3, C: 1, H: 3, W: 3, K: 2, FH: 2, FW: 4, PadW: 3},
 }
 
+// inPlaceConvCases have panels the lane loop reads in place (a CHWN input,
+// image by image: one run of gemmNR columns) next to panels it unrolls: one
+// position's images at N ≥ 16, and at N < 16 the runs carried across a row's
+// inside positions.  Together they take pad 0, 1 and 2, stride 1 and 2, K of
+// one slab pair (12), a pair and a partial slab (13, 16, 17), a pair alone
+// (24) and several pairs (64), and reductions over gemmKC (two kc blocks).
+// Each has OutH·OutW ≥ gemmNR, so its workspace holds whole panels, stays
+// under 2^20 multiply-adds and lies inside FuzzConvGemmLayouts' ranges, whose
+// seeds they are.
+var inPlaceConvCases = []ConvConfig{
+	// N = 16: every panel one position; C·FH·FW = 275, two kc blocks.
+	{N: 16, C: 11, H: 4, W: 4, K: 12, FH: 5, FW: 5, PadH: 2, PadW: 2},
+	// N = 8, pad 0: every position inside, so runs carry across whole rows
+	// and a panel ending a row is cut in two.
+	{N: 8, C: 3, H: 7, W: 9, K: 17, FH: 3, FW: 3},
+	// N = 15, pad 2: runs carry across the inside positions only.
+	{N: 15, C: 2, H: 8, W: 8, K: 24, FH: 3, FW: 3, PadH: 2, PadW: 2},
+	// N = 17, stride 2: a panel inside one position is read in place, one
+	// straddling two is unrolled.
+	{N: 17, C: 3, H: 5, W: 5, K: 64, FH: 3, FW: 3, StrideH: 2, StrideW: 2, PadH: 2, PadW: 2},
+	// N = 16, stride 2, C·FH·FW = 300: two kc blocks.
+	{N: 16, C: 12, H: 7, W: 7, K: 13, FH: 5, FW: 5, StrideH: 2, StrideW: 2, PadH: 2, PadW: 2},
+	// N = 32: two panels a position.
+	{N: 32, C: 2, H: 4, W: 4, K: 24, FH: 3, FW: 3, PadH: 1, PadW: 1},
+	// N = 128: LeNet's conv1 on a 4×4 image.
+	{N: 128, C: 1, H: 4, W: 4, K: 16, FH: 5, FW: 5, PadH: 2, PadW: 2},
+	// N = 16, pad 0, K = 64.
+	{N: 16, C: 2, H: 6, W: 6, K: 64, FH: 3, FW: 3},
+}
+
 // convGemmMatchesOldPath runs one configuration through ConvIm2colGemmInto for
 // every pair of the given layouts and compares it with oldConvIm2colGemm bit
 // for bit: filters and scratch fenced by NaNs, scratch and output poisoned.
@@ -181,6 +211,7 @@ func TestConvIm2colGemmIntoMatchesOldPath(t *testing.T) {
 		{N: 1, C: 1, H: 4, W: 67, K: 1, FH: 2, FW: 2, PadH: 1, PadW: 2, StrideH: 2, StrideW: 2},
 	}, SmallConvCases...)
 	cases = append(cases, batchFoldedConvCases...)
+	cases = append(cases, inPlaceConvCases...)
 	r := rand.New(rand.NewSource(61))
 	for _, cfg := range cases {
 		convGemmMatchesOldPath(t, r, cfg, tensor.Layouts)
@@ -191,20 +222,61 @@ func TestConvIm2colGemmIntoMatchesOldPath(t *testing.T) {
 // arbitrary legal configurations, through all four input/output pairs of
 // the two layouts: every pair takes the one lane loop.
 func FuzzConvGemmLayouts(f *testing.F) {
-	for i, cfg := range batchFoldedConvCases {
+	for i, cfg := range append(append([]ConvConfig(nil), batchFoldedConvCases...), inPlaceConvCases...) {
 		cfg = cfg.WithDefaults()
 		f.Add(uint8(cfg.N-1), uint8(cfg.C-1), uint8(cfg.H-1), uint8(cfg.W-1), uint8(cfg.K-1), uint8(cfg.FH-1), uint8(cfg.FW-1),
 			uint8(cfg.StrideH-1), uint8(cfg.StrideW-1), uint8(cfg.PadH), uint8(cfg.PadW), int64(i))
 	}
 	f.Fuzz(func(t *testing.T, n, c, h, w, k, fh, fw, strideH, strideW, padH, padW uint8, seed int64) {
 		cfg := ConvConfig{N: int(n%128) + 1, C: int(c%16) + 1, H: int(h%16) + 1, W: int(w%16) + 1,
-			K: int(k%32) + 1, FH: int(fh%7) + 1, FW: int(fw%7) + 1,
+			K: int(k%64) + 1, FH: int(fh%7) + 1, FW: int(fw%7) + 1,
 			StrideH: int(strideH%4) + 1, StrideW: int(strideW%4) + 1, PadH: int(padH % 4), PadW: int(padW % 4)}
 		if cfg.Validate() != nil || cfg.FLOPs()/2 > 1<<20 {
 			t.Skip()
 		}
 		convGemmMatchesOldPath(t, rand.New(rand.NewSource(seed)), cfg, tensor.Layouts)
 	})
+}
+
+// TestInputRowsMatchIm2col checks the table a panel read in place gets
+// against the unroll it replaces: on every inPlaceConvCases shape, for each
+// panel the lane loop reads in place (one run of gemmNR columns over a CHWN
+// input, image by image) and each kc block, row kk of inputRows holds the bits
+// of row kb+kk of im2col's panel.  Every shape has such a panel.
+func TestInputRowsMatchIm2col(t *testing.T) {
+	for _, cfg := range inPlaceConvCases {
+		cfg = cfg.WithDefaults()
+		in := tensor.Random(cfg.InputShape(), tensor.CHWN, 1)
+		out := tensor.New(cfg.OutputShape(), tensor.CHWN)
+		j := newConvGemmJob(in, nil, out, cfg, make([]float32, ConvGemmWorkspaceElems(cfg, tensor.CHWN)))
+		if !j.inPlace || j.pw != gemmNR {
+			t.Fatalf("%v: the job reads nothing in place (inPlace %v, panels of %d)", cfg, j.inPlace, j.pw)
+		}
+		panel := make([]float32, j.kdim*gemmNR)
+		var runs [gemmNR]colRun
+		var rows gemmRows
+		taps := tapBlock{kb: -1}
+		read := 0
+		for col := 0; col+gemmNR <= j.cols; col += gemmNR {
+			rs := runs[:j.cutRuns(runs[:], col, gemmNR)]
+			if len(rs) != 1 {
+				continue
+			}
+			read++
+			poison(panel)
+			j.im2col(panel, rs, gemmNR)
+			for kb := 0; kb < j.kdim; kb += gemmKC {
+				kc := min(gemmKC, j.kdim-kb)
+				j.inputRows(&rows, &taps, rs[0], kb, kc)
+				for kk := 0; kk < kc; kk++ {
+					equalBits(t, fmt.Sprintf("%v column %d tap %d", cfg, col, kb+kk), rows[kk][:], panel[(kb+kk)*gemmNR:(kb+kk+1)*gemmNR])
+				}
+			}
+		}
+		if read == 0 {
+			t.Errorf("%v: no panel is one run", cfg)
+		}
+	}
 }
 
 // TestConvGemmWorkspaceElems checks that the workspace is one image's unroll

@@ -124,11 +124,13 @@ func fma32Tile(r *rand.Rand, kind int, a, b, s []float32) {
 // (the assembly bodies where the host has them), and returns the pure-Go
 // result and the other three: gemmMicro's, then each slab's of gemmMicro2.
 func microStep(a, b, s []float32) (pure []float32, micro [3][]float32) {
+	var rows panelRows
+	rb := rows.of(b, 1)
 	pure, micro[0] = append([]float32(nil), s...), append([]float32(nil), s...)
-	gemmMicroGo(1, a, b, pure, gemmNR, true)
-	gemmMicro(1, a, b, micro[0], gemmNR, true)
+	gemmMicroGo(1, a, rb, pure, gemmNR, true)
+	gemmMicro(1, a, rb, micro[0], gemmNR, true)
 	pair := append(append([]float32(nil), s...), s...)
-	gemmMicro2(1, a, a, b, pair, gemmNR, true)
+	gemmMicro2(1, a, a, rb, pair, gemmNR, true)
 	micro[1], micro[2] = pair[:len(s)], pair[len(s):]
 	return pure, micro
 }

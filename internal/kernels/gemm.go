@@ -12,19 +12,23 @@ import (
 // style of BLIS/GotoBLAS.  It is the substrate for the Caffe/cuDNN convolution
 // path (im2col + GEMM, Section II.B).
 //
-// Both operands are repacked so the micro-kernel only ever walks unit-stride
-// memory:
+// A is repacked so the micro-kernel walks it at unit stride; B is read through
+// a table of row references (gemmRows), one a reduction step:
 //
 //   - A (m×k) lives in slabs of gemmMR rows, k-major inside a slab: element
 //     (i, kk) is at (i/gemmMR)·gemmMR·k + kk·gemmMR + i%gemmMR.  The last slab
 //     is zero-padded to gemmMR rows, so packed A holds gemmPackedAElems(m, k)
 //     floats.  Convolution filters are packed once (PackConvFilters).
-//   - B (k×n) lives in panels of gemmNR columns, k-major inside a panel:
-//     element (kk, j) is at (j/gemmNR)·gemmNR·k + kk·w + j%gemmNR, where w is
-//     the panel's width.  The ragged last panel is stored at its true width
-//     w = n%gemmNR, so packed B holds exactly k·n floats — the size of the
-//     unpacked matrix, which is what lets the convolution's unroll emit this
-//     format straight into its scratch without growing it.
+//   - B (k×n) is taken a gemmNR-column panel at a time; a call's kc steps
+//     are kc rows of gemmNR floats that may each live anywhere.  An unrolled
+//     panel (im2col) is k-major: element (kk, j) at (j/gemmNR)·gemmNR·k +
+//     kk·w + j%gemmNR, w the panel's width (the ragged last panel at its true
+//     width, so the unroll is exactly k·n floats and fits the convolution's
+//     scratch), and its table points at consecutive rows.  A panel whose
+//     columns are gemmNR consecutive input floats at every step is not
+//     unrolled: its table points into the input, and at gemmZeroRow where a
+//     step reads padding (conv_gemm.go; Dukhan, "The Indirect Convolution
+//     Algorithm", 2019).
 //
 // The driver is the GEMM convolution's lane loop (conv_gemm.go), GemmInto
 // included: a lane owns one gemmNR-column panel of C at a time and walks the
@@ -35,28 +39,23 @@ import (
 // registers (gemmMicro); two adjacent slabs, 2·gemmMR×gemmNR, as twelve
 // 16-float accumulators and one B vector on AVX-512's ZMM registers, each A
 // value an embedded broadcast (gemmMicro2, which is gemmMicro twice without
-// AVX-512).  The forward lane loop hands pairs of full slabs to gemmMicro2
-// where a layer has gemmPairM filters or more; the gradients keep gemmMicro
-// (train-lenet16 measured no gain from pairs).
+// AVX-512).  The forward lane loop hands every pair of full slabs to
+// gemmMicro2, LeNet's 16-filter layers included: with their panels read in
+// place, lenet-conv2@n128 CHWN ran 12% faster paired (2.9–3.3 against
+// 3.5–4.2 ms, 5 of 5 alternating runs) and conv1 even.  The gradients keep
+// gemmMicro (train-lenet16 measured no gain from pairs).
 //
 // Every C element is owned by one lane and accumulates k-ascending with one
 // IEEE float32 fused multiply-add per step, c = RN(c + a·b): each assembly
 // body issues one VFMADD231PS a product and the pure-Go kernel emulates it
 // exactly (fma32).  Results are therefore bit-identical across bodies,
-// blockings, worker counts and repeated runs.
+// blockings, worker counts, repeated runs, and packed or in-place B.
 
 // Blocking parameters of the CPU GEMM.
 const (
 	gemmMR = 6   // rows of C held in registers
 	gemmNR = 16  // columns of C held in registers (two 8-float vectors)
 	gemmKC = 256 // reduction steps per block
-	// gemmPairM is the fewest filters (rows of C) for which the lane loop
-	// hands slab pairs to gemmMicro2.  The ZMM body wins alone at every kc,
-	// but a layer with few filters reuses each unrolled panel little, so the
-	// unroll dominates and the pair did not pay: LeNet's 16-filter layers ran
-	// slower on it (lenet-conv2@n128 CHWN 3–9% in 6 of 8 alternating runs,
-	// batch-lenet128 2–7% in 4 of 4 with conv1's 25-step reduction paired).
-	gemmPairM = 4 * gemmMR
 )
 
 // gemmPackedAElems returns the length of the slab-packed form of an m×k left
@@ -124,26 +123,57 @@ func GemmInto(a, b, c []float32, m, n, k int) error {
 	return err
 }
 
+// gemmRows is the right operand of one micro-kernel call: row kk, for each
+// of the call's kc steps, is the gemmNR floats of B at reduction step kk.
+// The rows may live anywhere, and every one of the kc must be set.
+type gemmRows [gemmKC]*[gemmNR]float32
+
+// gemmZeroRow is the row a table points at where a step reads only padding.
+// Nothing writes it.
+var gemmZeroRow [gemmNR]float32
+
+// panelRows is a packed panel's table, kept across calls: a lane's panel
+// stays where it is, so of rebuilds it only when the panel moves or the
+// reduction grows.
+type panelRows struct {
+	rows gemmRows
+	at   *float32
+	kc   int
+}
+
+// of returns the table whose rows are the kc consecutive gemmNR-float rows at
+// the start of p.
+func (t *panelRows) of(p []float32, kc int) *gemmRows {
+	if &p[0] != t.at || kc > t.kc {
+		for kk := 0; kk < kc; kk++ {
+			t.rows[kk] = (*[gemmNR]float32)(p[kk*gemmNR:])
+		}
+		t.at, t.kc = &p[0], kc
+	}
+	return &t.rows
+}
+
 // gemmMicroGo is the portable micro-kernel, and the definition of the
 // micro-kernel contract: for the gemmMR×gemmNR block of C at c (row stride
 // ldc), C = A·B when accumulate is false and C += A·B when it is true, where a
-// is kc steps of one slab (gemmMR floats a step) and b kc steps of one panel
-// (gemmNR floats a step); each element takes its kc products in ascending
-// order, one float32 fused multiply-add (fma32) per step.  A NaN element is
-// some NaN: its payload is not part of the contract.  A step rounds the
-// float64 sum once more, to float32, unless that sum is a float32 midpoint,
-// where the second rounding could break the tie the wrong way (the subnormal
-// range, where the midpoints lie elsewhere, counts as one): fma32 takes those.
-func gemmMicroGo(kc int, a, b, c []float32, ldc int, accumulate bool) {
-	a, b = a[:kc*gemmMR], b[:kc*gemmNR]
+// is kc steps of one slab (gemmMR floats a step) and b's first kc rows are the
+// kc steps of one panel (gemmNR floats a step); each element takes its kc
+// products in ascending order, one float32 fused multiply-add (fma32) per
+// step.  A NaN element is some NaN: its payload is not part of the contract.
+// A step rounds the float64 sum once more, to float32, unless that sum is a
+// float32 midpoint, where the second rounding could break the tie the wrong
+// way (the subnormal range, where the midpoints lie elsewhere, counts as
+// one): fma32 takes those.
+func gemmMicroGo(kc int, a []float32, b *gemmRows, c []float32, ldc int, accumulate bool) {
+	a = a[:kc*gemmMR]
 	for r := 0; r < gemmMR; r++ {
 		row := c[r*ldc : r*ldc+gemmNR]
 		if !accumulate {
 			clear(row)
 		}
-		for p := 0; p < kc; p++ {
+		for p, brow := range b[:kc] {
 			ar := a[p*gemmMR+r]
-			for q, bv := range b[p*gemmNR : (p+1)*gemmNR] {
+			for q, bv := range brow {
 				x := float64(row[q]) + float64(ar)*float64(bv)
 				if bits := math.Float64bits(x); bits&(1<<29-1) != 1<<28 && bits>>52&0x7ff >= 1023-126 {
 					row[q] = float32(x)

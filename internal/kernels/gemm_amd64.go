@@ -26,30 +26,31 @@ func vectorISA() (avx2, avx512 bool) {
 }
 
 // gemmMicro is the micro-kernel the packed core calls; gemmMicroGo documents
-// its contract.  The assembly body reads kc·gemmMR floats of a, kc·gemmNR of b
-// and touches gemmNR floats in each of gemmMR rows of c; the slice expressions
-// below are the bounds checks it does not do itself.
-func gemmMicro(kc int, a, b, c []float32, ldc int, accumulate bool) {
+// its contract.  The assembly body reads kc·gemmMR floats of a, b's first kc
+// rows and touches gemmNR floats in each of gemmMR rows of c; the slice
+// expressions below are the bounds checks it does not do itself, and each row
+// of b is a whole array.
+func gemmMicro(kc int, a []float32, b *gemmRows, c []float32, ldc int, accumulate bool) {
 	if !useAVX2 {
 		gemmMicroGo(kc, a, b, c, ldc, accumulate)
 		return
 	}
-	_, _, _ = a[:kc*gemmMR], b[:kc*gemmNR], c[:(gemmMR-1)*ldc+gemmNR]
-	gemmMicroAVX2(kc, &a[0], &b[0], &c[0], ldc, accumulate)
+	_, _, _ = a[:kc*gemmMR], b[:kc], c[:(gemmMR-1)*ldc+gemmNR]
+	gemmMicroAVX2(kc, &a[0], b, &c[0], ldc, accumulate)
 }
 
 // gemmMicro2 runs the micro-kernel on two adjacent slabs, a0's rows of C at c
 // and a1's gemmMR rows below them, over one panel: the 12×16 ZMM body where
 // the host has AVX-512, gemmMicro twice elsewhere.  Each slab's rows keep
 // gemmMicroGo's contract, so the result is the same bits either way.
-func gemmMicro2(kc int, a0, a1, b, c []float32, ldc int, accumulate bool) {
+func gemmMicro2(kc int, a0, a1 []float32, b *gemmRows, c []float32, ldc int, accumulate bool) {
 	if !useAVX512 {
 		gemmMicro(kc, a0, b, c, ldc, accumulate)
 		gemmMicro(kc, a1, b, c[gemmMR*ldc:], ldc, accumulate)
 		return
 	}
-	_, _, _, _ = a0[:kc*gemmMR], a1[:kc*gemmMR], b[:kc*gemmNR], c[:(2*gemmMR-1)*ldc+gemmNR]
-	gemmMicroAVX512(kc, &a0[0], &a1[0], &b[0], &c[0], ldc, accumulate)
+	_, _, _, _ = a0[:kc*gemmMR], a1[:kc*gemmMR], b[:kc], c[:(2*gemmMR-1)*ldc+gemmNR]
+	gemmMicroAVX512(kc, &a0[0], &a1[0], b, &c[0], ldc, accumulate)
 }
 
 // fcMicro is the fully-connected micro-kernel (contract in fc.go).  The
@@ -83,10 +84,10 @@ func maxChunks(win, dst []float32, m, window, sh, sw int) int {
 // Implemented in gemm_amd64.s, gemm_avx512_amd64.s, fc_amd64.s, pool_amd64.s.
 
 //go:noescape
-func gemmMicroAVX2(kc int, a, b, c *float32, ldc int, accumulate bool)
+func gemmMicroAVX2(kc int, a *float32, b *gemmRows, c *float32, ldc int, accumulate bool)
 
 //go:noescape
-func gemmMicroAVX512(kc int, a0, a1, b, c *float32, ldc int, accumulate bool)
+func gemmMicroAVX512(kc int, a0, a1 *float32, b *gemmRows, c *float32, ldc int, accumulate bool)
 
 //go:noescape
 func fcMicroAVX2(steps int, a *float32, rows *[fcMR]int, sa int, b *float32, sb int, acc *float64)

@@ -81,7 +81,9 @@ func TestGemmAssemblyMatchesPureGo(t *testing.T) {
 
 // TestGemmMicroKernelContract drives each assembly body directly inside a
 // wider C fenced by NaNs, overwriting and accumulating, against gemmMicroGo:
-// the AVX2 body on one slab, the ZMM body on a slab pair.
+// the AVX2 body on one slab, the ZMM body on a slab pair.  B's table points
+// at consecutive rows of a fenced panel, then at the same rows scattered out
+// of order with every third one gemmZeroRow, as an input read in place is.
 func TestGemmMicroKernelContract(t *testing.T) {
 	const ldc = gemmNR + 5
 	for _, body := range gemmBodies[:2] {
@@ -96,19 +98,30 @@ func TestGemmMicroKernelContract(t *testing.T) {
 				a0, _ := guarded(r, kc*gemmMR)
 				a1, _ := guarded(r, kc*gemmMR)
 				b, _ := guarded(r, kc*gemmNR)
-				for _, accumulate := range []bool{false, true} {
-					cAsm, backing := guarded(r, (slabs*gemmMR-1)*ldc+gemmNR)
-					cGo := append([]float32(nil), cAsm...)
-					if body.avx512 {
-						gemmMicroAVX512(kc, &a0[0], &a1[0], &b[0], &cAsm[0], ldc, accumulate)
-						gemmMicroGo(kc, a1, b, cGo[gemmMR*ldc:], ldc, accumulate)
-					} else {
-						gemmMicroAVX2(kc, &a0[0], &b[0], &cAsm[0], ldc, accumulate)
+				var packed panelRows
+				var scattered gemmRows
+				for kk, p := range r.Perm(kc) {
+					scattered[kk] = (*[gemmNR]float32)(b[p*gemmNR:])
+					if kk%3 == 2 {
+						scattered[kk] = &gemmZeroRow
 					}
-					gemmMicroGo(kc, a0, b, cGo, ldc, accumulate)
-					equalBits(t, fmt.Sprintf("kc=%d accumulate=%v", kc, accumulate), cAsm, cGo)
-					if !fenceIntact(backing, len(cAsm)) {
-						t.Fatalf("kc=%d: the body wrote outside its tile", kc)
+				}
+				for _, rows := range []*gemmRows{packed.of(b, kc), &scattered} {
+					for _, accumulate := range []bool{false, true} {
+						cAsm, backing := guarded(r, (slabs*gemmMR-1)*ldc+gemmNR)
+						cGo := append([]float32(nil), cAsm...)
+						if body.avx512 {
+							gemmMicroAVX512(kc, &a0[0], &a1[0], rows, &cAsm[0], ldc, accumulate)
+							gemmMicroGo(kc, a1, rows, cGo[gemmMR*ldc:], ldc, accumulate)
+						} else {
+							gemmMicroAVX2(kc, &a0[0], rows, &cAsm[0], ldc, accumulate)
+						}
+						gemmMicroGo(kc, a0, rows, cGo, ldc, accumulate)
+						what := fmt.Sprintf("kc=%d accumulate=%v scattered=%v", kc, accumulate, rows == &scattered)
+						equalBits(t, what, cAsm, cGo)
+						if !fenceIntact(backing, len(cAsm)) {
+							t.Fatalf("%s: the body wrote outside its tile", what)
+						}
 					}
 				}
 			}
@@ -119,7 +132,11 @@ func TestGemmMicroKernelContract(t *testing.T) {
 // TestConvGemmBodiesAgree runs a convolution's forward and both GEMM
 // gradients through each micro-kernel body, in both layouts, and wants the
 // pure-Go body's bits.  The forward's 64 filters over a reduction of 216 take
-// the slab-pair entry.
+// the slab-pair entry.  Then each body runs the forward of every
+// inPlaceConvCases shape into CHWN from a CHWN input, whose one-run panels it
+// reads in place through row tables, and from the same values in NCHW, whose
+// panels it unrolls: both must give the bits of the pure-Go body's unrolled
+// run.
 func TestConvGemmBodiesAgree(t *testing.T) {
 	cfg := ConvConfig{N: 16, C: 24, H: 8, W: 8, K: 64, FH: 3, FW: 3, PadH: 1, PadW: 1}.WithDefaults()
 	filters := tensor.Filters(cfg.K, cfg.C, cfg.FH, cfg.FW, 2)
@@ -142,17 +159,42 @@ func TestConvGemmBodiesAgree(t *testing.T) {
 		}
 		return []*tensor.Tensor{out, dIn, dW}
 	}
+	forward := func(c ConvConfig, inLay tensor.Layout) *tensor.Tensor {
+		f := tensor.Filters(c.K, c.C, c.FH, c.FW, 2)
+		p, err := PackConvFilters(f, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := tensor.New(c.OutputShape(), tensor.CHWN)
+		scratch := make([]float32, ConvGemmWorkspaceElems(c, tensor.CHWN))
+		if err := ConvIm2colGemmInto(tensor.Convert(tensor.Random(c.InputShape(), tensor.CHWN, 4), inLay), p, out, c, scratch); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
 	want := map[tensor.Layout][]*tensor.Tensor{}
+	var unrolled []*tensor.Tensor
 	gemmBodies[2].use(t)
 	for _, lay := range tensor.Layouts {
 		want[lay] = run(lay)
 	}
-	for _, body := range gemmBodies[:2] {
+	for _, c := range inPlaceConvCases {
+		unrolled = append(unrolled, forward(c.WithDefaults(), tensor.NCHW))
+	}
+	for _, body := range gemmBodies {
 		t.Run("body="+body.name, func(t *testing.T) {
 			body.use(t)
-			for _, lay := range tensor.Layouts {
-				for i, got := range run(lay) {
-					equalBits(t, fmt.Sprintf("%v %s", lay, []string{"forward", "data gradient", "filter gradient"}[i]), got.Data, want[lay][i].Data)
+			if body.avx2 {
+				for _, lay := range tensor.Layouts {
+					for i, got := range run(lay) {
+						equalBits(t, fmt.Sprintf("%v %s", lay, []string{"forward", "data gradient", "filter gradient"}[i]), got.Data, want[lay][i].Data)
+					}
+				}
+			}
+			for i, c := range inPlaceConvCases {
+				c = c.WithDefaults()
+				for _, inLay := range tensor.Layouts {
+					equalBits(t, fmt.Sprintf("%v from %v", c, inLay), forward(c, inLay).Data, unrolled[i].Data)
 				}
 			}
 		})

@@ -2,14 +2,15 @@
 
 #include "textflag.h"
 
-// func gemmMicroAVX512(kc int, a0, a1, b, c *float32, ldc int, accumulate bool)
+// func gemmMicroAVX512(kc int, a0, a1 *float32, b *gemmRows, c *float32, ldc int, accumulate bool)
 //
 // The 12×16 micro-kernel of the packed GEMM: two adjacent 6-row slabs of A,
 // a0 for rows 0–5 of the block and a1 for rows 6–11, times one 16-column
 // panel of B (contract: gemmMicroGo, per slab).  Z0–Z11 hold the block of C,
-// row r in Z(r); every reduction step loads the 16 floats of B into one ZMM
-// register and adds each row's product to its accumulator with one
-// VFMADD231PS whose A operand is an embedded broadcast of the slab's float:
+// row r in Z(r); every reduction step loads its row's address from the table
+// b into R14, the 16 floats of B there into one ZMM register, and adds each
+// row's product to its accumulator with one VFMADD231PS whose A operand is
+// an embedded broadcast of the slab's float:
 // one rounding a step, the fused multiply-add gemmMicroGo emulates bit for
 // bit.  Rows r and r+6 of C share a base register, the second at 6·ldc floats
 // past it.  The loop takes two steps a pass (an odd kc ends with one), which
@@ -66,7 +67,8 @@ step:
 	JZ tail
 
 pair:
-	VMOVUPS 0(DI), Z12
+	MOVQ 0(DI), R14
+	VMOVUPS 0(R14), Z12
 	VFMADD231PS.BCST 0(SI), Z12, Z0
 	VFMADD231PS.BCST 4(SI), Z12, Z1
 	VFMADD231PS.BCST 8(SI), Z12, Z2
@@ -79,7 +81,8 @@ pair:
 	VFMADD231PS.BCST 12(DX), Z12, Z9
 	VFMADD231PS.BCST 16(DX), Z12, Z10
 	VFMADD231PS.BCST 20(DX), Z12, Z11
-	VMOVUPS 64(DI), Z13
+	MOVQ 8(DI), R14
+	VMOVUPS 0(R14), Z13
 	VFMADD231PS.BCST 24(SI), Z13, Z0
 	VFMADD231PS.BCST 28(SI), Z13, Z1
 	VFMADD231PS.BCST 32(SI), Z13, Z2
@@ -94,14 +97,15 @@ pair:
 	VFMADD231PS.BCST 44(DX), Z13, Z11
 	ADDQ $48, SI
 	ADDQ $48, DX
-	ADDQ $128, DI
+	ADDQ $16, DI
 	DECQ BX
 	JNZ pair
 
 tail:
 	TESTQ $1, CX
 	JZ store
-	VMOVUPS 0(DI), Z12
+	MOVQ 0(DI), R14
+	VMOVUPS 0(R14), Z12
 	VFMADD231PS.BCST 0(SI), Z12, Z0
 	VFMADD231PS.BCST 4(SI), Z12, Z1
 	VFMADD231PS.BCST 8(SI), Z12, Z2

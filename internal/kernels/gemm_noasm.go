@@ -4,13 +4,13 @@ package kernels
 
 // gemmMicro is the micro-kernel the packed core calls: without the assembly
 // body, the portable one.
-func gemmMicro(kc int, a, b, c []float32, ldc int, accumulate bool) {
+func gemmMicro(kc int, a []float32, b *gemmRows, c []float32, ldc int, accumulate bool) {
 	gemmMicroGo(kc, a, b, c, ldc, accumulate)
 }
 
 // gemmMicro2 runs the micro-kernel on two adjacent slabs over one panel
 // (contract in gemm_amd64.go): here, the portable body twice.
-func gemmMicro2(kc int, a0, a1, b, c []float32, ldc int, accumulate bool) {
+func gemmMicro2(kc int, a0, a1 []float32, b *gemmRows, c []float32, ldc int, accumulate bool) {
 	gemmMicroGo(kc, a0, b, c, ldc, accumulate)
 	gemmMicroGo(kc, a1, b, c[gemmMR*ldc:], ldc, accumulate)
 }

@@ -266,6 +266,35 @@ func TestGemmPackedStaysInsideItsOperands(t *testing.T) {
 			t.Fatalf("%dx%dx%d: wrote outside the workspace", m, n, k)
 		}
 	}
+	// The table path: a CHWN input read in place, fenced like the rest, so a
+	// row that starts before the input or runs past its end poisons C.
+	for _, cfg := range inPlaceConvCases {
+		cfg = cfg.WithDefaults()
+		want := tensor.Random(cfg.InputShape(), tensor.CHWN, 5)
+		data, _ := guarded(nil, len(want.Data))
+		copy(data, want.Data)
+		in := &tensor.Tensor{Shape: cfg.InputShape(), Layout: tensor.CHWN, Data: data}
+		filters := tensor.Filters(cfg.K, cfg.C, cfg.FH, cfg.FW, 6)
+		flat, err := PackConvFilters(filters, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pa, _ := guarded(nil, len(flat))
+		copy(pa, flat)
+		scratch, scratchBacking := guarded(r, ConvGemmWorkspaceElems(cfg, tensor.CHWN))
+		c, backing := guarded(r, cfg.OutputShape().Elems())
+		out := &tensor.Tensor{Shape: cfg.OutputShape(), Layout: tensor.CHWN, Data: c}
+		if err := ConvIm2colGemmInto(in, pa, out, cfg, scratch); err != nil {
+			t.Fatal(err)
+		}
+		equalBits(t, fmt.Sprintf("%v", cfg), c, oldConvIm2colGemm(t, want, filters, cfg, tensor.CHWN).Data)
+		if !fenceIntact(backing, len(c)) {
+			t.Fatalf("%v: wrote outside the output", cfg)
+		}
+		if !fenceIntact(scratchBacking, len(scratch)) {
+			t.Fatalf("%v: wrote outside the workspace", cfg)
+		}
+	}
 }
 
 // FuzzGemm checks the packed core against the old loop on arbitrary small
@@ -373,8 +402,12 @@ type gemmBody struct {
 	avx2, avx512 bool
 }
 
-// microPeakJob is two slabs, a panel and a 12-row tile of C per worker.
-type microPeakJob struct{ a, b, c [][]float32 }
+// microPeakJob is two slabs, a panel's table and a 12-row tile of C per
+// worker.
+type microPeakJob struct {
+	a, c [][]float32
+	b    []*gemmRows
+}
 
 // microPeakCalls is the gemmMicro2 calls a worker makes per iteration,
 // 50 MFLOP, which keeps the fan-out under a percent of the time.
@@ -391,7 +424,8 @@ func microPeak(workers int) microPeakJob {
 		for i := range b {
 			b[i] = float32(r.NormFloat64())
 		}
-		j.a, j.b, j.c = append(j.a, a), append(j.b, b), append(j.c, make([]float32, 2*gemmMR*gemmNR))
+		var rows panelRows
+		j.a, j.b, j.c = append(j.a, a), append(j.b, rows.of(b, gemmKC)), append(j.c, make([]float32, 2*gemmMR*gemmNR))
 	}
 	return j
 }

@@ -7,6 +7,12 @@ package kernels
 // where a tap falls in the padding.  The expansion multiplies the input
 // footprint by FH*FW/ (StrideH*StrideW), which is the "matrix transformation
 // overhead" the paper blames for the poor NCHW performance at small C.
+//
+// Here it unrolls one gemmNR-column panel at a time, and only the panels the
+// lane loop cannot read in place (conv_gemm.go): every panel of an NCHW
+// input, and in a CHWN input the panels cut into several runs (a panel
+// straddling two positions, a run cut at a row's padded edge) or narrower
+// than gemmNR.
 
 // cutRuns cuts columns [col, col+w) of the call's product into runs that
 // step through the input at inStep and the output at outStep, and returns how
